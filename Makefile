@@ -29,6 +29,9 @@
 #   make decode-smoke - continuous-batching decode simulation end to
 #                  end: tokens/s, TTFT/ITL percentiles, per-worker
 #                  plan-cache hit rates (fixed seed, deterministic)
+#   make bench-e2e-smoke - the repo benchmark (BENCHMARK.json,
+#                  benchmarks/e2e/) end to end at --smoke scale: one
+#                  decode_stream run with its correctness check
 #   make advise-smoke - provisioning advisor end to end: a reduced
 #                  config search against the committed example traffic
 #                  spec (ranked candidates with margins, headroom and
@@ -46,10 +49,11 @@ PYTHONPATH := src
 
 .PHONY: check test bench bench-gate bench-update simulate-smoke \
 	simulate-overload simulate-faults decode-smoke engines-smoke \
-	transport-smoke advise-smoke
+	transport-smoke advise-smoke bench-e2e-smoke
 
 check: test bench-gate engines-smoke simulate-smoke simulate-overload \
-	simulate-faults decode-smoke transport-smoke advise-smoke
+	simulate-faults decode-smoke transport-smoke advise-smoke \
+	bench-e2e-smoke
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -97,6 +101,9 @@ decode-smoke:
 		--sequences 32 --rate 2500 --workers 2 --max-lanes 8 \
 		--admission est-wait --fault-transient 0.2 --fault-worker 0 \
 		--seed 0
+
+bench-e2e-smoke:
+	$(PYTHON) benchmarks/e2e/run.py --workload decode_stream --seed 0 --smoke
 
 transport-smoke:
 	PYTHONPATH=$(PYTHONPATH) timeout 600 $(PYTHON) -m repro.cli \

@@ -11,10 +11,13 @@ the deterministic cost-model clock:
   output-length distributions (geometric, capped) and ITL SLO classes
   from one seeded RNG stream;
 * **service** — each worker step costs
-  ``latency(bucket pattern) x lanes + batch overhead (+ cold compile)``
-  via :class:`~repro.cluster.pool.CostModelClock`, with per-worker
-  per-bucket warm-plan tracking so the first step in a bucket is the
-  only cold one (mirroring the real decode path's plan cache);
+  ``latency(step pattern) x lanes + batch overhead (+ cold compile)``
+  via :class:`~repro.cluster.pool.CostModelClock`, where the step
+  pattern sits at the bucket :func:`repro.decode.step_window` gives the
+  real scheduler (the small tail bucket for banded structures, the KV
+  bucket once a global token is active), with per-worker warm-plan
+  tracking so the first step on a plan is the only cold one (mirroring
+  the real decode path's plan cache);
 * **metrics** — time-to-first-token (TTFT), inter-token latency (ITL)
   p50/p99, tokens/s, and time-weighted concurrency, per run and per SLO
   class;
@@ -41,15 +44,15 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.salo import SALO
+from ..decode.session import step_window
 from ..patterns.base import Band
 from ..patterns.hybrid import HybridSparsePattern
 from ..serving.admission import AdmissionContext, AdmissionPolicy
-from ..serving.batching import length_bucket
 from .arrivals import SLOClass
 from .faults import FaultInjector
 from .metrics import MetricsCollector, RequestRecord, _percentile
@@ -373,25 +376,31 @@ class DecodeClusterSimulator:
         self.tokens_target_admitted = 0
 
     # ------------------------------------------------------------------
-    def _pattern_for(self, spec, bucket: int, min_len: int) -> HybridSparsePattern:
-        active = tuple(g for g in spec.global_tokens if g < min_len)
+    def _step_pattern(self, spec, lengths: Sequence[int]) -> HybridSparsePattern:
+        """The plan one step over lanes of these lengths executes.
+
+        Same rule as :meth:`repro.decode.DecodeScheduler.step`: globals
+        every lane has grown past are active, and the bucket is the
+        widest :func:`step_window` over the lanes.
+        """
+        shortest = min(lengths)
+        active = tuple(g for g in spec.global_tokens if g < shortest)
+        bands = spec.bands()
+        floor = self.config.bucket_floor
+        bucket = max(step_window(bands, active, n, floor)[1] for n in lengths)
         key = (bucket, active)
         pat = self._patterns.get(key)
         if pat is None:
-            pat = HybridSparsePattern(bucket, list(spec.bands()), active)
+            pat = HybridSparsePattern(bucket, list(bands), active)
             self._patterns[key] = pat
         return pat
 
     def _step_cost(self, worker: _DecodeWorker, spec) -> Tuple[float, bool]:
-        bucket = length_bucket(
-            max(s.length for s in worker.lanes), self.config.bucket_floor
-        )
-        min_len = min(s.length for s in worker.lanes)
-        pattern = self._pattern_for(spec, bucket, min_len)
+        pattern = self._step_pattern(spec, [s.length for s in worker.lanes])
         stats = worker.salo.estimate(
             pattern, heads=spec.heads, head_dim=spec.head_dim
         )
-        key = (bucket, pattern.global_tokens())
+        key = (pattern.n, pattern.global_tokens())
         cold = key not in worker.warm_plans
         service = stats.latency_s * len(worker.lanes) + self.clock.batch_overhead_s
         if cold:
@@ -413,25 +422,14 @@ class DecodeClusterSimulator:
         current step time — a drain model, not depth x unit.
         """
         lanes = worker.lanes
-        if lanes:
-            bucket = length_bucket(
-                max(s.length for s in lanes), self.config.bucket_floor
-            )
-            min_len = min(s.length for s in lanes)
-            stats = worker.salo.estimate(
-                self._pattern_for(spec, bucket, min_len),
-                heads=spec.heads,
-                head_dim=spec.head_dim,
-            )
-            step_s = stats.latency_s * len(lanes) + self.clock.batch_overhead_s
-        else:
-            bucket = length_bucket(spec.prompt_max, self.config.bucket_floor)
-            stats = worker.salo.estimate(
-                self._pattern_for(spec, bucket, spec.prompt_min),
-                heads=spec.heads,
-                head_dim=spec.head_dim,
-            )
-            step_s = stats.latency_s + self.clock.batch_overhead_s
+        # an idle worker's first step: one lane, anywhere in the prompt range
+        lengths = [s.length for s in lanes] or [spec.prompt_min, spec.prompt_max]
+        stats = worker.salo.estimate(
+            self._step_pattern(spec, lengths),
+            heads=spec.heads,
+            head_dim=spec.head_dim,
+        )
+        step_s = stats.latency_s * max(len(lanes), 1) + self.clock.batch_overhead_s
         lanes_needed = worker.depth + 1 - worker.max_lanes
         if lanes_needed <= 0:
             return 0.0, step_s

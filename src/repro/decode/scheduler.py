@@ -5,15 +5,29 @@ A one-shot batch is closed, executed, and done; decode batches are
 batch and finished ones retire mid-flight, so the lane axis is in
 constant churn.  :class:`DecodeScheduler` folds every active sequence
 into the engine's existing lane axis — one ``attend`` call per step per
-structure group, per-lane ``valid_lens`` masking each sequence's unused
-tail — exactly the padded-batch execution path the serving layer
-already uses for one-shot traffic.
+structure group — exactly the padded-batch execution path the serving
+layer already uses for one-shot traffic.
+
+Each lane contributes only its **step window**
+(:func:`~repro.decode.session.step_window`): the last rows of its
+history, enough to decide the new token, as a zero-copy view of its KV
+buffers.  A group executes at the widest step bucket among its lanes,
+which for banded structures is the small tail bucket however long the
+sequences have grown: a lane past the tail is windowed at its own
+``start``, a lane still inside it is attended whole (``start = 0``,
+zero-padded up to the group bucket), and per-lane ``valid_lens =
+length - start`` masks whatever a window leaves unused — all-full once
+every lane is past the tail, which is the engine's unmasked fast path.
+A sequence's first step is windowed like any other: the scheduler
+returns only new-token rows, so a long prompt costs its tail, not its
+length.  Groups with an active global token attend whole histories at
+the KV bucket of the longest lane (global keys sit outside any tail).
 
 Grouping: lanes batch together when they share band structure, head
 layout, hidden size, *and* active global-token set (the engine requires
 every global key to lie inside every lane's valid prefix, so a lane
 that has not yet grown past a global token steps in its own group until
-it has).  Each group executes at the bucket of its longest lane.
+it has).
 
 Determinism: each sequence's token stream is generated by a per-request
 RNG seeded from ``(seed, request_id)``, and lane outputs feed the next
@@ -24,6 +38,13 @@ timing are unobservable in the numbers.  Global-token patterns remain
 deterministic run-to-run, but the global rows depend on the group
 bucket (partial-softmax regrouping), so solo/batched identity holds
 only when the bucket trajectories coincide.
+
+The door: a :class:`DecodeRequest` with a non-finite prompt is refused
+at construction, by ``request_id``, so it cannot fail an engine call
+its batch-mates share.  A ``next_token`` source that hands back rows
+the KV state refuses (non-finite, misshapen) fails only its own lane:
+the lane is dropped, :attr:`DecodeScheduler.failed` records why under
+its ``request_id``, and the rest of the step carries on.
 """
 
 from __future__ import annotations
@@ -38,8 +59,7 @@ import numpy as np
 from ..core.config import HardwareConfig
 from ..core.salo import SALO, pattern_structure_key
 from ..patterns.base import AttentionPattern
-from ..serving.batching import length_bucket
-from .session import KVState, decode_pattern
+from .session import KVState, decode_pattern, step_window
 
 __all__ = [
     "DecodeRequest",
@@ -96,6 +116,11 @@ class DecodeRequest:
         self.prompt_v = np.asarray(self.prompt_v, dtype=float)
         if self.prompt_q.ndim != 2:
             raise ValueError("prompt must be (L, hidden)")
+        for name in ("prompt_q", "prompt_k", "prompt_v"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(
+                    f"request {self.request_id!r}: {name} holds non-finite values"
+                )
 
     def rng(self) -> np.random.Generator:
         """Fresh per-request generator; independent of batch placement."""
@@ -138,16 +163,16 @@ class _Lane:
     def feed(self, out_row: np.ndarray) -> bool:
         """Record one produced token; grow KV unless the budget is met.
 
-        Returns True when the lane just finished.
+        Returns True when the lane just finished.  Token rows the KV
+        state refuses (non-finite, misshapen) raise ``ValueError`` with
+        the lane untouched.
         """
+        if self.produced + 1 < self.request.max_new_tokens:
+            source = self.request.next_token or default_next_token
+            self.state.append(*source(out_row, self.rng))
         self.outputs.append(out_row.copy())
         self.produced += 1
-        if self.done:
-            return True
-        source = self.request.next_token or default_next_token
-        q_row, k_row, v_row = source(out_row, self.rng)
-        self.state.append(q_row, k_row, v_row)
-        return False
+        return self.done
 
 
 @dataclass
@@ -156,10 +181,11 @@ class DecodeStepReport:
 
     admitted: int = 0
     retired: int = 0
+    failed: int = 0  # lanes dropped this step (see DecodeScheduler.failed)
     dispatches: int = 0
     tokens: int = 0
     lanes: int = 0
-    bucket: int = 0  # largest group bucket this step
+    bucket: int = 0  # largest attended (step) bucket this step
 
 
 @dataclass
@@ -206,6 +232,7 @@ class DecodeScheduler:
         self._order = 0
         self._patterns: Dict[Tuple, AttentionPattern] = {}
         self.completed: Dict[str, np.ndarray] = {}
+        self.failed: Dict[str, str] = {}  # request_id -> why its lane was dropped
         self.steps = 0
         self.dispatches = 0
         self.tokens = 0
@@ -261,17 +288,21 @@ class DecodeScheduler:
         for key in sorted(groups, key=repr):
             lanes = sorted(groups[key], key=lambda l: l.order)
             bands, active, heads, hidden = key
-            bucket = length_bucket(
-                max(l.state.length for l in lanes), self.bucket_floor
-            )
+            # a lane still inside the tail gets start 0, so every lane's
+            # window fits the widest one
+            windows = [
+                step_window(bands, active, lane.state.length, self.bucket_floor)
+                for lane in lanes
+            ]
+            bucket = max(b for _, b in windows)
             pattern = self._pattern(bucket, bands, active)
-            qs, ks, vs = [], [], []
-            for lane in lanes:
-                q, k, v = lane.state.padded(bucket)
+            qs, ks, vs, valid = [], [], [], []
+            for lane, (start, _) in zip(lanes, windows):
+                q, k, v = lane.state.window(start, bucket)
                 qs.append(q)
                 ks.append(k)
                 vs.append(v)
-            valid = [lane.state.length for lane in lanes]
+                valid.append(lane.state.length - start)
             result = self.salo.attend(
                 pattern,
                 np.stack(qs),
@@ -284,8 +315,15 @@ class DecodeScheduler:
             report.dispatches += 1
             report.bucket = max(report.bucket, bucket)
             for i, lane in enumerate(lanes):
-                out_row = result.output[i, lane.state.length - 1]
-                if lane.feed(out_row):
+                try:
+                    done = lane.feed(result.output[i, valid[i] - 1])
+                except ValueError as err:
+                    # a bad next_token fails its own lane, not the batch
+                    self._active.remove(lane)
+                    self.failed[lane.request.request_id] = str(err)
+                    report.failed += 1
+                    continue
+                if done:
                     finished.append(lane)
                 self.tokens += 1
                 report.tokens += 1

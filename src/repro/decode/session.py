@@ -1,39 +1,71 @@
 """Per-sequence autoregressive decode state and stepping.
 
 One-shot encoder attention hands the engine a finished sequence;
-*decode* grows it one token per step and re-runs attention against the
-incrementally extended key set.  Recompiling a plan per length would
-spend a cold compile on every token, so :class:`DecodeSession` compiles
-at **length buckets** (powers of two via
-:func:`repro.serving.batching.length_bucket`) and masks the not-yet-
-written tail with ``valid_lens``:
+*decode* grows it one token per step and only ever needs the **newest
+row** of the attention output.  SALO's data scheduler splits a band
+into passes by *relative* offset, so that row's partial-softmax chain
+(which keys land in which pass, and the Eq. 2 merge order) depends only
+on the keys inside its own bands — not on where the row sits in the
+sequence or how long the sequence is.  A step therefore attends the
+**step window**: the last few rows of the history, at a small
+power-of-two **step bucket** sized by how far back the bands reach.
 
-* steps *within* a bucket reuse the bucket's cached plan — plan-cache
-  hits, zero compiles;
-* *crossing* a bucket (length 16→17, 32→33, …) is the only cold
-  compile, and each bucket is compiled exactly once per structure.
+Two buckets, two jobs
+---------------------
+* The **KV bucket** (:attr:`KVState.capacity`, powers of two via
+  :func:`repro.serving.batching.length_bucket`) sizes *storage*: the
+  Q/K/V buffers regrow at 16→32→64… and copy, amortised O(1) per token
+  like a growable array.  Rows past ``length`` stay zero.
+  ``prefill`` — which returns every row — attends the whole history at
+  this bucket, the unwritten tail masked by ``valid_lens``.
+* The **step bucket** (:func:`step_window`) sizes *compute*: with
+  ``back`` the furthest a band looks behind a query and ``lcm`` the
+  lcm of the band dilations, a step attends rows ``[start, length)``
+  at bucket ``length_bucket(back + lcm)``, where ``start`` is a
+  multiple of every dilation (dilated bands split rows by residue, so
+  the newest row must keep its residue class) and leaves at least
+  ``back`` rows behind the newest one.  The step bucket does not grow
+  with the sequence: once a sequence is past it, every further step —
+  at any length, across every KV-bucket crossing — is a plan-cache hit
+  on one small plan.
+  For now the step bucket is held at ``_MIN_STEP_ROWS`` rows or more —
+  a temporary workaround for the benchmark harness, see that constant.
+
+Two structures fall back to ``start = 0`` at the KV bucket (the only
+thing a step did before the step window existed):
+
+* a sequence still shorter than the step bucket — its whole history
+  *is* the window;
+* any sequence with an **active global token** — the global keys sit
+  at fixed positions outside any tail, and the engine's global-row
+  pass grouping depends on the padded length, so only the full-length
+  attend reproduces them.
 
 KV state lifecycle
 ------------------
-:class:`KVState` owns the growing Q/K/V history.  Buffers are allocated
-at the current bucket capacity; ``append`` writes the next row in
-place, and a bucket crossing reallocates at the next power of two and
-copies (amortised O(1) per token, like a growable array).  Rows past
-``length`` stay zero — exactly the padding the engine masks out.
+:class:`KVState` owns the growing Q/K/V history.  ``append`` writes the
+next row in place; ``window(start, rows)`` hands the engine a zero-copy
+view of the buffers, so a warm decode step allocates nothing.  Only a
+window that overruns the buffers (a dilation-aligned ``start`` near a
+full buffer, or a short lane padded up to its group's bucket) copies,
+with a zero tail — exactly the padding the engine masks out.
 
 Numerical contract
 ------------------
-Every step output is **bit-identical to a from-scratch full-length
-recompute**: a fresh engine handed the whole history in one call (same
-bucket, ``valid_lens=[length]``) produces byte-for-byte the session's
-output — incremental state adds zero numerical drift.  For purely
-banded patterns (sliding window, dilated, multi-band) the outputs are
-furthermore bit-identical to an *exact-length* ``attend()`` with no
-padding at all.  Global-token patterns keep that exact-length identity
-on every non-global row; the global rows themselves are equivalent only
-up to the engine's documented partial-softmax regrouping (the
-global-row pass grouping depends on the padded length, and the exp LUT
-makes regrouping observable).  The parity suite pins all three tiers.
+Every step output is **bit-identical to row ``L-1`` of a from-scratch
+full-length recompute**: a fresh engine handed the whole history in one
+call (KV bucket, ``valid_lens=[L]``) — a different plan from the one
+the step ran — produces byte-for-byte the row the step returned.
+Masked cells contribute an exact ``0.0`` and the merge chain is
+unchanged, so the window adds zero numerical drift.  For purely banded
+patterns (sliding window, dilated, multi-band) the row is furthermore
+bit-identical to an *exact-length* ``attend()`` with no padding at
+all, and so is ``prefill``'s full output.  Global-token patterns keep
+that exact-length identity on every non-global row; the global rows
+themselves are equivalent only up to the engine's documented
+partial-softmax regrouping (the global-row pass grouping depends on the
+padded length, and the exp LUT makes regrouping observable).  The
+parity suite pins all three tiers.
 
 Global tokens must lie inside the valid prefix (the engine rejects a
 global key it cannot read), so the session activates a global token
@@ -43,7 +75,8 @@ per activation, bounded by the number of global tokens.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import math
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,7 +86,15 @@ from ..patterns.base import AttentionPattern, Band
 from ..patterns.hybrid import HybridSparsePattern
 from ..serving.batching import length_bucket
 
-__all__ = ["KVState", "DecodeSession", "decode_pattern"]
+__all__ = ["KVState", "DecodeSession", "decode_pattern", "step_window"]
+
+# TEMPORARY harness workaround, not a numerical or hardware bound: a
+# smaller step bucket is just as exact.  The frozen benchmark harness
+# (benchmarks/e2e, decode_stream layer probes) sizes probe lanes from the
+# step bucket it observes and cannot run below 64.  Delete this (and the
+# ``max`` in ``step_window``) once the harness sizes its probe from the
+# scheduler — ROADMAP direction 5.
+_MIN_STEP_ROWS = 64
 
 
 def decode_pattern(
@@ -74,12 +115,42 @@ def decode_pattern(
     return HybridSparsePattern(bucket, list(bands), active)
 
 
+def step_window(
+    bands: Sequence[Band],
+    active_globals: Sequence[int],
+    length: int,
+    floor: int = 16,
+) -> Tuple[int, int]:
+    """``(start, bucket)``: the rows a decode step attends, and at what length.
+
+    The newest row ``length - 1`` is decided by the keys inside its own
+    bands, so attending rows ``[start, length)`` at ``bucket`` yields
+    the same bits for it as attending ``[0, length)`` at the KV bucket
+    provided ``start`` is a multiple of every band's dilation and at
+    least ``back`` rows (the furthest a band reaches behind a query)
+    stay in front of it.  The tail bucket is the power of two holding
+    ``back + lcm`` rows (for now at least ``_MIN_STEP_ROWS``).  Active
+    global tokens, or a sequence that still fits the tail bucket, get
+    ``(0, length_bucket(length))`` — the whole history.
+    """
+    full = length_bucket(length, floor)
+    if active_globals or not bands:
+        return 0, full
+    back = max(0, -min(band.lo for band in bands))
+    lcm = math.lcm(*(band.dilation for band in bands))
+    tail = length_bucket(max(back + lcm, _MIN_STEP_ROWS), floor)
+    if tail >= full:
+        return 0, full
+    return -((tail - length) // lcm) * lcm, tail
+
+
 class KVState:
     """Growing Q/K/V history with bucket-capacity buffers.
 
     Buffers hold ``capacity = length_bucket(length)`` rows; the tail
-    past ``length`` is zero.  ``padded(capacity)`` is a zero-copy view
-    of the internal buffers, so a warm decode step allocates nothing.
+    past ``length`` is zero.  ``window`` is a zero-copy view of the
+    internal buffers wherever it fits them, so a warm decode step
+    allocates nothing.
     """
 
     def __init__(self, hidden: int, bucket_floor: int = 16) -> None:
@@ -100,7 +171,7 @@ class KVState:
 
     @property
     def capacity(self) -> int:
-        """Current bucket (padded length of every attend call)."""
+        """KV bucket: rows of storage held."""
         return self._cap
 
     def _ensure(self, new_len: int) -> bool:
@@ -128,6 +199,8 @@ class KVState:
         m = q.shape[0]
         if m == 0:
             raise ValueError("cannot extend with zero rows")
+        if not (np.isfinite(q).all() and np.isfinite(k).all() and np.isfinite(v).all()):
+            raise ValueError("q/k/v rows must be finite (found NaN or inf)")
         grew = self._ensure(self._len + m)
         lo = self._len
         self._q[lo : lo + m] = q
@@ -144,19 +217,26 @@ class KVState:
             np.asarray(v_row, dtype=float).reshape(1, -1),
         )
 
-    def padded(self, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """History zero-padded to ``n`` rows (zero-copy at capacity)."""
-        if n == self._cap:
-            return self._q, self._k, self._v
-        if n < self._len:
-            raise ValueError(f"cannot pad {self._len} rows into {n}")
-        q = np.zeros((n, self.hidden))
-        k = np.zeros((n, self.hidden))
-        v = np.zeros((n, self.hidden))
-        q[: self._len] = self._q[: self._len]
-        k[: self._len] = self._k[: self._len]
-        v[: self._len] = self._v[: self._len]
-        return q, k, v
+    def window(
+        self, start: int, rows: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows ``[start, start + rows)``, zero past ``length``.
+
+        A view of the buffers (no copy) while the window fits the
+        capacity; a window overrunning it is copied out with a zero
+        tail.  The window must reach the newest row.
+        """
+        stop = start + rows
+        if start < 0 or stop < self._len:
+            raise ValueError(
+                f"window [{start}, {stop}) does not cover rows up to {self._len}"
+            )
+        if stop <= self._cap:
+            return self._q[start:stop], self._k[start:stop], self._v[start:stop]
+        out = tuple(np.zeros((rows, self.hidden)) for _ in range(3))
+        for padded, buf in zip(out, (self._q, self._k, self._v)):
+            padded[: self._len - start] = buf[start : self._len]
+        return out
 
     def history(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Views of the live rows (no padding, no copy)."""
@@ -208,7 +288,6 @@ class DecodeSession:
         self._state: Optional[KVState] = None
         self.steps = 0
         self.bucket_crossings = 0
-        self.last_output: Optional[np.ndarray] = None
 
     @property
     def length(self) -> int:
@@ -216,7 +295,7 @@ class DecodeSession:
 
     @property
     def bucket(self) -> int:
-        """Padded length of the current plan (0 before prefill)."""
+        """KV bucket: rows of storage held (0 before prefill)."""
         return self._state.capacity if self._state is not None else 0
 
     @property
@@ -226,33 +305,39 @@ class DecodeSession:
         return self._state
 
     def bucket_pattern(self) -> HybridSparsePattern:
-        """The pattern the next attend call will execute."""
-        return self._pattern_for(self.state.capacity, self.state.length)
+        """The whole-history pattern at the KV bucket (what ``prefill`` runs)."""
+        return self._pattern_for(self.state.capacity, self._active_globals())
 
-    def _pattern_for(self, bucket: int, valid_len: int) -> HybridSparsePattern:
-        active = tuple(g for g in self._globals if g < valid_len)
+    def _active_globals(self) -> Tuple[int, ...]:
+        return tuple(g for g in self._globals if g < self.state.length)
+
+    def _pattern_for(
+        self, bucket: int, active: Tuple[int, ...]
+    ) -> HybridSparsePattern:
         key = (bucket, active)
         pat = self._patterns.get(key)
         if pat is None:
-            pat = decode_pattern(self._bands, self._globals, bucket, valid_len)
+            pat = decode_pattern(self._bands, active, bucket, bucket)
             self._patterns[key] = pat
         return pat
 
-    def _attend(self) -> np.ndarray:
+    def _attend(
+        self, start: int, bucket: int, active: Tuple[int, ...]
+    ) -> np.ndarray:
+        """Output rows for history rows ``[start, length)`` at ``bucket``."""
         state = self.state
-        pattern = self._pattern_for(state.capacity, state.length)
-        q, k, v = state.padded(state.capacity)
+        valid = state.length - start
+        q, k, v = state.window(start, bucket)
         result = self.salo.attend(
-            pattern,
+            self._pattern_for(bucket, active),
             q[None],
             k[None],
             v[None],
             heads=self.heads,
             scale=self.scale,
-            valid_lens=[state.length],
+            valid_lens=[valid],
         )
-        self.last_output = result.output[0, : state.length]
-        return self.last_output
+        return result.output[0, :valid]
 
     def prefill(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Ingest the prompt; returns the full (L, hidden) output."""
@@ -264,7 +349,9 @@ class DecodeSession:
         self._state = KVState(q.shape[1], self.bucket_floor)
         self._state.extend(q, k, v)
         self.steps += 1
-        return self._attend().copy()
+        return self._attend(
+            0, self._state.capacity, self._active_globals()
+        ).copy()
 
     def step(
         self, q_row: np.ndarray, k_row: np.ndarray, v_row: np.ndarray
@@ -274,4 +361,8 @@ class DecodeSession:
         if crossed:
             self.bucket_crossings += 1
         self.steps += 1
-        return self._attend()[self.state.length - 1].copy()
+        active = self._active_globals()
+        start, bucket = step_window(
+            self._bands, active, self.state.length, self.bucket_floor
+        )
+        return self._attend(start, bucket, active)[-1].copy()

@@ -15,8 +15,9 @@ Committed expectations (asserted at the fixed seed in
 hold on every row; tokens/s at the widest lane setting beats lanes=1
 for the same worker count; adding a worker never lowers tokens/s at
 fixed lane width; and cold compiles stay bounded by
-``workers x buckets`` (plan-cache reuse across steps, the within-bucket
-warm-step property at cluster scale).
+``workers x buckets`` (plan-cache reuse across steps at cluster scale;
+with the step window a global-free workload compiles one step plan per
+worker).
 """
 
 from __future__ import annotations
@@ -78,8 +79,8 @@ def run(fast: bool = False) -> ExperimentResult:
         f"{sequences} sequences, Poisson arrivals at {spec.rate_rps:.0f} seq/s, "
         f"window {spec.window}, output budget geometric(mean "
         f"{spec.mean_new_tokens:.0f}) capped at {spec.max_new_tokens}",
-        "service: cost-model clock, latency(bucket) x lanes + batch overhead "
-        "per step; first step per (worker, bucket) pays the cold-compile penalty",
+        "service: cost-model clock, latency(step bucket) x lanes + batch overhead "
+        "per step; first step per (worker, step plan) pays the cold-compile penalty",
         "conservation: sequences submitted == completed + rejected + shed + failed; "
         "admitted tokens target == completed + shed + failed, on every row",
         f"lanes 1 -> {widest} at 1 worker: "

@@ -95,7 +95,7 @@ class TransportClusterConfig:
     stall_timeout_s: float = 30.0
     drain_timeout_s: float = 120.0
     poll_timeout_s: float = 0.005
-    warm: Tuple = ()  # (pattern, heads) pairs pre-compiled by workers
+    warm: Tuple = ()  # (pattern, heads[, head_dim]) specs pre-compiled by workers
 
     def __post_init__(self) -> None:
         if self.workers < 1:

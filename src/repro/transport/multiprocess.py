@@ -71,8 +71,10 @@ def default_context() -> str:
 def _worker_main(wid, runtime_config, warm_specs, req_q, done_q) -> None:
     """Worker process body: warm a Runtime, serve the request queue.
 
-    ``warm_specs`` is a list of ``(pattern, heads)`` pairs compiled
-    before the worker reports ready, so steady-state traffic never pays
+    ``warm_specs`` is a list of ``(pattern, heads)`` or ``(pattern,
+    heads, head_dim)`` tuples compiled before the worker reports ready
+    (the plan cache keys on head_dim; without one the warm-up uses
+    :meth:`Runtime.warm`'s default), so steady-state traffic never pays
     a cold compile (the transport analogue of plan-affinity warmth).
     Runs until a ``("stop",)`` message; every exception inside a dispatch
     is converted to a :data:`DISPATCH_ERROR` completion rather than
@@ -81,8 +83,8 @@ def _worker_main(wid, runtime_config, warm_specs, req_q, done_q) -> None:
     from ..api import Runtime  # late import: after fork/spawn
 
     runtime = Runtime(runtime_config)
-    for pattern, heads in warm_specs:
-        runtime.warm([pattern], heads=heads)
+    for pattern, heads, *head_dim in warm_specs:
+        runtime.warm([pattern], heads, *head_dim)
     done_q.put(("ready", wid))
     while True:
         msg = req_q.get()
@@ -132,8 +134,10 @@ class MultiprocessTransport(WorkerTransport):
     wid:
         Worker id echoed in probes and reports.
     warm:
-        ``(pattern, heads)`` pairs the worker compiles before reporting
-        ready (start-up blocks until the warm-up finishes).
+        ``(pattern, heads)`` or ``(pattern, heads, head_dim)`` tuples
+        the worker compiles before reporting ready (start-up blocks
+        until the warm-up finishes).  Plans are keyed on head_dim, so
+        name it whenever traffic does not use ``Runtime.warm``'s default.
     context:
         ``multiprocessing`` start method; default :func:`default_context`.
     start_timeout_s:

@@ -2,12 +2,14 @@
 
 Three tiers, from strongest to weakest, all pinned:
 
-1. every step of every pattern is bit-identical to a *from-scratch
-   full-length recompute* — a fresh engine handed the entire history in
-   one call (same bucket, ``valid_lens``) reproduces the session's
-   output byte-for-byte, across bucket boundaries;
-2. banded patterns (sliding window, dilated, multi-band) are bit-
-   identical to the *exact-length* ``attend()`` with no padding at all;
+1. the row every step returns is bit-identical to row ``L-1`` of a
+   *from-scratch full-length recompute* — a fresh engine handed the
+   entire history in one call (KV bucket, ``valid_lens``), a different
+   plan from the step-window one the session ran, reproduces it
+   byte-for-byte, across bucket boundaries;
+2. for banded patterns (sliding window, dilated, multi-band) it is bit-
+   identical to the *exact-length* ``attend()`` with no padding at all
+   (and so is ``prefill``'s full output);
 3. global-token patterns keep tier-2 identity on every non-global row;
    the global rows depend on the padded length through the engine's
    global-row pass grouping (partial-softmax regrouping under the exp
@@ -87,17 +89,18 @@ class _Walk:
 
 @pytest.mark.parametrize("name,make", ALL_CASES, ids=[c[0] for c in ALL_CASES])
 def test_every_step_matches_from_scratch_recompute(name, make):
-    """Tier 1: incremental KV state adds zero numerical drift.
+    """Tier 1: incremental KV state and the step window add zero drift.
 
     A separate engine recomputing the whole history from scratch in a
-    single call (same bucket pattern, same ``valid_lens``) is
-    byte-for-byte the session's output at every length, including the
-    steps that cross 16→32→64.
+    single call (KV-bucket pattern, ``valid_lens``) yields, in its last
+    row, byte-for-byte the row the step returned at every length,
+    across the KV crossings at 17, 33 and 65 and, from length 65 on,
+    with the step attending only its 64-row tail.
     """
     walk = _Walk(make)
     ref = _salo()
-    for _ in range(45):  # length 6..50: crossings at 17 and 33
-        walk.step()
+    for _ in range(95):  # length 6..100
+        out = walk.step()
         sess = walk.session
         L, bucket = sess.length, sess.bucket
         pattern = sess.bucket_pattern()
@@ -108,12 +111,12 @@ def test_every_step_matches_from_scratch_recompute(name, make):
         scratch = ref.attend(
             pattern, qp[None], kp[None], vp[None], heads=HEADS, valid_lens=[L]
         ).output[0, :L]
-        assert np.array_equal(sess.last_output, scratch)
+        assert np.array_equal(out, scratch[-1])
     # the last step also against a brand-new engine (cold compile path)
     cold = _salo().attend(
         pattern, qp[None], kp[None], vp[None], heads=HEADS, valid_lens=[L]
     ).output[0, :L]
-    assert np.array_equal(walk.session.last_output, cold)
+    assert np.array_equal(out, cold[-1])
 
 
 @pytest.mark.parametrize("name,make", BANDED_CASES, ids=[c[0] for c in BANDED_CASES])
@@ -121,35 +124,32 @@ def test_banded_steps_match_exact_length_attend(name, make):
     """Tier 2: no-padding exact-length parity for banded patterns."""
     walk = _Walk(make)
     ref = _salo()
-    for _ in range(45):
+    for _ in range(95):  # length 6..100: tail steps from 65 on
         out = walk.step()
         L = walk.session.length
         exact = ref.attend(make(L), walk.q, walk.k, walk.v, heads=HEADS).output
         assert np.array_equal(out, exact[-1])
-        assert np.array_equal(walk.session.last_output, exact)
 
 
 @pytest.mark.parametrize("name,make", GLOBAL_CASES, ids=[c[0] for c in GLOBAL_CASES])
 def test_global_patterns_exact_on_nonglobal_rows(name, make):
-    """Tier 3: exact-length parity everywhere except the global rows,
-    which regroup with the padded length (documented engine behaviour)
-    and stay within LUT-regrouping distance."""
+    """Tier 3: the returned row has exact-length parity unless it is a
+    global row, which regroups with the padded length (documented
+    engine behaviour) and stays within LUT-regrouping distance.  Only
+    a global token past the prompt is ever the row a step returns."""
     walk = _Walk(make)
     ref = _salo()
     saw_regroup_rows = False
     for _ in range(45):
-        walk.step()
+        out = walk.step()
         L = walk.session.length
         exact = ref.attend(make(L), walk.q, walk.k, walk.v, heads=HEADS).output
-        got = walk.session.last_output
-        g_rows = _global_rows(make, L)
-        mask = np.ones(L, dtype=bool)
-        mask[g_rows] = False
-        assert np.array_equal(got[mask], exact[mask])
-        if g_rows:
+        if L - 1 in _global_rows(make, L):
             saw_regroup_rows = True
-            assert np.allclose(got[~mask], exact[~mask], atol=0.05)
-    assert saw_regroup_rows
+            assert np.allclose(out, exact[-1], atol=0.05)
+        else:
+            assert np.array_equal(out, exact[-1])
+    assert saw_regroup_rows == (20 in make(64).global_tokens())
 
 
 def test_prefill_matches_exact_length_attend():
@@ -166,16 +166,16 @@ def test_prefill_matches_exact_length_attend():
 
 
 def test_bucket_crossings_are_the_only_compiles():
-    """Within a bucket every step is a plan-cache hit; the per-bucket
-    counters prove exactly one compile per bucket."""
+    """Compiles stop at the step bucket (64 rows while the temporary
+    minimum stands): the KV buckets past it (storage) compile nothing,
+    and every call that does not cross into 32 or 64 is a plan-cache hit."""
     walk = _Walk(BANDED_CASES[0][1], prompt_len=10)
-    for _ in range(50):  # 10 -> 60 tokens: buckets 16, 32, 64
+    for _ in range(130):  # 10 -> 140 tokens: KV buckets 16 .. 256
         walk.step()
     info = walk.salo.cache_info()
-    assert walk.session.bucket_crossings == 2
+    assert walk.session.bucket_crossings == 4
+    assert walk.session.bucket == 256
     assert set(info["buckets"]) == {16, 32, 64}
-    for n in (16, 32, 64):
-        assert info["buckets"][n]["misses"] == 1
     assert info["misses"] == 3
     assert info["hits"] == walk.session.steps - 3
 
@@ -205,14 +205,14 @@ class TestKVState:
             grew = state.append(*(rng.standard_normal(4) for _ in range(3)))
             assert grew == (state.length == 17)
         assert (state.length, state.capacity, state.grows) == (17, 32, 2)
-        q, k, v = state.padded(32)
-        assert q is state._q  # zero-copy at capacity
+        q, k, v = state.window(0, 32)
+        assert np.shares_memory(q, state._q)  # zero-copy at capacity
         assert not q[17:].any() and not k[17:].any() and not v[17:].any()
 
     def test_padded_above_capacity_copies(self):
         state = KVState(4)
         state.extend(np.ones((3, 4)), np.ones((3, 4)), np.ones((3, 4)))
-        q, k, v = state.padded(64)
+        q, k, v = state.window(0, 64)
         assert q.shape == (64, 4) and q is not state._q
         assert q[:3].all() and not q[3:].any()
 
@@ -220,7 +220,7 @@ class TestKVState:
         state = KVState(4)
         state.extend(np.ones((5, 4)), np.ones((5, 4)), np.ones((5, 4)))
         with pytest.raises(ValueError):
-            state.padded(4)
+            state.window(0, 4)
 
     def test_shape_validation(self):
         state = KVState(4)

@@ -226,3 +226,60 @@ class TestValidation:
     def test_max_lanes_validation(self):
         with pytest.raises(ValueError):
             DecodeScheduler(salo=_salo(), max_lanes=0)
+
+    @pytest.mark.parametrize("field", ["prompt_q", "prompt_k", "prompt_v"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_prompt_fails_at_the_door(self, field, bad):
+        """A poisoned prompt is refused at construction, by name, so it
+        never reaches a batch; its would-be batch-mates complete with
+        the outputs of a run that never saw it."""
+        good = [_request(i, 4 + i, 4) for i in range(3)]
+        fields = {
+            name: np.array(getattr(good[1], name))
+            for name in ("prompt_q", "prompt_k", "prompt_v")
+        }
+        fields[field][2, 3] = bad
+        with pytest.raises(ValueError, match=f"'seq-bad'.*{field}"):
+            DecodeRequest(
+                request_id="seq-bad",
+                pattern=good[1].pattern,
+                max_new_tokens=4,
+                heads=HEADS,
+                **fields,
+            )
+        sched = DecodeScheduler(salo=_salo(), max_lanes=4)
+        for r in good:
+            sched.submit(r)
+        result = sched.run()
+        for r in good:
+            assert np.array_equal(result.outputs[r.request_id], _solo_outputs(r))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_poisoned_next_token_fails_only_its_lane(self, bad):
+        """Token feedback that turns non-finite mid-run drops that lane,
+        by name, in the step it happens; the lanes fed before and after
+        it in the same step finish with their solo outputs."""
+        good = [_request(i, 4 + i, 5) for i in (0, 2)]
+        calls = []
+
+        def poisoned(out_row, rng):
+            calls.append(1)
+            q, k, v = default_next_token(out_row, rng)
+            if len(calls) == 2:
+                k[3] = bad
+            return q, k, v
+
+        victim = _request(1, 5, 5)
+        victim.next_token = poisoned
+        sched = DecodeScheduler(salo=_salo(), max_lanes=4)
+        for r in (good[0], victim, good[1]):
+            sched.submit(r)
+        reports = [sched.step() for _ in range(2)]
+        assert [r.failed for r in reports] == [0, 1]
+        assert reports[1].tokens == 2 and sched.active == 2
+        assert "finite" in sched.failed["seq-1"]
+        result = sched.run()
+        assert set(result.outputs) == {"seq-0", "seq-2"}
+        assert sched.tokens == 2 * 5 + 1  # the victim's one good token
+        for r in good:
+            assert np.array_equal(result.outputs[r.request_id], _solo_outputs(r))

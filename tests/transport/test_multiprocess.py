@@ -67,6 +67,23 @@ class TestRoundTrip:
             assert info["misses"] >= 1  # the warm-up compile registered
 
 
+    def test_warm_spec_head_dim_makes_first_batch_a_cache_hit(self):
+        """Plans key on head_dim: a (pattern, heads, head_dim) spec warms
+        the plan the traffic uses, a two-element spec (head_dim 64, as
+        ever) leaves 16-wide traffic to cold-compile on the worker."""
+        req = _request(hidden=32)  # 2 heads x 16
+        for spec, first_batch_misses in (((PATTERN, 2, 16), 0), ((PATTERN, 2), 1)):
+            with MultiprocessTransport(warm=(spec,)) as transport:
+                before = transport.cache_info()
+                transport.submit(req)
+                (completion,) = _poll_until(transport, 1)
+                after = transport.cache_info()
+            assert completion.ok
+            assert before["misses"] == 1
+            assert after["misses"] - before["misses"] == first_batch_misses
+            assert after["hits"] - before["hits"] == 1 - first_batch_misses
+
+
 class TestCrashSemantics:
     def test_sigkill_loses_inflight_and_flips_alive(self):
         transport = MultiprocessTransport()
