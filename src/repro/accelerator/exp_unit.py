@@ -26,7 +26,7 @@ score distribution, exactly as on the real chip.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -65,7 +65,7 @@ class PWLExpUnit:
     style: str = "pow2"
     slopes: np.ndarray = field(init=False, repr=False)
     intercepts: np.ndarray = field(init=False, repr=False)
-    _scratch: dict = field(init=False, repr=False, default_factory=dict)
+    _scratch: Optional[tuple] = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         if self.segments < 2:
@@ -160,25 +160,25 @@ class PWLExpUnit:
         return self.out_format.quantize(np.maximum(y, 0.0))
 
     def into(self, s: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Allocation-free :meth:`__call__` (after the first call per shape).
+        """Allocation-free :meth:`__call__` (once the scratch has grown).
 
-        Evaluates the PWL exponential elementwise through ``out`` and a
-        per-shape internal scratch set; ``s`` may alias ``out``.  Every
-        operation is the same elementwise op as in :meth:`__call__`, so
-        the result is bit-identical.  Not thread-safe (the scratch is
-        shared per unit instance, like the engine that owns it).
+        Evaluates the PWL exponential elementwise through ``out`` and
+        one flat internal scratch set, sized by the largest request so
+        far and handed out as reshaped views; ``s`` may alias ``out``.
+        Every operation is the same elementwise op as in
+        :meth:`__call__`, so the result is bit-identical.  Not
+        thread-safe (the scratch is shared per unit instance, like the
+        engine that owns it).
         """
-        sc = self._scratch.get(s.shape)
-        if sc is None:
-            sc = (
-                np.empty(s.shape, dtype=np.float64),  # t (then f)
-                np.empty(s.shape, dtype=np.float64),  # i / chord product
-                np.empty(s.shape, dtype=np.int64),  # LUT index
-                np.empty(s.shape, dtype=np.int32),  # shift exponent
-                np.empty(s.shape, dtype=np.float64),  # intercept lookup
+        if self._scratch is None or self._scratch[0].size < s.size:
+            self._scratch = (
+                np.empty(s.size, dtype=np.float64),  # t (then f)
+                np.empty(s.size, dtype=np.float64),  # i / chord product
+                np.empty(s.size, dtype=np.int64),  # LUT index
+                np.empty(s.size, dtype=np.int32),  # shift exponent
+                np.empty(s.size, dtype=np.float64),  # intercept lookup
             )
-            self._scratch[s.shape] = sc
-        t, i, idx, i32, lut = sc
+        t, i, idx, i32, lut = (a[: s.size].reshape(s.shape) for a in self._scratch)
         np.clip(s, self.lo, self.hi, out=t)
         if self.style == "pow2":
             np.multiply(t, _LOG2E, out=t)

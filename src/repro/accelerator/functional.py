@@ -75,6 +75,7 @@ characterises the bound.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -219,6 +220,43 @@ class _BatchAccumulator:
             self.w[hs, qs] = total
             self.merges += int(cur.sum())
         self.parts[h_idx, q_idx] += 1
+
+
+_EXP_TABLE_MAX = 1 << 17
+
+
+@functools.lru_cache(maxsize=64)
+def _exp_code_table(numerics, scale: float):
+    """``(table, code multiplier, first code)`` or ``None`` when inapplicable.
+
+    On a quantised datapath every stage-1 score is an exact integer
+    multiple ``c`` of ``2^-2f`` (``f`` input fraction bits), so the whole
+    exp pipeline — scale, clamp, range reduction, LUT chords, shift,
+    output quantise — is a function of the code ``c`` alone.  The table
+    evaluates the elementwise path's own multiply ``(c * 2^-2f) * scale``
+    and the reference unit at every code whose scaled score can fall
+    inside the clamp range, so a gather from it is bit-identical by
+    construction for any positive ``scale``.  The multiply is monotone
+    in ``c``, so codes beyond either end land — via the take's index
+    clip — on an entry whose scaled score is already clamped, exactly
+    like the unit's input clamp.
+
+    One read-only table per (numerics, scale) serves every plan and
+    engine of the process.
+    """
+    datapath = Datapath(numerics)
+    fi, unit = datapath.input_format, datapath.exp_unit
+    if fi is None or unit is None or not (0.0 < scale < math.inf):
+        return None
+    g = math.ldexp(1.0, -2 * fi.frac_bits)
+    # One spare code at each end: the divisions are off by far less.
+    c_min = math.floor(unit.lo / (g * scale)) - 1
+    c_max = math.ceil(unit.hi / (g * scale)) + 1
+    if c_max - c_min + 1 > _EXP_TABLE_MAX:
+        return None
+    table = unit(np.multiply(np.arange(c_min, c_max + 1) * g, np.float64(scale)))
+    table.flags.writeable = False
+    return table, math.ldexp(1.0, 2 * fi.frac_bits), float(c_min)
 
 
 class FunctionalEngine:
@@ -1122,40 +1160,9 @@ class FunctionalEngine:
             dp.quantize_output_into(out5, out5, bounded=q5)
             yield out5, w, has
 
-    def _exp_table(self, sc: dict, scale: float):
-        """Direct score->exp lookup table, or ``False`` when inapplicable.
-
-        On a quantised datapath every stage-1 score is an exact integer
-        multiple of ``2^-2f`` (``f`` input fraction bits), and a power
-        -of-two ``scale`` keeps the scaled scores on a fixed grid ``g``.
-        The whole exp pipeline (clamp, range reduction, LUT chords,
-        shift, output quantise) is then a function of the grid code
-        alone, so it collapses into one gather from a table built by
-        evaluating the reference unit at every representable input —
-        bit-identical by construction.  Codes beyond the clamp range
-        land on the ``unit.lo`` / ``unit.hi`` sentinel entries via the
-        take's index clip, exactly like the unit's input clamp.
-        """
-        ent = sc.get(("exp_lut", scale))
-        if ent is None:
-            ent = False
-            fi = self.datapath.input_format
-            unit = self.datapath.exp_unit
-            m, e = math.frexp(float(scale))
-            if fi is not None and unit is not None and m == 0.5:
-                g = math.ldexp(1.0, e - 1 - 2 * fi.frac_bits)
-                c_min = math.ceil(unit.lo / g)
-                c_max = math.floor(unit.hi / g)
-                size = c_max - c_min + 3
-                if 0 < size <= (1 << 17):
-                    xs = np.empty(size, dtype=np.float64)
-                    xs[0] = unit.lo
-                    xs[1:-1] = np.arange(c_min, c_max + 1) * g
-                    xs[-1] = unit.hi
-                    cmul = math.ldexp(1.0, 2 * fi.frac_bits)
-                    ent = (unit(xs), cmul, float(c_min - 1))
-            sc[("exp_lut", scale)] = ent
-        return ent
+    def _exp_table(self, scale: float):
+        """The datapath's score-code -> exp table for ``scale``, if any."""
+        return _exp_code_table(self.datapath.numerics, float(scale))
 
     def _band_epilogue(
         self,
@@ -1177,8 +1184,8 @@ class FunctionalEngine:
         are all exact zeros, so the probabilities come out 0 either way.
         """
         dp = self.datapath
-        lut = self._exp_table(sc, scale)
-        if lut is not False:
+        lut = self._exp_table(scale)
+        if lut is not None:
             table, cmul, off = lut
             idx = self._buf(sc, ("exp_idx",), band.shape, np.int64)
             np.multiply(band, cmul, out=band)  # exact: scores -> grid codes

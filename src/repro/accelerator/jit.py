@@ -98,10 +98,10 @@ class JitFunctionalEngine(FunctionalEngine):
         super().__init__(*args, **kwargs)
 
     def _band_epilogue(self, sc, band, validf, lmask, scale, w, has) -> None:
-        lut = self._exp_table(sc, scale)
+        lut = self._exp_table(scale)
         pf = self.datapath.prob_format
         fusable = (
-            lut is not False
+            lut is not None
             and validf is None
             and lmask is None
             and pf is not None

@@ -84,13 +84,14 @@ _compile_bench_passes: Optional[int] = None
 
 
 def _bench_plan_passes() -> int:
-    """Structural pass count of the compile bench's plan.
+    """Structural pass count of the cold-plan bench's plan.
 
-    ``test_plan_compile_longformer_4096`` reports one mean for compiling
-    the whole longformer(4096, 512) plan; dividing by this count turns
-    it into a per-pass rate.  The count comes from actually scheduling
-    that pattern (once per process, cached) so the rate stays honest if
-    the scheduler's pass decomposition ever changes.
+    ``test_cold_plan_longformer_4096`` reports one mean for a whole
+    plan-cache miss on longformer(4096, 512) — schedule, compile,
+    window jobs, job chains; dividing by this count turns it into a
+    per-pass rate.  The count comes from actually scheduling that
+    pattern (once per process, cached) so the rate stays honest if the
+    scheduler's pass decomposition ever changes.
     """
     global _compile_bench_passes
     if _compile_bench_passes is None:
@@ -112,10 +113,12 @@ def measured_clock_costs() -> Tuple[Optional[float], Optional[float]]:
     single-sequence attends and one batched attend of eight — seven
     extra engine dispatches — divided by seven; it is what one batch
     amortises, so :class:`CostModelClock` charges it once per batch.
-    The compile rate divides the cold plan-compile bench's mean by that
-    plan's structural pass count (index-tensor compilation is linear in
-    passes).  Either element is ``None`` when the snapshot, or the bench
-    it needs, is absent; callers then fall back to the flat constants.
+    The compile rate divides the cold-plan bench's mean — the whole
+    chain a plan-cache miss runs before the engine, not the compile
+    step alone — by that plan's structural pass count (the derivation
+    is linear in passes).  Either element is ``None`` when the snapshot,
+    or the bench it needs, is absent; callers then fall back to the flat
+    constants.
     """
     global _calibration
     if _calibration is None:
@@ -132,7 +135,7 @@ def measured_clock_costs() -> Tuple[Optional[float], Optional[float]]:
         except (KeyError, TypeError, ValueError):
             pass
         try:
-            compile_s = float(bench["test_plan_compile_longformer_4096"]["mean_s"])
+            compile_s = float(bench["test_cold_plan_longformer_4096"]["mean_s"])
             if compile_s > 0:
                 rate = compile_s / _bench_plan_passes()
         except (KeyError, TypeError, ValueError):

@@ -31,19 +31,33 @@ once per :class:`~repro.scheduler.plan.ExecutionPlan` and stores:
 
 Obtain instances through :meth:`ExecutionPlan.compiled`, which memoizes
 the compilation on the plan object.
+
+Every index fact is derived from one :class:`PassIndex` — a single sweep
+over the :class:`~repro.scheduler.plan.TilePass` objects.  The scheduler
+builds it to drop zero-work passes and leaves it on the plan, so a cold
+start (``schedule`` -> ``compiled()``) never derives a fact twice and
+never walks the passes with per-pass numpy calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (plan -> compiled)
-    from .plan import ExecutionPlan
+    from .plan import ExecutionPlan, TilePass
 
-__all__ = ["CompiledPlan", "JobChain", "SegmentStream", "WindowJob", "compile_plan"]
+__all__ = [
+    "CompiledPlan",
+    "JobChain",
+    "PassIndex",
+    "SegmentStream",
+    "WindowJob",
+    "compile_plan",
+    "pass_index",
+]
 
 
 @dataclass(frozen=True)
@@ -574,20 +588,80 @@ def _position_families(
     return jobs
 
 
-def _index_tensors(plan: "ExecutionPlan"):
-    """Vectorised construction of the padded per-pass index tensors.
+@dataclass
+class PassIndex:
+    """Per-pass structure of a pass list: the single index derivation.
 
-    The seed walked ``plan.passes`` in Python, paying several numpy
-    allocations per pass (~50 µs each; >100 ms for >1k-pass plans).
-    Passes sharing a segment tuple have key ids of the closed form
-    ``base[col] + q_position * dilation[col]`` with ``base``/``dilation``
-    fixed per column, so the walk reduces to one cheap attribute sweep
-    plus one broadcast per distinct segment tuple (a handful per plan).
+    Everything downstream — the scheduler's zero-work filter, the padded
+    ``(P, R, C)`` tensors, the traffic aggregates and the global-row
+    schedule — reads these arrays, so a cold start sweeps the
+    :class:`~repro.scheduler.plan.TilePass` objects exactly once
+    (:func:`pass_index`).  The key id of pass ``i`` at PE row ``r``,
+    column ``c`` is ``col_base[i, c] + qpos[i, r] * col_dil[i, c]``.
+
+    ``stream`` lists each pass's *distinct* in-range keys (global tokens
+    included — they stream through the array too).  Passes sharing a
+    segment tuple and contiguous query rows repeat one duplicate
+    structure shifted along the sequence, so the cells holding a pass's
+    first occurrence of each key are found once per such family and
+    evaluated for all its passes in one broadcast: ``R + W - 1`` keys
+    per segment instead of ``R * W`` cells.
     """
-    n = plan.n
-    passes = plan.passes
-    num_passes = len(passes)
 
+    lengths: np.ndarray  # (P,) PE rows used
+    cols_used: np.ndarray  # (P,) PE columns used
+    residues: np.ndarray  # (P,) query residue
+    dilations: np.ndarray  # (P,) query dilation
+    qpos: np.ndarray  # (P, R) query group positions, 0 on padding
+    col_base: np.ndarray  # (P, C) key id at group position 0, -1 on padding
+    col_dil: np.ndarray  # (P, C) key-id advance per group position, 0 on padding
+    stream: np.ndarray  # (P, F) distinct in-range keys, -1 on padding
+    distinct: np.ndarray  # (P,) distinct in-range non-global keys
+
+    def take(self, keep: np.ndarray) -> "PassIndex":
+        """The index of the passes selected by the boolean ``keep``."""
+        if keep.all():
+            return self
+        lengths, cols_used = self.lengths[keep], self.cols_used[keep]
+        pad_rows = int(lengths.max()) if len(lengths) else 1
+        pad_cols = int(cols_used.max()) if len(lengths) else 1
+        return PassIndex(
+            lengths=lengths,
+            cols_used=cols_used,
+            residues=self.residues[keep],
+            dilations=self.dilations[keep],
+            qpos=self.qpos[keep, :pad_rows],
+            col_base=self.col_base[keep, :pad_cols],
+            col_dil=self.col_dil[keep, :pad_cols],
+            stream=self.stream[keep],
+            distinct=self.distinct[keep],
+        )
+
+
+def _first_occurrence_cells(rel: np.ndarray, base: np.ndarray, dcol: np.ndarray):
+    """(row, column) of the first cell, in row-major order, of each key.
+
+    Row-major matters: a pass using only a prefix of ``rel`` (the last
+    block of a group) keeps exactly the cells whose row survives.
+    """
+    keys = base[None, :] + rel[:, None] * dcol[None, :]
+    _, first = np.unique(keys.ravel(), return_index=True)
+    return np.divmod(first, len(base))
+
+
+def pass_index(
+    passes: Sequence["TilePass"], n: int, global_tokens: Sequence[int]
+) -> PassIndex:
+    """Derive the :class:`PassIndex` of ``passes`` (any pass list).
+
+    One attribute sweep over the passes, then one broadcast per family:
+    passes sharing a segment tuple have key ids of the closed form
+    ``base[col] + q_position * dilation[col]``.  The distinct-key
+    shortcut additionally needs the duplicate structure to be shift
+    invariant (contiguous rows, one dilation); passes without it —
+    the scheduler emits none — form families by exact row tuple.
+    """
+    num_passes = len(passes)
     lengths = np.fromiter(
         (len(tp.q_positions) for tp in passes), dtype=np.int64, count=num_passes
     )
@@ -608,14 +682,17 @@ def _index_tensors(plan: "ExecutionPlan"):
     qpos[row_valid] = np.fromiter(
         (p for tp in passes for p in tp.q_positions), dtype=np.int64, count=int(lengths.sum())
     )
-    q_ids = np.where(row_valid, residues[:, None] + qpos * dilations[:, None], -1)
+    contiguous = (
+        (qpos == qpos[:, :1] + np.arange(pad_rows, dtype=np.int64)) | ~row_valid
+    ).all(axis=1)
 
-    key_ids = np.full((num_passes, pad_rows, pad_cols), -1, dtype=np.int64)
+    col_base = np.full((num_passes, pad_cols), -1, dtype=np.int64)
+    col_dil = np.zeros((num_passes, pad_cols), dtype=np.int64)
     cols_used = np.empty(num_passes, dtype=np.int64)
+    streams = []  # (pass indices, (P_f, F_f) keys with -1 where not streamed)
     for segs, idx in seg_groups.items():
         cols = seg_cols[segs]
         ia = np.asarray(idx, dtype=np.int64)
-        cols_used[ia] = cols
         base = np.concatenate(
             [
                 s.key_residue + (s.rel_lo + np.arange(s.width, dtype=np.int64)) * s.dilation
@@ -623,63 +700,75 @@ def _index_tensors(plan: "ExecutionPlan"):
             ]
         )
         dcol = np.concatenate([np.full(s.width, s.dilation, dtype=np.int64) for s in segs])
-        ids = base[None, None, :] + qpos[ia][:, :, None] * dcol[None, None, :]
-        ok = (ids >= 0) & (ids < n) & row_valid[ia][:, :, None]
-        key_ids[ia, :, :cols] = np.where(ok, ids, -1)
+        cols_used[ia] = cols
+        col_base[ia, :cols] = base
+        col_dil[ia, :cols] = dcol
+        shift_invariant = len({s.dilation for s in segs}) == 1 and bool(contiguous[ia].all())
+        if shift_invariant:
+            families = [(ia, np.arange(int(lengths[ia].max()), dtype=np.int64))]
+        else:
+            by_rows: dict = {}
+            for i in idx:
+                by_rows.setdefault(passes[i].q_positions, []).append(i)
+            families = [
+                (np.asarray(members, dtype=np.int64), np.asarray(rows, dtype=np.int64))
+                for rows, members in by_rows.items()
+            ]
+        for members, rel in families:
+            rr, cc = _first_occurrence_cells(rel, base, dcol)
+            keys = base[cc] + qpos[members[:, None], rr] * dcol[cc]
+            streamed = (keys >= 0) & (keys < n) & (rr < lengths[members, None])
+            streams.append((members, np.where(streamed, keys, -1)))
 
-    return q_ids, key_ids, lengths, cols_used, pad_rows, pad_cols
+    stream = np.full(
+        (num_passes, max((k.shape[1] for _, k in streams), default=1)), -1, dtype=np.int64
+    )
+    for members, keys in streams:
+        stream[members, : keys.shape[1]] = keys
+    counted = stream >= 0
+    if len(global_tokens):
+        counted &= ~np.isin(stream, np.asarray(global_tokens, dtype=np.int64))
+    return PassIndex(
+        lengths=lengths,
+        cols_used=cols_used,
+        residues=residues,
+        dilations=dilations,
+        qpos=qpos,
+        col_base=col_base,
+        col_dil=col_dil,
+        stream=stream,
+        distinct=counted.sum(axis=1).astype(np.int64),
+    )
 
 
-def _global_row_schedule_vectorized(
-    n: int, raw_key_ids: np.ndarray, pe_cols: int
+def _global_row_schedule(
+    index: PassIndex, n: int, pe_cols: int
 ) -> Tuple[List[np.ndarray], int]:
-    """Vectorised equivalent of :meth:`ExecutionPlan.global_row_schedule`.
+    """Bulk equivalent of :meth:`ExecutionPlan.global_row_schedule`.
 
-    A key's batch is determined by the *first* pass that streams it; the
-    sequential seen-set walk therefore reduces to a stable sort of
-    (token, pass) pairs.  Batches come out in first-pass order with
-    tokens ascending — exactly the reference walk's output.
+    A key's batch is determined by the *first* pass that streams it, so
+    the sequential seen-set walk reduces to one scatter-min of pass
+    indices over each pass's distinct keys.  Batches come out in
+    first-pass order with tokens ascending — exactly the reference
+    walk's output.
     """
-    num_passes = raw_key_ids.shape[0]
-    flat = raw_key_ids.reshape(num_passes, -1)
+    num_passes = len(index.lengths)
+    streamed = index.stream >= 0
+    first_pass = np.full(n, num_passes, dtype=np.int64)
+    np.minimum.at(
+        first_pass,
+        index.stream[streamed],
+        np.repeat(np.arange(num_passes, dtype=np.int64), streamed.sum(axis=1)),
+    )
+    tokens = np.flatnonzero(first_pass < num_passes)
     batches: List[np.ndarray] = []
-    seen = np.zeros(n, dtype=bool)
-    if num_passes and (num_passes + 1) * (n + 1) <= (1 << 27):
-        # Tokens are bounded by n, so a (passes, n) membership table plus
-        # argmax finds each token's first pass without sorting the full
-        # (token, pass) stream; masked cells land in a spill column.
-        contains = np.zeros((num_passes, n + 1), dtype=bool)
-        rows = np.broadcast_to(np.arange(num_passes)[:, None], flat.shape)
-        contains[rows, np.where(flat >= 0, flat, n)] = True
-        cov = contains[:, :n]
-        covered = cov.any(axis=0)
-        first_pass = cov.argmax(axis=0)
-        uniq_tok = np.flatnonzero(covered)
-        first_pass = first_pass[uniq_tok]
-    elif num_passes:  # pragma: no cover - very large plans only
-        mask = flat >= 0
-        tokens = flat[mask]
-        pass_of = np.broadcast_to(
-            np.arange(num_passes, dtype=np.int64)[:, None], flat.shape
-        )[mask]
-        order = np.argsort(tokens, kind="stable")  # pass index ascending within a token
-        ts, ps = tokens[order], pass_of[order]
-        first = np.ones(ts.size, dtype=bool)
-        first[1:] = ts[1:] != ts[:-1]
-        uniq_tok, first_pass = ts[first], ps[first]
-    else:
-        uniq_tok = np.zeros(0, dtype=np.int64)
-        first_pass = np.zeros(0, dtype=np.int64)
-    if uniq_tok.size:
-        regroup = np.argsort(first_pass, kind="stable")  # tokens stay ascending per batch
-        uniq_tok2, first_pass2 = uniq_tok[regroup], first_pass[regroup]
-        cuts = np.flatnonzero(first_pass2[1:] != first_pass2[:-1]) + 1
-        batches = [
-            np.ascontiguousarray(b.astype(np.int64, copy=False))
-            for b in np.split(uniq_tok2, cuts)
-        ]
-        seen[uniq_tok] = True
-    remaining = np.flatnonzero(~seen)
+    if tokens.size:
+        owner = first_pass[tokens]
+        regroup = np.argsort(owner, kind="stable")  # tokens stay ascending per batch
+        tokens, owner = tokens[regroup], owner[regroup]
+        cuts = np.flatnonzero(owner[1:] != owner[:-1]) + 1
+        batches = [np.ascontiguousarray(b) for b in np.split(tokens, cuts)]
+    remaining = np.flatnonzero(first_pass == num_passes)
     cleanup = 0
     for start in range(0, len(remaining), pe_cols):
         batches.append(remaining[start : start + pe_cols])
@@ -690,38 +779,43 @@ def _global_row_schedule_vectorized(
 def compile_plan(plan: "ExecutionPlan") -> CompiledPlan:
     """Precompute every structural tensor of ``plan`` (see module docstring)."""
     n = plan.n
-    passes = plan.passes
-    num_passes = len(passes)
-    q_ids, key_ids, rows_used, cols_used, pad_rows, pad_cols = _index_tensors(plan)
-    raw_key_ids = key_ids  # clipped to the sequence, globals still present
+    # The scheduler leaves the index it filtered the passes with on the
+    # plan; hand-built plans derive it here through the same function.
+    index, plan._index = plan._index, None
+    if index is None:
+        index = pass_index(plan.passes, n, plan.global_tokens)
+    rows_used, cols_used = index.lengths, index.cols_used
+    num_passes = len(rows_used)
+    pad_rows, pad_cols = index.qpos.shape[1], index.col_base.shape[1]
 
-    row_valid = q_ids >= 0
+    row_valid = np.arange(pad_rows, dtype=np.int64)[None, :] < rows_used[:, None]
+    q_ids = np.where(
+        row_valid, index.residues[:, None] + index.qpos * index.dilations[:, None], -1
+    )
+    key_ids = np.multiply(index.qpos[:, :, None], index.col_dil[:, None, :])
+    key_ids += index.col_base[:, None, :]
+    valid = (key_ids >= 0) & (key_ids < n)
+    valid &= row_valid[:, :, None]
     gtok = np.asarray(plan.global_tokens, dtype=np.int64)
-    valid = key_ids >= 0
     keep = row_valid
     if len(gtok):
         valid &= ~np.isin(key_ids, gtok)
         keep = row_valid & ~np.isin(q_ids, gtok)
-    key_ids = np.where(valid, key_ids, -1)
+    np.putmask(key_ids, ~valid, -1)
 
     valid_counts = valid.sum(axis=(1, 2)).astype(np.int64)
     row_has_work = valid.any(axis=2)
 
     # Traffic aggregates (see buffers.plan_traffic): distinct keys per
     # pass, query-buffer loads per query-block transition, output rows.
-    # One batched sort replaces a per-pass np.unique: a key is "new"
-    # within its pass when it differs from its sorted predecessor.
-    sorted_ids = np.sort(key_ids.reshape(num_passes, pad_rows * pad_cols), axis=1)
-    fresh = sorted_ids >= 0
-    fresh[:, 1:] &= sorted_ids[:, 1:] != sorted_ids[:, :-1]
-    distinct_per_pass = fresh.sum(axis=1).astype(np.int64)
-    q_loads = 0
-    last_block: Tuple[int, int, Tuple[int, ...]] = (-1, -1, ())
-    for tp in passes:
-        block_key = (tp.query_residue, tp.dilation, tp.q_positions)
-        if block_key != last_block:
-            q_loads += tp.rows_used
-            last_block = block_key
+    same_block = np.zeros(num_passes, dtype=bool)
+    same_block[1:] = (
+        (index.residues[1:] == index.residues[:-1])
+        & (index.dilations[1:] == index.dilations[:-1])
+        & (rows_used[1:] == rows_used[:-1])
+        & (index.qpos[1:] == index.qpos[:-1]).all(axis=1)
+    )
+    q_loads = int(rows_used[~same_block].sum())
     out_vectors = int(row_has_work.sum())
 
     mask = np.ones(n, dtype=bool)
@@ -734,18 +828,14 @@ def compile_plan(plan: "ExecutionPlan") -> CompiledPlan:
             # Pre-populate the plan's memo so neither engine ever pays
             # for the per-pass Python walk (kept as the reference; see
             # tests/scheduler/test_compiled.py).
-            plan._schedule = _global_row_schedule_vectorized(
-                n, raw_key_ids, plan.config.pe_cols
-            )
+            plan._schedule = _global_row_schedule(index, n, plan.config.pe_cols)
         batches = plan.global_row_schedule()
-        cleanup = plan.global_row_cleanup_batches
         max_len = max((len(b) for b in batches), default=1)
         global_batches = np.full((len(batches), max_len), -1, dtype=np.int64)
         for i, b in enumerate(batches):
             global_batches[i, : len(b)] = b
         global_batch_valid = global_batches >= 0
     else:
-        cleanup = 0
         global_batches = np.empty((0, 1), dtype=np.int64)
         global_batch_valid = np.empty((0, 1), dtype=bool)
 
@@ -765,7 +855,7 @@ def compile_plan(plan: "ExecutionPlan") -> CompiledPlan:
         cols_used=cols_used,
         valid_counts=valid_counts,
         row_has_work=row_has_work,
-        distinct_per_pass=distinct_per_pass,
+        distinct_per_pass=index.distinct,
         q_loads=q_loads,
         out_vectors=out_vectors,
         global_tokens=gtok,

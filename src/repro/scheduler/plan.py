@@ -167,6 +167,8 @@ class ExecutionPlan:
         default=None, init=False, repr=False, compare=False
     )
     _compiled: Optional[object] = field(default=None, init=False, repr=False, compare=False)
+    # The scheduler's PassIndex of ``passes``, consumed by ``compiled()``.
+    _index: Optional[object] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:

@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
+from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.config import HardwareConfig
 from ..patterns.base import AttentionPattern, Band
+from .compiled import pass_index
 from .plan import ExecutionPlan, TilePass
 from .reorder import GroupedBandJob, decompose_band
 from .splitting import build_passes_for_group
@@ -96,6 +98,44 @@ class DataScheduler:
         global_tokens = tuple(pattern.global_tokens())
         self._check_global_bound(n, bands, global_tokens)
 
+        passes = self._tile_passes(bands, n)
+
+        # Drop zero-work passes (windows clipped away at the sequence
+        # edges, or left with global keys only); the index that decides
+        # it rides on the plan so compilation derives nothing again.
+        index = pass_index(passes, n, global_tokens)
+        has_work = index.distinct > 0
+        passes = list(compress(passes, has_work.tolist()))
+        index = index.take(has_work)
+
+        global_only = 0
+        if not passes and global_tokens:
+            # Pure-global pattern: the sequence must still stream through
+            # the global PE row/column.
+            global_only = max(
+                math.ceil(n / self.config.pe_cols), math.ceil(n / self.config.pe_rows)
+            )
+        if not passes and not global_tokens:
+            raise SchedulerError("pattern schedules no work (no bands, no global tokens)")
+
+        reorder = any(b.dilation > 1 for b in bands)
+        plan = ExecutionPlan(
+            n=n,
+            heads=heads,
+            head_dim=head_dim,
+            config=self.config,
+            passes=passes,
+            global_tokens=global_tokens,
+            global_only_passes=global_only,
+            pattern=pattern,
+            reorder_applied=reorder,
+        )
+        plan._index = index
+        return plan
+
+    # ------------------------------------------------------------------
+    def _tile_passes(self, bands: Sequence[Band], n: int) -> List[TilePass]:
+        """Reorder + split every band into passes, zero-work ones included."""
         jobs: List[GroupedBandJob] = []
         for idx, band in enumerate(bands):
             jobs.extend(decompose_band(idx, band, n))
@@ -114,32 +154,7 @@ class DataScheduler:
                     pack=self.config.pack_bands,
                 )
             )
-
-        exclude = frozenset(global_tokens)
-        passes = [tp for tp in passes if tp.valid_cell_count(n, exclude) > 0]
-
-        global_only = 0
-        if not passes and global_tokens:
-            # Pure-global pattern: the sequence must still stream through
-            # the global PE row/column.
-            global_only = max(
-                math.ceil(n / self.config.pe_cols), math.ceil(n / self.config.pe_rows)
-            )
-        if not passes and not global_tokens:
-            raise SchedulerError("pattern schedules no work (no bands, no global tokens)")
-
-        reorder = any(b.dilation > 1 for b in bands)
-        return ExecutionPlan(
-            n=n,
-            heads=heads,
-            head_dim=head_dim,
-            config=self.config,
-            passes=passes,
-            global_tokens=global_tokens,
-            global_only_passes=global_only,
-            pattern=pattern,
-            reorder_applied=reorder,
-        )
+        return passes
 
     # ------------------------------------------------------------------
     def _check_global_bound(

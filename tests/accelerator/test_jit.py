@@ -97,6 +97,21 @@ class TestFusedKernelsBitIdentity:
         b = stubbed_jit.JitFunctionalEngine(plan).run(q, k, v).output
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("head_dim,scale", [(8, None), (32, None), (16, 0.3)])
+    def test_fused_table_at_non_power_of_two_scales(self, stubbed_jit, head_dim, scale):
+        """The exp table now exists at these scales, so the fused kernels
+        run; they must equal the plain engine's elementwise ``exp_into``."""
+        plan = _plan(n=128, w=32, heads=2, head_dim=head_dim)
+        rng = np.random.default_rng(head_dim)
+        q, k, v = (rng.standard_normal((128, 2 * head_dim)) for _ in range(3))
+        fused = stubbed_jit.JitFunctionalEngine(plan)
+        assert fused._exp_table(scale or head_dim**-0.5) is not None
+        plain = FunctionalEngine(plan)
+        plain._exp_table = lambda scale: None
+        assert np.array_equal(
+            fused.run(q, k, v, scale=scale).output, plain.run(q, k, v, scale=scale).output
+        )
+
     def test_matches_on_unfusable_fallback(self, stubbed_jit):
         """valid_lens forces the inherited numpy epilogue — still identical."""
         plan = _plan()

@@ -1,15 +1,21 @@
-"""Vectorised plan compilation: pinned to the per-pass reference walks.
+"""Bulk plan derivation: pinned to the per-pass reference walks.
 
-``compile_plan`` builds its index tensors with grouped broadcasts and
-pre-populates the global-row schedule with a sort-free first-pass
-computation.  These tests pin both against the straightforward per-pass
-derivations (``TilePass.query_ids``/``key_ids`` and the sequential
-seen-set walk in ``ExecutionPlan.global_row_schedule``), which stay in
-the tree as the reference implementations.
+``DataScheduler.schedule`` filters zero-work passes from one
+:class:`~repro.scheduler.compiled.PassIndex`; ``compile_plan`` builds
+its index tensors, its distinct-key aggregate and the global-row
+schedule from that same index.  These tests pin all of it against the
+straightforward per-pass derivations (``TilePass.query_ids`` /
+``key_ids`` / ``valid_cell_count`` and the sequential seen-set walk in
+``ExecutionPlan.global_row_schedule``), which stay in the tree as the
+reference implementations.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import HardwareConfig
 from repro.patterns.base import Band
@@ -20,7 +26,8 @@ from repro.patterns.library import (
     star_transformer_pattern,
     vil_pattern,
 )
-from repro.scheduler.scheduler import DataScheduler
+from repro.scheduler.plan import BandSegment, ExecutionPlan, TilePass
+from repro.scheduler.scheduler import DataScheduler, SchedulerError
 
 PATTERN_CASES = [
     ("window", longformer_pattern(64, 8, (0,))),
@@ -33,10 +40,43 @@ PATTERN_CASES = [
 ]
 
 
+# Patterns whose tiling really contains zero-work passes.
+DROP_CASES = [
+    ("window-wider-than-n", HybridSparsePattern(24, [Band(-40, 39, 1)], (3,))),
+    ("only-global-keys-in-range", HybridSparsePattern(64, [Band(-40, -38, 1)], (0, 1, 2))),
+    ("dilated-groups-shorter-than-a-block", HybridSparsePattern(19, [Band(-16, 16, 8)], (2,))),
+    ("vil-edges", vil_pattern(6, 7, 5, (0,))),
+]
+
+
+def _scheduler(rows=4, cols=4):
+    return DataScheduler(HardwareConfig(pe_rows=rows, pe_cols=cols), strict_global_bound=False)
+
+
 def _schedule(pattern, rows=4, cols=4):
-    return DataScheduler(
-        HardwareConfig(pe_rows=rows, pe_cols=cols), strict_global_bound=False
-    ).schedule(pattern, heads=1, head_dim=8)
+    return _scheduler(rows, cols).schedule(pattern, heads=1, head_dim=8)
+
+
+def _assert_matches_per_pass_reference(plan, unfiltered=None):
+    """Every bulk-derived fact of ``plan`` equals its per-pass walk."""
+    n, gset = plan.n, plan.global_set
+    if unfiltered is not None:
+        assert plan.passes == [tp for tp in unfiltered if tp.valid_cell_count(n, gset) > 0]
+    reference = ExecutionPlan(
+        n, plan.heads, plan.head_dim, plan.config, plan.passes, plan.global_tokens
+    )
+    cp = plan.compiled()
+    for i, tp in enumerate(plan.passes):
+        ids = tp.key_ids(n, gset)
+        assert np.array_equal(cp.q_ids[i, : tp.rows_used], tp.query_ids())
+        assert np.array_equal(cp.key_ids[i, : ids.shape[0], : ids.shape[1]], ids)
+        assert cp.valid[i].sum() == (ids >= 0).sum() == cp.valid_counts[i]
+        assert cp.distinct_per_pass[i] == len(np.unique(ids[ids >= 0]))
+    if plan.global_tokens:
+        got, ref = plan.global_row_schedule(), reference.global_row_schedule()
+        assert len(got) == len(ref)
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+        assert plan.global_row_cleanup_batches == reference.global_row_cleanup_batches
 
 
 class TestIndexTensorsMatchReference:
@@ -79,6 +119,16 @@ class TestGlobalRowScheduleMatchesWalk:
             == reference_plan.global_row_cleanup_batches
         )
 
+    def test_pure_global_plan_compiles_to_cleanup_batches(self):
+        """Every pass filtered away: the keys stream in ``pe_cols`` chunks
+        (the parent's membership-table schedule could not reshape zero passes)."""
+        plan = _schedule(HybridSparsePattern(10, [Band(40, 44, 1)], (2,)))
+        assert not plan.passes and plan.global_only_passes
+        cp = plan.compiled()
+        assert cp.key_ids.shape == (0, 1, 1)
+        assert cp.global_batches.tolist() == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, -1, -1]]
+        assert plan.global_row_cleanup_batches == 3
+
     def test_schedule_streams_every_key_exactly_once(self):
         """The global PE row sees each key in exactly one batch."""
         for pattern in (star_transformer_pattern(20), longformer_pattern(64, 8, (0,))):
@@ -86,3 +136,92 @@ class TestGlobalRowScheduleMatchesWalk:
             plan.compiled()
             streamed = np.concatenate(plan.global_row_schedule())
             assert np.array_equal(np.sort(streamed), np.arange(plan.n))
+
+
+class TestZeroWorkFilterMatchesReference:
+    @pytest.mark.parametrize("name,pattern", DROP_CASES, ids=[c[0] for c in DROP_CASES])
+    def test_filter_equals_per_pass_valid_cell_count(self, name, pattern):
+        unfiltered = _scheduler()._tile_passes(pattern.bands(), pattern.n)
+        plan = _schedule(pattern)
+        assert 0 < len(plan.passes) < len(unfiltered)  # the case really drops passes
+        _assert_matches_per_pass_reference(plan, unfiltered)
+
+    def test_filter_can_shrink_the_padded_shape(self):
+        """Kept passes narrower than a dropped one: padding follows the kept."""
+        pattern = HybridSparsePattern(6, [Band(0, 0, 1), Band(20, 22, 1)], ())
+        config = HardwareConfig(pe_rows=4, pe_cols=2, pack_bands=False)
+        plan = DataScheduler(config).schedule(pattern, heads=1, head_dim=8)
+        assert max(tp.cols_used for tp in plan.passes) == 1
+        cp = plan.compiled()
+        assert (cp.pad_rows, cp.pad_cols) == (4, 1)
+        assert cp.key_ids.shape == (len(plan.passes), 4, 1)
+
+    @given(
+        n=st.integers(4, 60),
+        bands=st.lists(
+            st.tuples(st.integers(1, 9), st.integers(1, 4), st.integers(1, 12)),
+            min_size=1,
+            max_size=3,
+        ),
+        start=st.integers(-70, 10),
+        global_tokens=st.sets(st.integers(0, 59), max_size=3),
+        rows=st.integers(1, 8),
+        cols=st.integers(1, 8),
+        pack=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_bands_globals_and_pe_shapes(
+        self, n, bands, start, global_tokens, rows, cols, pack
+    ):
+        lo, built = start, []
+        for width, dilation, gap in bands:
+            built.append(Band(lo, lo + (width - 1) * dilation, dilation))
+            lo = built[-1].hi + gap
+        pattern = HybridSparsePattern(n, built, tuple(sorted(g for g in global_tokens if g < n)))
+        scheduler = DataScheduler(
+            HardwareConfig(pe_rows=rows, pe_cols=cols, pack_bands=pack),
+            strict_global_bound=False,
+        )
+        unfiltered = scheduler._tile_passes(pattern.bands(), n)
+        try:
+            plan = scheduler.schedule(pattern, heads=1, head_dim=8)
+        except SchedulerError:  # every band clipped away and no global token
+            return
+        _assert_matches_per_pass_reference(plan, unfiltered)
+
+
+class TestHandBuiltPlansDeriveOnDemand:
+    def test_irregular_passes_use_the_same_derivation(self):
+        """No scheduler memo, non-contiguous rows, mixed dilations."""
+        seg = lambda lo, w, res, dil: BandSegment(0, lo, w, res, dil)  # noqa: E731
+        passes = [
+            TilePass(0, 1, (0, 2, 3, 7), (seg(-2, 3, 0, 1),)),
+            TilePass(0, 1, (0, 2, 3, 7), (seg(1, 2, 0, 1),)),
+            TilePass(1, 2, (0, 1, 2), (seg(-1, 3, 1, 2), seg(0, 2, 0, 1))),
+            TilePass(1, 2, (3, 4), (seg(-1, 3, 1, 2), seg(0, 2, 0, 1))),
+            TilePass(0, 1, (4, 5, 6), (seg(-2, 3, 0, 1),)),
+        ]
+        plan = ExecutionPlan(12, 1, 8, HardwareConfig(pe_rows=4, pe_cols=5), passes, (1, 5))
+        assert plan._index is None
+        _assert_matches_per_pass_reference(plan)
+
+
+class TestColdPathStructure:
+    def test_schedule_and_compile_never_walk_passes(self, monkeypatch):
+        """No per-pass ``key_ids`` call, no ``passes x n`` table."""
+        calls = []
+        original = TilePass.key_ids
+        monkeypatch.setattr(
+            TilePass, "key_ids", lambda self, *a, **k: calls.append(1) or original(self, *a, **k)
+        )
+        scheduler = DataScheduler(HardwareConfig())
+        pattern = longformer_pattern(4096, 512, (0,))
+        tracemalloc.start()
+        try:
+            cp = scheduler.schedule(pattern, heads=12, head_dim=64).compiled()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not calls
+        assert cp.num_passes > 1000
+        assert peak < 4 * cp.key_ids.nbytes
