@@ -74,9 +74,13 @@ bench: bench-gate
 bench-update:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/run_benchmarks.py
 
+# -W error::DeprecationWarning: a surviving or resurrected engine shim
+# fails the gate instead of scrolling past.
 engines-smoke:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli engines list
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli serve \
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -W error::DeprecationWarning \
+		-m repro.cli engines list
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -W error::DeprecationWarning \
+		-m repro.cli serve \
 		--requests 16 --n 64 --window 8 --heads 2 --head-dim 4 \
 		--backend functional-legacy --seed 0
 

@@ -142,7 +142,7 @@ class Datapath:
         integer in those units; as long as the largest possible partial
         fits in the 53-bit double mantissa, no summation order ever
         rounds, and a BLAS ``matmul`` (arbitrary order, FMA or not) is
-        bit-identical to the ordered einsum it replaces.
+        bit-identical to the reference path's ordered einsum.
 
         * stage 1 (``q @ k``): ``2 * (input_bits - 1)`` bits per product
           plus ``ceil(log2 head_dim)`` for the sum;
@@ -152,7 +152,7 @@ class Datapath:
           scattered rectangle adds exactly nothing).
 
         Exact (unquantised) datapaths get ``False`` — arbitrary floats
-        make summation order observable, so those keep the einsum path.
+        make summation order observable, so those run the reference path.
         """
         if self.input_format is None or self.prob_format is None or self.output_format is None:
             return False

@@ -25,29 +25,39 @@ excluded from window passes to avoid double counting.
 
 Execution pipeline
 ------------------
-Passes are structural — identical across heads and across calls — so the
-default path consumes the plan's memoized
-:class:`~repro.scheduler.compiled.CompiledPlan`: Q/K/V are quantised once
-for all heads, stages 1–5 run as chunked batched einsums over
-``(heads, passes, rows, cols, head_dim)`` padded tensors, and the
-weighted-sum merges replay in precompiled *merge rounds* whose order
-equals the hardware's per-query pass order.  Padding is exact: masked
-cells contribute an exact ``0.0`` to every reduction, so the batched path
-is bit-identical to the legacy per-pass path (``use_compiled=False``),
-which is retained as the reference implementation for the equivalence
-suite.
+The engine holds two executors.  The *reference* path (``mode="legacy"``)
+walks ``plan.passes`` per head and per pass with ordered einsums; it
+executes any :class:`~repro.scheduler.plan.TilePass` sequence and is what
+the equivalence suites compare against.  The *production* path consumes
+the plan's memoized :class:`~repro.scheduler.compiled.CompiledPlan`:
+passes are structural — identical across heads and across calls — so
+Q/K/V are quantised once for all heads, stages 1 and 5 run as banded
+GEMMs over lane tiles, a fused epilogue covers stages 2–4, and the
+weighted-sum merges replay per job chain in the hardware's per-query
+pass order.
+
+``mode="compiled"`` (default) picks between them from what the engine
+observes, never from a caller-set value: GEMM reordering is only
+bit-exact when every stage-1/5 accumulation is exact in float64
+(:meth:`Datapath.supports_exact_gemm` — quantised datapaths inside the
+53-bit budget), so those plans run the production path and everything
+else (``exact()`` configs, over-budget bit widths) runs the reference
+path, where summation order is part of the result.  Either way the
+output is bit-identical to ``mode="legacy"``; :attr:`FunctionalEngine.tiled`
+reports which executor a given engine uses.
 
 Batch axis (multi-sequence serving)
 -----------------------------------
 :meth:`FunctionalEngine.run` also accepts a leading batch axis
 ``(b, n, heads*head_dim)``: a batch of independent sequences that share
 the same execution plan (the unit the serving layer in
-:mod:`repro.serving` dispatches).  The compiled path folds the batch and
-head axes into a single *lane* axis ``L = b * heads`` — every stage 1–5
-einsum then runs over ``(b·heads, groups, blocks, rows, cols, head_dim)``
-operands and every weighted-sum merge chain is carried per lane.  All
-lane-axis operations are elementwise or reduce only trailing axes, so
-each sequence's arithmetic (summation trees included) is exactly that of
+:mod:`repro.serving` dispatches).  The reference path loops the
+sequences; the production path folds the batch and head axes into a
+single *lane* axis ``L = b * heads`` — every GEMM then runs over
+``(lane tile, groups, blocks, rows, ...)`` operands and every
+weighted-sum merge chain is carried per lane.  All lane-axis operations
+are elementwise, exact GEMMs, or reduce only trailing axes, so each
+sequence's arithmetic (summation trees included) is exactly that of
 its own ``b=1`` call: batched outputs are bit-identical to looped
 single-sequence runs (``tests/accelerator/test_batched_equivalence.py``).
 The single-sequence call is simply the ``b=1`` special case with the
@@ -77,7 +87,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -90,11 +99,6 @@ from .datapath import Datapath
 from .weighted_sum import WeightedSumModule
 
 __all__ = ["FunctionalEngine", "FunctionalResult", "EngineError"]
-
-# Per-chunk operand budget (elements) when slicing a window job's block
-# axis: bounds the transient (heads, blocks, rows, cols, head_dim)
-# working set to ~32 MB of float64 per operand.
-_JOB_ELEMENT_BUDGET = 1 << 22
 
 
 class EngineError(RuntimeError):
@@ -262,78 +266,53 @@ def _exp_code_table(numerics, scale: float):
 class FunctionalEngine:
     """Executes :class:`ExecutionPlan` instances on (Q, K, V) data.
 
-    ``mode="compiled"`` (default) runs the batched multi-head path over
-    the plan's :class:`~repro.scheduler.compiled.CompiledPlan`;
-    ``mode="legacy"`` runs the per-head, per-pass reference path.  Both
-    produce bit-identical outputs.  At the system level the two modes
-    are the ``"functional"`` and ``"functional-legacy"`` engine backends
+    ``mode="legacy"`` runs the per-head, per-pass reference path.
+    ``mode="compiled"`` (default) runs the lane-tiled production path
+    over the plan's :class:`~repro.scheduler.compiled.CompiledPlan`
+    whenever that is provably bit-exact for the plan's datapath, and the
+    reference path otherwise (see the module docstring); :attr:`tiled`
+    reports the choice.  Both modes produce bit-identical outputs.  At
+    the system level they are the ``"functional"`` and
+    ``"functional-legacy"`` engine backends
     (:data:`repro.core.salo.ENGINE_BACKENDS` / the :mod:`repro.api`
     registry); select them by name there rather than constructing
     engines directly.
-
-    ``use_compiled`` is the deprecated boolean spelling of ``mode``
-    (``True`` -> ``"compiled"``, ``False`` -> ``"legacy"``); it is kept
-    as a shim for existing call sites and overrides ``mode`` when given.
     """
 
-    def __init__(
-        self,
-        plan: ExecutionPlan,
-        mode: str = "compiled",
-        use_compiled: Optional[bool] = None,
-        tiled: Optional[bool] = None,
-    ) -> None:
-        if isinstance(mode, bool):
-            # Positional spelling of the old signature:
-            # FunctionalEngine(plan, False) meant use_compiled=False.
-            use_compiled, mode = mode, "compiled"
-        if use_compiled is not None:
-            warnings.warn(
-                "FunctionalEngine(use_compiled=...) is deprecated; use "
-                "mode='compiled'/'legacy' (or the 'functional' / "
-                "'functional-legacy' backends of repro.api)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            mode = "compiled" if use_compiled else "legacy"
+    def __init__(self, plan: ExecutionPlan, mode: str = "compiled") -> None:
         if mode not in ("compiled", "legacy"):
             raise ValueError(f"unknown engine mode {mode!r}; known: compiled, legacy")
         self.plan = plan
         self.mode = mode
-        self.use_compiled = mode == "compiled"  # read by existing call sites
         self.datapath = Datapath(plan.config.numerics)
         self.module = WeightedSumModule(self.datapath)
         # (id(job), b0, b1) -> key-id tensor for padded-tail masking;
         # pure plan structure, so cached for the engine's lifetime (the
         # engine keeps the compiled plan — and its jobs — alive).
         self._segment_ids_cache: dict = {}
-        self.tiled = False
-        if self.use_compiled:
+        # Lane-tiled GEMM execution is only bit-identical when every
+        # stage-1/5 accumulation is exact in float64 (quantised datapaths
+        # within the bit budget); elsewhere summation order is observable
+        # and the reference path runs.
+        self.tiled = mode == "compiled" and self._supports_tiled()
+        if self.tiled:
             # Compile once at construction (memoized on the plan), and
             # force the lazy execution schedule now: engines always run.
-            cp = plan.compiled()
-            cp.window_jobs
-            # Lane-tiled GEMM execution is only bit-identical when every
-            # stage-1/5 accumulation is exact in float64 (quantised
-            # datapaths within the bit budget); exact datapaths keep the
-            # ordered-einsum path, where summation order is observable.
-            auto = self._supports_tiled(cp)
-            if tiled is None:
-                self.tiled = auto
-            elif tiled and not auto:
-                raise ValueError(
-                    "tiled execution requires a quantised datapath whose "
-                    "stage-1/5 accumulations are exact in float64"
-                )
-            else:
-                self.tiled = bool(tiled)
+            plan.compiled().window_jobs
 
-    def _supports_tiled(self, cp) -> bool:
-        """Whether the lane-tiled GEMM path is bit-exact for this plan."""
-        max_cols = cp.pad_rows + cp.pad_cols - 1
-        if len(cp.global_tokens):
-            max_cols = max(max_cols, len(cp.global_tokens))
-        return self.datapath.supports_exact_gemm(cp.head_dim, max_cols)
+    def _supports_tiled(self) -> bool:
+        """Whether the lane-tiled GEMM path is bit-exact for this plan.
+
+        Read from the plan's configuration alone, so an engine that takes
+        the reference path never compiles.  No stage-5 reduction is
+        longer than the cells of one pass (a score rectangle's
+        ``rows + width - 1`` span and a global-row batch — the distinct
+        keys one pass streams — both fit inside it) or, for the global
+        PE column, the number of global tokens.
+        """
+        plan, cfg = self.plan, self.plan.config
+        max_cols = max(cfg.pe_rows * cfg.pe_cols, len(plan.global_tokens))
+        return self.datapath.supports_exact_gemm(plan.head_dim, max_cols)
 
     # ------------------------------------------------------------------
     def run(
@@ -378,10 +357,8 @@ class FunctionalEngine:
             scale = 1.0 / np.sqrt(plan.head_dim)
         lens = self._check_valid_lens(valid_lens, q)
 
-        if self.use_compiled:
-            if self.tiled:
-                return self._run_compiled_tiled(q, k, v, scale, lens)
-            return self._run_compiled(q, k, v, scale, lens)
+        if self.tiled:
+            return self._run_compiled_tiled(q, k, v, scale, lens)
 
         if q.ndim == 3:
             # Reference semantics of a batch: independent per-sequence runs.
@@ -452,75 +429,6 @@ class FunctionalEngine:
         return FunctionalResult(output=out, merges=merges, parts=parts)
 
     # ------------------------------------------------------------------
-    # Compiled batched path
-    # ------------------------------------------------------------------
-    def _run_compiled(
-        self,
-        q: np.ndarray,
-        k: np.ndarray,
-        v: np.ndarray,
-        scale: float,
-        lens: Optional[np.ndarray] = None,
-    ) -> FunctionalResult:
-        plan = self.plan
-        cp = plan.compiled()
-        n, d, heads = plan.n, plan.head_dim, plan.heads
-        batched = q.ndim == 3
-        b = q.shape[0] if batched else 1
-        lanes = b * heads
-        # Per-lane valid lengths: each sequence's heads share its length.
-        lane_lens = None if lens is None else np.repeat(lens, heads)
-        # Quantise once for all lanes; (b?, n, H*d) -> (b*H, n, d).  Every
-        # lane's slab has the same contiguous (n, d) layout a b=1 call
-        # produces, so downstream reductions see identical summation
-        # trees per sequence.
-        qh = np.ascontiguousarray(
-            self.datapath.quantize_input(q)
-            .reshape(b, n, heads, d)
-            .transpose(0, 2, 1, 3)
-            .reshape(lanes, n, d)
-        )
-        kh = np.ascontiguousarray(
-            self.datapath.quantize_input(k)
-            .reshape(b, n, heads, d)
-            .transpose(0, 2, 1, 3)
-            .reshape(lanes, n, d)
-        )
-        vh = np.ascontiguousarray(
-            self.datapath.quantize_input(v)
-            .reshape(b, n, heads, d)
-            .transpose(0, 2, 1, 3)
-            .reshape(lanes, n, d)
-        )
-        acc = _BatchAccumulator(lanes, n, d, self.module)
-
-        for job in cp.window_jobs:
-            self._run_window_job(job, qh, kh, vh, scale, acc, lane_lens)
-        if len(cp.global_tokens):
-            self._run_global_column_batched(cp, qh, kh, vh, scale, acc)
-            self._run_global_rows_batched(cp, qh, kh, vh, scale, acc, lane_lens)
-
-        # Padded query rows (>= a lane's valid length) are sliced away by
-        # the caller and need not receive a part.
-        covered = acc.has
-        if lane_lens is not None:
-            covered = covered | (np.arange(n)[None, :] >= lane_lens[:, None])
-        if not covered.all():
-            missing = np.flatnonzero(~covered.all(axis=0))
-            raise EngineError(
-                f"queries {missing[:8].tolist()}... received no attention part; "
-                "the pattern leaves them without keys"
-            )
-        parts = acc.parts.reshape(b, heads, n)
-        output = np.ascontiguousarray(
-            acc.out.reshape(b, heads, n, d).transpose(0, 2, 1, 3)
-        ).reshape(b, n, heads * d)
-        if not batched:
-            output = output.reshape(n, heads * d)
-            parts = parts.reshape(heads, n)
-        return FunctionalResult(output=output, merges=acc.merges, parts=parts)
-
-    # ------------------------------------------------------------------
     # Lane-tiled compiled path (quantised datapaths; see _supports_tiled)
     # ------------------------------------------------------------------
     # Stages 1 and 5 run as banded GEMMs: per block the full
@@ -531,7 +439,7 @@ class FunctionalEngine:
     # two and every partial sum fits the double mantissa, so the BLAS
     # accumulation order — and the exact zeros of the rectangle padding —
     # cannot round: results are bit-identical to the ordered einsums of
-    # the flat path.  All buffers live in the plan's scratch dict, so
+    # the reference path.  All buffers live in the plan's scratch dict, so
     # warm calls on a cached plan perform no steady-state allocation.
 
     @staticmethod
@@ -597,13 +505,8 @@ class FunctionalEngine:
             acc.module = self.module  # scratch follows the engine in use
             acc.reset()
 
-        jobs = cp.window_jobs
         for chain in cp.job_chains:
-            if jobs[chain.jobs[0]].segments is None:  # pragma: no cover - irregular
-                for ji in chain.jobs:
-                    self._run_window_job(jobs[ji], qh, kh, vh, scale, acc, lane_lens)
-            else:
-                self._run_chain_tiled(cp, chain, qh, kh, vh, scale, acc, lane_lens)
+            self._run_chain_tiled(cp, chain, qh, kh, vh, scale, acc, lane_lens)
         if len(cp.global_tokens):
             self._run_global_column_tiled(cp, qh, kh, vh, scale, acc)
             self._run_global_rows_tiled(cp, qh, kh, vh, scale, acc, lane_lens)
@@ -643,8 +546,9 @@ class FunctionalEngine:
     ) -> np.ndarray:
         """Quantised ``(lanes, n, d)`` operand slab in reused storage.
 
-        Same values as the flat path's quantise-then-transpose (the two
-        elementwise steps commute), written through a cached buffer.
+        Quantising is elementwise, so each lane holds exactly the values
+        the reference path's per-head ``quantize_input`` produces,
+        written through a cached buffer.
 
         ``pad = (head, tail)`` reserves margin rows around the core that
         replicate its first/last row — exactly what a clip-clamped
@@ -742,8 +646,8 @@ class FunctionalEngine:
         order of the schedule.  Chain-local state is *seeded* from the
         accumulator before the first job and committed back by plain
         assignment afterwards, so chains whose queries already carry
-        parts from earlier jobs replay exactly the flat path's
-        sequential merges.
+        parts from earlier jobs replay exactly the reference path's
+        sequential per-pass merges.
         """
         sc = cp.scratch
         jobs = [cp.window_jobs[ji] for ji in chain.jobs]
@@ -781,7 +685,7 @@ class FunctionalEngine:
             # Seed the kept cells with the accumulator's current state
             # for these queries (all zeros when no earlier job touched
             # them) so every chain job is a merge against exactly the
-            # state the flat path would see.
+            # state the reference path's accumulator holds at that pass.
             if chain.keep_slice is not None:
                 k0, q0 = chain.keep_slice
                 out_run.reshape(lanes, cells, d)[:, k0 : k0 + M] = acc.out[
@@ -1026,9 +930,10 @@ class FunctionalEngine:
         has = self._buf(sc, "job_has", (Tc, G, Bc, R), np.bool_)
         self._band_epilogue(sc, band, validf, lmask, scale, w, has)
         # Rows the window path never merges (global queries, padding) are
-        # dropped by the flat path before its accumulator call; clearing
-        # their ``has`` excludes them from chain merges, part counts and
-        # the commit identically (their values are discarded either way).
+        # dropped by the reference path before its accumulator call
+        # (``_run_window_pass``); clearing their ``has`` excludes them
+        # from chain merges, part counts and the commit identically
+        # (their values are discarded either way).
         kmask = sc.get(("keepm", jid, b0, b1))
         if kmask is None:
             kmask = np.ascontiguousarray(job.keep[None, :, b0:b1])
@@ -1178,9 +1083,10 @@ class FunctionalEngine:
 
         One pass per tile over the contiguous band buffer: scale, PWL
         exp, validity masking, row sum, LUT reciprocal and probability
-        quantisation — every step the same elementwise op (or same
-        -order reduction) as the flat path, so bit-identical.  Rows
-        without work get a safe reciprocal operand of 1.0; their cells
+        quantisation — every step is the elementwise op the reference
+        path's ``_attend_block`` applies, and the row sum adds
+        fixed-point exp codes (exact in any order), so bit-identical.
+        Rows without work get a safe reciprocal operand of 1.0; their cells
         are all exact zeros, so the probabilities come out 0 either way.
         """
         dp = self.datapath
@@ -1301,100 +1207,16 @@ class FunctionalEngine:
             return
         acc.add_part(rows, out, w, has)  # pragma: no cover - scattered globals
 
-    def _stages_batched(
-        self,
-        qb: np.ndarray,  # (H, ..., d) quantised query rows
-        kb: np.ndarray,  # (H, ..., C, d) keys (views allowed)
-        vb: np.ndarray,  # (H, ..., C, d) values (views allowed)
-        valid: np.ndarray,  # broadcastable to (H, ..., C)
-        scale: float,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stages 1–5 over an arbitrary batch; returns (out, w, has).
-
-        The contraction axes (``d`` then ``C``) accumulate in the same
-        element order as the legacy per-pass einsums, and masked or
-        workless cells contribute an exact ``0.0`` through every
-        reduction, so results are bit-identical.
-        """
-        # ``ascontiguousarray`` is required for bit-identity, not speed:
-        # einsum over broadcast operands can return a strided result, and
-        # numpy's pairwise sum reduces strided layouts in a different
-        # association order than the contiguous arrays the reference
-        # engine reduces (a one-ulp difference that quantisation amplifies).
-        s = np.ascontiguousarray(np.einsum("...d,...cd->...c", qb, kb)) * scale
-        e = np.where(valid, self.datapath.exp(s), 0.0)
-        w = e.sum(axis=-1)
-        has = w > 0
-        inv = np.zeros_like(w)
-        if has.any():
-            inv[has] = self.datapath.recip(w[has])
-        probs = self.datapath.quantize_prob(e * inv[..., None])
-        out = self.datapath.quantize_output(np.einsum("...c,...cd->...d", probs, vb))
-        return out, w, has
-
-    def _run_window_job(
-        self,
-        job: WindowJob,
-        qh: np.ndarray,
-        kh: np.ndarray,
-        vh: np.ndarray,
-        scale: float,
-        acc: "_BatchAccumulator",
-        lane_lens: Optional[np.ndarray] = None,
-    ) -> None:
-        """Stages 1–5 + merge for one window-job family.
-
-        Every query appears in at most one (group, block) cell of the
-        job, so the whole family merges with a single vectorised
-        weighted-sum call; job order replays the per-query pass order
-        (see ``scheduler.compiled``).  Memory is bounded by slicing the
-        block axis into chunks.
-        """
-        lanes, _, d = qh.shape
-        rows, cols = job.rows, job.cols
-        num_blocks = job.num_blocks
-        per_block = lanes * job.num_groups * rows * cols * d
-        chunk = max(1, _JOB_ELEMENT_BUDGET // max(1, per_block))
-        for b0 in range(0, num_blocks, chunk):
-            b1 = min(b0 + chunk, num_blocks)
-            qb = qh[:, job.q_safe[:, b0:b1], :]  # (H, G, Bc, R, d)
-            valid = job.valid[None, :, b0:b1]
-            if job.segments is not None:
-                kb = self._segment_views(job, kh, b0, b1)
-                vb = self._segment_views(job, vh, b0, b1)
-                if len(job.segments) == 1:
-                    kv, vv = kb[0], vb[0]
-                else:
-                    # Stage 5 reduces across the packed segments in column
-                    # order, so multi-segment jobs materialise the column
-                    # axis (a structured copy from the small key blocks).
-                    kv = np.concatenate(kb, axis=4)
-                    vv = np.concatenate(vb, axis=4)
-                if lane_lens is not None:
-                    ids = self._segment_key_ids(job, b0, b1)
-                    valid = valid & (ids[None] < lane_lens[:, None, None, None, None])
-            else:  # pragma: no cover - irregular passes (not emitted today)
-                ids = job.safe_key_ids[:, b0:b1]
-                kv = kh[:, ids, :]
-                vv = vh[:, ids, :]
-                if lane_lens is not None:
-                    valid = valid & (ids[None] < lane_lens[:, None, None, None, None])
-            out, w, has = self._stages_batched(qb, kv, vv, valid, scale)
-            sel = job.keep[:, b0:b1]
-            acc.add_part(
-                job.q_ids[:, b0:b1][sel], out[:, sel], w[:, sel], has[:, sel]
-            )
-
     def _segment_key_ids(self, job: WindowJob, b0: int, b1: int) -> np.ndarray:
-        """Key ids aligned with the segment views: ``(G, Bc, R, C)``.
+        """Key ids aligned with a job's band buffer: ``(G, Bc, R, C)``.
 
-        Built with the same stride trick as :meth:`_segment_views`, so
-        cell ``(g, b, r, c)`` holds exactly the sequence index of the key
-        the views place there (clipped cells are covered by ``job.valid``
-        and may carry any id).  Only needed for padded-tail masking;
-        memoized per (job, chunk) because it is pure plan structure and
-        the serving fast path re-dispatches padded batches on a cached
-        plan.
+        Built with the stride trick of the stage-1 stream views, so cell
+        ``(g, b, r, c)`` holds exactly the sequence index of the key
+        whose score the band carries there (clipped cells are covered by
+        ``job.valid`` and may carry any id).  Only needed for padded-tail
+        masking; memoized per (job, chunk) because it is pure plan
+        structure and the serving fast path re-dispatches padded batches
+        on a cached plan.
         """
         cache_key = (id(job), b0, b1)
         cached = self._segment_ids_cache.get(cache_key)
@@ -1417,112 +1239,18 @@ class FunctionalEngine:
         self._segment_ids_cache[cache_key] = ids
         return ids
 
-    @staticmethod
-    def _segment_views(
-        job: WindowJob, xh: np.ndarray, b0: int, b1: int
-    ) -> Tuple[np.ndarray, ...]:
-        """Per-segment ``(L, G, Bc, R, W, d)`` diagonal window views of ``xh``.
-
-        ``L`` is the lane axis (batch x heads).  Each segment gathers one
-        small ``(L, G, len, d)`` block of vectors and exposes the per-cell
-        operands through overlapping strides — mirroring the diagonal k/v
-        forwarding of the PE array, which serves ``rows x cols`` cells
-        from ``rows + cols - 1`` vectors.
-        """
-        lanes, _, d = xh.shape
-        views = []
-        for seg in job.segments:
-            lo = b0 * seg.block_step
-            hi = (b1 - 1) * seg.block_step + job.rows + seg.width - 1
-            block = np.ascontiguousarray(xh[:, seg.gather_ids[:, lo:hi], :])
-            s_h, s_g, s_l, s_d = block.strides
-            views.append(
-                as_strided(
-                    block,
-                    (lanes, job.num_groups, b1 - b0, job.rows, seg.width, d),
-                    (s_h, s_g, seg.block_step * s_l, s_l, s_l, s_d),
-                )
-            )
-        return tuple(views)
-
-    def _run_global_column_batched(self, cp, qh, kh, vh, scale, acc) -> None:
-        """Global PE column: every non-global query attends the global keys."""
-        rows = cp.nonglobal_rows
-        if len(rows) == 0:
-            return
-        gtok = cp.global_tokens
-        qb = qh[:, rows, :]  # (H, r, d)
-        kb = np.broadcast_to(
-            kh[:, gtok, :][:, None, :, :], (qh.shape[0], len(rows), len(gtok), qh.shape[2])
-        )
-        vb = np.broadcast_to(
-            vh[:, gtok, :][:, None, :, :], (qh.shape[0], len(rows), len(gtok), qh.shape[2])
-        )
-        valid = np.ones((1, len(rows), len(gtok)), dtype=bool)
-        out, w, has = self._stages_batched(qb, kb, vb, valid, scale)
-        acc.add_part(rows, out, w, has)
-
-    def _run_global_rows_batched(
-        self, cp, qh, kh, vh, scale, acc, lane_lens: Optional[np.ndarray] = None
-    ) -> None:
-        """Global PE row: each global query attends the full sequence.
-
-        The row piggybacks on the key streams of the window passes
-        (Section 5.2): each pass contributes its not-yet-seen keys as one
-        partial-softmax batch (``ExecutionPlan.global_row_schedule``), so
-        the full row is assembled with the same weighted-sum merges as any
-        split window.  Stages 1–5 of every batch run in one einsum; only
-        the (inherently sequential) merge chain loops.
-        """
-        gtok = cp.global_tokens
-        num_b = cp.global_batches.shape[0]
-        if num_b == 0 or len(gtok) == 0:
-            return
-        heads_n, _, d = qh.shape
-        num_g = len(gtok)
-        # Batches are evaluated bucketed by their true length: padding a
-        # reduction axis with zeros changes numpy's pairwise-summation
-        # tree (exact for the zeros, but regrouping the real terms), so
-        # each batch must reduce over exactly its own keys to stay
-        # bit-identical to the reference engine.
-        out = np.empty((heads_n, num_b, num_g, d), dtype=np.float64)
-        w = np.empty((heads_n, num_b, num_g), dtype=np.float64)
-        has = np.empty((heads_n, num_b, num_g), dtype=bool)
-        lengths = cp.global_batch_valid.sum(axis=1)
-        for length in np.unique(lengths):
-            idx = np.flatnonzero(lengths == length)
-            keys = cp.global_batches[idx, :length]  # (nb, L) no padding
-            qb = np.broadcast_to(
-                qh[:, gtok, :][:, None, :, :], (heads_n, len(idx), num_g, d)
-            )
-            kb = np.broadcast_to(
-                kh[:, keys, :][:, :, None, :, :], (heads_n, len(idx), num_g, length, d)
-            )
-            vb = np.broadcast_to(
-                vh[:, keys, :][:, :, None, :, :], (heads_n, len(idx), num_g, length, d)
-            )
-            if lane_lens is None:
-                valid = np.True_
-            else:
-                # (H, nb, 1, L): mask keys in each lane's padded tail.
-                valid = (keys[None] < lane_lens[:, None, None])[:, :, None, :]
-            o, ww, hh = self._stages_batched(qb, kb, vb, valid, scale)
-            out[:, idx] = o
-            w[:, idx] = ww
-            has[:, idx] = hh
-        self._merge_global_rows(cp, out, w, has, acc)
-
     def _run_global_rows_tiled(
         self, cp, qh, kh, vh, scale, acc, lane_lens: Optional[np.ndarray] = None
     ) -> None:
         """Global PE row via GEMM + fused epilogue in plan scratch.
 
-        Same length-bucketed batches and merge chain as
-        :meth:`_run_global_rows_batched`; only stages 1–5 differ —
-        gathered contiguous key/value slabs and ``matmul`` replace the
-        broadcast einsums (exact under quantisation, see
-        :meth:`Datapath.supports_exact_gemm`), and the fused epilogue
-        replaces the allocating mask/exp/recip sequence.
+        Same batches (``ExecutionPlan.global_row_schedule``) and the
+        same sequential merge chain as the reference path's
+        :meth:`_run_global_rows`; stages 1–5 of all batches of one length
+        run together — gathered contiguous key/value slabs and ``matmul``
+        replace the per-batch einsums (exact under quantisation, see
+        :meth:`Datapath.supports_exact_gemm`), followed by the fused
+        epilogue.
         """
         gtok = cp.global_tokens
         num_b = cp.global_batches.shape[0]

@@ -6,7 +6,7 @@ One typed protocol (:class:`AttentionBackend` + frozen
 and one facade (:class:`Runtime` configured by a frozen
 :class:`RuntimeConfig`) over every execution engine and baseline model
 in the repo.  Backend choice — previously a scatter of constructor
-kwargs (``use_compiled``), hand-picked baseline functions and ad-hoc
+kwargs, hand-picked baseline functions and ad-hoc
 CLI wiring — is a single extensible axis: the serving session, the
 cluster simulator, the benches and the CLI all select backends by
 registered name, and a new backend registered here shows up in all of

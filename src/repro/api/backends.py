@@ -4,8 +4,7 @@ Six backends register on import (``repro.api`` imports this module):
 
 ======================  ============================================
 ``functional``          Compiled batched SALO engine (the default).
-``functional-legacy``   Per-pass SALO reference path (previously
-                        spelled ``FunctionalEngine(use_compiled=False)``).
+``functional-legacy``   Per-pass SALO reference path.
 ``systolic``            Cycle-accurate micro-simulator (small configs,
                         one sequence at a time).
 ``dense``               Dense masked-score float64 oracle, with the
@@ -17,11 +16,13 @@ Six backends register on import (``repro.api`` imports this module):
                         — estimates only, never executes.
 ======================  ============================================
 
-The three SALO-backed adapters derive their engine factory and their
-batch/valid-lens capability flags from
-:data:`repro.core.salo.ENGINE_BACKENDS`, so the engine table and the
-registry cannot drift apart.  All three are ``bit_exact``: they share
-one fixed-point datapath and must return identical arrays.  The oracles
+The three SALO-backed adapters are registered by one loop over
+:data:`repro.core.salo.ENGINE_BACKENDS`, which holds each engine's
+factory, batch/valid-lens capability flags and summary, so the engine
+table and the registry cannot drift apart (an optional fourth,
+``functional-jit``, appears in both exactly when numba imports).  All
+three are ``bit_exact``: they share one fixed-point datapath and must
+return identical arrays.  The oracles
 compute exact float64 attention instead — they agree with the SALO
 group only to quantisation tolerance (or to float round-off under an
 ``exact()`` hardware config), which is precisely what the parity suite
@@ -239,7 +240,7 @@ class SangerBackend(AttentionBackend):
 # ----------------------------------------------------------------------
 
 def _salo_caps(mode: str) -> BackendCapabilities:
-    _, batch, lens = ENGINE_BACKENDS[mode]
+    _, batch, lens, _ = ENGINE_BACKENDS[mode]
     return BackendCapabilities(
         supports_batch=batch,
         supports_valid_lens=lens,
@@ -291,34 +292,8 @@ def engine_factory(name: str) -> Callable[[], object]:
     return lambda: get_backend(name)
 
 
-register_backend(
-    "functional",
-    _salo_factory("functional"),
-    _salo_caps("functional"),
-    summary="compiled batched SALO engine (default)",
-)
-register_backend(
-    "functional-legacy",
-    _salo_factory("functional-legacy"),
-    _salo_caps("functional-legacy"),
-    summary="per-pass SALO reference engine (was use_compiled=False)",
-)
-register_backend(
-    "systolic",
-    _salo_factory("systolic"),
-    _salo_caps("systolic"),
-    summary="cycle-accurate micro-simulator (small configs, single sequence)",
-)
-if "functional-jit" in ENGINE_BACKENDS:  # pragma: no cover - requires numba
-    # Present only when numba imports (see repro.accelerator.jit): the
-    # registry — and therefore ``engines list`` — shows exactly the
-    # backends that can actually run on this interpreter.
-    register_backend(
-        "functional-jit",
-        _salo_factory("functional-jit"),
-        _salo_caps("functional-jit"),
-        summary="numba-fused tiled SALO engine (optional; requires numba)",
-    )
+for _mode, (_, _, _, _summary) in ENGINE_BACKENDS.items():
+    register_backend(_mode, _salo_factory(_mode), _salo_caps(_mode), summary=_summary)
 register_backend(
     "dense",
     lambda config: DenseOracleBackend(),

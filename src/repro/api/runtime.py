@@ -1,7 +1,7 @@
 """The :class:`Runtime` facade: pattern -> plan -> backend -> typed result.
 
 One object, one frozen config, one entry surface.  Where callers used to
-juggle ``SALO(...)`` constructor kwargs, ``use_compiled`` booleans and
+juggle ``SALO(...)`` constructor kwargs, engine-path booleans and
 hand-picked baseline functions, a :class:`Runtime` is configured once by
 a :class:`RuntimeConfig` (hashable, comparable, loggable) and then
 serves :meth:`Runtime.attend` / :meth:`Runtime.estimate` against

@@ -36,8 +36,7 @@ Engine backends
 ---------------
 The execution engine behind :meth:`attend` is selected by name: the
 default ``"functional"`` backend runs the compiled batched path,
-``"functional-legacy"`` runs the per-pass reference path (what
-``FunctionalEngine(use_compiled=False)`` used to spell), and
+``"functional-legacy"`` runs the per-pass reference path, and
 ``"systolic"`` runs the cycle-accurate micro-simulator (small
 configurations only; no batch axis, no ``valid_lens``).  All three share
 the scheduler, the plan cache and the cost models — only the executor
@@ -89,24 +88,36 @@ def _make_jit(plan: ExecutionPlan):
 
 
 #: Plan-executing engine backends a :class:`SALO` instance can run.
-#: name -> (engine factory, supports_batch, supports_valid_lens).  The
-#: :mod:`repro.api` registry derives its SALO-backed adapters (and their
-#: capability flags) from this table, so the two cannot drift.
+#: name -> (engine factory, supports_batch, supports_valid_lens, summary).
+#: The :mod:`repro.api` registry registers one SALO-backed adapter per
+#: row (capability flags and ``engines list`` summary included), so a
+#: backend is described here and nowhere else.
 ENGINE_BACKENDS = {
-    "functional": (_make_functional, True, True),
-    "functional-legacy": (_make_legacy, True, True),
-    "systolic": (_make_systolic, False, False),
+    "functional": (_make_functional, True, True, "compiled batched SALO engine (default)"),
+    "functional-legacy": (_make_legacy, True, True, "per-pass SALO reference engine"),
+    "systolic": (
+        _make_systolic,
+        False,
+        False,
+        "cycle-accurate micro-simulator (small configs, single sequence)",
+    ),
 }
 
 # The numba-fused engine is strictly optional: it only exists (here and
-# in the repro.api registry, which derives from this table) when numba
-# is importable, with the same capability flags as ``functional`` — the
-# parity suite holds it to bit-identity with the rest of the quantised
-# engine group.
+# in the repro.api registry, which derives from this table — so
+# ``engines list`` shows exactly the backends that can run on this
+# interpreter) when numba is importable, with the same capability flags
+# as ``functional`` — the parity suite holds it to bit-identity with the
+# rest of the quantised engine group.
 from ..accelerator.jit import HAVE_NUMBA as _HAVE_NUMBA  # noqa: E402
 
 if _HAVE_NUMBA:  # pragma: no cover - requires an image with numba
-    ENGINE_BACKENDS["functional-jit"] = (_make_jit, True, True)
+    ENGINE_BACKENDS["functional-jit"] = (
+        _make_jit,
+        True,
+        True,
+        "numba-fused tiled SALO engine (optional; requires numba)",
+    )
 
 
 def pattern_structure_key(pattern: AttentionPattern) -> Optional[Tuple]:

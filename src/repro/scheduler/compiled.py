@@ -9,10 +9,9 @@ per head x pass).  :class:`CompiledPlan` performs that derivation exactly
 once per :class:`~repro.scheduler.plan.ExecutionPlan` and stores:
 
 * padded per-pass tensors — ``q_ids`` ``(P, R)``, ``key_ids`` / ``valid``
-  / ``safe_key_ids`` ``(P, R, C)`` with sequence clipping *and*
-  global-token exclusion baked in, and ``keep`` ``(P, R)`` non-global
-  row masks — consumed by the cost models, ``plan.stats()`` and the
-  engines' fallback path;
+  ``(P, R, C)`` with sequence clipping *and* global-token exclusion
+  baked in, and ``keep`` ``(P, R)`` non-global row masks — consumed by
+  the cost models, ``plan.stats()`` and the window-job builder;
 * **window jobs** — the pass stream regrouped by
   ``(query group, column group)``.  Within a job every pass shares its
   segment tuple and its query block starts advance uniformly, so each
@@ -51,6 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (plan -> compiled)
 
 __all__ = [
     "CompiledPlan",
+    "IrregularPassError",
     "JobChain",
     "PassIndex",
     "SegmentStream",
@@ -58,6 +58,16 @@ __all__ = [
     "compile_plan",
     "pass_index",
 ]
+
+
+class IrregularPassError(ValueError):
+    """Raised when passes have no strided window-job geometry.
+
+    Non-contiguous query rows or unevenly spaced blocks: the scheduler
+    never emits such passes, and only the per-pass reference engine
+    (``FunctionalEngine(plan, mode="legacy")``), which never builds
+    window jobs, executes them.
+    """
 
 
 @dataclass(frozen=True)
@@ -82,16 +92,10 @@ class WindowJob:
     Query groups of one dilated band share block structure, segment
     widths and strides — only the residue (and hence the gather bases
     and boundary masks) differs — so their passes batch into a single
-    job with a leading *group* axis ``G``: one set of einsums serves
+    job with a leading *group* axis ``G``: one set of GEMMs serves
     every residue class at once.  Queries of different groups in one job
     are disjoint (distinct residue classes of the same dilation), so the
     whole job still merges with a single weighted-sum call.
-
-    ``segments`` is ``None`` when the member passes are irregular (non
-    contiguous query rows or unevenly spaced blocks); the engine then
-    falls back to gathering ``safe_key_ids``.  The scheduler never emits
-    such passes today, but the fallback keeps the engine correct for any
-    :class:`TilePass` sequence.
     """
 
     pass_indices: np.ndarray  # (G * B,) indices into plan.passes
@@ -103,8 +107,7 @@ class WindowJob:
     q_safe: np.ndarray  # (G, B, R) int64, padding clipped to 0
     valid: np.ndarray  # (G, B, R, C) bool
     keep: np.ndarray  # (G, B, R) bool: rows merged by the window path
-    segments: Optional[Tuple[SegmentStream, ...]]
-    safe_key_ids: Optional[np.ndarray]  # (G, B, R, C) fallback gather ids
+    segments: Tuple[SegmentStream, ...]
 
 
 @dataclass(frozen=True)
@@ -182,7 +185,7 @@ def _wide_stream(jobs) -> Tuple[Optional[np.ndarray], Optional[Tuple[int, ...]]]
     non-adjacent columns) returns ``(None, None)`` and the engine falls
     back to per-job gathers.
     """
-    if any(j.segments is None or len(j.segments) != 1 for j in jobs):
+    if any(len(j.segments) != 1 for j in jobs):
         return None, None
     segs = [j.segments[0] for j in jobs]
     step = segs[0].block_step
@@ -213,9 +216,7 @@ def _build_job_chains(jobs, n: int) -> Tuple[JobChain, ...]:
         while j < len(jobs):
             b = jobs[j]
             if (
-                a.segments is not None
-                and b.segments is not None
-                and a.q_ids.shape == b.q_ids.shape
+                a.q_ids.shape == b.q_ids.shape
                 and np.array_equal(a.q_ids, b.q_ids)
                 and np.array_equal(a.keep, b.keep)
             ):
@@ -224,10 +225,7 @@ def _build_job_chains(jobs, n: int) -> Tuple[JobChain, ...]:
                 break
         flat_keep = np.flatnonzero(a.keep.ravel()).astype(np.int64)
         flat_q = a.q_ids.ravel()[flat_keep]
-        private = bool(
-            a.segments is not None
-            and (seen is None or not np.isin(flat_q, seen).any())
-        )
+        private = seen is None or not np.isin(flat_q, seen).any()
         wide_ids, wide_offsets = _wide_stream(jobs[i:j])
         wide_start: Optional[Tuple[int, ...]] = None
         if wide_ids is not None:
@@ -317,7 +315,7 @@ class CompiledPlan:
         """The engine's execution schedule, built on first use."""
         if self._window_jobs is None:
             self._window_jobs = _build_window_jobs(
-                self.plan, self.q_ids, self.key_ids, self.valid, self.keep
+                self.plan, self.q_ids, self.valid, self.keep
             )
         return self._window_jobs
 
@@ -340,17 +338,12 @@ class CompiledPlan:
         cfg = self.plan.config
         d = self.head_dim
         rows, cols = job.rows, job.cols
-        widths = (
-            [seg.width for seg in job.segments]
-            if job.segments is not None
-            else [cols]
-        )
         # Per lane, per block: score rectangle + 2 stream gathers per
         # segment, plus band, stage-5 output, queries and the row-shaped
         # epilogue vectors (all float64).
         elems = rows * cols + 2 * rows * d + 6 * rows
-        for w in widths:
-            span = rows + w - 1
+        for seg in job.segments:
+            span = rows + seg.width - 1
             elems += rows * span + 2 * span * d
         per_block = 8 * job.num_groups * elems
         budget = max(int(cfg.tile_bytes), per_block)
@@ -359,14 +352,6 @@ class CompiledPlan:
         if cfg.lane_tile > 0:
             t = max(1, min(lanes, int(cfg.lane_tile)))
         return t, bc
-
-    @property
-    def safe_key_ids(self) -> np.ndarray:
-        """``key_ids`` with masked cells clipped to 0 (branch-free gathers).
-
-        Derived on demand: only the irregular-pass fallback reads it.
-        """
-        return np.where(self.valid, self.key_ids, 0)
 
     @property
     def total_valid_cells(self) -> int:
@@ -463,7 +448,6 @@ def _job_geometry(plan: "ExecutionPlan", idxs: List[int]):
 def _build_window_jobs(
     plan: "ExecutionPlan",
     q_ids: np.ndarray,
-    key_ids: np.ndarray,
     valid: np.ndarray,
     keep: np.ndarray,
 ) -> List[WindowJob]:
@@ -474,7 +458,7 @@ def _build_window_jobs(
     disjoint residue classes, so within a consecutive run of same
     dilation groups the ``k``-th column groups are independent and
     same-geometry jobs batch into one family — all residue classes of a
-    dilated band execute in a single set of einsums.  Groups of
+    dilated band execute in a single set of GEMMs.  Groups of
     *different* dilations can share queries, so distinct runs stay in
     group order.
     """
@@ -491,7 +475,7 @@ def _build_window_jobs(
     for run in runs:
         num_positions = max((len(g) for g in run), default=0)
         for k in range(num_positions):
-            jobs.extend(_position_families(plan, run, k, q_ids, key_ids, valid, keep))
+            jobs.extend(_position_families(plan, run, k, q_ids, valid, keep))
     return tuple(jobs)
 
 
@@ -500,23 +484,24 @@ def _position_families(
     run: List[List[List[int]]],
     k: int,
     q_ids: np.ndarray,
-    key_ids: np.ndarray,
     valid: np.ndarray,
     keep: np.ndarray,
 ) -> List[WindowJob]:
     """Families for position ``k`` of one same-dilation run of groups."""
     n = plan.n
     buckets: dict = {}  # signature -> [(idxs, bases)]
-    singles: List[List[int]] = []
     jobs: List[WindowJob] = []
     for g in run:
         if k >= len(g):
             continue
         sig, step, bases = _job_geometry(plan, g[k])
-        if sig is None:  # pragma: no cover - irregular passes
-            singles.append(g[k])
-        else:
-            buckets.setdefault((sig, step), []).append((g[k], bases))
+        if sig is None:
+            raise IrregularPassError(
+                f"passes {g[k]} have non-contiguous query rows or unevenly "
+                "spaced blocks and cannot form a window job; only "
+                "FunctionalEngine(plan, mode='legacy') executes them"
+            )
+        buckets.setdefault((sig, step), []).append((g[k], bases))
     for (sig, step), members in buckets.items():
         num_blocks, rows, cols, block_step, seg_sig = sig
         idx_arr = np.asarray([i for idxs, _ in members for i in idxs], dtype=np.int64)
@@ -531,8 +516,8 @@ def _position_families(
             keep[idx_arr][:, :rows].reshape(num_groups, num_blocks, rows)
         )
         streams: List[SegmentStream] = []
-        # Segment order == column order: the engine concatenates the
-        # per-segment views along the column axis in this order.
+        # Segment order == column order: the engine lays the
+        # per-segment bands side by side along the column axis in this order.
         for s, (width, seg_dil) in enumerate(seg_sig):
             # Key id of group g at (b, r, t):
             # bases[g] + (b*step + r + t)*dil — one stream per group.
@@ -558,31 +543,6 @@ def _position_families(
                 valid=job_valid,
                 keep=job_keep,
                 segments=tuple(streams),
-                safe_key_ids=None,
-            )
-        )
-    for idxs in singles:  # pragma: no cover - irregular passes
-        tps = [plan.passes[i] for i in idxs]
-        num_blocks = len(tps)
-        rows = max(tp.rows_used for tp in tps)
-        cols = tps[0].cols_used
-        idx_arr = np.asarray(idxs, dtype=np.int64)
-        job_q_ids = np.ascontiguousarray(q_ids[idx_arr][:, :rows])[None]
-        jobs.append(
-            WindowJob(
-                pass_indices=idx_arr,
-                num_groups=1,
-                num_blocks=num_blocks,
-                rows=rows,
-                cols=cols,
-                q_ids=job_q_ids,
-                q_safe=job_q_ids.clip(min=0),
-                valid=np.ascontiguousarray(valid[idx_arr][:, :rows, :cols])[None],
-                keep=np.ascontiguousarray(keep[idx_arr][:, :rows])[None],
-                segments=None,
-                safe_key_ids=np.where(
-                    valid[idx_arr][:, :rows, :cols], key_ids[idx_arr][:, :rows, :cols], 0
-                )[None],
             )
         )
     return jobs

@@ -1,14 +1,17 @@
-"""Compiled batched engine: bit-identity and serving-cache contracts.
+"""Compiled engine: bit-identity, path selection and serving-cache contracts.
 
-The compiled execution path (``FunctionalEngine(plan)``, the default)
-precomputes index tensors once per plan and evaluates stages 1–5 as
-batched einsums over all heads and passes.  Its contract is *bit
-identity*: the batched path must produce exactly the outputs of the
-legacy per-pass reference path (``mode="legacy"``) and — on the
-micro-simulator's parameter space — of the cycle-accurate simulator,
-under both the quantised and the exact datapaths.  These tests pin that
-contract across every pattern family, plus the SALO plan-cache semantics
-(cached compiles on repeated structure, separation across configs).
+``FunctionalEngine(plan)`` (``mode="compiled"``, the default) runs the
+lane-tiled production path — index tensors precomputed once per plan,
+stages 1 and 5 as banded GEMMs over all lanes — wherever GEMM
+reordering is provably exact (``Datapath.supports_exact_gemm``), and
+the per-pass reference path everywhere else (``exact()`` configs,
+over-budget bit widths).  Its contract is *bit identity*: whichever
+executor it picks must produce exactly the outputs of
+``mode="legacy"`` and — on the micro-simulator's parameter space — of
+the cycle-accurate simulator.  These tests pin that contract and the
+selection rule across every pattern family, plus the SALO plan-cache
+semantics (cached compiles on repeated structure, separation across
+configs).
 """
 
 import time
@@ -21,7 +24,7 @@ from hypothesis import strategies as st
 from repro.accelerator.functional import FunctionalEngine
 from repro.accelerator.systolic import SystolicSimulator
 from repro.accelerator.timing import pass_cycles, plan_timing
-from repro.core.config import HardwareConfig
+from repro.core.config import HardwareConfig, NumericsConfig
 from repro.core.salo import SALO
 from repro.patterns.base import Band
 from repro.patterns.hybrid import HybridSparsePattern
@@ -34,10 +37,18 @@ from repro.patterns.library import (
 from repro.scheduler.scheduler import DataScheduler
 
 
-def _plan_and_data(pattern, heads=1, head_dim=8, rows=4, cols=4, quantize=True, seed=0):
-    config = HardwareConfig(pe_rows=rows, pe_cols=cols)
-    if not quantize:
-        config = config.exact()
+# Only the default sits inside the exact-GEMM budget (runs tiled): floats
+# make summation order observable, and 28-bit operands give stage-1
+# products of 54 bits, past the 53-bit double mantissa.
+NUMERICS = {
+    "quantised": NumericsConfig(),
+    "exact": NumericsConfig.exact(),
+    "over-budget": NumericsConfig(input_bits=28),
+}
+
+
+def _plan_and_data(pattern, heads=1, head_dim=8, rows=4, cols=4, datapath="quantised", seed=0):
+    config = HardwareConfig(pe_rows=rows, pe_cols=cols, numerics=NUMERICS[datapath])
     plan = DataScheduler(config, strict_global_bound=False).schedule(
         pattern, heads=heads, head_dim=head_dim
     )
@@ -47,13 +58,18 @@ def _plan_and_data(pattern, heads=1, head_dim=8, rows=4, cols=4, quantize=True, 
     return plan, q, k, v
 
 
-def _assert_bit_identical(pattern, **kwargs):
-    plan, q, k, v = _plan_and_data(pattern, **kwargs)
-    compiled = FunctionalEngine(plan, mode="compiled").run(q, k, v)
-    legacy = FunctionalEngine(plan, mode="legacy").run(q, k, v)
-    assert np.array_equal(compiled.output, legacy.output)
-    assert compiled.merges == legacy.merges
-    assert np.array_equal(compiled.parts, legacy.parts)
+def _assert_same_result(got, ref):
+    assert np.array_equal(got.output, ref.output)
+    assert got.merges == ref.merges
+    assert np.array_equal(got.parts, ref.parts)
+
+
+def _assert_bit_identical(pattern, datapath="quantised", **kwargs):
+    plan, q, k, v = _plan_and_data(pattern, datapath=datapath, **kwargs)
+    engine = FunctionalEngine(plan, mode="compiled")
+    assert engine.tiled is (datapath == "quantised")
+    compiled = engine.run(q, k, v)
+    _assert_same_result(compiled, FunctionalEngine(plan, mode="legacy").run(q, k, v))
     return compiled
 
 
@@ -78,7 +94,36 @@ class TestCompiledMatchesLegacy:
 
     @pytest.mark.parametrize("name,pattern", PATTERN_CASES, ids=[c[0] for c in PATTERN_CASES])
     def test_exact(self, name, pattern):
-        _assert_bit_identical(pattern, quantize=False)
+        _assert_bit_identical(pattern, datapath="exact")
+
+    @pytest.mark.parametrize("name,pattern", PATTERN_CASES, ids=[c[0] for c in PATTERN_CASES])
+    def test_over_budget(self, name, pattern):
+        _assert_bit_identical(pattern, datapath="over-budget")
+
+    @pytest.mark.parametrize("datapath", sorted(NUMERICS))
+    def test_batched_and_padded(self, datapath):
+        """Batch axis and ``valid_lens`` follow the same selection rule."""
+        plan, q, k, v = _plan_and_data(
+            longformer_pattern(32, 8, (0, 15)), heads=2, head_dim=4, datapath=datapath
+        )
+        compiled = FunctionalEngine(plan, mode="compiled")
+        legacy = FunctionalEngine(plan, mode="legacy")
+        assert compiled.tiled is (datapath == "quantised")
+        qb, kb, vb = (np.stack([x, x[::-1]]) for x in (q, k, v))
+        _assert_same_result(compiled.run(qb, kb, vb), legacy.run(qb, kb, vb))
+        for x in (qb, kb, vb):
+            x[1, 20:] = 0.0
+        lens = [32, 20]
+        _assert_same_result(
+            compiled.run(qb, kb, vb, valid_lens=lens), legacy.run(qb, kb, vb, valid_lens=lens)
+        )
+
+    def test_path_is_not_caller_selectable(self):
+        plan, *_ = _plan_and_data(longformer_pattern(24, 8, (0,)))
+        with pytest.raises(TypeError):
+            FunctionalEngine(plan, tiled=False)
+        with pytest.raises(TypeError):
+            FunctionalEngine(plan, use_compiled=False)
 
     def test_multihead(self):
         _assert_bit_identical(longformer_pattern(24, 8, (0,)), heads=3, head_dim=4)
@@ -94,15 +139,15 @@ class TestCompiledMatchesLegacy:
         heads=st.integers(1, 2),
         rows=st.sampled_from([2, 4, 8]),
         cols=st.sampled_from([2, 4, 8]),
-        quantize=st.booleans(),
+        datapath=st.sampled_from(sorted(NUMERICS)),
     )
     @settings(max_examples=40, deadline=None)
-    def test_equivalence_property(self, n, window, dilation, use_global, heads, rows, cols, quantize):
+    def test_equivalence_property(self, n, window, dilation, use_global, heads, rows, cols, datapath):
         half = window // 2
         band = Band(-half * dilation, (window - 1 - half) * dilation, dilation)
         pattern = HybridSparsePattern(n, [band], (0,) if use_global else ())
         _assert_bit_identical(
-            pattern, heads=heads, head_dim=4, rows=rows, cols=cols, quantize=quantize
+            pattern, heads=heads, head_dim=4, rows=rows, cols=cols, datapath=datapath
         )
 
 
@@ -126,7 +171,7 @@ class TestCompiledMatchesMicroSim:
         assert compiled.merges == sim.merges
 
     def test_exact_close(self):
-        plan, q, k, v = _plan_and_data(longformer_pattern(20, 6, (0,)), quantize=False)
+        plan, q, k, v = _plan_and_data(longformer_pattern(20, 6, (0,)), datapath="exact")
         compiled = FunctionalEngine(plan, mode="compiled").run(q, k, v)
         sim = SystolicSimulator(plan).run(q, k, v)
         assert np.allclose(compiled.output, sim.output, atol=1e-11)
@@ -205,9 +250,11 @@ class TestPlanCache:
         first call, which pays for scheduling + plan compilation + the
         cost models.  A heavily dilated band maximises scheduler work
         (one residue group per dilation step) while the compiled engine
-        executes all groups as a single window-job family.
+        executes all groups as a single window-job family.  Timed on
+        the default quantised config: the production path is what the
+        plan cache serves.
         """
-        salo = SALO(HardwareConfig().exact())
+        salo = SALO()
         pattern = HybridSparsePattern(6144, [Band(-768, 768, 768)], ())
         q, k, v = self._data(6144, 8)
         t0 = time.perf_counter()

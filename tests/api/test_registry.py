@@ -61,7 +61,7 @@ class TestCompleteness:
         """The SALO adapters must mirror repro.core.salo.ENGINE_BACKENDS."""
         from repro.core.salo import ENGINE_BACKENDS
 
-        for mode, (_, batch, lens) in ENGINE_BACKENDS.items():
+        for mode, (_, batch, lens, _) in ENGINE_BACKENDS.items():
             caps = backend_spec(mode).capabilities
             assert caps.supports_batch == batch
             assert caps.supports_valid_lens == lens

@@ -191,32 +191,11 @@ class TestClusterThreading:
 
 
 class TestUseCompiledShim:
-    """The retired use_compiled kwarg keeps working, with a warning."""
+    """The shim is retired; what is left of the surface is ``mode``."""
 
     def _plan(self):
         salo = SALO(HardwareConfig(pe_rows=4, pe_cols=4), strict_global_bound=False)
         return salo.schedule(longformer_pattern(16, 4, (0,)), heads=1, head_dim=8)
-
-    @pytest.mark.parametrize("flag,mode", [(True, "compiled"), (False, "legacy")])
-    def test_shim_maps_and_warns(self, flag, mode):
-        from repro.accelerator.functional import FunctionalEngine
-
-        plan = self._plan()
-        with pytest.warns(DeprecationWarning, match="use_compiled"):
-            engine = FunctionalEngine(plan, use_compiled=flag)
-        assert engine.mode == mode
-        assert engine.use_compiled is flag  # attribute kept for readers
-
-    def test_positional_bool_still_selects_legacy(self):
-        """The pre-redesign positional spelling FunctionalEngine(plan, False)."""
-        from repro.accelerator.functional import FunctionalEngine
-
-        with pytest.warns(DeprecationWarning, match="use_compiled"):
-            engine = FunctionalEngine(self._plan(), False)
-        assert engine.mode == "legacy"
-        with pytest.warns(DeprecationWarning, match="use_compiled"):
-            engine = FunctionalEngine(self._plan(), True)
-        assert engine.mode == "compiled"
 
     def test_unknown_mode_rejected(self):
         from repro.accelerator.functional import FunctionalEngine

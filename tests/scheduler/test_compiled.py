@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.accelerator.functional import FunctionalEngine
 from repro.core.config import HardwareConfig
 from repro.patterns.base import Band
 from repro.patterns.hybrid import HybridSparsePattern
@@ -26,6 +27,7 @@ from repro.patterns.library import (
     star_transformer_pattern,
     vil_pattern,
 )
+from repro.scheduler.compiled import IrregularPassError
 from repro.scheduler.plan import BandSegment, ExecutionPlan, TilePass
 from repro.scheduler.scheduler import DataScheduler, SchedulerError
 
@@ -190,20 +192,35 @@ class TestZeroWorkFilterMatchesReference:
         _assert_matches_per_pass_reference(plan, unfiltered)
 
 
+def _irregular_plan():
+    """No scheduler memo, non-contiguous rows, mixed dilations."""
+    seg = lambda lo, w, res, dil: BandSegment(0, lo, w, res, dil)  # noqa: E731
+    passes = [
+        TilePass(0, 1, (0, 2, 3, 7), (seg(-2, 3, 0, 1),)),
+        TilePass(0, 1, (0, 2, 3, 7), (seg(1, 2, 0, 1),)),
+        TilePass(1, 2, (0, 1, 2), (seg(-1, 3, 1, 2), seg(0, 2, 0, 1))),
+        TilePass(1, 2, (3, 4), (seg(-1, 3, 1, 2), seg(0, 2, 0, 1))),
+        TilePass(0, 1, (4, 5, 6), (seg(-2, 3, 0, 1),)),
+    ]
+    return ExecutionPlan(12, 1, 8, HardwareConfig(pe_rows=4, pe_cols=5), passes, (1, 5))
+
+
 class TestHandBuiltPlansDeriveOnDemand:
     def test_irregular_passes_use_the_same_derivation(self):
-        """No scheduler memo, non-contiguous rows, mixed dilations."""
-        seg = lambda lo, w, res, dil: BandSegment(0, lo, w, res, dil)  # noqa: E731
-        passes = [
-            TilePass(0, 1, (0, 2, 3, 7), (seg(-2, 3, 0, 1),)),
-            TilePass(0, 1, (0, 2, 3, 7), (seg(1, 2, 0, 1),)),
-            TilePass(1, 2, (0, 1, 2), (seg(-1, 3, 1, 2), seg(0, 2, 0, 1))),
-            TilePass(1, 2, (3, 4), (seg(-1, 3, 1, 2), seg(0, 2, 0, 1))),
-            TilePass(0, 1, (4, 5, 6), (seg(-2, 3, 0, 1),)),
-        ]
-        plan = ExecutionPlan(12, 1, 8, HardwareConfig(pe_rows=4, pe_cols=5), passes, (1, 5))
+        plan = _irregular_plan()
         assert plan._index is None
         _assert_matches_per_pass_reference(plan)
+
+    def test_irregular_passes_have_no_window_jobs(self):
+        """Named error at the door; the reference engine still runs them."""
+        plan = _irregular_plan()
+        with pytest.raises(IrregularPassError, match=r"passes \[0, 4\]"):
+            plan.compiled().window_jobs
+        with pytest.raises(IrregularPassError):
+            FunctionalEngine(plan)
+        q, k, v = np.random.default_rng(0).standard_normal((3, 12, 8))
+        result = FunctionalEngine(plan, mode="legacy").run(q, k, v)
+        assert np.isfinite(result.output).all() and (result.parts >= 1).all()
 
 
 class TestColdPathStructure:
