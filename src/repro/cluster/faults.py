@@ -39,12 +39,10 @@ the property suite pins therefore becomes::
     submitted == completed + rejected + shed + failed
 
 The injector is pure configuration + one RNG stream: it never touches
-the event heap itself.  The simulator asks it *what* fails and *when*;
-the :class:`RecoveryConfig` says how the cluster responds.  The split is
-the seam a future out-of-process transport driver plugs into — a real
-worker process would report the same dispatch outcomes
-(:data:`DISPATCH_OK` / :data:`DISPATCH_ERROR`) and miss the same
-heartbeats, with only the probe transport changing.
+the event heap itself.  The simulated executor asks it *what* fails and
+*when*; the :class:`RecoveryConfig` says how the control plane responds
+— on either executor, since real workers report the same dispatch
+outcomes (:data:`DISPATCH_OK` / :data:`DISPATCH_ERROR`).
 """
 
 from __future__ import annotations
@@ -69,7 +67,7 @@ __all__ = [
     "WORKER_DOWN",
 ]
 
-# Dispatch outcomes: the wire protocol a transport driver would speak.
+# Dispatch outcomes: the wire protocol a transport driver speaks.
 # A *lost* dispatch (worker crashed mid-batch) has no outcome at all —
 # the completion event simply never arrives, which is why detection
 # needs heartbeats rather than error returns.

@@ -28,7 +28,7 @@ reports byte-identical to the pre-fault simulator's output.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence
+from typing import Callable, Dict, Hashable, List, Optional, Sequence
 
 import numpy as np
 
@@ -331,6 +331,7 @@ class MetricsCollector:
         self.drops: List[DropRecord] = []
         self.series: List[SeriesPoint] = []
         self.submitted: int = 0
+        self._dropped = {"rejected": 0, "shed": 0, "failed": 0}  # per DropRecord.kind
         self.first_arrival_s: Optional[float] = None
         self.last_complete_s: float = 0.0
 
@@ -345,6 +346,7 @@ class MetricsCollector:
         self.last_complete_s = max(self.last_complete_s, record.complete_s)
 
     def _note_drop(self, request, t: float, kind: str) -> None:
+        self._dropped[kind] += 1
         self.drops.append(
             DropRecord(
                 request_id=request.request_id,
@@ -373,18 +375,34 @@ class MetricsCollector:
     # ------------------------------------------------------------------
     @property
     def rejected(self) -> int:
-        return sum(1 for d in self.drops if d.kind == "rejected")
+        return self._dropped["rejected"]
 
     @property
     def shed(self) -> int:
-        return sum(1 for d in self.drops if d.kind == "shed")
+        return self._dropped["shed"]
 
     @property
     def failed(self) -> int:
-        return sum(1 for d in self.drops if d.kind == "failed")
+        return self._dropped["failed"]
 
-    def report(self, workers, steals: int, retries: int = 0, requeues: int = 0) -> ClusterReport:
-        """Reduce to a :class:`ClusterReport` (safe on empty runs)."""
+    @property
+    def outstanding(self) -> int:
+        """Submitted requests without a terminal outcome yet."""
+        return self.submitted - len(self.records) - len(self.drops)
+
+    def report(
+        self,
+        workers,
+        steals: int,
+        retries: int = 0,
+        requeues: int = 0,
+        cache_info: Callable[[object], dict] = lambda w: w.salo.cache_info(),
+    ) -> ClusterReport:
+        """Reduce to a :class:`ClusterReport` (safe on empty runs).
+
+        ``cache_info`` maps a worker to its engine's plan-cache counters
+        (the control plane passes its executor's).
+        """
         records = self.records
         completed = len(records)
         start = self.first_arrival_s if self.first_arrival_s is not None else 0.0
@@ -434,12 +452,11 @@ class MetricsCollector:
         for w in workers:
             # A worker still marked down when the run drains has an open
             # downtime window: close it at the measurement horizon.
-            downtime = getattr(w, "downtime_s", 0.0)
-            down_since = getattr(w, "down_since_s", None)
-            if down_since is not None:
-                downtime += max(self.last_complete_s - down_since, 0.0)
+            downtime = w.downtime_s
+            if w.down_since_s is not None:
+                downtime += max(self.last_complete_s - w.down_since_s, 0.0)
             total_downtime += downtime
-            delays = getattr(w, "detect_delays", [])
+            delays = w.detect_delays
             worker_reports.append(
                 WorkerReport(
                     wid=w.wid,
@@ -450,10 +467,10 @@ class MetricsCollector:
                     mean_batch_size=w.served / w.batches if w.batches else 0.0,
                     stolen_in=w.stolen_in,
                     cold_compiles=w.cold_compiles,
-                    plan_cache=w.salo.cache_info(),
-                    crashes=getattr(w, "crashes", 0),
-                    rejoins=getattr(w, "rejoins", 0),
-                    breaker_trips=getattr(getattr(w, "breaker", None), "trips", 0),
+                    plan_cache=cache_info(w),
+                    crashes=w.crashes,
+                    rejoins=w.rejoins,
+                    breaker_trips=w.breaker.trips if w.breaker is not None else 0,
                     downtime_s=downtime,
                     detect_s=float(np.mean(delays)) if delays else 0.0,
                 )

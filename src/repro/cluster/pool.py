@@ -38,7 +38,7 @@ import json
 import time
 from collections import deque
 from pathlib import Path
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -297,8 +297,9 @@ class Worker:
             bucket_floor=bucket_floor,
             pad_to_bucket=pad_to_bucket,
         )
-        self.busy = False
-        self.inflight = 0  # requests in the batch currently executing
+        # launch id -> (batch, dispatched_s, charged_until_s): the batches
+        # the worker holds; lost with it if it dies before they complete.
+        self.launched: Dict[int, Tuple[Batch, float, float]] = {}
         self.busy_s = 0.0  # accumulated service time
         self.batches = 0
         self.served = 0
@@ -309,7 +310,6 @@ class Worker:
         # --- lifecycle / health (see repro.cluster.faults) ---
         self.alive = True  # ground truth: does the process exist
         self.state = WORKER_UP  # what heartbeats have established
-        self.crash_epoch = 0  # invalidates in-flight completions on crash
         self.last_heartbeat_s = 0.0
         self.crashed_at_s: Optional[float] = None
         self.down_since_s: Optional[float] = None
@@ -318,8 +318,9 @@ class Worker:
         self.rejoins = 0
         self.detect_delays: List[float] = []  # crash -> marked-down latency
         # Optional transient-error circuit breaker (see CircuitBreaker);
-        # attached by the simulator when RecoveryConfig enables it.
+        # attached by the control plane when RecoveryConfig enables it.
         self.breaker: Optional[CircuitBreaker] = None
+        self.transport = None  # the real worker's WorkerTransport, if any
 
     # ------------------------------------------------------------------
     @property
@@ -340,23 +341,22 @@ class Worker:
     def crash(self, now: float) -> None:
         """The process dies.  Nothing else learns of it until heartbeats
         time out: ``state`` stays as-is, arrivals keep routing here, and
-        the epoch bump silently invalidates the in-flight completion."""
+        the launched batches stay on the books as lost work until the
+        failure is detected (or the worker rejoins)."""
         self.alive = False
         self.crashes += 1
-        self.crash_epoch += 1
         self.crashed_at_s = now
 
     def mark_down(self, now: float) -> None:
         """Heartbeat timeout fired: the cluster now *knows* the worker is
-        gone.  Records detection latency and frees the busy slot (the
-        batch it held is lost; the simulator recovers its members)."""
+        gone.  Records detection latency and frees its slots (the control
+        plane takes the lost batches' members with :meth:`forfeit` first)."""
         self.state = WORKER_DOWN
         self.down_since_s = now
         if self.crashed_at_s is not None:
             self.detect_delays.append(now - self.crashed_at_s)
             self.crashed_at_s = None
-        self.busy = False
-        self.inflight = 0
+        self.forfeit()
 
     def rejoin(self, now: float) -> None:
         """A replacement process comes up: healthy again, cold caches."""
@@ -368,18 +368,40 @@ class Worker:
         self.crashed_at_s = None
         self.last_heartbeat_s = now
         self.rejoins += 1
-        self.busy = False
-        self.inflight = 0
+        self.forfeit()
         self.warm.clear()
         self.warm_plans.clear()
 
+    def forfeit(self) -> List[AttentionRequest]:
+        """Free every slot; returns the members of the batches that held
+        them, in launch order — the work a dead worker strands."""
+        stranded = [r for batch, _, _ in self.launched.values() for r in batch.requests]
+        self.launched.clear()
+        return stranded
+
+    def note_warm(self, pattern, heads: int, head_dim: int = 64) -> None:
+        """A plan the worker compiled before traffic (``head_dim`` defaults
+        like :meth:`repro.api.Runtime.warm`), keyed by the queue the
+        traffic itself goes through."""
+        zeros = np.broadcast_to(0.0, (pattern.n, heads * head_dim))
+        self.queue.enqueue(AttentionRequest(None, pattern, zeros, zeros, zeros, heads=heads))
+        batch = self.queue.next_batch()
+        self.warm.add(batch.key)
+        self.warm_plans.add(batch.plan_key())
+
     # ------------------------------------------------------------------
+    @property
+    def busy(self) -> bool:
+        return bool(self.launched)
+
+    @property
+    def inflight(self) -> int:
+        """Requests across the launched batches."""
+        return sum(batch.size for batch, _, _ in self.launched.values())
+
     def depth(self) -> int:
         """Queue pressure the router scores against: queued + executing."""
         return self.queue.pending + self.inflight
-
-    def is_warm(self, group_key: Tuple) -> bool:
-        return group_key in self.warm
 
     def is_cold_plan(self, batch: Batch) -> bool:
         """True when this batch's dispatch compiles a new plan here.
@@ -390,9 +412,12 @@ class Worker:
         """
         return batch.plan_key() not in self.warm_plans
 
-    def note_dispatch(self, batch: Batch, service_s: float, cold: bool) -> None:
-        self.busy = True
-        self.inflight = batch.size
+    def note_dispatch(
+        self, launch_id: int, batch: Batch, now: float, service_s: float, cold: bool
+    ) -> None:
+        """Book one launched batch; ``service_s`` is what is known of its
+        service time at launch (all of it on a simulated clock)."""
+        self.launched[launch_id] = (batch, now, now + service_s)
         self.busy_s += service_s
         self.batches += 1
         self.served += batch.size
@@ -401,9 +426,11 @@ class Worker:
         self.warm.add(batch.key)
         self.warm_plans.add(batch.plan_key())
 
-    def note_complete(self) -> None:
-        self.busy = False
-        self.inflight = 0
+    def note_complete(self, launch_id: int, service_s: float) -> None:
+        """Free the batch's slot; ``service_s`` is service time only known
+        now (a real worker's measured engine time)."""
+        del self.launched[launch_id]
+        self.busy_s += service_s
 
 
 class ServiceModel:
@@ -616,8 +643,9 @@ class EnginePool:
         best: Optional[Worker] = None
         best_score: Optional[Tuple[float, int, int]] = None
         for worker in candidates:
-            hit_p = 1.0 if worker.is_warm(key) else self.affinity_miss_prob
-            score = (-hit_p / (1 + worker.depth()), worker.depth(), worker.wid)
+            hit_p = 1.0 if key in worker.warm else self.affinity_miss_prob
+            depth = worker.depth()
+            score = (-hit_p / (1 + depth), depth, worker.wid)
             if best_score is None or score < best_score:
                 best, best_score = worker, score
         return best

@@ -1,56 +1,50 @@
-"""Heap-driven discrete-event loop over the engine pool.
+"""One control plane over the engine pool, driven by an executor.
 
-Three event kinds drive the clock forward on every run:
+:class:`ControlPlane` makes every serving decision, as handlers of five
+event kinds:
 
-* **arrival** — a request lands; the pool routes it to a worker, the
-  admission policy accepts it (or records a rejection — the overload
-  valve) and, if that worker is idle, its batch policy is consulted
-  immediately.  Policy consultations may also *shed* queued requests
-  whose deadlines became unreachable (``drop_expired``); rejected and
-  shed requests are terminal outcomes fed back to closed-loop sources
-  exactly like completions, preserving the conservation law
-  ``submitted == completed + rejected + shed + failed`` on every
+* **arrival** — the pool routes the request (plan affinity), the
+  admission policy accepts it or records a rejection (the overload
+  valve), and the worker's batch policy is consulted.  A consultation
+  may also *shed* queued requests whose deadlines became unreachable
+  (``drop_expired``).  Rejected, shed and failed requests are terminal
+  outcomes fed back to closed-loop sources exactly like completions, so
+  ``submitted == completed + rejected + shed + failed`` holds on every
   drained run.
-* **service-complete** — a worker finishes a batch: completions are
-  recorded, closed-loop sources may inject follow-up arrivals, the
-  worker steals work if its own queue ran dry, and the policy is
-  consulted for the next batch.
+* **service-complete** — completions are recorded (on a transient error
+  each member instead retries after capped exponential backoff, against
+  its budget) and the policy is consulted for the next batch.  After
+  every event, idle workers with dry queues steal from busy peers.
 * **batch-close timer** — a holding policy (max-wait / size-latency)
-  named a future instant at which an open queue must be re-examined;
-  nothing else changes at that time, so the consultation is cheap.
+  named a future instant at which an open queue must be re-examined.
+* **expiry timer** — with ``drop_expired``, every admitted request arms
+  a timer at its deadline; already-doomed queued requests are shed then,
+  *between* policy consultations too.
+* **heartbeat probe** — where workers can die, a periodic sweep asks the
+  executor about each (``up -> suspect -> down`` on silence); a down
+  worker's orphans — the batches it held plus its queue — are requeued
+  oldest-deadline-first or failed.
 
-Two more fire only for shedding policies and fault runs respectively:
+How a batch runs and how time passes is the :class:`Executor` seam —
+"launch this batch on this worker; what happened next; is this worker
+alive" — with exactly two implementations.  :class:`SimulatedExecutor`
+is virtual time: a launch is charged what the
+:class:`~repro.cluster.pool.ServiceModel` says it costs, the clock jumps
+to the earliest event on the heap, and worker **crash** / **rejoin**
+instants, stragglers and transient errors come from the
+:class:`~repro.cluster.faults.FaultInjector`.  On the default
+:class:`~repro.cluster.pool.CostModelClock` every duration derives from
+the paper's cycle model (``SALO.estimate``): same seed, same report, no
+wall-clock reads, ties broken by insertion order; without an (active)
+injector there are no probes, RNG draws or extra events.
+:class:`~repro.transport.cluster.TransportExecutor` is the wall clock: a
+launch ships the batch to a real worker (possibly a process that can
+genuinely be ``kill -9``'d) and timers fire when due.
 
-* **expiry timer** — with ``drop_expired``, every admitted request with
-  a finite deadline arms a timer at its absolute deadline; at that
-  instant all already-doomed queued requests are shed, so expiry takes
-  effect *between* policy consultations too (an idle-queue request no
-  longer waits for the next arrival to be recognised as dead).
-* **fault events** — with a :class:`~repro.cluster.faults.FaultInjector`
-  configured, worker **crash**/**rejoin** instants come straight from
-  the specs, a periodic **heartbeat probe** detects silent crashes
-  (missed probes: ``up -> suspect -> down``, then the down worker's
-  orphans are requeued oldest-deadline-first or failed), and
-  **retry** timers re-enqueue transiently failed batch members after
-  capped exponential backoff.  Without an (active) injector none of
-  these events exist and the run is byte-identical to the fault-free
-  simulator.
-
-Simulated time is whatever the configured
-:class:`~repro.cluster.pool.ServiceModel` says a batch costs — with the
-default :class:`~repro.cluster.pool.CostModelClock`, every duration
-derives from the paper's cycle model (``SALO.estimate``) and the run is
-fully deterministic: same seed, same report, no wall-clock reads (fault
-randomness comes from the injector's own seeded stream).  Ties in the
-event heap break by insertion order, which is itself deterministic.
-
-The *measured* counterpart is :class:`~repro.transport.cluster.
-TransportCluster`: the same routing/retry/requeue semantics and the
-same :class:`~repro.cluster.metrics.MetricsCollector` accounting, but
-driven wall-clock over real :class:`~repro.transport.base.
-WorkerTransport` workers (including out-of-process ones that can
-genuinely be ``kill -9``'d) instead of this event heap.  Claims modelled
-here are cross-checked there; the conservation law is pinned in both.
+:class:`ClusterSimulator` and :class:`~repro.transport.cluster.
+TransportCluster` are thin fronts that pick the executor and feed the
+plane arrivals; routing, batching, retry, recovery and the conservation
+laws the property suite pins exist once, here.
 """
 
 from __future__ import annotations
@@ -75,28 +69,32 @@ from .metrics import MetricsCollector, ClusterReport, RequestRecord
 from .policy import BatchPolicy, GreedyFIFOPolicy, recovery_order
 from .pool import CircuitBreaker, CostModelClock, EnginePool, ServiceModel, Worker
 
-__all__ = ["SimConfig", "ClusterSimulator", "simulate"]
+__all__ = [
+    "ControlConfig",
+    "SimConfig",
+    "Executor",
+    "SimulatedExecutor",
+    "ControlPlane",
+    "ClusterSimulator",
+    "simulate",
+]
 
 _ARRIVE, _COMPLETE, _TIMER = 0, 1, 2
 _EXPIRE, _CRASH, _REJOIN, _PROBE, _RETRY = 3, 4, 5, 6, 7
 _MIN_TIMER_STEP = 1e-9  # forward progress guard for degenerate timers
 
+# What one heartbeat probe can establish about a worker.
+PROBE_ANSWERED, PROBE_SILENT, PROBE_DEAD = "answered", "silent", "dead"
+
 
 @dataclass
-class SimConfig:
-    """Knobs of one cluster simulation.
+class ControlConfig:
+    """Knobs of the control plane, whatever executes the batches.
 
     ``backend`` names the registered execution backend every worker
-    engine is built from (``"functional"``, ``"functional-legacy"``,
-    ``"systolic"``, ...; see :func:`repro.api.list_backends`).  A custom
-    ``salo_factory`` overrides it and may not be combined with a
-    non-default backend.
-
-    ``faults`` is an optional :class:`~repro.cluster.faults.FaultInjector`;
-    ``recovery`` holds the heartbeat / retry / requeue knobs that decide
-    how the cluster responds to what the injector breaks.  With no
-    injector (or an empty one) the run is byte-identical to the
-    fault-free simulator — no probes, no RNG draws, no extra events.
+    engine is built from (see :func:`repro.api.list_backends`).
+    ``recovery`` holds the heartbeat / retry / requeue / breaker knobs,
+    in the executor's own seconds (simulated or wall-clock).
     """
 
     workers: int = 2
@@ -107,114 +105,222 @@ class SimConfig:
     affinity_miss_prob: float = 0.1
     policy: BatchPolicy = field(default_factory=GreedyFIFOPolicy)
     admission: AdmissionPolicy = field(default_factory=AdmitAll)
-    service: ServiceModel = field(default_factory=CostModelClock)
-    salo_factory: Callable[[], SALO] = SALO
     backend: str = "functional"
-    faults: Optional[FaultInjector] = None
     recovery: RecoveryConfig = field(default_factory=RecoveryConfig)
 
 
-class ClusterSimulator:
-    """Runs one :class:`~repro.cluster.arrivals.RequestSource` to empty."""
+@dataclass
+class SimConfig(ControlConfig):
+    """Knobs of one cluster simulation.
 
-    def __init__(self, config: Optional[SimConfig] = None) -> None:
-        self.config = config if config is not None else SimConfig()
-        cfg = self.config
-        if cfg.salo_factory is SALO:
-            factory_kwargs = {"backend": cfg.backend}
-        elif cfg.backend != "functional":
-            raise ValueError("pass either salo_factory or backend in SimConfig, not both")
-        else:
-            factory_kwargs = {"salo_factory": cfg.salo_factory}
+    ``service`` is the clock a batch is charged on.  A custom
+    ``salo_factory`` overrides ``backend`` and may not be combined with
+    a non-default one.  ``faults`` is an optional
+    :class:`~repro.cluster.faults.FaultInjector`; with no injector (or
+    an empty one) the run is byte-identical to the fault-free simulator
+    — no probes, no RNG draws, no extra events.
+    """
+
+    service: ServiceModel = field(default_factory=CostModelClock)
+    salo_factory: Callable[[], SALO] = SALO
+    faults: Optional[FaultInjector] = None
+
+
+class Executor:
+    """How batches run and time passes under a :class:`ControlPlane`.
+
+    Owns the event heap (the plane's timers go through :meth:`schedule`)
+    and decides what "the next event" means.
+    """
+
+    slots = 1  # batches a worker may hold at once
+    heartbeats = False  # workers can die, so the plane probes them
+    batch_overhead_s = 0.0  # host cost one launch amortises (admission estimate)
+
+    def __init__(self) -> None:
+        self._heap: List[Tuple[float, int, int, object]] = []
+        self._seq = 0
+
+    def schedule(self, t: float, kind: int, payload: object) -> None:
+        self._seq += 1
+        heapq.heappush(self._heap, (t, self._seq, kind, payload))
+
+    @property
+    def scheduled(self) -> int:
+        return len(self._heap)
+
+    def completed(
+        self, t: float, worker: Worker, launch_id: int, failed: bool, service_s: float
+    ) -> None:
+        """A launched batch finished at ``t`` (``failed``: transient error);
+        ``service_s`` is service time not already charged at launch."""
+        self.schedule(t, _COMPLETE, (worker, launch_id, failed, service_s))
+
+    def cancel_all(self) -> List[Tuple[float, int, int, object]]:
+        """Empty the heap; returns what was on it."""
+        events, self._heap = self._heap, []
+        return events
+
+    def next_event(self) -> Optional[Tuple[float, int, object]]:
+        """Block until something happens: ``(time, kind, payload)``;
+        ``None`` ends the run."""
+        raise NotImplementedError
+
+    def launch(
+        self, worker: Worker, launch_id: int, batch: Batch, cold: bool, now: float
+    ) -> Optional[float]:
+        """Start ``batch``; :meth:`completed` follows unless the worker
+        dies first.  Returns the service time known now (the rest rides
+        on the completion), or ``None``: the worker is dead, took nothing."""
+        raise NotImplementedError
+
+    def probe(self, worker: Worker, now: float) -> str:
+        """One heartbeat: ``PROBE_ANSWERED`` / ``_SILENT`` / ``_DEAD``."""
+        raise NotImplementedError
+
+    def jitter(self, delay_s: float, jitter_frac: float) -> float:
+        """Extra retry delay decorrelating a backoff of ``delay_s``."""
+        return 0.0
+
+    def cache_info(self, worker: Worker) -> dict:
+        """Plan-cache counters of the engine that serves ``worker``."""
+        return worker.salo.cache_info()
+
+
+class SimulatedExecutor(Executor):
+    """Virtual time: service from a clock model, faults from an injector."""
+
+    def __init__(
+        self, service: ServiceModel, faults: Optional[FaultInjector], workers: int
+    ) -> None:
+        super().__init__()
+        if faults is not None:
+            faults.validate_workers(workers)
+        self.service = service
+        self.injector = faults if faults is not None and faults.active else None
+        self.heartbeats = self.injector is not None
+        self.batch_overhead_s = getattr(service, "batch_overhead_s", 0.0)
+
+    def schedule_faults(self) -> None:
+        """Put the injector's crash and rejoin instants on the heap."""
+        if self.injector is not None:
+            for t, wid in self.injector.crash_events():
+                self.schedule(t, _CRASH, wid)
+            for t, wid in self.injector.rejoin_events():
+                self.schedule(t, _REJOIN, wid)
+
+    def next_event(self):
+        if not self._heap:
+            return None
+        t, _, kind, payload = heapq.heappop(self._heap)
+        return t, kind, payload
+
+    def launch(self, worker, launch_id, batch, cold, now):
+        service = self.service.service_s(worker, batch, cold)
+        failed = False
+        if self.injector is not None:
+            service *= self.injector.service_factor(worker.wid, now)
+            failed = self.injector.dispatch_fails(worker.wid, now)
+        self.completed(now + service, worker, launch_id, failed, 0.0)
+        return service
+
+    def probe(self, worker: Worker, now: float) -> str:
+        # no ground truth in the model: dead is silent until the timeout
+        return PROBE_ANSWERED if worker.alive else PROBE_SILENT
+
+    def jitter(self, delay_s: float, jitter_frac: float) -> float:
+        return self.injector.jitter(delay_s, jitter_frac) if self.injector else 0.0
+
+
+class ControlPlane:
+    """Routing, batching, retry, recovery and accounting over a pool.
+
+    Subclasses build ``self.executor`` and feed arrivals.
+    """
+
+    def __init__(self, config: ControlConfig, **engine) -> None:
+        self.config = cfg = config
         self.pool = EnginePool(
             workers=cfg.workers,
             max_batch_size=cfg.max_batch_size,
             bucket_floor=cfg.bucket_floor,
             pad_to_bucket=cfg.pad_to_bucket,
             affinity_miss_prob=cfg.affinity_miss_prob,
-            **factory_kwargs,
+            **engine,
         )
         self.metrics = MetricsCollector()
-        self._heap: List[Tuple[float, int, int, object]] = []
-        self._seq = 0
+        self._source = RequestSource()  # closed-loop feedback; none by default
         self._routed: Dict[Hashable, int] = {}  # request id -> routed worker id
         self._timer_armed: Dict[int, float] = {}  # worker id -> armed time
-        # --- fault tolerance state (empty and inert on fault-free runs) ---
-        self._injector = cfg.faults if cfg.faults is not None and cfg.faults.active else None
-        if cfg.faults is not None:
-            cfg.faults.validate_workers(cfg.workers)
         self._recovery = cfg.recovery
-        if cfg.recovery.breaker_threshold is not None:
+        rec = cfg.recovery
+        if rec.breaker_threshold is not None:
             # Grey-failure valve: one breaker per worker, watching its
             # own dispatch outcomes (see CircuitBreaker in pool.py).
             for w in self.pool.workers:
                 w.breaker = CircuitBreaker(
-                    threshold=cfg.recovery.breaker_threshold,
-                    window=cfg.recovery.breaker_window,
-                    min_samples=cfg.recovery.breaker_min_samples,
-                    cooldown_s=cfg.recovery.breaker_cooldown_s,
+                    rec.breaker_threshold, rec.breaker_window,
+                    rec.breaker_min_samples, rec.breaker_cooldown_s,
                 )
-        self._inflight: Dict[int, Tuple[Batch, float, float]] = {}  # wid -> (batch, t0, t1)
-        self._lost: Dict[int, List[AttentionRequest]] = {}  # wid -> orphaned in-flight
         self._attempts: Dict[Hashable, int] = {}  # request id -> transient failures so far
+        self._launches = 0
         self._retries = 0
         self._requeues = 0
+        self._probing = False  # a heartbeat sweep is on the heap
+        self._handlers = (  # indexed by event kind
+            self._on_arrive, self._on_complete, self._on_timer, self._on_expire,
+            self._on_crash, self._on_rejoin, self._on_probe, self._place,
+        )
 
     # ------------------------------------------------------------------
-    def _push(self, t: float, kind: int, payload: object) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (t, self._seq, kind, payload))
-
     def _arm_timer(self, worker: Worker, t: float, now: float) -> None:
         t = max(t, now + _MIN_TIMER_STEP)
         armed = self._timer_armed.get(worker.wid)
         if armed is not None and armed <= t:
             return  # an earlier (or equal) consultation is already scheduled
         self._timer_armed[worker.wid] = t
-        self._push(t, _TIMER, worker)
+        self.executor.schedule(t, _TIMER, worker)
 
     def _dispatch(self, worker: Worker, now: float) -> None:
-        """Consult the policy; launch a batch or arm its re-check timer.
+        """Consult the policy while the worker has a free slot; launch
+        the batches it closes or arm its re-check timer.
 
         A dead worker never dispatches: a crashed-but-undetected one
         silently sits on its queue (that is what detection latency
         means), a marked-down one has no queue left to consult.
         """
-        if worker.busy or not worker.alive or not worker.healthy:
+        if not worker.alive or not worker.healthy:
             return
-        decision = self.config.policy.next_batch(worker.queue, now)
-        for req in decision.shed:
-            self._routed.pop(req.request_id, None)
-            self.metrics.note_shed(req, now)
-            self._drop_feedback(req, now)
-        batch = decision.batch
-        if batch is not None:
+        while len(worker.launched) < self.executor.slots:
+            decision = self.config.policy.next_batch(worker.queue, now)
+            for req in decision.shed:
+                self._shed_now(req, now)
+            batch = decision.batch
+            if batch is None:
+                if decision.next_check_s is not None:
+                    self._arm_timer(worker, decision.next_check_s, now)
+                return
             cold = worker.is_cold_plan(batch)
-            service = self.config.service.service_s(worker, batch, cold)
-            failed = False
-            if self._injector is not None:
-                service *= self._injector.service_factor(worker.wid, now)
-                failed = self._injector.dispatch_fails(worker.wid, now)
-            worker.note_dispatch(batch, service, cold)
-            self._inflight[worker.wid] = (batch, now, now + service)
-            self._push(
-                now + service,
-                _COMPLETE,
-                (worker, batch, now, worker.crash_epoch, failed),
-            )
-        elif decision.next_check_s is not None:
-            self._arm_timer(worker, decision.next_check_s, now)
+            self._launches += 1
+            service = self.executor.launch(worker, self._launches, batch, cold, now)
+            if service is None:
+                # Died between the last health check and the launch: the
+                # batch goes back to its queue and shares the queue's fate.
+                worker.queue.requeue(batch.requests)
+                self._mark_down(worker, now)
+                return
+            worker.note_dispatch(self._launches, batch, now, service, cold)
 
-    def _drop_feedback(self, request: AttentionRequest, now: float) -> None:
-        """Tell the source a request left the system without being served.
+    def _feedback(self, request: AttentionRequest, now: float) -> None:
+        """Tell the source a request reached a terminal outcome.
 
-        A rejection or shed is a *terminal* outcome for the request, and
-        closed-loop clients must learn of it the same way they learn of a
-        completion — otherwise their request budget would deadlock
-        waiting on work that will never finish.
+        Closed-loop clients must learn of a rejection, shed or failure
+        the same way they learn of a completion — otherwise their
+        request budget would deadlock waiting on work that will never
+        finish.
         """
         for req in self._source.on_complete(request, now):
-            self._push(max(req.arrival_s, now), _ARRIVE, req)
+            self.executor.schedule(max(req.arrival_s, now), _ARRIVE, req)
 
     def _admission_context(self, worker: Worker, request: AttentionRequest, now: float) -> AdmissionContext:
         """Admission view of the routed worker at ``now``.
@@ -231,7 +337,7 @@ class ClusterSimulator:
             unit = worker.salo.estimate(
                 request.pattern, heads=request.heads, head_dim=request.head_dim
             ).latency_s
-            overhead = getattr(self.config.service, "batch_overhead_s", 0.0)
+            overhead = self.executor.batch_overhead_s
             wait = queue_drain_estimate(
                 worker.depth(), unit, overhead, self.config.max_batch_size
             )
@@ -240,14 +346,15 @@ class ClusterSimulator:
         return AdmissionContext(now=now, depth=worker.depth(), estimator=estimate)
 
     # ------------------------------------------------------------------
-    def _on_arrive(self, request: AttentionRequest, now: float) -> None:
+    def _admit(self, request: AttentionRequest, now: float) -> Optional[Worker]:
+        """Route, pass the admission door, enqueue; ``None`` if rejected."""
         self.metrics.note_arrival(now)
         worker = self.pool.route(request, now)
         ctx = self._admission_context(worker, request, now)
         if not self.config.admission.admit(request, ctx):
             self.metrics.note_rejection(request, now)
-            self._drop_feedback(request, now)
-            return
+            self._feedback(request, now)
+            return None
         self._routed[request.request_id] = worker.wid
         worker.queue.enqueue(request)
         if self.config.policy.drop_expired and math.isfinite(request.absolute_deadline_s):
@@ -255,33 +362,36 @@ class ClusterSimulator:
             # the next policy consultation.  The handler sweeps globally,
             # so one event per admitted request suffices even after the
             # request is stolen, requeued or retried onto another worker.
-            self._push(request.absolute_deadline_s, _EXPIRE, None)
+            self.executor.schedule(request.absolute_deadline_s, _EXPIRE, None)
+        return worker
+
+    def _on_arrive(self, request: AttentionRequest, now: float) -> None:
+        worker = self._admit(request, now)
+        if worker is not None:
+            self._dispatch(worker, now)
+
+    def _on_timer(self, worker: Worker, now: float) -> None:
+        armed = self._timer_armed.get(worker.wid)
+        if armed is not None and now >= armed:
+            del self._timer_armed[worker.wid]
         self._dispatch(worker, now)
 
-    def _on_complete(
-        self,
-        worker: Worker,
-        batch: Batch,
-        dispatched: float,
-        epoch: int,
-        failed: bool,
-        now: float,
-    ) -> None:
-        if epoch != worker.crash_epoch:
+    def _on_complete(self, payload: Tuple[Worker, int, bool, float], now: float) -> None:
+        worker, launch_id, failed, service_s = payload
+        entry = worker.launched.get(launch_id)
+        if entry is None or not worker.alive:
             # The worker crashed (and possibly rejoined) after launching
             # this batch: the completion never happened.  Its members
-            # were captured as orphans at crash time and are recovered
-            # when the failure is detected — not here.
+            # are recovered when the failure is detected — not here.
             return
-        self._inflight.pop(worker.wid, None)
-        worker.note_complete()
+        batch, dispatched, _ = entry
+        worker.note_complete(launch_id, service_s)
         if worker.breaker is not None:
             worker.breaker.record(not failed, now)
         if failed:
             self._retry_or_fail(batch, now)
             self._dispatch(worker, now)
             return
-        source_arrivals: List[AttentionRequest] = []
         for req in batch.requests:
             self._attempts.pop(req.request_id, None)
             self.metrics.note_completion(
@@ -294,12 +404,10 @@ class ClusterSimulator:
                     worker=worker.wid,
                     batch_size=batch.size,
                     deadline_s=req.deadline_s,
-                    stolen=self._routed.get(req.request_id, worker.wid) != worker.wid,
+                    stolen=self._routed.pop(req.request_id, worker.wid) != worker.wid,
                 )
             )
-            source_arrivals.extend(self._source.on_complete(req, now))
-        for req in source_arrivals:
-            self._push(max(req.arrival_s, now), _ARRIVE, req)
+            self._feedback(req, now)
         self._dispatch(worker, now)
 
     def _balance(self, now: float) -> None:
@@ -327,28 +435,29 @@ class ClusterSimulator:
                 self._dispatch(worker, now)
 
     # ------------------------------------------------------------------
-    # Fault handling (none of these run without an active injector,
-    # except _on_expire which belongs to drop_expired policies).
+    # Terminal outcomes other than completion, and fault handling.
     def _fail(self, request: AttentionRequest, now: float) -> None:
         """Terminal failure: budget exhausted or nowhere left to requeue."""
         self._routed.pop(request.request_id, None)
         self._attempts.pop(request.request_id, None)
         self.metrics.note_failed(request, now)
-        self._drop_feedback(request, now)
+        self._feedback(request, now)
 
     def _shed_now(self, request: AttentionRequest, now: float) -> None:
         self._routed.pop(request.request_id, None)
         self.metrics.note_shed(request, now)
-        self._drop_feedback(request, now)
+        self._feedback(request, now)
 
-    def _reenqueue(self, request: AttentionRequest, now: float) -> bool:
-        """Route a recovered request onto a worker believed healthy.
-
-        False when every worker is marked down — there is nowhere to
-        put the request and the caller must fail it.
-        """
-        target = self.pool.route(request, now)
-        if not target.healthy:
+    def _place(self, request: AttentionRequest, now: float, requeue: bool = True) -> bool:
+        """Give a recovered request its fate: shed if its deadline passed
+        meanwhile, else route it onto a worker believed healthy (True), or
+        fail it — requeueing is off, or every worker is marked down."""
+        if self.config.policy.drop_expired and request.absolute_deadline_s <= now:
+            self._shed_now(request, now)
+            return False
+        target = self.pool.route(request, now) if requeue else None
+        if target is None or not target.healthy:
+            self._fail(request, now)
             return False
         self._routed[request.request_id] = target.wid
         target.queue.enqueue(request)
@@ -356,14 +465,9 @@ class ClusterSimulator:
         return True
 
     def _recover_requests(self, requests: List[AttentionRequest], now: float) -> None:
-        """Give a down worker's orphans their terminal-or-requeued fate."""
+        """A down worker's orphans, oldest deadline first."""
         for req in recovery_order(requests):
-            if self.config.policy.drop_expired and req.absolute_deadline_s <= now:
-                self._shed_now(req, now)
-            elif self._recovery.requeue and self._reenqueue(req, now):
-                self._requeues += 1
-            else:
-                self._fail(req, now)
+            self._requeues += self._place(req, now, self._recovery.requeue)
 
     def _retry_or_fail(self, batch: Batch, now: float) -> None:
         """A dispatch came back with a transient error: back off and retry
@@ -378,17 +482,10 @@ class ClusterSimulator:
                 continue
             self._retries += 1
             delay = rec.backoff_s(attempt)
-            if self._injector is not None:
-                delay += self._injector.jitter(delay, rec.backoff_jitter)
-            self._push(now + delay, _RETRY, req)
+            delay += self.executor.jitter(delay, rec.backoff_jitter)
+            self.executor.schedule(now + delay, _RETRY, req)  # -> _place
 
-    def _on_retry(self, request: AttentionRequest, now: float) -> None:
-        if self.config.policy.drop_expired and request.absolute_deadline_s <= now:
-            self._shed_now(request, now)  # the backoff outlived the deadline
-        elif not self._reenqueue(request, now):
-            self._fail(request, now)
-
-    def _on_expire(self, now: float) -> None:
+    def _on_expire(self, _, now: float) -> None:
         """An admitted request's deadline just passed: sweep all queues."""
         for worker in self.pool.workers:
             for req in worker.queue.prune(lambda r: r.absolute_deadline_s <= now):
@@ -398,108 +495,130 @@ class ClusterSimulator:
         worker = self.pool.workers[wid]
         if not worker.alive:
             return  # overlapping crash specs: already dead
-        meta = self._inflight.pop(wid, None)
-        if meta is not None:
-            batch, _, end_s = meta
+        for _, _, charged_until_s in worker.launched.values():
             # The unfinished remainder of the batch never ran.
-            worker.busy_s -= max(0.0, end_s - now)
-            self._lost.setdefault(wid, []).extend(batch.requests)
+            worker.busy_s -= max(0.0, charged_until_s - now)
         worker.crash(now)
 
     def _on_rejoin(self, wid: int, now: float) -> None:
         worker = self.pool.workers[wid]
         if worker.alive:
             return  # spurious (e.g. the crash spec itself was a no-op)
-        worker.rejoin(now)
         # A crash short enough to dodge detection still lost its
         # in-flight batch; the replacement process recovers it now.
-        orphans = self._lost.pop(wid, [])
+        orphans = worker.forfeit()
+        worker.rejoin(now)
         if orphans:
             self._recover_requests(orphans, now)
         self._dispatch(worker, now)
 
     def _mark_down(self, worker: Worker, now: float) -> None:
+        orphans = worker.forfeit()
         worker.mark_down(now)
-        self._inflight.pop(worker.wid, None)
-        orphans = self._lost.pop(worker.wid, [])
         orphans.extend(worker.queue.prune(lambda r: True))
         if orphans:
             self._recover_requests(orphans, now)
 
-    def _on_probe(self, now: float) -> None:
-        """Heartbeat sweep: refresh live workers, time out silent ones."""
+    def _on_probe(self, _, now: float) -> None:
+        """Heartbeat sweep: refresh answering workers, time out silent ones."""
         rec = self._recovery
         for worker in self.pool.workers:
-            if worker.alive:
-                worker.last_heartbeat_s = now
-                if worker.state == WORKER_SUSPECT:
-                    worker.state = WORKER_UP
-            elif worker.healthy:
+            if worker.healthy:
+                verdict = self.executor.probe(worker, now)
+                if verdict == PROBE_ANSWERED:
+                    worker.last_heartbeat_s = now
+                    if worker.state == WORKER_SUSPECT:
+                        worker.state = WORKER_UP
+                    continue
                 if worker.state == WORKER_UP:
                     worker.state = WORKER_SUSPECT
-                if now - worker.last_heartbeat_s >= rec.heartbeat_timeout_s:
+                if (
+                    verdict == PROBE_DEAD
+                    or now - worker.last_heartbeat_s >= rec.heartbeat_timeout_s
+                ):
                     self._mark_down(worker, now)
             elif worker.queue.pending:
                 # Arrivals routed while every worker was down: drain them
                 # so the run cannot wedge on an unreachable queue.
                 self._recover_requests(worker.queue.prune(lambda r: True), now)
         if (
-            self._heap
+            self.executor.scheduled
             or self.pool.pending
             or any(w.busy for w in self.pool.workers)
-            or any(self._lost.values())
         ):
-            self._push(now + rec.heartbeat_interval_s, _PROBE, None)
+            self.executor.schedule(now + rec.heartbeat_interval_s, _PROBE, None)
+        else:
+            self._probing = False
+
+    def _fail_outstanding(self, now: float) -> None:
+        """An executor's drain guard expired: fail whatever is still
+        queued, launched or backing off."""
+        stranded = [p for _, _, kind, p in self.executor.cancel_all() if kind == _RETRY]
+        self._probing = False
+        for worker in self.pool.workers:
+            stranded.extend(worker.forfeit())
+            stranded.extend(worker.queue.prune(lambda r: True))
+        for req in stranded:
+            self._fail(req, now)
 
     # ------------------------------------------------------------------
+    def _drive(self, now: float, tick: Optional[Callable] = None) -> None:
+        """Handle events, from ``now`` until the executor has none left.
+
+        ``tick(plane, now)`` fires before each event is handled (chaos
+        tests use it to kill a worker at a chosen moment).
+        """
+        executor = self.executor
+        if executor.heartbeats and not self._probing:
+            self._probing = True
+            executor.schedule(now + self._recovery.heartbeat_interval_s, _PROBE, None)
+        while True:
+            event = executor.next_event()
+            if event is None:
+                return
+            t, kind, payload = event
+            if tick is not None:
+                tick(self, t)
+            self._handlers[kind](payload, t)
+            self._balance(t)
+            self.metrics.sample(t, self.pool.pending, self.pool.busy_workers)
+
+    def report(self) -> ClusterReport:
+        """Everything served so far, reduced to a :class:`ClusterReport`."""
+        return self.metrics.report(
+            self.pool.workers,
+            self.pool.steals,
+            retries=self._retries,
+            requeues=self._requeues,
+            cache_info=self.executor.cache_info,
+        )
+
+
+class ClusterSimulator(ControlPlane):
+    """Runs one :class:`~repro.cluster.arrivals.RequestSource` to empty."""
+
+    def __init__(self, config: Optional[SimConfig] = None) -> None:
+        cfg = config if config is not None else SimConfig()
+        # a custom factory may only stand in for the default backend
+        custom = cfg.salo_factory is not SALO and cfg.backend == "functional"
+        super().__init__(cfg, salo_factory=cfg.salo_factory, backend=None if custom else cfg.backend)
+        self.executor = SimulatedExecutor(cfg.service, cfg.faults, cfg.workers)
+
     def run(self, source: RequestSource) -> ClusterReport:
         """Drive the event loop until every queued request completed."""
         self._source = source
         for req in source.initial():
-            self._push(req.arrival_s, _ARRIVE, req)
-        if self._injector is not None:
-            for t, wid in self._injector.crash_events():
-                self._push(t, _CRASH, wid)
-            for t, wid in self._injector.rejoin_events():
-                self._push(t, _REJOIN, wid)
-            self._push(self._recovery.heartbeat_interval_s, _PROBE, None)
-        while self._heap:
-            t, _, kind, payload = heapq.heappop(self._heap)
-            if kind == _ARRIVE:
-                self._on_arrive(payload, t)
-            elif kind == _COMPLETE:
-                worker, batch, dispatched, epoch, failed = payload
-                self._on_complete(worker, batch, dispatched, epoch, failed, t)
-            elif kind == _TIMER:
-                worker = payload
-                if self._timer_armed.get(worker.wid) is not None and t >= self._timer_armed[worker.wid]:
-                    del self._timer_armed[worker.wid]
-                self._dispatch(worker, t)
-            elif kind == _EXPIRE:
-                self._on_expire(t)
-            elif kind == _CRASH:
-                self._on_crash(payload, t)
-            elif kind == _REJOIN:
-                self._on_rejoin(payload, t)
-            elif kind == _PROBE:
-                self._on_probe(t)
-            else:  # _RETRY
-                self._on_retry(payload, t)
-            self._balance(t)
-            self.metrics.sample(t, self.pool.pending, self.pool.busy_workers)
-        lost = sum(len(v) for v in self._lost.values())
+            self.executor.schedule(req.arrival_s, _ARRIVE, req)
+        self.executor.schedule_faults()
+        self._drive(0.0)
+        lost = sum(w.inflight for w in self.pool.workers)
         if self.pool.pending or lost:  # pragma: no cover - policy bug guard
             raise RuntimeError(
                 f"simulation drained its event heap with {self.pool.pending} "
                 f"requests still queued and {lost} lost in-flight (policy "
                 "never closed a batch, or recovery never ran)"
             )
-        return self.metrics.report(
-            self.pool.workers,
-            self.pool.steals,
-            retries=self._retries,
-            requeues=self._requeues,
-        )
+        return self.report()
 
 
 def simulate(source: RequestSource, config: Optional[SimConfig] = None) -> ClusterReport:

@@ -16,6 +16,10 @@ real cores:
   mid-run and the heartbeat/requeue machinery recovers its orphans.
   Conservation (``submitted == completed + rejected + shed + failed``)
   must hold on every row, *including* this one.
+* ``inprocess x2 edf+shed`` — an overload-control row: the transports
+  run the simulator's own control plane, so EDF with ``drop_expired``
+  is served by real workers; half the trace carries a deadline no
+  worker can meet and must come back ``shed``, not served late.
 
 Scaling expectations are hardware-relative: on a single-core container
 the multiprocess drivers measure IPC overhead, not speedup, so the
@@ -29,6 +33,7 @@ from __future__ import annotations
 import os
 from typing import List, Optional, Tuple
 
+from ..cluster import EDFPolicy, RecoveryConfig
 from ..serving import TraceSpec, synthetic_trace
 from ..serving.trace import pattern_families
 from ..transport import TransportCluster, TransportClusterConfig
@@ -39,6 +44,11 @@ LADDER: Tuple[int, ...] = (1, 2, 4)
 
 #: Fraction of the workload completed before the chaos row's SIGKILL.
 KILL_AFTER_FRAC = 0.25
+
+#: Latency budget of the doomed half of the edf+shed row's trace: less
+#: than admitting one request costs, so it has expired before the first
+#: policy consultation of the burst it arrived in.
+DOOMED_DEADLINE_S = 1e-6
 
 
 def transport_trace(num_requests: int, seed: int = 13) -> list:
@@ -61,19 +71,21 @@ def transport_trace_spec(num_requests: int, seed: int = 13) -> TraceSpec:
 
 
 def transport_config(
-    driver: str, workers: int, num_requests: int, seed: int = 13
+    driver: str, workers: int, num_requests: int, seed: int = 13, shed: bool = False
 ) -> TransportClusterConfig:
     """One row's cluster config; multiprocess workers pre-warm the
-    trace's single pattern family so compiles stay out of the timings."""
+    trace's single pattern family (at the trace's own head_dim — plans
+    are keyed on it) so compiles stay out of the timings.  ``shed`` is
+    the edf+shed row's policy."""
     spec = transport_trace_spec(num_requests, seed)
-    warm = tuple((p, spec.heads) for p in pattern_families(spec))
+    warm = tuple((p, spec.heads, spec.head_dim) for p in pattern_families(spec))
     return TransportClusterConfig(
         workers=workers,
         driver=driver,
         max_batch_size=8,
-        heartbeat_interval_s=0.02,
-        heartbeat_timeout_s=2.0,
+        recovery=RecoveryConfig(heartbeat_interval_s=0.02, heartbeat_timeout_s=2.0),
         warm=warm if driver == "multiprocess" else (),
+        **({"policy": EDFPolicy(drop_expired=True)} if shed else {}),
     )
 
 
@@ -83,10 +95,14 @@ def run_row(
     num_requests: int,
     seed: int = 13,
     kill_worker: Optional[int] = None,
+    shed: bool = False,
 ):
     """Serve the trace through one cluster configuration; return the report."""
     requests = transport_trace(num_requests, seed)
-    config = transport_config(driver, workers, num_requests, seed)
+    if shed:
+        for request in requests[1::2]:
+            request.deadline_s = DOOMED_DEADLINE_S
+    config = transport_config(driver, workers, num_requests, seed, shed=shed)
     tick = None
     if kill_worker is not None:
         fired = {"done": False}
@@ -105,23 +121,27 @@ def run_row(
 def run(fast: bool = False, backend: str = "functional") -> ExperimentResult:
     num_requests = 24 if fast else 48
     cores = len(os.sched_getaffinity(0))
-    configs: List[Tuple[str, int, Optional[int]]] = [("inprocess", 1, None)]
-    configs += [("multiprocess", w, None) for w in LADDER]
-    configs.append(("multiprocess", 2, 1))  # chaos row: SIGKILL worker 1
+    configs: List[Tuple[str, int, Optional[int], bool]] = [("inprocess", 1, None, False)]
+    configs += [("multiprocess", w, None, False) for w in LADDER]
+    configs.append(("multiprocess", 2, 1, False))  # chaos row: SIGKILL worker 1
+    configs.append(("inprocess", 2, None, True))  # overload row: EDF + drop_expired
 
     rows: List[dict] = []
     baseline_rps: Optional[float] = None
-    for driver, workers, kill in configs:
-        report = run_row(driver, workers, num_requests, kill_worker=kill)
+    for driver, workers, kill, shed in configs:
+        report = run_row(driver, workers, num_requests, kill_worker=kill, shed=shed)
         if baseline_rps is None:
             baseline_rps = report.throughput_rps
         accounted = report.completed + report.rejected + report.shed + report.failed
         rows.append(
             {
-                "driver": driver + (" +kill" if kill is not None else ""),
+                "driver": driver
+                + (" +kill" if kill is not None else "")
+                + (" edf+shed" if shed else ""),
                 "workers": workers,
                 "submitted": report.submitted,
                 "completed": report.completed,
+                "shed": report.shed,
                 "failed": report.failed,
                 "accounted": accounted,
                 "requeues": report.requeues,
@@ -141,7 +161,13 @@ def run(fast: bool = False, backend: str = "functional") -> ExperimentResult:
         "by the bench suite) with >= 4 cores; on fewer cores the "
         "multiprocess rows measure IPC overhead",
     ]
-    kill_row = rows[-1]
+    kill_row, shed_row = rows[-2], rows[-1]
+    notes.append(
+        f"edf+shed row: {shed_row['shed']} of {shed_row['submitted']} requests "
+        f"shed by the shared control plane on real transports (deadline "
+        f"{DOOMED_DEADLINE_S * 1e6:g} us), accounted "
+        f"{shed_row['accounted']}/{shed_row['submitted']}"
+    )
     notes.append(
         f"chaos row: worker 1 SIGKILL'd after ~{KILL_AFTER_FRAC:.0%} of the "
         f"trace; {kill_row['requeues']} orphan(s) requeued, "

@@ -25,7 +25,8 @@ class AttentionRequest:
     """One queued sparse-attention call.
 
     ``q``, ``k``, ``v`` have shape ``(n, hidden)`` with ``n`` equal to
-    the pattern's sequence length and ``hidden`` divisible by ``heads``.
+    the pattern's sequence length and ``hidden`` divisible by ``heads``;
+    all three must be finite (checked at construction).
     ``arrival_s`` is the submission timestamp (session clock) queueing
     delay is measured from.  ``deadline_s`` is a latency budget relative
     to arrival (the request meets its SLO when it completes by
@@ -65,6 +66,13 @@ class AttentionRequest:
             )
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ValueError(f"deadline_s must be positive, got {self.deadline_s}")
+        for name in ("q", "k", "v"):
+            # The door: a NaN that reached an engine would poison every
+            # neighbour sharing its batch.
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(
+                    f"request {self.request_id!r}: {name} holds non-finite values"
+                )
 
     @property
     def absolute_deadline_s(self) -> float:

@@ -1,8 +1,8 @@
 """Worker transports: the driver layer between cluster and engines.
 
 See :mod:`repro.transport.base` for the protocol, and
-:mod:`repro.transport.cluster` for the real-time driver that runs the
-simulator's routing/recovery semantics against actual workers.
+:mod:`repro.transport.cluster` for the wall-clock executor that puts the
+simulator's own control plane on actual workers.
 """
 
 from .base import (

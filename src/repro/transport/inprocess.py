@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Deque, List, Optional, Sequence
+from typing import Deque, List, Optional, Sequence, Tuple
 
 from ..api import Runtime, RuntimeConfig
 from .base import (
@@ -46,11 +46,14 @@ class InProcessTransport(WorkerTransport):
         wid: int = 0,
         config: Optional[RuntimeConfig] = None,
         clock=time.perf_counter,
+        warm: Sequence[Tuple] = (),
     ) -> None:
         if config is None:
             config = RuntimeConfig(backend=backend)
         self.wid = wid
         self.runtime = Runtime(config)
+        for pattern, heads, *head_dim in warm:  # as a worker process does at start-up
+            self.runtime.warm([pattern], heads, *head_dim)
         self.clock = clock
         self._ready: Deque[Completion] = deque()
         self._closed = False

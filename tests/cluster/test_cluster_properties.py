@@ -26,6 +26,13 @@ mode, any worker count:
 Scenarios are deliberately tiny (n <= 48, 4x4 PE array, <= 18 requests)
 — the invariants are about bookkeeping and ordering, not scale, and the
 cost-model clock never executes a batch.
+
+The laws belong to the control plane, not to one executor: scenarios
+run through the shared ``drive`` fixture, and for the
+executor-independent laws the executor is itself part of the drawn
+scenario — virtual time on the simulator, or wall clock on real
+in-process workers (where a crash spec is a real ``kill_worker``).
+Byte-identical replay is a property of virtual time only.
 """
 
 from __future__ import annotations
@@ -36,7 +43,6 @@ from hypothesis import strategies as st
 
 from repro.cluster import (
     AdmitAll,
-    ClusterSimulator,
     CostModelClock,
     CrashSpec,
     EDFPolicy,
@@ -44,18 +50,15 @@ from repro.cluster import (
     FaultInjector,
     GreedyFIFOPolicy,
     MaxWaitPolicy,
-    OpenLoopSource,
     QueueDepthCap,
     RecoveryConfig,
-    SimConfig,
     StragglerSpec,
     TokenBucketAdmission,
     TransientSpec,
     WeightedFairPolicy,
 )
 from repro.cluster.policy import _urgency
-from repro.core.config import HardwareConfig
-from repro.core.salo import SALO, pattern_structure_key
+from repro.core.salo import pattern_structure_key
 from repro.patterns.library import longformer_pattern
 from repro.serving import AttentionRequest, BatchScheduler
 
@@ -80,13 +83,13 @@ _CLASSES = (
 )
 
 
-def _small_salo() -> SALO:
-    return SALO(HardwareConfig(pe_rows=4, pe_cols=4))
+EVERY_EXECUTOR = ("simulated", "inprocess")
 
 
 @st.composite
-def scenario(draw):
-    """One cluster scenario: requests + sim knobs + policy/admission picks."""
+def scenario(draw, executors=("simulated",)):
+    """One cluster scenario: requests + sim knobs + policy/admission picks
+    + the executor it runs on."""
     num = draw(st.integers(4, 18))
     workers = draw(st.integers(1, 3))
     max_batch = draw(st.integers(2, 4))
@@ -135,6 +138,7 @@ def scenario(draw):
             )
         )
     return {
+        "executor": draw(st.sampled_from(executors)),
         "requests": requests,
         "workers": workers,
         "max_batch": max_batch,
@@ -145,14 +149,14 @@ def scenario(draw):
 
 
 @st.composite
-def faulty_scenario(draw):
+def faulty_scenario(draw, executors=("simulated",)):
     """A scenario plus a drawn mix of fault specs naming its workers.
 
     Times are in 10us ticks over [0, 5ms] — the same order as the
     scenario's arrival span, so crashes land before, during and after
     the traffic with roughly equal probability.
     """
-    sc = draw(scenario())
+    sc = draw(scenario(executors))
     workers = sc["workers"]
     specs = []
     for _ in range(draw(st.integers(0, 2))):
@@ -211,24 +215,24 @@ def _build_admission(name: str):
     return TokenBucketAdmission(default_rate=20000.0, burst=4.0)
 
 
-def _run(sc, service=None, faults=None):
-    """Build a fresh simulator for the scenario and run it to empty.
+def _run(drive, sc, service=None, faults=None):
+    """Run the scenario to empty on a fresh control plane.
 
     Scenario deadlines, admission caps and heartbeat probes are absolute
-    times sized against the flat clock scale, so the clock is pinned
-    (``CostModelClock.flat()``) rather than left to calibrate itself from
-    BENCH_engines.json — re-snapshotting the benches must not move these
-    property tests.
+    times sized against the flat clock scale ``drive`` pins for the
+    simulated executor; on a transport the same numbers are wall-clock
+    and simply expire more work.
     """
-    config = SimConfig(
+    return drive(
+        sc["executor"],
+        sc["requests"],
+        service=service,
+        faults=faults,
         workers=sc["workers"],
         max_batch_size=sc["max_batch"],
         pad_to_bucket=sc["pad"],
         policy=_build_policy(*sc["policy"]),
         admission=_build_admission(sc["admission"]),
-        service=service if service is not None else CostModelClock.flat(),
-        salo_factory=_small_salo,
-        faults=faults,
         # Probes at 50us against ~10us-1ms service times: detection is
         # fast enough to matter inside the tiny scenario horizons.
         recovery=RecoveryConfig(
@@ -238,9 +242,6 @@ def _run(sc, service=None, faults=None):
             max_retries=sc.get("max_retries", 3),
         ),
     )
-    sim = ClusterSimulator(config)
-    report = sim.run(OpenLoopSource(sc["requests"]))
-    return sim, report
 
 
 class _RecordingClock(CostModelClock):
@@ -257,10 +258,10 @@ class _RecordingClock(CostModelClock):
 
 
 class TestConservation:
-    @given(scenario())
-    @settings(max_examples=25)
-    def test_submitted_equals_completed_plus_rejected_plus_shed(self, sc):
-        sim, report = _run(sc)
+    @given(scenario(EVERY_EXECUTOR))
+    @settings(max_examples=40)
+    def test_submitted_equals_completed_plus_rejected_plus_shed(self, drive, sc):
+        sim, report = _run(drive, sc)
         assert report.submitted == len(sc["requests"])
         assert report.submitted == report.completed + report.rejected + report.shed
         assert sim.pool.pending == 0  # a drained run leaves nothing queued
@@ -272,10 +273,10 @@ class TestConservation:
         for cls in report.classes:
             assert cls.submitted == by_class[cls.name]
 
-    @given(scenario())
-    @settings(max_examples=25)
-    def test_no_request_double_counted(self, sc):
-        sim, report = _run(sc)
+    @given(scenario(EVERY_EXECUTOR))
+    @settings(max_examples=40)
+    def test_no_request_double_counted(self, drive, sc):
+        sim, report = _run(drive, sc)
         completed_ids = [r.request_id for r in sim.metrics.records]
         dropped_ids = [d.request_id for d in sim.metrics.drops]
         assert len(completed_ids) == len(set(completed_ids))
@@ -289,9 +290,9 @@ class TestConservation:
 class TestBatchIntegrity:
     @given(scenario())
     @settings(max_examples=20)
-    def test_batches_same_plan_and_bounded(self, sc):
+    def test_batches_same_plan_and_bounded(self, drive, sc):
         clock = _RecordingClock()
-        _run(sc, service=clock)
+        _run(drive, sc, service=clock)
         reference = BatchScheduler(
             max_batch_size=sc["max_batch"], pad_to_bucket=sc["pad"]
         )
@@ -351,13 +352,13 @@ class TestEDFOrder:
 
 
 class TestSheddingLaw:
-    @given(scenario())
-    @settings(max_examples=25)
-    def test_drop_expired_completions_feasible_at_dispatch(self, sc):
+    @given(scenario(EVERY_EXECUTOR))
+    @settings(max_examples=40)
+    def test_drop_expired_completions_feasible_at_dispatch(self, drive, sc):
         """With shedding on, nobody who was already doomed got served."""
         sc = dict(sc)
         sc["policy"] = (sc["policy"][0], True)  # force drop_expired
-        sim, report = _run(sc)
+        sim, report = _run(drive, sc)
         for rec in sim.metrics.records:
             if rec.deadline_s is not None:
                 assert rec.dispatch_s < rec.arrival_s + rec.deadline_s
@@ -369,22 +370,22 @@ class TestSheddingLaw:
 class TestDeterminism:
     @given(scenario())
     @settings(max_examples=10)
-    def test_same_scenario_byte_identical_report(self, sc):
-        _, first = _run(sc)
-        _, second = _run(sc)
+    def test_same_scenario_byte_identical_report(self, drive, sc):
+        _, first = _run(drive, sc)
+        _, second = _run(drive, sc)
         assert first.render() == second.render()
         assert [p.t_s for p in first.series] == [p.t_s for p in second.series]
 
 
 class TestFaultConservation:
-    @given(faulty_scenario())
-    @settings(max_examples=25, deadline=None)
-    def test_four_way_conservation_under_any_fault_mix(self, sc):
+    @given(faulty_scenario(EVERY_EXECUTOR))
+    @settings(max_examples=40, deadline=None)
+    def test_four_way_conservation_under_any_fault_mix(self, drive, sc):
         """Crashes, stragglers and transient errors may *fail* requests,
         but every submitted request still lands in exactly one terminal
         bucket — per run and per SLO class — and a drained run leaves
         nothing queued, in flight, or orphaned."""
-        sim, report = _run(sc, faults=FaultInjector(sc["faults"], seed=13))
+        sim, report = _run(drive, sc, faults=FaultInjector(sc["faults"], seed=13))
         assert report.submitted == len(sc["requests"])
         assert report.submitted == (
             report.completed + report.rejected + report.shed + report.failed
@@ -399,10 +400,10 @@ class TestFaultConservation:
                 cls.completed + cls.rejected + cls.shed + cls.failed
             )
 
-    @given(faulty_scenario())
-    @settings(max_examples=15, deadline=None)
-    def test_no_request_double_counted_under_faults(self, sc):
-        sim, report = _run(sc, faults=FaultInjector(sc["faults"], seed=13))
+    @given(faulty_scenario(EVERY_EXECUTOR))
+    @settings(max_examples=25, deadline=None)
+    def test_no_request_double_counted_under_faults(self, drive, sc):
+        sim, report = _run(drive, sc, faults=FaultInjector(sc["faults"], seed=13))
         completed_ids = [r.request_id for r in sim.metrics.records]
         dropped_ids = [d.request_id for d in sim.metrics.drops]
         assert len(completed_ids) == len(set(completed_ids))
@@ -414,20 +415,20 @@ class TestFaultConservation:
 
     @given(faulty_scenario())
     @settings(max_examples=10, deadline=None)
-    def test_same_faulty_scenario_byte_identical_report(self, sc):
-        _, first = _run(sc, faults=FaultInjector(sc["faults"], seed=13))
-        _, second = _run(sc, faults=FaultInjector(sc["faults"], seed=13))
+    def test_same_faulty_scenario_byte_identical_report(self, drive, sc):
+        _, first = _run(drive, sc, faults=FaultInjector(sc["faults"], seed=13))
+        _, second = _run(drive, sc, faults=FaultInjector(sc["faults"], seed=13))
         assert first.render() == second.render()
 
 
 class TestEmptyInjectorIdentity:
     @given(scenario())
     @settings(max_examples=10)
-    def test_armed_but_empty_injector_is_byte_identical(self, sc):
+    def test_armed_but_empty_injector_is_byte_identical(self, drive, sc):
         """A FaultInjector with no specs schedules nothing, draws
         nothing, multiplies nothing: the run is indistinguishable from
         one with no injector at all."""
-        _, without = _run(sc, faults=None)
-        _, empty = _run(sc, faults=FaultInjector([], seed=99))
+        _, without = _run(drive, sc, faults=None)
+        _, empty = _run(drive, sc, faults=FaultInjector([], seed=99))
         assert without.render() == empty.render()
         assert [p.t_s for p in without.series] == [p.t_s for p in empty.series]

@@ -299,7 +299,7 @@ class TestStealNeverTouchesInflight:
         key = worker.queue.group_key(reqs[0])
         batch = worker.queue.take(key)
         assert batch is not None and batch.size == count
-        worker.note_dispatch(batch, service_s=1e-3, cold=True)
+        worker.note_dispatch(first_rid, batch, now=0.0, service_s=1e-3, cold=True)
         return batch
 
     def test_idle_thief_finds_nothing_when_victim_work_is_all_inflight(self):
@@ -372,7 +372,8 @@ class TestStealNeverTouchesInflight:
                 gained = queued_ids(thief) - before
                 inflight = {
                     r.request_id
-                    for batch, _, _ in sim._inflight.values()
+                    for worker in sim.pool.workers
+                    for batch, _, _ in worker.launched.values()
                     for r in batch.requests
                 }
                 steals_seen.append(moved)

@@ -52,3 +52,66 @@ def tiny_quant_config() -> HardwareConfig:
 def small_config() -> HardwareConfig:
     """8x8 PE array, exact datapath."""
     return HardwareConfig(pe_rows=8, pe_cols=8).exact()
+
+
+def _drive(executor, requests, *, faults=None, service=None, tick=None, transports=None, **knobs):
+    """Serve ``requests`` to completion on one executor of the control
+    plane; returns ``(plane, report)``.
+
+    ``"simulated"`` is :class:`~repro.cluster.ClusterSimulator` on 4x4
+    engines (virtual time; requests keep their ``arrival_s``);
+    ``"inprocess"`` / ``"multiprocess"`` are
+    :class:`~repro.transport.TransportCluster` drivers (wall clock; the
+    list is one burst arriving now).  ``knobs`` are
+    :class:`~repro.cluster.simulator.ControlConfig` fields, plus the
+    transport-only ones on transports.  ``faults`` is a
+    :class:`~repro.cluster.FaultInjector`: the simulator interprets it;
+    real workers have no injector, so there its crash specs become real
+    ``kill_worker`` calls at the same offsets into the run, and the spec
+    kinds only a model can impose are skipped.  The simulated clock
+    defaults to the flat one so a bench re-snapshot cannot move
+    scenario timings.
+    """
+    from repro.cluster import (
+        ClusterSimulator,
+        CostModelClock,
+        CrashSpec,
+        OpenLoopSource,
+        SimConfig,
+    )
+    from repro.core.salo import SALO
+    from repro.transport import TransportCluster, TransportClusterConfig
+
+    if executor == "simulated":
+        plane = ClusterSimulator(
+            SimConfig(
+                service=service if service is not None else CostModelClock.flat(),
+                salo_factory=lambda: SALO(HardwareConfig(pe_rows=4, pe_cols=4)),
+                faults=faults,
+                **knobs,
+            )
+        )
+        return plane, plane.run(OpenLoopSource(requests))
+    crashes = sorted(
+        (s.at_s, s.worker)
+        for s in (faults.specs if faults is not None else ())
+        if isinstance(s, CrashSpec)
+    )
+    started = {}
+
+    def chaos(cluster, now):
+        t0 = started.setdefault("s", now)
+        while crashes and now - t0 >= crashes[0][0]:
+            cluster.kill_worker(crashes.pop(0)[1])
+        if tick is not None:
+            tick(cluster, now)
+
+    config = TransportClusterConfig(driver=executor, **knobs)
+    with TransportCluster(config, transports=transports) as plane:
+        return plane, plane.run(requests, tick=chaos)
+
+
+@pytest.fixture(scope="session")
+def drive():
+    """The one way the cluster suites run a scenario (see ``_drive``)."""
+    return _drive

@@ -47,6 +47,16 @@ class TestRequestValidation:
         with pytest.raises(ValueError):
             AttentionRequest(2, pattern, np.zeros((16, 9)), np.zeros((16, 9)), np.zeros((16, 9)), heads=2)
 
+    @pytest.mark.parametrize("operand", ["q", "k", "v"])
+    @pytest.mark.parametrize("poison", [np.nan, np.inf])
+    def test_non_finite_operand_fails_at_the_door_by_name(self, operand, poison):
+        pattern = longformer_pattern(16, 4, (0,))
+        data = {name: np.zeros((16, 8)) for name in "qkv"}
+        data[operand] = data[operand].copy()
+        data[operand][3, 5] = poison
+        with pytest.raises(ValueError, match=rf"request 'bad-7': {operand} holds non-finite"):
+            AttentionRequest("bad-7", pattern, heads=2, **data)
+
     def test_properties(self):
         req = _request(0, longformer_pattern(16, 4, (0,)), heads=2, hidden=8)
         assert req.n == 16 and req.hidden == 8 and req.head_dim == 4

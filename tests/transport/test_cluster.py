@@ -1,4 +1,4 @@
-"""TransportCluster: conservation under real transports and real kills.
+"""TransportCluster: the control plane on real transports and real kills.
 
 The simulator's four-way conservation law —
 
@@ -6,31 +6,38 @@ The simulator's four-way conservation law —
 
 — is pinned here against *actual* worker processes, including one that
 is SIGKILL'd mid-run, so the recovery paths the discrete-event suite
-models are exercised by a genuinely dead process.
+models are exercised by a genuinely dead process.  Since the transport
+cluster *is* the simulator's control plane on another executor, the
+overload and recovery features (shedding, the admission door, retry
+backoff, stealing) are pinned on real transports too; every scenario
+goes through the shared ``drive`` fixture (``tests/conftest.py``).
 """
 
 import numpy as np
 import pytest
 
+from repro.cluster import EDFPolicy, QueueDepthCap, RecoveryConfig
 from repro.patterns.library import longformer_pattern
 from repro.serving import AttentionRequest
 from repro.transport import (
+    InProcessTransport,
     TransportCluster,
     TransportClusterConfig,
     make_transport,
 )
 
 PATTERN = longformer_pattern(64, 8, (0,))
+HEADS, HIDDEN = 2, 16
 
 
-def _requests(num, hidden=16, seed=0):
+def _requests(num, seed=0, **fields):
     rng = np.random.default_rng(seed)
     out = []
     for i in range(num):
-        q, k, v = (rng.standard_normal((PATTERN.n, hidden)) for _ in range(3))
+        q, k, v = (rng.standard_normal((PATTERN.n, HIDDEN)) for _ in range(3))
         out.append(
             AttentionRequest(
-                request_id=i, pattern=PATTERN, q=q, k=k, v=v, heads=2
+                request_id=i, pattern=PATTERN, q=q, k=k, v=v, heads=HEADS, **fields
             )
         )
     return out
@@ -42,36 +49,104 @@ def _conserved(report):
     )
 
 
-def _config(driver, **overrides):
-    defaults = dict(
+def _knobs(**overrides):
+    knobs = dict(
         workers=2,
-        driver=driver,
         max_batch_size=4,
-        heartbeat_interval_s=0.01,
-        heartbeat_timeout_s=2.0,
-        warm=((PATTERN, 2),) if driver == "multiprocess" else (),
+        recovery=RecoveryConfig(heartbeat_interval_s=0.01, heartbeat_timeout_s=2.0),
+        warm=((PATTERN, HEADS, HIDDEN // HEADS),),
     )
-    defaults.update(overrides)
-    return TransportClusterConfig(**defaults)
+    knobs.update(overrides)
+    return knobs
 
 
-class TestInProcess:
-    def test_every_request_completes_and_conserves(self):
-        with TransportCluster(_config("inprocess")) as cluster:
-            report = cluster.run(_requests(16))
+class TestConservation:
+    @pytest.mark.parametrize("driver", ["inprocess", "multiprocess"])
+    def test_every_request_completes_and_conserves(self, drive, driver):
+        """A clean 16-request burst (nothing non-finite, so the request
+        door lets all of it through) is served whole."""
+        cluster, report = drive(driver, _requests(16), **_knobs())
         assert report.submitted == report.completed == 16
         assert report.failed == 0 and _conserved(report)
-        assert all(w.served > 0 for w in report.workers)  # JSQ spread work
+        assert all(w.served > 0 for w in report.workers)  # equally warm: JSQ spread
+        # pre-compiled plans count as warm plans, and really are
+        assert all(w.cold_compiles == 0 for w in report.workers)
+        assert all(w.plan_cache["misses"] == 1 for w in report.workers)
+        # one series point per handled event, not per poll wake-up
+        assert len(report.series) < 16 + 200 * report.makespan_s
+
+
+class TestControlPlaneOnRealWorkers:
+    """Features the transport driver gained by sharing the simulator's
+    control plane; each must still conserve."""
+
+    def test_edf_drop_expired_sheds_an_already_expired_request(self, drive):
+        requests = _requests(8)
+        requests[3].deadline_s = 1e-9  # gone before the first consultation
+        _, report = drive(
+            "inprocess", requests, **_knobs(policy=EDFPolicy(drop_expired=True))
+        )
+        assert report.shed == 1 and report.completed == 7
+        assert _conserved(report)
+
+    def test_admission_policy_rejects_at_the_door(self, drive):
+        _, report = drive(
+            "inprocess",
+            _requests(8),
+            **_knobs(workers=1, admission=QueueDepthCap(max_depth=3)),
+        )
+        # the burst is admitted whole before anything launches: depth 3 fills
+        assert report.rejected == 5 and report.completed == 3
+        assert _conserved(report)
+
+    def test_dispatch_error_retries_after_backoff_then_fails(self, drive):
+        transport = InProcessTransport()
+        attempts = []
+
+        def broken_attend(*args, **kwargs):
+            attempts.append(transport.clock())
+            raise RuntimeError("engine on fire")
+
+        transport.runtime.attend = broken_attend
+        recovery = RecoveryConfig(
+            heartbeat_interval_s=0.01,
+            heartbeat_timeout_s=2.0,
+            max_retries=2,
+            backoff_base_s=0.02,
+            backoff_cap_s=1.0,
+        )
+        _, report = drive(
+            "inprocess",
+            _requests(1),
+            transports=[transport],
+            **_knobs(workers=1, recovery=recovery),
+        )
+        assert report.failed == 1 and report.completed == 0 and report.retries == 2
+        assert _conserved(report)
+        gaps = np.diff(attempts)
+        assert len(attempts) == 3
+        assert gaps[0] >= recovery.backoff_s(1) and gaps[1] >= recovery.backoff_s(2)
+
+    def test_idle_worker_steals_from_a_backlogged_peer(self):
+        # Nothing pre-compiled, and a near-zero miss probability: the
+        # worker that served the plan before wins every routing decision.
+        # After a one-request run warms worker 0, the whole burst queues
+        # there ...
+        knobs = _knobs(warm=(), affinity_miss_prob=1e-6, max_inflight_per_worker=1)
+        burst = _requests(12)
+        for i, request in enumerate(burst):
+            request.request_id = 100 + i
+        with TransportCluster(TransportClusterConfig(driver="inprocess", **knobs)) as cluster:
+            cluster.run(_requests(1, seed=1))
+            report = cluster.run(burst)
+        # ... and worker 1, idle with a dry queue, takes some of it.
+        assert report.steals >= 1 and report.workers[1].stolen_in > 0
+        assert any(r.stolen for r in cluster.metrics.records)
+        assert report.completed == report.submitted == 13 and _conserved(report)
 
 
 class TestMultiprocess:
-    def test_conservation_without_faults(self):
-        with TransportCluster(_config("multiprocess")) as cluster:
-            report = cluster.run(_requests(16))
-        assert report.submitted == report.completed == 16
-        assert report.failed == 0 and _conserved(report)
-
-    def test_killed_worker_recovers_via_requeue(self):
+    def test_killed_worker_recovers_via_requeue(self, drive):
         """A real SIGKILL mid-run: the dead worker's orphans re-route to
         the survivor; nothing is lost, nothing silently disappears."""
         fired = {"done": False}
@@ -81,8 +156,7 @@ class TestMultiprocess:
                 cluster.kill_worker(1)
                 fired["done"] = True
 
-        with TransportCluster(_config("multiprocess")) as cluster:
-            report = cluster.run(_requests(20), tick=tick)
+        _, report = drive("multiprocess", _requests(20), tick=tick, **_knobs())
         assert fired["done"]
         assert _conserved(report)
         assert report.failed == 0  # every orphan was recovered
@@ -91,7 +165,7 @@ class TestMultiprocess:
         crashed = [w for w in report.workers if w.crashes > 0]
         assert len(crashed) == 1 and crashed[0].wid == 1
 
-    def test_no_requeue_strands_the_orphans(self):
+    def test_no_requeue_strands_the_orphans(self, drive):
         """Recovery off: the kill still conserves, but terminally —
         orphans land in ``failed`` instead of being re-routed."""
         fired = {"done": False}
@@ -101,20 +175,23 @@ class TestMultiprocess:
                 cluster.kill_worker(1)
                 fired["done"] = True
 
-        with TransportCluster(_config("multiprocess", requeue=False)) as cluster:
-            report = cluster.run(_requests(16), tick=tick)
+        recovery = RecoveryConfig(
+            heartbeat_interval_s=0.01, heartbeat_timeout_s=2.0, requeue=False
+        )
+        _, report = drive(
+            "multiprocess", _requests(16), tick=tick, **_knobs(recovery=recovery)
+        )
         assert _conserved(report)
         assert report.failed > 0
         assert report.requeues == 0
         assert report.completed + report.failed == 16
 
-    def test_all_workers_dead_fails_everything_terminally(self):
+    def test_all_workers_dead_fails_everything_terminally(self, drive):
         def tick(cluster, now):
             cluster.kill_worker(0)
             cluster.kill_worker(1)
 
-        with TransportCluster(_config("multiprocess")) as cluster:
-            report = cluster.run(_requests(8), tick=tick)
+        _, report = drive("multiprocess", _requests(8), tick=tick, **_knobs())
         assert _conserved(report)
         assert report.completed + report.failed == 8
         assert report.failed > 0  # nobody left to requeue onto
@@ -133,9 +210,17 @@ class TestConfig:
             ("workers", 0),
             ("max_batch_size", 0),
             ("max_inflight_per_worker", 0),
-            ("max_retries", -1),
         ],
     )
     def test_bounds_validated(self, field, value):
         with pytest.raises(ValueError, match=field):
             TransportClusterConfig(**{field: value})
+
+    def test_recovery_knobs_are_the_simulators(self):
+        """The flat recovery fields are gone: one RecoveryConfig, with a
+        wall-clock heartbeat by default."""
+        with pytest.raises(TypeError):
+            TransportClusterConfig(max_retries=1)
+        recovery = TransportClusterConfig().recovery
+        assert recovery.heartbeat_interval_s == 0.05
+        assert recovery.heartbeat_timeout_s == 1.0
