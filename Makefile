@@ -32,6 +32,16 @@
 #   make bench-e2e-smoke - the repo benchmark (BENCHMARK.json,
 #                  benchmarks/e2e/) end to end at --smoke scale: one
 #                  decode_stream run with its correctness check
+#   make bench-e2e-pair PARENT=<git ref> [WORKLOADS=a,b] [SEEDS=0-9]
+#                  [TRACE=1] [OUT=dir] -
+#                  the repo benchmark A/B against a parent commit:
+#                  seed-matched pairs, run order alternating by seed,
+#                  each tree running its own benchmarks/e2e, verdicts
+#                  from compare.py plus a per-pair digest check
+#                  (benchmarks/pair_e2e.py).  TRACE=1 runs traced and
+#                  compares the per-layer names instead; OUT keeps the
+#                  two result sets.  Not part of `make check`: ten
+#                  seeds of all five workloads take ~20 minutes
 #   make advise-smoke - provisioning advisor end to end: a reduced
 #                  config search against the committed example traffic
 #                  spec (ranked candidates with margins, headroom and
@@ -49,7 +59,7 @@ PYTHONPATH := src
 
 .PHONY: check test bench bench-gate bench-update simulate-smoke \
 	simulate-overload simulate-faults decode-smoke engines-smoke \
-	transport-smoke advise-smoke bench-e2e-smoke
+	transport-smoke advise-smoke bench-e2e-smoke bench-e2e-pair
 
 check: test bench-gate engines-smoke simulate-smoke simulate-overload \
 	simulate-faults decode-smoke transport-smoke advise-smoke \
@@ -108,6 +118,12 @@ decode-smoke:
 
 bench-e2e-smoke:
 	$(PYTHON) benchmarks/e2e/run.py --workload decode_stream --seed 0 --smoke
+
+bench-e2e-pair:
+	@test -n "$(PARENT)" || { echo "usage: make bench-e2e-pair PARENT=<git ref> [WORKLOADS=a,b] [SEEDS=0-9] [TRACE=1] [OUT=dir]"; exit 2; }
+	$(PYTHON) benchmarks/pair_e2e.py --parent $(PARENT) \
+		$(if $(WORKLOADS),--workloads $(WORKLOADS)) $(if $(SEEDS),--seeds $(SEEDS)) \
+		$(if $(TRACE),--trace $(TRACE)) $(if $(OUT),--out $(OUT))
 
 transport-smoke:
 	PYTHONPATH=$(PYTHONPATH) timeout 600 $(PYTHON) -m repro.cli \

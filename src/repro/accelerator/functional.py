@@ -34,7 +34,19 @@ passes are structural — identical across heads and across calls — so
 Q/K/V are quantised once for all heads, stages 1 and 5 run as banded
 GEMMs over lane tiles, a fused epilogue covers stages 2–4, and the
 weighted-sum merges replay per job chain in the hardware's per-query
-pass order.
+pass order.  The unit of work is the *chain*: the job builder cuts each
+query group's blocks into an interior, where every column group is
+live, and two edges, so one chain carries all passes of the interior
+blocks (16 column passes per block on Longformer-4096/512, 91.6% of
+its passes) — its merge state stays on accumulator views, and when its
+jobs slice one band a single stage-1 GEMM spans all of their columns.
+Operands are never gathered where the ids are a range: every key
+stream and query block of an undilated band is a (clip-clamped)
+contiguous id range, a fact verified when the plan is compiled, and
+:meth:`FunctionalEngine._rows` — the one place Q/K/V are read — serves
+those as zero-copy slices of an edge-padded operand slab; ``np.take``
+remains for dilated bands, ``G > 1`` families and scattered global
+batches only.
 
 ``mode="compiled"`` (default) picks between them from what the engine
 observes, never from a caller-set value: GEMM reordering is only
@@ -88,7 +100,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -103,6 +115,26 @@ __all__ = ["FunctionalEngine", "FunctionalResult", "EngineError"]
 
 class EngineError(RuntimeError):
     """Raised when a plan cannot be executed on the given data."""
+
+
+class _Slab(NamedTuple):
+    """A quantised ``(lanes, n, d)`` operand inside edge-padded storage.
+
+    ``base`` carries ``head`` margin rows before the core and a tail
+    margin after it, replicating the core's first/last row — exactly what
+    a clip-clamped gather of an out-of-range id loads — so an id stream
+    that is a clamped range overhanging the sequence edges is a plain
+    slice of ``base`` (see :meth:`FunctionalEngine._rows`).
+    """
+
+    core: np.ndarray  # (lanes, n, d) view of ``base``
+    base: np.ndarray  # (lanes, head + n + tail, d)
+    head: int
+
+
+def _shift(start: Optional[int], by: int) -> Optional[int]:
+    """A range fact moved ``by`` ids along its stream (``None`` stays ``None``)."""
+    return None if start is None else start + by
 
 
 @dataclass
@@ -468,14 +500,44 @@ class FunctionalEngine:
             sc[key] = a
         return a
 
-    @staticmethod
-    def _static_index(sc: dict, key, arr) -> np.ndarray:
-        """Memoized contiguous int64 copy of a static index tensor."""
-        idx = sc.get(key)
-        if idx is None:
-            idx = np.ascontiguousarray(np.reshape(arr, -1), dtype=np.int64)
-            sc[key] = idx
-        return idx
+    def _rows(
+        self,
+        sc: dict,
+        slab: _Slab,
+        name,
+        key: tuple,
+        ids: np.ndarray,
+        start: Optional[int] = None,
+        lanes: slice = slice(None),
+    ) -> np.ndarray:
+        """Rows ``ids`` of an operand slab, ``(lanes, ids.size, d)``: slice or gather.
+
+        Every Q/K/V read of the production path comes through here.
+        ``start`` is the compile-time fact that the flattened ``ids``
+        equal ``clip(arange(start, start + ids.size), 0, n - 1)``
+        (window streams and query blocks: ``SegmentStream.start``,
+        ``WindowJob.q_start``, ``JobChain.wide_start``); id sets that
+        come without one (global tokens, global-row key batches) are
+        compared against an exact range once.  A range is a zero-copy
+        slice of the edge-padded slab; anything else — dilated bands,
+        ``G > 1`` — is gathered into scratch buffer ``name`` through a
+        contiguous index.  Either answer is memoized under ``key``.
+        """
+        how = sc.get(key)
+        if how is None:
+            if start is None:
+                start = _arange_start(np.reshape(ids, -1))
+            how = start
+            if how is None:
+                how = np.ascontiguousarray(np.reshape(ids, -1), dtype=np.int64)
+            sc[key] = how
+        if isinstance(how, int):
+            lo = slab.head + how
+            return slab.base[lanes, lo : lo + ids.size]
+        src = slab.core[lanes]
+        out = self._buf(sc, name, (src.shape[0], how.size, src.shape[2]))
+        np.take(src, how, axis=1, out=out, mode="clip")
+        return out
 
     def _run_compiled_tiled(
         self,
@@ -493,10 +555,10 @@ class FunctionalEngine:
         b = q.shape[0] if batched else 1
         lanes = b * heads
         lane_lens = None if lens is None else np.repeat(lens, heads)
-        margins = self._wide_margins(cp)
-        qh = self._lane_slab(sc, "q", q, b, n, heads, d)
-        kh = self._lane_slab(sc, "k", k, b, n, heads, d, pad=margins)
-        vh = self._lane_slab(sc, "v", v, b, n, heads, d, pad=margins)
+        margins = self._slab_margins(cp)
+        qh = self._lane_slab(sc, "q", q, b, n, heads, d, margins)
+        kh = self._lane_slab(sc, "k", k, b, n, heads, d, margins)
+        vh = self._lane_slab(sc, "v", v, b, n, heads, d, margins)
         acc = sc.get(("acc", lanes))
         if acc is None:
             acc = _BatchAccumulator(lanes, n, d, self.module)
@@ -542,24 +604,18 @@ class FunctionalEngine:
         n: int,
         heads: int,
         d: int,
-        pad: Tuple[int, int] = (0, 0),
-    ) -> np.ndarray:
-        """Quantised ``(lanes, n, d)`` operand slab in reused storage.
+        margins: Tuple[int, int],
+    ) -> _Slab:
+        """Quantised operand :class:`_Slab` in reused storage.
 
         Quantising is elementwise, so each lane holds exactly the values
         the reference path's per-head ``quantize_input`` produces,
-        written through a cached buffer.
-
-        ``pad = (head, tail)`` reserves margin rows around the core that
-        replicate its first/last row — exactly what a clip-clamped
-        gather of an out-of-range id loads — so window key streams that
-        overhang the sequence edges slice the slab instead of gathering
-        (see :meth:`_wide_chunk_slabs`).  The returned view is the core;
-        the padded base is published under ``("slabpad", name)``.
+        written through a cached buffer; the ``(head, tail)`` margin
+        rows are then filled from the core's edge rows.
         """
-        head, tail = pad
-        slab = self._buf(sc, ("slab", name), (b * heads, head + n + tail, d))
-        core = slab[:, head : head + n]
+        head, tail = margins
+        base = self._buf(sc, ("slab", name), (b * heads, head + n + tail, d))
+        core = base[:, head : head + n]
         # The transpose copy fuses into the quantiser's first multiply
         # (its read may be any strided view), saving one full pass.
         self.datapath.quantize_input_into(
@@ -567,11 +623,10 @@ class FunctionalEngine:
             core.reshape(b, heads, n, d),
         )
         if head:
-            slab[:, :head] = core[:, 0:1]
+            base[:, :head] = core[:, 0:1]
         if tail:
-            slab[:, head + n :] = core[:, n - 1 : n]
-        sc[("slabpad", name)] = (slab, head, tail)
-        return core
+            base[:, head + n :] = core[:, n - 1 : n]
+        return _Slab(core, base, head)
 
     def _stage5_bounded(self, cp) -> bool:
         """True when stage-5 outputs provably cannot saturate.
@@ -598,42 +653,40 @@ class FunctionalEngine:
             cp.scratch[("q5_bounded",)] = ok
         return ok
 
-    def _wide_margins(self, cp) -> Tuple[int, int]:
-        """Largest head/tail overhang of any wide chain's key stream.
+    def _slab_margins(self, cp) -> Tuple[int, int]:
+        """Largest head/tail overhang of any range-shaped id stream.
 
-        Wide streams are clip-clamped contiguous ranges; padding the K/V
-        slabs by these margins (with the replicated edge rows the clamp
-        would load) turns every chunk of every wide chain into a pure
-        slice of the slab.
+        Key streams and query blocks that are clip-clamped contiguous
+        ranges may overhang the sequence at either end; padding the
+        operand slabs by these margins turns every chunk of every such
+        stream into a pure slice (see :class:`_Slab`).
         """
-        m = cp.scratch.get(("wide_margins",))
+        m = cp.scratch.get(("slab_margins",))
         if m is None:
+            ranges = [
+                (ch.wide_start, ch.wide_ids.shape[1])
+                for ch in cp.job_chains
+                if ch.wide_ids is not None
+            ]
+            for job in cp.window_jobs:
+                ranges.append((job.q_start, job.q_ids.size))
+                ranges += [(seg.start, seg.gather_ids.shape[1]) for seg in job.segments]
             head = tail = 0
-            jobs = cp.window_jobs
-            for ch in cp.job_chains:
-                if ch.wide_start is None or ch.wide_offsets is None:
-                    continue
-                job0 = jobs[ch.jobs[0]]
-                if job0.num_groups != 1:
-                    continue
-                step = job0.segments[0].block_step
-                last = jobs[ch.jobs[-1]]
-                span = job0.rows + ch.wide_offsets[-1] + last.segments[0].width - 1
-                full = (job0.num_blocks - 1) * step + span
-                s = ch.wide_start[0]
-                head = max(head, -s)
-                tail = max(tail, s + full - cp.n)
-            m = (max(head, 0), max(tail, 0))
-            cp.scratch[("wide_margins",)] = m
+            for start, length in ranges:
+                if start is not None:
+                    head = max(head, -start)
+                    tail = max(tail, start + length - cp.n)
+            m = (head, tail)
+            cp.scratch[("slab_margins",)] = m
         return m
 
     def _run_chain_tiled(
         self,
         cp,
         chain,
-        qh: np.ndarray,
-        kh: np.ndarray,
-        vh: np.ndarray,
+        qh: _Slab,
+        kh: _Slab,
+        vh: _Slab,
         scale: float,
         acc: "_BatchAccumulator",
         lane_lens: Optional[np.ndarray] = None,
@@ -652,8 +705,7 @@ class FunctionalEngine:
         sc = cp.scratch
         jobs = [cp.window_jobs[ji] for ji in chain.jobs]
         job0 = jobs[0]
-        lanes = qh.shape[0]
-        d = qh.shape[2]
+        lanes, _, d = qh.core.shape
         G, B, R = job0.num_groups, job0.num_blocks, job0.rows
         T, Bc = cp.tile_shape(job0, lanes)
         flat_keep, flat_q = chain.flat_keep, chain.flat_q
@@ -663,9 +715,9 @@ class FunctionalEngine:
         # contiguous range, the chain's cells *are* a slice of the
         # accumulator: run the merge state directly on accumulator views
         # — no seed, no commit, no scratch copies at all.
-        alias = chain.keep_all and chain.q_start is not None
+        alias = chain.keep_all and job0.q_start is not None
         if alias:
-            base = chain.q_start
+            base = job0.q_start
             out_run = acc.out[:, base : base + cells].reshape(lanes, G, B, R, d)
             w_run = acc.w[:, base : base + cells].reshape(lanes, G, B, R)
             has_run = acc.has[:, base : base + cells].reshape(lanes, G, B, R)
@@ -708,7 +760,7 @@ class FunctionalEngine:
         chain_merges = 0
         for b0 in range(0, B, Bc):
             b1 = min(b0 + Bc, B)
-            # Single-band chains gather Q/K/V for the whole chunk once,
+            # Single-band chains read Q/K/V for the whole chunk once,
             # across all lanes; the lane tiles below slice the slabs.
             wide = (
                 self._wide_chunk_slabs(cp, chain, jobs, qh, kh, vh, b0, b1)
@@ -804,9 +856,9 @@ class FunctionalEngine:
         self,
         cp,
         job: WindowJob,
-        qh: np.ndarray,
-        kh: np.ndarray,
-        vh: np.ndarray,
+        qh: _Slab,
+        kh: _Slab,
+        vh: _Slab,
         scale: float,
         t0: int,
         t1: int,
@@ -823,33 +875,26 @@ class FunctionalEngine:
         sc = cp.scratch
         dp = self.datapath
         jid = id(job)
+        tile = slice(t0, t1)
         Tc = t1 - t0
         G, R, C = job.num_groups, job.rows, job.cols
         Bc = b1 - b0
-        d = qh.shape[2]
-        qidx = self._static_index(sc, ("qidx", jid, b0, b1), job.q_safe[:, b0:b1])
-        qb = self._buf(sc, "job_q", (Tc, G * Bc * R, d))
-        np.take(qh[t0:t1], qidx, axis=1, out=qb, mode="clip")
-        qv = qb.reshape(Tc, G, Bc, R, d)
+        d = qh.core.shape[2]
+        qv = self._rows(
+            sc,
+            qh,
+            "job_q",
+            ("qrows", jid, b0, b1),
+            job.q_safe[:, b0:b1],
+            _shift(job.q_start, b0 * R),
+            tile,
+        ).reshape(Tc, G, Bc, R, d)
         band = self._buf(sc, "job_band", (Tc, G, Bc, R, C))
         col0 = 0
         for s, seg in enumerate(job.segments):
             W = seg.width
             span = R + W - 1
-            lo = b0 * seg.block_step
-            hi = (b1 - 1) * seg.block_step + span
-            L = hi - lo
-            sidx = self._static_index(
-                sc, ("sidx", jid, s, b0, b1), seg.gather_ids[:, lo:hi]
-            )
-            kst = self._buf(sc, ("job_k", s), (Tc, G * L, d))
-            np.take(kh[t0:t1], sidx, axis=1, out=kst, mode="clip")
-            st, sg, sl, sd = kst.reshape(Tc, G, L, d).strides
-            kview = as_strided(
-                kst.reshape(Tc, G, L, d),
-                (Tc, G, Bc, span, d),
-                (st, sg, seg.block_step * sl, sl, sd),
-            )
+            kview = self._stream_view(sc, kh, "job_k", job, s, b0, b1, tile)
             rect = self._buf(sc, ("job_rect", s), (Tc, G, Bc, R, span))
             np.matmul(qv, kview.swapaxes(-1, -2), out=rect)
             rs = rect.strides
@@ -867,32 +912,57 @@ class FunctionalEngine:
         for s, seg in enumerate(job.segments):
             W = seg.width
             span = R + W - 1
-            L = (b1 - 1 - b0) * seg.block_step + span
             # Zeroed once at allocation; every use scatters into the same
             # band positions (the stage-1 rect holds garbage off-band).
             rect = self._zbuf(sc, ("job_rect5", s), (Tc, G, Bc, R, span))
             rs = rect.strides
             bandv = as_strided(rect, (Tc, G, Bc, R, W), rs[:3] + (rs[3] + rs[4], rs[4]))
             np.copyto(bandv, band[..., col0 : col0 + W])
-            vst = self._buf(sc, ("job_v", s), (Tc, G * L, d))
-            sidx = self._static_index(
-                sc,
-                ("sidx", jid, s, b0, b1),
-                seg.gather_ids[:, b0 * seg.block_step : b0 * seg.block_step + L],
-            )
-            np.take(vh[t0:t1], sidx, axis=1, out=vst, mode="clip")
-            st, sg, sl, sd = vst.reshape(Tc, G, L, d).strides
-            vview = as_strided(
-                vst.reshape(Tc, G, L, d),
-                (Tc, G, Bc, span, d),
-                (st, sg, seg.block_step * sl, sl, sd),
-            )
+            vview = self._stream_view(sc, vh, "job_v", job, s, b0, b1, tile)
             np.matmul(rect, vview, out=out5 if s == 0 else tmp5)
             if s > 0:
                 np.add(out5, tmp5, out=out5)
             col0 += W
         dp.quantize_output_into(out5, out5, bounded=self._stage5_bounded(cp))
         return out5, w, has
+
+    def _stream_view(
+        self,
+        sc: dict,
+        slab: _Slab,
+        name: str,
+        job: WindowJob,
+        s: int,
+        b0: int,
+        b1: int,
+        tile: slice,
+    ) -> np.ndarray:
+        """Segment ``s``'s K or V stream for blocks ``[b0, b1)`` of a job.
+
+        ``(Tc, G, Bc, R + W - 1, d)``: one overlapping window of the
+        stream per block, advancing ``block_step`` rows — the diagonal
+        k/v connections as strides.
+        """
+        seg = job.segments[s]
+        span = job.rows + seg.width - 1
+        lo = b0 * seg.block_step
+        hi = (b1 - 1) * seg.block_step + span
+        st = self._rows(
+            sc,
+            slab,
+            name,
+            ("srows", id(job), s, b0, b1),
+            seg.gather_ids[:, lo:hi],
+            _shift(seg.start, lo),
+            tile,
+        )
+        st = st.reshape(st.shape[0], job.num_groups, hi - lo, st.shape[2])
+        t_, g_, l_, d_ = st.strides
+        return as_strided(
+            st,
+            (st.shape[0], job.num_groups, b1 - b0, span, st.shape[3]),
+            (t_, g_, seg.block_step * l_, l_, d_),
+        )
 
     def _job_epilogue(
         self,
@@ -942,58 +1012,37 @@ class FunctionalEngine:
         return w, has
 
     def _wide_chunk_slabs(
-        self, cp, chain, jobs, qh, kh, vh, b0: int, b1: int
+        self, cp, chain, jobs, qh: _Slab, kh: _Slab, vh: _Slab, b0: int, b1: int
     ) -> tuple:
         """Full-lane Q/K/V slabs of one block chunk of a single-band chain.
 
         The chain's jobs stream adjacent column slices of one window
-        band (``JobChain.wide_ids``), so one gather per operand serves
+        band (``JobChain.wide_ids``), so one read per operand serves
         every (job, lane tile) of the chunk; the tiles slice the slabs.
         """
         sc = cp.scratch
         job0 = jobs[0]
-        lanes, n, d = qh.shape
-        G, R = job0.num_groups, job0.rows
-        Bc = b1 - b0
+        R = job0.rows
         step = job0.segments[0].block_step
         offs = chain.wide_offsets
         widths = [j.segments[0].width for j in jobs]
         span = R + offs[-1] + widths[-1] - 1
         lo = b0 * step
         hi = (b1 - 1) * step + span
-        L = hi - lo
-        # The schedule's streams are contiguous id ranges (verified at
-        # compile time, see JobChain.q_start / wide_start): interior
-        # chunks are plain zero-copy slices of the operand slabs, and
-        # clamped stream edges are a slice plus tiny broadcast fills that
-        # reproduce the clipped gather exactly.
-        if G == 1 and chain.q_start is not None:
-            s = chain.q_start + b0 * R
-            qf = qh[:, s : s + Bc * R]
-        else:
-            qidx = self._static_index(
-                sc, ("qidx", id(job0), b0, b1), job0.q_safe[:, b0:b1]
-            )
-            qf = self._buf(sc, "wide_q", (lanes, G * Bc * R, d))
-            np.take(qh, qidx, axis=1, out=qf, mode="clip")
-        if G == 1 and chain.wide_start is not None:
-            s = chain.wide_start[0] + lo
-            e = s + L
-            # Overhanging edges land in the slab's replicated-row
-            # margins (sized for every wide chain by _wide_margins).
-            kslab, head, _ = sc[("slabpad", "k")]
-            vslab, _, _ = sc[("slabpad", "v")]
-            kf = kslab[:, head + s : head + e]
-            vf = vslab[:, head + s : head + e]
-        else:
-            widx = self._static_index(
-                sc, ("widx", id(chain), b0, b1), chain.wide_ids[:, lo:hi]
-            )
-            kf = self._buf(sc, "wide_k", (lanes, G * L, d))
-            vf = self._buf(sc, "wide_v", (lanes, G * L, d))
-            np.take(kh, widx, axis=1, out=kf, mode="clip")
-            np.take(vh, widx, axis=1, out=vf, mode="clip")
-        return qf, kf, vf, span, L, step, offs, widths
+        qf = self._rows(
+            sc,
+            qh,
+            "wide_q",
+            ("qrows", id(job0), b0, b1),
+            job0.q_safe[:, b0:b1],
+            _shift(job0.q_start, b0 * R),
+        )
+        wkey = ("wrows", id(chain), b0, b1)
+        wids = chain.wide_ids[:, lo:hi]
+        wstart = _shift(chain.wide_start, lo)
+        kf = self._rows(sc, kh, "wide_k", wkey, wids, wstart)
+        vf = self._rows(sc, vh, "wide_v", wkey, wids, wstart)
+        return qf, kf, vf, span, hi - lo, step, offs, widths
 
     def _wide_job_stages(
         self,
@@ -1143,21 +1192,13 @@ class FunctionalEngine:
         sc = cp.scratch
         dp = self.datapath
         gtok = cp.global_tokens
-        lanes, _, d = qh.shape
+        lanes, _, d = qh.core.shape
         ng = len(gtok)
         contig = nr == int(rows[-1]) - int(rows[0]) + 1
-        if contig:
-            r0 = int(rows[0])
-            qg = qh[:, r0 : r0 + nr]
-        else:  # pragma: no cover - scattered global tokens
-            ridx = self._static_index(sc, ("gcol_rows",), rows)
-            qg = self._buf(sc, "gcol_q", (lanes, nr, d))
-            np.take(qh, ridx, axis=1, out=qg, mode="clip")
-        gidx = self._static_index(sc, ("gcol_keys",), gtok)
-        kg = self._buf(sc, "gcol_k", (lanes, ng, d))
-        vg = self._buf(sc, "gcol_v", (lanes, ng, d))
-        np.take(kh, gidx, axis=1, out=kg, mode="clip")
-        np.take(vh, gidx, axis=1, out=vg, mode="clip")
+        r0 = int(rows[0]) if contig else None
+        qg = self._rows(sc, qh, "gcol_q", ("gcol_rows",), rows, r0)
+        kg = self._rows(sc, kh, "gcol_k", ("gcol_keys",), gtok)
+        vg = self._rows(sc, vh, "gcol_v", ("gcol_keys",), gtok)
         s = self._buf(sc, "gcol_s", (lanes, nr, ng))
         np.matmul(qg, kg.swapaxes(-1, -2), out=s)
         w = self._buf(sc, "gcol_w", (lanes, nr))
@@ -1258,14 +1299,12 @@ class FunctionalEngine:
             return
         sc = cp.scratch
         dp = self.datapath
-        lanes, _, d = qh.shape
+        lanes, _, d = qh.core.shape
         num_g = len(gtok)
         out = self._buf(sc, "grow_out", (lanes, num_b, num_g, d))
         w = self._buf(sc, "grow_w", (lanes, num_b, num_g))
         has = self._buf(sc, "grow_has", (lanes, num_b, num_g), np.bool_)
-        gidx = self._static_index(sc, ("grow_q",), gtok)
-        qg = self._buf(sc, "grow_qg", (lanes, num_g, d))
-        np.take(qh, gidx, axis=1, out=qg, mode="clip")
+        qg = self._rows(sc, qh, "grow_qg", ("grow_q",), gtok)
         buckets = sc.get(("grow_buckets",))
         if buckets is None:
             lengths = cp.global_batch_valid.sum(axis=1)
@@ -1280,26 +1319,10 @@ class FunctionalEngine:
             if keys is None:
                 keys = np.ascontiguousarray(cp.global_batches[bidx, :L])
                 sc[("grow_keymat", L)] = keys
-            # Adjacent batches usually tile the sequence: when the
-            # flattened key matrix is one arange the gathers collapse to
-            # zero-copy slices of the key/value slabs.
-            krun = sc.get(("grow_krange", L))
-            if krun is None:
-                krun = _arange_start(keys.ravel())
-                krun = False if krun is None else krun
-                sc[("grow_krange", L)] = krun
-            if krun is not False:
-                s0 = int(krun)
-                kv = kh[:, s0 : s0 + nb * L].reshape(lanes, nb, L, d)
-                vv = vh[:, s0 : s0 + nb * L].reshape(lanes, nb, L, d)
-            else:
-                kidx = self._static_index(sc, ("grow_keys", L), keys)
-                kb = self._buf(sc, ("grow_k", L, nb), (lanes, nb * L, d))
-                vb = self._buf(sc, ("grow_v", L, nb), (lanes, nb * L, d))
-                np.take(kh, kidx, axis=1, out=kb, mode="clip")
-                np.take(vh, kidx, axis=1, out=vb, mode="clip")
-                kv = kb.reshape(lanes, nb, L, d)
-                vv = vb.reshape(lanes, nb, L, d)
+            # Adjacent batches usually tile the sequence, and then the
+            # flattened key matrix is one range: a slice of the slabs.
+            kv = self._rows(sc, kh, "grow_k", ("grow_keys", L), keys).reshape(lanes, nb, L, d)
+            vv = self._rows(sc, vh, "grow_v", ("grow_keys", L), keys).reshape(lanes, nb, L, d)
             s = self._buf(sc, ("grow_s", L, nb), (lanes, nb, num_g, L))
             np.matmul(qg[:, None], kv.swapaxes(-1, -2), out=s)
             lmask = None

@@ -13,17 +13,25 @@ once per :class:`~repro.scheduler.plan.ExecutionPlan` and stores:
   baked in, and ``keep`` ``(P, R)`` non-global row masks — consumed by
   the cost models, ``plan.stats()`` and the window-job builder;
 * **window jobs** — the pass stream regrouped by
-  ``(query group, column group)``.  Within a job every pass shares its
-  segment tuple and its query block starts advance uniformly, so each
-  segment's key stream is one arithmetic sequence: the engine gathers a
-  single ``(L, d)`` key block per segment and reads it through an
-  overlapping ``as_strided`` window view — the numpy analogue of the
-  accelerator's diagonal k/v connections (Section 5.2) — instead of
-  materialising ``(passes, rows, cols, d)`` gathers.  Jobs are ordered by
-  first appearance in the pass stream, which preserves the per-query
-  weighted-sum merge order (a query receives its parts from the column
-  groups of its own block, in block-local order), keeping outputs
-  bit-identical to the per-pass reference engine;
+  ``(query group, column group, block run)``.  Within a job every pass
+  shares its segment tuple and its query block starts advance uniformly,
+  so each segment's key stream is one arithmetic sequence: the engine
+  reads a single ``(L, d)`` key block per segment through an overlapping
+  ``as_strided`` window view — the numpy analogue of the accelerator's
+  diagonal k/v connections (Section 5.2) — instead of materialising
+  ``(passes, rows, cols, d)`` gathers, and where the sequence is a
+  contiguous id range (every undilated band; recorded as
+  ``SegmentStream.start`` / ``WindowJob.q_start``) that block is a slice
+  of the operand, not a gather.  Each query group's blocks are cut into
+  the *interior* — the run of blocks in which every column group is
+  live — and the leading/trailing *edges*, where sequence clipping
+  dropped some; interior jobs then all cover the same blocks and fold
+  into one :class:`JobChain` (one shared stage-1 GEMM, merge state held
+  on accumulator views).  Job order preserves the per-query weighted-sum
+  merge order: a query block lives in exactly one of the three parts and
+  receives its parts from its column groups in the group's master order
+  there, exactly as in the pass stream, keeping outputs bit-identical to
+  the per-pass reference engine;
 * the global-row batch schedule (padded) shared with the micro-simulator;
 * per-pass aggregates (valid cells, distinct keys, query loads, output
   vectors) reused by the timing/energy/traffic models.
@@ -63,10 +71,14 @@ __all__ = [
 class IrregularPassError(ValueError):
     """Raised when passes have no strided window-job geometry.
 
-    Non-contiguous query rows or unevenly spaced blocks: the scheduler
-    never emits such passes, and only the per-pass reference engine
-    (``FunctionalEngine(plan, mode="legacy")``), which never builds
-    window jobs, executes them.
+    Non-contiguous query rows or unevenly spaced blocks.  The scheduler
+    emits such passes only when a block in the middle of a column group
+    is left without work and dropped: its in-range keys are all global
+    tokens, or the group packs segments of two bands that are in range
+    at opposite ends of the sequence only (both take a PE array a few
+    cells small); hand-built plans can hold any.  Only the per-pass
+    reference engine (``FunctionalEngine(plan, mode="legacy")``), which
+    never builds window jobs, executes them.
     """
 
 
@@ -83,6 +95,12 @@ class SegmentStream:
     gather_ids: np.ndarray  # (G, L) int64, clipped to [0, n)
     width: int
     block_step: int  # key-stream advance per query block
+    # Contiguity fact, verified by comparison on the column group's whole
+    # stream (of which this is a slice): with one group,
+    # ``gather_ids[0] == clip(arange(start, start + L), 0, n - 1)`` and
+    # engines slice the stream out of an edge-padded operand instead of
+    # gathering it.  ``None`` for dilated bands and ``G > 1``.
+    start: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -108,6 +126,12 @@ class WindowJob:
     valid: np.ndarray  # (G, B, R, C) bool
     keep: np.ndarray  # (G, B, R) bool: rows merged by the window path
     segments: Tuple[SegmentStream, ...]
+    # With one group: every non-padding cell of the flattened ``q_ids``
+    # equals ``q_start`` + its flat position (verified by comparison on
+    # the whole column group), so the query blocks are one slice of the
+    # operand.  Padding rows (a short last block) then read a
+    # neighbouring row instead of row 0; ``valid`` masks them either way.
+    q_start: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -117,36 +141,44 @@ class JobChain:
     Jobs of one chain share ``q_ids`` and ``keep`` bit for bit, so every
     job contributes a part to exactly the same (group, block, row) cells.
     The per-query weighted-sum chain therefore runs on chain-local state:
-    seeded from the accumulator before the first job (all zeros when the
-    chain is *private*, i.e. no earlier job touched its queries),
-    merged job by job in schedule order, and committed back by plain
-    assignment — exactly what the sequential per-job accumulator merges
-    would have left there.
+    seeded from the accumulator before the first job (all zeros when no
+    earlier job touched its queries), merged job by job in schedule
+    order, and committed back by plain assignment — exactly what the
+    sequential per-job accumulator merges would have left there.
 
     ``flat_keep`` / ``flat_q`` are the static commit indices: positions
     of kept cells in the flattened ``(G * B * R)`` cell axis and the
     query ids they map to, precomputed once per plan.
 
+    What forms a chain: the column groups of one query group cover
+    *different* block ranges, because blocks clipped at a sequence edge
+    drop the column groups that fall off it, so whole column groups
+    never share ``q_ids``.  :func:`_build_window_jobs` therefore cuts
+    each query group's block axis into the interior (every column group
+    live) and the two edges; all interior jobs of a group have equal
+    ``q_ids`` and fold into one chain that carries the bulk of the
+    passes, and the edge jobs chain wherever their block ranges happen
+    to coincide.
+
     When every job of the chain streams a single key segment and the
-    segments are adjacent column slices of one window band — the shape
-    the scheduler's column splitting always produces — the chain also
+    segments are adjacent column slices of one window band — what window
+    splitting makes of a band wider than the PE array — the chain also
     carries the *wide stream*: the union of all jobs' key streams
     (``wide_ids``) plus each job's column offset into it
-    (``wide_offsets``).  Engines then gather K/V once per tile for the
+    (``wide_offsets``).  Engines then read K/V once per chunk for the
     whole chain and run one banded stage-1 GEMM spanning every job's
-    columns, instead of one overlapping gather + GEMM per job.
+    columns, instead of one overlapping stream + GEMM per job.
     """
 
     jobs: Tuple[int, ...]  # indices into CompiledPlan.window_jobs
-    private: bool
     flat_keep: np.ndarray  # (M,) int64 indices into flattened (G*B*R)
     flat_q: np.ndarray  # (M,) int64 query ids of the kept cells
     wide_ids: Optional[np.ndarray] = None  # (G, L) combined stream key ids
     wide_offsets: Optional[Tuple[int, ...]] = None  # per-job column offset
     # Contiguity facts, verified by direct comparison at build time, that
-    # let engines replace gathers with slices (see FunctionalEngine):
-    wide_start: Optional[Tuple[int, ...]] = None  # wide_ids[g] == clip(arange)
-    q_start: Optional[int] = None  # flattened q_safe == arange(q_start, ...)
+    # let engines replace gathers with slices (see FunctionalEngine; the
+    # jobs' shared query range is ``WindowJob.q_start``):
+    wide_start: Optional[int] = None  # as SegmentStream.start, for wide_ids
     keep_all: bool = False  # every (group, block, row) cell is merged
     keep_slice: Optional[Tuple[int, int]] = None  # (k0, q0): both flat aranges
 
@@ -161,54 +193,74 @@ def _arange_start(a: np.ndarray) -> Optional[int]:
     return s if np.array_equal(a, np.arange(s, s + a.size)) else None
 
 
+def _clamp(ids: np.ndarray, n: int) -> np.ndarray:
+    """``np.clip(ids, 0, n - 1)`` as two ufunc calls (a fraction of its cost)."""
+    return np.minimum(np.maximum(ids, 0), n - 1)
+
+
 def _clipped_arange_start(a: np.ndarray, n: int) -> Optional[int]:
     """Start ``s`` when ``a == clip(arange(s, s + len(a)), 0, n - 1)``.
 
     The window schedule's key streams are ranges with their out-of-range
-    head/tail clamped by the gather-safety clip; recovering ``s`` from
-    the (normally unclamped) midpoint and re-verifying keeps this exact.
+    head/tail clamped by the gather-safety clip.  ``s`` is recovered from
+    an element the clip cannot have moved — the first positive id (a
+    stream clamped at its head is zeros up to there) — and the whole
+    array is then re-verified, which keeps this exact for any input.
     """
-    mid = a.size // 2
-    s = int(a[mid]) - mid
-    if np.array_equal(a, np.clip(np.arange(s, s + a.size), 0, n - 1)):
-        return s
-    return None
+    if a.size == 0:
+        return None
+    positive = np.flatnonzero(a > 0)
+    # All zeros: clamped throughout, the range ends at id 0.
+    i = int(positive[0]) if positive.size else a.size - 1
+    s = int(a[i]) - i
+    return s if np.array_equal(a, _clamp(np.arange(s, s + a.size), n)) else None
+
+
+def _padded_arange_start(a: np.ndarray) -> Optional[int]:
+    """Start ``s`` when ``a[i] == s + i`` wherever ``a[i] >= 0`` (padding is -1)."""
+    real = a >= 0
+    if not real.any():
+        return None
+    i = int(real.argmax())
+    s = int(a[i]) - i
+    return s if np.array_equal(a[real], np.arange(s, s + a.size)[real]) else None
 
 
 def _wide_stream(jobs) -> Tuple[Optional[np.ndarray], Optional[Tuple[int, ...]]]:
     """Combined key stream of a chain, when its jobs slice one band.
 
-    Verifies — by direct array comparison, not by construction — that
-    each job's single key-stream segment is the previous one shifted by
-    exactly its width, and returns the union stream plus per-job
-    offsets.  Any mismatch (multi-segment jobs, differing block steps,
-    non-adjacent columns) returns ``(None, None)`` and the engine falls
-    back to per-job gathers.
+    Grows the union stream job by job and verifies — by direct array
+    comparison, not by construction — that each job's single key-stream
+    segment *is* the union from its column offset (the widths before it)
+    on; whatever reaches past the union so far is appended.  Comparing
+    against the union rather than the first job's stream keeps chains
+    whose column span exceeds one job's stream (few blocks, many column
+    groups).  Any mismatch (multi-segment jobs, differing block steps,
+    a gap between columns) returns ``(None, None)`` and the engine runs
+    the chain's jobs one by one.
     """
     if any(len(j.segments) != 1 for j in jobs):
         return None, None
     segs = [j.segments[0] for j in jobs]
-    step = segs[0].block_step
-    if any(s.block_step != step for s in segs):
+    if any(s.block_step != segs[0].block_step for s in segs):
         return None, None
-    base = segs[0].gather_ids
-    L0 = base.shape[1]
+    wide = segs[0].gather_ids
     offsets = [0]
     for prev, seg in zip(segs, segs[1:]):
         off = offsets[-1] + prev.width
-        overlap = L0 - off
-        if overlap < 0 or not np.array_equal(seg.gather_ids[:, :overlap], base[:, off:]):
+        have = wide.shape[1] - off  # columns of this stream already in the union
+        ids = seg.gather_ids
+        if have < 0 or not np.array_equal(ids[:, :have], wide[:, off : off + ids.shape[1]]):
             return None, None
+        if ids.shape[1] > have:
+            wide = np.concatenate([wide, ids[:, have:]], axis=1)
         offsets.append(off)
-    tail = segs[-1].gather_ids[:, L0 - offsets[-1] :]
-    wide = np.concatenate([base, tail], axis=1) if tail.shape[1] else base
     return np.ascontiguousarray(wide), tuple(offsets)
 
 
 def _build_job_chains(jobs, n: int) -> Tuple[JobChain, ...]:
     """Group the job schedule into chains (see :class:`JobChain`)."""
     chains: List[JobChain] = []
-    seen: Optional[np.ndarray] = None  # query ids already covered
     i = 0
     while i < len(jobs):
         a = jobs[i]
@@ -225,17 +277,10 @@ def _build_job_chains(jobs, n: int) -> Tuple[JobChain, ...]:
                 break
         flat_keep = np.flatnonzero(a.keep.ravel()).astype(np.int64)
         flat_q = a.q_ids.ravel()[flat_keep]
-        private = seen is None or not np.isin(flat_q, seen).any()
         wide_ids, wide_offsets = _wide_stream(jobs[i:j])
-        wide_start: Optional[Tuple[int, ...]] = None
-        if wide_ids is not None:
-            starts = [
-                _clipped_arange_start(wide_ids[g], n)
-                for g in range(wide_ids.shape[0])
-            ]
-            if all(s is not None for s in starts):
-                wide_start = tuple(starts)
-        q_start = _arange_start(a.q_safe.ravel())
+        wide_start: Optional[int] = None
+        if wide_ids is not None and a.num_groups == 1:
+            wide_start = _clipped_arange_start(wide_ids[0], n)
         keep_all = bool(a.keep.all())
         k0 = _arange_start(flat_keep)
         q0 = _arange_start(flat_q)
@@ -243,18 +288,15 @@ def _build_job_chains(jobs, n: int) -> Tuple[JobChain, ...]:
         chains.append(
             JobChain(
                 jobs=tuple(range(i, j)),
-                private=private,
                 flat_keep=flat_keep,
                 flat_q=flat_q,
                 wide_ids=wide_ids,
                 wide_offsets=wide_offsets,
                 wide_start=wide_start,
-                q_start=q_start,
                 keep_all=keep_all,
                 keep_slice=keep_slice,
             )
         )
-        seen = flat_q if seen is None else np.union1d(seen, flat_q)
         i = j
     return tuple(chains)
 
@@ -334,6 +376,24 @@ class CompiledPlan:
         stage-5 output — fits the configured ``tile_bytes`` budget and
         stays cache-resident across the fused epilogue.  A positive
         ``HardwareConfig.lane_tile`` overrides the derived lane tile.
+
+        Sized from the chain's first job even when the chain runs wide
+        (one stage-1 rectangle spanning every job's columns, well past
+        the budget).  Measured on the 16-job Longformer-4096 chain
+        (4 heads x 64, derived chunk 34 blocks; in-process, interleaved,
+        7 rounds, twice): capping the chunk at 16 / 8 / 4 blocks costs
+        1.14-1.20x / 1.30-1.43x / 1.61-1.67x the attend time — per-chunk
+        call overhead outweighs cache fit — while larger lane tiles or
+        chunks (up to 12 lanes x 128 blocks, three shapes) read within
+        the +-8% noise of that measurement.  So the rule must not shrink
+        for wide chains.  Whether it should grow is open: on the
+        memory-bound bench (2048 x 256, 8 heads, derived tile 1 lane)
+        the whole-lane-axis layout now reads 2-3% *faster* than the
+        derived one (121 vs 124 ms, interleaved min-of-3), where it was
+        6% slower before chains formed — with one wide GEMM per chunk,
+        eight times the per-tile calls cost about what the cache fit
+        saves.  A chain-aware rule, or no lane tiling at all, is
+        ROADMAP direction 5's open item; this rule is unchanged here.
         """
         cfg = self.plan.config
         d = self.head_dim
@@ -375,18 +435,24 @@ def _topo_colgroups(plan: "ExecutionPlan") -> List[Tuple[int, List[List[int]]]]:
     order.  A topological merge of the block sequences recovers it.
     """
     group_order: List[Tuple[int, int]] = []
-    group_jobs: dict = {}  # (residue, dilation) -> {segments: [pass indices]}
-    block_seqs: dict = {}  # (residue, dilation) -> {block start: [segments]}
+    group_jobs: dict = {}  # (residue, dilation) -> {column group: [pass indices]}
+    block_seqs: dict = {}  # (residue, dilation) -> {block start: [column groups]}
+    # Column groups are numbered by segment tuple.  The scheduler hands
+    # every block of a group the same tuple object, so the number is
+    # looked up by identity and a tuple is hashed once, not once per pass.
+    by_id: dict = {}
+    by_value: dict = {}
     for i, tp in enumerate(plan.passes):
         gkey = (tp.query_residue, tp.dilation)
         if gkey not in group_jobs:
             group_order.append(gkey)
             group_jobs[gkey] = {}
             block_seqs[gkey] = {}
-        group_jobs[gkey].setdefault(tp.segments, []).append(i)
-        block_seqs[gkey].setdefault(tp.q_positions[0] if tp.q_positions else 0, []).append(
-            tp.segments
-        )
+        cg = by_id.get(id(tp.segments))
+        if cg is None:
+            cg = by_id[id(tp.segments)] = by_value.setdefault(tp.segments, len(by_value))
+        group_jobs[gkey].setdefault(cg, []).append(i)
+        block_seqs[gkey].setdefault(tp.q_positions[0] if tp.q_positions else 0, []).append(cg)
 
     per_group: List[Tuple[int, List[List[int]]]] = []
     for gkey in group_order:
@@ -417,32 +483,122 @@ def _topo_colgroups(plan: "ExecutionPlan") -> List[Tuple[int, List[List[int]]]]:
     return per_group
 
 
-def _job_geometry(plan: "ExecutionPlan", idxs: List[int]):
-    """(signature, block_step, segment protos) of one colgroup's passes.
+@dataclass(frozen=True)
+class _ColumnRun:
+    """Every block of one (query group, column group), derived once.
 
-    ``signature`` is ``None`` for irregular passes (non-contiguous query
-    rows or unevenly spaced blocks); otherwise jobs with equal signatures
-    have identical strided-view geometry and may batch into one family,
-    differing only in gather bases and boundary masks.
+    Window jobs are block ranges ``[a, b)`` of a column run: their
+    tensors are slices of the run's and their contiguity facts are the
+    run's, shifted by ``a`` blocks — so each fact is verified by one
+    comparison per column group, however many jobs it is cut into.
     """
-    tps = [plan.passes[i] for i in idxs]
-    num_blocks = len(tps)
-    rows = max(tp.rows_used for tp in tps)
-    cols = tps[0].cols_used
-    starts = [tp.q_positions[0] for tp in tps]
-    contiguous = all(
-        tp.q_positions == tuple(range(tp.q_positions[0], tp.q_positions[0] + tp.rows_used))
-        for tp in tps
+
+    idxs: np.ndarray  # (B,) pass indices in block order
+    lengths: Tuple[int, ...]  # rows used per block
+    first_block: int  # group position of block 0's first query
+    block_step: int  # group positions from one block to the next
+    cols: int
+    seg_sig: Tuple[Tuple[int, int], ...]  # (width, dilation) per segment
+    q_ids: np.ndarray  # (B, R) int64, -1 on padding
+    valid: np.ndarray  # (B, R, C) bool
+    keep: np.ndarray  # (B, R) bool
+    streams: Tuple[np.ndarray, ...]  # per segment: (L,) key ids, clipped
+    starts: Tuple[Optional[int], ...]  # per segment, as SegmentStream.start
+    q_start: Optional[int]  # as WindowJob.q_start
+
+
+#: A block range ``[a, b)`` of a column run: one member of a window job.
+_Cut = Tuple[_ColumnRun, int, int]
+
+
+def _column_run(
+    plan: "ExecutionPlan",
+    idxs: List[int],
+    dilation: int,
+    q_ids: np.ndarray,
+    valid: np.ndarray,
+    keep: np.ndarray,
+) -> _ColumnRun:
+    """The :class:`_ColumnRun` of one column group's passes, or raise.
+
+    Strided window-job geometry needs contiguous query rows in every
+    pass (consecutive group positions are ``dilation`` ids apart) and
+    evenly spaced blocks; any block range of such a column group is
+    regular too, so the check runs here, on the whole group, and the
+    error names every pass of it.
+    """
+    ia = np.asarray(idxs, dtype=np.int64)
+    q = q_ids[ia]
+    contiguous = ((np.diff(q, axis=1) == dilation) | (q[:, 1:] < 0)).all()
+    steps = np.diff(q[:, 0])
+    if not contiguous or (steps != steps[:1]).any():
+        raise IrregularPassError(
+            f"passes {idxs} have non-contiguous query rows or unevenly "
+            "spaced blocks and cannot form a window job; only "
+            "FunctionalEngine(plan, mode='legacy') executes them"
+        )
+    lengths = (q >= 0).sum(axis=1)
+    rows = int(lengths.max())
+    first = plan.passes[idxs[0]]
+    cols = first.cols_used
+    first_block = first.q_positions[0]
+    block_step = (
+        plan.passes[idxs[1]].q_positions[0] - first_block if len(idxs) > 1 else rows
     )
-    steps = {starts[b + 1] - starts[b] for b in range(num_blocks - 1)}
-    if not contiguous or len(steps) > 1:
-        return None, 0, ()
-    block_step = steps.pop() if steps else rows
-    seg_sig = tuple((seg.width, seg.dilation) for seg in tps[0].segments)
-    bases = tuple(
-        seg.key_residue + (starts[0] + seg.rel_lo) * seg.dilation for seg in tps[0].segments
+    q = np.ascontiguousarray(q[:, :rows])
+    streams, starts = [], []
+    for seg in first.segments:
+        # Key id at (block b, row r, column t): base + (b*step + r + t)*dil.
+        base = seg.key_residue + (first_block + seg.rel_lo) * seg.dilation
+        length = (len(idxs) - 1) * block_step + rows + seg.width - 1
+        offsets = np.arange(length, dtype=np.int64) * seg.dilation
+        streams.append(_clamp(base + offsets, plan.n))
+        starts.append(_clipped_arange_start(streams[-1], plan.n))
+    return _ColumnRun(
+        idxs=ia,
+        lengths=tuple(lengths.tolist()),
+        first_block=first_block,
+        block_step=block_step,
+        cols=cols,
+        seg_sig=tuple((seg.width, seg.dilation) for seg in first.segments),
+        q_ids=q,
+        valid=np.ascontiguousarray(valid[ia][:, :rows, :cols]),
+        keep=np.ascontiguousarray(keep[ia][:, :rows]),
+        streams=tuple(streams),
+        starts=tuple(starts),
+        q_start=_padded_arange_start(q.ravel()),
     )
-    return (num_blocks, rows, cols, block_step, seg_sig), block_step, bases
+
+
+def _split_blocks(cols: List[_ColumnRun]) -> List[List[_Cut]]:
+    """One query group's column runs cut into [interior, leading, trailing].
+
+    The *interior* is the run of query blocks in which every column group
+    is live; blocks before and after it (clipped at a sequence edge, so
+    some column groups were dropped there) are the leading and trailing
+    *edge*.  Each part lists the group's column runs restricted to its
+    blocks, master order kept and empty ones dropped.  Blocks are told
+    apart by their start position alone, so every query block lands in
+    exactly one part.  Column runs are evenly spaced, so the interior
+    spans the latest first block to the earliest last one; a group where
+    that span is empty, or whose column runs do not share one block grid
+    across it, stays whole.
+    """
+    whole: List[List[_Cut]] = [[(c, 0, len(c.idxs)) for c in cols], [], []]
+    lo = max(c.first_block for c in cols)
+    hi = min(c.first_block + (len(c.idxs) - 1) * c.block_step for c in cols)
+    steps = {c.block_step for c in cols if len(c.idxs) > 1} or {1}
+    step = min(steps)
+    if lo > hi or len(steps) > 1 or step <= 0 or any((lo - c.first_block) % step for c in cols):
+        return whole
+    parts: List[List[_Cut]] = [[], [], []]
+    for c in cols:
+        a = (lo - c.first_block) // step
+        b = a + (hi - lo) // step + 1
+        for part, (x, y) in zip(parts, ((a, b), (0, a), (b, len(c.idxs)))):
+            if x < y:
+                part.append((c, x, y))
+    return parts
 
 
 def _build_window_jobs(
@@ -461,88 +617,88 @@ def _build_window_jobs(
     dilated band execute in a single set of GEMMs.  Groups of
     *different* dilations can share queries, so distinct runs stay in
     group order.
+
+    Each run is emitted as three consecutive sub-runs — the interiors of
+    its groups, then their leading and their trailing edges
+    (:func:`_split_blocks`) — so that all interior jobs of a group cover
+    the same blocks and fold into one :class:`JobChain`.  The regrouping
+    cannot reorder any query's merges: a query block lives in exactly
+    one sub-run, there its column groups still run in master order, and
+    the sub-runs of one same-dilation run cover disjoint queries.
     """
-    per_group = _topo_colgroups(plan)
-    runs: List[List[List[List[int]]]] = []
+    runs: List[List[List[_ColumnRun]]] = []
     last_dil = None
-    for dil, cols in per_group:
+    for dil, cols in _topo_colgroups(plan):
         if dil != last_dil or not runs:
             runs.append([])
             last_dil = dil
-        runs[-1].append(cols)
+        runs[-1].append([_column_run(plan, idxs, dil, q_ids, valid, keep) for idxs in cols])
 
     jobs: List[WindowJob] = []
     for run in runs:
-        num_positions = max((len(g) for g in run), default=0)
-        for k in range(num_positions):
-            jobs.extend(_position_families(plan, run, k, q_ids, valid, keep))
+        for sub in zip(*(_split_blocks(group) for group in run)):
+            for k in range(max(len(g) for g in sub)):
+                jobs.extend(_position_families([g[k] for g in sub if k < len(g)]))
     return tuple(jobs)
 
 
-def _position_families(
-    plan: "ExecutionPlan",
-    run: List[List[List[int]]],
-    k: int,
-    q_ids: np.ndarray,
-    valid: np.ndarray,
-    keep: np.ndarray,
-) -> List[WindowJob]:
-    """Families for position ``k`` of one same-dilation run of groups."""
-    n = plan.n
-    buckets: dict = {}  # signature -> [(idxs, bases)]
+def _stack(blocks: List[np.ndarray]) -> np.ndarray:
+    """Contiguous ``(G, ...)`` stack of per-group arrays; no copy for one."""
+    if len(blocks) == 1:
+        return np.ascontiguousarray(blocks[0][None])
+    return np.stack(blocks)
+
+
+def _position_families(cuts: List[_Cut]) -> List[WindowJob]:
+    """Families among the ``k``-th cuts of one same-dilation sub-run of groups.
+
+    Cuts with equal signatures have identical strided-view geometry and
+    batch into one job, differing only in gather bases and boundary
+    masks.
+    """
+    buckets: dict = {}  # signature -> cuts
+    for c, a, b in cuts:
+        rows = max(c.lengths[a:b])
+        block_step = c.block_step if b - a > 1 else rows
+        sig = (b - a, rows, c.cols, block_step, c.seg_sig)
+        buckets.setdefault(sig, []).append((c, a, b))
     jobs: List[WindowJob] = []
-    for g in run:
-        if k >= len(g):
-            continue
-        sig, step, bases = _job_geometry(plan, g[k])
-        if sig is None:
-            raise IrregularPassError(
-                f"passes {g[k]} have non-contiguous query rows or unevenly "
-                "spaced blocks and cannot form a window job; only "
-                "FunctionalEngine(plan, mode='legacy') executes them"
-            )
-        buckets.setdefault((sig, step), []).append((g[k], bases))
-    for (sig, step), members in buckets.items():
-        num_blocks, rows, cols, block_step, seg_sig = sig
-        idx_arr = np.asarray([i for idxs, _ in members for i in idxs], dtype=np.int64)
-        num_groups = len(members)
-        job_q_ids = np.ascontiguousarray(
-            q_ids[idx_arr][:, :rows].reshape(num_groups, num_blocks, rows)
-        )
-        job_valid = np.ascontiguousarray(
-            valid[idx_arr][:, :rows, :cols].reshape(num_groups, num_blocks, rows, cols)
-        )
-        job_keep = np.ascontiguousarray(
-            keep[idx_arr][:, :rows].reshape(num_groups, num_blocks, rows)
-        )
+    for (num_blocks, rows, cols, block_step, seg_sig), members in buckets.items():
+        c0, a0, _ = members[0]
+        lone = len(members) == 1  # range facts describe a single group's ids
+        job_q_ids = _stack([c.q_ids[a:b, :rows] for c, a, b in members])
         streams: List[SegmentStream] = []
         # Segment order == column order: the engine lays the
         # per-segment bands side by side along the column axis in this order.
-        for s, (width, seg_dil) in enumerate(seg_sig):
-            # Key id of group g at (b, r, t):
-            # bases[g] + (b*step + r + t)*dil — one stream per group.
+        for s, (width, _) in enumerate(seg_sig):
             length = (num_blocks - 1) * block_step + rows + width - 1
-            offsets = np.arange(length, dtype=np.int64) * seg_dil
-            bases_col = np.asarray([m[1][s] for m in members], dtype=np.int64)[:, None]
             streams.append(
                 SegmentStream(
-                    gather_ids=np.clip(bases_col + offsets, 0, n - 1),
+                    gather_ids=_stack(
+                        [c.streams[s][a * c.block_step :][:length] for c, a, _ in members]
+                    ),
                     width=width,
                     block_step=block_step,
+                    start=c0.starts[s] + a0 * c0.block_step
+                    if lone and c0.starts[s] is not None
+                    else None,
                 )
             )
         jobs.append(
             WindowJob(
-                pass_indices=idx_arr,
-                num_groups=num_groups,
+                pass_indices=np.concatenate([c.idxs[a:b] for c, a, b in members]),
+                num_groups=len(members),
                 num_blocks=num_blocks,
                 rows=rows,
                 cols=cols,
                 q_ids=job_q_ids,
-                q_safe=job_q_ids.clip(min=0),
-                valid=job_valid,
-                keep=job_keep,
+                q_safe=np.maximum(job_q_ids, 0),
+                valid=_stack([c.valid[a:b, :rows] for c, a, b in members]),
+                keep=_stack([c.keep[a:b, :rows] for c, a, b in members]),
                 segments=tuple(streams),
+                q_start=c0.q_start + a0 * c0.q_ids.shape[1]
+                if lone and c0.q_start is not None
+                else None,
             )
         )
     return jobs

@@ -47,6 +47,9 @@ def _measure(engine, q, k, v, calls=3, **kw):
     [
         (longformer_pattern(512, 64, (0,)), 4, 32),
         (vil_pattern(256, 32), 4, 32),
+        # Multi-segment jobs chained over the interior, short last block
+        # (its padding rows read the slab's tail margin).
+        (vil_pattern(28, 28, 15), 2, 16),
     ],
 )
 def test_warm_attend_is_allocation_free(pattern, heads, head_dim):

@@ -151,6 +151,84 @@ class TestCompiledMatchesLegacy:
         )
 
 
+class TestStreamsAreSlices:
+    """Range-shaped id streams are slab slices; only non-ranges gather."""
+
+    @staticmethod
+    def _window_gathers(monkeypatch, engine, q, k, v):
+        """``np.take`` calls of one warm run's window path that read Q/K/V.
+
+        The global PE row keeps its gathers where its key batches are not
+        ranges (2-D windows), so only calls made while a job chain runs
+        count.
+        """
+        sc = engine.plan.compiled().scratch
+        engine.run(q, k, v)  # warm: slabs and range facts exist
+        slabs = [a for key, a in sc.items() if key[:2] in {("buf", ("slab", x)) for x in "qkv"}]
+        assert len(slabs) == 3
+        calls, in_chain = [], []
+        take, run_chain = np.take, FunctionalEngine._run_chain_tiled
+
+        def spy(a, *args, **kwargs):
+            if in_chain and any(np.shares_memory(a, slab) for slab in slabs):
+                calls.append(a.shape)
+            return take(a, *args, **kwargs)
+
+        def chain(self, *args, **kwargs):
+            in_chain.append(True)
+            try:
+                return run_chain(self, *args, **kwargs)
+            finally:
+                in_chain.pop()
+
+        monkeypatch.setattr(np, "take", spy)
+        monkeypatch.setattr(FunctionalEngine, "_run_chain_tiled", chain)
+        engine.run(q, k, v)
+        return calls
+
+    @pytest.mark.parametrize(
+        "name,pattern",
+        [
+            ("longformer-4096", longformer_pattern(4096, 512, (0,))),
+            ("vil-stage1", vil_pattern(56, 56, 15)),
+            ("vil-stage2", vil_pattern(28, 28, 15)),  # n not a block multiple
+        ],
+    )
+    def test_table2_layers_never_gather_an_operand(self, monkeypatch, name, pattern):
+        plan = DataScheduler(HardwareConfig()).schedule(pattern, heads=1, head_dim=8)
+        rng = np.random.default_rng(0)
+        q, k, v = (rng.standard_normal((pattern.n, 8)) for _ in range(3))
+        assert self._window_gathers(monkeypatch, FunctionalEngine(plan), q, k, v) == []
+
+    def test_dilated_bands_still_gather(self, monkeypatch):
+        """The spy sees what it should: a dilated stream is not a range."""
+        plan, q, k, v = _plan_and_data(HybridSparsePattern(30, [Band(-6, 6, 3)], (0,)))
+        assert self._window_gathers(monkeypatch, FunctionalEngine(plan), q, k, v)
+
+    @pytest.mark.parametrize("grid", [(9, 8), (9, 7)], ids=["block-multiple", "short-last-block"])
+    def test_multi_segment_vil_batched_and_padded(self, grid):
+        """Packed multi-segment jobs chain over the interior and slice every
+        segment's stream, with a lane tile straddling the batch and tails
+        ending in the interior and in an edge block."""
+        pattern = vil_pattern(*grid, 5, (0,))
+        config = HardwareConfig(pe_rows=8, pe_cols=16, lane_tile=3)
+        plan = DataScheduler(config, strict_global_bound=False).schedule(
+            pattern, heads=2, head_dim=4
+        )
+        jobs = plan.compiled().window_jobs
+        assert max(len(job.segments) for job in jobs) > 1
+        assert max(len(c.jobs) for c in plan.compiled().job_chains) > 1
+        assert all(seg.start is not None for job in jobs for seg in job.segments)
+        rng = np.random.default_rng(3)
+        q, k, v = (rng.standard_normal((4, pattern.n, 8)) for _ in range(3))
+        compiled, legacy = FunctionalEngine(plan), FunctionalEngine(plan, mode="legacy")
+        _assert_same_result(compiled.run(q, k, v), legacy.run(q, k, v))
+        lens = [pattern.n, pattern.n // 2, pattern.n - 3, 5]
+        _assert_same_result(
+            compiled.run(q, k, v, valid_lens=lens), legacy.run(q, k, v, valid_lens=lens)
+        )
+
+
 class TestCompiledMatchesMicroSim:
     """Batched path == cycle-accurate micro-simulator, bit for bit."""
 

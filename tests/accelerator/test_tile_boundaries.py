@@ -8,8 +8,9 @@ mantissa), so the tile size is purely a layout choice — outputs are
 bit-identical to the legacy per-pass reference for *any* tile size and
 any lane count, including the awkward ones these tests pin: lane counts
 straddling tile edges with ragged tails, padded ``valid_lens`` tails
-landing exactly on block boundaries, and the degenerate scalar merge
-path when ``heads * len(global_tokens) == 1``.
+landing exactly on block boundaries and on the cut between a plan's
+interior chain and its edge jobs, and the degenerate scalar merge path
+when ``heads * len(global_tokens) == 1``.
 """
 
 import numpy as np
@@ -105,6 +106,37 @@ class TestValidLensOnBoundaries:
         got = FunctionalEngine(plan).run(q, k, v, valid_lens=lens)
         ref = FunctionalEngine(plan, mode="legacy").run(q, k, v, valid_lens=lens)
         assert np.array_equal(got.output, ref.output)
+
+
+class TestValidLensAcrossTheInteriorEdgeCut:
+    """The job builder cuts each group's blocks into an interior chain and
+    edge jobs; padded tails must mask the same keys wherever they end."""
+
+    @staticmethod
+    def _interior(plan):
+        """Query range ``[lo, hi)`` of the chain carrying the most passes."""
+        cp = plan.compiled()
+        jobs = cp.window_jobs
+        chain = max(cp.job_chains, key=lambda c: sum(jobs[j].num_blocks for j in c.jobs))
+        q = jobs[chain.jobs[0]].q_ids
+        return int(q.min()), int(q.max()) + 1
+
+    @pytest.mark.parametrize("lane_tile", [0, 3])
+    def test_tails_inside_the_interior_an_edge_block_and_on_the_cut(self, lane_tile):
+        pattern = longformer_pattern(64, 16, (0,))
+        heads, head_dim = 2, 4
+        plan = _schedule(pattern, heads, head_dim, lane_tile=lane_tile)
+        lo, hi = self._interior(plan)
+        assert 0 < lo < hi < pattern.n  # the plan really has both edges
+        # full, mid-interior, on the trailing cut, inside the trailing
+        # edge block, on the leading cut, inside the leading edge block
+        lens = np.array([pattern.n, (lo + hi) // 2 + 1, hi, hi + 2, lo, lo - 1])
+        q, k, v = _data(pattern, heads, head_dim, batch=len(lens), seed=17)
+        got = FunctionalEngine(plan).run(q, k, v, valid_lens=lens)
+        ref = FunctionalEngine(plan, mode="legacy").run(q, k, v, valid_lens=lens)
+        assert np.array_equal(got.output, ref.output)
+        assert np.array_equal(got.parts, ref.parts)
+        assert got.merges == ref.merges
 
 
 class TestScalarMergeFastPath:
