@@ -13,7 +13,13 @@ and ``DIR/change``, and finish with the working tree's ``compare.py
 parent change``.  Also reports, per pair, whether both sides were
 ``correct`` and printed the same per-round SHA-256 digests (the
 bit-identity check); a run that exits non-zero fails its pair and is
-never read from a result file an earlier sweep left in ``DIR``.
+never read from a result file an earlier sweep left in ``DIR``.  After
+``compare.py``'s table it prints, per workload, each side's median
+weather index and raw readings: the table's timings are divided by a
+weather index the harness samples *inside the measured process* (8 MB
+temporaries per sample), so a change that moves the process's page-fault
+or cache behaviour moves the divisor too, and the reader must be able to
+see a normalised row and its raw numbers side by side.
 
 The parent tree is a ``git archive`` extraction, not a worktree: nothing
 is registered in ``.git``, so a killed run leaves only a temp directory
@@ -26,12 +32,13 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -70,6 +77,32 @@ def run_one(tree: Path, out: Path, workload: str, seed: int, seconds: float, tra
     return {}
 
 
+#: Readings of a ``run.py --out`` record the verdict table does not show.
+WEATHER_ROWS = ("weather_index", "setup.weather", "setup.wall")
+
+
+def weather_report(runs: Dict[str, Dict[str, List[dict]]]) -> None:
+    """Per workload: each side's median weather indices and ``raw.*`` readings."""
+    print("weather and raw readings (medians of the runs above; parent | change)")
+    for workload, sides in runs.items():
+        records = [r for side in sides.values() for r in side]
+        raw_rows = sorted({f"raw.{name}" for r in records for name in r.get("raw", {})})
+        for row in WEATHER_ROWS + tuple(raw_rows):
+            cells = []
+            for side in ("parent", "change"):
+                values = [_lookup(r, row) for r in sides[side]]
+                values = [v for v in values if v is not None]
+                cells.append(f"{statistics.median(values):12.6g}" if values else f"{'-':>12}")
+            print(f"{row:<34} {workload:<14} {cells[0]} | {cells[1]}")
+
+
+def _lookup(record: dict, dotted: str) -> Optional[float]:
+    value = record
+    for part in dotted.split("."):
+        value = value.get(part) if isinstance(value, dict) else None
+    return value
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [w["name"] for w in spec["workloads"]]
@@ -90,9 +123,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             (results / side).mkdir(parents=True, exist_ok=True)
 
         suspect = 0
+        workloads = args.workloads.split(",")
+        runs: Dict[str, Dict[str, List[dict]]] = {
+            w: {"parent": [], "change": []} for w in workloads
+        }
         for seed in parse_seeds(args.seeds):
             order = ("parent", "change") if seed % 2 == 0 else ("change", "parent")
-            for workload in args.workloads.split(","):
+            for workload in workloads:
                 name = f"{workload}-s{seed}-t{args.trace}.json"
                 record = {
                     side: run_one(trees[side], results / side / name, workload, seed,
@@ -101,6 +138,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 }
                 correct = all(r.get("correct") and r.get("failed") == 0 for r in record.values())
                 parent, change = record["parent"], record["change"]
+                for side, result in record.items():
+                    if result:
+                        runs[workload][side].append(result)
                 same = bool(parent) and parent.get("digests") == change.get("digests")
                 suspect += not (correct and same)
                 print(
@@ -115,6 +155,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.trace:  # traced runs carry the per-layer names, not the verdicts
             compare.append("--per-layer")
         worse = subprocess.run(compare).returncode
+        weather_report(runs)
     return 1 if worse or suspect else 0
 
 

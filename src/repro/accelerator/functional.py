@@ -58,6 +58,27 @@ path, where summation order is part of the result.  Either way the
 output is bit-identical to ``mode="legacy"``; :attr:`FunctionalEngine.tiled`
 reports which executor a given engine uses.
 
+Working memory and the unit of isolation
+----------------------------------------
+The production path allocates nothing but the arrays it returns: every
+reusable buffer — operand slabs, score rectangles, band and epilogue
+vectors, the running accumulator, the weighted-sum and reciprocal
+temporaries — is a view of the process-wide scratch arena
+(:mod:`repro.accelerator.arena`), one grow-only buffer per name sized
+by the largest request ever seen, the way the accelerator runs every
+pass of every layer through one fixed set of SRAMs.  Plans keep only
+structural memos (``CompiledPlan.scratch``: masks, range facts,
+margins), so memory does not scale with cached plans or chunk shapes,
+and a never-seen structure of an already-served shape runs on touched
+pages.  The price is that the unit of isolation is the *process*:
+production runs of all engines share the arena, so :meth:`run` holds
+its lock and a run started from inside another run or from a second
+thread raises :class:`EngineError` instead of corrupting the first.
+Concurrency is by process — a forked transport worker inherits a
+copy-on-write image of the parent's arena and owns it from then on.
+The reference path (``mode="legacy"``) allocates as it goes and is not
+subject to the guard.
+
 Batch axis (multi-sequence serving)
 -----------------------------------
 :meth:`FunctionalEngine.run` also accepts a leading batch axis
@@ -107,6 +128,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from ..scheduler.compiled import WindowJob, _arange_start
 from ..scheduler.plan import ExecutionPlan, TilePass
+from .arena import ARENA
 from .datapath import Datapath
 from .weighted_sum import WeightedSumModule
 
@@ -115,6 +137,10 @@ __all__ = ["FunctionalEngine", "FunctionalResult", "EngineError"]
 
 class EngineError(RuntimeError):
     """Raised when a plan cannot be executed on the given data."""
+
+
+# Every reusable buffer of the production path is an arena view.
+_buf, _zbuf = ARENA.buf, ARENA.zbuf
 
 
 class _Slab(NamedTuple):
@@ -209,19 +235,15 @@ class _BatchAccumulator:
     """
 
     def __init__(self, lanes: int, n: int, d: int, module: WeightedSumModule) -> None:
-        self.out = np.zeros((lanes, n, d), dtype=np.float64)
-        self.w = np.zeros((lanes, n), dtype=np.float64)
-        self.has = np.zeros((lanes, n), dtype=bool)
-        self.parts = np.zeros((lanes, n), dtype=np.int64)
-        self.module = module
-        self.merges = 0
-
-    def reset(self) -> None:
-        """Zero the running state so the instance can serve another call."""
+        self.out = _buf("acc_out", (lanes, n, d))
+        self.w = _buf("acc_w", (lanes, n))
+        self.has = _buf("acc_has", (lanes, n), np.bool_)
+        self.parts = _buf("acc_parts", (lanes, n), np.int64)
         self.out.fill(0.0)
         self.w.fill(0.0)
         self.has.fill(False)
         self.parts.fill(0)
+        self.module = module
         self.merges = 0
 
     def add_part(
@@ -390,7 +412,18 @@ class FunctionalEngine:
         lens = self._check_valid_lens(valid_lens, q)
 
         if self.tiled:
-            return self._run_compiled_tiled(q, k, v, scale, lens)
+            # One arena per process: a run from inside a run, or from a
+            # second thread, would overwrite the buffers of the first.
+            if not ARENA.lock.acquire(blocking=False):
+                raise EngineError(
+                    "the process-wide scratch arena (repro.accelerator.arena.ARENA) is "
+                    "in use by another FunctionalEngine.run; production runs do not "
+                    "nest or overlap across threads — use one process per concurrent run"
+                )
+            try:
+                return self._run_compiled_tiled(q, k, v, scale, lens)
+            finally:
+                ARENA.lock.release()
 
         if q.ndim == 3:
             # Reference semantics of a batch: independent per-sequence runs.
@@ -471,34 +504,10 @@ class FunctionalEngine:
     # two and every partial sum fits the double mantissa, so the BLAS
     # accumulation order — and the exact zeros of the rectangle padding —
     # cannot round: results are bit-identical to the ordered einsums of
-    # the reference path.  All buffers live in the plan's scratch dict, so
-    # warm calls on a cached plan perform no steady-state allocation.
-
-    @staticmethod
-    def _buf(sc: dict, name, shape, dtype=np.float64) -> np.ndarray:
-        """Grow-on-demand scratch buffer keyed by (name, shape, dtype)."""
-        key = ("buf", name, shape, np.dtype(dtype).str)
-        a = sc.get(key)
-        if a is None:
-            a = np.empty(shape, dtype=dtype)
-            sc[key] = a
-        return a
-
-    @staticmethod
-    def _zbuf(sc: dict, name, shape, dtype=np.float64) -> np.ndarray:
-        """Scratch buffer zeroed once at allocation.
-
-        For buffers whose writers always touch the same positions (the
-        scattered band of a score rectangle), everything outside those
-        positions stays exactly zero across reuses, so the per-use
-        ``fill(0)`` pass can be dropped.
-        """
-        key = ("zbuf", name, shape, np.dtype(dtype).str)
-        a = sc.get(key)
-        if a is None:
-            a = np.zeros(shape, dtype=dtype)
-            sc[key] = a
-        return a
+    # the reference path.  All buffers are views of the process arena
+    # (:mod:`repro.accelerator.arena`), so a call allocates only the
+    # arrays it returns — on a cached plan and, once the arena has seen
+    # the shapes, on a never-seen one too.
 
     def _rows(
         self,
@@ -520,8 +529,9 @@ class FunctionalEngine:
         come without one (global tokens, global-row key batches) are
         compared against an exact range once.  A range is a zero-copy
         slice of the edge-padded slab; anything else — dilated bands,
-        ``G > 1`` — is gathered into scratch buffer ``name`` through a
-        contiguous index.  Either answer is memoized under ``key``.
+        ``G > 1`` — is gathered into arena buffer ``name`` through a
+        contiguous index.  Either answer is memoized under ``key`` in
+        the plan's ``scratch``.
         """
         how = sc.get(key)
         if how is None:
@@ -535,7 +545,7 @@ class FunctionalEngine:
             lo = slab.head + how
             return slab.base[lanes, lo : lo + ids.size]
         src = slab.core[lanes]
-        out = self._buf(sc, name, (src.shape[0], how.size, src.shape[2]))
+        out = _buf(name, (src.shape[0], how.size, src.shape[2]))
         np.take(src, how, axis=1, out=out, mode="clip")
         return out
 
@@ -549,23 +559,16 @@ class FunctionalEngine:
     ) -> FunctionalResult:
         plan = self.plan
         cp = plan.compiled()
-        sc = cp.scratch
         n, d, heads = plan.n, plan.head_dim, plan.heads
         batched = q.ndim == 3
         b = q.shape[0] if batched else 1
         lanes = b * heads
         lane_lens = None if lens is None else np.repeat(lens, heads)
         margins = self._slab_margins(cp)
-        qh = self._lane_slab(sc, "q", q, b, n, heads, d, margins)
-        kh = self._lane_slab(sc, "k", k, b, n, heads, d, margins)
-        vh = self._lane_slab(sc, "v", v, b, n, heads, d, margins)
-        acc = sc.get(("acc", lanes))
-        if acc is None:
-            acc = _BatchAccumulator(lanes, n, d, self.module)
-            sc[("acc", lanes)] = acc
-        else:
-            acc.module = self.module  # scratch follows the engine in use
-            acc.reset()
+        qh = self._lane_slab("q", q, b, n, heads, d, margins)
+        kh = self._lane_slab("k", k, b, n, heads, d, margins)
+        vh = self._lane_slab("v", v, b, n, heads, d, margins)
+        acc = _BatchAccumulator(lanes, n, d, self.module)
 
         for chain in cp.job_chains:
             self._run_chain_tiled(cp, chain, qh, kh, vh, scale, acc, lane_lens)
@@ -582,8 +585,8 @@ class FunctionalEngine:
                 f"queries {missing[:8].tolist()}... received no attention part; "
                 "the pattern leaves them without keys"
             )
-        # The accumulator buffers are reused across calls, so the caller
-        # -owned results must be fresh copies.
+        # The accumulator lives in the arena, so the caller-owned results
+        # must be fresh copies.
         parts = acc.parts.reshape(b, heads, n).copy()
         output = np.empty((b, n, heads * d), dtype=np.float64)
         np.copyto(
@@ -597,7 +600,6 @@ class FunctionalEngine:
 
     def _lane_slab(
         self,
-        sc: dict,
         name: str,
         x: np.ndarray,
         b: int,
@@ -610,11 +612,11 @@ class FunctionalEngine:
 
         Quantising is elementwise, so each lane holds exactly the values
         the reference path's per-head ``quantize_input`` produces,
-        written through a cached buffer; the ``(head, tail)`` margin
+        written through an arena buffer; the ``(head, tail)`` margin
         rows are then filled from the core's edge rows.
         """
         head, tail = margins
-        base = self._buf(sc, ("slab", name), (b * heads, head + n + tail, d))
+        base = _buf(("slab", name), (b * heads, head + n + tail, d))
         core = base[:, head : head + n]
         # The transpose copy fuses into the quantiser's first multiply
         # (its read may be any strided view), saving one full pass.
@@ -702,7 +704,6 @@ class FunctionalEngine:
         parts from earlier jobs replay exactly the reference path's
         sequential per-pass merges.
         """
-        sc = cp.scratch
         jobs = [cp.window_jobs[ji] for ji in chain.jobs]
         job0 = jobs[0]
         lanes, _, d = qh.core.shape
@@ -723,15 +724,17 @@ class FunctionalEngine:
             has_run = acc.has[:, base : base + cells].reshape(lanes, G, B, R)
             parts_run = acc.parts[:, base : base + cells].reshape(lanes, G, B, R)
         else:
-            # Zeroed at allocation only: stale out/w values at non-kept
-            # cells are gated out of every merge by the has masks and
-            # never committed (and stay bounded, unlike raw np.empty
-            # garbage), so the per-chain fill of the two big buffers can
-            # be dropped; the masks themselves do need clearing.
-            out_run = self._zbuf(sc, "chain_out", (lanes, G, B, R, d))
-            w_run = self._zbuf(sc, "chain_w", (lanes, G, B, R))
-            has_run = self._buf(sc, "chain_has", (lanes, G, B, R), np.bool_)
-            parts_run = self._buf(sc, "chain_parts", (lanes, G, B, R), np.int64)
+            # Zero-invariant arena views (filled only when last served
+            # at another shape): stale out/w values at non-kept cells —
+            # this chain's or another same-shape chain's — are gated out
+            # of every merge by the has masks and never committed (and
+            # stay bounded, unlike raw np.empty garbage), so the per
+            # -chain fill of the two big buffers can be dropped; the
+            # masks themselves do need clearing.
+            out_run = _zbuf("chain_out", (lanes, G, B, R, d))
+            w_run = _zbuf("chain_w", (lanes, G, B, R))
+            has_run = _buf("chain_has", (lanes, G, B, R), np.bool_)
+            parts_run = _buf("chain_parts", (lanes, G, B, R), np.int64)
             has_run.fill(False)
             parts_run.fill(0)
             # Seed the kept cells with the accumulator's current state
@@ -748,9 +751,9 @@ class FunctionalEngine:
                     :, q0 : q0 + M
                 ]
             else:
-                cb_out = self._buf(sc, "commit_out", (lanes, M, d))
-                cb_w = self._buf(sc, "commit_w", (lanes, M))
-                cb_has = self._buf(sc, "commit_has", (lanes, M), np.bool_)
+                cb_out = _buf("commit_out", (lanes, M, d))
+                cb_w = _buf("commit_w", (lanes, M))
+                cb_has = _buf("commit_has", (lanes, M), np.bool_)
                 np.take(acc.out, flat_q, axis=1, out=cb_out, mode="clip")
                 np.take(acc.w, flat_q, axis=1, out=cb_w, mode="clip")
                 np.take(acc.has, flat_q, axis=1, out=cb_has, mode="clip")
@@ -802,10 +805,10 @@ class FunctionalEngine:
                         # select per cell — merged where both sides have
                         # work, assigned where only the new part does,
                         # untouched otherwise — all via masked copies.
-                        both = self._buf(sc, "sel_both", w.shape, np.bool_)
-                        fresh = self._buf(sc, "sel_fresh", w.shape, np.bool_)
-                        mout = self._buf(sc, "sel_out", out5.shape)
-                        mw = self._buf(sc, "sel_w", w.shape)
+                        both = _buf("sel_both", w.shape, np.bool_)
+                        fresh = _buf("sel_fresh", w.shape, np.bool_)
+                        mout = _buf("sel_out", out5.shape)
+                        mw = _buf("sel_w", w.shape)
                         np.logical_and(has, rh, out=both)
                         np.greater(has, rh, out=fresh)  # has & ~rh
                         np.copyto(mout, ro)
@@ -829,10 +832,10 @@ class FunctionalEngine:
                 :, k0 : k0 + M
             ]
         else:
-            cb_out = self._buf(sc, "commit_out", (lanes, M, d))
-            cb_w = self._buf(sc, "commit_w", (lanes, M))
-            cb_has = self._buf(sc, "commit_has", (lanes, M), np.bool_)
-            cb_parts = self._buf(sc, "commit_parts", (lanes, M), np.int64)
+            cb_out = _buf("commit_out", (lanes, M, d))
+            cb_w = _buf("commit_w", (lanes, M))
+            cb_has = _buf("commit_has", (lanes, M), np.bool_)
+            cb_parts = _buf("commit_parts", (lanes, M), np.int64)
             flat = out_run.reshape(lanes, cells, d)
             np.take(flat, flat_keep, axis=1, out=cb_out, mode="clip")
             np.take(w_run.reshape(lanes, cells), flat_keep, axis=1, out=cb_w, mode="clip")
@@ -868,7 +871,7 @@ class FunctionalEngine:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Stages 1–5 of one (lane tile, block chunk) of a window job.
 
-        Returns ``(out, w, has)`` scratch views shaped
+        Returns ``(out, w, has)`` arena views shaped
         ``(Tc, G, Bc, R, d)`` / ``(Tc, G, Bc, R)``; the caller must
         consume them before the next call reuses the buffers.
         """
@@ -889,22 +892,22 @@ class FunctionalEngine:
             _shift(job.q_start, b0 * R),
             tile,
         ).reshape(Tc, G, Bc, R, d)
-        band = self._buf(sc, "job_band", (Tc, G, Bc, R, C))
+        band = _buf("job_band", (Tc, G, Bc, R, C))
         col0 = 0
         for s, seg in enumerate(job.segments):
             W = seg.width
             span = R + W - 1
             kview = self._stream_view(sc, kh, "job_k", job, s, b0, b1, tile)
-            rect = self._buf(sc, ("job_rect", s), (Tc, G, Bc, R, span))
+            rect = _buf(("job_rect", s), (Tc, G, Bc, R, span))
             np.matmul(qv, kview.swapaxes(-1, -2), out=rect)
             rs = rect.strides
             bandv = as_strided(rect, (Tc, G, Bc, R, W), rs[:3] + (rs[3] + rs[4], rs[4]))
             np.copyto(band[..., col0 : col0 + W], bandv)
             col0 += W
         w, has = self._job_epilogue(cp, job, band, scale, t0, t1, b0, b1, lane_lens)
-        out5 = self._buf(sc, "job_out", (Tc, G, Bc, R, d))
+        out5 = _buf("job_out", (Tc, G, Bc, R, d))
         tmp5 = (
-            self._buf(sc, "job_out2", (Tc, G, Bc, R, d))
+            _buf("job_out2", (Tc, G, Bc, R, d))
             if len(job.segments) > 1
             else None
         )
@@ -912,9 +915,9 @@ class FunctionalEngine:
         for s, seg in enumerate(job.segments):
             W = seg.width
             span = R + W - 1
-            # Zeroed once at allocation; every use scatters into the same
-            # band positions (the stage-1 rect holds garbage off-band).
-            rect = self._zbuf(sc, ("job_rect5", s), (Tc, G, Bc, R, span))
+            # Zero-invariant: every use of one shape scatters into the
+            # same band positions (the stage-1 rect holds garbage off-band).
+            rect = _zbuf(("job_rect5", s), (Tc, G, Bc, R, span))
             rs = rect.strides
             bandv = as_strided(rect, (Tc, G, Bc, R, W), rs[:3] + (rs[3] + rs[4], rs[4]))
             np.copyto(bandv, band[..., col0 : col0 + W])
@@ -994,11 +997,11 @@ class FunctionalEngine:
         lmask = None
         if lane_lens is not None:
             ids = self._segment_key_ids(job, b0, b1)
-            lmask = self._buf(sc, "job_lmask", (Tc, G, Bc, R, C), np.bool_)
+            lmask = _buf("job_lmask", (Tc, G, Bc, R, C), np.bool_)
             np.less(ids[None], lane_lens[t0:t1, None, None, None, None], out=lmask)
-        w = self._buf(sc, "job_w", (Tc, G, Bc, R))
-        has = self._buf(sc, "job_has", (Tc, G, Bc, R), np.bool_)
-        self._band_epilogue(sc, band, validf, lmask, scale, w, has)
+        w = _buf("job_w", (Tc, G, Bc, R))
+        has = _buf("job_has", (Tc, G, Bc, R), np.bool_)
+        self._band_epilogue(band, validf, lmask, scale, w, has)
         # Rows the window path never merges (global queries, padding) are
         # dropped by the reference path before its accumulator call
         # (``_run_window_pass``); clearing their ``has`` excludes them
@@ -1062,11 +1065,10 @@ class FunctionalEngine:
         each per-cell dot product is the identical exact integer
         regardless of the surrounding GEMM width, so extracting a job's
         band from the wide rectangle is bit-identical to the per-job
-        GEMM it replaces.  Yields per-job ``(out, w, has)`` scratch
+        GEMM it replaces.  Yields per-job ``(out, w, has)`` arena
         views in schedule order; stage 5 stays per job (each job
         normalises and merges its own probabilities).
         """
-        sc = cp.scratch
         dp = self.datapath
         qf, kf, vf, span, L, step, offs, widths = wide
         job0 = jobs[0]
@@ -1081,14 +1083,14 @@ class FunctionalEngine:
         st, sg, sl, sd = kr.strides
         vt, vg, vl, vd = vr.strides
         kview = as_strided(kr, (Tc, G, Bc, span, d), (st, sg, step * sl, sl, sd))
-        rect = self._buf(sc, "wide_rect", (Tc, G, Bc, R, span))
+        rect = _buf("wide_rect", (Tc, G, Bc, R, span))
         np.matmul(qv, kview.swapaxes(-1, -2), out=rect)
         rs = rect.strides
         for jpos, job in enumerate(jobs):
             W = widths[jpos]
             off = offs[jpos]
             span_j = R + W - 1
-            band = self._buf(sc, "job_band", (Tc, G, Bc, R, W))
+            band = _buf("job_band", (Tc, G, Bc, R, W))
             bandv = as_strided(
                 rect[..., off:], (Tc, G, Bc, R, W), rs[:3] + (rs[3] + rs[4], rs[4])
             )
@@ -1096,9 +1098,9 @@ class FunctionalEngine:
             w, has = self._job_epilogue(
                 cp, job, band, scale, t0, t1, b0, b1, lane_lens
             )
-            # Zeroed once at allocation: each use scatters the band into
-            # the same strided positions, everything else stays 0.
-            rect5 = self._zbuf(sc, "wide_rect5", (Tc, G, Bc, R, span_j))
+            # Zero-invariant: each use of one shape scatters the band
+            # into the same strided positions, everything else stays 0.
+            rect5 = _zbuf("wide_rect5", (Tc, G, Bc, R, span_j))
             r5 = rect5.strides
             b5 = as_strided(
                 rect5, (Tc, G, Bc, R, W), r5[:3] + (r5[3] + r5[4], r5[4])
@@ -1109,7 +1111,7 @@ class FunctionalEngine:
                 (Tc, G, Bc, span_j, d),
                 (vt, vg, step * vl, vl, vd),
             )
-            out5 = self._buf(sc, "job_out", (Tc, G, Bc, R, d))
+            out5 = _buf("job_out", (Tc, G, Bc, R, d))
             np.matmul(rect5, vview, out=out5)
             dp.quantize_output_into(out5, out5, bounded=q5)
             yield out5, w, has
@@ -1120,7 +1122,6 @@ class FunctionalEngine:
 
     def _band_epilogue(
         self,
-        sc: dict,
         band: np.ndarray,
         validf: Optional[np.ndarray],
         lmask: Optional[np.ndarray],
@@ -1142,7 +1143,7 @@ class FunctionalEngine:
         lut = self._exp_table(scale)
         if lut is not None:
             table, cmul, off = lut
-            idx = self._buf(sc, ("exp_idx",), band.shape, np.int64)
+            idx = _buf("exp_idx", band.shape, np.int64)
             np.multiply(band, cmul, out=band)  # exact: scores -> grid codes
             np.subtract(band, off, out=band)
             np.copyto(idx, band, casting="unsafe")
@@ -1156,8 +1157,8 @@ class FunctionalEngine:
             np.multiply(band, lmask, out=band)
         band.sum(axis=-1, out=w)
         np.greater(w, 0.0, out=has)
-        wsafe = self._buf(sc, ("epi_wsafe",), w.shape)
-        inv = self._buf(sc, ("epi_inv",), w.shape)
+        wsafe = _buf("epi_wsafe", w.shape)
+        inv = _buf("epi_inv", w.shape)
         np.subtract(1.0, has, out=wsafe)
         np.add(wsafe, w, out=wsafe)
         dp.recip_into(wsafe, inv)
@@ -1199,12 +1200,12 @@ class FunctionalEngine:
         qg = self._rows(sc, qh, "gcol_q", ("gcol_rows",), rows, r0)
         kg = self._rows(sc, kh, "gcol_k", ("gcol_keys",), gtok)
         vg = self._rows(sc, vh, "gcol_v", ("gcol_keys",), gtok)
-        s = self._buf(sc, "gcol_s", (lanes, nr, ng))
+        s = _buf("gcol_s", (lanes, nr, ng))
         np.matmul(qg, kg.swapaxes(-1, -2), out=s)
-        w = self._buf(sc, "gcol_w", (lanes, nr))
-        has = self._buf(sc, "gcol_has", (lanes, nr), np.bool_)
-        self._band_epilogue(sc, s, None, None, scale, w, has)
-        out = self._buf(sc, "gcol_out", (lanes, nr, d))
+        w = _buf("gcol_w", (lanes, nr))
+        has = _buf("gcol_has", (lanes, nr), np.bool_)
+        self._band_epilogue(s, None, None, scale, w, has)
+        out = _buf("gcol_out", (lanes, nr, d))
         np.matmul(s, vg, out=out)
         dp.quantize_output_into(out, out, bounded=self._stage5_bounded(cp))
         if contig:
@@ -1225,13 +1226,13 @@ class FunctionalEngine:
                 # the weights with +1 at non-stale cells keeps every
                 # reciprocal operand positive; those lanes' merged
                 # values are discarded by the masked commit.
-                stale = self._buf(sc, "gcol_stale", (lanes, nr), np.bool_)
-                fresh = self._buf(sc, "gcol_fresh", (lanes, nr), np.bool_)
+                stale = _buf("gcol_stale", (lanes, nr), np.bool_)
+                fresh = _buf("gcol_fresh", (lanes, nr), np.bool_)
                 np.logical_and(has, a_has, out=stale)
                 np.greater(has, a_has, out=fresh)  # has & ~a_has
-                mo = self._buf(sc, "gcol_mo", (lanes, nr, d))
-                mw = self._buf(sc, "gcol_mw", (lanes, nr))
-                w2 = self._buf(sc, "gcol_w2", (lanes, nr))
+                mo = _buf("gcol_mo", (lanes, nr, d))
+                mw = _buf("gcol_mw", (lanes, nr))
+                w2 = _buf("gcol_w2", (lanes, nr))
                 np.copyto(mo, a_out)
                 np.subtract(1.0, stale, out=mw)
                 np.add(mw, a_w, out=mw)
@@ -1283,7 +1284,7 @@ class FunctionalEngine:
     def _run_global_rows_tiled(
         self, cp, qh, kh, vh, scale, acc, lane_lens: Optional[np.ndarray] = None
     ) -> None:
-        """Global PE row via GEMM + fused epilogue in plan scratch.
+        """Global PE row via GEMM + fused epilogue in arena buffers.
 
         Same batches (``ExecutionPlan.global_row_schedule``) and the
         same sequential merge chain as the reference path's
@@ -1301,9 +1302,9 @@ class FunctionalEngine:
         dp = self.datapath
         lanes, _, d = qh.core.shape
         num_g = len(gtok)
-        out = self._buf(sc, "grow_out", (lanes, num_b, num_g, d))
-        w = self._buf(sc, "grow_w", (lanes, num_b, num_g))
-        has = self._buf(sc, "grow_has", (lanes, num_b, num_g), np.bool_)
+        out = _buf("grow_out", (lanes, num_b, num_g, d))
+        w = _buf("grow_w", (lanes, num_b, num_g))
+        has = _buf("grow_has", (lanes, num_b, num_g), np.bool_)
         qg = self._rows(sc, qh, "grow_qg", ("grow_q",), gtok)
         buckets = sc.get(("grow_buckets",))
         if buckets is None:
@@ -1323,18 +1324,18 @@ class FunctionalEngine:
             # flattened key matrix is one range: a slice of the slabs.
             kv = self._rows(sc, kh, "grow_k", ("grow_keys", L), keys).reshape(lanes, nb, L, d)
             vv = self._rows(sc, vh, "grow_v", ("grow_keys", L), keys).reshape(lanes, nb, L, d)
-            s = self._buf(sc, ("grow_s", L, nb), (lanes, nb, num_g, L))
+            s = _buf("grow_s", (lanes, nb, num_g, L))
             np.matmul(qg[:, None], kv.swapaxes(-1, -2), out=s)
             lmask = None
             if lane_lens is not None:
-                lmask = self._buf(sc, ("grow_lmask", L, nb), (lanes, nb, 1, L), np.bool_)
+                lmask = _buf("grow_lmask", (lanes, nb, 1, L), np.bool_)
                 np.less(
                     keys[None, :, None, :], lane_lens[:, None, None, None], out=lmask
                 )
-            bw = self._buf(sc, ("grow_bw", L, nb), (lanes, nb, num_g))
-            bh = self._buf(sc, ("grow_bh", L, nb), (lanes, nb, num_g), np.bool_)
-            self._band_epilogue(sc, s, None, lmask, scale, bw, bh)
-            bo = self._buf(sc, ("grow_bo", L, nb), (lanes, nb, num_g, d))
+            bw = _buf("grow_bw", (lanes, nb, num_g))
+            bh = _buf("grow_bh", (lanes, nb, num_g), np.bool_)
+            self._band_epilogue(s, None, lmask, scale, bw, bh)
+            bo = _buf("grow_bo", (lanes, nb, num_g, d))
             np.matmul(s, vv, out=bo)
             dp.quantize_output_into(bo, bo, bounded=self._stage5_bounded(cp))
             out[:, bidx] = bo
@@ -1360,10 +1361,10 @@ class FunctionalEngine:
         # state and commit it to the accumulator once at the end.
         heads, _, num_g, d = out.shape
         sc = cp.scratch
-        out_run = self._buf(sc, "grow_run_out", (heads, num_g, d))
-        w_run = self._buf(sc, "grow_run_w", (heads, num_g))
-        has_run = self._buf(sc, "grow_run_has", (heads, num_g), np.bool_)
-        parts_run = self._buf(sc, "grow_run_parts", (heads, num_g), np.int64)
+        out_run = _buf("grow_run_out", (heads, num_g, d))
+        w_run = _buf("grow_run_w", (heads, num_g))
+        has_run = _buf("grow_run_has", (heads, num_g), np.bool_)
+        parts_run = _buf("grow_run_parts", (heads, num_g), np.int64)
         out_run.fill(0.0)
         w_run.fill(0.0)
         has_run.fill(False)

@@ -25,6 +25,7 @@ from typing import Optional
 
 import numpy as np
 
+from .arena import ARENA
 from .functional import FunctionalEngine
 
 __all__ = ["HAVE_NUMBA", "JitFunctionalEngine"]
@@ -81,7 +82,7 @@ class JitFunctionalEngine(FunctionalEngine):
 
     Construction requires numba (the backend is absent from the registry
     otherwise, so ordinary users can never reach this error).  Engine
-    semantics, plan compilation, scratch management and capability flags
+    semantics, plan compilation, arena buffers and capability flags
     are inherited unchanged from :class:`FunctionalEngine`; only the
     band epilogue's elementwise pipeline is swapped for the fused
     kernels above when the direct exp table applies, falling back to the
@@ -97,7 +98,7 @@ class JitFunctionalEngine(FunctionalEngine):
             )
         super().__init__(*args, **kwargs)
 
-    def _band_epilogue(self, sc, band, validf, lmask, scale, w, has) -> None:
+    def _band_epilogue(self, band, validf, lmask, scale, w, has) -> None:
         lut = self._exp_table(scale)
         pf = self.datapath.prob_format
         fusable = (
@@ -111,13 +112,13 @@ class JitFunctionalEngine(FunctionalEngine):
             and has.flags.c_contiguous
         )
         if not fusable:
-            return super()._band_epilogue(sc, band, validf, lmask, scale, w, has)
+            return super()._band_epilogue(band, validf, lmask, scale, w, has)
         table, cmul, off = lut
         flat = band.reshape(-1, band.shape[-1])
         wf = w.reshape(-1)
         _fused_exp_rowsum(flat, table, cmul, off, wf)
-        wsafe = self._buf(sc, ("epi_wsafe",), w.shape)
-        inv = self._buf(sc, ("epi_inv",), w.shape)
+        wsafe = ARENA.buf("epi_wsafe", w.shape)
+        inv = ARENA.buf("epi_inv", w.shape)
         np.greater(wf, 0.0, out=has.reshape(-1))
         np.subtract(1.0, has, out=wsafe)
         np.add(wsafe, w, out=wsafe)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.config import NumericsConfig
+from .arena import ARENA
 from .fixed_point import FixedPointFormat
 
 __all__ = ["ReciprocalUnit"]
@@ -31,7 +32,6 @@ class ReciprocalUnit:
     lut_bits: int
     mantissa_format: FixedPointFormat
     table: np.ndarray = field(init=False, repr=False)
-    _scratch: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.lut_bits < 1:
@@ -62,23 +62,20 @@ class ReciprocalUnit:
         return np.ldexp(self.table[idx], -e)
 
     def into(self, w: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Allocation-free :meth:`__call__` (after the first call per shape).
+        """Allocation-free :meth:`__call__` (once the arena has grown).
 
         Same elementwise shift-normalise / LUT / denormalise sequence as
         :meth:`__call__`, so bit-identical — but the positivity check is
         the *caller's* contract (the fused epilogue substitutes a safe
         operand into empty rows before calling).  ``w`` may alias ``out``.
-        Not thread-safe.
+        The three temporaries are views of the process arena
+        (:mod:`repro.accelerator.arena`), shared by every unit instance:
+        one call at a time per process (the engine holds the arena's
+        lock around a run).
         """
-        sc = self._scratch.get(w.shape)
-        if sc is None:
-            sc = (
-                np.empty(w.shape, dtype=np.float64),  # mantissa
-                np.empty(w.shape, dtype=np.intc),  # exponent
-                np.empty(w.shape, dtype=np.int64),  # LUT index
-            )
-            self._scratch[w.shape] = sc
-        mant, e, idx = sc
+        mant = ARENA.buf("recip_mant", w.shape)
+        e = ARENA.buf("recip_exp", w.shape, np.intc)
+        idx = ARENA.buf("recip_idx", w.shape, np.int64)
         np.frexp(w, mant, e)  # w = mant * 2**e, mant in [0.5, 1)
         np.multiply(mant, 2.0, out=mant)  # [1, 2)
         np.subtract(e, 1, out=e)

@@ -15,11 +15,12 @@ even after quantisation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
+from .arena import ARENA
 from .datapath import Datapath
 
 __all__ = ["WeightedSumModule"]
@@ -30,7 +31,6 @@ class WeightedSumModule:
     """Hardware-faithful pairwise merge of partial attention outputs."""
 
     datapath: Datapath
-    _scratch: dict = field(init=False, repr=False, default_factory=dict)
 
     def merge(
         self,
@@ -70,22 +70,19 @@ class WeightedSumModule:
         Elementwise-identical to :meth:`merge` for any array shapes
         (``w*`` broadcast over a trailing feature axis of ``out*``), but
         writes the merged output into ``out1`` and the summed weight into
-        ``w1`` with zero steady-state allocation.  Strictly positive
-        weights are the caller's contract (chain merges are gated on the
-        ``has`` mask, so both sides carry weight).  Not thread-safe.
+        ``w1``; its four temporaries are views of the process arena
+        (:mod:`repro.accelerator.arena`), shared with every other module
+        instance, so nothing is allocated once the arena has served a
+        request as large.  Strictly positive weights are the caller's
+        contract (chain merges are gated on the ``has`` mask, so both
+        sides carry weight).  One call at a time per process: the engine
+        holds the arena's lock around a run.
         """
         dp = self.datapath
-        key = (w1.shape, out1.shape)
-        sc = self._scratch.get(key)
-        if sc is None:
-            sc = (
-                np.empty(w1.shape, dtype=np.float64),  # total
-                np.empty(w1.shape, dtype=np.float64),  # a1
-                np.empty(w1.shape, dtype=np.float64),  # a2
-                np.empty(out1.shape, dtype=np.float64),  # a2 * out2
-            )
-            self._scratch[key] = sc
-        total, a1, a2, tmp = sc
+        total = ARENA.buf("merge_total", w1.shape)
+        a1 = ARENA.buf("merge_a1", w1.shape)
+        a2 = ARENA.buf("merge_a2", w1.shape)
+        tmp = ARENA.buf("merge_tmp", out1.shape)  # a2 * out2
         np.add(w1, w2, out=total)
         dp.recip_into(total, a1)
         np.multiply(a1, w1, out=a1)

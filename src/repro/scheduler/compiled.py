@@ -8,10 +8,16 @@ each call (``TilePass.key_ids`` concatenates segments and runs ``np.isin``
 per head x pass).  :class:`CompiledPlan` performs that derivation exactly
 once per :class:`~repro.scheduler.plan.ExecutionPlan` and stores:
 
-* padded per-pass tensors — ``q_ids`` ``(P, R)``, ``key_ids`` / ``valid``
-  ``(P, R, C)`` with sequence clipping *and* global-token exclusion
-  baked in, and ``keep`` ``(P, R)`` non-global row masks — consumed by
-  the cost models, ``plan.stats()`` and the window-job builder;
+* padded per-pass tensors — ``q_ids`` ``(P, R)``, ``valid`` ``(P, R, C)``
+  with sequence clipping *and* global-token exclusion baked in, and
+  ``keep`` ``(P, R)`` non-global row masks — consumed by the cost
+  models, ``plan.stats()`` and the window-job builder.  The key ids
+  themselves are not stored: nothing that executes reads them once
+  ``valid`` is derived, and at ``(P, R, C)`` int64 they would be
+  several times everything else a plan holds.  The plan keeps the
+  closed form's small pieces (``qpos``, ``col_base``, ``col_dil``) and
+  ``key_ids`` is a property that expands them on demand, for tests and
+  tools;
 * **window jobs** — the pass stream regrouped by
   ``(query group, column group, block run)``.  Within a job every pass
   shares its segment tuple and its query block starts advance uniformly,
@@ -183,6 +189,13 @@ class JobChain:
     keep_slice: Optional[Tuple[int, int]] = None  # (k0, q0): both flat aranges
 
 
+def _unmasked_key_ids(qpos: np.ndarray, col_base: np.ndarray, col_dil: np.ndarray) -> np.ndarray:
+    """``(P, R, C)`` key ids of the closed form (see :class:`PassIndex`), no masking."""
+    ids = np.multiply(qpos[:, :, None], col_dil[:, None, :])
+    ids += col_base[:, None, :]
+    return ids
+
+
 def _arange_start(a: np.ndarray) -> Optional[int]:
     """Start value when ``a`` is exactly a contiguous ascending range."""
     if a.size == 0:
@@ -321,11 +334,15 @@ class CompiledPlan:
     pad_cols: int  # C: padded PE-column count across all passes
     # -- per-pass padded tensors -------------------------------------
     q_ids: np.ndarray  # (P, R) int64, -1 on padding
-    key_ids: np.ndarray  # (P, R, C) int64, -1 masked, globals excluded
     valid: np.ndarray  # (P, R, C) bool
     keep: np.ndarray  # (P, R) bool: rows merged by the window path
     rows_used: np.ndarray  # (P,) int64
     cols_used: np.ndarray  # (P,) int64
+    # Closed form of the key ids (see PassIndex): cell (p, r, c) holds
+    # ``qpos[p, r] * col_dil[p, c] + col_base[p, c]`` where ``valid``.
+    qpos: np.ndarray  # (P, R) int64
+    col_base: np.ndarray  # (P, C) int64
+    col_dil: np.ndarray  # (P, C) int64
     # -- per-pass aggregates (single head) ---------------------------
     valid_counts: np.ndarray  # (P,) valid cells per pass (globals excluded)
     row_has_work: np.ndarray  # (P, R) bool: row has >= 1 valid cell
@@ -344,14 +361,20 @@ class CompiledPlan:
     _job_chains: Optional[Tuple[JobChain, ...]] = field(
         default=None, repr=False, compare=False
     )
-    # Per-plan execution scratch: engines key reusable buffers and
-    # static per-(job, chunk) index tensors here, so warm ``attend()``
-    # calls on a cached plan run with zero steady-state allocation.  The
-    # dict lives with the plan (and hence with the SALO plan-cache
+    # Per-plan structural memos of the engines: static per-(job, chunk)
+    # masks and index tensors, range facts, slab margins.  No buffers —
+    # those are views of the process arena (repro.accelerator.arena), so
+    # what a cached plan retains does not grow with its chunk shapes.
+    # The dict lives with the plan (and hence with the SALO plan-cache
     # entry), not with any one engine instance.
     scratch: dict = field(default_factory=dict, repr=False, compare=False)
 
     # ------------------------------------------------------------------
+    @property
+    def key_ids(self) -> np.ndarray:
+        """``(P, R, C)`` int64 key ids, ``-1`` where not ``valid``; derived per call."""
+        return np.where(self.valid, _unmasked_key_ids(self.qpos, self.col_base, self.col_dil), -1)
+
     @property
     def window_jobs(self) -> List[WindowJob]:
         """The engine's execution schedule, built on first use."""
@@ -908,8 +931,7 @@ def compile_plan(plan: "ExecutionPlan") -> CompiledPlan:
     q_ids = np.where(
         row_valid, index.residues[:, None] + index.qpos * index.dilations[:, None], -1
     )
-    key_ids = np.multiply(index.qpos[:, :, None], index.col_dil[:, None, :])
-    key_ids += index.col_base[:, None, :]
+    key_ids = _unmasked_key_ids(index.qpos, index.col_base, index.col_dil)
     valid = (key_ids >= 0) & (key_ids < n)
     valid &= row_valid[:, :, None]
     gtok = np.asarray(plan.global_tokens, dtype=np.int64)
@@ -917,7 +939,7 @@ def compile_plan(plan: "ExecutionPlan") -> CompiledPlan:
     if len(gtok):
         valid &= ~np.isin(key_ids, gtok)
         keep = row_valid & ~np.isin(q_ids, gtok)
-    np.putmask(key_ids, ~valid, -1)
+    del key_ids  # a compile-time temporary: the plan keeps its closed form
 
     valid_counts = valid.sum(axis=(1, 2)).astype(np.int64)
     row_has_work = valid.any(axis=2)
@@ -964,11 +986,13 @@ def compile_plan(plan: "ExecutionPlan") -> CompiledPlan:
         pad_rows=pad_rows,
         pad_cols=pad_cols,
         q_ids=q_ids,
-        key_ids=key_ids,
         valid=valid,
         keep=keep,
         rows_used=rows_used,
         cols_used=cols_used,
+        qpos=index.qpos,
+        col_base=index.col_base,
+        col_dil=index.col_dil,
         valid_counts=valid_counts,
         row_has_work=row_has_work,
         distinct_per_pass=index.distinct,

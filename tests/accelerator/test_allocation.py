@@ -1,7 +1,8 @@
 """Zero steady-state allocation: the tiled hot path's committed contract.
 
 After one warmup call on a plan, every buffer the compiled path touches
-lives in the plan's scratch (or aliases the accumulator), so a warm
+is a view of the process-wide scratch arena
+(``repro.accelerator.arena``), the accumulator included, so a warm
 ``run`` may allocate only what it *returns* — the output array and the
 per-row part counts, which the caller owns — plus a small fixed slack
 for result objects and interpreter noise.  The gate is deliberately

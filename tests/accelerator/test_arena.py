@@ -1,0 +1,345 @@
+"""The process-wide scratch arena: exact under sharing, bounded, guarded.
+
+Every reusable buffer of the production path is a view of
+``repro.accelerator.arena.ARENA`` — one grow-only byte buffer per name,
+shared by every plan, engine and ``Runtime`` of the process.  Pinned
+here: interleaved calls over plans that use the same names at different
+shapes stay bit-identical to the per-pass reference (the zero-invariant
+buffers are the risk); the arena holds the per-name maxima and nothing
+else; its name set does not grow with the structures served; a cold
+attend of an already-served shape retains only the plan; concurrent
+runs are refused, not corrupted; and ``CompiledPlan.key_ids``, no longer
+stored, still derives the per-pass reference.
+"""
+
+import dataclasses
+import functools
+import gc
+import importlib.util
+import threading
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.accelerator.functional as functional
+from repro import Runtime
+from repro.accelerator.arena import ARENA, ScratchArena
+from repro.accelerator.functional import EngineError, FunctionalEngine
+from repro.core.config import HardwareConfig
+from repro.patterns.base import Band
+from repro.patterns.hybrid import HybridSparsePattern
+from repro.patterns.library import longformer_pattern, vil_pattern
+from repro.scheduler.scheduler import DataScheduler
+
+TINY = HardwareConfig(pe_rows=4, pe_cols=4)
+HEADS, HEAD_DIM = 2, 4
+
+
+def _plan(pattern, config=TINY):
+    return DataScheduler(config, strict_global_bound=False).schedule(
+        pattern, heads=HEADS, head_dim=HEAD_DIM
+    )
+
+
+@pytest.fixture
+def fresh_arena():
+    """An arena that has served nothing (the buffers are scratch: safe to drop)."""
+    ARENA.__init__()
+    yield ARENA
+    ARENA.__init__()
+
+
+# ----------------------------------------------------------------------
+# (a) sharing is exact
+# ----------------------------------------------------------------------
+# One wide Longformer chain per plan, chunked at 34 / 12 / 7(+6) blocks
+# on the same PE array (``wide_rect5``, ``chain_*`` at three shapes), a
+# packed multi-segment ViL plan and a dilated band with G > 1 families
+# (``("job_rect5", s)`` and ``wide_rect5`` at yet other shapes).
+SHARED_PLANS = [
+    _plan(longformer_pattern(140, 12, (0,))),
+    _plan(longformer_pattern(52, 12, (0,))),
+    # 1248 B is one block's working set here: a 7-block chunk, one lane a tile.
+    _plan(
+        longformer_pattern(140, 12, (0,)),
+        HardwareConfig(pe_rows=4, pe_cols=4, tile_bytes=7 * 1248),
+    ),
+    _plan(vil_pattern(9, 7, 5, (0,)), HardwareConfig(pe_rows=8, pe_cols=16, lane_tile=3)),
+    _plan(HybridSparsePattern(30, [Band(-6, 6, 3)], (0,))),
+]
+SHARED_ENGINES = [FunctionalEngine(plan) for plan in SHARED_PLANS]
+BATCHES = (1, 3, 8)
+
+
+@functools.lru_cache(maxsize=None)
+def _operands(plan_i, batch, padded):
+    """Deterministic ``(q, k, v, valid_lens)`` of one kind of call."""
+    n = SHARED_PLANS[plan_i].n
+    rng = np.random.default_rng(1000 * plan_i + batch)
+    q, k, v = (rng.standard_normal((batch, n, HEADS * HEAD_DIM)) for _ in range(3))
+    lens = rng.integers(n // 3, n + 1, size=batch) if padded else None
+    return q, k, v, lens
+
+
+@functools.lru_cache(maxsize=None)
+def _reference(plan_i, batch, padded):
+    q, k, v, lens = _operands(plan_i, batch, padded)
+    return FunctionalEngine(SHARED_PLANS[plan_i], mode="legacy").run(q, k, v, valid_lens=lens)
+
+
+def test_shared_plans_reuse_zero_invariant_names_at_other_shapes(monkeypatch):
+    """The premise of the property below, observed rather than assumed."""
+    shapes = {}
+    zbuf = functional._zbuf
+
+    def spy(name, shape, dtype=np.float64):
+        shapes.setdefault(name, set()).add(shape)
+        return zbuf(name, shape, dtype)
+
+    monkeypatch.setattr(functional, "_zbuf", spy)
+    for i, engine in enumerate(SHARED_ENGINES):
+        for batch in (1, 3):  # lane tiles of 2 and 3 on the ViL plan
+            q, k, v, _ = _operands(i, batch, False)
+            engine.run(q, k, v)
+    assert {s[2] for s in shapes["wide_rect5"]} >= {34, 12, 7, 6}
+    for name in ("wide_rect5", "chain_out", "chain_w", ("job_rect5", 0)):
+        assert len(shapes[name]) > 1, name
+
+
+@given(
+    calls=st.lists(
+        st.tuples(
+            st.integers(0, len(SHARED_PLANS) - 1), st.sampled_from(BATCHES), st.booleans()
+        ),
+        min_size=2,
+        max_size=10,
+    )
+)
+@settings(max_examples=25, deadline=None)
+def test_interleaved_calls_match_the_reference_call_by_call(calls):
+    for plan_i, batch, padded in calls:
+        q, k, v, lens = _operands(plan_i, batch, padded)
+        got = SHARED_ENGINES[plan_i].run(q, k, v, valid_lens=lens)
+        ref = _reference(plan_i, batch, padded)
+        assert np.array_equal(got.output, ref.output), (plan_i, batch, padded)
+        assert np.array_equal(got.parts, ref.parts)
+        assert got.merges == ref.merges
+
+
+# ----------------------------------------------------------------------
+# (b) grow-only, sized by the largest request, no stale views
+# ----------------------------------------------------------------------
+def test_views_of_a_grown_name_leave_the_old_buffer():
+    arena = ScratchArena()
+    small = arena.buf("x", (4, 8))
+    assert arena.buf("x", (4, 8)) is small  # memoized
+    old = arena.storage("x")
+    large = arena.buf("x", (64, 8))
+    assert arena.sizes() == {"x": 64 * 8 * 8}
+    again = arena.buf("x", (4, 8))
+    assert again is not small
+    assert np.shares_memory(again, large) and not np.shares_memory(again, old)
+    assert arena.buf("x", (2, 3), np.bool_).dtype == np.bool_
+    assert arena.sizes() == {"x": 64 * 8 * 8}  # smaller requests never shrink it
+
+
+def test_zero_invariant_views_are_refilled_only_when_they_must_be():
+    arena = ScratchArena()
+    a = arena.zbuf("z", (3, 5))
+    assert not a.any()
+    a[1, 2] = 7.0  # a writer's own position: same-shape users overwrite it
+    assert arena.zbuf("z", (3, 5))[1, 2] == 7.0
+    assert not arena.zbuf("z", (5, 3)).any()  # another shape: refilled
+    assert not arena.zbuf("z", (3, 5)).any()  # and so is the way back
+    arena.zbuf("z", (3, 5))[0, 0] = 1.0
+    assert not arena.zbuf("z", (30, 5)).any()  # grown: fresh storage, filled
+    assert not arena.zbuf("z", (3, 5)).any()
+
+
+def test_view_memo_is_bounded(monkeypatch):
+    arena = ScratchArena()
+    monkeypatch.setattr(ScratchArena, "MAX_VIEWS", 8)
+    arena.buf("x", (64,))
+    for size in range(1, 40):
+        arena.buf("x", (size,))[:] = size
+    assert len(arena._views) <= 8
+    assert arena.sizes() == {"x": 64 * 8}
+
+
+def test_small_large_small_attends(fresh_arena):
+    small, large = SHARED_ENGINES[1], SHARED_ENGINES[0]
+    qs, ks, vs, _ = _operands(1, 3, False)
+    ql, kl, vl, _ = _operands(0, 8, False)
+
+    first = small.run(qs, ks, vs)
+    only_small = ARENA.sizes()
+    large.run(ql, kl, vl)
+    grown = ARENA.sizes()
+    assert all(grown[name] >= size for name, size in only_small.items())
+    again = small.run(qs, ks, vs)
+    assert np.array_equal(again.output, first.output)
+    assert np.array_equal(again.output, _reference(1, 3, False).output)
+    assert ARENA.sizes() == grown  # the small plan fits what the large one left
+
+    ARENA.__init__()
+    large.run(ql, kl, vl)
+    only_large = ARENA.sizes()
+    assert grown == {
+        name: max(only_small.get(name, 0), only_large.get(name, 0))
+        for name in only_small.keys() | only_large.keys()
+    }
+
+
+# ----------------------------------------------------------------------
+# (c) names are a fixed finite set
+# ----------------------------------------------------------------------
+def test_arena_names_do_not_grow_with_structures_served(fresh_arena):
+    config = HardwareConfig(pe_rows=8, pe_cols=8)
+    rng = np.random.default_rng(7)
+    names, batch_counts = None, set()
+    for i, n in enumerate(range(96, 96 + 12 * 40, 40)):
+        pattern = longformer_pattern(n, 24, (i, n // 2))
+        plan = _plan(pattern, config)
+        batch_counts.add(plan.compiled().global_batches.shape[0])
+        q, k, v = (rng.standard_normal((n, HEADS * HEAD_DIM)) for _ in range(3))
+        FunctionalEngine(plan).run(q, k, v)
+        if names is None:
+            names = set(ARENA.sizes())
+        assert set(ARENA.sizes()) == names, n
+    assert len(batch_counts) > 6  # the global row really ran at many batch counts
+
+
+# ----------------------------------------------------------------------
+# (d) a cold attend of an already-served shape retains only its plan
+# ----------------------------------------------------------------------
+def test_cold_attend_of_a_served_shape_retains_only_the_plan():
+    n, window, heads, head_dim = 3072, 384, 2, 8
+    rng = np.random.default_rng(11)
+    q, k, v = (rng.standard_normal((n, heads * head_dim)) for _ in range(3))
+    rt = Runtime()
+    rt.attend(longformer_pattern(n, window, (1,)), q, k, v, heads=heads)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        # cold_churn's trick: a new global-token index is a never-seen structure.
+        rt.attend(longformer_pattern(n, window, (2,)), q, k, v, heads=heads)
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rt.cache_info()["misses"] == 2
+    assert after - before <= 12 * 2**20, f"retained {(after - before) / 2**20:.1f} MB"
+
+    cp = (
+        DataScheduler(HardwareConfig())
+        .schedule(longformer_pattern(n, window, (2,)), heads=heads, head_dim=head_dim)
+        .compiled()
+    )
+    for f in dataclasses.fields(cp):
+        value = getattr(cp, f.name)
+        if isinstance(value, np.ndarray):
+            assert value.nbytes <= cp.valid.nbytes, f.name
+    assert "key_ids" not in {f.name for f in dataclasses.fields(cp)}
+
+
+# ----------------------------------------------------------------------
+# (e) key_ids is derived, and still the per-pass reference
+# ----------------------------------------------------------------------
+def _scheduler_cases():
+    """The pattern cases of ``tests/scheduler/test_compiled.py``, by path."""
+    path = Path(__file__).parents[1] / "scheduler" / "test_compiled.py"
+    spec = importlib.util.spec_from_file_location("_scheduler_test_compiled", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_CASES = _scheduler_cases()
+
+
+@pytest.mark.parametrize(
+    "name,pattern",
+    _CASES.PATTERN_CASES + _CASES.DROP_CASES,
+    ids=[c[0] for c in _CASES.PATTERN_CASES + _CASES.DROP_CASES],
+)
+def test_key_ids_property_equals_the_per_pass_reference(name, pattern):
+    plan = _CASES._schedule(pattern)
+    cp = plan.compiled()
+    key_ids = cp.key_ids
+    assert key_ids.shape == cp.valid.shape and key_ids.dtype == np.int64
+    assert key_ids is not cp.key_ids  # derived per call, not retained
+    assert np.array_equal(key_ids >= 0, cp.valid)
+    for i, tp in enumerate(plan.passes):
+        ids = tp.key_ids(plan.n, plan.global_set)
+        assert np.array_equal(key_ids[i, : ids.shape[0], : ids.shape[1]], ids)
+        assert (key_ids[i, ids.shape[0] :] == -1).all()
+        assert (key_ids[i, :, ids.shape[1] :] == -1).all()
+
+
+# ----------------------------------------------------------------------
+# the shared thing is guarded
+# ----------------------------------------------------------------------
+class TestOneRunAtATime:
+    def _engine_and_data(self, plan_i=1):
+        q, k, v, _ = _operands(plan_i, 1, False)
+        return SHARED_ENGINES[plan_i], q[0], k[0], v[0]
+
+    def test_a_run_from_inside_a_run_is_refused(self, monkeypatch):
+        engine, q, k, v = self._engine_and_data()
+        expected = engine.run(q, k, v).output
+        run_chain = FunctionalEngine._run_chain_tiled
+        errors = []
+
+        def reentrant(self, *args, **kwargs):
+            with pytest.raises(EngineError, match="arena") as info:
+                SHARED_ENGINES[4].run(*_operands(4, 1, False)[:3])
+            errors.append(info.value)
+            return run_chain(self, *args, **kwargs)
+
+        monkeypatch.setattr(FunctionalEngine, "_run_chain_tiled", reentrant)
+        outer = engine.run(q, k, v)
+        assert errors
+        # The refused run touched nothing: the outer one is still exact.
+        assert np.array_equal(outer.output, expected)
+
+    def test_a_run_from_a_second_thread_is_refused(self, monkeypatch):
+        engine, q, k, v = self._engine_and_data()
+        run_chain = FunctionalEngine._run_chain_tiled
+        outcomes = []
+
+        def other_thread():
+            try:
+                outcomes.append(SHARED_ENGINES[4].run(*_operands(4, 1, False)[:3]))
+            except EngineError as exc:
+                outcomes.append(exc)
+
+        def with_intruder(self, *args, **kwargs):
+            if not outcomes:
+                worker = threading.Thread(target=other_thread)
+                worker.start()
+                worker.join(timeout=30)
+                assert not worker.is_alive()
+            return run_chain(self, *args, **kwargs)
+
+        monkeypatch.setattr(FunctionalEngine, "_run_chain_tiled", with_intruder)
+        engine.run(q, k, v)
+        assert len(outcomes) == 1
+        assert isinstance(outcomes[0], EngineError) and "arena" in str(outcomes[0])
+
+    def test_the_guard_is_released_when_a_run_raises(self, monkeypatch):
+        engine, q, k, v = self._engine_and_data()
+
+        def boom(self, *args, **kwargs):
+            raise RuntimeError("stage failed")
+
+        with monkeypatch.context() as m:
+            m.setattr(FunctionalEngine, "_run_chain_tiled", boom)
+            with pytest.raises(RuntimeError, match="stage failed"):
+                engine.run(q, k, v)
+        assert not ARENA.lock.locked()
+        assert np.array_equal(engine.run(q, k, v).output, _reference(1, 1, False).output[0])

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.accelerator.arena import ARENA
 from repro.accelerator.functional import FunctionalEngine
 from repro.accelerator.systolic import SystolicSimulator
 from repro.accelerator.timing import pass_cycles, plan_timing
@@ -162,10 +163,8 @@ class TestStreamsAreSlices:
         ranges (2-D windows), so only calls made while a job chain runs
         count.
         """
-        sc = engine.plan.compiled().scratch
         engine.run(q, k, v)  # warm: slabs and range facts exist
-        slabs = [a for key, a in sc.items() if key[:2] in {("buf", ("slab", x)) for x in "qkv"}]
-        assert len(slabs) == 3
+        slabs = [ARENA.storage(("slab", x)) for x in "qkv"]
         calls, in_chain = [], []
         take, run_chain = np.take, FunctionalEngine._run_chain_tiled
 
