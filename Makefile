@@ -1,17 +1,18 @@
 # Smoke / CI gate for the SALO reproduction.
 #
-#   make check   - tier-1 tests + perf-regression gate against the
-#                  committed BENCH_engines.json baseline + a tiny
-#                  end-to-end cluster simulation
+#   make check [PARENT=<git ref>] [SEEDS=a-b] - tier-1 tests + the
+#                  end-to-end smokes below + the perf gate: the repo
+#                  benchmark A/B (bench-e2e-pair) of the working tree
+#                  against PARENT (default HEAD: what is about to be
+#                  committed against what is; an A/A on a clean tree)
+#                  over seeds 0-4, failing on any `worse` row, failed
+#                  run or digest mismatch.  Five seeds, not three:
+#                  compare.py calls a noisy row `worse` when every
+#                  change run loses to every parent run, which an A/A
+#                  does by chance 1 time in 20 at n=3 and 1 in 252 at
+#                  n=5.  ~12 minutes on the 2-core reference host;
+#                  `make test` stays the quick loop
 #   make test    - tier-1 tests only
-#   make bench-gate - run the engine bench suite and fail on any
-#                  benchmark regressing beyond the threshold vs the
-#                  committed BENCH_engines.json (the perf gate inside
-#                  `make check`; writes the fresh summary to a temp
-#                  file so the committed baseline is left untouched)
-#   make bench   - alias for bench-gate (manual runs)
-#   make bench-update - re-snapshot BENCH_engines.json (after a
-#                  deliberate perf change; commit the result)
 #   make simulate-smoke - 2-worker discrete-event simulation end to end
 #                  (deterministic cost-model clock; seconds, not minutes)
 #   make simulate-overload - overload smoke at rho 1.5: shed + admission
@@ -40,8 +41,9 @@
 #                  from compare.py plus a per-pair digest check
 #                  (benchmarks/pair_e2e.py).  TRACE=1 runs traced and
 #                  compares the per-layer names instead; OUT keeps the
-#                  two result sets.  Not part of `make check`: ten
-#                  seeds of all five workloads take ~20 minutes
+#                  two result sets.  Ten seeds of all five workloads
+#                  take ~20 minutes (a claim needs them; `make check`
+#                  runs five)
 #   make advise-smoke - provisioning advisor end to end: a reduced
 #                  config search against the committed example traffic
 #                  spec (ranked candidates with margins, headroom and
@@ -57,32 +59,17 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: check test bench bench-gate bench-update simulate-smoke \
-	simulate-overload simulate-faults decode-smoke engines-smoke \
-	transport-smoke advise-smoke bench-e2e-smoke bench-e2e-pair
+.PHONY: check test simulate-smoke simulate-overload simulate-faults \
+	decode-smoke engines-smoke transport-smoke advise-smoke \
+	bench-e2e-smoke bench-e2e-pair
 
-check: test bench-gate engines-smoke simulate-smoke simulate-overload \
+check: test engines-smoke simulate-smoke simulate-overload \
 	simulate-faults decode-smoke transport-smoke advise-smoke \
 	bench-e2e-smoke
+	$(MAKE) bench-e2e-pair PARENT=$(or $(PARENT),HEAD) SEEDS=$(or $(SEEDS),0-4)
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
-
-# Tolerance 2.0: the suite's small (few-ms) benches see ~1.5x run-to-run
-# swings on shared/noisy hosts; genuine regressions this gate exists for
-# (reintroduced per-pass walks, lost batching, a tiled path falling back
-# to whole-lane-axis layout) are 2x-10x.  The suite itself additionally
-# asserts tiled <= untiled on the lane-tiling benches, so a layout
-# regression fails the gate even inside the timing tolerance.
-bench-gate:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/run_benchmarks.py \
-		--out $(or $(TMPDIR),/tmp)/BENCH_engines.new.json \
-		--compare BENCH_engines.json --tolerance 2.0
-
-bench: bench-gate
-
-bench-update:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/run_benchmarks.py
 
 # -W error::DeprecationWarning: a surviving or resurrected engine shim
 # fails the gate instead of scrolling past.

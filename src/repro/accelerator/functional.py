@@ -32,14 +32,15 @@ the equivalence suites compare against.  The *production* path consumes
 the plan's memoized :class:`~repro.scheduler.compiled.CompiledPlan`:
 passes are structural — identical across heads and across calls — so
 Q/K/V are quantised once for all heads, stages 1 and 5 run as banded
-GEMMs over lane tiles, a fused epilogue covers stages 2–4, and the
-weighted-sum merges replay per job chain in the hardware's per-query
-pass order.  The unit of work is the *chain*: the job builder cuts each
-query group's blocks into an interior, where every column group is
-live, and two edges, so one chain carries all passes of the interior
-blocks (16 column passes per block on Longformer-4096/512, 91.6% of
-its passes) — its merge state stays on accumulator views, and when its
-jobs slice one band a single stage-1 GEMM spans all of their columns.
+GEMMs over block chunks of all lanes, a fused epilogue covers stages
+2–4, and the weighted-sum merges replay per job chain in the hardware's
+per-query pass order.  The unit of work is the *chain*: the job builder
+cuts each query group's blocks into an interior, where every column
+group is live, and two edges, so one chain carries all passes of the
+interior blocks (16 column passes per block on Longformer-4096/512,
+91.6% of its passes) — its merge state stays on accumulator views, and
+when its jobs slice one band a single stage-1 GEMM spans all of their
+columns.
 Operands are never gathered where the ids are a range: every key
 stream and query block of an undilated band is a (clip-clamped)
 contiguous id range, a fact verified when the plan is compiled, and
@@ -87,7 +88,7 @@ the same execution plan (the unit the serving layer in
 :mod:`repro.serving` dispatches).  The reference path loops the
 sequences; the production path folds the batch and head axes into a
 single *lane* axis ``L = b * heads`` — every GEMM then runs over
-``(lane tile, groups, blocks, rows, ...)`` operands and every
+``(lanes, groups, blocks, rows, ...)`` operands and every
 weighted-sum merge chain is carried per lane.  All lane-axis operations
 are elementwise, exact GEMMs, or reduce only trailing axes, so each
 sequence's arithmetic (summation trees included) is exactly that of
@@ -321,7 +322,7 @@ class FunctionalEngine:
     """Executes :class:`ExecutionPlan` instances on (Q, K, V) data.
 
     ``mode="legacy"`` runs the per-head, per-pass reference path.
-    ``mode="compiled"`` (default) runs the lane-tiled production path
+    ``mode="compiled"`` (default) runs the chunked-GEMM production path
     over the plan's :class:`~repro.scheduler.compiled.CompiledPlan`
     whenever that is provably bit-exact for the plan's datapath, and the
     reference path otherwise (see the module docstring); :attr:`tiled`
@@ -340,11 +341,7 @@ class FunctionalEngine:
         self.mode = mode
         self.datapath = Datapath(plan.config.numerics)
         self.module = WeightedSumModule(self.datapath)
-        # (id(job), b0, b1) -> key-id tensor for padded-tail masking;
-        # pure plan structure, so cached for the engine's lifetime (the
-        # engine keeps the compiled plan — and its jobs — alive).
-        self._segment_ids_cache: dict = {}
-        # Lane-tiled GEMM execution is only bit-identical when every
+        # Chunked GEMM execution is only bit-identical when every
         # stage-1/5 accumulation is exact in float64 (quantised datapaths
         # within the bit budget); elsewhere summation order is observable
         # and the reference path runs.
@@ -355,7 +352,7 @@ class FunctionalEngine:
             plan.compiled().window_jobs
 
     def _supports_tiled(self) -> bool:
-        """Whether the lane-tiled GEMM path is bit-exact for this plan.
+        """Whether the chunked GEMM path is bit-exact for this plan.
 
         Read from the plan's configuration alone, so an engine that takes
         the reference path never compiles.  No stage-5 reduction is
@@ -494,7 +491,7 @@ class FunctionalEngine:
         return FunctionalResult(output=out, merges=merges, parts=parts)
 
     # ------------------------------------------------------------------
-    # Lane-tiled compiled path (quantised datapaths; see _supports_tiled)
+    # Chunked-GEMM compiled path (quantised datapaths; see _supports_tiled)
     # ------------------------------------------------------------------
     # Stages 1 and 5 run as banded GEMMs: per block the full
     # (R, R + W - 1) score rectangle is one matmul against the segment's
@@ -509,45 +506,35 @@ class FunctionalEngine:
     # arrays it returns — on a cached plan and, once the arena has seen
     # the shapes, on a never-seen one too.
 
-    def _rows(
-        self,
-        sc: dict,
-        slab: _Slab,
-        name,
-        key: tuple,
-        ids: np.ndarray,
-        start: Optional[int] = None,
-        lanes: slice = slice(None),
-    ) -> np.ndarray:
+    def _rows(self, slab: _Slab, name: str, ids: np.ndarray, start: Optional[int]) -> np.ndarray:
         """Rows ``ids`` of an operand slab, ``(lanes, ids.size, d)``: slice or gather.
 
         Every Q/K/V read of the production path comes through here.
-        ``start`` is the compile-time fact that the flattened ``ids``
-        equal ``clip(arange(start, start + ids.size), 0, n - 1)``
-        (window streams and query blocks: ``SegmentStream.start``,
-        ``WindowJob.q_start``, ``JobChain.wide_start``); id sets that
-        come without one (global tokens, global-row key batches) are
-        compared against an exact range once.  A range is a zero-copy
-        slice of the edge-padded slab; anything else — dilated bands,
-        ``G > 1`` — is gathered into arena buffer ``name`` through a
-        contiguous index.  Either answer is memoized under ``key`` in
-        the plan's ``scratch``.
+        ``start`` is the fact that the flattened ``ids`` equal
+        ``clip(arange(start, start + ids.size), 0, n - 1)``: a
+        compile-time one for window streams and query blocks
+        (``SegmentStream.start``, ``WindowJob.q_start``,
+        ``JobChain.wide_start``, shifted to the chunk), :meth:`_range_start`
+        for the global id sets.  A range is a zero-copy slice of the
+        edge-padded slab; anything else — dilated bands, ``G > 1`` — is
+        gathered into arena buffer ``name`` through a contiguous index.
         """
-        how = sc.get(key)
-        if how is None:
-            if start is None:
-                start = _arange_start(np.reshape(ids, -1))
-            how = start
-            if how is None:
-                how = np.ascontiguousarray(np.reshape(ids, -1), dtype=np.int64)
-            sc[key] = how
-        if isinstance(how, int):
-            lo = slab.head + how
-            return slab.base[lanes, lo : lo + ids.size]
-        src = slab.core[lanes]
-        out = _buf(name, (src.shape[0], how.size, src.shape[2]))
-        np.take(src, how, axis=1, out=out, mode="clip")
+        if start is not None:
+            lo = slab.head + start
+            return slab.base[:, lo : lo + ids.size]
+        lanes, _, d = slab.core.shape
+        idx = _buf((name, "ids"), ids.shape, np.int64)
+        np.copyto(idx, ids)
+        out = _buf(name, (lanes, ids.size, d))
+        np.take(slab.core, idx.reshape(-1), axis=1, out=out, mode="clip")
         return out
+
+    @staticmethod
+    def _range_start(sc: dict, key: tuple, ids: np.ndarray) -> Optional[int]:
+        """Memoized :func:`_arange_start` of a per-plan id set (the global ones)."""
+        if key not in sc:
+            sc[key] = _arange_start(np.reshape(ids, -1))
+        return sc[key]
 
     def _run_compiled_tiled(
         self,
@@ -695,10 +682,11 @@ class FunctionalEngine:
     ) -> None:
         """Execute one job chain on chain-local merge state.
 
-        The tile loop is *outer*, jobs inner: within one lane tile every
-        job's gathered K/V streams stay cache-resident through stages
-        1–5, and per (lane, query) the merge order is exactly the job
-        order of the schedule.  Chain-local state is *seeded* from the
+        The chunk loop is *outer*, jobs inner: within one block chunk
+        (:meth:`CompiledPlan.chunk_blocks`, all lanes) every job's K/V
+        streams stay cache-resident through stages 1–5, and per
+        (lane, query) the merge order is exactly the job order of the
+        schedule.  Chain-local state is *seeded* from the
         accumulator before the first job and committed back by plain
         assignment afterwards, so chains whose queries already carry
         parts from earlier jobs replay exactly the reference path's
@@ -708,7 +696,7 @@ class FunctionalEngine:
         job0 = jobs[0]
         lanes, _, d = qh.core.shape
         G, B, R = job0.num_groups, job0.num_blocks, job0.rows
-        T, Bc = cp.tile_shape(job0, lanes)
+        Bc = cp.chunk_blocks(job0, lanes)
         flat_keep, flat_q = chain.flat_keep, chain.flat_q
         M = flat_keep.size
         cells = G * B * R
@@ -763,64 +751,53 @@ class FunctionalEngine:
         chain_merges = 0
         for b0 in range(0, B, Bc):
             b1 = min(b0 + Bc, B)
-            # Single-band chains read Q/K/V for the whole chunk once,
-            # across all lanes; the lane tiles below slice the slabs.
-            wide = (
-                self._wide_chunk_slabs(cp, chain, jobs, qh, kh, vh, b0, b1)
-                if chain.wide_ids is not None
-                else None
-            )
-            for t0 in range(0, lanes, T):
-                t1 = min(t0 + T, lanes)
-                if wide is not None:
-                    stages = self._wide_job_stages(
-                        cp, jobs, wide, scale, t0, t1, b0, b1, lane_lens
-                    )
+            if chain.wide_ids is not None:
+                stages = self._wide_job_stages(
+                    cp, chain, jobs, qh, kh, vh, scale, b0, b1, lane_lens
+                )
+            else:
+                stages = (
+                    self._job_stages_tiled(cp, job, qh, kh, vh, scale, b0, b1, lane_lens)
+                    for job in jobs
+                )
+            ro = out_run[:, :, b0:b1]
+            rw = w_run[:, :, b0:b1]
+            rh = has_run[:, :, b0:b1]
+            rp = parts_run[:, :, b0:b1]
+            for out5, w, has in stages:
+                if not rh.any():
+                    # Nothing to merge against yet: pure assignment.
+                    np.copyto(ro, out5)
+                    np.copyto(rw, w)
+                    np.copyto(rh, has)
+                elif np.array_equal(has, rh):
+                    # Same cells on both sides: one full-array in-place
+                    # Eq. 2 merge.  Cells empty on both sides stay
+                    # exactly (0, 0) through it.
+                    self.module.merge_into(ro, rw, out5, w)
+                    chain_merges += int(has.sum())
                 else:
-                    stages = (
-                        self._job_stages_tiled(
-                            cp, job, qh, kh, vh, scale, t0, t1, b0, b1, lane_lens
-                        )
-                        for job in jobs
-                    )
-                for out5, w, has in stages:
-                    ro = out_run[t0:t1, :, b0:b1]
-                    rw = w_run[t0:t1, :, b0:b1]
-                    rh = has_run[t0:t1, :, b0:b1]
-                    rp = parts_run[t0:t1, :, b0:b1]
-                    if not rh.any():
-                        # Nothing to merge against yet: pure assignment.
-                        np.copyto(ro, out5)
-                        np.copyto(rw, w)
-                        np.copyto(rh, has)
-                    elif np.array_equal(has, rh):
-                        # Same cells on both sides: one full-array
-                        # in-place Eq. 2 merge.  Cells empty on both
-                        # sides stay exactly (0, 0) through it.
-                        self.module.merge_into(ro, rw, out5, w)
-                        chain_merges += int(has.sum())
-                    else:
-                        # Boundary blocks where coverage differs: merge
-                        # a scratch copy of the running state, then
-                        # select per cell — merged where both sides have
-                        # work, assigned where only the new part does,
-                        # untouched otherwise — all via masked copies.
-                        both = _buf("sel_both", w.shape, np.bool_)
-                        fresh = _buf("sel_fresh", w.shape, np.bool_)
-                        mout = _buf("sel_out", out5.shape)
-                        mw = _buf("sel_w", w.shape)
-                        np.logical_and(has, rh, out=both)
-                        np.greater(has, rh, out=fresh)  # has & ~rh
-                        np.copyto(mout, ro)
-                        np.copyto(mw, rw)
-                        self.module.merge_into(mout, mw, out5, w)
-                        np.copyto(ro, out5, where=fresh[..., None])
-                        np.copyto(rw, w, where=fresh)
-                        np.copyto(ro, mout, where=both[..., None])
-                        np.copyto(rw, mw, where=both)
-                        np.logical_or(rh, has, out=rh)
-                        chain_merges += int(both.sum())
-                    np.add(rp, has, out=rp)
+                    # Boundary blocks where coverage differs: merge a
+                    # scratch copy of the running state, then select per
+                    # cell — merged where both sides have work, assigned
+                    # where only the new part does, untouched otherwise
+                    # — all via masked copies.
+                    both = _buf("sel_both", w.shape, np.bool_)
+                    fresh = _buf("sel_fresh", w.shape, np.bool_)
+                    mout = _buf("sel_out", out5.shape)
+                    mw = _buf("sel_w", w.shape)
+                    np.logical_and(has, rh, out=both)
+                    np.greater(has, rh, out=fresh)  # has & ~rh
+                    np.copyto(mout, ro)
+                    np.copyto(mw, rw)
+                    self.module.merge_into(mout, mw, out5, w)
+                    np.copyto(ro, out5, where=fresh[..., None])
+                    np.copyto(rw, w, where=fresh)
+                    np.copyto(ro, mout, where=both[..., None])
+                    np.copyto(rw, mw, where=both)
+                    np.logical_or(rh, has, out=rh)
+                    chain_merges += int(both.sum())
+                np.add(rp, has, out=rp)
         if alias:
             pass  # the accumulator *is* the run state; parts included
         elif chain.keep_slice is not None:
@@ -863,65 +840,49 @@ class FunctionalEngine:
         kh: _Slab,
         vh: _Slab,
         scale: float,
-        t0: int,
-        t1: int,
         b0: int,
         b1: int,
         lane_lens: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stages 1–5 of one (lane tile, block chunk) of a window job.
+        """Stages 1–5 of one block chunk of a window job, on all lanes.
 
         Returns ``(out, w, has)`` arena views shaped
-        ``(Tc, G, Bc, R, d)`` / ``(Tc, G, Bc, R)``; the caller must
+        ``(lanes, G, Bc, R, d)`` / ``(lanes, G, Bc, R)``; the caller must
         consume them before the next call reuses the buffers.
         """
-        sc = cp.scratch
         dp = self.datapath
-        jid = id(job)
-        tile = slice(t0, t1)
-        Tc = t1 - t0
+        lanes, _, d = qh.core.shape
         G, R, C = job.num_groups, job.rows, job.cols
         Bc = b1 - b0
-        d = qh.core.shape[2]
         qv = self._rows(
-            sc,
-            qh,
-            "job_q",
-            ("qrows", jid, b0, b1),
-            job.q_safe[:, b0:b1],
-            _shift(job.q_start, b0 * R),
-            tile,
-        ).reshape(Tc, G, Bc, R, d)
-        band = _buf("job_band", (Tc, G, Bc, R, C))
+            qh, "job_q", job.q_safe[:, b0:b1], _shift(job.q_start, b0 * R)
+        ).reshape(lanes, G, Bc, R, d)
+        band = _buf("job_band", (lanes, G, Bc, R, C))
         col0 = 0
         for s, seg in enumerate(job.segments):
             W = seg.width
             span = R + W - 1
-            kview = self._stream_view(sc, kh, "job_k", job, s, b0, b1, tile)
-            rect = _buf(("job_rect", s), (Tc, G, Bc, R, span))
+            kview = self._stream_view(kh, "job_k", job, s, b0, b1)
+            rect = _buf(("job_rect", s), (lanes, G, Bc, R, span))
             np.matmul(qv, kview.swapaxes(-1, -2), out=rect)
             rs = rect.strides
-            bandv = as_strided(rect, (Tc, G, Bc, R, W), rs[:3] + (rs[3] + rs[4], rs[4]))
+            bandv = as_strided(rect, (lanes, G, Bc, R, W), rs[:3] + (rs[3] + rs[4], rs[4]))
             np.copyto(band[..., col0 : col0 + W], bandv)
             col0 += W
-        w, has = self._job_epilogue(cp, job, band, scale, t0, t1, b0, b1, lane_lens)
-        out5 = _buf("job_out", (Tc, G, Bc, R, d))
-        tmp5 = (
-            _buf("job_out2", (Tc, G, Bc, R, d))
-            if len(job.segments) > 1
-            else None
-        )
+        w, has = self._job_epilogue(cp, job, band, scale, b0, b1, lane_lens)
+        out5 = _buf("job_out", (lanes, G, Bc, R, d))
+        tmp5 = _buf("job_out2", (lanes, G, Bc, R, d)) if len(job.segments) > 1 else None
         col0 = 0
         for s, seg in enumerate(job.segments):
             W = seg.width
             span = R + W - 1
             # Zero-invariant: every use of one shape scatters into the
             # same band positions (the stage-1 rect holds garbage off-band).
-            rect = _zbuf(("job_rect5", s), (Tc, G, Bc, R, span))
+            rect = _zbuf(("job_rect5", s), (lanes, G, Bc, R, span))
             rs = rect.strides
-            bandv = as_strided(rect, (Tc, G, Bc, R, W), rs[:3] + (rs[3] + rs[4], rs[4]))
+            bandv = as_strided(rect, (lanes, G, Bc, R, W), rs[:3] + (rs[3] + rs[4], rs[4]))
             np.copyto(bandv, band[..., col0 : col0 + W])
-            vview = self._stream_view(sc, vh, "job_v", job, s, b0, b1, tile)
+            vview = self._stream_view(vh, "job_v", job, s, b0, b1)
             np.matmul(rect, vview, out=out5 if s == 0 else tmp5)
             if s > 0:
                 np.add(out5, tmp5, out=out5)
@@ -930,19 +891,11 @@ class FunctionalEngine:
         return out5, w, has
 
     def _stream_view(
-        self,
-        sc: dict,
-        slab: _Slab,
-        name: str,
-        job: WindowJob,
-        s: int,
-        b0: int,
-        b1: int,
-        tile: slice,
+        self, slab: _Slab, name: str, job: WindowJob, s: int, b0: int, b1: int
     ) -> np.ndarray:
         """Segment ``s``'s K or V stream for blocks ``[b0, b1)`` of a job.
 
-        ``(Tc, G, Bc, R + W - 1, d)``: one overlapping window of the
+        ``(lanes, G, Bc, R + W - 1, d)``: one overlapping window of the
         stream per block, advancing ``block_step`` rows — the diagonal
         k/v connections as strides.
         """
@@ -950,15 +903,7 @@ class FunctionalEngine:
         span = job.rows + seg.width - 1
         lo = b0 * seg.block_step
         hi = (b1 - 1) * seg.block_step + span
-        st = self._rows(
-            sc,
-            slab,
-            name,
-            ("srows", id(job), s, b0, b1),
-            seg.gather_ids[:, lo:hi],
-            _shift(seg.start, lo),
-            tile,
-        )
+        st = self._rows(slab, name, seg.gather_ids[:, lo:hi], _shift(seg.start, lo))
         st = st.reshape(st.shape[0], job.num_groups, hi - lo, st.shape[2])
         t_, g_, l_, d_ = st.strides
         return as_strided(
@@ -973,145 +918,157 @@ class FunctionalEngine:
         job: WindowJob,
         band: np.ndarray,
         scale: float,
-        t0: int,
-        t1: int,
         b0: int,
         b1: int,
         lane_lens: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Masks + fused epilogue of one job chunk; returns ``(w, has)``."""
+        """Masks + fused epilogue of one job chunk; returns ``(w, has)``.
+
+        The masks are slices of per-job facts — the job's masked block
+        run, ``job.keep``, its key ids — so nothing the plan retains
+        depends on where the chunks fall.
+        """
         sc = cp.scratch
-        jid = id(job)
-        Tc, G, Bc, R, C = band.shape
-        validf = sc.get(("validf", jid, b0, b1))
-        if validf is None:
-            vchunk = job.valid[:, b0:b1]
-            # ``True`` marks an all-valid chunk: multiplying by an
-            # all-ones mask is exact, so skipping it is bit-identical.
-            validf = True if vchunk.all() else np.ascontiguousarray(
-                vchunk[None], dtype=np.float64
+        lanes, G, Bc, R, C = band.shape
+        masked = sc.get(("masked", id(job)))
+        if masked is None:
+            # The job's run of blocks from the first to the last with an
+            # invalid cell, and ``valid`` over it as float64.  Multiplying
+            # by an all-ones mask is exact, so skipping the all-valid
+            # blocks outside the run is bit-identical.
+            bad = np.flatnonzero(~job.valid.all(axis=(0, 2, 3)))
+            m0, m1 = (int(bad[0]), int(bad[-1]) + 1) if bad.size else (0, 0)
+            masked = sc[("masked", id(job))] = (
+                m0,
+                m1,
+                np.ascontiguousarray(job.valid[None, :, m0:m1], dtype=np.float64),
             )
-            sc[("validf", jid, b0, b1)] = validf
-        if validf is True:
-            validf = None
+        m0, m1, validf = masked
+        lo, hi = max(b0, m0), min(b1, m1)
+        valid = (slice(lo - b0, hi - b0), validf[:, :, lo - m0 : hi - m0]) if lo < hi else None
         lmask = None
         if lane_lens is not None:
-            ids = self._segment_key_ids(job, b0, b1)
-            lmask = _buf("job_lmask", (Tc, G, Bc, R, C), np.bool_)
-            np.less(ids[None], lane_lens[t0:t1, None, None, None, None], out=lmask)
-        w = _buf("job_w", (Tc, G, Bc, R))
-        has = _buf("job_has", (Tc, G, Bc, R), np.bool_)
-        self._band_epilogue(band, validf, lmask, scale, w, has)
+            lmask = _buf("job_lmask", (lanes, G, Bc, R, C), np.bool_)
+            col0 = 0
+            for ids in self._segment_key_ids(sc, job):
+                W = ids.shape[3]
+                np.less(
+                    ids[None, :, b0:b1],
+                    lane_lens[:, None, None, None, None],
+                    out=lmask[..., col0 : col0 + W],
+                )
+                col0 += W
+        w = _buf("job_w", (lanes, G, Bc, R))
+        has = _buf("job_has", (lanes, G, Bc, R), np.bool_)
+        self._band_epilogue(band, valid, lmask, scale, w, has)
         # Rows the window path never merges (global queries, padding) are
         # dropped by the reference path before its accumulator call
         # (``_run_window_pass``); clearing their ``has`` excludes them
         # from chain merges, part counts and the commit identically
         # (their values are discarded either way).
-        kmask = sc.get(("keepm", jid, b0, b1))
-        if kmask is None:
-            kmask = np.ascontiguousarray(job.keep[None, :, b0:b1])
-            sc[("keepm", jid, b0, b1)] = kmask
-        np.logical_and(has, kmask, out=has)
+        np.logical_and(has, job.keep[None, :, b0:b1], out=has)
         return w, has
 
-    def _wide_chunk_slabs(
-        self, cp, chain, jobs, qh: _Slab, kh: _Slab, vh: _Slab, b0: int, b1: int
-    ) -> tuple:
-        """Full-lane Q/K/V slabs of one block chunk of a single-band chain.
+    @staticmethod
+    def _segment_key_ids(sc: dict, job: WindowJob) -> Tuple[np.ndarray, ...]:
+        """Per segment, the key ids under a job's band: ``(G, B, R, W)`` views.
+
+        Built with the stride trick of the stage-1 stream views, so cell
+        ``(g, b, r, t)`` holds exactly the sequence index of the key
+        whose score the band carries there (clipped cells are covered by
+        ``job.valid`` and may carry any id).  Only needed for padded-tail
+        masking; memoized per job because it is pure plan structure and
+        the serving fast path re-dispatches padded batches on a cached
+        plan.  Views of the segments' ``gather_ids``: they own no memory.
+        """
+        views = sc.get(("key_ids", id(job)))
+        if views is None:
+            views = []
+            for seg in job.segments:
+                s_g, s_l = seg.gather_ids.strides
+                views.append(
+                    as_strided(
+                        seg.gather_ids,
+                        (job.num_groups, job.num_blocks, job.rows, seg.width),
+                        (s_g, seg.block_step * s_l, s_l, s_l),
+                        writeable=False,
+                    )
+                )
+            views = sc[("key_ids", id(job))] = tuple(views)
+        return views
+
+    def _wide_job_stages(
+        self,
+        cp,
+        chain,
+        jobs,
+        qh: _Slab,
+        kh: _Slab,
+        vh: _Slab,
+        scale: float,
+        b0: int,
+        b1: int,
+        lane_lens: Optional[np.ndarray] = None,
+    ):
+        """Stages 1–5 of one block chunk of a single-band chain, on all lanes.
 
         The chain's jobs stream adjacent column slices of one window
         band (``JobChain.wide_ids``), so one read per operand serves
-        every (job, lane tile) of the chunk; the tiles slice the slabs.
+        every job of the chunk and stage 1 is *one* banded GEMM spanning
+        every job's columns — each per-cell dot product is the identical
+        exact integer regardless of the surrounding GEMM width, so
+        extracting a job's band from the wide rectangle is bit-identical
+        to the per-job GEMM it replaces.  Yields per-job ``(out, w, has)``
+        arena views in schedule order; stage 5 stays per job (each job
+        normalises and merges its own probabilities).
         """
-        sc = cp.scratch
+        dp = self.datapath
         job0 = jobs[0]
-        R = job0.rows
+        lanes, _, d = qh.core.shape
+        G, R = job0.num_groups, job0.rows
+        Bc = b1 - b0
         step = job0.segments[0].block_step
         offs = chain.wide_offsets
         widths = [j.segments[0].width for j in jobs]
         span = R + offs[-1] + widths[-1] - 1
         lo = b0 * step
-        hi = (b1 - 1) * step + span
-        qf = self._rows(
-            sc,
-            qh,
-            "wide_q",
-            ("qrows", id(job0), b0, b1),
-            job0.q_safe[:, b0:b1],
-            _shift(job0.q_start, b0 * R),
-        )
-        wkey = ("wrows", id(chain), b0, b1)
-        wids = chain.wide_ids[:, lo:hi]
-        wstart = _shift(chain.wide_start, lo)
-        kf = self._rows(sc, kh, "wide_k", wkey, wids, wstart)
-        vf = self._rows(sc, vh, "wide_v", wkey, wids, wstart)
-        return qf, kf, vf, span, hi - lo, step, offs, widths
-
-    def _wide_job_stages(
-        self,
-        cp,
-        jobs,
-        wide: tuple,
-        scale: float,
-        t0: int,
-        t1: int,
-        b0: int,
-        b1: int,
-        lane_lens: Optional[np.ndarray] = None,
-    ):
-        """Stages 1–5 of one (lane tile, chunk) for a single-band chain.
-
-        Stage 1 is *one* banded GEMM spanning every job's columns —
-        each per-cell dot product is the identical exact integer
-        regardless of the surrounding GEMM width, so extracting a job's
-        band from the wide rectangle is bit-identical to the per-job
-        GEMM it replaces.  Yields per-job ``(out, w, has)`` arena
-        views in schedule order; stage 5 stays per job (each job
-        normalises and merges its own probabilities).
-        """
-        dp = self.datapath
-        qf, kf, vf, span, L, step, offs, widths = wide
-        job0 = jobs[0]
-        Tc = t1 - t0
-        G, R = job0.num_groups, job0.rows
-        Bc = b1 - b0
-        d = qf.shape[2]
+        L = (Bc - 1) * step + span
         q5 = self._stage5_bounded(cp)
-        qv = qf[t0:t1].reshape(Tc, G, Bc, R, d)
-        kr = kf[t0:t1].reshape(Tc, G, L, d)
-        vr = vf[t0:t1].reshape(Tc, G, L, d)
+        qv = self._rows(
+            qh, "wide_q", job0.q_safe[:, b0:b1], _shift(job0.q_start, b0 * R)
+        ).reshape(lanes, G, Bc, R, d)
+        wids = chain.wide_ids[:, lo : lo + L]
+        wstart = _shift(chain.wide_start, lo)
+        kr = self._rows(kh, "wide_k", wids, wstart).reshape(lanes, G, L, d)
+        vr = self._rows(vh, "wide_v", wids, wstart).reshape(lanes, G, L, d)
         st, sg, sl, sd = kr.strides
         vt, vg, vl, vd = vr.strides
-        kview = as_strided(kr, (Tc, G, Bc, span, d), (st, sg, step * sl, sl, sd))
-        rect = _buf("wide_rect", (Tc, G, Bc, R, span))
+        kview = as_strided(kr, (lanes, G, Bc, span, d), (st, sg, step * sl, sl, sd))
+        rect = _buf("wide_rect", (lanes, G, Bc, R, span))
         np.matmul(qv, kview.swapaxes(-1, -2), out=rect)
         rs = rect.strides
         for jpos, job in enumerate(jobs):
             W = widths[jpos]
             off = offs[jpos]
             span_j = R + W - 1
-            band = _buf("job_band", (Tc, G, Bc, R, W))
+            band = _buf("job_band", (lanes, G, Bc, R, W))
             bandv = as_strided(
-                rect[..., off:], (Tc, G, Bc, R, W), rs[:3] + (rs[3] + rs[4], rs[4])
+                rect[..., off:], (lanes, G, Bc, R, W), rs[:3] + (rs[3] + rs[4], rs[4])
             )
             np.copyto(band, bandv)
-            w, has = self._job_epilogue(
-                cp, job, band, scale, t0, t1, b0, b1, lane_lens
-            )
+            w, has = self._job_epilogue(cp, job, band, scale, b0, b1, lane_lens)
             # Zero-invariant: each use of one shape scatters the band
             # into the same strided positions, everything else stays 0.
-            rect5 = _zbuf("wide_rect5", (Tc, G, Bc, R, span_j))
+            rect5 = _zbuf("wide_rect5", (lanes, G, Bc, R, span_j))
             r5 = rect5.strides
-            b5 = as_strided(
-                rect5, (Tc, G, Bc, R, W), r5[:3] + (r5[3] + r5[4], r5[4])
-            )
+            b5 = as_strided(rect5, (lanes, G, Bc, R, W), r5[:3] + (r5[3] + r5[4], r5[4]))
             np.copyto(b5, band)
             vview = as_strided(
                 vr[:, :, off:],
-                (Tc, G, Bc, span_j, d),
+                (lanes, G, Bc, span_j, d),
                 (vt, vg, step * vl, vl, vd),
             )
-            out5 = _buf("job_out", (Tc, G, Bc, R, d))
+            out5 = _buf("job_out", (lanes, G, Bc, R, d))
             np.matmul(rect5, vview, out=out5)
             dp.quantize_output_into(out5, out5, bounded=q5)
             yield out5, w, has
@@ -1123,7 +1080,7 @@ class FunctionalEngine:
     def _band_epilogue(
         self,
         band: np.ndarray,
-        validf: Optional[np.ndarray],
+        valid: Optional[Tuple[slice, np.ndarray]],
         lmask: Optional[np.ndarray],
         scale: float,
         w: np.ndarray,
@@ -1131,11 +1088,13 @@ class FunctionalEngine:
     ) -> None:
         """Fused mask + softmax epilogue: ``band`` (scores) -> probs in place.
 
-        One pass per tile over the contiguous band buffer: scale, PWL
-        exp, validity masking, row sum, LUT reciprocal and probability
-        quantisation — every step is the elementwise op the reference
-        path's ``_attend_block`` applies, and the row sum adds
-        fixed-point exp codes (exact in any order), so bit-identical.
+        One pass per chunk over the contiguous band buffer: scale, PWL
+        exp, validity masking (``valid``: a run of the band's blocks and
+        its 0/1 mask; ``lmask``: padded-tail keys), row sum, LUT
+        reciprocal and probability quantisation — every step is the
+        elementwise op the reference path's ``_attend_block`` applies,
+        and the row sum adds fixed-point exp codes (exact in any order),
+        so bit-identical.
         Rows without work get a safe reciprocal operand of 1.0; their cells
         are all exact zeros, so the probabilities come out 0 either way.
         """
@@ -1151,8 +1110,10 @@ class FunctionalEngine:
         else:
             np.multiply(band, scale, out=band)
             dp.exp_into(band, band)
-        if validf is not None:
-            np.multiply(band, validf, out=band)
+        if valid is not None:
+            blocks, validf = valid
+            masked = band[:, :, blocks]
+            np.multiply(masked, validf, out=masked)
         if lmask is not None:
             np.multiply(band, lmask, out=band)
         band.sum(axis=-1, out=w)
@@ -1197,9 +1158,10 @@ class FunctionalEngine:
         ng = len(gtok)
         contig = nr == int(rows[-1]) - int(rows[0]) + 1
         r0 = int(rows[0]) if contig else None
-        qg = self._rows(sc, qh, "gcol_q", ("gcol_rows",), rows, r0)
-        kg = self._rows(sc, kh, "gcol_k", ("gcol_keys",), gtok)
-        vg = self._rows(sc, vh, "gcol_v", ("gcol_keys",), gtok)
+        g0 = self._range_start(sc, ("gtok_start",), gtok)
+        qg = self._rows(qh, "gcol_q", rows, r0)
+        kg = self._rows(kh, "gcol_k", gtok, g0)
+        vg = self._rows(vh, "gcol_v", gtok, g0)
         s = _buf("gcol_s", (lanes, nr, ng))
         np.matmul(qg, kg.swapaxes(-1, -2), out=s)
         w = _buf("gcol_w", (lanes, nr))
@@ -1249,38 +1211,6 @@ class FunctionalEngine:
             return
         acc.add_part(rows, out, w, has)  # pragma: no cover - scattered globals
 
-    def _segment_key_ids(self, job: WindowJob, b0: int, b1: int) -> np.ndarray:
-        """Key ids aligned with a job's band buffer: ``(G, Bc, R, C)``.
-
-        Built with the stride trick of the stage-1 stream views, so cell
-        ``(g, b, r, c)`` holds exactly the sequence index of the key
-        whose score the band carries there (clipped cells are covered by
-        ``job.valid`` and may carry any id).  Only needed for padded-tail
-        masking; memoized per (job, chunk) because it is pure plan
-        structure and the serving fast path re-dispatches padded batches
-        on a cached plan.
-        """
-        cache_key = (id(job), b0, b1)
-        cached = self._segment_ids_cache.get(cache_key)
-        if cached is not None:
-            return cached
-        per_seg = []
-        for seg in job.segments:
-            lo = b0 * seg.block_step
-            hi = (b1 - 1) * seg.block_step + job.rows + seg.width - 1
-            block = np.ascontiguousarray(seg.gather_ids[:, lo:hi])
-            s_g, s_l = block.strides
-            per_seg.append(
-                as_strided(
-                    block,
-                    (job.num_groups, b1 - b0, job.rows, seg.width),
-                    (s_g, seg.block_step * s_l, s_l, s_l),
-                )
-            )
-        ids = per_seg[0] if len(per_seg) == 1 else np.concatenate(per_seg, axis=3)
-        self._segment_ids_cache[cache_key] = ids
-        return ids
-
     def _run_global_rows_tiled(
         self, cp, qh, kh, vh, scale, acc, lane_lens: Optional[np.ndarray] = None
     ) -> None:
@@ -1305,7 +1235,7 @@ class FunctionalEngine:
         out = _buf("grow_out", (lanes, num_b, num_g, d))
         w = _buf("grow_w", (lanes, num_b, num_g))
         has = _buf("grow_has", (lanes, num_b, num_g), np.bool_)
-        qg = self._rows(sc, qh, "grow_qg", ("grow_q",), gtok)
+        qg = self._rows(qh, "grow_qg", gtok, self._range_start(sc, ("gtok_start",), gtok))
         buckets = sc.get(("grow_buckets",))
         if buckets is None:
             lengths = cp.global_batch_valid.sum(axis=1)
@@ -1322,8 +1252,9 @@ class FunctionalEngine:
                 sc[("grow_keymat", L)] = keys
             # Adjacent batches usually tile the sequence, and then the
             # flattened key matrix is one range: a slice of the slabs.
-            kv = self._rows(sc, kh, "grow_k", ("grow_keys", L), keys).reshape(lanes, nb, L, d)
-            vv = self._rows(sc, vh, "grow_v", ("grow_keys", L), keys).reshape(lanes, nb, L, d)
+            k0 = self._range_start(sc, ("grow_keys_start", L), keys)
+            kv = self._rows(kh, "grow_k", keys, k0).reshape(lanes, nb, L, d)
+            vv = self._rows(vh, "grow_v", keys, k0).reshape(lanes, nb, L, d)
             s = _buf("grow_s", (lanes, nb, num_g, L))
             np.matmul(qg[:, None], kv.swapaxes(-1, -2), out=s)
             lmask = None
@@ -1402,12 +1333,8 @@ class FunctionalEngine:
                 w_run[stale] = total
                 acc.merges += int(stale.sum())
             parts_run[hb] += 1
-        g0 = sc.get(("grow_grange",))
-        if g0 is None:
-            g0 = _arange_start(np.asarray(gtok).ravel())
-            g0 = False if g0 is None else g0
-            sc[("grow_grange",)] = g0
-        if bool(has_run.all()) and g0 is not False:
+        g0 = self._range_start(sc, ("gtok_start",), gtok)
+        if bool(has_run.all()) and g0 is not None:
             acc.out[:, g0 : g0 + num_g] = out_run
             acc.w[:, g0 : g0 + num_g] = w_run
             acc.has[:, g0 : g0 + num_g] = True

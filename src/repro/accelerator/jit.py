@@ -98,12 +98,12 @@ class JitFunctionalEngine(FunctionalEngine):
             )
         super().__init__(*args, **kwargs)
 
-    def _band_epilogue(self, band, validf, lmask, scale, w, has) -> None:
+    def _band_epilogue(self, band, valid, lmask, scale, w, has) -> None:
         lut = self._exp_table(scale)
         pf = self.datapath.prob_format
         fusable = (
             lut is not None
-            and validf is None
+            and valid is None
             and lmask is None
             and pf is not None
             and pf.max_value >= 2.0
@@ -112,7 +112,7 @@ class JitFunctionalEngine(FunctionalEngine):
             and has.flags.c_contiguous
         )
         if not fusable:
-            return super()._band_epilogue(band, validf, lmask, scale, w, has)
+            return super()._band_epilogue(band, valid, lmask, scale, w, has)
         table, cmul, off = lut
         flat = band.reshape(-1, band.shape[-1])
         wf = w.reshape(-1)

@@ -25,7 +25,7 @@ is what makes the advisor's run matrix resumable.
 The clock is pinned to :meth:`CostModelClock.flat` for the same reason
 the overload sweep pins it: candidate comparisons are claims about
 control dynamics at a designed service scale, and must not move when
-``make bench-update`` re-snapshots the calibrated host overheads.
+the default clock's host-measured constants are re-measured.
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ budgets in *dispatch units* and load as ``rho`` — offered rate over the
 full-batch capacity of ONE reference worker — so a spec stays meaningful
 when the cost model is recalibrated.  The reference scales are pinned to
 the uncalibrated flat clock and the default backend, making them (and
-therefore the spec's content hash) independent of both the benchmark
-snapshot and any candidate's backend choice.
+therefore the spec's content hash) independent of both the default
+clock's host-measured constants and any candidate's backend choice.
 
 Specs are JSON round-trippable (:meth:`TrafficSpec.to_dict` /
 :meth:`TrafficSpec.from_dict` / :meth:`TrafficSpec.load`) and content

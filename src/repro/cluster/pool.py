@@ -20,13 +20,14 @@ The simulator charges a batch's service time through a
   the plan once per sequence, so a batch of ``b`` costs ``b`` times the
   per-sequence latency), plus a host-side dispatch overhead per batch
   and a cold-compile penalty the first time a worker serves a structure.
-  Both host-side terms are **calibrated from the committed bench
-  snapshot** (``BENCH_engines.json``): the dispatch overhead is the
-  measured sequential-vs-batched attend gap, and the compile penalty is
-  a measured per-pass rate times the served plan's own pass count, so a
-  4096-token longformer pays ~200x the cold cost of a toy plan instead
-  of one flat constant.  Flat seed-era constants remain as the fallback
-  when no snapshot ships.  No wall clock is read anywhere on this path.
+  Both host-side terms default to **named constants measured once on the
+  reference host** (``DISPATCH_OVERHEAD_S``, ``COMPILE_S_PER_PASS``): the
+  dispatch overhead is a sequential-vs-batched attend gap, and the
+  compile penalty is a per-pass rate times the served plan's own pass
+  count, so a 4096-token longformer pays ~200x the cold cost of a toy
+  plan instead of one flat constant.  Nothing is read from disk and no
+  wall clock is read anywhere on this path, so an installed package
+  simulates the same numbers as a checkout.
 * :class:`MeasuredClock` — executes the batch on the worker's engine and
   uses the measured wall time; grounding runs that trade determinism for
   end-to-end realism.
@@ -34,10 +35,8 @@ The simulator charges a batch's service time through a
 
 from __future__ import annotations
 
-import json
 import time
 from collections import deque
-from pathlib import Path
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -55,7 +54,6 @@ __all__ = [
     "CostModelClock",
     "MeasuredClock",
     "EnginePool",
-    "measured_clock_costs",
     "service_scales",
     "INTERACTIVE_BUDGET",
     "BULK_BUDGET",
@@ -69,79 +67,25 @@ INTERACTIVE_BUDGET = 30.0
 BULK_BUDGET = 400.0
 
 # ----------------------------------------------------------------------
-# Measured calibration for CostModelClock
+# Host-side constants of CostModelClock
 # ----------------------------------------------------------------------
 
-#: Seed-era flat constants, kept as the fallback when the bench snapshot
-#: is missing (pruned checkout, installed package) or incomplete.
-_FALLBACK_BATCH_OVERHEAD_S = 2e-5
-_FALLBACK_COLD_COMPILE_S = 5e-4
+#: Default dispatch overhead per batch: the gap between eight sequential
+#: single-sequence attends and one batched attend of eight — seven extra
+#: engine dispatches — divided by seven, as measured on the reference
+#: host.  It is what one batch amortises, so it is charged once per batch.
+DISPATCH_OVERHEAD_S = 0.0010405297428535828
 
-_BENCH_SNAPSHOT = Path(__file__).resolve().parents[3] / "BENCH_engines.json"
+#: Default cold-compile rate per structural pass: everything a plan-cache
+#: miss runs before the engine (schedule, compile, window jobs, job
+#: chains; linear in passes) on longformer(4096, 512) x 12 heads,
+#: 0.0519018 s, over that plan's 1992 passes.
+COMPILE_S_PER_PASS = 2.6055120481393034e-05
 
-_calibration: Optional[Tuple[Optional[float], Optional[float]]] = None
-_compile_bench_passes: Optional[int] = None
-
-
-def _bench_plan_passes() -> int:
-    """Structural pass count of the cold-plan bench's plan.
-
-    ``test_cold_plan_longformer_4096`` reports one mean for a whole
-    plan-cache miss on longformer(4096, 512) — schedule, compile,
-    window jobs, job chains; dividing by this count turns it into a
-    per-pass rate.  The count comes from actually scheduling that
-    pattern (once per process, cached) so the rate stays honest if the
-    scheduler's pass decomposition ever changes.
-    """
-    global _compile_bench_passes
-    if _compile_bench_passes is None:
-        from ..core.config import HardwareConfig
-        from ..patterns.library import longformer_pattern
-        from ..scheduler.scheduler import DataScheduler
-
-        plan = DataScheduler(HardwareConfig()).schedule(
-            longformer_pattern(4096, 512, (0,)), heads=12, head_dim=64
-        )
-        _compile_bench_passes = len(plan.passes)
-    return _compile_bench_passes
-
-
-def measured_clock_costs() -> Tuple[Optional[float], Optional[float]]:
-    """(dispatch overhead s, compile s per pass) from the bench snapshot.
-
-    The dispatch overhead is the measured gap between eight sequential
-    single-sequence attends and one batched attend of eight — seven
-    extra engine dispatches — divided by seven; it is what one batch
-    amortises, so :class:`CostModelClock` charges it once per batch.
-    The compile rate divides the cold-plan bench's mean — the whole
-    chain a plan-cache miss runs before the engine, not the compile
-    step alone — by that plan's structural pass count (the derivation
-    is linear in passes).  Either element is ``None`` when the snapshot,
-    or the bench it needs, is absent; callers then fall back to the flat
-    constants.
-    """
-    global _calibration
-    if _calibration is None:
-        overhead = rate = None
-        try:
-            bench = json.loads(_BENCH_SNAPSHOT.read_text())["benchmarks"]
-        except (OSError, KeyError, ValueError):  # pragma: no cover - no snapshot
-            bench = {}
-        try:
-            seq = float(bench["test_attend_sequential_8"]["mean_s"])
-            bat = float(bench["test_attend_batch_8"]["mean_s"])
-            if seq > bat:
-                overhead = (seq - bat) / 7.0
-        except (KeyError, TypeError, ValueError):
-            pass
-        try:
-            compile_s = float(bench["test_cold_plan_longformer_4096"]["mean_s"])
-            if compile_s > 0:
-                rate = compile_s / _bench_plan_passes()
-        except (KeyError, TypeError, ValueError):
-            pass
-        _calibration = (overhead, rate)
-    return _calibration
+#: The flat clock's constants (see :meth:`CostModelClock.flat`); the flat
+#: compile penalty also serves estimates that carry no pass count.
+_FLAT_BATCH_OVERHEAD_S = 2e-5
+_FLAT_COLD_COMPILE_S = 5e-4
 
 
 def service_scales(
@@ -454,17 +398,13 @@ class CostModelClock(ServiceModel):
     compilation + engine build on its SALO), which is what plan-affinity
     routing exists to avoid.
 
-    **Defaults are measured, not guessed.**  When an argument is left
-    ``None`` the clock calibrates it from the committed bench snapshot
-    via :func:`measured_clock_costs`: the dispatch overhead from the
-    sequential-vs-batched attend gap, and the cold penalty as a per-pass
-    compile rate times *the served plan's own structural pass count*
-    (read off the estimate, so a 4096-token plan pays proportionally
-    more than a toy one).  Passing an explicit value disables the
-    corresponding calibration — an explicit ``cold_compile_s`` is
-    charged flat, as before.  Estimates with no pass count (the oracle
-    backends) and snapshot-less checkouts also fall back to the flat
-    constants.
+    **Defaults are measured, not guessed.**  An argument left ``None``
+    takes the reference-host constant: ``DISPATCH_OVERHEAD_S`` per
+    batch, and a cold penalty of ``COMPILE_S_PER_PASS`` times *the
+    served plan's own structural pass count* (read off the estimate, so
+    a 4096-token plan pays proportionally more than a toy one).  An
+    explicit ``cold_compile_s`` is charged flat instead, and estimates
+    with no pass count (the oracle backends) pay the flat constant.
 
     .. warning:: **Units depend on the backend.**  The latency oracle is
        whatever ``SALO.estimate`` returns for the worker's engine.  For
@@ -487,17 +427,12 @@ class CostModelClock(ServiceModel):
         batch_overhead_s: Optional[float] = None,
         cold_compile_s: Optional[float] = None,
     ) -> None:
-        measured_overhead, compile_rate = measured_clock_costs()
-        self._compile_rate_s: Optional[float] = None
         if batch_overhead_s is None:
-            batch_overhead_s = (
-                measured_overhead
-                if measured_overhead is not None
-                else _FALLBACK_BATCH_OVERHEAD_S
-            )
-        if cold_compile_s is None:
-            self._compile_rate_s = compile_rate  # None when no snapshot
-            cold_compile_s = _FALLBACK_COLD_COMPILE_S
+            batch_overhead_s = DISPATCH_OVERHEAD_S
+        # An explicit penalty is charged flat; the default scales with passes.
+        self._per_pass = cold_compile_s is None
+        if self._per_pass:
+            cold_compile_s = _FLAT_COLD_COMPILE_S
         if batch_overhead_s < 0 or cold_compile_s < 0:
             raise ValueError("overheads must be >= 0")
         self.batch_overhead_s = batch_overhead_s
@@ -510,28 +445,27 @@ class CostModelClock(ServiceModel):
         For scenario-scaled simulations — the overload/capacity sweeps
         and tests that size arrival rates, deadlines and heartbeat
         timings against a fixed service scale.  Those scenarios pin this
-        clock so a bench re-snapshot cannot silently move them; runs
-        meant to reflect the measured host should construct
+        clock so re-measuring the default constants cannot silently move
+        them; runs meant to reflect the measured host should construct
         :class:`CostModelClock` with defaults instead.
         """
         return cls(
-            batch_overhead_s=_FALLBACK_BATCH_OVERHEAD_S,
-            cold_compile_s=_FALLBACK_COLD_COMPILE_S,
+            batch_overhead_s=_FLAT_BATCH_OVERHEAD_S,
+            cold_compile_s=_FLAT_COLD_COMPILE_S,
         )
 
     def _cold_penalty_s(self, stats) -> float:
         """Compile penalty for this dispatch: measured rate x plan passes.
 
         Flat ``cold_compile_s`` when the clock was built with an
-        explicit penalty, when no bench snapshot calibrated a rate, or
-        when the estimate carries no pass count (oracle backends, which
-        compile nothing — the flat constant keeps modelling the generic
-        warm-up work they skip).
+        explicit penalty or when the estimate carries no pass count
+        (oracle backends, which compile nothing — the flat constant
+        keeps modelling the generic warm-up work they skip).
         """
-        if self._compile_rate_s is not None:
+        if self._per_pass:
             passes = getattr(getattr(stats, "plan", None), "num_passes", None)
             if passes:
-                return self._compile_rate_s * float(passes)
+                return COMPILE_S_PER_PASS * float(passes)
         return self.cold_compile_s
 
     def service_s(self, worker: Worker, batch: Batch, cold: bool) -> float:

@@ -103,16 +103,6 @@ class HardwareConfig:
         Scheduler optimisation: allow one tile pass to host several narrow
         band segments side by side (raises PE utilisation on multi-band
         patterns such as ViL's 15 x 15 window; see DESIGN.md A1/A5).
-    lane_tile:
-        Host-execution knob for the compiled functional engine: number of
-        execution lanes (``batch x heads``) processed per tile of a
-        window job, so each tile's gathered K/V streams stay
-        cache-resident across stages 1–5.  ``0`` (default) derives the
-        tile from the plan's per-block working set and ``tile_bytes``.
-    tile_bytes:
-        Target working-set bytes per lane tile when ``lane_tile`` is
-        derived (roughly the host's last-level-cache share one tile
-        should occupy).
     """
 
     pe_rows: int = 32
@@ -129,17 +119,11 @@ class HardwareConfig:
     stage3_bcast_cycles: int = 1
     weighted_sum_latency: int = 2
     pack_bands: bool = True
-    lane_tile: int = 0
-    tile_bytes: int = 4 * 1024 * 1024
     numerics: NumericsConfig = field(default_factory=NumericsConfig)
 
     def __post_init__(self) -> None:
         if self.pe_rows < 1 or self.pe_cols < 1:
             raise ConfigError("PE array must be at least 1x1")
-        if self.lane_tile < 0:
-            raise ConfigError(f"lane_tile must be >= 0, got {self.lane_tile}")
-        if self.tile_bytes < 1:
-            raise ConfigError(f"tile_bytes must be positive, got {self.tile_bytes}")
         if self.global_rows < 0 or self.global_cols < 0:
             raise ConfigError("global PE counts must be >= 0")
         if self.frequency_hz <= 0:

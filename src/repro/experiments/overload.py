@@ -143,7 +143,7 @@ def run(fast: bool = False, backend: str = "functional") -> ExperimentResult:
     # cold-compile transient, dominates the numbers
     # Flat clock: the sweep's committed claims (shedding beats no-control
     # at rho 1.5, admission near-parity) are about control dynamics at a
-    # designed service scale.  The bench-calibrated clock's host dispatch
+    # designed service scale.  The default clock's host-measured dispatch
     # overhead dwarfs this probe workload's per-request latency, which
     # inflates the deadline unit until nothing is ever doomed.
     clock = CostModelClock.flat()

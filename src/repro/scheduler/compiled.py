@@ -74,6 +74,12 @@ __all__ = [
 ]
 
 
+#: Working-set budget of one block chunk of a window job, all lanes
+#: included (see :meth:`CompiledPlan.chunk_blocks`): roughly the share of
+#: the host's last-level cache one chunk's stages 1-5 should occupy.
+CHUNK_BYTES = 4 * 1024 * 1024
+
+
 class IrregularPassError(ValueError):
     """Raised when passes have no strided window-job geometry.
 
@@ -361,10 +367,11 @@ class CompiledPlan:
     _job_chains: Optional[Tuple[JobChain, ...]] = field(
         default=None, repr=False, compare=False
     )
-    # Per-plan structural memos of the engines: static per-(job, chunk)
-    # masks and index tensors, range facts, slab margins.  No buffers —
-    # those are views of the process arena (repro.accelerator.arena), so
-    # what a cached plan retains does not grow with its chunk shapes.
+    # Per-plan structural memos of the engines: per-job masks and id
+    # views, range facts, slab margins — nothing keyed by a chunk, whose
+    # boundaries follow the lane count of the call.  No buffers either —
+    # those are views of the process arena (repro.accelerator.arena) — so
+    # what a cached plan retains is a function of the plan alone.
     # The dict lives with the plan (and hence with the SALO plan-cache
     # entry), not with any one engine instance.
     scratch: dict = field(default_factory=dict, repr=False, compare=False)
@@ -391,50 +398,34 @@ class CompiledPlan:
             self._job_chains = _build_job_chains(self.window_jobs, self.n)
         return self._job_chains
 
-    def tile_shape(self, job: WindowJob, lanes: int) -> Tuple[int, int]:
-        """``(lane tile T, block chunk Bc)`` for one window job.
+    def chunk_blocks(self, job: WindowJob, lanes: int) -> int:
+        """Query blocks of ``job`` the engine runs per chunk, on all ``lanes``.
 
-        Sized so one tile's stage 1–5 working set — the gathered K/V
-        stream blocks, the score rectangle, the band buffer and the
-        stage-5 output — fits the configured ``tile_bytes`` budget and
-        stays cache-resident across the fused epilogue.  A positive
-        ``HardwareConfig.lane_tile`` overrides the derived lane tile.
-
-        Sized from the chain's first job even when the chain runs wide
-        (one stage-1 rectangle spanning every job's columns, well past
-        the budget).  Measured on the 16-job Longformer-4096 chain
-        (4 heads x 64, derived chunk 34 blocks; in-process, interleaved,
-        7 rounds, twice): capping the chunk at 16 / 8 / 4 blocks costs
-        1.14-1.20x / 1.30-1.43x / 1.61-1.67x the attend time — per-chunk
-        call overhead outweighs cache fit — while larger lane tiles or
-        chunks (up to 12 lanes x 128 blocks, three shapes) read within
-        the +-8% noise of that measurement.  So the rule must not shrink
-        for wide chains.  Whether it should grow is open: on the
-        memory-bound bench (2048 x 256, 8 heads, derived tile 1 lane)
-        the whole-lane-axis layout now reads 2-3% *faster* than the
-        derived one (121 vs 124 ms, interleaved min-of-3), where it was
-        6% slower before chains formed — with one wide GEMM per chunk,
-        eight times the per-tile calls cost about what the cache fit
-        saves.  A chain-aware rule, or no lane tiling at all, is
-        ROADMAP direction 5's open item; this rule is unchanged here.
+        The one tiling level of the production path: every stage runs on
+        the whole lane axis of one block chunk, and the chunk is the
+        largest whose stage 1–5 working set — per lane and block the
+        score rectangle and two stream windows per segment, plus band,
+        stage-5 output, queries and the row-shaped epilogue vectors, all
+        float64 — stays within :data:`CHUNK_BYTES` *across the lanes*.
+        Two reasons for exactly this rule.  The budget covers the whole
+        chunk, not one lane of it, because that is what bounds the
+        scratch arena: sized per lane, scratch grows with lanes x budget
+        (measured with the repo benchmark: ``serve_burst`` peak RSS
+        +19.5%).  And the division rounds *up*: per-chunk call overhead
+        outweighs cache fit, so a floor that leaves 2-block chunks at
+        12 lanes reads 1.13x the attend time of the ceiling.  Sized
+        from the chain's first job even when the chain runs wide (one
+        stage-1 rectangle spanning every job's columns): shrinking the
+        chunk for wide chains only costs calls.
         """
-        cfg = self.plan.config
         d = self.head_dim
         rows, cols = job.rows, job.cols
-        # Per lane, per block: score rectangle + 2 stream gathers per
-        # segment, plus band, stage-5 output, queries and the row-shaped
-        # epilogue vectors (all float64).
         elems = rows * cols + 2 * rows * d + 6 * rows
         for seg in job.segments:
             span = rows + seg.width - 1
             elems += rows * span + 2 * span * d
-        per_block = 8 * job.num_groups * elems
-        budget = max(int(cfg.tile_bytes), per_block)
-        bc = max(1, min(job.num_blocks, budget // per_block))
-        t = max(1, min(lanes, budget // (per_block * bc)))
-        if cfg.lane_tile > 0:
-            t = max(1, min(lanes, int(cfg.lane_tile)))
-        return t, bc
+        units = CHUNK_BYTES // (8 * job.num_groups * elems)  # (lane, block) pairs
+        return max(1, min(job.num_blocks, -(-units // lanes)))
 
     @property
     def total_valid_cells(self) -> int:

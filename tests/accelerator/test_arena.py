@@ -19,6 +19,7 @@ import importlib.util
 import threading
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.accelerator.functional as functional
+import repro.scheduler.compiled as compiled
 from repro import Runtime
 from repro.accelerator.arena import ARENA, ScratchArena
 from repro.accelerator.functional import EngineError, FunctionalEngine
@@ -56,23 +58,27 @@ def fresh_arena():
 # ----------------------------------------------------------------------
 # (a) sharing is exact
 # ----------------------------------------------------------------------
-# One wide Longformer chain per plan, chunked at 34 / 12 / 7(+6) blocks
-# on the same PE array (``wide_rect5``, ``chain_*`` at three shapes), a
-# packed multi-segment ViL plan and a dilated band with G > 1 families
-# (``("job_rect5", s)`` and ``wide_rect5`` at yet other shapes).
+# One wide Longformer chain per plan (34 and 12 interior blocks on the
+# same PE array), a packed multi-segment ViL plan and a dilated band with
+# G > 1 families.  The chunk budget is shared by the lanes, so under a
+# small one the batch sizes below chunk each plan differently and every
+# name is served at many shapes (``wide_rect5``, ``chain_*``,
+# ``("job_rect5", s)``).
 SHARED_PLANS = [
     _plan(longformer_pattern(140, 12, (0,))),
     _plan(longformer_pattern(52, 12, (0,))),
-    # 1248 B is one block's working set here: a 7-block chunk, one lane a tile.
-    _plan(
-        longformer_pattern(140, 12, (0,)),
-        HardwareConfig(pe_rows=4, pe_cols=4, tile_bytes=7 * 1248),
-    ),
-    _plan(vil_pattern(9, 7, 5, (0,)), HardwareConfig(pe_rows=8, pe_cols=16, lane_tile=3)),
+    _plan(vil_pattern(9, 7, 5, (0,)), HardwareConfig(pe_rows=8, pe_cols=16)),
     _plan(HybridSparsePattern(30, [Band(-6, 6, 3)], (0,))),
 ]
 SHARED_ENGINES = [FunctionalEngine(plan) for plan in SHARED_PLANS]
 BATCHES = (1, 3, 8)
+DILATED = 3  # index of the G > 1 plan
+
+
+def _small_budget():
+    """28 (lane, block) units of the Longformer plans (1248 B each): with
+    2 heads, batches 1 / 3 / 8 run them 14 / 5 / 2 blocks a chunk."""
+    return mock.patch.object(compiled, "CHUNK_BYTES", 28 * 1248)
 
 
 @functools.lru_cache(maxsize=None)
@@ -101,13 +107,15 @@ def test_shared_plans_reuse_zero_invariant_names_at_other_shapes(monkeypatch):
         return zbuf(name, shape, dtype)
 
     monkeypatch.setattr(functional, "_zbuf", spy)
-    for i, engine in enumerate(SHARED_ENGINES):
-        for batch in (1, 3):  # lane tiles of 2 and 3 on the ViL plan
-            q, k, v, _ = _operands(i, batch, False)
-            engine.run(q, k, v)
-    assert {s[2] for s in shapes["wide_rect5"]} >= {34, 12, 7, 6}
+    with _small_budget():
+        for i, engine in enumerate(SHARED_ENGINES):
+            for batch in BATCHES:
+                q, k, v, _ = _operands(i, batch, False)
+                engine.run(q, k, v)
+    # 34 blocks as 14+14+6, 5x6+4 and 2x17; 12 blocks whole, 5+5+2 and 2x6.
+    assert {s[2] for s in shapes["wide_rect5"]} >= {14, 6, 5, 4, 2, 12}
     for name in ("wide_rect5", "chain_out", "chain_w", ("job_rect5", 0)):
-        assert len(shapes[name]) > 1, name
+        assert len(shapes[name]) > 2, name
 
 
 @given(
@@ -123,7 +131,8 @@ def test_shared_plans_reuse_zero_invariant_names_at_other_shapes(monkeypatch):
 def test_interleaved_calls_match_the_reference_call_by_call(calls):
     for plan_i, batch, padded in calls:
         q, k, v, lens = _operands(plan_i, batch, padded)
-        got = SHARED_ENGINES[plan_i].run(q, k, v, valid_lens=lens)
+        with _small_budget():
+            got = SHARED_ENGINES[plan_i].run(q, k, v, valid_lens=lens)
         ref = _reference(plan_i, batch, padded)
         assert np.array_equal(got.output, ref.output), (plan_i, batch, padded)
         assert np.array_equal(got.parts, ref.parts)
@@ -247,6 +256,49 @@ def test_cold_attend_of_a_served_shape_retains_only_the_plan():
     assert "key_ids" not in {f.name for f in dataclasses.fields(cp)}
 
 
+def _scratch_bytes(cp):
+    """Array bytes reachable from the engines' per-plan memos (views at face value)."""
+
+    def size(value):
+        if isinstance(value, np.ndarray):
+            return value.nbytes
+        return sum(map(size, value)) if isinstance(value, tuple) else 0
+
+    return sum(size(value) for value in cp.scratch.values())
+
+
+def test_what_a_plan_retains_does_not_depend_on_the_batch_sizes_served(monkeypatch):
+    """Chunk boundaries follow the lane count, so nothing retained may be
+    keyed by them: one plan attended at five batch sizes that all chunk
+    differently holds what it holds after the largest alone."""
+    pattern, heads, head_dim = longformer_pattern(512, 64, (0,)), 2, 4
+    batches = (1, 2, 3, 5, 8)
+    rng = np.random.default_rng(13)
+
+    def attended(sizes):
+        cp = (
+            DataScheduler(HardwareConfig())
+            .schedule(pattern, heads=heads, head_dim=head_dim)
+            .compiled()
+        )
+        engine = FunctionalEngine(cp.plan)
+        for batch in sizes:
+            q, k, v = (rng.standard_normal((batch, pattern.n, heads * head_dim)) for _ in range(3))
+            engine.run(q, k, v)
+            engine.run(q, k, v, valid_lens=rng.integers(pattern.n // 3, pattern.n, size=batch))
+        return cp
+
+    probe = attended(())
+    job = max(probe.window_jobs, key=lambda j: j.num_blocks)
+    monkeypatch.setattr(compiled, "CHUNK_BYTES", 24 * 31936)  # 24 units of this job
+    assert len({probe.chunk_blocks(job, heads * batch) for batch in batches}) == len(batches)
+
+    all_sizes, largest = attended(batches), attended(batches[-1:])
+    assert _scratch_bytes(largest) > 0
+    assert _scratch_bytes(all_sizes) <= 1.25 * _scratch_bytes(largest)
+    assert len(all_sizes.scratch) == len(largest.scratch)
+
+
 # ----------------------------------------------------------------------
 # (e) key_ids is derived, and still the per-pass reference
 # ----------------------------------------------------------------------
@@ -297,7 +349,7 @@ class TestOneRunAtATime:
 
         def reentrant(self, *args, **kwargs):
             with pytest.raises(EngineError, match="arena") as info:
-                SHARED_ENGINES[4].run(*_operands(4, 1, False)[:3])
+                SHARED_ENGINES[DILATED].run(*_operands(DILATED, 1, False)[:3])
             errors.append(info.value)
             return run_chain(self, *args, **kwargs)
 
@@ -314,7 +366,7 @@ class TestOneRunAtATime:
 
         def other_thread():
             try:
-                outcomes.append(SHARED_ENGINES[4].run(*_operands(4, 1, False)[:3]))
+                outcomes.append(SHARED_ENGINES[DILATED].run(*_operands(DILATED, 1, False)[:3]))
             except EngineError as exc:
                 outcomes.append(exc)
 

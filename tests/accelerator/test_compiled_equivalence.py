@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.scheduler.compiled as compiled_module
 from repro.accelerator.arena import ARENA
 from repro.accelerator.functional import FunctionalEngine
 from repro.accelerator.systolic import SystolicSimulator
@@ -205,27 +206,34 @@ class TestStreamsAreSlices:
         assert self._window_gathers(monkeypatch, FunctionalEngine(plan), q, k, v)
 
     @pytest.mark.parametrize("grid", [(9, 8), (9, 7)], ids=["block-multiple", "short-last-block"])
-    def test_multi_segment_vil_batched_and_padded(self, grid):
+    def test_multi_segment_vil_batched_and_padded(self, monkeypatch, grid):
         """Packed multi-segment jobs chain over the interior and slice every
-        segment's stream, with a lane tile straddling the batch and tails
-        ending in the interior and in an edge block."""
+        segment's stream, at batch sizes that each chunk the chain
+        differently and with tails ending in the interior and in an edge
+        block."""
         pattern = vil_pattern(*grid, 5, (0,))
-        config = HardwareConfig(pe_rows=8, pe_cols=16, lane_tile=3)
+        config = HardwareConfig(pe_rows=8, pe_cols=16)
         plan = DataScheduler(config, strict_global_bound=False).schedule(
             pattern, heads=2, head_dim=4
         )
-        jobs = plan.compiled().window_jobs
+        cp = plan.compiled()
+        jobs = cp.window_jobs
         assert max(len(job.segments) for job in jobs) > 1
-        assert max(len(c.jobs) for c in plan.compiled().job_chains) > 1
+        assert max(len(c.jobs) for c in cp.job_chains) > 1
         assert all(seg.start is not None for job in jobs for seg in job.segments)
+        # 16 (lane, block) units of the chained jobs: 8 / 3 / 1 blocks a chunk.
+        monkeypatch.setattr(compiled_module, "CHUNK_BYTES", 16 * 6464)
+        batches = (1, 3, 8)
+        assert len({cp.chunk_blocks(jobs[0], 2 * batch) for batch in batches}) == 3
         rng = np.random.default_rng(3)
-        q, k, v = (rng.standard_normal((4, pattern.n, 8)) for _ in range(3))
         compiled, legacy = FunctionalEngine(plan), FunctionalEngine(plan, mode="legacy")
-        _assert_same_result(compiled.run(q, k, v), legacy.run(q, k, v))
-        lens = [pattern.n, pattern.n // 2, pattern.n - 3, 5]
-        _assert_same_result(
-            compiled.run(q, k, v, valid_lens=lens), legacy.run(q, k, v, valid_lens=lens)
-        )
+        for batch in batches:
+            q, k, v = (rng.standard_normal((batch, pattern.n, 8)) for _ in range(3))
+            _assert_same_result(compiled.run(q, k, v), legacy.run(q, k, v))
+            lens = [pattern.n // 2, pattern.n, pattern.n - 3, 5, 17, 40, pattern.n - 9, 33][:batch]
+            _assert_same_result(
+                compiled.run(q, k, v, valid_lens=lens), legacy.run(q, k, v, valid_lens=lens)
+            )
 
 
 class TestCompiledMatchesMicroSim:

@@ -256,8 +256,8 @@ class TestCrashRecovery:
         clock = RecordingClock()
         spec = _spec(num=80)
         # Size the crash window off the clock's own service scale: the
-        # calibrated costs move with every bench re-snapshot, and a
-        # hard-coded schedule can drift past the whole (saturated) run.
+        # default costs move whenever the constants are re-measured, and
+        # a hard-coded schedule can drift past the whole (saturated) run.
         unit_s, _ = service_scales(spec, clock)
         makespan_s = spec.num_requests * unit_s / 2  # 2 saturated workers
         source = open_loop(spec, PoissonProcess(rate_rps=20000.0))

@@ -37,7 +37,7 @@ def _small_salo():
 def _pinned_clock():
     """Flat clock: the affinity/stealing tests below size their arrival
     rates against this scale, so they must not move when the default
-    clock recalibrates from a re-snapshotted bench file."""
+    clock's constants are re-measured."""
     return CostModelClock.flat()
 
 
@@ -169,25 +169,35 @@ class TestServiceClocks:
         warm = clock.service_s(worker, batch, cold=False)
         assert cold - warm == pytest.approx(1.0)
 
-    def test_defaults_calibrate_from_bench_snapshot(self):
-        """The repo ships BENCH_engines.json, so a default clock derives
-        its dispatch overhead from the sequential-vs-batched attend gap
-        and scales the cold penalty by the served plan's pass count."""
+    def test_defaults_are_the_pinned_constants(self):
+        """A default clock reads no file: it charges the reference-host
+        dispatch constant once per batch and the per-pass compile rate
+        times the served plan's own pass count when cold.  Pinned to the
+        literals — every simulated number on the default clock moves
+        with them; explicit arguments still override."""
         from repro.cluster import Worker
-        from repro.cluster.pool import measured_clock_costs
+        from repro.cluster import pool
 
-        overhead, rate = measured_clock_costs()
-        assert overhead is not None and overhead > 0
-        assert rate is not None and rate > 0
+        assert pool.DISPATCH_OVERHEAD_S == 0.0010405297428535828
+        assert pool.COMPILE_S_PER_PASS == 2.6055120481393034e-05  # 0.0519018 s / 1992 passes
         clock = CostModelClock()
-        assert clock.batch_overhead_s == pytest.approx(overhead)
+        assert clock.batch_overhead_s == pool.DISPATCH_OVERHEAD_S
         worker = Worker(0, _small_salo())
-        worker.queue.enqueue(_request(0))
+        for i in range(3):
+            worker.queue.enqueue(_request(i))
         batch = worker.queue.next_batch()
+        assert batch.size == 3
         stats = worker.salo.estimate(batch.execution_pattern(), heads=2, head_dim=4)
         cold = clock.service_s(worker, batch, cold=True)
         warm = clock.service_s(worker, batch, cold=False)
-        assert cold - warm == pytest.approx(rate * stats.plan.num_passes)
+        assert warm == pytest.approx(3 * stats.latency_s + pool.DISPATCH_OVERHEAD_S)
+        assert cold - warm == pytest.approx(pool.COMPILE_S_PER_PASS * stats.plan.num_passes)
+        explicit = CostModelClock(batch_overhead_s=0.25)
+        assert explicit.batch_overhead_s == 0.25
+        assert explicit.service_s(worker, batch, cold=True) - explicit.service_s(
+            worker, batch, cold=False
+        ) == pytest.approx(cold - warm)
+        assert all(hasattr(pool, name) for name in pool.__all__)  # no stale export
 
     def test_bigger_plans_pay_bigger_cold_penalties(self):
         """The per-pass rate makes cold cost track plan size — the flat

@@ -98,8 +98,8 @@ class TestEventLoop:
         def run(policy):
             source = open_loop(_spec(num=80, seed=11), PoissonProcess(rate_rps=50000.0))
             # Pinned to the flat clock scale: the 50k rps arrival rate and
-            # 1 ms hold are sized against it, and a bench re-snapshot must
-            # not flip this occupancy comparison.
+            # 1 ms hold are sized against it, and re-measuring the default
+            # clock's constants must not flip this occupancy comparison.
             clock = CostModelClock.flat()
             return simulate(source, SimConfig(workers=2, policy=policy, service=clock))
 

@@ -69,8 +69,8 @@ def _drive(executor, requests, *, faults=None, service=None, tick=None, transpor
     real workers have no injector, so there its crash specs become real
     ``kill_worker`` calls at the same offsets into the run, and the spec
     kinds only a model can impose are skipped.  The simulated clock
-    defaults to the flat one so a bench re-snapshot cannot move
-    scenario timings.
+    defaults to the flat one so re-measuring the default clock's
+    constants cannot move scenario timings.
     """
     from repro.cluster import (
         ClusterSimulator,

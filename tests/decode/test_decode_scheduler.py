@@ -107,6 +107,21 @@ class TestContinuousBatching:
             assert result.outputs[f"seq-{i}"].shape == (b, HIDDEN)
         assert 0 < result.mean_occupancy <= 4
 
+    def test_same_structure_sequences_share_dispatches(self):
+        """The point of continuous batching, as structure: 8 sequences of
+        one pattern x 12 tokens ride the lane axis together — more than
+        half the lanes busy on average, far fewer engine dispatches than
+        the one per token that decoding them solo takes."""
+        pattern = SlidingWindowPattern.causal(64, 8)
+        sched = DecodeScheduler(salo=_salo(), max_lanes=8)
+        for i in range(8):
+            sched.submit(_request(i, 24 + 4 * i, 12, pattern=pattern))
+        result = sched.run()
+        assert set(result.outputs) == {f"seq-{i}" for i in range(8)}
+        assert result.tokens == 8 * 12
+        assert result.mean_occupancy > 4.0
+        assert result.dispatches < result.tokens / 4
+
 
 class TestBitIdentity:
     def test_batched_equals_solo_banded(self):

@@ -111,6 +111,15 @@ class TestFig7b:
         vals = [r["saving_gpu"] for r in res.rows[:3]]
         assert vals[0] > vals[1] > vals[2]
 
+    def test_averages_and_savings_exceed_speedups(self, res):
+        avg = res.row_for("workload", "Average")
+        assert avg["saving_cpu"] == pytest.approx(183.86, rel=0.15)
+        assert avg["saving_gpu"] == pytest.approx(272.04, rel=0.15)
+        # Shape: energy savings exceed the corresponding Fig. 7a speedups.
+        lf = res.row_for("workload", "Longformer")
+        assert lf["saving_cpu"] > 83.0
+        assert lf["saving_gpu"] > 7.4
+
 
 class TestSec63:
     def test_longformer_near_paper(self):
@@ -137,6 +146,7 @@ class TestAblations:
         res = get_experiment("ablation_dataflow")(fast=True)
         for row in res.rows:
             assert row["reuse_factor"] > 3.0
+        assert res.row_for("workload", "Longformer")["reuse_factor"] > 10.0
 
     def test_exp_lut_sqnr(self):
         res = get_experiment("ablation_exp_lut")(fast=True)
@@ -172,6 +182,8 @@ class TestAblations:
         # SALO latency grows ~linearly; speedup over dense grows with n.
         salo = res.column("salo_ms")
         assert salo == sorted(salo)
+        ns = res.column("n")
+        assert salo[-1] / salo[0] < 1.3 * (ns[-1] / ns[0])
         dense = res.column("speedup_vs_dense")
         assert dense == sorted(dense)
         # Speedup over the sparse GPU baseline stays near Fig 7a's 7.38x.

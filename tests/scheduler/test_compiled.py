@@ -242,3 +242,54 @@ class TestColdPathStructure:
         assert not calls
         assert cp.num_passes > 1000
         assert peak < 4 * cp.key_ids.nbytes
+
+    def test_cold_chain_beats_the_per_pass_derivation_alone(self):
+        """Everything a plan-cache miss derives before the engine runs —
+        schedule, compile, window jobs, job chains — against the seed's
+        derivation alone, on the same machine: the per-pass
+        ``valid_cell_count`` filter, the ``query_ids``/``key_ids`` walk
+        and the sequential global-row walk (the references this file
+        compares against).  No absolute bound; the margin is about 6x,
+        min of 3 on both sides."""
+        import time
+
+        scheduler = DataScheduler(HardwareConfig())
+
+        def cold_chain():
+            plan = scheduler.schedule(longformer_pattern(4096, 512, (0,)), heads=12, head_dim=64)
+            compiled = plan.compiled()
+            compiled.window_jobs
+            compiled.job_chains
+            return plan
+
+        plan = cold_chain()
+        num = len(plan.passes)
+        pad_r = max(tp.rows_used for tp in plan.passes)
+        pad_c = max(tp.cols_used for tp in plan.passes)
+        exclude = frozenset(plan.global_tokens)
+
+        def seed_walk():
+            kept = [tp for tp in plan.passes if tp.valid_cell_count(plan.n, exclude) > 0]
+            q_ids = np.full((num, pad_r), -1, dtype=np.int64)
+            key_ids = np.full((num, pad_r, pad_c), -1, dtype=np.int64)
+            for i, tp in enumerate(kept):
+                q = tp.query_ids()
+                ids = tp.key_ids(plan.n)
+                q_ids[i, : len(q)] = q
+                key_ids[i, : ids.shape[0], : ids.shape[1]] = ids
+            plan._schedule = None  # drop the memo: run the reference walk
+            plan.global_row_schedule()
+
+        def best_of_3(fn):
+            best = float("inf")
+            for _ in range(3):
+                t0 = time.perf_counter()
+                fn()
+                best = min(best, time.perf_counter() - t0)
+            return best
+
+        walk_s, chain_s = best_of_3(seed_walk), best_of_3(cold_chain)
+        assert chain_s < walk_s, (
+            f"cold plan chain ({chain_s * 1e3:.0f} ms) no longer beats the "
+            f"seed's per-pass derivation ({walk_s * 1e3:.0f} ms)"
+        )
