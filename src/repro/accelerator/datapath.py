@@ -48,6 +48,15 @@ class Datapath:
         self._recip_unit = (
             ReciprocalUnit.from_numerics(numerics) if numerics.recip_mode == "lut" else None
         )
+        # A normalised weight is ``p = e * recip(w)`` with ``0 <= e <= w``,
+        # so ``p <= sup w * recip(w)``: read off the LUT, or 1.0 for the
+        # exact reciprocal (``w * fl(1/w)`` rounds to at most 1).  When
+        # that bound fits the probability format, ``rint(p * 2^f)`` never
+        # exceeds ``max_code`` and the quantiser's saturation clip is an
+        # identity on every normalised weight.
+        bound = 1.0 if self._recip_unit is None else self._recip_unit.product_bound()
+        pf = self.prob_format
+        self.prob_bounded: bool = pf is None or bound * (1 << pf.frac_bits) <= pf.max_code
 
     # ------------------------------------------------------------------
     def quantize_input(self, x: np.ndarray) -> np.ndarray:
@@ -104,19 +113,15 @@ class Datapath:
             return out
         return self._recip_unit.into(w, out)
 
-    def quantize_prob_into(
-        self, p: np.ndarray, out: np.ndarray, bounded: bool = False
-    ) -> np.ndarray:
-        """``bounded=True`` asserts ``0 <= p < 2`` (a normalised weight:
-        ``p = e * recip(w)`` with ``e <= w`` and the shift-normalised LUT
-        reciprocal satisfying ``w * recip(w) < 2``), letting the
-        saturation pass be skipped when the format has the headroom."""
+    def quantize_prob_into(self, p: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Quantise normalised weights ``p = e * recip(w)``, ``0 <= e <= w``
+        (the caller's contract): the saturation pass is skipped when
+        :attr:`prob_bounded` proves it an identity on them."""
         if self.prob_format is None:
             if p is not out:
                 np.copyto(out, p)
             return out
-        saturate = not (bounded and self.prob_format.max_value >= 2.0)
-        return self.prob_format.quantize_into(p, out, saturate=saturate)
+        return self.prob_format.quantize_into(p, out, saturate=not self.prob_bounded)
 
     def quantize_output_into(
         self, o: np.ndarray, out: np.ndarray, bounded: bool = False

@@ -34,7 +34,10 @@ passes are structural — identical across heads and across calls — so
 Q/K/V are quantised once for all heads, stages 1 and 5 run as banded
 GEMMs over block chunks of all lanes, a fused epilogue covers stages
 2–4, and the weighted-sum merges replay per job chain in the hardware's
-per-query pass order.  The unit of work is the *chain*: the job builder
+per-query pass order — every one of them, window, global column and
+global row alike, through the single masked Eq. 2 primitive
+:meth:`FunctionalEngine._merge_part`, as the array has one weighted-sum
+module per PE row.  The unit of work is the *chain*: the job builder
 cuts each query group's blocks into an interior, where every column
 group is live, and two edges, so one chain carries all passes of the
 interior blocks (16 column passes per block on Longformer-4096/512,
@@ -53,9 +56,14 @@ batches only.
 observes, never from a caller-set value: GEMM reordering is only
 bit-exact when every stage-1/5 accumulation is exact in float64
 (:meth:`Datapath.supports_exact_gemm` — quantised datapaths inside the
-53-bit budget), so those plans run the production path and everything
-else (``exact()`` configs, over-budget bit widths) runs the reference
-path, where summation order is part of the result.  Either way the
+53-bit budget), and the epilogue's one quantiser tail has no saturation
+clip, which is an identity only when no normalised weight can exceed
+the probability format (:attr:`Datapath.prob_bounded`, a bound read off
+the reciprocal LUT: 1.0039 against Q1.15's 1.99997 at the default
+numerics).  Plans that pass both proofs run the production path and
+everything else (``exact()`` configs, over-budget bit widths, a
+probability format without an integer bit) runs the reference path,
+where summation order is part of the result.  Either way the
 output is bit-identical to ``mode="legacy"``; :attr:`FunctionalEngine.tiled`
 reports which executor a given engine uses.
 
@@ -228,14 +236,14 @@ class _BatchAccumulator:
 
     A *lane* is one (sequence, head) pair: single-sequence runs carry one
     lane per head, batched runs fold the batch and head axes into
-    ``b * heads`` lanes.  Merges are performed on flattened
-    ``(lane, query)`` selections; each selection within one
-    :meth:`add_part` call holds a query at most once per lane, so the
-    pairwise merge chain per ``(lane, query)`` is exactly the per-head
-    chain of :class:`_Accumulator` for that lane's sequence.
+    ``b * heads`` lanes.  Parts are merged in by
+    :meth:`FunctionalEngine._merge_part`, on these arrays or on views of
+    them; each part holds a query at most once per lane, so the pairwise
+    merge chain per ``(lane, query)`` is exactly the per-head chain of
+    :class:`_Accumulator` for that lane's sequence.
     """
 
-    def __init__(self, lanes: int, n: int, d: int, module: WeightedSumModule) -> None:
+    def __init__(self, lanes: int, n: int, d: int) -> None:
         self.out = _buf("acc_out", (lanes, n, d))
         self.w = _buf("acc_w", (lanes, n))
         self.has = _buf("acc_has", (lanes, n), np.bool_)
@@ -244,41 +252,7 @@ class _BatchAccumulator:
         self.w.fill(0.0)
         self.has.fill(False)
         self.parts.fill(0)
-        self.module = module
         self.merges = 0
-
-    def add_part(
-        self, rows: np.ndarray, out: np.ndarray, w: np.ndarray, has: np.ndarray
-    ) -> None:
-        """Merge partials ``out (H, r, d)`` / ``w (H, r)`` where ``has`` is set."""
-        if not has.any():
-            return
-        if has.all() and not self.has[:, rows].any():
-            # Every row is a first part on every head: plain assignment,
-            # identical to the general path below without the index math.
-            self.out[:, rows] = out
-            self.w[:, rows] = w
-            self.has[:, rows] = True
-            self.parts[:, rows] += 1
-            return
-        h_idx, r_idx = np.nonzero(has)
-        q_idx = rows[r_idx]
-        cur = self.has[h_idx, q_idx]
-        fresh = ~cur
-        if fresh.any():
-            hf, qf, rf = h_idx[fresh], q_idx[fresh], r_idx[fresh]
-            self.out[hf, qf] = out[hf, rf]
-            self.w[hf, qf] = w[hf, rf]
-            self.has[hf, qf] = True
-        if cur.any():
-            hs, qs, rs = h_idx[cur], q_idx[cur], r_idx[cur]
-            merged, total = self.module.merge(
-                self.out[hs, qs], self.w[hs, qs], out[hs, rs], w[hs, rs]
-            )
-            self.out[hs, qs] = merged
-            self.w[hs, qs] = total
-            self.merges += int(cur.sum())
-        self.parts[h_idx, q_idx] += 1
 
 
 _EXP_TABLE_MAX = 1 << 17
@@ -342,9 +316,9 @@ class FunctionalEngine:
         self.datapath = Datapath(plan.config.numerics)
         self.module = WeightedSumModule(self.datapath)
         # Chunked GEMM execution is only bit-identical when every
-        # stage-1/5 accumulation is exact in float64 (quantised datapaths
-        # within the bit budget); elsewhere summation order is observable
-        # and the reference path runs.
+        # stage-1/5 accumulation is exact in float64 and no probability
+        # can saturate (quantised datapaths within the bit budget);
+        # elsewhere the reference path runs.
         self.tiled = mode == "compiled" and self._supports_tiled()
         if self.tiled:
             # Compile once at construction (memoized on the plan), and
@@ -355,15 +329,22 @@ class FunctionalEngine:
         """Whether the chunked GEMM path is bit-exact for this plan.
 
         Read from the plan's configuration alone, so an engine that takes
-        the reference path never compiles.  No stage-5 reduction is
+        the reference path never compiles.  Two proofs: every stage-1/5
+        accumulation is exact in float64 — no stage-5 reduction is
         longer than the cells of one pass (a score rectangle's
         ``rows + width - 1`` span and a global-row batch — the distinct
         keys one pass streams — both fit inside it) or, for the global
-        PE column, the number of global tokens.
+        PE column, the number of global tokens — and no normalised
+        weight can saturate the probability format
+        (:attr:`Datapath.prob_bounded`), which the fused epilogue's
+        clip-free quantiser relies on.
         """
         plan, cfg = self.plan, self.plan.config
         max_cols = max(cfg.pe_rows * cfg.pe_cols, len(plan.global_tokens))
-        return self.datapath.supports_exact_gemm(plan.head_dim, max_cols)
+        return (
+            self.datapath.supports_exact_gemm(plan.head_dim, max_cols)
+            and self.datapath.prob_bounded
+        )
 
     # ------------------------------------------------------------------
     def run(
@@ -555,7 +536,7 @@ class FunctionalEngine:
         qh = self._lane_slab("q", q, b, n, heads, d, margins)
         kh = self._lane_slab("k", k, b, n, heads, d, margins)
         vh = self._lane_slab("v", v, b, n, heads, d, margins)
-        acc = _BatchAccumulator(lanes, n, d, self.module)
+        acc = _BatchAccumulator(lanes, n, d)
 
         for chain in cp.job_chains:
             self._run_chain_tiled(cp, chain, qh, kh, vh, scale, acc, lane_lens)
@@ -669,6 +650,52 @@ class FunctionalEngine:
             cp.scratch[("slab_margins",)] = m
         return m
 
+    def _merge_part(self, ro, rw, rh, rp, out, w, has) -> int:
+        """Merge one part into running state — the production path's only Eq. 2.
+
+        ``ro (..., d)`` / ``rw`` / ``rh`` / ``rp`` are the running
+        output, weight, coverage mask and part count (the accumulator, a
+        view of it, or chain-local state) and ``(out, w, has)`` a part of
+        the same cell shape.  Per cell this is the reference
+        accumulator's ``add_part``: assigned where only the part has
+        work, Eq. 2-merged where both sides do, untouched otherwise.
+        Returns the number of merged cells.
+
+        Cells outside ``has | rh`` may end up holding any finite value
+        in ``ro`` / ``rw``: every later merge gates them out and callers
+        never read them.
+        """
+        merges = 0
+        if not rh.any():
+            # Nothing to merge against yet: pure assignment.
+            np.copyto(ro, out)
+            np.copyto(rw, w)
+            np.copyto(rh, has)
+        elif np.array_equal(has, rh):
+            # Same cells on both sides: one full-array in-place merge.
+            self.module.merge_into(ro, rw, out, w)
+            merges = int(has.sum())
+        else:
+            # Coverage differs: merge a scratch copy of the running
+            # state, then commit per cell by masked copies.
+            both = _buf("sel_both", w.shape, np.bool_)
+            fresh = _buf("sel_fresh", w.shape, np.bool_)
+            mout = _buf("sel_out", out.shape)
+            mw = _buf("sel_w", w.shape)
+            np.logical_and(has, rh, out=both)
+            np.greater(has, rh, out=fresh)  # has & ~rh
+            np.copyto(mout, ro)
+            np.copyto(mw, rw)
+            self.module.merge_into(mout, mw, out, w)
+            np.copyto(ro, out, where=fresh[..., None])
+            np.copyto(rw, w, where=fresh)
+            np.copyto(ro, mout, where=both[..., None])
+            np.copyto(rw, mw, where=both)
+            np.logical_or(rh, has, out=rh)
+            merges = int(both.sum())
+        np.add(rp, has, out=rp)
+        return merges
+
     def _run_chain_tiled(
         self,
         cp,
@@ -748,7 +775,6 @@ class FunctionalEngine:
                 out_run.reshape(lanes, cells, d)[:, flat_keep] = cb_out
                 w_run.reshape(lanes, cells)[:, flat_keep] = cb_w
                 has_run.reshape(lanes, cells)[:, flat_keep] = cb_has
-        chain_merges = 0
         for b0 in range(0, B, Bc):
             b1 = min(b0 + Bc, B)
             if chain.wide_ids is not None:
@@ -765,39 +791,7 @@ class FunctionalEngine:
             rh = has_run[:, :, b0:b1]
             rp = parts_run[:, :, b0:b1]
             for out5, w, has in stages:
-                if not rh.any():
-                    # Nothing to merge against yet: pure assignment.
-                    np.copyto(ro, out5)
-                    np.copyto(rw, w)
-                    np.copyto(rh, has)
-                elif np.array_equal(has, rh):
-                    # Same cells on both sides: one full-array in-place
-                    # Eq. 2 merge.  Cells empty on both sides stay
-                    # exactly (0, 0) through it.
-                    self.module.merge_into(ro, rw, out5, w)
-                    chain_merges += int(has.sum())
-                else:
-                    # Boundary blocks where coverage differs: merge a
-                    # scratch copy of the running state, then select per
-                    # cell — merged where both sides have work, assigned
-                    # where only the new part does, untouched otherwise
-                    # — all via masked copies.
-                    both = _buf("sel_both", w.shape, np.bool_)
-                    fresh = _buf("sel_fresh", w.shape, np.bool_)
-                    mout = _buf("sel_out", out5.shape)
-                    mw = _buf("sel_w", w.shape)
-                    np.logical_and(has, rh, out=both)
-                    np.greater(has, rh, out=fresh)  # has & ~rh
-                    np.copyto(mout, ro)
-                    np.copyto(mw, rw)
-                    self.module.merge_into(mout, mw, out5, w)
-                    np.copyto(ro, out5, where=fresh[..., None])
-                    np.copyto(rw, w, where=fresh)
-                    np.copyto(ro, mout, where=both[..., None])
-                    np.copyto(rw, mw, where=both)
-                    np.logical_or(rh, has, out=rh)
-                    chain_merges += int(both.sum())
-                np.add(rp, has, out=rp)
+                acc.merges += self._merge_part(ro, rw, rh, rp, out5, w, has)
         if alias:
             pass  # the accumulator *is* the run state; parts included
         elif chain.keep_slice is not None:
@@ -830,7 +824,6 @@ class FunctionalEngine:
             acc.w[:, flat_q] = cb_w
             acc.has[:, flat_q] = cb_has
             acc.parts[:, flat_q] += cb_parts
-        acc.merges += chain_merges
 
     def _job_stages_tiled(
         self,
@@ -1123,93 +1116,42 @@ class FunctionalEngine:
         np.subtract(1.0, has, out=wsafe)
         np.add(wsafe, w, out=wsafe)
         dp.recip_into(wsafe, inv)
+        # Fold the prob quantiser's power-of-two scale into the row-shaped
+        # reciprocal: exact power-of-two scaling commutes with fp
+        # rounding, so ``rint(e * (inv * 2^f)) * res`` is bit-identical to
+        # quantising ``e * inv`` — one fewer full-band pass — and the
+        # saturation clip is an identity (``Datapath.prob_bounded``, part
+        # of ``_supports_tiled``).
         pf = dp.prob_format
-        if pf is not None and pf.max_value >= 2.0:
-            # Fold the prob quantiser's power-of-two scale into the
-            # row-shaped reciprocal: exact power-of-two scaling commutes
-            # with fp rounding, so ``rint(e * (inv*2^k)) * res`` is bit
-            # -identical to quantize_prob_into(bounded=True) on
-            # ``e * inv`` — one fewer full-band pass.  The ≥ 2 headroom
-            # check is the same saturation-skip proof (p < 2).
-            np.multiply(inv, float(1 << pf.frac_bits), out=inv)
-            np.multiply(band, inv[..., None], out=band)
-            np.rint(band, out=band)
-            np.multiply(band, pf.resolution, out=band)
-        else:
-            np.multiply(band, inv[..., None], out=band)
-            dp.quantize_prob_into(band, band, bounded=True)
+        np.multiply(inv, float(1 << pf.frac_bits), out=inv)
+        np.multiply(band, inv[..., None], out=band)
+        np.rint(band, out=band)
+        np.multiply(band, pf.resolution, out=band)
 
     def _run_global_column_tiled(self, cp, qh, kh, vh, scale, acc) -> None:
         """Global PE column via GEMM + the fused epilogue.
 
-        When every non-global row already carries a window part and
-        every row has work — the common case — the merge is one full
-        -array in-place Eq. 2 pass over the accumulator slice instead of
-        a gathered merge/scatter.
+        Computed for all ``n`` rows straight off the query slab — no row
+        gather wherever the global tokens sit — with the global rows'
+        own (discarded) cells masked out of ``has`` before the merge.
         """
-        rows = cp.nonglobal_rows
-        nr = len(rows)
-        if nr == 0:
+        if len(cp.nonglobal_rows) == 0:
             return
-        sc = cp.scratch
-        dp = self.datapath
         gtok = cp.global_tokens
-        lanes, _, d = qh.core.shape
-        ng = len(gtok)
-        contig = nr == int(rows[-1]) - int(rows[0]) + 1
-        r0 = int(rows[0]) if contig else None
-        g0 = self._range_start(sc, ("gtok_start",), gtok)
-        qg = self._rows(qh, "gcol_q", rows, r0)
+        lanes, n, d = qh.core.shape
+        g0 = self._range_start(cp.scratch, ("gtok_start",), gtok)
         kg = self._rows(kh, "gcol_k", gtok, g0)
         vg = self._rows(vh, "gcol_v", gtok, g0)
-        s = _buf("gcol_s", (lanes, nr, ng))
-        np.matmul(qg, kg.swapaxes(-1, -2), out=s)
-        w = _buf("gcol_w", (lanes, nr))
-        has = _buf("gcol_has", (lanes, nr), np.bool_)
+        s = _buf("gcol_s", (lanes, n, len(gtok)))
+        np.matmul(qh.core, kg.swapaxes(-1, -2), out=s)
+        w = _buf("gcol_w", (lanes, n))
+        has = _buf("gcol_has", (lanes, n), np.bool_)
         self._band_epilogue(s, None, None, scale, w, has)
-        out = _buf("gcol_out", (lanes, nr, d))
+        out = _buf("gcol_out", (lanes, n, d))
         np.matmul(s, vg, out=out)
-        dp.quantize_output_into(out, out, bounded=self._stage5_bounded(cp))
-        if contig:
-            a_out = acc.out[:, r0 : r0 + nr]
-            a_w = acc.w[:, r0 : r0 + nr]
-            a_has = acc.has[:, r0 : r0 + nr]
-            if bool(has.all()) and bool(a_has.all()):
-                self.module.merge_into(a_out, a_w, out, w)
-                acc.parts[:, r0 : r0 + nr] += 1
-                acc.merges += lanes * nr
-                return
-            if has.any():
-                # Mixed fresh/stale rows (padded tails under valid_lens):
-                # run one full-array merge on weight-padded copies and
-                # commit cells selectively — the same arithmetic the
-                # gathered ``add_part`` merge performs at each stale
-                # cell, without its per-call index allocations.  Padding
-                # the weights with +1 at non-stale cells keeps every
-                # reciprocal operand positive; those lanes' merged
-                # values are discarded by the masked commit.
-                stale = _buf("gcol_stale", (lanes, nr), np.bool_)
-                fresh = _buf("gcol_fresh", (lanes, nr), np.bool_)
-                np.logical_and(has, a_has, out=stale)
-                np.greater(has, a_has, out=fresh)  # has & ~a_has
-                mo = _buf("gcol_mo", (lanes, nr, d))
-                mw = _buf("gcol_mw", (lanes, nr))
-                w2 = _buf("gcol_w2", (lanes, nr))
-                np.copyto(mo, a_out)
-                np.subtract(1.0, stale, out=mw)
-                np.add(mw, a_w, out=mw)
-                np.subtract(1.0, stale, out=w2)
-                np.add(w2, w, out=w2)
-                self.module.merge_into(mo, mw, out, w2)
-                np.copyto(a_out, mo, where=stale[..., None])
-                np.copyto(a_w, mw, where=stale)
-                np.copyto(a_out, out, where=fresh[..., None])
-                np.copyto(a_w, w, where=fresh)
-                np.logical_or(a_has, has, out=a_has)
-                acc.parts[:, r0 : r0 + nr] += has
-                acc.merges += int(np.count_nonzero(stale))
-            return
-        acc.add_part(rows, out, w, has)  # pragma: no cover - scattered globals
+        self.datapath.quantize_output_into(out, out, bounded=self._stage5_bounded(cp))
+        has[:, gtok] = False
+        acc.merges += self._merge_part(acc.out, acc.w, acc.has, acc.parts, out, w, has)
 
     def _run_global_rows_tiled(
         self, cp, qh, kh, vh, scale, acc, lane_lens: Optional[np.ndarray] = None
@@ -1275,110 +1217,28 @@ class FunctionalEngine:
         self._merge_global_rows(cp, out, w, has, acc)
 
     def _merge_global_rows(self, cp, out, w, has, acc) -> None:
-        """Sequential weighted-sum merge chain of the global-row batches."""
-        gtok = cp.global_tokens
-        num_b = out.shape[1]
-        heads_n = out.shape[0]
-        num_g = len(gtok)
-        if heads_n * num_g == 1:
-            # Serving-path fast path: one lane, one global token.  The
-            # general chain below spends most of its time building (1, 1)
-            # boolean masks and fancy indices per batch; the scalar chain
-            # performs the identical merges on fixed (1, d)/(1,) slices.
-            self._merge_global_chain_scalar(cp, out, w, has, acc)
-            return
-        # The batches form a private merge chain: no other part ever
-        # touches a global query row, so run the chain on local (H, G)
-        # state and commit it to the accumulator once at the end.
-        heads, _, num_g, d = out.shape
-        sc = cp.scratch
-        out_run = _buf("grow_run_out", (heads, num_g, d))
-        w_run = _buf("grow_run_w", (heads, num_g))
-        has_run = _buf("grow_run_has", (heads, num_g), np.bool_)
-        parts_run = _buf("grow_run_parts", (heads, num_g), np.int64)
-        out_run.fill(0.0)
-        w_run.fill(0.0)
+        """Sequential weighted-sum merge chain of the global-row batches.
+
+        The batches form a private merge chain: no other part ever
+        carries a global query row, so the chain runs on local
+        ``(lanes, G)`` state and is committed to the accumulator once.
+        """
+        lanes, num_b, num_g, d = out.shape
+        out_run = _buf("grow_run_out", (lanes, num_g, d))
+        w_run = _buf("grow_run_w", (lanes, num_g))
+        has_run = _buf("grow_run_has", (lanes, num_g), np.bool_)
+        parts_run = _buf("grow_run_parts", (lanes, num_g), np.int64)
         has_run.fill(False)
         parts_run.fill(0)
         for b in range(num_b):
-            hb = has[:, b]
-            if not hb.any():
-                continue
-            if bool(hb.all()):
-                # Full batches dominate (every lane attends every global
-                # token); merge the whole running state in place instead
-                # of building masks and fancy-index copies per batch.
-                if bool(has_run.all()):
-                    self.module.merge_into(out_run, w_run, out[:, b], w[:, b])
-                    acc.merges += has_run.size
-                    parts_run += 1
-                    continue
-                if not has_run.any():
-                    np.copyto(out_run, out[:, b])
-                    np.copyto(w_run, w[:, b])
-                    has_run[:] = True
-                    parts_run += 1
-                    continue
-            stale = hb & has_run
-            fresh = hb & ~has_run
-            if fresh.any():
-                out_run[fresh] = out[:, b][fresh]
-                w_run[fresh] = w[:, b][fresh]
-                has_run |= fresh
-            if stale.any():
-                merged, total = self.module.merge(
-                    out_run[stale], w_run[stale], out[:, b][stale], w[:, b][stale]
-                )
-                out_run[stale] = merged
-                w_run[stale] = total
-                acc.merges += int(stale.sum())
-            parts_run[hb] += 1
-        g0 = self._range_start(sc, ("gtok_start",), gtok)
-        if bool(has_run.all()) and g0 is not None:
-            acc.out[:, g0 : g0 + num_g] = out_run
-            acc.w[:, g0 : g0 + num_g] = w_run
-            acc.has[:, g0 : g0 + num_g] = True
-        else:
-            h_idx, g_idx = np.nonzero(has_run)
-            acc.out[h_idx, gtok[g_idx]] = out_run[has_run]
-            acc.w[h_idx, gtok[g_idx]] = w_run[has_run]
-            acc.has[h_idx, gtok[g_idx]] = True
+            acc.merges += self._merge_part(
+                out_run, w_run, has_run, parts_run, out[:, b], w[:, b], has[:, b]
+            )
+        gtok = cp.global_tokens
+        acc.out[:, gtok] = out_run
+        acc.w[:, gtok] = w_run
+        acc.has[:, gtok] = has_run
         acc.parts[:, gtok] += parts_run
-
-    def _merge_global_chain_scalar(self, cp, out, w, has, acc) -> None:
-        """Global-row merge chain for the ``lanes * globals == 1`` case.
-
-        Operates on the same ``(1, d)`` / ``(1,)`` operand shapes the
-        general chain passes to :meth:`WeightedSumModule.merge` (so the
-        arithmetic is bit-identical), but replaces the per-batch mask and
-        fancy-index bookkeeping with direct scalar control flow.
-        """
-        o2 = out[0, :, 0]  # (num_b, d)
-        w2 = w[0, :, 0]  # (num_b,)
-        h2 = has[0, :, 0]  # (num_b,)
-        out_run: Optional[np.ndarray] = None
-        w_run: Optional[np.ndarray] = None
-        parts = 0
-        merges = 0
-        for bi in range(o2.shape[0]):
-            if not h2[bi]:
-                continue
-            if out_run is None:
-                out_run = o2[bi : bi + 1]
-                w_run = w2[bi : bi + 1]
-            else:
-                out_run, w_run = self.module.merge(
-                    out_run, w_run, o2[bi : bi + 1], w2[bi : bi + 1]
-                )
-                merges += 1
-            parts += 1
-        g = cp.global_tokens[0]
-        if out_run is not None:
-            acc.out[0, g] = out_run[0]
-            acc.w[0, g] = w_run[0]
-            acc.has[0, g] = True
-        acc.parts[0, g] += parts
-        acc.merges += merges
 
     # ------------------------------------------------------------------
     # Legacy per-head, per-pass path (reference implementation)

@@ -88,6 +88,16 @@ class ReciprocalUnit:
         np.ldexp(out, e, out=out)
         return out
 
+    def product_bound(self) -> float:
+        """``sup_{w > 0} w * self(w)``, read off the table (never attained).
+
+        The shifts cancel, so the product is ``m * table[i]`` for a
+        mantissa ``m`` in bin ``i``, i.e. ``m < 1 + (i + 1) / bins``.
+        Both factors have few bits, so each candidate is exact.
+        """
+        bins = 1 << self.lut_bits
+        return float(np.max((1.0 + np.arange(1, bins + 1) / bins) * self.table))
+
     def max_relative_error(self, samples: int = 8192) -> float:
         """Worst-case relative error over one mantissa octave."""
         w = np.linspace(1.0, 2.0, samples, endpoint=False)

@@ -86,7 +86,7 @@ class WeightedSumModule:
         np.add(w1, w2, out=total)
         dp.recip_into(total, a1)
         np.multiply(a1, w1, out=a1)
-        dp.quantize_prob_into(a1, a1, bounded=True)
+        dp.quantize_prob_into(a1, a1)
         np.clip(a1, 0.0, 1.0, out=a1)
         np.subtract(1.0, a1, out=a2)
         of = dp.output_format

@@ -19,14 +19,12 @@ Six backends register on import (``repro.api`` imports this module):
 The three SALO-backed adapters are registered by one loop over
 :data:`repro.core.salo.ENGINE_BACKENDS`, which holds each engine's
 factory, batch/valid-lens capability flags and summary, so the engine
-table and the registry cannot drift apart (an optional fourth,
-``functional-jit``, appears in both exactly when numba imports).  All
-three are ``bit_exact``: they share one fixed-point datapath and must
-return identical arrays.  The oracles
-compute exact float64 attention instead — they agree with the SALO
-group only to quantisation tolerance (or to float round-off under an
-``exact()`` hardware config), which is precisely what the parity suite
-asserts.
+table and the registry cannot drift apart.  All three are
+``bit_exact``: they share one fixed-point datapath and must return
+identical arrays.  The oracles compute exact float64 attention instead
+— they agree with the SALO group only to quantisation tolerance (or to
+float round-off under an ``exact()`` hardware config), which is
+precisely what the parity suite asserts.
 """
 
 from __future__ import annotations

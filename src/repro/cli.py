@@ -310,45 +310,23 @@ def _cmd_simulate(args) -> int:
                 file=sys.stderr,
             )
             return 2
-    if not (args.heartbeat_interval_ms > 0) or not (args.heartbeat_timeout_ms > 0):
-        print("--heartbeat-interval-ms and --heartbeat-timeout-ms must be positive", file=sys.stderr)
-        return 2
-    if args.max_retries < 0:
-        print(f"--max-retries must be >= 0, got {args.max_retries}", file=sys.stderr)
-        return 2
-    if args.breaker_threshold is not None and not (0 < args.breaker_threshold <= 1):
-        print(
-            f"--breaker-threshold must be in (0, 1], got {args.breaker_threshold}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.breaker_min_samples < 1 or args.breaker_window < args.breaker_min_samples:
-        print(
-            "--breaker-window must be >= --breaker-min-samples >= 1, got "
-            f"window {args.breaker_window}, min-samples {args.breaker_min_samples}",
-            file=sys.stderr,
-        )
-        return 2
-    if not (args.breaker_cooldown_ms > 0):
-        print(f"--breaker-cooldown-ms must be positive, got {args.breaker_cooldown_ms}", file=sys.stderr)
-        return 2
     injector = FaultInjector(fault_specs, seed=args.fault_seed) if fault_specs else None
-    if injector is not None:
-        try:
+    try:
+        if injector is not None:
             injector.validate_workers(args.workers)
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-    recovery = RecoveryConfig(
-        heartbeat_interval_s=args.heartbeat_interval_ms / 1e3,
-        heartbeat_timeout_s=args.heartbeat_timeout_ms / 1e3,
-        max_retries=args.max_retries,
-        requeue=not args.no_requeue,
-        breaker_threshold=args.breaker_threshold,
-        breaker_window=args.breaker_window,
-        breaker_min_samples=args.breaker_min_samples,
-        breaker_cooldown_s=args.breaker_cooldown_ms / 1e3,
-    )
+        recovery = RecoveryConfig(
+            heartbeat_interval_s=args.heartbeat_interval_ms / 1e3,
+            heartbeat_timeout_s=args.heartbeat_timeout_ms / 1e3,
+            max_retries=args.max_retries,
+            requeue=not args.no_requeue,
+            breaker_threshold=args.breaker_threshold,
+            breaker_window=args.breaker_window,
+            breaker_min_samples=args.breaker_min_samples,
+            breaker_cooldown_s=args.breaker_cooldown_ms / 1e3,
+        )
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
     explicit_slo = None
     if args.slo:

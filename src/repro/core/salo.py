@@ -81,12 +81,6 @@ def _make_systolic(plan: ExecutionPlan):
     return SystolicEngine(plan)
 
 
-def _make_jit(plan: ExecutionPlan):
-    from ..accelerator.jit import JitFunctionalEngine
-
-    return JitFunctionalEngine(plan)
-
-
 #: Plan-executing engine backends a :class:`SALO` instance can run.
 #: name -> (engine factory, supports_batch, supports_valid_lens, summary).
 #: The :mod:`repro.api` registry registers one SALO-backed adapter per
@@ -102,22 +96,6 @@ ENGINE_BACKENDS = {
         "cycle-accurate micro-simulator (small configs, single sequence)",
     ),
 }
-
-# The numba-fused engine is strictly optional: it only exists (here and
-# in the repro.api registry, which derives from this table — so
-# ``engines list`` shows exactly the backends that can run on this
-# interpreter) when numba is importable, with the same capability flags
-# as ``functional`` — the parity suite holds it to bit-identity with the
-# rest of the quantised engine group.
-from ..accelerator.jit import HAVE_NUMBA as _HAVE_NUMBA  # noqa: E402
-
-if _HAVE_NUMBA:  # pragma: no cover - requires an image with numba
-    ENGINE_BACKENDS["functional-jit"] = (
-        _make_jit,
-        True,
-        True,
-        "numba-fused tiled SALO engine (optional; requires numba)",
-    )
 
 
 def pattern_structure_key(pattern: AttentionPattern) -> Optional[Tuple]:

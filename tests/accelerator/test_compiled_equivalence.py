@@ -39,13 +39,15 @@ from repro.patterns.library import (
 from repro.scheduler.scheduler import DataScheduler
 
 
-# Only the default sits inside the exact-GEMM budget (runs tiled): floats
-# make summation order observable, and 28-bit operands give stage-1
-# products of 54 bits, past the 53-bit double mantissa.
+# Only the default passes both proofs (runs tiled): floats make summation
+# order observable, 28-bit operands give stage-1 products of 54 bits,
+# past the 53-bit double mantissa, and a Q0.16 probability format cannot
+# hold the reciprocal LUT's worst product (``Datapath.prob_bounded``).
 NUMERICS = {
     "quantised": NumericsConfig(),
     "exact": NumericsConfig.exact(),
     "over-budget": NumericsConfig(input_bits=28),
+    "prob-unbounded": NumericsConfig(prob_frac_bits=16),
 }
 
 
@@ -102,6 +104,10 @@ class TestCompiledMatchesLegacy:
     def test_over_budget(self, name, pattern):
         _assert_bit_identical(pattern, datapath="over-budget")
 
+    @pytest.mark.parametrize("name,pattern", PATTERN_CASES, ids=[c[0] for c in PATTERN_CASES])
+    def test_prob_unbounded(self, name, pattern):
+        _assert_bit_identical(pattern, datapath="prob-unbounded")
+
     @pytest.mark.parametrize("datapath", sorted(NUMERICS))
     def test_batched_and_padded(self, datapath):
         """Batch axis and ``valid_lens`` follow the same selection rule."""
@@ -151,6 +157,92 @@ class TestCompiledMatchesLegacy:
         _assert_bit_identical(
             pattern, heads=heads, head_dim=4, rows=rows, cols=cols, datapath=datapath
         )
+
+
+class TestScatteredGlobals:
+    """Global tokens *mid-sequence* — the shape of every ``cold_churn`` op.
+
+    The non-global rows are then not one range, and under ``valid_lens``
+    the global column is the only part of the padded rows past the
+    window's reach, so its merge sees mixed coverage.
+    """
+
+    @pytest.mark.parametrize("gtok", [(5,), (3, 11, 20)], ids=["one", "several"])
+    @pytest.mark.parametrize("lens", [None, [32, 24, 21]], ids=["full", "valid_lens"])
+    def test_matches_legacy(self, gtok, lens):
+        plan, q, k, v = _plan_and_data(longformer_pattern(32, 8, gtok), heads=2, head_dim=4)
+        compiled = FunctionalEngine(plan, mode="compiled")
+        legacy = FunctionalEngine(plan, mode="legacy")
+        assert compiled.tiled
+        if lens is None:
+            _assert_same_result(compiled.run(q, k, v), legacy.run(q, k, v))
+        qb, kb, vb = (np.stack([x, x[::-1], 0.5 * x]) for x in (q, k, v))
+        got = compiled.run(qb, kb, vb, valid_lens=lens)
+        _assert_same_result(got, legacy.run(qb, kb, vb, valid_lens=lens))
+        if lens is not None:
+            # Rows 29.. of the 21-long sequence: the column's part only.
+            assert (got.parts[2, :, 29:] == 1).all()
+
+
+class TestMergePart:
+    """``_merge_part`` — the production path's one Eq. 2 — against
+    ``WeightedSumModule.merge`` on the gathered cells (the reference
+    accumulator's arithmetic), branch by branch."""
+
+    SHAPE, D = (2, 3, 5), 4
+
+    def _engine(self):
+        plan, *_ = _plan_and_data(longformer_pattern(24, 8, (0,)))
+        return FunctionalEngine(plan)
+
+    def _state(self, rng, has):
+        """A (out, w) pair with work exactly on ``has``; (0, 0) elsewhere."""
+        out = np.round(rng.standard_normal(self.SHAPE + (self.D,)) * 16) / 16 * has[..., None]
+        return out, rng.uniform(0.5, 4.0, self.SHAPE) * has
+
+    def _check(self, rh, has, strided=False):
+        engine, rng = self._engine(), np.random.default_rng(3)
+        ro, rw = self._state(rng, rh)
+        out, w = self._state(rng, has)
+        if strided:  # a non-contiguous part view, as ``out[:, b]`` is
+            out, w, has = (
+                np.stack([x, x], axis=1)[:, 1] for x in (out, w, has)
+            )
+            assert not out.flags.c_contiguous
+        rp = rng.integers(0, 3, self.SHAPE)
+        both, fresh, none = rh & has, has & ~rh, ~rh & ~has
+        want_o, want_w, want_p = ro.copy(), rw.copy(), rp + has
+        want_o[fresh], want_w[fresh] = out[fresh], w[fresh]
+        if both.any():
+            want_o[both], want_w[both] = engine.module.merge(
+                ro[both], rw[both], out[both], w[both]
+            )
+        got_h = rh.copy()
+        assert engine._merge_part(ro, rw, got_h, rp, out, w, has) == both.sum()
+        assert np.array_equal(got_h, rh | has)
+        assert np.array_equal(rp, want_p)
+        live = ~none
+        assert np.array_equal(ro[live], want_o[live])
+        assert np.array_equal(rw[live], want_w[live])
+        # Cells empty on both sides stay exactly (0, 0): no recip(0) leak.
+        assert not ro[none].any() and not rw[none].any()
+
+    def _mask(self, seed, p):
+        return np.random.default_rng(seed).random(self.SHAPE) < p
+
+    def test_assign_into_empty_state(self):
+        self._check(np.zeros(self.SHAPE, bool), self._mask(0, 0.7))
+
+    def test_equal_coverage_merges_in_place(self):
+        mask = self._mask(1, 0.7)
+        assert not mask.all()  # includes cells empty on both sides
+        self._check(mask, mask.copy())
+
+    @pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided-part"])
+    def test_mixed_coverage(self, strided):
+        rh, has = self._mask(2, 0.6), self._mask(3, 0.6)
+        assert (rh & has).any() and (has & ~rh).any() and (rh & ~has).any() and (~rh & ~has).any()
+        self._check(rh, has, strided=strided)
 
 
 class TestStreamsAreSlices:

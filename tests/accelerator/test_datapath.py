@@ -61,6 +61,35 @@ class TestQuantizedMode:
         assert approx == pytest.approx(1 / 3, rel=0.01)
 
 
+class TestProbBounded:
+    """The saturation clip of the probability quantiser is provably an
+    identity on normalised weights — or the engine takes the reference path."""
+
+    def test_default_q1_15_holds_the_lut_bound(self):
+        dp = Datapath(NumericsConfig())
+        assert dp.prob_bounded
+        assert dp.recip_unit.product_bound() * 2**15 <= dp.prob_format.max_code
+
+    def test_exact_reciprocal_is_bounded_by_one(self):
+        assert Datapath(NumericsConfig(recip_mode="exact")).prob_bounded
+
+    def test_no_integer_bit_fails_the_proof(self):
+        dp = Datapath(NumericsConfig(prob_frac_bits=16))
+        assert not dp.prob_bounded
+        # The worst normalised weight really does saturate there.
+        assert dp.recip_unit.product_bound() > dp.prob_format.max_value
+
+    @pytest.mark.parametrize(
+        "numerics", [NumericsConfig(), NumericsConfig(prob_frac_bits=16)], ids=["q1.15", "q0.16"]
+    )
+    def test_quantize_prob_into_equals_the_saturating_quantiser(self, numerics):
+        """Clip skipped only under the proof: same codes either way."""
+        dp = Datapath(numerics)
+        w = np.random.default_rng(0).uniform(0.01, 300.0, 4096)
+        p = w * dp.recip(w)  # the largest weights a row can produce (e == w)
+        assert np.array_equal(dp.quantize_prob_into(p, np.empty_like(p)), dp.quantize_prob(p))
+
+
 class TestConfigValidation:
     def test_bad_exp_mode(self):
         with pytest.raises(ValueError):

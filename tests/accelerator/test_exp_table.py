@@ -13,7 +13,6 @@ out-of-bound scales, so its scratch handling is pinned here too.
 import numpy as np
 import pytest
 
-import repro.accelerator.jit as jit_module
 from repro.accelerator.exp_unit import PWLExpUnit
 from repro.accelerator.functional import FunctionalEngine, _exp_code_table
 from repro.core.config import HardwareConfig, NumericsConfig
@@ -55,14 +54,7 @@ class TestTableEqualsElementwisePath:
         assert _exp_code_table(numerics, scale) is None
 
 
-ENGINES = [
-    pytest.param(FunctionalEngine, id="functional"),
-    pytest.param(
-        jit_module.JitFunctionalEngine,
-        id="functional-jit",
-        marks=pytest.mark.skipif(not jit_module.HAVE_NUMBA, reason="numba not importable"),
-    ),
-]
+ENGINES = [pytest.param(FunctionalEngine, id="functional")]
 
 
 def _run(engine_cls, head_dim, scale=None, valid_lens=None, n=192, window=48, heads=2):

@@ -57,3 +57,25 @@ class TestEvaluation:
 
     def test_error_shrinks_with_bits(self):
         assert _unit(bits=8).max_relative_error() < _unit(bits=5).max_relative_error()
+
+
+class TestProductBound:
+    """``product_bound`` = sup of ``w * unit(w)``, the proof behind
+    ``Datapath.prob_bounded``."""
+
+    def test_default_value(self):
+        assert ReciprocalUnit.from_numerics(NumericsConfig()).product_bound() == 1.003875732421875
+
+    @pytest.mark.parametrize("bits", [1, 5, 7])
+    def test_equals_exhaustive_evaluation_of_every_bin(self, bits):
+        """The product is largest at the top of a bin: evaluate the unit
+        itself at the last mantissa below each bin edge, in two octaves."""
+        unit = _unit(bits)
+        bins = 1 << bits
+        tops = np.nextafter(1.0 + np.arange(1, bins + 1) / bins, 0.0)
+        worst = max((tops * s * unit(tops * s)).max() for s in (1.0, 2.0 ** -9))
+        bound = unit.product_bound()
+        assert worst < bound and bound - worst < 1e-12
+        # ...and nothing inside the bins exceeds it.
+        w = np.linspace(1.0, 2.0, 1 << 16, endpoint=False)
+        assert (w * unit(w)).max() < bound

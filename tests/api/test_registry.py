@@ -20,23 +20,14 @@ from repro.api import (
 )
 from repro.api import registry as registry_module
 
-from repro.accelerator.jit import HAVE_NUMBA
-
 #: The committed backend surface: names are API, removals are breaking.
-#: ``functional-jit`` is optional by design — it registers exactly when
-#: numba imports, so the expectation tracks the interpreter.
-EXPECTED_BACKENDS = tuple(
-    sorted(
-        (
-            "dense",
-            "functional",
-            "functional-legacy",
-            "sanger",
-            "sparse-reference",
-            "systolic",
-        )
-        + (("functional-jit",) if HAVE_NUMBA else ())
-    )
+EXPECTED_BACKENDS = (
+    "dense",
+    "functional",
+    "functional-legacy",
+    "sanger",
+    "sparse-reference",
+    "systolic",
 )
 
 

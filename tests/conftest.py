@@ -13,6 +13,7 @@ keep it; the profile fills in the unspecified settings.
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,21 @@ settings.register_profile(
 settings.load_profile(
     "thorough" if os.environ.get("REPRO_HYPOTHESIS_THOROUGH") else "ci"
 )
+
+#: Suites that execute the engine.  A masked merge computes Eq. 2 on
+#: cells it then discards; a ``recip(0)`` or ``inf * 0`` there would be
+#: silent, so in these suites a RuntimeWarning is an error.
+_STRICT_WARNING_SUITES = tuple(
+    str(Path(__file__).parent / suite)
+    for suite in ("accelerator", "serving", "decode", "test_properties.py")
+)
+
+
+def pytest_collection_modifyitems(items):
+    strict = pytest.mark.filterwarnings("error::RuntimeWarning")
+    for item in items:
+        if str(item.path).startswith(_STRICT_WARNING_SUITES):
+            item.add_marker(strict)
 
 
 @pytest.fixture

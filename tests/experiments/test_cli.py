@@ -180,6 +180,28 @@ class TestCli:
         assert main(["simulate", "--rho", "0"]) == 2
         assert main(["simulate", "--rate", "-5"]) == 2
 
+    @pytest.mark.parametrize(
+        "flags,field",
+        [
+            (["--heartbeat-interval-ms", "0"], "heartbeat_interval_s"),
+            (["--heartbeat-timeout-ms", "-1"], "heartbeat_timeout_s"),
+            (["--heartbeat-interval-ms", "nan"], "heartbeat_interval_s"),
+            (["--max-retries", "-1"], "max_retries"),
+            (["--breaker-threshold", "0"], "breaker_threshold"),
+            (["--breaker-threshold", "1.5"], "breaker_threshold"),
+            (["--breaker-threshold", "nan"], "breaker_threshold"),
+            (["--breaker-min-samples", "0"], "breaker_min_samples"),
+            (["--breaker-window", "2", "--breaker-min-samples", "4"], "breaker_window"),
+            (["--breaker-cooldown-ms", "0"], "breaker_cooldown_s"),
+            (["--breaker-cooldown-ms", "nan"], "breaker_cooldown_s"),
+        ],
+    )
+    def test_simulate_bad_recovery_flags(self, capsys, flags, field):
+        """The recovery flags are checked by ``RecoveryConfig`` itself —
+        the message names the field, the exit code is 2."""
+        assert main(["simulate", *flags]) == 2
+        assert field in capsys.readouterr().err
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
