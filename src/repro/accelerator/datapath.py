@@ -7,6 +7,17 @@ datapath is configured by :class:`NumericsConfig`; the ``exact()`` variant
 replaces every quantiser with the identity and the approximate units with
 exact math, which tests use to separate scheduling error (must be ~0) from
 arithmetic error (bounded, characterised).
+
+The datapath also holds the three proofs the functional engine's one
+gate reads (``FunctionalEngine._supports_tiled``), each a fact of the
+numerics decided once, not a per-call test:
+:meth:`Datapath.supports_exact_gemm` (stage-1/5 sums exact in float64),
+:attr:`Datapath.prob_bounded` (no normalised weight saturates the
+probability format) and :meth:`Datapath.stage5_bounded` (no stage-5
+output over ``n`` keys saturates the output format).  The ``*_into``
+variants below serve only plans that passed all three, so they assume a
+quantised datapath and skip the saturation passes the proofs make
+identities.
 """
 
 from __future__ import annotations
@@ -90,21 +101,24 @@ class Datapath:
         return self.output_format.quantize(o)
 
     # ------------------------------------------------------------------
-    # Allocation-free variants used by the tiled compiled hot path.  Each
+    # Allocation-free variants for the production path, which only runs
+    # on datapaths the engine's gate admitted
+    # (``FunctionalEngine._supports_tiled``): every format exists, and
+    # :attr:`prob_bounded` and :meth:`stage5_bounded` hold, so the
+    # probability and output quantisers carry no saturation pass.  Each
     # performs the same elementwise operation as its namesake above,
     # writing through ``out`` (which may alias the input).
     def quantize_input_into(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        if self.input_format is None:
-            if x is not out:
-                np.copyto(out, x)
-            return out
         return self.input_format.quantize_into(x, out)
 
     def exp_into(self, s: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Elementwise stage-2 exponential, for scales no score-code table
+        covers (``functional._exp_code_table``): the reference unit itself."""
         if self._exp_unit is None:
             np.exp(s, out=out)
-            return out
-        return self._exp_unit.into(s, out)
+        else:
+            np.copyto(out, self._exp_unit(s))
+        return out
 
     def recip_into(self, w: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Reciprocal without the positivity check — caller's contract."""
@@ -115,28 +129,13 @@ class Datapath:
 
     def quantize_prob_into(self, p: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Quantise normalised weights ``p = e * recip(w)``, ``0 <= e <= w``
-        (the caller's contract): the saturation pass is skipped when
-        :attr:`prob_bounded` proves it an identity on them."""
-        if self.prob_format is None:
-            if p is not out:
-                np.copyto(out, p)
-            return out
-        return self.prob_format.quantize_into(p, out, saturate=not self.prob_bounded)
+        (the caller's contract), on which :attr:`prob_bounded` proves
+        the saturation clip an identity."""
+        return self.prob_format.quantize_into(p, out, saturate=False)
 
-    def quantize_output_into(
-        self, o: np.ndarray, out: np.ndarray, bounded: bool = False
-    ) -> np.ndarray:
-        """``bounded=True`` asserts the caller has proven ``o`` in range —
-        either a convex combination of already-quantised outputs (an
-        Eq. 2 merge cannot leave the representable range) or a stage-5
-        probability-weighted sum whose row-sum bound fits the format
-        (see ``FunctionalEngine._stage5_bounded``) — so the saturation
-        pass is skipped."""
-        if self.output_format is None:
-            if o is not out:
-                np.copyto(out, o)
-            return out
-        return self.output_format.quantize_into(o, out, saturate=not bounded)
+    def quantize_output_into(self, o: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Quantise stage-5 outputs, which :meth:`stage5_bounded` proves in range."""
+        return self.output_format.quantize_into(o, out, saturate=False)
 
     # ------------------------------------------------------------------
     def supports_exact_gemm(self, head_dim: int, max_cols: int) -> bool:
@@ -169,6 +168,26 @@ class Datapath:
             self.prob_format.total_bits + (self.input_format.total_bits - 1) + log2(cols)
         )
         return stage1 <= 53 and stage5 <= 53
+
+    def stage5_bounded(self, n: int) -> bool:
+        """True when no stage-5 output over ``n`` keys can saturate.
+
+        Per output element ``|o| <= (sum of the row's probabilities) *
+        vmax``.  Each quantised probability exceeds its pre-rounding
+        value by at most half a resolution step and the pre-rounding row
+        sum is ``w * recip(w) < 2`` (the shift-normalised LUT bound; an
+        exact reciprocal gives 1), so with at most ``n`` columns the row
+        sum is under ``2 + n * res / 2``.  When that times the largest
+        operand magnitude still fits the output format, the saturation
+        clip of every stage-5 quantise is an identity (at the default
+        numerics: up to ``n`` = 917 k).
+        """
+        fi, pf, of = self.input_format, self.prob_format, self.output_format
+        if fi is None or pf is None or of is None:
+            return False
+        vmax = max(abs(fi.min_value), fi.max_value)
+        bound = (2.0 + n * pf.resolution * 0.5) * vmax
+        return bound * (1 << of.frac_bits) <= of.max_code
 
     @property
     def exp_unit(self) -> Optional[PWLExpUnit]:

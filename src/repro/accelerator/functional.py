@@ -53,19 +53,30 @@ remains for dilated bands, ``G > 1`` families and scattered global
 batches only.
 
 ``mode="compiled"`` (default) picks between them from what the engine
-observes, never from a caller-set value: GEMM reordering is only
-bit-exact when every stage-1/5 accumulation is exact in float64
-(:meth:`Datapath.supports_exact_gemm` — quantised datapaths inside the
-53-bit budget), and the epilogue's one quantiser tail has no saturation
-clip, which is an identity only when no normalised weight can exceed
-the probability format (:attr:`Datapath.prob_bounded`, a bound read off
-the reciprocal LUT: 1.0039 against Q1.15's 1.99997 at the default
-numerics).  Plans that pass both proofs run the production path and
-everything else (``exact()`` configs, over-budget bit widths, a
-probability format without an integer bit) runs the reference path,
-where summation order is part of the result.  Either way the
-output is bit-identical to ``mode="legacy"``; :attr:`FunctionalEngine.tiled`
-reports which executor a given engine uses.
+observes, never from a caller-set value, in one place —
+:meth:`FunctionalEngine._supports_tiled`, at construction — and the
+production path never re-tests what that gate proved.  One gate, three
+proofs: GEMM reordering is only bit-exact when every stage-1/5
+accumulation is exact in float64 (:meth:`Datapath.supports_exact_gemm` —
+quantised datapaths inside the 53-bit budget); the epilogue's one
+quantiser tail has no saturation clip, an identity only when no
+normalised weight can exceed the probability format
+(:attr:`Datapath.prob_bounded`, a bound read off the reciprocal LUT:
+1.0039 against Q1.15's 1.99997 at the default numerics); and the stage-5
+quantiser has none either, an identity only when no output over ``n``
+keys can exceed the output format (:meth:`Datapath.stage5_bounded`: up
+to ``n`` = 917 k at the default numerics).  Plans that pass all three
+run the production path — on a fully quantised datapath, so its
+``*_into`` quantisers and ``merge_into`` carry no unquantised branch —
+and everything else (``exact()`` configs, over-budget bit widths, a
+probability format without an integer bit, an output format too narrow
+for the operands) runs the reference path, where summation order is
+part of the result.  Either way the output is bit-identical to
+``mode="legacy"``; :attr:`FunctionalEngine.tiled` reports which executor
+a given engine uses.  The production path is total over the scheduler:
+every plan :meth:`DataScheduler.schedule` emits has a job schedule
+(:class:`~repro.scheduler.compiled.IrregularPassError` is left to
+hand-built pass lists with non-contiguous query rows).
 
 Working memory and the unit of isolation
 ----------------------------------------
@@ -76,10 +87,13 @@ temporaries — is a view of the process-wide scratch arena
 (:mod:`repro.accelerator.arena`), one grow-only buffer per name sized
 by the largest request ever seen, the way the accelerator runs every
 pass of every layer through one fixed set of SRAMs.  Plans keep only
-structural memos (``CompiledPlan.scratch``: masks, range facts,
-margins), so memory does not scale with cached plans or chunk shapes,
-and a never-seen structure of an already-served shape runs on touched
-pages.  The price is that the unit of isolation is the *process*:
+structure — the :class:`~repro.scheduler.compiled.ExecutionSchedule`
+value (jobs with their masks and key-id views, chains, slab margins,
+global range facts), built with the plan and never written by an
+engine, which holds no per-plan memo of its own — so memory does not
+scale with cached plans or chunk shapes, and a never-seen structure of
+an already-served shape runs on touched pages.  The price is that the
+unit of isolation is the *process*:
 production runs of all engines share the arena, so :meth:`run` holds
 its lock and a run started from inside another run or from a second
 thread raises :class:`EngineError` instead of corrupting the first.
@@ -135,7 +149,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from ..scheduler.compiled import WindowJob, _arange_start
+from ..scheduler.compiled import CompiledPlan, JobChain, WindowJob
 from ..scheduler.plan import ExecutionPlan, TilePass
 from .arena import ARENA
 from .datapath import Datapath
@@ -315,35 +329,38 @@ class FunctionalEngine:
         self.mode = mode
         self.datapath = Datapath(plan.config.numerics)
         self.module = WeightedSumModule(self.datapath)
-        # Chunked GEMM execution is only bit-identical when every
-        # stage-1/5 accumulation is exact in float64 and no probability
-        # can saturate (quantised datapaths within the bit budget);
-        # elsewhere the reference path runs.
+        # Every (plan, datapath) fact the production path relies on is
+        # decided here, once; elsewhere the reference path runs.
         self.tiled = mode == "compiled" and self._supports_tiled()
         if self.tiled:
             # Compile once at construction (memoized on the plan), and
-            # force the lazy execution schedule now: engines always run.
-            plan.compiled().window_jobs
+            # derive the execution schedule now: engines always run.
+            plan.compiled().schedule
 
     def _supports_tiled(self) -> bool:
         """Whether the chunked GEMM path is bit-exact for this plan.
 
-        Read from the plan's configuration alone, so an engine that takes
-        the reference path never compiles.  Two proofs: every stage-1/5
-        accumulation is exact in float64 — no stage-5 reduction is
-        longer than the cells of one pass (a score rectangle's
-        ``rows + width - 1`` span and a global-row batch — the distinct
-        keys one pass streams — both fit inside it) or, for the global
-        PE column, the number of global tokens — and no normalised
-        weight can saturate the probability format
-        (:attr:`Datapath.prob_bounded`), which the fused epilogue's
-        clip-free quantiser relies on.
+        The one gate of the production path, read from the plan's
+        configuration alone, so an engine that takes the reference path
+        never compiles.  Three proofs, none re-tested per call: every
+        stage-1/5 accumulation is exact in float64 — no stage-5
+        reduction is longer than the cells of one pass (a score
+        rectangle's ``rows + width - 1`` span and a global-row batch —
+        the distinct keys one pass streams — both fit inside it) or, for
+        the global PE column, the number of global tokens
+        (:meth:`Datapath.supports_exact_gemm`); no normalised weight can
+        saturate the probability format (:attr:`Datapath.prob_bounded`),
+        which the fused epilogue's clip-free quantiser relies on; and no
+        stage-5 output can saturate the output format at this sequence
+        length (:meth:`Datapath.stage5_bounded`), which the clip-free
+        stage-5 quantiser relies on.
         """
         plan, cfg = self.plan, self.plan.config
         max_cols = max(cfg.pe_rows * cfg.pe_cols, len(plan.global_tokens))
         return (
             self.datapath.supports_exact_gemm(plan.head_dim, max_cols)
             and self.datapath.prob_bounded
+            and self.datapath.stage5_bounded(plan.n)
         )
 
     # ------------------------------------------------------------------
@@ -492,10 +509,11 @@ class FunctionalEngine:
 
         Every Q/K/V read of the production path comes through here.
         ``start`` is the fact that the flattened ``ids`` equal
-        ``clip(arange(start, start + ids.size), 0, n - 1)``: a
-        compile-time one for window streams and query blocks
-        (``SegmentStream.start``, ``WindowJob.q_start``,
-        ``JobChain.wide_start``, shifted to the chunk), :meth:`_range_start`
+        ``clip(arange(start, start + ids.size), 0, n - 1)``, read off
+        the plan's schedule: ``SegmentStream.start``,
+        ``WindowJob.q_start`` and ``JobChain.wide_start`` (shifted to
+        the chunk) for window streams and query blocks,
+        ``ExecutionSchedule.global_start`` and ``GlobalRowBucket.start``
         for the global id sets.  A range is a zero-copy slice of the
         edge-padded slab; anything else — dilated bands, ``G > 1`` — is
         gathered into arena buffer ``name`` through a contiguous index.
@@ -509,13 +527,6 @@ class FunctionalEngine:
         out = _buf(name, (lanes, ids.size, d))
         np.take(slab.core, idx.reshape(-1), axis=1, out=out, mode="clip")
         return out
-
-    @staticmethod
-    def _range_start(sc: dict, key: tuple, ids: np.ndarray) -> Optional[int]:
-        """Memoized :func:`_arange_start` of a per-plan id set (the global ones)."""
-        if key not in sc:
-            sc[key] = _arange_start(np.reshape(ids, -1))
-        return sc[key]
 
     def _run_compiled_tiled(
         self,
@@ -532,7 +543,7 @@ class FunctionalEngine:
         b = q.shape[0] if batched else 1
         lanes = b * heads
         lane_lens = None if lens is None else np.repeat(lens, heads)
-        margins = self._slab_margins(cp)
+        margins = cp.schedule.slab_margins
         qh = self._lane_slab("q", q, b, n, heads, d, margins)
         kh = self._lane_slab("k", k, b, n, heads, d, margins)
         vh = self._lane_slab("v", v, b, n, heads, d, margins)
@@ -598,58 +609,6 @@ class FunctionalEngine:
             base[:, head + n :] = core[:, n - 1 : n]
         return _Slab(core, base, head)
 
-    def _stage5_bounded(self, cp) -> bool:
-        """True when stage-5 outputs provably cannot saturate.
-
-        Per output element ``|o| <= (sum of the row's probabilities) *
-        vmax``.  Each quantised probability exceeds its pre-rounding
-        value by at most half a resolution step and the pre-rounding row
-        sum is ``w * recip(w) < 2`` (the shift-normalised LUT bound; an
-        exact reciprocal gives 1), so with at most ``n`` columns the row
-        sum is under ``2 + n * res / 2``.  When that times the largest
-        operand magnitude still fits the output format, the saturation
-        clip of every stage-5 quantise is an identity and is skipped.
-        """
-        ok = cp.scratch.get(("q5_bounded",))
-        if ok is None:
-            dp = self.datapath
-            fi, pf, of = dp.input_format, dp.prob_format, dp.output_format
-            if fi is None or pf is None or of is None:
-                ok = False
-            else:
-                vmax = max(abs(fi.min_value), fi.max_value)
-                bound = (2.0 + cp.n * pf.resolution * 0.5) * vmax
-                ok = bound * (1 << of.frac_bits) <= of.max_code
-            cp.scratch[("q5_bounded",)] = ok
-        return ok
-
-    def _slab_margins(self, cp) -> Tuple[int, int]:
-        """Largest head/tail overhang of any range-shaped id stream.
-
-        Key streams and query blocks that are clip-clamped contiguous
-        ranges may overhang the sequence at either end; padding the
-        operand slabs by these margins turns every chunk of every such
-        stream into a pure slice (see :class:`_Slab`).
-        """
-        m = cp.scratch.get(("slab_margins",))
-        if m is None:
-            ranges = [
-                (ch.wide_start, ch.wide_ids.shape[1])
-                for ch in cp.job_chains
-                if ch.wide_ids is not None
-            ]
-            for job in cp.window_jobs:
-                ranges.append((job.q_start, job.q_ids.size))
-                ranges += [(seg.start, seg.gather_ids.shape[1]) for seg in job.segments]
-            head = tail = 0
-            for start, length in ranges:
-                if start is not None:
-                    head = max(head, -start)
-                    tail = max(tail, start + length - cp.n)
-            m = (head, tail)
-            cp.scratch[("slab_margins",)] = m
-        return m
-
     def _merge_part(self, ro, rw, rh, rp, out, w, has) -> int:
         """Merge one part into running state — the production path's only Eq. 2.
 
@@ -698,8 +657,8 @@ class FunctionalEngine:
 
     def _run_chain_tiled(
         self,
-        cp,
-        chain,
+        cp: CompiledPlan,
+        chain: JobChain,
         qh: _Slab,
         kh: _Slab,
         vh: _Slab,
@@ -779,11 +738,11 @@ class FunctionalEngine:
             b1 = min(b0 + Bc, B)
             if chain.wide_ids is not None:
                 stages = self._wide_job_stages(
-                    cp, chain, jobs, qh, kh, vh, scale, b0, b1, lane_lens
+                    chain, jobs, qh, kh, vh, scale, b0, b1, lane_lens
                 )
             else:
                 stages = (
-                    self._job_stages_tiled(cp, job, qh, kh, vh, scale, b0, b1, lane_lens)
+                    self._job_stages_tiled(job, qh, kh, vh, scale, b0, b1, lane_lens)
                     for job in jobs
                 )
             ro = out_run[:, :, b0:b1]
@@ -827,7 +786,6 @@ class FunctionalEngine:
 
     def _job_stages_tiled(
         self,
-        cp,
         job: WindowJob,
         qh: _Slab,
         kh: _Slab,
@@ -862,7 +820,7 @@ class FunctionalEngine:
             bandv = as_strided(rect, (lanes, G, Bc, R, W), rs[:3] + (rs[3] + rs[4], rs[4]))
             np.copyto(band[..., col0 : col0 + W], bandv)
             col0 += W
-        w, has = self._job_epilogue(cp, job, band, scale, b0, b1, lane_lens)
+        w, has = self._job_epilogue(job, band, scale, b0, b1, lane_lens)
         out5 = _buf("job_out", (lanes, G, Bc, R, d))
         tmp5 = _buf("job_out2", (lanes, G, Bc, R, d)) if len(job.segments) > 1 else None
         col0 = 0
@@ -880,7 +838,7 @@ class FunctionalEngine:
             if s > 0:
                 np.add(out5, tmp5, out=out5)
             col0 += W
-        dp.quantize_output_into(out5, out5, bounded=self._stage5_bounded(cp))
+        dp.quantize_output_into(out5, out5)
         return out5, w, has
 
     def _stream_view(
@@ -907,7 +865,6 @@ class FunctionalEngine:
 
     def _job_epilogue(
         self,
-        cp,
         job: WindowJob,
         band: np.ndarray,
         scale: float,
@@ -921,29 +878,15 @@ class FunctionalEngine:
         run, ``job.keep``, its key ids — so nothing the plan retains
         depends on where the chunks fall.
         """
-        sc = cp.scratch
         lanes, G, Bc, R, C = band.shape
-        masked = sc.get(("masked", id(job)))
-        if masked is None:
-            # The job's run of blocks from the first to the last with an
-            # invalid cell, and ``valid`` over it as float64.  Multiplying
-            # by an all-ones mask is exact, so skipping the all-valid
-            # blocks outside the run is bit-identical.
-            bad = np.flatnonzero(~job.valid.all(axis=(0, 2, 3)))
-            m0, m1 = (int(bad[0]), int(bad[-1]) + 1) if bad.size else (0, 0)
-            masked = sc[("masked", id(job))] = (
-                m0,
-                m1,
-                np.ascontiguousarray(job.valid[None, :, m0:m1], dtype=np.float64),
-            )
-        m0, m1, validf = masked
+        m0, m1 = job.masked
         lo, hi = max(b0, m0), min(b1, m1)
-        valid = (slice(lo - b0, hi - b0), validf[:, :, lo - m0 : hi - m0]) if lo < hi else None
+        valid = (slice(lo - b0, hi - b0), job.validf[:, :, lo - m0 : hi - m0]) if lo < hi else None
         lmask = None
         if lane_lens is not None:
             lmask = _buf("job_lmask", (lanes, G, Bc, R, C), np.bool_)
             col0 = 0
-            for ids in self._segment_key_ids(sc, job):
+            for ids in job.key_views:
                 W = ids.shape[3]
                 np.less(
                     ids[None, :, b0:b1],
@@ -962,38 +905,9 @@ class FunctionalEngine:
         np.logical_and(has, job.keep[None, :, b0:b1], out=has)
         return w, has
 
-    @staticmethod
-    def _segment_key_ids(sc: dict, job: WindowJob) -> Tuple[np.ndarray, ...]:
-        """Per segment, the key ids under a job's band: ``(G, B, R, W)`` views.
-
-        Built with the stride trick of the stage-1 stream views, so cell
-        ``(g, b, r, t)`` holds exactly the sequence index of the key
-        whose score the band carries there (clipped cells are covered by
-        ``job.valid`` and may carry any id).  Only needed for padded-tail
-        masking; memoized per job because it is pure plan structure and
-        the serving fast path re-dispatches padded batches on a cached
-        plan.  Views of the segments' ``gather_ids``: they own no memory.
-        """
-        views = sc.get(("key_ids", id(job)))
-        if views is None:
-            views = []
-            for seg in job.segments:
-                s_g, s_l = seg.gather_ids.strides
-                views.append(
-                    as_strided(
-                        seg.gather_ids,
-                        (job.num_groups, job.num_blocks, job.rows, seg.width),
-                        (s_g, seg.block_step * s_l, s_l, s_l),
-                        writeable=False,
-                    )
-                )
-            views = sc[("key_ids", id(job))] = tuple(views)
-        return views
-
     def _wide_job_stages(
         self,
-        cp,
-        chain,
+        chain: JobChain,
         jobs,
         qh: _Slab,
         kh: _Slab,
@@ -1026,7 +940,6 @@ class FunctionalEngine:
         span = R + offs[-1] + widths[-1] - 1
         lo = b0 * step
         L = (Bc - 1) * step + span
-        q5 = self._stage5_bounded(cp)
         qv = self._rows(
             qh, "wide_q", job0.q_safe[:, b0:b1], _shift(job0.q_start, b0 * R)
         ).reshape(lanes, G, Bc, R, d)
@@ -1049,7 +962,7 @@ class FunctionalEngine:
                 rect[..., off:], (lanes, G, Bc, R, W), rs[:3] + (rs[3] + rs[4], rs[4])
             )
             np.copyto(band, bandv)
-            w, has = self._job_epilogue(cp, job, band, scale, b0, b1, lane_lens)
+            w, has = self._job_epilogue(job, band, scale, b0, b1, lane_lens)
             # Zero-invariant: each use of one shape scatters the band
             # into the same strided positions, everything else stays 0.
             rect5 = _zbuf("wide_rect5", (lanes, G, Bc, R, span_j))
@@ -1063,7 +976,7 @@ class FunctionalEngine:
             )
             out5 = _buf("job_out", (lanes, G, Bc, R, d))
             np.matmul(rect5, vview, out=out5)
-            dp.quantize_output_into(out5, out5, bounded=q5)
+            dp.quantize_output_into(out5, out5)
             yield out5, w, has
 
     def _exp_table(self, scale: float):
@@ -1088,8 +1001,11 @@ class FunctionalEngine:
         elementwise op the reference path's ``_attend_block`` applies,
         and the row sum adds fixed-point exp codes (exact in any order),
         so bit-identical.
-        Rows without work get a safe reciprocal operand of 1.0; their cells
-        are all exact zeros, so the probabilities come out 0 either way.
+        Rows without work come back with the safe weight 1.0 (``has``
+        tells them apart): their cells are all exact zeros, so their
+        probabilities are 0 either way, and a strictly positive weight
+        on every row keeps Eq. 2 merges of cells empty on both sides —
+        computed, then discarded — away from ``recip(0)``.
         """
         dp = self.datapath
         lut = self._exp_table(scale)
@@ -1111,11 +1027,10 @@ class FunctionalEngine:
             np.multiply(band, lmask, out=band)
         band.sum(axis=-1, out=w)
         np.greater(w, 0.0, out=has)
-        wsafe = _buf("epi_wsafe", w.shape)
         inv = _buf("epi_inv", w.shape)
-        np.subtract(1.0, has, out=wsafe)
-        np.add(wsafe, w, out=wsafe)
-        dp.recip_into(wsafe, inv)
+        np.subtract(1.0, has, out=inv)
+        np.add(w, inv, out=w)
+        dp.recip_into(w, inv)
         # Fold the prob quantiser's power-of-two scale into the row-shaped
         # reciprocal: exact power-of-two scaling commutes with fp
         # rounding, so ``rint(e * (inv * 2^f)) * res`` is bit-identical to
@@ -1139,7 +1054,7 @@ class FunctionalEngine:
             return
         gtok = cp.global_tokens
         lanes, n, d = qh.core.shape
-        g0 = self._range_start(cp.scratch, ("gtok_start",), gtok)
+        g0 = cp.schedule.global_start
         kg = self._rows(kh, "gcol_k", gtok, g0)
         vg = self._rows(vh, "gcol_v", gtok, g0)
         s = _buf("gcol_s", (lanes, n, len(gtok)))
@@ -1149,7 +1064,7 @@ class FunctionalEngine:
         self._band_epilogue(s, None, None, scale, w, has)
         out = _buf("gcol_out", (lanes, n, d))
         np.matmul(s, vg, out=out)
-        self.datapath.quantize_output_into(out, out, bounded=self._stage5_bounded(cp))
+        self.datapath.quantize_output_into(out, out)
         has[:, gtok] = False
         acc.merges += self._merge_part(acc.out, acc.w, acc.has, acc.parts, out, w, has)
 
@@ -1170,31 +1085,16 @@ class FunctionalEngine:
         num_b = cp.global_batches.shape[0]
         if num_b == 0 or len(gtok) == 0:
             return
-        sc = cp.scratch
         dp = self.datapath
         lanes, _, d = qh.core.shape
         num_g = len(gtok)
         out = _buf("grow_out", (lanes, num_b, num_g, d))
         w = _buf("grow_w", (lanes, num_b, num_g))
         has = _buf("grow_has", (lanes, num_b, num_g), np.bool_)
-        qg = self._rows(qh, "grow_qg", gtok, self._range_start(sc, ("gtok_start",), gtok))
-        buckets = sc.get(("grow_buckets",))
-        if buckets is None:
-            lengths = cp.global_batch_valid.sum(axis=1)
-            buckets = [
-                (int(length), np.flatnonzero(lengths == length))
-                for length in np.unique(lengths)
-            ]
-            sc[("grow_buckets",)] = buckets
-        for L, bidx in buckets:
-            nb = len(bidx)
-            keys = sc.get(("grow_keymat", L))
-            if keys is None:
-                keys = np.ascontiguousarray(cp.global_batches[bidx, :L])
-                sc[("grow_keymat", L)] = keys
-            # Adjacent batches usually tile the sequence, and then the
-            # flattened key matrix is one range: a slice of the slabs.
-            k0 = self._range_start(sc, ("grow_keys_start", L), keys)
+        qg = self._rows(qh, "grow_qg", gtok, cp.schedule.global_start)
+        for bucket in cp.schedule.global_buckets:
+            bidx, keys, k0 = bucket.batches, bucket.keys, bucket.start
+            nb, L = keys.shape
             kv = self._rows(kh, "grow_k", keys, k0).reshape(lanes, nb, L, d)
             vv = self._rows(vh, "grow_v", keys, k0).reshape(lanes, nb, L, d)
             s = _buf("grow_s", (lanes, nb, num_g, L))
@@ -1210,7 +1110,7 @@ class FunctionalEngine:
             self._band_epilogue(s, None, lmask, scale, bw, bh)
             bo = _buf("grow_bo", (lanes, nb, num_g, d))
             np.matmul(s, vv, out=bo)
-            dp.quantize_output_into(bo, bo, bounded=self._stage5_bounded(cp))
+            dp.quantize_output_into(bo, bo)
             out[:, bidx] = bo
             w[:, bidx] = bw
             has[:, bidx] = bh

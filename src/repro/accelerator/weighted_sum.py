@@ -73,10 +73,13 @@ class WeightedSumModule:
         ``w1``; its four temporaries are views of the process arena
         (:mod:`repro.accelerator.arena`), shared with every other module
         instance, so nothing is allocated once the arena has served a
-        request as large.  Strictly positive weights are the caller's
-        contract (chain merges are gated on the ``has`` mask, so both
-        sides carry weight).  One call at a time per process: the engine
-        holds the arena's lock around a run.
+        request as large.  A strictly positive ``w1 + w2`` is the
+        caller's contract (every part of the production path carries a
+        positive weight on every row, see ``_band_epilogue``), and so is
+        a quantised datapath: only the production path calls this, and
+        its gate admits no other (``FunctionalEngine._supports_tiled``).
+        One call at a time per process: the engine holds the arena's
+        lock around a run.
         """
         dp = self.datapath
         total = ARENA.buf("merge_total", w1.shape)
@@ -89,26 +92,20 @@ class WeightedSumModule:
         dp.quantize_prob_into(a1, a1)
         np.clip(a1, 0.0, 1.0, out=a1)
         np.subtract(1.0, a1, out=a2)
+        # Fold the output quantiser's power-of-two scale into the row
+        # coefficients: scaling by an exact power of two commutes with
+        # fp rounding (no over/underflow at these magnitudes), so
+        # ``rint((a1*2^k)*o1 + (a2*2^k)*o2) * res`` is bit-identical to
+        # quantising the unscaled combination — one fewer full-size
+        # pass.  No saturation pass: a convex combination of in-range
+        # values stays in range.
         of = dp.output_format
-        if of is not None:
-            # Fold the output quantiser's power-of-two scale into the
-            # row coefficients: scaling by an exact power of two
-            # commutes with fp rounding (no over/underflow at these
-            # magnitudes), so ``rint((a1*2^k)*o1 + (a2*2^k)*o2) * res``
-            # is bit-identical to quantising the unscaled combination —
-            # one fewer full-size pass.  Saturation is skipped as in
-            # quantize_output_into(bounded=True): a convex combination
-            # of in-range values stays in range.
-            lift = float(1 << of.frac_bits)
-            np.multiply(a1, lift, out=a1)
-            np.multiply(a2, lift, out=a2)
-            np.multiply(out1, a1[..., None], out=out1)
-            np.multiply(out2, a2[..., None], out=tmp)
-            np.add(out1, tmp, out=out1)
-            np.rint(out1, out=out1)
-            np.multiply(out1, of.resolution, out=out1)
-        else:
-            np.multiply(out1, a1[..., None], out=out1)
-            np.multiply(out2, a2[..., None], out=tmp)
-            np.add(out1, tmp, out=out1)
+        lift = float(1 << of.frac_bits)
+        np.multiply(a1, lift, out=a1)
+        np.multiply(a2, lift, out=a2)
+        np.multiply(out1, a1[..., None], out=out1)
+        np.multiply(out2, a2[..., None], out=tmp)
+        np.add(out1, tmp, out=out1)
+        np.rint(out1, out=out1)
+        np.multiply(out1, of.resolution, out=out1)
         np.copyto(w1, total)

@@ -47,12 +47,6 @@ class NumericsConfig:
     exp_input_lo: float = -16.0
     exp_input_hi: float = 5.0
     exp_frac_bits: int = 8
-    # 'pow2' = Softermax-style octave range reduction + shift (default);
-    # 'direct' = uniform chords straight over the clamp range (ablation).
-    exp_pwl_style: str = "pow2"
-    # Direct-style slopes/intercepts need integer range up to
-    # ~exp(hi) * |lo|, so they carry fewer fractional bits.
-    exp_coeff_frac_bits: int = 6
     recip_lut_bits: int = 7
     recip_mode: str = "lut"  # 'lut' (shift-normalise + LUT) or 'exact'
     prob_frac_bits: int = 15
@@ -60,10 +54,6 @@ class NumericsConfig:
     def __post_init__(self) -> None:
         if self.exp_mode not in ("pwl", "exact"):
             raise ConfigError(f"exp_mode must be 'pwl' or 'exact', got {self.exp_mode!r}")
-        if self.exp_pwl_style not in ("pow2", "direct"):
-            raise ConfigError(
-                f"exp_pwl_style must be 'pow2' or 'direct', got {self.exp_pwl_style!r}"
-            )
         if self.recip_mode not in ("lut", "exact"):
             raise ConfigError(f"recip_mode must be 'lut' or 'exact', got {self.recip_mode!r}")
         if self.exp_input_hi <= self.exp_input_lo:

@@ -42,6 +42,21 @@ once per :class:`~repro.scheduler.plan.ExecutionPlan` and stores:
 * per-pass aggregates (valid cells, distinct keys, query loads, output
   vectors) reused by the timing/energy/traffic models.
 
+A :class:`CompiledPlan` is a *value*: frozen, built from the pass list
+alone, holding no reference back to the plan it was compiled from (the
+plan refers to it, never the reverse, so dropping the last plan
+reference frees both by refcount) and nothing any engine writes.  What
+only execution needs is one further value, the
+:class:`ExecutionSchedule` (:attr:`CompiledPlan.schedule`): the window
+jobs — each with its masked block run, float validity mask and
+padded-tail key-id views — their chains, the operand slab margins, the
+global-token range start and the global-row length buckets with their
+key matrices and range starts.  It is derived once, on first engine
+use, so cost-model-only traffic (``SALO.estimate``, the cluster
+simulator) never builds it, and nothing in it is keyed by a chunk, a
+lane count or an engine: what a cached plan retains is a function of
+the plan alone.
+
 Obtain instances through :meth:`ExecutionPlan.compiled`, which memoizes
 the compilation on the plan object.
 
@@ -54,16 +69,20 @@ never walks the passes with per-pass numpy calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (plan -> compiled)
     from .plan import ExecutionPlan, TilePass
 
 __all__ = [
     "CompiledPlan",
+    "ExecutionSchedule",
+    "GlobalRowBucket",
     "IrregularPassError",
     "JobChain",
     "PassIndex",
@@ -81,16 +100,16 @@ CHUNK_BYTES = 4 * 1024 * 1024
 
 
 class IrregularPassError(ValueError):
-    """Raised when passes have no strided window-job geometry.
+    """Raised when a pass has no strided window-job geometry.
 
-    Non-contiguous query rows or unevenly spaced blocks.  The scheduler
-    emits such passes only when a block in the middle of a column group
-    is left without work and dropped: its in-range keys are all global
-    tokens, or the group packs segments of two bands that are in range
-    at opposite ends of the sequence only (both take a PE array a few
-    cells small); hand-built plans can hold any.  Only the per-pass
-    reference engine (``FunctionalEngine(plan, mode="legacy")``), which
-    never builds window jobs, executes them.
+    A pass whose query rows are not consecutive group positions — only a
+    hand-built pass list can hold one.  Nothing
+    :meth:`DataScheduler.schedule` emits raises this: its passes map
+    contiguous rows, and a column group with a block missing inside (a
+    zero-work pass the scheduler dropped) is cut into its evenly spaced
+    runs (:func:`_even_runs`).  The per-pass reference engine
+    (``FunctionalEngine(plan, mode="legacy")``), which never builds
+    window jobs, executes any pass list.
     """
 
 
@@ -138,6 +157,18 @@ class WindowJob:
     valid: np.ndarray  # (G, B, R, C) bool
     keep: np.ndarray  # (G, B, R) bool: rows merged by the window path
     segments: Tuple[SegmentStream, ...]
+    # The run of blocks ``[m0, m1)`` from the first to the last with an
+    # invalid cell, and ``valid`` over it as float64 ``(1, G, m1 - m0, R,
+    # C)``: the stage-2 mask.  Multiplying by an all-ones mask is exact,
+    # so engines skip the all-valid blocks outside the run.
+    masked: Tuple[int, int]
+    validf: np.ndarray
+    # Per segment, the key ids under the job's band as ``(G, B, R, W)``
+    # views of ``gather_ids`` (they own no memory): cell ``(g, b, r, t)``
+    # holds the sequence index of the key whose score the band carries
+    # there (clipped cells are covered by ``valid`` and may carry any
+    # id).  Read by padded-tail masking only.
+    key_views: Tuple[np.ndarray, ...]
     # With one group: every non-padding cell of the flattened ``q_ids``
     # equals ``q_start`` + its flat position (verified by comparison on
     # the whole column group), so the query blocks are one slice of the
@@ -320,21 +351,52 @@ def _build_job_chains(jobs, n: int) -> Tuple[JobChain, ...]:
     return tuple(chains)
 
 
-@dataclass
+@dataclass(frozen=True)
+class GlobalRowBucket:
+    """The global-row batches of one length: stages 1-5 run as one GEMM."""
+
+    batches: np.ndarray  # (nb,) indices into CompiledPlan.global_batches
+    keys: np.ndarray  # (nb, L) int64 key ids, contiguous
+    # Adjacent batches usually tile the sequence, and then the flattened
+    # key matrix is one id range starting here: a slice of the slabs.
+    start: Optional[int]
+
+
+@dataclass(frozen=True)
+class ExecutionSchedule:
+    """Everything only execution reads, derived once per plan.
+
+    A function of the compiled plan alone — no chunk, lane count or
+    engine enters it — so engines hold no per-plan memo of their own.
+    """
+
+    window_jobs: Tuple[WindowJob, ...]
+    job_chains: Tuple[JobChain, ...]
+    # Largest (head, tail) overhang of any range-shaped id stream: key
+    # streams and query blocks that are clip-clamped contiguous ranges
+    # may overhang the sequence at either end, and padding the operand
+    # slabs by these margins turns every chunk of every such stream
+    # into a pure slice.
+    slab_margins: Tuple[int, int]
+    global_start: Optional[int]  # the global tokens are the range starting here
+    global_buckets: Tuple[GlobalRowBucket, ...]  # by ascending batch length
+
+
+@dataclass(frozen=True, eq=False)
 class CompiledPlan:
     """Precompiled index tensors and aggregates of one execution plan.
 
     The per-pass tensors and aggregates are built eagerly (every
     consumer — cost models, ``plan.stats()``, the engines — needs
-    them); the execution-only :attr:`window_jobs` schedule is built
-    lazily on first engine use, so cost-model-only paths such as
-    ``SALO.estimate`` never pay for it.
+    them); the execution-only :attr:`schedule` is derived on first
+    engine use, so cost-model-only paths such as ``SALO.estimate``
+    never pay for it.
     """
 
-    plan: "ExecutionPlan"
     n: int
     heads: int
     head_dim: int
+    passes: Tuple["TilePass", ...]  # what the schedule is derived from
     num_passes: int
     pad_rows: int  # R: padded PE-row count across all passes
     pad_cols: int  # C: padded PE-column count across all passes
@@ -360,21 +422,6 @@ class CompiledPlan:
     nonglobal_rows: np.ndarray  # (n - G,) int64
     global_batches: np.ndarray  # (B, L) int64 padded with -1
     global_batch_valid: np.ndarray  # (B, L) bool
-    # -- batched execution schedule (lazy; see window_jobs) ----------
-    _window_jobs: Optional[List[WindowJob]] = field(
-        default=None, repr=False, compare=False
-    )
-    _job_chains: Optional[Tuple[JobChain, ...]] = field(
-        default=None, repr=False, compare=False
-    )
-    # Per-plan structural memos of the engines: per-job masks and id
-    # views, range facts, slab margins — nothing keyed by a chunk, whose
-    # boundaries follow the lane count of the call.  No buffers either —
-    # those are views of the process arena (repro.accelerator.arena) — so
-    # what a cached plan retains is a function of the plan alone.
-    # The dict lives with the plan (and hence with the SALO plan-cache
-    # entry), not with any one engine instance.
-    scratch: dict = field(default_factory=dict, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     @property
@@ -382,21 +429,20 @@ class CompiledPlan:
         """``(P, R, C)`` int64 key ids, ``-1`` where not ``valid``; derived per call."""
         return np.where(self.valid, _unmasked_key_ids(self.qpos, self.col_base, self.col_dil), -1)
 
+    @cached_property
+    def schedule(self) -> ExecutionSchedule:
+        """The :class:`ExecutionSchedule`, derived on first use."""
+        return _build_schedule(self)
+
     @property
-    def window_jobs(self) -> List[WindowJob]:
-        """The engine's execution schedule, built on first use."""
-        if self._window_jobs is None:
-            self._window_jobs = _build_window_jobs(
-                self.plan, self.q_ids, self.valid, self.keep
-            )
-        return self._window_jobs
+    def window_jobs(self) -> Tuple[WindowJob, ...]:
+        """The window jobs of :attr:`schedule`."""
+        return self.schedule.window_jobs
 
     @property
     def job_chains(self) -> Tuple[JobChain, ...]:
-        """Same-geometry runs of :attr:`window_jobs`, built on first use."""
-        if self._job_chains is None:
-            self._job_chains = _build_job_chains(self.window_jobs, self.n)
-        return self._job_chains
+        """Same-geometry runs of :attr:`window_jobs` (see :attr:`schedule`)."""
+        return self.schedule.job_chains
 
     def chunk_blocks(self, job: WindowJob, lanes: int) -> int:
         """Query blocks of ``job`` the engine runs per chunk, on all ``lanes``.
@@ -438,7 +484,7 @@ class CompiledPlan:
         return int(self.distinct_per_pass.sum())
 
 
-def _topo_colgroups(plan: "ExecutionPlan") -> List[Tuple[int, List[List[int]]]]:
+def _topo_colgroups(passes: Sequence["TilePass"]) -> List[Tuple[int, List[List[int]]]]:
     """Per query group (in pass order): dilation + topo-ordered column groups.
 
     Job order must replay the merge order every query observes in the
@@ -456,7 +502,7 @@ def _topo_colgroups(plan: "ExecutionPlan") -> List[Tuple[int, List[List[int]]]]:
     # looked up by identity and a tuple is hashed once, not once per pass.
     by_id: dict = {}
     by_value: dict = {}
-    for i, tp in enumerate(plan.passes):
+    for i, tp in enumerate(passes):
         gkey = (tp.query_residue, tp.dilation)
         if gkey not in group_jobs:
             group_order.append(gkey)
@@ -525,40 +571,56 @@ class _ColumnRun:
 _Cut = Tuple[_ColumnRun, int, int]
 
 
+def _even_runs(idxs: List[int], q_ids: np.ndarray) -> List[List[int]]:
+    """One column group's passes cut into maximal evenly spaced block runs.
+
+    The scheduler drops zero-work passes, and the dropped block can sit
+    in the *middle* of a column group (its in-range keys are all global
+    tokens, or the group packs segments of two bands in range at
+    opposite sequence ends only), leaving a gap in the block grid.  Each
+    run is a regular column group of its own; the runs cover disjoint
+    blocks and stay consecutive in master order, so no query's merge
+    order moves.
+    """
+    steps = np.diff(q_ids[idxs, 0])
+    runs, a = [], 0
+    for i in range(1, len(steps)):
+        if steps[i] != steps[a]:
+            runs.append(idxs[a : i + 1])
+            a = i + 1
+    runs.append(idxs[a:])
+    return runs
+
+
 def _column_run(
-    plan: "ExecutionPlan",
+    passes: Sequence["TilePass"],
+    n: int,
     idxs: List[int],
     dilation: int,
     q_ids: np.ndarray,
     valid: np.ndarray,
     keep: np.ndarray,
 ) -> _ColumnRun:
-    """The :class:`_ColumnRun` of one column group's passes, or raise.
+    """The :class:`_ColumnRun` of one evenly spaced run of passes, or raise.
 
     Strided window-job geometry needs contiguous query rows in every
-    pass (consecutive group positions are ``dilation`` ids apart) and
-    evenly spaced blocks; any block range of such a column group is
-    regular too, so the check runs here, on the whole group, and the
-    error names every pass of it.
+    pass (consecutive group positions are ``dilation`` ids apart); any
+    block range of such a run is regular too, so the check runs here, on
+    the whole run, and the error names every pass of it.
     """
     ia = np.asarray(idxs, dtype=np.int64)
     q = q_ids[ia]
-    contiguous = ((np.diff(q, axis=1) == dilation) | (q[:, 1:] < 0)).all()
-    steps = np.diff(q[:, 0])
-    if not contiguous or (steps != steps[:1]).any():
+    if not ((np.diff(q, axis=1) == dilation) | (q[:, 1:] < 0)).all():
         raise IrregularPassError(
-            f"passes {idxs} have non-contiguous query rows or unevenly "
-            "spaced blocks and cannot form a window job; only "
-            "FunctionalEngine(plan, mode='legacy') executes them"
+            f"passes {idxs} have non-contiguous query rows and cannot form a "
+            "window job; only FunctionalEngine(plan, mode='legacy') executes them"
         )
     lengths = (q >= 0).sum(axis=1)
     rows = int(lengths.max())
-    first = plan.passes[idxs[0]]
+    first = passes[idxs[0]]
     cols = first.cols_used
     first_block = first.q_positions[0]
-    block_step = (
-        plan.passes[idxs[1]].q_positions[0] - first_block if len(idxs) > 1 else rows
-    )
+    block_step = passes[idxs[1]].q_positions[0] - first_block if len(idxs) > 1 else rows
     q = np.ascontiguousarray(q[:, :rows])
     streams, starts = [], []
     for seg in first.segments:
@@ -566,8 +628,8 @@ def _column_run(
         base = seg.key_residue + (first_block + seg.rel_lo) * seg.dilation
         length = (len(idxs) - 1) * block_step + rows + seg.width - 1
         offsets = np.arange(length, dtype=np.int64) * seg.dilation
-        streams.append(_clamp(base + offsets, plan.n))
-        starts.append(_clipped_arange_start(streams[-1], plan.n))
+        streams.append(_clamp(base + offsets, n))
+        starts.append(_clipped_arange_start(streams[-1], n))
     return _ColumnRun(
         idxs=ia,
         lengths=tuple(lengths.tolist()),
@@ -616,11 +678,12 @@ def _split_blocks(cols: List[_ColumnRun]) -> List[List[_Cut]]:
 
 
 def _build_window_jobs(
-    plan: "ExecutionPlan",
+    passes: Sequence["TilePass"],
+    n: int,
     q_ids: np.ndarray,
     valid: np.ndarray,
     keep: np.ndarray,
-) -> List[WindowJob]:
+) -> Tuple[WindowJob, ...]:
     """Batch the pass stream into window-job families (see module docstring).
 
     Within each query group, column groups execute in the group's master
@@ -642,11 +705,17 @@ def _build_window_jobs(
     """
     runs: List[List[List[_ColumnRun]]] = []
     last_dil = None
-    for dil, cols in _topo_colgroups(plan):
+    for dil, cols in _topo_colgroups(passes):
         if dil != last_dil or not runs:
             runs.append([])
             last_dil = dil
-        runs[-1].append([_column_run(plan, idxs, dil, q_ids, valid, keep) for idxs in cols])
+        runs[-1].append(
+            [
+                _column_run(passes, n, run, dil, q_ids, valid, keep)
+                for idxs in cols
+                for run in _even_runs(idxs, q_ids)
+            ]
+        )
 
     jobs: List[WindowJob] = []
     for run in runs:
@@ -654,6 +723,34 @@ def _build_window_jobs(
             for k in range(max(len(g) for g in sub)):
                 jobs.extend(_position_families([g[k] for g in sub if k < len(g)]))
     return tuple(jobs)
+
+
+def _build_schedule(cp: CompiledPlan) -> ExecutionSchedule:
+    """Derive the :class:`ExecutionSchedule` of a compiled plan."""
+    jobs = _build_window_jobs(cp.passes, cp.n, cp.q_ids, cp.valid, cp.keep)
+    chains = _build_job_chains(jobs, cp.n)
+    ranges = [(ch.wide_start, ch.wide_ids.shape[1]) for ch in chains if ch.wide_ids is not None]
+    for job in jobs:
+        ranges.append((job.q_start, job.q_ids.size))
+        ranges += [(seg.start, seg.gather_ids.shape[1]) for seg in job.segments]
+    head = tail = 0
+    for start, length in ranges:
+        if start is not None:
+            head = max(head, -start)
+            tail = max(tail, start + length - cp.n)
+    lengths = cp.global_batch_valid.sum(axis=1)
+    buckets = []
+    for length in np.unique(lengths):
+        batches = np.flatnonzero(lengths == length)
+        keys = np.ascontiguousarray(cp.global_batches[batches, :length])
+        buckets.append(GlobalRowBucket(batches, keys, _arange_start(keys.ravel())))
+    return ExecutionSchedule(
+        window_jobs=jobs,
+        job_chains=chains,
+        slab_margins=(head, tail),
+        global_start=_arange_start(cp.global_tokens),
+        global_buckets=tuple(buckets),
+    )
 
 
 def _stack(blocks: List[np.ndarray]) -> np.ndarray:
@@ -698,6 +795,20 @@ def _position_families(cuts: List[_Cut]) -> List[WindowJob]:
                     else None,
                 )
             )
+        job_valid = _stack([c.valid[a:b, :rows] for c, a, b in members])
+        bad = np.flatnonzero(~job_valid.all(axis=(0, 2, 3)))
+        m0, m1 = (int(bad[0]), int(bad[-1]) + 1) if bad.size else (0, 0)
+        key_views = []
+        for seg in streams:
+            s_g, s_l = seg.gather_ids.strides
+            key_views.append(
+                as_strided(
+                    seg.gather_ids,
+                    (len(members), num_blocks, rows, seg.width),
+                    (s_g, block_step * s_l, s_l, s_l),
+                    writeable=False,
+                )
+            )
         jobs.append(
             WindowJob(
                 pass_indices=np.concatenate([c.idxs[a:b] for c, a, b in members]),
@@ -707,9 +818,12 @@ def _position_families(cuts: List[_Cut]) -> List[WindowJob]:
                 cols=cols,
                 q_ids=job_q_ids,
                 q_safe=np.maximum(job_q_ids, 0),
-                valid=_stack([c.valid[a:b, :rows] for c, a, b in members]),
+                valid=job_valid,
                 keep=_stack([c.keep[a:b, :rows] for c, a, b in members]),
                 segments=tuple(streams),
+                masked=(m0, m1),
+                validf=np.ascontiguousarray(job_valid[None, :, m0:m1], dtype=np.float64),
+                key_views=tuple(key_views),
                 q_start=c0.q_start + a0 * c0.q_ids.shape[1]
                 if lone and c0.q_start is not None
                 else None,
@@ -969,10 +1083,10 @@ def compile_plan(plan: "ExecutionPlan") -> CompiledPlan:
         global_batch_valid = np.empty((0, 1), dtype=bool)
 
     return CompiledPlan(
-        plan=plan,
         n=n,
         heads=plan.heads,
         head_dim=plan.head_dim,
+        passes=tuple(plan.passes),
         num_passes=num_passes,
         pad_rows=pad_rows,
         pad_cols=pad_cols,

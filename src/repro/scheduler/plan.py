@@ -190,7 +190,8 @@ class ExecutionPlan:
         (query rows, key ids with global exclusions baked in, validity
         masks), the merge-round metadata and the per-pass aggregates that
         the engines and cost models would otherwise re-derive per head or
-        per call.
+        per call.  The compiled plan is a value with no reference back
+        to this object, so dropping the plan frees both by refcount.
         """
         if self._compiled is None:
             from .compiled import compile_plan

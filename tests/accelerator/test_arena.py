@@ -7,9 +7,11 @@ here: interleaved calls over plans that use the same names at different
 shapes stay bit-identical to the per-pass reference (the zero-invariant
 buffers are the risk); the arena holds the per-name maxima and nothing
 else; its name set does not grow with the structures served; a cold
-attend of an already-served shape retains only the plan; concurrent
-runs are refused, not corrupted; and ``CompiledPlan.key_ids``, no longer
-stored, still derives the per-pass reference.
+attend of an already-served shape retains only the plan, what a plan
+retains is a function of the plan alone, and a dropped plan is freed by
+refcount (no plan <-> compiled cycle); concurrent runs are refused, not
+corrupted; and ``CompiledPlan.key_ids``, no longer stored, still
+derives the per-pass reference.
 """
 
 import dataclasses
@@ -18,6 +20,7 @@ import gc
 import importlib.util
 import threading
 import tracemalloc
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -256,36 +259,41 @@ def test_cold_attend_of_a_served_shape_retains_only_the_plan():
     assert "key_ids" not in {f.name for f in dataclasses.fields(cp)}
 
 
-def _scratch_bytes(cp):
-    """Array bytes reachable from the engines' per-plan memos (views at face value)."""
-
-    def size(value):
-        if isinstance(value, np.ndarray):
-            return value.nbytes
-        return sum(map(size, value)) if isinstance(value, tuple) else 0
-
-    return sum(size(value) for value in cp.scratch.values())
+def _retained(value):
+    """``(arrays, bytes)`` reachable from a schedule value (views at face value)."""
+    if isinstance(value, np.ndarray):
+        return 1, value.nbytes
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    if isinstance(value, (tuple, list)):
+        parts = [_retained(item) for item in value]
+        return sum(p[0] for p in parts), sum(p[1] for p in parts)
+    return 0, 0
 
 
 def test_what_a_plan_retains_does_not_depend_on_the_batch_sizes_served(monkeypatch):
     """Chunk boundaries follow the lane count, so nothing retained may be
-    keyed by them: one plan attended at five batch sizes that all chunk
-    differently holds what it holds after the largest alone."""
+    keyed by them.  Everything execution reads of a plan is one value,
+    ``cp.schedule``, built before the first run: one plan attended at
+    five batch sizes that all chunk differently, padded and not, holds
+    the schedule it was built with — same object, same arrays — which is
+    the schedule of a plan that never ran; the engine keeps no memo."""
     pattern, heads, head_dim = longformer_pattern(512, 64, (0,)), 2, 4
     batches = (1, 2, 3, 5, 8)
     rng = np.random.default_rng(13)
 
     def attended(sizes):
-        cp = (
-            DataScheduler(HardwareConfig())
-            .schedule(pattern, heads=heads, head_dim=head_dim)
-            .compiled()
-        )
-        engine = FunctionalEngine(cp.plan)
+        plan = DataScheduler(HardwareConfig()).schedule(pattern, heads=heads, head_dim=head_dim)
+        cp = plan.compiled()
+        assert "schedule" not in vars(cp)  # lazy until an engine asks
+        engine = FunctionalEngine(plan)
+        schedule, state = cp.schedule, set(vars(cp))
         for batch in sizes:
             q, k, v = (rng.standard_normal((batch, pattern.n, heads * head_dim)) for _ in range(3))
             engine.run(q, k, v)
             engine.run(q, k, v, valid_lens=rng.integers(pattern.n // 3, pattern.n, size=batch))
+        assert cp.schedule is schedule and set(vars(cp)) == state
+        assert set(vars(engine)) == {"plan", "mode", "datapath", "module", "tiled"}
         return cp
 
     probe = attended(())
@@ -293,10 +301,38 @@ def test_what_a_plan_retains_does_not_depend_on_the_batch_sizes_served(monkeypat
     monkeypatch.setattr(compiled, "CHUNK_BYTES", 24 * 31936)  # 24 units of this job
     assert len({probe.chunk_blocks(job, heads * batch) for batch in batches}) == len(batches)
 
-    all_sizes, largest = attended(batches), attended(batches[-1:])
-    assert _scratch_bytes(largest) > 0
-    assert _scratch_bytes(all_sizes) <= 1.25 * _scratch_bytes(largest)
-    assert len(all_sizes.scratch) == len(largest.scratch)
+    arrays, nbytes = _retained(probe.schedule)
+    assert arrays > 0 and nbytes > 0
+    assert _retained(attended(batches).schedule) == (arrays, nbytes)
+    assert {f.name for f in dataclasses.fields(probe)} | {"schedule"} == set(vars(probe))
+
+
+def test_a_dropped_plan_is_freed_by_refcount_alone():
+    """No reference cycle: plan -> compiled -> schedule is a chain, so
+    with the collector off a plan's compiled tensors and job arrays die
+    with the last reference to the ``Runtime`` (or plan) that owned them."""
+    n, heads, head_dim = 256, 2, 4
+    rng = np.random.default_rng(5)
+    q, k, v = (rng.standard_normal((n, heads * head_dim)) for _ in range(3))
+    gc.collect()
+    gc.disable()
+    try:
+        rt = Runtime()
+        plan = rt.attend(longformer_pattern(n, 32, (3,)), q, k, v, heads=heads).raw.plan
+        cp = plan.compiled()
+        held = [weakref.ref(x) for x in (plan, cp, cp.valid, cp.window_jobs[0].q_ids)]
+        del plan, cp
+        assert all(ref() is not None for ref in held)  # the plan cache holds them
+        del rt
+        assert [ref() for ref in held] == [None] * 4
+
+        plan = _plan(longformer_pattern(52, 12, (0,)))
+        FunctionalEngine(plan).run(*_operands(1, 1, False)[:3])
+        held = [weakref.ref(x) for x in (plan.compiled(), plan.compiled().job_chains[0].flat_q)]
+        del plan
+        assert [ref() for ref in held] == [None, None]
+    finally:
+        gc.enable()
 
 
 # ----------------------------------------------------------------------

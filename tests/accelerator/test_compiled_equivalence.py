@@ -2,10 +2,11 @@
 
 ``FunctionalEngine(plan)`` (``mode="compiled"``, the default) runs the
 lane-tiled production path — index tensors precomputed once per plan,
-stages 1 and 5 as banded GEMMs over all lanes — wherever GEMM
-reordering is provably exact (``Datapath.supports_exact_gemm``), and
-the per-pass reference path everywhere else (``exact()`` configs,
-over-budget bit widths).  Its contract is *bit identity*: whichever
+stages 1 and 5 as banded GEMMs over all lanes — wherever its one gate
+holds (``supports_exact_gemm``, ``prob_bounded``, ``stage5_bounded``),
+on every plan the scheduler can emit, and the per-pass reference path
+everywhere else (``exact()`` configs, over-budget bit widths, formats
+that can saturate).  Its contract is *bit identity*: whichever
 executor it picks must produce exactly the outputs of
 ``mode="legacy"`` and — on the micro-simulator's parameter space — of
 the cycle-accurate simulator.  These tests pin that contract and the
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 
 import repro.scheduler.compiled as compiled_module
 from repro.accelerator.arena import ARENA
-from repro.accelerator.functional import FunctionalEngine
+from repro.accelerator.functional import EngineError, FunctionalEngine
 from repro.accelerator.systolic import SystolicSimulator
 from repro.accelerator.timing import pass_cycles, plan_timing
 from repro.core.config import HardwareConfig, NumericsConfig
@@ -36,19 +37,26 @@ from repro.patterns.library import (
     star_transformer_pattern,
     vil_pattern,
 )
-from repro.scheduler.scheduler import DataScheduler
+from repro.scheduler.scheduler import DataScheduler, SchedulerError
 
 
-# Only the default passes both proofs (runs tiled): floats make summation
-# order observable, 28-bit operands give stage-1 products of 54 bits,
-# past the 53-bit double mantissa, and a Q0.16 probability format cannot
-# hold the reciprocal LUT's worst product (``Datapath.prob_bounded``).
+# The gate's three proofs (``FunctionalEngine._supports_tiled``).  The
+# default and the exact-reciprocal variant pass them all and run tiled;
+# each of the others fails one and runs the reference path: floats make
+# summation order observable, 28-bit operands give stage-1 products of
+# 54 bits, past the 53-bit double mantissa, a Q0.16 probability format
+# cannot hold the reciprocal LUT's worst product
+# (``Datapath.prob_bounded``), and a Q4.12 output format cannot hold a
+# stage-5 sum of Q8.4 operands (``Datapath.stage5_bounded``).
 NUMERICS = {
     "quantised": NumericsConfig(),
+    "recip-exact": NumericsConfig(recip_mode="exact"),
     "exact": NumericsConfig.exact(),
     "over-budget": NumericsConfig(input_bits=28),
     "prob-unbounded": NumericsConfig(prob_frac_bits=16),
+    "stage5-unbounded": NumericsConfig(output_frac_bits=12),
 }
+TILED = {"quantised", "recip-exact"}
 
 
 def _plan_and_data(pattern, heads=1, head_dim=8, rows=4, cols=4, datapath="quantised", seed=0):
@@ -71,7 +79,7 @@ def _assert_same_result(got, ref):
 def _assert_bit_identical(pattern, datapath="quantised", **kwargs):
     plan, q, k, v = _plan_and_data(pattern, datapath=datapath, **kwargs)
     engine = FunctionalEngine(plan, mode="compiled")
-    assert engine.tiled is (datapath == "quantised")
+    assert engine.tiled is (datapath in TILED)
     compiled = engine.run(q, k, v)
     _assert_same_result(compiled, FunctionalEngine(plan, mode="legacy").run(q, k, v))
     return compiled
@@ -108,6 +116,10 @@ class TestCompiledMatchesLegacy:
     def test_prob_unbounded(self, name, pattern):
         _assert_bit_identical(pattern, datapath="prob-unbounded")
 
+    @pytest.mark.parametrize("name,pattern", PATTERN_CASES, ids=[c[0] for c in PATTERN_CASES])
+    def test_stage5_unbounded(self, name, pattern):
+        _assert_bit_identical(pattern, datapath="stage5-unbounded")
+
     @pytest.mark.parametrize("datapath", sorted(NUMERICS))
     def test_batched_and_padded(self, datapath):
         """Batch axis and ``valid_lens`` follow the same selection rule."""
@@ -116,7 +128,7 @@ class TestCompiledMatchesLegacy:
         )
         compiled = FunctionalEngine(plan, mode="compiled")
         legacy = FunctionalEngine(plan, mode="legacy")
-        assert compiled.tiled is (datapath == "quantised")
+        assert compiled.tiled is (datapath in TILED)
         qb, kb, vb = (np.stack([x, x[::-1]]) for x in (q, k, v))
         _assert_same_result(compiled.run(qb, kb, vb), legacy.run(qb, kb, vb))
         for x in (qb, kb, vb):
@@ -157,6 +169,78 @@ class TestCompiledMatchesLegacy:
         _assert_bit_identical(
             pattern, heads=heads, head_dim=4, rows=rows, cols=cols, datapath=datapath
         )
+
+
+#: ROADMAP item 5's reproducers: the scheduler drops a zero-work block
+#: from the *middle* of a column group (``pattern, pe_rows, pe_cols``).
+GAPPED_PLANS = [
+    ("all-keys-global", HybridSparsePattern(4, [Band(0, 0, 1)], (1,)), 1, 1),
+    ("packed-opposite-ends", HybridSparsePattern(13, [Band(-7, -7, 3), Band(-6, 12, 3)], ()), 1, 2),
+]
+
+
+class TestEveryScheduledPlanRunsCompiled:
+    """The default engine is total: whatever ``DataScheduler.schedule``
+    emits runs on the production path, bit-equal to the reference."""
+
+    @pytest.mark.parametrize("name,pattern,rows,cols", GAPPED_PLANS, ids=[c[0] for c in GAPPED_PLANS])
+    def test_gapped_column_groups_through_the_facade(self, name, pattern, rows, cols):
+        config = HardwareConfig(pe_rows=rows, pe_cols=cols)
+        rng = np.random.default_rng(0)
+        q, k, v = (rng.standard_normal((pattern.n, 8)) for _ in range(3))
+        got = SALO(config).attend(pattern, q, k, v, heads=2)
+        ref = SALO(config, backend="functional-legacy").attend(pattern, q, k, v, heads=2)
+        _assert_same_result(got.functional, ref.functional)
+
+    @given(
+        n=st.integers(4, 60),
+        bands=st.lists(
+            st.tuples(st.integers(1, 14), st.integers(1, 4), st.integers(1, 12)),
+            min_size=1,
+            max_size=3,
+        ),
+        start=st.integers(-50, 10),
+        global_tokens=st.sets(st.integers(0, 59), max_size=3),
+        rows=st.integers(1, 8),
+        cols=st.integers(1, 8),
+        pack=st.booleans(),
+        batch=st.sampled_from([None, 2, 3]),
+        padded=st.booleans(),
+        datapath=st.sampled_from(sorted(TILED)),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_any_pattern_any_array_matches_legacy(
+        self, n, bands, start, global_tokens, rows, cols, pack, batch, padded, datapath, seed
+    ):
+        lo, built = start, []
+        for width, dilation, gap in bands:
+            built.append(Band(lo, lo + (width - 1) * dilation, dilation))
+            lo = built[-1].hi + gap
+        gtok = tuple(sorted(g for g in global_tokens if g < n))
+        config = HardwareConfig(
+            pe_rows=rows, pe_cols=cols, pack_bands=pack, numerics=NUMERICS[datapath]
+        )
+        try:
+            plan = DataScheduler(config, strict_global_bound=False).schedule(
+                HybridSparsePattern(n, built, gtok), heads=2, head_dim=4
+            )
+        except SchedulerError:  # every band clipped away and no global token
+            return
+        rng = np.random.default_rng(seed)
+        q, k, v = (rng.standard_normal((batch or 1, n, 8)) for _ in range(3))
+        lens = rng.integers(max(gtok, default=0) + 1, n + 1, size=batch or 1) if padded else None
+        if batch is None:
+            q, k, v = q[0], k[0], v[0]
+        compiled = FunctionalEngine(plan)
+        assert compiled.tiled
+        try:
+            ref = FunctionalEngine(plan, mode="legacy").run(q, k, v, valid_lens=lens)
+        except EngineError:  # a query the pattern leaves without keys
+            with pytest.raises(EngineError):
+                compiled.run(q, k, v, valid_lens=lens)
+            return
+        _assert_same_result(compiled.run(q, k, v, valid_lens=lens), ref)
 
 
 class TestScatteredGlobals:

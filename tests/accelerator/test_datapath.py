@@ -79,15 +79,38 @@ class TestProbBounded:
         # The worst normalised weight really does saturate there.
         assert dp.recip_unit.product_bound() > dp.prob_format.max_value
 
-    @pytest.mark.parametrize(
-        "numerics", [NumericsConfig(), NumericsConfig(prob_frac_bits=16)], ids=["q1.15", "q0.16"]
-    )
+    @pytest.mark.parametrize("numerics", [NumericsConfig()], ids=["q1.15"])
     def test_quantize_prob_into_equals_the_saturating_quantiser(self, numerics):
-        """Clip skipped only under the proof: same codes either way."""
+        """No clip pass under the proof: same codes as the clipping quantiser."""
         dp = Datapath(numerics)
+        assert dp.prob_bounded
         w = np.random.default_rng(0).uniform(0.01, 300.0, 4096)
         p = w * dp.recip(w)  # the largest weights a row can produce (e == w)
         assert np.array_equal(dp.quantize_prob_into(p, np.empty_like(p)), dp.quantize_prob(p))
+
+
+class TestStage5Bounded:
+    """Stage-5 outputs provably fit the output format up to a sequence
+    length — or the engine takes the reference path."""
+
+    def test_default_numerics_hold_up_to_917k_keys(self):
+        dp = Datapath(NumericsConfig())
+        assert dp.stage5_bounded(1) and dp.stage5_bounded(4096) and dp.stage5_bounded(917_000)
+        assert not dp.stage5_bounded(918_000)
+
+    def test_narrow_output_format_fails_at_any_length(self):
+        # Q4.12 tops out below 8: two Q8.4 operands of magnitude 8 overflow it.
+        assert not Datapath(NumericsConfig(output_frac_bits=12)).stage5_bounded(1)
+
+    def test_unquantised_datapath_has_no_proof(self):
+        assert not Datapath(NumericsConfig.exact()).stage5_bounded(16)
+
+    def test_stage5_quantiser_equals_the_saturating_one_at_the_bound(self):
+        """Worst row the bound admits: probability codes summing to just
+        under ``2 + n * res / 2`` against operands of magnitude 8."""
+        dp = Datapath(NumericsConfig())
+        o = np.array([-8.0, 8.0 - 1 / 16]) * (2.0 + 4096 * dp.prob_format.resolution / 2)
+        assert np.array_equal(dp.quantize_output_into(o, np.empty_like(o)), dp.quantize_output(o))
 
 
 class TestConfigValidation:

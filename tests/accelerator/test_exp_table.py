@@ -1,13 +1,14 @@
 """The score-code -> exp table: exact at every scale it is built for.
 
 On a quantised datapath the tiled engine replaces the elementwise
-``scale -> PWLExpUnit.into`` pipeline with one gather from a table
-indexed by the integer score code.  The table evaluates the elementwise
-path's own multiply at every code, so the two must agree bit for bit —
-for power-of-two scales (head_dim 64) and for every other positive
-scale whose code range fits the size bound (head_dim 8/32/128, explicit
-scales).  ``PWLExpUnit.into`` stays the path of float datapaths and
-out-of-bound scales, so its scratch handling is pinned here too.
+``scale -> PWLExpUnit`` pipeline with one gather from a table indexed
+by the integer score code.  The table evaluates the elementwise path's
+own multiply at every code, so the two must agree bit for bit — for
+power-of-two scales (head_dim 64) and for every other positive scale
+whose code range fits the size bound (head_dim 8/32/128, explicit
+scales).  Scales no table covers call the reference unit itself
+(``Datapath.exp_into``); that fallback is pinned against the per-pass
+reference engine here too.
 """
 
 import numpy as np
@@ -57,15 +58,17 @@ class TestTableEqualsElementwisePath:
 ENGINES = [pytest.param(FunctionalEngine, id="functional")]
 
 
-def _run(engine_cls, head_dim, scale=None, valid_lens=None, n=192, window=48, heads=2):
+def _run(
+    engine_cls, head_dim, scale=None, valid_lens=None, n=192, window=48, heads=2, mode="compiled"
+):
     plan = DataScheduler(HardwareConfig()).schedule(
         longformer_pattern(n, window, (0,)), heads=heads, head_dim=head_dim
     )
     rng = np.random.default_rng(head_dim)
     shape = (n, heads * head_dim) if valid_lens is None else (len(valid_lens), n, heads * head_dim)
     q, k, v = (2.0 * rng.standard_normal(shape) for _ in range(3))
-    engine = engine_cls(plan)
-    assert engine.tiled
+    engine = engine_cls(plan, mode=mode)
+    assert engine.tiled is (mode == "compiled")
     return engine.run(q, k, v, scale=scale, valid_lens=valid_lens).output
 
 
@@ -87,17 +90,10 @@ class TestEngineParity:
         monkeypatch.setattr(FunctionalEngine, "_exp_table", lambda self, scale: None)
         assert np.array_equal(with_table, _run(engine_cls, **kwargs))
 
-
-class TestIntoScratch:
-    @pytest.mark.parametrize("style", ["pow2", "direct"])
-    def test_one_flat_buffer_set_sized_by_the_largest_request(self, style):
-        unit = PWLExpUnit.from_numerics(NumericsConfig(exp_pwl_style=style))
-        rng = np.random.default_rng(0)
-        for shape in [(3, 5), (2, 4, 7), (6,), (2, 4, 7)]:
-            s = rng.uniform(-20.0, 8.0, size=shape)
-            assert np.array_equal(unit.into(s, np.empty(shape)), unit(s))
-        assert [a.size for a in unit._scratch] == [56] * 5
-        aliased = rng.uniform(-20.0, 8.0, size=(4, 9))
-        expect = unit(aliased)
-        assert unit.into(aliased, aliased) is aliased
-        assert np.array_equal(aliased, expect)
+    @pytest.mark.parametrize("valid_lens", [None, np.array([192, 101, 17])], ids=["full", "padded"])
+    def test_off_table_scale_runs_the_reference_unit(self, valid_lens):
+        """``scale=1e-4``: a code range past the size bound, so no table."""
+        assert _exp_code_table(NumericsConfig(), 1e-4) is None
+        kwargs = dict(head_dim=8, scale=1e-4, valid_lens=valid_lens)
+        got = _run(FunctionalEngine, **kwargs)
+        assert np.array_equal(got, _run(FunctionalEngine, mode="legacy", **kwargs))

@@ -8,26 +8,16 @@ from repro.accelerator.fixed_point import FixedPointFormat
 from repro.core.config import NumericsConfig
 
 
-def _unit(segments=32, lo=-16.0, hi=4.0, style="pow2"):
-    if style == "pow2":
-        coeff = FixedPointFormat(16, 14, signed=True)
-    else:
-        coeff = FixedPointFormat(16, 6, signed=True)
+def _unit(segments=32, lo=-16.0, hi=4.0):
+    coeff = FixedPointFormat(16, 14, signed=True)
     out = FixedPointFormat(16, 9, signed=False)
-    return PWLExpUnit(
-        segments=segments, lo=lo, hi=hi, coeff_format=coeff, out_format=out, style=style
-    )
+    return PWLExpUnit(segments=segments, lo=lo, hi=hi, coeff_format=coeff, out_format=out)
 
 
 class TestConstruction:
     def test_from_numerics(self):
         unit = PWLExpUnit.from_numerics(NumericsConfig())
         assert unit.segments == 32
-        assert unit.style == "pow2"
-
-    def test_direct_style_from_numerics(self):
-        unit = PWLExpUnit.from_numerics(NumericsConfig(exp_pwl_style="direct"))
-        assert unit.style == "direct"
 
     def test_rejects_few_segments(self):
         with pytest.raises(ValueError):
@@ -36,10 +26,6 @@ class TestConstruction:
     def test_rejects_empty_range(self):
         with pytest.raises(ValueError):
             _unit(lo=2.0, hi=1.0)
-
-    def test_rejects_bad_style(self):
-        with pytest.raises(ValueError):
-            _unit(style="taylor")
 
     def test_lut_size(self):
         assert _unit(segments=8).lut_size_bits() == 2 * 8 * 16
@@ -105,10 +91,3 @@ class TestAccuracy:
         # chord error itself is far smaller.
         rel = max_pwl_relative_error(PWLExpUnit.from_numerics(NumericsConfig()), lo=-2.0)
         assert rel < 0.02
-
-    def test_direct_style_much_worse(self):
-        """The A4 ablation's motivation: direct chords lose badly to
-        range reduction at equal LUT size."""
-        pow2_err = max_pwl_error(_unit(segments=32, style="pow2"))
-        direct_err = max_pwl_error(_unit(segments=32, style="direct"))
-        assert direct_err > 10 * pow2_err

@@ -77,7 +77,3 @@ class TestNumericsConfig:
     def test_rejects_bad_segments(self):
         with pytest.raises(ConfigError):
             NumericsConfig(exp_lut_segments=1)
-
-    def test_rejects_bad_style(self):
-        with pytest.raises(ConfigError):
-            NumericsConfig(exp_pwl_style="linear")

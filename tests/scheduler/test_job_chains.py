@@ -6,15 +6,17 @@ edges so that the interior jobs fold into one :class:`JobChain`.  Any
 such regrouping is legal exactly when no query sees its passes in a
 different order than the pass stream delivers them — the weighted-sum
 merge chain per query is the bit-identity contract — so that invariant
-is drawn as a property here, next to the partition law, the Table-2
-chain shapes the production path is built around, the degenerate splits
+is drawn as a property here (over every plan the scheduler can emit:
+a column group with a dropped block inside is cut at the gap, never
+refused), next to the partition law, the Table-2 chain shapes the
+production path is built around, the degenerate splits, the gap cut
 and the contiguity facts (``start`` / ``q_start`` / ``wide_start``) that
 let engines slice where they used to gather.
 """
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import HardwareConfig
@@ -26,11 +28,7 @@ from repro.patterns.library import (
     star_transformer_pattern,
     vil_pattern,
 )
-from repro.scheduler.compiled import (
-    IrregularPassError,
-    _clipped_arange_start,
-    _wide_stream,
-)
+from repro.scheduler.compiled import _clipped_arange_start, _even_runs, _wide_stream
 from repro.scheduler.scheduler import DataScheduler, SchedulerError
 
 PATTERN_CASES = [
@@ -51,15 +49,6 @@ def _compiled(pattern, rows=4, cols=4, pack=True):
         pattern, heads=1, head_dim=8
     )
     return plan.compiled()
-
-
-def _dropped_mid_block(plan):
-    """Some column group's blocks are unevenly spaced: one is missing inside."""
-    starts = {}
-    for tp in plan.passes:
-        key = (tp.query_residue, tp.dilation, tp.segments)
-        starts.setdefault(key, []).append(tp.q_positions[0])
-    return any(len(set(np.diff(s))) > 1 for s in starts.values())
 
 
 def _assert_partition(cp):
@@ -112,10 +101,12 @@ class TestScheduleInvariants:
         cols=st.integers(1, 8),
         pack=st.booleans(),
     )
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=500, deadline=None)
     def test_random_bands_dilations_globals_and_pe_shapes(
         self, n, bands, start, global_tokens, rows, cols, pack
     ):
+        """Every plan the scheduler emits has a job schedule — no escape:
+        ``IrregularPassError`` anywhere in here fails the property."""
         lo, built = start, []
         for width, dilation, gap in bands:
             built.append(Band(lo, lo + (width - 1) * dilation, dilation))
@@ -125,14 +116,6 @@ class TestScheduleInvariants:
             cp = _compiled(pattern, rows, cols, pack)
         except SchedulerError:  # every band clipped away and no global token
             return
-        try:
-            cp.window_jobs
-        except IrregularPassError:
-            # The one scheduled cause: the scheduler dropped a zero-work
-            # block from the middle of a column group, and the job builder
-            # has always refused the gap.  Raising for any other plan fails.
-            assert _dropped_mid_block(cp.plan)
-            assume(False)
         _assert_partition(cp)
         _assert_merge_order(cp)
         _assert_chains_cover_jobs(cp)
@@ -180,7 +163,7 @@ class TestDegenerateSplits:
     def test_window_wider_than_n_stays_unsplit(self):
         # No block has every column group: one job per column group.
         cp = _compiled(HybridSparsePattern(24, [Band(-40, 39, 1)], (3,)))
-        colgroups = {cp.plan.passes[int(j.pass_indices[0])].segments for j in cp.window_jobs}
+        colgroups = {cp.passes[int(j.pass_indices[0])].segments for j in cp.window_jobs}
         assert len(colgroups) == len(cp.window_jobs)
         _assert_partition(cp)
         _assert_merge_order(cp)
@@ -204,6 +187,47 @@ class TestDegenerateSplits:
         assert len(cp.job_chains) == 1  # one block: every column group shares it
         _assert_partition(cp)
         _assert_merge_order(cp)
+
+
+def _column_groups(cp):
+    """Pass indices per (query group, segment tuple), in pass order."""
+    groups = {}
+    for i, tp in enumerate(cp.passes):
+        groups.setdefault((tp.query_residue, tp.dilation, tp.segments), []).append(i)
+    return list(groups.values())
+
+
+class TestGappedColumnGroups:
+    """(d') a zero-work block dropped from the *middle* of a column group
+    leaves a gap in its block grid; the builder cuts the group there."""
+
+    GAPPED = [
+        # q=1 only reaches itself, a global token: its pass is dropped.
+        ("all-keys-global", HybridSparsePattern(4, [Band(0, 0, 1)], (1,)), 1, 1),
+        # Two bands packed into one pass, in range at opposite ends only.
+        ("packed-opposite-ends", HybridSparsePattern(13, [Band(-7, -7, 3), Band(-6, 12, 3)], ()), 1, 2),
+    ]
+
+    @pytest.mark.parametrize("name,pattern,rows,cols", GAPPED, ids=[c[0] for c in GAPPED])
+    def test_gap_becomes_a_cut(self, name, pattern, rows, cols):
+        cp = _compiled(pattern, rows, cols)
+        gapped = 0
+        for idxs in _column_groups(cp):
+            steps = np.diff(cp.q_ids[idxs, 0])
+            gapped += len(set(steps.tolist())) > 1
+        assert gapped  # the premise: some column group is unevenly spaced
+        _assert_partition(cp)
+        _assert_merge_order(cp)
+        _assert_chains_cover_jobs(cp)
+        for job in cp.window_jobs:  # every job is evenly spaced again
+            starts = cp.q_ids[job.pass_indices.reshape(job.num_groups, -1), 0]
+            assert (np.diff(starts, n=2, axis=1) == 0).all()
+
+    def test_even_runs_are_maximal_and_keep_order(self):
+        q_ids = np.array([0, 4, 8, 16, 20, 21, 30])[:, None]  # first query per pass
+        assert _even_runs([0, 1, 2, 3, 4, 5, 6], q_ids) == [[0, 1, 2], [3, 4], [5, 6]]
+        assert _even_runs([0], q_ids) == [[0]]
+        assert _even_runs([0, 3], q_ids) == [[0, 3]]
 
 
 def _padded(x, head, tail):

@@ -1,0 +1,85 @@
+"""Surface audit: every module under ``src/repro`` is reachable.
+
+Reachable means imported, transitively, from the package root
+(``repro/__init__``), the command line (``repro.cli``), a benchmark
+(``benchmarks/``) or an example (``examples/``) — a paper artefact, a
+workload or a command.  A module only its own test imports is dead
+weight: delete it with its test, or wire it to one of the roots.  The
+walk is over ASTs (function-level imports included); nothing is
+executed.
+"""
+
+import ast
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src"
+
+
+def _modules():
+    """``{dotted name: path}`` of every module and package under ``src/repro``."""
+    found = {}
+    for path in (SRC / "repro").rglob("*.py"):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        found[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = path
+    return found
+
+
+def _imports(path, name, modules):
+    """Names of the ``repro`` modules that the file at ``path`` imports.
+
+    ``name`` is the file's own dotted name (``None`` outside the
+    package), which anchors relative imports.
+    """
+    package = None
+    if name is not None:
+        package = name if path.name == "__init__.py" else name.rpartition(".")[0]
+    targets = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            targets.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parts = package.split(".")
+                anchor = parts[: len(parts) - node.level + 1]
+                base = ".".join(anchor + ([base] if base else []))
+            targets.add(base)
+            # ``from package import submodule`` imports a module too.
+            targets.update(f"{base}.{alias.name}" for alias in node.names)
+    return {t for t in targets if t in modules}
+
+
+def _reachable(modules):
+    roots = [(path, None) for d in ("benchmarks", "examples") for path in (REPO / d).rglob("*.py")]
+    roots += [(modules[name], name) for name in ("repro", "repro.cli")]
+    seen, todo = set(), []
+    for path, name in roots:
+        todo.extend(_imports(path, name, modules))
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        parent = name.rpartition(".")[0]
+        if parent:  # importing a submodule runs its packages' __init__
+            todo.append(parent)
+        todo.extend(_imports(modules[name], name, modules))
+    return seen | {"repro", "repro.cli"}
+
+
+def test_every_module_is_reachable_from_a_root():
+    modules = _modules()
+    assert len(modules) > 100  # the walk found the package
+    orphans = sorted(set(modules) - _reachable(modules))
+    assert not orphans, f"imported by no root (package, CLI, benchmark, example): {orphans}"
+
+
+def test_the_walk_resolves_relative_and_function_level_imports():
+    modules = _modules()
+    cli = _imports(modules["repro.cli"], "repro.cli", modules)
+    assert "repro.serving" in cli  # ``from .serving import ...`` inside a command
+    functional = _imports(
+        modules["repro.accelerator.functional"], "repro.accelerator.functional", modules
+    )
+    assert {"repro.scheduler.compiled", "repro.accelerator.arena"} <= functional
