@@ -1,6 +1,10 @@
 """Decode-phase cluster simulation: TTFT/ITL metrics, continuous
 batching on the cost-model clock, conservation at both granularities."""
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
 from repro.cluster import (
@@ -25,6 +29,76 @@ def _spec(**overrides):
 def _run(spec=None, **cfg):
     sim = DecodeClusterSimulator(DecodeSimConfig(**cfg))
     return sim.run(spec if spec is not None else _spec())
+
+
+def _digest(obj):
+    text = json.dumps(obj, sort_keys=True, default=str)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+_OVERLOAD = dict(sequences=60, rate_rps=20000.0, global_tokens=(20,), seed=3)
+
+# name -> (spec, config kwargs, sha256 of the report).  A change to the
+# cluster layer that means to keep decode behaviour must reproduce every
+# number of every report; one that means to move them re-pins here.
+_PINNED = {
+    "smoke": (
+        lambda: DecodeWorkloadSpec(sequences=48, rate_rps=2500, window=8,
+                                   heads=2, head_dim=8, seed=0),
+        lambda: dict(workers=2, max_lanes=4),
+        "3acf6028c1be24a5bb2df6a37e813943c51559d3da52544d4bb3a01c09faca70",
+    ),
+    "smoke-faults": (
+        lambda: DecodeWorkloadSpec(sequences=32, rate_rps=2500, seed=0),
+        lambda: dict(workers=2, max_lanes=8,
+                     admission=make_admission("est-wait", slack=1.0),
+                     faults=FaultInjector([TransientSpec(prob=0.2, worker=0)], seed=0)),
+        "a61846afb91b45afabc286e779eab8655bf77cb1a35d32973853919c2a8cb421",
+    ),
+    "retry-budget": (
+        lambda: _spec(),
+        lambda: dict(workers=2, max_lanes=4, max_retries=2,
+                     faults=FaultInjector([TransientSpec(prob=0.6, worker=0)], seed=5)),
+        "1d91b629fab38eb89a0f8d314e824b3e26d43dabb3249bfffeba6858caef7d29",
+    ),
+    "est-wait": (
+        lambda: _spec(),
+        lambda: dict(workers=1, max_lanes=2,
+                     admission=make_admission("est-wait", slack=1.0)),
+        "9bdbbaa659262788a68cb8243b17ced105a6fe95a7832d4d45705066bb660c5b",
+    ),
+    "overload-global": (
+        lambda: DecodeWorkloadSpec(**_OVERLOAD),
+        lambda: dict(workers=2, max_lanes=4),
+        "b4c5eef15e3bde0a79be087cb2229e6e0a7cfe7931c39c232619b2a51e81e9c2",
+    ),
+    "overload-depth-cap": (
+        lambda: DecodeWorkloadSpec(**_OVERLOAD),
+        lambda: dict(workers=2, max_lanes=2,
+                     admission=make_admission("queue-depth", max_depth=3)),
+        "a7643447c0e6e1d1490c8106b7df0707499d7b26ef863b2edabaefcecc8e6ae5",
+    ),
+}
+
+
+class TestPinnedReports:
+    """Every field of the report, on scenarios that shed, reject, retry,
+    exhaust retry budgets and activate a global token."""
+
+    @pytest.mark.parametrize("name", sorted(_PINNED))
+    def test_report_is_byte_identical(self, name):
+        spec, cfg, want = _PINNED[name]
+        report = _run(spec(), **cfg())
+        assert _digest(dataclasses.asdict(report)) == want
+
+    @pytest.mark.parametrize("fast, want", [
+        (True, "d6f9e28b009e78132f72703f3ece76bc94fb4eb0e0ab59d2a8f6ce535a340e44"),
+        (False, "306fa9418fdcb408bac1210ac733ec1d9c79821f5b6143012b1feda05cb443dc"),
+    ])
+    def test_decode_scaling_rows_are_byte_identical(self, fast, want):
+        from repro.experiments import decode_scaling
+
+        assert _digest(decode_scaling.run(fast=fast).rows) == want
 
 
 class TestConservation:
