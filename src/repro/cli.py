@@ -567,18 +567,13 @@ def _cmd_decode(args) -> int:
             return 2
 
     faults = None
-    if args.fault_transient is not None:
-        try:
+    t0 = time.perf_counter()
+    try:
+        if args.fault_transient is not None:
             faults = FaultInjector(
                 [TransientSpec(prob=args.fault_transient, worker=args.fault_worker)],
                 seed=args.fault_seed,
             )
-            faults.validate_workers(args.workers)
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-
-    try:
         config = DecodeSimConfig(
             workers=args.workers,
             max_lanes=args.max_lanes,
@@ -588,12 +583,12 @@ def _cmd_decode(args) -> int:
             max_retries=args.max_retries,
             faults=faults,
         )
+        # the simulator checks the fault specs against the pool and the
+        # workload's step patterns against the engine before the first event
+        report = DecodeClusterSimulator(config).run(spec)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-
-    t0 = time.perf_counter()
-    report = DecodeClusterSimulator(config).run(spec)
     print(
         f"workload: {args.sequences} sequences @ {args.rate:.0f} seq/s, "
         f"prompts [{args.prompt_min}, {args.prompt_max}], "

@@ -30,9 +30,9 @@ SLO at a given traffic level?*  Layered on the serving stack:
   heap-driven event loop and the :class:`ClusterReport` (per-class
   percentiles, goodput, utilisation, queue-depth time series,
   availability and recovery counters under faults).
-* :mod:`repro.cluster.decode` — the decode phase: continuous-batching
-  workers stepping autoregressive sequences on the cost-model clock,
-  with TTFT/ITL SLO classes, tokens/s-vs-concurrency metrics, and a
+* :mod:`repro.cluster.decode` — the decode phase on the same event
+  loop: a sequence is a request that holds a lane, a step is a launch;
+  TTFT/ITL SLO classes, tokens/s-vs-concurrency metrics, and a
   token-level conservation law on top of the sequence-level one.
 
 Entry points: the ``salo-repro simulate`` CLI subcommand and the

@@ -1,47 +1,42 @@
-"""Prefill/decode phase separation in the cluster simulator.
+"""Prefill/decode phase separation: decode as a workload shape on the plane.
 
-One-shot requests arrive with their full Q/K/V and leave after one
+A one-shot request arrives with its full Q/K/V and leaves after one
 service; a *decode* sequence arrives with a prompt, produces its first
 token when its first step completes (prefill), then holds a lane for
 one engine step per generated token until its output budget is met.
-This module simulates a fleet of continuous-batching decode workers on
-the deterministic cost-model clock:
+Nothing here owns an event loop: :class:`DecodeClusterSimulator` is a
+:class:`~repro.cluster.simulator.ControlPlane` front on the simulated
+executor, and decode is two readings of the plane's own nouns:
 
-* **arrivals** — :class:`DecodeWorkloadSpec` draws prompt lengths,
-  output-length distributions (geometric, capped) and ITL SLO classes
-  from one seeded RNG stream;
-* **service** — each worker step costs
-  ``latency(step pattern) x lanes + batch overhead (+ cold compile)``
-  via :class:`~repro.cluster.pool.CostModelClock`, where the step
-  pattern sits at the bucket :func:`repro.decode.step_window` gives the
-  real scheduler (the small tail bucket for banded structures, the KV
-  bucket once a global token is active), with per-worker warm-plan
-  tracking so the first step on a plan is the only cold one (mirroring
-  the real decode path's plan cache);
-* **metrics** — time-to-first-token (TTFT), inter-token latency (ITL)
-  p50/p99, tokens/s, and time-weighted concurrency, per run and per SLO
-  class;
-* **conservation** — the existing four-way sequence law (``submitted ==
-  completed + rejected + shed + failed`` through
-  :class:`~repro.cluster.metrics.MetricsCollector`) plus a token-level
-  law for admitted sequences: every target token is exactly one of
-  completed, shed, or failed.
+* **a sequence is a request that holds a lane** — drawn by
+  :class:`DecodeWorkloadSpec` (prompt lengths, geometric capped output
+  budgets, ITL SLO classes; one seeded RNG stream), routed and admitted
+  like any request, then resident in its worker's lane queue — waiting
+  for a lane, or in one with its KV — until its last token;
+* **a step is a launch** — at each consultation
+  :class:`ContinuousBatching` sheds what can no longer meet its SLO
+  (TTFT-doomed waiters; lanes whose inter-token gap blew past their ITL
+  budget — produced tokens stay completed, the remainder is shed), joins
+  waiters into free lanes and closes the lanes into one step batch at
+  the bucket :func:`repro.decode.step_window` gives the real scheduler.
+  The clock charges ``latency(step pattern) x lanes + batch overhead
+  (+ cold compile)``; stragglers and transient faults hit it like any
+  launch; a served step is one token per lane, a failed one retries *in
+  place* against each sequence's retry budget (exhausted: ``failed``
+  with its unproduced tokens).
 
-Admission reuses the :mod:`repro.serving.admission` policies through a
-decode-aware queue-drain estimator: the wait is the time until enough
-lanes retire (k-th smallest remaining token count times the current
-step time), the service is the first step — so ``est-wait`` gates on
-TTFT feasibility.  Shedding uses the same machinery's semantics:
-TTFT-doomed queued sequences are shed at step boundaries, and lanes
-whose inter-token gap blows past their ITL budget are shed mid-flight
-(their produced tokens stay completed; the unproduced remainder is
-shed).  Transient faults fail whole steps; a sequence whose retry
-budget is exhausted moves to ``failed`` with its unproduced tokens.
+Reported: time-to-first-token (TTFT), inter-token latency (ITL) p50/p99,
+tokens/s and time-weighted concurrency, per run and per SLO class.
+Conserved: the four-way sequence law (``submitted == completed +
+rejected + shed + failed``) plus a token law for admitted sequences —
+every target token is exactly one of completed, shed, or failed.
+Admission reuses :mod:`repro.serving.admission` through a lane-drain
+estimate: the wait is the time until enough lanes retire, the service is
+the first step — so ``est-wait`` gates on TTFT feasibility.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
@@ -52,24 +47,26 @@ from ..core.salo import SALO
 from ..decode.session import step_window
 from ..patterns.base import Band
 from ..patterns.hybrid import HybridSparsePattern
-from ..serving.admission import AdmissionContext, AdmissionPolicy
+from ..scheduler import SchedulerError
+from ..serving.admission import AdmissionContext, AdmissionPolicy, AdmitAll
+from ..serving.batching import Batch
 from .arrivals import SLOClass
-from .faults import FaultInjector
-from .metrics import MetricsCollector, RequestRecord, _percentile
-from .pool import CostModelClock
+from .faults import FaultInjector, RecoveryConfig
+from .metrics import _percentile
+from .policy import BatchDecision, BatchPolicy
+from .pool import CostModelClock, Worker
+from .simulator import _ARRIVE, ControlConfig, ControlPlane, SimulatedExecutor
 
 __all__ = [
     "DecodeSLOClass",
     "DEFAULT_DECODE_SLO_CLASSES",
     "DecodeWorkloadSpec",
     "DecodeSimConfig",
+    "ContinuousBatching",
     "DecodeClusterSimulator",
     "DecodeClassReport",
     "DecodeReport",
 ]
-
-_ARRIVE = 0
-_STEP = 1
 
 
 @dataclass(frozen=True)
@@ -140,9 +137,6 @@ class DecodeWorkloadSpec:
     def bands(self) -> Tuple[Band, ...]:
         return (Band(-self.window, 0),)
 
-    def max_length(self) -> int:
-        return self.prompt_max + self.max_new_tokens
-
     def draw(self) -> List["_Seq"]:
         """The full deterministic arrival trace."""
         rng = np.random.default_rng(self.seed)
@@ -156,46 +150,32 @@ class DecodeWorkloadSpec:
             target = int(min(rng.geometric(1.0 / self.mean_new_tokens),
                              self.max_new_tokens))
             slo = self.slo_classes[int(rng.choice(len(self.slo_classes), p=shares))]
-            seqs.append(
-                _Seq(
-                    request_id=f"seq-{i}",
-                    slo=slo,
-                    arrival_s=float(arrivals[i]),
-                    prompt_n=prompt_n,
-                    target_tokens=target,
-                )
-            )
+            seqs.append(_Seq(f"seq-{i}", self, slo, float(arrivals[i]), prompt_n, target))
         return seqs
 
 
 class _Seq:
-    """One decode sequence in flight (duck-types the admission view)."""
+    """One decode sequence: the plane's request, holding a lane while it decodes."""
 
-    def __init__(self, request_id, slo, arrival_s, prompt_n, target_tokens):
+    client_id = None
+
+    def __init__(self, request_id, spec, slo, arrival_s, prompt_n, target_tokens):
         self.request_id = request_id
+        self.spec = spec
+        self.heads = spec.heads
+        self.head_dim = spec.head_dim
         self.slo = slo
+        self.slo_class = slo.name
+        self.deadline_s = slo.deadline_s  # TTFT budget
         self.arrival_s = arrival_s
         self.prompt_n = prompt_n
         self.target_tokens = target_tokens
         self.produced = 0
-        self.retries = 0
         self.first_dispatch_s: Optional[float] = None
         self.ttft_s: Optional[float] = None
         self.last_token_s: Optional[float] = None
         self.itl_gaps: List[float] = []
 
-    # ---- the fields admission policies and drop records read --------
-    @property
-    def slo_class(self) -> str:
-        return self.slo.name
-
-    @property
-    def deadline_s(self) -> Optional[float]:
-        return self.slo.deadline_s  # TTFT budget
-
-    client_id = None
-
-    # ------------------------------------------------------------------
     @property
     def length(self) -> int:
         """Current KV length: prompt plus every appended token."""
@@ -205,32 +185,57 @@ class _Seq:
     def remaining(self) -> int:
         return self.target_tokens - self.produced
 
-    @property
-    def done(self) -> bool:
-        return self.produced >= self.target_tokens
+
+def _split(items, predicate) -> Tuple[list, list]:
+    """``(matching, rest)`` of ``items``, each in the order given."""
+    hit, rest = [], []
+    for item in items:
+        (hit if predicate(item) else rest).append(item)
+    return hit, rest
 
 
-class _DecodeWorker:
-    """One continuous-batching worker: lanes + a FIFO admission queue."""
+class _StepBatch(Batch):
+    """The lanes of one decode step, launched like any batch."""
 
-    def __init__(self, wid: int, salo: SALO, max_lanes: int, bucket_floor: int):
-        self.wid = wid
-        self.salo = salo
-        self.max_lanes = max_lanes
-        self.bucket_floor = bucket_floor
+    def __init__(self, lanes: List[_Seq], pattern: HybridSparsePattern) -> None:
+        # one band structure per run: (bucket, active globals) names the plan
+        super().__init__(lanes, key=(pattern.n, pattern.global_tokens()), bucket=pattern.n)
+        self._pattern = pattern
+
+    def execution_pattern(self) -> HybridSparsePattern:
+        return self._pattern
+
+    def plan_key(self) -> Tuple:
+        return self.key
+
+
+class _LaneQueue:
+    """A decode worker's queue — waiters and lanes — speaking what the
+    plane and the router use of ``BatchScheduler``.  ``pending`` counts
+    waiters only: the lanes ride the launched step, so ``Worker.depth()``
+    is waiters plus lanes."""
+
+    def __init__(self, max_lanes: int) -> None:
+        self.max_batch_size = max_lanes
+        self.waiting: Deque[_Seq] = deque()
         self.lanes: List[_Seq] = []
-        self.queue: Deque[_Seq] = deque()
-        self.busy = False
-        self.warm_plans: set = set()
-        self.steps = 0
-        self.tokens = 0
-        self.busy_s = 0.0
-        self.cold_compiles = 0
-        self.lane_time_s = 0.0  # integral of lanes over busy time
+        self.tokens = 0  # tokens this worker's lanes have yielded
 
     @property
-    def depth(self) -> int:
-        return len(self.lanes) + len(self.queue)
+    def pending(self) -> int:
+        return len(self.waiting)
+
+    def group_key(self, seq: _Seq) -> None:
+        return None  # one structure per run: affinity has nothing to tell apart
+
+    def enqueue(self, seq: _Seq) -> None:
+        self.waiting.append(seq)
+
+    def prune(self, predicate: Callable[[_Seq], bool]) -> List[_Seq]:
+        """Remove and return every waiter matching ``predicate``, in order."""
+        removed, kept = _split(self.waiting, predicate)
+        self.waiting = deque(kept)
+        return removed
 
 
 @dataclass
@@ -257,6 +262,59 @@ class DecodeSimConfig:
             raise ValueError("itl_shed_factor must be >= 1")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
+        if self.faults is not None and self.faults.crashes:
+            raise ValueError("CrashSpec: decode does not model what a dead worker's lanes and KV do")
+
+
+class ContinuousBatching(BatchPolicy):
+    """One consultation is one step boundary, as in
+    :class:`repro.decode.DecodeScheduler`: TTFT-doomed waiters and
+    ITL-lagging lanes are shed, waiters join the free lanes, and the
+    lanes close into the next step."""
+
+    name = "continuous"
+
+    def __init__(self, config: DecodeSimConfig) -> None:
+        super().__init__()
+        self.config = config
+        self._patterns: Dict[Tuple, HybridSparsePattern] = {}
+
+    def step_pattern(self, spec, lengths: Sequence[int]) -> HybridSparsePattern:
+        """The plan one step over lanes of these lengths executes, by the
+        rule of :meth:`repro.decode.DecodeScheduler.step`: globals every
+        lane has grown past are active, and the bucket is the widest
+        :func:`step_window` over the lanes."""
+        shortest = min(lengths)
+        active = tuple(g for g in spec.global_tokens if g < shortest)
+        bands = spec.bands()
+        floor = self.config.bucket_floor
+        bucket = max(step_window(bands, active, n, floor)[1] for n in lengths)
+        key = (bucket, active)
+        pat = self._patterns.get(key)
+        if pat is None:
+            pat = HybridSparsePattern(bucket, list(bands), active)
+            self._patterns[key] = pat
+        return pat
+
+    def next_batch(self, queue: _LaneQueue, now: float) -> BatchDecision:
+        cfg = self.config
+        shed = queue.prune(lambda s: s.deadline_s is not None and now - s.arrival_s > s.deadline_s)
+        if cfg.shed_lagging:
+            lagging, queue.lanes = _split(
+                queue.lanes,
+                lambda s: s.slo.itl_deadline_s is not None
+                and s.last_token_s is not None
+                and now - s.last_token_s > cfg.itl_shed_factor * s.slo.itl_deadline_s,
+            )
+            shed += lagging
+        while queue.waiting and len(queue.lanes) < queue.max_batch_size:
+            seq = queue.waiting.popleft()
+            seq.first_dispatch_s = now
+            queue.lanes.append(seq)
+        if not queue.lanes:
+            return BatchDecision(shed=tuple(shed))
+        pattern = self.step_pattern(queue.lanes[0].spec, [s.length for s in queue.lanes])
+        return BatchDecision(batch=_StepBatch(queue.lanes, pattern), shed=tuple(shed))
 
 
 @dataclass
@@ -350,297 +408,164 @@ class DecodeReport:
         return "\n".join(lines)
 
 
-class DecodeClusterSimulator:
-    """Heap-driven decode simulation on the cost-model clock.
+def _pacing(seqs: Sequence[_Seq]) -> Tuple[List[float], List[float]]:
+    """First-token waits and inter-token gaps of ``seqs``."""
+    ttfts = [s.ttft_s for s in seqs if s.ttft_s is not None]
+    return ttfts, [g for s in seqs for g in s.itl_gaps]
 
-    Workers run continuous batches: one STEP event per worker while it
-    has lanes; at each step completion every lane yields one token,
-    finished lanes retire, queued sequences join, and the next step is
-    scheduled — so joins and retirements happen between steps exactly
-    as in :class:`repro.decode.DecodeScheduler`.
+
+def _percentiles(ttfts: List[float], gaps: List[float]) -> dict:
+    """p50/p99 of both, under the report field names."""
+    return {
+        "ttft_p50_s": _percentile(ttfts, 50),
+        "ttft_p99_s": _percentile(ttfts, 99),
+        "itl_p50_s": _percentile(gaps, 50),
+        "itl_p99_s": _percentile(gaps, 99),
+    }
+
+
+def _within(values: List[float], budget: Optional[float]) -> float:
+    """Fraction of ``values`` within ``budget`` (1.0: best effort, or none)."""
+    if budget is None or not values:
+        return 1.0
+    return sum(1 for v in values if v <= budget) / len(values)
+
+
+class DecodeClusterSimulator(ControlPlane):
+    """Decode traffic on the control plane's virtual-time executor.
+
+    Routing, launch, fault draws, retry budgets, cold-plan accounting
+    and the event heap are the plane's; the overrides say what differs
+    for a request that stays: a served step is a token, a failed step
+    retries where its KV is, the admission wait is a lane-drain estimate.
     """
 
     def __init__(self, config: Optional[DecodeSimConfig] = None) -> None:
-        self.config = config or DecodeSimConfig()
-        self.clock = (
-            self.config.service if self.config.service is not None else CostModelClock()
+        self.sim_config = cfg = config if config is not None else DecodeSimConfig()
+        super().__init__(
+            ControlConfig(
+                workers=cfg.workers,
+                max_batch_size=cfg.max_lanes,
+                bucket_floor=cfg.bucket_floor,
+                steal=False,  # a lane's KV lives on the worker it was routed to
+                affinity_miss_prob=1.0,  # one structure per run: route by (depth, wid)
+                policy=ContinuousBatching(cfg),  # drop_expired stays off: TTFT sheds at steps
+                admission=cfg.admission if cfg.admission is not None else AdmitAll(),
+                recovery=RecoveryConfig(max_retries=cfg.max_retries),
+            ),
+            salo_factory=cfg.salo_factory,
+            queue_factory=lambda: _LaneQueue(cfg.max_lanes),
         )
-        self.metrics = MetricsCollector()
-        self._patterns: Dict[Tuple, HybridSparsePattern] = {}
-        self.retries = 0
-        self.total_steps = 0
-        self.lane_time_s = 0.0
-        self.tokens_completed = 0
-        self.tokens_shed = 0
-        self.tokens_failed = 0
-        self.tokens_target_admitted = 0
+        clock = cfg.service if cfg.service is not None else CostModelClock()
+        self.executor = SimulatedExecutor(clock, cfg.faults, cfg.workers)
 
-    # ------------------------------------------------------------------
-    def _step_pattern(self, spec, lengths: Sequence[int]) -> HybridSparsePattern:
-        """The plan one step over lanes of these lengths executes.
-
-        Same rule as :meth:`repro.decode.DecodeScheduler.step`: globals
-        every lane has grown past are active, and the bucket is the
-        widest :func:`step_window` over the lanes.
-        """
-        shortest = min(lengths)
-        active = tuple(g for g in spec.global_tokens if g < shortest)
-        bands = spec.bands()
-        floor = self.config.bucket_floor
-        bucket = max(step_window(bands, active, n, floor)[1] for n in lengths)
-        key = (bucket, active)
-        pat = self._patterns.get(key)
-        if pat is None:
-            pat = HybridSparsePattern(bucket, list(bands), active)
-            self._patterns[key] = pat
-        return pat
-
-    def _step_cost(self, worker: _DecodeWorker, spec) -> Tuple[float, bool]:
-        pattern = self._step_pattern(spec, [s.length for s in worker.lanes])
-        stats = worker.salo.estimate(
-            pattern, heads=spec.heads, head_dim=spec.head_dim
-        )
-        key = (pattern.n, pattern.global_tokens())
-        cold = key not in worker.warm_plans
-        service = stats.latency_s * len(worker.lanes) + self.clock.batch_overhead_s
-        if cold:
-            worker.warm_plans.add(key)
-            worker.cold_compiles += 1
-            # same package: the clock's per-plan cold penalty is the
-            # decode path's compile cost too
-            service += self.clock._cold_penalty_s(stats)
-        return service, cold
-
-    def _drain_wait_estimate(
-        self, worker: _DecodeWorker, spec
-    ) -> Tuple[float, float]:
-        """(wait_s, first_step_s): decode-aware queue-drain estimate.
-
-        A new sequence starts decoding once a lane is free.  Lanes free
+    def _admission_context(self, worker: Worker, request: _Seq, now: float) -> AdmissionContext:
+        """A new sequence starts decoding once a lane is free.  Lanes free
         in remaining-token order, so the wait for the ``k``-th queued
         arrival is the ``k``-th smallest remaining budget times the
-        current step time — a drain model, not depth x unit.
-        """
-        lanes = worker.lanes
-        # an idle worker's first step: one lane, anywhere in the prompt range
-        lengths = [s.length for s in lanes] or [spec.prompt_min, spec.prompt_max]
-        stats = worker.salo.estimate(
-            self._step_pattern(spec, lengths),
-            heads=spec.heads,
-            head_dim=spec.head_dim,
-        )
-        step_s = stats.latency_s * max(len(lanes), 1) + self.clock.batch_overhead_s
-        lanes_needed = worker.depth + 1 - worker.max_lanes
-        if lanes_needed <= 0:
-            return 0.0, step_s
-        remaining = sorted(s.remaining for s in lanes)
-        if lanes_needed <= len(remaining):
-            wait = step_s * remaining[lanes_needed - 1]
+        current step time — a drain model, not depth x unit."""
+
+        def estimate() -> Tuple[float, float]:
+            spec, lanes = request.spec, worker.queue.lanes
+            # an idle worker's first step: one lane, anywhere in the prompt range
+            lengths = [s.length for s in lanes] or [spec.prompt_min, spec.prompt_max]
+            stats = worker.salo.estimate(
+                self.config.policy.step_pattern(spec, lengths),
+                heads=spec.heads,
+                head_dim=spec.head_dim,
+            )
+            step_s = stats.latency_s * max(len(lanes), 1) + self.executor.batch_overhead_s
+            lanes_needed = worker.depth() + 1 - worker.queue.max_batch_size
+            if lanes_needed <= 0:
+                return 0.0, step_s
+            remaining = sorted(s.remaining for s in lanes)
+            if lanes_needed <= len(remaining):
+                wait = step_s * remaining[lanes_needed - 1]
+            else:
+                # queue deeper than the lane set: every lane must turn over
+                waves = lanes_needed - len(remaining)
+                wait = step_s * (remaining[-1] if remaining else 1) * (1 + waves)
+            return wait, step_s
+
+        return AdmissionContext(now=now, depth=worker.depth(), estimator=estimate)
+
+    def _retry_or_fail(self, batch: Batch, now: float) -> None:
+        """A failed step retries in place — the lanes and their KV stay —
+        charging every lane one attempt; the attempt past a sequence's
+        budget fails it with its unproduced tokens."""
+        self._retries += 1
+        for seq in batch.requests:
+            attempt = self._attempts.get(seq.request_id, 0) + 1
+            self._attempts[seq.request_id] = attempt
+            if attempt > self._recovery.max_retries:
+                self.pool.workers[self._routed[seq.request_id]].queue.lanes.remove(seq)
+                self._fail(seq, now)
+
+    def _complete(self, seq: _Seq, batch: Batch, worker: Worker, dispatched: float, now: float) -> None:
+        """A served step is one token for the lane; the token that meets
+        the sequence's budget frees the lane and completes it."""
+        seq.produced += 1
+        worker.queue.tokens += 1
+        if seq.produced == 1:
+            seq.ttft_s = now - seq.arrival_s
         else:
-            # queue deeper than the lane set: every lane must turn over
-            waves = lanes_needed - len(remaining)
-            wait = step_s * (remaining[-1] if remaining else 1) * (1 + waves)
-        return wait, step_s
+            seq.itl_gaps.append(now - seq.last_token_s)
+        seq.last_token_s = now
+        if seq.produced == seq.target_tokens:
+            worker.queue.lanes.remove(seq)
+            super()._complete(seq, batch, worker, seq.first_dispatch_s, now)
 
-    # ------------------------------------------------------------------
+    def _refuse_unschedulable(self, spec: DecodeWorkloadSpec) -> None:
+        """Schedule, on a throwaway engine, the step at which each global
+        token turns active (its smallest bucket) and the widest step."""
+        probe = self.sim_config.salo_factory()
+        top = spec.prompt_max + spec.max_new_tokens - 1  # longest history a step sees
+        points = {min(max(g + 1, spec.prompt_min), top) for g in spec.global_tokens}
+        for n in sorted(points | {top}):
+            pattern = self.config.policy.step_pattern(spec, [n])
+            try:
+                probe.estimate(pattern, heads=spec.heads, head_dim=spec.head_dim)
+            except SchedulerError as exc:
+                raise ValueError(
+                    f"decode workload with window={spec.window}, "
+                    f"global_tokens={spec.global_tokens} has a step no worker can "
+                    f"schedule (history length {n}): {exc}"
+                ) from exc
+
     def run(self, spec: DecodeWorkloadSpec) -> DecodeReport:
-        cfg = self.config
-        workers = [
-            _DecodeWorker(w, cfg.salo_factory(), cfg.max_lanes, cfg.bucket_floor)
-            for w in range(cfg.workers)
-        ]
-        heap: List[Tuple[float, int, int, int]] = []
-        order = 0
+        self._refuse_unschedulable(spec)
         seqs = spec.draw()
-        for s in seqs:
-            heapq.heappush(heap, (s.arrival_s, order, _ARRIVE, order))
-            order += 1
-        arrive_payload = {i: s for i, s in enumerate(seqs)}
-        step_payload: Dict[int, Tuple[_DecodeWorker, float, bool]] = {}
-
-        def begin_step(worker: _DecodeWorker, now: float) -> None:
-            nonlocal order
-            self._shed_boundary(worker, now)
-            while worker.queue and len(worker.lanes) < worker.max_lanes:
-                seq = worker.queue.popleft()
-                worker.lanes.append(seq)
-                if seq.first_dispatch_s is None:
-                    seq.first_dispatch_s = now
-            if not worker.lanes:
-                worker.busy = False
-                return
-            worker.busy = True
-            service, _cold = self._step_cost(worker, spec)
-            fails = bool(
-                cfg.faults is not None and cfg.faults.dispatch_fails(worker.wid, now)
-            )
-            worker.lane_time_s += service * len(worker.lanes)
-            step_payload[order] = (worker, service, fails)
-            heapq.heappush(heap, (now + service, order, _STEP, order))
-            order += 1
-
-        while heap:
-            now, _, kind, payload = heapq.heappop(heap)
-            if kind == _ARRIVE:
-                seq = arrive_payload.pop(payload)
-                self.metrics.note_arrival(now)
-                worker = min(workers, key=lambda w: (w.depth, w.wid))
-                ctx = AdmissionContext(
-                    now=now,
-                    depth=worker.depth,
-                    estimator=lambda w=worker: self._drain_wait_estimate(w, spec),
-                )
-                policy = cfg.admission
-                if policy is not None and not policy.admit(seq, ctx):
-                    self.metrics.note_rejection(seq, now)
-                    continue
-                self.tokens_target_admitted += seq.target_tokens
-                worker.queue.append(seq)
-                if not worker.busy:
-                    begin_step(worker, now)
-            else:
-                worker, service, fails = step_payload.pop(payload)
-                worker.busy_s += service
-                worker.steps += 1
-                self.total_steps += 1
-                if fails:
-                    self.retries += 1
-                    survivors = []
-                    for seq in worker.lanes:
-                        seq.retries += 1
-                        if seq.retries > cfg.max_retries:
-                            self.tokens_completed += seq.produced
-                            self.tokens_failed += seq.remaining
-                            self.metrics.note_failed(seq, now)
-                        else:
-                            survivors.append(seq)
-                    worker.lanes = survivors
-                else:
-                    finished = []
-                    for seq in worker.lanes:
-                        seq.produced += 1
-                        worker.tokens += 1
-                        if seq.produced == 1:
-                            seq.ttft_s = now - seq.arrival_s
-                        else:
-                            seq.itl_gaps.append(now - seq.last_token_s)
-                        seq.last_token_s = now
-                        if seq.done:
-                            finished.append(seq)
-                    for seq in finished:
-                        worker.lanes.remove(seq)
-                        self.tokens_completed += seq.produced
-                        self.metrics.note_completion(
-                            RequestRecord(
-                                request_id=seq.request_id,
-                                slo_class=seq.slo_class,
-                                arrival_s=seq.arrival_s,
-                                dispatch_s=seq.first_dispatch_s,
-                                complete_s=now,
-                                worker=worker.wid,
-                                batch_size=len(worker.lanes) + len(finished),
-                                deadline_s=None,
-                            )
-                        )
-                self.metrics.sample(
-                    now,
-                    queued=sum(len(w.queue) for w in workers),
-                    busy_workers=sum(1 for w in workers if w.busy),
-                )
-                begin_step(worker, now)
-
-        leftover = [s for w in workers for s in list(w.lanes) + list(w.queue)]
-        if leftover or arrive_payload:
-            raise RuntimeError(
-                f"drained simulation left {len(leftover)} sequences in flight"
-            )
-        return self._report(spec, seqs, workers)
-
-    def _shed_boundary(self, worker: _DecodeWorker, now: float) -> None:
-        """TTFT-doomed queued sequences and ITL-lagging lanes shed here."""
-        cfg = self.config
-        kept: Deque[_Seq] = deque()
-        while worker.queue:
-            seq = worker.queue.popleft()
-            budget = seq.slo.deadline_s
-            if budget is not None and now - seq.arrival_s > budget:
-                self.tokens_shed += seq.target_tokens
-                self.metrics.note_shed(seq, now)
-            else:
-                kept.append(seq)
-        worker.queue = kept
-        if not cfg.shed_lagging:
-            return
-        survivors = []
-        for seq in worker.lanes:
-            budget = seq.slo.itl_deadline_s
-            lagging = (
-                budget is not None
-                and seq.last_token_s is not None
-                and now - seq.last_token_s > cfg.itl_shed_factor * budget
-            )
-            if lagging and not seq.done:
-                self.tokens_completed += seq.produced
-                self.tokens_shed += seq.remaining
-                self.metrics.note_shed(seq, now)
-            else:
-                survivors.append(seq)
-        worker.lanes = survivors
-
-    # ------------------------------------------------------------------
-    def _report(self, spec, seqs, workers) -> DecodeReport:
-        m = self.metrics
-        completed_ids = {r.request_id for r in m.records}
-        dropped = {d.request_id: d.kind for d in m.drops}
-        ttfts = []
-        gaps = []
-        per_class: Dict[str, dict] = {}
         for seq in seqs:
-            cls = per_class.setdefault(
-                seq.slo_class,
-                {"slo": seq.slo, "seqs": 0, "tokens": 0, "ttfts": [], "gaps": []},
+            self.executor.schedule(seq.arrival_s, _ARRIVE, seq)
+        self._drive(0.0)
+        if self.metrics.outstanding:
+            raise RuntimeError(
+                f"drained simulation left {self.metrics.outstanding} sequences in flight"
             )
-            if seq.request_id in completed_ids or dropped.get(seq.request_id) in (
-                "shed",
-                "failed",
-            ):
-                # produced tokens count toward pacing stats even when
-                # the tail was shed or failed
-                if seq.ttft_s is not None:
-                    ttfts.append(seq.ttft_s)
-                    cls["ttfts"].append(seq.ttft_s)
-                gaps.extend(seq.itl_gaps)
-                cls["gaps"].extend(seq.itl_gaps)
-                cls["tokens"] += seq.produced
-            if seq.request_id in completed_ids:
-                cls["seqs"] += 1
-        start = m.first_arrival_s or 0.0
-        makespan = max(m.last_complete_s - start, 0.0)
+        return self._report(seqs)
+
+    def _report(self, seqs: List[_Seq]) -> DecodeReport:
+        m, workers = self.metrics, self.pool.workers
+        fate = {r.request_id: "completed" for r in m.records}
+        fate.update((d.request_id, d.kind) for d in m.drops)
+        # produced tokens count toward pacing and throughput even when
+        # the tail was shed or failed
+        admitted = [s for s in seqs if fate[s.request_id] != "rejected"]
+        tokens_completed = sum(s.produced for s in admitted)
+        makespan = max(m.last_complete_s - (m.first_arrival_s or 0.0), 0.0)
+        slos = {s.slo_class: s.slo for s in reversed(seqs)}  # first drawn wins
         classes = []
-        for name in sorted(per_class):
-            c = per_class[name]
-            slo = c["slo"]
-            ttft_ok = (
-                sum(1 for t in c["ttfts"] if t <= slo.deadline_s) / len(c["ttfts"])
-                if slo.deadline_s is not None and c["ttfts"]
-                else 1.0
-            )
-            itl_ok = (
-                sum(1 for g in c["gaps"] if g <= slo.itl_deadline_s) / len(c["gaps"])
-                if slo.itl_deadline_s is not None and c["gaps"]
-                else 1.0
-            )
+        for name, slo in sorted(slos.items()):
+            members = [s for s in admitted if s.slo_class == name]
+            ttfts, gaps = _pacing(members)
             classes.append(
                 DecodeClassReport(
                     name=name,
-                    sequences=c["seqs"],
-                    tokens=c["tokens"],
-                    ttft_p50_s=_percentile(c["ttfts"], 50),
-                    ttft_p99_s=_percentile(c["ttfts"], 99),
-                    itl_p50_s=_percentile(c["gaps"], 50),
-                    itl_p99_s=_percentile(c["gaps"], 99),
-                    ttft_attainment=ttft_ok,
-                    itl_attainment=itl_ok,
+                    sequences=sum(fate[s.request_id] == "completed" for s in members),
+                    tokens=sum(s.produced for s in members),
+                    ttft_attainment=_within(ttfts, slo.deadline_s),
+                    itl_attainment=_within(gaps, slo.itl_deadline_s),
+                    **_percentiles(ttfts, gaps),
                 )
             )
         return DecodeReport(
@@ -649,31 +574,26 @@ class DecodeClusterSimulator:
             rejected=m.rejected,
             shed=m.shed,
             failed=m.failed,
-            tokens_target_admitted=self.tokens_target_admitted,
-            tokens_completed=self.tokens_completed,
-            tokens_shed=self.tokens_shed,
-            tokens_failed=self.tokens_failed,
-            tokens_per_s=self.tokens_completed / makespan if makespan else 0.0,
-            mean_concurrency=(
-                sum(w.lane_time_s for w in workers) / makespan if makespan else 0.0
-            ),
-            steps=self.total_steps,
-            retries=self.retries,
+            tokens_target_admitted=sum(s.target_tokens for s in admitted),
+            tokens_completed=tokens_completed,
+            tokens_shed=sum(s.remaining for s in admitted if fate[s.request_id] == "shed"),
+            tokens_failed=sum(s.remaining for s in admitted if fate[s.request_id] == "failed"),
+            tokens_per_s=tokens_completed / makespan if makespan else 0.0,
+            mean_concurrency=sum(w.request_s for w in workers) / makespan if makespan else 0.0,
+            steps=sum(w.batches for w in workers),
+            retries=self._retries,
             makespan_s=makespan,
-            ttft_p50_s=_percentile(ttfts, 50),
-            ttft_p99_s=_percentile(ttfts, 99),
-            itl_p50_s=_percentile(gaps, 50),
-            itl_p99_s=_percentile(gaps, 99),
             classes=classes,
             workers=[
                 {
                     "wid": w.wid,
-                    "steps": w.steps,
-                    "tokens": w.tokens,
+                    "steps": w.batches,
+                    "tokens": w.queue.tokens,
                     "busy_s": w.busy_s,
                     "cold_compiles": w.cold_compiles,
-                    "plan_cache": w.salo.cache_info(),
+                    "plan_cache": self.executor.cache_info(w),
                 }
                 for w in workers
             ],
+            **_percentiles(*_pacing(admitted)),
         )

@@ -233,10 +233,12 @@ class Worker:
         max_batch_size: int = 8,
         bucket_floor: int = 16,
         pad_to_bucket: bool = False,
+        queue=None,
     ) -> None:
         self.wid = wid
         self.salo = salo
-        self.queue = BatchScheduler(
+        # ``queue``: a stand-in speaking BatchScheduler's protocol (decode's lanes)
+        self.queue = queue if queue is not None else BatchScheduler(
             max_batch_size=max_batch_size,
             bucket_floor=bucket_floor,
             pad_to_bucket=pad_to_bucket,
@@ -245,6 +247,7 @@ class Worker:
         # the worker holds; lost with it if it dies before they complete.
         self.launched: Dict[int, Tuple[Batch, float, float]] = {}
         self.busy_s = 0.0  # accumulated service time
+        self.request_s = 0.0  # service time x batch size (mean concurrency)
         self.batches = 0
         self.served = 0
         self.stolen_in = 0  # requests stolen from peers
@@ -363,6 +366,7 @@ class Worker:
         service time at launch (all of it on a simulated clock)."""
         self.launched[launch_id] = (batch, now, now + service_s)
         self.busy_s += service_s
+        self.request_s += service_s * batch.size
         self.batches += 1
         self.served += batch.size
         if cold:
@@ -513,6 +517,7 @@ class EnginePool:
         pad_to_bucket: bool = False,
         affinity_miss_prob: float = 0.1,
         backend: Optional[str] = None,
+        queue_factory: Optional[Callable[[], object]] = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -535,6 +540,7 @@ class EnginePool:
                 max_batch_size=max_batch_size,
                 bucket_floor=bucket_floor,
                 pad_to_bucket=pad_to_bucket,
+                queue=queue_factory() if queue_factory is not None else None,
             )
             for wid in range(workers)
         ]

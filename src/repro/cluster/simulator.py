@@ -41,10 +41,14 @@ injector there are no probes, RNG draws or extra events.
 launch ships the batch to a real worker (possibly a process that can
 genuinely be ``kill -9``'d) and timers fire when due.
 
-:class:`ClusterSimulator` and :class:`~repro.transport.cluster.
-TransportCluster` are thin fronts that pick the executor and feed the
-plane arrivals; routing, batching, retry, recovery and the conservation
-laws the property suite pins exist once, here.
+:class:`ClusterSimulator`, :class:`~repro.transport.cluster.
+TransportCluster` and :class:`~repro.cluster.decode.DecodeClusterSimulator`
+are thin fronts that pick the executor and feed the plane arrivals;
+routing, batching, retry, recovery and the conservation laws the
+property suite pins exist once, here.  Traffic whose requests *stay* — a
+decode sequence holds a lane for one launch per token — overrides one
+seam, :meth:`ControlPlane._complete` (what a served launch means for a
+member), beside the retry and admission-estimate methods.
 """
 
 from __future__ import annotations
@@ -393,22 +397,26 @@ class ControlPlane:
             self._dispatch(worker, now)
             return
         for req in batch.requests:
-            self._attempts.pop(req.request_id, None)
-            self.metrics.note_completion(
-                RequestRecord(
-                    request_id=req.request_id,
-                    slo_class=req.slo_class,
-                    arrival_s=req.arrival_s,
-                    dispatch_s=dispatched,
-                    complete_s=now,
-                    worker=worker.wid,
-                    batch_size=batch.size,
-                    deadline_s=req.deadline_s,
-                    stolen=self._routed.pop(req.request_id, worker.wid) != worker.wid,
-                )
-            )
-            self._feedback(req, now)
+            self._complete(req, batch, worker, dispatched, now)
         self._dispatch(worker, now)
+
+    def _complete(self, req, batch: Batch, worker: Worker, dispatched: float, now: float) -> None:
+        """``req`` rode a served batch: record its completion."""
+        self._attempts.pop(req.request_id, None)
+        self.metrics.note_completion(
+            RequestRecord(
+                request_id=req.request_id,
+                slo_class=req.slo_class,
+                arrival_s=req.arrival_s,
+                dispatch_s=dispatched,
+                complete_s=now,
+                worker=worker.wid,
+                batch_size=batch.size,
+                deadline_s=req.deadline_s,
+                stolen=self._routed.pop(req.request_id, worker.wid) != worker.wid,
+            )
+        )
+        self._feedback(req, now)
 
     def _balance(self, now: float) -> None:
         """Idle workers with dry queues steal from saturated peers.
@@ -445,6 +453,7 @@ class ControlPlane:
 
     def _shed_now(self, request: AttentionRequest, now: float) -> None:
         self._routed.pop(request.request_id, None)
+        self._attempts.pop(request.request_id, None)
         self.metrics.note_shed(request, now)
         self._feedback(request, now)
 

@@ -9,14 +9,18 @@ import pytest
 
 from repro.cluster import (
     DEFAULT_DECODE_SLO_CLASSES,
+    CrashSpec,
     DecodeClusterSimulator,
     DecodeSimConfig,
     DecodeSLOClass,
     DecodeWorkloadSpec,
     FaultInjector,
+    StragglerSpec,
     TransientSpec,
     make_admission,
 )
+from repro.core.config import HardwareConfig
+from repro.core.salo import SALO
 
 
 def _spec(**overrides):
@@ -56,13 +60,13 @@ _PINNED = {
         "a61846afb91b45afabc286e779eab8655bf77cb1a35d32973853919c2a8cb421",
     ),
     "retry-budget": (
-        lambda: _spec(),
+        _spec,
         lambda: dict(workers=2, max_lanes=4, max_retries=2,
                      faults=FaultInjector([TransientSpec(prob=0.6, worker=0)], seed=5)),
         "1d91b629fab38eb89a0f8d314e824b3e26d43dabb3249bfffeba6858caef7d29",
     ),
     "est-wait": (
-        lambda: _spec(),
+        _spec,
         lambda: dict(workers=1, max_lanes=2,
                      admission=make_admission("est-wait", slack=1.0)),
         "9bdbbaa659262788a68cb8243b17ced105a6fe95a7832d4d45705066bb660c5b",
@@ -218,3 +222,79 @@ class TestSpecValidation:
             DecodeSLOClass("x", deadline_s=1.0, itl_deadline_s=-1.0)
         with pytest.raises(ValueError):
             DecodeSimConfig(max_lanes=0)
+
+
+class TestDoor:
+    """Bad input is refused by name before the first event."""
+
+    def _refused(self, spec, **cfg):
+        sim = DecodeClusterSimulator(DecodeSimConfig(**cfg))
+        with pytest.raises(ValueError, match="global_tokens") as err:
+            sim.run(spec)
+        assert "bound" in str(err.value)
+        # nothing arrived, and no worker's engine was asked anything
+        assert sim.metrics.submitted == 0
+        for w in sim.pool.workers:
+            info = w.salo.cache_info()
+            assert info["hits"] == info["misses"] == 0
+
+    def test_global_tokens_past_the_hardware_bound(self):
+        self._refused(DecodeWorkloadSpec(sequences=8, global_tokens=(0, 20)))
+
+    def test_bound_is_checked_where_each_global_turns_active(self):
+        """The bound grows with the bucket: eight globals fit the widest
+        step (bucket 256) but not the step they turn active in (bucket 16)."""
+        spec = DecodeWorkloadSpec(
+            sequences=6, window=64, global_tokens=tuple(range(8)), prompt_min=9,
+            prompt_max=12, mean_new_tokens=100.0, max_new_tokens=200,
+        )
+        self._refused(spec, salo_factory=lambda: SALO(HardwareConfig(pe_rows=4, pe_cols=4)))
+
+    def test_one_global_token_is_served(self):
+        report = _run(DecodeWorkloadSpec(sequences=8, global_tokens=(20,)))
+        assert report.completed == 8
+
+    def test_crash_spec_refused_by_name(self):
+        inj = FaultInjector([CrashSpec(worker=0, at_s=1e-3)])
+        with pytest.raises(ValueError, match="CrashSpec"):
+            DecodeSimConfig(faults=inj)
+
+    def test_fault_spec_naming_a_missing_worker_refused(self):
+        inj = FaultInjector([TransientSpec(prob=0.1, worker=2)])
+        with pytest.raises(ValueError, match="worker 2"):
+            DecodeClusterSimulator(DecodeSimConfig(workers=2, faults=inj))
+
+
+class TestStragglers:
+    """Steps are launches: a straggler window slows them like any batch."""
+
+    _SLOW = StragglerSpec(worker=0, start_s=0.0, duration_s=10.0, factor=5.0)
+    _PATIENT = (DecodeSLOClass("only", deadline_s=None, share=1.0),)
+
+    def test_slowed_worker_paces_its_tokens_slower(self):
+        spec = _spec(slo_classes=self._PATIENT)
+        base = _run(spec, workers=1, max_lanes=4)
+        slow = _run(spec, workers=1, max_lanes=4, faults=FaultInjector([self._SLOW]))
+        assert slow.itl_p99_s > 4.0 * base.itl_p99_s
+        assert slow.completed == base.completed == 40
+        assert slow.sequence_conservation and slow.token_conservation
+
+    def test_only_the_named_worker_is_stretched(self):
+        report = _run(workers=2, max_lanes=4, faults=FaultInjector([self._SLOW]))
+        step_s = [w["busy_s"] / w["steps"] for w in report.workers]
+        assert step_s[0] > 3.0 * step_s[1]
+        assert report.sequence_conservation and report.token_conservation
+
+    def test_a_lane_shed_after_a_retry_leaves_nothing_on_the_books(self):
+        """Slow steps that also fail: lanes survive an attempt, then lag
+        past their ITL budget and are shed — their attempt count goes too."""
+        tight = (DecodeSLOClass("tight", deadline_s=None, share=1.0, itl_deadline_s=1e-3),)
+        slow = StragglerSpec(worker=0, start_s=0.0, duration_s=10.0, factor=3.0)
+        sim = DecodeClusterSimulator(DecodeSimConfig(
+            workers=1, max_lanes=4,
+            faults=FaultInjector([TransientSpec(prob=0.4), slow], seed=0),
+        ))
+        report = sim.run(DecodeWorkloadSpec(sequences=12, slo_classes=tight, seed=0))
+        assert report.retries > 0 and report.shed > 0
+        assert report.sequence_conservation and report.token_conservation
+        assert not sim._attempts and not sim._routed

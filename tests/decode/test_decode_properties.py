@@ -1,10 +1,12 @@
 """Property-based invariants of the decode subsystem (hypothesis).
 
 * **Token conservation** — across any drawn decode-cluster scenario
-  (arrival mix, lane widths, admission policy, transient faults), every
-  admitted sequence's target tokens end in exactly one of {completed,
-  shed, failed}; sequences obey the four-way law; a drained run leaves
-  nothing in flight.
+  (arrival mix, lane widths, admission policy, transient faults, a
+  straggler window), every admitted sequence's target tokens end in
+  exactly one of {completed, shed, failed}; sequences obey the four-way
+  law, each with exactly one terminal outcome; the workers' token counts
+  add up to the completed tokens; a drained run leaves nothing in flight
+  and nothing per sequence on the control plane's books.
 * **Continuous-batching determinism** — joining and retiring mid-batch
   is unobservable: for banded patterns every sequence's outputs are
   bit-identical to decoding it alone, for *any* lane width and any
@@ -30,6 +32,7 @@ from repro.cluster import (
     DecodeSLOClass,
     DecodeWorkloadSpec,
     FaultInjector,
+    StragglerSpec,
     TransientSpec,
     make_admission,
 )
@@ -84,15 +87,20 @@ def cluster_scenario(draw):
         st.sampled_from([None, ("queue-depth", {"max_depth": 6}),
                          ("est-wait", {"slack": 1.0})])
     )
-    faults = None
+    fault_specs = []
     if draw(st.booleans()):
-        faults = FaultInjector(
-            [TransientSpec(
-                prob=draw(st.integers(10, 70)) / 100.0,
-                worker=draw(st.one_of(st.none(), st.just(0))),
-            )],
-            seed=draw(st.integers(0, 100)),
-        )
+        fault_specs.append(TransientSpec(
+            prob=draw(st.integers(10, 70)) / 100.0,
+            worker=draw(st.one_of(st.none(), st.just(0))),
+        ))
+    if draw(st.booleans()):
+        fault_specs.append(StragglerSpec(
+            worker=0,
+            start_s=draw(st.integers(0, 20)) * 1e-3,
+            duration_s=draw(st.integers(1, 40)) * 1e-3,
+            factor=float(draw(st.integers(2, 6))),
+        ))
+    faults = FaultInjector(fault_specs, seed=draw(st.integers(0, 100))) if fault_specs else None
     config = DecodeSimConfig(
         workers=draw(st.integers(1, 3)),
         max_lanes=draw(st.integers(1, 8)),
@@ -109,7 +117,16 @@ class TestTokenConservation:
     @settings(max_examples=30, deadline=None)
     def test_every_admitted_token_has_exactly_one_fate(self, scenario):
         spec, config = scenario
-        report = DecodeClusterSimulator(config).run(spec)
+        sim = DecodeClusterSimulator(config)
+        report = sim.run(spec)
+        # every drawn sequence has exactly one terminal outcome
+        outcomes = [r.request_id for r in sim.metrics.records]
+        outcomes += [d.request_id for d in sim.metrics.drops]
+        assert sorted(outcomes) == sorted(s.request_id for s in spec.draw())
+        # the workers' own token counts are the completed tokens
+        assert sum(w["tokens"] for w in report.workers) == report.tokens_completed
+        # nothing per sequence outlives the run on the control plane
+        assert not sim._attempts and not sim._routed
         # sequence-level four-way law
         assert report.submitted == spec.sequences
         assert report.submitted == (

@@ -202,6 +202,26 @@ class TestCli:
         assert main(["simulate", *flags]) == 2
         assert field in capsys.readouterr().err
 
+    def test_decode_reports_conservation_and_pacing(self, capsys):
+        assert main(["decode", "--sequences", "8", "--global-token", "20"]) == 0
+        out = capsys.readouterr().out
+        assert "8 submitted = 8 completed" in out
+        assert "TTFT" in out and "ITL" in out
+
+    @pytest.mark.parametrize(
+        "flags, needle",
+        [
+            # two active globals exceed the hardware bound of the step plan
+            (["--global-token", "0", "--global-token", "20"], "global_tokens=(0, 20)"),
+            (["--fault-transient", "0.1", "--fault-worker", "5"], "worker 5"),
+        ],
+    )
+    def test_decode_refuses_bad_input_at_the_door(self, capsys, flags, needle):
+        assert main(["decode", "--sequences", "8", *flags]) == 2
+        captured = capsys.readouterr()
+        assert needle in captured.err
+        assert "decode cluster report" not in captured.out
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])

@@ -83,3 +83,40 @@ def test_the_walk_resolves_relative_and_function_level_imports():
         modules["repro.accelerator.functional"], "repro.accelerator.functional", modules
     )
     assert {"repro.scheduler.compiled", "repro.accelerator.arena"} <= functional
+
+
+def _sources():
+    """``{path relative to src/repro: AST}`` of every module in the package."""
+    root = SRC / "repro"
+    return {
+        path.relative_to(root).as_posix(): ast.parse(path.read_text())
+        for path in root.rglob("*.py")
+    }
+
+
+def test_one_event_heap_per_executor_family():
+    """A module that imports ``heapq`` owns an event loop: the simulated
+    executor's and the wall-clock one's are the only two."""
+    def imported(node):
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        return [node.module] if isinstance(node, ast.ImportFrom) else []
+
+    importers = {
+        name
+        for name, tree in _sources().items()
+        if any("heapq" in imported(node) for node in ast.walk(tree))
+    }
+    assert importers == {"cluster/simulator.py", "transport/cluster.py"}
+
+
+def test_the_clock_prices_its_own_cold_penalty():
+    """``CostModelClock._cold_penalty_s`` is charged through
+    ``service_s``; nothing re-derives a launch's cost around it."""
+    users = {
+        name
+        for name, tree in _sources().items()
+        for node in ast.walk(tree)
+        if "_cold_penalty_s" in (getattr(node, "attr", None), getattr(node, "name", None))
+    }
+    assert users == {"cluster/pool.py"}
