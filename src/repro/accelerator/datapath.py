@@ -11,13 +11,15 @@ arithmetic error (bounded, characterised).
 The datapath also holds the three proofs the functional engine's one
 gate reads (``FunctionalEngine._supports_tiled``), each a fact of the
 numerics decided once, not a per-call test:
-:meth:`Datapath.supports_exact_gemm` (stage-1/5 sums exact in float64),
+:meth:`Datapath.supports_exact_gemm` (stage-1/5 GEMMs over integer codes
+exact in float32, whose significand holds every integer up to 2^24),
 :attr:`Datapath.prob_bounded` (no normalised weight saturates the
 probability format) and :meth:`Datapath.stage5_bounded` (no stage-5
 output over ``n`` keys saturates the output format).  The ``*_into``
 variants below serve only plans that passed all three, so they assume a
-quantised datapath and skip the saturation passes the proofs make
-identities.
+quantised datapath, work on integer codes where the production path
+does (operands, stage-5 outputs) and skip the saturation passes the
+proofs make identities.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ from .fixed_point import FixedPointFormat
 from .recip_unit import ReciprocalUnit
 
 __all__ = ["Datapath"]
+
+#: Significand bits of float32: every integer of magnitude <= 2^24 is exact.
+_F32_BITS = 24
 
 
 class Datapath:
@@ -65,9 +70,13 @@ class Datapath:
         # that bound fits the probability format, ``rint(p * 2^f)`` never
         # exceeds ``max_code`` and the quantiser's saturation clip is an
         # identity on every normalised weight.
-        bound = 1.0 if self._recip_unit is None else self._recip_unit.product_bound()
+        self._weight_bound = (
+            1.0 if self._recip_unit is None else self._recip_unit.product_bound()
+        )
         pf = self.prob_format
-        self.prob_bounded: bool = pf is None or bound * (1 << pf.frac_bits) <= pf.max_code
+        self.prob_bounded: bool = (
+            pf is None or self._weight_bound * (1 << pf.frac_bits) <= pf.max_code
+        )
 
     # ------------------------------------------------------------------
     def quantize_input(self, x: np.ndarray) -> np.ndarray:
@@ -106,10 +115,12 @@ class Datapath:
     # (``FunctionalEngine._supports_tiled``): every format exists, and
     # :attr:`prob_bounded` and :meth:`stage5_bounded` hold, so the
     # probability and output quantisers carry no saturation pass.  Each
-    # performs the same elementwise operation as its namesake above,
-    # writing through ``out`` (which may alias the input).
-    def quantize_input_into(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        return self.input_format.quantize_into(x, out)
+    # performs the same elementwise operation as its namesake above —
+    # in code units where the name says so — writing through ``out``
+    # (which may alias the input).
+    def input_codes_into(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Codes of :meth:`quantize_input` (``out`` float64)."""
+        return self.input_format.codes_into(x, out)
 
     def exp_into(self, s: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Elementwise stage-2 exponential, for scales no score-code table
@@ -131,43 +142,57 @@ class Datapath:
         """Quantise normalised weights ``p = e * recip(w)``, ``0 <= e <= w``
         (the caller's contract), on which :attr:`prob_bounded` proves
         the saturation clip an identity."""
-        return self.prob_format.quantize_into(p, out, saturate=False)
+        pf = self.prob_format
+        pf.codes_into(p, out, saturate=False)
+        return np.multiply(out, pf.resolution, out=out)
 
-    def quantize_output_into(self, o: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Quantise stage-5 outputs, which :meth:`stage5_bounded` proves in range."""
-        return self.output_format.quantize_into(o, out, saturate=False)
+    def output_codes_into(self, acc: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Output codes of stage-5 sums ``acc`` of probability codes times
+        value codes, which :meth:`stage5_bounded` proves in range.
+
+        ``acc`` is the stage-5 value in units of ``2^-(prob_frac +
+        input_frac)``, so a power-of-two shift to output units — exact,
+        in any float width — and one ``rint`` give the codes of
+        :meth:`quantize_output` on the value.
+        """
+        of, pf, fi = self.output_format, self.prob_format, self.input_format
+        np.multiply(acc, 2.0 ** (of.frac_bits - pf.frac_bits - fi.frac_bits), out=out)
+        return np.rint(out, out=out)
 
     # ------------------------------------------------------------------
     def supports_exact_gemm(self, head_dim: int, max_cols: int) -> bool:
-        """True when stage-1/5 dot products are *exact* in float64.
+        """True when stage-1/5 GEMMs over integer codes are *exact* in float32.
 
-        On a quantised datapath every operand is an integer multiple of a
-        fixed power of two, so any partial sum of a dot product is an
-        integer in those units; as long as the largest possible partial
-        fits in the 53-bit double mantissa, no summation order ever
-        rounds, and a BLAS ``matmul`` (arbitrary order, FMA or not) is
-        bit-identical to the reference path's ordered einsum.
+        The production path feeds its GEMMs integer codes, so any partial
+        sum of a dot product is an integer; as long as the largest
+        possible magnitude fits the 24-bit float32 significand (every
+        integer up to ``2^24`` is exact), no summation order ever rounds,
+        and a BLAS ``sgemm`` (arbitrary order, FMA or not) is
+        bit-identical to the reference path's ordered float64 einsum.
 
         * stage 1 (``q @ k``): ``2 * (input_bits - 1)`` bits per product
           plus ``ceil(log2 head_dim)`` for the sum;
-        * stage 5 (``S' @ v``): probability codes are unsigned
-          ``output_bits`` wide, value codes ``input_bits - 1``, plus
-          ``ceil(log2 max_cols)`` for the sum (zero padding in the
-          scattered rectangle adds exactly nothing).
+        * stage 5 (``S' @ v``): a row's probability codes sum to at most
+          ``2^prob_frac * sup w * recip(w)`` before rounding plus half a
+          code per column after it, over at most ``max_cols`` columns,
+          each against a value code of magnitude ``<= 2^(input_bits - 1)``
+          (zero padding in the scattered rectangle adds exactly nothing).
+          About ``2^22`` at the default numerics.
 
         Exact (unquantised) datapaths get ``False`` — arbitrary floats
-        make summation order observable, so those run the reference path.
+        make summation order observable — and so does every quantised one
+        past the budget: both run the reference path.
         """
-        if self.input_format is None or self.prob_format is None or self.output_format is None:
+        fi, pf = self.input_format, self.prob_format
+        if fi is None or pf is None or self.output_format is None:
             return False
         cols = max(1, int(max_cols))
         dim = max(1, int(head_dim))
         log2 = lambda v: int(np.ceil(np.log2(v))) if v > 1 else 0  # noqa: E731
-        stage1 = 2 * (self.input_format.total_bits - 1) + log2(dim)
-        stage5 = (
-            self.prob_format.total_bits + (self.input_format.total_bits - 1) + log2(cols)
-        )
-        return stage1 <= 53 and stage5 <= 53
+        stage1 = 2 * (fi.total_bits - 1) + log2(dim)
+        row_codes = self._weight_bound * (1 << pf.frac_bits) + cols / 2
+        stage5 = row_codes * (1 << (fi.total_bits - 1))
+        return stage1 <= _F32_BITS and stage5 <= 1 << _F32_BITS
 
     def stage5_bounded(self, n: int) -> bool:
         """True when no stage-5 output over ``n`` keys can saturate.

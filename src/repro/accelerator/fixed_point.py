@@ -1,11 +1,15 @@
 """Fixed-point arithmetic for the SALO datapath (paper Section 6.4).
 
 SALO quantises Q, K and V to 8-bit fixed point with 4 fractional bits and
-produces 16-bit outputs.  This module models fixed-point values as float64
-arrays holding exact multiples of ``2**-frac_bits`` — products and sums of
-such values are exact in double precision for the bit widths involved
-(< 53 bits), so the representation is bit-faithful while staying fully
-vectorised.
+produces 16-bit outputs.  A value is the integer code ``i`` of its format
+times ``2**-frac_bits``.  The reference model (:meth:`FixedPointFormat.quantize`)
+holds values as float64 arrays of exact multiples of ``2**-frac_bits``;
+the production engine carries the codes themselves (:meth:`codes_into`)
+— in float32 through its GEMMs, where the datapath's 24-bit proof
+(``Datapath.supports_exact_gemm``) makes every product and sum exact,
+and in float64 elsewhere — and applies the resolution once, to its
+output.  Either way the representation is bit-faithful while staying
+fully vectorised.
 
 Rounding is round-half-to-even (``np.rint``), saturation clips to the
 format's representable range; both behaviours are what a synthesised
@@ -74,23 +78,23 @@ class FixedPointFormat:
         codes = np.clip(codes, self.min_code, self.max_code)
         return codes * self.resolution
 
-    def quantize_into(
+    def codes_into(
         self, x: np.ndarray, out: np.ndarray, saturate: bool = True
     ) -> np.ndarray:
-        """Allocation-free :meth:`quantize`; ``x`` may alias ``out``.
+        """Allocation-free integer codes of :meth:`quantize` as floats.
 
-        Bit-identical to :meth:`quantize`: the same elementwise
-        scale / round-half-even / saturate / rescale sequence, written
-        through ``out`` without temporaries.  ``saturate=False`` skips
-        the clip pass — only valid when the caller proves every input
-        already lies inside the representable range (``rint`` of an
-        in-range scaled value is in-range, so the clip is the identity).
+        The scale / round-half-even / saturate steps of :meth:`quantize`
+        without its final rescale, written through ``out`` (which may
+        alias ``x``), so ``codes * resolution`` is bit-identical to
+        :meth:`quantize`.  ``saturate=False`` skips the clip pass — only
+        valid when the caller proves every input already lies inside the
+        representable range (``rint`` of an in-range scaled value is
+        in-range, so the clip is the identity).
         """
         np.multiply(x, float(1 << self.frac_bits), out=out)
         np.rint(out, out=out)
         if saturate:
             np.clip(out, self.min_code, self.max_code, out=out)
-        np.multiply(out, self.resolution, out=out)
         return out
 
     def to_codes(self, values: np.ndarray) -> np.ndarray:

@@ -44,6 +44,13 @@ interior blocks (16 column passes per block on Longformer-4096/512,
 91.6% of its passes) — its merge state stays on accumulator views, and
 when its jobs slice one band a single stage-1 GEMM spans all of their
 columns.
+The production path runs in the hardware's *code domain*: the operand
+slabs hold Q8.4 codes in float32, so stage 1 yields score codes, the
+epilogue hands probability codes to stage 5, stage 5 (codes times codes,
+float32 again) is shifted and rounded to output codes, and every merge
+and the accumulator work on output codes; the output resolution is
+applied once, when the result is copied out.  Nothing between the
+stages rescales.
 Operands are never gathered where the ids are a range: every key
 stream and query block of an undilated band is a (clip-clamped)
 contiguous id range, a fact verified when the plan is compiled, and
@@ -57,8 +64,10 @@ observes, never from a caller-set value, in one place —
 :meth:`FunctionalEngine._supports_tiled`, at construction — and the
 production path never re-tests what that gate proved.  One gate, three
 proofs: GEMM reordering is only bit-exact when every stage-1/5
-accumulation is exact in float64 (:meth:`Datapath.supports_exact_gemm` —
-quantised datapaths inside the 53-bit budget); the epilogue's one
+accumulation over integer codes is exact in float32
+(:meth:`Datapath.supports_exact_gemm` — quantised datapaths inside the
+24-bit budget: 20 bits for stage 1 and about 22 for stage 5 at the
+default numerics); the epilogue's one
 quantiser tail has no saturation clip, an identity only when no
 normalised weight can exceed the probability format
 (:attr:`Datapath.prob_bounded`, a bound read off the reciprocal LUT:
@@ -68,9 +77,9 @@ keys can exceed the output format (:meth:`Datapath.stage5_bounded`: up
 to ``n`` = 917 k at the default numerics).  Plans that pass all three
 run the production path — on a fully quantised datapath, so its
 ``*_into`` quantisers and ``merge_into`` carry no unquantised branch —
-and everything else (``exact()`` configs, over-budget bit widths, a
-probability format without an integer bit, an output format too narrow
-for the operands) runs the reference path, where summation order is
+and everything else (``exact()`` configs, bit widths past the float32
+budget, a probability format without an integer bit, an output format
+too narrow for the operands) runs the reference path, where summation order is
 part of the result.  Either way the output is bit-identical to
 ``mode="legacy"``; :attr:`FunctionalEngine.tiled` reports which executor
 a given engine uses.  The production path is total over the scheduler:
@@ -186,6 +195,14 @@ def _shift(start: Optional[int], by: int) -> Optional[int]:
     return None if start is None else start + by
 
 
+def _band(rect: np.ndarray, width: int) -> np.ndarray:
+    """The ``(..., R, width)`` diagonal band of a score rectangle whose
+    last axis has at least ``R + width - 1`` columns: ``[r, c]`` is
+    ``rect[..., r, r + c]``."""
+    s = rect.strides
+    return as_strided(rect, rect.shape[:-1] + (width,), s[:-2] + (s[-2] + s[-1], s[-1]))
+
+
 @dataclass
 class FunctionalResult:
     """Output of a functional run.
@@ -246,7 +263,7 @@ class _Accumulator:
 
 
 class _BatchAccumulator:
-    """Running (output, weight) state for all execution lanes at once.
+    """Running (output codes, weight) state for all execution lanes at once.
 
     A *lane* is one (sequence, head) pair: single-sequence runs carry one
     lane per head, batched runs fold the batch and head axes into
@@ -274,12 +291,12 @@ _EXP_TABLE_MAX = 1 << 17
 
 @functools.lru_cache(maxsize=64)
 def _exp_code_table(numerics, scale: float):
-    """``(table, code multiplier, first code)`` or ``None`` when inapplicable.
+    """``(table, first code)`` or ``None`` when inapplicable.
 
-    On a quantised datapath every stage-1 score is an exact integer
-    multiple ``c`` of ``2^-2f`` (``f`` input fraction bits), so the whole
-    exp pipeline — scale, clamp, range reduction, LUT chords, shift,
-    output quantise — is a function of the code ``c`` alone.  The table
+    On a quantised datapath stage 1 yields integer score codes ``c`` of
+    value ``c * 2^-2f`` (``f`` input fraction bits), so the whole exp
+    pipeline — scale, clamp, range reduction, LUT chords, shift, output
+    quantise — is a function of the code ``c`` alone.  The table
     evaluates the elementwise path's own multiply ``(c * 2^-2f) * scale``
     and the reference unit at every code whose scaled score can fall
     inside the clamp range, so a gather from it is bit-identical by
@@ -303,7 +320,7 @@ def _exp_code_table(numerics, scale: float):
         return None
     table = unit(np.multiply(np.arange(c_min, c_max + 1) * g, np.float64(scale)))
     table.flags.writeable = False
-    return table, math.ldexp(1.0, 2 * fi.frac_bits), float(c_min)
+    return table, float(c_min)
 
 
 class FunctionalEngine:
@@ -343,7 +360,7 @@ class FunctionalEngine:
         The one gate of the production path, read from the plan's
         configuration alone, so an engine that takes the reference path
         never compiles.  Three proofs, none re-tested per call: every
-        stage-1/5 accumulation is exact in float64 — no stage-5
+        stage-1/5 accumulation over codes is exact in float32 — no stage-5
         reduction is longer than the cells of one pass (a score
         rectangle's ``rows + width - 1`` span and a global-row batch —
         the distinct keys one pass streams — both fit inside it) or, for
@@ -494,12 +511,18 @@ class FunctionalEngine:
     # Stages 1 and 5 run as banded GEMMs: per block the full
     # (R, R + W - 1) score rectangle is one matmul against the segment's
     # overlapping stream view, and the band is extracted (stage 1) or
-    # scattered back (stage 5) through a strided view.  On a quantised
-    # datapath every operand is an integer multiple of a fixed power of
-    # two and every partial sum fits the double mantissa, so the BLAS
-    # accumulation order — and the exact zeros of the rectangle padding —
-    # cannot round: results are bit-identical to the ordered einsums of
-    # the reference path.  All buffers are views of the process arena
+    # scattered back (stage 5) through a strided view.  Both GEMMs take
+    # integer codes in float32 — operand codes, probability codes — and
+    # every partial sum fits the 24-bit float32 significand
+    # (``Datapath.supports_exact_gemm``), so the BLAS accumulation order
+    # — and the exact zeros of the rectangle padding — cannot round:
+    # results are bit-identical to the ordered float64 einsums of the
+    # reference path.  Between the GEMMs the epilogue and the merges run
+    # in float64 — an exp value times a reciprocal, an output code times
+    # a merge coefficient and a row of up to 1024 exp values all need
+    # more than 24 bits — and every dtype change is a casting
+    # ``np.copyto``, never a mixed-dtype ufunc, whose iterator buffers
+    # would allocate.  All buffers are views of the process arena
     # (:mod:`repro.accelerator.arena`), so a call allocates only the
     # arrays it returns — on a cached plan and, once the arena has seen
     # the shapes, on a never-seen one too.
@@ -524,7 +547,7 @@ class FunctionalEngine:
         lanes, _, d = slab.core.shape
         idx = _buf((name, "ids"), ids.shape, np.int64)
         np.copyto(idx, ids)
-        out = _buf(name, (lanes, ids.size, d))
+        out = _buf(name, (lanes, ids.size, d), slab.core.dtype)
         np.take(slab.core, idx.reshape(-1), axis=1, out=out, mode="clip")
         return out
 
@@ -544,10 +567,11 @@ class FunctionalEngine:
         lanes = b * heads
         lane_lens = None if lens is None else np.repeat(lens, heads)
         margins = cp.schedule.slab_margins
-        qh = self._lane_slab("q", q, b, n, heads, d, margins)
-        kh = self._lane_slab("k", k, b, n, heads, d, margins)
-        vh = self._lane_slab("v", v, b, n, heads, d, margins)
-        acc = _BatchAccumulator(lanes, n, d)
+        qh, kh, vh = (
+            self._lane_slab(name, x.reshape(b, n, heads, d), margins)
+            for name, x in zip("qkv", (q, k, v))
+        )
+        acc = _BatchAccumulator(lanes, n, d)  # after the slabs: see _lane_slab
 
         for chain in cp.job_chains:
             self._run_chain_tiled(cp, chain, qh, kh, vh, scale, acc, lane_lens)
@@ -565,44 +589,42 @@ class FunctionalEngine:
                 "the pattern leaves them without keys"
             )
         # The accumulator lives in the arena, so the caller-owned results
-        # must be fresh copies.
+        # must be fresh copies; its output codes take their resolution here
+        # (after the transpose: a ufunc over a strided view would allocate
+        # iterator buffers).
         parts = acc.parts.reshape(b, heads, n).copy()
         output = np.empty((b, n, heads * d), dtype=np.float64)
         np.copyto(
             output.reshape(b, n, heads, d),
             acc.out.reshape(b, heads, n, d).transpose(0, 2, 1, 3),
         )
+        np.multiply(output, self.datapath.output_format.resolution, out=output)
         if not batched:
             output = output.reshape(n, heads * d)
             parts = parts.reshape(heads, n)
         return FunctionalResult(output=output, merges=acc.merges, parts=parts)
 
-    def _lane_slab(
-        self,
-        name: str,
-        x: np.ndarray,
-        b: int,
-        n: int,
-        heads: int,
-        d: int,
-        margins: Tuple[int, int],
-    ) -> _Slab:
-        """Quantised operand :class:`_Slab` in reused storage.
+    def _lane_slab(self, name: str, x: np.ndarray, margins: Tuple[int, int]) -> _Slab:
+        """Float32 operand-code :class:`_Slab` of ``x (b, n, heads, d)``.
 
-        Quantising is elementwise, so each lane holds exactly the values
-        the reference path's per-head ``quantize_input`` produces,
-        written through an arena buffer; the ``(head, tail)`` margin
-        rows are then filled from the core's edge rows.
+        Quantising is elementwise, so each lane holds exactly the codes
+        of the values the reference path's per-head ``quantize_input``
+        produces (at most ``input_bits`` wide, exact in float32); the
+        ``(head, tail)`` margin rows are then filled from the core's
+        edge rows.
         """
+        b, n, heads, d = x.shape
         head, tail = margins
-        base = _buf(("slab", name), (b * heads, head + n + tail, d))
+        base = _buf(("slab", name), (b * heads, head + n + tail, d), np.float32)
         core = base[:, head : head + n]
-        # The transpose copy fuses into the quantiser's first multiply
-        # (its read may be any strided view), saving one full pass.
-        self.datapath.quantize_input_into(
-            x.reshape(b, n, heads, d).transpose(0, 2, 1, 3),
-            core.reshape(b, heads, n, d),
+        # Round and clip in float64 through the accumulator's storage
+        # (set up only after the slabs), then one casting copy.  The
+        # transpose fuses into the quantiser's first multiply.
+        codes = _buf("acc_out", core.shape)
+        self.datapath.input_codes_into(
+            x.transpose(0, 2, 1, 3), codes.reshape(b, heads, n, d)
         )
+        np.copyto(core, codes)
         if head:
             base[:, :head] = core[:, 0:1]
         if tail:
@@ -613,7 +635,7 @@ class FunctionalEngine:
         """Merge one part into running state — the production path's only Eq. 2.
 
         ``ro (..., d)`` / ``rw`` / ``rh`` / ``rp`` are the running
-        output, weight, coverage mask and part count (the accumulator, a
+        output codes, weight, coverage mask and part count (the accumulator, a
         view of it, or chain-local state) and ``(out, w, has)`` a part of
         the same cell shape.  Per cell this is the reference
         accumulator's ``add_part``: assigned where only the part has
@@ -686,6 +708,8 @@ class FunctionalEngine:
         flat_keep, flat_q = chain.flat_keep, chain.flat_q
         M = flat_keep.size
         cells = G * B * R
+        # (out, w, has, parts) of the accumulator, and of the run state.
+        state = (acc.out, acc.w, acc.has, acc.parts)
         # When every cell is kept and the flattened query ids are one
         # contiguous range, the chain's cells *are* a slice of the
         # accumulator: run the merge state directly on accumulator views
@@ -693,47 +717,39 @@ class FunctionalEngine:
         alias = chain.keep_all and job0.q_start is not None
         if alias:
             base = job0.q_start
-            out_run = acc.out[:, base : base + cells].reshape(lanes, G, B, R, d)
-            w_run = acc.w[:, base : base + cells].reshape(lanes, G, B, R)
-            has_run = acc.has[:, base : base + cells].reshape(lanes, G, B, R)
-            parts_run = acc.parts[:, base : base + cells].reshape(lanes, G, B, R)
+            run = [a[:, base : base + cells].reshape((lanes, G, B, R) + a.shape[2:]) for a in state]
         else:
             # Zero-invariant arena views (filled only when last served
             # at another shape): stale out/w values at non-kept cells —
             # this chain's or another same-shape chain's — are gated out
             # of every merge by the has masks and never committed (and
             # stay bounded, unlike raw np.empty garbage), so the per
-            # -chain fill of the two big buffers can be dropped; the
-            # masks themselves do need clearing.
-            out_run = _zbuf("chain_out", (lanes, G, B, R, d))
-            w_run = _zbuf("chain_w", (lanes, G, B, R))
-            has_run = _buf("chain_has", (lanes, G, B, R), np.bool_)
-            parts_run = _buf("chain_parts", (lanes, G, B, R), np.int64)
-            has_run.fill(False)
-            parts_run.fill(0)
+            # -chain fill of the two big buffers can be dropped (and of
+            # the part counts, which non-kept cells only ever add
+            # ``False`` to); the masks themselves do need clearing.
+            run = [
+                _zbuf("chain_out", (lanes, G, B, R, d)),
+                _zbuf("chain_w", (lanes, G, B, R)),
+                _buf("chain_has", (lanes, G, B, R), np.bool_),
+                _buf("chain_parts", (lanes, G, B, R), np.int64),
+            ]
+            run[2].fill(False)
+            flat = [r.reshape((lanes, cells) + a.shape[2:]) for r, a in zip(run, state)]
+            commit = [
+                _buf(("commit", i), (lanes, M) + a.shape[2:], a.dtype)
+                for i, a in enumerate(state)
+            ]
             # Seed the kept cells with the accumulator's current state
             # for these queries (all zeros when no earlier job touched
             # them) so every chain job is a merge against exactly the
             # state the reference path's accumulator holds at that pass.
-            if chain.keep_slice is not None:
-                k0, q0 = chain.keep_slice
-                out_run.reshape(lanes, cells, d)[:, k0 : k0 + M] = acc.out[
-                    :, q0 : q0 + M
-                ]
-                w_run.reshape(lanes, cells)[:, k0 : k0 + M] = acc.w[:, q0 : q0 + M]
-                has_run.reshape(lanes, cells)[:, k0 : k0 + M] = acc.has[
-                    :, q0 : q0 + M
-                ]
-            else:
-                cb_out = _buf("commit_out", (lanes, M, d))
-                cb_w = _buf("commit_w", (lanes, M))
-                cb_has = _buf("commit_has", (lanes, M), np.bool_)
-                np.take(acc.out, flat_q, axis=1, out=cb_out, mode="clip")
-                np.take(acc.w, flat_q, axis=1, out=cb_w, mode="clip")
-                np.take(acc.has, flat_q, axis=1, out=cb_has, mode="clip")
-                out_run.reshape(lanes, cells, d)[:, flat_keep] = cb_out
-                w_run.reshape(lanes, cells)[:, flat_keep] = cb_w
-                has_run.reshape(lanes, cells)[:, flat_keep] = cb_has
+            k0, q0 = chain.keep_slice or (0, 0)
+            for a, f, cb in zip(state, flat, commit):
+                if chain.keep_slice is not None:
+                    f[:, k0 : k0 + M] = a[:, q0 : q0 + M]
+                else:
+                    np.take(a, flat_q, axis=1, out=cb, mode="clip")
+                    f[:, flat_keep] = cb
         for b0 in range(0, B, Bc):
             b1 = min(b0 + Bc, B)
             if chain.wide_ids is not None:
@@ -745,44 +761,17 @@ class FunctionalEngine:
                     self._job_stages_tiled(job, qh, kh, vh, scale, b0, b1, lane_lens)
                     for job in jobs
                 )
-            ro = out_run[:, :, b0:b1]
-            rw = w_run[:, :, b0:b1]
-            rh = has_run[:, :, b0:b1]
-            rp = parts_run[:, :, b0:b1]
+            ro, rw, rh, rp = (r[:, :, b0:b1] for r in run)
             for out5, w, has in stages:
                 acc.merges += self._merge_part(ro, rw, rh, rp, out5, w, has)
         if alias:
-            pass  # the accumulator *is* the run state; parts included
-        elif chain.keep_slice is not None:
-            k0, q0 = chain.keep_slice
-            acc.out[:, q0 : q0 + M] = out_run.reshape(lanes, cells, d)[:, k0 : k0 + M]
-            acc.w[:, q0 : q0 + M] = w_run.reshape(lanes, cells)[:, k0 : k0 + M]
-            acc.has[:, q0 : q0 + M] = has_run.reshape(lanes, cells)[:, k0 : k0 + M]
-            acc.parts[:, q0 : q0 + M] += parts_run.reshape(lanes, cells)[
-                :, k0 : k0 + M
-            ]
-        else:
-            cb_out = _buf("commit_out", (lanes, M, d))
-            cb_w = _buf("commit_w", (lanes, M))
-            cb_has = _buf("commit_has", (lanes, M), np.bool_)
-            cb_parts = _buf("commit_parts", (lanes, M), np.int64)
-            flat = out_run.reshape(lanes, cells, d)
-            np.take(flat, flat_keep, axis=1, out=cb_out, mode="clip")
-            np.take(w_run.reshape(lanes, cells), flat_keep, axis=1, out=cb_w, mode="clip")
-            np.take(
-                has_run.reshape(lanes, cells), flat_keep, axis=1, out=cb_has, mode="clip"
-            )
-            np.take(
-                parts_run.reshape(lanes, cells),
-                flat_keep,
-                axis=1,
-                out=cb_parts,
-                mode="clip",
-            )
-            acc.out[:, flat_q] = cb_out
-            acc.w[:, flat_q] = cb_w
-            acc.has[:, flat_q] = cb_has
-            acc.parts[:, flat_q] += cb_parts
+            return  # the accumulator *is* the run state
+        for a, f, cb in zip(state, flat, commit):
+            if chain.keep_slice is not None:
+                a[:, q0 : q0 + M] = f[:, k0 : k0 + M]
+            else:
+                np.take(f, flat_keep, axis=1, out=cb, mode="clip")
+                a[:, flat_q] = cb
 
     def _job_stages_tiled(
         self,
@@ -798,10 +787,10 @@ class FunctionalEngine:
         """Stages 1–5 of one block chunk of a window job, on all lanes.
 
         Returns ``(out, w, has)`` arena views shaped
-        ``(lanes, G, Bc, R, d)`` / ``(lanes, G, Bc, R)``; the caller must
-        consume them before the next call reuses the buffers.
+        ``(lanes, G, Bc, R, d)`` (output codes) / ``(lanes, G, Bc, R)``;
+        the caller must consume them before the next call reuses the
+        buffers.
         """
-        dp = self.datapath
         lanes, _, d = qh.core.shape
         G, R, C = job.num_groups, job.rows, job.cols
         Bc = b1 - b0
@@ -814,32 +803,27 @@ class FunctionalEngine:
             W = seg.width
             span = R + W - 1
             kview = self._stream_view(kh, "job_k", job, s, b0, b1)
-            rect = _buf(("job_rect", s), (lanes, G, Bc, R, span))
+            rect = _buf(("job_rect", s), (lanes, G, Bc, R, span), np.float32)
             np.matmul(qv, kview.swapaxes(-1, -2), out=rect)
-            rs = rect.strides
-            bandv = as_strided(rect, (lanes, G, Bc, R, W), rs[:3] + (rs[3] + rs[4], rs[4]))
-            np.copyto(band[..., col0 : col0 + W], bandv)
+            np.copyto(band[..., col0 : col0 + W], _band(rect, W))
             col0 += W
         w, has = self._job_epilogue(job, band, scale, b0, b1, lane_lens)
-        out5 = _buf("job_out", (lanes, G, Bc, R, d))
-        tmp5 = _buf("job_out2", (lanes, G, Bc, R, d)) if len(job.segments) > 1 else None
+        acc5 = _buf("job_acc5", (lanes, G, Bc, R, d), np.float32)
+        tmp5 = _buf("job_acc5b", acc5.shape, np.float32) if len(job.segments) > 1 else None
         col0 = 0
         for s, seg in enumerate(job.segments):
             W = seg.width
             span = R + W - 1
             # Zero-invariant: every use of one shape scatters into the
             # same band positions (the stage-1 rect holds garbage off-band).
-            rect = _zbuf(("job_rect5", s), (lanes, G, Bc, R, span))
-            rs = rect.strides
-            bandv = as_strided(rect, (lanes, G, Bc, R, W), rs[:3] + (rs[3] + rs[4], rs[4]))
-            np.copyto(bandv, band[..., col0 : col0 + W])
+            rect = _zbuf(("job_rect5", s), (lanes, G, Bc, R, span), np.float32)
+            np.copyto(_band(rect, W), band[..., col0 : col0 + W])
             vview = self._stream_view(vh, "job_v", job, s, b0, b1)
-            np.matmul(rect, vview, out=out5 if s == 0 else tmp5)
+            np.matmul(rect, vview, out=acc5 if s == 0 else tmp5)
             if s > 0:
-                np.add(out5, tmp5, out=out5)
+                np.add(acc5, tmp5, out=acc5)
             col0 += W
-        dp.quantize_output_into(out5, out5)
-        return out5, w, has
+        return self._output_codes(acc5, "job_out"), w, has
 
     def _stream_view(
         self, slab: _Slab, name: str, job: WindowJob, s: int, b0: int, b1: int
@@ -929,7 +913,6 @@ class FunctionalEngine:
         arena views in schedule order; stage 5 stays per job (each job
         normalises and merges its own probabilities).
         """
-        dp = self.datapath
         job0 = jobs[0]
         lanes, _, d = qh.core.shape
         G, R = job0.num_groups, job0.rows
@@ -950,34 +933,27 @@ class FunctionalEngine:
         st, sg, sl, sd = kr.strides
         vt, vg, vl, vd = vr.strides
         kview = as_strided(kr, (lanes, G, Bc, span, d), (st, sg, step * sl, sl, sd))
-        rect = _buf("wide_rect", (lanes, G, Bc, R, span))
+        rect = _buf("wide_rect", (lanes, G, Bc, R, span), np.float32)
         np.matmul(qv, kview.swapaxes(-1, -2), out=rect)
-        rs = rect.strides
         for jpos, job in enumerate(jobs):
             W = widths[jpos]
             off = offs[jpos]
             span_j = R + W - 1
             band = _buf("job_band", (lanes, G, Bc, R, W))
-            bandv = as_strided(
-                rect[..., off:], (lanes, G, Bc, R, W), rs[:3] + (rs[3] + rs[4], rs[4])
-            )
-            np.copyto(band, bandv)
+            np.copyto(band, _band(rect[..., off:], W))
             w, has = self._job_epilogue(job, band, scale, b0, b1, lane_lens)
             # Zero-invariant: each use of one shape scatters the band
             # into the same strided positions, everything else stays 0.
-            rect5 = _zbuf("wide_rect5", (lanes, G, Bc, R, span_j))
-            r5 = rect5.strides
-            b5 = as_strided(rect5, (lanes, G, Bc, R, W), r5[:3] + (r5[3] + r5[4], r5[4]))
-            np.copyto(b5, band)
+            rect5 = _zbuf("wide_rect5", (lanes, G, Bc, R, span_j), np.float32)
+            np.copyto(_band(rect5, W), band)
             vview = as_strided(
                 vr[:, :, off:],
                 (lanes, G, Bc, span_j, d),
                 (vt, vg, step * vl, vl, vd),
             )
-            out5 = _buf("job_out", (lanes, G, Bc, R, d))
-            np.matmul(rect5, vview, out=out5)
-            dp.quantize_output_into(out5, out5)
-            yield out5, w, has
+            acc5 = _buf("job_acc5", (lanes, G, Bc, R, d), np.float32)
+            np.matmul(rect5, vview, out=acc5)
+            yield self._output_codes(acc5, "job_out"), w, has
 
     def _exp_table(self, scale: float):
         """The datapath's score-code -> exp table for ``scale``, if any."""
@@ -992,15 +968,17 @@ class FunctionalEngine:
         w: np.ndarray,
         has: np.ndarray,
     ) -> None:
-        """Fused mask + softmax epilogue: ``band`` (scores) -> probs in place.
+        """Fused mask + softmax epilogue: score codes -> probability codes in place.
 
-        One pass per chunk over the contiguous band buffer: scale, PWL
-        exp, validity masking (``valid``: a run of the band's blocks and
-        its 0/1 mask; ``lmask``: padded-tail keys), row sum, LUT
+        One pass per chunk over the contiguous float64 band buffer: PWL
+        exp (a gather from the score-code table, or the scale and the
+        unit), validity masking (``valid``: a run of the band's blocks
+        and its 0/1 mask; ``lmask``: padded-tail keys), row sum, LUT
         reciprocal and probability quantisation — every step is the
         elementwise op the reference path's ``_attend_block`` applies,
-        and the row sum adds fixed-point exp codes (exact in any order),
-        so bit-identical.
+        and the row sum (a GEMV against ones) adds fixed-point exp values
+        far inside the double significand (exact in any order), so
+        bit-identical.
         Rows without work come back with the safe weight 1.0 (``has``
         tells them apart): their cells are all exact zeros, so their
         probabilities are 0 either way, and a strictly positive weight
@@ -1010,14 +988,15 @@ class FunctionalEngine:
         dp = self.datapath
         lut = self._exp_table(scale)
         if lut is not None:
-            table, cmul, off = lut
+            table, off = lut
             idx = _buf("exp_idx", band.shape, np.int64)
-            np.multiply(band, cmul, out=band)  # exact: scores -> grid codes
             np.subtract(band, off, out=band)
             np.copyto(idx, band, casting="unsafe")
             np.take(table, idx, out=band, mode="clip")
         else:
-            np.multiply(band, scale, out=band)
+            # ``c * (2^-2f * scale)`` rounds once, like the reference's
+            # ``(c * 2^-2f) * scale``: the power-of-two factor is exact.
+            np.multiply(band, math.ldexp(scale, -2 * dp.input_format.frac_bits), out=band)
             dp.exp_into(band, band)
         if valid is not None:
             blocks, validf = valid
@@ -1025,7 +1004,9 @@ class FunctionalEngine:
             np.multiply(masked, validf, out=masked)
         if lmask is not None:
             np.multiply(band, lmask, out=band)
-        band.sum(axis=-1, out=w)
+        ones = _buf("epi_ones", band.shape[-1:])
+        ones.fill(1.0)
+        np.matmul(band, ones, out=w)
         np.greater(w, 0.0, out=has)
         inv = _buf("epi_inv", w.shape)
         np.subtract(1.0, has, out=inv)
@@ -1033,15 +1014,29 @@ class FunctionalEngine:
         dp.recip_into(w, inv)
         # Fold the prob quantiser's power-of-two scale into the row-shaped
         # reciprocal: exact power-of-two scaling commutes with fp
-        # rounding, so ``rint(e * (inv * 2^f)) * res`` is bit-identical to
+        # rounding, so ``rint(e * (inv * 2^f))`` are the codes of
         # quantising ``e * inv`` — one fewer full-band pass — and the
         # saturation clip is an identity (``Datapath.prob_bounded``, part
         # of ``_supports_tiled``).
-        pf = dp.prob_format
-        np.multiply(inv, float(1 << pf.frac_bits), out=inv)
+        np.multiply(inv, float(1 << dp.prob_format.frac_bits), out=inv)
         np.multiply(band, inv[..., None], out=band)
         np.rint(band, out=band)
-        np.multiply(band, pf.resolution, out=band)
+
+    def _epilogue_on(self, s, name, lmask, scale, w, has) -> None:
+        """:meth:`_band_epilogue` on a float32 stage-1 GEMM result ``s``,
+        in place, through float64 arena buffer ``name``."""
+        band = _buf(name, s.shape)
+        np.copyto(band, s)
+        self._band_epilogue(band, None, lmask, scale, w, has)
+        np.copyto(s, band)
+
+    def _output_codes(self, acc5: np.ndarray, name: str) -> np.ndarray:
+        """Output codes of the float32 stage-5 sums ``acc5`` (overwritten),
+        copied into float64 arena buffer ``name`` for the merges."""
+        self.datapath.output_codes_into(acc5, acc5)
+        out = _buf(name, acc5.shape)
+        np.copyto(out, acc5)
+        return out
 
     def _run_global_column_tiled(self, cp, qh, kh, vh, scale, acc) -> None:
         """Global PE column via GEMM + the fused epilogue.
@@ -1057,14 +1052,14 @@ class FunctionalEngine:
         g0 = cp.schedule.global_start
         kg = self._rows(kh, "gcol_k", gtok, g0)
         vg = self._rows(vh, "gcol_v", gtok, g0)
-        s = _buf("gcol_s", (lanes, n, len(gtok)))
+        s = _buf("gcol_s", (lanes, n, len(gtok)), np.float32)
         np.matmul(qh.core, kg.swapaxes(-1, -2), out=s)
         w = _buf("gcol_w", (lanes, n))
         has = _buf("gcol_has", (lanes, n), np.bool_)
-        self._band_epilogue(s, None, None, scale, w, has)
-        out = _buf("gcol_out", (lanes, n, d))
-        np.matmul(s, vg, out=out)
-        self.datapath.quantize_output_into(out, out)
+        self._epilogue_on(s, "gcol_band", None, scale, w, has)
+        acc5 = _buf("gcol_acc5", (lanes, n, d), np.float32)
+        np.matmul(s, vg, out=acc5)
+        out = self._output_codes(acc5, "gcol_out")
         has[:, gtok] = False
         acc.merges += self._merge_part(acc.out, acc.w, acc.has, acc.parts, out, w, has)
 
@@ -1085,7 +1080,6 @@ class FunctionalEngine:
         num_b = cp.global_batches.shape[0]
         if num_b == 0 or len(gtok) == 0:
             return
-        dp = self.datapath
         lanes, _, d = qh.core.shape
         num_g = len(gtok)
         out = _buf("grow_out", (lanes, num_b, num_g, d))
@@ -1097,7 +1091,7 @@ class FunctionalEngine:
             nb, L = keys.shape
             kv = self._rows(kh, "grow_k", keys, k0).reshape(lanes, nb, L, d)
             vv = self._rows(vh, "grow_v", keys, k0).reshape(lanes, nb, L, d)
-            s = _buf("grow_s", (lanes, nb, num_g, L))
+            s = _buf("grow_s", (lanes, nb, num_g, L), np.float32)
             np.matmul(qg[:, None], kv.swapaxes(-1, -2), out=s)
             lmask = None
             if lane_lens is not None:
@@ -1107,11 +1101,10 @@ class FunctionalEngine:
                 )
             bw = _buf("grow_bw", (lanes, nb, num_g))
             bh = _buf("grow_bh", (lanes, nb, num_g), np.bool_)
-            self._band_epilogue(s, None, lmask, scale, bw, bh)
-            bo = _buf("grow_bo", (lanes, nb, num_g, d))
-            np.matmul(s, vv, out=bo)
-            dp.quantize_output_into(bo, bo)
-            out[:, bidx] = bo
+            self._epilogue_on(s, "grow_band", lmask, scale, bw, bh)
+            acc5 = _buf("grow_acc5", (lanes, nb, num_g, d), np.float32)
+            np.matmul(s, vv, out=acc5)
+            out[:, bidx] = self._output_codes(acc5, "grow_bo")
             w[:, bidx] = bw
             has[:, bidx] = bh
         self._merge_global_rows(cp, out, w, has, acc)

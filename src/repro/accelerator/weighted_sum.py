@@ -65,12 +65,15 @@ class WeightedSumModule:
         out2: np.ndarray,
         w2: np.ndarray,
     ) -> None:
-        """In-place Eq. 2 merge of ``(out2, w2)`` into the running pair.
+        """In-place Eq. 2 merge of ``(out2, w2)`` into the running pair, in
+        output codes.
 
-        Elementwise-identical to :meth:`merge` for any array shapes
-        (``w*`` broadcast over a trailing feature axis of ``out*``), but
-        writes the merged output into ``out1`` and the summed weight into
-        ``w1``; its four temporaries are views of the process arena
+        ``out1`` / ``out2`` hold output-format *codes* (float64): the
+        merged codes are elementwise-identical to those of :meth:`merge`
+        on the values ``codes * resolution`` for any array shapes (``w*``
+        broadcast over a trailing feature axis of ``out*``).  Writes the
+        merged codes into ``out1`` and the summed weight into ``w1``; its
+        four temporaries are views of the process arena
         (:mod:`repro.accelerator.arena`), shared with every other module
         instance, so nothing is allocated once the arena has served a
         request as large.  A strictly positive ``w1 + w2`` is the
@@ -92,20 +95,14 @@ class WeightedSumModule:
         dp.quantize_prob_into(a1, a1)
         np.clip(a1, 0.0, 1.0, out=a1)
         np.subtract(1.0, a1, out=a2)
-        # Fold the output quantiser's power-of-two scale into the row
-        # coefficients: scaling by an exact power of two commutes with
-        # fp rounding (no over/underflow at these magnitudes), so
-        # ``rint((a1*2^k)*o1 + (a2*2^k)*o2) * res`` is bit-identical to
-        # quantising the unscaled combination — one fewer full-size
-        # pass.  No saturation pass: a convex combination of in-range
-        # values stays in range.
-        of = dp.output_format
-        lift = float(1 << of.frac_bits)
-        np.multiply(a1, lift, out=a1)
-        np.multiply(a2, lift, out=a2)
+        # Codes differ from values by the power of two 2^k of the output
+        # format, and scaling by an exact power of two commutes with fp
+        # rounding (no over/underflow at these magnitudes), so
+        # ``rint(a1*c1 + a2*c2)`` are the codes of quantising the value
+        # combination.  No saturation pass: a convex combination of
+        # in-range codes stays in range.
         np.multiply(out1, a1[..., None], out=out1)
         np.multiply(out2, a2[..., None], out=tmp)
         np.add(out1, tmp, out=out1)
         np.rint(out1, out=out1)
-        np.multiply(out1, of.resolution, out=out1)
         np.copyto(w1, total)

@@ -47,6 +47,7 @@ baselines (dense, sparse-reference, Sanger) behind the same protocol.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -65,6 +66,29 @@ from .config import HardwareConfig
 from .stats import RunStats
 
 __all__ = ["SALO", "AttentionResult", "pattern_structure_key", "ENGINE_BACKENDS"]
+
+
+def _require_finite(**operands: np.ndarray) -> None:
+    """Refuse operands holding NaN or ±inf, naming the first bad cell.
+
+    One reduction per operand and no boolean temporary: a sum is finite
+    whenever every term is and nothing overflows.  Only a non-finite sum
+    pays for the cell search, which lets a finite operand whose sum
+    overflowed pass after all.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = [np.add.reduce(x, axis=None) for x in operands.values()]
+    for (name, x), total in zip(operands.items(), sums):
+        if math.isfinite(total):
+            continue
+        bad = np.argwhere(~np.isfinite(x))
+        if len(bad):
+            cell = tuple(bad[0].tolist())
+            axes = ("sequence", "row", "column")[-len(cell):]
+            where = ", ".join(f"{axis} {i}" for axis, i in zip(axes, cell))
+            raise ValueError(
+                f"{name} holds {x[cell]} at {where}; attention operands must be finite"
+            )
 
 
 def _make_functional(plan: ExecutionPlan) -> FunctionalEngine:
@@ -346,10 +370,16 @@ class SALO:
         masked out of its softmax and the caller slices outputs back to
         the true lengths (the serving layer's ``pad_to_bucket`` mode).
         ``stats`` always describe the plan at the padded length.
+
+        Operands holding NaN or ±inf raise :class:`ValueError` naming
+        the operand and its first non-finite cell.
         """
         q = np.asarray(q, dtype=np.float64)
+        k = np.asarray(k, dtype=np.float64)
+        v = np.asarray(v, dtype=np.float64)
         if q.ndim not in (2, 3):
             raise ValueError(f"q must be (n, hidden) or (b, n, hidden), got shape {q.shape}")
+        _require_finite(q=q, k=k, v=v)
         n, hidden = q.shape[-2:]
         if hidden % heads != 0:
             raise ValueError(f"hidden size {hidden} not divisible by heads {heads}")

@@ -6,7 +6,7 @@ set stays within one budget shared by the lanes
 (``CompiledPlan.chunk_blocks``, ``compiled.CHUNK_BYTES``) — so the chunk
 boundaries of one plan move with the lane count of the call.  On the
 quantised datapath every reduction a chunk splits is exact
-(integer-valued float64 within the 53-bit mantissa), so the chunk size
+(integer codes within the float32 or float64 significand), so the chunk size
 is purely a layout choice — outputs are bit-identical to the legacy
 per-pass reference for *any* budget and any lane count, including the
 awkward ones these tests pin: lane counts that each cut the same plan

@@ -43,8 +43,10 @@ from repro.scheduler.scheduler import DataScheduler, SchedulerError
 # The gate's three proofs (``FunctionalEngine._supports_tiled``).  The
 # default and the exact-reciprocal variant pass them all and run tiled;
 # each of the others fails one and runs the reference path: floats make
-# summation order observable, 28-bit operands give stage-1 products of
-# 54 bits, past the 53-bit double mantissa, a Q0.16 probability format
+# summation order observable, 12-bit operands give stage-1 sums of 25
+# bits over head_dim 8 — inside the 53-bit double significand, past the
+# 24-bit float32 one the production GEMMs run in — and 28-bit ones
+# products of 54 bits, past both, a Q0.16 probability format
 # cannot hold the reciprocal LUT's worst product
 # (``Datapath.prob_bounded``), and a Q4.12 output format cannot hold a
 # stage-5 sum of Q8.4 operands (``Datapath.stage5_bounded``).
@@ -52,6 +54,7 @@ NUMERICS = {
     "quantised": NumericsConfig(),
     "recip-exact": NumericsConfig(recip_mode="exact"),
     "exact": NumericsConfig.exact(),
+    "between-budgets": NumericsConfig(input_bits=12),
     "over-budget": NumericsConfig(input_bits=28),
     "prob-unbounded": NumericsConfig(prob_frac_bits=16),
     "stage5-unbounded": NumericsConfig(output_frac_bits=12),
@@ -107,6 +110,10 @@ class TestCompiledMatchesLegacy:
     @pytest.mark.parametrize("name,pattern", PATTERN_CASES, ids=[c[0] for c in PATTERN_CASES])
     def test_exact(self, name, pattern):
         _assert_bit_identical(pattern, datapath="exact")
+
+    @pytest.mark.parametrize("name,pattern", PATTERN_CASES, ids=[c[0] for c in PATTERN_CASES])
+    def test_between_budgets(self, name, pattern):
+        _assert_bit_identical(pattern, datapath="between-budgets")
 
     @pytest.mark.parametrize("name,pattern", PATTERN_CASES, ids=[c[0] for c in PATTERN_CASES])
     def test_over_budget(self, name, pattern):
@@ -169,6 +176,38 @@ class TestCompiledMatchesLegacy:
         _assert_bit_identical(
             pattern, heads=heads, head_dim=4, rows=rows, cols=cols, datapath=datapath
         )
+
+
+class TestExtremeOperands:
+    """Q8.4 extremes drive the float32 GEMM sums to the edge of the 24-bit
+    proof: all-minimum q and k give stage-1 score codes of exactly
+    ``128 * 128 * head_dim`` — ``2^24`` at head_dim 1024, the largest the
+    proof admits — and saturated scores give every row the largest
+    probability codes against value codes of magnitude 128."""
+
+    LO, HI = -8.0, 8.0 - 1 / 16  # the Q8.4 minimum and maximum
+
+    def _operands(self, fill, n, head_dim):
+        if fill == "all-min":
+            return (np.full((n, head_dim), self.LO),) * 3
+        rng = np.random.default_rng(head_dim)
+        q, v = (rng.choice([self.LO, self.HI], (n, head_dim)) for _ in range(2))
+        return q, q, v  # k = q: every row scores its own key at the maximum
+
+    @pytest.mark.parametrize("head_dim", [64, 1024])
+    @pytest.mark.parametrize("fill", ["all-min", "mixed-signs"])
+    def test_compiled_equals_legacy_at_the_extremes(self, fill, head_dim):
+        pattern = longformer_pattern(24, 8, (0, 13))
+        plan, *_ = _plan_and_data(pattern, head_dim=head_dim)
+        engine = FunctionalEngine(plan)
+        assert engine.tiled
+        q, k, v = self._operands(fill, pattern.n, head_dim)
+        legacy = FunctionalEngine(plan, mode="legacy")
+        _assert_same_result(engine.run(q, k, v), legacy.run(q, k, v))
+
+    def test_one_past_the_largest_head_dim_runs_the_reference_path(self):
+        plan, *_ = _plan_and_data(longformer_pattern(24, 8, (0, 13)), head_dim=1025)
+        assert not FunctionalEngine(plan).tiled
 
 
 #: ROADMAP item 5's reproducers: the scheduler drops a zero-work block
@@ -269,9 +308,9 @@ class TestScatteredGlobals:
 
 
 class TestMergePart:
-    """``_merge_part`` — the production path's one Eq. 2 — against
-    ``WeightedSumModule.merge`` on the gathered cells (the reference
-    accumulator's arithmetic), branch by branch."""
+    """``_merge_part`` — the production path's one Eq. 2, on output codes —
+    against ``WeightedSumModule.merge`` on the gathered cells' values
+    (the reference accumulator's arithmetic), branch by branch."""
 
     SHAPE, D = (2, 3, 5), 4
 
@@ -280,8 +319,8 @@ class TestMergePart:
         return FunctionalEngine(plan)
 
     def _state(self, rng, has):
-        """A (out, w) pair with work exactly on ``has``; (0, 0) elsewhere."""
-        out = np.round(rng.standard_normal(self.SHAPE + (self.D,)) * 16) / 16 * has[..., None]
+        """Output codes and weights with work exactly on ``has``; (0, 0) elsewhere."""
+        out = np.round(rng.standard_normal(self.SHAPE + (self.D,)) * 4096) * has[..., None]
         return out, rng.uniform(0.5, 4.0, self.SHAPE) * has
 
     def _check(self, rh, has, strided=False):
@@ -298,9 +337,11 @@ class TestMergePart:
         want_o, want_w, want_p = ro.copy(), rw.copy(), rp + has
         want_o[fresh], want_w[fresh] = out[fresh], w[fresh]
         if both.any():
-            want_o[both], want_w[both] = engine.module.merge(
-                ro[both], rw[both], out[both], w[both]
+            res = engine.datapath.output_format.resolution
+            merged, want_w[both] = engine.module.merge(
+                ro[both] * res, rw[both], out[both] * res, w[both]
             )
+            want_o[both] = merged / res
         got_h = rh.copy()
         assert engine._merge_part(ro, rw, got_h, rp, out, w, has) == both.sum()
         assert np.array_equal(got_h, rh | has)
@@ -415,17 +456,19 @@ class TestStreamsAreSlices:
 class TestCompiledMatchesMicroSim:
     """Batched path == cycle-accurate micro-simulator, bit for bit."""
 
+    MICRO_SIM_PLANS = [
+        ("window", longformer_pattern(20, 6, (0,)), 4, 4),
+        ("dilated", HybridSparsePattern(24, [Band(-4, 4, 2)], (0,)), 4, 4),
+        ("twod-vil", vil_pattern(4, 4, 3, (0,)), 4, 4),
+        ("no-global", longformer_pattern(16, 4, ()), 4, 4),
+        *GAPPED_PLANS,
+    ]
+
     @pytest.mark.parametrize(
-        "name,pattern",
-        [
-            ("window", longformer_pattern(20, 6, (0,))),
-            ("dilated", HybridSparsePattern(24, [Band(-4, 4, 2)], (0,))),
-            ("twod-vil", vil_pattern(4, 4, 3, (0,))),
-            ("no-global", longformer_pattern(16, 4, ())),
-        ],
+        "name,pattern,rows,cols", MICRO_SIM_PLANS, ids=[c[0] for c in MICRO_SIM_PLANS]
     )
-    def test_quantized(self, name, pattern):
-        plan, q, k, v = _plan_and_data(pattern)
+    def test_quantized(self, name, pattern, rows, cols):
+        plan, q, k, v = _plan_and_data(pattern, rows=rows, cols=cols)
         compiled = FunctionalEngine(plan, mode="compiled").run(q, k, v)
         sim = SystolicSimulator(plan).run(q, k, v)
         assert np.array_equal(compiled.output, sim.output)

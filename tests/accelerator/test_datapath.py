@@ -107,10 +107,57 @@ class TestStage5Bounded:
 
     def test_stage5_quantiser_equals_the_saturating_one_at_the_bound(self):
         """Worst row the bound admits: probability codes summing to just
-        under ``2 + n * res / 2`` against operands of magnitude 8."""
+        under ``2 + n * res / 2`` against operands of magnitude 8.  The
+        production path's quantiser takes the float32 sum of probability
+        codes times value codes and returns output codes."""
         dp = Datapath(NumericsConfig())
-        o = np.array([-8.0, 8.0 - 1 / 16]) * (2.0 + 4096 * dp.prob_format.resolution / 2)
-        assert np.array_equal(dp.quantize_output_into(o, np.empty_like(o)), dp.quantize_output(o))
+        pf, fi, of = dp.prob_format, dp.input_format, dp.output_format
+        o = np.array([-8.0, 8.0 - 1 / 16]) * (2.0 + 4096 * pf.resolution / 2)
+        acc = np.float32(o * 2.0 ** (pf.frac_bits + fi.frac_bits))
+        assert np.array_equal(acc, o * 2.0 ** (pf.frac_bits + fi.frac_bits))  # exact
+        codes = dp.output_codes_into(acc, np.empty_like(acc))
+        assert codes.dtype == np.float32
+        assert np.array_equal(codes * of.resolution, dp.quantize_output(o))
+
+
+class TestSupportsExactGemm:
+    """Where the 24-bit float32 proof of the stage-1/5 GEMMs flips.
+
+    Stage 1: ``2 * 7 + ceil(log2 head_dim) <= 24`` admits head_dim up to
+    1024.  Stage 5: the LUT's ``sup w * recip(w)`` is 1.003875732421875,
+    so a row's probability codes sum to under ``32895 + max_cols / 2``
+    and ``(32895 + c / 2) * 128 <= 2^24`` admits ``c <= 196354`` (196608
+    for the exact reciprocal, whose bound is 1).
+    """
+
+    def test_head_dim_flips_past_1024(self):
+        dp = Datapath(NumericsConfig())
+        assert dp.supports_exact_gemm(1024, 1024)
+        assert not dp.supports_exact_gemm(1025, 1024)
+
+    @pytest.mark.parametrize(
+        "numerics,last", [(NumericsConfig(), 196354), (NumericsConfig(recip_mode="exact"), 196608)],
+        ids=["lut", "exact-recip"],
+    )
+    def test_max_cols_flips_at_the_row_code_bound(self, numerics, last):
+        dp = Datapath(numerics)
+        assert dp.supports_exact_gemm(64, last)
+        assert not dp.supports_exact_gemm(64, last + 1)
+
+    def test_default_stage5_is_about_22_bits(self):
+        dp = Datapath(NumericsConfig())
+        assert dp.recip_unit.product_bound() * 2**15 == 32895
+        assert 2**22 < (32895 + 1024 / 2) * 128 < 2**22 * 1.02
+
+    @pytest.mark.parametrize(
+        "numerics",
+        [NumericsConfig(input_bits=12), NumericsConfig(input_bits=28), NumericsConfig.exact()],
+        ids=["12-bit", "28-bit", "exact"],
+    )
+    def test_wider_or_unquantised_datapaths_have_no_proof(self, numerics):
+        # 12-bit operands: a 22-bit product, 25 bits over head_dim 8 —
+        # inside the float64 budget, past the float32 one.
+        assert not Datapath(numerics).supports_exact_gemm(8, 16)
 
 
 class TestConfigValidation:

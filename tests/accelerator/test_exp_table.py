@@ -27,13 +27,13 @@ class TestTableEqualsElementwisePath:
     @pytest.mark.parametrize("scale", SCALES)
     def test_every_code_including_beyond_the_clamp(self, scale):
         numerics = NumericsConfig()
-        table, cmul, first = _exp_code_table(numerics, scale)
+        table, first = _exp_code_table(numerics, scale)
         unit = PWLExpUnit.from_numerics(numerics)
         g = 2.0 ** (-2 * numerics.input_frac_bits)
         reach = int(max(abs(unit.lo), abs(unit.hi)) / (g * scale)) + 500
-        codes = np.arange(-reach, reach + 1)
-        scores = codes * g  # what stage 1 produces: exact multiples of 2^-2f
-        idx = np.clip((scores * cmul - first).astype(np.int64), 0, len(table) - 1)
+        codes = np.arange(-reach, reach + 1)  # what stage 1 produces
+        scores = codes * g  # their values: exact multiples of 2^-2f
+        idx = np.clip((codes - first).astype(np.int64), 0, len(table) - 1)
         assert np.array_equal(table[idx], unit(np.multiply(scores, scale)))
 
     def test_one_read_only_table_per_numerics_and_scale(self):

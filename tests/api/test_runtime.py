@@ -52,6 +52,18 @@ class TestRuntimeFacade:
         runtime.attend(pattern, q, k, v, heads=2)
         assert runtime.cache_info()["hits"] >= 1
 
+    @pytest.mark.parametrize("backend", ["functional", "functional-legacy"])
+    @pytest.mark.parametrize("batch", [None, 2], ids=["single", "batched"])
+    def test_non_finite_operand_fails_at_the_door(self, backend, batch):
+        pattern = longformer_pattern(64, 8, (0,))
+        rng = np.random.default_rng(2)
+        shape = (64, 8) if batch is None else (batch, 64, 8)
+        q, k, v = (rng.standard_normal(shape) for _ in range(3))
+        k[(batch - 1, 5, 3) if batch else (5, 3)] = np.nan
+        where = "sequence 1, row 5, column 3" if batch else "row 5, column 3"
+        with pytest.raises(ValueError, match=rf"^k holds nan at {where};"):
+            Runtime(backend=backend).attend(pattern, q, k, v, heads=2)
+
     def test_engine_factory_maps_names(self):
         salo = engine_factory("functional-legacy")()
         assert isinstance(salo, SALO) and salo.backend == "functional-legacy"

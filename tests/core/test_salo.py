@@ -46,6 +46,47 @@ class TestAttend:
         salo.attend(pattern, x + 0.1, x + 0.2, x + 0.3, heads=1, check_buffers=False)
 
 
+class TestNonFiniteOperands:
+    """NaN / ±inf fail at the door, naming the operand and the cell —
+    not as a cast warning plus an engine error about uncovered queries."""
+
+    PATTERN = longformer_pattern(20, 6, (0,))
+
+    def _operands(self, batch=None):
+        rng = np.random.default_rng(2)
+        shape = (20, 8) if batch is None else (batch, 20, 8)
+        return {name: rng.standard_normal(shape) for name in "qkv"}
+
+    @pytest.mark.parametrize("name", ["q", "k", "v"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_single_sequence(self, name, bad):
+        ops = self._operands()
+        ops[name][5, 3] = bad
+        ops[name][7, 0] = np.nan  # a later bad cell is not the one named
+        with pytest.raises(ValueError, match=rf"^{name} holds {bad} at row 5, column 3;"):
+            SALO().attend(self.PATTERN, **ops, heads=2)
+
+    @pytest.mark.parametrize("name", ["q", "v"])
+    def test_batched(self, name):
+        ops = self._operands(batch=3)
+        ops[name][1, 19, 6] = -np.inf
+        where = "sequence 1, row 19, column 6"
+        with pytest.raises(ValueError, match=rf"^{name} holds -inf at {where};"):
+            SALO().attend(self.PATTERN, **ops, heads=2)
+
+    def test_mixed_infinities_name_the_first(self):
+        ops = self._operands()
+        ops["k"][0, 1], ops["k"][0, 2] = np.inf, -np.inf  # their sum is nan
+        with pytest.raises(ValueError, match=r"^k holds inf at row 0, column 1;"):
+            SALO().attend(self.PATTERN, **ops, heads=2)
+
+    def test_a_finite_operand_whose_sum_overflows_passes(self):
+        ops = self._operands()
+        ops["q"][:] = 1e307  # saturates the quantiser; its sum is inf
+        out = SALO().attend(self.PATTERN, **ops, heads=2).output
+        assert np.isfinite(out).all()
+
+
 class TestEstimate:
     def test_estimate_without_data(self):
         salo = SALO()

@@ -82,17 +82,14 @@ class TestEstimateExecuteConsistency:
 
 class TestFailureInjection:
     def test_nan_inputs_rejected_with_clear_error(self):
-        """A NaN query row yields zero softmax weight everywhere; the
-        engine reports the starved query instead of silently emitting
-        garbage."""
-        from repro.accelerator.functional import EngineError
-
+        """A NaN query row is refused at the door, by operand and cell,
+        before any engine starves the query of softmax weight."""
         salo = SALO(HardwareConfig(pe_rows=4, pe_cols=4).exact())
         pattern = longformer_pattern(12, 4, ())
         q = np.zeros((12, 8))
         q[3, :] = np.nan
         k, v = np.ones((12, 8)), np.ones((12, 8))
-        with pytest.raises(EngineError, match="no attention part"):
+        with pytest.raises(ValueError, match="q holds nan at row 3, column 0"):
             salo.attend(pattern, q, k, v, heads=1)
 
     def test_extreme_activations_saturate_gracefully(self):
