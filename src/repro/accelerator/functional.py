@@ -140,7 +140,9 @@ unpadded run at the true length — the serving layer's ``pad_to_bucket``
 mode uses this to batch same-structure requests of different lengths
 under one bucket-length plan and slice outputs back.  Padded query rows
 compute garbage (the caller slices them away) and are exempt from the
-every-query-has-a-part check.  Global tokens must lie inside every lane's
+every-query-has-a-part check, as are the rows below a plan's
+``first_query`` (a decode step plan runs no pass that holds only those
+rows).  Global tokens must lie inside every lane's
 valid prefix.  Equivalence to the unpadded per-request plan is
 mathematical, not bit-exact: the bucket-length plan partitions the same
 key sets into different passes, so partial-softmax merge trees (and their
@@ -201,6 +203,25 @@ def _band(rect: np.ndarray, width: int) -> np.ndarray:
     ``rect[..., r, r + c]``."""
     s = rect.strides
     return as_strided(rect, rect.shape[:-1] + (width,), s[:-2] + (s[-2] + s[-1], s[-1]))
+
+
+def _require_parts(has: np.ndarray, first_query: int, lens=None) -> None:
+    """Raise unless every query of every lane of ``has (lanes, n)`` got a part.
+
+    Rows below ``first_query`` hold no query and rows at or past a lane's
+    ``lens`` entry are padding: their outputs are unspecified.  Without
+    ``lens`` the check reads a view and allocates nothing.
+    """
+    covered = has[:, first_query:]
+    if lens is not None:
+        rows = np.arange(first_query, has.shape[-1])
+        covered = covered | (rows[None, :] >= np.asarray(lens)[:, None])
+    if not covered.all():
+        missing = first_query + np.flatnonzero(~covered.all(axis=0))
+        raise EngineError(
+            f"queries {missing[:8].tolist()}... received no attention part; "
+            "the pattern leaves them without keys"
+        )
 
 
 @dataclass
@@ -578,16 +599,7 @@ class FunctionalEngine:
         if len(cp.global_tokens):
             self._run_global_column_tiled(cp, qh, kh, vh, scale, acc)
             self._run_global_rows_tiled(cp, qh, kh, vh, scale, acc, lane_lens)
-
-        covered = acc.has
-        if lane_lens is not None:
-            covered = covered | (np.arange(n)[None, :] >= lane_lens[:, None])
-        if not covered.all():
-            missing = np.flatnonzero(~covered.all(axis=0))
-            raise EngineError(
-                f"queries {missing[:8].tolist()}... received no attention part; "
-                "the pattern leaves them without keys"
-            )
+        _require_parts(acc.has, plan.first_query, lane_lens)
         # The accumulator lives in the arena, so the caller-owned results
         # must be fresh copies; its output codes take their resolution here
         # (after the transpose: a ufunc over a strided view would allocate
@@ -1160,14 +1172,7 @@ class FunctionalEngine:
         if plan.global_tokens:
             self._run_global_column(qq, kq, vq, scale, acc, gmask)
             self._run_global_rows(qq, kq, vq, scale, acc, valid_len)
-
-        covered = acc.has if valid_len is None else acc.has | (np.arange(n) >= valid_len)
-        if not covered.all():
-            missing = np.flatnonzero(~covered)
-            raise EngineError(
-                f"queries {missing[:8].tolist()}... received no attention part; "
-                "the pattern leaves them without keys"
-            )
+        _require_parts(acc.has[None], plan.first_query, None if valid_len is None else [valid_len])
         return acc.out, acc
 
     # ------------------------------------------------------------------
@@ -1221,8 +1226,7 @@ class FunctionalEngine:
         q_ids = q_ids[keep]
         key_ids = key_ids[keep]
         out, w, has = self._attend_block(qq[q_ids], key_ids, kq, vq, scale)
-        if has.any():
-            acc.add_part(q_ids[has], out[has], w[has])
+        acc.add_part(q_ids[has], out[has], w[has])
 
     def _run_global_column(
         self,
@@ -1240,8 +1244,7 @@ class FunctionalEngine:
         gtok = np.asarray(self.plan.global_tokens, dtype=np.int64)
         key_ids = np.broadcast_to(gtok, (len(rows), len(gtok)))
         out, w, has = self._attend_block(qq[rows], key_ids, kq, vq, scale)
-        if has.any():
-            acc.add_part(rows[has], out[has], w[has])
+        acc.add_part(rows[has], out[has], w[has])
 
     def _run_global_rows(
         self,
@@ -1257,14 +1260,10 @@ class FunctionalEngine:
         Consumes the same memoized ``global_row_schedule`` as the compiled
         path and the micro-simulator, so merge orders cannot drift.
         """
-        schedule = self.plan.global_row_schedule()
         rows = np.asarray(self.plan.global_tokens, dtype=np.int64)
-        if len(rows) == 0:
-            return
-        for batch in schedule:
+        for batch in self.plan.global_row_schedule():
             if valid_len is not None:
                 batch = np.where(np.asarray(batch) >= valid_len, -1, batch)
             key_ids = np.broadcast_to(batch, (len(rows), len(batch)))
             out, w, has = self._attend_block(qq[rows], key_ids, kq, vq, scale)
-            if has.any():
-                acc.add_part(rows[has], out[has], w[has])
+            acc.add_part(rows[has], out[has], w[has])

@@ -36,7 +36,7 @@ import numpy as np
 
 from ..scheduler.plan import ExecutionPlan, TilePass
 from .datapath import Datapath
-from .functional import EngineError, FunctionalResult
+from .functional import EngineError, FunctionalResult, _require_parts
 from .pe import PE
 from .timing import PassTiming, pass_cycles
 from .weighted_sum import WeightedSumModule
@@ -207,9 +207,7 @@ class SystolicSimulator:
                     state.w[g] = gstate.w[g]
                     state.has[g] = True
 
-        if not state.has.all():
-            missing = np.flatnonzero(~state.has)
-            raise EngineError(f"queries {missing[:8].tolist()} received no attention part")
+        _require_parts(state.has[None], plan.first_query)
         return state.out, cycles, traces, state.merges + gstate.merges
 
     # ------------------------------------------------------------------

@@ -44,7 +44,7 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.salo import SALO
-from ..decode.session import step_window
+from ..decode.session import decode_pattern, step_window
 from ..patterns.base import Band
 from ..patterns.hybrid import HybridSparsePattern
 from ..scheduler import SchedulerError
@@ -280,10 +280,12 @@ class ContinuousBatching(BatchPolicy):
         self._patterns: Dict[Tuple, HybridSparsePattern] = {}
 
     def step_pattern(self, spec, lengths: Sequence[int]) -> HybridSparsePattern:
-        """The plan one step over lanes of these lengths executes, by the
-        rule of :meth:`repro.decode.DecodeScheduler.step`: globals every
-        lane has grown past are active, and the bucket is the widest
-        :func:`step_window` over the lanes."""
+        """The plan one step over lanes of these lengths is costed at, by
+        the rule of :meth:`repro.decode.DecodeScheduler.step`: globals
+        every lane has grown past are active, and the bucket is the
+        widest :func:`step_window` over the lanes.  Costed at the full
+        bucket: the cost model does not leave out the step plan's
+        unwanted query blocks."""
         shortest = min(lengths)
         active = tuple(g for g in spec.global_tokens if g < shortest)
         bands = spec.bands()
@@ -292,7 +294,7 @@ class ContinuousBatching(BatchPolicy):
         key = (bucket, active)
         pat = self._patterns.get(key)
         if pat is None:
-            pat = HybridSparsePattern(bucket, list(bands), active)
+            pat = decode_pattern(bands, active, bucket, bucket)
             self._patterns[key] = pat
         return pat
 

@@ -129,12 +129,12 @@ def pattern_structure_key(pattern: AttentionPattern) -> Optional[Tuple]:
     execution plan (given equal hardware config and head layout).  Both
     the SALO plan cache and the serving layer's batch grouping derive
     their keys from this single definition, so they can never drift
-    apart.
+    apart.  The key is ``(n, bands, global tokens, first query)``.
     """
     bands = pattern.bands()
     if bands is None:
         return None
-    return (pattern.n, tuple(bands), tuple(pattern.global_tokens()))
+    return (pattern.n, tuple(bands), tuple(pattern.global_tokens()), pattern.first_query)
 
 
 @dataclass

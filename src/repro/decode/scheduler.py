@@ -22,6 +22,10 @@ A sequence's first step is windowed like any other: the scheduler
 returns only new-token rows, so a long prompt costs its tail, not its
 length.  Groups with an active global token attend whole histories at
 the KV bucket of the longest lane (global keys sit outside any tail).
+Each lane keeps one row, ``valid - 1``, so the group's step pattern
+starts its queries at the power-of-two block holding the lowest kept
+row (see :mod:`repro.decode.session`, "Step plans"): the data scheduler
+runs no pass that holds only rows nobody keeps.
 
 Grouping: lanes batch together when they share band structure, head
 layout, hidden size, *and* active global-token set (the engine requires
@@ -59,7 +63,7 @@ import numpy as np
 from ..core.config import HardwareConfig
 from ..core.salo import SALO, pattern_structure_key
 from ..patterns.base import AttentionPattern
-from .session import KVState, decode_pattern, step_window
+from .session import KVState, _step_first_query, decode_pattern, step_window
 
 __all__ = [
     "DecodeRequest",
@@ -259,13 +263,13 @@ class DecodeScheduler:
             admitted += 1
         return admitted
 
-    def _pattern(self, bucket: int, bands: Tuple, active: Tuple[int, ...]):
-        key = (bucket, bands, active)
+    def _pattern(self, bucket: int, bands: Tuple, active: Tuple[int, ...], first_query: int):
+        key = (bucket, bands, active, first_query)
         pat = self._patterns.get(key)
         if pat is None:
             # active globals are already < every lane's length, so any
             # valid_len past the largest global reconstructs the same set
-            pat = decode_pattern(bands, active, bucket, bucket)
+            pat = decode_pattern(bands, active, bucket, bucket, first_query)
             self._patterns[key] = pat
         return pat
 
@@ -295,7 +299,6 @@ class DecodeScheduler:
                 for lane in lanes
             ]
             bucket = max(b for _, b in windows)
-            pattern = self._pattern(bucket, bands, active)
             qs, ks, vs, valid = [], [], [], []
             for lane, (start, _) in zip(lanes, windows):
                 q, k, v = lane.state.window(start, bucket)
@@ -303,6 +306,8 @@ class DecodeScheduler:
                 ks.append(k)
                 vs.append(v)
                 valid.append(lane.state.length - start)
+            first = _step_first_query(active, bucket, min(valid), self.bucket_floor)
+            pattern = self._pattern(bucket, bands, active, first)
             result = self.salo.attend(
                 pattern,
                 np.stack(qs),

@@ -31,6 +31,23 @@ Two buckets, two jobs
   For now the step bucket is held at ``_MIN_STEP_ROWS`` rows or more —
   a temporary workaround for the benchmark harness, see that constant.
 
+Step plans
+----------
+A step keeps one row of its window, ``valid - 1``; ``prefill`` keeps
+them all and runs the full pattern.  A step pattern therefore starts
+its queries late (:attr:`HybridSparsePattern.first_query`): at
+``bucket - length_bucket(bucket - (valid - 1))``, the start of the
+smallest power-of-two block at the bucket's end that holds the kept row
+(the lowest kept row of a scheduler group).  The data scheduler leaves
+out every pass whose query block lies wholly below that row — on a
+causal window of 64 at bucket 64 on a 32 x 32 array, 2 passes instead
+of 3 — and keeps the full plan's passes and merge order for every row
+above it, so the kept row's bits do not move.  The rounding bounds the
+plans: a bucket compiles at most ``log2(bucket / floor)`` step plans
+besides the full one, and steady-state steps (a window ending at the
+bucket's last rows) all share the one starting at ``bucket - floor``.
+Active global tokens attend every row, so their steps start at row 0.
+
 Two structures fall back to ``start = 0`` at the KV bucket (the only
 thing a step did before the step window existed):
 
@@ -102,17 +119,35 @@ def decode_pattern(
     global_tokens: Tuple[int, ...],
     bucket: int,
     valid_len: int,
+    first_query: int = 0,
 ) -> HybridSparsePattern:
     """Bucket-length pattern for a sequence of ``valid_len`` tokens.
 
     Bands carry over unchanged (they are relative offsets); global
     tokens are filtered to the valid prefix — the engine requires every
-    global key to be readable by every sequence in the call.
+    global key to be readable by every sequence in the call.  A step
+    pattern starts its queries at ``first_query`` (see
+    :func:`_step_first_query`).
     """
     if valid_len > bucket:
         raise ValueError(f"valid_len {valid_len} exceeds bucket {bucket}")
     active = tuple(g for g in global_tokens if g < valid_len)
-    return HybridSparsePattern(bucket, list(bands), active)
+    return HybridSparsePattern(bucket, list(bands), active, first_query)
+
+
+def _step_first_query(
+    active_globals: Sequence[int], bucket: int, min_valid: int, floor: int
+) -> int:
+    """First query row of a step plan whose lanes keep rows ``valid - 1``.
+
+    The wanted rows ``[min_valid - 1, bucket)`` are rounded up to a
+    power-of-two block at the bucket's end, so a bucket has at most
+    ``log2(bucket / floor)`` step plans besides the full one.  Active
+    global tokens attend every row: their plan starts at row 0.
+    """
+    if active_globals:
+        return 0
+    return bucket - length_bucket(bucket - (min_valid - 1), floor)
 
 
 def step_window(
@@ -284,7 +319,7 @@ class DecodeSession:
         self.scale = scale
         self._bands = tuple(pattern.bands() or ())
         self._globals = tuple(pattern.global_tokens())
-        self._patterns: Dict[Tuple[int, Tuple[int, ...]], HybridSparsePattern] = {}
+        self._patterns: Dict[Tuple[int, Tuple[int, ...], int], HybridSparsePattern] = {}
         self._state: Optional[KVState] = None
         self.steps = 0
         self.bucket_crossings = 0
@@ -312,24 +347,25 @@ class DecodeSession:
         return tuple(g for g in self._globals if g < self.state.length)
 
     def _pattern_for(
-        self, bucket: int, active: Tuple[int, ...]
+        self, bucket: int, active: Tuple[int, ...], first_query: int = 0
     ) -> HybridSparsePattern:
-        key = (bucket, active)
+        key = (bucket, active, first_query)
         pat = self._patterns.get(key)
         if pat is None:
-            pat = decode_pattern(self._bands, active, bucket, bucket)
+            pat = decode_pattern(self._bands, active, bucket, bucket, first_query)
             self._patterns[key] = pat
         return pat
 
     def _attend(
-        self, start: int, bucket: int, active: Tuple[int, ...]
+        self, start: int, bucket: int, active: Tuple[int, ...], first_query: int = 0
     ) -> np.ndarray:
-        """Output rows for history rows ``[start, length)`` at ``bucket``."""
+        """Output rows for history rows ``[start, length)`` at ``bucket``;
+        rows of the window below ``first_query`` are unspecified."""
         state = self.state
         valid = state.length - start
         q, k, v = state.window(start, bucket)
         result = self.salo.attend(
-            self._pattern_for(bucket, active),
+            self._pattern_for(bucket, active, first_query),
             q[None],
             k[None],
             v[None],
@@ -365,4 +401,6 @@ class DecodeSession:
         start, bucket = step_window(
             self._bands, active, self.state.length, self.bucket_floor
         )
-        return self._attend(start, bucket, active)[-1].copy()
+        valid = self.state.length - start
+        first = _step_first_query(active, bucket, valid, self.bucket_floor)
+        return self._attend(start, bucket, active, first)[-1].copy()

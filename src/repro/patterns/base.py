@@ -136,6 +136,11 @@ class AttentionPattern(abc.ABC):
         """Indices of global tokens (empty for purely local patterns)."""
         return ()
 
+    @property
+    def first_query(self) -> int:
+        """First row that holds a query; rows below it attend nothing."""
+        return 0
+
     # ------------------------------------------------------------------
     # Derived helpers
     # ------------------------------------------------------------------

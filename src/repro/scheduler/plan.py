@@ -148,6 +148,9 @@ class ExecutionPlan:
     global PE row/column concurrently with the window passes (Section 5.2),
     except for *pure-global* patterns where dedicated
     ``global_only_passes`` stream the sequence through the global PEs.
+    Rows below ``first_query`` hold no query: the scheduler left out the
+    passes that cover only them, and engines leave their output
+    unspecified.
     """
 
     n: int
@@ -159,6 +162,7 @@ class ExecutionPlan:
     global_only_passes: int = 0
     pattern: Optional[AttentionPattern] = None
     reorder_applied: bool = False
+    first_query: int = 0
     # Memoized derived state; plans are immutable once built.
     _global_set: Optional[FrozenSet[int]] = field(
         default=None, init=False, repr=False, compare=False

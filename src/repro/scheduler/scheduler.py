@@ -4,7 +4,10 @@ Implements the software half of SALO (paper Section 4): given the pattern
 metadata and the hardware metadata, apply *data reordering* (dilated →
 sliding windows via residue grouping) and *data splitting* (sequence and
 window splitting) to produce an :class:`ExecutionPlan` the spatial
-accelerator can run pass by pass.  The scheduler also validates the
+accelerator can run pass by pass.  A pattern whose queries start late
+(``first_query > 0``, a decode step's wanted rows) gets the full tiling
+minus every pass whose query block lies wholly below its first query.
+The scheduler also validates the
 pattern against the hardware's constraints — most importantly the bound on
 global tokens supported by a single global PE row/column
 (``min(ceil(n/#row), ceil(w/#col))``, Section 5.2) and the requirement
@@ -99,6 +102,14 @@ class DataScheduler:
         self._check_global_bound(n, bands, global_tokens)
 
         passes = self._tile_passes(bands, n)
+        first_query = pattern.first_query
+        if first_query:
+            # Rows below the first query want no output: leave out every
+            # pass whose block lies wholly below it.  Filtering the full
+            # tiling (never re-tiling) keeps each kept row's pass list and
+            # merge order, so its output bits.  ``query_ids``, not
+            # ``q_positions``: dilated groups number their own positions.
+            passes = [tp for tp in passes if tp.query_ids().max() >= first_query]
 
         # Drop zero-work passes (windows clipped away at the sequence
         # edges, or left with global keys only); the index that decides
@@ -129,6 +140,7 @@ class DataScheduler:
             global_only_passes=global_only,
             pattern=pattern,
             reorder_applied=reorder,
+            first_query=first_query,
         )
         plan._index = index
         return plan

@@ -118,7 +118,9 @@ class Batch:
         if self.pad_to is None:
             raise ValueError("batch was not formed in pad_to_bucket mode")
         first = self.requests[0].pattern
-        return HybridSparsePattern(self.pad_to, first.bands(), first.global_tokens())
+        return HybridSparsePattern(
+            self.pad_to, first.bands(), first.global_tokens(), first.first_query
+        )
 
     def plan_key(self) -> Tuple:
         """Identity of the SALO plan this batch's dispatch compiles to.
@@ -164,8 +166,9 @@ class BatchScheduler:
         requests with equal keys are guaranteed to compile to the same
         plan and may execute as one batched engine dispatch.  In
         ``pad_to_bucket`` mode the exact sequence length is dropped from
-        the key (only bands, globals and the bucket remain): members may
-        then differ in length and batch via padded tails.
+        the key (only bands, globals, the first query and the bucket
+        remain): members may then differ in length and batch via padded
+        tails.
         """
         bucket = length_bucket(request.n, self.bucket_floor)
         structure = pattern_structure_key(request.pattern)
@@ -176,8 +179,8 @@ class BatchScheduler:
             # queue only lives while the request is queued.
             return ("opaque", id(request), bucket)
         if self.pad_to_bucket:
-            _, bands, globals_ = structure
-            return ("padded", bands, globals_, request.heads, request.hidden, bucket)
+            _, bands, globals_, first = structure
+            return ("padded", bands, globals_, first, request.heads, request.hidden, bucket)
         return structure + (request.heads, request.hidden, bucket)
 
     def enqueue(self, request: AttentionRequest) -> Tuple:

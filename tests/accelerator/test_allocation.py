@@ -18,6 +18,8 @@ import pytest
 
 from repro.accelerator.functional import FunctionalEngine
 from repro.core.config import HardwareConfig
+from repro.patterns.base import Band
+from repro.patterns.hybrid import HybridSparsePattern
 from repro.patterns.library import longformer_pattern, vil_pattern
 from repro.scheduler.scheduler import DataScheduler
 
@@ -77,3 +79,32 @@ def test_warm_attend_with_valid_lens_budget():
     engine = FunctionalEngine(plan)
     peak, owned = _measure(engine, q, k, v, valid_lens=np.array([512, 384]))
     assert peak <= owned + SLACK_BYTES
+
+
+def test_warm_step_pattern_is_allocation_free():
+    """A decode step plan (``first_query`` 48 of a 64-row bucket): eight
+    lanes with padded tails, the shape of a warm ``decode_stream`` step."""
+    pattern = HybridSparsePattern(64, [Band(-63, 0)], first_query=48)
+    plan = DataScheduler(HardwareConfig()).schedule(pattern, heads=4, head_dim=16)
+    assert len(plan.passes) == 2
+    rng = np.random.default_rng(7)
+    q, k, v = (rng.standard_normal((8, 64, 64)) for _ in range(3))
+    lens = np.array([64, 64, 60, 49, 64, 63, 64, 50])
+    peak, owned = _measure(FunctionalEngine(plan), q, k, v, valid_lens=lens)
+    assert peak <= owned + SLACK_BYTES
+
+
+def test_coverage_check_on_full_lanes_builds_no_temporary():
+    """Past ``first_query`` the check reads a view of ``has``; a mask
+    over it would cost 4 MiB here."""
+    from repro.accelerator.functional import _require_parts
+
+    has = np.ones((64, 1 << 16), dtype=bool)
+    tracemalloc.start()
+    try:
+        _require_parts(has, 100)
+        _require_parts(has, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024

@@ -481,6 +481,71 @@ class TestCompiledMatchesMicroSim:
         assert np.allclose(compiled.output, sim.output, atol=1e-11)
 
 
+STEP_CASES = [
+    ("causal", (Band(-7, 0),)),
+    ("dilated", (Band(-8, 0, 2),)),
+    ("multi-band", (Band(-3, 0), Band(-12, -8))),
+]
+
+
+class TestStepPatterns:
+    """Decode step patterns (``first_query > 0``) leave passes out of the
+    full plan: on every row from the first query on, compiled, legacy and
+    micro-sim agree bit for bit, with each other and with the full plan."""
+
+    @pytest.mark.parametrize("first", [1, 7, 12, 20, 31])
+    @pytest.mark.parametrize("name,bands", STEP_CASES, ids=[c[0] for c in STEP_CASES])
+    def test_kept_rows_bit_equal(self, name, bands, first):
+        plan, q, k, v = _plan_and_data(HybridSparsePattern(32, bands, first_query=first), heads=2)
+        full, *_ = _plan_and_data(HybridSparsePattern(32, bands), heads=2)
+        assert plan.first_query == first
+        assert len(plan.passes) < len(full.passes) or first < 4  # block 0 holds row 1
+        engine = FunctionalEngine(plan)
+        assert engine.tiled
+        compiled = engine.run(q, k, v)
+        legacy = FunctionalEngine(plan, mode="legacy").run(q, k, v)
+        sim = SystolicSimulator(plan).run(q, k, v)
+        ref = FunctionalEngine(full).run(q, k, v)
+        for got in (compiled.output, legacy.output, sim.output):
+            assert np.array_equal(got[first:], ref.output[first:])
+        assert compiled.merges == legacy.merges == sim.merges
+        assert np.array_equal(compiled.parts[:, first:], ref.parts[:, first:])
+
+    @pytest.mark.parametrize("name,bands", STEP_CASES, ids=[c[0] for c in STEP_CASES])
+    def test_batched_padded_lanes_keep_their_rows(self, name, bands):
+        """The decode shape: lanes of one group, each keeping ``valid - 1``."""
+        lens = np.array([32, 27, 30])
+        first = 16
+        plan, *_ = _plan_and_data(HybridSparsePattern(32, bands, first_query=first), heads=2)
+        full, *_ = _plan_and_data(HybridSparsePattern(32, bands), heads=2)
+        rng = np.random.default_rng(4)
+        q, k, v = (rng.standard_normal((3, 32, 16)) for _ in range(3))
+        compiled = FunctionalEngine(plan).run(q, k, v, valid_lens=lens)
+        legacy = FunctionalEngine(plan, mode="legacy").run(q, k, v, valid_lens=lens)
+        ref = FunctionalEngine(full).run(q, k, v, valid_lens=lens)
+        for lane, stop in enumerate(lens):
+            for got in (compiled, legacy):
+                assert np.array_equal(got.output[lane, first:stop], ref.output[lane, first:stop])
+
+    def test_estimate_of_the_decode_stream_step(self):
+        """Causal window 64, step bucket 64, 32 x 32 array: the step plan
+        (first query 48) runs 2 passes where the full bucket runs 3."""
+        salo = SALO()
+        bands = [Band(-63, 0)]
+        full = salo.estimate(HybridSparsePattern(64, bands), heads=4, head_dim=16)
+        step = salo.estimate(HybridSparsePattern(64, bands, first_query=48), heads=4, head_dim=16)
+        assert (full.plan.num_passes, step.plan.num_passes) == (3, 2)
+        assert step.timing.cycles < full.timing.cycles
+
+    def test_rows_past_the_first_query_still_need_a_part(self):
+        # forward-looking band: the last rows have no keys
+        pattern = HybridSparsePattern(16, [Band(2, 3)], first_query=8)
+        plan, q, k, v = _plan_and_data(pattern)
+        for mode in ("compiled", "legacy"):
+            with pytest.raises(EngineError, match=r"queries \[14, 15\]"):
+                FunctionalEngine(plan, mode=mode).run(q, k, v)
+
+
 class TestPlanCache:
     """SALO's serving cache: cached compiles, config separation."""
 

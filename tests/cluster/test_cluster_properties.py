@@ -305,9 +305,9 @@ class TestBatchIntegrity:
             # And the executed plan's band structure matches every
             # member (padded batches run members' bands at bucket n).
             executed = batch.execution_pattern()
-            _, bands, globals_ = pattern_structure_key(executed)
+            _, bands, globals_, _ = pattern_structure_key(executed)
             for r in batch.requests:
-                _, r_bands, r_globals = pattern_structure_key(r.pattern)
+                _, r_bands, r_globals, _ = pattern_structure_key(r.pattern)
                 assert r_bands == bands and r_globals == globals_
                 assert r.n <= executed.n
 

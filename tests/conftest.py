@@ -31,13 +31,22 @@ settings.load_profile(
     "thorough" if os.environ.get("REPRO_HYPOTHESIS_THOROUGH") else "ci"
 )
 
-#: Suites that execute the engine, directly or through a facade.  A
-#: masked merge computes Eq. 2 on cells it then discards; a ``recip(0)``
-#: or ``inf * 0`` there would be silent, so in these suites a
-#: RuntimeWarning is an error.
+#: Suites that execute the engine, directly or through a facade, or build
+#: what it runs (patterns, plans).  A masked merge computes Eq. 2 on
+#: cells it then discards; a ``recip(0)`` or ``inf * 0`` there would be
+#: silent, so in these suites a RuntimeWarning is an error.
 _STRICT_WARNING_SUITES = tuple(
     str(Path(__file__).parent / suite)
-    for suite in ("accelerator", "serving", "decode", "api", "core", "test_properties.py")
+    for suite in (
+        "accelerator",
+        "serving",
+        "decode",
+        "api",
+        "core",
+        "patterns",
+        "scheduler",
+        "test_properties.py",
+    )
 )
 
 

@@ -127,8 +127,12 @@ class TestPerBucketCounters:
 
     def test_bucket_crossing_decode_walk(self):
         """A decode-style walk: every step attends at the current
-        bucket with the tail masked.  Each bucket is compiled exactly
-        once; every other step in the bucket is a hit."""
+        bucket with the tail masked, its plan starting at the
+        power-of-two block that holds the kept row.  A bucket compiles
+        at most log2(bucket / floor) step plans besides the full one:
+        16 runs the prefill's full plan, 32 one step plan (first query
+        16), 64 two (first query 32, then 48 from length 49 on); every
+        other step is a hit."""
         from repro.decode import DecodeSession
         from repro.patterns.window import SlidingWindowPattern
 
@@ -141,12 +145,10 @@ class TestPerBucketCounters:
         for _ in range(40):  # 12 -> 52 tokens: buckets 16, 32, 64
             session.step(*(rng.standard_normal(8) for _ in range(3)))
         info = salo.cache_info()
-        assert set(info["buckets"]) == {16, 32, 64}
-        for n in (16, 32, 64):
-            assert info["buckets"][n]["misses"] == 1
+        assert {n: b["misses"] for n, b in info["buckets"].items()} == {16: 1, 32: 1, 64: 2}
         assert session.bucket_crossings == 2
-        # 41 attends total, 3 compiles: within-bucket steps all hit
-        assert info["hits"] == 41 - 3 and info["misses"] == 3
+        # 41 attends total, 4 compiles: every other step hits
+        assert info["hits"] == 41 - 4 and info["misses"] == 4
 
     def test_capacity_zero_still_counts_buckets(self):
         salo = SALO(plan_cache_size=0)

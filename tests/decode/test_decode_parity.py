@@ -167,17 +167,22 @@ def test_prefill_matches_exact_length_attend():
 
 def test_bucket_crossings_are_the_only_compiles():
     """Compiles stop at the step bucket (64 rows while the temporary
-    minimum stands): the KV buckets past it (storage) compile nothing,
-    and every call that does not cross into 32 or 64 is a plan-cache hit."""
+    minimum stands): the KV buckets past it (storage) compile nothing.
+    Inside a bucket a step plan starts its queries at the power-of-two
+    block holding the kept row, so a bucket compiles at most
+    log2(bucket / floor) step plans besides the full one.  Here: the
+    prefill's full plan at 16, whose steps want rows of its one block;
+    one step plan at 32 (first query 16); two at 64 (first query 32,
+    then 48 from length 49 on, through every windowed step after)."""
     walk = _Walk(BANDED_CASES[0][1], prompt_len=10)
     for _ in range(130):  # 10 -> 140 tokens: KV buckets 16 .. 256
         walk.step()
     info = walk.salo.cache_info()
     assert walk.session.bucket_crossings == 4
     assert walk.session.bucket == 256
-    assert set(info["buckets"]) == {16, 32, 64}
-    assert info["misses"] == 3
-    assert info["hits"] == walk.session.steps - 3
+    assert {n: b["misses"] for n, b in info["buckets"].items()} == {16: 1, 32: 1, 64: 2}
+    assert info["misses"] == 4
+    assert info["hits"] == walk.session.steps - 4
 
 
 def test_late_global_activation_costs_one_structural_compile():

@@ -219,3 +219,26 @@ def test_group_mixing_short_and_long_lanes_matches_solo_sessions():
             row = session.step(*default_next_token(row, rng))
             rows.append(row)
         assert np.array_equal(result.outputs[request.request_id], np.stack(rows))
+
+
+@given(
+    bands=band_sets(),
+    floor=st.sampled_from((4, 16)),
+    prompt=st.integers(1, 40),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=12, deadline=None)
+def test_long_walk_compiles_at_most_log2_step_plans_per_bucket(bands, floor, prompt, seed):
+    """A step plan starts its queries at ``bucket - length_bucket(bucket -
+    (valid - 1))``, so however long the walk, a bucket compiles its full
+    plan plus at most ``log2(bucket / floor)`` step plans."""
+    rng = np.random.default_rng(seed)
+    salo = _salo()
+    session = DecodeSession(
+        HybridSparsePattern(16, bands, ()), salo=salo, heads=HEADS, bucket_floor=floor
+    )
+    session.prefill(*_rows(rng, prompt))
+    for _ in range(150):
+        session.step(*(r[0] for r in _rows(rng, 1)))
+    for bucket, counts in salo.cache_info()["buckets"].items():
+        assert counts["misses"] <= 1 + int(math.log2(bucket // floor)), (bucket, counts)

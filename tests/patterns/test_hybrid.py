@@ -75,3 +75,41 @@ class TestResize:
         p = HybridSparsePattern(10, [Band(-2, 2, 2)], (0,))
         q = p.with_sequence_length(20)
         assert q.bands() == p.bands()
+
+
+class TestFirstQuery:
+    def test_rows_below_have_no_keys(self):
+        p = HybridSparsePattern(16, [Band(-3, 0)], first_query=6)
+        full = HybridSparsePattern(16, [Band(-3, 0)])
+        assert p.first_query == 6 and full.first_query == 0
+        assert p.row_keys(5).size == 0 and p.banded_row_keys(2).size == 0
+        assert p.row_keys(6).tolist() == [3, 4, 5, 6]
+        mask = p.mask()
+        assert not mask[:6].any()
+        assert np.array_equal(mask[6:], full.mask()[6:])
+        assert p != full
+
+    @pytest.mark.parametrize("first", [-1, 16, 40])
+    def test_out_of_range_refused(self, first):
+        with pytest.raises(PatternError, match=f"first_query {first} out of range"):
+            HybridSparsePattern(16, [Band(-3, 0)], first_query=first)
+
+    def test_refused_with_global_tokens(self):
+        with pytest.raises(PatternError, match="first_query 4 > 0 cannot be combined"):
+            HybridSparsePattern(16, [Band(-3, 0)], (0,), first_query=4)
+        assert HybridSparsePattern(16, [Band(-3, 0)], (0,), first_query=0).first_query == 0
+
+    def test_with_sequence_length_refused(self):
+        p = HybridSparsePattern(16, [Band(-3, 0)], first_query=8)
+        with pytest.raises(PatternError, match="first_query 8"):
+            p.with_sequence_length(32)
+
+    def test_structure_key_carries_it(self):
+        from repro.core.salo import pattern_structure_key
+
+        keys = {
+            pattern_structure_key(HybridSparsePattern(16, [Band(-3, 0)], first_query=f))
+            for f in (0, 8, 8, 12)
+        }
+        assert len(keys) == 3
+        assert pattern_structure_key(SlidingWindowPattern(16, -3, 0))[-1] == 0

@@ -171,3 +171,53 @@ class TestPlanShape:
         pattern2 = longformer_pattern(32, 4, ())
         plan2 = DataScheduler(HardwareConfig(pe_rows=4, pe_cols=4)).schedule(pattern2)
         assert not plan2.reorder_applied
+
+
+class TestFirstQuery:
+    """A late first query filters the full tiling; it never re-tiles it."""
+
+    @staticmethod
+    def _plans(bands, n, first, rows=4, cols=4):
+        scheduler = DataScheduler(HardwareConfig(pe_rows=rows, pe_cols=cols))
+        full = scheduler.schedule(HybridSparsePattern(n, bands))
+        step = scheduler.schedule(HybridSparsePattern(n, bands, first_query=first))
+        return full, step
+
+    def test_decode_stream_step_runs_two_of_three_passes(self):
+        full, step = self._plans([Band(-63, 0)], 64, 48, rows=32, cols=32)
+        assert (len(full.passes), len(step.passes)) == (3, 2)
+        assert (full.first_query, step.first_query) == (0, 48)
+        assert all(tp.query_ids().min() == 32 for tp in step.passes)
+
+    def test_dilated_band_keeps_the_blocks_of_both_residues(self):
+        """Group positions of a dilation-2 band run over ``n / 2``: a
+        filter on ``q_positions`` would drop every pass of the band."""
+        full, step = self._plans([Band(-8, 0, 2)], 32, 24)
+        assert step.reorder_applied
+        kept = [tp for tp in full.passes if tp.query_ids().max() >= 24]
+        assert step.passes == kept
+        assert {tp.query_residue for tp in step.passes} == {0, 1}
+        assert all(max(tp.q_positions) < 24 for tp in step.passes)
+
+    @given(
+        n=st.integers(8, 64),
+        window=st.integers(1, 10),
+        dilation=st.integers(1, 3),
+        first_frac=st.floats(0.0, 0.99),
+        rows=st.sampled_from([2, 4, 8]),
+        cols=st.sampled_from([2, 4, 8]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_step_plan_is_the_full_plan_minus_passes_below(
+        self, n, window, dilation, first_frac, rows, cols
+    ):
+        first = int(first_frac * n)
+        bands = [Band(-(window - 1) * dilation, 0, dilation)]
+        full, step = self._plans(bands, n, first, rows, cols)
+        assert step.passes == [tp for tp in full.passes if tp.query_ids().max() >= first]
+        # rows from the first query on are covered exactly as the pattern says
+        cov = step.covered_pairs()
+        pattern = HybridSparsePattern(n, bands, first_query=first)
+        assert np.array_equal(cov[first:] > 0, pattern.mask()[first:])
+        assert cov.max() <= 1
+        assert not pattern.mask()[:first].any()
