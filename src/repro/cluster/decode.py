@@ -49,7 +49,7 @@ from ..patterns.base import Band
 from ..patterns.hybrid import HybridSparsePattern
 from ..scheduler import SchedulerError
 from ..serving.admission import AdmissionContext, AdmissionPolicy, AdmitAll
-from ..serving.batching import Batch
+from ..serving.batching import Batch, check_bucket_floor
 from .arrivals import SLOClass
 from .faults import FaultInjector, RecoveryConfig
 from .metrics import _percentile
@@ -258,6 +258,7 @@ class DecodeSimConfig:
             raise ValueError("workers must be >= 1")
         if self.max_lanes < 1:
             raise ValueError("max_lanes must be >= 1")
+        check_bucket_floor(self.bucket_floor)
         if not (self.itl_shed_factor >= 1.0):
             raise ValueError("itl_shed_factor must be >= 1")
         if self.max_retries < 0:

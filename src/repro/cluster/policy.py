@@ -104,7 +104,7 @@ class BatchPolicy:
         """Sweep out already-doomed requests (no-op unless ``drop_expired``)."""
         if not self.drop_expired:
             return ()
-        return tuple(queue.prune(lambda r: r.absolute_deadline_s <= now))
+        return tuple(queue.expire(now))
 
     def next_batch(self, queue: BatchScheduler, now: float) -> BatchDecision:
         raise NotImplementedError
@@ -234,6 +234,14 @@ class EDFPolicy(BatchPolicy):
     *which* queue and *which* members.  Expired requests sort after all
     feasible ones (see :func:`_urgency`); with ``drop_expired=True`` they
     are shed outright instead of served late.
+
+    The scheduler's urgency index answers both questions: one bisect at
+    ``now`` per group names its most urgent member
+    (:meth:`~repro.serving.batching.BatchScheduler.most_urgent`), and
+    the batch is a slice of the winning group's index
+    (:meth:`~repro.serving.batching.BatchScheduler.take_urgent`).  No
+    member's urgency is computed.  Groups are compared in the order the
+    scheduler created them, the first of equally urgent groups winning.
     """
 
     name = "edf"
@@ -242,15 +250,12 @@ class EDFPolicy(BatchPolicy):
         shed = self.shed_expired(queue, now)
         best_key: Optional[Tuple] = None
         best_urgency: Optional[Tuple[bool, float, float]] = None
-        for key, members in queue.group_items():
-            urgency = min(_urgency(r, now) for r in members)
+        for key, urgency in queue.most_urgent(now):
             if best_urgency is None or urgency < best_urgency:
                 best_key, best_urgency = key, urgency
         if best_key is None:
             return BatchDecision(shed=shed)
-        return BatchDecision(
-            batch=queue.take(best_key, order=lambda r: _urgency(r, now)), shed=shed
-        )
+        return BatchDecision(batch=queue.take_urgent(best_key, now), shed=shed)
 
 
 class WeightedFairPolicy(BatchPolicy):

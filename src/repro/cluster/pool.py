@@ -245,7 +245,10 @@ class Worker:
         )
         # launch id -> (batch, dispatched_s, charged_until_s): the batches
         # the worker holds; lost with it if it dies before they complete.
+        # Only note_dispatch, note_complete and forfeit change it, and
+        # they keep ``inflight`` (its requests) in step.
         self.launched: Dict[int, Tuple[Batch, float, float]] = {}
+        self.inflight = 0
         self.busy_s = 0.0  # accumulated service time
         self.request_s = 0.0  # service time x batch size (mean concurrency)
         self.batches = 0
@@ -324,6 +327,7 @@ class Worker:
         them, in launch order — the work a dead worker strands."""
         stranded = [r for batch, _, _ in self.launched.values() for r in batch.requests]
         self.launched.clear()
+        self.inflight = 0
         return stranded
 
     def note_warm(self, pattern, heads: int, head_dim: int = 64) -> None:
@@ -341,13 +345,9 @@ class Worker:
     def busy(self) -> bool:
         return bool(self.launched)
 
-    @property
-    def inflight(self) -> int:
-        """Requests across the launched batches."""
-        return sum(batch.size for batch, _, _ in self.launched.values())
-
     def depth(self) -> int:
-        """Queue pressure the router scores against: queued + executing."""
+        """Queue pressure the router scores against: queued + executing
+        (two counters)."""
         return self.queue.pending + self.inflight
 
     def is_cold_plan(self, batch: Batch) -> bool:
@@ -365,6 +365,7 @@ class Worker:
         """Book one launched batch; ``service_s`` is what is known of its
         service time at launch (all of it on a simulated clock)."""
         self.launched[launch_id] = (batch, now, now + service_s)
+        self.inflight += batch.size
         self.busy_s += service_s
         self.request_s += service_s * batch.size
         self.batches += 1
@@ -377,7 +378,7 @@ class Worker:
     def note_complete(self, launch_id: int, service_s: float) -> None:
         """Free the batch's slot; ``service_s`` is service time only known
         now (a real worker's measured engine time)."""
-        del self.launched[launch_id]
+        self.inflight -= self.launched.pop(launch_id)[0].size
         self.busy_s += service_s
 
 

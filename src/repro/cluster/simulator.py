@@ -363,7 +363,7 @@ class ControlPlane:
         worker.queue.enqueue(request)
         if self.config.policy.drop_expired and math.isfinite(request.absolute_deadline_s):
             # Expiry timer: shed the moment the deadline passes, not at
-            # the next policy consultation.  The handler sweeps globally,
+            # the next policy consultation.  The handler asks every queue,
             # so one event per admitted request suffices even after the
             # request is stolen, requeued or retried onto another worker.
             self.executor.schedule(request.absolute_deadline_s, _EXPIRE, None)
@@ -495,9 +495,14 @@ class ControlPlane:
             self.executor.schedule(now + delay, _RETRY, req)  # -> _place
 
     def _on_expire(self, _, now: float) -> None:
-        """An admitted request's deadline just passed: sweep all queues."""
+        """An admitted request's deadline just passed: shed every queued
+        request whose deadline has, on every worker.  Each queue answers
+        from its urgency index: the group heads say in O(groups) whether
+        anything expired (usually nothing did — the request was served,
+        shed or is elsewhere), and only groups that hold expired requests
+        are swept."""
         for worker in self.pool.workers:
-            for req in worker.queue.prune(lambda r: r.absolute_deadline_s <= now):
+            for req in worker.queue.expire(now):
                 self._shed_now(req, now)
 
     def _on_crash(self, wid: int, now: float) -> None:

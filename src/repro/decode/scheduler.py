@@ -63,6 +63,7 @@ import numpy as np
 from ..core.config import HardwareConfig
 from ..core.salo import SALO, pattern_structure_key
 from ..patterns.base import AttentionPattern
+from ..serving.batching import check_bucket_floor
 from .session import KVState, _step_first_query, decode_pattern, step_window
 
 __all__ = [
@@ -230,7 +231,7 @@ class DecodeScheduler:
             raise ValueError("max_lanes must be >= 1")
         self.salo = salo if salo is not None else SALO(HardwareConfig())
         self.max_lanes = max_lanes
-        self.bucket_floor = bucket_floor
+        self.bucket_floor = check_bucket_floor(bucket_floor)
         self._queue: Deque[DecodeRequest] = deque()
         self._active: List[_Lane] = []
         self._order = 0

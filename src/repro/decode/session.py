@@ -101,7 +101,7 @@ from ..core.config import HardwareConfig
 from ..core.salo import SALO, pattern_structure_key
 from ..patterns.base import AttentionPattern, Band
 from ..patterns.hybrid import HybridSparsePattern
-from ..serving.batching import length_bucket
+from ..serving.batching import check_bucket_floor, length_bucket
 
 __all__ = ["KVState", "DecodeSession", "decode_pattern", "step_window"]
 
@@ -192,7 +192,7 @@ class KVState:
         if hidden <= 0:
             raise ValueError("hidden must be positive")
         self.hidden = hidden
-        self.bucket_floor = bucket_floor
+        self.bucket_floor = check_bucket_floor(bucket_floor)
         self._len = 0
         self._cap = 0
         self._q = np.zeros((0, hidden))
@@ -315,7 +315,7 @@ class DecodeSession:
             )
         self.salo = salo if salo is not None else SALO(HardwareConfig())
         self.heads = heads
-        self.bucket_floor = bucket_floor
+        self.bucket_floor = check_bucket_floor(bucket_floor)
         self.scale = scale
         self._bands = tuple(pattern.bands() or ())
         self._globals = tuple(pattern.global_tokens())

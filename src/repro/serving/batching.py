@@ -25,22 +25,57 @@ into same-plan batches the engine can execute as one dispatch:
   distributions at the cost of padded-lane compute.
 * **FIFO fairness** — :meth:`BatchScheduler.next_batch` always serves
   the queue whose head request arrived earliest, taking up to
-  ``max_batch_size`` requests from it; within a queue, order is arrival
-  order.  Deadline- or size-aware policies (:mod:`repro.cluster.policy`)
-  instead inspect queues via :meth:`BatchScheduler.group_items` and pop
-  specific members via :meth:`BatchScheduler.take`.
+  ``max_batch_size`` requests from it; within a queue, order is queue
+  order (arrival order, unless a request was requeued).  Size-aware
+  policies (:mod:`repro.cluster.policy`) instead inspect queues via
+  :meth:`BatchScheduler.group_items` and pop specific members via
+  :meth:`BatchScheduler.take`; deadline-aware ones ask the index.
+
+**Index.**  Beside its queue, every group keeps its members in a
+``bisect``-sorted list of ``(absolute deadline, arrival, insertion
+seq)``, kept in step by every mutation.  Insertion seq equals queue
+order: queues only ever append (:meth:`~BatchScheduler.enqueue`,
+:meth:`~BatchScheduler.requeue`), and every removal keeps the survivors'
+relative order.  So the list's head is the group's earliest deadline,
+one bisect at ``now`` splits expired members from feasible ones, and
+ties break by queue position.  What each query costs:
+
+* :attr:`~BatchScheduler.pending` — O(1), a counter;
+* :meth:`~BatchScheduler.expire` — O(groups) when nothing queued has
+  expired (the list heads answer), a sweep of the affected groups when
+  something has;
+* :meth:`~BatchScheduler.most_urgent` — one bisect per group;
+* :meth:`~BatchScheduler.take_urgent` — a slice of the list plus one
+  pass over the group's queue and list, once per batch closed;
+* a member popped off the queue leaves the list by one bisect.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
-from typing import Callable, Deque, Dict, Hashable, List, Optional, Tuple
+import math
+from bisect import bisect_left, bisect_right, insort
+from collections import deque
+from operator import itemgetter
+from typing import Callable, Deque, Dict, Hashable, Iterator, List, Optional, Set, Tuple
 
 from ..core.salo import pattern_structure_key
 from ..patterns.hybrid import HybridSparsePattern
 from .request import AttentionRequest
 
 __all__ = ["length_bucket", "Batch", "BatchScheduler"]
+
+# A queued request: (absolute deadline, arrival, insertion seq, request).
+# The seq is unique within a scheduler, so comparing two entries never
+# reaches the request.
+_Entry = Tuple[float, float, int, AttentionRequest]
+_REQUEST = itemgetter(3)
+_SEQ = itemgetter(2)
+
+
+def _due(index: List[_Entry], now: float) -> int:
+    """How many entries of a sorted index have a deadline ``<= now``: the
+    probe sorts after every such entry, whatever its arrival and seq."""
+    return bisect_right(index, (now, math.inf, math.inf))
 
 
 def length_bucket(n: int, floor: int = 16) -> int:
@@ -52,10 +87,21 @@ def length_bucket(n: int, floor: int = 16) -> int:
     """
     if n < 1:
         raise ValueError(f"sequence length must be >= 1, got {n}")
+    if floor < 1:
+        # doubling a floor of 0 (or below) never reaches n
+        raise ValueError(f"floor must be >= 1, got {floor}")
     bucket = floor
     while bucket < n:
         bucket *= 2
     return bucket
+
+
+def check_bucket_floor(bucket_floor: int) -> int:
+    """``bucket_floor`` itself, refused below 1 by the constructors that
+    take one (before any :func:`length_bucket` call could)."""
+    if bucket_floor < 1:
+        raise ValueError(f"bucket_floor must be >= 1, got {bucket_floor}")
+    return bucket_floor
 
 
 class Batch:
@@ -153,9 +199,13 @@ class BatchScheduler:
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
         self.max_batch_size = max_batch_size
-        self.bucket_floor = bucket_floor
+        self.bucket_floor = check_bucket_floor(bucket_floor)
         self.pad_to_bucket = pad_to_bucket
-        self._queues: "OrderedDict[Tuple, Deque[AttentionRequest]]" = OrderedDict()
+        # group key -> (entries in queue order, the same entries sorted);
+        # a group exists only while it holds a request
+        self._groups: Dict[Tuple, Tuple[Deque[_Entry], List[_Entry]]] = {}
+        self._seq = 0
+        self._pending = 0
 
     # ------------------------------------------------------------------
     def group_key(self, request: AttentionRequest) -> Tuple:
@@ -183,10 +233,20 @@ class BatchScheduler:
             return ("padded", bands, globals_, first, request.heads, request.hidden, bucket)
         return structure + (request.heads, request.hidden, bucket)
 
+    def _append(self, key: Tuple, request: AttentionRequest) -> None:
+        self._seq += 1
+        entry = (request.absolute_deadline_s, request.arrival_s, self._seq, request)
+        group = self._groups.get(key)
+        if group is None:
+            group = self._groups[key] = (deque(), [])
+        group[0].append(entry)
+        insort(group[1], entry)
+        self._pending += 1
+
     def enqueue(self, request: AttentionRequest) -> Tuple:
         """Queue a request; returns its group key."""
         key = self.group_key(request)
-        self._queues.setdefault(key, deque()).append(request)
+        self._append(key, request)
         return key
 
     def _make_batch(self, key: Tuple, members: List[AttentionRequest]) -> Batch:
@@ -202,10 +262,8 @@ class BatchScheduler:
         """
         best_key = None
         best_arrival = None
-        for key, queue in self._queues.items():
-            if not queue:
-                continue
-            arrival = queue[0].arrival_s
+        for key, (queue, _) in self._groups.items():
+            arrival = queue[0][1]
             if best_arrival is None or arrival < best_arrival:
                 best_key, best_arrival = key, arrival
         if best_key is None:
@@ -213,11 +271,45 @@ class BatchScheduler:
         return self.take(best_key)
 
     # ------------------------------------------------------------------
+    # Removal: every path keeps the queue and the index in step
+    # ------------------------------------------------------------------
+    def _popped(self, key: Tuple, entries: List[_Entry]) -> List[AttentionRequest]:
+        """``entries`` just left ``key``'s queue: drop them from its index."""
+        queue, index = self._groups[key]
+        for entry in entries:
+            del index[bisect_left(index, entry)]
+        self._pending -= len(entries)
+        if not queue:
+            del self._groups[key]
+        return [entry[3] for entry in entries]
+
+    def _remove(self, key: Tuple, seqs: Set[int]) -> List[AttentionRequest]:
+        """Remove the members of ``key`` whose insertion seq is in
+        ``seqs``; returns them in queue order."""
+        queue, index = self._groups[key]
+        removed: List[AttentionRequest] = []
+        kept: Deque[_Entry] = deque()
+        for entry in queue:
+            if entry[2] in seqs:
+                removed.append(entry[3])
+            else:
+                kept.append(entry)
+        self._pending -= len(removed)
+        if kept:
+            index[:] = [entry for entry in index if entry[2] not in seqs]
+            self._groups[key] = (kept, index)
+        else:
+            del self._groups[key]
+        return removed
+
+    # ------------------------------------------------------------------
     # Policy interface: peek queues, pop selected members
     # ------------------------------------------------------------------
     def group_items(self) -> List[Tuple[Tuple, Tuple[AttentionRequest, ...]]]:
         """Read-only snapshot of the non-empty queues (key, members)."""
-        return [(key, tuple(q)) for key, q in self._queues.items() if q]
+        return [
+            (key, tuple(map(_REQUEST, queue))) for key, (queue, _) in self._groups.items()
+        ]
 
     def take(
         self,
@@ -228,57 +320,83 @@ class BatchScheduler:
         """Pop up to ``count`` requests of one group as a batch.
 
         ``count`` defaults to (and is capped by) ``max_batch_size``.
-        Without ``order`` the queue head is served (arrival order); with
+        Without ``order`` the queue head is served (queue order); with
         ``order`` the ``count`` members minimising the sort key are
-        popped instead — deadline-aware policies use this to serve the
-        most urgent members first — keeping the remaining members in
-        arrival order.
+        popped instead, queue position breaking ties, keeping the
+        remaining members in queue order.
         """
-        queue = self._queues.get(key)
-        if not queue:
+        group = self._groups.get(key)
+        if group is None:
             return None
+        queue = group[0]
         count = self.max_batch_size if count is None else min(count, self.max_batch_size)
         count = min(count, len(queue))
         if order is None:
-            members = [queue.popleft() for _ in range(count)]
+            members = self._popped(key, [queue.popleft() for _ in range(count)])
         else:
-            indexed = sorted(range(len(queue)), key=lambda i: (order(queue[i]), i))
-            chosen = set(indexed[:count])
-            members = [queue[i] for i in sorted(chosen)]
-            remaining = [queue[i] for i in range(len(queue)) if i not in chosen]
-            queue.clear()
-            queue.extend(remaining)
-        if not queue:
-            del self._queues[key]
+            entries = list(queue)
+            ranked = sorted(range(len(entries)), key=lambda i: (order(entries[i][3]), i))
+            members = self._remove(key, {entries[i][2] for i in ranked[:count]})
         return self._make_batch(key, members)
+
+    def most_urgent(self, now: float) -> Iterator[Tuple[Tuple, Tuple[bool, float, float]]]:
+        """``(key, urgency)`` per group, in group order.
+
+        ``urgency`` is ``(expired, absolute deadline, arrival)`` of the
+        group's most urgent member at ``now``: its earliest deadline still
+        ahead of ``now`` (``expired`` False), or — every member expired —
+        its earliest deadline.  One bisect per group.
+        """
+        for key, (_, index) in self._groups.items():
+            i = _due(index, now)
+            head = index[i] if i < len(index) else index[0]
+            yield key, (i == len(index), head[0], head[1])
+
+    def take_urgent(self, key: Tuple, now: float) -> Batch:
+        """Pop the ``max_batch_size`` most urgent members of ``key`` at ``now``.
+
+        Unexpired members go first by (deadline, arrival, queue
+        position), then expired ones by the same key; the batch lists
+        its members in queue order.  Exactly the members
+        ``take(key, order=lambda r: (r.absolute_deadline_s <= now,
+        r.absolute_deadline_s, r.arrival_s))`` pops, read off the index.
+        """
+        index = self._groups[key][1]
+        count = min(self.max_batch_size, len(index))
+        i = _due(index, now)
+        feasible = min(count, len(index) - i)
+        chosen = index[i : i + feasible] + index[: count - feasible]
+        return self._make_batch(key, self._remove(key, set(map(_SEQ, chosen))))
+
+    def expire(self, now: float) -> List[AttentionRequest]:
+        """Remove and return every queued request whose absolute deadline
+        is ``<= now``: ``prune(lambda r: r.absolute_deadline_s <= now)``,
+        same requests, same order.
+
+        The index heads answer in O(groups) when nothing has expired;
+        otherwise only the groups whose head has are swept.
+        """
+        removed: List[AttentionRequest] = []
+        for key in [key for key, (_, index) in self._groups.items() if index[0][0] <= now]:
+            index = self._groups[key][1]
+            removed.extend(self._remove(key, set(map(_SEQ, index[: _due(index, now)]))))
+        return removed
 
     def prune(self, predicate: Callable[[AttentionRequest], bool]) -> List[AttentionRequest]:
         """Remove and return every queued request matching ``predicate``.
 
-        Load-shedding hook: a ``drop_expired`` policy sweeps out requests
-        whose deadline can no longer be met before closing a batch.
-        Survivors keep their queue and their relative order; emptied
-        queues are deleted.  The removed requests are returned in queue
-        insertion order (then arrival order within a queue) so callers
-        can account for them deterministically.
+        Load-shedding and recovery hook.  Survivors keep their queue and
+        their relative order; emptied queues are deleted.  The removed
+        requests are returned group by group (groups in creation order),
+        in queue order within a group — which is arrival order unless a
+        request was requeued — so callers can account for them
+        deterministically.
         """
         removed: List[AttentionRequest] = []
-        for key in list(self._queues):
-            queue = self._queues[key]
-            kept: List[AttentionRequest] = []
-            hit = False
-            for request in queue:
-                if predicate(request):
-                    removed.append(request)
-                    hit = True
-                else:
-                    kept.append(request)
-            if not hit:
-                continue
-            if kept:
-                self._queues[key] = deque(kept)
-            else:
-                del self._queues[key]
+        for key in list(self._groups):
+            seqs = {entry[2] for entry in self._groups[key][0] if predicate(entry[3])}
+            if seqs:
+                removed.extend(self._remove(key, seqs))
         return removed
 
     def steal(self, count: int) -> List[AttentionRequest]:
@@ -286,41 +404,41 @@ class BatchScheduler:
 
         Work-stealing donor side: the stolen requests are the ones this
         scheduler would have reached last (its deepest group's tail), in
-        arrival order, ready to :meth:`requeue` on the thief.
+        queue order, ready to :meth:`requeue` on the thief.
         """
         if count < 1:
             return []
         victim_key = None
-        for key, queue in self._queues.items():
-            if queue and (victim_key is None or len(queue) > len(self._queues[victim_key])):
-                victim_key = key
+        depth = 0
+        for key, (queue, _) in self._groups.items():
+            if len(queue) > depth:
+                victim_key, depth = key, len(queue)
         if victim_key is None:
             return []
-        queue = self._queues[victim_key]
-        take = min(count, len(queue))
-        stolen = [queue.pop() for _ in range(take)][::-1]
-        if not queue:
-            del self._queues[victim_key]
-        return stolen
+        queue = self._groups[victim_key][0]
+        stolen = [queue.pop() for _ in range(min(count, depth))][::-1]
+        return self._popped(victim_key, stolen)
 
     def requeue(self, requests: List[AttentionRequest]) -> None:
-        """Give requests (back) to this scheduler — work stealing path."""
+        """Give requests (back) to this scheduler — work stealing path.
+
+        Each goes to the back of its group's queue."""
         for request in requests:
-            self._queues.setdefault(self.group_key(request), deque()).append(request)
+            self._append(self.group_key(request), request)
 
     # ------------------------------------------------------------------
     @property
     def pending(self) -> int:
         """Number of queued requests."""
-        return sum(len(q) for q in self._queues.values())
+        return self._pending
 
     def __len__(self) -> int:
-        return self.pending
+        return self._pending
 
     def pending_by_bucket(self) -> Dict[int, int]:
         """Queue depth per length bucket (observability)."""
         depths: Dict[int, int] = {}
-        for key, queue in self._queues.items():
+        for key, (queue, _) in self._groups.items():
             bucket = key[-1]
             depths[bucket] = depths.get(bucket, 0) + len(queue)
         return depths

@@ -10,6 +10,7 @@ hardware config) into a single engine dispatch; see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Hashable, Optional
 
@@ -64,8 +65,12 @@ class AttentionRequest:
             raise ValueError(
                 f"hidden size {self.q.shape[1]} not divisible by heads {self.heads}"
             )
-        if self.deadline_s is not None and self.deadline_s <= 0:
+        # `not (x > 0)` and isnan: a NaN deadline or arrival would corrupt
+        # the scheduler's sorted urgency index
+        if self.deadline_s is not None and not self.deadline_s > 0:
             raise ValueError(f"deadline_s must be positive, got {self.deadline_s}")
+        if math.isnan(self.arrival_s):
+            raise ValueError(f"request {self.request_id!r}: arrival_s is NaN")
         for name in ("q", "k", "v"):
             # The door: a NaN that reached an engine would poison every
             # neighbour sharing its batch.

@@ -338,7 +338,7 @@ class TestStealNeverTouchesInflight:
         assert moved == 4  # capped at the thief's max_batch_size
         inflight_ids = {r.request_id for r in batch.requests}
         stolen_ids = {
-            r.request_id for group in thief.queue._queues.values() for r in group
+            r.request_id for _, group in thief.queue.group_items() for r in group
         }
         assert stolen_ids.isdisjoint(inflight_ids)
         assert stolen_ids <= set(range(4, 10))
@@ -371,7 +371,7 @@ class TestStealNeverTouchesInflight:
         def queued_ids(worker):
             return {
                 r.request_id
-                for group in worker.queue._queues.values()
+                for _, group in worker.queue.group_items()
                 for r in group
             }
 

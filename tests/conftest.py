@@ -34,7 +34,9 @@ settings.load_profile(
 #: Suites that execute the engine, directly or through a facade, or build
 #: what it runs (patterns, plans).  A masked merge computes Eq. 2 on
 #: cells it then discards; a ``recip(0)`` or ``inf * 0`` there would be
-#: silent, so in these suites a RuntimeWarning is an error.
+#: silent, so in these suites a RuntimeWarning is an error.  The cluster
+#: and advisor suites join them: their reports are ratios and
+#: percentiles, where a ``0 / 0`` would be just as silent.
 _STRICT_WARNING_SUITES = tuple(
     str(Path(__file__).parent / suite)
     for suite in (
@@ -45,6 +47,8 @@ _STRICT_WARNING_SUITES = tuple(
         "core",
         "patterns",
         "scheduler",
+        "cluster",
+        "advisor",
         "test_properties.py",
     )
 )

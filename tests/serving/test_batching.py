@@ -57,6 +57,18 @@ class TestRequestValidation:
         with pytest.raises(ValueError, match=rf"request 'bad-7': {operand} holds non-finite"):
             AttentionRequest("bad-7", pattern, heads=2, **data)
 
+    @pytest.mark.parametrize("timing, match", [
+        (dict(deadline_s=float("nan")), "deadline_s must be positive"),
+        (dict(deadline_s=0.0), "deadline_s must be positive"),
+        (dict(arrival_s=float("nan")), "arrival_s is NaN"),
+    ])
+    def test_unorderable_timing_fails_at_the_door(self, timing, match):
+        """The scheduler keeps queued requests sorted by deadline and
+        arrival; a NaN there has no place in the order."""
+        zeros = np.zeros((16, 8))
+        with pytest.raises(ValueError, match=match):
+            AttentionRequest(0, longformer_pattern(16, 4, (0,)), zeros, zeros, zeros, **timing)
+
     def test_properties(self):
         req = _request(0, longformer_pattern(16, 4, (0,)), heads=2, hidden=8)
         assert req.n == 16 and req.hidden == 8 and req.head_dim == 4
