@@ -112,9 +112,17 @@ bench-e2e-pair:
 		$(if $(WORKLOADS),--workloads $(WORKLOADS)) $(if $(SEEDS),--seeds $(SEEDS)) \
 		$(if $(TRACE),--trace $(TRACE)) $(if $(OUT),--out $(OUT))
 
+# A /dev/shm entry that appears during the run and outlives it is a
+# leaked segment: listed twice before and once after, `uniq -u` keeps
+# exactly the new ones (benchmarks/e2e/run.py applies the same rule).
 transport-smoke:
+	@before=$$(ls -A /dev/shm 2>/dev/null); \
 	PYTHONPATH=$(PYTHONPATH) timeout 600 $(PYTHON) -m repro.cli \
-		run transport_multicore --fast
+		run transport_multicore --fast || exit $$?; \
+	leaked=$$({ echo "$$before"; echo "$$before"; ls -A /dev/shm 2>/dev/null; } | sort | uniq -u); \
+	if [ -n "$$leaked" ]; then \
+		echo "transport-smoke: shared-memory segments left behind:" $$leaked >&2; exit 1; \
+	fi
 
 advise-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli advise \

@@ -50,7 +50,7 @@ __all__ = ["ServingSession", "ServingStats", "execute_batch", "stack_batch_opera
 
 
 def stack_batch_operands(
-    requests, pattern: AttentionPattern
+    requests, pattern: AttentionPattern, out=None
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Stack member operands into one ``(b, n, hidden)`` dispatch shape.
 
@@ -60,25 +60,34 @@ def stack_batch_operands(
     for tail masking.  This is the *single* packing used by both the
     local dispatch path (:func:`execute_batch`) and the transport wire
     format (:func:`repro.transport.base.stacked_operands` re-exports
-    it), so what ships over shared memory cannot drift from what a
+    it; a multiprocess transport stacks straight into its shared-memory
+    slot), so what ships over shared memory cannot drift from what a
     same-process engine would see.
+
+    ``out`` is an optional ``(q, k, v)`` triple of float64 ``(b,
+    pattern.n, hidden)`` arrays to stack into instead of fresh ones;
+    every cell is written, so stale contents do not matter.  Every member
+    is checked before anything is written: one whose ``hidden`` differs
+    from the first member's, or whose length exceeds ``pattern.n``,
+    raises ``ValueError`` naming its ``request_id``.
     """
+    n_pad, hidden = pattern.n, requests[0].hidden
+    for r in requests:
+        if r.hidden != hidden or r.n > n_pad:
+            raise ValueError(
+                f"request {r.request_id!r}: operands of shape {r.q.shape} do not "
+                f"fit the batch's (n, hidden) = ({n_pad}, {hidden})"
+            )
     lens = [r.n for r in requests]
-    if all(n == pattern.n for n in lens):
-        q = np.stack([r.q for r in requests])
-        k = np.stack([r.k for r in requests])
-        v = np.stack([r.v for r in requests])
-        return q, k, v, None
-    hidden = requests[0].hidden
-    b, n_pad = len(requests), pattern.n
-    q = np.zeros((b, n_pad, hidden))
-    k = np.zeros((b, n_pad, hidden))
-    v = np.zeros((b, n_pad, hidden))
-    for i, req in enumerate(requests):
-        q[i, : req.n] = req.q
-        k[i, : req.n] = req.k
-        v[i, : req.n] = req.v
-    return q, k, v, np.asarray(lens, dtype=np.int64)
+    if out is None:
+        out = tuple(np.empty((len(requests), n_pad, hidden)) for _ in range(3))
+    for i, r in enumerate(requests):
+        for dst, src in zip(out, (r.q, r.k, r.v)):
+            dst[i, : r.n] = src
+            if r.n < n_pad:
+                dst[i, r.n :] = 0.0
+    padded = any(n != n_pad for n in lens)
+    return (*out, np.asarray(lens, dtype=np.int64) if padded else None)
 
 
 def execute_batch(engine, batch: Batch) -> Tuple[List[np.ndarray], List[object]]:

@@ -13,9 +13,10 @@ processes.
 A transport owns exactly one worker.  The protocol is deliberately
 narrow and asynchronous:
 
-``submit(request)``
-    Hand the worker one batch (:class:`TransportRequest`).  Never
-    blocks on execution; completions surface later via :meth:`poll`.
+``submit(request)`` / ``submit_members(batch_id, pattern, requests, heads)``
+    Hand the worker one batch, pre-stacked (:class:`TransportRequest`)
+    or as its member requests.  Never blocks on execution; completions
+    surface later via :meth:`poll`.
 ``poll(timeout_s)``
     Collect finished batches as :class:`Completion` objects.  A batch
     submitted to a worker that dies before answering produces **no**
@@ -37,9 +38,10 @@ Drivers
   Today's single-process behaviour, byte-identical outputs.
 * :class:`~repro.transport.multiprocess.MultiprocessTransport` — a
   worker process owning its own warm :class:`~repro.api.Runtime`;
-  operands travel through ``multiprocessing.shared_memory`` segments
-  (the worker maps the same pages — no serialisation of Q/K/V), small
-  control messages through queues.  True parallelism: N transports are
+  operands travel through a small pool of reused
+  ``multiprocessing.shared_memory`` slots (the worker maps the same
+  pages once — no serialisation of Q/K/V), small control messages
+  through queues.  True parallelism: N transports are
   N python processes, N GILs.
 """
 
@@ -150,6 +152,16 @@ class WorkerTransport:
     def submit(self, request: TransportRequest) -> None:
         """Queue one batch on the worker (non-blocking w.r.t. execution)."""
         raise NotImplementedError
+
+    def submit_members(self, batch_id: int, pattern, requests, heads: int) -> None:
+        """Queue one batch given as its member requests, unstacked.
+
+        The default stacks them into fresh arrays and passes the result
+        to :meth:`submit`; a driver with its own operand memory stacks
+        straight into it.
+        """
+        q, k, v, valid_lens = stacked_operands(requests, pattern)
+        self.submit(TransportRequest(batch_id, pattern, q, k, v, heads, valid_lens))
 
     def poll(self, timeout_s: float = 0.0) -> Sequence[Completion]:
         """Collect any finished batches, waiting up to ``timeout_s``."""

@@ -48,7 +48,7 @@ from ..cluster.simulator import (
     Executor,
 )
 from ..serving.request import AttentionRequest
-from .base import TransportClosed, TransportRequest, WorkerTransport, stacked_operands
+from .base import TransportClosed, WorkerTransport
 from .inprocess import InProcessTransport
 from .multiprocess import MultiprocessTransport
 
@@ -152,11 +152,10 @@ class TransportExecutor(Executor):
         return None
 
     def launch(self, worker, launch_id, batch, cold, now):
-        pattern = batch.execution_pattern()
-        q, k, v, valid_lens = stacked_operands(batch.requests, pattern)
-        request = TransportRequest(launch_id, pattern, q, k, v, batch.heads, valid_lens)
         try:
-            worker.transport.submit(request)
+            worker.transport.submit_members(
+                launch_id, batch.execution_pattern(), batch.requests, batch.heads
+            )
         except TransportClosed:
             worker.crash(worker.last_heartbeat_s)
             return None

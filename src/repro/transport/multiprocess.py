@@ -5,32 +5,50 @@ This is the "true parallelism" half of the transport split.  Each
 :func:`_worker_main`: a loop that builds its own
 :class:`~repro.api.Runtime` (its warm plan cache is process-local state,
 exactly like a :class:`~repro.cluster.pool.Worker`'s SALO in the
-simulator), maps each submitted batch's operands out of shared memory,
-executes, writes the stacked output back into the same segment and
+simulator), reads each submitted batch's operands out of shared memory,
+executes, writes the stacked output back into the same memory and
 answers with a small completion message.  N transports are N python
 interpreters — N GILs — so a pool of them is the first configuration in
 this repo where multi-worker throughput is *measured* parallelism, not
 cost-model arithmetic.
 
+Slots
+-----
+The parent owns a small pool of ``multiprocessing.shared_memory``
+segments, the *slots* (:class:`~repro.transport.shm.ShmBatch`).  A
+batch takes a free slot (the smallest that fits; else the largest free
+one is re-created at the batch's size; else a new slot), and the slot
+goes back to the pool when the batch's completion is harvested, OK or
+``DISPATCH_ERROR``.  So the pool never holds more slots than the
+high-water mark of batches in flight (``max_inflight_per_worker`` under
+a :class:`~repro.transport.cluster.TransportCluster`), slots only grow,
+and segments are unlinked only when a slot is re-created or the
+transport closes — after a ``kill`` too.  The worker maps each slot once
+and keeps the mapping, keyed by slot index; a slot arriving under a new
+segment name (re-created larger) replaces the old mapping.
+
 Wire format (per batch)
 -----------------------
-* One ``multiprocessing.shared_memory`` segment, parent-allocated, laid
-  out ``q | k | v | out`` as contiguous float64 ``(b, n, hidden)``
-  regions (:mod:`repro.transport.shm`).  Q/K/V are written once by the
-  parent and *mapped* — never pickled, never re-copied — by the worker.
+* The batch's slot, laid out ``q | k | v`` as contiguous float64
+  ``(b, n, hidden)`` regions (:mod:`repro.transport.shm`).  The parent
+  stacks the members straight into the regions
+  (:func:`~repro.serving.session.stack_batch_operands` with ``out=``;
+  a pre-stacked :class:`TransportRequest` is copied in by the same slot
+  writer), and the worker reads them in place — never pickled.
 * One control message on the request queue:
-  ``("submit", batch_id, shm_name, layout, pattern, heads, valid_lens)``
-  — everything small enough that pickling is noise.
+  ``("submit", batch_id, slot, shm_name, layout, pattern, heads,
+  valid_lens)`` — everything small enough that pickling is noise.
 * One completion message on the completion queue:
   ``("done", batch_id, outcome, error, service_s)`` with the output
-  already sitting in the segment's ``out`` region.
+  already sitting in the slot: the worker writes it over the ``q``
+  region once the attend has returned.
 
 Crash semantics
 ---------------
 :meth:`kill` delivers ``SIGKILL`` — the real thing, not a simulation.
 A killed worker sends nothing: its in-flight batches simply never
-complete, probes go unanswered, ``alive`` flips false, and the segments
-of lost batches are reclaimed by the parent during cleanup.  This is
+complete, probes go unanswered, ``alive`` flips false, and their slots
+stay taken until :meth:`close` unlinks every slot.  This is
 exactly the failure signature the cluster's heartbeat detection and
 requeue recovery were built against, which is the point: the recovery
 paths the simulator models are exercised here by an actual dead process.
@@ -51,6 +69,7 @@ from .base import (
     TransportClosed,
     TransportRequest,
     WorkerTransport,
+    stacked_operands,
 )
 from .shm import ShmBatch, ShmLayout, attach
 
@@ -78,13 +97,15 @@ def _worker_main(wid, runtime_config, warm_specs, req_q, done_q) -> None:
     a cold compile (the transport analogue of plan-affinity warmth).
     Runs until a ``("stop",)`` message; every exception inside a dispatch
     is converted to a :data:`DISPATCH_ERROR` completion rather than
-    killing the loop — only signals kill a worker.
+    killing the loop — only signals kill a worker.  ``maps`` holds one
+    mapping per slot index (module docstring), closed at stop.
     """
     from ..api import Runtime  # late import: after fork/spawn
 
     runtime = Runtime(runtime_config)
     for pattern, heads, *head_dim in warm_specs:
         runtime.warm([pattern], heads, *head_dim)
+    maps: dict = {}
     done_q.put(("ready", wid))
     while True:
         msg = req_q.get()
@@ -97,19 +118,17 @@ def _worker_main(wid, runtime_config, warm_specs, req_q, done_q) -> None:
         if kind == "stats":
             done_q.put(("stats", runtime.cache_info()))
             continue
-        # ("submit", batch_id, shm_name, layout, pattern, heads, valid_lens)
-        _, batch_id, shm_name, layout, pattern, heads, valid_lens = msg
+        # ("submit", batch_id, slot, shm_name, layout, pattern, heads, valid_lens)
+        _, batch_id, slot, shm_name, layout, pattern, heads, valid_lens = msg
         t0 = time.perf_counter()
         try:
-            shm = attach(shm_name)
-            try:
-                q, k, v, out = ShmBatch.views(shm, layout)
-                result = runtime.attend(
-                    pattern, q, k, v, heads=heads, valid_lens=valid_lens
-                )
-                out[...] = result.output
-            finally:
-                shm.close()
+            if slot in maps and maps[slot].name != shm_name:  # re-created larger
+                maps.pop(slot).close()
+            if slot not in maps:
+                maps[slot] = attach(shm_name)
+            q, k, v, out = ShmBatch.views(maps[slot], layout)
+            result = runtime.attend(pattern, q, k, v, heads=heads, valid_lens=valid_lens)
+            out[...] = result.output  # out is q's region: written after the attend
         except Exception as exc:
             done_q.put(
                 (
@@ -122,6 +141,8 @@ def _worker_main(wid, runtime_config, warm_specs, req_q, done_q) -> None:
             )
             continue
         done_q.put(("done", batch_id, DISPATCH_OK, None, time.perf_counter() - t0))
+    for shm in maps.values():
+        shm.close()
 
 
 class MultiprocessTransport(WorkerTransport):
@@ -175,7 +196,9 @@ class MultiprocessTransport(WorkerTransport):
         self._ctx = mp.get_context(context or default_context())
         self._req_q = self._ctx.Queue()
         self._done_q = self._ctx.Queue()
-        self._pending: Dict[int, ShmBatch] = {}
+        self._slots: List[ShmBatch] = []  # the pool; index = slot id on the wire
+        self._free: List[int] = []
+        self._pending: Dict[int, int] = {}  # batch_id -> slot index
         self._ready: List[Completion] = []
         self._pongs: set = set()
         self._ping_serial = 0
@@ -211,21 +234,58 @@ class MultiprocessTransport(WorkerTransport):
 
     # ------------------------------------------------------------------
     def submit(self, request: TransportRequest) -> None:
+        def copy_in(q, k, v):
+            q[...], k[...], v[...] = request.q, request.k, request.v
+            return request.valid_lens
+
+        self._send(request.batch_id, request.q.shape, request.pattern, request.heads, copy_in)
+
+    def submit_members(self, batch_id, pattern, requests, heads) -> None:
+        """Stack the members straight into the batch's slot (no staging copy)."""
+        shape = (len(requests), pattern.n, requests[0].hidden)
+        self._send(
+            batch_id,
+            shape,
+            pattern,
+            heads,
+            lambda q, k, v: stacked_operands(requests, pattern, out=(q, k, v))[3],
+        )
+
+    def _send(self, batch_id, shape, pattern, heads, write) -> None:
+        """The slot writer: take a slot, ``write(q, k, v)`` its regions
+        (returning ``valid_lens``), ship the control message."""
         if self._closed or not self.alive:
             raise TransportClosed(f"worker {self.wid} is not accepting work")
-        block = ShmBatch.pack(request.q, request.k, request.v)
-        self._pending[request.batch_id] = block
+        layout = ShmLayout(shape=tuple(shape))
+        index = self._take_slot(layout)
+        slot = self._slots[index]
+        try:
+            valid_lens = write(*slot.regions())
+        except BaseException:
+            self._free.append(index)
+            raise
+        self._pending[batch_id] = index
         self._req_q.put(
-            (
-                "submit",
-                request.batch_id,
-                block.name,
-                block.layout,
-                request.pattern,
-                request.heads,
-                request.valid_lens,
-            )
+            ("submit", batch_id, index, slot.name, layout, pattern, heads, valid_lens)
         )
+
+    def _take_slot(self, layout: ShmLayout) -> int:
+        """A free slot sized for ``layout`` (module docstring: Slots)."""
+        need = layout.total_bytes
+        fits = [i for i in self._free if self._slots[i].capacity >= need]
+        if fits:
+            index = min(fits, key=lambda i: self._slots[i].capacity)
+            self._free.remove(index)
+        elif self._free:
+            index = max(self._free, key=lambda i: self._slots[i].capacity)
+            self._free.remove(index)
+            self._slots[index].destroy()
+            self._slots[index] = ShmBatch.create(layout)
+        else:
+            index = len(self._slots)
+            self._slots.append(ShmBatch.create(layout))
+        self._slots[index].layout = layout
+        return index
 
     # ------------------------------------------------------------------
     def _absorb(self, msg) -> None:
@@ -233,12 +293,12 @@ class MultiprocessTransport(WorkerTransport):
         kind = msg[0]
         if kind == "done":
             _, batch_id, outcome, error, service_s = msg
-            block = self._pending.pop(batch_id, None)
+            index = self._pending.pop(batch_id, None)
             output = None
-            if block is not None and outcome == DISPATCH_OK:
-                output = block.read_output()
-            if block is not None:
-                block.destroy()
+            if index is not None:
+                if outcome == DISPATCH_OK:
+                    output = self._slots[index].read_output()
+                self._free.append(index)
             self._ready.append(
                 Completion(
                     batch_id=batch_id,
@@ -341,9 +401,11 @@ class MultiprocessTransport(WorkerTransport):
                 pass
             if self._process.is_alive():
                 self.kill()
-        # Reclaim segments of batches that never completed (lost work).
-        for block in self._pending.values():
-            block.destroy()
+        # Unlink every slot, including those of lost batches.
+        for slot in self._slots:
+            slot.destroy()
+        self._slots.clear()
+        self._free.clear()
         self._pending.clear()
         for q in (self._req_q, self._done_q):
             q.cancel_join_thread()

@@ -16,19 +16,41 @@ class TestLayout:
         layout = ShmLayout(shape=(2, 16, 8))
         assert layout.region_items == 2 * 16 * 8
         assert layout.region_bytes == layout.region_items * 8  # float64
-        assert layout.total_bytes == 4 * layout.region_bytes  # q | k | v | out
+        # q | k | v: the worker writes its output over q after the attend
+        assert layout.total_bytes == 3 * layout.region_bytes
 
     def test_regions_are_disjoint_views(self):
         q, k, v = _operands()
         block = ShmBatch.pack(q, k, v)
         try:
-            buf = block.shm.buf
-            regions = [block.layout.region(buf, i) for i in range(4)]
-            regions[3][...] = 7.0
-            # Writing the out region must not disturb the operands.
-            assert np.array_equal(regions[0], q)
-            assert np.array_equal(regions[1], k)
-            assert np.array_equal(regions[2], v)
+            wq, wk, wv, wout = ShmBatch.views(block.shm, block.layout)
+            assert wout is wq  # the output region is the q region
+            wout[...] = 7.0
+            # Writing the output must not disturb k and v.
+            assert np.array_equal(wk, k)
+            assert np.array_equal(wv, v)
+            assert np.array_equal(block.read_output(), np.full(q.shape, 7.0))
+        finally:
+            block.destroy()
+
+    def test_a_segment_carries_any_layout_that_fits(self):
+        """A slot keeps its segment across batches: a smaller layout
+        reads and writes the leading bytes of each region's slice."""
+        block = ShmBatch.create(ShmLayout(shape=(4, 16, 8)))
+        try:
+            assert block.capacity == 3 * 4 * 16 * 8 * 8
+            q, k, v = _operands(b=1, n=8, hidden=8, seed=5)
+            block.layout = ShmLayout(shape=q.shape)
+            for region, operand in zip(block.regions(), (q, k, v)):
+                region[...] = operand
+            peer = attach(block.name)
+            try:
+                wq, wk, wv, _ = ShmBatch.views(peer, block.layout)
+                assert np.array_equal(wq, q) and np.array_equal(wk, k)
+                assert np.array_equal(wv, v)
+                del wq, wk, wv
+            finally:
+                peer.close()
         finally:
             block.destroy()
 
