@@ -30,7 +30,8 @@ The simulator charges a batch's service time through a
   simulates the same numbers as a checkout.
 * :class:`MeasuredClock` — executes the batch on the worker's engine and
   uses the measured wall time; grounding runs that trade determinism for
-  end-to-end realism.
+  end-to-end realism, and the in-process
+  :class:`~repro.serving.session.ServingSession` front.
 """
 
 from __future__ import annotations
@@ -42,9 +43,8 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.salo import SALO
-from ..serving.batching import Batch, BatchScheduler
+from ..serving.batching import Batch, BatchScheduler, execute_batch
 from ..serving.request import AttentionRequest
-from ..serving.session import execute_batch
 from .faults import WORKER_DOWN, WORKER_UP
 
 __all__ = [
@@ -484,16 +484,21 @@ class CostModelClock(ServiceModel):
 
 
 class MeasuredClock(ServiceModel):
-    """Run the batch on the worker's engine; the wall clock is the time."""
+    """Run the batch on the worker's engine; the wall clock is the time.
+
+    ``served`` is what the last batch produced: :func:`execute_batch`'s
+    ``(outputs, results)``, one entry per member in batch order.
+    """
 
     deterministic = False
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
         self.clock = clock
+        self.served: Tuple[List[np.ndarray], List[object]] = ([], [])
 
     def service_s(self, worker: Worker, batch: Batch, cold: bool) -> float:
         t0 = self.clock()
-        execute_batch(worker.salo, batch)
+        self.served = execute_batch(worker.salo, batch)
         return self.clock() - t0
 
 

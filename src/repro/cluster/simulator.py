@@ -36,19 +36,25 @@ instants, stragglers and transient errors come from the
 :class:`~repro.cluster.pool.CostModelClock` every duration derives from
 the paper's cycle model (``SALO.estimate``): same seed, same report, no
 wall-clock reads, ties broken by insertion order; without an (active)
-injector there are no probes, RNG draws or extra events.
+injector there are no probes, RNG draws or extra events.  On
+:class:`~repro.cluster.pool.MeasuredClock` a launch runs the batch on
+the worker's engine and is charged its measured time — which is how
+in-process serving runs: a session's timeline is virtual time advanced
+by measured engine time.
 :class:`~repro.transport.cluster.TransportExecutor` is the wall clock: a
 launch ships the batch to a real worker (possibly a process that can
 genuinely be ``kill -9``'d) and timers fire when due.
 
 :class:`ClusterSimulator`, :class:`~repro.transport.cluster.
-TransportCluster` and :class:`~repro.cluster.decode.DecodeClusterSimulator`
-are thin fronts that pick the executor and feed the plane arrivals;
-routing, batching, retry, recovery and the conservation laws the
-property suite pins exist once, here.  Traffic whose requests *stay* — a
-decode sequence holds a lane for one launch per token — overrides one
-seam, :meth:`ControlPlane._complete` (what a served launch means for a
-member), beside the retry and admission-estimate methods.
+TransportCluster`, :class:`~repro.cluster.decode.DecodeClusterSimulator`
+and :class:`~repro.serving.session.ServingSession` are thin fronts that
+pick the executor and feed the plane arrivals; routing, admission,
+batching, retry, recovery and the conservation laws the property suite
+pins exist once, here.  Traffic whose requests *stay* — a decode
+sequence holds a lane for one launch per token — overrides one seam,
+:meth:`ControlPlane._complete` (what a served launch means for a
+member), beside the retry and admission-estimate methods; the session
+overrides it to keep each member's output.
 """
 
 from __future__ import annotations

@@ -2,12 +2,14 @@
 
 The reproduction's serving path for repeated-structure traffic: queued
 :class:`AttentionRequest` objects are grouped by execution-plan key and
-length bucket (:class:`BatchScheduler`), stacked into same-plan batches,
-and executed as single batched engine dispatches by a
-:class:`ServingSession` — amortising scheduling, plan compilation and
-per-job dispatch across requests while keeping outputs bit-identical to
-per-request calls.  :mod:`repro.serving.admission` guards the door
-under overload (the cluster layer consumes it too).
+length bucket (:class:`BatchScheduler`), stacked into same-plan batches
+and executed as single batched engine dispatches (:func:`execute_batch`)
+— amortising scheduling, plan compilation and per-job dispatch across
+requests while keeping outputs bit-identical to per-request calls.
+These pieces, and :mod:`repro.serving.admission`'s overload doors, are
+what the cluster control plane is built from.  :class:`ServingSession`
+is that plane's synchronous in-process front: one worker running
+batches on the caller's engine.
 """
 
 from .admission import (
@@ -21,9 +23,9 @@ from .admission import (
     make_admission,
     queue_drain_estimate,
 )
-from .batching import Batch, BatchScheduler, length_bucket
-from .request import AttentionRequest, RequestResult
-from .session import ServingSession, ServingStats, execute_batch
+from .batching import Batch, BatchScheduler, execute_batch, length_bucket
+from .request import AttentionRequest, RequestResult, ServingStats
+from .session import ServingSession
 from .trace import ArrivalSpec, ReplayReport, TraceSpec, replay, synthetic_trace
 
 __all__ = [

@@ -16,10 +16,12 @@ would face.  The context is *lazy* on purpose: the estimate runs
 policies that never look at it (admit-all, queue-depth, token-bucket)
 must not pay for it.
 
-The module lives in the serving layer because both doors consume it —
-:meth:`ServingSession.submit` at a single engine's queue and the cluster
-simulator's arrival handler across a pool — and serving sits below
-cluster in the layering (``repro.cluster`` re-exports everything here).
+There is one door: the cluster control plane's admission step
+(``ControlPlane._admit``), which every front goes through — the
+simulator, real-worker transports, decode, and the in-process
+:class:`~repro.serving.session.ServingSession`.  The module lives in the
+serving layer because the plane is built from serving pieces
+(``repro.cluster`` re-exports everything here).
 
 Policies
 --------

@@ -48,6 +48,10 @@ ties break by queue position.  What each query costs:
 * :meth:`~BatchScheduler.take_urgent` — a slice of the list plus one
   pass over the group's queue and list, once per batch closed;
 * a member popped off the queue leaves the list by one bisect.
+
+**Dispatch.**  :func:`execute_batch` runs a batch as one engine call
+with a leading batch axis, packed by :func:`stack_batch_operands` — the
+same packing the transport wire format ships.
 """
 
 from __future__ import annotations
@@ -58,11 +62,13 @@ from collections import deque
 from operator import itemgetter
 from typing import Callable, Deque, Dict, Hashable, Iterator, List, Optional, Set, Tuple
 
+import numpy as np
+
 from ..core.salo import pattern_structure_key
 from ..patterns.hybrid import HybridSparsePattern
 from .request import AttentionRequest
 
-__all__ = ["length_bucket", "Batch", "BatchScheduler"]
+__all__ = ["length_bucket", "Batch", "BatchScheduler", "stack_batch_operands", "execute_batch"]
 
 # A queued request: (absolute deadline, arrival, insertion seq, request).
 # The seq is unique within a scheduler, so comparing two entries never
@@ -442,3 +448,97 @@ class BatchScheduler:
             bucket = key[-1]
             depths[bucket] = depths.get(bucket, 0) + len(queue)
         return depths
+
+
+# ----------------------------------------------------------------------
+# One engine dispatch per batch
+# ----------------------------------------------------------------------
+def stack_batch_operands(
+    requests, pattern, out=None
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Stack member operands into one ``(b, n, hidden)`` dispatch shape.
+
+    Uniform-length members stack directly (``valid_lens`` is ``None``);
+    mixed-length members are zero-padded to ``pattern.n`` (the batch's
+    execution length) with their true lengths returned as ``valid_lens``
+    for tail masking.  This is the *single* packing used by both the
+    local dispatch path (:func:`execute_batch`) and the transport wire
+    format (:func:`repro.transport.base.stacked_operands` re-exports
+    it; a multiprocess transport stacks straight into its shared-memory
+    slot), so what ships over shared memory cannot drift from what a
+    same-process engine would see.
+
+    ``out`` is an optional ``(q, k, v)`` triple of float64 ``(b,
+    pattern.n, hidden)`` arrays to stack into instead of fresh ones;
+    every cell is written, so stale contents do not matter.  Every member
+    is checked before anything is written: one whose ``hidden`` differs
+    from the first member's, or whose length exceeds ``pattern.n``,
+    raises ``ValueError`` naming its ``request_id``.
+    """
+    n_pad, hidden = pattern.n, requests[0].hidden
+    for r in requests:
+        if r.hidden != hidden or r.n > n_pad:
+            raise ValueError(
+                f"request {r.request_id!r}: operands of shape {r.q.shape} do not "
+                f"fit the batch's (n, hidden) = ({n_pad}, {hidden})"
+            )
+    lens = [r.n for r in requests]
+    if out is None:
+        out = tuple(np.empty((len(requests), n_pad, hidden)) for _ in range(3))
+    for i, r in enumerate(requests):
+        for dst, src in zip(out, (r.q, r.k, r.v)):
+            dst[i, : r.n] = src
+            if r.n < n_pad:
+                dst[i, r.n :] = 0.0
+    padded = any(n != n_pad for n in lens)
+    return (*out, np.asarray(lens, dtype=np.int64) if padded else None)
+
+
+def execute_batch(engine, batch: Batch) -> Tuple[List[np.ndarray], List[object]]:
+    """One engine dispatch for a batch; returns per-request outputs.
+
+    ``engine`` is anything with the attend contract — a
+    :class:`~repro.core.salo.SALO` instance or a
+    :class:`~repro.api.protocol.AttentionBackend` adapter.  Uniform-length
+    batches stack members on a leading batch axis (bit-identical to
+    per-request calls); mixed-length padded batches zero-pad members to
+    the bucket length, mask the tails via ``valid_lens`` and slice
+    outputs back.  Engines without a batch axis (``supports_batch``
+    False, e.g. the systolic micro-simulator) fall back to a per-request
+    loop — arithmetic identical to the stacked dispatch, minus the
+    amortisation.  In the package it runs under
+    :class:`~repro.cluster.pool.MeasuredClock`, the service model of the
+    in-process :class:`~repro.serving.session.ServingSession` front and
+    of measured-clock simulations; real workers run the same stacking
+    (:func:`stack_batch_operands`) on the far side of a transport.
+
+    Returns ``(outputs, results)``, one entry per request.  A single
+    batched dispatch repeats its one result object for every member
+    (they genuinely share plan and stats); the serial fallback keeps
+    each request's own result, whose stats describe that request's
+    exact-length plan.
+    """
+    requests = batch.requests
+    supports_batch = getattr(engine, "supports_batch", True)
+    supports_lens = getattr(engine, "supports_valid_lens", True)
+    serial = (
+        batch.size == 1
+        or not supports_batch
+        or (batch.mixed_lengths and not supports_lens)
+    )
+    if serial:
+        # Per-request loop: each member runs its own exact-length
+        # pattern, so no padding (and no valid_lens support) is needed.
+        results = [
+            engine.attend(r.pattern, r.q, r.k, r.v, heads=r.heads) for r in requests
+        ]
+        return [res.output for res in results], results
+    pattern = batch.execution_pattern()
+    q, k, v, lens = stack_batch_operands(requests, pattern)
+    if lens is None:
+        result = engine.attend(pattern, q, k, v, heads=batch.heads)
+        return [result.output[i] for i in range(batch.size)], [result] * batch.size
+    # Padded cross-length batch: one bucket-length plan, masked tails.
+    result = engine.attend(pattern, q, k, v, heads=batch.heads, valid_lens=lens)
+    outputs = [result.output[i, : requests[i].n] for i in range(batch.size)]
+    return outputs, [result] * batch.size

@@ -5,20 +5,21 @@ pattern, Q/K/V operands and head layout — plus the arrival timestamp the
 latency accounting is anchored to.  The serving layer batches requests
 that share an execution plan (same pattern structure, head layout and
 hardware config) into a single engine dispatch; see
-:mod:`repro.serving.batching`.
+:mod:`repro.serving.batching`.  :class:`RequestResult` is one served
+request's outcome and :class:`ServingStats` a session's aggregate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Hashable, Optional
 
 import numpy as np
 
 from ..patterns.base import AttentionPattern
 
-__all__ = ["AttentionRequest", "RequestResult"]
+__all__ = ["AttentionRequest", "RequestResult", "ServingStats"]
 
 
 @dataclass
@@ -114,3 +115,40 @@ class RequestResult:
     def latency_s(self) -> float:
         """End-to-end latency: queueing delay plus service time."""
         return self.queue_s + self.service_s
+
+
+@dataclass
+class ServingStats:
+    """Aggregate queue/latency/throughput accounting of a session."""
+
+    completed: int
+    batches: int
+    wall_s: float
+    throughput_rps: float
+    mean_batch_size: float
+    queue_p50_ms: float
+    latency_p50_ms: float
+    latency_p90_ms: float
+    latency_p99_ms: float
+    plan_cache: dict
+    rejected: int = 0  # turned away by the session's admission policy
+
+    def to_dict(self) -> dict:
+        """JSON-ready view (the ``serve --json`` payload core)."""
+        return asdict(self)
+
+    def render(self) -> str:
+        lines = [
+            f"requests completed   {self.completed} (rejected {self.rejected})",
+            f"batches executed     {self.batches}",
+            f"mean batch size      {self.mean_batch_size:.2f}",
+            f"wall time            {self.wall_s * 1e3:.1f} ms",
+            f"throughput           {self.throughput_rps:.1f} req/s",
+            f"queue p50            {self.queue_p50_ms:.2f} ms",
+            f"latency p50/p90/p99  {self.latency_p50_ms:.2f} / "
+            f"{self.latency_p90_ms:.2f} / {self.latency_p99_ms:.2f} ms",
+            f"plan cache           {self.plan_cache['hits']} hits / "
+            f"{self.plan_cache['misses']} misses "
+            f"(hit rate {self.plan_cache['hit_rate']:.0%})",
+        ]
+        return "\n".join(lines)

@@ -3,9 +3,10 @@
 A trace models the repeated-structure traffic a deployed accelerator
 serves: a small set of pattern families (window, window+global, dilated)
 at a few sequence-length buckets, hit by many requests with fresh data.
-:func:`replay` pushes a trace through a :class:`ServingSession` and —
-optionally — through the sequential one-call-per-request baseline, so
-the batching win is measured on identical work.
+:func:`replay` pushes a trace through a :class:`ServingSession` (the
+in-process front on the cluster control plane) and — optionally —
+through the sequential one-call-per-request baseline, so the batching
+win is measured on identical work.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from ..core.salo import SALO
 from ..patterns.base import AttentionPattern, Band
 from ..patterns.hybrid import HybridSparsePattern
 from ..patterns.library import longformer_pattern
-from .request import AttentionRequest
-from .session import ServingSession, ServingStats
+from .request import AttentionRequest, ServingStats
 
 __all__ = ["ArrivalSpec", "TraceSpec", "synthetic_trace", "replay", "ReplayReport"]
 
@@ -169,6 +169,9 @@ def replay(
     Backends without a plan-level ``schedule`` (the float oracles) skip
     the warm step on both sides — still symmetric.
     """
+    # The session is a cluster front, and repro.cluster imports this module.
+    from .session import ServingSession
+
     if salo is not None and backend is not None:
         raise ValueError("pass either a salo/engine instance or a backend name, not both")
     if backend is not None:

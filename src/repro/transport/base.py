@@ -207,4 +207,4 @@ class WorkerTransport:
 # The wire packing IS the local-dispatch packing: one implementation in
 # the serving layer, re-exported here, so what ships over shared memory
 # cannot drift from what execute_batch hands a same-process engine.
-from ..serving.session import stack_batch_operands as stacked_operands  # noqa: E402
+from ..serving.batching import stack_batch_operands as stacked_operands  # noqa: E402

@@ -36,6 +36,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from ..api import CapabilityError, backend_spec
 from ..cluster.faults import RecoveryConfig
 from ..cluster.metrics import ClusterReport, MetricsCollector
 from ..cluster.pool import Worker
@@ -90,6 +91,12 @@ class TransportClusterConfig(ControlConfig):
     expires, whatever is still unaccounted is failed terminally, so the
     conservation law survives a wedged run.  ``warm`` lists ``(pattern,
     heads[, head_dim])`` specs workers pre-compile at start-up.
+
+    Transports always ship a batch stacked — even a singleton reaches the
+    worker's ``Runtime.attend`` as ``(1, n, hidden)`` — so a backend
+    without ``supports_batch`` is refused here, as is ``pad_to_bucket``
+    on one without ``supports_valid_lens``: their workers could not run
+    the batches the plane forms.
     """
 
     # heartbeat interval / timeout, the rest as simulated
@@ -106,6 +113,17 @@ class TransportClusterConfig(ControlConfig):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         _driver_class(self.driver)
+        caps = backend_spec(self.backend).capabilities
+        if not caps.supports_batch:
+            raise CapabilityError(
+                f"backend {self.backend!r} lacks supports_batch; transport workers "
+                "receive every batch stacked, singletons included"
+            )
+        if self.pad_to_bucket and not caps.supports_valid_lens:
+            raise CapabilityError(
+                f"backend {self.backend!r} lacks supports_valid_lens, which "
+                "pad_to_bucket batches need on a transport worker"
+            )
 
 
 class TransportExecutor(Executor):

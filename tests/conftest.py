@@ -34,8 +34,8 @@ settings.load_profile(
 #: Suites that execute the engine, directly or through a facade, or build
 #: what it runs (patterns, plans).  A masked merge computes Eq. 2 on
 #: cells it then discards; a ``recip(0)`` or ``inf * 0`` there would be
-#: silent, so in these suites a RuntimeWarning is an error.  The cluster
-#: and advisor suites join them: their reports are ratios and
+#: silent, so in these suites a RuntimeWarning is an error.  The cluster,
+#: advisor and transport suites join them: their reports are ratios and
 #: percentiles, where a ``0 / 0`` would be just as silent.
 _STRICT_WARNING_SUITES = tuple(
     str(Path(__file__).parent / suite)
@@ -49,6 +49,7 @@ _STRICT_WARNING_SUITES = tuple(
         "scheduler",
         "cluster",
         "advisor",
+        "transport",
         "test_properties.py",
     )
 )

@@ -110,6 +110,21 @@ def test_one_event_heap_per_executor_family():
     assert importers == {"cluster/simulator.py", "transport/cluster.py"}
 
 
+def test_only_the_control_plane_pops_batches():
+    """Batches are closed by the cluster control plane's policies; a
+    module outside ``repro/cluster`` calling ``.next_batch(`` is a second
+    serving loop growing back beside the plane."""
+    callers = {
+        name
+        for name, tree in _sources().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "next_batch"
+    }
+    assert callers and all(name.startswith("cluster/") for name in callers), sorted(callers)
+
+
 def test_the_clock_prices_its_own_cold_penalty():
     """``CostModelClock._cold_penalty_s`` is charged through
     ``service_s``; nothing re-derives a launch's cost around it."""

@@ -16,6 +16,7 @@ goes through the shared ``drive`` fixture (``tests/conftest.py``).
 import numpy as np
 import pytest
 
+from repro.api import CapabilityError
 from repro.cluster import EDFPolicy, QueueDepthCap, RecoveryConfig
 from repro.patterns.library import longformer_pattern
 from repro.serving import AttentionRequest
@@ -215,6 +216,29 @@ class TestConfig:
     def test_bounds_validated(self, field, value):
         with pytest.raises(ValueError, match=field):
             TransportClusterConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "backend,pad,missing",
+        [("systolic", False, "supports_batch"), ("dense", True, "supports_valid_lens")],
+    )
+    def test_backend_that_cannot_run_the_batches_is_refused(self, backend, pad, missing):
+        """Transports ship every batch stacked: a backend without a batch
+        axis failed every launch, and ``dense`` burned a retry per padded
+        batch before the plane fell back to serving it alone."""
+        with pytest.raises(CapabilityError, match=rf"^backend '{backend}' lacks {missing}"):
+            TransportClusterConfig(driver="inprocess", backend=backend, pad_to_bucket=pad)
+
+    @pytest.mark.parametrize(
+        "backend,pad",
+        [("functional", False), ("functional-legacy", False), ("dense", False), ("functional", True)],
+    )
+    def test_backends_that_batch_still_serve(self, backend, pad):
+        config = TransportClusterConfig(
+            driver="inprocess", backend=backend, pad_to_bucket=pad, **_knobs(workers=1, warm=())
+        )
+        with TransportCluster(config) as cluster:
+            report = cluster.run(_requests(3))
+        assert report.completed == 3 and report.retries == 0 and _conserved(report)
 
     def test_recovery_knobs_are_the_simulators(self):
         """The flat recovery fields are gone: one RecoveryConfig, with a
