@@ -1,10 +1,12 @@
 """Quantisation study: the Table 3 protocol at laptop scale.
 
 Trains a Longformer-style classifier on a synthetic global-aggregation
-task, swaps its attention layers to SALO's fixed-point datapath (Q8.4
-inputs, PWL exponential, LUT reciprocal, 16-bit outputs), finetunes with
-straight-through gradients, and reports the accuracy triple — the claim
-under test being the paper's: quantisation costs well under a point.
+task, runs its attention layers on the SALO engine (32 x 32 array, Q8.4
+inputs, per-pass PWL exponential and LUT reciprocal, Eq. 2 merges, 16-bit
+outputs), finetunes with the engine's output as the forward value and the
+float attention's gradient (straight-through), and reports the accuracy
+triple — the claim under test being the paper's: quantisation costs well
+under a point.
 
 Run:  python examples/quantization_study.py        (~1 minute)
 """

@@ -125,4 +125,9 @@ def run(fast: bool = False) -> ExperimentResult:
         "degradation column: quantising the attention datapath to Q8.4 costs "
         "well under one accuracy point after finetuning"
     )
+    result.notes.append(
+        "ptq_% and quantized_% are the 32x32 SALO engine's output (SALO.attend: "
+        "per-pass PWL exp and LUT reciprocal joined by Eq. 2 merges); QAT "
+        "finetunes through it with the float attention's gradient"
+    )
     return result

@@ -1,8 +1,8 @@
 """NN substrate: numpy autograd, transformer layers, training loops.
 
 Built for the Table 3 quantisation study: train sparse-attention
-classifiers in float, swap the attention datapath to SALO's fixed-point
-numerics, optionally finetune (quantisation-aware), and compare accuracy.
+classifiers in float, run the attention on the SALO engine, optionally
+finetune (quantisation-aware), and compare accuracy.
 """
 
 from .attention import AttentionQuantizer, SparseMultiHeadAttention

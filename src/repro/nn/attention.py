@@ -3,11 +3,12 @@
 :class:`SparseMultiHeadAttention` implements the hybrid sparse attention of
 the paper's workloads as a trainable layer: the pattern's mask restricts
 the score matrix, so the layer computes exactly what SALO accelerates.  An
-optional :class:`AttentionQuantizer` reroutes the forward pass through the
-accelerator's fixed-point datapath (Q8.4 operands, PWL exponential, LUT
-reciprocal, quantised probabilities and outputs) with smooth surrogate
-gradients — the mechanism behind the Table 3 quantisation study, mirroring
-the paper's QPyTorch-instrumented layers.
+optional :class:`AttentionQuantizer` makes the layer's forward value the
+SALO engine's output (:meth:`SALO.attend`: Q8.4 operands, per-pass PWL
+exponential and LUT reciprocal, Eq. 2 merges), with the float masked
+attention as the straight-through gradient path — the mechanism behind the
+Table 3 quantisation study, mirroring the paper's QPyTorch-instrumented
+layers.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ from typing import Optional
 
 import numpy as np
 
-from ..accelerator.datapath import Datapath
-from ..core.config import NumericsConfig
+from ..core.config import HardwareConfig, NumericsConfig
+from ..core.salo import SALO
 from ..patterns.base import AttentionPattern
-from .autograd import Tensor
+from ..scheduler.scheduler import SchedulerError
+from .autograd import Tensor, is_grad_enabled
 from .layers import Dropout, Linear, Module
 
 __all__ = ["AttentionQuantizer", "SparseMultiHeadAttention"]
@@ -30,10 +32,12 @@ _NEG_INF = -1.0e9
 
 @dataclass
 class AttentionQuantizer:
-    """Routes an attention forward pass through the SALO datapath.
+    """Routes attention through one SALO engine.
 
     ``numerics`` defaults to the paper's deployment precision (8-bit Q/K/V
-    with 4 fractional bits, 16-bit outputs, PWL exp, LUT reciprocal).
+    with 4 fractional bits, 16-bit outputs, PWL exp, LUT reciprocal).  The
+    engine is Table 1's 32 x 32 array with these numerics; every layer the
+    quantizer is set on shares it (and its plan cache).
     """
 
     numerics: NumericsConfig = None  # type: ignore[assignment]
@@ -41,45 +45,7 @@ class AttentionQuantizer:
     def __post_init__(self) -> None:
         if self.numerics is None:
             self.numerics = NumericsConfig()
-        self.datapath = Datapath(self.numerics)
-
-    # -- quantisers with straight-through gradients ---------------------
-    def quant_input(self, x: Tensor) -> Tensor:
-        return x.fake_quant(self.datapath.quantize_input)
-
-    def quant_prob(self, p: Tensor) -> Tensor:
-        return p.fake_quant(self.datapath.quantize_prob)
-
-    def quant_output(self, o: Tensor) -> Tensor:
-        return o.fake_quant(self.datapath.quantize_output)
-
-    # -- hardware special functions with surrogate gradients ------------
-    def exp(self, s: Tensor, mask: np.ndarray) -> Tensor:
-        """PWL exponential; masked cells emit 0 and receive no gradient."""
-        datapath = self.datapath
-        lo = self.numerics.exp_input_lo
-        hi = self.numerics.exp_input_hi
-
-        def forward(x: np.ndarray) -> np.ndarray:
-            return np.where(mask, datapath.exp(x), 0.0)
-
-        def grad(x: np.ndarray, y: np.ndarray, g: np.ndarray) -> np.ndarray:
-            inside = (x >= lo) & (x <= hi) & mask
-            return g * np.exp(np.clip(x, lo, hi)) * inside
-
-        return s.custom_unary(forward, grad)
-
-    def recip(self, w: Tensor) -> Tensor:
-        """LUT reciprocal with the exact ``-1/w^2`` surrogate gradient."""
-        datapath = self.datapath
-
-        def forward(x: np.ndarray) -> np.ndarray:
-            return datapath.recip(np.maximum(x, 1e-30))
-
-        def grad(x: np.ndarray, y: np.ndarray, g: np.ndarray) -> np.ndarray:
-            return -g / np.maximum(x, 1e-30) ** 2
-
-        return w.custom_unary(forward, grad)
+        self.salo = SALO(HardwareConfig(numerics=self.numerics))
 
 
 class SparseMultiHeadAttention(Module):
@@ -96,7 +62,8 @@ class SparseMultiHeadAttention(Module):
     dropout:
         Attention-output dropout probability.
     quantizer:
-        When set, the forward pass uses the SALO fixed-point datapath.
+        When set, the attention runs on the quantizer's SALO engine; a
+        pattern the engine cannot schedule raises ``ValueError`` here.
     """
 
     def __init__(
@@ -121,46 +88,60 @@ class SparseMultiHeadAttention(Module):
         self.wv = Linear(dim, dim, rng)
         self.wo = Linear(dim, dim, rng)
         self.drop = Dropout(dropout, rng)
-        self.quantizer = quantizer
+        self.set_quantizer(quantizer)
 
     # ------------------------------------------------------------------
     def set_quantizer(self, quantizer: Optional[AttentionQuantizer]) -> None:
-        """Swap the numeric mode (None = float)."""
+        """Swap the numeric mode (None = float).
+
+        The pattern is scheduled on the quantizer's engine once, here, so
+        a pattern SALO cannot run fails now rather than inside a step.
+        """
+        if quantizer is not None:
+            try:
+                quantizer.salo.estimate(self.pattern, heads=self.heads, head_dim=self.head_dim)
+            except SchedulerError as exc:
+                raise ValueError(
+                    f"{type(self.pattern).__name__} cannot run on the SALO engine: {exc}"
+                ) from exc
         self.quantizer = quantizer
 
     def _split_heads(self, x: Tensor, batch: int, n: int) -> Tensor:
         return x.reshape(batch, n, self.heads, self.head_dim).transpose(1, 2)
 
+    def _masked_attention(self, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+        """Float masked attention on ``(batch, n, dim)`` projections."""
+        batch, n, _ = q.shape
+        q, k, v = (self._split_heads(t, batch, n) for t in (q, k, v))
+        scores = (q @ k.transpose(-1, -2)) * (1.0 / np.sqrt(self.head_dim))
+        probs = scores.masked_fill(~self.mask, _NEG_INF).softmax(axis=-1)
+        return (probs @ v).transpose(1, 2).reshape(batch, n, self.dim)
+
     def forward(self, x: Tensor) -> Tensor:
         """(batch, n, dim) → (batch, n, dim); also accepts unbatched
         ``(n, dim)`` input, which is routed through the batched path as a
-        batch of one and returned unbatched."""
+        batch of one and returned unbatched.
+
+        Under a quantizer the attention is one batched ``SALO.attend``
+        dispatch.  With grad enabled its output replaces the float
+        attention's value while the gradient stays the float graph's
+        (straight-through); under ``no_grad`` only the engine runs.
+        """
         if x.ndim == 2:
             n, dim = x.shape
             return self.forward(x.reshape(1, n, dim)).reshape(n, dim)
-        batch, n, _ = x.shape
+        n = x.shape[1]
         if n != self.pattern.n:
             raise ValueError(f"pattern is for n={self.pattern.n}, input has n={n}")
-        q = self._split_heads(self.wq(x), batch, n)
-        k = self._split_heads(self.wk(x), batch, n)
-        v = self._split_heads(self.wv(x), batch, n)
-        scale = 1.0 / np.sqrt(self.head_dim)
-
+        q, k, v = self.wq(x), self.wk(x), self.wv(x)
         if self.quantizer is None:
-            scores = (q @ k.transpose(-1, -2)) * scale
-            scores = scores.masked_fill(~self.mask, _NEG_INF)
-            probs = scores.softmax(axis=-1)
-            ctx = probs @ v
+            ctx = self._masked_attention(q, k, v)
         else:
-            qz = self.quantizer.quant_input(q)
-            kz = self.quantizer.quant_input(k)
-            vz = self.quantizer.quant_input(v)
-            scores = (qz @ kz.transpose(-1, -2)) * scale
-            e = self.quantizer.exp(scores, self.mask)
-            w = e.sum(axis=-1, keepdims=True)
-            inv = self.quantizer.recip(w)
-            probs = self.quantizer.quant_prob(e * inv)
-            ctx = self.quantizer.quant_output(probs @ vz)
-
-        ctx = ctx.transpose(1, 2).reshape(batch, n, self.dim)
+            out = self.quantizer.salo.attend(
+                self.pattern, q.data, k.data, v.data, heads=self.heads
+            ).output
+            if is_grad_enabled():
+                ctx = self._masked_attention(q, k, v).fake_quant(lambda _: out)
+            else:
+                ctx = Tensor(out)
         return self.drop(self.wo(ctx))

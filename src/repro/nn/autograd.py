@@ -400,35 +400,17 @@ class Tensor:
         return Tensor._make(out_data, (a,), backward)
 
     def fake_quant(self, fn: Callable[[np.ndarray], np.ndarray]) -> "Tensor":
-        """Apply a quantiser in the forward pass, identity gradient (STE)."""
+        """Forward value ``fn(data)``, identity gradient (straight-through).
+
+        ``fn`` may ignore its argument: the quantised attention passes the
+        SALO engine's output this way, keeping the float graph's gradient.
+        """
         a = self
         out_data = fn(a.data)
 
         def backward(grad: np.ndarray) -> None:
             if a.requires_grad:
                 a._accumulate(grad)
-
-        return Tensor._make(out_data, (a,), backward)
-
-    def custom_unary(
-        self,
-        forward_fn: Callable[[np.ndarray], np.ndarray],
-        grad_fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    ) -> "Tensor":
-        """Elementwise op with a hand-written gradient.
-
-        ``forward_fn(x)`` produces the output; ``grad_fn(x, y, g)`` maps the
-        upstream gradient ``g`` (with access to input ``x`` and output
-        ``y``) to the input gradient.  Used to give hardware-approximate
-        functions (PWL exp, LUT reciprocal) smooth surrogate gradients
-        during quantisation-aware finetuning.
-        """
-        a = self
-        out_data = forward_fn(a.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if a.requires_grad:
-                a._accumulate(grad_fn(a.data, out_data, grad))
 
         return Tensor._make(out_data, (a,), backward)
 

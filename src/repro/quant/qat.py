@@ -7,10 +7,12 @@ replays the protocol on our substrate:
 
 1. train a float sparse-attention classifier on a synthetic task;
 2. evaluate the float model ("Original");
-3. swap every attention layer to the SALO fixed-point datapath and
-   evaluate directly (post-training quantisation);
-4. finetune briefly with straight-through gradients (QAT) and evaluate
-   ("Quantized").
+3. set one :class:`AttentionQuantizer` on every attention layer, so each
+   attention runs on its SALO engine (the 32 x 32 array of Table 1 with
+   Q8.4 numerics), and evaluate directly (post-training quantisation);
+4. finetune briefly (QAT): the forward value is the engine's output and
+   the gradient the float masked attention's (straight-through), then
+   evaluate ("Quantized").
 
 The claim under test is the paper's: the quantised accuracy lands within
 a few tenths of a point of the original.
@@ -97,7 +99,7 @@ def run_quantization_study(
     model.set_quantizer(quantizer)
     ptq = evaluate_accuracy(model, test_x, test_y)
 
-    # 4: quantisation-aware finetuning (STE gradients through quantisers).
+    # 4: quantisation-aware finetuning (engine forward, float gradient).
     if qat_steps > 0:
         train_classifier(
             model, sampler, steps=qat_steps, batch=batch, lr=lr * 0.1, lr_decay=False

@@ -36,7 +36,8 @@ settings.load_profile(
 #: cells it then discards; a ``recip(0)`` or ``inf * 0`` there would be
 #: silent, so in these suites a RuntimeWarning is an error.  The cluster,
 #: advisor and transport suites join them: their reports are ratios and
-#: percentiles, where a ``0 / 0`` would be just as silent.
+#: percentiles, where a ``0 / 0`` would be just as silent.  ``nn`` and
+#: ``quant`` run the engine as the quantised attention forward.
 _STRICT_WARNING_SUITES = tuple(
     str(Path(__file__).parent / suite)
     for suite in (
@@ -50,6 +51,8 @@ _STRICT_WARNING_SUITES = tuple(
         "cluster",
         "advisor",
         "transport",
+        "nn",
+        "quant",
         "test_properties.py",
     )
 )

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from repro.baselines.sparse_reference import masked_attention
+from repro.core.config import NumericsConfig
+from repro.core.salo import SALO
 from repro.nn.attention import AttentionQuantizer, SparseMultiHeadAttention
-from repro.nn.autograd import Tensor
-from repro.patterns.library import longformer_pattern
+from repro.nn.autograd import Tensor, no_grad
+from repro.patterns.library import longformer_pattern, vil_pattern
+from repro.patterns.mask_ops import ExplicitMaskPattern
 from repro.patterns.window import SlidingWindowPattern
 
 
@@ -95,21 +98,92 @@ class TestQuantizedForward:
         assert layer.quantizer is None
 
 
-class TestQuantizerComponents:
-    def test_exp_masks_cells(self):
-        qz = AttentionQuantizer()
-        s = Tensor(np.zeros((2, 2)))
-        mask = np.array([[True, False], [True, True]])
-        out = qz.exp(s, mask).data
-        assert out[0, 1] == 0.0 and out[0, 0] > 0.5
+def _engine_layer(pattern, quantizer=None, dim=16, heads=2, seed=0):
+    """Layer whose output is its attention: identity ``wo``, zero bias."""
+    layer = SparseMultiHeadAttention(
+        dim, heads, pattern, np.random.default_rng(seed), quantizer=quantizer
+    )
+    layer.wo.weight.data[...] = np.eye(dim)
+    layer.wo.bias.data[...] = 0.0
+    return layer
 
-    def test_recip_matches_inverse(self):
-        qz = AttentionQuantizer()
-        w = Tensor(np.array([2.0, 8.0]))
-        out = qz.recip(w).data
-        assert np.allclose(out, [0.5, 0.125], rtol=0.01)
 
-    def test_input_quant_granularity(self):
-        qz = AttentionQuantizer()
-        out = qz.quant_input(Tensor(np.array([0.3]))).data
-        assert out[0] * 16 == np.rint(out[0] * 16)
+_ENGINE_PATTERNS = {
+    "longformer": longformer_pattern(64, 16, (0,)),
+    "vil": vil_pattern(8, 8, 3, (0,)),
+}
+
+
+class TestEngineForward:
+    """The quantised forward value *is* ``SALO.attend`` on the projections."""
+
+    @pytest.mark.parametrize("name", sorted(_ENGINE_PATTERNS))
+    @pytest.mark.parametrize("shape", [(3, 64, 16), (64, 16)], ids=["batched", "unbatched"])
+    def test_eval_forward_is_engine(self, name, shape):
+        pattern = _ENGINE_PATTERNS[name]
+        layer = _engine_layer(pattern, AttentionQuantizer()).eval()
+        x = Tensor(np.random.default_rng(9).standard_normal(shape))
+        with no_grad():
+            out = layer(x).data
+            q, k, v = (lin(x).data for lin in (layer.wq, layer.wk, layer.wv))
+        ref = SALO().attend(pattern, q, k, v, heads=layer.heads).output
+        assert np.array_equal(out, ref)
+
+    def test_ste_value_is_engine_gradient_is_float(self):
+        """With grad on, the value is the engine's and every gradient the
+        value does not feed (all but ``wo.weight``'s) is the float layer's."""
+        pattern = _ENGINE_PATTERNS["longformer"]
+        rng = np.random.default_rng(10)
+        x_data = rng.standard_normal((2, 64, 16))
+        upstream = rng.standard_normal((2, 64, 16))
+
+        def run(quantizer):
+            layer = _engine_layer(pattern, quantizer)
+            x = Tensor(x_data, requires_grad=True)
+            out = layer(x)
+            (out * Tensor(upstream)).sum().backward()
+            grads = dict(layer.named_parameters())
+            del grads["wo.weight"]
+            return layer, out.data, x.grad, {k: p.grad for k, p in grads.items()}
+
+        layer, out, x_grad, grads = run(AttentionQuantizer())
+        _, float_out, float_x_grad, float_grads = run(None)
+        q, k, v = (lin(Tensor(x_data)).data for lin in (layer.wq, layer.wk, layer.wv))
+        assert np.array_equal(out, SALO().attend(pattern, q, k, v, heads=2).output)
+        assert not np.array_equal(out, float_out)
+        assert np.array_equal(x_grad, float_x_grad)
+        for name, grad in grads.items():
+            assert np.array_equal(grad, float_grads[name]), name
+
+    def test_exact_numerics_match_float_layer(self):
+        pattern = _ENGINE_PATTERNS["longformer"]
+        x = Tensor(np.random.default_rng(11).standard_normal((2, 64, 16)))
+        float_out = _engine_layer(pattern)(x).data
+        exact = _engine_layer(pattern, AttentionQuantizer(NumericsConfig.exact()))
+        assert np.allclose(exact(x).data, float_out, atol=1e-10)
+
+
+class TestRefusedAtTheDoor:
+    """A pattern the engine cannot schedule fails when the quantizer is set."""
+
+    def test_mask_only_pattern(self):
+        pattern = ExplicitMaskPattern(np.tril(np.ones((12, 12), dtype=bool)))
+        with pytest.raises(ValueError, match="ExplicitMaskPattern.*band structure"):
+            _layer(pattern=pattern, quantizer=AttentionQuantizer())
+        layer = _layer(pattern=pattern)
+        with pytest.raises(ValueError, match="ExplicitMaskPattern"):
+            layer.set_quantizer(AttentionQuantizer())
+        assert layer.quantizer is None
+
+    def test_globals_past_the_bound(self):
+        pattern = longformer_pattern(64, 8, (0, 1))  # bound is 1 on 32x32
+        layer = _layer(n=64, pattern=pattern)
+        with pytest.raises(ValueError, match="HybridSparsePattern.*exceed the supported bound"):
+            layer.set_quantizer(AttentionQuantizer())
+
+    def test_float_mode_accepts_mask_only_pattern(self):
+        mask = np.tril(np.ones((12, 12), dtype=bool))
+        layer = _layer(pattern=ExplicitMaskPattern(mask))
+        x = np.random.default_rng(12).standard_normal((12, 8))
+        out = layer(Tensor(x[None])).data[0]
+        assert out.shape == (12, 8) and np.all(np.isfinite(out))

@@ -131,12 +131,6 @@ class TestCustomOps:
         out.sum().backward()
         assert np.allclose(t.grad, 1.0)
 
-    def test_custom_unary_uses_grad_fn(self):
-        t = Tensor(np.array([2.0]), requires_grad=True)
-        out = t.custom_unary(lambda x: x**2, lambda x, y, g: g * 2 * x)
-        out.backward()
-        assert t.grad[0] == pytest.approx(4.0)
-
     def test_masked_fill_blocks_grad(self):
         t = Tensor(np.ones((2, 2)), requires_grad=True)
         mask = np.array([[True, False], [False, False]])
