@@ -127,6 +127,10 @@ class SparseMultiHeadAttention(Module):
         attention's value while the gradient stays the float graph's
         (straight-through); under ``no_grad`` only the engine runs.
         """
+        if x.ndim not in (2, 3):
+            raise ValueError(f"expected (n, dim) or (batch, n, dim) input, got shape {x.shape}")
+        if x.shape[-1] != self.dim:
+            raise ValueError(f"layer is for dim={self.dim}, input has dim={x.shape[-1]}")
         if x.ndim == 2:
             n, dim = x.shape
             return self.forward(x.reshape(1, n, dim)).reshape(n, dim)

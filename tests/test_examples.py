@@ -6,6 +6,14 @@ from pathlib import Path
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
+def test_end_to_end_encoder_host_flops_formula():
+    host_flops = runpy.run_path(str(EXAMPLES / "end_to_end_encoder.py"), run_name="example")["host_flops"]
+    n, dim = 24, 16
+    proj = 4 * n * dim * dim
+    ffn = 2 * n * dim * 4 * dim
+    assert host_flops(n, dim) == 2 * (proj + ffn)
+
+
 def test_end_to_end_encoder_prints_salo_layers_and_split(capsys):
     runpy.run_path(str(EXAMPLES / "end_to_end_encoder.py"), run_name="example")["main"]()
     lines = capsys.readouterr().out.splitlines()
