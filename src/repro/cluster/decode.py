@@ -162,6 +162,7 @@ class _Seq:
     def __init__(self, request_id, spec, slo, arrival_s, prompt_n, target_tokens):
         self.request_id = request_id
         self.spec = spec
+        self.bands = spec.bands()
         self.heads = spec.heads
         self.head_dim = spec.head_dim
         self.slo = slo
@@ -185,6 +186,13 @@ class _Seq:
     def remaining(self) -> int:
         return self.target_tokens - self.produced
 
+    def group_key(self) -> Tuple:
+        """What lanes share to step in one engine call: bands, active
+        global set, heads, hidden."""
+        n = self.length
+        active = tuple(g for g in self.spec.global_tokens if g < n)
+        return self.bands, active, self.heads, self.heads * self.head_dim
+
 
 def _split(items, predicate) -> Tuple[list, list]:
     """``(matching, rest)`` of ``items``, each in the order given."""
@@ -195,15 +203,23 @@ def _split(items, predicate) -> Tuple[list, list]:
 
 
 class _StepBatch(Batch):
-    """The lanes of one decode step, launched like any batch."""
+    """One group's lanes in one decode step, launched like any batch.
 
-    def __init__(self, lanes: List[_Seq], pattern: HybridSparsePattern) -> None:
-        # one band structure per run: (bucket, active globals) names the plan
-        super().__init__(lanes, key=(pattern.n, pattern.global_tokens()), bucket=pattern.n)
-        self._pattern = pattern
+    ``key`` is ``(bucket,) + group key``; ``starts`` are the lanes'
+    :func:`step_window` starts at that bucket.
+    """
+
+    def __init__(self, lanes: list, key: Tuple, starts: List[int], bucket: int,
+                 policy: "ContinuousBatching") -> None:
+        super().__init__(lanes, key=(bucket,) + key, bucket=bucket)
+        self.starts = starts
+        self._policy = policy
 
     def execution_pattern(self) -> HybridSparsePattern:
-        return self._pattern
+        """The full-bucket step plan: the cost model does not leave out
+        the step plan's unwanted query blocks."""
+        _, bands, active, _, _ = self.key
+        return self._policy.pattern(bands, active, self.bucket)
 
     def plan_key(self) -> Tuple:
         return self.key
@@ -219,6 +235,7 @@ class _LaneQueue:
         self.max_batch_size = max_lanes
         self.waiting: Deque[_Seq] = deque()
         self.lanes: List[_Seq] = []
+        self.round: Deque[_StepBatch] = deque()  # this step's groups not yet launched
         self.tokens = 0  # tokens this worker's lanes have yielded
 
     @property
@@ -268,10 +285,16 @@ class DecodeSimConfig:
 
 
 class ContinuousBatching(BatchPolicy):
-    """One consultation is one step boundary, as in
-    :class:`repro.decode.DecodeScheduler`: TTFT-doomed waiters and
-    ITL-lagging lanes are shed, waiters join the free lanes, and the
-    lanes close into the next step."""
+    """The one decision of every decode step, simulated or real.
+
+    A step is a *round* of consultations.  The round's first one sheds
+    TTFT-doomed waiters and ITL-lagging lanes, joins waiters into the
+    free lanes and splits the lanes into groups by
+    :meth:`_Seq.group_key` (a lane that has not yet grown past a global
+    token steps apart from one that has); each group closes into a step
+    batch at the widest :func:`step_window` bucket among its lanes.  The
+    round's later consultations launch the remaining groups, one each.
+    """
 
     name = "continuous"
 
@@ -280,26 +303,31 @@ class ContinuousBatching(BatchPolicy):
         self.config = config
         self._patterns: Dict[Tuple, HybridSparsePattern] = {}
 
-    def step_pattern(self, spec, lengths: Sequence[int]) -> HybridSparsePattern:
-        """The plan one step over lanes of these lengths is costed at, by
-        the rule of :meth:`repro.decode.DecodeScheduler.step`: globals
-        every lane has grown past are active, and the bucket is the
-        widest :func:`step_window` over the lanes.  Costed at the full
-        bucket: the cost model does not leave out the step plan's
-        unwanted query blocks."""
-        shortest = min(lengths)
-        active = tuple(g for g in spec.global_tokens if g < shortest)
-        bands = spec.bands()
-        floor = self.config.bucket_floor
-        bucket = max(step_window(bands, active, n, floor)[1] for n in lengths)
-        key = (bucket, active)
+    def pattern(self, bands: Tuple[Band, ...], active: Tuple[int, ...], bucket: int,
+                first_query: int = 0) -> HybridSparsePattern:
+        """The step plan at ``bucket`` (cached: one object per plan)."""
+        key = (bands, active, bucket, first_query)
         pat = self._patterns.get(key)
         if pat is None:
-            pat = decode_pattern(bands, active, bucket, bucket)
-            self._patterns[key] = pat
+            pat = self._patterns[key] = decode_pattern(bands, active, bucket, bucket, first_query)
         return pat
 
+    def _round(self, lanes: list) -> Deque[_StepBatch]:
+        groups: Dict[Tuple, list] = {}
+        for lane in lanes:
+            groups.setdefault(lane.group_key(), []).append(lane)
+        floor = self.config.bucket_floor
+        batches: Deque[_StepBatch] = deque()
+        for key in sorted(groups, key=repr):
+            members = groups[key]
+            windows = [step_window(key[0], key[1], lane.length, floor) for lane in members]
+            starts = [start for start, _ in windows]
+            batches.append(_StepBatch(members, key, starts, max(b for _, b in windows), self))
+        return batches
+
     def next_batch(self, queue: _LaneQueue, now: float) -> BatchDecision:
+        if queue.round:
+            return BatchDecision(batch=queue.round.popleft())
         cfg = self.config
         shed = queue.prune(lambda s: s.deadline_s is not None and now - s.arrival_s > s.deadline_s)
         if cfg.shed_lagging:
@@ -316,8 +344,8 @@ class ContinuousBatching(BatchPolicy):
             queue.lanes.append(seq)
         if not queue.lanes:
             return BatchDecision(shed=tuple(shed))
-        pattern = self.step_pattern(queue.lanes[0].spec, [s.length for s in queue.lanes])
-        return BatchDecision(batch=_StepBatch(queue.lanes, pattern), shed=tuple(shed))
+        queue.round = self._round(queue.lanes)
+        return BatchDecision(batch=queue.round.popleft(), shed=tuple(shed))
 
 
 @dataclass
@@ -462,6 +490,14 @@ class DecodeClusterSimulator(ControlPlane):
         clock = cfg.service if cfg.service is not None else CostModelClock()
         self.executor = SimulatedExecutor(clock, cfg.faults, cfg.workers)
 
+    def _one_step(self, spec: DecodeWorkloadSpec, lengths: Sequence[int]) -> HybridSparsePattern:
+        """A step over lanes of these lengths taken as one group: globals
+        every lane has grown past are active, at the widest step bucket."""
+        active = tuple(g for g in spec.global_tokens if g < min(lengths))
+        floor = self.sim_config.bucket_floor
+        bucket = max(step_window(spec.bands(), active, n, floor)[1] for n in lengths)
+        return self.config.policy.pattern(spec.bands(), active, bucket)
+
     def _admission_context(self, worker: Worker, request: _Seq, now: float) -> AdmissionContext:
         """A new sequence starts decoding once a lane is free.  Lanes free
         in remaining-token order, so the wait for the ``k``-th queued
@@ -473,7 +509,7 @@ class DecodeClusterSimulator(ControlPlane):
             # an idle worker's first step: one lane, anywhere in the prompt range
             lengths = [s.length for s in lanes] or [spec.prompt_min, spec.prompt_max]
             stats = worker.salo.estimate(
-                self.config.policy.step_pattern(spec, lengths),
+                self._one_step(spec, lengths),
                 heads=spec.heads,
                 head_dim=spec.head_dim,
             )
@@ -525,7 +561,7 @@ class DecodeClusterSimulator(ControlPlane):
         top = spec.prompt_max + spec.max_new_tokens - 1  # longest history a step sees
         points = {min(max(g + 1, spec.prompt_min), top) for g in spec.global_tokens}
         for n in sorted(points | {top}):
-            pattern = self.config.policy.step_pattern(spec, [n])
+            pattern = self._one_step(spec, [n])
             try:
                 probe.estimate(pattern, heads=spec.heads, head_dim=spec.head_dim)
             except SchedulerError as exc:

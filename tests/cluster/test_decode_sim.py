@@ -71,10 +71,12 @@ _PINNED = {
                      admission=make_admission("est-wait", slack=1.0)),
         "9bdbbaa659262788a68cb8243b17ced105a6fe95a7832d4d45705066bb660c5b",
     ),
+    # Lanes on either side of global token 20 step as two groups (two
+    # launches, two batch overheads), as DecodeScheduler runs them.
     "overload-global": (
         lambda: DecodeWorkloadSpec(**_OVERLOAD),
         lambda: dict(workers=2, max_lanes=4),
-        "b4c5eef15e3bde0a79be087cb2229e6e0a7cfe7931c39c232619b2a51e81e9c2",
+        "e6f3d8c9b2a87c13b34df45199aee81e16e890cae481eed604c491dc6e378e63",
     ),
     "overload-depth-cap": (
         lambda: DecodeWorkloadSpec(**_OVERLOAD),
