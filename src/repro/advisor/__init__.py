@@ -1,8 +1,8 @@
 """Provisioning advisor: config search, ablation, decision packs.
 
-The decision layer over the cluster simulator (ROADMAP direction 4).
-Given a declarative :class:`TrafficSpec` — arrival process, request
-mix, SLO classes with deadline budgets, feasibility targets — the
+The decision layer over the cluster simulator.  Given a declarative
+:class:`TrafficSpec` — arrival process, request mix, SLO classes with
+deadline budgets, feasibility targets — the
 advisor searches a :class:`SearchSpace` of deployable configurations on
 the deterministic cost-model clock, ranks them cheapest-feasible-first
 with per-constraint margins and load headroom, scores each ranked

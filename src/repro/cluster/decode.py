@@ -1,38 +1,50 @@
-"""Prefill/decode phase separation: decode as a workload shape on the plane.
+"""Decode on the control plane: one continuous-batching policy, two executors.
 
 A one-shot request arrives with its full Q/K/V and leaves after one
 service; a *decode* sequence arrives with a prompt, produces its first
 token when its first step completes (prefill), then holds a lane for
 one engine step per generated token until its output budget is met.
-Nothing here owns an event loop: :class:`DecodeClusterSimulator` is a
-:class:`~repro.cluster.simulator.ControlPlane` front on the simulated
-executor, and decode is two readings of the plane's own nouns:
+Nothing here owns an event loop; decode is two readings of the plane's
+own nouns:
 
-* **a sequence is a request that holds a lane** — drawn by
-  :class:`DecodeWorkloadSpec` (prompt lengths, geometric capped output
-  budgets, ITL SLO classes; one seeded RNG stream), routed and admitted
+* **a sequence is a request that holds a lane** — routed and admitted
   like any request, then resident in its worker's lane queue — waiting
   for a lane, or in one with its KV — until its last token;
-* **a step is a launch** — at each consultation
-  :class:`ContinuousBatching` sheds what can no longer meet its SLO
-  (TTFT-doomed waiters; lanes whose inter-token gap blew past their ITL
-  budget — produced tokens stay completed, the remainder is shed), joins
-  waiters into free lanes and closes the lanes into one step batch at
-  the bucket :func:`repro.decode.step_window` gives the real scheduler.
-  The clock charges ``latency(step pattern) x lanes + batch overhead
-  (+ cold compile)``; stragglers and transient faults hit it like any
-  launch; a served step is one token per lane, a failed one retries *in
-  place* against each sequence's retry budget (exhausted: ``failed``
-  with its unproduced tokens).
+* **a step is a round of launches** — :class:`ContinuousBatching` sheds
+  what can no longer meet its SLO (TTFT-doomed waiters; lanes whose
+  inter-token gap blew past their ITL budget — produced tokens stay
+  completed, the remainder is shed), joins waiters into free lanes and
+  splits the lanes into the groups one engine call can serve (bands,
+  active global set, heads, hidden); each group launches once, at the
+  widest :func:`repro.decode.step_window` bucket among its lanes.  A
+  served launch is one token per lane.
 
-Reported: time-to-first-token (TTFT), inter-token latency (ITL) p50/p99,
-tokens/s and time-weighted concurrency, per run and per SLO class.
-Conserved: the four-way sequence law (``submitted == completed +
-rejected + shed + failed``) plus a token law for admitted sequences —
-every target token is exactly one of completed, shed, or failed.
-Admission reuses :mod:`repro.serving.admission` through a lane-drain
-estimate: the wait is the time until enough lanes retire, the service is
-the first step — so ``est-wait`` gates on TTFT feasibility.
+That policy and lane queue (:func:`lane_plane`) decide every step of
+two fronts:
+
+* :class:`DecodeClusterSimulator` — sequences drawn by
+  :class:`DecodeWorkloadSpec` (prompt lengths, geometric capped output
+  budgets, ITL SLO classes; one seeded RNG stream) on the cost-model
+  clock, which charges ``latency(full-bucket step plan) x lanes + batch
+  overhead (+ cold compile)``; stragglers and transient faults hit a
+  launch like any other, and a failed one retries *in place* against
+  each sequence's retry budget (exhausted: ``failed`` with its
+  unproduced tokens);
+* :class:`repro.decode.DecodeScheduler` — real sequences on
+  :class:`~repro.cluster.pool.MeasuredClock`: a launch runs
+  :meth:`_StepBatch.execute`, the lanes' step windows on the engine at
+  the step plan, whose first query it derives from the lanes' valid
+  lengths.
+
+Reported by the simulator: time-to-first-token (TTFT), inter-token
+latency (ITL) p50/p99, tokens/s and time-weighted concurrency, per run
+and per SLO class.  Conserved: the four-way sequence law (``submitted ==
+completed + rejected + shed + failed``) plus a token law for admitted
+sequences — every target token is exactly one of completed, shed, or
+failed.  Admission reuses :mod:`repro.serving.admission` through a
+lane-drain estimate: the wait is the time until enough lanes retire,
+the service is the first step — so ``est-wait`` gates on TTFT
+feasibility.
 """
 
 from __future__ import annotations
@@ -44,7 +56,7 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.salo import SALO
-from ..decode.session import decode_pattern, step_window
+from ..decode.session import _step_first_query, decode_pattern, step_window
 from ..patterns.base import Band
 from ..patterns.hybrid import HybridSparsePattern
 from ..scheduler import SchedulerError
@@ -224,6 +236,22 @@ class _StepBatch(Batch):
     def plan_key(self) -> Tuple:
         return self.key
 
+    def execute(self, engine) -> Tuple[List[np.ndarray], list]:
+        """Attend the step windows of the lanes' KV histories (a real
+        lane is a :class:`~repro.decode.session.KVState`) on ``engine``;
+        returns each lane's new-token row.  Each lane keeps
+        row ``valid - 1``, so the plan starts its queries at the block
+        holding the lowest of them (:func:`_step_first_query`)."""
+        _, bands, active, heads, _ = self.key
+        lanes, bucket = self.requests, self.bucket
+        valid = [lane.length - start for lane, start in zip(lanes, self.starts)]
+        first = _step_first_query(active, bucket, min(valid), self._policy.config.bucket_floor)
+        windows = [lane.window(start, bucket) for lane, start in zip(lanes, self.starts)]
+        q, k, v = (np.stack(rows) for rows in zip(*windows))
+        result = engine.attend(self._policy.pattern(bands, active, bucket, first), q, k, v,
+                               heads=heads, valid_lens=valid)
+        return [result.output[i, n - 1] for i, n in enumerate(valid)], [result] * self.size
+
 
 class _LaneQueue:
     """A decode worker's queue — waiters and lanes — speaking what the
@@ -243,7 +271,7 @@ class _LaneQueue:
         return len(self.waiting)
 
     def group_key(self, seq: _Seq) -> None:
-        return None  # one structure per run: affinity has nothing to tell apart
+        return None  # lanes route by (depth, wid), not by structure
 
     def enqueue(self, seq: _Seq) -> None:
         self.waiting.append(seq)
@@ -346,6 +374,25 @@ class ContinuousBatching(BatchPolicy):
             return BatchDecision(shed=tuple(shed))
         queue.round = self._round(queue.lanes)
         return BatchDecision(batch=queue.round.popleft(), shed=tuple(shed))
+
+
+def lane_plane(cfg: DecodeSimConfig) -> dict:
+    """:class:`ControlPlane` arguments of a decode front, simulated or
+    real: a lane queue per worker under :class:`ContinuousBatching`."""
+    return dict(
+        config=ControlConfig(
+            workers=cfg.workers,
+            max_batch_size=cfg.max_lanes,
+            bucket_floor=cfg.bucket_floor,
+            steal=False,  # a lane's KV lives on the worker it was routed to
+            affinity_miss_prob=1.0,  # lanes do not route by structure: by (depth, wid)
+            policy=ContinuousBatching(cfg),  # drop_expired stays off: TTFT sheds at steps
+            admission=cfg.admission if cfg.admission is not None else AdmitAll(),
+            recovery=RecoveryConfig(max_retries=cfg.max_retries),
+        ),
+        salo_factory=cfg.salo_factory,
+        queue_factory=lambda: _LaneQueue(cfg.max_lanes),
+    )
 
 
 @dataclass
@@ -473,20 +520,7 @@ class DecodeClusterSimulator(ControlPlane):
 
     def __init__(self, config: Optional[DecodeSimConfig] = None) -> None:
         self.sim_config = cfg = config if config is not None else DecodeSimConfig()
-        super().__init__(
-            ControlConfig(
-                workers=cfg.workers,
-                max_batch_size=cfg.max_lanes,
-                bucket_floor=cfg.bucket_floor,
-                steal=False,  # a lane's KV lives on the worker it was routed to
-                affinity_miss_prob=1.0,  # one structure per run: route by (depth, wid)
-                policy=ContinuousBatching(cfg),  # drop_expired stays off: TTFT sheds at steps
-                admission=cfg.admission if cfg.admission is not None else AdmitAll(),
-                recovery=RecoveryConfig(max_retries=cfg.max_retries),
-            ),
-            salo_factory=cfg.salo_factory,
-            queue_factory=lambda: _LaneQueue(cfg.max_lanes),
-        )
+        super().__init__(**lane_plane(cfg))
         clock = cfg.service if cfg.service is not None else CostModelClock()
         self.executor = SimulatedExecutor(clock, cfg.faults, cfg.workers)
 

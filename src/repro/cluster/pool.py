@@ -43,7 +43,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.salo import SALO
-from ..serving.batching import Batch, BatchScheduler, execute_batch
+from ..serving.batching import Batch, BatchScheduler
 from ..serving.request import AttentionRequest
 from .faults import WORKER_DOWN, WORKER_UP
 
@@ -486,7 +486,7 @@ class CostModelClock(ServiceModel):
 class MeasuredClock(ServiceModel):
     """Run the batch on the worker's engine; the wall clock is the time.
 
-    ``served`` is what the last batch produced: :func:`execute_batch`'s
+    ``served`` is what the last batch produced: :meth:`Batch.execute`'s
     ``(outputs, results)``, one entry per member in batch order.
     """
 
@@ -498,7 +498,7 @@ class MeasuredClock(ServiceModel):
 
     def service_s(self, worker: Worker, batch: Batch, cold: bool) -> float:
         t0 = self.clock()
-        self.served = execute_batch(worker.salo, batch)
+        self.served = batch.execute(worker.salo)
         return self.clock() - t0
 
 

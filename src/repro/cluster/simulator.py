@@ -46,15 +46,18 @@ launch ships the batch to a real worker (possibly a process that can
 genuinely be ``kill -9``'d) and timers fire when due.
 
 :class:`ClusterSimulator`, :class:`~repro.transport.cluster.
-TransportCluster`, :class:`~repro.cluster.decode.DecodeClusterSimulator`
-and :class:`~repro.serving.session.ServingSession` are thin fronts that
-pick the executor and feed the plane arrivals; routing, admission,
-batching, retry, recovery and the conservation laws the property suite
-pins exist once, here.  Traffic whose requests *stay* — a decode
-sequence holds a lane for one launch per token — overrides one seam,
+TransportCluster`, :class:`~repro.cluster.decode.DecodeClusterSimulator`,
+:class:`~repro.serving.session.ServingSession` and
+:class:`~repro.decode.DecodeScheduler` are thin fronts that pick the
+executor and feed the plane arrivals; routing, admission, batching,
+retry, recovery and the conservation laws the property suite pins exist
+once, here.  Traffic whose requests *stay* — a decode sequence holds a
+lane for one launch per token — overrides one seam,
 :meth:`ControlPlane._complete` (what a served launch means for a
-member), beside the retry and admission-estimate methods; the session
-overrides it to keep each member's output.
+member), beside the retry and admission-estimate methods; the two
+in-process fronts override it to keep each member's output, and their
+``step()`` spends a launch budget so it stops at a batch (session) or a
+round (decode) boundary.
 """
 
 from __future__ import annotations
@@ -274,6 +277,9 @@ class ControlPlane:
                 )
         self._attempts: Dict[Hashable, int] = {}  # request id -> transient failures so far
         self._launches = 0
+        # launches _dispatch may still start: a synchronous front's step()
+        # spends a budget; everything else runs unbounded
+        self._launches_left = math.inf
         self._retries = 0
         self._requeues = 0
         self._probing = False  # a heartbeat sweep is on the heap
@@ -301,7 +307,7 @@ class ControlPlane:
         """
         if not worker.alive or not worker.healthy:
             return
-        while len(worker.launched) < self.executor.slots:
+        while len(worker.launched) < self.executor.slots and self._launches_left > 0:
             decision = self.config.policy.next_batch(worker.queue, now)
             for req in decision.shed:
                 self._shed_now(req, now)
@@ -320,6 +326,7 @@ class ControlPlane:
                 self._mark_down(worker, now)
                 return
             worker.note_dispatch(self._launches, batch, now, service, cold)
+            self._launches_left -= 1
 
     def _feedback(self, request: AttentionRequest, now: float) -> None:
         """Tell the source a request reached a terminal outcome.

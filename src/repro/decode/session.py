@@ -110,7 +110,7 @@ __all__ = ["KVState", "DecodeSession", "decode_pattern", "step_window"]
 # (benchmarks/e2e, decode_stream layer probes) sizes probe lanes from the
 # step bucket it observes and cannot run below 64.  Delete this (and the
 # ``max`` in ``step_window``) once the harness sizes its probe from the
-# scheduler — ROADMAP direction 5.
+# scheduler — ROADMAP item 5.
 _MIN_STEP_ROWS = 64
 
 

@@ -189,6 +189,10 @@ class Batch:
             first.head_dim,
         )
 
+    def execute(self, engine) -> Tuple[List[np.ndarray], List[object]]:
+        """Run the batch on ``engine``: :func:`execute_batch`."""
+        return execute_batch(engine, self)
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Batch(size={self.size}, n={self.n}, bucket={self.bucket})"
 

@@ -54,7 +54,7 @@ class ServingSession(ControlPlane):
         self.salo, self.scheduler = self.worker.salo, self.worker.queue
         self.admission, self.clock = admission, clock
         self.results: Dict[Hashable, RequestResult] = {}
-        self._serial, self._launches_left = 0, 0.0  # step() allows one launch, drain() any
+        self._serial = 0
 
     def submit(self, pattern, q, k, v, heads: int = 1, request_id: Optional[Hashable] = None,
                arrival_s: Optional[float] = None, deadline_s: Optional[float] = None,
@@ -95,17 +95,12 @@ class ServingSession(ControlPlane):
     def _serve(self, launches: float) -> Optional[Batch]:
         if not self.pending:
             return None
-        self._launches_left = launches
+        self._launches_left = launches  # step() allows one launch, drain() any
         now = self.clock()
         self._dispatch(self.worker, now)
         ((batch, _, _),) = self.worker.launched.values()
         self._drive(now)
         return batch
-
-    def _dispatch(self, worker, now: float) -> None:
-        if self._launches_left > 0:
-            self._launches_left -= 1
-            super()._dispatch(worker, now)
 
     def _complete(self, req, batch: Batch, worker, dispatched: float, now: float) -> None:
         """The plane records ``req``'s completion; the session keeps its output."""

@@ -210,8 +210,8 @@ class TestExtremeOperands:
         assert not FunctionalEngine(plan).tiled
 
 
-#: ROADMAP item 5's reproducers: the scheduler drops a zero-work block
-#: from the *middle* of a column group (``pattern, pe_rows, pe_cols``).
+#: Plans whose schedule drops a zero-work block from the *middle* of a
+#: column group, so the group runs in two pieces (``pattern, pe_rows, pe_cols``).
 GAPPED_PLANS = [
     ("all-keys-global", HybridSparsePattern(4, [Band(0, 0, 1)], (1,)), 1, 1),
     ("packed-opposite-ends", HybridSparsePattern(13, [Band(-7, -7, 3), Band(-6, 12, 3)], ()), 1, 2),

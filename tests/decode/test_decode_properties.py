@@ -17,6 +17,10 @@
   (driven by the longest lane) need not match the solo trajectory.
   They are instead covered by the rerun-determinism property, which
   pins that the batched numbers themselves are reproducible.
+* **Conservation through the real front** — with poisoned token
+  sources over two structures, every submitted sequence ends exactly
+  once, in ``completed`` or ``failed``, and the control plane under
+  :class:`DecodeScheduler` counts the same.
 
 Scenarios are tiny (4x4 PE array, prompts <= 12, budgets <= 6) — the
 laws are about bookkeeping and bit-stability, not scale.
@@ -189,6 +193,50 @@ def batch_scenario(draw):
     return requests, joins, max_lanes
 
 
+def _poisoned(at):
+    """Token feedback whose ``at``-th call hands back a non-finite row."""
+    calls = []
+
+    def source(out_row, rng):
+        calls.append(1)
+        q, k, v = default_next_token(out_row, rng)
+        if len(calls) == at:
+            v[0] = np.inf
+        return q, k, v
+
+    return source
+
+
+@st.composite
+def poisoned_scenario(draw):
+    """Two band structures, some token sources poisoned.  Feed ``j`` of a
+    lane calls its source only while ``j < budget``, so a source poisoned
+    at call ``p < budget`` fails its lane with ``p - 1`` rows produced."""
+    num = draw(st.integers(2, 6))
+    requests, rows = [], {}
+    for i in range(num):
+        budget = draw(st.integers(1, 5))
+        poison = draw(st.one_of(st.none(), st.integers(1, 5)))
+        rng = np.random.default_rng((draw(st.integers(0, 50)), i))
+        prompt = draw(st.integers(2, 12))
+        requests.append(
+            DecodeRequest(
+                request_id=f"seq-{i}",
+                pattern=_BANDED[draw(st.sampled_from((0, 2)))],
+                prompt_q=rng.standard_normal((prompt, HIDDEN)),
+                prompt_k=rng.standard_normal((prompt, HIDDEN)),
+                prompt_v=rng.standard_normal((prompt, HIDDEN)),
+                max_new_tokens=budget,
+                heads=HEADS,
+                seed=i,
+                next_token=None if poison is None else _poisoned(poison),
+            )
+        )
+        rows[f"seq-{i}"] = poison - 1 if poison is not None and poison < budget else budget
+    joins = sorted(draw(st.lists(st.integers(0, 4), min_size=num, max_size=num)))
+    return requests, rows, joins, draw(st.integers(1, 4))
+
+
 def _solo(request):
     session = DecodeSession(request.pattern, salo=_salo(), heads=HEADS)
     out = session.prefill(request.prompt_q, request.prompt_k, request.prompt_v)
@@ -221,6 +269,37 @@ class TestJoinRetireDeterminism:
         assert set(sched.completed) == {r.request_id for r in requests}
         for r in requests:
             assert np.array_equal(sched.completed[r.request_id], _solo(r))
+
+    @given(poisoned_scenario())
+    @settings(max_examples=15, deadline=None)
+    def test_every_submitted_sequence_has_exactly_one_fate(self, scenario):
+        """Through the real front, with poisoned token sources over two
+        band structures: every id ends once, in ``completed`` or
+        ``failed``; the plane's metrics agree (``submitted == completed +
+        failed``, nothing left routed); ``tokens`` is the number of output
+        rows produced; lanes that never met their poison equal their solo
+        outputs."""
+        requests, rows, joins, max_lanes = scenario
+        sched = DecodeScheduler(salo=_salo(), max_lanes=max_lanes)
+        pending = list(zip(joins, requests))
+        step = 0
+        while pending or sched.queued or sched.active:
+            while pending and pending[0][0] <= step:
+                sched.submit(pending.pop(0)[1])
+            sched.step()
+            step += 1
+        ids = {r.request_id for r in requests}
+        assert set(sched.completed) | set(sched.failed) == ids
+        assert not set(sched.completed) & set(sched.failed)
+        m = sched.metrics
+        assert m.submitted == len(ids) == len(m.records) + m.failed
+        assert m.rejected == m.shed == 0 and not sched._routed
+        produced = sum(len(out) for out in sched.completed.values())
+        produced += sum(rows[rid] for rid in sched.failed)
+        assert sched.tokens == produced == sum(rows.values())
+        for r in requests:
+            if r.request_id in sched.completed:
+                assert np.array_equal(sched.completed[r.request_id], _solo(r))
 
     @given(batch_scenario())
     @settings(max_examples=8, deadline=None)

@@ -269,6 +269,70 @@ class TestValidation:
         for r in good:
             assert np.array_equal(result.outputs[r.request_id], _solo_outputs(r))
 
+    @pytest.mark.parametrize("case, match", [
+        ("k-rows", r"'seq-bad'.*prompt_k"),
+        ("v-hidden", r"'seq-bad'.*prompt_v"),
+        ("heads", r"'seq-bad'.*heads 3"),
+    ])
+    def test_malformed_prompt_fails_at_the_door(self, case, match):
+        """Prompts no step can attend — K/V shaped unlike Q, heads that do
+        not divide the hidden size — are refused at construction, by
+        name, instead of escaping a later step (the request vanishing)
+        or failing the engine call a healthy batch-mate shares."""
+        good = [_request(i, 4 + i, 4) for i in range(3)]
+        fields = {
+            name: np.array(getattr(good[1], name))
+            for name in ("prompt_q", "prompt_k", "prompt_v")
+        }
+        heads = 3 if case == "heads" else HEADS
+        if case == "k-rows":
+            fields["prompt_k"] = fields["prompt_k"][:-1]
+        elif case == "v-hidden":
+            fields["prompt_v"] = np.zeros((len(fields["prompt_q"]), HIDDEN + 1))
+        with pytest.raises(ValueError, match=match):
+            DecodeRequest(
+                request_id="seq-bad",
+                pattern=good[1].pattern,
+                max_new_tokens=4,
+                heads=heads,
+                **fields,
+            )
+        sched = DecodeScheduler(salo=_salo(), max_lanes=4)
+        for r in good:
+            sched.submit(r)
+        result = sched.run()
+        for r in good:
+            assert np.array_equal(result.outputs[r.request_id], _solo_outputs(r))
+
+    def test_repeated_request_id_is_refused(self):
+        """An id the scheduler holds — queued, active, completed or failed —
+        is refused by name, and the first sequence under it is untouched."""
+        def poisoned(out_row, rng):
+            q, k, v = default_next_token(out_row, rng)
+            k[0] = np.nan
+            return q, k, v
+
+        first = [_request(0, 4, 3), _request(1, 5, 2)]
+        sched = DecodeScheduler(salo=_salo(), max_lanes=1)
+        for r in first:
+            sched.submit(r)
+        with pytest.raises(ValueError, match="'seq-1'"):
+            sched.submit(_request(1, 6, 4))  # queued
+        sched.step()
+        with pytest.raises(ValueError, match="'seq-0'"):
+            sched.submit(_request(0, 6, 4))  # active
+        victim = _request(2, 4, 3)
+        victim.next_token = poisoned
+        sched.submit(victim)
+        result = sched.run()
+        assert set(sched.failed) == {"seq-2"}
+        for rid in ("seq-0", "seq-1", "seq-2"):  # completed, completed, failed
+            with pytest.raises(ValueError, match=f"'{rid}'"):
+                sched.submit(_request(int(rid[-1]), 6, 4))
+        assert sched.tokens == 3 + 2 and not sched.queued and not sched.active
+        for r in first:
+            assert np.array_equal(result.outputs[r.request_id], _solo_outputs(r))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_poisoned_next_token_fails_only_its_lane(self, bad):
         """Token feedback that turns non-finite mid-run drops that lane,

@@ -125,6 +125,21 @@ def test_only_the_control_plane_pops_batches():
     assert callers and all(name.startswith("cluster/") for name in callers), sorted(callers)
 
 
+def test_the_decode_front_neither_attends_nor_decides_steps():
+    """``repro/decode/scheduler.py`` is a front on the control plane:
+    ``ContinuousBatching`` decides each step and the step batch runs it
+    (``repro/cluster/decode.py``).  An engine call or a step-window /
+    step-plan decision in the front is a second decode loop growing back
+    beside the plane."""
+    called = {
+        node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+        for node in ast.walk(_sources()["decode/scheduler.py"])
+        if isinstance(node, ast.Call)
+    }
+    assert {"_admit", "_dispatch"} <= called  # the walk sees the front's calls
+    assert not called & {"attend", "step_window", "decode_pattern"}, sorted(called)
+
+
 def test_the_clock_prices_its_own_cold_penalty():
     """``CostModelClock._cold_penalty_s`` is charged through
     ``service_s``; nothing re-derives a launch's cost around it."""
