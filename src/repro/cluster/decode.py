@@ -206,6 +206,12 @@ class _Seq:
         return self.bands, active, self.heads, self.heads * self.head_dim
 
 
+def _probe(spec: DecodeWorkloadSpec, n: int) -> _Seq:
+    """A sequence at history length ``n`` that no queue holds: what an
+    estimate prices."""
+    return _Seq("probe", spec, spec.slo_classes[0], 0.0, n, 1)
+
+
 def _split(items, predicate) -> Tuple[list, list]:
     """``(matching, rest)`` of ``items``, each in the order given."""
     hit, rest = [], []
@@ -245,7 +251,7 @@ class _StepBatch(Batch):
         _, bands, active, heads, _ = self.key
         lanes, bucket = self.requests, self.bucket
         valid = [lane.length - start for lane, start in zip(lanes, self.starts)]
-        first = _step_first_query(active, bucket, min(valid), self._policy.config.bucket_floor)
+        first = _step_first_query(active, bucket, min(valid), self._policy.bucket_floor)
         windows = [lane.window(start, bucket) for lane, start in zip(lanes, self.starts)]
         q, k, v = (np.stack(rows) for rows in zip(*windows))
         result = engine.attend(self._policy.pattern(bands, active, bucket, first), q, k, v,
@@ -260,6 +266,8 @@ class _LaneQueue:
     is waiters plus lanes."""
 
     def __init__(self, max_lanes: int) -> None:
+        if max_lanes < 1:
+            raise ValueError("max_lanes must be >= 1")
         self.max_batch_size = max_lanes
         self.waiting: Deque[_Seq] = deque()
         self.lanes: List[_Seq] = []
@@ -322,13 +330,15 @@ class ContinuousBatching(BatchPolicy):
     token steps apart from one that has); each group closes into a step
     batch at the widest :func:`step_window` bucket among its lanes.  The
     round's later consultations launch the remaining groups, one each.
+    Lagging lanes are shed only under an ``itl_shed_factor`` (x ITL budget).
     """
 
     name = "continuous"
 
-    def __init__(self, config: DecodeSimConfig) -> None:
+    def __init__(self, bucket_floor: int, itl_shed_factor: Optional[float] = None) -> None:
         super().__init__()
-        self.config = config
+        check_bucket_floor(bucket_floor)
+        self.bucket_floor, self.itl_shed_factor = bucket_floor, itl_shed_factor
         self._patterns: Dict[Tuple, HybridSparsePattern] = {}
 
     def pattern(self, bands: Tuple[Band, ...], active: Tuple[int, ...], bucket: int,
@@ -344,7 +354,7 @@ class ContinuousBatching(BatchPolicy):
         groups: Dict[Tuple, list] = {}
         for lane in lanes:
             groups.setdefault(lane.group_key(), []).append(lane)
-        floor = self.config.bucket_floor
+        floor = self.bucket_floor
         batches: Deque[_StepBatch] = deque()
         for key in sorted(groups, key=repr):
             members = groups[key]
@@ -356,14 +366,14 @@ class ContinuousBatching(BatchPolicy):
     def next_batch(self, queue: _LaneQueue, now: float) -> BatchDecision:
         if queue.round:
             return BatchDecision(batch=queue.round.popleft())
-        cfg = self.config
+        factor = self.itl_shed_factor
         shed = queue.prune(lambda s: s.deadline_s is not None and now - s.arrival_s > s.deadline_s)
-        if cfg.shed_lagging:
+        if factor is not None:
             lagging, queue.lanes = _split(
                 queue.lanes,
                 lambda s: s.slo.itl_deadline_s is not None
                 and s.last_token_s is not None
-                and now - s.last_token_s > cfg.itl_shed_factor * s.slo.itl_deadline_s,
+                and now - s.last_token_s > factor * s.slo.itl_deadline_s,
             )
             shed += lagging
         while queue.waiting and len(queue.lanes) < queue.max_batch_size:
@@ -376,22 +386,25 @@ class ContinuousBatching(BatchPolicy):
         return BatchDecision(batch=queue.round.popleft(), shed=tuple(shed))
 
 
-def lane_plane(cfg: DecodeSimConfig) -> dict:
+def lane_plane(workers: int, max_lanes: int, bucket_floor: int,
+               salo_factory: Callable[[], SALO], itl_shed_factor: Optional[float] = None,
+               admission: Optional[AdmissionPolicy] = None, max_retries: int = 0) -> dict:
     """:class:`ControlPlane` arguments of a decode front, simulated or
     real: a lane queue per worker under :class:`ContinuousBatching`."""
     return dict(
         config=ControlConfig(
-            workers=cfg.workers,
-            max_batch_size=cfg.max_lanes,
-            bucket_floor=cfg.bucket_floor,
+            workers=workers,
+            max_batch_size=max_lanes,
+            bucket_floor=bucket_floor,
             steal=False,  # a lane's KV lives on the worker it was routed to
             affinity_miss_prob=1.0,  # lanes do not route by structure: by (depth, wid)
-            policy=ContinuousBatching(cfg),  # drop_expired stays off: TTFT sheds at steps
-            admission=cfg.admission if cfg.admission is not None else AdmitAll(),
-            recovery=RecoveryConfig(max_retries=cfg.max_retries),
+            # drop_expired stays off: TTFT sheds at steps
+            policy=ContinuousBatching(bucket_floor, itl_shed_factor),
+            admission=admission if admission is not None else AdmitAll(),
+            recovery=RecoveryConfig(max_retries=max_retries),
         ),
-        salo_factory=cfg.salo_factory,
-        queue_factory=lambda: _LaneQueue(cfg.max_lanes),
+        salo_factory=salo_factory,
+        queue_factory=lambda: _LaneQueue(max_lanes),
     )
 
 
@@ -520,34 +533,30 @@ class DecodeClusterSimulator(ControlPlane):
 
     def __init__(self, config: Optional[DecodeSimConfig] = None) -> None:
         self.sim_config = cfg = config if config is not None else DecodeSimConfig()
-        super().__init__(**lane_plane(cfg))
+        super().__init__(**lane_plane(
+            cfg.workers, cfg.max_lanes, cfg.bucket_floor, cfg.salo_factory,
+            itl_shed_factor=cfg.itl_shed_factor if cfg.shed_lagging else None,
+            admission=cfg.admission, max_retries=cfg.max_retries))
         clock = cfg.service if cfg.service is not None else CostModelClock()
         self.executor = SimulatedExecutor(clock, cfg.faults, cfg.workers)
-
-    def _one_step(self, spec: DecodeWorkloadSpec, lengths: Sequence[int]) -> HybridSparsePattern:
-        """A step over lanes of these lengths taken as one group: globals
-        every lane has grown past are active, at the widest step bucket."""
-        active = tuple(g for g in spec.global_tokens if g < min(lengths))
-        floor = self.sim_config.bucket_floor
-        bucket = max(step_window(spec.bands(), active, n, floor)[1] for n in lengths)
-        return self.config.policy.pattern(spec.bands(), active, bucket)
 
     def _admission_context(self, worker: Worker, request: _Seq, now: float) -> AdmissionContext:
         """A new sequence starts decoding once a lane is free.  Lanes free
         in remaining-token order, so the wait for the ``k``-th queued
         arrival is the ``k``-th smallest remaining budget times the
-        current step time — a drain model, not depth x unit."""
+        current step time — a drain model, not depth x unit.  A step is
+        priced as the policy runs it: each group's latency times its
+        lanes, plus one batch overhead per group."""
 
         def estimate() -> Tuple[float, float]:
             spec, lanes = request.spec, worker.queue.lanes
-            # an idle worker's first step: one lane, anywhere in the prompt range
-            lengths = [s.length for s in lanes] or [spec.prompt_min, spec.prompt_max]
-            stats = worker.salo.estimate(
-                self._one_step(spec, lengths),
-                heads=spec.heads,
-                head_dim=spec.head_dim,
+            # an idle worker's first step: one lane at the longest prompt
+            step_s = sum(
+                worker.salo.estimate(
+                    batch.execution_pattern(), heads=spec.heads, head_dim=spec.head_dim
+                ).latency_s * batch.size + self.executor.batch_overhead_s
+                for batch in self.config.policy._round(lanes or [_probe(spec, spec.prompt_max)])
             )
-            step_s = stats.latency_s * max(len(lanes), 1) + self.executor.batch_overhead_s
             lanes_needed = worker.depth() + 1 - worker.queue.max_batch_size
             if lanes_needed <= 0:
                 return 0.0, step_s
@@ -591,13 +600,13 @@ class DecodeClusterSimulator(ControlPlane):
     def _refuse_unschedulable(self, spec: DecodeWorkloadSpec) -> None:
         """Schedule, on a throwaway engine, the step at which each global
         token turns active (its smallest bucket) and the widest step."""
-        probe = self.sim_config.salo_factory()
+        engine = self.sim_config.salo_factory()
         top = spec.prompt_max + spec.max_new_tokens - 1  # longest history a step sees
         points = {min(max(g + 1, spec.prompt_min), top) for g in spec.global_tokens}
         for n in sorted(points | {top}):
-            pattern = self._one_step(spec, [n])
+            (step,) = self.config.policy._round([_probe(spec, n)])
             try:
-                probe.estimate(pattern, heads=spec.heads, head_dim=spec.head_dim)
+                engine.estimate(step.execution_pattern(), heads=spec.heads, head_dim=spec.head_dim)
             except SchedulerError as exc:
                 raise ValueError(
                     f"decode workload with window={spec.window}, "

@@ -326,7 +326,8 @@ class ClusterReport:
 class MetricsCollector:
     """Accumulates records + time series during a simulation run."""
 
-    def __init__(self) -> None:
+    def __init__(self, keep_series: bool = True) -> None:
+        self.keep_series = keep_series  # off: no point per event for a front that never reports
         self.records: List[RequestRecord] = []
         self.drops: List[DropRecord] = []
         self.series: List[SeriesPoint] = []
@@ -370,7 +371,8 @@ class MetricsCollector:
         self._note_drop(request, t, "failed")
 
     def sample(self, t: float, queued: int, busy_workers: int) -> None:
-        self.series.append(SeriesPoint(t_s=t, queued=queued, busy_workers=busy_workers))
+        if self.keep_series:
+            self.series.append(SeriesPoint(t_s=t, queued=queued, busy_workers=busy_workers))
 
     # ------------------------------------------------------------------
     @property

@@ -251,6 +251,9 @@ class ControlPlane:
     Subclasses build ``self.executor`` and feed arrivals.
     """
 
+    #: False for a synchronous front that never reports: no time series
+    keeps_series = True
+
     def __init__(self, config: ControlConfig, **engine) -> None:
         self.config = cfg = config
         self.pool = EnginePool(
@@ -261,7 +264,7 @@ class ControlPlane:
             affinity_miss_prob=cfg.affinity_miss_prob,
             **engine,
         )
-        self.metrics = MetricsCollector()
+        self.metrics = MetricsCollector(self.keeps_series)
         self._source = RequestSource()  # closed-loop feedback; none by default
         self._routed: Dict[Hashable, int] = {}  # request id -> routed worker id
         self._timer_armed: Dict[int, float] = {}  # worker id -> armed time

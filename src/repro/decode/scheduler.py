@@ -63,14 +63,14 @@ class DecodeScheduler(ControlPlane):
     token and retires lanes that met their budget, freeing them for the
     next step: the batch never drains just to refill."""
 
+    keeps_series = False
+
     def __init__(self, salo: Optional[SALO] = None, max_lanes: int = 8,
                  bucket_floor: int = 16) -> None:
-        from ..cluster.decode import DecodeSimConfig, lane_plane  # imports decode.session
+        from ..cluster.decode import lane_plane  # imports decode.session
 
         self.salo = salo if salo is not None else SALO(HardwareConfig())
-        super().__init__(**lane_plane(DecodeSimConfig(
-            workers=1, max_lanes=max_lanes, bucket_floor=bucket_floor, shed_lagging=False,
-            salo_factory=lambda: self.salo)))
+        super().__init__(**lane_plane(1, max_lanes, bucket_floor, lambda: self.salo))
         self.executor = SimulatedExecutor(MeasuredClock(), None, 1)
         self.worker = self.pool.workers[0]
         self.completed: Dict[str, np.ndarray] = {}
@@ -110,18 +110,22 @@ class DecodeScheduler(ControlPlane):
         queue, report = self.worker.queue, DecodeStepReport()
         waiting, retired, failed = queue.pending, len(self.completed), len(self.failed)
         now = self.executor.service.clock()
-        self._launches_left = 1
-        self._dispatch(self.worker, now)  # the round's start: joins, groups, first launch
-        report.admitted = waiting - queue.pending
-        if not self.worker.launched:
-            return report
-        ((first, _, _),) = self.worker.launched.values()
-        report.lanes, report.dispatches = len(queue.lanes), 1 + len(queue.round)
-        report.bucket = max(batch.bucket for batch in (first, *queue.round))
-        self.steps += 1
-        self.peak_lanes = max(self.peak_lanes, report.lanes)
-        self._launches_left = len(queue.round)  # the rest of the round
-        self._drive(now)
+        try:
+            self._launches_left = 1
+            self._dispatch(self.worker, now)  # the round's start: joins, groups, first launch
+            report.admitted = waiting - queue.pending
+            if not self.worker.launched:
+                return report
+            ((first, _, _),) = self.worker.launched.values()
+            report.lanes, report.dispatches = len(queue.lanes), 1 + len(queue.round)
+            report.bucket = max(batch.bucket for batch in (first, *queue.round))
+            self.steps += 1
+            self.peak_lanes = max(self.peak_lanes, report.lanes)
+            self._launches_left = len(queue.round)  # the rest of the round
+            self._drive(now)
+        except BaseException:
+            queue.round.clear()  # a launch raised: the next step regroups from scratch
+            raise
         report.retired, report.failed = len(self.completed) - retired, len(self.failed) - failed
         report.tokens = report.lanes - report.failed
         return report

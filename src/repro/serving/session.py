@@ -37,6 +37,8 @@ class ServingSession(ControlPlane):
     are :class:`~repro.serving.batching.BatchScheduler`'s.
     """
 
+    keeps_series = False
+
     def __init__(self, salo=None, max_batch_size: int = 8, bucket_floor: int = 16,
                  pad_to_bucket: bool = False, admission: Optional[AdmissionPolicy] = None,
                  clock: Callable[[], float] = time.perf_counter,

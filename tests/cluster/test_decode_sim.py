@@ -21,6 +21,7 @@ from repro.cluster import (
 )
 from repro.core.config import HardwareConfig
 from repro.core.salo import SALO
+from repro.decode import step_window
 
 
 def _spec(**overrides):
@@ -166,6 +167,31 @@ class TestContinuousBatchingOnClock:
         assert a.steps == b.steps
         assert a.ttft_p99_s == b.ttft_p99_s
         assert a.itl_p99_s == b.itl_p99_s
+
+
+class TestAdmissionEstimate:
+    def test_a_step_is_priced_as_the_policy_runs_it(self):
+        """Lanes either side of a global token step as two launches, and
+        the admission estimate prices the step that way: each group's
+        latency times its lanes, plus one batch overhead per group."""
+        spec = _spec(global_tokens=(20,))
+        sim = DecodeClusterSimulator(DecodeSimConfig(workers=1, max_lanes=4))
+        worker, policy = sim.pool.workers[0], sim.config.policy
+        lanes = spec.draw()[:3]
+        for seq, n in zip(lanes, (10, 12, 30)):
+            seq.prompt_n = n
+        worker.queue.lanes = lanes[:]
+        arriving = spec.draw()[3]
+        bands = spec.bands()
+
+        def priced(active, lengths):
+            bucket = max(step_window(bands, active, n, 16)[1] for n in lengths)
+            stats = worker.salo.estimate(policy.pattern(bands, active, bucket),
+                                         heads=spec.heads, head_dim=spec.head_dim)
+            return stats.latency_s * len(lengths) + sim.executor.batch_overhead_s
+
+        step_s = sim._admission_context(worker, arriving, 0.0).estimated_service_s
+        assert step_s == priced((), (10, 12)) + priced((20,), (30,))
 
 
 class TestDecodeMetrics:

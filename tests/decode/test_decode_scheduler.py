@@ -213,6 +213,57 @@ class TestStructureGrouping:
             assert np.array_equal(result.outputs[r.request_id], _solo_outputs(r))
 
 
+class TestFrontState:
+    def test_long_run_keeps_no_per_event_history(self):
+        """A decoder that runs for a long time stays bounded: the plane
+        samples no time series, and it forgets each sequence once the
+        sequence ends."""
+        sched = DecodeScheduler(salo=_salo(), max_lanes=2)
+        sched.submit(_request(0, 4, 300))
+        for i in range(1, 21):
+            sched.submit(_request(i, 4 + i % 3, 5))
+        for _ in range(150):
+            sched.step()
+        assert sched.metrics.series == []
+        assert len(sched.metrics.records) == len(sched.completed) == 20
+        assert set(sched._routed) == {"seq-0"} and not sched._attempts
+        assert len(sched.worker.warm_plans) <= 8  # one per step bucket seen
+
+    def test_a_raising_launch_leaves_no_round_behind(self, monkeypatch):
+        """An engine call that raises leaves the step; the next step
+        regroups every lane from scratch (the lanes that joined stay
+        joined), and the run ends as if the failed step had never been
+        taken."""
+        pattern = HybridSparsePattern(64, [Band(-6, 0)], (0, 5))
+        requests = [_request(0, 3, 6, pattern=pattern), _request(1, 10, 6, pattern=pattern)]
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("engine down")
+
+        clean = DecodeScheduler(salo=_salo(), max_lanes=2)
+        sched = DecodeScheduler(salo=_salo(), max_lanes=2)
+        for r in requests:
+            clean.submit(r)
+            sched.submit(r)
+
+        def shape(report):
+            return report.dispatches, report.lanes, report.tokens, report.bucket
+
+        expected = [shape(clean.step()) for _ in range(2)]
+        assert expected[0][0] == 2  # lanes either side of global 5
+        monkeypatch.setattr(sched.salo, "attend", broken)
+        with pytest.raises(RuntimeError, match="engine down"):
+            sched.step()  # the round's first launch raises
+        monkeypatch.undo()
+        assert [shape(sched.step()) for _ in range(2)] == expected
+        assert sched.lane_steps == clean.lane_steps == 4
+        a, b = sched.run(), clean.run()
+        assert (a.steps, a.dispatches, a.tokens, a.lane_steps) == (
+            b.steps, b.dispatches, b.tokens, b.lane_steps)
+        for r in requests:
+            assert np.array_equal(a.outputs[r.request_id], b.outputs[r.request_id])
+
+
 class TestValidation:
     def test_zero_budget_rejected(self):
         with pytest.raises(ValueError):
