@@ -6,7 +6,8 @@ think times).  All of them emit timestamped
 :class:`~repro.serving.request.AttentionRequest` objects over the same
 pattern-family mix the serve CLI's synthetic traces use, decorated with
 an SLO class and its latency deadline — the unit the discrete-event
-simulator consumes.
+simulator consumes.  Their operands are drawn on first read, so traffic
+that only meets a cost-model clock never materialises them.
 
 Open-loop sources fix the arrival times up front (load independent of
 service capacity — the "heavy traffic" regime); the closed-loop source
@@ -19,12 +20,12 @@ care which regime drives it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..patterns.base import AttentionPattern
-from ..serving.request import AttentionRequest
+from ..serving.request import AttentionRequest, OperandDraw
 from ..serving.trace import TraceSpec, pattern_families
 
 __all__ = [
@@ -96,7 +97,13 @@ class RequestFactory:
 
     One RNG stream (seeded by the spec) drives family choice, data and
     SLO class, so a workload is reproducible independent of the arrival
-    process layered on top.
+    process layered on top.  The data draws advance that stream at
+    :meth:`make` (into one reused scratch buffer per shape, where they are
+    checked finite), but a request keeps only the generator state they
+    started from: its q/k/v are materialised, bit-identically, on first
+    read (:meth:`AttentionRequest.drawn
+    <repro.serving.request.AttentionRequest.drawn>`).  A simulation on a
+    cost-model clock therefore holds no operands at all.
     """
 
     def __init__(self, spec: WorkloadSpec) -> None:
@@ -106,21 +113,23 @@ class RequestFactory:
         self._serial = 0
         shares = np.asarray([c.share for c in spec.slo_classes], dtype=np.float64)
         self._class_p = shares / shares.sum()
+        self._scratch: Dict[Tuple[int, int], np.ndarray] = {}
 
     def make(self, arrival_s: float) -> AttentionRequest:
         spec = self.spec
         rng = self.rng
         pattern = self.families[int(rng.integers(len(self.families)))]
-        hidden = spec.heads * spec.head_dim
-        q, k, v = (rng.standard_normal((pattern.n, hidden)) for _ in range(3))
-        cls = spec.slo_classes[int(rng.choice(len(spec.slo_classes), p=self._class_p))]
+        shape = (pattern.n, spec.heads * spec.head_dim)
+        scratch = self._scratch.get(shape)
+        if scratch is None:
+            scratch = self._scratch[shape] = np.empty(shape)
         self._serial += 1
-        return AttentionRequest(
+        operands = OperandDraw.take(rng, scratch, self._serial)
+        cls = spec.slo_classes[int(rng.choice(len(spec.slo_classes), p=self._class_p))]
+        return AttentionRequest.drawn(
+            operands,
             request_id=self._serial,
             pattern=pattern,
-            q=q,
-            k=k,
-            v=v,
             heads=spec.heads,
             arrival_s=arrival_s,
             deadline_s=cls.deadline_s,

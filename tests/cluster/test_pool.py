@@ -241,6 +241,26 @@ class TestServiceClocks:
         assert clock.service_s(worker, batch, cold=True) == pytest.approx(2.5)
         assert worker.salo.cache_info()["misses"] >= 1  # actually executed
 
+    def test_measured_clock_draws_members_before_it_starts(self):
+        """A factory request's operands are drawn on first read; that draw
+        is making the traffic, not serving it."""
+        from repro.cluster import Worker
+
+        spec = WorkloadSpec(num_requests=3, n=32, window=6, heads=2, head_dim=4, mixed=False)
+        worker = Worker(0, _small_salo())
+        for req in open_loop(spec, PoissonProcess(1000.0)).requests:
+            worker.queue.enqueue(req)
+        batch = worker.queue.next_batch()
+        assert batch.size == 3 and not any("q" in vars(r) for r in batch.requests)
+
+        def clock():
+            assert all("q" in vars(r) for r in batch.requests)
+            return 0.0
+
+        clock_s = MeasuredClock(clock=clock)
+        assert clock_s.service_s(worker, batch, cold=True) == 0.0
+        assert len(clock_s.served[0]) == 3
+
 
 class TestServiceScalesBackend:
     """service_scales must probe the *pool's* cost model, not always SALO.
