@@ -358,7 +358,7 @@ def _cmd_simulate(args) -> int:
         rng = np.random.default_rng(0)
         hidden = args.heads * args.head_dim
         probed = []
-        for pattern in pattern_families(probe.trace_spec()):
+        for pattern in pattern_families(probe):
             q, k, v = (rng.standard_normal((pattern.n, hidden)) for _ in range(3))
             salo.attend(pattern, q, k, v, heads=args.heads)  # warm compile
             t0 = time.perf_counter()

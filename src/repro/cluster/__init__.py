@@ -5,9 +5,10 @@ Answers the provisioning question a deployed accelerator study needs:
 SLO at a given traffic level?*  Layered on the serving stack:
 
 * :mod:`repro.cluster.arrivals` — traffic: Poisson / bursty (on-off)
-  open-loop generators, recorded-trace replay, and a closed-loop client
-  population, all emitting timestamped ``AttentionRequest`` s with SLO
-  classes and latency deadlines.
+  open-loop generators and a closed-loop client population over a
+  :class:`~repro.serving.trace.TraceSpec` request stream, all emitting
+  timestamped ``AttentionRequest`` s with SLO classes and latency
+  deadlines.
 * :mod:`repro.cluster.policy` — *when* a batch closes: greedy FIFO,
   max-wait timeout, size-vs-latency target, earliest-deadline-first,
   weighted-fair (deficit round-robin over SLO classes); every policy can
@@ -64,7 +65,6 @@ from .arrivals import (
     SLOClass,
     WorkloadSpec,
     open_loop,
-    replay_source,
 )
 from .faults import (
     CrashSpec,
@@ -130,7 +130,6 @@ __all__ = [
     "PoissonProcess",
     "OnOffProcess",
     "open_loop",
-    "replay_source",
     "BatchDecision",
     "BatchPolicy",
     "GreedyFIFOPolicy",

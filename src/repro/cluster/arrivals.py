@@ -1,10 +1,12 @@
 """Arrival processes: the traffic a simulated SALO cluster serves.
 
-Three open-loop generators (Poisson, MMPP-style on-off bursts, recorded
-trace replay) and one closed-loop source (a fixed client population with
-think times).  All of them emit timestamped
-:class:`~repro.serving.request.AttentionRequest` objects over the same
-pattern-family mix the serve CLI's synthetic traces use, decorated with
+What the requests are is a :class:`~repro.serving.trace.TraceSpec` (here
+usually a :class:`WorkloadSpec`, which carries SLO classes by default),
+drawn by its :class:`~repro.serving.trace.RequestFactory`; this module
+decides *when* they arrive.  Two open-loop generators (Poisson, MMPP-style
+on-off bursts) and one closed-loop source (a fixed client population
+with think times) emit timestamped
+:class:`~repro.serving.request.AttentionRequest` objects decorated with
 an SLO class and its latency deadline — the unit the discrete-event
 simulator consumes.  Their operands are drawn on first read, so traffic
 that only meets a cost-model clock never materialises them.
@@ -20,13 +22,12 @@ care which regime drives it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..patterns.base import AttentionPattern
-from ..serving.request import AttentionRequest, OperandDraw
-from ..serving.trace import TraceSpec, pattern_families
+from ..serving.request import AttentionRequest
+from ..serving.trace import RequestFactory, TraceSpec
 
 __all__ = [
     "SLOClass",
@@ -40,7 +41,6 @@ __all__ = [
     "OpenLoopSource",
     "ClosedLoopSource",
     "open_loop",
-    "replay_source",
 ]
 
 
@@ -66,75 +66,10 @@ DEFAULT_SLO_CLASSES: Tuple[SLOClass, ...] = (
 
 
 @dataclass(frozen=True)
-class WorkloadSpec:
-    """Shape of the simulated traffic (mirrors ``TraceSpec`` + SLOs)."""
+class WorkloadSpec(TraceSpec):
+    """Simulated traffic: a :class:`TraceSpec` with SLO classes by default."""
 
-    num_requests: int = 128
-    n: int = 256
-    window: int = 32
-    heads: int = 2
-    head_dim: int = 8
-    global_tokens: Tuple[int, ...] = (0,)
-    mixed: bool = True  # several pattern families / lengths
     slo_classes: Tuple[SLOClass, ...] = DEFAULT_SLO_CLASSES
-    seed: int = 0
-
-    def trace_spec(self) -> TraceSpec:
-        return TraceSpec(
-            num_requests=self.num_requests,
-            n=self.n,
-            window=self.window,
-            heads=self.heads,
-            head_dim=self.head_dim,
-            global_tokens=self.global_tokens,
-            mixed=self.mixed,
-            seed=self.seed,
-        )
-
-
-class RequestFactory:
-    """Draws requests over the workload's pattern families and SLO mix.
-
-    One RNG stream (seeded by the spec) drives family choice, data and
-    SLO class, so a workload is reproducible independent of the arrival
-    process layered on top.  The data draws advance that stream at
-    :meth:`make` (into one reused scratch buffer per shape, where they are
-    checked finite), but a request keeps only the generator state they
-    started from: its q/k/v are materialised, bit-identically, on first
-    read (:meth:`AttentionRequest.drawn
-    <repro.serving.request.AttentionRequest.drawn>`).  A simulation on a
-    cost-model clock therefore holds no operands at all.
-    """
-
-    def __init__(self, spec: WorkloadSpec) -> None:
-        self.spec = spec
-        self.families: List[AttentionPattern] = pattern_families(spec.trace_spec())
-        self.rng = np.random.default_rng(spec.seed)
-        self._serial = 0
-        shares = np.asarray([c.share for c in spec.slo_classes], dtype=np.float64)
-        self._class_p = shares / shares.sum()
-        self._scratch: Dict[Tuple[int, int], np.ndarray] = {}
-
-    def make(self, arrival_s: float) -> AttentionRequest:
-        spec = self.spec
-        rng = self.rng
-        pattern = self.families[int(rng.integers(len(self.families)))]
-        shape = (pattern.n, spec.heads * spec.head_dim)
-        scratch = self._scratch.get(shape)
-        if scratch is None:
-            scratch = self._scratch[shape] = np.empty(shape)
-        self._serial += 1
-        operands = OperandDraw.take(rng, scratch, self._serial)
-        cls = spec.slo_classes[int(rng.choice(len(spec.slo_classes), p=self._class_p))]
-        return AttentionRequest.drawn(
-            operands,
-            request_id=self._serial,
-            pattern=pattern,
-            heads=spec.heads,
-            arrival_s=arrival_s,
-            deadline_s=cls.deadline_s,
-            slo_class=cls.name,
-        )
 
 
 # ----------------------------------------------------------------------
@@ -239,8 +174,8 @@ class OpenLoopSource(RequestSource):
         return list(self.requests)
 
 
-def open_loop(spec: WorkloadSpec, process: ArrivalProcess) -> OpenLoopSource:
-    """Workload + arrival process -> a replayable open-loop source.
+def open_loop(spec: TraceSpec, process: ArrivalProcess) -> OpenLoopSource:
+    """Request stream + arrival process -> a replayable open-loop source.
 
     A separate RNG stream (offset seed) drives the arrival process so
     the request mix is identical across processes — policy comparisons
@@ -251,41 +186,6 @@ def open_loop(spec: WorkloadSpec, process: ArrivalProcess) -> OpenLoopSource:
     if np.any(np.diff(times) < 0):
         raise ValueError(f"arrival process {process.name} produced non-monotone times")
     return OpenLoopSource([factory.make(float(t)) for t in times])
-
-
-def replay_source(
-    requests: Sequence[AttentionRequest],
-    slo_classes: Optional[Sequence[SLOClass]] = None,
-    seed: int = 0,
-) -> OpenLoopSource:
-    """Replay a recorded trace (e.g. ``serving.synthetic_trace`` with an
-    ``ArrivalSpec``) as simulator traffic — the serving-layer bridge.
-
-    Requests keep their recorded arrival timestamps; those without a
-    deadline are assigned SLO classes from ``slo_classes`` (sampled by
-    share) so per-class accounting stays meaningful.
-    """
-    rng = np.random.default_rng(seed)
-    classes = tuple(slo_classes) if slo_classes else DEFAULT_SLO_CLASSES
-    shares = np.asarray([c.share for c in classes], dtype=np.float64)
-    p = shares / shares.sum()
-    decorated: List[AttentionRequest] = []
-    for req in sorted(requests, key=lambda r: r.arrival_s):
-        if req.deadline_s is None:
-            cls = classes[int(rng.choice(len(classes), p=p))]
-            req = AttentionRequest(
-                request_id=req.request_id,
-                pattern=req.pattern,
-                q=req.q,
-                k=req.k,
-                v=req.v,
-                heads=req.heads,
-                arrival_s=req.arrival_s,
-                deadline_s=cls.deadline_s,
-                slo_class=cls.name,
-            )
-        decorated.append(req)
-    return OpenLoopSource(decorated)
 
 
 class ClosedLoopSource(RequestSource):
@@ -299,7 +199,7 @@ class ClosedLoopSource(RequestSource):
     """
 
     def __init__(
-        self, spec: WorkloadSpec, clients: int, think_time_s: float = 0.0
+        self, spec: TraceSpec, clients: int, think_time_s: float = 0.0
     ) -> None:
         if clients < 1:
             raise ValueError(f"clients must be >= 1, got {clients}")

@@ -62,7 +62,7 @@ from ..patterns.hybrid import HybridSparsePattern
 from ..scheduler import SchedulerError
 from ..serving.admission import AdmissionContext, AdmissionPolicy, AdmitAll
 from ..serving.batching import Batch, check_bucket_floor
-from .arrivals import SLOClass
+from .arrivals import PoissonProcess, SLOClass
 from .faults import FaultInjector, RecoveryConfig
 from .metrics import _percentile
 from .policy import BatchDecision, BatchPolicy
@@ -154,8 +154,7 @@ class DecodeWorkloadSpec:
         rng = np.random.default_rng(self.seed)
         shares = np.asarray([c.share for c in self.slo_classes], dtype=float)
         shares = shares / shares.sum()
-        gaps = rng.exponential(1.0 / self.rate_rps, size=self.sequences)
-        arrivals = np.cumsum(gaps)
+        arrivals = PoissonProcess(self.rate_rps).times(rng, self.sequences)
         seqs = []
         for i in range(self.sequences):
             prompt_n = int(rng.integers(self.prompt_min, self.prompt_max + 1))

@@ -45,6 +45,7 @@ import numpy as np
 from ..core.salo import SALO
 from ..serving.batching import Batch, BatchScheduler
 from ..serving.request import AttentionRequest
+from ..serving.trace import pattern_families
 from .faults import WORKER_DOWN, WORKER_UP
 
 __all__ = [
@@ -96,7 +97,7 @@ def service_scales(
 ) -> Tuple[float, float]:
     """(amortised unit, dispatch unit) of the cost model, in seconds.
 
-    ``spec`` is a :class:`~repro.cluster.arrivals.WorkloadSpec`.  The
+    ``spec`` is a :class:`~repro.serving.trace.TraceSpec`.  The
     *amortised unit* — mean per-request service over the workload's
     pattern families at full batches — sets pool capacity; the *dispatch
     unit* — one request plus one whole batch overhead — is the latency
@@ -111,8 +112,6 @@ def service_scales(
     from two different machines.  ``None`` keeps the default SALO
     estimator (identical to the default ``functional`` backend's).
     """
-    from ..serving.trace import pattern_families
-
     if full_batch < 1:
         raise ValueError(f"full_batch must be >= 1, got {full_batch}")
     if backend is None:
@@ -123,7 +122,7 @@ def service_scales(
         estimator = Runtime(backend=backend)
     units = [
         estimator.estimate(p, heads=spec.heads, head_dim=spec.head_dim).latency_s
-        for p in pattern_families(spec.trace_spec())
+        for p in pattern_families(spec)
     ]
     mean_unit = float(np.mean(units))
     return (

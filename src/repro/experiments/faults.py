@@ -49,13 +49,13 @@ from ..cluster import (
     PoissonProcess,
     RecoveryConfig,
     SimConfig,
-    SLOClass,
     WorkloadSpec,
     open_loop,
     service_scales,
     simulate,
 )
 from .base import ExperimentResult, register
+from .overload import overload_spec
 
 #: Offered load of the sweep: comfortably under capacity, so lost
 #: goodput is attributable to the crash, not to overload.
@@ -82,32 +82,13 @@ DOWN_FOR_UNITS = 30.0
 HEARTBEAT_INTERVAL_UNITS = 2.0
 HEARTBEAT_TIMEOUT_UNITS = 4.0
 
-#: Deadline budgets in dispatch units (the serving_capacity scale: the
-#: run is *not* overloaded, so the standard budgets are feasible).
-FAULTS_INTERACTIVE_BUDGET = 60.0
-FAULTS_BULK_BUDGET = 400.0
-
 MODES: Tuple[str, ...] = ("no-fault", "no-retry", "retry", "retry+steal")
 
 
-def faults_spec(num_requests: int, dispatch_s: float, seed: int = 11) -> WorkloadSpec:
-    """The workload the sweep (and its regression test) runs."""
-    return WorkloadSpec(
-        num_requests=num_requests,
-        n=256,
-        window=32,
-        heads=2,
-        head_dim=8,
-        seed=seed,
-        slo_classes=(
-            SLOClass(
-                "interactive",
-                deadline_s=FAULTS_INTERACTIVE_BUDGET * dispatch_s,
-                share=0.5,
-            ),
-            SLOClass("bulk", deadline_s=FAULTS_BULK_BUDGET * dispatch_s, share=0.5),
-        ),
-    )
+#: The workload the sweep (and its regression test) runs: the overload
+#: sweep's (60 / 400 dispatch-unit budgets, seed 11).  The run is *not*
+#: overloaded, so those budgets are feasible here.
+faults_spec = overload_spec
 
 
 def mode_config(

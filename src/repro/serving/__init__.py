@@ -26,7 +26,7 @@ from .admission import (
 from .batching import Batch, BatchScheduler, execute_batch, length_bucket
 from .request import AttentionRequest, RequestResult, ServingStats
 from .session import ServingSession
-from .trace import ArrivalSpec, ReplayReport, TraceSpec, replay, synthetic_trace
+from .trace import ReplayReport, TraceSpec, replay, synthetic_trace
 
 __all__ = [
     "AttentionRequest",
@@ -37,7 +37,6 @@ __all__ = [
     "ServingSession",
     "ServingStats",
     "execute_batch",
-    "ArrivalSpec",
     "TraceSpec",
     "ReplayReport",
     "replay",

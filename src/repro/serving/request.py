@@ -76,7 +76,7 @@ class AttentionRequest:
     """One queued sparse-attention call.
 
     ``q``, ``k``, ``v`` have shape ``(n, hidden)`` with ``n`` equal to
-    the pattern's sequence length and ``hidden`` divisible by ``heads``;
+    the pattern's sequence length and ``hidden >= 1`` divisible by ``heads``;
     all three must be finite (checked at construction).  A request built
     by :meth:`drawn` holds them as an :class:`OperandDraw` and produces
     the arrays on first read; ``n``, ``hidden`` and ``head_dim`` never
@@ -138,6 +138,10 @@ class AttentionRequest:
     def _admit(self, shape: Tuple[int, ...]) -> None:
         """The doors the operands' shape decides; sets ``n`` and ``hidden``."""
         n, hidden = shape
+        if hidden < 1:
+            raise ValueError(
+                f"request {self.request_id!r}: operands have zero width, shape {shape}"
+            )
         if n != self.pattern.n:
             raise ValueError(f"pattern is for n={self.pattern.n}, request data has n={n}")
         if self.heads < 1 or hidden % self.heads != 0:

@@ -1,19 +1,23 @@
-"""Synthetic request traces for serving experiments and the CLI.
+"""Request streams: the one description of synthetic attention traffic.
 
-A trace models the repeated-structure traffic a deployed accelerator
-serves: a small set of pattern families (window, window+global, dilated)
-at a few sequence-length buckets, hit by many requests with fresh data.
-:func:`replay` pushes a trace through a :class:`ServingSession` (the
-in-process front on the cluster control plane) and — optionally —
-through the sequential one-call-per-request baseline, so the batching
-win is measured on identical work.
+A :class:`TraceSpec` is the shape of a stream: how many requests, over
+which pattern families (window, window+global, dilated) at a few
+sequence-length buckets, with what head layout, which SLO classes and
+which seed.  :class:`RequestFactory` is the only code that draws
+requests from one: the serve CLI's traces (:func:`synthetic_trace`, all
+at t=0, operands drawn) and the cluster simulator's arrival-timed
+sources (:mod:`repro.cluster.arrivals`, operands drawn on first read)
+come from it.  :func:`replay` pushes a trace through a
+:class:`ServingSession` (the in-process front on the cluster control
+plane) and — optionally — through the sequential one-call-per-request
+baseline, so the batching win is measured on identical work.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,44 +25,29 @@ from ..core.salo import SALO
 from ..patterns.base import AttentionPattern, Band
 from ..patterns.hybrid import HybridSparsePattern
 from ..patterns.library import longformer_pattern
-from .request import AttentionRequest, ServingStats
+from .request import AttentionRequest, OperandDraw, ServingStats
 
-__all__ = ["ArrivalSpec", "TraceSpec", "synthetic_trace", "replay", "ReplayReport"]
+if TYPE_CHECKING:  # pragma: no cover - repro.cluster imports this module
+    from ..cluster.arrivals import SLOClass
 
-
-@dataclass(frozen=True)
-class ArrivalSpec:
-    """How a synthetic trace's arrival timestamps are drawn.
-
-    Either a Poisson ``rate_rps`` (exponential inter-arrivals) or a
-    custom ``sampler`` drawing one inter-arrival gap per call from the
-    trace RNG.  Timestamps start at 0 and accumulate, so a recorded
-    trace carries realistic relative arrival times instead of the
-    submit-time wall clock — the bridge the cluster simulator replays.
-    """
-
-    rate_rps: Optional[float] = None
-    sampler: Optional[Callable[[np.random.Generator], float]] = None
-
-    def __post_init__(self) -> None:
-        if (self.rate_rps is None) == (self.sampler is None):
-            raise ValueError("specify exactly one of rate_rps or sampler")
-        if self.rate_rps is not None and self.rate_rps <= 0:
-            raise ValueError(f"rate_rps must be positive, got {self.rate_rps}")
-
-    def inter_arrival(self, rng: np.random.Generator) -> float:
-        if self.sampler is not None:
-            gap = float(self.sampler(rng))
-        else:
-            gap = float(rng.exponential(1.0 / self.rate_rps))
-        if gap < 0:
-            raise ValueError(f"inter-arrival gap must be >= 0, got {gap}")
-        return gap
+__all__ = [
+    "TraceSpec",
+    "RequestFactory",
+    "pattern_families",
+    "synthetic_trace",
+    "replay",
+    "ReplayReport",
+]
 
 
 @dataclass(frozen=True)
 class TraceSpec:
-    """Shape of a synthetic trace."""
+    """Shape of a synthetic request stream.
+
+    ``slo_classes`` (:class:`~repro.cluster.arrivals.SLOClass` values)
+    are drawn per request by share; empty means best effort, and then no
+    class is drawn at all.
+    """
 
     num_requests: int = 64
     n: int = 512
@@ -67,17 +56,17 @@ class TraceSpec:
     head_dim: int = 16
     global_tokens: Tuple[int, ...] = (0,)
     mixed: bool = True  # draw from several pattern families / lengths
+    slo_classes: Tuple[SLOClass, ...] = ()
     seed: int = 0
-    arrival: Optional[ArrivalSpec] = None  # None: all requests at t=0
+
+    def __post_init__(self) -> None:
+        for name in ("num_requests", "heads", "head_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def pattern_families(spec: TraceSpec) -> List[AttentionPattern]:
-    """The pattern families a mixed trace samples from.
-
-    Shared with the cluster workload generator
-    (:mod:`repro.cluster.arrivals`), so simulated traffic and the serve
-    CLI's traces draw from the same structural mix.
-    """
+    """The pattern families a stream samples from (one unless ``mixed``)."""
     families: List[AttentionPattern] = [
         longformer_pattern(spec.n, spec.window, spec.global_tokens)
     ]
@@ -93,30 +82,59 @@ def pattern_families(spec: TraceSpec) -> List[AttentionPattern]:
     return families
 
 
-def synthetic_trace(spec: TraceSpec) -> List[AttentionRequest]:
-    """Generate ``num_requests`` requests over the spec's families.
+class RequestFactory:
+    """Draws a spec's requests, one per :meth:`make`, ids 1, 2, ...
 
-    With ``spec.arrival`` set, requests carry accumulated synthetic
-    arrival timestamps (starting at 0) instead of the default 0.0 —
-    :func:`replay` forwards them into the session and the cluster
-    simulator replays them as its arrival events.
+    One RNG stream (seeded by the spec) drives family choice, data and
+    SLO class, in that order per request, so a stream is reproducible
+    independent of the arrival times layered on top.  The data draws
+    advance that stream at :meth:`make` (into one reused scratch buffer
+    per shape, where they are checked finite), but a request keeps only
+    the generator state they started from: its q/k/v are materialised,
+    bit-identically, on first read (:meth:`AttentionRequest.drawn
+    <repro.serving.request.AttentionRequest.drawn>`).  A simulation on a
+    cost-model clock therefore holds no operands at all.
     """
-    rng = np.random.default_rng(spec.seed)
-    families = pattern_families(spec)
-    hidden = spec.heads * spec.head_dim
-    requests: List[AttentionRequest] = []
-    t = 0.0
-    for i in range(spec.num_requests):
-        pattern = families[int(rng.integers(len(families)))]
-        q, k, v = (rng.standard_normal((pattern.n, hidden)) for _ in range(3))
-        if spec.arrival is not None:
-            t += spec.arrival.inter_arrival(rng)
-        requests.append(
-            AttentionRequest(
-                request_id=i, pattern=pattern, q=q, k=k, v=v, heads=spec.heads,
-                arrival_s=t,
-            )
+
+    def __init__(self, spec: TraceSpec) -> None:
+        self.spec = spec
+        self.families: List[AttentionPattern] = pattern_families(spec)
+        self.rng = np.random.default_rng(spec.seed)
+        self._serial = 0
+        shares = np.asarray([c.share for c in spec.slo_classes], dtype=np.float64)
+        self._class_p = shares / shares.sum() if spec.slo_classes else None
+        self._scratch: Dict[Tuple[int, int], np.ndarray] = {}
+
+    def make(self, arrival_s: float) -> AttentionRequest:
+        spec = self.spec
+        rng = self.rng
+        pattern = self.families[int(rng.integers(len(self.families)))]
+        shape = (pattern.n, spec.heads * spec.head_dim)
+        scratch = self._scratch.get(shape)
+        if scratch is None:
+            scratch = self._scratch[shape] = np.empty(shape)
+        self._serial += 1
+        operands = OperandDraw.take(rng, scratch, self._serial)
+        slo = {}
+        if spec.slo_classes:
+            cls = spec.slo_classes[int(rng.choice(len(spec.slo_classes), p=self._class_p))]
+            slo = {"deadline_s": cls.deadline_s, "slo_class": cls.name}
+        return AttentionRequest.drawn(
+            operands,
+            request_id=self._serial,
+            pattern=pattern,
+            heads=spec.heads,
+            arrival_s=arrival_s,
+            **slo,
         )
+
+
+def synthetic_trace(spec: TraceSpec) -> List[AttentionRequest]:
+    """``num_requests`` requests, all arriving at t=0, operands drawn."""
+    factory = RequestFactory(spec)
+    requests = [factory.make(0.0) for _ in range(spec.num_requests)]
+    for request in requests:
+        request.operands()
     return requests
 
 
@@ -162,7 +180,9 @@ def replay(
     fresh engine with the same configuration.  Both sides warm their
     plan caches at the scheduling level and then pay one plan compile +
     engine build per pattern family inside their timed region —
-    symmetric costs, so the comparison isolates batching.
+    symmetric costs, so the comparison isolates batching.  Operands a
+    request draws on first read (an :func:`~repro.cluster.arrivals.open_loop`
+    trace) are drawn before either timed region.
 
     ``backend`` selects a registered execution backend by name (the
     ``serve --backend`` CLI path); mutually exclusive with ``salo``.
@@ -206,11 +226,12 @@ def replay(
     outputs_seq: Dict[object, np.ndarray] = {}
 
     def warm(target) -> None:
+        # Operands drawn on first read are drawn here, on neither clock.
         schedule = getattr(target, "schedule", None)
-        if schedule is None:
-            return
         for req in requests:
-            schedule(req.pattern, heads=req.heads, head_dim=req.head_dim)
+            req.operands()
+            if schedule is not None:
+                schedule(req.pattern, heads=req.heads, head_dim=req.head_dim)
 
     if compare_sequential:
         baseline = make_engine()

@@ -3,11 +3,13 @@
 import copy
 import pickle
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.cluster import (
+    DEFAULT_SLO_CLASSES,
     ClosedLoopSource,
     CostModelClock,
     OnOffProcess,
@@ -17,12 +19,12 @@ from repro.cluster import (
     SLOClass,
     WorkloadSpec,
     open_loop,
-    replay_source,
     simulate,
 )
+from repro.cluster.arrivals import ArrivalProcess
 from repro.core.salo import pattern_structure_key
 from repro.patterns.library import longformer_pattern
-from repro.serving import ArrivalSpec, AttentionRequest, TraceSpec, synthetic_trace
+from repro.serving import AttentionRequest, TraceSpec
 from repro.serving.request import OperandDraw
 from repro.serving.trace import pattern_families
 
@@ -62,6 +64,17 @@ class TestProcesses:
         with pytest.raises(ValueError):
             OnOffProcess(rate_on_rps=-1.0)
 
+    def test_open_loop_refuses_a_negative_gap(self):
+        class Backwards(ArrivalProcess):
+            name = "backwards"
+
+            def times(self, rng, count):
+                return np.arange(count, 0, -1, dtype=np.float64)
+
+        spec = TraceSpec(num_requests=3, n=64, window=8, heads=2, head_dim=4)
+        with pytest.raises(ValueError, match="backwards produced non-monotone times"):
+            open_loop(spec, Backwards())
+
 
 class TestFactoryAndSources:
     def test_factory_assigns_slo_classes_by_share(self):
@@ -96,18 +109,26 @@ class TestFactoryAndSources:
             np.testing.assert_array_equal(ra.q, rb.q)
         assert [r.arrival_s for r in a] != [r.arrival_s for r in b]
 
-    def test_replay_source_preserves_trace_timestamps(self):
-        """The serving-trace bridge: synthetic_trace arrivals replay as-is."""
-        trace = synthetic_trace(
-            TraceSpec(
-                num_requests=16, n=64, window=8, heads=2, head_dim=4,
-                arrival=ArrivalSpec(rate_rps=5000.0), seed=3,
-            )
-        )
-        source = replay_source(trace)
-        replayed = source.initial()
-        assert [r.arrival_s for r in replayed] == [r.arrival_s for r in trace]
-        assert all(r.deadline_s is not None for r in replayed)  # classes assigned
+    def test_best_effort_stream_draws_no_class(self):
+        """A TraceSpec without SLO classes times the same requests the
+        factory makes, best effort, at the process's timestamps."""
+        spec = TraceSpec(num_requests=16, n=64, window=8, heads=2, head_dim=4, seed=3)
+        source = open_loop(spec, PoissonProcess(5000.0))
+        times = PoissonProcess(5000.0).times(np.random.default_rng(3 + 0x9E3779B9), 16)
+        assert [r.arrival_s for r in source.initial()] == [float(t) for t in times]
+        assert all((r.deadline_s, r.slo_class) == (None, "default") for r in source.requests)
+        factory = RequestFactory(spec)
+        for request in source.requests:
+            same = factory.make(request.arrival_s)
+            assert same.request_id == request.request_id
+            assert same.q.tobytes() == request.q.tobytes()
+
+    def test_workload_spec_is_a_trace_spec_with_slo_classes(self):
+        assert issubclass(WorkloadSpec, TraceSpec)
+        geometry = dict(num_requests=8, n=64, window=8, heads=2, head_dim=4, seed=1)
+        assert WorkloadSpec(**geometry).slo_classes == DEFAULT_SLO_CLASSES
+        assert WorkloadSpec(**geometry, slo_classes=()).slo_classes == ()
+        assert TraceSpec(**geometry).slo_classes == ()
 
     def test_closed_loop_budget_and_feedback(self):
         spec = WorkloadSpec(num_requests=10, n=64, window=8, heads=2, head_dim=4, seed=1)
@@ -132,7 +153,7 @@ class TestFactoryAndSources:
 def _eager_requests(spec, arrivals):
     """The reference: ``RequestFactory.make`` as it drew before requests
     held their operands undrawn — the same one stream, arrays up front."""
-    families = pattern_families(spec.trace_spec())
+    families = pattern_families(spec)
     rng = np.random.default_rng(spec.seed)
     shares = np.asarray([c.share for c in spec.slo_classes], dtype=np.float64)
     requests = []
@@ -166,7 +187,7 @@ def _assert_same_traffic(lazy, eager):
 
 
 _SPECS = [
-    WorkloadSpec(num_requests=40, seed=0),
+    WorkloadSpec(num_requests=40, n=256, window=32, heads=2, head_dim=8, seed=0),
     WorkloadSpec(num_requests=40, n=64, window=8, heads=2, head_dim=4, seed=3),
     WorkloadSpec(num_requests=40, n=128, window=16, heads=4, head_dim=4, mixed=False,
                  global_tokens=(0, 5), seed=11),
@@ -222,7 +243,8 @@ class TestLazyOperands:
 
 class TestTheSimulatorDrawsNothing:
     def test_flat_clock_simulation_materialises_no_operands(self):
-        source = open_loop(WorkloadSpec(num_requests=200, seed=4), PoissonProcess(4000.0))
+        spec = WorkloadSpec(num_requests=200, n=256, window=32, heads=2, head_dim=8, seed=4)
+        source = open_loop(spec, PoissonProcess(4000.0))
         report = simulate(source, SimConfig(workers=2, service=CostModelClock.flat()))
         assert report.completed > 0
         assert not any(_drawn(r) for r in source.requests)
@@ -230,8 +252,8 @@ class TestTheSimulatorDrawsNothing:
     def test_building_a_source_holds_no_operands(self):
         """1000 requests: ~78 MB of float64 q/k/v when drawn eagerly; the
         generator states and request records stay well under 8 MB."""
-        spec = WorkloadSpec(num_requests=1000)
-        open_loop(WorkloadSpec(num_requests=4), PoissonProcess(1000.0))  # warm imports
+        spec = WorkloadSpec(num_requests=1000, n=256, window=32, heads=2, head_dim=8)
+        open_loop(replace(spec, num_requests=4), PoissonProcess(1000.0))  # warm imports
         tracemalloc.start()
         try:
             source = open_loop(spec, PoissonProcess(1000.0))
@@ -250,6 +272,7 @@ class TestDoorsOnDrawnRequests:
         ((17, 8), 2, "pattern is for n=16, request data has n=17"),
         ((16, 8), 3, "hidden size 8 not divisible by heads 3"),
         ((16, 8), 0, "hidden size 8 not divisible by heads 0"),
+        ((16, 0), 1, r"request 'r-1': operands have zero width, shape \(16, 0\)"),
     ])
     def test_layout_doors(self, shape, heads, match):
         pattern = longformer_pattern(16, 4, (0,))
@@ -295,7 +318,8 @@ class TestDoorsOnDrawnRequests:
                 self.normals += 1
                 return out
 
-        factory = RequestFactory(WorkloadSpec(num_requests=2, n=64, window=8, seed=9))
+        factory = RequestFactory(
+            WorkloadSpec(num_requests=2, n=64, window=8, heads=2, head_dim=8, seed=9))
         factory.make(0.0)
         factory.rng = Poisoned(factory.rng)
         with pytest.raises(ValueError, match=f"request 2: {'qkv'[poisoned]} holds non-finite"):

@@ -294,7 +294,7 @@ class TestServiceScalesBackend:
         rt = Runtime(backend="dense")
         units = [
             rt.estimate(p, heads=self.SPEC.heads, head_dim=self.SPEC.head_dim).latency_s
-            for p in pattern_families(self.SPEC.trace_spec())
+            for p in pattern_families(self.SPEC)
         ]
         mean = float(np.mean(units))
         assert dense_unit == pytest.approx(mean + clock.batch_overhead_s / 8)

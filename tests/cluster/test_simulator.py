@@ -18,12 +18,11 @@ from repro.cluster import (
     SLOClass,
     WorkloadSpec,
     open_loop,
-    replay_source,
     simulate,
 )
 from repro.core.config import HardwareConfig
 from repro.core.salo import SALO
-from repro.serving import ArrivalSpec, TraceSpec, synthetic_trace
+from repro.serving import TraceSpec
 
 
 def _small_salo():
@@ -125,15 +124,11 @@ class TestEventLoop:
         # With 8 clients and batch cap 8, batches never exceed the population.
         assert report.mean_batch_size <= 8.0
 
-    def test_trace_replay_bridge(self):
-        trace = synthetic_trace(
-            TraceSpec(
-                num_requests=24, n=64, window=8, heads=2, head_dim=4,
-                arrival=ArrivalSpec(rate_rps=20000.0), seed=9,
-            )
-        )
-        report = simulate(replay_source(trace), SimConfig(workers=2))
+    def test_best_effort_trace_spec_simulates(self):
+        spec = TraceSpec(num_requests=24, n=64, window=8, heads=2, head_dim=4, seed=9)
+        report = simulate(open_loop(spec, PoissonProcess(20000.0)), SimConfig(workers=2))
         assert report.completed == 24
+        assert [c.name for c in report.classes] == ["default"]
 
     def test_empty_source(self):
         from repro.cluster import OpenLoopSource

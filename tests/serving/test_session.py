@@ -1,14 +1,21 @@
 """Tests for the serving session facade (queue -> batch -> engine)."""
 
+import time
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from repro.cluster import PoissonProcess, open_loop
+from repro.cluster.arrivals import ArrivalProcess
 from repro.core.config import HardwareConfig
 from repro.core.salo import SALO
 from repro.patterns.base import Band
 from repro.patterns.hybrid import HybridSparsePattern
 from repro.patterns.library import longformer_pattern
 from repro.serving import ServingSession, TraceSpec, replay, synthetic_trace
+from repro.serving import trace as trace_module
+from repro.serving.request import OperandDraw
 
 
 class FakeClock:
@@ -21,6 +28,18 @@ class FakeClock:
     def __call__(self):
         self.t += self.tick
         return self.t
+
+
+class FixedGaps(ArrivalProcess):
+    """Arrivals ``gap`` seconds apart, the first at ``gap``."""
+
+    name = "fixed-gaps"
+
+    def __init__(self, gap):
+        self.gap = gap
+
+    def times(self, rng, count):
+        return self.gap * np.arange(1, count + 1)
 
 
 def _session(max_batch_size=8, tick=0.001):
@@ -291,55 +310,47 @@ class TestTraceReplay:
         report = replay(synthetic_trace(spec), compare_sequential=False)
         assert report.sequential_s is None and report.speedup is None
 
-    def test_trace_arrival_spec_stamps_monotone_timestamps(self):
-        from repro.serving import ArrivalSpec
-
-        spec = TraceSpec(
-            num_requests=20, n=64, window=8, heads=2, head_dim=4,
-            arrival=ArrivalSpec(rate_rps=1000.0), seed=5,
-        )
-        requests = synthetic_trace(spec)
+    def test_open_loop_trace_stamps_monotone_timestamps(self):
+        spec = TraceSpec(num_requests=20, n=64, window=8, heads=2, head_dim=4, seed=5)
+        requests = open_loop(spec, PoissonProcess(1000.0)).requests
         times = [r.arrival_s for r in requests]
         assert times == sorted(times)
         assert times[-1] > 0
         # mean gap ~ 1/rate
         assert times[-1] / len(times) == pytest.approx(1e-3, rel=0.5)
         # same seed -> same trace, timestamps included
-        again = [r.arrival_s for r in synthetic_trace(spec)]
+        again = [r.arrival_s for r in open_loop(spec, PoissonProcess(1000.0)).requests]
         assert times == again
 
-    def test_trace_arrival_custom_sampler(self):
-        from repro.serving import ArrivalSpec
-
-        spec = TraceSpec(
-            num_requests=5, n=64, window=8, heads=2, head_dim=4,
-            arrival=ArrivalSpec(sampler=lambda rng: 0.25), seed=0,
-        )
-        times = [r.arrival_s for r in synthetic_trace(spec)]
+    def test_open_loop_trace_custom_process(self):
+        spec = TraceSpec(num_requests=5, n=64, window=8, heads=2, head_dim=4, seed=0)
+        times = [r.arrival_s for r in open_loop(spec, FixedGaps(0.25)).requests]
         assert times == pytest.approx([0.25, 0.5, 0.75, 1.0, 1.25])
 
-    def test_arrival_spec_validation(self):
-        from repro.serving import ArrivalSpec
-
-        with pytest.raises(ValueError):
-            ArrivalSpec()  # neither rate nor sampler
-        with pytest.raises(ValueError):
-            ArrivalSpec(rate_rps=100.0, sampler=lambda rng: 1.0)  # both
-        with pytest.raises(ValueError):
-            ArrivalSpec(rate_rps=-1.0)
-
     def test_replay_forwards_trace_arrivals(self):
-        from repro.serving import ArrivalSpec
-
-        spec = TraceSpec(
-            num_requests=8, n=64, window=8, heads=2, head_dim=4,
-            arrival=ArrivalSpec(sampler=lambda rng: 10.0),  # huge gaps
-            seed=1,
-        )
-        report = replay(synthetic_trace(spec), compare_sequential=False)
+        spec = TraceSpec(num_requests=8, n=64, window=8, heads=2, head_dim=4, seed=1)
+        requests = open_loop(spec, FixedGaps(10.0)).requests  # huge gaps
+        report = replay(requests, compare_sequential=False)
         # Queueing delay is measured from *trace* arrival time; the whole
         # drain happens long "before" the late synthetic arrivals, so the
         # clamped queue delays collapse to ~0 instead of reflecting the
         # submit-loop wall time.
         assert report.stats.completed == 8
         assert report.stats.queue_p50_ms == pytest.approx(0.0, abs=1e-6)
+
+    def test_replay_draws_operands_before_either_clock(self, monkeypatch):
+        """An open-loop trace draws its operands on first read; replay
+        draws them all before the sequential baseline's clock starts."""
+        events = []
+        arrays = OperandDraw.arrays
+        monkeypatch.setattr(
+            OperandDraw, "arrays", lambda draw: events.append("draw") or arrays(draw))
+        clock = lambda: events.append("clock") or time.perf_counter()  # noqa: E731
+        monkeypatch.setattr(trace_module, "time", SimpleNamespace(perf_counter=clock))
+        spec = TraceSpec(num_requests=6, n=64, window=8, heads=2, head_dim=4, seed=2)
+        requests = open_loop(spec, PoissonProcess(1000.0)).requests
+        assert not any("q" in vars(r) for r in requests)
+        report = replay(requests, max_batch_size=4)
+        assert report.stats.completed == 6
+        assert events.count("draw") == 6
+        assert "draw" not in events[events.index("clock"):]
