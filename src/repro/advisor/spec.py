@@ -79,9 +79,9 @@ class SLOTarget:
     min_met_rate: float = 0.9
 
     def __post_init__(self) -> None:
-        if self.deadline_units <= 0:
+        if not (self.deadline_units > 0):
             raise ValueError(f"deadline_units must be positive, got {self.deadline_units}")
-        if self.share <= 0:
+        if not (self.share > 0):
             raise ValueError(f"share must be positive, got {self.share}")
         if not 0.0 < self.min_met_rate <= 1.0:
             raise ValueError(f"min_met_rate must be in (0, 1], got {self.min_met_rate}")
@@ -139,7 +139,7 @@ class TrafficSpec:
             raise ValueError(f"num_requests must be >= 1, got {self.num_requests}")
         if self.arrival not in ARRIVALS:
             raise ValueError(f"unknown arrival {self.arrival!r}; known: {ARRIVALS}")
-        if self.rho <= 0:
+        if not (self.rho > 0):
             raise ValueError(f"rho must be positive, got {self.rho}")
         if not self.slo:
             raise ValueError("need at least one SLO target")
@@ -207,7 +207,7 @@ class TrafficSpec:
 
     def rate_rps(self, scale: float = 1.0) -> float:
         """Offered arrival rate at ``scale`` x the spec's nominal load."""
-        if scale <= 0:
+        if not (scale > 0):
             raise ValueError(f"scale must be positive, got {scale}")
         unit_s, _ = reference_scales(self)
         return scale * self.rho / unit_s

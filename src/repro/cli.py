@@ -26,6 +26,7 @@ import sys
 import time
 from typing import List, Optional
 
+from .cluster import ADMISSIONS, POLICIES
 from .experiments import all_experiments, get_experiment
 
 _ORDER = [
@@ -128,6 +129,9 @@ def _cmd_advise(args) -> int:
 
     from .advisor import RunCache, SearchSpace, TrafficSpec, advise, export_pack
 
+    if args.top is not None and args.top < 0:
+        print(f"--top must be >= 0, got {args.top}", file=sys.stderr)
+        return 2
     if args.traffic is not None:
         try:
             traffic = TrafficSpec.load(args.traffic)
@@ -136,13 +140,18 @@ def _cmd_advise(args) -> int:
             return 2
     else:
         traffic = TrafficSpec()
-    space = SearchSpace(
-        workers=tuple(args.workers),
-        policies=tuple(args.policy),
-        admissions=tuple(args.admission),
-        backends=(args.backend,),
-        batch_caps=tuple(args.batch_size),
-    )
+    try:
+        space = SearchSpace(
+            workers=tuple(args.workers),
+            policies=tuple(args.policy),
+            admissions=tuple(args.admission),
+            backends=(args.backend,),
+            batch_caps=tuple(args.batch_size),
+        )
+        space.candidates()  # each candidate checks its own knobs
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     rc = _validate_backend(args.backend, require_executing=True, require_cost_model=True)
     if rc:
         return rc
@@ -172,8 +181,8 @@ def _cmd_advise(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    """Build a workload + policy from CLI args and run the simulator."""
+def _simulation(args, fault_specs, explicit_slo, class_weights):
+    """``simulate``'s source, config and open-loop rate; a bad flag raises ``ValueError``."""
     import numpy as np
 
     from .cluster import (
@@ -181,7 +190,6 @@ def _cmd_simulate(args) -> int:
         INTERACTIVE_BUDGET,
         ClosedLoopSource,
         CostModelClock,
-        CrashSpec,
         FaultInjector,
         MeasuredClock,
         OnOffProcess,
@@ -189,20 +197,155 @@ def _cmd_simulate(args) -> int:
         RecoveryConfig,
         SimConfig,
         SLOClass,
-        StragglerSpec,
-        TransientSpec,
         WorkloadSpec,
         make_admission,
         make_policy,
         open_loop,
         service_scales,
-        simulate,
     )
     from .core.salo import SALO
     from .serving.trace import pattern_families
 
+    injector = FaultInjector(fault_specs, seed=args.fault_seed) if fault_specs else None
+    if injector is not None:
+        injector.validate_workers(args.workers)
+    recovery = RecoveryConfig(
+        heartbeat_interval_s=args.heartbeat_interval_ms / 1e3,
+        heartbeat_timeout_s=args.heartbeat_timeout_ms / 1e3,
+        max_retries=args.max_retries,
+        requeue=not args.no_requeue,
+        breaker_threshold=args.breaker_threshold,
+        breaker_window=args.breaker_window,
+        breaker_min_samples=args.breaker_min_samples,
+        breaker_cooldown_s=args.breaker_cooldown_ms / 1e3,
+    )
+    clock = CostModelClock()
+    probe = WorkloadSpec(
+        n=args.n,
+        window=args.window,
+        heads=args.heads,
+        head_dim=args.head_dim,
+        mixed=not args.uniform,
+    )
+    if args.measured:
+        # Measured mode runs on the host wall clock (milliseconds per
+        # batch), not the accelerator cycle model (microseconds) — the
+        # auto rate and default SLO deadlines must be probed on the same
+        # clock or every deadline is missed by construction.
+        salo = SALO()
+        rng = np.random.default_rng(0)
+        hidden = args.heads * args.head_dim
+        probed = []
+        for pattern in pattern_families(probe):
+            q, k, v = (rng.standard_normal((pattern.n, hidden)) for _ in range(3))
+            salo.attend(pattern, q, k, v, heads=args.heads)  # warm compile
+            t0 = time.perf_counter()
+            salo.attend(pattern, q, k, v, heads=args.heads)
+            probed.append(time.perf_counter() - t0)
+        unit_s = dispatch_s = float(np.mean(probed))
+    else:
+        unit_s, dispatch_s = service_scales(
+            probe, clock, full_batch=args.batch_size, backend=args.backend
+        )
+
+    if explicit_slo is not None:
+        slo_classes = explicit_slo
+    else:
+        slo_classes = (
+            SLOClass("interactive", deadline_s=INTERACTIVE_BUDGET * dispatch_s, share=0.5),
+            SLOClass("bulk", deadline_s=BULK_BUDGET * dispatch_s, share=0.5),
+        )
+    # A typo'd class name would silently fall back to default_weight and
+    # neutralise the fairness knob the user thinks is in force.
+    unknown = set(class_weights) - {c.name for c in slo_classes}
+    if unknown:
+        raise ValueError(
+            f"--class-weights names {sorted(unknown)} match no SLO class "
+            f"(known: {sorted(c.name for c in slo_classes)})"
+        )
+
+    spec = WorkloadSpec(
+        num_requests=args.requests,
+        n=args.n,
+        window=args.window,
+        heads=args.heads,
+        head_dim=args.head_dim,
+        mixed=not args.uniform,
+        slo_classes=slo_classes,
+        seed=args.seed,
+    )
+    if args.rate is not None:
+        rate = args.rate
+    else:
+        rho = args.rho if args.rho is not None else 0.9
+        rate = rho * args.workers / unit_s
+    if args.arrival == "closed":
+        source = ClosedLoopSource(spec, clients=args.clients, think_time_s=args.think_ms / 1e3)
+    elif args.arrival == "bursty":
+        source = open_loop(
+            spec,
+            OnOffProcess(
+                rate_on_rps=2.0 * rate,
+                rate_off_rps=0.0,
+                mean_on_s=50.0 / rate,
+                mean_off_s=50.0 / rate,
+            ),
+        )
+    else:
+        source = open_loop(spec, PoissonProcess(rate_rps=rate))
+
+    policy_kwargs = {"drop_expired": args.drop_expired}
+    if args.policy in ("max-wait", "size-latency"):
+        policy_kwargs["max_wait_s"] = args.max_wait_ms / 1e3
+    if args.policy == "size-latency":
+        policy_kwargs["target_size"] = args.target_size
+    if args.policy == "weighted-fair" and class_weights:
+        policy_kwargs["weights"] = class_weights
+    if args.policy == "weighted-fair" and args.length_weighted:
+        policy_kwargs["length_weighted"] = True
+
+    admission_kwargs = {}
+    if args.admission == "queue-depth":
+        admission_kwargs["max_depth"] = args.admission_depth
+    elif args.admission == "est-wait":
+        admission_kwargs["slack"] = args.admission_slack
+        if args.admission_wait_ms is not None:
+            admission_kwargs["max_wait_s"] = args.admission_wait_ms / 1e3
+    elif args.admission == "token-bucket":
+        # Default quota: an even split of the pool's cost-model capacity
+        # across the configured SLO classes.
+        rate_per_class = (
+            args.admission_rate
+            if args.admission_rate is not None
+            else args.workers / unit_s / max(len(slo_classes), 1)
+        )
+        admission_kwargs["default_rate"] = rate_per_class
+
+    config = SimConfig(
+        workers=args.workers,
+        max_batch_size=args.batch_size,
+        pad_to_bucket=args.pad,
+        steal=not args.no_steal,
+        policy=make_policy(args.policy, **policy_kwargs),
+        admission=make_admission(args.admission, **admission_kwargs),
+        service=MeasuredClock() if args.measured else clock,
+        backend=args.backend,
+        faults=injector,
+        recovery=recovery,
+    )
+    return source, config, rate
+
+
+def _cmd_simulate(args) -> int:
+    """Build a workload + policy from CLI args and run the simulator."""
+    from .cluster import CrashSpec, SLOClass, StragglerSpec, TransientSpec, simulate
+
     if args.batch_size < 1:
         print(f"--batch-size must be >= 1, got {args.batch_size}", file=sys.stderr)
+        return 2
+    # before the automatic rate, which divides by the pool's capacity
+    if args.workers < 1:
+        print(f"--workers must be >= 1, got {args.workers}", file=sys.stderr)
         return 2
     rc = _validate_backend(
         args.backend,
@@ -223,6 +366,10 @@ def _cmd_simulate(args) -> int:
         return 2
     if args.rate is not None and not (args.rate > 0):
         print(f"--rate must be positive, got {args.rate}", file=sys.stderr)
+        return 2
+    if args.arrival == "closed" and (args.rate is not None or args.rho is not None):
+        print("--rate and --rho only apply to open-loop arrivals, not --arrival closed",
+              file=sys.stderr)
         return 2
     # Cheap flag validation first: a typo'd --slo or --class-weights
     # must not wait for the service-time probe below.
@@ -310,23 +457,6 @@ def _cmd_simulate(args) -> int:
                 file=sys.stderr,
             )
             return 2
-    injector = FaultInjector(fault_specs, seed=args.fault_seed) if fault_specs else None
-    try:
-        if injector is not None:
-            injector.validate_workers(args.workers)
-        recovery = RecoveryConfig(
-            heartbeat_interval_s=args.heartbeat_interval_ms / 1e3,
-            heartbeat_timeout_s=args.heartbeat_timeout_ms / 1e3,
-            max_retries=args.max_retries,
-            requeue=not args.no_requeue,
-            breaker_threshold=args.breaker_threshold,
-            breaker_window=args.breaker_window,
-            breaker_min_samples=args.breaker_min_samples,
-            breaker_cooldown_s=args.breaker_cooldown_ms / 1e3,
-        )
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
 
     explicit_slo = None
     if args.slo:
@@ -341,122 +471,11 @@ def _cmd_simulate(args) -> int:
                 return 2
         explicit_slo = tuple(classes)
 
-    clock = CostModelClock()
-    probe = WorkloadSpec(
-        n=args.n,
-        window=args.window,
-        heads=args.heads,
-        head_dim=args.head_dim,
-        mixed=not args.uniform,
-    )
-    if args.measured:
-        # Measured mode runs on the host wall clock (milliseconds per
-        # batch), not the accelerator cycle model (microseconds) — the
-        # auto rate and default SLO deadlines must be probed on the same
-        # clock or every deadline is missed by construction.
-        salo = SALO()
-        rng = np.random.default_rng(0)
-        hidden = args.heads * args.head_dim
-        probed = []
-        for pattern in pattern_families(probe):
-            q, k, v = (rng.standard_normal((pattern.n, hidden)) for _ in range(3))
-            salo.attend(pattern, q, k, v, heads=args.heads)  # warm compile
-            t0 = time.perf_counter()
-            salo.attend(pattern, q, k, v, heads=args.heads)
-            probed.append(time.perf_counter() - t0)
-        unit_s = dispatch_s = float(np.mean(probed))
-    else:
-        unit_s, dispatch_s = service_scales(
-            probe, clock, full_batch=args.batch_size, backend=args.backend
-        )
-
-    if explicit_slo is not None:
-        slo_classes = explicit_slo
-    else:
-        slo_classes = (
-            SLOClass("interactive", deadline_s=INTERACTIVE_BUDGET * dispatch_s, share=0.5),
-            SLOClass("bulk", deadline_s=BULK_BUDGET * dispatch_s, share=0.5),
-        )
-    # A typo'd class name would silently fall back to default_weight and
-    # neutralise the fairness knob the user thinks is in force.
-    unknown = set(class_weights) - {c.name for c in slo_classes}
-    if unknown:
-        print(
-            f"--class-weights names {sorted(unknown)} match no SLO class "
-            f"(known: {sorted(c.name for c in slo_classes)})",
-            file=sys.stderr,
-        )
+    try:
+        source, config, rate = _simulation(args, fault_specs, explicit_slo, class_weights)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
-
-    spec = WorkloadSpec(
-        num_requests=args.requests,
-        n=args.n,
-        window=args.window,
-        heads=args.heads,
-        head_dim=args.head_dim,
-        mixed=not args.uniform,
-        slo_classes=slo_classes,
-        seed=args.seed,
-    )
-    if args.rate is not None:
-        rate = args.rate
-    else:
-        rho = args.rho if args.rho is not None else 0.9
-        rate = rho * args.workers / unit_s
-    if args.arrival == "closed":
-        source = ClosedLoopSource(spec, clients=args.clients, think_time_s=args.think_ms / 1e3)
-    elif args.arrival == "bursty":
-        source = open_loop(
-            spec,
-            OnOffProcess(
-                rate_on_rps=2.0 * rate,
-                rate_off_rps=0.0,
-                mean_on_s=50.0 / rate,
-                mean_off_s=50.0 / rate,
-            ),
-        )
-    else:
-        source = open_loop(spec, PoissonProcess(rate_rps=rate))
-
-    policy_kwargs = {"drop_expired": args.drop_expired}
-    if args.policy in ("max-wait", "size-latency"):
-        policy_kwargs["max_wait_s"] = args.max_wait_ms / 1e3
-    if args.policy == "size-latency":
-        policy_kwargs["target_size"] = args.target_size
-    if args.policy == "weighted-fair" and class_weights:
-        policy_kwargs["weights"] = class_weights
-    if args.policy == "weighted-fair" and args.length_weighted:
-        policy_kwargs["length_weighted"] = True
-
-    admission_kwargs = {}
-    if args.admission == "queue-depth":
-        admission_kwargs["max_depth"] = args.admission_depth
-    elif args.admission == "est-wait":
-        admission_kwargs["slack"] = args.admission_slack
-        if args.admission_wait_ms is not None:
-            admission_kwargs["max_wait_s"] = args.admission_wait_ms / 1e3
-    elif args.admission == "token-bucket":
-        # Default quota: an even split of the pool's cost-model capacity
-        # across the configured SLO classes.
-        rate_per_class = (
-            args.admission_rate
-            if args.admission_rate is not None
-            else args.workers / unit_s / max(len(slo_classes), 1)
-        )
-        admission_kwargs["default_rate"] = rate_per_class
-
-    config = SimConfig(
-        workers=args.workers,
-        max_batch_size=args.batch_size,
-        pad_to_bucket=args.pad,
-        steal=not args.no_steal,
-        policy=make_policy(args.policy, **policy_kwargs),
-        admission=make_admission(args.admission, **admission_kwargs),
-        service=MeasuredClock() if args.measured else clock,
-        backend=args.backend,
-        faults=injector,
-        recovery=recovery,
-    )
 
     t0 = time.perf_counter()
     report = simulate(source, config)
@@ -485,7 +504,7 @@ def _cmd_simulate(args) -> int:
         + (" (drop-expired)" if args.drop_expired else "")
         + (f", admission {args.admission}" if args.admission != "admit-all" else "")
         + f", {args.workers} workers"
-        + (f", faults {injector!r}" if injector is not None else "")
+        + (f", faults {config.faults!r}" if config.faults is not None else "")
     )
     print(report.render())
     print(f"\n[simulate finished in {time.perf_counter() - t0:.1f}s]")
@@ -712,7 +731,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     sim_p.add_argument(
         "--policy",
-        choices=("greedy-fifo", "max-wait", "edf", "size-latency", "weighted-fair"),
+        choices=tuple(POLICIES),
         default="greedy-fifo",
         help="batch-close policy",
     )
@@ -737,7 +756,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     sim_p.add_argument(
         "--admission",
-        choices=("admit-all", "queue-depth", "est-wait", "token-bucket"),
+        choices=tuple(ADMISSIONS),
         default="admit-all",
         help="admission policy consulted at each arrival (overload valve)",
     )
@@ -937,13 +956,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     adv_p.add_argument(
         "--policy",
         nargs="+",
-        choices=("greedy-fifo", "max-wait", "edf", "size-latency", "weighted-fair"),
+        choices=tuple(POLICIES),
         default=["greedy-fifo", "edf", "weighted-fair"],
         help="batch policies to search",
     )
     adv_p.add_argument(
         "--admission",
         nargs="+",
+        # not token-bucket: a Candidate carries no bucket rate, so it
+        # would be admit-all under another name
         choices=("admit-all", "queue-depth", "est-wait"),
         default=["admit-all", "est-wait"],
         help="admission policies to search",
@@ -1042,7 +1063,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     dec_p.add_argument(
         "--admission",
-        choices=("admit-all", "queue-depth", "est-wait", "token-bucket"),
+        choices=tuple(ADMISSIONS),
         default="admit-all",
         help="admission policy at the decode door (est-wait gates on TTFT "
         "feasibility via the lane-drain estimate)",
@@ -1148,18 +1169,27 @@ def main(argv: Optional[List[str]] = None) -> int:
         rc = _validate_backend(args.backend, require_executing=True)
         if rc:
             return rc
-        spec = TraceSpec(
-            num_requests=args.requests,
-            n=args.n,
-            window=args.window,
-            heads=args.heads,
-            head_dim=args.head_dim,
-            mixed=not args.uniform,
-            seed=args.seed,
-        )
+        if args.batch_size < 1:
+            print(f"--batch-size must be >= 1, got {args.batch_size}", file=sys.stderr)
+            return 2
         t0 = time.perf_counter()
+        try:
+            trace = synthetic_trace(
+                TraceSpec(
+                    num_requests=args.requests,
+                    n=args.n,
+                    window=args.window,
+                    heads=args.heads,
+                    head_dim=args.head_dim,
+                    mixed=not args.uniform,
+                    seed=args.seed,
+                )
+            )
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
+            return 2
         report = replay(
-            synthetic_trace(spec),
+            trace,
             max_batch_size=args.batch_size,
             compare_sequential=not args.no_baseline,
             backend=args.backend,

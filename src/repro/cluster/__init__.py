@@ -29,8 +29,8 @@ SLO at a given traffic level?*  Layered on the serving stack:
   ``failed`` bucket.
 * :mod:`repro.cluster.simulator` / :mod:`repro.cluster.metrics` — the
   heap-driven event loop and the :class:`ClusterReport` (per-class
-  percentiles, goodput, utilisation, queue-depth time series,
-  availability and recovery counters under faults).
+  percentiles, goodput, utilisation, availability and recovery
+  counters under faults).
 * :mod:`repro.cluster.decode` — the decode phase on the same event
   loop: a sequence is a request that holds a lane, a step is a launch;
   TTFT/ITL SLO classes, tokens/s-vs-concurrency metrics, and a

@@ -53,9 +53,9 @@ class SLOClass:
     share: float = 1.0  # sampling weight within the workload mix
 
     def __post_init__(self) -> None:
-        if self.deadline_s is not None and self.deadline_s <= 0:
+        if self.deadline_s is not None and not (self.deadline_s > 0):
             raise ValueError(f"deadline_s must be positive, got {self.deadline_s}")
-        if self.share <= 0:
+        if not (self.share > 0):
             raise ValueError(f"share must be positive, got {self.share}")
 
 
@@ -92,7 +92,7 @@ class PoissonProcess(ArrivalProcess):
     name: str = field(default="poisson", init=False)
 
     def __post_init__(self) -> None:
-        if self.rate_rps <= 0:
+        if not (self.rate_rps > 0):
             raise ValueError(f"rate_rps must be positive, got {self.rate_rps}")
 
     def times(self, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -117,11 +117,11 @@ class OnOffProcess(ArrivalProcess):
     name: str = field(default="on-off", init=False)
 
     def __post_init__(self) -> None:
-        if self.rate_on_rps <= 0:
+        if not (self.rate_on_rps > 0):
             raise ValueError(f"rate_on_rps must be positive, got {self.rate_on_rps}")
-        if self.rate_off_rps < 0:
+        if not (self.rate_off_rps >= 0):
             raise ValueError(f"rate_off_rps must be >= 0, got {self.rate_off_rps}")
-        if self.mean_on_s <= 0 or self.mean_off_s <= 0:
+        if not (self.mean_on_s > 0 and self.mean_off_s > 0):
             raise ValueError("state residence means must be positive")
 
     def times(self, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -203,7 +203,7 @@ class ClosedLoopSource(RequestSource):
     ) -> None:
         if clients < 1:
             raise ValueError(f"clients must be >= 1, got {clients}")
-        if think_time_s < 0:
+        if not (think_time_s >= 0):
             raise ValueError(f"think_time_s must be >= 0, got {think_time_s}")
         self.spec = spec
         self.clients = min(clients, spec.num_requests)

@@ -95,7 +95,7 @@ class DecodeSLOClass(SLOClass):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.itl_deadline_s is not None and self.itl_deadline_s <= 0:
+        if self.itl_deadline_s is not None and not (self.itl_deadline_s > 0):
             raise ValueError("itl_deadline_s must be positive or None")
 
 

@@ -260,6 +260,8 @@ class FaultInjector:
     """
 
     def __init__(self, specs: Sequence[FaultSpec] = (), seed: int = 0) -> None:
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         self.specs: Tuple[FaultSpec, ...] = tuple(specs)
         self.seed = seed
         self.crashes: Tuple[CrashSpec, ...] = tuple(

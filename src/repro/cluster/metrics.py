@@ -1,13 +1,13 @@
 """Cluster-simulation metrics: per-request records -> ClusterReport.
 
-The simulator appends one :class:`RequestRecord` per completed request,
-one :class:`DropRecord` per request it rejected at admission or shed
-from a queue, and samples a small time series (queue depth, busy
-workers) at every event; :meth:`MetricsCollector.report` reduces them to
-the numbers a capacity study reads off: per-SLO-class latency
-percentiles, *goodput* (deadline-met completions per second — the metric
-a deployment is actually provisioned for), per-class goodput shares with
-a Jain fairness index, and per-worker utilisation.
+The simulator appends one :class:`RequestRecord` per completed request
+and one :class:`DropRecord` per request it rejected at admission, shed
+from a queue or lost to faults, and keeps no per-event state;
+:meth:`MetricsCollector.report` reduces the records to the numbers a
+capacity study reads off: per-SLO-class latency percentiles, *goodput*
+(deadline-met completions per second — the metric a deployment is
+actually provisioned for), per-class goodput shares with a Jain fairness
+index, and per-worker utilisation.
 
 Conservation is the collector's core invariant: every submitted request
 ends up in exactly one of {completed, rejected, shed, failed, still
@@ -27,7 +27,7 @@ reports byte-identical to the pre-fault simulator's output.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Sequence
 
 import numpy as np
@@ -37,7 +37,6 @@ __all__ = [
     "DropRecord",
     "WorkerReport",
     "ClassReport",
-    "SeriesPoint",
     "MetricsCollector",
     "ClusterReport",
     "jain_index",
@@ -175,15 +174,6 @@ class ClassReport:
 
 
 @dataclass
-class SeriesPoint:
-    """One sample of cluster state (taken at every simulator event)."""
-
-    t_s: float
-    queued: int
-    busy_workers: int
-
-
-@dataclass
 class ClusterReport:
     """Everything a capacity decision needs from one simulation run.
 
@@ -214,7 +204,6 @@ class ClusterReport:
     retries: int = 0  # transient-error redispatches scheduled
     requeues: int = 0  # orphans re-routed off down workers
     availability: float = 1.0  # 1 - downtime / (workers x makespan)
-    series: List[SeriesPoint] = field(repr=False, default_factory=list)
 
     def class_report(self, name: str) -> ClassReport:
         for cls in self.classes:
@@ -222,7 +211,7 @@ class ClusterReport:
                 return cls
         raise KeyError(f"no SLO class {name!r} in report")
 
-    def to_dict(self, include_series: bool = False) -> dict:
+    def to_dict(self) -> dict:
         """JSON-ready view of the whole report.
 
         The machine-readable twin of :meth:`render` — what the CLI's
@@ -230,11 +219,9 @@ class ClusterReport:
         Per-class and per-worker sub-blocks are nested dicts (see
         :meth:`ClassReport.to_dict` / :meth:`WorkerReport.to_dict`);
         every value is a plain int/float/str/bool, so the result
-        round-trips through ``json`` without custom encoders.  The event
-        time series is omitted unless ``include_series`` (it is the one
-        block that grows with run length, not configuration size).
+        round-trips through ``json`` without custom encoders.
         """
-        out = {
+        return {
             "submitted": self.submitted,
             "completed": self.completed,
             "rejected": self.rejected,
@@ -256,9 +243,6 @@ class ClusterReport:
             "classes": [cls.to_dict() for cls in self.classes],
             "workers": [w.to_dict() for w in self.workers],
         }
-        if include_series:
-            out["series"] = [asdict(p) for p in self.series]
-        return out
 
     def render(self) -> str:
         lines = [
@@ -324,13 +308,11 @@ class ClusterReport:
 
 
 class MetricsCollector:
-    """Accumulates records + time series during a simulation run."""
+    """Accumulates per-request records during a simulation run."""
 
-    def __init__(self, keep_series: bool = True) -> None:
-        self.keep_series = keep_series  # off: no point per event for a front that never reports
+    def __init__(self) -> None:
         self.records: List[RequestRecord] = []
         self.drops: List[DropRecord] = []
-        self.series: List[SeriesPoint] = []
         self.submitted: int = 0
         self._dropped = {"rejected": 0, "shed": 0, "failed": 0}  # per DropRecord.kind
         self.first_arrival_s: Optional[float] = None
@@ -369,10 +351,6 @@ class MetricsCollector:
     def note_failed(self, request, t: float) -> None:
         """Faults claimed the request: retry budget gone or unrecoverable."""
         self._note_drop(request, t, "failed")
-
-    def sample(self, t: float, queued: int, busy_workers: int) -> None:
-        if self.keep_series:
-            self.series.append(SeriesPoint(t_s=t, queued=queued, busy_workers=busy_workers))
 
     # ------------------------------------------------------------------
     @property
@@ -501,5 +479,4 @@ class MetricsCollector:
             retries=retries,
             requeues=requeues,
             availability=max(availability, 0.0),
-            series=self.series,
         )

@@ -142,7 +142,7 @@ class MaxWaitPolicy(BatchPolicy):
         drop_expired: bool = False,
     ) -> None:
         super().__init__(drop_expired=drop_expired)
-        if max_wait_s < 0:
+        if not (max_wait_s >= 0):
             raise ValueError(f"max_wait_s must be >= 0, got {max_wait_s}")
         if target_size is not None and target_size < 1:
             raise ValueError(f"target_size must be >= 1, got {target_size}")

@@ -437,7 +437,7 @@ class CostModelClock(ServiceModel):
         self._per_pass = cold_compile_s is None
         if self._per_pass:
             cold_compile_s = _FLAT_COLD_COMPILE_S
-        if batch_overhead_s < 0 or cold_compile_s < 0:
+        if not (batch_overhead_s >= 0 and cold_compile_s >= 0):
             raise ValueError("overheads must be >= 0")
         self.batch_overhead_s = batch_overhead_s
         self.cold_compile_s = cold_compile_s
@@ -633,7 +633,3 @@ class EnginePool:
     @property
     def pending(self) -> int:
         return sum(w.queue.pending for w in self.workers)
-
-    @property
-    def busy_workers(self) -> int:
-        return sum(1 for w in self.workers if w.busy)

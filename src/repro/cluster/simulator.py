@@ -251,9 +251,6 @@ class ControlPlane:
     Subclasses build ``self.executor`` and feed arrivals.
     """
 
-    #: False for a synchronous front that never reports: no time series
-    keeps_series = True
-
     def __init__(self, config: ControlConfig, **engine) -> None:
         self.config = cfg = config
         self.pool = EnginePool(
@@ -264,7 +261,7 @@ class ControlPlane:
             affinity_miss_prob=cfg.affinity_miss_prob,
             **engine,
         )
-        self.metrics = MetricsCollector(self.keeps_series)
+        self.metrics = MetricsCollector()
         self._source = RequestSource()  # closed-loop feedback; none by default
         self._routed: Dict[Hashable, int] = {}  # request id -> routed worker id
         self._timer_armed: Dict[int, float] = {}  # worker id -> armed time
@@ -611,7 +608,6 @@ class ControlPlane:
                 tick(self, t)
             self._handlers[kind](payload, t)
             self._balance(t)
-            self.metrics.sample(t, self.pool.pending, self.pool.busy_workers)
 
     def report(self) -> ClusterReport:
         """Everything served so far, reduced to a :class:`ClusterReport`."""

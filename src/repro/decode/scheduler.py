@@ -63,8 +63,6 @@ class DecodeScheduler(ControlPlane):
     token and retires lanes that met their budget, freeing them for the
     next step: the batch never drains just to refill."""
 
-    keeps_series = False
-
     def __init__(self, salo: Optional[SALO] = None, max_lanes: int = 8,
                  bucket_floor: int = 16) -> None:
         from ..cluster.decode import lane_plane  # imports decode.session

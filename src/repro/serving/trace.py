@@ -60,7 +60,7 @@ class TraceSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("num_requests", "heads", "head_dim"):
+        for name in ("num_requests", "n", "window", "heads", "head_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 

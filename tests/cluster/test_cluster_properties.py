@@ -374,7 +374,7 @@ class TestDeterminism:
         _, first = _run(drive, sc)
         _, second = _run(drive, sc)
         assert first.render() == second.render()
-        assert [p.t_s for p in first.series] == [p.t_s for p in second.series]
+        assert first.to_dict() == second.to_dict()
 
 
 class TestFaultConservation:
@@ -431,4 +431,4 @@ class TestEmptyInjectorIdentity:
         _, without = _run(drive, sc, faults=None)
         _, empty = _run(drive, sc, faults=FaultInjector([], seed=99))
         assert without.render() == empty.render()
-        assert [p.t_s for p in without.series] == [p.t_s for p in empty.series]
+        assert without.to_dict() == empty.to_dict()

@@ -7,6 +7,7 @@ import pytest
 
 from repro.cluster import (
     ClosedLoopSource,
+    ClusterSimulator,
     CostModelClock,
     EDFPolicy,
     GreedyFIFOPolicy,
@@ -45,7 +46,7 @@ class TestDeterminism:
 
         r1, r2 = run(), run()
         assert r1.render() == r2.render()
-        assert [p.t_s for p in r1.series] == [p.t_s for p in r2.series]
+        assert r1.to_dict() == r2.to_dict()
 
     def test_no_wall_clock_in_deterministic_mode(self, monkeypatch):
         """The acceptance contract: simulated time derives only from the
@@ -185,12 +186,21 @@ class TestReportIntegrity:
 
     def test_series_tracks_queue_drain(self):
         source = open_loop(_spec(num=50, seed=6), PoissonProcess(rate_rps=1e6))
-        report = simulate(source, SimConfig(workers=2))
-        depths = [p.queued for p in report.series]
-        assert max(depths) > 0  # the burst backed up
-        assert depths[-1] == 0  # and fully drained
-        times = [p.t_s for p in report.series]
-        assert times == sorted(times)
+        sim = ClusterSimulator(SimConfig(workers=2))
+        times = []
+        next_event = sim.executor.next_event
+
+        def recording_next_event():
+            event = next_event()
+            if event is not None:
+                times.append(event[0])
+            return event
+
+        sim.executor.next_event = recording_next_event
+        report = sim.run(source)  # refuses to return with work still queued
+        assert any(c.queue_p50_ms > 0 for c in report.classes)  # the burst backed up
+        assert report.completed == 50  # and fully drained
+        assert times and times == sorted(times)  # event time never goes backwards
 
     def test_padded_cluster_mode_runs(self):
         source = open_loop(_spec(num=40, seed=8), PoissonProcess(rate_rps=1e5))

@@ -216,15 +216,13 @@ class TestStructureGrouping:
 class TestFrontState:
     def test_long_run_keeps_no_per_event_history(self):
         """A decoder that runs for a long time stays bounded: the plane
-        samples no time series, and it forgets each sequence once the
-        sequence ends."""
+        forgets each sequence once the sequence ends."""
         sched = DecodeScheduler(salo=_salo(), max_lanes=2)
         sched.submit(_request(0, 4, 300))
         for i in range(1, 21):
             sched.submit(_request(i, 4 + i % 3, 5))
         for _ in range(150):
             sched.step()
-        assert sched.metrics.series == []
         assert len(sched.metrics.records) == len(sched.completed) == 20
         assert set(sched._routed) == {"seq-0"} and not sched._attempts
         assert len(sched.worker.warm_plans) <= 8  # one per step bucket seen

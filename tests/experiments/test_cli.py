@@ -1,5 +1,10 @@
 """Tests for the CLI."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -201,6 +206,51 @@ class TestCli:
         the message names the field, the exit code is 2."""
         assert main(["simulate", *flags]) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["simulate", "--workers", "0"], "--workers"),
+            (["simulate", "--requests", "0"], "num_requests"),
+            (["simulate", "--n", "0"], "n must be"),
+            (["simulate", "--window", "0"], "window"),
+            (["simulate", "--heads", "0"], "heads"),
+            (["simulate", "--arrival", "closed", "--clients", "0"], "clients"),
+            (["simulate", "--arrival", "closed", "--think-ms", "-1"], "think_time_s"),
+            (["simulate", "--policy", "size-latency", "--target-size", "0"], "target_size"),
+            (["simulate", "--policy", "max-wait", "--max-wait-ms", "-1"], "max_wait_s"),
+            (["simulate", "--policy", "max-wait", "--max-wait-ms", "nan"], "max_wait_s"),
+            (["simulate", "--fault-seed", "-1", "--fault-transient", "0.1"], "seed"),
+            (["simulate", "--slo", "a:nan:1"], "--slo"),
+            # open-loop knobs a closed population would silently ignore
+            (["simulate", "--arrival", "closed", "--rate", "100"], "--rate"),
+            (["simulate", "--arrival", "closed", "--rho", "0.5"], "--rho"),
+            (["serve", "--batch-size", "0"], "--batch-size"),
+            (["serve", "--requests", "0"], "num_requests"),
+            (["serve", "--window", "0"], "window"),
+            (["serve", "--heads", "0"], "heads"),
+            (["advise", "--workers", "0"], "workers"),
+            (["advise", "--batch-size", "0"], "max_batch_size"),
+            (["advise", "--top", "-1"], "--top"),
+        ],
+    )
+    def test_bad_input_exits_2_naming_it(self, capsys, argv, needle):
+        assert main(argv) == 2
+        assert needle in capsys.readouterr().err
+
+    def test_nan_max_wait_exits_instead_of_hanging(self):
+        """A NaN re-check timer never fires past; the run never ended."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "simulate",
+             "--policy", "max-wait", "--max-wait-ms", "nan"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert done.returncode == 2
+        assert "max_wait_s" in done.stderr and "Traceback" not in done.stderr
 
     def test_decode_reports_conservation_and_pacing(self, capsys):
         assert main(["decode", "--sequences", "8", "--global-token", "20"]) == 0

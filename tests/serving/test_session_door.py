@@ -93,7 +93,6 @@ def test_session_door_conserves_and_matches_solo(rounds, pad, max_batch_size, ma
     assert set(session.results) == set(admitted)
     served = Counter(record.request_id for record in session.metrics.records)
     assert all(count == 1 for count in served.values()) and set(served) == set(admitted)
-    assert session.metrics.series == []  # a long-lived session keeps no per-event points
     for rid, (pattern, q, k, v) in admitted.items():
         solo = _REFERENCE.attend(pattern, q, k, v, heads=_HEADS).output
         got = session.results[rid].output

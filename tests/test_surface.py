@@ -150,3 +150,21 @@ def test_the_clock_prices_its_own_cold_penalty():
         if "_cold_penalty_s" in (getattr(node, "attr", None), getattr(node, "name", None))
     }
     assert users == {"cluster/pool.py"}
+
+
+def test_the_event_loop_keeps_no_per_event_accounting():
+    """``ControlPlane._drive`` only decides: per-request records are kept
+    by the handlers, and nothing in ``self.metrics`` grows per event.  A
+    per-event sample is observability, which belongs on an opt-in sink."""
+    plane = next(
+        node
+        for node in ast.walk(_sources()["cluster/simulator.py"])
+        if isinstance(node, ast.ClassDef) and node.name == "ControlPlane"
+    )
+    drive = next(
+        node for node in plane.body if isinstance(node, ast.FunctionDef) and node.name == "_drive"
+    )
+    calls = [node.func for node in ast.walk(drive) if isinstance(node, ast.Call)]
+    assert any(getattr(func, "attr", None) == "_balance" for func in calls)  # the walk sees the loop
+    on_metrics = [name for name in map(ast.unparse, calls) if name.startswith("self.metrics.")]
+    assert not on_metrics, on_metrics

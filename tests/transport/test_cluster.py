@@ -66,15 +66,18 @@ class TestConservation:
     def test_every_request_completes_and_conserves(self, drive, driver):
         """A clean 16-request burst (nothing non-finite, so the request
         door lets all of it through) is served whole."""
-        cluster, report = drive(driver, _requests(16), **_knobs())
+        ticks = []
+        cluster, report = drive(
+            driver, _requests(16), tick=lambda plane, now: ticks.append(now), **_knobs()
+        )
         assert report.submitted == report.completed == 16
         assert report.failed == 0 and _conserved(report)
         assert all(w.served > 0 for w in report.workers)  # equally warm: JSQ spread
         # pre-compiled plans count as warm plans, and really are
         assert all(w.cold_compiles == 0 for w in report.workers)
         assert all(w.plan_cache["misses"] == 1 for w in report.workers)
-        # one series point per handled event, not per poll wake-up
-        assert len(report.series) < 16 + 200 * report.makespan_s
+        # tick fires once per handled event, not per poll wake-up
+        assert len(ticks) < 16 + 200 * report.makespan_s
 
 
 class TestControlPlaneOnRealWorkers:
