@@ -181,6 +181,20 @@ def _cmd_advise(args) -> int:
     return 0
 
 
+def _admission(name: str, depth: int, slack: float, rate: float,
+               max_wait_s: Optional[float] = None):
+    """Admission policy ``name`` over its flags' values: queue-depth reads
+    ``depth``, est-wait ``slack`` and ``max_wait_s``, token-bucket ``rate``."""
+    from .cluster import make_admission
+
+    kwargs = {
+        "queue-depth": dict(max_depth=depth),
+        "est-wait": dict(slack=slack, max_wait_s=max_wait_s),
+        "token-bucket": dict(default_rate=rate),
+    }
+    return make_admission(name, **kwargs.get(name, {}))
+
+
 def _simulation(args, fault_specs, explicit_slo, class_weights):
     """``simulate``'s source, config and open-loop rate; a bad flag raises ``ValueError``."""
     import numpy as np
@@ -198,7 +212,6 @@ def _simulation(args, fault_specs, explicit_slo, class_weights):
         SimConfig,
         SLOClass,
         WorkloadSpec,
-        make_admission,
         make_policy,
         open_loop,
         service_scales,
@@ -304,22 +317,11 @@ def _simulation(args, fault_specs, explicit_slo, class_weights):
     if args.policy == "weighted-fair" and args.length_weighted:
         policy_kwargs["length_weighted"] = True
 
-    admission_kwargs = {}
-    if args.admission == "queue-depth":
-        admission_kwargs["max_depth"] = args.admission_depth
-    elif args.admission == "est-wait":
-        admission_kwargs["slack"] = args.admission_slack
-        if args.admission_wait_ms is not None:
-            admission_kwargs["max_wait_s"] = args.admission_wait_ms / 1e3
-    elif args.admission == "token-bucket":
-        # Default quota: an even split of the pool's cost-model capacity
-        # across the configured SLO classes.
-        rate_per_class = (
-            args.admission_rate
-            if args.admission_rate is not None
-            else args.workers / unit_s / max(len(slo_classes), 1)
-        )
-        admission_kwargs["default_rate"] = rate_per_class
+    # Default token-bucket quota: an even split of the pool's cost-model
+    # capacity across the configured SLO classes.
+    quota = args.admission_rate if args.admission_rate is not None else (
+        args.workers / unit_s / max(len(slo_classes), 1))
+    wait_s = None if args.admission_wait_ms is None else args.admission_wait_ms / 1e3
 
     config = SimConfig(
         workers=args.workers,
@@ -327,7 +329,8 @@ def _simulation(args, fault_specs, explicit_slo, class_weights):
         pad_to_bucket=args.pad,
         steal=not args.no_steal,
         policy=make_policy(args.policy, **policy_kwargs),
-        admission=make_admission(args.admission, **admission_kwargs),
+        admission=_admission(args.admission, args.admission_depth, args.admission_slack,
+                             quota, wait_s),
         service=MeasuredClock() if args.measured else clock,
         backend=args.backend,
         faults=injector,
@@ -409,6 +412,13 @@ def _cmd_simulate(args) -> int:
         return 2
     if args.admission_wait_ms is not None and not (args.admission_wait_ms >= 0):
         print(f"--admission-wait-ms must be >= 0, got {args.admission_wait_ms}", file=sys.stderr)
+        return 2
+    # A flag the chosen admission policy never reads is refused, not ignored.
+    if args.admission_rate is not None and args.admission != "token-bucket":
+        print("--admission-rate only applies to --admission token-bucket", file=sys.stderr)
+        return 2
+    if args.admission_wait_ms is not None and args.admission != "est-wait":
+        print("--admission-wait-ms only applies to --admission est-wait", file=sys.stderr)
         return 2
     fault_specs = []
     for spec_str in args.fault_crash or ():
@@ -514,14 +524,26 @@ def _cmd_simulate(args) -> int:
 def _cmd_decode(args) -> int:
     """Build a decode workload from CLI args and run the decode simulator."""
     from .cluster import (
+        ContinuousBatching,
         DecodeClusterSimulator,
         DecodeSimConfig,
         DecodeSLOClass,
         DecodeWorkloadSpec,
         FaultInjector,
+        RecoveryConfig,
         TransientSpec,
-        make_admission,
     )
+
+    # A flag the chosen mode never reads is refused, not ignored.
+    if args.fault_worker is not None and args.fault_transient is None:
+        print("--fault-worker only applies with --fault-transient", file=sys.stderr)
+        return 2
+    if args.admission_rate is not None and args.admission != "token-bucket":
+        print("--admission-rate only applies to --admission token-bucket", file=sys.stderr)
+        return 2
+    if args.no_shed_lagging and args.itl_shed_factor is not None:
+        print("--itl-shed-factor does not apply with --no-shed-lagging", file=sys.stderr)
+        return 2
 
     slo_classes = None
     if args.slo:
@@ -564,27 +586,10 @@ def _cmd_decode(args) -> int:
         print(exc, file=sys.stderr)
         return 2
 
-    admission = None
-    if args.admission != "admit-all":
-        admission_kwargs = {}
-        if args.admission == "queue-depth":
-            admission_kwargs["max_depth"] = args.admission_depth
-        elif args.admission == "est-wait":
-            admission_kwargs["slack"] = args.admission_slack
-        elif args.admission == "token-bucket":
-            # Default quota: the offered sequence rate split evenly
-            # across the configured SLO classes.
-            admission_kwargs["default_rate"] = (
-                args.admission_rate
-                if args.admission_rate is not None
-                else args.rate / max(len(spec.slo_classes), 1)
-            )
-        try:
-            admission = make_admission(args.admission, **admission_kwargs)
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-
+    # Default token-bucket quota: the offered sequence rate split evenly
+    # across the configured SLO classes.
+    quota = args.admission_rate if args.admission_rate is not None else (
+        args.rate / len(spec.slo_classes))
     faults = None
     t0 = time.perf_counter()
     try:
@@ -595,11 +600,12 @@ def _cmd_decode(args) -> int:
             )
         config = DecodeSimConfig(
             workers=args.workers,
-            max_lanes=args.max_lanes,
-            admission=admission,
-            shed_lagging=not args.no_shed_lagging,
-            itl_shed_factor=args.itl_shed_factor,
-            max_retries=args.max_retries,
+            max_batch_size=args.max_lanes,
+            policy=ContinuousBatching(itl_shed_factor=None) if args.no_shed_lagging
+            else ContinuousBatching() if args.itl_shed_factor is None
+            else ContinuousBatching(args.itl_shed_factor),
+            admission=_admission(args.admission, args.admission_depth, args.admission_slack, quota),
+            recovery=RecoveryConfig(max_retries=args.max_retries),
             faults=faults,
         )
         # the simulator checks the fault specs against the pool and the
@@ -613,7 +619,7 @@ def _cmd_decode(args) -> int:
         f"prompts [{args.prompt_min}, {args.prompt_max}], "
         f"output ~geometric({args.mean_new_tokens:.0f}) cap {args.max_new_tokens}, "
         f"{args.workers} workers x {args.max_lanes} lanes"
-        + (f", admission {args.admission}" if admission is not None else "")
+        + (f", admission {args.admission}" if args.admission != "admit-all" else "")
         + (f", faults {faults!r}" if faults is not None else "")
     )
     print(report.render())
@@ -1097,7 +1103,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     dec_p.add_argument(
         "--itl-shed-factor",
         type=float,
-        default=4.0,
+        default=None,
         help="shed a lane once its gap exceeds this multiple of its ITL budget",
     )
     dec_p.add_argument(

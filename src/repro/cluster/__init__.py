@@ -110,6 +110,7 @@ from .pool import (
 )
 from .decode import (
     DEFAULT_DECODE_SLO_CLASSES,
+    ContinuousBatching,
     DecodeClassReport,
     DecodeClusterSimulator,
     DecodeReport,
@@ -164,6 +165,7 @@ __all__ = [
     "DEFAULT_DECODE_SLO_CLASSES",
     "DecodeWorkloadSpec",
     "DecodeSimConfig",
+    "ContinuousBatching",
     "DecodeClusterSimulator",
     "DecodeClassReport",
     "DecodeReport",

@@ -19,17 +19,19 @@ own nouns:
   widest :func:`repro.decode.step_window` bucket among its lanes.  A
   served launch is one token per lane.
 
-That policy and lane queue (:func:`lane_plane`) decide every step of
-two fronts:
+That policy builds each worker's lane queue from the plane's config
+(:meth:`ContinuousBatching.queue`: ``max_batch_size`` lanes, the
+config's ``bucket_floor``) and decides every step of two fronts:
 
-* :class:`DecodeClusterSimulator` — sequences drawn by
-  :class:`DecodeWorkloadSpec` (prompt lengths, geometric capped output
-  budgets, ITL SLO classes; one seeded RNG stream) on the cost-model
-  clock, which charges ``latency(full-bucket step plan) x lanes + batch
-  overhead (+ cold compile)``; stragglers and transient faults hit a
-  launch like any other, and a failed one retries *in place* against
-  each sequence's retry budget (exhausted: ``failed`` with its
-  unproduced tokens);
+* :class:`DecodeClusterSimulator` — a :class:`ClusterSimulator` under
+  :class:`DecodeSimConfig` (a :class:`SimConfig` with decode's
+  defaults) serving sequences drawn by :class:`DecodeWorkloadSpec`
+  (prompt lengths, geometric capped output budgets, ITL SLO classes;
+  one seeded RNG stream) on the cost-model clock, which charges
+  ``latency(full-bucket step plan) x lanes + batch overhead (+ cold
+  compile)``; stragglers and transient faults hit a launch like any
+  other, and a failed one retries *in place* against each sequence's
+  retry budget (exhausted: ``failed`` with its unproduced tokens);
 * :class:`repro.decode.DecodeScheduler` — real sequences on
   :class:`~repro.cluster.pool.MeasuredClock`: a launch runs
   :meth:`_StepBatch.execute`, the lanes' step windows on the engine at
@@ -50,24 +52,22 @@ feasibility.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.salo import SALO
 from ..decode.session import _step_first_query, decode_pattern, step_window
 from ..patterns.base import Band
 from ..patterns.hybrid import HybridSparsePattern
 from ..scheduler import SchedulerError
-from ..serving.admission import AdmissionContext, AdmissionPolicy, AdmitAll
+from ..serving.admission import AdmissionContext
 from ..serving.batching import Batch, check_bucket_floor
-from .arrivals import PoissonProcess, SLOClass
-from .faults import FaultInjector, RecoveryConfig
+from .arrivals import OpenLoopSource, PoissonProcess, SLOClass
 from .metrics import _percentile
 from .policy import BatchDecision, BatchPolicy
-from .pool import CostModelClock, Worker
-from .simulator import _ARRIVE, ControlConfig, ControlPlane, SimulatedExecutor
+from .pool import Worker
+from .simulator import ClusterSimulator, SimConfig
 
 __all__ = [
     "DecodeSLOClass",
@@ -141,6 +141,11 @@ class DecodeWorkloadSpec:
             raise ValueError("need 1 <= prompt_min <= prompt_max")
         if not (1 <= self.mean_new_tokens <= self.max_new_tokens):
             raise ValueError("need 1 <= mean_new_tokens <= max_new_tokens")
+        if self.window < 0:  # window 0 is a self-only causal band
+            raise ValueError(f"window must be >= 0, got {self.window}")
+        for name in ("heads", "head_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if any(g < 0 for g in self.global_tokens):
             raise ValueError("global tokens must be non-negative")
         if not self.slo_classes:
@@ -227,9 +232,9 @@ class _StepBatch(Batch):
     """
 
     def __init__(self, lanes: list, key: Tuple, starts: List[int], bucket: int,
-                 policy: "ContinuousBatching") -> None:
+                 floor: int, policy: "ContinuousBatching") -> None:
         super().__init__(lanes, key=(bucket,) + key, bucket=bucket)
-        self.starts = starts
+        self.starts, self.floor = starts, floor
         self._policy = policy
 
     def execution_pattern(self) -> HybridSparsePattern:
@@ -250,7 +255,7 @@ class _StepBatch(Batch):
         _, bands, active, heads, _ = self.key
         lanes, bucket = self.requests, self.bucket
         valid = [lane.length - start for lane, start in zip(lanes, self.starts)]
-        first = _step_first_query(active, bucket, min(valid), self._policy.bucket_floor)
+        first = _step_first_query(active, bucket, min(valid), self.floor)
         windows = [lane.window(start, bucket) for lane, start in zip(lanes, self.starts)]
         q, k, v = (np.stack(rows) for rows in zip(*windows))
         result = engine.attend(self._policy.pattern(bands, active, bucket, first), q, k, v,
@@ -264,10 +269,11 @@ class _LaneQueue:
     waiters only: the lanes ride the launched step, so ``Worker.depth()``
     is waiters plus lanes."""
 
-    def __init__(self, max_lanes: int) -> None:
-        if max_lanes < 1:
-            raise ValueError("max_lanes must be >= 1")
-        self.max_batch_size = max_lanes
+    def __init__(self, max_batch_size: int, bucket_floor: int) -> None:
+        if max_batch_size < 1:
+            raise ValueError("max_batch_size must be >= 1")
+        self.max_batch_size = max_batch_size
+        self.bucket_floor = check_bucket_floor(bucket_floor)
         self.waiting: Deque[_Seq] = deque()
         self.lanes: List[_Seq] = []
         self.round: Deque[_StepBatch] = deque()  # this step's groups not yet launched
@@ -290,35 +296,6 @@ class _LaneQueue:
         return removed
 
 
-@dataclass
-class DecodeSimConfig:
-    """Knobs of one decode-cluster run."""
-
-    workers: int = 2
-    max_lanes: int = 8
-    bucket_floor: int = 16
-    admission: Optional[AdmissionPolicy] = None
-    service: Optional[CostModelClock] = None  # default: calibrated clock
-    shed_lagging: bool = True
-    itl_shed_factor: float = 4.0  # gap > factor x itl budget -> shed
-    max_retries: int = 3
-    faults: Optional[FaultInjector] = None
-    salo_factory: Callable[[], SALO] = SALO
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.max_lanes < 1:
-            raise ValueError("max_lanes must be >= 1")
-        check_bucket_floor(self.bucket_floor)
-        if not (self.itl_shed_factor >= 1.0):
-            raise ValueError("itl_shed_factor must be >= 1")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.faults is not None and self.faults.crashes:
-            raise ValueError("CrashSpec: decode does not model what a dead worker's lanes and KV do")
-
-
 class ContinuousBatching(BatchPolicy):
     """The one decision of every decode step, simulated or real.
 
@@ -329,16 +306,21 @@ class ContinuousBatching(BatchPolicy):
     token steps apart from one that has); each group closes into a step
     batch at the widest :func:`step_window` bucket among its lanes.  The
     round's later consultations launch the remaining groups, one each.
-    Lagging lanes are shed only under an ``itl_shed_factor`` (x ITL budget).
+    A lane is shed for lagging once its inter-token gap exceeds
+    ``itl_shed_factor`` x its ITL budget; ``None`` never sheds a lane.
     """
 
     name = "continuous"
 
-    def __init__(self, bucket_floor: int, itl_shed_factor: Optional[float] = None) -> None:
+    def __init__(self, itl_shed_factor: Optional[float] = 4.0) -> None:
         super().__init__()
-        check_bucket_floor(bucket_floor)
-        self.bucket_floor, self.itl_shed_factor = bucket_floor, itl_shed_factor
+        if itl_shed_factor is not None and not (itl_shed_factor >= 1.0):
+            raise ValueError(f"itl_shed_factor must be >= 1 or None, got {itl_shed_factor}")
+        self.itl_shed_factor = itl_shed_factor
         self._patterns: Dict[Tuple, HybridSparsePattern] = {}
+
+    def queue(self, config) -> _LaneQueue:
+        return _LaneQueue(config.max_batch_size, config.bucket_floor)
 
     def pattern(self, bands: Tuple[Band, ...], active: Tuple[int, ...], bucket: int,
                 first_query: int = 0) -> HybridSparsePattern:
@@ -349,17 +331,16 @@ class ContinuousBatching(BatchPolicy):
             pat = self._patterns[key] = decode_pattern(bands, active, bucket, bucket, first_query)
         return pat
 
-    def _round(self, lanes: list) -> Deque[_StepBatch]:
+    def _round(self, lanes: list, floor: int) -> Deque[_StepBatch]:
         groups: Dict[Tuple, list] = {}
         for lane in lanes:
             groups.setdefault(lane.group_key(), []).append(lane)
-        floor = self.bucket_floor
         batches: Deque[_StepBatch] = deque()
         for key in sorted(groups, key=repr):
             members = groups[key]
             windows = [step_window(key[0], key[1], lane.length, floor) for lane in members]
             starts = [start for start, _ in windows]
-            batches.append(_StepBatch(members, key, starts, max(b for _, b in windows), self))
+            batches.append(_StepBatch(members, key, starts, max(b for _, b in windows), floor, self))
         return batches
 
     def next_batch(self, queue: _LaneQueue, now: float) -> BatchDecision:
@@ -381,30 +362,31 @@ class ContinuousBatching(BatchPolicy):
             queue.lanes.append(seq)
         if not queue.lanes:
             return BatchDecision(shed=tuple(shed))
-        queue.round = self._round(queue.lanes)
+        queue.round = self._round(queue.lanes, queue.bucket_floor)
         return BatchDecision(batch=queue.round.popleft(), shed=tuple(shed))
 
 
-def lane_plane(workers: int, max_lanes: int, bucket_floor: int,
-               salo_factory: Callable[[], SALO], itl_shed_factor: Optional[float] = None,
-               admission: Optional[AdmissionPolicy] = None, max_retries: int = 0) -> dict:
-    """:class:`ControlPlane` arguments of a decode front, simulated or
-    real: a lane queue per worker under :class:`ContinuousBatching`."""
-    return dict(
-        config=ControlConfig(
-            workers=workers,
-            max_batch_size=max_lanes,
-            bucket_floor=bucket_floor,
-            steal=False,  # a lane's KV lives on the worker it was routed to
-            affinity_miss_prob=1.0,  # lanes do not route by structure: by (depth, wid)
-            # drop_expired stays off: TTFT sheds at steps
-            policy=ContinuousBatching(bucket_floor, itl_shed_factor),
-            admission=admission if admission is not None else AdmitAll(),
-            recovery=RecoveryConfig(max_retries=max_retries),
-        ),
-        salo_factory=salo_factory,
-        queue_factory=lambda: _LaneQueue(max_lanes),
-    )
+@dataclass
+class DecodeSimConfig(SimConfig):
+    """A :class:`SimConfig` with decode's defaults: every step is decided
+    by :class:`ContinuousBatching` (``max_batch_size`` is the lanes per
+    worker), and nothing is stolen — a lane's KV lives on the worker it
+    was routed to.  What decode does not model is refused by name."""
+
+    policy: BatchPolicy = field(default_factory=ContinuousBatching)
+    steal: bool = False
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.policy, ContinuousBatching):
+            raise ValueError(
+                f"policy: decode steps under ContinuousBatching, got {type(self.policy).__name__}"
+            )
+        if self.steal:
+            raise ValueError("steal: a lane's KV lives on its worker; a lane queue has nothing to steal")
+        if self.pad_to_bucket:
+            raise ValueError("pad_to_bucket: a decode step already runs at its step-window bucket")
+        if self.faults is not None and self.faults.crashes:
+            raise ValueError("CrashSpec: decode does not model what a dead worker's lanes and KV do")
 
 
 @dataclass
@@ -521,23 +503,18 @@ def _within(values: List[float], budget: Optional[float]) -> float:
     return sum(1 for v in values if v <= budget) / len(values)
 
 
-class DecodeClusterSimulator(ControlPlane):
-    """Decode traffic on the control plane's virtual-time executor.
+class DecodeClusterSimulator(ClusterSimulator):
+    """Decode traffic on the cluster simulator.
 
-    Routing, launch, fault draws, retry budgets, cold-plan accounting
-    and the event heap are the plane's; the overrides say what differs
-    for a request that stays: a served step is a token, a failed step
-    retries where its KV is, the admission wait is a lane-drain estimate.
+    Routing, launch, fault draws, retry budgets, cold-plan accounting,
+    the event heap and the drain are the simulator's; the overrides say
+    what differs for a request that stays: a served step is a token, a
+    failed step retries where its KV is, the admission wait is a
+    lane-drain estimate.
     """
 
     def __init__(self, config: Optional[DecodeSimConfig] = None) -> None:
-        self.sim_config = cfg = config if config is not None else DecodeSimConfig()
-        super().__init__(**lane_plane(
-            cfg.workers, cfg.max_lanes, cfg.bucket_floor, cfg.salo_factory,
-            itl_shed_factor=cfg.itl_shed_factor if cfg.shed_lagging else None,
-            admission=cfg.admission, max_retries=cfg.max_retries))
-        clock = cfg.service if cfg.service is not None else CostModelClock()
-        self.executor = SimulatedExecutor(clock, cfg.faults, cfg.workers)
+        super().__init__(config if config is not None else DecodeSimConfig())
 
     def _admission_context(self, worker: Worker, request: _Seq, now: float) -> AdmissionContext:
         """A new sequence starts decoding once a lane is free.  Lanes free
@@ -554,7 +531,8 @@ class DecodeClusterSimulator(ControlPlane):
                 worker.salo.estimate(
                     batch.execution_pattern(), heads=spec.heads, head_dim=spec.head_dim
                 ).latency_s * batch.size + self.executor.batch_overhead_s
-                for batch in self.config.policy._round(lanes or [_probe(spec, spec.prompt_max)])
+                for batch in self.config.policy._round(
+                    lanes or [_probe(spec, spec.prompt_max)], worker.queue.bucket_floor)
             )
             lanes_needed = worker.depth() + 1 - worker.queue.max_batch_size
             if lanes_needed <= 0:
@@ -597,13 +575,14 @@ class DecodeClusterSimulator(ControlPlane):
             super()._complete(seq, batch, worker, seq.first_dispatch_s, now)
 
     def _refuse_unschedulable(self, spec: DecodeWorkloadSpec) -> None:
-        """Schedule, on a throwaway engine, the step at which each global
-        token turns active (its smallest bucket) and the widest step."""
-        engine = self.sim_config.salo_factory()
+        """Schedule, on a throwaway engine from the pool's factory, the
+        step at which each global token turns active (its smallest
+        bucket) and the widest step."""
+        engine = self.pool.salo_factory()
         top = spec.prompt_max + spec.max_new_tokens - 1  # longest history a step sees
         points = {min(max(g + 1, spec.prompt_min), top) for g in spec.global_tokens}
         for n in sorted(points | {top}):
-            (step,) = self.config.policy._round([_probe(spec, n)])
+            (step,) = self.config.policy._round([_probe(spec, n)], self.config.bucket_floor)
             try:
                 engine.estimate(step.execution_pattern(), heads=spec.heads, head_dim=spec.head_dim)
             except SchedulerError as exc:
@@ -614,15 +593,10 @@ class DecodeClusterSimulator(ControlPlane):
                 ) from exc
 
     def run(self, spec: DecodeWorkloadSpec) -> DecodeReport:
+        """Refuse an unschedulable workload, then serve every drawn sequence."""
         self._refuse_unschedulable(spec)
         seqs = spec.draw()
-        for seq in seqs:
-            self.executor.schedule(seq.arrival_s, _ARRIVE, seq)
-        self._drive(0.0)
-        if self.metrics.outstanding:
-            raise RuntimeError(
-                f"drained simulation left {self.metrics.outstanding} sequences in flight"
-            )
+        self._play(OpenLoopSource(seqs))
         return self._report(seqs)
 
     def _report(self, seqs: List[_Seq]) -> DecodeReport:

@@ -100,6 +100,11 @@ class BatchPolicy:
     def __init__(self, drop_expired: bool = False) -> None:
         self.drop_expired = drop_expired
 
+    def queue(self, config) -> BatchScheduler:
+        """A worker's queue under this policy, sized by ``config`` (a
+        :class:`~repro.cluster.simulator.ControlConfig`)."""
+        return BatchScheduler(config.max_batch_size, config.bucket_floor, config.pad_to_bucket)
+
     def shed_expired(self, queue: BatchScheduler, now: float) -> Tuple[AttentionRequest, ...]:
         """Sweep out already-doomed requests (no-op unless ``drop_expired``)."""
         if not self.drop_expired:

@@ -225,23 +225,11 @@ class Worker:
     process, not a resurrection.
     """
 
-    def __init__(
-        self,
-        wid: int,
-        salo: SALO,
-        max_batch_size: int = 8,
-        bucket_floor: int = 16,
-        pad_to_bucket: bool = False,
-        queue=None,
-    ) -> None:
+    def __init__(self, wid: int, salo: SALO, queue=None) -> None:
         self.wid = wid
         self.salo = salo
-        # ``queue``: a stand-in speaking BatchScheduler's protocol (decode's lanes)
-        self.queue = queue if queue is not None else BatchScheduler(
-            max_batch_size=max_batch_size,
-            bucket_floor=bucket_floor,
-            pad_to_bucket=pad_to_bucket,
-        )
+        # ``queue``: a BatchScheduler, or a stand-in speaking its protocol (decode's lanes)
+        self.queue = queue if queue is not None else BatchScheduler()
         # launch id -> (batch, dispatched_s, charged_until_s): the batches
         # the worker holds; lost with it if it dies before they complete.
         # Only note_dispatch, note_complete and forfeit change it, and
@@ -511,8 +499,9 @@ class EnginePool:
     """Routes requests across workers; steals work for idle ones.
 
     Each worker's engine comes from ``salo_factory`` — by default a
-    fresh :class:`~repro.core.salo.SALO` per worker.  ``backend``
-    instead names a registered backend
+    fresh :class:`~repro.core.salo.SALO` per worker — and its queue from
+    ``queue_factory`` (a control plane's comes from its batch policy).
+    ``backend`` instead names a registered backend
     (:func:`repro.api.engine_factory` builds the per-worker factory),
     so a pool of legacy-path or oracle engines is one string away;
     passing both a custom factory and a backend name is ambiguous and
@@ -523,12 +512,9 @@ class EnginePool:
         self,
         workers: int,
         salo_factory: Callable[[], SALO] = SALO,
-        max_batch_size: int = 8,
-        bucket_floor: int = 16,
-        pad_to_bucket: bool = False,
         affinity_miss_prob: float = 0.1,
         backend: Optional[str] = None,
-        queue_factory: Optional[Callable[[], object]] = None,
+        queue_factory: Callable[[], object] = BatchScheduler,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -540,20 +526,13 @@ class EnginePool:
             from ..api import engine_factory
 
             salo_factory = engine_factory(backend)
+        self.salo_factory = salo_factory  # what built every worker's engine
         if not 0.0 < affinity_miss_prob <= 1.0:
             raise ValueError(
                 f"affinity_miss_prob must be in (0, 1], got {affinity_miss_prob}"
             )
         self.workers: List[Worker] = [
-            Worker(
-                wid,
-                salo_factory(),
-                max_batch_size=max_batch_size,
-                bucket_floor=bucket_floor,
-                pad_to_bucket=pad_to_bucket,
-                queue=queue_factory() if queue_factory is not None else None,
-            )
-            for wid in range(workers)
+            Worker(wid, salo_factory(), queue_factory()) for wid in range(workers)
         ]
         self.affinity_miss_prob = affinity_miss_prob
         self.steals = 0

@@ -46,13 +46,17 @@ launch ships the batch to a real worker (possibly a process that can
 genuinely be ``kill -9``'d) and timers fire when due.
 
 :class:`ClusterSimulator`, :class:`~repro.transport.cluster.
-TransportCluster`, :class:`~repro.cluster.decode.DecodeClusterSimulator`,
-:class:`~repro.serving.session.ServingSession` and
+TransportCluster`, :class:`~repro.serving.session.ServingSession` and
 :class:`~repro.decode.DecodeScheduler` are thin fronts that pick the
 executor and feed the plane arrivals; routing, admission, batching,
 retry, recovery and the conservation laws the property suite pins exist
-once, here.  Traffic whose requests *stay* — a decode sequence holds a
-lane for one launch per token — overrides one seam,
+once, here.  Each worker's queue comes from the configured policy
+(:meth:`~repro.cluster.policy.BatchPolicy.queue`).  Traffic whose
+requests *stay* — a decode sequence holds a lane for one launch per
+token — is the same plane under
+:class:`~repro.cluster.decode.ContinuousBatching`:
+:class:`~repro.cluster.decode.DecodeClusterSimulator` is a
+:class:`ClusterSimulator` that overrides one seam,
 :meth:`ControlPlane._complete` (what a served launch means for a
 member), beside the retry and admission-estimate methods; the two
 in-process fronts override it to keep each member's output, and their
@@ -255,10 +259,8 @@ class ControlPlane:
         self.config = cfg = config
         self.pool = EnginePool(
             workers=cfg.workers,
-            max_batch_size=cfg.max_batch_size,
-            bucket_floor=cfg.bucket_floor,
-            pad_to_bucket=cfg.pad_to_bucket,
             affinity_miss_prob=cfg.affinity_miss_prob,
+            queue_factory=lambda: cfg.policy.queue(cfg),
             **engine,
         )
         self.metrics = MetricsCollector()
@@ -632,19 +634,23 @@ class ClusterSimulator(ControlPlane):
 
     def run(self, source: RequestSource) -> ClusterReport:
         """Drive the event loop until every queued request completed."""
+        self._play(source)
+        return self.report()
+
+    def _play(self, source: RequestSource) -> None:
+        """Feed ``source`` to the plane and handle events until none are
+        left; every submitted request must have reached an outcome."""
         self._source = source
         for req in source.initial():
             self.executor.schedule(req.arrival_s, _ARRIVE, req)
         self.executor.schedule_faults()
         self._drive(0.0)
-        lost = sum(w.inflight for w in self.pool.workers)
-        if self.pool.pending or lost:  # pragma: no cover - policy bug guard
+        if self.metrics.outstanding:  # pragma: no cover - policy bug guard
             raise RuntimeError(
-                f"simulation drained its event heap with {self.pool.pending} "
-                f"requests still queued and {lost} lost in-flight (policy "
-                "never closed a batch, or recovery never ran)"
+                f"simulation drained its event heap with {self.metrics.outstanding} "
+                "requests queued, in flight or holding a lane (policy never "
+                "closed a batch, or recovery never ran)"
             )
-        return self.report()
 
 
 def simulate(source: RequestSource, config: Optional[SimConfig] = None) -> ClusterReport:

@@ -21,7 +21,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..cluster.pool import MeasuredClock
-from ..cluster.simulator import ControlPlane, SimulatedExecutor
+from ..cluster.simulator import ControlConfig, ControlPlane, SimulatedExecutor
 from ..core.config import HardwareConfig
 from ..core.salo import SALO
 from .request import DecodeRequest, DecodeRunResult, DecodeStepReport, default_next_token
@@ -65,10 +65,15 @@ class DecodeScheduler(ControlPlane):
 
     def __init__(self, salo: Optional[SALO] = None, max_lanes: int = 8,
                  bucket_floor: int = 16) -> None:
-        from ..cluster.decode import lane_plane  # imports decode.session
+        from ..cluster.decode import ContinuousBatching  # imports decode.session
 
         self.salo = salo if salo is not None else SALO(HardwareConfig())
-        super().__init__(**lane_plane(1, max_lanes, bucket_floor, lambda: self.salo))
+        # real lanes carry no ITL budget, so none is shed for lagging
+        super().__init__(
+            ControlConfig(workers=1, max_batch_size=max_lanes, bucket_floor=bucket_floor,
+                          steal=False, policy=ContinuousBatching(itl_shed_factor=None)),
+            salo_factory=lambda: self.salo,
+        )
         self.executor = SimulatedExecutor(MeasuredClock(), None, 1)
         self.worker = self.pool.workers[0]
         self.completed: Dict[str, np.ndarray] = {}

@@ -27,7 +27,7 @@ from typing import List
 from ..cluster import DecodeClusterSimulator, DecodeSimConfig, DecodeWorkloadSpec
 from .base import ExperimentResult, register
 
-#: Every (workers, max_lanes) point the sweep visits.
+#: Every (workers, lanes) point the sweep visits.
 GRID = ((1, 1), (1, 4), (1, 8), (2, 1), (2, 4), (2, 8))
 FAST_GRID = ((1, 1), (1, 4), (2, 4))
 
@@ -54,7 +54,7 @@ def run(fast: bool = False) -> ExperimentResult:
     spec = decode_spec(sequences)
     rows: List[dict] = []
     for workers, lanes in FAST_GRID if fast else GRID:
-        config = DecodeSimConfig(workers=workers, max_lanes=lanes)
+        config = DecodeSimConfig(workers=workers, max_batch_size=lanes)
         report = DecodeClusterSimulator(config).run(spec)
         cold = sum(w["cold_compiles"] for w in report.workers)
         rows.append(

@@ -9,12 +9,15 @@ import pytest
 
 from repro.cluster import (
     DEFAULT_DECODE_SLO_CLASSES,
+    ContinuousBatching,
     CrashSpec,
     DecodeClusterSimulator,
     DecodeSimConfig,
     DecodeSLOClass,
     DecodeWorkloadSpec,
+    EDFPolicy,
     FaultInjector,
+    RecoveryConfig,
     StragglerSpec,
     TransientSpec,
     make_admission,
@@ -50,25 +53,25 @@ _PINNED = {
     "smoke": (
         lambda: DecodeWorkloadSpec(sequences=48, rate_rps=2500, window=8,
                                    heads=2, head_dim=8, seed=0),
-        lambda: dict(workers=2, max_lanes=4),
+        lambda: dict(workers=2, max_batch_size=4),
         "3acf6028c1be24a5bb2df6a37e813943c51559d3da52544d4bb3a01c09faca70",
     ),
     "smoke-faults": (
         lambda: DecodeWorkloadSpec(sequences=32, rate_rps=2500, seed=0),
-        lambda: dict(workers=2, max_lanes=8,
+        lambda: dict(workers=2, max_batch_size=8,
                      admission=make_admission("est-wait", slack=1.0),
                      faults=FaultInjector([TransientSpec(prob=0.2, worker=0)], seed=0)),
         "a61846afb91b45afabc286e779eab8655bf77cb1a35d32973853919c2a8cb421",
     ),
     "retry-budget": (
         _spec,
-        lambda: dict(workers=2, max_lanes=4, max_retries=2,
+        lambda: dict(workers=2, max_batch_size=4, recovery=RecoveryConfig(max_retries=2),
                      faults=FaultInjector([TransientSpec(prob=0.6, worker=0)], seed=5)),
         "1d91b629fab38eb89a0f8d314e824b3e26d43dabb3249bfffeba6858caef7d29",
     ),
     "est-wait": (
         _spec,
-        lambda: dict(workers=1, max_lanes=2,
+        lambda: dict(workers=1, max_batch_size=2,
                      admission=make_admission("est-wait", slack=1.0)),
         "9bdbbaa659262788a68cb8243b17ced105a6fe95a7832d4d45705066bb660c5b",
     ),
@@ -76,12 +79,12 @@ _PINNED = {
     # launches, two batch overheads), as DecodeScheduler runs them.
     "overload-global": (
         lambda: DecodeWorkloadSpec(**_OVERLOAD),
-        lambda: dict(workers=2, max_lanes=4),
+        lambda: dict(workers=2, max_batch_size=4),
         "e6f3d8c9b2a87c13b34df45199aee81e16e890cae481eed604c491dc6e378e63",
     ),
     "overload-depth-cap": (
         lambda: DecodeWorkloadSpec(**_OVERLOAD),
-        lambda: dict(workers=2, max_lanes=2,
+        lambda: dict(workers=2, max_batch_size=2,
                      admission=make_admission("queue-depth", max_depth=3)),
         "a7643447c0e6e1d1490c8106b7df0707499d7b26ef863b2edabaefcecc8e6ae5",
     ),
@@ -98,6 +101,17 @@ class TestPinnedReports:
         report = _run(spec(), **cfg())
         assert _digest(dataclasses.asdict(report)) == want
 
+    @pytest.mark.parametrize("miss", [0.1, 1.0])
+    @pytest.mark.parametrize("name", ["smoke", "overload-global"])
+    def test_lanes_route_alike_at_any_affinity_miss_probability(self, name, miss):
+        """A lane queue's route key is ``None``, which no worker's warm
+        set holds: every worker scores at the miss probability, so lanes
+        route by (depth, worker id) whatever its value.  That is why a
+        decode config does not pin ``affinity_miss_prob``."""
+        spec, cfg, want = _PINNED[name]
+        report = _run(spec(), affinity_miss_prob=miss, **cfg())
+        assert _digest(dataclasses.asdict(report)) == want
+
     @pytest.mark.parametrize("fast, want", [
         (True, "d6f9e28b009e78132f72703f3ece76bc94fb4eb0e0ab59d2a8f6ce535a340e44"),
         (False, "306fa9418fdcb408bac1210ac733ec1d9c79821f5b6143012b1feda05cb443dc"),
@@ -110,14 +124,14 @@ class TestPinnedReports:
 
 class TestConservation:
     def test_sequence_and_token_laws_hold(self):
-        report = _run(workers=2, max_lanes=4)
+        report = _run(workers=2, max_batch_size=4)
         assert report.sequence_conservation
         assert report.token_conservation
         assert report.submitted == 40
         assert report.tokens_completed > 0
 
     def test_laws_hold_under_admission_rejection(self):
-        report = _run(workers=1, max_lanes=2,
+        report = _run(workers=1, max_batch_size=2,
                       admission=make_admission("est-wait", slack=1.0))
         assert report.rejected > 0  # overloaded single worker turns some away
         assert report.sequence_conservation
@@ -125,7 +139,7 @@ class TestConservation:
 
     def test_laws_hold_under_transient_faults(self):
         inj = FaultInjector([TransientSpec(prob=0.6, worker=0)], seed=5)
-        report = _run(workers=2, max_lanes=4, faults=inj, max_retries=2)
+        report = _run(workers=2, max_batch_size=4, faults=inj, recovery=RecoveryConfig(max_retries=2))
         assert report.retries > 0
         assert report.failed > 0  # budget of 2 exhausted under p=0.6
         assert report.sequence_conservation
@@ -136,8 +150,8 @@ class TestConservation:
 
 class TestContinuousBatchingOnClock:
     def test_lanes_bound_concurrency(self):
-        narrow = _run(workers=1, max_lanes=2)
-        wide = _run(workers=1, max_lanes=8)
+        narrow = _run(workers=1, max_batch_size=2)
+        wide = _run(workers=1, max_batch_size=8)
         assert narrow.mean_concurrency <= 2 + 1e-9
         assert wide.mean_concurrency <= 8 + 1e-9
         assert wide.mean_concurrency > narrow.mean_concurrency
@@ -145,14 +159,14 @@ class TestContinuousBatchingOnClock:
     def test_batch_amortisation_raises_tokens_per_s(self):
         """More lanes amortise the per-step batch overhead: same trace,
         wider worker, strictly higher token throughput."""
-        narrow = _run(workers=1, max_lanes=1)
-        wide = _run(workers=1, max_lanes=8)
+        narrow = _run(workers=1, max_batch_size=1)
+        wide = _run(workers=1, max_batch_size=8)
         assert wide.tokens_per_s > narrow.tokens_per_s
 
     def test_cold_compiles_bounded_by_buckets(self):
         """Per-worker warm-plan tracking mirrors the real decode path:
         each (bucket, structure) costs one cold compile per worker."""
-        report = _run(workers=2, max_lanes=4)
+        report = _run(workers=2, max_batch_size=4)
         for w in report.workers:
             assert 0 < w["cold_compiles"] <= 4  # buckets 16/32/64/128 at most
             info = w["plan_cache"]
@@ -161,8 +175,8 @@ class TestContinuousBatchingOnClock:
                 assert counters["misses"] == 1
 
     def test_run_is_deterministic(self):
-        a = _run(workers=2, max_lanes=4)
-        b = _run(workers=2, max_lanes=4)
+        a = _run(workers=2, max_batch_size=4)
+        b = _run(workers=2, max_batch_size=4)
         assert a.tokens_completed == b.tokens_completed
         assert a.steps == b.steps
         assert a.ttft_p99_s == b.ttft_p99_s
@@ -175,7 +189,7 @@ class TestAdmissionEstimate:
         the admission estimate prices the step that way: each group's
         latency times its lanes, plus one batch overhead per group."""
         spec = _spec(global_tokens=(20,))
-        sim = DecodeClusterSimulator(DecodeSimConfig(workers=1, max_lanes=4))
+        sim = DecodeClusterSimulator(DecodeSimConfig(workers=1, max_batch_size=4))
         worker, policy = sim.pool.workers[0], sim.config.policy
         lanes = spec.draw()[:3]
         for seq, n in zip(lanes, (10, 12, 30)):
@@ -196,7 +210,7 @@ class TestAdmissionEstimate:
 
 class TestDecodeMetrics:
     def test_ttft_and_itl_populated(self):
-        report = _run(workers=2, max_lanes=4)
+        report = _run(workers=2, max_batch_size=4)
         assert report.ttft_p50_s > 0
         assert report.ttft_p99_s >= report.ttft_p50_s
         assert report.itl_p50_s > 0
@@ -205,7 +219,7 @@ class TestDecodeMetrics:
         assert report.makespan_s > 0
 
     def test_per_class_reports(self):
-        report = _run(workers=2, max_lanes=8)
+        report = _run(workers=2, max_batch_size=8)
         names = {c.name for c in report.classes}
         assert names <= {c.name for c in DEFAULT_DECODE_SLO_CLASSES}
         for c in report.classes:
@@ -213,7 +227,7 @@ class TestDecodeMetrics:
             assert 0.0 <= c.itl_attainment <= 1.0
 
     def test_render_mentions_decode_quantities(self):
-        text = _run(workers=2, max_lanes=4).render()
+        text = _run(workers=2, max_batch_size=4).render()
         for needle in ("tokens/s", "TTFT", "ITL", "concurrency", "cold compiles"):
             assert needle in text
 
@@ -223,7 +237,7 @@ class TestDecodeMetrics:
         tight = (DecodeSLOClass("tight", deadline_s=1e-4, share=1.0,
                                 itl_deadline_s=None),)
         report = _run(_spec(slo_classes=tight, rate_rps=10000.0),
-                      workers=1, max_lanes=2)
+                      workers=1, max_batch_size=2)
         assert report.shed > 0
         assert report.sequence_conservation and report.token_conservation
 
@@ -248,8 +262,50 @@ class TestSpecValidation:
             _spec(mean_new_tokens=100.0, max_new_tokens=10)
         with pytest.raises(ValueError):
             DecodeSLOClass("x", deadline_s=1.0, itl_deadline_s=-1.0)
-        with pytest.raises(ValueError):
-            DecodeSimConfig(max_lanes=0)
+        with pytest.raises(ValueError, match="max_batch_size"):
+            DecodeClusterSimulator(DecodeSimConfig(max_batch_size=0))
+
+
+class TestValidation:
+    """Each door names the field it refuses, before anything is submitted."""
+
+    @pytest.mark.parametrize("field, value", [("window", -3), ("heads", 0), ("head_dim", 0)])
+    def test_workload_refuses_by_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be >= "):
+            _spec(**{field: value})
+
+    def test_window_zero_is_a_self_only_band(self):
+        report = _run(_spec(sequences=8, window=0))
+        assert report.completed == 8
+
+    @pytest.mark.parametrize("field, cfg", [
+        ("policy", dict(policy=EDFPolicy())),
+        ("steal", dict(steal=True)),
+        ("pad_to_bucket", dict(pad_to_bucket=True)),
+    ])
+    def test_config_refuses_what_decode_does_not_model(self, field, cfg):
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            DecodeSimConfig(**cfg)
+
+    @pytest.mark.parametrize("factor", [0.5, float("nan")])
+    def test_itl_shed_factor_below_one_refused(self, factor):
+        with pytest.raises(ValueError, match="itl_shed_factor"):
+            ContinuousBatching(factor)
+
+    def test_no_itl_shed_factor_never_sheds_a_lagging_lane(self):
+        """Slow, failing steps stretch the lanes' gaps past their ITL
+        budget: the default factor sheds them, ``None`` sheds none."""
+        tight = (DecodeSLOClass("tight", deadline_s=None, share=1.0, itl_deadline_s=1e-3),)
+        spec = DecodeWorkloadSpec(sequences=12, slo_classes=tight, seed=0)
+        slow = StragglerSpec(worker=0, start_s=0.0, duration_s=10.0, factor=3.0)
+
+        def run(**policy):
+            faults = FaultInjector([TransientSpec(prob=0.4), slow], seed=0)
+            return _run(spec, workers=1, max_batch_size=4, faults=faults, **policy)
+
+        assert run().shed > 0
+        kept = run(policy=ContinuousBatching(None))
+        assert kept.shed == 0 and kept.completed + kept.failed == spec.sequences
 
 
 class TestDoor:
@@ -301,14 +357,14 @@ class TestStragglers:
 
     def test_slowed_worker_paces_its_tokens_slower(self):
         spec = _spec(slo_classes=self._PATIENT)
-        base = _run(spec, workers=1, max_lanes=4)
-        slow = _run(spec, workers=1, max_lanes=4, faults=FaultInjector([self._SLOW]))
+        base = _run(spec, workers=1, max_batch_size=4)
+        slow = _run(spec, workers=1, max_batch_size=4, faults=FaultInjector([self._SLOW]))
         assert slow.itl_p99_s > 4.0 * base.itl_p99_s
         assert slow.completed == base.completed == 40
         assert slow.sequence_conservation and slow.token_conservation
 
     def test_only_the_named_worker_is_stretched(self):
-        report = _run(workers=2, max_lanes=4, faults=FaultInjector([self._SLOW]))
+        report = _run(workers=2, max_batch_size=4, faults=FaultInjector([self._SLOW]))
         step_s = [w["busy_s"] / w["steps"] for w in report.workers]
         assert step_s[0] > 3.0 * step_s[1]
         assert report.sequence_conservation and report.token_conservation
@@ -319,7 +375,7 @@ class TestStragglers:
         tight = (DecodeSLOClass("tight", deadline_s=None, share=1.0, itl_deadline_s=1e-3),)
         slow = StragglerSpec(worker=0, start_s=0.0, duration_s=10.0, factor=3.0)
         sim = DecodeClusterSimulator(DecodeSimConfig(
-            workers=1, max_lanes=4,
+            workers=1, max_batch_size=4,
             faults=FaultInjector([TransientSpec(prob=0.4), slow], seed=0),
         ))
         report = sim.run(DecodeWorkloadSpec(sequences=12, slo_classes=tight, seed=0))

@@ -18,7 +18,7 @@ from repro.cluster import (
 from repro.core.config import HardwareConfig
 from repro.core.salo import SALO
 from repro.patterns.library import longformer_pattern
-from repro.serving import AttentionRequest
+from repro.serving import AttentionRequest, BatchScheduler
 
 
 def _request(rid, n=32, window=6, arrival=0.0, seed=0):
@@ -319,7 +319,8 @@ class TestStealNeverTouchesInflight:
     """
 
     def _pool(self):
-        return EnginePool(workers=2, salo_factory=_small_salo, max_batch_size=4)
+        return EnginePool(workers=2, salo_factory=_small_salo,
+                          queue_factory=lambda: BatchScheduler(max_batch_size=4))
 
     def _dispatch_batch(self, worker, first_rid, count=4):
         """Enqueue + take a batch like the simulator's dispatch does."""

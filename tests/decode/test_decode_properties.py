@@ -31,11 +31,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import (
+    AdmitAll,
+    ContinuousBatching,
     DecodeClusterSimulator,
     DecodeSimConfig,
     DecodeSLOClass,
     DecodeWorkloadSpec,
     FaultInjector,
+    RecoveryConfig,
     StragglerSpec,
     TransientSpec,
     make_admission,
@@ -107,10 +110,10 @@ def cluster_scenario(draw):
     faults = FaultInjector(fault_specs, seed=draw(st.integers(0, 100))) if fault_specs else None
     config = DecodeSimConfig(
         workers=draw(st.integers(1, 3)),
-        max_lanes=draw(st.integers(1, 8)),
-        admission=make_admission(admission[0], **admission[1]) if admission else None,
-        shed_lagging=draw(st.booleans()),
-        max_retries=draw(st.integers(0, 3)),
+        max_batch_size=draw(st.integers(1, 8)),
+        admission=make_admission(admission[0], **admission[1]) if admission else AdmitAll(),
+        policy=ContinuousBatching(4.0 if draw(st.booleans()) else None),
+        recovery=RecoveryConfig(max_retries=draw(st.integers(0, 3))),
         faults=faults,
     )
     return spec, config
@@ -156,11 +159,9 @@ class TestTokenConservation:
         def run():
             cfg = DecodeSimConfig(
                 workers=config.workers,
-                max_lanes=config.max_lanes,
-                admission=None,
-                shed_lagging=config.shed_lagging,
-                max_retries=config.max_retries,
-                faults=None,
+                max_batch_size=config.max_batch_size,
+                policy=ContinuousBatching(config.policy.itl_shed_factor),
+                recovery=config.recovery,
             )
             return DecodeClusterSimulator(cfg).run(spec)
 

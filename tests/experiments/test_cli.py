@@ -232,6 +232,15 @@ class TestCli:
             (["advise", "--workers", "0"], "workers"),
             (["advise", "--batch-size", "0"], "max_batch_size"),
             (["advise", "--top", "-1"], "--top"),
+            (["decode", "--window", "-3"], "window"),
+            (["decode", "--heads", "0"], "heads"),
+            (["decode", "--head-dim", "0"], "head_dim"),
+            # flags the chosen mode would silently ignore
+            (["decode", "--fault-worker", "1"], "--fault-worker"),
+            (["simulate", "--admission-rate", "5"], "--admission-rate"),
+            (["decode", "--admission-rate", "5"], "--admission-rate"),
+            (["simulate", "--admission-wait-ms", "5"], "--admission-wait-ms"),
+            (["decode", "--no-shed-lagging", "--itl-shed-factor", "2"], "--itl-shed-factor"),
         ],
     )
     def test_bad_input_exits_2_naming_it(self, capsys, argv, needle):

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.cluster import ClusterSimulator, DecodeSimConfig, SimConfig
+from repro.cluster import ClusterSimulator, DecodeClusterSimulator, DecodeSimConfig, SimConfig
 from repro.decode import DecodeScheduler, DecodeSession
 from repro.decode.session import KVState
 from repro.patterns.window import SlidingWindowPattern
@@ -46,7 +46,7 @@ _DOORS = {
     "DecodeScheduler": lambda f: DecodeScheduler(bucket_floor=f),
     "DecodeSession": lambda f: DecodeSession(SlidingWindowPattern.causal(16, 6), bucket_floor=f),
     "KVState": lambda f: KVState(8, bucket_floor=f),
-    "DecodeSimConfig": lambda f: DecodeSimConfig(bucket_floor=f),
+    "DecodeSimConfig": lambda f: DecodeClusterSimulator(DecodeSimConfig(bucket_floor=f)),
 }
 
 

@@ -168,3 +168,15 @@ def test_the_event_loop_keeps_no_per_event_accounting():
     assert any(getattr(func, "attr", None) == "_balance" for func in calls)  # the walk sees the loop
     on_metrics = [name for name in map(ast.unparse, calls) if name.startswith("self.metrics.")]
     assert not on_metrics, on_metrics
+
+
+def test_decode_is_configured_like_every_simulation():
+    """``DecodeSimConfig`` is a ``SimConfig`` that only changes defaults:
+    a field of its own would be a second configuration growing back
+    beside the plane's."""
+    from dataclasses import fields
+
+    from repro.cluster import DecodeSimConfig, SimConfig
+
+    assert issubclass(DecodeSimConfig, SimConfig)
+    assert [f.name for f in fields(DecodeSimConfig)] == [f.name for f in fields(SimConfig)]
