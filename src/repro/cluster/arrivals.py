@@ -8,8 +8,10 @@ on-off bursts) and one closed-loop source (a fixed client population
 with think times) emit timestamped
 :class:`~repro.serving.request.AttentionRequest` objects decorated with
 an SLO class and its latency deadline — the unit the discrete-event
-simulator consumes.  Their operands are drawn on first read, so traffic
-that only meets a cost-model clock never materialises them.
+simulator consumes.  The spec's stream draws only each request's family
+and class; its operands are keyed by (seed, request id) and drawn on
+first read, so traffic that only meets a cost-model clock never draws
+them.
 
 Open-loop sources fix the arrival times up front (load independent of
 service capacity — the "heavy traffic" regime); the closed-loop source

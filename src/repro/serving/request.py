@@ -3,14 +3,15 @@
 An :class:`AttentionRequest` is one sequence's sparse-attention call —
 pattern, Q/K/V operands and head layout — plus the arrival timestamp the
 latency accounting is anchored to.  Its operands are arrays handed to
-the constructor or, for synthetic traffic, an :class:`OperandDraw`: the
-generator state three standard-normal draws start from, materialised on
-first read of ``q``/``k``/``v`` (:meth:`AttentionRequest.drawn`), so a
-simulation on a cost-model clock never holds them.  The serving layer
-batches requests that share an execution plan (same pattern structure,
-head layout and hardware config) into a single engine dispatch; see
-:mod:`repro.serving.batching`.  :class:`RequestResult` is one served
-request's outcome and :class:`ServingStats` a session's aggregate.
+the constructor or, for synthetic traffic, an :class:`OperandDraw`: one
+stream drives family and class; operands are keyed by (seed, request
+id), and drawn and checked finite on first read of ``q``/``k``/``v``
+(:meth:`AttentionRequest.drawn`), so a simulation on a cost-model clock
+never draws them.  The serving layer batches requests that share an
+execution plan (same pattern structure, head layout and hardware config)
+into a single engine dispatch; see :mod:`repro.serving.batching`.
+:class:`RequestResult` is one served request's outcome and
+:class:`ServingStats` a session's aggregate.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Hashable, NamedTuple, Optional, Tuple
 
 import numpy as np
+from numpy.random import default_rng
 
 from ..patterns.base import AttentionPattern
 
@@ -37,37 +39,20 @@ def _check_finite(request_id: Hashable, name: str, operand: np.ndarray) -> None:
 
 
 class OperandDraw(NamedTuple):
-    """Q, K, V as the generator state they are drawn from plus their shape.
+    """Q, K, V as the key they are drawn from plus their shape.
 
-    The operands are three ``standard_normal(shape)`` draws, q then k
-    then v, starting at ``state`` (a ``bit_generator.state`` snapshot):
-    a few hundred bytes where the arrays take ``24 * n * hidden``.
+    The operands are ``default_rng(key)``'s three ``standard_normal(shape)``
+    draws, q then k then v: a few dozen bytes where the arrays take
+    ``24 * n * hidden``.  A synthetic request's key is ``(seed, request
+    id)``, so drawing one request's operands touches no other stream.
     """
 
-    state: dict
+    key: Tuple[int, ...]
     shape: Tuple[int, int]
 
-    @classmethod
-    def take(
-        cls, rng: np.random.Generator, scratch: np.ndarray, request_id: Hashable
-    ) -> "OperandDraw":
-        """Snapshot ``rng``, then advance it past the three draws.
-
-        Each draw lands in ``scratch`` (its shape is the operands') and is
-        checked finite there: the finiteness door, naming ``request_id``,
-        runs before the request exists.
-        """
-        operands = cls(rng.bit_generator.state, scratch.shape)
-        for name in _OPERANDS:
-            rng.standard_normal(out=scratch)
-            _check_finite(request_id, name, scratch)
-        return operands
-
     def arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The three draws again, bit-identical to the ones :meth:`take` made."""
-        bit_generator = getattr(np.random, self.state["bit_generator"])()
-        bit_generator.state = self.state
-        rng = np.random.Generator(bit_generator)
+        """The three draws, the same bytes every time."""
+        rng = default_rng(self.key)
         return tuple(rng.standard_normal(self.shape) for _ in _OPERANDS)
 
 
@@ -119,8 +104,9 @@ class AttentionRequest:
         """A request whose q, k, v are ``operands``, drawn on first read.
 
         ``rest`` are the dataclass fields other than q, k, v.  The doors
-        run here from ``operands.shape``; the finiteness one already ran
-        in :meth:`OperandDraw.take`.  The arrays, once drawn, are kept.
+        run here from ``operands.shape``; the finiteness one runs when the
+        arrays are drawn, before any reader sees them.  The arrays, once
+        drawn, are kept.
         """
         unknown = rest.keys() - _DEFAULTS.keys() - {"request_id", "pattern"}
         if unknown:
@@ -174,9 +160,10 @@ class _Operand:
     """``AttentionRequest.q`` (``k``, ``v``) at class level: reached only
     while the instance holds no array of that name (an instance value
     shadows a descriptor without ``__set__``), so only on a drawn
-    request's first read.  It draws all three and sets them on the
-    instance.  Racing first reads each draw the same bytes.  A descriptor,
-    not ``__getattr__``: a class with ``__getattr__`` loses CPython's
+    request's first read.  It draws all three, checks them finite (the
+    door naming the request id) and sets them on the instance.  Racing
+    first reads each draw the same bytes.  A descriptor, not
+    ``__getattr__``: a class with ``__getattr__`` loses CPython's
     specialised reads of every other attribute.
     """
 
@@ -186,7 +173,10 @@ class _Operand:
     def __get__(self, request: Optional[AttentionRequest], owner=None):
         if request is None:
             return self
-        for name, array in zip(_OPERANDS, request._draw.arrays()):
+        arrays = request._draw.arrays()
+        for name, array in zip(_OPERANDS, arrays):
+            _check_finite(request.request_id, name, array)
+        for name, array in zip(_OPERANDS, arrays):
             setattr(request, name, array)
         return getattr(request, self.name)
 

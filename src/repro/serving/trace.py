@@ -4,13 +4,15 @@ A :class:`TraceSpec` is the shape of a stream: how many requests, over
 which pattern families (window, window+global, dilated) at a few
 sequence-length buckets, with what head layout, which SLO classes and
 which seed.  :class:`RequestFactory` is the only code that draws
-requests from one: the serve CLI's traces (:func:`synthetic_trace`, all
-at t=0, operands drawn) and the cluster simulator's arrival-timed
-sources (:mod:`repro.cluster.arrivals`, operands drawn on first read)
-come from it.  :func:`replay` pushes a trace through a
-:class:`ServingSession` (the in-process front on the cluster control
-plane) and — optionally — through the sequential one-call-per-request
-baseline, so the batching win is measured on identical work.
+requests from one: one stream drives family and class; operands are
+keyed by (seed, request id).  The serve CLI's traces
+(:func:`synthetic_trace`, all at t=0, operands drawn) and the cluster
+simulator's arrival-timed sources (:mod:`repro.cluster.arrivals`,
+operands drawn on first read) come from it.  :func:`replay` pushes a
+trace through a :class:`ServingSession` (the in-process front on the
+cluster control plane) and — optionally — through the sequential
+one-call-per-request baseline, so the batching win is measured on
+identical work.
 """
 
 from __future__ import annotations
@@ -85,15 +87,14 @@ def pattern_families(spec: TraceSpec) -> List[AttentionPattern]:
 class RequestFactory:
     """Draws a spec's requests, one per :meth:`make`, ids 1, 2, ...
 
-    One RNG stream (seeded by the spec) drives family choice, data and
-    SLO class, in that order per request, so a stream is reproducible
-    independent of the arrival times layered on top.  The data draws
-    advance that stream at :meth:`make` (into one reused scratch buffer
-    per shape, where they are checked finite), but a request keeps only
-    the generator state they started from: its q/k/v are materialised,
-    bit-identically, on first read (:meth:`AttentionRequest.drawn
-    <repro.serving.request.AttentionRequest.drawn>`).  A simulation on a
-    cost-model clock therefore holds no operands at all.
+    One stream drives family and class; operands are keyed by (seed,
+    request id).  The spec's seeded stream draws each request's family,
+    then its SLO class if the spec has classes, so a stream is
+    reproducible independent of the arrival times layered on top.  The
+    q/k/v are drawn from ``(spec.seed, request_id)`` on first read
+    (:meth:`AttentionRequest.drawn
+    <repro.serving.request.AttentionRequest.drawn>`), so building a source
+    costs descriptors and a cost-model simulation draws no operands.
     """
 
     def __init__(self, spec: TraceSpec) -> None:
@@ -101,26 +102,25 @@ class RequestFactory:
         self.families: List[AttentionPattern] = pattern_families(spec)
         self.rng = np.random.default_rng(spec.seed)
         self._serial = 0
-        shares = np.asarray([c.share for c in spec.slo_classes], dtype=np.float64)
-        self._class_p = shares / shares.sum() if spec.slo_classes else None
-        self._scratch: Dict[Tuple[int, int], np.ndarray] = {}
+        self._class_cdf = None
+        if spec.slo_classes:
+            # `rng.choice(len(classes), p=shares / shares.sum())`'s own CDF:
+            # one `rng.random()` searched in it picks the same class.
+            shares = np.asarray([c.share for c in spec.slo_classes], dtype=np.float64)
+            cdf = (shares / shares.sum()).cumsum()
+            self._class_cdf = cdf / cdf[-1]
 
     def make(self, arrival_s: float) -> AttentionRequest:
         spec = self.spec
         rng = self.rng
         pattern = self.families[int(rng.integers(len(self.families)))]
-        shape = (pattern.n, spec.heads * spec.head_dim)
-        scratch = self._scratch.get(shape)
-        if scratch is None:
-            scratch = self._scratch[shape] = np.empty(shape)
         self._serial += 1
-        operands = OperandDraw.take(rng, scratch, self._serial)
         slo = {}
-        if spec.slo_classes:
-            cls = spec.slo_classes[int(rng.choice(len(spec.slo_classes), p=self._class_p))]
+        if self._class_cdf is not None:
+            cls = spec.slo_classes[int(self._class_cdf.searchsorted(rng.random(), side="right"))]
             slo = {"deadline_s": cls.deadline_s, "slo_class": cls.name}
         return AttentionRequest.drawn(
-            operands,
+            OperandDraw((spec.seed, self._serial), (pattern.n, spec.heads * spec.head_dim)),
             request_id=self._serial,
             pattern=pattern,
             heads=spec.heads,

@@ -25,6 +25,7 @@ from repro.cluster.arrivals import ArrivalProcess
 from repro.core.salo import pattern_structure_key
 from repro.patterns.library import longformer_pattern
 from repro.serving import AttentionRequest, TraceSpec
+from repro.serving import request as request_module
 from repro.serving.request import OperandDraw
 from repro.serving.trace import pattern_families
 
@@ -151,17 +152,19 @@ class TestFactoryAndSources:
 
 
 def _eager_requests(spec, arrivals):
-    """The reference: ``RequestFactory.make`` as it drew before requests
-    held their operands undrawn — the same one stream, arrays up front."""
+    """The reference: families and classes from the spec's one stream,
+    each request's q/k/v from its own ``(seed, request id)`` stream,
+    arrays up front."""
     families = pattern_families(spec)
     rng = np.random.default_rng(spec.seed)
     shares = np.asarray([c.share for c in spec.slo_classes], dtype=np.float64)
     requests = []
     for rid, arrival_s in enumerate(arrivals, start=1):
         pattern = families[int(rng.integers(len(families)))]
-        hidden = spec.heads * spec.head_dim
-        q, k, v = (rng.standard_normal((pattern.n, hidden)) for _ in range(3))
         cls = spec.slo_classes[int(rng.choice(len(spec.slo_classes), p=shares / shares.sum()))]
+        hidden = spec.heads * spec.head_dim
+        data = np.random.default_rng((spec.seed, rid))
+        q, k, v = (data.standard_normal((pattern.n, hidden)) for _ in range(3))
         requests.append(AttentionRequest(
             rid, pattern, q, k, v, heads=spec.heads, arrival_s=arrival_s,
             deadline_s=cls.deadline_s, slo_class=cls.name,
@@ -199,8 +202,8 @@ _SPECS = [
 
 
 class TestLazyOperands:
-    """Factory requests hold their operands as the generator state they
-    were drawn from, and produce the same bytes the eager draw did."""
+    """Factory requests hold their operands as the key they are drawn
+    from, and produce the same bytes the eager draw does."""
 
     @pytest.mark.parametrize("spec", _SPECS)
     def test_open_loop_matches_the_eager_draw(self, spec):
@@ -251,7 +254,7 @@ class TestTheSimulatorDrawsNothing:
 
     def test_building_a_source_holds_no_operands(self):
         """1000 requests: ~78 MB of float64 q/k/v when drawn eagerly; the
-        generator states and request records stay well under 8 MB."""
+        keys and request records stay well under 8 MB."""
         spec = WorkloadSpec(num_requests=1000, n=256, window=32, heads=2, head_dim=8)
         open_loop(replace(spec, num_requests=4), PoissonProcess(1000.0))  # warm imports
         tracemalloc.start()
@@ -276,7 +279,7 @@ class TestDoorsOnDrawnRequests:
     ])
     def test_layout_doors(self, shape, heads, match):
         pattern = longformer_pattern(16, 4, (0,))
-        operands = OperandDraw.take(np.random.default_rng(0), np.empty(shape), "r-1")
+        operands = OperandDraw((0, 1), shape)
         with pytest.raises(ValueError, match=match):
             AttentionRequest.drawn(operands, request_id="r-1", pattern=pattern, heads=heads)
         arrays = operands.arrays()
@@ -289,27 +292,29 @@ class TestDoorsOnDrawnRequests:
     ])
     def test_timing_doors(self, timing, match):
         """The deadline and arrival doors run on a drawn request too."""
-        operands = OperandDraw.take(np.random.default_rng(0), np.empty((16, 8)), 0)
+        operands = OperandDraw((0, 0), (16, 8))
         with pytest.raises(ValueError, match=match):
             AttentionRequest.drawn(
                 operands, request_id=0, pattern=longformer_pattern(16, 4, (0,)), **timing)
 
     def test_operands_are_not_a_field(self):
-        operands = OperandDraw.take(np.random.default_rng(0), np.empty((16, 8)), 0)
+        operands = OperandDraw((0, 0), (16, 8))
         with pytest.raises(TypeError, match=r"takes no field\(s\) \['q'\]"):
             AttentionRequest.drawn(operands, request_id=0, q=np.zeros((16, 8)),
                                    pattern=longformer_pattern(16, 4, (0,)))
 
     @pytest.mark.parametrize("poisoned", [0, 1, 2])
-    def test_a_non_finite_draw_fails_make_by_request_id(self, poisoned):
+    def test_a_non_finite_draw_fails_the_first_read_by_request_id(
+        self, monkeypatch, poisoned
+    ):
+        """The finiteness door runs where the operands are drawn: the
+        first read raises, naming the request and the operand, and the
+        request stays undrawn."""
         class Poisoned:
-            """The factory's generator, emitting NaN on one operand draw."""
+            """A request's data generator, emitting NaN on one draw."""
 
             def __init__(self, rng):
                 self.rng, self.normals = rng, 0
-
-            def __getattr__(self, name):
-                return getattr(self.rng, name)
 
             def standard_normal(self, *args, **kwargs):
                 out = self.rng.standard_normal(*args, **kwargs)
@@ -321,6 +326,10 @@ class TestDoorsOnDrawnRequests:
         factory = RequestFactory(
             WorkloadSpec(num_requests=2, n=64, window=8, heads=2, head_dim=8, seed=9))
         factory.make(0.0)
-        factory.rng = Poisoned(factory.rng)
-        with pytest.raises(ValueError, match=f"request 2: {'qkv'[poisoned]} holds non-finite"):
-            factory.make(1.0)
+        request = factory.make(1.0)
+        monkeypatch.setattr(request_module, "default_rng",
+                            lambda key: Poisoned(np.random.default_rng(key)))
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"request 2: {'qkv'[poisoned]} holds non-finite"):
+                request.operands()
+            assert not _drawn(request)

@@ -108,51 +108,51 @@ def _crash_rejoin():
 _PINNED = {
     "cluster_sim-steady": (
         _steady,
-        "55567cd12c361a10de90efc92336f283dfb83e6ee3391571ba226d71c64f20c0",
+        "6e40fec933ac33473c4c6b73d494db1aa07dd09ed03b4e26fb907e9f6e45d6d9",
     ),
     "cluster_sim-overload": (
         _overload,
-        "945013db634dc1cdad17feb88d9ff0a7f5fa7b01865bccb15f0160ac6e411a05",
+        "9fcbb749bbbbc55a114a006805d7a7687eb880e6b23bbc00d4b77353a70adb05",
     ),
     "cluster_sim-faults": (
         _faults,
-        "705d8ca4d7373aca061dc297c6c15095ade535741bff16e672e460a2e93df674",
+        "eb26637f3eaf9bd2a9aaa642b42f59b2ed5619336a1c809378139262cd25f6b4",
     ),
     "greedy-fifo": (
         _policy_row(GreedyFIFOPolicy),
-        "fad26d1e1c687761bae0ad1bb62aaa21d1aef4d39c74a371cb0f15fb6897f573",
+        "7af915b6da7a28c26e233fbc90688ea56f95f5a66eb8cd24fad8fab1f2e80a9d",
     ),
     "greedy-fifo+shed": (
         _policy_row(lambda: GreedyFIFOPolicy(drop_expired=True)),
-        "ab5d514dcb288aad56bce04b56ab218b90034901c26f88086af10509e9caea37",
+        "868af927c00b85b4180826763f84e84d81737cc0543b081cb1b37849e3a48aeb",
     ),
     "max-wait": (
         _policy_row(lambda: MaxWaitPolicy(max_wait_s=4 * _scales()[1])),
-        "fa7724d1f469a849b3106d83738ab548c64f1b135a3224e33ae8ceb847883e8a",
+        "7aaf9f0d8be3c503c1dd4eb4678d26e919d3835492eefa2f47764fd6f14d09dc",
     ),
     "size-latency": (
         _policy_row(lambda: SizeLatencyPolicy(4, max_wait_s=4 * _scales()[1])),
-        "c57e60939ccf1fc4d307ca272379251ad3e1c42111302cad9a5fd5f69749ba63",
+        "4e0080561fa9d49a389f721c41868577c76d01222ad40a3cb63d5ee872097305",
     ),
     "edf": (
         _policy_row(EDFPolicy),
-        "0c849ad52691c41b90c77829ad5b846d0fd3f629976b8f0d716219a4a0f28d5e",
+        "c4ec2cfd3d4b4c0923e4027fd1088604019cf98fb4d4e6e3c0c39b34398ebc1e",
     ),
     "edf+shed": (
         _policy_row(lambda: EDFPolicy(drop_expired=True)),
-        "49dc63fd991bd27a20e204b55dae48a9c79ee20396ddba2d51126189cc5209a8",
+        "323efa5f076df7b1e45672aea281d32914a0bb203fb221469e6dadb9baf9160f",
     ),
     "weighted-fair": (
         _policy_row(lambda: WeightedFairPolicy(weights=_FAIR)),
-        "4a066876ff00600d592704f3c8a5e03ce3028bf4eb2bba74bb92220840b71c40",
+        "2d35b81e3b6c8fe0ebf1b3d440dac55de132087d200840f24b5088afdabf728f",
     ),
     "weighted-fair-length": (
         _policy_row(lambda: WeightedFairPolicy(weights=_FAIR, length_weighted=True)),
-        "cc6d2c5ccdb3acfbd4262b9f18747fbec104d6cb7f4879f832d8433a7a9b4f2b",
+        "dfa468ea347fe29b94c192c05e5840f308e05ee1f4c4ef3e2e00c9d16f749d7a",
     ),
     "crash+rejoin": (
         _crash_rejoin,
-        "2ceef28dc58fabe4e43e1a6074e890280f5196f55e8b21c7e0184a54d5f3dbbd",
+        "d7dd56bd089dbea4dafb685b6eabe3e8ad447447f13f623d32fc80bd1ea10d24",
     ),
 }
 

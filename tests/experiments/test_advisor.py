@@ -19,7 +19,7 @@ from repro.experiments.advisor import example_space, example_traffic, run
 # or report sentence moves.
 WINNER_RUN_ID = "advise-06b346f07e7f"
 ADVICE_ID = "advice-17ee7a3f0b29"
-MANIFEST_HASH = "3196bf3fa48bee9a"
+MANIFEST_HASH = "e90f2d6effd4d314"
 
 
 @pytest.fixture(scope="module")
@@ -58,18 +58,23 @@ class TestPinnedDecision:
 
     def test_component_ranking(self, advice):
         """Ablation matrix at the fixed seed: stealing is *harmful*
-        (plan-affinity loss costs goodput under a uniform overload),
-        policy and shedding are neutral for the saturated winner."""
+        (plan-affinity loss costs goodput under a uniform overload: the
+        winner without it serves 2.18x the goodput), EDF is worth about
+        2% of goodput over FIFO — small, not neutral — and shedding is
+        neutral for the saturated winner.  Importances are rounded to 6
+        places, so they are pinned exactly."""
         matrix = {s.component: s for s in advice.ablation_of(advice.winner)}
-        assert set(matrix) == {"policy", "shedding", "stealing"}
+        assert {c: s.importance for c, s in matrix.items()} == {
+            "policy": 0.021692,
+            "shedding": 0.0,
+            "stealing": -1.181927,
+        }
         assert matrix["stealing"].harmful
-        assert matrix["stealing"].importance < -0.3
         assert not matrix["policy"].harmful
-        assert abs(matrix["policy"].importance) < 0.01
-        assert abs(matrix["shedding"].importance) < 0.01
+        assert not matrix["shedding"].harmful
         # Ranked most-important first, harmful at the bottom.
         order = [s.component for s in advice.ablation_of(advice.winner)]
-        assert order[-1] == "stealing"
+        assert order == ["policy", "shedding", "stealing"]
 
     def test_exported_pack_manifest_is_pinned(self, advice, tmp_path):
         manifest = export_pack(advice, tmp_path / "pack")

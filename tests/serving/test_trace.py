@@ -17,16 +17,18 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def _eager_trace(spec):
-    """The reference: the draw loop ``synthetic_trace`` ran before the
-    factory drew its requests (ids from 0, arrays up front)."""
+    """The reference: families from the spec's one stream, each
+    request's q/k/v from its own ``(seed, request id)`` stream, arrays
+    up front (ids from 1)."""
     rng = np.random.default_rng(spec.seed)
     families = pattern_families(spec)
     hidden = spec.heads * spec.head_dim
     requests = []
-    for i in range(spec.num_requests):
+    for rid in range(1, spec.num_requests + 1):
         pattern = families[int(rng.integers(len(families)))]
-        q, k, v = (rng.standard_normal((pattern.n, hidden)) for _ in range(3))
-        requests.append((i, pattern, q, k, v))
+        data = np.random.default_rng((spec.seed, rid))
+        q, k, v = (data.standard_normal((pattern.n, hidden)) for _ in range(3))
+        requests.append((rid, pattern, q, k, v))
     return requests
 
 
@@ -40,8 +42,8 @@ def test_synthetic_trace_matches_the_eager_loop(spec):
     trace = synthetic_trace(spec)
     reference = _eager_trace(spec)
     assert len(trace) == len(reference)
-    for request, (i, pattern, q, k, v) in zip(trace, reference):
-        assert request.request_id == i + 1  # the factory's serial
+    for request, (rid, pattern, q, k, v) in zip(trace, reference):
+        assert request.request_id == rid  # the factory's serial
         assert "q" in vars(request)  # drawn before synthetic_trace returns
         assert pattern_structure_key(request.pattern) == pattern_structure_key(pattern)
         assert (request.heads, request.arrival_s) == (spec.heads, 0.0)
