@@ -65,6 +65,13 @@ class TraceSpec:
         for name in ("num_requests", "n", "window", "heads", "head_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.window > self.n:
+            raise ValueError(f"window must be <= n={self.n}, got {self.window}")
+        if self.mixed and self.n < 16:
+            # the half-length family attends a window of at least 8
+            raise ValueError(f"mixed traffic needs n >= 16, got n={self.n}")
 
 
 def pattern_families(spec: TraceSpec) -> List[AttentionPattern]:

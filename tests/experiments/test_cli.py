@@ -221,6 +221,9 @@ class TestCli:
             (["simulate", "--policy", "max-wait", "--max-wait-ms", "-1"], "max_wait_s"),
             (["simulate", "--policy", "max-wait", "--max-wait-ms", "nan"], "max_wait_s"),
             (["simulate", "--fault-seed", "-1", "--fault-transient", "0.1"], "seed"),
+            (["simulate", "--seed", "-1"], "seed must be >= 0"),
+            (["simulate", "--n", "12", "--window", "4"], "n >= 16"),
+            (["simulate", "--n", "64", "--window", "65"], "window must be <= n"),
             (["simulate", "--slo", "a:nan:1"], "--slo"),
             # open-loop knobs a closed population would silently ignore
             (["simulate", "--arrival", "closed", "--rate", "100"], "--rate"),
@@ -228,6 +231,9 @@ class TestCli:
             (["serve", "--batch-size", "0"], "--batch-size"),
             (["serve", "--requests", "0"], "num_requests"),
             (["serve", "--window", "0"], "window"),
+            (["serve", "--seed", "-1"], "seed must be >= 0"),
+            (["serve", "--n", "12", "--window", "4"], "n >= 16"),
+            (["serve", "--n", "64", "--window", "65"], "window must be <= n"),
             (["serve", "--heads", "0"], "heads"),
             (["advise", "--workers", "0"], "workers"),
             (["advise", "--batch-size", "0"], "max_batch_size"),

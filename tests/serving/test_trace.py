@@ -60,6 +60,23 @@ def test_spec_refuses_empty_streams_and_layouts(cls, field, value):
         cls(**{field: value})
 
 
+@pytest.mark.parametrize("cls", [TraceSpec, WorkloadSpec])
+@pytest.mark.parametrize("fields, match", [
+    (dict(seed=-1), "seed must be >= 0, got -1"),
+    (dict(n=64, window=65), "window must be <= n=64, got 65"),
+    (dict(n=12, window=4), "mixed traffic needs n >= 16, got n=12"),
+])
+def test_spec_refuses_by_field_name(cls, fields, match):
+    """A stream no family can be built for fails at the spec, naming the
+    field the user passed, not a derived family's window."""
+    with pytest.raises(ValueError, match=match):
+        cls(**fields)
+
+
+def test_a_uniform_stream_may_be_short():
+    assert TraceSpec(n=12, window=4, mixed=False).n == 12
+
+
 @pytest.mark.parametrize("module", ["repro.cluster", "repro.serving.trace", "repro.advisor"])
 def test_module_imports_first(module):
     """No import cycle between the traffic description and its users,
