@@ -21,6 +21,7 @@ from repro.cluster import (
     open_loop,
     simulate,
 )
+from repro.cluster import arrivals as arrivals_module
 from repro.cluster.arrivals import ArrivalProcess
 from repro.core.salo import pattern_structure_key
 from repro.patterns.library import longformer_pattern
@@ -252,9 +253,37 @@ class TestTheSimulatorDrawsNothing:
         assert report.completed > 0
         assert not any(_drawn(r) for r in source.requests)
 
+    def test_building_a_source_draws_no_operands(self, monkeypatch):
+        """The factory's stream draws families and classes only: with a
+        generator that refuses normals, open- and closed-loop sources
+        still build, and their traffic is the unguarded one."""
+        class NoNormals:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def standard_normal(self, *args, **kwargs):
+                raise AssertionError("make drew an operand")
+
+        class Guarded(RequestFactory):
+            def __init__(self, spec):
+                super().__init__(spec)
+                self.rng = NoNormals(self.rng)
+
+        spec = _SPECS[3]
+        want = [open_loop(spec, PoissonProcess(1000.0)).requests,
+                ClosedLoopSource(spec, clients=3).initial()]
+        monkeypatch.setattr(arrivals_module, "RequestFactory", Guarded)
+        got = [open_loop(spec, PoissonProcess(1000.0)).requests,
+               ClosedLoopSource(spec, clients=3).initial()]
+        for lazy, eager in zip(got, want):
+            _assert_same_traffic(lazy, eager)
+
     def test_building_a_source_holds_no_operands(self):
         """1000 requests: ~78 MB of float64 q/k/v when drawn eagerly; the
-        keys and request records stay well under 8 MB."""
+        keys and request records stay under 0.5 MiB."""
         spec = WorkloadSpec(num_requests=1000, n=256, window=32, heads=2, head_dim=8)
         open_loop(replace(spec, num_requests=4), PoissonProcess(1000.0))  # warm imports
         tracemalloc.start()
@@ -264,7 +293,7 @@ class TestTheSimulatorDrawsNothing:
         finally:
             tracemalloc.stop()
         assert len(source.requests) == 1000
-        assert peak < 8 * 2**20
+        assert peak < 2**20 / 2
 
 
 class TestDoorsOnDrawnRequests:

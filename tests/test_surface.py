@@ -180,3 +180,35 @@ def test_decode_is_configured_like_every_simulation():
 
     assert issubclass(DecodeSimConfig, SimConfig)
     assert [f.name for f in fields(DecodeSimConfig)] == [f.name for f in fields(SimConfig)]
+
+
+def test_the_request_stream_draws_descriptors_only():
+    """``RequestFactory.make`` draws a request's family and class; its
+    operands come from their own ``(seed, request id)`` key on first
+    read.  A normal drawn in ``make`` (or its generator handed to a
+    helper that draws them), or a generator state snapshot in
+    ``repro.serving.request``, is the shared data stream growing back."""
+    factory = next(
+        node
+        for node in ast.walk(_sources()["serving/trace.py"])
+        if isinstance(node, ast.ClassDef) and node.name == "RequestFactory"
+    )
+    make = next(
+        node for node in factory.body if isinstance(node, ast.FunctionDef) and node.name == "make"
+    )
+    calls = [node for node in ast.walk(make) if isinstance(node, ast.Call)]
+    draws = {
+        call.func.attr
+        for call in calls
+        if isinstance(call.func, ast.Attribute) and ast.unparse(call.func.value) in ("rng", "self.rng")
+    }
+    handed = [
+        ast.unparse(call)
+        for call in calls
+        if any(ast.unparse(arg) in ("rng", "self.rng") for arg in call.args)
+    ]
+    assert "integers" in draws  # the walk sees the family draw
+    assert draws <= {"integers", "random", "choice"}, sorted(draws)
+    assert not handed, handed
+    request = ast.unparse(_sources()["serving/request.py"])
+    assert "bit_generator" not in request, "repro.serving.request reads a generator state"
