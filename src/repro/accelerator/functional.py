@@ -141,10 +141,12 @@ mode uses this to batch same-structure requests of different lengths
 under one bucket-length plan and slice outputs back.  Padded query rows
 compute garbage (the caller slices them away) and are exempt from the
 every-query-has-a-part check, as are the rows below a plan's
-``first_query`` (a decode step plan runs no pass that holds only those
-rows).  Global tokens must lie inside every lane's
-valid prefix.  Equivalence to the unpadded per-request plan is
-mathematical, not bit-exact: the bucket-length plan partitions the same
+``first_query``: no engine computes or merges them (a decode step plan
+runs no pass wholly below the first query, and the production path's
+window jobs start the straddling block at it), so they read 0.0.
+Global tokens must lie inside every lane's valid prefix.  Equivalence
+to the unpadded per-request plan is mathematical, not bit-exact: the
+bucket-length plan partitions the same
 key sets into different passes, so partial-softmax merge trees (and their
 quantisation points) differ — ``tests/serving/test_padding.py``
 characterises the bound.
@@ -1219,8 +1221,9 @@ class FunctionalEngine:
         key_ids = tp.key_ids(n, exclude=gset)
         if valid_len is not None:
             key_ids = np.where(key_ids >= valid_len, -1, key_ids)
-        # Global queries are produced by the global PE row; drop their rows.
-        keep = ~gmask[q_ids]
+        # Global queries are produced by the global PE row; drop their
+        # rows, and those below the first query (never computed).
+        keep = ~gmask[q_ids] & (q_ids >= self.plan.first_query)
         if not keep.any():
             return
         q_ids = q_ids[keep]

@@ -287,7 +287,7 @@ class SystolicSimulator:
         # ---- Weighted-sum merge ----------------------------------------
         for r in range(R):
             qi = int(q_ids[r])
-            if qi in gset or not rows_active[r]:
+            if qi in gset or qi < plan.first_query or not rows_active[r]:
                 continue
             out_vec = self.datapath.quantize_output(psum[r])
             state.add(qi, out_vec, float(w_row[r]))

@@ -33,11 +33,14 @@ once per :class:`~repro.scheduler.plan.ExecutionPlan` and stores:
   live — and the leading/trailing *edges*, where sequence clipping
   dropped some; interior jobs then all cover the same blocks and fold
   into one :class:`JobChain` (one shared stage-1 GEMM, merge state held
-  on accumulator views).  Job order preserves the per-query weighted-sum
-  merge order: a query block lives in exactly one of the three parts and
-  receives its parts from its column groups in the group's master order
-  there, exactly as in the pass stream, keeping outputs bit-identical to
-  the per-pass reference engine;
+  on accumulator views).  In a plan whose queries start late
+  (``first_query > 0``) the block straddling the first query is a fourth
+  part, cut to start at it, so no job computes a row below the first
+  query.  Job order preserves the per-query weighted-sum merge order: a
+  query block lives in exactly one part and receives its parts from its
+  column groups in the group's master order there, exactly as in the
+  pass stream, keeping outputs bit-identical to the per-pass reference
+  engine;
 * the global-row batch schedule (padded) shared with the micro-simulator;
 * per-pass aggregates (valid cells, distinct keys, query loads, output
   vectors) reused by the timing/energy/traffic models.
@@ -422,6 +425,7 @@ class CompiledPlan:
     nonglobal_rows: np.ndarray  # (n - G,) int64
     global_batches: np.ndarray  # (B, L) int64 padded with -1
     global_batch_valid: np.ndarray  # (B, L) bool
+    first_query: int  # as ExecutionPlan.first_query: no row below it is computed
 
     # ------------------------------------------------------------------
     @property
@@ -550,7 +554,10 @@ class _ColumnRun:
     Window jobs are block ranges ``[a, b)`` of a column run: their
     tensors are slices of the run's and their contiguity facts are the
     run's, shifted by ``a`` blocks — so each fact is verified by one
-    comparison per column group, however many jobs it is cut into.
+    comparison per column group, however many jobs it is cut into.  In
+    a plan with ``first_query > 0`` the block that straddles the first
+    query is a one-block run of its own whose rows start at the first
+    query (:func:`_column_run`'s ``skip``): no row below it is computed.
     """
 
     idxs: np.ndarray  # (B,) pass indices in block order
@@ -600,6 +607,7 @@ def _column_run(
     q_ids: np.ndarray,
     valid: np.ndarray,
     keep: np.ndarray,
+    skip: int = 0,
 ) -> _ColumnRun:
     """The :class:`_ColumnRun` of one evenly spaced run of passes, or raise.
 
@@ -607,9 +615,13 @@ def _column_run(
     pass (consecutive group positions are ``dilation`` ids apart); any
     block range of such a run is regular too, so the check runs here, on
     the whole run, and the error names every pass of it.
+
+    ``skip`` drops the first rows of a one-block run: the block that
+    straddles a plan's first query starts at its first live row, so its
+    query ids, masks, key streams and range facts all begin there.
     """
     ia = np.asarray(idxs, dtype=np.int64)
-    q = q_ids[ia]
+    q = q_ids[ia, skip:]
     if not ((np.diff(q, axis=1) == dilation) | (q[:, 1:] < 0)).all():
         raise IrregularPassError(
             f"passes {idxs} have non-contiguous query rows and cannot form a "
@@ -619,7 +631,7 @@ def _column_run(
     rows = int(lengths.max())
     first = passes[idxs[0]]
     cols = first.cols_used
-    first_block = first.q_positions[0]
+    first_block = first.q_positions[0] + skip
     block_step = passes[idxs[1]].q_positions[0] - first_block if len(idxs) > 1 else rows
     q = np.ascontiguousarray(q[:, :rows])
     streams, starts = [], []
@@ -638,8 +650,8 @@ def _column_run(
         cols=cols,
         seg_sig=tuple((seg.width, seg.dilation) for seg in first.segments),
         q_ids=q,
-        valid=np.ascontiguousarray(valid[ia][:, :rows, :cols]),
-        keep=np.ascontiguousarray(keep[ia][:, :rows]),
+        valid=np.ascontiguousarray(valid[ia][:, skip : skip + rows, :cols]),
+        keep=np.ascontiguousarray(keep[ia][:, skip : skip + rows]),
         streams=tuple(streams),
         starts=tuple(starts),
         q_start=_padded_arange_start(q.ravel()),
@@ -661,6 +673,8 @@ def _split_blocks(cols: List[_ColumnRun]) -> List[List[_Cut]]:
     across it, stays whole.
     """
     whole: List[List[_Cut]] = [[(c, 0, len(c.idxs)) for c in cols], [], []]
+    if not cols:
+        return whole
     lo = max(c.first_block for c in cols)
     hi = min(c.first_block + (len(c.idxs) - 1) * c.block_step for c in cols)
     steps = {c.block_step for c in cols if len(c.idxs) > 1} or {1}
@@ -683,6 +697,7 @@ def _build_window_jobs(
     q_ids: np.ndarray,
     valid: np.ndarray,
     keep: np.ndarray,
+    first_query: int,
 ) -> Tuple[WindowJob, ...]:
     """Batch the pass stream into window-job families (see module docstring).
 
@@ -695,31 +710,45 @@ def _build_window_jobs(
     *different* dilations can share queries, so distinct runs stay in
     group order.
 
-    Each run is emitted as three consecutive sub-runs — the interiors of
-    its groups, then their leading and their trailing edges
+    Each run is emitted as consecutive sub-runs — the interiors of its
+    groups, then their leading and their trailing edges
     (:func:`_split_blocks`) — so that all interior jobs of a group cover
     the same blocks and fold into one :class:`JobChain`.  The regrouping
     cannot reorder any query's merges: a query block lives in exactly
     one sub-run, there its column groups still run in master order, and
     the sub-runs of one same-dilation run cover disjoint queries.
+
+    A plan whose queries start late (``first_query > 0``) computes no row
+    below its first query: in the block that straddles it (the first of
+    its column runs the scheduler kept), every column group's pass is
+    cut into a column run of its own that starts at the first live row,
+    and these form a fourth sub-run.  The cut reads ``first_query``
+    only — a global query row is left out of ``keep`` but still
+    computed — and leaves the passes themselves, so every cost model,
+    untouched: the hardware still spends the full PE block.
     """
-    runs: List[List[List[_ColumnRun]]] = []
+    runs: List[List[List[List[_Cut]]]] = []  # per run, per group: its sub-runs
     last_dil = None
     for dil, cols in _topo_colgroups(passes):
         if dil != last_dil or not runs:
             runs.append([])
             last_dil = dil
-        runs[-1].append(
-            [
-                _column_run(passes, n, run, dil, q_ids, valid, keep)
-                for idxs in cols
-                for run in _even_runs(idxs, q_ids)
-            ]
-        )
+        whole, trimmed = [], []
+        for idxs in cols:
+            for run in _even_runs(idxs, q_ids):
+                ids = q_ids[run[0]]
+                skip = int(np.count_nonzero((ids >= 0) & (ids < first_query)))
+                if skip:
+                    head = _column_run(passes, n, run[:1], dil, q_ids, valid, keep, skip)
+                    trimmed.append((head, 0, 1))
+                    run = run[1:]
+                if run:
+                    whole.append(_column_run(passes, n, run, dil, q_ids, valid, keep))
+        runs[-1].append(_split_blocks(whole) + [trimmed])
 
     jobs: List[WindowJob] = []
     for run in runs:
-        for sub in zip(*(_split_blocks(group) for group in run)):
+        for sub in zip(*run):
             for k in range(max(len(g) for g in sub)):
                 jobs.extend(_position_families([g[k] for g in sub if k < len(g)]))
     return tuple(jobs)
@@ -727,7 +756,7 @@ def _build_window_jobs(
 
 def _build_schedule(cp: CompiledPlan) -> ExecutionSchedule:
     """Derive the :class:`ExecutionSchedule` of a compiled plan."""
-    jobs = _build_window_jobs(cp.passes, cp.n, cp.q_ids, cp.valid, cp.keep)
+    jobs = _build_window_jobs(cp.passes, cp.n, cp.q_ids, cp.valid, cp.keep, cp.first_query)
     chains = _build_job_chains(jobs, cp.n)
     ranges = [(ch.wide_start, ch.wide_ids.shape[1]) for ch in chains if ch.wide_ids is not None]
     for job in jobs:
@@ -1107,4 +1136,5 @@ def compile_plan(plan: "ExecutionPlan") -> CompiledPlan:
         nonglobal_rows=nonglobal_rows,
         global_batches=global_batches,
         global_batch_valid=global_batch_valid,
+        first_query=plan.first_query,
     )

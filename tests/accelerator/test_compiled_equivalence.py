@@ -246,23 +246,26 @@ class TestEveryScheduledPlanRunsCompiled:
         batch=st.sampled_from([None, 2, 3]),
         padded=st.booleans(),
         datapath=st.sampled_from(sorted(TILED)),
+        first=st.one_of(st.just(0), st.integers(1, 59)),
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=500, deadline=None)
     def test_any_pattern_any_array_matches_legacy(
-        self, n, bands, start, global_tokens, rows, cols, pack, batch, padded, datapath, seed
+        self, n, bands, start, global_tokens, rows, cols, pack, batch, padded, datapath, first,
+        seed,
     ):
         lo, built = start, []
         for width, dilation, gap in bands:
             built.append(Band(lo, lo + (width - 1) * dilation, dilation))
             lo = built[-1].hi + gap
         gtok = tuple(sorted(g for g in global_tokens if g < n))
+        first = 0 if gtok else first % n  # a step pattern has no global token
         config = HardwareConfig(
             pe_rows=rows, pe_cols=cols, pack_bands=pack, numerics=NUMERICS[datapath]
         )
         try:
             plan = DataScheduler(config, strict_global_bound=False).schedule(
-                HybridSparsePattern(n, built, gtok), heads=2, head_dim=4
+                HybridSparsePattern(n, built, gtok, first), heads=2, head_dim=4
             )
         except SchedulerError:  # every band clipped away and no global token
             return
@@ -488,28 +491,92 @@ STEP_CASES = [
 ]
 
 
+def _assert_step_rows(n, bands, first, **kw):
+    """Compiled, legacy and micro-sim agree on every row of the step plan
+    (rows below ``first`` are never computed and read 0.0), and with the
+    full plan on every row from ``first`` on."""
+    plan, q, k, v = _plan_and_data(HybridSparsePattern(n, bands, first_query=first), **kw)
+    full, *_ = _plan_and_data(HybridSparsePattern(n, bands), **kw)
+    assert plan.first_query == first
+    engine = FunctionalEngine(plan)
+    assert engine.tiled
+    compiled = engine.run(q, k, v)
+    legacy = FunctionalEngine(plan, mode="legacy").run(q, k, v)
+    sim = SystolicSimulator(plan).run(q, k, v)
+    ref = FunctionalEngine(full).run(q, k, v)
+    for got in (legacy.output, sim.output):
+        assert np.array_equal(got, compiled.output)
+    assert not compiled.output[:first].any()
+    assert np.array_equal(compiled.output[first:], ref.output[first:])
+    assert compiled.merges == legacy.merges == sim.merges
+    assert np.array_equal(compiled.parts, legacy.parts)
+    assert np.array_equal(compiled.parts[:, first:], ref.parts[:, first:])
+    return plan, full
+
+
 class TestStepPatterns:
     """Decode step patterns (``first_query > 0``) leave passes out of the
-    full plan: on every row from the first query on, compiled, legacy and
-    micro-sim agree bit for bit, with each other and with the full plan."""
+    full plan and compute no row below the first query: compiled, legacy
+    and micro-sim agree bit for bit on every row, and with the full plan
+    on every row from the first query on."""
 
     @pytest.mark.parametrize("first", [1, 7, 12, 20, 31])
     @pytest.mark.parametrize("name,bands", STEP_CASES, ids=[c[0] for c in STEP_CASES])
     def test_kept_rows_bit_equal(self, name, bands, first):
-        plan, q, k, v = _plan_and_data(HybridSparsePattern(32, bands, first_query=first), heads=2)
-        full, *_ = _plan_and_data(HybridSparsePattern(32, bands), heads=2)
-        assert plan.first_query == first
+        plan, full = _assert_step_rows(32, bands, first, heads=2)
         assert len(plan.passes) < len(full.passes) or first < 4  # block 0 holds row 1
-        engine = FunctionalEngine(plan)
-        assert engine.tiled
-        compiled = engine.run(q, k, v)
-        legacy = FunctionalEngine(plan, mode="legacy").run(q, k, v)
-        sim = SystolicSimulator(plan).run(q, k, v)
-        ref = FunctionalEngine(full).run(q, k, v)
-        for got in (compiled.output, legacy.output, sim.output):
-            assert np.array_equal(got[first:], ref.output[first:])
-        assert compiled.merges == legacy.merges == sim.merges
-        assert np.array_equal(compiled.parts[:, first:], ref.parts[:, first:])
+
+    @pytest.mark.parametrize("name,bands", STEP_CASES, ids=[c[0] for c in STEP_CASES])
+    def test_single_live_row(self, name, bands):
+        """``first = n - 1``: every window job computes row 31 alone."""
+        plan, _ = _assert_step_rows(32, bands, 31, heads=2)
+        for job in plan.compiled().window_jobs:
+            assert job.rows == 1 and set(job.q_ids.ravel().tolist()) == {31}
+
+    @pytest.mark.parametrize("first", [33, 70, 100, 127])
+    def test_first_query_inside_a_later_block_of_a_causal_band(self, first):
+        """A 64-row causal band over 128 rows on an 8 x 8 array: the first
+        query falls inside block 4, 8 or 12 (or ends the sequence), and the
+        straddling block starts at it in each of its column groups."""
+        plan, _ = _assert_step_rows(128, (Band(-63, 0),), first, rows=8, cols=8)
+        starts = {int(job.q_ids[0, 0, 0]) for job in plan.compiled().window_jobs}
+        assert first in starts and min(starts) == first
+
+    @pytest.mark.parametrize("first", [21, 37, 58])
+    @pytest.mark.parametrize(
+        "name,bands",
+        [("dilated", (Band(-24, 0, 3),)), ("multi-band", (Band(-5, 0), Band(-40, -30)))],
+    )
+    def test_dilated_and_multi_band_steps(self, name, bands, first):
+        _assert_step_rows(64, bands, first, rows=8, cols=8)
+
+    @pytest.mark.parametrize("first", [1, 7, 12, 20, 31])
+    @pytest.mark.parametrize("name,bands", STEP_CASES, ids=[c[0] for c in STEP_CASES])
+    def test_no_window_job_holds_a_row_below_the_first_query(self, name, bands, first):
+        plan, *_ = _plan_and_data(HybridSparsePattern(32, bands, first_query=first))
+        for job in plan.compiled().window_jobs:
+            rows = job.q_ids[job.q_ids >= 0]
+            assert rows.min() >= first, (job.rows, rows.min())
+
+    @pytest.mark.parametrize(
+        "pattern",
+        [
+            longformer_pattern(512, 64, (0,)),
+            longformer_pattern(256, 64, (0, 3, 100)),
+            vil_pattern(256, 32),
+        ],
+        ids=["longformer", "longformer-scattered", "vil"],
+    )
+    def test_first_query_zero_plans_keep_full_blocks(self, pattern):
+        """The cut reads ``first_query``, never ``keep``: a global query
+        row 0 is left out of ``keep`` but its block is computed whole."""
+        config = HardwareConfig()
+        plan = DataScheduler(config, strict_global_bound=False).schedule(
+            pattern, heads=2, head_dim=16
+        )
+        cp = plan.compiled()
+        assert plan.first_query == 0 and not cp.keep[0, 0]
+        assert {job.rows for job in cp.window_jobs} == {config.pe_rows}
 
     @pytest.mark.parametrize("name,bands", STEP_CASES, ids=[c[0] for c in STEP_CASES])
     def test_batched_padded_lanes_keep_their_rows(self, name, bands):
