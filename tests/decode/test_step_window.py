@@ -230,8 +230,8 @@ def test_group_mixing_short_and_long_lanes_matches_solo_sessions():
 @settings(max_examples=12, deadline=None)
 def test_long_walk_compiles_at_most_log2_step_plans_per_bucket(bands, floor, prompt, seed):
     """A step plan starts its queries at ``bucket - length_bucket(bucket -
-    (valid - 1))``, so however long the walk, a bucket compiles its full
-    plan plus at most ``log2(bucket / floor)`` step plans."""
+    (valid - 1), 1)``, so however long the walk, a bucket compiles its
+    full plan plus at most ``log2(bucket)`` step plans."""
     rng = np.random.default_rng(seed)
     salo = _salo()
     session = DecodeSession(
@@ -241,4 +241,4 @@ def test_long_walk_compiles_at_most_log2_step_plans_per_bucket(bands, floor, pro
     for _ in range(150):
         session.step(*(r[0] for r in _rows(rng, 1)))
     for bucket, counts in salo.cache_info()["buckets"].items():
-        assert counts["misses"] <= 1 + int(math.log2(bucket // floor)), (bucket, counts)
+        assert counts["misses"] <= 1 + int(math.log2(bucket)), (bucket, counts)
