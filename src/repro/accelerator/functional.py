@@ -59,6 +59,23 @@ those as zero-copy slices of an edge-padded operand slab; ``np.take``
 remains for dilated bands, ``G > 1`` families and scattered global
 batches only.
 
+Two doors, one core
+-------------------
+:meth:`FunctionalEngine.run` takes float operands;
+:meth:`FunctionalEngine.run_codes` takes lane-major ``(heads, n,
+head_dim)`` windows of the operand codes :meth:`Datapath.input_codes_into`
+makes of them — what a decode KV cache (:class:`repro.decode.KVState`)
+holds, each row quantised once as it arrives, the way SALO quantises
+Q/K/V once as they enter its buffers (Section 6.4).  On the production
+path the doors differ only in how the float32 operand slabs are filled:
+``run`` quantises into them, ``run_codes`` copies each window straight
+into its lanes.  Everything after the slabs — job chains, the global
+column and rows, merges, copy-out — is one code path, so the doors are
+bit-identical on the same operands.  The reference path has no code
+domain: ``run_codes`` hands it ``codes x resolution`` (a power of two,
+so exactly the values ``run`` quantises to, and re-quantising them is
+the identity) and it runs as under ``run``.
+
 ``mode="compiled"`` (default) picks between them from what the engine
 observes, never from a caller-set value, in one place —
 :meth:`FunctionalEngine._supports_tiled`, at construction — and the
@@ -157,7 +174,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -442,31 +459,33 @@ class FunctionalEngine:
             )
         if k.shape != q.shape or v.shape != q.shape:
             raise EngineError("q, k, v must share shape")
-        if scale is None:
-            scale = 1.0 / np.sqrt(plan.head_dim)
-        lens = self._check_valid_lens(valid_lens, q)
+        scale = self._scale(scale)
+        batched = q.ndim == 3
+        b = q.shape[0] if batched else 1
+        lens = self._check_valid_lens(valid_lens, b)
 
         if self.tiled:
-            # One arena per process: a run from inside a run, or from a
-            # second thread, would overwrite the buffers of the first.
-            if not ARENA.lock.acquire(blocking=False):
-                raise EngineError(
-                    "the process-wide scratch arena (repro.accelerator.arena.ARENA) is "
-                    "in use by another FunctionalEngine.run; production runs do not "
-                    "nest or overlap across threads — use one process per concurrent run"
-                )
-            try:
-                return self._run_compiled_tiled(q, k, v, scale, lens)
-            finally:
-                ARENA.lock.release()
+            heads, d = plan.heads, plan.head_dim
 
-        if q.ndim == 3:
+            def fill(core: np.ndarray, x: np.ndarray) -> None:
+                # Round and clip in float64 through the accumulator's
+                # storage (set up only after the slabs), then one casting
+                # copy.  The transpose fuses into the quantiser's first
+                # multiply.
+                codes = _buf("acc_out", core.shape)
+                self.datapath.input_codes_into(
+                    x.reshape(b, n, heads, d).transpose(0, 2, 1, 3),
+                    codes.reshape(b, heads, n, d),
+                )
+                np.copyto(core, codes)
+
+            return self._run_tiled(fill, (q, k, v), b, batched, scale, lens)
+
+        if batched:
             # Reference semantics of a batch: independent per-sequence runs.
             results = [
-                self._run_legacy(
-                    q[b], k[b], v[b], scale, None if lens is None else int(lens[b])
-                )
-                for b in range(q.shape[0])
+                self._run_legacy(q[i], k[i], v[i], scale, None if lens is None else int(lens[i]))
+                for i in range(b)
             ]
             return FunctionalResult(
                 output=np.stack([r.output for r in results]),
@@ -475,9 +494,87 @@ class FunctionalEngine:
             )
         return self._run_legacy(q, k, v, scale, None if lens is None else int(lens[0]))
 
-    def _check_valid_lens(
-        self, valid_lens, q: np.ndarray
-    ) -> Optional[np.ndarray]:
+    def run_codes(
+        self,
+        q: Sequence[np.ndarray],
+        k: Sequence[np.ndarray],
+        v: Sequence[np.ndarray],
+        scale: Optional[float] = None,
+        valid_lens: Optional[np.ndarray] = None,
+    ) -> FunctionalResult:
+        """:meth:`run` on operands already in the datapath's input domain.
+
+        ``q``, ``k``, ``v`` each hold ``b`` lane-major windows
+        ``(heads, n, head_dim)`` — a sequence of them, or one
+        ``(b, heads, n, head_dim)`` array — of the integer codes
+        :meth:`Datapath.input_codes_into` makes of the float operands
+        (float32 holds them exactly), or, on a datapath without an input
+        format (``exact()``), of the values themselves.  The result is
+        batched, ``(b, n, heads*head_dim)``, and bit-identical to
+        :meth:`run` on the float operands the codes came from.
+
+        The production path copies each window straight into its lanes
+        of the operand slab; from there on it is the code ``run`` runs.
+        The reference path gets ``codes x resolution`` — exactly the
+        values ``run`` would have quantised to, the resolution being a
+        power of two — and runs on them.
+        """
+        plan = self.plan
+        heads, n, d = plan.heads, plan.n, plan.head_dim
+        b = len(q)
+        if b < 1 or len(k) != b or len(v) != b:
+            raise EngineError(
+                f"q, k, v must hold the same number (>= 1) of windows, got "
+                f"{len(q)}, {len(k)}, {len(v)}"
+            )
+        for name, windows in zip("qkv", (q, k, v)):
+            for window in windows:
+                if np.shape(window) != (heads, n, d):
+                    raise EngineError(
+                        f"{name} windows must be (heads, n, head_dim) = {(heads, n, d)}, "
+                        f"got {np.shape(window)}"
+                    )
+        lens = self._check_valid_lens(valid_lens, b)
+
+        if self.tiled:
+
+            def fill(core: np.ndarray, windows) -> None:
+                lanes = core.reshape(b, heads, n, d)
+                for i, window in enumerate(windows):
+                    np.copyto(lanes[i], window)
+
+            return self._run_tiled(fill, (q, k, v), b, True, self._scale(scale), lens)
+
+        fi = self.datapath.input_format
+        resolution = 1.0 if fi is None else fi.resolution
+        values = (
+            np.multiply(np.stack(windows), resolution, dtype=np.float64)
+            .transpose(0, 2, 1, 3)
+            .reshape(b, n, heads * d)
+            for windows in (q, k, v)
+        )
+        return self.run(*values, scale=scale, valid_lens=lens)
+
+    def _scale(self, scale: Optional[float]) -> float:
+        return 1.0 / np.sqrt(self.plan.head_dim) if scale is None else scale
+
+    def _run_tiled(self, fill, operands, b: int, batched: bool, scale, lens) -> FunctionalResult:
+        """The production path under the arena lock; ``fill(core, x)``
+        writes operand ``x``'s codes into its slab core."""
+        # One arena per process: a run from inside a run, or from a
+        # second thread, would overwrite the buffers of the first.
+        if not ARENA.lock.acquire(blocking=False):
+            raise EngineError(
+                "the process-wide scratch arena (repro.accelerator.arena.ARENA) is "
+                "in use by another FunctionalEngine.run; production runs do not "
+                "nest or overlap across threads — use one process per concurrent run"
+            )
+        try:
+            return self._run_compiled_tiled(fill, operands, b, batched, scale, lens)
+        finally:
+            ARENA.lock.release()
+
+    def _check_valid_lens(self, valid_lens, b: int) -> Optional[np.ndarray]:
         """Normalise ``valid_lens`` to an int64 ``(b,)`` array (or ``None``).
 
         All-full lens collapse to ``None`` so the common case stays on
@@ -486,7 +583,6 @@ class FunctionalEngine:
         if valid_lens is None:
             return None
         plan = self.plan
-        b = q.shape[0] if q.ndim == 3 else 1
         lens = np.atleast_1d(np.asarray(valid_lens, dtype=np.int64))
         if lens.shape != (b,):
             raise EngineError(
@@ -576,25 +672,23 @@ class FunctionalEngine:
 
     def _run_compiled_tiled(
         self,
-        q: np.ndarray,
-        k: np.ndarray,
-        v: np.ndarray,
+        fill,
+        operands,
+        b: int,
+        batched: bool,
         scale: float,
         lens: Optional[np.ndarray] = None,
     ) -> FunctionalResult:
         plan = self.plan
         cp = plan.compiled()
         n, d, heads = plan.n, plan.head_dim, plan.heads
-        batched = q.ndim == 3
-        b = q.shape[0] if batched else 1
         lanes = b * heads
         lane_lens = None if lens is None else np.repeat(lens, heads)
         margins = cp.schedule.slab_margins
         qh, kh, vh = (
-            self._lane_slab(name, x.reshape(b, n, heads, d), margins)
-            for name, x in zip("qkv", (q, k, v))
+            self._lane_slab(name, x, lanes, margins, fill) for name, x in zip("qkv", operands)
         )
-        acc = _BatchAccumulator(lanes, n, d)  # after the slabs: see _lane_slab
+        acc = _BatchAccumulator(lanes, n, d)  # after the slabs: see run's fill
 
         for chain in cp.job_chains:
             self._run_chain_tiled(cp, chain, qh, kh, vh, scale, acc, lane_lens)
@@ -618,27 +712,22 @@ class FunctionalEngine:
             parts = parts.reshape(heads, n)
         return FunctionalResult(output=output, merges=acc.merges, parts=parts)
 
-    def _lane_slab(self, name: str, x: np.ndarray, margins: Tuple[int, int]) -> _Slab:
-        """Float32 operand-code :class:`_Slab` of ``x (b, n, heads, d)``.
+    def _lane_slab(self, name: str, x, lanes: int, margins: Tuple[int, int], fill) -> _Slab:
+        """Float32 operand-code :class:`_Slab` of ``lanes`` lanes.
 
-        Quantising is elementwise, so each lane holds exactly the codes
-        of the values the reference path's per-head ``quantize_input``
-        produces (at most ``input_bits`` wide, exact in float32); the
-        ``(head, tail)`` margin rows are then filled from the core's
-        edge rows.
+        ``fill(core, x)`` writes the codes of operand ``x`` into the
+        ``(lanes, n, d)`` core — by quantising floats (:meth:`run`:
+        quantising is elementwise, so each lane holds exactly the codes of
+        the values the reference path's per-head ``quantize_input``
+        produces, at most ``input_bits`` wide and exact in float32) or by
+        copying codes (:meth:`run_codes`); the ``(head, tail)`` margin
+        rows are then filled from the core's edge rows.
         """
-        b, n, heads, d = x.shape
+        n, d = self.plan.n, self.plan.head_dim
         head, tail = margins
-        base = _buf(("slab", name), (b * heads, head + n + tail, d), np.float32)
+        base = _buf(("slab", name), (lanes, head + n + tail, d), np.float32)
         core = base[:, head : head + n]
-        # Round and clip in float64 through the accumulator's storage
-        # (set up only after the slabs), then one casting copy.  The
-        # transpose fuses into the quantiser's first multiply.
-        codes = _buf("acc_out", core.shape)
-        self.datapath.input_codes_into(
-            x.transpose(0, 2, 1, 3), codes.reshape(b, heads, n, d)
-        )
-        np.copyto(core, codes)
+        fill(core, x)
         if head:
             base[:, :head] = core[:, 0:1]
         if tail:

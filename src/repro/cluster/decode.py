@@ -34,9 +34,10 @@ config's ``bucket_floor``) and decides every step of two fronts:
   retry budget (exhausted: ``failed`` with its unproduced tokens);
 * :class:`repro.decode.DecodeScheduler` — real sequences on
   :class:`~repro.cluster.pool.MeasuredClock`: a launch runs
-  :meth:`_StepBatch.execute`, the lanes' step windows on the engine at
-  the step plan, whose first query it derives from the lanes' valid
-  lengths.
+  :meth:`_StepBatch.execute`, the lanes' KV code windows through
+  :meth:`~repro.core.salo.SALO.attend_codes`, one engine call per
+  distinct first query among the lanes (each derived from the lane's
+  own valid length) — still one launch for the plane.
 
 Reported by the simulator: time-to-first-token (TTFT), inter-token
 latency (ITL) p50/p99, tokens/s and time-weighted concurrency, per run
@@ -248,19 +249,29 @@ class _StepBatch(Batch):
 
     def execute(self, engine) -> Tuple[List[np.ndarray], list]:
         """Attend the step windows of the lanes' KV histories (a real
-        lane is a :class:`~repro.decode.session.KVState`) on ``engine``;
-        returns each lane's new-token row.  Each lane keeps
-        row ``valid - 1``, so the plan starts its queries at the block
-        holding the lowest of them (:func:`_step_first_query`)."""
+        lane is a :class:`~repro.decode.session.KVState`) on ``engine``'s
+        codes door; returns each lane's new-token row, in lane order.
+        Each lane keeps row ``valid - 1`` and runs the step plan that
+        starts its queries at the block holding it
+        (:func:`_step_first_query`): one engine call per distinct first
+        query, so a short lane does not pull the others onto a taller
+        plan."""
         _, bands, active, heads, _ = self.key
         lanes, bucket = self.requests, self.bucket
         valid = [lane.length - start for lane, start in zip(lanes, self.starts)]
-        first = _step_first_query(active, bucket, min(valid))
-        windows = [lane.window(start, bucket) for lane, start in zip(lanes, self.starts)]
-        q, k, v = (np.stack(rows) for rows in zip(*windows))
-        result = engine.attend(self._policy.pattern(bands, active, bucket, first), q, k, v,
-                               heads=heads, valid_lens=valid)
-        return [result.output[i, n - 1] for i, n in enumerate(valid)], [result] * self.size
+        parts: Dict[int, List[int]] = {}
+        for i, n in enumerate(valid):
+            parts.setdefault(_step_first_query(active, bucket, n), []).append(i)
+        rows: List[np.ndarray] = [None] * self.size
+        results: list = [None] * self.size
+        for first, members in sorted(parts.items()):
+            q, k, v = zip(*(lanes[i].window(self.starts[i], bucket) for i in members))
+            result = engine.attend_codes(self._policy.pattern(bands, active, bucket, first),
+                                         q, k, v, heads=heads,
+                                         valid_lens=[valid[i] for i in members])
+            for j, i in enumerate(members):
+                rows[i], results[i] = result.output[j, valid[i] - 1], result
+        return rows, results
 
 
 class _LaneQueue:

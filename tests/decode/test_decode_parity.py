@@ -19,6 +19,7 @@ Three tiers, from strongest to weakest, all pinned:
 import numpy as np
 import pytest
 
+from repro.accelerator.datapath import Datapath
 from repro.core.config import HardwareConfig
 from repro.core.salo import SALO
 from repro.decode import DecodeSession, KVState, decode_pattern
@@ -201,6 +202,8 @@ def test_late_global_activation_costs_one_structural_compile():
 
 
 class TestKVState:
+    """The KV holds lane-major ``(heads, capacity, head_dim)`` operand codes."""
+
     def test_growth_is_bucketed_and_tail_stays_zero(self):
         state = KVState(4, bucket_floor=16)
         rng = np.random.default_rng(0)
@@ -211,15 +214,36 @@ class TestKVState:
             assert grew == (state.length == 17)
         assert (state.length, state.capacity, state.grows) == (17, 32, 2)
         q, k, v = state.window(0, 32)
+        assert q.shape == (1, 32, 4) and q.dtype == np.float32
         assert np.shares_memory(q, state._q)  # zero-copy at capacity
-        assert not q[17:].any() and not k[17:].any() and not v[17:].any()
+        assert not q[:, 17:].any() and not k[:, 17:].any() and not v[:, 17:].any()
+
+    def test_appended_rows_are_the_engines_input_codes(self):
+        """Each row is quantised once, exactly as the engine's production
+        path quantises a float operand, and laid out head-major."""
+        heads, head_dim = 2, 4
+        numerics = HardwareConfig().numerics
+        datapath = Datapath(numerics)
+        state = KVState(heads * head_dim, heads=heads, numerics=numerics)
+        rng = np.random.default_rng(1)
+        rows = [4.0 * rng.standard_normal((5, heads * head_dim)) for _ in range(3)]
+        rows[0][0, 0] = 1e6  # saturates
+        state.extend(*rows)
+        extra = [rng.standard_normal(heads * head_dim) for _ in range(3)]
+        state.append(*extra)
+        for buf, block, row in zip((state._q, state._k, state._v), rows, extra):
+            floats = np.vstack([block, row])
+            codes = datapath.input_codes_into(floats, np.empty(floats.shape))
+            want = codes.reshape(6, heads, head_dim).transpose(1, 0, 2)
+            assert np.array_equal(buf[:, :6], want)
+        assert state._q[0, 0, 0] == datapath.input_format.max_code
 
     def test_padded_above_capacity_copies(self):
         state = KVState(4)
         state.extend(np.ones((3, 4)), np.ones((3, 4)), np.ones((3, 4)))
         q, k, v = state.window(0, 64)
-        assert q.shape == (64, 4) and q is not state._q
-        assert q[:3].all() and not q[3:].any()
+        assert q.shape == (1, 64, 4) and not np.shares_memory(q, state._q)
+        assert q[:, :3].all() and not q[:, 3:].any()
 
     def test_padded_below_length_raises(self):
         state = KVState(4)
@@ -233,6 +257,15 @@ class TestKVState:
             state.extend(np.ones((2, 3)), np.ones((2, 3)), np.ones((2, 3)))
         with pytest.raises(ValueError):
             state.extend(np.ones((0, 4)), np.ones((0, 4)), np.ones((0, 4)))
+        with pytest.raises(ValueError, match="divisible"):
+            KVState(6, heads=4)
+
+    def test_exact_numerics_hold_the_float_values(self):
+        state = KVState(4, numerics=HardwareConfig().exact().numerics)
+        rows = np.random.default_rng(2).standard_normal((3, 4))
+        state.extend(rows, rows, rows)
+        q, _, _ = state.window(0, 16)
+        assert q.dtype == np.float64 and np.array_equal(q[0, :3], rows)
 
 
 class TestSessionValidation:

@@ -235,7 +235,10 @@ class TestFrontState:
         pattern = HybridSparsePattern(64, [Band(-6, 0)], (0, 5))
         requests = [_request(0, 3, 6, pattern=pattern), _request(1, 10, 6, pattern=pattern)]
 
+        calls = []
+
         def broken(*args, **kwargs):
+            calls.append(kwargs["valid_lens"])
             raise RuntimeError("engine down")
 
         clean = DecodeScheduler(salo=_salo(), max_lanes=2)
@@ -249,10 +252,11 @@ class TestFrontState:
 
         expected = [shape(clean.step()) for _ in range(2)]
         assert expected[0][0] == 2  # lanes either side of global 5
-        monkeypatch.setattr(sched.salo, "attend", broken)
+        monkeypatch.setattr(sched.salo, "attend_codes", broken)  # the door a step calls
         with pytest.raises(RuntimeError, match="engine down"):
             sched.step()  # the round's first launch raises
         monkeypatch.undo()
+        assert len(calls) == 1  # the patched door was the one invoked
         assert [shape(sched.step()) for _ in range(2)] == expected
         assert sched.lane_steps == clean.lane_steps == 4
         a, b = sched.run(), clean.run()

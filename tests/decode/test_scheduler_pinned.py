@@ -139,14 +139,14 @@ _SCENARIOS = {
 }
 
 _PINNED = {
-    "two-structures": "ddae40259f4a652577feeec4e1dc38a3348b1e2094362d676e92c285d7c7af8d",
+    "two-structures": "eceab2d66ca3e4e7ed39ae61580715146904ff0e9b759e2b7abe8fd255517ddc",
     "global-mid-run": "038d1b596bbc6392649a47e7076d524de1408c31ab1c466a4c658ccce548d0d8",
-    "poisoned-next-token": "ddb15dfca2b54e18f3e8a59ffada7a73f61fef1defbd610904aadfa4a616fb08",
+    "poisoned-next-token": "66aa523fe80f0fc018a4eccd9f98ea9bd1ac5dab652e1a04883f703fdca6e208",
     "lanes-1": "31322836d56f32c962272cf477465fcaa007f9279fa3ee55c494689bc4427b2b",
-    "lanes-8": "e97f1b1e2f34283f348c898399538f27f6e87475d3b1deafbf7c97bb00e367ca",
-    "submits-between-steps": "9304400aecde71f0507283c1e9666a66e130a0461a886c0cd6b7bf6911d71983",
-    "floor-16": "eb74da26f35adb36d7b01cf304194d8415ca1f4da2bbf1f30faab9acf72dcfec",
-    "floor-32": "d318de26386a8a795302d5920a6ac820d146964678ed432f5c4cedc1077be4fb",
+    "lanes-8": "9f6ecf7d09058514aa196a05480a1103e944f8458fad75430c270ffcfc2b162d",
+    "submits-between-steps": "dab27097e62c2c4628151c7e31a8038b61e6408d49df7001be92edb62200bbff",
+    "floor-16": "bf219bb6eb49908e483c150b6fe5f80d66f6a0c3e1bd71746419da3e76d4a2d7",
+    "floor-32": "e48c1effd4216aa3adc6bb3b6db6d2e53105f511374a93016b03406801db6d23",
 }
 
 

@@ -116,9 +116,9 @@ class TestKVStateWindow:
         state = self._state()
         for start, rows in ((0, 32), (4, 16), (16, 16)):
             for view, buf in zip(state.window(start, rows), (state._q, state._k, state._v)):
-                assert view.shape == (rows, 4)
+                assert view.shape == (1, rows, 4)
                 assert np.shares_memory(view, buf)
-                assert np.array_equal(view, buf[start : start + rows])
+                assert np.array_equal(view, buf[:, start : start + rows])
 
     def test_overrunning_capacity_copies_with_a_zero_tail(self):
         # dilation 6: start rounds up to a multiple of 6, so near a full
@@ -130,9 +130,10 @@ class TestKVStateWindow:
         q, k, v = state.window(start, bucket)
         live = state.length - start
         for view, buf in zip((q, k, v), (state._q, state._k, state._v)):
+            assert view.shape == (1, bucket, 4)
             assert not np.shares_memory(view, buf)
-            assert np.array_equal(view[:live], buf[start : state.length])
-            assert not view[live:].any()
+            assert np.array_equal(view[:, :live], buf[:, start : state.length])
+            assert not view[:, live:].any()
 
     def test_window_must_reach_the_newest_row(self):
         state = self._state()

@@ -140,6 +140,20 @@ def test_the_decode_front_neither_attends_nor_decides_steps():
     assert not called & {"attend", "step_window", "decode_pattern"}, sorted(called)
 
 
+def test_decode_reaches_the_engine_through_the_codes_door():
+    """A decode KV holds operand codes, so the two modules that hand it
+    to the engine call ``attend_codes``; a float ``attend`` there would
+    re-quantise (and re-check) every history row on every step."""
+    for name in ("cluster/decode.py", "decode/session.py"):
+        called = {
+            node.func.attr
+            for node in ast.walk(_sources()[name])
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        }
+        assert "attend_codes" in called, name  # the walk sees the engine call
+        assert "attend" not in called, name
+
+
 def test_the_clock_prices_its_own_cold_penalty():
     """``CostModelClock._cold_penalty_s`` is charged through
     ``service_s``; nothing re-derives a launch's cost around it."""
