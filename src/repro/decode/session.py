@@ -284,7 +284,11 @@ class KVState:
         rows = np.empty((3, m, self.hidden))
         rows[0], rows[1], rows[2] = q, k, v
         if not np.isfinite(rows).all():
-            raise ValueError("q/k/v rows must be finite (found NaN or inf)")
+            op, r, c = np.argwhere(~np.isfinite(rows))[0].tolist()
+            raise ValueError(
+                f"{'qkv'[op]} holds {rows[op, r, c]} at row {self._len + r}, column {c}; "
+                "decode rows must be finite"
+            )
         grew = self._ensure(self._len + m)
         if self.datapath.input_format is not None:
             # codes in float64 (the engine's own rounding), then one cast

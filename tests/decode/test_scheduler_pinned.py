@@ -141,7 +141,7 @@ _SCENARIOS = {
 _PINNED = {
     "two-structures": "eceab2d66ca3e4e7ed39ae61580715146904ff0e9b759e2b7abe8fd255517ddc",
     "global-mid-run": "038d1b596bbc6392649a47e7076d524de1408c31ab1c466a4c658ccce548d0d8",
-    "poisoned-next-token": "66aa523fe80f0fc018a4eccd9f98ea9bd1ac5dab652e1a04883f703fdca6e208",
+    "poisoned-next-token": "701aa552dda37f29357233d28365ee93365e86d6cd71b2424ada4e769f4bb016",
     "lanes-1": "31322836d56f32c962272cf477465fcaa007f9279fa3ee55c494689bc4427b2b",
     "lanes-8": "9f6ecf7d09058514aa196a05480a1103e944f8458fad75430c270ffcfc2b162d",
     "submits-between-steps": "dab27097e62c2c4628151c7e31a8038b61e6408d49df7001be92edb62200bbff",

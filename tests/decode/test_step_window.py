@@ -143,13 +143,20 @@ class TestKVStateWindow:
             state.window(-1, 32)
 
     def test_non_finite_rows_rejected(self):
+        """The append door names the operand, the history row and the
+        column it refused."""
         state = self._state()
         row = np.zeros(4)
         for bad in (np.nan, np.inf):
             poisoned = row.copy()
             poisoned[2] = bad
-            with pytest.raises(ValueError, match="finite"):
+            with pytest.raises(ValueError, match=rf"^k holds {bad} at row 20, column 2; .*finite"):
                 state.append(row, poisoned, row)
+        block = np.zeros((3, 4))
+        poisoned = block.copy()
+        poisoned[1, 3] = -np.inf
+        with pytest.raises(ValueError, match=r"^v holds -inf at row 21, column 3; "):
+            state.extend(block, block, poisoned)
         assert state.length == 20
 
 
