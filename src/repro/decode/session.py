@@ -137,7 +137,7 @@ __all__ = ["KVState", "DecodeSession", "decode_pattern", "step_window"]
 _MIN_STEP_ROWS = 64
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=8)
 def _datapath(numerics: NumericsConfig) -> Datapath:
     """One shared datapath per numerics (its LUT units are built once)."""
     return Datapath(numerics)
@@ -215,7 +215,8 @@ class KVState:
     Each appended row passes one finite check, is quantised once with
     :meth:`~repro.accelerator.datapath.Datapath.input_codes_into` and is
     stored lane-major: three ``(heads, capacity, head_dim)`` float32
-    buffers of integer codes (exact: at most ``input_bits`` wide).  On a
+    buffers of integer codes (exact: at most ``input_bits`` wide; a
+    format wider than 25 bits keeps its codes in float64).  On a
     datapath without an input format (``exact()`` numerics) the same
     buffers hold the float64 values, which is what that engine reads.
     Buffers hold ``capacity = length_bucket(length)`` rows; the tail
@@ -239,8 +240,9 @@ class KVState:
         self.hidden, self.heads, self.head_dim = hidden, heads, hidden // heads
         self.bucket_floor = check_bucket_floor(bucket_floor)
         self.datapath = _datapath(numerics if numerics is not None else NumericsConfig())
-        quantised = self.datapath.input_format is not None
-        self._dtype = np.float32 if quantised else np.float64
+        fi = self.datapath.input_format
+        # float32 holds every code of up to 25 bits (magnitude <= 2^24) exactly
+        self._dtype = np.float32 if fi is not None and fi.total_bits <= 25 else np.float64
         self._len = 0
         self._cap = 0
         self._q, self._k, self._v = (self._zeros(0) for _ in range(3))

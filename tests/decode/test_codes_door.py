@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.accelerator.functional import EngineError, FunctionalEngine
-from repro.core.config import HardwareConfig
+from repro.core.config import HardwareConfig, NumericsConfig
 from repro.core.salo import SALO
 from repro.decode import (
     DecodeRequest,
@@ -74,6 +74,21 @@ def test_codes_door_equals_the_float_door(backend, case):
     assert got.plan is want.plan and got.stats is want.stats
     if backend == "functional":
         assert salo._plan_cache[salo._plan_key(pattern, HEADS, HIDDEN // HEADS)].engine.tiled
+
+
+def test_reference_path_numerics_keep_the_codes_door_exact():
+    """Datapaths the production path refuses run the reference path on
+    ``codes x resolution``: 12-bit inputs (float32 codes) and 30-bit ones
+    (too wide for float32, so the KV keeps float64 codes)."""
+    pattern, lens = _CASES["padded-lanes"]
+    for bits, frac in ((12, 6), (30, 24)):
+        numerics = NumericsConfig(input_bits=bits, input_frac_bits=frac)
+        salo = SALO(HardwareConfig(pe_rows=8, pe_cols=8).with_numerics(numerics))
+        floats, windows = _operands(salo, pattern, lens)
+        want = salo.attend(pattern, *floats, heads=HEADS, valid_lens=lens)
+        got = salo.attend_codes(pattern, *windows, heads=HEADS, valid_lens=lens)
+        assert not salo._plan_cache[salo._plan_key(pattern, HEADS, HIDDEN // HEADS)].engine.tiled
+        assert np.array_equal(got.output[:, 32:], want.output[:, 32:]), bits
 
 
 def test_a_stacked_array_is_a_sequence_of_windows():

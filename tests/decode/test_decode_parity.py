@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.accelerator.datapath import Datapath
-from repro.core.config import HardwareConfig
+from repro.core.config import HardwareConfig, NumericsConfig
 from repro.core.salo import SALO
 from repro.decode import DecodeSession, KVState, decode_pattern
 from repro.patterns.base import Band
@@ -259,6 +259,14 @@ class TestKVState:
             state.extend(np.ones((0, 4)), np.ones((0, 4)), np.ones((0, 4)))
         with pytest.raises(ValueError, match="divisible"):
             KVState(6, heads=4)
+
+    def test_codes_too_wide_for_float32_stay_float64(self):
+        numerics = NumericsConfig(input_bits=30, input_frac_bits=24)
+        state = KVState(4, numerics=numerics)
+        rows = np.random.default_rng(3).standard_normal((3, 4))
+        state.extend(rows, rows, rows)
+        codes = Datapath(numerics).input_codes_into(rows, np.empty(rows.shape))
+        assert state._q.dtype == np.float64 and np.array_equal(state._q[0, :3], codes)
 
     def test_exact_numerics_hold_the_float_values(self):
         state = KVState(4, numerics=HardwareConfig().exact().numerics)
