@@ -508,11 +508,11 @@ class FunctionalEngine:
         ``(heads, n, head_dim)`` — a sequence of them, or one
         ``(b, heads, n, head_dim)`` array — of the integer codes
         :meth:`Datapath.input_codes_into` makes of the float operands
-        (float32 holds those of the production path's formats exactly), or,
-        on a datapath without an input
-        format (``exact()``), of the values themselves.  The result is
-        batched, ``(b, n, heads*head_dim)``, and bit-identical to
-        :meth:`run` on the float operands the codes came from.
+        (float32 holds those of the production path's formats exactly),
+        or, on a datapath without an input format (``exact()``), of the
+        values themselves.  The result is batched, ``(b, n,
+        heads*head_dim)``, and bit-identical to :meth:`run` on the float
+        operands the codes came from.
 
         The production path copies each window straight into its lanes
         of the operand slab; from there on it is the code ``run`` runs.

@@ -82,8 +82,8 @@ head_dim)`` float32 buffers (the float64 values themselves on
 engine copies straight into its operand slab: a step neither re-stacks,
 re-checks nor re-quantises the older rows of its window (on the repo
 benchmark's ``decode_stream``, together with the one-plan-per-first-query
-split of a batched step, ``tokens_per_s`` +31%, 10 seed pairs on a
-2-core host).  Only a window that overruns the buffers (a
+split of a batched step, ``tokens_per_s`` 4457 -> 5624, +26%, 10 seed
+pairs on a 2-core host).  Only a window that overruns the buffers (a
 dilation-aligned ``start`` near a full buffer, or a short lane padded up
 to its group's bucket) copies, with a zero tail — exactly the padding
 the engine masks out.
@@ -293,7 +293,7 @@ class KVState:
             )
         grew = self._ensure(self._len + m)
         if self.datapath.input_format is not None:
-            # codes in float64 (the engine's own rounding), then one cast
+            # rounded in float64, as the engine's float door rounds them
             self.datapath.input_codes_into(rows, rows)
         lo = self._len
         lanes = rows.reshape(3, m, self.heads, self.head_dim).transpose(0, 2, 1, 3)
