@@ -146,18 +146,14 @@ class Datapath:
         pf.codes_into(p, out, saturate=False)
         return np.multiply(out, pf.resolution, out=out)
 
-    def output_codes_into(self, acc: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Output codes of stage-5 sums ``acc`` of probability codes times
-        value codes, which :meth:`stage5_bounded` proves in range.
-
-        ``acc`` is the stage-5 value in units of ``2^-(prob_frac +
-        input_frac)``, so a power-of-two shift to output units — exact,
-        in any float width — and one ``rint`` give the codes of
-        :meth:`quantize_output` on the value.
-        """
+    @property
+    def output_shift(self) -> float:
+        """The power of two taking a stage-5 sum of probability codes
+        times value codes to output units; with it folded into the V
+        codes, ``rint`` of a stage-5 sum gives the codes of
+        :meth:`quantize_output` (in range by :meth:`stage5_bounded`)."""
         of, pf, fi = self.output_format, self.prob_format, self.input_format
-        np.multiply(acc, 2.0 ** (of.frac_bits - pf.frac_bits - fi.frac_bits), out=out)
-        return np.rint(out, out=out)
+        return 2.0 ** (of.frac_bits - pf.frac_bits - fi.frac_bits)
 
     # ------------------------------------------------------------------
     def supports_exact_gemm(self, head_dim: int, max_cols: int) -> bool:

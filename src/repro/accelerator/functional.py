@@ -33,24 +33,29 @@ the plan's memoized :class:`~repro.scheduler.compiled.CompiledPlan`:
 passes are structural — identical across heads and across calls — so
 Q/K/V are quantised once for all heads, stages 1 and 5 run as banded
 GEMMs over block chunks of all lanes, a fused epilogue covers stages
-2–4, and the weighted-sum merges replay per job chain in the hardware's
-per-query pass order — every one of them, window, global column and
-global row alike, through the single masked Eq. 2 primitive
-:meth:`FunctionalEngine._merge_part`, as the array has one weighted-sum
-module per PE row.  The unit of work is the *chain*: the job builder
-cuts each query group's blocks into an interior, where every column
-group is live, and two edges, so one chain carries all passes of the
-interior blocks (16 column passes per block on Longformer-4096/512,
-91.6% of its passes) — its merge state stays on accumulator views, and
-when its jobs slice one band a single stage-1 GEMM spans all of their
-columns.
-The production path runs in the hardware's *code domain*: the operand
-slabs hold Q8.4 codes in float32, so stage 1 yields score codes, the
-epilogue hands probability codes to stage 5, stage 5 (codes times codes,
-float32 again) is shifted and rounded to output codes, and every merge
-and the accumulator work on output codes; the output resolution is
-applied once, when the result is copied out.  Nothing between the
-stages rescales.
+2–4, and every weighted-sum merge — window, global column and global
+row alike — replays in the hardware's per-query pass order through the
+one masked Eq. 2 primitive :meth:`FunctionalEngine._merge_part`.  The
+unit of work is the *chain*: the job builder cuts each query group's
+blocks into an interior, where every column group is live, and two
+edges, so one chain carries all passes of the interior blocks (91.6% of
+Longformer-4096/512's) on accumulator views, and when its jobs slice
+one band a single stage-1 GEMM spans all of their columns.
+It runs in the hardware's *code domain*.  The operand slabs hold Q8.4
+codes in float32; stage 1 writes each block's score rectangle
+transposed, ``K_window @ Q_blk^T`` (``(R + W - 1, R)``, the orientation
+BLAS runs fastest on these shapes), and casts its diagonal band
+(:func:`_band_t`) straight into the int64 index of the score-code exp
+table; the epilogue hands probability codes to stage 5, whose V slab
+was multiplied once by the power of two ``2^(out_frac - prob_frac -
+in_frac)`` (:attr:`Datapath.output_shift`), so a stage-5 sum is in
+output units and one ``rint`` is the whole output quantiser; the merges
+and the accumulator work on output codes, and the output resolution is
+applied once, when the result is copied out.  Both GEMMs take integer
+codes (the V codes times an exact power of two) and every partial sum
+fits the 24-bit float32 significand (:meth:`Datapath.supports_exact_gemm`),
+so neither orientation nor BLAS order can round: each cell is the
+reference path's exact dot product.
 Operands are never gathered where the ids are a range: every key
 stream and query block of an undilated band is a (clip-clamped)
 contiguous id range, a fact verified when the plan is compiled, and
@@ -80,53 +85,46 @@ the identity) and it runs as under ``run``.
 observes, never from a caller-set value, in one place —
 :meth:`FunctionalEngine._supports_tiled`, at construction — and the
 production path never re-tests what that gate proved.  One gate, three
-proofs: GEMM reordering is only bit-exact when every stage-1/5
-accumulation over integer codes is exact in float32
-(:meth:`Datapath.supports_exact_gemm` — quantised datapaths inside the
-24-bit budget: 20 bits for stage 1 and about 22 for stage 5 at the
-default numerics); the epilogue's one
-quantiser tail has no saturation clip, an identity only when no
-normalised weight can exceed the probability format
-(:attr:`Datapath.prob_bounded`, a bound read off the reciprocal LUT:
-1.0039 against Q1.15's 1.99997 at the default numerics); and the stage-5
-quantiser has none either, an identity only when no output over ``n``
-keys can exceed the output format (:meth:`Datapath.stage5_bounded`: up
-to ``n`` = 917 k at the default numerics).  Plans that pass all three
-run the production path — on a fully quantised datapath, so its
-``*_into`` quantisers and ``merge_into`` carry no unquantised branch —
-and everything else (``exact()`` configs, bit widths past the float32
-budget, a probability format without an integer bit, an output format
-too narrow for the operands) runs the reference path, where summation order is
-part of the result.  Either way the output is bit-identical to
-``mode="legacy"``; :attr:`FunctionalEngine.tiled` reports which executor
-a given engine uses.  The production path is total over the scheduler:
-every plan :meth:`DataScheduler.schedule` emits has a job schedule
+proofs: every stage-1/5 accumulation over integer codes is exact in
+float32 (:meth:`Datapath.supports_exact_gemm`: 20 bits for stage 1 and
+about 22 for stage 5 at the default numerics); no normalised weight can
+saturate the probability format (:attr:`Datapath.prob_bounded`: 1.0039
+against Q1.15's 1.99997); and no stage-5 output over ``n`` keys can
+saturate the output format (:meth:`Datapath.stage5_bounded`: up to
+``n`` = 917 k) — so the production path's quantisers carry neither a
+clip nor an unquantised branch.  Everything else (``exact()`` configs,
+bit widths past the float32 budget, formats that can saturate) runs the
+reference path.  Either way the output is bit-identical to
+``mode="legacy"``; :attr:`FunctionalEngine.tiled` reports the choice.
+The production path is total over the scheduler: every plan
+:meth:`DataScheduler.schedule` emits has a job schedule
 (:class:`~repro.scheduler.compiled.IrregularPassError` is left to
 hand-built pass lists with non-contiguous query rows).
 
 Working memory and the unit of isolation
 ----------------------------------------
 The production path allocates nothing but the arrays it returns: every
-reusable buffer — operand slabs, score rectangles, band and epilogue
-vectors, the running accumulator, the weighted-sum and reciprocal
-temporaries — is a view of the process-wide scratch arena
-(:mod:`repro.accelerator.arena`), one grow-only buffer per name sized
-by the largest request ever seen, the way the accelerator runs every
-pass of every layer through one fixed set of SRAMs.  Plans keep only
-structure — the :class:`~repro.scheduler.compiled.ExecutionSchedule`
-value (jobs with their masks and key-id views, chains, slab margins,
-global range facts), built with the plan and never written by an
-engine, which holds no per-plan memo of its own — so memory does not
-scale with cached plans or chunk shapes, and a never-seen structure of
-an already-served shape runs on touched pages.  The price is that the
-unit of isolation is the *process*:
-production runs of all engines share the arena, so :meth:`run` holds
-its lock and a run started from inside another run or from a second
-thread raises :class:`EngineError` instead of corrupting the first.
-Concurrency is by process — a forked transport worker inherits a
-copy-on-write image of the parent's arena and owns it from then on.
-The reference path (``mode="legacy"``) allocates as it goes and is not
-subject to the guard.
+reusable buffer — operand slabs, score rectangles, band, exp-index and
+epilogue vectors, the running accumulator, the weighted-sum and
+reciprocal temporaries — is a view of the process-wide scratch arena
+(:mod:`repro.accelerator.arena`), one grow-only buffer per name sized by
+the largest request ever seen, the way the accelerator runs every pass
+through one fixed set of SRAMs.  Between the GEMMs the epilogue and the
+merges run in float64 (an exp value times a reciprocal, an output code
+times a merge coefficient, a row of up to 1024 exp values all need more
+than 24 bits), and every dtype change is a casting ``np.copyto``, never
+a mixed-dtype ufunc, whose iterator buffers would allocate.  A part is
+scratch: the merge that takes it scales it in place.  Plans keep only
+structure — the :class:`~repro.scheduler.compiled.ExecutionSchedule`,
+built with the plan and written by nobody — so memory does not scale
+with cached plans or chunk shapes.  The price is that the unit of
+isolation is the *process*: :meth:`run` holds the arena's lock, and a
+run started from inside another run or from a second thread raises
+:class:`EngineError` instead of corrupting the first.  Concurrency is by
+process — a forked transport worker inherits a copy-on-write image of
+the arena.  The reference path (``mode="legacy"``) allocates as it goes
+and is not subject to the guard.
+
 
 Batch axis (multi-sequence serving)
 -----------------------------------
@@ -224,6 +222,14 @@ def _band(rect: np.ndarray, width: int) -> np.ndarray:
     return as_strided(rect, rect.shape[:-1] + (width,), s[:-2] + (s[-2] + s[-1], s[-1]))
 
 
+def _band_t(rect_t: np.ndarray, width: int) -> np.ndarray:
+    """:func:`_band` of a rectangle stored transposed, ``(..., span, R)``
+    with ``span >= R + width - 1``: ``[r, c]`` is ``rect_t[..., r + c, r]``."""
+    s = rect_t.strides
+    shape = rect_t.shape[:-2] + (rect_t.shape[-1], width)
+    return as_strided(rect_t, shape, s[:-2] + (s[-2] + s[-1], s[-2]))
+
+
 def _require_parts(has: np.ndarray, first_query: int, lens=None) -> None:
     """Raise unless every query of every lane of ``has (lanes, n)`` got a part.
 
@@ -302,6 +308,13 @@ class _Accumulator:
         self.parts[rows] += 1
 
 
+class _Exp(NamedTuple):
+    """Stage 2 of one run: the score scale and its :func:`_exp_code_table` entry."""
+
+    scale: float
+    lut: Optional[Tuple[np.ndarray, int]]
+
+
 class _BatchAccumulator:
     """Running (output codes, weight) state for all execution lanes at once.
 
@@ -335,18 +348,13 @@ def _exp_code_table(numerics, scale: float):
 
     On a quantised datapath stage 1 yields integer score codes ``c`` of
     value ``c * 2^-2f`` (``f`` input fraction bits), so the whole exp
-    pipeline — scale, clamp, range reduction, LUT chords, shift, output
-    quantise — is a function of the code ``c`` alone.  The table
-    evaluates the elementwise path's own multiply ``(c * 2^-2f) * scale``
-    and the reference unit at every code whose scaled score can fall
-    inside the clamp range, so a gather from it is bit-identical by
-    construction for any positive ``scale``.  The multiply is monotone
-    in ``c``, so codes beyond either end land — via the take's index
-    clip — on an entry whose scaled score is already clamped, exactly
-    like the unit's input clamp.
-
-    One read-only table per (numerics, scale) serves every plan and
-    engine of the process.
+    pipeline is a function of ``c`` alone.  The table evaluates the
+    elementwise path's own multiply ``(c * 2^-2f) * scale`` and the
+    reference unit at every code whose scaled score can fall inside the
+    clamp range, so a gather from it is bit-identical by construction;
+    codes beyond either end land, via the take's index clip, on an entry
+    already clamped, exactly like the unit's input clamp.  One read-only
+    table per (numerics, scale) serves every engine of the process.
     """
     datapath = Datapath(numerics)
     fi, unit = datapath.input_format, datapath.exp_unit
@@ -360,7 +368,7 @@ def _exp_code_table(numerics, scale: float):
         return None
     table = unit(np.multiply(np.arange(c_min, c_max + 1) * g, np.float64(scale)))
     table.flags.writeable = False
-    return table, float(c_min)
+    return table, c_min
 
 
 class FunctionalEngine:
@@ -400,17 +408,11 @@ class FunctionalEngine:
         The one gate of the production path, read from the plan's
         configuration alone, so an engine that takes the reference path
         never compiles.  Three proofs, none re-tested per call: every
-        stage-1/5 accumulation over codes is exact in float32 — no stage-5
-        reduction is longer than the cells of one pass (a score
-        rectangle's ``rows + width - 1`` span and a global-row batch —
-        the distinct keys one pass streams — both fit inside it) or, for
-        the global PE column, the number of global tokens
-        (:meth:`Datapath.supports_exact_gemm`); no normalised weight can
-        saturate the probability format (:attr:`Datapath.prob_bounded`),
-        which the fused epilogue's clip-free quantiser relies on; and no
-        stage-5 output can saturate the output format at this sequence
-        length (:meth:`Datapath.stage5_bounded`), which the clip-free
-        stage-5 quantiser relies on.
+        stage-1/5 accumulation over codes is exact in float32 (no stage-5
+        reduction is longer than the cells of one pass or, for the global
+        PE column, the number of global tokens); no normalised weight
+        saturates the probability format; no stage-5 output saturates the
+        output format at this sequence length.
         """
         plan, cfg = self.plan, self.plan.config
         max_cols = max(cfg.pe_rows * cfg.pe_cols, len(plan.global_tokens))
@@ -628,24 +630,10 @@ class FunctionalEngine:
     # ------------------------------------------------------------------
     # Chunked-GEMM compiled path (quantised datapaths; see _supports_tiled)
     # ------------------------------------------------------------------
-    # Stages 1 and 5 run as banded GEMMs: per block the full
-    # (R, R + W - 1) score rectangle is one matmul against the segment's
-    # overlapping stream view, and the band is extracted (stage 1) or
-    # scattered back (stage 5) through a strided view.  Both GEMMs take
-    # integer codes in float32 — operand codes, probability codes — and
-    # every partial sum fits the 24-bit float32 significand
-    # (``Datapath.supports_exact_gemm``), so the BLAS accumulation order
-    # — and the exact zeros of the rectangle padding — cannot round:
-    # results are bit-identical to the ordered float64 einsums of the
-    # reference path.  Between the GEMMs the epilogue and the merges run
-    # in float64 — an exp value times a reciprocal, an output code times
-    # a merge coefficient and a row of up to 1024 exp values all need
-    # more than 24 bits — and every dtype change is a casting
-    # ``np.copyto``, never a mixed-dtype ufunc, whose iterator buffers
-    # would allocate.  All buffers are views of the process arena
-    # (:mod:`repro.accelerator.arena`), so a call allocates only the
-    # arrays it returns — on a cached plan and, once the arena has seen
-    # the shapes, on a never-seen one too.
+    # Stage 1 extracts its band from a transposed score rectangle, stage
+    # 5 scatters probability codes into a zero-invariant one; every
+    # buffer is an arena view (module docstring: "Execution pipeline",
+    # "Working memory").
 
     def _rows(self, slab: _Slab, name: str, ids: np.ndarray, start: Optional[int]) -> np.ndarray:
         """Rows ``ids`` of an operand slab, ``(lanes, ids.size, d)``: slice or gather.
@@ -689,13 +677,17 @@ class FunctionalEngine:
         qh, kh, vh = (
             self._lane_slab(name, x, lanes, margins, fill) for name, x in zip("qkv", operands)
         )
+        # Stage 5's shift to output units rides in the V codes: a power
+        # of two, so every stage-5 sum is the same exact integer sum, scaled.
+        np.multiply(vh.base, self.datapath.output_shift, out=vh.base)
         acc = _BatchAccumulator(lanes, n, d)  # after the slabs: see run's fill
+        exp = _Exp(scale, self._exp_table(scale))
 
         for chain in cp.job_chains:
-            self._run_chain_tiled(cp, chain, qh, kh, vh, scale, acc, lane_lens)
+            self._run_chain_tiled(cp, chain, qh, kh, vh, exp, acc, lane_lens)
         if len(cp.global_tokens):
-            self._run_global_column_tiled(cp, qh, kh, vh, scale, acc)
-            self._run_global_rows_tiled(cp, qh, kh, vh, scale, acc, lane_lens)
+            self._run_global_column_tiled(cp, qh, kh, vh, exp, acc)
+            self._run_global_rows_tiled(cp, qh, kh, vh, exp, acc, lane_lens)
         _require_parts(acc.has, plan.first_query, lane_lens)
         # The accumulator lives in the arena, so the caller-owned results
         # must be fresh copies; its output codes take their resolution here
@@ -761,8 +753,9 @@ class FunctionalEngine:
             self.module.merge_into(ro, rw, out, w)
             merges = int(has.sum())
         else:
-            # Coverage differs: merge a scratch copy of the running
-            # state, then commit per cell by masked copies.
+            # Coverage differs: commit the part's fresh cells, merge a
+            # scratch copy of the running state (the merge consumes the
+            # part), then commit the merged cells by masked copies.
             both = _buf("sel_both", w.shape, np.bool_)
             fresh = _buf("sel_fresh", w.shape, np.bool_)
             mout = _buf("sel_out", out.shape)
@@ -771,14 +764,14 @@ class FunctionalEngine:
             np.greater(has, rh, out=fresh)  # has & ~rh
             np.copyto(mout, ro)
             np.copyto(mw, rw)
-            self.module.merge_into(mout, mw, out, w)
             np.copyto(ro, out, where=fresh[..., None])
             np.copyto(rw, w, where=fresh)
+            self.module.merge_into(mout, mw, out, w)
             np.copyto(ro, mout, where=both[..., None])
             np.copyto(rw, mw, where=both)
             np.logical_or(rh, has, out=rh)
             merges = int(both.sum())
-        np.add(rp, has, out=rp)
+        np.add(rp, 1, out=rp, where=has)
         return merges
 
     def _run_chain_tiled(
@@ -788,7 +781,7 @@ class FunctionalEngine:
         qh: _Slab,
         kh: _Slab,
         vh: _Slab,
-        scale: float,
+        exp: _Exp,
         acc: "_BatchAccumulator",
         lane_lens: Optional[np.ndarray] = None,
     ) -> None:
@@ -829,8 +822,8 @@ class FunctionalEngine:
             # of every merge by the has masks and never committed (and
             # stay bounded, unlike raw np.empty garbage), so the per
             # -chain fill of the two big buffers can be dropped (and of
-            # the part counts, which non-kept cells only ever add
-            # ``False`` to); the masks themselves do need clearing.
+            # the part counts, which non-kept cells never add to); the
+            # masks themselves do need clearing.
             run = [
                 _zbuf("chain_out", (lanes, G, B, R, d)),
                 _zbuf("chain_w", (lanes, G, B, R)),
@@ -858,11 +851,11 @@ class FunctionalEngine:
             b1 = min(b0 + Bc, B)
             if chain.wide_ids is not None:
                 stages = self._wide_job_stages(
-                    chain, jobs, qh, kh, vh, scale, b0, b1, lane_lens
+                    chain, jobs, qh, kh, vh, exp, b0, b1, lane_lens
                 )
             else:
                 stages = (
-                    self._job_stages_tiled(job, qh, kh, vh, scale, b0, b1, lane_lens)
+                    self._job_stages_tiled(job, qh, kh, vh, exp, b0, b1, lane_lens)
                     for job in jobs
                 )
             ro, rw, rh, rp = (r[:, :, b0:b1] for r in run)
@@ -883,7 +876,7 @@ class FunctionalEngine:
         qh: _Slab,
         kh: _Slab,
         vh: _Slab,
-        scale: float,
+        exp: _Exp,
         b0: int,
         b1: int,
         lane_lens: Optional[np.ndarray] = None,
@@ -898,20 +891,20 @@ class FunctionalEngine:
         lanes, _, d = qh.core.shape
         G, R, C = job.num_groups, job.rows, job.cols
         Bc = b1 - b0
-        qv = self._rows(
+        qt = self._rows(
             qh, "job_q", job.q_safe[:, b0:b1], _shift(job.q_start, b0 * R)
-        ).reshape(lanes, G, Bc, R, d)
-        band = _buf("job_band", (lanes, G, Bc, R, C))
+        ).reshape(lanes, G, Bc, R, d).swapaxes(-1, -2)
+        band, sink = self._exp_buffers(exp, (lanes, G, Bc, R, C), "job_band")
         col0 = 0
         for s, seg in enumerate(job.segments):
             W = seg.width
             span = R + W - 1
             kview = self._stream_view(kh, "job_k", job, s, b0, b1)
-            rect = _buf(("job_rect", s), (lanes, G, Bc, R, span), np.float32)
-            np.matmul(qv, kview.swapaxes(-1, -2), out=rect)
-            np.copyto(band[..., col0 : col0 + W], _band(rect, W))
+            rect = _buf(("job_rect", s), (lanes, G, Bc, span, R), np.float32)
+            np.matmul(kview, qt, out=rect)
+            np.copyto(sink[..., col0 : col0 + W], _band_t(rect, W), casting="unsafe")
             col0 += W
-        w, has = self._job_epilogue(job, band, scale, b0, b1, lane_lens)
+        w, has = self._job_epilogue(job, band, sink, exp, b0, b1, lane_lens)
         acc5 = _buf("job_acc5", (lanes, G, Bc, R, d), np.float32)
         tmp5 = _buf("job_acc5b", acc5.shape, np.float32) if len(job.segments) > 1 else None
         col0 = 0
@@ -955,12 +948,15 @@ class FunctionalEngine:
         self,
         job: WindowJob,
         band: np.ndarray,
-        scale: float,
+        sink: np.ndarray,
+        exp: _Exp,
         b0: int,
         b1: int,
         lane_lens: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Masks + fused epilogue of one job chunk; returns ``(w, has)``.
+        """Masks + fused epilogue of one job chunk, whose score codes
+        stage 1 left in ``sink`` (see :meth:`_exp_buffers`); returns
+        ``(w, has)``.
 
         The masks are slices of per-job facts — the job's masked block
         run, ``job.keep``, its key ids — so nothing the plan retains
@@ -970,21 +966,21 @@ class FunctionalEngine:
         m0, m1 = job.masked
         lo, hi = max(b0, m0), min(b1, m1)
         valid = (slice(lo - b0, hi - b0), job.validf[:, :, lo - m0 : hi - m0]) if lo < hi else None
-        lmask = None
+        pad = None
         if lane_lens is not None:
-            lmask = _buf("job_lmask", (lanes, G, Bc, R, C), np.bool_)
+            pad = _buf("job_pad", (lanes, G, Bc, R, C), np.bool_)
             col0 = 0
             for ids in job.key_views:
                 W = ids.shape[3]
-                np.less(
+                np.greater_equal(
                     ids[None, :, b0:b1],
                     lane_lens[:, None, None, None, None],
-                    out=lmask[..., col0 : col0 + W],
+                    out=pad[..., col0 : col0 + W],
                 )
                 col0 += W
         w = _buf("job_w", (lanes, G, Bc, R))
         has = _buf("job_has", (lanes, G, Bc, R), np.bool_)
-        self._band_epilogue(band, valid, lmask, scale, w, has)
+        self._band_epilogue(band, sink, valid, pad, exp, w, has)
         # Rows the window path never merges (global queries, padding) are
         # dropped by the reference path before its accumulator call
         # (``_run_window_pass``); clearing their ``has`` excludes them
@@ -1000,7 +996,7 @@ class FunctionalEngine:
         qh: _Slab,
         kh: _Slab,
         vh: _Slab,
-        scale: float,
+        exp: _Exp,
         b0: int,
         b1: int,
         lane_lens: Optional[np.ndarray] = None,
@@ -1027,9 +1023,9 @@ class FunctionalEngine:
         span = R + offs[-1] + widths[-1] - 1
         lo = b0 * step
         L = (Bc - 1) * step + span
-        qv = self._rows(
+        qt = self._rows(
             qh, "wide_q", job0.q_safe[:, b0:b1], _shift(job0.q_start, b0 * R)
-        ).reshape(lanes, G, Bc, R, d)
+        ).reshape(lanes, G, Bc, R, d).swapaxes(-1, -2)
         wids = chain.wide_ids[:, lo : lo + L]
         wstart = _shift(chain.wide_start, lo)
         kr = self._rows(kh, "wide_k", wids, wstart).reshape(lanes, G, L, d)
@@ -1037,15 +1033,15 @@ class FunctionalEngine:
         st, sg, sl, sd = kr.strides
         vt, vg, vl, vd = vr.strides
         kview = as_strided(kr, (lanes, G, Bc, span, d), (st, sg, step * sl, sl, sd))
-        rect = _buf("wide_rect", (lanes, G, Bc, R, span), np.float32)
-        np.matmul(qv, kview.swapaxes(-1, -2), out=rect)
+        rect = _buf("wide_rect", (lanes, G, Bc, span, R), np.float32)
+        np.matmul(kview, qt, out=rect)
         for jpos, job in enumerate(jobs):
             W = widths[jpos]
             off = offs[jpos]
             span_j = R + W - 1
-            band = _buf("job_band", (lanes, G, Bc, R, W))
-            np.copyto(band, _band(rect[..., off:], W))
-            w, has = self._job_epilogue(job, band, scale, b0, b1, lane_lens)
+            band, sink = self._exp_buffers(exp, (lanes, G, Bc, R, W), "job_band")
+            np.copyto(sink, _band_t(rect[..., off:, :], W), casting="unsafe")
+            w, has = self._job_epilogue(job, band, sink, exp, b0, b1, lane_lens)
             # Zero-invariant: each use of one shape scatters the band
             # into the same strided positions, everything else stays 0.
             rect5 = _zbuf("wide_rect5", (lanes, G, Bc, R, span_j), np.float32)
@@ -1063,86 +1059,89 @@ class FunctionalEngine:
         """The datapath's score-code -> exp table for ``scale``, if any."""
         return _exp_code_table(self.datapath.numerics, float(scale))
 
+    @staticmethod
+    def _exp_buffers(exp: _Exp, shape, name: str) -> Tuple[np.ndarray, np.ndarray]:
+        """``(band, sink)``: the float64 epilogue buffer ``name`` and where
+        stage 1 casts its score codes — the int64 exp-table index when a
+        table applies, else the band itself."""
+        band = _buf(name, shape)
+        return band, band if exp.lut is None else _buf("exp_idx", shape, np.int64)
+
     def _band_epilogue(
         self,
         band: np.ndarray,
+        sink: np.ndarray,
         valid: Optional[Tuple[slice, np.ndarray]],
-        lmask: Optional[np.ndarray],
-        scale: float,
+        pad: Optional[np.ndarray],
+        exp: _Exp,
         w: np.ndarray,
         has: np.ndarray,
     ) -> None:
-        """Fused mask + softmax epilogue: score codes -> probability codes in place.
+        """Fused mask + softmax epilogue: the score codes stage 1 cast into
+        ``sink`` (:meth:`_exp_buffers`) -> probability codes in ``band``.
 
-        One pass per chunk over the contiguous float64 band buffer: PWL
-        exp (a gather from the score-code table, or the scale and the
-        unit), validity masking (``valid``: a run of the band's blocks
-        and its 0/1 mask; ``lmask``: padded-tail keys), row sum, LUT
-        reciprocal and probability quantisation — every step is the
-        elementwise op the reference path's ``_attend_block`` applies,
-        and the row sum (a GEMV against ones) adds fixed-point exp values
-        far inside the double significand (exact in any order), so
-        bit-identical.
-        Rows without work come back with the safe weight 1.0 (``has``
-        tells them apart): their cells are all exact zeros, so their
-        probabilities are 0 either way, and a strictly positive weight
-        on every row keeps Eq. 2 merges of cells empty on both sides —
-        computed, then discarded — away from ``recip(0)``.
+        PWL exp (a gather from the score-code table, or the scale and the
+        unit), masking (``valid``: a run of the band's blocks and its 0/1
+        mask; ``pad``: padded-tail keys), row sum, LUT reciprocal and
+        probability quantisation: each the elementwise op of the reference
+        path's ``_attend_block``, and the row sum (a GEMV against ones)
+        adds fixed-point exp values exactly in any order.  Rows without
+        work get the safe weight 1.0 (``has`` tells them apart): their
+        probabilities are 0 either way, and a positive weight on every
+        row keeps Eq. 2 merges of cells empty on both sides away from
+        ``recip(0)``.
         """
         dp = self.datapath
-        lut = self._exp_table(scale)
-        if lut is not None:
-            table, off = lut
-            idx = _buf("exp_idx", band.shape, np.int64)
-            np.subtract(band, off, out=band)
-            np.copyto(idx, band, casting="unsafe")
-            np.take(table, idx, out=band, mode="clip")
+        if exp.lut is not None:
+            table, first = exp.lut
+            np.subtract(sink, first, out=sink)
+            np.take(table, sink, out=band, mode="clip")
         else:
             # ``c * (2^-2f * scale)`` rounds once, like the reference's
             # ``(c * 2^-2f) * scale``: the power-of-two factor is exact.
-            np.multiply(band, math.ldexp(scale, -2 * dp.input_format.frac_bits), out=band)
+            np.multiply(band, math.ldexp(exp.scale, -2 * dp.input_format.frac_bits), out=band)
             dp.exp_into(band, band)
         if valid is not None:
             blocks, validf = valid
             masked = band[:, :, blocks]
             np.multiply(masked, validf, out=masked)
-        if lmask is not None:
-            np.multiply(band, lmask, out=band)
+        if pad is not None:
+            np.copyto(band, 0.0, where=pad)
         ones = _buf("epi_ones", band.shape[-1:])
         ones.fill(1.0)
         np.matmul(band, ones, out=w)
         np.greater(w, 0.0, out=has)
+        idle = _buf("epi_idle", w.shape, np.bool_)
+        np.logical_not(has, out=idle)
+        np.copyto(w, 1.0, where=idle)
         inv = _buf("epi_inv", w.shape)
-        np.subtract(1.0, has, out=inv)
-        np.add(w, inv, out=w)
         dp.recip_into(w, inv)
-        # Fold the prob quantiser's power-of-two scale into the row-shaped
-        # reciprocal: exact power-of-two scaling commutes with fp
-        # rounding, so ``rint(e * (inv * 2^f))`` are the codes of
-        # quantising ``e * inv`` — one fewer full-band pass — and the
-        # saturation clip is an identity (``Datapath.prob_bounded``, part
-        # of ``_supports_tiled``).
+        # The prob quantiser's power-of-two scale folds into the row-shaped
+        # reciprocal (exact scaling commutes with fp rounding), and its
+        # saturation clip is an identity (``Datapath.prob_bounded``).
         np.multiply(inv, float(1 << dp.prob_format.frac_bits), out=inv)
         np.multiply(band, inv[..., None], out=band)
         np.rint(band, out=band)
 
-    def _epilogue_on(self, s, name, lmask, scale, w, has) -> None:
+    def _epilogue_on(self, s, name, pad, exp, w, has) -> None:
         """:meth:`_band_epilogue` on a float32 stage-1 GEMM result ``s``,
         in place, through float64 arena buffer ``name``."""
-        band = _buf(name, s.shape)
-        np.copyto(band, s)
-        self._band_epilogue(band, None, lmask, scale, w, has)
+        band, sink = self._exp_buffers(exp, s.shape, name)
+        np.copyto(sink, s, casting="unsafe")
+        self._band_epilogue(band, sink, None, pad, exp, w, has)
         np.copyto(s, band)
 
-    def _output_codes(self, acc5: np.ndarray, name: str) -> np.ndarray:
-        """Output codes of the float32 stage-5 sums ``acc5`` (overwritten),
-        copied into float64 arena buffer ``name`` for the merges."""
-        self.datapath.output_codes_into(acc5, acc5)
+    @staticmethod
+    def _output_codes(acc5: np.ndarray, name: str) -> np.ndarray:
+        """Output codes of the float32 stage-5 sums ``acc5`` (rounded in
+        place; the V slab carries the shift to output units), widened into
+        float64 arena buffer ``name`` for the merges."""
+        np.rint(acc5, out=acc5)
         out = _buf(name, acc5.shape)
         np.copyto(out, acc5)
         return out
 
-    def _run_global_column_tiled(self, cp, qh, kh, vh, scale, acc) -> None:
+    def _run_global_column_tiled(self, cp, qh, kh, vh, exp, acc) -> None:
         """Global PE column via GEMM + the fused epilogue.
 
         Computed for all ``n`` rows straight off the query slab — no row
@@ -1160,7 +1159,7 @@ class FunctionalEngine:
         np.matmul(qh.core, kg.swapaxes(-1, -2), out=s)
         w = _buf("gcol_w", (lanes, n))
         has = _buf("gcol_has", (lanes, n), np.bool_)
-        self._epilogue_on(s, "gcol_band", None, scale, w, has)
+        self._epilogue_on(s, "gcol_band", None, exp, w, has)
         acc5 = _buf("gcol_acc5", (lanes, n, d), np.float32)
         np.matmul(s, vg, out=acc5)
         out = self._output_codes(acc5, "gcol_out")
@@ -1168,7 +1167,7 @@ class FunctionalEngine:
         acc.merges += self._merge_part(acc.out, acc.w, acc.has, acc.parts, out, w, has)
 
     def _run_global_rows_tiled(
-        self, cp, qh, kh, vh, scale, acc, lane_lens: Optional[np.ndarray] = None
+        self, cp, qh, kh, vh, exp, acc, lane_lens: Optional[np.ndarray] = None
     ) -> None:
         """Global PE row via GEMM + fused epilogue in arena buffers.
 
@@ -1197,15 +1196,15 @@ class FunctionalEngine:
             vv = self._rows(vh, "grow_v", keys, k0).reshape(lanes, nb, L, d)
             s = _buf("grow_s", (lanes, nb, num_g, L), np.float32)
             np.matmul(qg[:, None], kv.swapaxes(-1, -2), out=s)
-            lmask = None
+            pad = None
             if lane_lens is not None:
-                lmask = _buf("grow_lmask", (lanes, nb, 1, L), np.bool_)
-                np.less(
-                    keys[None, :, None, :], lane_lens[:, None, None, None], out=lmask
+                pad = _buf("grow_pad", (lanes, nb, 1, L), np.bool_)
+                np.greater_equal(
+                    keys[None, :, None, :], lane_lens[:, None, None, None], out=pad
                 )
             bw = _buf("grow_bw", (lanes, nb, num_g))
             bh = _buf("grow_bh", (lanes, nb, num_g), np.bool_)
-            self._epilogue_on(s, "grow_band", lmask, scale, bw, bh)
+            self._epilogue_on(s, "grow_band", pad, exp, bw, bh)
             acc5 = _buf("grow_acc5", (lanes, nb, num_g, d), np.float32)
             np.matmul(s, vv, out=acc5)
             out[:, bidx] = self._output_codes(acc5, "grow_bo")

@@ -66,17 +66,17 @@ class WeightedSumModule:
         w2: np.ndarray,
     ) -> None:
         """In-place Eq. 2 merge of ``(out2, w2)`` into the running pair, in
-        output codes.
+        output codes; the part ``out2`` is consumed.
 
         ``out1`` / ``out2`` hold output-format *codes* (float64): the
         merged codes are elementwise-identical to those of :meth:`merge`
         on the values ``codes * resolution`` for any array shapes (``w*``
         broadcast over a trailing feature axis of ``out*``).  Writes the
-        merged codes into ``out1`` and the summed weight into ``w1``; its
-        four temporaries are views of the process arena
-        (:mod:`repro.accelerator.arena`), shared with every other module
-        instance, so nothing is allocated once the arena has served a
-        request as large.  A strictly positive ``w1 + w2`` is the
+        merged codes into ``out1`` and the summed weight into ``w1``, and
+        scales ``out2`` in place: the production path's parts are arena
+        scratch, dead once merged.  Its three row-sized temporaries are
+        views of the process arena (:mod:`repro.accelerator.arena`).
+        A strictly positive ``w1 + w2`` is the
         caller's contract (every part of the production path carries a
         positive weight on every row, see ``_band_epilogue``), and so is
         a quantised datapath: only the production path calls this, and
@@ -88,7 +88,6 @@ class WeightedSumModule:
         total = ARENA.buf("merge_total", w1.shape)
         a1 = ARENA.buf("merge_a1", w1.shape)
         a2 = ARENA.buf("merge_a2", w1.shape)
-        tmp = ARENA.buf("merge_tmp", out1.shape)  # a2 * out2
         np.add(w1, w2, out=total)
         dp.recip_into(total, a1)
         np.multiply(a1, w1, out=a1)
@@ -102,7 +101,7 @@ class WeightedSumModule:
         # combination.  No saturation pass: a convex combination of
         # in-range codes stays in range.
         np.multiply(out1, a1[..., None], out=out1)
-        np.multiply(out2, a2[..., None], out=tmp)
-        np.add(out1, tmp, out=out1)
+        np.multiply(out2, a2[..., None], out=out2)
+        np.add(out1, out2, out=out1)
         np.rint(out1, out=out1)
         np.copyto(w1, total)

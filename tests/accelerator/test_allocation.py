@@ -71,6 +71,27 @@ def test_warm_attend_is_allocation_free(pattern, heads, head_dim):
     )
 
 
+def test_warm_wide_chain_is_allocation_free_through_both_doors():
+    """A wide chained band at head_dim 64 with a global token: the
+    transposed stage-1 rectangle, the exp-code index cast straight from
+    it, the V slab's shift and merges that consume their part, through
+    float operands (``run``) and operand codes (``run_codes``)."""
+    pattern = longformer_pattern(1024, 256, (0,))
+    plan = DataScheduler(HardwareConfig()).schedule(pattern, heads=2, head_dim=64)
+    assert any(chain.wide_ids is not None for chain in plan.compiled().job_chains)
+    rng = np.random.default_rng(8)
+    q, k, v = (rng.standard_normal((pattern.n, 128)) for _ in range(3))
+    engine = FunctionalEngine(plan)
+    peak, owned = _measure(engine, q, k, v)
+    assert peak <= owned + SLACK_BYTES
+    codes = [
+        [np.rint(16 * x.reshape(pattern.n, 2, 64).transpose(1, 0, 2)).clip(-128, 127).astype(np.float32)]
+        for x in (q, k, v)
+    ]
+    peak, owned = _measure(engine, *codes, door="run_codes")
+    assert peak <= owned + SLACK_BYTES
+
+
 def test_warm_attend_with_valid_lens_budget():
     """The padded-tail masking path shares the same scratch pool."""
     pattern = longformer_pattern(512, 64, (0,))

@@ -109,15 +109,29 @@ class TestStage5Bounded:
         """Worst row the bound admits: probability codes summing to just
         under ``2 + n * res / 2`` against operands of magnitude 8.  The
         production path's quantiser takes the float32 sum of probability
-        codes times value codes and returns output codes."""
+        codes times value codes carrying ``output_shift`` (the V slab's
+        shift) and rounds it once to output codes."""
         dp = Datapath(NumericsConfig())
         pf, fi, of = dp.prob_format, dp.input_format, dp.output_format
+        assert dp.output_shift == 2.0 ** (of.frac_bits - pf.frac_bits - fi.frac_bits)
         o = np.array([-8.0, 8.0 - 1 / 16]) * (2.0 + 4096 * pf.resolution / 2)
-        acc = np.float32(o * 2.0 ** (pf.frac_bits + fi.frac_bits))
-        assert np.array_equal(acc, o * 2.0 ** (pf.frac_bits + fi.frac_bits))  # exact
-        codes = dp.output_codes_into(acc, np.empty_like(acc))
+        acc = np.float32(o * 2.0 ** (pf.frac_bits + fi.frac_bits)) * np.float32(dp.output_shift)
+        assert np.array_equal(acc, o * 2.0 ** of.frac_bits)  # exact
+        codes = np.rint(acc)
         assert codes.dtype == np.float32
         assert np.array_equal(codes * of.resolution, dp.quantize_output(o))
+
+    def test_a_shifted_stage5_gemm_is_the_shifted_exact_sum(self):
+        """Rows of probability codes against value codes, in float32, with
+        and without the shift: the same integer sums, scaled exactly."""
+        dp = Datapath(NumericsConfig())
+        rng = np.random.default_rng(0)
+        probs = rng.integers(0, 1 << 10, (16, 64)).astype(np.float32)
+        values = rng.integers(-128, 128, (64, 8)).astype(np.float32)
+        exact = probs.astype(np.int64) @ values.astype(np.int64)
+        shifted = probs @ (values * np.float32(dp.output_shift))
+        assert shifted.dtype == np.float32
+        assert np.array_equal(shifted, exact * dp.output_shift)
 
 
 class TestSupportsExactGemm:

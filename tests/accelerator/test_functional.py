@@ -158,3 +158,29 @@ class TestErrors:
         bad = np.zeros((16, 8))  # needs 16
         with pytest.raises(EngineError):
             engine.run(bad, bad, bad)
+
+
+class TestTransposedBand:
+    """Stage 1 writes its score rectangle transposed (``K @ Q^T``); the
+    band read through :func:`_band_t` must be the band :func:`_band`
+    reads off the untransposed rectangle."""
+
+    @given(
+        rows=st.integers(1, 9),
+        width=st.integers(1, 12),
+        extra=st.integers(0, 5),
+        offset=st.integers(0, 4),
+        lead=st.lists(st.integers(1, 3), max_size=3),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_band_of_the_transposed_rectangle(self, rows, width, extra, offset, lead, seed):
+        from repro.accelerator.functional import _band, _band_t
+
+        span = offset + rows + width - 1 + extra
+        rect_t = np.random.default_rng(seed).standard_normal(tuple(lead) + (span, rows))
+        rect_t = rect_t.astype(np.float32)
+        got = _band_t(rect_t[..., offset:, :], width)
+        want = _band(rect_t.swapaxes(-1, -2)[..., offset:], width)
+        assert got.shape == tuple(lead) + (rows, width)
+        assert np.array_equal(got, want)

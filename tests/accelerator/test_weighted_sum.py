@@ -88,3 +88,23 @@ class TestQuantizedMerge:
         exact, _ = _module(True).merge(out1, w1, out2, w2)
         quant, _ = _module(False).merge(out1, w1, out2, w2)
         assert np.max(np.abs(exact - quant)) < 0.05
+
+
+class TestMergeInto:
+    """The production path's in-place merge, in output codes."""
+
+    def test_codes_equal_merge_on_values_and_the_part_is_consumed(self):
+        m = _module(exact=False)
+        res = m.datapath.output_format.resolution
+        rng = np.random.default_rng(11)
+        c1 = np.rint(rng.uniform(-2000, 2000, (3, 5, 16)))
+        c2 = np.rint(rng.uniform(-2000, 2000, (3, 5, 16)))
+        w1 = rng.uniform(0.01, 40, (3, 5))
+        w2 = rng.uniform(0.01, 40, (3, 5))
+        merged, total = m.merge(c1 * res, w1, c2 * res, w2)
+        run, run_w, part = c1.copy(), w1.copy(), c2.copy()
+        assert m.merge_into(run, run_w, part, w2) is None
+        assert np.array_equal(run * res, merged)
+        assert np.array_equal(run_w, total)
+        # The part is scratch the merge scales in place: its codes are gone.
+        assert not np.array_equal(part, c2)

@@ -226,3 +226,28 @@ def test_the_request_stream_draws_descriptors_only():
     assert not handed, handed
     request = ast.unparse(_sources()["serving/request.py"])
     assert "bit_generator" not in request, "repro.serving.request reads a generator state"
+
+
+def test_stage5_and_the_merges_run_without_part_sized_scratch():
+    """The V slab carries stage 5's shift to output units, so the
+    production path rounds a stage-5 sum once and calls no
+    ``output_codes_into``; a merge consumes its part, so the weighted-sum
+    module asks the arena for no ``merge_tmp``.  Either coming back is a
+    full-band pass (or a part-sized buffer) growing back."""
+    sources = _sources()
+    called = {
+        node.func.attr
+        for node in ast.walk(sources["accelerator/functional.py"])
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    }
+    assert "matmul" in called  # the walk sees the engine's calls
+    assert "output_codes_into" not in called
+    names = {
+        node.args[0].value
+        for node in ast.walk(sources["accelerator/weighted_sum.py"])
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) == "ARENA.buf"
+        and isinstance(node.args[0], ast.Constant)
+    }
+    assert "merge_total" in names  # the walk sees the arena requests
+    assert "merge_tmp" not in names, sorted(names)
