@@ -93,6 +93,12 @@ def _require_finite(**operands: np.ndarray) -> None:
             )
 
 
+def _require_scale(scale: Optional[float]) -> None:
+    """Refuse a score ``scale`` that is not a finite positive number."""
+    if scale is not None and not (0.0 < float(scale) < math.inf):
+        raise ValueError(f"scale must be a finite positive number, got {scale}")
+
+
 def _make_functional(plan: ExecutionPlan) -> FunctionalEngine:
     return FunctionalEngine(plan)
 
@@ -374,7 +380,8 @@ class SALO:
         ``stats`` always describe the plan at the padded length.
 
         Operands holding NaN or ±inf raise :class:`ValueError` naming
-        the operand and its first non-finite cell.
+        the operand and its first non-finite cell, and so does a
+        ``scale`` that is not a finite positive number.
         """
         q = np.asarray(q, dtype=np.float64)
         k = np.asarray(k, dtype=np.float64)
@@ -382,6 +389,7 @@ class SALO:
         if q.ndim not in (2, 3):
             raise ValueError(f"q must be (n, hidden) or (b, n, hidden), got shape {q.shape}")
         _require_finite(q=q, k=k, v=v)
+        _require_scale(scale)
         n, hidden = q.shape[-2:]
         if hidden % heads != 0:
             raise ValueError(f"hidden size {hidden} not divisible by heads {heads}")
@@ -414,8 +422,10 @@ class SALO:
         the engine's :meth:`~repro.accelerator.functional.FunctionalEngine.run_codes`
         skips only the quantiser.  Codes are finite by construction, so
         nothing here re-checks them; the one finite check is where they
-        were quantised (``KVState.extend`` for decode).
+        were quantised (``KVState.extend`` for decode).  ``scale`` is
+        checked as :meth:`attend` checks it.
         """
+        _require_scale(scale)
         if len(q) == 0 or np.ndim(q[0]) != 3:
             raise ValueError("q must hold (heads, n, head_dim) code windows, one per sequence")
         if np.shape(q[0])[0] != heads:

@@ -87,6 +87,37 @@ class TestNonFiniteOperands:
         assert np.isfinite(out).all()
 
 
+class TestScaleDoor:
+    """A score ``scale`` that is not a finite positive number fails at
+    both doors by name — NaN and ±inf used to reach the engine as cast
+    warnings plus an error about queries left without keys, and a zero or
+    negative scale ran silently."""
+
+    PATTERN = longformer_pattern(20, 6, (0,))
+    BAD = [float("nan"), float("inf"), 0.0, -0.25]
+
+    def _operands(self):
+        rng = np.random.default_rng(3)
+        return [rng.standard_normal((20, 8)) for _ in range(3)]
+
+    @pytest.mark.parametrize("scale", BAD, ids=["nan", "inf", "zero", "negative"])
+    def test_attend(self, scale):
+        with pytest.raises(ValueError, match=rf"^scale must be a finite positive number, got {scale}$"):
+            SALO().attend(self.PATTERN, *self._operands(), heads=2, scale=scale)
+
+    @pytest.mark.parametrize("scale", BAD, ids=["nan", "inf", "zero", "negative"])
+    def test_attend_codes(self, scale):
+        windows = [np.zeros((1, 2, 20, 4), dtype=np.float32) for _ in range(3)]
+        with pytest.raises(ValueError, match=rf"^scale must be a finite positive number, got {scale}$"):
+            SALO().attend_codes(self.PATTERN, *windows, heads=2, scale=scale)
+
+    def test_runtime_attend_reaches_the_door(self):
+        from repro import Runtime
+
+        with pytest.raises(ValueError, match="^scale must be a finite positive number"):
+            Runtime().attend(self.PATTERN, *self._operands(), heads=2, scale=float("nan"))
+
+
 class TestEstimate:
     def test_estimate_without_data(self):
         salo = SALO()
