@@ -171,6 +171,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Tuple
 
@@ -580,13 +581,26 @@ class FunctionalEngine:
     def _check_valid_lens(self, valid_lens, b: int) -> Optional[np.ndarray]:
         """Normalise ``valid_lens`` to an int64 ``(b,)`` array (or ``None``).
 
-        All-full lens collapse to ``None`` so the common case stays on
-        the untouched (bit-identical) execution path.
+        Entries must be integers: a bool, a string, a non-finite or a
+        fractional number is refused, not cast (an integral float such
+        as ``64.0`` is taken as its integer).  All-full lens collapse to
+        ``None`` so the common case stays on the untouched
+        (bit-identical) execution path.
         """
         if valid_lens is None:
             return None
         plan = self.plan
-        lens = np.atleast_1d(np.asarray(valid_lens, dtype=np.int64))
+        entries = np.asarray(valid_lens, dtype=object)
+        for x in entries.flat:
+            if type(x) is not int and (
+                isinstance(x, (bool, np.bool_))
+                or not isinstance(x, numbers.Real)
+                or not (isinstance(x, numbers.Integral) or math.isfinite(x) and x == int(x))
+            ):
+                raise EngineError(
+                    f"valid_lens entries must be integers, got {x!r} in {entries.tolist()}"
+                )
+        lens = np.atleast_1d(entries.astype(np.int64))
         if lens.shape != (b,):
             raise EngineError(
                 f"valid_lens must hold one length per sequence ({b}), got shape {lens.shape}"

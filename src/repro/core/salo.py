@@ -99,6 +99,17 @@ def _require_scale(scale: Optional[float]) -> None:
         raise ValueError(f"scale must be a finite positive number, got {scale}")
 
 
+def _require_count(name: str, value) -> int:
+    """``value`` as ``int`` when it is a positive integer; refuse it otherwise.
+
+    numpy integers are accepted; ``bool`` and integral floats are not, so
+    no float reaches a plan-cache key or an array shape.
+    """
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def _make_functional(plan: ExecutionPlan) -> FunctionalEngine:
     return FunctionalEngine(plan)
 
@@ -331,6 +342,7 @@ class SALO:
         self, pattern: AttentionPattern, heads: int = 1, head_dim: int = 64
     ) -> ExecutionPlan:
         """Run the data scheduler (through the plan cache)."""
+        heads, head_dim = _require_count("heads", heads), _require_count("head_dim", head_dim)
         return self._entry_for(pattern, heads, head_dim).plan
 
     def stats_for(self, plan: ExecutionPlan) -> RunStats:
@@ -346,6 +358,7 @@ class SALO:
         self, pattern: AttentionPattern, heads: int = 1, head_dim: int = 64
     ) -> RunStats:
         """Schedule + performance model without executing data."""
+        heads, head_dim = _require_count("heads", heads), _require_count("head_dim", head_dim)
         entry = self._entry_for(pattern, heads, head_dim)
         if entry.stats is None:
             entry.stats = self.stats_for(entry.plan)
@@ -381,8 +394,10 @@ class SALO:
 
         Operands holding NaN or ±inf raise :class:`ValueError` naming
         the operand and its first non-finite cell, and so does a
-        ``scale`` that is not a finite positive number.
+        ``scale`` that is not a finite positive number or ``heads`` that
+        is not a positive integer.
         """
+        heads = _require_count("heads", heads)
         q = np.asarray(q, dtype=np.float64)
         k = np.asarray(k, dtype=np.float64)
         v = np.asarray(v, dtype=np.float64)
@@ -423,8 +438,9 @@ class SALO:
         skips only the quantiser.  Codes are finite by construction, so
         nothing here re-checks them; the one finite check is where they
         were quantised (``KVState.extend`` for decode).  ``scale`` is
-        checked as :meth:`attend` checks it.
+        checked as :meth:`attend` checks it, and so is ``heads``.
         """
+        heads = _require_count("heads", heads)
         _require_scale(scale)
         if len(q) == 0 or np.ndim(q[0]) != 3:
             raise ValueError("q must hold (heads, n, head_dim) code windows, one per sequence")

@@ -2,22 +2,19 @@
 
 Tile passes are *structural*: the gather indices, validity masks and
 global-token exclusions of a pass are identical across attention heads and
-across every ``attend()`` call that reuses the same plan.  The seed
-implementation nevertheless re-derived them from scratch for each head of
-each call (``TilePass.key_ids`` concatenates segments and runs ``np.isin``
-per head x pass).  :class:`CompiledPlan` performs that derivation exactly
-once per :class:`~repro.scheduler.plan.ExecutionPlan` and stores:
+across every ``attend()`` call that reuses the same plan, so
+:class:`CompiledPlan` derives them once per
+:class:`~repro.scheduler.plan.ExecutionPlan` and stores:
 
-* padded per-pass tensors — ``q_ids`` ``(P, R)``, ``valid`` ``(P, R, C)``
-  with sequence clipping *and* global-token exclusion baked in, and
-  ``keep`` ``(P, R)`` non-global row masks — consumed by the cost
-  models, ``plan.stats()`` and the window-job builder.  The key ids
-  themselves are not stored: nothing that executes reads them once
-  ``valid`` is derived, and at ``(P, R, C)`` int64 they would be
-  several times everything else a plan holds.  The plan keeps the
-  closed form's small pieces (``qpos``, ``col_base``, ``col_dil``) and
-  ``key_ids`` is a property that expands them on demand, for tests and
-  tools;
+* padded per-pass tensors — ``q_ids`` ``(P, R)`` and ``keep`` ``(P, R)``
+  non-global row masks — and the closed form of the key ids (``qpos``,
+  ``col_base``, ``col_dil``).  No ``(P, R, C)`` tensor is built: a pass
+  is *exact* when its rows are contiguous, its whole rectangle lies in
+  ``[0, n)`` and none of its keys is a global token, which arithmetic
+  on ``(P, C)`` proves for all but the passes at the sequence edges and
+  around a global key (:func:`_exact_passes`); only those are expanded
+  to cells (:func:`_valid_cells`).  ``valid`` and ``key_ids`` are
+  derived on demand, for tests and tools;
 * **window jobs** — the pass stream regrouped by
   ``(query group, column group, block run)``.  Within a job every pass
   shares its segment tuple and its query block starts advance uniformly,
@@ -42,8 +39,9 @@ once per :class:`~repro.scheduler.plan.ExecutionPlan` and stores:
   pass stream, keeping outputs bit-identical to the per-pass reference
   engine;
 * the global-row batch schedule (padded) shared with the micro-simulator;
-* per-pass aggregates (valid cells, distinct keys, query loads, output
-  vectors) reused by the timing/energy/traffic models.
+* per-pass aggregates (valid cells — ``rows_used x cols_used`` on an
+  exact pass —, distinct keys, query loads, output vectors) reused by
+  the timing/energy/traffic models.
 
 A :class:`CompiledPlan` is a *value*: frozen, built from the pass list
 alone, holding no reference back to the plan it was compiled from (the
@@ -64,10 +62,12 @@ Obtain instances through :meth:`ExecutionPlan.compiled`, which memoizes
 the compilation on the plan object.
 
 Every index fact is derived from one :class:`PassIndex` — a single sweep
-over the :class:`~repro.scheduler.plan.TilePass` objects.  The scheduler
-builds it to drop zero-work passes and leaves it on the plan, so a cold
-start (``schedule`` -> ``compiled()``) never derives a fact twice and
-never walks the passes with per-pass numpy calls.
+over the :class:`~repro.scheduler.plan.TilePass` objects that leaves
+each pass's key ids in closed form.  The scheduler builds it to drop
+zero-work passes and leaves it on the plan, so a cold start
+(``schedule`` -> ``compiled()``) never derives a fact twice and never
+walks the passes with per-pass numpy calls; the window jobs take their
+masked block runs from the same exact / expanded split.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ class SegmentStream:
     For query group ``g``, the key id of block ``b``, PE row ``r``,
     segment column ``t`` is ``gather_ids[g, b * block_step + r + t]``
     (ids pre-clipped to ``[0, n)``; out-of-range and global cells are
-    masked by the job's ``valid``).
+    masked by the job's ``validf``).
     """
 
     gather_ids: np.ndarray  # (G, L) int64, clipped to [0, n)
@@ -157,26 +157,25 @@ class WindowJob:
     cols: int  # C: columns of this job (sum of segment widths)
     q_ids: np.ndarray  # (G, B, R) int64, -1 on padding
     q_safe: np.ndarray  # (G, B, R) int64, padding clipped to 0
-    valid: np.ndarray  # (G, B, R, C) bool
     keep: np.ndarray  # (G, B, R) bool: rows merged by the window path
     segments: Tuple[SegmentStream, ...]
     # The run of blocks ``[m0, m1)`` from the first to the last with an
-    # invalid cell, and ``valid`` over it as float64 ``(1, G, m1 - m0, R,
-    # C)``: the stage-2 mask.  Multiplying by an all-ones mask is exact,
-    # so engines skip the all-valid blocks outside the run.
+    # invalid cell, and the cell validity over it as float64 ``(1, G,
+    # m1 - m0, R, C)``: the stage-2 mask.  Multiplying by an all-ones
+    # mask is exact, so engines skip the all-valid blocks outside the run.
     masked: Tuple[int, int]
     validf: np.ndarray
     # Per segment, the key ids under the job's band as ``(G, B, R, W)``
     # views of ``gather_ids`` (they own no memory): cell ``(g, b, r, t)``
     # holds the sequence index of the key whose score the band carries
-    # there (clipped cells are covered by ``valid`` and may carry any
-    # id).  Read by padded-tail masking only.
+    # there (clipped cells are masked and may carry any id).  Read by
+    # padded-tail masking only.
     key_views: Tuple[np.ndarray, ...]
     # With one group: every non-padding cell of the flattened ``q_ids``
     # equals ``q_start`` + its flat position (verified by comparison on
     # the whole column group), so the query blocks are one slice of the
     # operand.  Padding rows (a short last block) then read a
-    # neighbouring row instead of row 0; ``valid`` masks them either way.
+    # neighbouring row instead of row 0; ``validf`` masks them either way.
     q_start: Optional[int] = None
 
 
@@ -234,6 +233,46 @@ def _unmasked_key_ids(qpos: np.ndarray, col_base: np.ndarray, col_dil: np.ndarra
     ids = np.multiply(qpos[:, :, None], col_dil[:, None, :])
     ids += col_base[:, None, :]
     return ids
+
+
+def _valid_cells(qpos, col_base, col_dil, lengths, n: int, gtok: np.ndarray) -> np.ndarray:
+    """``(P, R, C)`` bool: the closed form's cells in ``[0, n)`` and not global.
+
+    The dense derivation; a cold compile runs it only on the passes
+    :func:`_exact_passes` cannot prove whole.
+    """
+    ids = _unmasked_key_ids(qpos, col_base, col_dil)
+    valid = (ids >= 0) & (ids < n) & (np.arange(ids.shape[1]) < lengths[:, None])[:, :, None]
+    if len(gtok):
+        valid &= ~np.isin(ids, gtok)
+    return valid
+
+
+def _exact_passes(index: "PassIndex", n: int, gtok: np.ndarray) -> np.ndarray:
+    """``(P,)`` bool: the pass's whole ``rows_used x cols_used`` rectangle is valid.
+
+    Proved on ``(P, C)`` arrays: with contiguous rows a column's keys run
+    from its first row's key to its last row's in steps of ``col_dil``,
+    so the rectangle lies in ``[0, n)`` when the smallest first-row key
+    is >= 0 and the largest last-row key < n, and a column holds a global
+    token when the per-residue count of global tokens up to its last key
+    exceeds the count before its first.
+    """
+    live = np.arange(index.col_base.shape[1]) < index.cols_used[:, None]
+    last = np.take_along_axis(index.qpos, index.lengths[:, None] - 1, axis=1)
+    lo = np.where(live, index.col_base + index.qpos[:, :1] * index.col_dil, 0)
+    hi = np.where(live, index.col_base + last * index.col_dil, 0)
+    exact = index.contiguous & (lo.min(axis=1) >= 0) & (hi.max(axis=1) < n)
+    if len(gtok):
+        lo, hi = _clamp(lo, n), _clamp(hi, n)
+        dils = np.flatnonzero(np.bincount(index.col_dil.ravel()))
+        for dil in dils[dils > 0].tolist():  # 0 marks padding columns
+            marks = np.zeros(-(-n // dil) * dil, dtype=np.int64)
+            marks[gtok] = 1
+            upto = marks.reshape(-1, dil).cumsum(axis=0).ravel()  # same residue, <= x
+            before = np.where(lo >= dil, upto[np.maximum(lo - dil, 0)], 0)
+            exact &= ~(live & (index.col_dil == dil) & (upto[hi] > before)).any(axis=1)
+    return exact
 
 
 def _arange_start(a: np.ndarray) -> Optional[int]:
@@ -391,9 +430,10 @@ class CompiledPlan:
 
     The per-pass tensors and aggregates are built eagerly (every
     consumer — cost models, ``plan.stats()``, the engines — needs
-    them); the execution-only :attr:`schedule` is derived on first
-    engine use, so cost-model-only paths such as ``SALO.estimate``
-    never pay for it.
+    them), none of them ``(P, R, C)``; the execution-only
+    :attr:`schedule` is derived on first engine use, so cost-model-only
+    paths such as ``SALO.estimate`` never pay for it, and the cell
+    tensors :attr:`valid` / :attr:`key_ids` only for tests and tools.
     """
 
     n: int
@@ -405,7 +445,6 @@ class CompiledPlan:
     pad_cols: int  # C: padded PE-column count across all passes
     # -- per-pass padded tensors -------------------------------------
     q_ids: np.ndarray  # (P, R) int64, -1 on padding
-    valid: np.ndarray  # (P, R, C) bool
     keep: np.ndarray  # (P, R) bool: rows merged by the window path
     rows_used: np.ndarray  # (P,) int64
     cols_used: np.ndarray  # (P,) int64
@@ -428,6 +467,13 @@ class CompiledPlan:
     first_query: int  # as ExecutionPlan.first_query: no row below it is computed
 
     # ------------------------------------------------------------------
+    @cached_property
+    def valid(self) -> np.ndarray:
+        """``(P, R, C)`` bool cell validity, derived on first read and kept."""
+        return _valid_cells(
+            self.qpos, self.col_base, self.col_dil, self.rows_used, self.n, self.global_tokens
+        )
+
     @property
     def key_ids(self) -> np.ndarray:
         """``(P, R, C)`` int64 key ids, ``-1`` where not ``valid``; derived per call."""
@@ -558,16 +604,19 @@ class _ColumnRun:
     a plan with ``first_query > 0`` the block that straddles the first
     query is a one-block run of its own whose rows start at the first
     query (:func:`_column_run`'s ``skip``): no row below it is computed.
+    A block whose pass is whole is valid up to its row count; the others
+    point into the expanded cells of the plan's other passes.
     """
 
     idxs: np.ndarray  # (B,) pass indices in block order
     lengths: Tuple[int, ...]  # rows used per block
+    skip: int  # rows of each pass before row 0 of the run
+    slots: np.ndarray  # (B,) int64 index into the expanded cells, -1 if whole
     first_block: int  # group position of block 0's first query
     block_step: int  # group positions from one block to the next
     cols: int
     seg_sig: Tuple[Tuple[int, int], ...]  # (width, dilation) per segment
     q_ids: np.ndarray  # (B, R) int64, -1 on padding
-    valid: np.ndarray  # (B, R, C) bool
     keep: np.ndarray  # (B, R) bool
     streams: Tuple[np.ndarray, ...]  # per segment: (L,) key ids, clipped
     starts: Tuple[Optional[int], ...]  # per segment, as SegmentStream.start
@@ -605,7 +654,7 @@ def _column_run(
     idxs: List[int],
     dilation: int,
     q_ids: np.ndarray,
-    valid: np.ndarray,
+    slots: np.ndarray,
     keep: np.ndarray,
     skip: int = 0,
 ) -> _ColumnRun:
@@ -645,12 +694,13 @@ def _column_run(
     return _ColumnRun(
         idxs=ia,
         lengths=tuple(lengths.tolist()),
+        skip=skip,
+        slots=slots[ia],
         first_block=first_block,
         block_step=block_step,
         cols=cols,
         seg_sig=tuple((seg.width, seg.dilation) for seg in first.segments),
         q_ids=q,
-        valid=np.ascontiguousarray(valid[ia][:, skip : skip + rows, :cols]),
         keep=np.ascontiguousarray(keep[ia][:, skip : skip + rows]),
         streams=tuple(streams),
         starts=tuple(starts),
@@ -695,7 +745,8 @@ def _build_window_jobs(
     passes: Sequence["TilePass"],
     n: int,
     q_ids: np.ndarray,
-    valid: np.ndarray,
+    slots: np.ndarray,
+    cells: np.ndarray,
     keep: np.ndarray,
     first_query: int,
 ) -> Tuple[WindowJob, ...]:
@@ -725,7 +776,8 @@ def _build_window_jobs(
     and these form a fourth sub-run.  The cut reads ``first_query``
     only — a global query row is left out of ``keep`` but still
     computed — and leaves the passes themselves, so every cost model,
-    untouched: the hardware still spends the full PE block.
+    untouched: the hardware still spends the full PE block.  ``slots[p]``
+    indexes pass ``p``'s expanded ``cells``, -1 for a whole pass.
     """
     runs: List[List[List[List[_Cut]]]] = []  # per run, per group: its sub-runs
     last_dil = None
@@ -739,24 +791,31 @@ def _build_window_jobs(
                 ids = q_ids[run[0]]
                 skip = int(np.count_nonzero((ids >= 0) & (ids < first_query)))
                 if skip:
-                    head = _column_run(passes, n, run[:1], dil, q_ids, valid, keep, skip)
+                    head = _column_run(passes, n, run[:1], dil, q_ids, slots, keep, skip)
                     trimmed.append((head, 0, 1))
                     run = run[1:]
                 if run:
-                    whole.append(_column_run(passes, n, run, dil, q_ids, valid, keep))
+                    whole.append(_column_run(passes, n, run, dil, q_ids, slots, keep))
         runs[-1].append(_split_blocks(whole) + [trimmed])
 
     jobs: List[WindowJob] = []
     for run in runs:
         for sub in zip(*run):
             for k in range(max(len(g) for g in sub)):
-                jobs.extend(_position_families([g[k] for g in sub if k < len(g)]))
+                jobs.extend(_position_families([g[k] for g in sub if k < len(g)], cells))
     return tuple(jobs)
 
 
 def _build_schedule(cp: CompiledPlan) -> ExecutionSchedule:
     """Derive the :class:`ExecutionSchedule` of a compiled plan."""
-    jobs = _build_window_jobs(cp.passes, cp.n, cp.q_ids, cp.valid, cp.keep, cp.first_query)
+    # Only a pass whose valid count falls short of its rectangle has a
+    # masked cell, and only those are expanded.
+    rest = np.flatnonzero(cp.valid_counts != cp.rows_used * cp.cols_used)
+    slots = np.full(cp.num_passes, -1, dtype=np.int64)
+    slots[rest] = np.arange(len(rest))
+    parts = (a[rest] for a in (cp.qpos, cp.col_base, cp.col_dil, cp.rows_used))
+    cells = _valid_cells(*parts, cp.n, cp.global_tokens)
+    jobs = _build_window_jobs(cp.passes, cp.n, cp.q_ids, slots, cells, cp.keep, cp.first_query)
     chains = _build_job_chains(jobs, cp.n)
     ranges = [(ch.wide_start, ch.wide_ids.shape[1]) for ch in chains if ch.wide_ids is not None]
     for job in jobs:
@@ -789,12 +848,24 @@ def _stack(blocks: List[np.ndarray]) -> np.ndarray:
     return np.stack(blocks)
 
 
-def _position_families(cuts: List[_Cut]) -> List[WindowJob]:
+def _cut_valid(cut: _Cut, rows: int, cells: np.ndarray) -> np.ndarray:
+    """``(b - a, rows, cols)`` float64 cell validity of a cut's blocks, whole ones by row count."""
+    c, a, b = cut
+    valid = np.empty((b - a, rows, c.cols))
+    valid[...] = (np.arange(rows) < np.asarray(c.lengths[a:b])[:, None])[:, :, None]
+    for i in np.flatnonzero(c.slots[a:b] >= 0).tolist():
+        valid[i] = cells[c.slots[a + i], c.skip : c.skip + rows, : c.cols]
+    return valid
+
+
+def _position_families(cuts: List[_Cut], cells: np.ndarray) -> List[WindowJob]:
     """Families among the ``k``-th cuts of one same-dilation sub-run of groups.
 
     Cuts with equal signatures have identical strided-view geometry and
     batch into one job, differing only in gather bases and boundary
-    masks.
+    masks.  Only the masked block run's cells are built: a block is
+    masked where a member is short of the job's rows or its expanded
+    cells hold an invalid one.
     """
     buckets: dict = {}  # signature -> cuts
     for c, a, b in cuts:
@@ -824,9 +895,20 @@ def _position_families(cuts: List[_Cut]) -> List[WindowJob]:
                     else None,
                 )
             )
-        job_valid = _stack([c.valid[a:b, :rows] for c, a, b in members])
-        bad = np.flatnonzero(~job_valid.all(axis=(0, 2, 3)))
-        m0, m1 = (int(bad[0]), int(bad[-1]) + 1) if bad.size else (0, 0)
+        m0 = m1 = 0
+        if any(min(c.lengths[a:b]) < rows or c.slots[a:b].max() >= 0 for c, a, b in members):
+            masked = np.zeros(num_blocks, dtype=bool)
+            for c, a, b in members:
+                masked |= np.asarray(c.lengths[a:b]) < rows
+                for i in np.flatnonzero(c.slots[a:b] >= 0).tolist():
+                    masked[i] |= not cells[c.slots[a + i], c.skip : c.skip + rows, : c.cols].all()
+            bad = np.flatnonzero(masked)
+            if bad.size:
+                m0, m1 = int(bad[0]), int(bad[-1]) + 1
+        validf = np.zeros((1, len(members), 0, rows, cols))
+        if m1 > m0:
+            blocks = [_cut_valid((c, a + m0, a + m1), rows, cells) for c, a, _ in members]
+            validf = _stack(blocks)[None]
         key_views = []
         for seg in streams:
             s_g, s_l = seg.gather_ids.strides
@@ -847,11 +929,10 @@ def _position_families(cuts: List[_Cut]) -> List[WindowJob]:
                 cols=cols,
                 q_ids=job_q_ids,
                 q_safe=np.maximum(job_q_ids, 0),
-                valid=job_valid,
                 keep=_stack([c.keep[a:b, :rows] for c, a, b in members]),
                 segments=tuple(streams),
                 masked=(m0, m1),
-                validf=np.ascontiguousarray(job_valid[None, :, m0:m1], dtype=np.float64),
+                validf=validf,
                 key_views=tuple(key_views),
                 q_start=c0.q_start + a0 * c0.q_ids.shape[1]
                 if lone and c0.q_start is not None
@@ -865,9 +946,9 @@ def _position_families(cuts: List[_Cut]) -> List[WindowJob]:
 class PassIndex:
     """Per-pass structure of a pass list: the single index derivation.
 
-    Everything downstream — the scheduler's zero-work filter, the padded
-    ``(P, R, C)`` tensors, the traffic aggregates and the global-row
-    schedule — reads these arrays, so a cold start sweeps the
+    Everything downstream — the scheduler's zero-work filter, the
+    exact / expanded split of the passes, the traffic aggregates and the
+    global-row schedule — reads these arrays, so a cold start sweeps the
     :class:`~repro.scheduler.plan.TilePass` objects exactly once
     (:func:`pass_index`).  The key id of pass ``i`` at PE row ``r``,
     column ``c`` is ``col_base[i, c] + qpos[i, r] * col_dil[i, c]``.
@@ -886,6 +967,7 @@ class PassIndex:
     residues: np.ndarray  # (P,) query residue
     dilations: np.ndarray  # (P,) query dilation
     qpos: np.ndarray  # (P, R) query group positions, 0 on padding
+    contiguous: np.ndarray  # (P,) bool: rows are consecutive group positions
     col_base: np.ndarray  # (P, C) key id at group position 0, -1 on padding
     col_dil: np.ndarray  # (P, C) key-id advance per group position, 0 on padding
     stream: np.ndarray  # (P, F) distinct in-range keys, -1 on padding
@@ -904,6 +986,7 @@ class PassIndex:
             residues=self.residues[keep],
             dilations=self.dilations[keep],
             qpos=self.qpos[keep, :pad_rows],
+            contiguous=self.contiguous[keep],
             col_base=self.col_base[keep, :pad_cols],
             col_dil=self.col_dil[keep, :pad_cols],
             stream=self.stream[keep],
@@ -1007,6 +1090,7 @@ def pass_index(
         residues=residues,
         dilations=dilations,
         qpos=qpos,
+        contiguous=contiguous,
         col_base=col_base,
         col_dil=col_dil,
         stream=stream,
@@ -1065,18 +1149,17 @@ def compile_plan(plan: "ExecutionPlan") -> CompiledPlan:
     q_ids = np.where(
         row_valid, index.residues[:, None] + index.qpos * index.dilations[:, None], -1
     )
-    key_ids = _unmasked_key_ids(index.qpos, index.col_base, index.col_dil)
-    valid = (key_ids >= 0) & (key_ids < n)
-    valid &= row_valid[:, :, None]
     gtok = np.asarray(plan.global_tokens, dtype=np.int64)
-    keep = row_valid
-    if len(gtok):
-        valid &= ~np.isin(key_ids, gtok)
-        keep = row_valid & ~np.isin(q_ids, gtok)
-    del key_ids  # a compile-time temporary: the plan keeps its closed form
+    keep = row_valid & ~np.isin(q_ids, gtok) if len(gtok) else row_valid
 
-    valid_counts = valid.sum(axis=(1, 2)).astype(np.int64)
-    row_has_work = valid.any(axis=2)
+    # Exact passes are whole rectangles; only the rest is expanded to cells.
+    rest = np.flatnonzero(~_exact_passes(index, n, gtok))
+    parts = (a[rest] for a in (index.qpos, index.col_base, index.col_dil, rows_used))
+    cells = _valid_cells(*parts, n, gtok)
+    valid_counts = rows_used * cols_used
+    valid_counts[rest] = cells.sum(axis=(1, 2))
+    row_has_work = row_valid.copy()
+    row_has_work[rest] = cells.any(axis=2)
 
     # Traffic aggregates (see buffers.plan_traffic): distinct keys per
     # pass, query-buffer loads per query-block transition, output rows.
@@ -1120,7 +1203,6 @@ def compile_plan(plan: "ExecutionPlan") -> CompiledPlan:
         pad_rows=pad_rows,
         pad_cols=pad_cols,
         q_ids=q_ids,
-        valid=valid,
         keep=keep,
         rows_used=rows_used,
         cols_used=cols_used,

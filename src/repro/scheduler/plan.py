@@ -177,6 +177,10 @@ class ExecutionPlan:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("sequence length must be >= 1")
+        for name in ("heads", "head_dim"):
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.heads < 1 or self.head_dim < 1:
             raise ValueError("heads and head_dim must be >= 1")
 
@@ -190,12 +194,16 @@ class ExecutionPlan:
     def compiled(self):
         """The memoized :class:`~repro.scheduler.compiled.CompiledPlan`.
 
-        Compilation precomputes, once, the padded per-pass index tensors
-        (query rows, key ids with global exclusions baked in, validity
-        masks), the merge-round metadata and the per-pass aggregates that
-        the engines and cost models would otherwise re-derive per head or
-        per call.  The compiled plan is a value with no reference back
-        to this object, so dropping the plan frees both by refcount.
+        Compilation precomputes, once, the padded per-pass query rows
+        and row masks, the closed form of every pass's key ids, the
+        merge-round metadata and the per-pass aggregates that the
+        engines and cost models would otherwise re-derive per head or
+        per call.  It expands to cells only the passes the closed form
+        cannot prove whole (the sequence edges, the blocks around a
+        global key); the full validity and key-id tensors are derived on
+        demand, for tests and tools.  The compiled plan is a value with
+        no reference back to this object, so dropping the plan frees
+        both by refcount.
         """
         if self._compiled is None:
             from .compiled import compile_plan
@@ -286,8 +294,8 @@ class ExecutionPlan:
     def stats(self) -> PlanStats:
         """Compute aggregate occupancy/utilisation statistics.
 
-        Backed by the compiled plan, so the per-pass ``key_ids`` tensors
-        are derived once per plan rather than once per sweep point.
+        Backed by the compiled plan's per-pass aggregates, derived once
+        per plan without expanding every pass into key ids.
         """
         cp = self.compiled()
         rows = self.config.pe_rows

@@ -118,6 +118,76 @@ class TestScaleDoor:
             Runtime().attend(self.PATTERN, *self._operands(), heads=2, scale=float("nan"))
 
 
+class TestCountDoors:
+    """``heads`` / ``head_dim`` must be positive integers, refused by name
+    before the plan cache: a float ``heads`` used to cache a plan with
+    float dims (numpy's shape error on that call *and* on every later
+    ``heads=2`` attend of the structure, whose cache key compared equal),
+    ``heads=0`` divided by zero and ``head_dim=True`` ran as 1."""
+
+    PATTERN = longformer_pattern(64, 8, (0,))
+    BAD = [2.0, 0, -1, True, np.bool_(True), "2", None]
+    IDS = ["float", "zero", "negative", "bool", "numpy-bool", "str", "none"]
+
+    def _operands(self):
+        rng = np.random.default_rng(4)
+        return [rng.standard_normal((64, 16)) for _ in range(3)]
+
+    def _refused(self, salo, name, call):
+        before = salo.cache_info()
+        with pytest.raises(ValueError, match=rf"^{name} must be a positive integer, got "):
+            call()
+        assert salo.cache_info() == before
+
+    @pytest.mark.parametrize("bad", BAD, ids=IDS)
+    def test_attend(self, bad):
+        salo = SALO()
+        ops = self._operands()
+        self._refused(salo, "heads", lambda: salo.attend(self.PATTERN, *ops, heads=bad))
+        assert salo.attend(self.PATTERN, *self._operands(), heads=2).output.shape == (64, 16)
+
+    @pytest.mark.parametrize("bad", BAD, ids=IDS)
+    def test_attend_codes(self, bad):
+        salo = SALO()
+        windows = [np.zeros((1, 2, 64, 8), dtype=np.float32) for _ in range(3)]
+        self._refused(salo, "heads", lambda: salo.attend_codes(self.PATTERN, *windows, heads=bad))
+        assert salo.attend_codes(self.PATTERN, *windows, heads=2).output.shape == (1, 64, 16)
+
+    @pytest.mark.parametrize("name", ["heads", "head_dim"])
+    @pytest.mark.parametrize("bad", BAD, ids=IDS)
+    @pytest.mark.parametrize("door", ["schedule", "estimate"])
+    def test_schedule_and_estimate(self, door, bad, name):
+        salo = SALO()
+        dims = {"heads": 2, "head_dim": 8, name: bad}
+        self._refused(salo, name, lambda: getattr(salo, door)(self.PATTERN, **dims))
+        assert getattr(salo, door)(self.PATTERN, heads=2, head_dim=8) is not None
+
+    def test_runtime_reaches_the_door_and_stays_usable(self):
+        from repro import Runtime
+
+        rt = Runtime()
+        with pytest.raises(ValueError, match=r"^heads must be a positive integer, got 2\.0$"):
+            rt.attend(self.PATTERN, *self._operands(), heads=2.0)
+        with pytest.raises(ValueError, match=r"^head_dim must be a positive integer, got True$"):
+            rt.estimate(self.PATTERN, heads=2, head_dim=True)
+        assert rt.cache_info()["misses"] == 0
+        assert rt.attend(self.PATTERN, *self._operands(), heads=2).output.shape == (64, 16)
+
+    def test_numpy_integers_are_normalised(self):
+        salo = SALO()
+        plan = salo.schedule(self.PATTERN, heads=np.int64(2), head_dim=np.int32(8))
+        assert type(plan.heads) is int and type(plan.head_dim) is int
+        assert salo.schedule(self.PATTERN, heads=2, head_dim=8) is plan
+
+    def test_execution_plan_checks_the_type(self):
+        from repro.scheduler.plan import ExecutionPlan
+
+        for name in ("heads", "head_dim"):
+            dims = {"heads": 2, "head_dim": 8, name: 2.0}
+            with pytest.raises(ValueError, match=rf"^{name} must be an integer, got 2\.0$"):
+                ExecutionPlan(n=8, config=HardwareConfig(), passes=[], global_tokens=(), **dims)
+
+
 class TestEstimate:
     def test_estimate_without_data(self):
         salo = SALO()

@@ -10,6 +10,7 @@ straightforward per-pass derivations (``TilePass.query_ids`` /
 reference implementations.
 """
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -192,6 +193,81 @@ class TestZeroWorkFilterMatchesReference:
         _assert_matches_per_pass_reference(plan, unfiltered)
 
 
+def _job_reference(plan, job):
+    """``masked`` and ``validf`` of ``job`` rebuilt from ``TilePass.key_ids``."""
+    n, gset = plan.n, plan.global_set
+    valid = np.zeros((job.num_groups, job.num_blocks, job.rows, job.cols), dtype=bool)
+    for flat, p in enumerate(job.pass_indices.tolist()):
+        g, b = divmod(flat, job.num_blocks)
+        tp = plan.passes[p]
+        # A block cut to start at the plan's first query skips rows.
+        skip = int(np.flatnonzero(tp.query_ids() == job.q_ids[g, b, 0])[0])
+        rows = tp.key_ids(n, gset)[skip : skip + job.rows, : job.cols]
+        valid[g, b, : len(rows)] = rows >= 0
+    bad = np.flatnonzero(~valid.all(axis=(0, 2, 3)))
+    m0, m1 = (int(bad[0]), int(bad[-1]) + 1) if bad.size else (0, 0)
+    return (m0, m1), valid[None, :, m0:m1].astype(np.float64)
+
+
+class TestClosedFormMatchesPerPassReference:
+    """Compilation proves most passes whole by arithmetic and expands the
+    rest; every fact it derives that way equals the per-pass walk."""
+
+    @given(
+        n=st.integers(1, 48),
+        bands=st.lists(
+            st.tuples(st.integers(1, 12), st.integers(1, 4), st.integers(1, 9)),
+            min_size=1,
+            max_size=3,
+        ),
+        start=st.integers(-60, 8),
+        placed=st.sets(st.sampled_from(("first", "last", "mid"))),
+        extra=st.sets(st.integers(0, 47), max_size=2),
+        rows=st.integers(1, 6),
+        cols=st.integers(1, 6),
+        pack=st.booleans(),
+        first=st.integers(0, 47),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_aggregates_jobs_and_valid(
+        self, n, bands, start, placed, extra, rows, cols, pack, first
+    ):
+        lo, built = start, []
+        for width, dilation, gap in bands:
+            built.append(Band(lo, lo + (width - 1) * dilation, dilation))
+            lo = built[-1].hi + gap
+        where = {"first": 0, "last": n - 1, "mid": n // 2}
+        gtok = tuple(sorted({where[p] for p in placed} | {g for g in extra if g < n}))
+        first = 0 if gtok else first % n  # a step pattern has no global token
+        scheduler = DataScheduler(
+            HardwareConfig(pe_rows=rows, pe_cols=cols, pack_bands=pack),
+            strict_global_bound=False,
+        )
+        try:
+            plan = scheduler.schedule(
+                HybridSparsePattern(n, built, gtok, first), heads=1, head_dim=8
+            )
+        except SchedulerError:  # every band clipped away and no global token
+            return
+        cp, gset = plan.compiled(), plan.global_set
+        valid = np.zeros((cp.num_passes, cp.pad_rows, cp.pad_cols), dtype=bool)
+        keep = np.zeros((cp.num_passes, cp.pad_rows), dtype=bool)
+        for i, tp in enumerate(plan.passes):
+            ids = tp.key_ids(n, gset)
+            valid[i, : ids.shape[0], : ids.shape[1]] = ids >= 0
+            keep[i, : tp.rows_used] = [q not in gset for q in tp.query_ids().tolist()]
+        assert np.array_equal(cp.valid_counts, valid.sum(axis=(1, 2)))
+        assert np.array_equal(cp.row_has_work, valid.any(axis=2))
+        assert np.array_equal(cp.keep, keep)
+        assert cp.total_valid_cells == valid.sum()
+        assert "valid" not in vars(cp)  # derived on first read, then kept
+        assert np.array_equal(cp.valid, valid) and cp.valid is cp.valid
+        for job in cp.window_jobs:
+            masked, validf = _job_reference(plan, job)
+            assert job.masked == masked
+            assert validf.shape == job.validf.shape and np.array_equal(job.validf, validf)
+
+
 def _irregular_plan():
     """No scheduler memo, non-contiguous rows, mixed dilations."""
     seg = lambda lo, w, res, dil: BandSegment(0, lo, w, res, dil)  # noqa: E731
@@ -210,6 +286,16 @@ class TestHandBuiltPlansDeriveOnDemand:
         plan = _irregular_plan()
         assert plan._index is None
         _assert_matches_per_pass_reference(plan)
+
+    def test_rows_out_of_order_are_expanded(self):
+        """The closed form proves a rectangle whole from its first and last
+        rows only when its rows are contiguous; rows out of order (first
+        row's keys in range, a later row's clipped) are expanded."""
+        tp = TilePass(0, 1, (5, 0), (BandSegment(0, -2, 3, 0, 1),))
+        plan = ExecutionPlan(12, 1, 8, HardwareConfig(pe_rows=4, pe_cols=5), [tp], ())
+        _assert_matches_per_pass_reference(plan)
+        assert plan.compiled().valid_counts.tolist() == [4]
+        assert plan.compiled().row_has_work.tolist() == [[True, True]]
 
     def test_irregular_passes_have_no_window_jobs(self):
         """Named error at the door; the reference engine still runs them."""
@@ -242,6 +328,26 @@ class TestColdPathStructure:
         assert not calls
         assert cp.num_passes > 1000
         assert peak < 4 * cp.key_ids.nbytes
+
+    def test_a_cold_compile_allocates_no_cell_tensor(self):
+        """Schedule, compile and execution schedule of a cold plan peak
+        below one ``(P, R, C)`` int64 tensor: only the passes the closed
+        form cannot prove whole (sequence edges, blocks around the
+        global key) are expanded to cells.  Expanding every pass peaked
+        at 1.72x that bound."""
+        scheduler = DataScheduler(HardwareConfig())
+        pattern = longformer_pattern(4096, 512, (0,))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            cp = scheduler.schedule(pattern, heads=2, head_dim=8).compiled()
+            cp.schedule
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        cells = cp.num_passes * cp.pad_rows * cp.pad_cols * np.dtype(np.int64).itemsize
+        assert peak < cells, f"peak {peak / 2**20:.1f} MB, one cell tensor {cells / 2**20:.1f} MB"
+        assert "valid" not in vars(cp)
 
     def test_cold_chain_beats_the_per_pass_derivation_alone(self):
         """Everything a plan-cache miss derives before the engine runs —

@@ -9,6 +9,8 @@ different merge points, so its bound is the quantisation step, not an
 ulp — both are characterised here.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,39 @@ class TestValidLensEngine:
             salo.attend(pat, q, k, v, heads=2, valid_lens=[3])
         with pytest.raises(EngineError, match="one length per sequence"):
             salo.attend(pat, q, k, v, heads=2, valid_lens=[16, 16])
+
+    BAD_LENS = [
+        [40.7, 64], [True, 64], [np.bool_(True), 64], ["40", 64], [np.nan, 64], [np.inf, 64]
+    ]
+    BAD_IDS = ["fractional", "bool", "numpy-bool", "str", "nan", "inf"]
+
+    @pytest.mark.parametrize("lens", BAD_LENS, ids=BAD_IDS)
+    def test_entries_must_be_integers_at_runtime_attend(self, lens):
+        """A fractional entry used to run truncated, a bool as 1, a string
+        parsed, and NaN raised numpy's cast error without naming the
+        argument: each is refused like an out-of-range length."""
+        from repro import Runtime
+
+        pat = longformer_pattern(64, 8, (0,))
+        q = np.random.default_rng(7).standard_normal((2, 64, 16))
+        bad = f"^valid_lens entries must be integers, got {re.escape(repr(lens[0]))} in "
+        with pytest.raises(EngineError, match=bad):
+            Runtime().attend(pat, q, q, q, heads=2, valid_lens=lens)
+
+    @pytest.mark.parametrize("lens", BAD_LENS, ids=BAD_IDS)
+    def test_entries_must_be_integers_at_run_codes(self, lens):
+        plan = SALO().schedule(longformer_pattern(64, 8, (0,)), heads=2, head_dim=8)
+        windows = [np.zeros((2, 64, 8), dtype=np.float32) for _ in range(2)]  # two lanes
+        with pytest.raises(EngineError, match="^valid_lens entries must be integers, got "):
+            FunctionalEngine(plan).run_codes(windows, windows, windows, valid_lens=lens)
+
+    def test_integral_floats_keep_running(self):
+        pat = longformer_pattern(64, 8, (0,))
+        q = np.random.default_rng(8).standard_normal((2, 64, 16))
+        salo = SALO()
+        as_float = salo.attend(pat, q, q, q, heads=2, valid_lens=[40.0, np.float32(64)]).output
+        as_int = salo.attend(pat, q, q, q, heads=2, valid_lens=np.array([40, 64])).output
+        assert np.array_equal(as_float, as_int)
 
 
 class TestPadToBucketScheduler:
