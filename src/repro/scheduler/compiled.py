@@ -604,8 +604,9 @@ class _ColumnRun:
     a plan with ``first_query > 0`` the block that straddles the first
     query is a one-block run of its own whose rows start at the first
     query (:func:`_column_run`'s ``skip``): no row below it is computed.
-    A block whose pass is whole is valid up to its row count; the others
-    point into the expanded cells of the plan's other passes.
+    ``full`` marks the rows whose every cell is valid (a whole pass: its
+    used rows); the blocks of the other passes also point into their
+    expanded cells.
     """
 
     idxs: np.ndarray  # (B,) pass indices in block order
@@ -618,6 +619,7 @@ class _ColumnRun:
     seg_sig: Tuple[Tuple[int, int], ...]  # (width, dilation) per segment
     q_ids: np.ndarray  # (B, R) int64, -1 on padding
     keep: np.ndarray  # (B, R) bool
+    full: np.ndarray  # (B, R) bool: every cell of the row is valid
     streams: Tuple[np.ndarray, ...]  # per segment: (L,) key ids, clipped
     starts: Tuple[Optional[int], ...]  # per segment, as SegmentStream.start
     q_start: Optional[int]  # as WindowJob.q_start
@@ -654,8 +656,9 @@ def _column_run(
     idxs: List[int],
     dilation: int,
     q_ids: np.ndarray,
-    slots: np.ndarray,
     keep: np.ndarray,
+    full: np.ndarray,
+    slots: np.ndarray,
     skip: int = 0,
 ) -> _ColumnRun:
     """The :class:`_ColumnRun` of one evenly spaced run of passes, or raise.
@@ -702,6 +705,7 @@ def _column_run(
         seg_sig=tuple((seg.width, seg.dilation) for seg in first.segments),
         q_ids=q,
         keep=np.ascontiguousarray(keep[ia][:, skip : skip + rows]),
+        full=np.ascontiguousarray(full[ia][:, skip : skip + rows]),
         streams=tuple(streams),
         starts=tuple(starts),
         q_start=_padded_arange_start(q.ravel()),
@@ -745,9 +749,10 @@ def _build_window_jobs(
     passes: Sequence["TilePass"],
     n: int,
     q_ids: np.ndarray,
+    keep: np.ndarray,
+    full: np.ndarray,
     slots: np.ndarray,
     cells: np.ndarray,
-    keep: np.ndarray,
     first_query: int,
 ) -> Tuple[WindowJob, ...]:
     """Batch the pass stream into window-job families (see module docstring).
@@ -776,8 +781,9 @@ def _build_window_jobs(
     and these form a fourth sub-run.  The cut reads ``first_query``
     only — a global query row is left out of ``keep`` but still
     computed — and leaves the passes themselves, so every cost model,
-    untouched: the hardware still spends the full PE block.  ``slots[p]``
-    indexes pass ``p``'s expanded ``cells``, -1 for a whole pass.
+    untouched: the hardware still spends the full PE block.  ``full``
+    marks the rows whose every cell is valid; ``slots[p]`` indexes pass
+    ``p``'s expanded ``cells``, -1 for a whole pass.
     """
     runs: List[List[List[List[_Cut]]]] = []  # per run, per group: its sub-runs
     last_dil = None
@@ -791,11 +797,11 @@ def _build_window_jobs(
                 ids = q_ids[run[0]]
                 skip = int(np.count_nonzero((ids >= 0) & (ids < first_query)))
                 if skip:
-                    head = _column_run(passes, n, run[:1], dil, q_ids, slots, keep, skip)
+                    head = _column_run(passes, n, run[:1], dil, q_ids, keep, full, slots, skip)
                     trimmed.append((head, 0, 1))
                     run = run[1:]
                 if run:
-                    whole.append(_column_run(passes, n, run, dil, q_ids, slots, keep))
+                    whole.append(_column_run(passes, n, run, dil, q_ids, keep, full, slots))
         runs[-1].append(_split_blocks(whole) + [trimmed])
 
     jobs: List[WindowJob] = []
@@ -808,14 +814,19 @@ def _build_window_jobs(
 
 def _build_schedule(cp: CompiledPlan) -> ExecutionSchedule:
     """Derive the :class:`ExecutionSchedule` of a compiled plan."""
-    # Only a pass whose valid count falls short of its rectangle has a
-    # masked cell, and only those are expanded.
+    # Only a pass whose valid count falls short of its rectangle has an
+    # invalid cell, and only those are expanded.
     rest = np.flatnonzero(cp.valid_counts != cp.rows_used * cp.cols_used)
     slots = np.full(cp.num_passes, -1, dtype=np.int64)
     slots[rest] = np.arange(len(rest))
     parts = (a[rest] for a in (cp.qpos, cp.col_base, cp.col_dil, cp.rows_used))
     cells = _valid_cells(*parts, cp.n, cp.global_tokens)
-    jobs = _build_window_jobs(cp.passes, cp.n, cp.q_ids, slots, cells, cp.keep, cp.first_query)
+    full = np.arange(cp.pad_rows) < cp.rows_used[:, None]
+    padding = np.arange(cp.pad_cols) >= cp.cols_used[rest, None]
+    full[rest] = (cells | padding[:, None, :]).all(axis=2)
+    jobs = _build_window_jobs(
+        cp.passes, cp.n, cp.q_ids, cp.keep, full, slots, cells, cp.first_query
+    )
     chains = _build_job_chains(jobs, cp.n)
     ranges = [(ch.wide_start, ch.wide_ids.shape[1]) for ch in chains if ch.wide_ids is not None]
     for job in jobs:
@@ -849,10 +860,10 @@ def _stack(blocks: List[np.ndarray]) -> np.ndarray:
 
 
 def _cut_valid(cut: _Cut, rows: int, cells: np.ndarray) -> np.ndarray:
-    """``(b - a, rows, cols)`` float64 cell validity of a cut's blocks, whole ones by row count."""
+    """``(b - a, rows, cols)`` float64 cell validity of a cut's blocks."""
     c, a, b = cut
     valid = np.empty((b - a, rows, c.cols))
-    valid[...] = (np.arange(rows) < np.asarray(c.lengths[a:b])[:, None])[:, :, None]
+    valid[...] = c.full[a:b, :rows, None]  # exact for the blocks of whole passes
     for i in np.flatnonzero(c.slots[a:b] >= 0).tolist():
         valid[i] = cells[c.slots[a + i], c.skip : c.skip + rows, : c.cols]
     return valid
@@ -863,9 +874,9 @@ def _position_families(cuts: List[_Cut], cells: np.ndarray) -> List[WindowJob]:
 
     Cuts with equal signatures have identical strided-view geometry and
     batch into one job, differing only in gather bases and boundary
-    masks.  Only the masked block run's cells are built: a block is
-    masked where a member is short of the job's rows or its expanded
-    cells hold an invalid one.
+    masks.  A block is masked where a member's row within the job is
+    not full (padding, or an invalid cell of an expanded pass), and
+    only the masked block run's cells are built.
     """
     buckets: dict = {}  # signature -> cuts
     for c, a, b in cuts:
@@ -895,16 +906,9 @@ def _position_families(cuts: List[_Cut], cells: np.ndarray) -> List[WindowJob]:
                     else None,
                 )
             )
-        m0 = m1 = 0
-        if any(min(c.lengths[a:b]) < rows or c.slots[a:b].max() >= 0 for c, a, b in members):
-            masked = np.zeros(num_blocks, dtype=bool)
-            for c, a, b in members:
-                masked |= np.asarray(c.lengths[a:b]) < rows
-                for i in np.flatnonzero(c.slots[a:b] >= 0).tolist():
-                    masked[i] |= not cells[c.slots[a + i], c.skip : c.skip + rows, : c.cols].all()
-            bad = np.flatnonzero(masked)
-            if bad.size:
-                m0, m1 = int(bad[0]), int(bad[-1]) + 1
+        full = _stack([c.full[a:b, :rows] for c, a, b in members])
+        bad = np.flatnonzero(~full.all(axis=(0, 2)))
+        m0, m1 = (int(bad[0]), int(bad[-1]) + 1) if bad.size else (0, 0)
         validf = np.zeros((1, len(members), 0, rows, cols))
         if m1 > m0:
             blocks = [_cut_valid((c, a + m0, a + m1), rows, cells) for c, a, _ in members]

@@ -15,7 +15,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.accelerator.functional import FunctionalEngine
@@ -228,6 +228,12 @@ class TestClosedFormMatchesPerPassReference:
         pack=st.booleans(),
         first=st.integers(0, 47),
     )
+    # A step plan whose first block is cut past its only clipped row, in
+    # a column group narrower than the array: that block is not masked.
+    @example(
+        n=16, bands=[(2, 1, 4), (4, 1, 1)], start=-5, placed=set(), extra=set(),
+        rows=4, cols=4, pack=False, first=5,
+    )  # fmt: skip
     @settings(max_examples=150, deadline=None)
     def test_aggregates_jobs_and_valid(
         self, n, bands, start, placed, extra, rows, cols, pack, first
