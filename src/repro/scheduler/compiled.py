@@ -39,9 +39,9 @@ across every ``attend()`` call that reuses the same plan, so
   pass stream, keeping outputs bit-identical to the per-pass reference
   engine;
 * the global-row batch schedule (padded) shared with the micro-simulator;
-* per-pass aggregates (valid cells — ``rows_used x cols_used`` on an
-  exact pass —, distinct keys, query loads, output vectors) reused by
-  the timing/energy/traffic models.
+* per-pass aggregates (valid cells, ``rows_used x cols_used`` on an
+  exact pass; distinct keys; query loads; output vectors) reused by the
+  timing/energy/traffic models.
 
 A :class:`CompiledPlan` is a *value*: frozen, built from the pass list
 alone, holding no reference back to the plan it was compiled from (the
