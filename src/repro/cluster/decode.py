@@ -571,7 +571,8 @@ class DecodeClusterSimulator(ClusterSimulator):
                 self.pool.workers[self._routed[seq.request_id]].queue.lanes.remove(seq)
                 self._fail(seq, now)
 
-    def _complete(self, seq: _Seq, batch: Batch, worker: Worker, dispatched: float, now: float) -> None:
+    def _complete(self, seq: _Seq, batch: Batch, worker: Worker, dispatched: float, now: float,
+                  served) -> None:
         """A served step is one token for the lane; the token that meets
         the sequence's budget frees the lane and completes it."""
         seq.produced += 1
@@ -583,7 +584,7 @@ class DecodeClusterSimulator(ClusterSimulator):
         seq.last_token_s = now
         if seq.produced == seq.target_tokens:
             worker.queue.lanes.remove(seq)
-            super()._complete(seq, batch, worker, seq.first_dispatch_s, now)
+            super()._complete(seq, batch, worker, seq.first_dispatch_s, now, served)
 
     def _refuse_unschedulable(self, spec: DecodeWorkloadSpec) -> None:
         """Schedule, on a throwaway engine from the pool's factory, the

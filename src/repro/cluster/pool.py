@@ -370,13 +370,16 @@ class Worker:
 
 
 class ServiceModel:
-    """Maps (worker, batch) to a service time; may execute the batch."""
+    """Maps (worker, batch) to a service time; :meth:`launch` may also run it."""
 
     #: True when service times are free of wall-clock reads (replayable).
     deterministic = True
 
     def service_s(self, worker: Worker, batch: Batch, cold: bool) -> float:
         raise NotImplementedError
+
+    def launch(self, worker: Worker, batch: Batch, cold: bool) -> Tuple[float, Optional[list]]:
+        return self.service_s(worker, batch, cold), None  # (service_s, served): ran nothing
 
 
 class CostModelClock(ServiceModel):
@@ -473,9 +476,9 @@ class CostModelClock(ServiceModel):
 class MeasuredClock(ServiceModel):
     """Run the batch on the worker's engine; the wall clock is the time.
 
-    ``served`` is what the last batch produced: :meth:`Batch.execute`'s
-    ``(outputs, results)``, one entry per member in batch order.  Members
-    holding undrawn operands (:meth:`AttentionRequest.drawn
+    :meth:`launch` returns each member's ``(output, result)`` from
+    :meth:`Batch.execute`, in batch order, for its completion to carry.
+    Members holding undrawn operands (:meth:`AttentionRequest.drawn
     <repro.serving.request.AttentionRequest.drawn>`) are drawn before the
     clock starts: making the traffic is not service time.
     """
@@ -484,15 +487,14 @@ class MeasuredClock(ServiceModel):
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
         self.clock = clock
-        self.served: Tuple[List[np.ndarray], List[object]] = ([], [])
 
-    def service_s(self, worker: Worker, batch: Batch, cold: bool) -> float:
+    def launch(self, worker: Worker, batch: Batch, cold: bool) -> Tuple[float, list]:
         for r in batch.requests:
             if isinstance(r, AttentionRequest):
                 r.operands()
         t0 = self.clock()
-        self.served = batch.execute(worker.salo)
-        return self.clock() - t0
+        served = list(zip(*batch.execute(worker.salo)))
+        return self.clock() - t0, served
 
 
 class EnginePool:

@@ -38,12 +38,12 @@ the paper's cycle model (``SALO.estimate``): same seed, same report, no
 wall-clock reads, ties broken by insertion order; without an (active)
 injector there are no probes, RNG draws or extra events.  On
 :class:`~repro.cluster.pool.MeasuredClock` a launch runs the batch on
-the worker's engine and is charged its measured time — which is how
-in-process serving runs: a session's timeline is virtual time advanced
-by measured engine time.
-:class:`~repro.transport.cluster.TransportExecutor` is the wall clock: a
-launch ships the batch to a real worker (possibly a process that can
-genuinely be ``kill -9``'d) and timers fire when due.
+the worker's engine and is charged its measured time — how in-process
+serving runs: a session's timeline is virtual time advanced by engine
+time.  :class:`~repro.transport.cluster.TransportExecutor` is the wall
+clock: a launch ships the batch to a real worker (possibly a process
+that can genuinely be ``kill -9``'d) and timers fire when due.  Either
+way a completion carries each member's own output.
 
 :class:`ClusterSimulator`, :class:`~repro.transport.cluster.
 TransportCluster`, :class:`~repro.serving.session.ServingSession` and
@@ -59,9 +59,9 @@ token — is the same plane under
 :class:`ClusterSimulator` that overrides one seam,
 :meth:`ControlPlane._complete` (what a served launch means for a
 member), beside the retry and admission-estimate methods; the two
-in-process fronts override it to keep each member's output, and their
-``step()`` spends a launch budget so it stops at a batch (session) or a
-round (decode) boundary.
+in-process fronts override it to keep the output the completion hands
+each member by position, and their ``step()`` spends a launch budget so
+it stops at a batch (session) or a round (decode) boundary.
 """
 
 from __future__ import annotations
@@ -167,11 +167,12 @@ class Executor:
         return len(self._heap)
 
     def completed(
-        self, t: float, worker: Worker, launch_id: int, failed: bool, service_s: float
+        self, t: float, worker: Worker, launch_id: int, failed: bool, service_s: float, served
     ) -> None:
         """A launched batch finished at ``t`` (``failed``: transient error);
-        ``service_s`` is service time not already charged at launch."""
-        self.schedule(t, _COMPLETE, (worker, launch_id, failed, service_s))
+        ``service_s`` is service time not already charged at launch, and
+        ``served`` one ``(output, result)`` per member or ``None``."""
+        self.schedule(t, _COMPLETE, (worker, launch_id, failed, service_s, served))
 
     def cancel_all(self) -> List[Tuple[float, int, int, object]]:
         """Empty the heap; returns what was on it."""
@@ -233,12 +234,12 @@ class SimulatedExecutor(Executor):
         return t, kind, payload
 
     def launch(self, worker, launch_id, batch, cold, now):
-        service = self.service.service_s(worker, batch, cold)
+        service, served = self.service.launch(worker, batch, cold)
         failed = False
         if self.injector is not None:
             service *= self.injector.service_factor(worker.wid, now)
             failed = self.injector.dispatch_fails(worker.wid, now)
-        self.completed(now + service, worker, launch_id, failed, 0.0)
+        self.completed(now + service, worker, launch_id, failed, 0.0, served)
         return service
 
     def probe(self, worker: Worker, now: float) -> str:
@@ -395,8 +396,8 @@ class ControlPlane:
             del self._timer_armed[worker.wid]
         self._dispatch(worker, now)
 
-    def _on_complete(self, payload: Tuple[Worker, int, bool, float], now: float) -> None:
-        worker, launch_id, failed, service_s = payload
+    def _on_complete(self, payload: Tuple[Worker, int, bool, float, Optional[list]], now: float) -> None:
+        worker, launch_id, failed, service_s, served = payload
         entry = worker.launched.get(launch_id)
         if entry is None or not worker.alive:
             # The worker crashed (and possibly rejoined) after launching
@@ -411,12 +412,12 @@ class ControlPlane:
             self._retry_or_fail(batch, now)
             self._dispatch(worker, now)
             return
-        for req in batch.requests:
-            self._complete(req, batch, worker, dispatched, now)
+        for req, out in zip(batch.requests, served or [None] * batch.size):
+            self._complete(req, batch, worker, dispatched, now, out)
         self._dispatch(worker, now)
 
-    def _complete(self, req, batch: Batch, worker: Worker, dispatched: float, now: float) -> None:
-        """``req`` rode a served batch: record its completion."""
+    def _complete(self, req, batch: Batch, worker: Worker, dispatched: float, now: float, served) -> None:
+        """``req`` rode a served batch: record it (``served``: its ``(output, result)``)."""
         self._attempts.pop(req.request_id, None)
         self.metrics.note_completion(
             RequestRecord(

@@ -133,11 +133,11 @@ class DecodeScheduler(ControlPlane):
         report.tokens = report.lanes - report.failed
         return report
 
-    def _complete(self, lane: _Lane, batch, worker, dispatched: float, now: float) -> None:
+    def _complete(self, lane: _Lane, batch, worker, dispatched: float, now: float, served) -> None:
         """Feed the lane its row: the token that meets the budget retires
         it; rows the KV state refuses fail it alone, not the batch."""
         try:
-            done = lane.feed(self.executor.service.served[0][batch.requests.index(lane)])
+            done = lane.feed(served[0])
         except ValueError as err:
             worker.queue.lanes.remove(lane)
             self.failed[lane.request_id] = str(err)
@@ -145,7 +145,7 @@ class DecodeScheduler(ControlPlane):
         if done:
             worker.queue.lanes.remove(lane)
             self.completed[lane.request_id] = np.stack(lane.outputs)
-            super()._complete(lane, batch, worker, lane.first_dispatch_s, now)
+            super()._complete(lane, batch, worker, lane.first_dispatch_s, now, served)
 
     def run(self) -> DecodeRunResult:
         """Drain queue and lanes; returns per-sequence step outputs."""

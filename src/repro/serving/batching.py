@@ -193,6 +193,10 @@ class Batch:
         """Run the batch on ``engine``: :func:`execute_batch`."""
         return execute_batch(engine, self)
 
+    def rows(self, output: np.ndarray) -> List[np.ndarray]:
+        """Each member's rows of a stacked ``(b, n, hidden)`` output, cut to its length."""
+        return [output[i, : r.n] for i, r in enumerate(self.requests)]
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Batch(size={self.size}, n={self.n}, bucket={self.bucket})"
 
@@ -511,10 +515,10 @@ def execute_batch(engine, batch: Batch) -> Tuple[List[np.ndarray], List[object]]
     False, e.g. the systolic micro-simulator) fall back to a per-request
     loop — arithmetic identical to the stacked dispatch, minus the
     amortisation.  In the package it runs under
-    :class:`~repro.cluster.pool.MeasuredClock`, the service model of the
-    in-process :class:`~repro.serving.session.ServingSession` front and
-    of measured-clock simulations; real workers run the same stacking
-    (:func:`stack_batch_operands`) on the far side of a transport.
+    :class:`~repro.cluster.pool.MeasuredClock`, whose launch hands each
+    member's output and result to the batch's completion; real workers
+    run the same stacking (:func:`stack_batch_operands`) on the far side
+    of a transport, and :meth:`Batch.rows` splits what they send back.
 
     Returns ``(outputs, results)``, one entry per request.  A single
     batched dispatch repeats its one result object for every member
@@ -541,8 +545,6 @@ def execute_batch(engine, batch: Batch) -> Tuple[List[np.ndarray], List[object]]
     q, k, v, lens = stack_batch_operands(requests, pattern)
     if lens is None:
         result = engine.attend(pattern, q, k, v, heads=batch.heads)
-        return [result.output[i] for i in range(batch.size)], [result] * batch.size
-    # Padded cross-length batch: one bucket-length plan, masked tails.
-    result = engine.attend(pattern, q, k, v, heads=batch.heads, valid_lens=lens)
-    outputs = [result.output[i, : requests[i].n] for i in range(batch.size)]
-    return outputs, [result] * batch.size
+    else:  # padded cross-length batch: one bucket-length plan, masked tails
+        result = engine.attend(pattern, q, k, v, heads=batch.heads, valid_lens=lens)
+    return batch.rows(result.output), [result] * batch.size

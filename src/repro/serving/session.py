@@ -102,14 +102,12 @@ class ServingSession(ControlPlane):
         self._drive(now)
         return batch
 
-    def _complete(self, req, batch: Batch, worker, dispatched: float, now: float) -> None:
+    def _complete(self, req, batch: Batch, worker, dispatched: float, now: float, served) -> None:
         """The plane records ``req``'s completion; the session keeps its output."""
-        super()._complete(req, batch, worker, dispatched, now)
-        outputs, runs = self.executor.service.served
-        i = batch.requests.index(req)  # ids are unique: no operands are compared
+        super()._complete(req, batch, worker, dispatched, now, served)
         self.results[req.request_id] = RequestResult(
-            req.request_id, outputs[i], batch.size, queue_s=max(0.0, dispatched - req.arrival_s),
-            service_s=now - dispatched, stats=runs[i].stats,
+            req.request_id, served[0], batch.size, queue_s=max(0.0, dispatched - req.arrival_s),
+            service_s=now - dispatched, stats=served[1].stats,
         )
 
     @property

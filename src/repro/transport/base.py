@@ -47,7 +47,7 @@ Drivers
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -129,7 +129,6 @@ class Completion:
     output: Optional[np.ndarray] = None
     error: Optional[str] = None
     service_s: float = 0.0  # worker-measured engine time
-    stats: object = field(default=None, repr=False)
 
     @property
     def ok(self) -> bool:

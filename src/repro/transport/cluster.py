@@ -6,12 +6,12 @@ detection and orphan requeueing, breaker, stealing, metrics — against an
 executor seam.  The simulator plugs in virtual time; this module plugs
 in real workers: :class:`TransportExecutor` launches a batch by shipping
 it over a :class:`~repro.transport.base.WorkerTransport`, lets timers
-fire when the wall clock says they are due, and reports the completions
-the workers send back.  Nothing here routes, retries or recovers, so
-what ``salo-repro advise`` ranks on the simulator is what these workers
-run, and ``submitted == completed + rejected + shed + failed`` is the
-same code whether the dead worker was an event on a heap or a process
-that was *actually* ``kill -9``'d.
+fire when due, and reports each completion with every member's row of
+the output the worker sent back.  Nothing here routes, retries or
+recovers, so what ``salo-repro advise`` ranks on the simulator is what
+these workers run, and ``submitted == completed + rejected + shed +
+failed`` is the same code whether the dead worker was an event on a
+heap or a process that was *actually* ``kill -9``'d.
 
 Three things hold for real workers by construction, not by option:
 
@@ -163,8 +163,11 @@ class TransportExecutor(Executor):
             busy = [w for w in self._workers if w.launched]
             for worker in busy:
                 for done in worker.transport.poll(wait):
+                    # each member's row; the worker's result object stays in the worker
+                    booked = worker.launched.get(done.batch_id) if done.ok else None
+                    served = booked and [(row, None) for row in booked[0].rows(done.output)]
                     t = self.now()
-                    self.completed(t, worker, done.batch_id, not done.ok, done.service_s)
+                    self.completed(t, worker, done.batch_id, not done.ok, done.service_s, served)
             if not busy:
                 time.sleep(wait)
         return None

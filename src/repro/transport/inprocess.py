@@ -89,7 +89,6 @@ class InProcessTransport(WorkerTransport):
                 outcome=DISPATCH_OK,
                 output=result.output,
                 service_s=self.clock() - t0,
-                stats=result.stats,
             )
         )
 

@@ -230,6 +230,18 @@ class TestServiceClocks:
         warm = clock.service_s(worker, batch, cold=False)
         assert cold - warm == pytest.approx(2.0)
 
+    @staticmethod
+    def _assert_served_like_execute_batch(served, worker, batch):
+        """One ``(output, result)`` per member, in batch order, byte-equal
+        to a fresh :func:`execute_batch` of the same batch."""
+        from repro.serving import execute_batch
+
+        outputs, results = execute_batch(worker.salo, batch)
+        assert len(served) == batch.size
+        for (output, result), req, ref, ref_result in zip(served, batch.requests, outputs, results):
+            assert output.shape == (req.n, req.hidden) and np.array_equal(output, ref)
+            assert result.stats == ref_result.stats
+
     def test_measured_clock_executes_and_times(self):
         from repro.cluster import Worker
 
@@ -238,8 +250,10 @@ class TestServiceClocks:
         worker = Worker(0, _small_salo())
         worker.queue.enqueue(_request(0))
         batch = worker.queue.next_batch()
-        assert clock.service_s(worker, batch, cold=True) == pytest.approx(2.5)
+        service_s, served = clock.launch(worker, batch, cold=True)
+        assert service_s == pytest.approx(2.5)
         assert worker.salo.cache_info()["misses"] >= 1  # actually executed
+        self._assert_served_like_execute_batch(served, worker, batch)
 
     def test_measured_clock_draws_members_before_it_starts(self):
         """A factory request's operands are drawn on first read; that draw
@@ -258,8 +272,9 @@ class TestServiceClocks:
             return 0.0
 
         clock_s = MeasuredClock(clock=clock)
-        assert clock_s.service_s(worker, batch, cold=True) == 0.0
-        assert len(clock_s.served[0]) == 3
+        service_s, served = clock_s.launch(worker, batch, cold=True)
+        assert service_s == 0.0
+        self._assert_served_like_execute_batch(served, worker, batch)
 
 
 class TestServiceScalesBackend:

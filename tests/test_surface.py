@@ -184,6 +184,30 @@ def test_the_event_loop_keeps_no_per_event_accounting():
     assert not on_metrics, on_metrics
 
 
+def test_a_member_output_rides_its_completion():
+    """``ControlPlane._complete`` hands each member its own output by
+    position.  A ``_complete`` that looks a member up with ``.index(``,
+    or reads ``.served`` / ``executor.service``, is a side channel holding
+    the last batch's outputs growing back beside the completion event."""
+    from repro.cluster import MeasuredClock
+
+    found = {}
+    for name, tree in _sources().items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and fn.name == "_complete":
+                found.setdefault(name, []).extend(
+                    ast.unparse(node)
+                    for node in ast.walk(fn)
+                    if getattr(node, "attr", None) in ("served", "service")
+                    or (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "index")
+                )
+    # the walk sees the plane's hook and the three fronts that override it
+    assert {"cluster/simulator.py", "serving/session.py", "decode/scheduler.py",
+            "cluster/decode.py"} <= set(found)
+    assert not any(found.values()), found
+    assert not hasattr(MeasuredClock(), "served")
+
+
 def test_decode_is_configured_like_every_simulation():
     """``DecodeSimConfig`` is a ``SimConfig`` that only changes defaults:
     a field of its own would be a second configuration growing back

@@ -19,7 +19,7 @@ import pytest
 from repro.api import CapabilityError
 from repro.cluster import EDFPolicy, QueueDepthCap, RecoveryConfig
 from repro.patterns.library import longformer_pattern
-from repro.serving import AttentionRequest
+from repro.serving import AttentionRequest, ServingSession, TraceSpec, synthetic_trace
 from repro.transport import (
     InProcessTransport,
     TransportCluster,
@@ -199,6 +199,64 @@ class TestMultiprocess:
         assert _conserved(report)
         assert report.completed + report.failed == 8
         assert report.failed > 0  # nobody left to requeue onto
+
+
+class _KeepsRows(TransportCluster):
+    """Keeps the row each member's completion carries (the plane keeps none)."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.rows = {}
+
+    def _complete(self, req, batch, worker, dispatched, now, served):
+        super()._complete(req, batch, worker, dispatched, now, served)
+        self.rows[req.request_id] = served[0]
+
+
+TRACE = TraceSpec(n=64, window=8, heads=2, head_dim=4, mixed=True, num_requests=24)
+
+
+@pytest.fixture(scope="module")
+def session_outputs():
+    session = ServingSession()
+    for req in synthetic_trace(TRACE):
+        session.submit(
+            req.pattern, req.q, req.k, req.v, heads=req.heads, request_id=req.request_id
+        )
+    return {rid: result.output for rid, result in session.drain().items()}
+
+
+class TestRows:
+    @pytest.mark.parametrize(
+        "driver, kill",
+        [("inprocess", False), ("multiprocess", False), ("multiprocess", True)],
+        ids=["inprocess", "multiprocess", "multiprocess-kill"],
+    )
+    def test_rows_equal_the_sessions_byte_for_byte(self, driver, kill, session_outputs):
+        """Every completed member gets its own row of the worker's stacked
+        output — across workers, steals and a SIGKILL'd worker's requeued
+        orphans — and it is the row the in-process session serves."""
+        killed = []
+
+        def tick(cluster, now):
+            # Worker 1 dies holding batches.  They are usually requeued to
+            # worker 0; a completion already in the pipe may still land
+            # first.  Either way each member's row must be its own.
+            busy = cluster.states[1].launched
+            if kill and not killed and len(cluster.metrics.records) >= 8 and busy:
+                cluster.kill_worker(1)
+                killed.append(now)
+
+        config = TransportClusterConfig(driver=driver, steal=True, **_knobs(warm=()))
+        with _KeepsRows(config) as cluster:
+            report = cluster.run(synthetic_trace(TRACE), tick=tick)
+        assert bool(killed) == kill
+        assert report.completed == TRACE.num_requests and report.failed == 0
+        assert cluster.rows.keys() == session_outputs.keys()
+        for rid, row in cluster.rows.items():
+            ref = session_outputs[rid]
+            assert (row.dtype, row.shape) == (ref.dtype, ref.shape)
+            assert row.tobytes() == ref.tobytes(), rid
 
 
 class TestConfig:
