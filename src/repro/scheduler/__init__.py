@@ -1,20 +1,22 @@
 """Data scheduler (paper Section 4): reordering + splitting → tile plans."""
 
-from .compiled import CompiledPlan, SegmentStream, WindowJob, compile_plan
+from .compiled import CompiledPlan, PassIndex, SegmentStream, WindowJob, compile_plan
 from .metadata import HardwareMetadata, PatternMetadata
-from .plan import BandSegment, ExecutionPlan, PlanStats, TilePass
+from .plan import BandSegment, ExecutionPlan, GroupTiling, PlanStats, TilePass
 from .reorder import GroupedBandJob, decompose_band, group_positions, reorder_permutation
 from .scheduler import DataScheduler, SchedulerError, check_band_overlap
-from .splitting import build_passes_for_group, chunk_band_job, pack_segments
+from .splitting import chunk_band_job, pack_segments, tile_group
 
 __all__ = [
     "PatternMetadata",
     "HardwareMetadata",
     "CompiledPlan",
+    "PassIndex",
     "SegmentStream",
     "WindowJob",
     "compile_plan",
     "BandSegment",
+    "GroupTiling",
     "TilePass",
     "ExecutionPlan",
     "PlanStats",
@@ -25,7 +27,7 @@ __all__ = [
     "DataScheduler",
     "SchedulerError",
     "check_band_overlap",
-    "build_passes_for_group",
     "chunk_band_job",
     "pack_segments",
+    "tile_group",
 ]

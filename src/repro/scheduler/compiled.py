@@ -9,12 +9,11 @@ across every ``attend()`` call that reuses the same plan, so
 * padded per-pass tensors — ``q_ids`` ``(P, R)`` and ``keep`` ``(P, R)``
   non-global row masks — and the closed form of the key ids (``qpos``,
   ``col_base``, ``col_dil``).  No ``(P, R, C)`` tensor is built: a pass
-  is *exact* when its rows are contiguous, its whole rectangle lies in
-  ``[0, n)`` and none of its keys is a global token, which arithmetic
-  on ``(P, C)`` proves for all but the passes at the sequence edges and
-  around a global key (:func:`_exact_passes`); only those are expanded
-  to cells (:func:`_valid_cells`).  ``valid`` and ``key_ids`` are
-  derived on demand, for tests and tools;
+  is *exact* when every key of its rectangle lies in ``[0, n)`` and is
+  not a global token, which its distinct keys (``PassIndex.exact``)
+  prove for all but the passes at the sequence edges and around a
+  global key; only those are expanded to cells (:func:`_valid_cells`).
+  ``valid`` and ``key_ids`` are derived on demand, for tests and tools;
 * **window jobs** — the pass stream regrouped by
   ``(query group, column group, block run)``.  Within a job every pass
   shares its segment tuple and its query block starts advance uniformly,
@@ -43,7 +42,7 @@ across every ``attend()`` call that reuses the same plan, so
   exact pass; distinct keys; query loads; output vectors) reused by the
   timing/energy/traffic models.
 
-A :class:`CompiledPlan` is a *value*: frozen, built from the pass list
+A :class:`CompiledPlan` is a *value*: frozen, built from the pass index
 alone, holding no reference back to the plan it was compiled from (the
 plan refers to it, never the reverse, so dropping the last plan
 reference frees both by refcount) and nothing any engine writes.  What
@@ -61,26 +60,30 @@ the plan alone.
 Obtain instances through :meth:`ExecutionPlan.compiled`, which memoizes
 the compilation on the plan object.
 
-Every index fact is derived from one :class:`PassIndex` — a single sweep
-over the :class:`~repro.scheduler.plan.TilePass` objects that leaves
-each pass's key ids in closed form.  The scheduler builds it to drop
-zero-work passes and leaves it on the plan, so a cold start
-(``schedule`` -> ``compiled()``) never derives a fact twice and never
-walks the passes with per-pass numpy calls; the window jobs take their
-masked block runs from the same exact / expanded split.
+Every index fact is derived from one :class:`PassIndex`, which leaves
+each pass's key ids in closed form.  The scheduler derives it by
+broadcasting from its product — per query group, block starts x packed
+column groups and the has-work mask
+(:class:`~repro.scheduler.plan.GroupTiling`, :func:`tiling_index`) —
+and hands it to the plan as its pass list, so a cold start
+(``schedule`` -> ``compiled()`` -> ``.schedule``) builds no
+:class:`~repro.scheduler.plan.TilePass`, derives no fact twice and makes
+no per-pass numpy call: the window jobs read the index's column groups
+and master orders, and take their masked block runs from the same
+exact / expanded split.  A hand-built pass list gets its index from one
+sweep over its objects (:func:`pass_index`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (plan -> compiled)
-    from .plan import ExecutionPlan, TilePass
+from .plan import BandSegment, ExecutionPlan, GroupTiling, TilePass
 
 __all__ = [
     "CompiledPlan",
@@ -93,6 +96,7 @@ __all__ = [
     "WindowJob",
     "compile_plan",
     "pass_index",
+    "tiling_index",
 ]
 
 
@@ -238,41 +242,14 @@ def _unmasked_key_ids(qpos: np.ndarray, col_base: np.ndarray, col_dil: np.ndarra
 def _valid_cells(qpos, col_base, col_dil, lengths, n: int, gtok: np.ndarray) -> np.ndarray:
     """``(P, R, C)`` bool: the closed form's cells in ``[0, n)`` and not global.
 
-    The dense derivation; a cold compile runs it only on the passes
-    :func:`_exact_passes` cannot prove whole.
+    The dense derivation; a cold compile runs it only on the passes that
+    are not ``PassIndex.exact``.
     """
     ids = _unmasked_key_ids(qpos, col_base, col_dil)
     valid = (ids >= 0) & (ids < n) & (np.arange(ids.shape[1]) < lengths[:, None])[:, :, None]
     if len(gtok):
         valid &= ~np.isin(ids, gtok)
     return valid
-
-
-def _exact_passes(index: "PassIndex", n: int, gtok: np.ndarray) -> np.ndarray:
-    """``(P,)`` bool: the pass's whole ``rows_used x cols_used`` rectangle is valid.
-
-    Proved on ``(P, C)`` arrays: with contiguous rows a column's keys run
-    from its first row's key to its last row's in steps of ``col_dil``,
-    so the rectangle lies in ``[0, n)`` when the smallest first-row key
-    is >= 0 and the largest last-row key < n, and a column holds a global
-    token when the per-residue count of global tokens up to its last key
-    exceeds the count before its first.
-    """
-    live = np.arange(index.col_base.shape[1]) < index.cols_used[:, None]
-    last = np.take_along_axis(index.qpos, index.lengths[:, None] - 1, axis=1)
-    lo = np.where(live, index.col_base + index.qpos[:, :1] * index.col_dil, 0)
-    hi = np.where(live, index.col_base + last * index.col_dil, 0)
-    exact = index.contiguous & (lo.min(axis=1) >= 0) & (hi.max(axis=1) < n)
-    if len(gtok):
-        lo, hi = _clamp(lo, n), _clamp(hi, n)
-        dils = np.flatnonzero(np.bincount(index.col_dil.ravel()))
-        for dil in dils[dils > 0].tolist():  # 0 marks padding columns
-            marks = np.zeros(-(-n // dil) * dil, dtype=np.int64)
-            marks[gtok] = 1
-            upto = marks.reshape(-1, dil).cumsum(axis=0).ravel()  # same residue, <= x
-            before = np.where(lo >= dil, upto[np.maximum(lo - dil, 0)], 0)
-            exact &= ~(live & (index.col_dil == dil) & (upto[hi] > before)).any(axis=1)
-    return exact
 
 
 def _arange_start(a: np.ndarray) -> Optional[int]:
@@ -439,7 +416,7 @@ class CompiledPlan:
     n: int
     heads: int
     head_dim: int
-    passes: Tuple["TilePass", ...]  # what the schedule is derived from
+    passes: PassIndex  # what the schedule is derived from
     num_passes: int
     pad_rows: int  # R: padded PE-row count across all passes
     pad_cols: int  # C: padded PE-column count across all passes
@@ -534,63 +511,36 @@ class CompiledPlan:
         return int(self.distinct_per_pass.sum())
 
 
-def _topo_colgroups(passes: Sequence["TilePass"]) -> List[Tuple[int, List[List[int]]]]:
-    """Per query group (in pass order): dilation + topo-ordered column groups.
+def _merge_order(nodes: List[int], edges: Iterable[Tuple[int, int]]) -> Optional[List[int]]:
+    """A query group's master column order: a topological merge of its blocks.
 
     Job order must replay the merge order every query observes in the
-    sequential pass stream: each query block runs its column groups in
-    the group's master column order, but blocks clipped at the sequence
-    boundary may *skip* column groups (the scheduler drops zero-valid
-    passes), so the per-block sequences are subsequences of that master
-    order.  A topological merge of the block sequences recovers it.
+    pass stream, and blocks clipped at the sequence boundary *skip* the
+    column groups the zero-work filter dropped there, so each block runs
+    a subsequence of the master order.  ``nodes``: the column groups by
+    first appearance (which breaks ties); ``edges``: the pairs that run
+    back to back in some block.  ``None`` when the blocks disagree.
     """
-    group_order: List[Tuple[int, int]] = []
-    group_jobs: dict = {}  # (residue, dilation) -> {column group: [pass indices]}
-    block_seqs: dict = {}  # (residue, dilation) -> {block start: [column groups]}
-    # Column groups are numbered by segment tuple.  The scheduler hands
-    # every block of a group the same tuple object, so the number is
-    # looked up by identity and a tuple is hashed once, not once per pass.
-    by_id: dict = {}
-    by_value: dict = {}
-    for i, tp in enumerate(passes):
-        gkey = (tp.query_residue, tp.dilation)
-        if gkey not in group_jobs:
-            group_order.append(gkey)
-            group_jobs[gkey] = {}
-            block_seqs[gkey] = {}
-        cg = by_id.get(id(tp.segments))
-        if cg is None:
-            cg = by_id[id(tp.segments)] = by_value.setdefault(tp.segments, len(by_value))
-        group_jobs[gkey].setdefault(cg, []).append(i)
-        block_seqs[gkey].setdefault(tp.q_positions[0] if tp.q_positions else 0, []).append(cg)
+    succ = {c: [] for c in nodes}
+    indeg = dict.fromkeys(nodes, 0)
+    for a, b in sorted(set(edges)):
+        succ[a].append(b)
+        indeg[b] += 1
+    ready, order = [c for c in nodes if not indeg[c]], []
+    while ready:
+        c = ready.pop(0)
+        order.append(c)
+        for b in succ[c]:
+            indeg[b] -= 1
+            if not indeg[b]:
+                ready.append(b)
+    return order if len(order) == len(nodes) else None
 
-    per_group: List[Tuple[int, List[List[int]]]] = []
-    for gkey in group_order:
-        colgroups = list(group_jobs[gkey])  # first-appearance order
-        succ = {c: set() for c in colgroups}
-        indeg = {c: 0 for c in colgroups}
-        for seq in block_seqs[gkey].values():
-            for a, b in zip(seq, seq[1:]):
-                if b not in succ[a]:
-                    succ[a].add(b)
-                    indeg[b] += 1
-        ready = [c for c in colgroups if indeg[c] == 0]
-        topo: List = []
-        while ready:
-            c = ready.pop(0)
-            topo.append(c)
-            for b in succ[c]:
-                indeg[b] -= 1
-                if indeg[b] == 0:
-                    ready.append(b)
-        if len(topo) != len(colgroups):  # pragma: no cover - inconsistent order
-            # No consistent master order: degrade to one colgroup per
-            # pass, which trivially preserves the sequential merge order.
-            cols = [[i] for i in sorted(i for c in colgroups for i in group_jobs[gkey][c])]
-        else:
-            cols = [group_jobs[gkey][c] for c in topo]
-        per_group.append((gkey[1], cols))
-    return per_group
+
+def _members(colgroup: np.ndarray, count: int) -> List[np.ndarray]:
+    """Pass indices of each column group, in pass (block) order."""
+    order = np.argsort(colgroup, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(colgroup, minlength=count))[:-1])
 
 
 @dataclass(frozen=True)
@@ -641,6 +591,8 @@ def _even_runs(idxs: List[int], q_ids: np.ndarray) -> List[List[int]]:
     order moves.
     """
     steps = np.diff(q_ids[idxs, 0])
+    if (steps == steps[:1]).all():  # one block grid, no gap
+        return [idxs]
     runs, a = [], 0
     for i in range(1, len(steps)):
         if steps[i] != steps[a]:
@@ -651,10 +603,9 @@ def _even_runs(idxs: List[int], q_ids: np.ndarray) -> List[List[int]]:
 
 
 def _column_run(
-    passes: Sequence["TilePass"],
+    index: "PassIndex",
     n: int,
     idxs: List[int],
-    dilation: int,
     q_ids: np.ndarray,
     keep: np.ndarray,
     full: np.ndarray,
@@ -664,7 +615,7 @@ def _column_run(
     """The :class:`_ColumnRun` of one evenly spaced run of passes, or raise.
 
     Strided window-job geometry needs contiguous query rows in every
-    pass (consecutive group positions are ``dilation`` ids apart); any
+    pass (``PassIndex.contiguous``, true of every scheduled pass); any
     block range of such a run is regular too, so the check runs here, on
     the whole run, and the error names every pass of it.
 
@@ -673,21 +624,20 @@ def _column_run(
     query ids, masks, key streams and range facts all begin there.
     """
     ia = np.asarray(idxs, dtype=np.int64)
-    q = q_ids[ia, skip:]
-    if not ((np.diff(q, axis=1) == dilation) | (q[:, 1:] < 0)).all():
+    if not index.contiguous[ia].all():
         raise IrregularPassError(
             f"passes {idxs} have non-contiguous query rows and cannot form a "
             "window job; only FunctionalEngine(plan, mode='legacy') executes them"
         )
+    q = q_ids[ia, skip:]
     lengths = (q >= 0).sum(axis=1)
     rows = int(lengths.max())
-    first = passes[idxs[0]]
-    cols = first.cols_used
-    first_block = first.q_positions[0] + skip
-    block_step = passes[idxs[1]].q_positions[0] - first_block if len(idxs) > 1 else rows
+    segments = index.colgroups[index.colgroup[idxs[0]]]
+    first_block = int(index.qpos[idxs[0], 0]) + skip
+    block_step = int(index.qpos[idxs[1], 0]) - first_block if len(idxs) > 1 else rows
     q = np.ascontiguousarray(q[:, :rows])
     streams, starts = [], []
-    for seg in first.segments:
+    for seg in segments:
         # Key id at (block b, row r, column t): base + (b*step + r + t)*dil.
         base = seg.key_residue + (first_block + seg.rel_lo) * seg.dilation
         length = (len(idxs) - 1) * block_step + rows + seg.width - 1
@@ -701,8 +651,8 @@ def _column_run(
         slots=slots[ia],
         first_block=first_block,
         block_step=block_step,
-        cols=cols,
-        seg_sig=tuple((seg.width, seg.dilation) for seg in first.segments),
+        cols=int(index.cols_used[idxs[0]]),
+        seg_sig=tuple((seg.width, seg.dilation) for seg in segments),
         q_ids=q,
         keep=np.ascontiguousarray(keep[ia][:, skip : skip + rows]),
         full=np.ascontiguousarray(full[ia][:, skip : skip + rows]),
@@ -746,7 +696,7 @@ def _split_blocks(cols: List[_ColumnRun]) -> List[List[_Cut]]:
 
 
 def _build_window_jobs(
-    passes: Sequence["TilePass"],
+    index: "PassIndex",
     n: int,
     q_ids: np.ndarray,
     keep: np.ndarray,
@@ -758,7 +708,7 @@ def _build_window_jobs(
     """Batch the pass stream into window-job families (see module docstring).
 
     Within each query group, column groups execute in the group's master
-    order (``_topo_colgroups``).  Query groups of one dilation are
+    order (``PassIndex.orders``).  Query groups of one dilation are
     disjoint residue classes, so within a consecutive run of same
     dilation groups the ``k``-th column groups are independent and
     same-geometry jobs batch into one family — all residue classes of a
@@ -785,23 +735,24 @@ def _build_window_jobs(
     marks the rows whose every cell is valid; ``slots[p]`` indexes pass
     ``p``'s expanded ``cells``, -1 for a whole pass.
     """
+    members = _members(index.colgroup, len(index.colgroups))
     runs: List[List[List[List[_Cut]]]] = []  # per run, per group: its sub-runs
     last_dil = None
-    for dil, cols in _topo_colgroups(passes):
+    for dil, order in index.orders:
         if dil != last_dil or not runs:
             runs.append([])
             last_dil = dil
         whole, trimmed = [], []
-        for idxs in cols:
-            for run in _even_runs(idxs, q_ids):
+        for cg in order:
+            for run in _even_runs(members[cg].tolist(), q_ids):
                 ids = q_ids[run[0]]
                 skip = int(np.count_nonzero((ids >= 0) & (ids < first_query)))
                 if skip:
-                    head = _column_run(passes, n, run[:1], dil, q_ids, keep, full, slots, skip)
+                    head = _column_run(index, n, run[:1], q_ids, keep, full, slots, skip)
                     trimmed.append((head, 0, 1))
                     run = run[1:]
                 if run:
-                    whole.append(_column_run(passes, n, run, dil, q_ids, keep, full, slots))
+                    whole.append(_column_run(index, n, run, q_ids, keep, full, slots))
         runs[-1].append(_split_blocks(whole) + [trimmed])
 
     jobs: List[WindowJob] = []
@@ -946,24 +897,24 @@ def _position_families(cuts: List[_Cut], cells: np.ndarray) -> List[WindowJob]:
     return jobs
 
 
-@dataclass
-class PassIndex:
-    """Per-pass structure of a pass list: the single index derivation.
+@dataclass(frozen=True, eq=False)
+class PassIndex(Sequence[TilePass]):
+    """A plan's passes, held column-wise: the single index derivation.
 
-    Everything downstream — the scheduler's zero-work filter, the
-    exact / expanded split of the passes, the traffic aggregates and the
-    global-row schedule — reads these arrays, so a cold start sweeps the
-    :class:`~repro.scheduler.plan.TilePass` objects exactly once
-    (:func:`pass_index`).  The key id of pass ``i`` at PE row ``r``,
-    column ``c`` is ``col_base[i, c] + qpos[i, r] * col_dil[i, c]``.
+    Everything downstream — the exact / expanded split, the traffic
+    aggregates, the global-row schedule, the window-job order — reads
+    these arrays.  Pass ``i`` computes key ``col_base[i, c] + qpos[i, r]
+    * col_dil[i, c]`` at PE row ``r``, column ``c``; its block is its
+    first row ``qpos[i, 0]``, its column group ``colgroup[i]`` (numbered
+    by first appearance, segments in ``colgroups``).  ``orders`` lists
+    each query group as its dilation and its column groups in master
+    order (:func:`_merge_order`).  ``first_pass[k]``: the first pass
+    streaming key ``k``, ``P`` if none (plans with global tokens only).
 
-    ``stream`` lists each pass's *distinct* in-range keys (global tokens
-    included — they stream through the array too).  Passes sharing a
-    segment tuple and contiguous query rows repeat one duplicate
-    structure shifted along the sequence, so the cells holding a pass's
-    first occurrence of each key are found once per such family and
-    evaluated for all its passes in one broadcast: ``R + W - 1`` keys
-    per segment instead of ``R * W`` cells.
+    As a sequence it is the pass list (``plan.passes`` of a scheduled
+    plan): ``len`` reads the arrays, and the :class:`TilePass` objects
+    are built on the first read of an item (then ``"objects" in
+    vars(index)``).
     """
 
     lengths: np.ndarray  # (P,) PE rows used
@@ -974,131 +925,166 @@ class PassIndex:
     contiguous: np.ndarray  # (P,) bool: rows are consecutive group positions
     col_base: np.ndarray  # (P, C) key id at group position 0, -1 on padding
     col_dil: np.ndarray  # (P, C) key-id advance per group position, 0 on padding
-    stream: np.ndarray  # (P, F) distinct in-range keys, -1 on padding
     distinct: np.ndarray  # (P,) distinct in-range non-global keys
+    exact: np.ndarray  # (P,) bool: every key of the rectangle is in range, not global
+    colgroup: np.ndarray  # (P,) column group
+    colgroups: Tuple[Tuple[BandSegment, ...], ...]
+    orders: Tuple[Tuple[int, Tuple[int, ...]], ...]
+    first_pass: Optional[np.ndarray]  # (n,) int64
 
-    def take(self, keep: np.ndarray) -> "PassIndex":
-        """The index of the passes selected by the boolean ``keep``."""
-        if keep.all():
-            return self
-        lengths, cols_used = self.lengths[keep], self.cols_used[keep]
-        pad_rows = int(lengths.max()) if len(lengths) else 1
-        pad_cols = int(cols_used.max()) if len(lengths) else 1
-        return PassIndex(
-            lengths=lengths,
-            cols_used=cols_used,
-            residues=self.residues[keep],
-            dilations=self.dilations[keep],
-            qpos=self.qpos[keep, :pad_rows],
-            contiguous=self.contiguous[keep],
-            col_base=self.col_base[keep, :pad_cols],
-            col_dil=self.col_dil[keep, :pad_cols],
-            stream=self.stream[keep],
-            distinct=self.distinct[keep],
+    @cached_property
+    def objects(self) -> Tuple[TilePass, ...]:
+        """The :class:`TilePass` objects, built from the arrays on first read."""
+        rows = zip(self.qpos.tolist(), self.lengths.tolist(), self.colgroup.tolist())
+        return tuple(
+            TilePass(r, d, tuple(row[:used]), self.colgroups[c])
+            for r, d, (row, used, c) in zip(self.residues.tolist(), self.dilations.tolist(), rows)
         )
 
+    def __len__(self) -> int:
+        return len(self.lengths)
 
-def _first_occurrence_cells(rel: np.ndarray, base: np.ndarray, dcol: np.ndarray):
-    """(row, column) of the first cell, in row-major order, of each key.
+    def __getitem__(self, i):
+        return self.objects[i]
 
-    Row-major matters: a pass using only a prefix of ``rel`` (the last
-    block of a group) keeps exactly the cells whose row survives.
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (PassIndex, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
+def _index(
+    n, global_tokens, qpos, lengths, contiguous, residues, dilations, colgroup, colgroups, orders
+) -> PassIndex:
+    """The :class:`PassIndex` of passes given by their rows and column groups.
+
+    Passes of one column group share the closed form of their key ids,
+    and where their duplicate structure is shift invariant (contiguous
+    rows, one dilation — every scheduled pass) the cells holding a pass's
+    first occurrence of each key — the first in row-major order, so a
+    pass using a prefix of the rows keeps exactly the cells whose row
+    survives — are found once for all of them and evaluated in one
+    broadcast: ``R + W - 1`` keys per segment instead of ``R * W`` cells.
+    Any other pass is a family of its own.  A pass is exact when each of
+    its distinct keys is in range and not global.
     """
-    keys = base[None, :] + rel[:, None] * dcol[None, :]
-    _, first = np.unique(keys.ravel(), return_index=True)
-    return np.divmod(first, len(base))
+    num = len(lengths)
+    rows = np.arange(qpos.shape[1], dtype=np.int64)
+    pad_cols = max((sum(s.width for s in segs) for segs in colgroups), default=1)
+    col_base = np.full((num, pad_cols), -1, dtype=np.int64)
+    col_dil = np.zeros((num, pad_cols), dtype=np.int64)
+    cols_used, distinct = np.zeros((2, num), dtype=np.int64)
+    exact = np.ones(num, dtype=bool)
+    is_global = np.zeros(n + 1, dtype=bool)  # index -1 (not streamed) reads False
+    is_global[np.asarray(global_tokens, dtype=np.int64)] = True
+    first_pass = np.full(n, num, dtype=np.int64) if len(global_tokens) else None
+    for segs, ia in zip(colgroups, _members(colgroup, len(colgroups))):
+        if not len(ia):
+            continue
+        offsets = [s.rel_lo + np.arange(s.width, dtype=np.int64) for s in segs]
+        base = np.concatenate([s.key_residue + o * s.dilation for s, o in zip(segs, offsets)])
+        dcol = np.concatenate([np.full(s.width, s.dilation, dtype=np.int64) for s in segs])
+        cols_used[ia] = cols = len(base)
+        col_base[ia, :cols], col_dil[ia, :cols] = base, dcol
+        # Families: (members, their first rows, the rows from there on).
+        if len({s.dilation for s in segs}) == 1 and contiguous[ia].all():
+            families = [(ia, qpos[ia, :1], rows[: int(lengths[ia].max())])]
+        else:
+            at_zero = np.zeros((1, 1), dtype=np.int64)
+            families = [(ia[j : j + 1], at_zero, qpos[i, : lengths[i]]) for j, i in enumerate(ia)]
+        for members, first, rel in families:
+            keys = base[None, :] + rel[:, None] * dcol[None, :]
+            rr, cc = np.divmod(np.unique(keys.ravel(), return_index=True)[1], len(base))
+            keys = base[cc] + (first + rel[rr]) * dcol[cc]
+            live = rr < lengths[members, None]
+            streamed = (keys >= 0) & (keys < n) & live
+            fresh = streamed & ~is_global[np.where(streamed, keys, -1)]
+            distinct[members], exact[members] = fresh.sum(axis=1), (fresh | ~live).all(axis=1)
+            if first_pass is not None:
+                owner = np.broadcast_to(members[:, None], keys.shape)
+                np.minimum.at(first_pass, keys[streamed], owner[streamed])
+    return PassIndex(
+        lengths, cols_used, residues, dilations, qpos, contiguous, col_base, col_dil,
+        distinct, exact, colgroup, tuple(colgroups), tuple(orders), first_pass,
+    )  # fmt: skip
+
+
+def tiling_index(
+    groups: Sequence[GroupTiling], n: int, global_tokens: Sequence[int]
+) -> PassIndex:
+    """The :class:`PassIndex` of the scheduler's product, by broadcasting.
+
+    The passes are each group's has-work cells in ``(block, column
+    group)`` order; a group's master order is a masked walk over them
+    (:func:`_merge_order` of each block's live column groups).
+    """
+    colgroups, orders, tables = [], [], [np.empty((0, 5), dtype=np.int64)]
+    for g in groups:
+        b, c = np.nonzero(g.has_work)
+        if not len(b):
+            continue
+        live = np.flatnonzero(g.has_work.any(axis=0))
+        seen = live[np.argsort(g.has_work[:, live].argmax(axis=0), kind="stable")]  # by first block
+        ids = np.zeros(len(g.colgroups), dtype=np.int64)
+        ids[seen] = len(colgroups) + np.arange(len(seen))
+        colgroups += [g.colgroups[i] for i in seen.tolist()]
+        pair = b[1:] == b[:-1]  # consecutive cells of one block
+        edges = zip(ids[c[:-1][pair]].tolist(), ids[c[1:][pair]].tolist())
+        orders.append((g.dilation, tuple(_merge_order(ids[seen].tolist(), edges))))
+        group = np.array([[g.residue, g.dilation]], dtype=np.int64).repeat(len(b), axis=0)
+        tables.append(np.column_stack([g.starts[b], g.stops[b], ids[c], group]))
+    starts, stops, colgroup, residues, dilations = np.ascontiguousarray(np.concatenate(tables).T)
+    lengths = stops - starts
+    rows = np.arange(int(lengths.max()) if len(lengths) else 1, dtype=np.int64)
+    qpos = np.where(rows < lengths[:, None], starts[:, None] + rows, 0)
+    contig = np.ones(len(lengths), dtype=bool)  # every block is a run of positions
+    return _index(
+        n, global_tokens, qpos, lengths, contig, residues, dilations, colgroup, colgroups, orders
+    )
 
 
 def pass_index(
-    passes: Sequence["TilePass"], n: int, global_tokens: Sequence[int]
+    passes: Sequence[TilePass], n: int, global_tokens: Sequence[int]
 ) -> PassIndex:
-    """Derive the :class:`PassIndex` of ``passes`` (any pass list).
+    """The :class:`PassIndex` of any pass list, from one sweep over its objects.
 
-    One attribute sweep over the passes, then one broadcast per family:
-    passes sharing a segment tuple have key ids of the closed form
-    ``base[col] + q_position * dilation[col]``.  The distinct-key
-    shortcut additionally needs the duplicate structure to be shift
-    invariant (contiguous rows, one dilation); passes without it —
-    the scheduler emits none — form families by exact row tuple.
+    The path of hand-built lists (which may be irregular), and the oracle
+    :func:`tiling_index` is tested against.
     """
-    num_passes = len(passes)
-    lengths = np.fromiter(
-        (len(tp.q_positions) for tp in passes), dtype=np.int64, count=num_passes
-    )
-    residues = np.fromiter(
-        (tp.query_residue for tp in passes), dtype=np.int64, count=num_passes
-    )
-    dilations = np.fromiter((tp.dilation for tp in passes), dtype=np.int64, count=num_passes)
-    seg_groups: dict = {}  # segment tuple -> [pass indices]
+    num = len(passes)
+    lengths = np.fromiter((len(tp.q_positions) for tp in passes), dtype=np.int64, count=num)
+    residues = np.fromiter((tp.query_residue for tp in passes), dtype=np.int64, count=num)
+    dilations = np.fromiter((tp.dilation for tp in passes), dtype=np.int64, count=num)
+    colgroup = np.empty(num, dtype=np.int64)
+    ids: dict = {}  # (residue, dilation, segment tuple) -> column group
+    blocks: dict = {}  # (residue, dilation) -> {block start: [column groups]}
     for i, tp in enumerate(passes):
-        seg_groups.setdefault(tp.segments, []).append(i)
+        gkey = (tp.query_residue, tp.dilation)
+        colgroup[i] = cg = ids.setdefault((gkey, tp.segments), len(ids))
+        start = tp.q_positions[0] if tp.q_positions else 0
+        blocks.setdefault(gkey, {}).setdefault(start, []).append(cg)
+    colgroups = [segs for _, segs in ids]
+    orders = []
+    for gkey, seqs in blocks.items():
+        nodes = sorted({cg for seq in seqs.values() for cg in seq})
+        order = _merge_order(nodes, [e for seq in seqs.values() for e in zip(seq, seq[1:])])
+        if order is None:  # pragma: no cover - contradictory block orders
+            # No consistent master order: one column group per pass, which
+            # trivially preserves the sequential merge order.
+            alone = np.flatnonzero(np.isin(colgroup, nodes))
+            colgroup[alone] = len(colgroups) + np.arange(len(alone))
+            colgroups += [passes[i].segments for i in alone.tolist()]
+            order = colgroup[alone].tolist()
+        orders.append((gkey[1], tuple(order)))
 
-    pad_rows = int(lengths.max()) if num_passes else 1
-    seg_cols = {segs: sum(s.width for s in segs) for segs in seg_groups}
-    pad_cols = max(seg_cols.values(), default=1)
-
-    row_valid = np.arange(pad_rows, dtype=np.int64)[None, :] < lengths[:, None]
-    qpos = np.zeros((num_passes, pad_rows), dtype=np.int64)
-    qpos[row_valid] = np.fromiter(
+    rows = np.arange(int(lengths.max()) if num else 1)
+    qpos = np.zeros((num, len(rows)), dtype=np.int64)
+    qpos[rows < lengths[:, None]] = np.fromiter(
         (p for tp in passes for p in tp.q_positions), dtype=np.int64, count=int(lengths.sum())
     )
-    contiguous = (
-        (qpos == qpos[:, :1] + np.arange(pad_rows, dtype=np.int64)) | ~row_valid
-    ).all(axis=1)
-
-    col_base = np.full((num_passes, pad_cols), -1, dtype=np.int64)
-    col_dil = np.zeros((num_passes, pad_cols), dtype=np.int64)
-    cols_used = np.empty(num_passes, dtype=np.int64)
-    streams = []  # (pass indices, (P_f, F_f) keys with -1 where not streamed)
-    for segs, idx in seg_groups.items():
-        cols = seg_cols[segs]
-        ia = np.asarray(idx, dtype=np.int64)
-        base = np.concatenate(
-            [
-                s.key_residue + (s.rel_lo + np.arange(s.width, dtype=np.int64)) * s.dilation
-                for s in segs
-            ]
-        )
-        dcol = np.concatenate([np.full(s.width, s.dilation, dtype=np.int64) for s in segs])
-        cols_used[ia] = cols
-        col_base[ia, :cols] = base
-        col_dil[ia, :cols] = dcol
-        shift_invariant = len({s.dilation for s in segs}) == 1 and bool(contiguous[ia].all())
-        if shift_invariant:
-            families = [(ia, np.arange(int(lengths[ia].max()), dtype=np.int64))]
-        else:
-            by_rows: dict = {}
-            for i in idx:
-                by_rows.setdefault(passes[i].q_positions, []).append(i)
-            families = [
-                (np.asarray(members, dtype=np.int64), np.asarray(rows, dtype=np.int64))
-                for rows, members in by_rows.items()
-            ]
-        for members, rel in families:
-            rr, cc = _first_occurrence_cells(rel, base, dcol)
-            keys = base[cc] + qpos[members[:, None], rr] * dcol[cc]
-            streamed = (keys >= 0) & (keys < n) & (rr < lengths[members, None])
-            streams.append((members, np.where(streamed, keys, -1)))
-
-    stream = np.full(
-        (num_passes, max((k.shape[1] for _, k in streams), default=1)), -1, dtype=np.int64
-    )
-    for members, keys in streams:
-        stream[members, : keys.shape[1]] = keys
-    counted = stream >= 0
-    if len(global_tokens):
-        counted &= ~np.isin(stream, np.asarray(global_tokens, dtype=np.int64))
-    return PassIndex(
-        lengths=lengths,
-        cols_used=cols_used,
-        residues=residues,
-        dilations=dilations,
-        qpos=qpos,
-        contiguous=contiguous,
-        col_base=col_base,
-        col_dil=col_dil,
-        stream=stream,
-        distinct=counted.sum(axis=1).astype(np.int64),
+    contig = ((qpos == qpos[:, :1] + rows) | (rows >= lengths[:, None])).all(axis=1)
+    return _index(
+        n, global_tokens, qpos, lengths, contig, residues, dilations, colgroup, colgroups, orders
     )
 
 
@@ -1107,44 +1093,29 @@ def _global_row_schedule(
 ) -> Tuple[List[np.ndarray], int]:
     """Bulk equivalent of :meth:`ExecutionPlan.global_row_schedule`.
 
-    A key's batch is determined by the *first* pass that streams it, so
-    the sequential seen-set walk reduces to one scatter-min of pass
-    indices over each pass's distinct keys.  Batches come out in
+    A key's batch is determined by the *first* pass that streams it
+    (``PassIndex.first_pass``), so the sequential seen-set walk reduces
+    to one stable sort of the keys by that pass: batches come out in
     first-pass order with tokens ascending — exactly the reference
-    walk's output.
+    walk's output — and the keys no pass streams, ascending, last.
     """
-    num_passes = len(index.lengths)
-    streamed = index.stream >= 0
-    first_pass = np.full(n, num_passes, dtype=np.int64)
-    np.minimum.at(
-        first_pass,
-        index.stream[streamed],
-        np.repeat(np.arange(num_passes, dtype=np.int64), streamed.sum(axis=1)),
-    )
-    tokens = np.flatnonzero(first_pass < num_passes)
-    batches: List[np.ndarray] = []
-    if tokens.size:
-        owner = first_pass[tokens]
-        regroup = np.argsort(owner, kind="stable")  # tokens stay ascending per batch
-        tokens, owner = tokens[regroup], owner[regroup]
-        cuts = np.flatnonzero(owner[1:] != owner[:-1]) + 1
-        batches = [np.ascontiguousarray(b) for b in np.split(tokens, cuts)]
-    remaining = np.flatnonzero(first_pass == num_passes)
-    cleanup = 0
-    for start in range(0, len(remaining), pe_cols):
-        batches.append(remaining[start : start + pe_cols])
-        cleanup += 1
-    return batches, cleanup
+    order = np.argsort(index.first_pass, kind="stable")
+    owner = index.first_pass[order]
+    streamed = int(np.searchsorted(owner, len(index.lengths)))
+    owner = owner[:streamed]
+    cuts = np.flatnonzero(owner[1:] != owner[:-1]) + 1
+    batches = np.split(order[:streamed], cuts) if streamed else []
+    rest = order[streamed:]
+    cleanup = [rest[i : i + pe_cols] for i in range(0, len(rest), pe_cols)]
+    return batches + cleanup, len(cleanup)
 
 
-def compile_plan(plan: "ExecutionPlan") -> CompiledPlan:
+def compile_plan(plan: ExecutionPlan) -> CompiledPlan:
     """Precompute every structural tensor of ``plan`` (see module docstring)."""
     n = plan.n
-    # The scheduler leaves the index it filtered the passes with on the
-    # plan; hand-built plans derive it here through the same function.
-    index, plan._index = plan._index, None
-    if index is None:
-        index = pass_index(plan.passes, n, plan.global_tokens)
+    index = plan.passes
+    if not isinstance(index, PassIndex):  # hand-built: one sweep over the objects
+        index = pass_index(index, n, plan.global_tokens)
     rows_used, cols_used = index.lengths, index.cols_used
     num_passes = len(rows_used)
     pad_rows, pad_cols = index.qpos.shape[1], index.col_base.shape[1]
@@ -1157,7 +1128,7 @@ def compile_plan(plan: "ExecutionPlan") -> CompiledPlan:
     keep = row_valid & ~np.isin(q_ids, gtok) if len(gtok) else row_valid
 
     # Exact passes are whole rectangles; only the rest is expanded to cells.
-    rest = np.flatnonzero(~_exact_passes(index, n, gtok))
+    rest = np.flatnonzero(~index.exact)
     parts = (a[rest] for a in (index.qpos, index.col_base, index.col_dil, rows_used))
     cells = _valid_cells(*parts, n, gtok)
     valid_counts = rows_used * cols_used
@@ -1202,7 +1173,7 @@ def compile_plan(plan: "ExecutionPlan") -> CompiledPlan:
         n=n,
         heads=plan.heads,
         head_dim=plan.head_dim,
-        passes=tuple(plan.passes),
+        passes=index,
         num_passes=num_passes,
         pad_rows=pad_rows,
         pad_cols=pad_cols,

@@ -7,6 +7,12 @@ segments).  Passes are *structural* — they describe which (query, key)
 pairs are computed and are shared across attention heads; the engines
 iterate heads over the same passes.
 
+The scheduler does not build the passes one by one: per query group it
+emits a :class:`GroupTiling` — block starts x packed column groups plus
+the mask of the cells with work — and the pass list of its plan is
+that product's :class:`~repro.scheduler.compiled.PassIndex`, which
+builds the pass objects on first read.
+
 Dilated bands are described in *group space* (see
 :mod:`repro.scheduler.reorder`): queries with the same residue modulo the
 dilation form a group in which the dilated band is an ordinary sliding
@@ -33,7 +39,7 @@ import numpy as np
 from ..core.config import HardwareConfig
 from ..patterns.base import AttentionPattern
 
-__all__ = ["BandSegment", "TilePass", "ExecutionPlan", "PlanStats"]
+__all__ = ["BandSegment", "TilePass", "GroupTiling", "ExecutionPlan", "PlanStats"]
 
 
 @dataclass(frozen=True)
@@ -120,6 +126,27 @@ class TilePass:
         return int((self.key_ids(n, exclude) >= 0).sum())
 
 
+@dataclass(frozen=True)
+class GroupTiling:
+    """One query group's tiling: its query blocks x its packed column groups.
+
+    Queries are ``residue + p * dilation`` for group positions ``p``.
+    Block ``b`` maps positions ``starts[b] .. stops[b] - 1`` onto the PE
+    rows, column group ``c`` packs the segments ``colgroups[c]`` onto the
+    PE columns, and the pass ``(b, c)`` exists where ``has_work[b, c]``:
+    some key of its rectangle lies in ``[0, n)`` and is not a global
+    token.  Passes run block by block, column groups in order within a
+    block.
+    """
+
+    residue: int
+    dilation: int
+    starts: np.ndarray  # (B,) int64
+    stops: np.ndarray  # (B,) int64
+    colgroups: Tuple[Tuple[BandSegment, ...], ...]  # (C,)
+    has_work: np.ndarray  # (B, C) bool
+
+
 @dataclass
 class PlanStats:
     """Aggregate statistics of an execution plan (per single head)."""
@@ -150,14 +177,16 @@ class ExecutionPlan:
     ``global_only_passes`` stream the sequence through the global PEs.
     Rows below ``first_query`` hold no query: the scheduler left out the
     passes that cover only them, and engines leave their output
-    unspecified.
+    unspecified.  ``passes`` is a hand-built list, or the scheduler's
+    :class:`~repro.scheduler.compiled.PassIndex`, which knows its length
+    and builds the :class:`TilePass` objects only when one is read.
     """
 
     n: int
     heads: int
     head_dim: int
     config: HardwareConfig
-    passes: List[TilePass]
+    passes: Sequence[TilePass]
     global_tokens: Tuple[int, ...]
     global_only_passes: int = 0
     pattern: Optional[AttentionPattern] = None
@@ -171,8 +200,6 @@ class ExecutionPlan:
         default=None, init=False, repr=False, compare=False
     )
     _compiled: Optional[object] = field(default=None, init=False, repr=False, compare=False)
-    # The scheduler's PassIndex of ``passes``, consumed by ``compiled()``.
-    _index: Optional[object] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -213,6 +240,7 @@ class ExecutionPlan:
 
     @property
     def num_structural_passes(self) -> int:
+        # A PassIndex counts its passes without building them.
         return len(self.passes) + self.global_only_passes
 
     @property

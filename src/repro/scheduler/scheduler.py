@@ -4,9 +4,14 @@ Implements the software half of SALO (paper Section 4): given the pattern
 metadata and the hardware metadata, apply *data reordering* (dilated →
 sliding windows via residue grouping) and *data splitting* (sequence and
 window splitting) to produce an :class:`ExecutionPlan` the spatial
-accelerator can run pass by pass.  A pattern whose queries start late
-(``first_query > 0``, a decode step's wanted rows) gets the full tiling
-minus every pass whose query block lies wholly below its first query.
+accelerator can run pass by pass.  The plan's tiling is emitted as a
+product — per query group, block starts x packed column groups and the
+mask of the cells with work (:func:`~repro.scheduler.splitting.tile_group`)
+— and its :class:`~repro.scheduler.compiled.PassIndex` is derived from
+that product by broadcasting; the :class:`TilePass` objects are built
+only if someone reads ``plan.passes``.  A pattern whose queries start
+late (``first_query > 0``, a decode step's wanted rows) gets the full
+tiling minus every block that lies wholly below its first query.
 The scheduler also validates the
 pattern against the hardware's constraints — most importantly the bound on
 global tokens supported by a single global PE row/column
@@ -17,19 +22,15 @@ the softmax merge).
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
-from itertools import compress
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Sequence, Tuple
 
 from ..core.config import HardwareConfig
 from ..patterns.base import AttentionPattern, Band
-from .compiled import pass_index
-from .plan import ExecutionPlan, TilePass
+from .compiled import tiling_index
+from .plan import ExecutionPlan, GroupTiling
 from .reorder import GroupedBandJob, decompose_band
-from .splitting import build_passes_for_group
+from .splitting import tile_group
 
 __all__ = ["DataScheduler", "SchedulerError", "check_band_overlap"]
 
@@ -101,72 +102,47 @@ class DataScheduler:
         global_tokens = tuple(pattern.global_tokens())
         self._check_global_bound(n, bands, global_tokens)
 
-        passes = self._tile_passes(bands, n)
         first_query = pattern.first_query
-        if first_query:
-            # Rows below the first query want no output: leave out every
-            # pass whose block lies wholly below it.  Filtering the full
-            # tiling (never re-tiling) keeps each kept row's pass list and
-            # merge order, so its output bits.  ``query_ids``, not
-            # ``q_positions``: dilated groups number their own positions.
-            passes = [tp for tp in passes if tp.query_ids().max() >= first_query]
-
-        # Drop zero-work passes (windows clipped away at the sequence
-        # edges, or left with global keys only); the index that decides
-        # it rides on the plan so compilation derives nothing again.
-        index = pass_index(passes, n, global_tokens)
-        has_work = index.distinct > 0
-        passes = list(compress(passes, has_work.tolist()))
-        index = index.take(has_work)
-
-        global_only = 0
-        if not passes and global_tokens:
-            # Pure-global pattern: the sequence must still stream through
-            # the global PE row/column.
-            global_only = max(
-                math.ceil(n / self.config.pe_cols), math.ceil(n / self.config.pe_rows)
+        passes = tiling_index(self._tile(bands, n, global_tokens, first_query), n, global_tokens)
+        if not len(passes) and not global_tokens:
+            if not bands:
+                raise SchedulerError("pattern schedules no work (no bands, no global tokens)")
+            at = f"n={n}" + (f", first_query={first_query}" if first_query else "")
+            raise SchedulerError(
+                f"pattern schedules no work: its bands {list(bands)} select no "
+                f"in-range (query, key) pair at {at}"
             )
-        if not passes and not global_tokens:
-            raise SchedulerError("pattern schedules no work (no bands, no global tokens)")
-
-        reorder = any(b.dilation > 1 for b in bands)
-        plan = ExecutionPlan(
+        # A pure-global pattern still streams the sequence through the
+        # global PE row/column.
+        config = self.config
+        global_only = 0 if len(passes) else max(-(-n // config.pe_cols), -(-n // config.pe_rows))
+        return ExecutionPlan(
             n=n,
             heads=heads,
             head_dim=head_dim,
-            config=self.config,
+            config=config,
             passes=passes,
             global_tokens=global_tokens,
             global_only_passes=global_only,
             pattern=pattern,
-            reorder_applied=reorder,
+            reorder_applied=any(b.dilation > 1 for b in bands),
             first_query=first_query,
         )
-        plan._index = index
-        return plan
 
     # ------------------------------------------------------------------
-    def _tile_passes(self, bands: Sequence[Band], n: int) -> List[TilePass]:
-        """Reorder + split every band into passes, zero-work ones included."""
-        jobs: List[GroupedBandJob] = []
-        for idx, band in enumerate(bands):
-            jobs.extend(decompose_band(idx, band, n))
-
+    def _tile(
+        self, bands: Sequence[Band], n: int, global_tokens: Tuple[int, ...], first_query: int
+    ) -> List[GroupTiling]:
+        """Reorder + split every band: one :class:`GroupTiling` per query group."""
         groups: Dict[Tuple[int, int, int], List[GroupedBandJob]] = defaultdict(list)
-        for job in jobs:
-            groups[(job.query_residue, job.dilation, job.group_size)].append(job)
-
-        passes: List[TilePass] = []
-        for key in sorted(groups):
-            passes.extend(
-                build_passes_for_group(
-                    groups[key],
-                    pe_rows=self.config.pe_rows,
-                    pe_cols=self.config.pe_cols,
-                    pack=self.config.pack_bands,
-                )
-            )
-        return passes
+        for idx, band in enumerate(bands):
+            for job in decompose_band(idx, band, n):
+                groups[(job.query_residue, job.dilation, job.group_size)].append(job)
+        c = self.config
+        return [
+            tile_group(jobs, n, c.pe_rows, c.pe_cols, c.pack_bands, first_query, global_tokens)
+            for _, jobs in sorted(groups.items())
+        ]
 
     # ------------------------------------------------------------------
     def _check_global_bound(

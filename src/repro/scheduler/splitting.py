@@ -13,17 +13,24 @@ reports >75 % PE utilisation on such workloads, which a strict
 one-band-per-pass mapping cannot reach (15 of 32 columns ≈ 47 %).  Each
 packed segment keeps its own diagonal key stream (one injection point per
 segment).
+
+The two splittings of one query group form a product, query blocks x
+packed column groups, and :func:`tile_group` emits it as such — a
+:class:`~repro.scheduler.plan.GroupTiling` whose has-work mask is
+derived in closed form from each block's key bounds — without building
+a pass object.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .plan import BandSegment, TilePass
+import numpy as np
+
+from .plan import BandSegment, GroupTiling
 from .reorder import GroupedBandJob
 
-__all__ = ["chunk_band_job", "pack_segments", "build_passes_for_group"]
+__all__ = ["chunk_band_job", "pack_segments", "residue_prefix", "tile_group"]
 
 
 def chunk_band_job(job: GroupedBandJob, pe_cols: int) -> List[BandSegment]:
@@ -75,41 +82,63 @@ def pack_segments(
     return [tuple(g) for g in groups]
 
 
-def build_passes_for_group(
+def residue_prefix(tokens: Sequence[int], n: int, dilation: int) -> np.ndarray:
+    """``upto[x]``: how many ``tokens`` are ``<= x`` and congruent to ``x``.
+
+    Congruent modulo ``dilation``: the ids ``lo, lo + dilation, ..., hi``
+    hold ``upto[hi] - upto[lo - dilation]`` tokens (``upto[hi]`` when
+    ``lo < dilation``)."""
+    marks = np.zeros(-(-n // dilation) * dilation, dtype=np.int64)
+    marks[np.asarray(tokens, dtype=np.int64)] = 1
+    return marks.reshape(-1, dilation).cumsum(axis=0).ravel()
+
+
+def tile_group(
     jobs: Sequence[GroupedBandJob],
+    n: int,
     pe_rows: int,
     pe_cols: int,
     pack: bool,
-) -> List[TilePass]:
-    """Sequence-split + window-split all jobs of one query group.
+    first_query: int = 0,
+    global_tokens: Sequence[int] = (),
+) -> GroupTiling:
+    """Sequence-split + window-split all jobs of one query group, as a product.
 
-    All jobs must share ``(query_residue, dilation, group_size)`` — i.e.
-    describe bands attended by the *same* ordered set of queries — so their
-    segments can legally share passes.
+    All jobs share ``(query_residue, dilation, group_size)`` — bands
+    attended by the *same* ordered queries — so their segments can share
+    passes.  Blocks whose last query lies below ``first_query`` are cut.
+    The has-work mask is closed form: over a block, a segment's keys are
+    the positions ``start + rel_lo .. stop - 2 + rel_lo + width`` of its
+    key residue class; some lie in ``[0, n)`` where that span meets
+    ``[0, (n - 1 - key_residue) // dilation]``, and one is not global
+    where the span's count of global tokens (:func:`residue_prefix`)
+    falls short of its length.
     """
-    if not jobs:
-        return []
-    key = (jobs[0].query_residue, jobs[0].dilation, jobs[0].group_size)
-    for job in jobs:
-        if (job.query_residue, job.dilation, job.group_size) != key:
-            raise ValueError("jobs of one group must share residue/dilation/size")
-    residue, dilation, group_size = key
+    residue, dilation, size = key = jobs[0].query_residue, jobs[0].dilation, jobs[0].group_size
+    if any((job.query_residue, job.dilation, job.group_size) != key for job in jobs):
+        raise ValueError("jobs of one group must share residue/dilation/size")
+    segments = [seg for job in jobs for seg in chunk_band_job(job, pe_cols)]
+    colgroups = pack_segments(segments, pe_cols, pack)
+    starts = np.arange(0, size, pe_rows, dtype=np.int64)
+    stops = np.minimum(starts + pe_rows, size)
+    # Cutting the full tiling (never re-tiling) keeps each kept row's
+    # passes and merge order, so its output bits; the cut reads query ids.
+    live = residue + (stops - 1) * dilation >= first_query
+    starts, stops = starts[live], stops[live]
 
-    segments: List[BandSegment] = []
-    for job in jobs:
-        segments.extend(chunk_band_job(job, pe_cols))
-    column_groups = pack_segments(segments, pe_cols, pack)
-
-    passes: List[TilePass] = []
-    for block_start in range(0, group_size, pe_rows):
-        rows = tuple(range(block_start, min(block_start + pe_rows, group_size)))
-        for cols in column_groups:
-            passes.append(
-                TilePass(
-                    query_residue=residue,
-                    dilation=dilation,
-                    q_positions=rows,
-                    segments=cols,
-                )
-            )
-    return passes
+    flat = [seg for cols in colgroups for seg in cols]
+    rel = np.array([s.rel_lo for s in flat], dtype=np.int64)
+    width = np.array([s.width for s in flat], dtype=np.int64)
+    key_res = np.array([s.key_residue for s in flat], dtype=np.int64)
+    lo = np.maximum(starts[:, None] + rel, 0)
+    hi = np.minimum(stops[:, None] + rel + width - 2, (n - 1 - key_res) // dilation)
+    work = lo <= hi  # (B, S): in-range keys
+    if len(global_tokens):
+        upto = residue_prefix(global_tokens, n, dilation)
+        b, s = np.nonzero(work)
+        lo_id = key_res[s] + lo[b, s] * dilation
+        before = np.where(lo_id >= dilation, upto[np.maximum(lo_id - dilation, 0)], 0)
+        work[b, s] = upto[key_res[s] + hi[b, s] * dilation] - before <= hi[b, s] - lo[b, s]
+    counts = [len(cols) for cols in colgroups]
+    has_work = np.logical_or.reduceat(work, np.cumsum([0] + counts[:-1]), axis=1)
+    return GroupTiling(residue, dilation, starts, stops, colgroups, has_work)

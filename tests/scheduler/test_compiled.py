@@ -1,15 +1,19 @@
 """Bulk plan derivation: pinned to the per-pass reference walks.
 
-``DataScheduler.schedule`` filters zero-work passes from one
-:class:`~repro.scheduler.compiled.PassIndex`; ``compile_plan`` builds
-its index tensors, its distinct-key aggregate and the global-row
-schedule from that same index.  These tests pin all of it against the
-straightforward per-pass derivations (``TilePass.query_ids`` /
-``key_ids`` / ``valid_cell_count`` and the sequential seen-set walk in
+``DataScheduler.schedule`` emits its tiling as a product and derives
+one :class:`~repro.scheduler.compiled.PassIndex` from it, zero-work
+filter included; ``compile_plan`` builds its index tensors, its
+distinct-key aggregate and the global-row schedule from that same
+index.  These tests pin all of it against the straightforward per-pass
+derivations (the per-cell ``TilePass`` tiling below,
+``TilePass.query_ids`` / ``key_ids`` / ``valid_cell_count``,
+:func:`~repro.scheduler.compiled.pass_index` over a materialised list
+and the sequential seen-set walk in
 ``ExecutionPlan.global_row_schedule``), which stay in the tree as the
 reference implementations.
 """
 
+import dataclasses
 import gc
 import tracemalloc
 
@@ -28,9 +32,12 @@ from repro.patterns.library import (
     star_transformer_pattern,
     vil_pattern,
 )
-from repro.scheduler.compiled import IrregularPassError
+from repro.accelerator.timing import plan_timing
+from repro.scheduler.compiled import IrregularPassError, PassIndex
 from repro.scheduler.plan import BandSegment, ExecutionPlan, TilePass
+from repro.scheduler.reorder import decompose_band
 from repro.scheduler.scheduler import DataScheduler, SchedulerError
+from repro.scheduler.splitting import chunk_band_job, pack_segments
 
 PATTERN_CASES = [
     ("window", longformer_pattern(64, 8, (0,))),
@@ -58,6 +65,25 @@ def _scheduler(rows=4, cols=4):
 
 def _schedule(pattern, rows=4, cols=4):
     return _scheduler(rows, cols).schedule(pattern, heads=1, head_dim=8)
+
+
+def _unfiltered_passes(scheduler, pattern):
+    """The full tiling as ``TilePass`` objects, zero-work passes included:
+    one object per (query group, block, column group) cell, built the way
+    the scheduler did before it emitted the product."""
+    config, n = scheduler.config, pattern.n
+    groups = {}
+    for idx, band in enumerate(pattern.bands()):
+        for job in decompose_band(idx, band, n):
+            groups.setdefault((job.query_residue, job.dilation, job.group_size), []).append(job)
+    passes = []
+    for (residue, dilation, size), jobs in sorted(groups.items()):
+        segments = [seg for job in jobs for seg in chunk_band_job(job, config.pe_cols)]
+        colgroups = pack_segments(segments, config.pe_cols, config.pack_bands)
+        for start in range(0, size, config.pe_rows):
+            rows = tuple(range(start, min(start + config.pe_rows, size)))
+            passes += [TilePass(residue, dilation, rows, cols) for cols in colgroups]
+    return passes
 
 
 def _assert_matches_per_pass_reference(plan, unfiltered=None):
@@ -144,7 +170,7 @@ class TestGlobalRowScheduleMatchesWalk:
 class TestZeroWorkFilterMatchesReference:
     @pytest.mark.parametrize("name,pattern", DROP_CASES, ids=[c[0] for c in DROP_CASES])
     def test_filter_equals_per_pass_valid_cell_count(self, name, pattern):
-        unfiltered = _scheduler()._tile_passes(pattern.bands(), pattern.n)
+        unfiltered = _unfiltered_passes(_scheduler(), pattern)
         plan = _schedule(pattern)
         assert 0 < len(plan.passes) < len(unfiltered)  # the case really drops passes
         _assert_matches_per_pass_reference(plan, unfiltered)
@@ -185,7 +211,7 @@ class TestZeroWorkFilterMatchesReference:
             HardwareConfig(pe_rows=rows, pe_cols=cols, pack_bands=pack),
             strict_global_bound=False,
         )
-        unfiltered = scheduler._tile_passes(pattern.bands(), n)
+        unfiltered = _unfiltered_passes(scheduler, pattern)
         try:
             plan = scheduler.schedule(pattern, heads=1, head_dim=8)
         except SchedulerError:  # every band clipped away and no global token
@@ -274,6 +300,69 @@ class TestClosedFormMatchesPerPassReference:
             assert validf.shape == job.validf.shape and np.array_equal(job.validf, validf)
 
 
+def _assert_same_index(got, ref):
+    for f in dataclasses.fields(got):
+        a, b = getattr(got, f.name), getattr(ref, f.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
+
+
+class TestProductMatchesMaterialisedOracle:
+    """The scheduler's product against the per-cell tiling it replaced:
+    its pass list is the full tiling filtered pass by pass (first-query
+    cut, then ``valid_cell_count``), and its index, ``keep`` and
+    window-job order equal :func:`pass_index` over that list."""
+
+    @given(
+        n=st.integers(1, 48),
+        bands=st.lists(
+            st.tuples(st.integers(1, 12), st.integers(1, 4), st.integers(1, 9)),
+            min_size=1,
+            max_size=3,
+        ),
+        start=st.integers(-60, 8),
+        global_tokens=st.sets(st.integers(0, 47), max_size=3),
+        first=st.integers(0, 47),
+        rows=st.integers(1, 6),
+        cols=st.integers(1, 6),
+        pack=st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_index_keep_job_order_and_passes(
+        self, n, bands, start, global_tokens, first, rows, cols, pack
+    ):
+        lo, built = start, []
+        for width, dilation, gap in bands:
+            built.append(Band(lo, lo + (width - 1) * dilation, dilation))
+            lo = built[-1].hi + gap
+        gtok = tuple(sorted(g for g in global_tokens if g < n))
+        first = 0 if gtok else first % n  # a step pattern has no global token
+        pattern = HybridSparsePattern(n, built, gtok, first)
+        config = HardwareConfig(pe_rows=rows, pe_cols=cols, pack_bands=pack)
+        scheduler = DataScheduler(config, strict_global_bound=False)
+        expected = [
+            tp
+            for tp in _unfiltered_passes(scheduler, pattern)
+            if tp.query_ids().max() >= first and tp.valid_cell_count(n, frozenset(gtok)) > 0
+        ]
+        try:
+            plan = scheduler.schedule(pattern, heads=1, head_dim=8)
+        except SchedulerError:  # every band clipped away and no global token
+            assert not expected and not gtok
+            return
+        reference = ExecutionPlan(n, 1, 8, config, expected, gtok, first_query=first)
+        got, ref = plan.compiled(), reference.compiled()
+        _assert_same_index(got.passes, ref.passes)
+        assert np.array_equal(got.keep, ref.keep)
+        assert [j.pass_indices.tolist() for j in got.window_jobs] == [
+            j.pass_indices.tolist() for j in ref.window_jobs
+        ]
+        assert len(plan.passes) == len(expected) and "objects" not in vars(plan.passes)
+        assert plan.passes == expected
+
+
 def _irregular_plan():
     """No scheduler memo, non-contiguous rows, mixed dilations."""
     seg = lambda lo, w, res, dil: BandSegment(0, lo, w, res, dil)  # noqa: E731
@@ -290,16 +379,17 @@ def _irregular_plan():
 class TestHandBuiltPlansDeriveOnDemand:
     def test_irregular_passes_use_the_same_derivation(self):
         plan = _irregular_plan()
-        assert plan._index is None
+        assert not isinstance(plan.passes, PassIndex)
         _assert_matches_per_pass_reference(plan)
 
     def test_rows_out_of_order_are_expanded(self):
-        """The closed form proves a rectangle whole from its first and last
-        rows only when its rows are contiguous; rows out of order (first
-        row's keys in range, a later row's clipped) are expanded."""
+        """Exactness reads every distinct key of the rectangle, so rows out
+        of order (first row's keys in range, a later row's clipped) are
+        expanded."""
         tp = TilePass(0, 1, (5, 0), (BandSegment(0, -2, 3, 0, 1),))
         plan = ExecutionPlan(12, 1, 8, HardwareConfig(pe_rows=4, pe_cols=5), [tp], ())
         _assert_matches_per_pass_reference(plan)
+        assert plan.compiled().passes.exact.tolist() == [False]
         assert plan.compiled().valid_counts.tolist() == [4]
         assert plan.compiled().row_has_work.tolist() == [[True, True]]
 
@@ -317,21 +407,30 @@ class TestHandBuiltPlansDeriveOnDemand:
 
 class TestColdPathStructure:
     def test_schedule_and_compile_never_walk_passes(self, monkeypatch):
-        """No per-pass ``key_ids`` call, no ``passes x n`` table."""
-        calls = []
-        original = TilePass.key_ids
+        """No ``TilePass`` is built, no per-pass ``key_ids`` call, no
+        ``passes x n`` table: schedule -> ``compiled()`` -> its execution
+        schedule -> ``plan_timing`` read the product's index only."""
+        calls, built = [], []
+        key_ids, init = TilePass.key_ids, TilePass.__init__
         monkeypatch.setattr(
-            TilePass, "key_ids", lambda self, *a, **k: calls.append(1) or original(self, *a, **k)
+            TilePass, "key_ids", lambda self, *a, **k: calls.append(1) or key_ids(self, *a, **k)
+        )
+        monkeypatch.setattr(
+            TilePass, "__init__", lambda self, *a, **k: built.append(1) or init(self, *a, **k)
         )
         scheduler = DataScheduler(HardwareConfig())
         pattern = longformer_pattern(4096, 512, (0,))
         tracemalloc.start()
         try:
-            cp = scheduler.schedule(pattern, heads=12, head_dim=64).compiled()
+            plan = scheduler.schedule(pattern, heads=12, head_dim=64)
+            cp = plan.compiled()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert not calls
+        cp.schedule
+        plan_timing(plan)
+        assert not calls and not built
+        assert cp.passes is plan.passes and "objects" not in vars(plan.passes)
         assert cp.num_passes > 1000
         assert peak < 4 * cp.key_ids.nbytes
 

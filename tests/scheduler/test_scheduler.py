@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import HardwareConfig
-from repro.patterns.base import Band
+from repro.patterns.base import AttentionPattern, Band
 from repro.patterns.hybrid import HybridSparsePattern
 from repro.patterns.library import (
     longformer_pattern,
@@ -76,6 +76,23 @@ class TestSchedulerValidation:
         config = HardwareConfig(pe_rows=4, pe_cols=4, global_rows=0, global_cols=0)
         with pytest.raises(SchedulerError):
             DataScheduler(config).schedule(longformer_pattern(16, 4, (0,)))
+
+    def test_bands_selecting_no_pair_are_named(self):
+        """A band wholly outside the sequence is not a missing band."""
+        pattern = HybridSparsePattern(64, [Band(100, 110, 1)], ())
+        with pytest.raises(SchedulerError, match=r"\[Band\(\[100, 110\]\)\] select no .* n=64$"):
+            DataScheduler(HardwareConfig(pe_rows=4, pe_cols=4)).schedule(pattern)
+
+    def test_pattern_without_bands_or_globals(self):
+        class Empty(AttentionPattern):
+            def row_keys(self, i):
+                return np.empty(0, dtype=np.int64)
+
+            def bands(self):
+                return []
+
+        with pytest.raises(SchedulerError, match=r"\(no bands, no global tokens\)$"):
+            DataScheduler(HardwareConfig(pe_rows=4, pe_cols=4)).schedule(Empty(8))
 
 
 class TestCoverage:

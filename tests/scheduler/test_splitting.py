@@ -4,7 +4,8 @@ import pytest
 
 from repro.scheduler.plan import BandSegment
 from repro.scheduler.reorder import GroupedBandJob
-from repro.scheduler.splitting import build_passes_for_group, chunk_band_job, pack_segments
+from repro.scheduler.compiled import tiling_index
+from repro.scheduler.splitting import chunk_band_job, pack_segments, tile_group
 
 
 def _job(width, rel_lo=0, band=0, residue=0, dilation=1, group=32):
@@ -72,24 +73,37 @@ class TestPackSegments:
         assert sorted(s.band_index for s in flat) == list(range(6))
 
 
-class TestBuildPasses:
+class TestTileGroup:
+    """One query group's product: blocks x column groups, has-work masked."""
+
     def test_pass_count(self):
         # group of 70 queries on 32 rows -> 3 blocks; window 40 on 32 cols -> 2 chunks
-        passes = build_passes_for_group([_job(40, group=70)], 32, 32, pack=True)
-        assert len(passes) == 3 * 2
+        tiling = tile_group([_job(40, group=70)], 200, 32, 32, pack=True)
+        assert tiling.has_work.shape == (3, 2) and tiling.has_work.all()
 
     def test_row_blocks(self):
-        passes = build_passes_for_group([_job(8, group=70)], 32, 32, pack=True)
-        sizes = sorted({p.rows_used for p in passes})
-        assert sizes == [6, 32]
+        tiling = tile_group([_job(8, group=70)], 200, 32, 32, pack=True)
+        assert sorted(set((tiling.stops - tiling.starts).tolist())) == [6, 32]
 
     def test_rejects_mixed_groups(self):
         with pytest.raises(ValueError):
-            build_passes_for_group(
-                [_job(4, residue=0), _job(4, residue=1, group=16)], 8, 8, True
-            )
+            tile_group([_job(4, residue=0), _job(4, residue=1, group=16)], 64, 8, 8, True)
 
     def test_query_ids_respect_dilation(self):
         job = _job(4, residue=1, dilation=3, group=5)
-        passes = build_passes_for_group([job], 8, 8, pack=True)
-        assert passes[0].query_ids().tolist() == [1, 4, 7, 10, 13]
+        index = tiling_index([tile_group([job], 16, 8, 8, pack=True)], 16, ())
+        assert index[0].query_ids().tolist() == [1, 4, 7, 10, 13]
+
+    def test_has_work_masks_clipped_and_global_only_blocks(self):
+        # keys 8 ahead: the last block's reach past n, and block 0's single
+        # in-range key is a global token.
+        job = _job(1, rel_lo=8, group=16)
+        assert tile_group([job], 16, 4, 4, True).has_work[:, 0].tolist() == [True] * 2 + [False] * 2
+        globals_ = [8, 9, 10, 11]
+        assert tile_group([job], 16, 4, 4, True, 0, globals_).has_work[:, 0].tolist() == [
+            False, True, False, False,
+        ]  # fmt: skip
+
+    def test_first_query_cuts_blocks(self):
+        tiling = tile_group([_job(2, group=16)], 16, 4, 4, True, first_query=9)
+        assert tiling.starts.tolist() == [8, 12]
