@@ -30,7 +30,9 @@ SLO at a given traffic level?*  Layered on the serving stack:
 * :mod:`repro.cluster.simulator` / :mod:`repro.cluster.metrics` — the
   heap-driven event loop and the :class:`ClusterReport` (per-class
   percentiles, goodput, utilisation, availability and recovery
-  counters under faults).
+  counters under faults), folded from :mod:`repro.cluster.events` —
+  every outcome the loop decides, as one stream, and ``check``, the
+  laws (conservation among them) every such stream keeps.
 * :mod:`repro.cluster.decode` — the decode phase on the same event
   loop: a sequence is a request that holds a lane, a step is a launch;
   TTFT/ITL SLO classes, tokens/s-vs-concurrency metrics, and a

@@ -41,10 +41,12 @@ config's ``bucket_floor``) and decides every step of two fronts:
 
 Reported by the simulator: time-to-first-token (TTFT), inter-token
 latency (ITL) p50/p99, tokens/s and time-weighted concurrency, per run
-and per SLO class.  Conserved: the four-way sequence law (``submitted ==
-completed + rejected + shed + failed``) plus a token law for admitted
-sequences — every target token is exactly one of completed, shed, or
-failed.  Admission reuses :mod:`repro.serving.admission` through a
+and per SLO class, folded from the plane's events.  Laws of
+:func:`repro.cluster.events.check`: the four-way sequence law
+(``submitted == completed + rejected + shed + failed``) plus a token law
+— a completed sequence rode exactly its target number of served steps,
+a shed or failed one fewer.  Admission reuses
+:mod:`repro.serving.admission` through a
 lane-drain estimate: the wait is the time until enough lanes retire,
 the service is the first step — so ``est-wait`` gates on TTFT
 feasibility.
@@ -65,6 +67,7 @@ from ..scheduler import SchedulerError
 from ..serving.admission import AdmissionContext
 from ..serving.batching import Batch, check_bucket_floor
 from .arrivals import OpenLoopSource, PoissonProcess, SLOClass
+from .events import ARRIVE, DONE, FAIL, REJECT, RETRY, SHED
 from .metrics import _percentile
 from .policy import BatchDecision, BatchPolicy
 from .pool import Worker
@@ -440,18 +443,6 @@ class DecodeReport:
     classes: List[DecodeClassReport]
     workers: List[dict]
 
-    @property
-    def sequence_conservation(self) -> bool:
-        return self.submitted == (
-            self.completed + self.rejected + self.shed + self.failed
-        )
-
-    @property
-    def token_conservation(self) -> bool:
-        return self.tokens_target_admitted == (
-            self.tokens_completed + self.tokens_shed + self.tokens_failed
-        )
-
     def render(self) -> str:
         lines = [
             "decode cluster report",
@@ -563,13 +554,13 @@ class DecodeClusterSimulator(ClusterSimulator):
         """A failed step retries in place — the lanes and their KV stay —
         charging every lane one attempt; the attempt past a sequence's
         budget fails it with its unproduced tokens."""
-        self._retries += 1
+        self._emit(RETRY, now)
         for seq in batch.requests:
             attempt = self._attempts.get(seq.request_id, 0) + 1
             self._attempts[seq.request_id] = attempt
             if attempt > self._recovery.max_retries:
                 self.pool.workers[self._routed[seq.request_id]].queue.lanes.remove(seq)
-                self._fail(seq, now)
+                self._drop(FAIL, seq, now)
 
     def _complete(self, seq: _Seq, batch: Batch, worker: Worker, dispatched: float, now: float,
                   served) -> None:
@@ -613,11 +604,10 @@ class DecodeClusterSimulator(ClusterSimulator):
 
     def _report(self, seqs: List[_Seq]) -> DecodeReport:
         m, workers = self.metrics, self.pool.workers
-        fate = {r.request_id: "completed" for r in m.records}
-        fate.update((d.request_id, d.kind) for d in m.drops)
+        fate, counts = m.fate, m.counts
         # produced tokens count toward pacing and throughput even when
         # the tail was shed or failed
-        admitted = [s for s in seqs if fate[s.request_id] != "rejected"]
+        admitted = [s for s in seqs if fate[s.request_id] != REJECT]
         tokens_completed = sum(s.produced for s in admitted)
         makespan = max(m.last_complete_s - (m.first_arrival_s or 0.0), 0.0)
         slos = {s.slo_class: s.slo for s in reversed(seqs)}  # first drawn wins
@@ -628,7 +618,7 @@ class DecodeClusterSimulator(ClusterSimulator):
             classes.append(
                 DecodeClassReport(
                     name=name,
-                    sequences=sum(fate[s.request_id] == "completed" for s in members),
+                    sequences=sum(fate[s.request_id] == DONE for s in members),
                     tokens=sum(s.produced for s in members),
                     ttft_attainment=_within(ttfts, slo.deadline_s),
                     itl_attainment=_within(gaps, slo.itl_deadline_s),
@@ -636,19 +626,19 @@ class DecodeClusterSimulator(ClusterSimulator):
                 )
             )
         return DecodeReport(
-            submitted=m.submitted,
-            completed=len(m.records),
-            rejected=m.rejected,
-            shed=m.shed,
-            failed=m.failed,
+            submitted=counts[ARRIVE],
+            completed=counts[DONE],
+            rejected=counts[REJECT],
+            shed=counts[SHED],
+            failed=counts[FAIL],
             tokens_target_admitted=sum(s.target_tokens for s in admitted),
             tokens_completed=tokens_completed,
-            tokens_shed=sum(s.remaining for s in admitted if fate[s.request_id] == "shed"),
-            tokens_failed=sum(s.remaining for s in admitted if fate[s.request_id] == "failed"),
+            tokens_shed=sum(s.remaining for s in admitted if fate[s.request_id] == SHED),
+            tokens_failed=sum(s.remaining for s in admitted if fate[s.request_id] == FAIL),
             tokens_per_s=tokens_completed / makespan if makespan else 0.0,
             mean_concurrency=sum(w.request_s for w in workers) / makespan if makespan else 0.0,
             steps=sum(w.batches for w in workers),
-            retries=self._retries,
+            retries=counts[RETRY],
             makespan_s=makespan,
             classes=classes,
             workers=[

@@ -1,23 +1,22 @@
-"""Cluster-simulation metrics: per-request records -> ClusterReport.
+"""Cluster-simulation metrics: the plane's event stream -> ClusterReport.
 
-The simulator appends one :class:`RequestRecord` per completed request
-and one :class:`DropRecord` per request it rejected at admission, shed
-from a queue or lost to faults, and keeps no per-event state;
-:meth:`MetricsCollector.report` reduces the records to the numbers a
-capacity study reads off: per-SLO-class latency percentiles, *goodput*
-(deadline-met completions per second — the metric a deployment is
-actually provisioned for), per-class goodput shares with a Jain fairness
-index, and per-worker utilisation.
+:class:`MetricsCollector` is the default consumer of the control plane's
+:mod:`~repro.cluster.events`: its :meth:`~MetricsCollector.fold` keeps
+one :class:`RequestRecord` per ``done`` event, one :class:`DropRecord`
+per ``reject`` / ``shed`` / ``fail``, each request's terminal kind, and a
+count of every event kind (steals, retries and requeues are counts of
+their events).  :meth:`MetricsCollector.report` reduces that to the
+numbers a capacity study reads off: per-SLO-class latency percentiles,
+*goodput* (deadline-met completions per second — the metric a deployment
+is actually provisioned for), per-class goodput shares with a Jain
+fairness index, and per-worker utilisation.
 
-Conservation is the collector's core invariant: every submitted request
-ends up in exactly one of {completed, rejected, shed, failed, still
-queued}, so ``submitted == completed + rejected + shed + failed`` holds
-for every drained simulation (the property suite in ``tests/cluster``
-pins it across all policies, admission modes and fault specs; the
-``failed`` bucket is zero on every fault-free run).  All percentile and
-rate computations are guarded for the degenerate edges — zero
-completions, all-rejected runs, single-sample classes — mirroring
-``ServingStats``.
+Conservation — ``submitted == completed + rejected + shed + failed``,
+per run and per SLO class — is a law of the stream, stated once in
+:func:`repro.cluster.events.check`; the report carries the four buckets
+(``failed`` is zero on every fault-free run).  All percentile and rate
+computations are guarded for the degenerate edges — zero completions,
+all-rejected runs, single-sample classes — mirroring ``ServingStats``.
 
 Fault-tolerance accounting (availability, retries, requeues, per-worker
 downtime and detection latency) is carried on the same report but only
@@ -27,10 +26,13 @@ reports byte-identical to the pre-fault simulator's output.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Sequence
 
 import numpy as np
+
+from .events import ARRIVE, DONE, FAIL, KINDS, REJECT, REQUEUE, RETRY, SHED, STEAL
 
 __all__ = [
     "RequestRecord",
@@ -41,6 +43,10 @@ __all__ = [
     "ClusterReport",
     "jain_index",
 ]
+
+
+#: terminal event kind -> DropRecord.kind
+_DROPPED = {REJECT: "rejected", SHED: "shed", FAIL: "failed"}
 
 
 def jain_index(values: Sequence[float]) -> float:
@@ -308,74 +314,46 @@ class ClusterReport:
 
 
 class MetricsCollector:
-    """Accumulates per-request records during a simulation run."""
+    """Folds the control plane's events into records and counters."""
 
     def __init__(self) -> None:
         self.records: List[RequestRecord] = []
         self.drops: List[DropRecord] = []
-        self.submitted: int = 0
-        self._dropped = {"rejected": 0, "shed": 0, "failed": 0}  # per DropRecord.kind
+        self.counts: Dict[str, int] = dict.fromkeys(KINDS, 0)  # event kind -> events folded
+        self.fate: Dict[Hashable, str] = {}  # request id -> its terminal event kind
+        self.stolen_in: Counter = Counter()  # worker id -> requests stolen into it
         self.first_arrival_s: Optional[float] = None
         self.last_complete_s: float = 0.0
 
-    # ------------------------------------------------------------------
-    def note_arrival(self, t: float) -> None:
-        self.submitted += 1
-        if self.first_arrival_s is None or t < self.first_arrival_s:
-            self.first_arrival_s = t
-
-    def note_completion(self, record: RequestRecord) -> None:
-        self.records.append(record)
-        self.last_complete_s = max(self.last_complete_s, record.complete_s)
-
-    def _note_drop(self, request, t: float, kind: str) -> None:
-        self._dropped[kind] += 1
-        self.drops.append(
-            DropRecord(
-                request_id=request.request_id,
-                slo_class=request.slo_class,
-                t_s=t,
-                kind=kind,
-                deadline_s=request.deadline_s,
+    def fold(self, kind: str, t: float, request: Hashable = None, worker: Optional[int] = None,
+             launch: Optional[int] = None, payload: object = None) -> None:
+        """Take one event, given by its fields (``fold(*event)`` folds an
+        :class:`~repro.cluster.events.Event`), into the records and counters."""
+        self.counts[kind] += 1
+        if kind == ARRIVE:
+            if self.first_arrival_s is None or t < self.first_arrival_s:
+                self.first_arrival_s = t
+        elif kind == DONE:
+            self.records.append(payload)
+            self.fate[request] = kind
+            self.last_complete_s = max(self.last_complete_s, payload.complete_s)
+        elif kind in _DROPPED:
+            self.fate[request] = kind
+            self.drops.append(
+                DropRecord(request, payload.slo_class, t, _DROPPED[kind], payload.deadline_s)
             )
-        )
-
-    def note_rejection(self, request, t: float) -> None:
-        """An admission policy turned the request away at arrival."""
-        self._note_drop(request, t, "rejected")
-
-    def note_shed(self, request, t: float) -> None:
-        """A drop_expired sweep dropped the request from a queue."""
-        self._note_drop(request, t, "shed")
-
-    def note_failed(self, request, t: float) -> None:
-        """Faults claimed the request: retry budget gone or unrecoverable."""
-        self._note_drop(request, t, "failed")
+        elif kind == STEAL:
+            self.stolen_in[worker] += len(payload[1])
 
     # ------------------------------------------------------------------
-    @property
-    def rejected(self) -> int:
-        return self._dropped["rejected"]
-
-    @property
-    def shed(self) -> int:
-        return self._dropped["shed"]
-
-    @property
-    def failed(self) -> int:
-        return self._dropped["failed"]
-
     @property
     def outstanding(self) -> int:
         """Submitted requests without a terminal outcome yet."""
-        return self.submitted - len(self.records) - len(self.drops)
+        return self.counts[ARRIVE] - len(self.records) - len(self.drops)
 
     def report(
         self,
         workers,
-        steals: int,
-        retries: int = 0,
-        requeues: int = 0,
         cache_info: Callable[[object], dict] = lambda w: w.salo.cache_info(),
     ) -> ClusterReport:
         """Reduce to a :class:`ClusterReport` (safe on empty runs).
@@ -383,7 +361,7 @@ class MetricsCollector:
         ``cache_info`` maps a worker to its engine's plan-cache counters
         (the control plane passes its executor's).
         """
-        records = self.records
+        records, counts = self.records, self.counts
         completed = len(records)
         start = self.first_arrival_s if self.first_arrival_s is not None else 0.0
         makespan = max(self.last_complete_s - start, 0.0)
@@ -445,7 +423,7 @@ class MetricsCollector:
                     batches=w.batches,
                     served=w.served,
                     mean_batch_size=w.served / w.batches if w.batches else 0.0,
-                    stolen_in=w.stolen_in,
+                    stolen_in=self.stolen_in[w.wid],
                     cold_compiles=w.cold_compiles,
                     plan_cache=cache_info(w),
                     crashes=w.crashes,
@@ -470,13 +448,13 @@ class MetricsCollector:
             latency_p99_ms=_percentile(latencies, 99) * 1e3,
             classes=classes,
             workers=worker_reports,
-            steals=steals,
-            submitted=self.submitted,
-            rejected=self.rejected,
-            shed=self.shed,
+            steals=counts[STEAL],
+            submitted=counts[ARRIVE],
+            rejected=counts[REJECT],
+            shed=counts[SHED],
             fairness_index=jain_index([c.goodput_rps for c in classes]),
-            failed=self.failed,
-            retries=retries,
-            requeues=requeues,
+            failed=counts[FAIL],
+            retries=counts[RETRY],
+            requeues=counts[REQUEUE],
             availability=max(availability, 0.0),
         )

@@ -232,15 +232,14 @@ class Worker:
         self.queue = queue if queue is not None else BatchScheduler()
         # launch id -> (batch, dispatched_s, charged_until_s): the batches
         # the worker holds; lost with it if it dies before they complete.
-        # Only note_dispatch, note_complete and forfeit change it, and
-        # they keep ``inflight`` (its requests) in step.
+        # Only note_dispatch / note_complete (beside the plane's launch /
+        # launch-complete events) and forfeit change it, with ``inflight``.
         self.launched: Dict[int, Tuple[Batch, float, float]] = {}
         self.inflight = 0
         self.busy_s = 0.0  # accumulated service time
         self.request_s = 0.0  # service time x batch size (mean concurrency)
         self.batches = 0
         self.served = 0
-        self.stolen_in = 0  # requests stolen from peers
         self.cold_compiles = 0
         self.warm: set = set()  # group keys this worker has served (routing)
         self.warm_plans: set = set()  # plan keys actually compiled (cold accounting)
@@ -537,7 +536,6 @@ class EnginePool:
             Worker(wid, salo_factory(), queue_factory()) for wid in range(workers)
         ]
         self.affinity_miss_prob = affinity_miss_prob
-        self.steals = 0
 
     # ------------------------------------------------------------------
     def route(self, request: AttentionRequest, now: float) -> Worker:
@@ -582,12 +580,13 @@ class EnginePool:
                 best, best_score = worker, score
         return best
 
-    def steal_into(self, thief: Worker, now: float) -> int:
+    def steal_into(self, thief: Worker, now: float) -> Optional[Tuple[Worker, list]]:
         """Move queued work from the most loaded *busy* peer to an idle thief.
 
         Takes up to ``max_batch_size`` requests from the back of the
         victim's deepest queue (the work the victim would reach last),
-        re-enqueues them on the thief and returns the count.  The thief
+        re-enqueues them on the thief and returns ``(victim, stolen)``
+        (``None``: nothing taken).  The thief
         pays a cold compile unless it happens to be warm for the stolen
         structure — idleness is worse.  Only busy victims qualify: an
         idle worker with queued requests is *holding* them open on
@@ -601,14 +600,12 @@ class EnginePool:
             if victim is None or worker.queue.pending > victim.queue.pending:
                 victim = worker
         if victim is None:
-            return 0
+            return None
         stolen = victim.queue.steal(thief.queue.max_batch_size)
         if not stolen:
-            return 0
+            return None
         thief.queue.requeue(stolen)
-        thief.stolen_in += len(stolen)
-        self.steals += 1
-        return len(stolen)
+        return victim, stolen
 
     # ------------------------------------------------------------------
     @property

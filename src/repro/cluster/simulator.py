@@ -49,11 +49,13 @@ way a completion carries each member's own output.
 TransportCluster`, :class:`~repro.serving.session.ServingSession` and
 :class:`~repro.decode.DecodeScheduler` are thin fronts that pick the
 executor and feed the plane arrivals; routing, admission, batching,
-retry, recovery and the conservation laws the property suite pins exist
-once, here.  Each worker's queue comes from the configured policy
-(:meth:`~repro.cluster.policy.BatchPolicy.queue`).  Traffic whose
-requests *stay* — a decode sequence holds a lane for one launch per
-token — is the same plane under
+retry and recovery exist once, here, and every outcome they decide is
+one :mod:`~repro.cluster.events` event: the report is the collector's
+fold over them, and :func:`~repro.cluster.events.check` states the laws
+(conservation among them).  Each worker's queue comes from the
+configured policy (:meth:`~repro.cluster.policy.BatchPolicy.queue`).
+Traffic whose requests *stay* — a decode sequence holds a lane for one
+launch per token — is the same plane under
 :class:`~repro.cluster.decode.ContinuousBatching`:
 :class:`~repro.cluster.decode.DecodeClusterSimulator` is a
 :class:`ClusterSimulator` that overrides one seam,
@@ -81,6 +83,8 @@ from ..serving.admission import (
     queue_drain_estimate,
 )
 from .arrivals import RequestSource
+from .events import ARRIVE, DONE, FAIL, LAUNCH, LAUNCH_COMPLETE, REJECT, REQUEUE, RETRY, SHED
+from .events import STEAL, Event
 from .faults import FaultInjector, RecoveryConfig, WORKER_SUSPECT, WORKER_UP
 from .metrics import MetricsCollector, ClusterReport, RequestRecord
 from .policy import BatchPolicy, GreedyFIFOPolicy, recovery_order
@@ -265,6 +269,8 @@ class ControlPlane:
             **engine,
         )
         self.metrics = MetricsCollector()
+        self._listeners: List[Callable[[Event], None]] = []
+        self._emit = self.metrics.fold  # books one Event's fields; see listen
         self._source = RequestSource()  # closed-loop feedback; none by default
         self._routed: Dict[Hashable, int] = {}  # request id -> routed worker id
         self._timer_armed: Dict[int, float] = {}  # worker id -> armed time
@@ -283,8 +289,6 @@ class ControlPlane:
         # launches _dispatch may still start: a synchronous front's step()
         # spends a budget; everything else runs unbounded
         self._launches_left = math.inf
-        self._retries = 0
-        self._requeues = 0
         self._probing = False  # a heartbeat sweep is on the heap
         self._handlers = (  # indexed by event kind
             self._on_arrive, self._on_complete, self._on_timer, self._on_expire,
@@ -292,6 +296,18 @@ class ControlPlane:
         )
 
     # ------------------------------------------------------------------
+    def listen(self, listener: Callable[[Event], None]) -> None:
+        """Hand ``listener`` every event the plane emits from now on."""
+        self._listeners.append(listener)
+        self._emit = self._broadcast
+
+    def _broadcast(self, *fields) -> None:
+        """``_emit`` once someone listens: fold, then hand each the :class:`Event`."""
+        self.metrics.fold(*fields)
+        event = Event(*fields)
+        for listener in self._listeners:
+            listener(event)
+
     def _arm_timer(self, worker: Worker, t: float, now: float) -> None:
         t = max(t, now + _MIN_TIMER_STEP)
         armed = self._timer_armed.get(worker.wid)
@@ -313,7 +329,7 @@ class ControlPlane:
         while len(worker.launched) < self.executor.slots and self._launches_left > 0:
             decision = self.config.policy.next_batch(worker.queue, now)
             for req in decision.shed:
-                self._shed_now(req, now)
+                self._drop(SHED, req, now)
             batch = decision.batch
             if batch is None:
                 if decision.next_check_s is not None:
@@ -329,6 +345,7 @@ class ControlPlane:
                 self._mark_down(worker, now)
                 return
             worker.note_dispatch(self._launches, batch, now, service, cold)
+            self._emit(LAUNCH, now, None, worker.wid, self._launches, batch)
             self._launches_left -= 1
 
     def _feedback(self, request: AttentionRequest, now: float) -> None:
@@ -368,11 +385,11 @@ class ControlPlane:
     # ------------------------------------------------------------------
     def _admit(self, request: AttentionRequest, now: float) -> Optional[Worker]:
         """Route, pass the admission door, enqueue; ``None`` if rejected."""
-        self.metrics.note_arrival(now)
         worker = self.pool.route(request, now)
+        self._emit(ARRIVE, now, request.request_id, worker.wid, None, request)
         ctx = self._admission_context(worker, request, now)
         if not self.config.admission.admit(request, ctx):
-            self.metrics.note_rejection(request, now)
+            self._emit(REJECT, now, request.request_id, worker.wid, None, request)
             self._feedback(request, now)
             return None
         self._routed[request.request_id] = worker.wid
@@ -406,6 +423,7 @@ class ControlPlane:
             return
         batch, dispatched, _ = entry
         worker.note_complete(launch_id, service_s)
+        self._emit(LAUNCH_COMPLETE, now, None, worker.wid, launch_id, not failed)
         if worker.breaker is not None:
             worker.breaker.record(not failed, now)
         if failed:
@@ -419,7 +437,8 @@ class ControlPlane:
     def _complete(self, req, batch: Batch, worker: Worker, dispatched: float, now: float, served) -> None:
         """``req`` rode a served batch: record it (``served``: its ``(output, result)``)."""
         self._attempts.pop(req.request_id, None)
-        self.metrics.note_completion(
+        self._emit(
+            DONE, now, req.request_id, worker.wid, None,
             RequestRecord(
                 request_id=req.request_id,
                 slo_class=req.slo_class,
@@ -430,7 +449,7 @@ class ControlPlane:
                 batch_size=batch.size,
                 deadline_s=req.deadline_s,
                 stolen=self._routed.pop(req.request_id, worker.wid) != worker.wid,
-            )
+            ),
         )
         self._feedback(req, now)
 
@@ -455,44 +474,42 @@ class ControlPlane:
                 # a breaker-open thief would drag work onto the very
                 # worker the breaker is shielding traffic from
                 continue
-            if self.pool.steal_into(worker, now):
+            stolen = self.pool.steal_into(worker, now)
+            if stolen is not None:
+                self._emit(STEAL, now, None, worker.wid, None, stolen)
                 self._dispatch(worker, now)
 
     # ------------------------------------------------------------------
     # Terminal outcomes other than completion, and fault handling.
-    def _fail(self, request: AttentionRequest, now: float) -> None:
-        """Terminal failure: budget exhausted or nowhere left to requeue."""
+    def _drop(self, kind: str, request: AttentionRequest, now: float) -> None:
+        """Terminal ``SHED`` (past its deadline) or ``FAIL`` (retry budget
+        exhausted, or nowhere left to requeue) of an admitted request."""
         self._routed.pop(request.request_id, None)
         self._attempts.pop(request.request_id, None)
-        self.metrics.note_failed(request, now)
+        self._emit(kind, now, request.request_id, None, None, request)
         self._feedback(request, now)
 
-    def _shed_now(self, request: AttentionRequest, now: float) -> None:
-        self._routed.pop(request.request_id, None)
-        self._attempts.pop(request.request_id, None)
-        self.metrics.note_shed(request, now)
-        self._feedback(request, now)
-
-    def _place(self, request: AttentionRequest, now: float, requeue: bool = True) -> bool:
-        """Give a recovered request its fate: shed if its deadline passed
-        meanwhile, else route it onto a worker believed healthy (True), or
-        fail it — requeueing is off, or every worker is marked down."""
+    def _place(self, request: AttentionRequest, now: float, orphan: bool = False) -> None:
+        """Give a retried or recovered (``orphan``) request its fate: shed if
+        its deadline passed meanwhile, else route it onto a worker believed
+        healthy, or fail it (an orphan with requeueing off, or every worker
+        marked down)."""
         if self.config.policy.drop_expired and request.absolute_deadline_s <= now:
-            self._shed_now(request, now)
-            return False
+            return self._drop(SHED, request, now)
+        requeue = self._recovery.requeue or not orphan
         target = self.pool.route(request, now) if requeue else None
         if target is None or not target.healthy:
-            self._fail(request, now)
-            return False
+            return self._drop(FAIL, request, now)
+        if orphan:
+            self._emit(REQUEUE, now, request.request_id, target.wid)
         self._routed[request.request_id] = target.wid
         target.queue.enqueue(request)
         self._dispatch(target, now)
-        return True
 
     def _recover_requests(self, requests: List[AttentionRequest], now: float) -> None:
         """A down worker's orphans, oldest deadline first."""
         for req in recovery_order(requests):
-            self._requeues += self._place(req, now, self._recovery.requeue)
+            self._place(req, now, orphan=True)
 
     def _retry_or_fail(self, batch: Batch, now: float) -> None:
         """A dispatch came back with a transient error: back off and retry
@@ -503,9 +520,9 @@ class ControlPlane:
             attempt = self._attempts.get(req.request_id, 0) + 1
             self._attempts[req.request_id] = attempt
             if attempt > rec.max_retries:
-                self._fail(req, now)
+                self._drop(FAIL, req, now)
                 continue
-            self._retries += 1
+            self._emit(RETRY, now, req.request_id)
             delay = rec.backoff_s(attempt)
             delay += self.executor.jitter(delay, rec.backoff_jitter)
             self.executor.schedule(now + delay, _RETRY, req)  # -> _place
@@ -519,15 +536,17 @@ class ControlPlane:
         are swept."""
         for worker in self.pool.workers:
             for req in worker.queue.expire(now):
-                self._shed_now(req, now)
+                self._drop(SHED, req, now)
 
     def _on_crash(self, wid: int, now: float) -> None:
         worker = self.pool.workers[wid]
         if not worker.alive:
             return  # overlapping crash specs: already dead
-        for _, _, charged_until_s in worker.launched.values():
-            # The unfinished remainder of the batch never ran.
+        for launch_id, (_, _, charged_until_s) in worker.launched.items():
+            # The unfinished remainder of the batch never ran: the launch
+            # ends unserved now, though the plane learns of it later.
             worker.busy_s -= max(0.0, charged_until_s - now)
+            self._emit(LAUNCH_COMPLETE, now, None, wid, launch_id, False)
         worker.crash(now)
 
     def _on_rejoin(self, wid: int, now: float) -> None:
@@ -585,11 +604,12 @@ class ControlPlane:
         queued, launched or backing off."""
         stranded = [p for _, _, kind, p in self.executor.cancel_all() if kind == _RETRY]
         self._probing = False
+        self._timer_armed.clear()  # their timers went with the heap
         for worker in self.pool.workers:
             stranded.extend(worker.forfeit())
             stranded.extend(worker.queue.prune(lambda r: True))
         for req in stranded:
-            self._fail(req, now)
+            self._drop(FAIL, req, now)
 
     # ------------------------------------------------------------------
     def _drive(self, now: float, tick: Optional[Callable] = None) -> None:
@@ -614,13 +634,7 @@ class ControlPlane:
 
     def report(self) -> ClusterReport:
         """Everything served so far, reduced to a :class:`ClusterReport`."""
-        return self.metrics.report(
-            self.pool.workers,
-            self.pool.steals,
-            retries=self._retries,
-            requeues=self._requeues,
-            cache_info=self.executor.cache_info,
-        )
+        return self.metrics.report(self.pool.workers, cache_info=self.executor.cache_info)
 
 
 class ClusterSimulator(ControlPlane):

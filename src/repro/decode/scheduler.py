@@ -20,6 +20,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from ..cluster.events import FAIL
 from ..cluster.pool import MeasuredClock
 from ..cluster.simulator import ControlConfig, ControlPlane, SimulatedExecutor
 from ..core.config import HardwareConfig
@@ -40,7 +41,7 @@ class _Lane(KVState):
         super().__init__(request.prompt_q.shape[1], bucket_floor, request.heads, numerics)
         self.extend(request.prompt_q, request.prompt_k, request.prompt_v)
         self.request, self.request_id, self.arrival_s = request, request.request_id, now
-        self.rng, self.outputs = request.rng(), []
+        self.rng, self.outputs, self.target_tokens = request.rng(), [], request.max_new_tokens
         self.bands = tuple(request.pattern.bands() or ())
         self.globals_ = tuple(request.pattern.global_tokens())
 
@@ -51,7 +52,7 @@ class _Lane(KVState):
     def feed(self, out_row: np.ndarray) -> bool:
         """Record one token, growing KV unless the budget is met; True when
         the lane is done.  Rows the KV state refuses raise ``ValueError``."""
-        budget = self.request.max_new_tokens
+        budget = self.target_tokens
         if len(self.outputs) + 1 < budget:
             self.append(*(self.request.next_token or default_next_token)(out_row, self.rng))
         self.outputs.append(out_row.copy())
@@ -141,7 +142,7 @@ class DecodeScheduler(ControlPlane):
         except ValueError as err:
             worker.queue.lanes.remove(lane)
             self.failed[lane.request_id] = str(err)
-            return self._fail(lane, now)
+            return self._drop(FAIL, lane, now)
         if done:
             worker.queue.lanes.remove(lane)
             self.completed[lane.request_id] = np.stack(lane.outputs)

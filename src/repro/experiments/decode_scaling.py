@@ -11,8 +11,10 @@ frontier over identical traffic (same seed, same sequences; only the
 worker/lane shape changes).
 
 Committed expectations (asserted at the fixed seed in
-``tests/experiments/test_decode_scaling.py``): both conservation laws
-hold on every row; tokens/s at the widest lane setting beats lanes=1
+``tests/experiments/test_decode_scaling.py``): the laws of
+:func:`repro.cluster.events.check` (sequence and token conservation
+among them) hold on every row; tokens/s at the widest lane setting beats
+lanes=1
 for the same worker count; adding a worker never lowers tokens/s at
 fixed lane width; and cold compiles stay bounded by
 ``workers x buckets`` (plan-cache reuse across steps at cluster scale;
@@ -25,6 +27,7 @@ from __future__ import annotations
 from typing import List
 
 from ..cluster import DecodeClusterSimulator, DecodeSimConfig, DecodeWorkloadSpec
+from ..cluster.events import check
 from .base import ExperimentResult, register
 
 #: Every (workers, lanes) point the sweep visits.
@@ -54,8 +57,10 @@ def run(fast: bool = False) -> ExperimentResult:
     spec = decode_spec(sequences)
     rows: List[dict] = []
     for workers, lanes in FAST_GRID if fast else GRID:
-        config = DecodeSimConfig(workers=workers, max_batch_size=lanes)
-        report = DecodeClusterSimulator(config).run(spec)
+        sim, events = DecodeClusterSimulator(DecodeSimConfig(workers=workers,
+                                                             max_batch_size=lanes)), []
+        sim.listen(events.append)
+        report = sim.run(spec)
         cold = sum(w["cold_compiles"] for w in report.workers)
         rows.append(
             {
@@ -69,7 +74,7 @@ def run(fast: bool = False) -> ExperimentResult:
                 "ttft_p99_us": round(report.ttft_p99_s * 1e6, 1),
                 "itl_p99_us": round(report.itl_p99_s * 1e6, 1),
                 "cold": cold,
-                "conserved": report.sequence_conservation and report.token_conservation,
+                "conserved": not check(events),
             }
         )
 

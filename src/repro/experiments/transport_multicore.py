@@ -14,8 +14,9 @@ real cores:
   ship via ``multiprocessing.shared_memory``;
 * ``multiprocess x2 + kill`` — a chaos row: worker 1 is ``SIGKILL``'d
   mid-run and the heartbeat/requeue machinery recovers its orphans.
-  Conservation (``submitted == completed + rejected + shed + failed``)
-  must hold on every row, *including* this one.
+  The event checker's laws (:func:`repro.cluster.events.check`,
+  conservation among them) must hold on every row, *including* this
+  one: a row that breaks one raises.
 * ``inprocess x2 edf+shed`` — an overload-control row: the transports
   run the simulator's own control plane, so EDF with ``drop_expired``
   is served by real workers; half the trace carries a deadline no
@@ -34,6 +35,7 @@ import os
 from typing import List, Optional, Tuple
 
 from ..cluster import EDFPolicy, RecoveryConfig
+from ..cluster.events import check
 from ..serving import TraceSpec, synthetic_trace
 from ..serving.trace import pattern_families
 from ..transport import TransportCluster, TransportClusterConfig
@@ -97,7 +99,8 @@ def run_row(
     kill_worker: Optional[int] = None,
     shed: bool = False,
 ):
-    """Serve the trace through one cluster configuration; return the report."""
+    """Serve the trace through one cluster configuration; return the report
+    once the run's events kept the plane's laws."""
     requests = transport_trace(num_requests, seed)
     if shed:
         for request in requests[1::2]:
@@ -113,8 +116,13 @@ def run_row(
                 cluster.kill_worker(kill_worker)
                 fired["done"] = True
 
+    events: list = []
     with TransportCluster(config) as cluster:
-        return cluster.run(requests, tick=tick)
+        cluster.listen(events.append)
+        report = cluster.run(requests, tick=tick)
+    if broken := check(events, config.policy.drop_expired):
+        raise RuntimeError(f"{driver} x{workers} broke the plane's laws: {broken}")
+    return report
 
 
 @register("transport_multicore")
@@ -132,7 +140,6 @@ def run(fast: bool = False, backend: str = "functional") -> ExperimentResult:
         report = run_row(driver, workers, num_requests, kill_worker=kill, shed=shed)
         if baseline_rps is None:
             baseline_rps = report.throughput_rps
-        accounted = report.completed + report.rejected + report.shed + report.failed
         rows.append(
             {
                 "driver": driver
@@ -143,7 +150,6 @@ def run(fast: bool = False, backend: str = "functional") -> ExperimentResult:
                 "completed": report.completed,
                 "shed": report.shed,
                 "failed": report.failed,
-                "accounted": accounted,
                 "requeues": report.requeues,
                 "crashes": sum(w.crashes for w in report.workers),
                 "wall_ms": round(report.makespan_s * 1e3, 2),
@@ -155,8 +161,8 @@ def run(fast: bool = False, backend: str = "functional") -> ExperimentResult:
     notes = [
         f"{cores} core(s) visible to this process; wall-clock (measured), "
         "not the simulator's cost model",
-        "conservation: submitted == completed + rejected + shed + failed on "
-        "every row, including the SIGKILL chaos row",
+        "the event checker's laws (conservation, one terminal outcome per "
+        "request, ...) held on every row, including the SIGKILL chaos row",
         "multi-worker > single-process is only expected with >= 4 cores; "
         "on fewer cores the multiprocess rows measure IPC overhead",
     ]
@@ -164,14 +170,12 @@ def run(fast: bool = False, backend: str = "functional") -> ExperimentResult:
     notes.append(
         f"edf+shed row: {shed_row['shed']} of {shed_row['submitted']} requests "
         f"shed by the shared control plane on real transports (deadline "
-        f"{DOOMED_DEADLINE_S * 1e6:g} us), accounted "
-        f"{shed_row['accounted']}/{shed_row['submitted']}"
+        f"{DOOMED_DEADLINE_S * 1e6:g} us)"
     )
     notes.append(
         f"chaos row: worker 1 SIGKILL'd after ~{KILL_AFTER_FRAC:.0%} of the "
         f"trace; {kill_row['requeues']} orphan(s) requeued, "
-        f"failed {kill_row['failed']}, accounted {kill_row['accounted']}"
-        f"/{kill_row['submitted']}"
+        f"failed {kill_row['failed']} of {kill_row['submitted']}"
     )
     return ExperimentResult(
         experiment="transport_multicore",

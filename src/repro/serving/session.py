@@ -136,5 +136,5 @@ class ServingSession(ControlPlane):
             len(m.records), w.batches, wall_s, len(m.records) / span if span > 0 else 0.0,
             w.served / w.batches if w.batches else 0.0, _percentile(queues, 50) * 1e3,
             *(_percentile(latencies, p) * 1e3 for p in (50, 90, 99)),
-            self.salo.cache_info(), m.rejected,
+            self.salo.cache_info(), sum(self.rejected.values()),
         )

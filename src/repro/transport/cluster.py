@@ -235,9 +235,16 @@ class TransportCluster(ControlPlane):
         requests: Sequence[AttentionRequest],
         tick: Optional[Callable[["TransportCluster", float], None]] = None,
     ) -> ClusterReport:
-        """Serve ``requests`` to completion; reduce to a ClusterReport."""
+        """Serve ``requests`` to completion; reduce to a ClusterReport.
+        Refuses, before admitting any, an id the burst repeats or the plane holds."""
         if self._closed:
             raise TransportClosed("cluster already closed")
+        seen = set()
+        for rid in (request.request_id for request in requests):
+            if rid in seen or rid in self._routed:
+                why = "repeats within the burst" if rid in seen else "is still live on the plane"
+                raise ValueError(f"request id {rid!r} {why}")
+            seen.add(rid)
         executor = self.executor
         executor.give_up_at = executor.now() + self.config.drain_timeout_s
         for request in requests:

@@ -4,21 +4,19 @@ These pin the laws the serving/cluster stack relies on, across randomly
 drawn scenarios — any arrival timing, any batch policy, any admission
 mode, any worker count:
 
-* **Conservation** — every submitted request ends in exactly one of
-  {completed, rejected, shed}; nothing is double-counted, nothing is
-  lost, nothing is left queued after a drained run.
+* **The event laws** — the ``drive`` fixture checks every run's event
+  stream with :func:`repro.cluster.events.check`: conservation per run
+  and per SLO class, exactly one terminal outcome per request, no steal
+  of work in flight, a launch completes at most once and, with
+  ``drop_expired``, no completed request had expired at dispatch.  Under
+  any drawn mix of crash / straggler / transient fault specs the same
+  laws hold with ``failed`` as a fourth terminal bucket.
 * **Batch integrity** — every dispatched batch is same-plan (one group
   key) and never exceeds ``max_batch_size``.
 * **EDF order** — over a static queue, successive EDF batches are
   non-decreasing in urgency.
-* **Shedding law** — with ``drop_expired``, no completed request had
-  already missed its deadline at dispatch time.
 * **Determinism** — the same drawn scenario, rebuilt from scratch,
   yields a byte-identical ``ClusterReport.render()``.
-* **Fault conservation** — under any drawn mix of crash / straggler /
-  transient fault specs the law widens to four terminal buckets
-  (``submitted == completed + rejected + shed + failed``), per run and
-  per SLO class, and a drained run still leaves nothing queued or lost.
 * **Empty-injector identity** — carrying a ``FaultInjector([])`` (armed
   but with no specs) is byte-identical to carrying no injector at all:
   zero extra events, zero RNG draws.
@@ -257,34 +255,32 @@ class _RecordingClock(CostModelClock):
         return super().service_s(worker, batch, cold)
 
 
-class TestConservation:
+class TestLaws:
     @given(scenario(EVERY_EXECUTOR))
     @settings(max_examples=40)
-    def test_submitted_equals_completed_plus_rejected_plus_shed(self, drive, sc):
+    def test_every_scenario_keeps_the_laws(self, drive, sc):
+        """``drive`` checks the laws; every drawn request reached the door
+        and a drained run leaves nothing queued."""
         sim, report = _run(drive, sc)
-        assert report.submitted == len(sc["requests"])
-        assert report.submitted == report.completed + report.rejected + report.shed
-        assert sim.pool.pending == 0  # a drained run leaves nothing queued
-        # Per-class conservation too: arrivals of each class are fully
-        # accounted by that class's own outcomes.
-        by_class = {}
-        for req in sc["requests"]:
-            by_class[req.slo_class] = by_class.get(req.slo_class, 0) + 1
-        for cls in report.classes:
-            assert cls.submitted == by_class[cls.name]
+        assert report.submitted == len(sc["requests"]) and sim.pool.pending == 0
+
+    @given(faulty_scenario(EVERY_EXECUTOR))
+    @settings(max_examples=40, deadline=None)
+    def test_the_laws_hold_under_any_fault_mix(self, drive, sc):
+        """Crashes, stragglers and transient errors may *fail* requests,
+        and nothing is left queued, in flight or orphaned."""
+        sim, report = _run(drive, sc, faults=FaultInjector(sc["faults"], seed=13))
+        assert report.submitted == len(sc["requests"]) and sim.pool.pending == 0
 
     @given(scenario(EVERY_EXECUTOR))
     @settings(max_examples=40)
-    def test_no_request_double_counted(self, drive, sc):
-        sim, report = _run(drive, sc)
-        completed_ids = [r.request_id for r in sim.metrics.records]
-        dropped_ids = [d.request_id for d in sim.metrics.drops]
-        assert len(completed_ids) == len(set(completed_ids))
-        assert len(dropped_ids) == len(set(dropped_ids))
-        assert not set(completed_ids) & set(dropped_ids)
-        assert set(completed_ids) | set(dropped_ids) == {
-            r.request_id for r in sc["requests"]
-        }
+    def test_drop_expired_keeps_the_shedding_law(self, drive, sc):
+        """With shedding forced on, ``drive`` checks that nobody already
+        doomed was served; best-effort requests are never shed."""
+        sc = dict(sc)
+        sc["policy"] = (sc["policy"][0], True)
+        sim, _ = _run(drive, sc)
+        assert all(d.deadline_s is not None for d in sim.metrics.drops if d.kind == "shed")
 
 
 class TestBatchIntegrity:
@@ -351,22 +347,6 @@ class TestEDFOrder:
         assert taken == expected
 
 
-class TestSheddingLaw:
-    @given(scenario(EVERY_EXECUTOR))
-    @settings(max_examples=40)
-    def test_drop_expired_completions_feasible_at_dispatch(self, drive, sc):
-        """With shedding on, nobody who was already doomed got served."""
-        sc = dict(sc)
-        sc["policy"] = (sc["policy"][0], True)  # force drop_expired
-        sim, report = _run(drive, sc)
-        for rec in sim.metrics.records:
-            if rec.deadline_s is not None:
-                assert rec.dispatch_s < rec.arrival_s + rec.deadline_s
-        for drop in sim.metrics.drops:
-            if drop.kind == "shed":
-                assert drop.deadline_s is not None  # best-effort never sheds
-
-
 class TestDeterminism:
     @given(scenario())
     @settings(max_examples=10)
@@ -377,42 +357,7 @@ class TestDeterminism:
         assert first.to_dict() == second.to_dict()
 
 
-class TestFaultConservation:
-    @given(faulty_scenario(EVERY_EXECUTOR))
-    @settings(max_examples=40, deadline=None)
-    def test_four_way_conservation_under_any_fault_mix(self, drive, sc):
-        """Crashes, stragglers and transient errors may *fail* requests,
-        but every submitted request still lands in exactly one terminal
-        bucket — per run and per SLO class — and a drained run leaves
-        nothing queued, in flight, or orphaned."""
-        sim, report = _run(drive, sc, faults=FaultInjector(sc["faults"], seed=13))
-        assert report.submitted == len(sc["requests"])
-        assert report.submitted == (
-            report.completed + report.rejected + report.shed + report.failed
-        )
-        assert sim.pool.pending == 0
-        by_class = {}
-        for req in sc["requests"]:
-            by_class[req.slo_class] = by_class.get(req.slo_class, 0) + 1
-        for cls in report.classes:
-            assert cls.submitted == by_class[cls.name]
-            assert cls.submitted == (
-                cls.completed + cls.rejected + cls.shed + cls.failed
-            )
-
-    @given(faulty_scenario(EVERY_EXECUTOR))
-    @settings(max_examples=25, deadline=None)
-    def test_no_request_double_counted_under_faults(self, drive, sc):
-        sim, report = _run(drive, sc, faults=FaultInjector(sc["faults"], seed=13))
-        completed_ids = [r.request_id for r in sim.metrics.records]
-        dropped_ids = [d.request_id for d in sim.metrics.drops]
-        assert len(completed_ids) == len(set(completed_ids))
-        assert len(dropped_ids) == len(set(dropped_ids))
-        assert not set(completed_ids) & set(dropped_ids)
-        assert set(completed_ids) | set(dropped_ids) == {
-            r.request_id for r in sc["requests"]
-        }
-
+class TestFaultDeterminism:
     @given(faulty_scenario())
     @settings(max_examples=10, deadline=None)
     def test_same_faulty_scenario_byte_identical_report(self, drive, sc):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import MetricsCollector, RequestRecord, jain_index
+from repro.cluster.events import ARRIVE, DONE, REJECT, SHED
 from repro.patterns.library import longformer_pattern
 from repro.serving import AttentionRequest
 
@@ -30,6 +31,14 @@ def _record(rid, slo="default", arrival=0.0, dispatch=1e-3, complete=2e-3, deadl
     )
 
 
+def _collect(*events):
+    """A collector that folded ``(kind, t, request or record)`` events."""
+    collector = MetricsCollector()
+    for kind, t, payload in events:
+        collector.fold(kind, t, payload.request_id, payload=payload)
+    return collector
+
+
 def _finite(report):
     values = [
         report.throughput_rps, report.goodput_rps, report.deadline_met_rate,
@@ -46,7 +55,7 @@ def _finite(report):
 
 class TestReportEdges:
     def test_empty_run(self):
-        report = MetricsCollector().report(workers=[], steals=0)
+        report = MetricsCollector().report(workers=[])
         assert report.completed == 0 and report.submitted == 0
         _finite(report)
         assert report.render()
@@ -54,11 +63,10 @@ class TestReportEdges:
     def test_all_rejected_run(self):
         """Zero completions but nonzero submissions: the admission
         policy turned everything away."""
-        collector = MetricsCollector()
-        for i in range(5):
-            collector.note_arrival(i * 1e-3)
-            collector.note_rejection(_request(i, slo="gold", deadline=1e-3), i * 1e-3)
-        report = collector.report(workers=[], steals=0)
+        requests = [_request(i, slo="gold", deadline=1e-3) for i in range(5)]
+        report = _collect(
+            *((kind, i * 1e-3, r) for i, r in enumerate(requests) for kind in (ARRIVE, REJECT))
+        ).report(workers=[])
         assert report.submitted == 5 and report.completed == 0
         assert report.rejected == 5 and report.shed == 0
         _finite(report)
@@ -70,10 +78,8 @@ class TestReportEdges:
         assert report.render()
 
     def test_single_sample_class(self):
-        collector = MetricsCollector()
-        collector.note_arrival(0.0)
-        collector.note_completion(_record(0, slo="lone", deadline=1.0))
-        report = collector.report(workers=[], steals=0)
+        record = _record(0, slo="lone", deadline=1.0)
+        report = _collect((ARRIVE, 0.0, record), (DONE, 2e-3, record)).report(workers=[])
         lone = report.class_report("lone")
         assert lone.completed == 1
         assert lone.latency_p50_ms == lone.latency_p99_ms  # one sample
@@ -81,12 +87,10 @@ class TestReportEdges:
         _finite(report)
 
     def test_mixed_completed_and_shed_class(self):
-        collector = MetricsCollector()
-        for t in (0.0, 1e-3):
-            collector.note_arrival(t)
-        collector.note_completion(_record(0, slo="gold", deadline=1.0))
-        collector.note_shed(_request(1, slo="gold", deadline=1e-3), 2e-3)
-        report = collector.report(workers=[], steals=0)
+        record, shed = _record(0, slo="gold", deadline=1.0), _request(1, slo="gold", deadline=1e-3)
+        report = _collect(
+            (ARRIVE, 0.0, record), (ARRIVE, 1e-3, shed), (DONE, 2e-3, record), (SHED, 2e-3, shed)
+        ).report(workers=[])
         gold = report.class_report("gold")
         assert (gold.completed, gold.rejected, gold.shed) == (1, 0, 1)
         assert gold.submitted == 2
@@ -94,11 +98,10 @@ class TestReportEdges:
         assert "shed 1" in report.render()
 
     def test_goodput_shares_sum_to_one_when_anything_met(self):
-        collector = MetricsCollector()
-        for i, slo in enumerate(("a", "a", "b")):
-            collector.note_arrival(i * 1e-3)
-            collector.note_completion(_record(i, slo=slo, deadline=1.0))
-        report = collector.report(workers=[], steals=0)
+        records = [_record(i, slo=slo, deadline=1.0) for i, slo in enumerate(("a", "a", "b"))]
+        report = _collect(
+            *((kind, i * 1e-3, r) for i, r in enumerate(records) for kind in (ARRIVE, DONE))
+        ).report(workers=[])
         assert sum(c.goodput_share for c in report.classes) == pytest.approx(1.0)
 
 

@@ -4,16 +4,19 @@ A change to the queues, the policies or the control plane that means to
 keep behaviour reproduces every number of every report here; one that
 means to move them re-pins.  The three ``cluster_sim`` benchmark
 scenarios (seed 0, at 600 requests), one overloaded row per batch
-policy, and one crash + rejoin row.
+policy, and one crash + rejoin row — whose event stream is pinned too,
+per kind.
 """
 
 import functools
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
 from repro.cluster import (
+    ClusterSimulator,
     CostModelClock,
     CrashSpec,
     EDFPolicy,
@@ -31,6 +34,7 @@ from repro.cluster import (
     service_scales,
     simulate,
 )
+from repro.cluster.events import check
 from repro.experiments import faults, overload
 
 _REQUESTS = 600
@@ -169,3 +173,18 @@ def test_report_is_byte_identical(name):
     report = simulate(source, config)
     assert report.submitted == report.completed + report.rejected + report.shed + report.failed
     assert _digest(report) == want
+
+
+def test_the_crash_rejoin_stream_is_pinned_per_kind():
+    """It retries, requeues and steals; the collector folded every event,
+    and the stream keeps the plane's laws."""
+    source, config = _crash_rejoin()
+    sim, events = ClusterSimulator(config), []
+    sim.listen(events.append)
+    sim.run(source)
+    kinds = Counter(event.kind for event in events)
+    assert kinds == {
+        "arrive": 600, "launch": 62, "launch-complete": 62, "done": 420, "shed": 180,
+        "retry": 8, "requeue": 62, "steal": 4,
+    }
+    assert Counter(sim.metrics.counts) == kinds and not check(events, drop_expired=True)

@@ -355,8 +355,7 @@ class TestStealNeverTouchesInflight:
         victim, thief = pool.workers
         batch = self._dispatch_batch(victim, first_rid=0)
         assert victim.busy and victim.queue.pending == 0
-        assert pool.steal_into(thief, now=0.0) == 0
-        assert pool.steals == 0 and thief.stolen_in == 0
+        assert pool.steal_into(thief, now=0.0) is None
         assert thief.queue.pending == 0
         # The executing batch is intact: same requests, same order.
         assert [r.request_id for r in batch.requests] == [0, 1, 2, 3]
@@ -370,8 +369,9 @@ class TestStealNeverTouchesInflight:
         queued = [_request(rid) for rid in range(4, 10)]
         for r in queued:
             victim.queue.enqueue(r)
-        moved = pool.steal_into(thief, now=0.0)
-        assert moved == 4  # capped at the thief's max_batch_size
+        robbed, stolen = pool.steal_into(thief, now=0.0)
+        moved = len(stolen)
+        assert robbed is victim and moved == 4  # capped at the thief's max_batch_size
         inflight_ids = {r.request_id for r in batch.requests}
         stolen_ids = {
             r.request_id for _, group in thief.queue.group_items() for r in group
@@ -380,18 +380,18 @@ class TestStealNeverTouchesInflight:
         assert stolen_ids <= set(range(4, 10))
         assert victim.queue.pending == len(queued) - moved
 
-    def test_simulation_steals_never_overlap_inflight(self, monkeypatch):
+    def test_simulation_steals_never_overlap_inflight(self):
         """End to end: a burst saturates the affine worker so the peer
-        repeatedly goes idle mid-victim-service and steals.  Every
-        stolen request id must be disjoint from the simulator's
-        in-flight table at the moment of the steal."""
+        repeatedly goes idle mid-victim-service and steals; the event
+        checker's steal law holds (no stolen request was in flight)."""
+        from repro.cluster.events import STEAL, check
         from repro.cluster.simulator import ClusterSimulator
 
         spec = WorkloadSpec(
             num_requests=48, n=64, window=8, heads=2, head_dim=4, mixed=False, seed=9
         )
         source = open_loop(spec, PoissonProcess(rate_rps=5e6))
-        sim = ClusterSimulator(
+        sim, events = ClusterSimulator(
             SimConfig(
                 workers=2,
                 max_batch_size=4,
@@ -399,36 +399,9 @@ class TestStealNeverTouchesInflight:
                 policy=GreedyFIFOPolicy(),
                 salo_factory=_small_salo,
             )
-        )
-        overlaps = []
-        steals_seen = []
-        real_steal_into = type(sim.pool).steal_into
-
-        def queued_ids(worker):
-            return {
-                r.request_id
-                for _, group in worker.queue.group_items()
-                for r in group
-            }
-
-        def checked_steal_into(pool, thief, now):
-            before = queued_ids(thief)
-            moved = real_steal_into(pool, thief, now)
-            if moved:
-                gained = queued_ids(thief) - before
-                inflight = {
-                    r.request_id
-                    for worker in sim.pool.workers
-                    for batch, _, _ in worker.launched.values()
-                    for r in batch.requests
-                }
-                steals_seen.append(moved)
-                if gained & inflight:
-                    overlaps.append(gained & inflight)
-            return moved
-
-        monkeypatch.setattr(type(sim.pool), "steal_into", checked_steal_into)
+        ), []
+        sim.listen(events.append)
         report = sim.run(source)
-        assert steals_seen, "burst never triggered a steal; scenario broken"
-        assert not overlaps, f"steal touched in-flight requests: {overlaps}"
+        assert any(e.kind == STEAL for e in events), "burst never triggered a steal; scenario broken"
+        assert not check(events)
         assert report.submitted == report.completed  # nothing lost in transit

@@ -90,7 +90,8 @@ def small_config() -> HardwareConfig:
 
 def _drive(executor, requests, *, faults=None, service=None, tick=None, transports=None, **knobs):
     """Serve ``requests`` to completion on one executor of the control
-    plane; returns ``(plane, report)``.
+    plane, assert the plane's laws over the run's events
+    (:func:`repro.cluster.events.check`); returns ``(plane, report)``.
 
     ``"simulated"`` is :class:`~repro.cluster.ClusterSimulator` on 4x4
     engines (virtual time; requests keep their ``arrival_s``);
@@ -113,9 +114,11 @@ def _drive(executor, requests, *, faults=None, service=None, tick=None, transpor
         OpenLoopSource,
         SimConfig,
     )
+    from repro.cluster.events import check
     from repro.core.salo import SALO
     from repro.transport import TransportCluster, TransportClusterConfig
 
+    events = []
     if executor == "simulated":
         plane = ClusterSimulator(
             SimConfig(
@@ -125,24 +128,29 @@ def _drive(executor, requests, *, faults=None, service=None, tick=None, transpor
                 **knobs,
             )
         )
-        return plane, plane.run(OpenLoopSource(requests))
-    crashes = sorted(
-        (s.at_s, s.worker)
-        for s in (faults.specs if faults is not None else ())
-        if isinstance(s, CrashSpec)
-    )
-    started = {}
+        plane.listen(events.append)
+        report = plane.run(OpenLoopSource(requests))
+    else:
+        crashes = sorted(
+            (s.at_s, s.worker)
+            for s in (faults.specs if faults is not None else ())
+            if isinstance(s, CrashSpec)
+        )
+        started = {}
 
-    def chaos(cluster, now):
-        t0 = started.setdefault("s", now)
-        while crashes and now - t0 >= crashes[0][0]:
-            cluster.kill_worker(crashes.pop(0)[1])
-        if tick is not None:
-            tick(cluster, now)
+        def chaos(cluster, now):
+            t0 = started.setdefault("s", now)
+            while crashes and now - t0 >= crashes[0][0]:
+                cluster.kill_worker(crashes.pop(0)[1])
+            if tick is not None:
+                tick(cluster, now)
 
-    config = TransportClusterConfig(driver=executor, **knobs)
-    with TransportCluster(config, transports=transports) as plane:
-        return plane, plane.run(requests, tick=chaos)
+        config = TransportClusterConfig(driver=executor, **knobs)
+        with TransportCluster(config, transports=transports) as plane:
+            plane.listen(events.append)
+            report = plane.run(requests, tick=chaos)
+    assert not check(events, getattr(knobs.get("policy"), "drop_expired", False))
+    return plane, report
 
 
 @pytest.fixture(scope="session")

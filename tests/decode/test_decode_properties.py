@@ -2,11 +2,12 @@
 
 * **Token conservation** — across any drawn decode-cluster scenario
   (arrival mix, lane widths, admission policy, transient faults, a
-  straggler window), every admitted sequence's target tokens end in
-  exactly one of {completed, shed, failed}; sequences obey the four-way
-  law, each with exactly one terminal outcome; the workers' token counts
-  add up to the completed tokens; a drained run leaves nothing in flight
-  and nothing per sequence on the control plane's books.
+  straggler window), the run's events keep the plane's laws
+  (:func:`repro.cluster.events.check`: the four-way sequence law, one
+  terminal outcome per sequence, a completed sequence served exactly its
+  target tokens and any other fewer, no step for a shed or failed lane);
+  the workers' token counts add up to the completed tokens; a drained
+  run leaves nothing per sequence on the control plane's books.
 * **Continuous-batching determinism** — joining and retiring mid-batch
   is unobservable: for banded patterns every sequence's outputs are
   bit-identical to decoding it alone, for *any* lane width and any
@@ -18,9 +19,9 @@
   They are instead covered by the rerun-determinism property, which
   pins that the batched numbers themselves are reproducible.
 * **Conservation through the real front** — with poisoned token
-  sources over two structures, every submitted sequence ends exactly
-  once, in ``completed`` or ``failed``, and the control plane under
-  :class:`DecodeScheduler` counts the same.
+  sources over two structures, the laws hold on
+  :class:`DecodeScheduler`'s events and every submitted sequence ends in
+  ``completed`` or ``failed``.
 
 Scenarios are tiny (4x4 PE array, prompts <= 12, budgets <= 6) — the
 laws are about bookkeeping and bit-stability, not scale.
@@ -43,6 +44,7 @@ from repro.cluster import (
     TransientSpec,
     make_admission,
 )
+from repro.cluster.events import check
 from repro.core.config import HardwareConfig
 from repro.core.salo import SALO
 from repro.decode import DecodeRequest, DecodeScheduler, DecodeSession, default_next_token
@@ -124,32 +126,17 @@ class TestTokenConservation:
     @settings(max_examples=30, deadline=None)
     def test_every_admitted_token_has_exactly_one_fate(self, scenario):
         spec, config = scenario
-        sim = DecodeClusterSimulator(config)
+        sim, events = DecodeClusterSimulator(config), []
+        sim.listen(events.append)
         report = sim.run(spec)
-        # every drawn sequence has exactly one terminal outcome
-        outcomes = [r.request_id for r in sim.metrics.records]
-        outcomes += [d.request_id for d in sim.metrics.drops]
-        assert sorted(outcomes) == sorted(s.request_id for s in spec.draw())
+        assert not check(events) and report.submitted == spec.sequences
         # the workers' own token counts are the completed tokens
         assert sum(w["tokens"] for w in report.workers) == report.tokens_completed
         # nothing per sequence outlives the run on the control plane
         assert not sim._attempts and not sim._routed
-        # sequence-level four-way law
-        assert report.submitted == spec.sequences
-        assert report.submitted == (
-            report.completed + report.rejected + report.shed + report.failed
-        )
-        # token-level law: no token double-counted, none lost
-        assert report.tokens_target_admitted == (
-            report.tokens_completed + report.tokens_shed + report.tokens_failed
-        )
-        # rejected sequences contribute no tokens at all
-        trace = spec.draw()
-        total_target = sum(s.target_tokens for s in trace)
-        assert report.tokens_target_admitted <= total_target
         # a fully admitted run admits every target token
         if report.rejected == 0:
-            assert report.tokens_target_admitted == total_target
+            assert report.tokens_target_admitted == sum(s.target_tokens for s in spec.draw())
 
     @given(cluster_scenario())
     @settings(max_examples=10, deadline=None)
@@ -275,13 +262,13 @@ class TestJoinRetireDeterminism:
     @settings(max_examples=15, deadline=None)
     def test_every_submitted_sequence_has_exactly_one_fate(self, scenario):
         """Through the real front, with poisoned token sources over two
-        band structures: every id ends once, in ``completed`` or
-        ``failed``; the plane's metrics agree (``submitted == completed +
-        failed``, nothing left routed); ``tokens`` is the number of output
-        rows produced; lanes that never met their poison equal their solo
-        outputs."""
+        band structures: the laws hold, every id ends in ``completed`` or
+        ``failed`` and nothing is left routed; ``tokens`` is the number of
+        output rows produced; lanes that never met their poison equal
+        their solo outputs."""
         requests, rows, joins, max_lanes = scenario
-        sched = DecodeScheduler(salo=_salo(), max_lanes=max_lanes)
+        sched, events = DecodeScheduler(salo=_salo(), max_lanes=max_lanes), []
+        sched.listen(events.append)
         pending = list(zip(joins, requests))
         step = 0
         while pending or sched.queued or sched.active:
@@ -289,12 +276,8 @@ class TestJoinRetireDeterminism:
                 sched.submit(pending.pop(0)[1])
             sched.step()
             step += 1
-        ids = {r.request_id for r in requests}
-        assert set(sched.completed) | set(sched.failed) == ids
-        assert not set(sched.completed) & set(sched.failed)
-        m = sched.metrics
-        assert m.submitted == len(ids) == len(m.records) + m.failed
-        assert m.rejected == m.shed == 0 and not sched._routed
+        assert not check(events) and not sched._routed
+        assert set(sched.completed) | set(sched.failed) == {r.request_id for r in requests}
         produced = sum(len(out) for out in sched.completed.values())
         produced += sum(rows[rid] for rid in sched.failed)
         assert sched.tokens == produced == sum(rows.values())

@@ -1,9 +1,11 @@
-"""transport_multicore experiment: registry, row mechanics, conservation.
+"""transport_multicore experiment: registry, row mechanics, the laws.
 
 The full experiment (worker ladder + chaos row) runs real processes and
 belongs to `make transport-smoke`; the tier-1 checks here keep to the
 cheap single-process rows, one single-worker multiprocess row (the
-warm-up contract) and the plumbing the experiment relies on.
+warm-up contract) and the plumbing the experiment relies on.  ``run_row``
+checks every row's events against the plane's laws and raises on a
+broken one.
 """
 
 from repro.experiments import all_experiments
@@ -23,9 +25,6 @@ class TestRows:
     def test_inprocess_row_conserves_and_completes(self):
         report = run_row("inprocess", 1, num_requests=8)
         assert report.submitted == report.completed == 8
-        assert report.submitted == (
-            report.completed + report.rejected + report.shed + report.failed
-        )
         assert report.makespan_s > 0 and report.throughput_rps > 0
 
     def test_edf_shed_row_sheds_the_doomed_half_and_conserves(self):
@@ -34,11 +33,6 @@ class TestRows:
         report = run_row("inprocess", 2, num_requests=8, shed=True)
         assert report.shed == 4 and report.completed == 4
         assert report.rejected == report.failed == 0
-        assert report.submitted == 8 == (
-            report.completed + report.rejected + report.shed + report.failed
-        )
-        for cls in report.classes:
-            assert cls.submitted == cls.completed + cls.rejected + cls.shed + cls.failed
 
     def test_warm_up_covers_the_trace_so_traffic_never_compiles(self):
         """Workers pre-compile at the trace's own head_dim: after the run

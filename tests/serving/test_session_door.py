@@ -5,9 +5,10 @@ band structures and lengths, with ``pad_to_bucket`` on and off, through
 a :class:`~repro.serving.QueueDepthCap` door:
 
 * ``step`` runs at most one batch and leaves nothing in flight;
-* after the final ``drain`` nothing is pending, and every submission is
-  either completed or rejected;
-* no request id completes twice;
+* after the final ``drain`` nothing is pending, the session's events
+  keep the plane's laws (:func:`repro.cluster.events.check`: every
+  submission ends exactly once, completed or rejected), and the rejected
+  ones are exactly the submissions ``submit`` refused;
 * every output equals a solo ``attend`` of its request — bit for bit
   without padding, to float round-off with it (a padded batch regroups
   the partial softmax).
@@ -15,12 +16,11 @@ a :class:`~repro.serving.QueueDepthCap` door:
 
 from __future__ import annotations
 
-from collections import Counter
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.events import check
 from repro.core.config import HardwareConfig
 from repro.core.salo import SALO
 from repro.patterns.base import Band
@@ -64,6 +64,8 @@ def test_session_door_conserves_and_matches_solo(rounds, pad, max_batch_size, ma
         pad_to_bucket=pad,
         admission=QueueDepthCap(max_depth=max_depth),
     )
+    events = []
+    session.listen(events.append)
     rng = np.random.default_rng(0)
     submitted, admitted = 0, {}
     ops = [op for submits, action in rounds for op in submits + [action]] + [("drain",)]
@@ -87,12 +89,9 @@ def test_session_door_conserves_and_matches_solo(rounds, pad, max_batch_size, ma
             session.drain()
             assert session.pending == 0 and not session.worker.launched
 
-    stats = session.stats()
-    assert stats.completed + stats.rejected == submitted
+    assert not check(events)
     assert sum(session.rejected.values()) == submitted - len(admitted)
     assert set(session.results) == set(admitted)
-    served = Counter(record.request_id for record in session.metrics.records)
-    assert all(count == 1 for count in served.values()) and set(served) == set(admitted)
     for rid, (pattern, q, k, v) in admitted.items():
         solo = _REFERENCE.attend(pattern, q, k, v, heads=_HEADS).output
         got = session.results[rid].output

@@ -275,3 +275,37 @@ def test_stage5_and_the_merges_run_without_part_sized_scratch():
     }
     assert "merge_total" in names  # the walk sees the arena requests
     assert "merge_tmp" not in names, sorted(names)
+
+
+def test_the_plane_books_every_outcome_as_an_event():
+    """Outcomes reach ``MetricsCollector`` only as events it folds: it has
+    no ``note_*`` method, ``ControlPlane._broadcast`` (``_emit`` once a
+    listener is attached) is the one caller of its ``fold`` and every
+    other ``self.metrics`` call is the read-only ``report``, and the plane, pool and workers keep no retry, requeue or
+    steal counter beside the stream."""
+    from repro.cluster import ClusterSimulator
+
+    sources = _sources()
+    collector = next(
+        node
+        for node in ast.walk(sources["cluster/metrics.py"])
+        if isinstance(node, ast.ClassDef) and node.name == "MetricsCollector"
+    )
+    methods = {node.name for node in collector.body if isinstance(node, ast.FunctionDef)}
+    assert "fold" in methods  # the walk sees the collector
+    assert not {m for m in methods if m.lstrip("_").startswith("note_")}, sorted(methods)
+    called = {
+        (name, fn.name, ast.unparse(node.func))
+        for name, tree in sources.items()
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).startswith("self.metrics.")
+    }
+    assert ("cluster/simulator.py", "report", "self.metrics.report") in called  # the walk sees it
+    others = called - {("cluster/simulator.py", "_broadcast", "self.metrics.fold")}
+    assert {call for _, _, call in others} == {"self.metrics.report"}, sorted(others)
+    plane = ClusterSimulator()
+    for obj in (plane, plane.pool, *plane.pool.workers):
+        kept = {"_retries", "_requeues", "steals", "stolen_in"} & set(dir(obj))
+        assert not kept, (type(obj).__name__, kept)
