@@ -32,7 +32,7 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence
 
 import numpy as np
 
-from .events import ARRIVE, DONE, FAIL, KINDS, REJECT, REQUEUE, RETRY, SHED, STEAL
+from .events import ARRIVE, DONE, FAIL, KINDS, REJECT, REQUEUE, RETRY, SHED, STEAL, Event
 
 __all__ = [
     "RequestRecord",
@@ -325,10 +325,9 @@ class MetricsCollector:
         self.first_arrival_s: Optional[float] = None
         self.last_complete_s: float = 0.0
 
-    def fold(self, kind: str, t: float, request: Hashable = None, worker: Optional[int] = None,
-             launch: Optional[int] = None, payload: object = None) -> None:
-        """Take one event, given by its fields (``fold(*event)`` folds an
-        :class:`~repro.cluster.events.Event`), into the records and counters."""
+    def fold(self, event: Event) -> None:
+        """Take one :class:`Event` into the records and counters."""
+        kind, t, request, worker, _, payload = event
         self.counts[kind] += 1
         if kind == ARRIVE:
             if self.first_arrival_s is None or t < self.first_arrival_s:

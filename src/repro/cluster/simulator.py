@@ -270,7 +270,6 @@ class ControlPlane:
         )
         self.metrics = MetricsCollector()
         self._listeners: List[Callable[[Event], None]] = []
-        self._emit = self.metrics.fold  # books one Event's fields; see listen
         self._source = RequestSource()  # closed-loop feedback; none by default
         self._routed: Dict[Hashable, int] = {}  # request id -> routed worker id
         self._timer_armed: Dict[int, float] = {}  # worker id -> armed time
@@ -299,12 +298,11 @@ class ControlPlane:
     def listen(self, listener: Callable[[Event], None]) -> None:
         """Hand ``listener`` every event the plane emits from now on."""
         self._listeners.append(listener)
-        self._emit = self._broadcast
 
-    def _broadcast(self, *fields) -> None:
-        """``_emit`` once someone listens: fold, then hand each the :class:`Event`."""
-        self.metrics.fold(*fields)
+    def _emit(self, *fields) -> None:
+        """Book one :class:`Event`: fold it, then hand it to each listener."""
         event = Event(*fields)
+        self.metrics.fold(event)
         for listener in self._listeners:
             listener(event)
 

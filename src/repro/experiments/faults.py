@@ -23,13 +23,14 @@ process) and differ only in what the cluster does about the crash:
   afterwards.
 
 Committed expectations (asserted at the fixed seed in
-``tests/experiments/test_faults.py``): four-way conservation
-(``submitted == completed + rejected + shed + failed``) on every row
-with zero requests silently lost; ``retry+steal`` goodput recovers at
-least ``RECOVERY_GOODPUT_FLOOR`` (90%) of the no-fault baseline at
-rho 0.8; ``no-retry`` genuinely strands work (``failed > 0``) while both
-recovery modes fail nothing and complete strictly more requests;
-availability dips below 1.0 exactly in the crash modes.
+``tests/experiments/test_faults.py``): the event checker's laws
+(:func:`repro.cluster.events.check`) hold on every row, so zero requests
+are silently lost, and a row that breaks one raises; ``retry+steal``
+goodput recovers at least ``RECOVERY_GOODPUT_FLOOR`` (90%) of the
+no-fault baseline at rho 0.8; ``no-retry`` genuinely strands work
+(``failed > 0``) while both recovery modes fail nothing and complete
+strictly more requests; availability dips below 1.0 exactly in the
+crash modes.
 
 (Goodput — completions per second of makespan — is deliberately *not*
 the axis that separates ``no-retry`` from the recovery modes: dropping
@@ -42,6 +43,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from ..cluster import (
+    ClusterSimulator,
     CostModelClock,
     CrashSpec,
     EDFPolicy,
@@ -52,8 +54,8 @@ from ..cluster import (
     WorkloadSpec,
     open_loop,
     service_scales,
-    simulate,
 )
+from ..cluster.events import check
 from .base import ExperimentResult, register
 from .overload import overload_spec
 
@@ -153,13 +155,14 @@ def run(fast: bool = False, backend: str = "functional") -> ExperimentResult:
     for mode in MODES:
         spec = faults_spec(num_requests, dispatch_s)
         source = open_loop(spec, PoissonProcess(rate_rps=rate))
-        report = simulate(
-            source,
-            mode_config(
-                mode, workers, clock, crash_at_s, down_for_s, unit_s, backend=backend
-            ),
+        config = mode_config(
+            mode, workers, clock, crash_at_s, down_for_s, unit_s, backend=backend
         )
-        accounted = report.completed + report.rejected + report.shed + report.failed
+        sim, events = ClusterSimulator(config), []
+        sim.listen(events.append)
+        report = sim.run(source)
+        if broken := check(events, config.policy.drop_expired):
+            raise RuntimeError(f"{mode} broke the plane's laws: {broken}")
         rows.append(
             {
                 "mode": mode,
@@ -168,7 +171,6 @@ def run(fast: bool = False, backend: str = "functional") -> ExperimentResult:
                 "rejected": report.rejected,
                 "shed": report.shed,
                 "failed": report.failed,
-                "accounted": accounted,
                 "goodput_rps": round(report.goodput_rps),
                 "met_rate": round(report.deadline_met_rate, 4),
                 "retries": report.retries,
@@ -185,8 +187,8 @@ def run(fast: bool = False, backend: str = "functional") -> ExperimentResult:
         f"(amortised unit {unit_s * 1e6:.1f} us); worker 1 crashes at "
         f"{crash_at_s * 1e3:.2f} ms (~{CRASH_AT_FRAC:.0%} of the horizon) and "
         f"rejoins {down_for_s * 1e3:.2f} ms later with a cold plan cache",
-        "conservation: submitted == completed + rejected + shed + failed on "
-        "every row — a crash may *fail* requests but never silently loses one",
+        "the event checker's laws held on every row — a crash may *fail* "
+        "requests but never silently loses one",
         f"recovery claim: retry+steal goodput >= {RECOVERY_GOODPUT_FLOOR:.0%} "
         "of the no-fault baseline",
     ]

@@ -18,6 +18,7 @@ import time
 from collections import Counter
 from typing import Callable, Dict, Hashable, Optional
 
+from ..cluster.events import REJECT
 from ..cluster.metrics import _percentile
 from ..cluster.pool import MeasuredClock
 from ..cluster.simulator import ControlConfig, ControlPlane, SimulatedExecutor
@@ -136,5 +137,5 @@ class ServingSession(ControlPlane):
             len(m.records), w.batches, wall_s, len(m.records) / span if span > 0 else 0.0,
             w.served / w.batches if w.batches else 0.0, _percentile(queues, 50) * 1e3,
             *(_percentile(latencies, p) * 1e3 for p in (50, 90, 99)),
-            self.salo.cache_info(), sum(self.rejected.values()),
+            self.salo.cache_info(), m.counts[REJECT],
         )

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import MetricsCollector, RequestRecord, jain_index
-from repro.cluster.events import ARRIVE, DONE, REJECT, SHED
+from repro.cluster.events import ARRIVE, DONE, REJECT, SHED, Event
 from repro.patterns.library import longformer_pattern
 from repro.serving import AttentionRequest
 
@@ -35,7 +35,7 @@ def _collect(*events):
     """A collector that folded ``(kind, t, request or record)`` events."""
     collector = MetricsCollector()
     for kind, t, payload in events:
-        collector.fold(kind, t, payload.request_id, payload=payload)
+        collector.fold(Event(kind, t, payload.request_id, payload=payload))
     return collector
 
 

@@ -1,9 +1,9 @@
 """The committed fault-tolerance claims (fixed seed, cost-model clock).
 
 The acceptance assertions from the issue, on exactly the workload the
-committed ``faults`` chaos sweep runs: a mid-run worker crash never
-silently loses a request (four-way conservation on every row),
-``retry+steal`` recovers at least 90% of the fault-free goodput at
+committed ``faults`` chaos sweep runs: the sweep checks every row's
+events against the plane's laws (a mid-run worker crash never silently
+loses a request) and raises on a broken one, ``retry+steal`` recovers at least 90% of the fault-free goodput at
 rho 0.8, recovery modes fail nothing while ``no-retry`` permanently
 strands the crashed worker's queue, and disabling faults reproduces the
 fault-free baseline byte for byte.
@@ -11,7 +11,7 @@ fault-free baseline byte for byte.
 
 import pytest
 
-from repro.experiments import get_experiment
+from repro.experiments import faults, get_experiment
 from repro.experiments.faults import MODES, RECOVERY_GOODPUT_FLOOR
 
 
@@ -33,13 +33,12 @@ class TestFaults:
             assert row["goodput_rps"] > 0
             assert row["completed"] > 0
 
-    def test_no_request_silently_lost(self, result):
-        """Four-way conservation: a crash may *fail* requests but every
-        submitted request lands in exactly one terminal bucket."""
-        for row in result.rows:
-            accounted = row["completed"] + row["rejected"] + row["shed"] + row["failed"]
-            assert row["accounted"] == accounted
-            assert row["submitted"] == accounted, (row["mode"], row)
+    def test_a_broken_law_fails_the_sweep(self, monkeypatch):
+        """The sweep's rows stand on the event checker: a law it reports
+        broken stops the sweep at the first row."""
+        monkeypatch.setattr(faults, "check", lambda events, drop_expired: ["planted"])
+        with pytest.raises(RuntimeError, match="no-fault broke the plane's laws"):
+            faults.run(fast=True)
 
     def test_fault_free_baseline_is_clean(self, result):
         base = _by_mode(result)["no-fault"]

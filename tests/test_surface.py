@@ -279,9 +279,9 @@ def test_stage5_and_the_merges_run_without_part_sized_scratch():
 
 def test_the_plane_books_every_outcome_as_an_event():
     """Outcomes reach ``MetricsCollector`` only as events it folds: it has
-    no ``note_*`` method, ``ControlPlane._broadcast`` (``_emit`` once a
-    listener is attached) is the one caller of its ``fold`` and every
-    other ``self.metrics`` call is the read-only ``report``, and the plane, pool and workers keep no retry, requeue or
+    no ``note_*`` method, ``ControlPlane._emit`` is the one caller of its
+    ``fold`` and every other ``self.metrics`` call is the read-only
+    ``report``, and the plane, pool and workers keep no retry, requeue or
     steal counter beside the stream."""
     from repro.cluster import ClusterSimulator
 
@@ -303,7 +303,7 @@ def test_the_plane_books_every_outcome_as_an_event():
         if isinstance(node, ast.Call) and ast.unparse(node.func).startswith("self.metrics.")
     }
     assert ("cluster/simulator.py", "report", "self.metrics.report") in called  # the walk sees it
-    others = called - {("cluster/simulator.py", "_broadcast", "self.metrics.fold")}
+    others = called - {("cluster/simulator.py", "_emit", "self.metrics.fold")}
     assert {call for _, _, call in others} == {"self.metrics.report"}, sorted(others)
     plane = ClusterSimulator()
     for obj in (plane, plane.pool, *plane.pool.workers):
