@@ -48,7 +48,8 @@ way a completion carries each member's own output.
 :class:`ClusterSimulator`, :class:`~repro.transport.cluster.
 TransportCluster`, :class:`~repro.serving.session.ServingSession` and
 :class:`~repro.decode.DecodeScheduler` are thin fronts that pick the
-executor and feed the plane arrivals; routing, admission, batching,
+executor and feed the plane arrivals (as events at their offsets through
+:meth:`ControlPlane._play`, or on ``submit``); routing, admission, batching,
 retry and recovery exist once, here, and every outcome they decide is
 one :mod:`~repro.cluster.events` event: the report is the collector's
 fold over them, and :func:`~repro.cluster.events.check` states the laws
@@ -101,7 +102,7 @@ __all__ = [
 ]
 
 _ARRIVE, _COMPLETE, _TIMER = 0, 1, 2
-_EXPIRE, _CRASH, _REJOIN, _PROBE, _RETRY = 3, 4, 5, 6, 7
+_EXPIRE, _CRASH, _REJOIN, _PROBE, _RETRY, _GIVE_UP = 3, 4, 5, 6, 7, 8
 _MIN_TIMER_STEP = 1e-9  # forward progress guard for degenerate timers
 
 # What one heartbeat probe can establish about a worker.
@@ -178,6 +179,9 @@ class Executor:
         ``served`` one ``(output, result)`` per member or ``None``."""
         self.schedule(t, _COMPLETE, (worker, launch_id, failed, service_s, served))
 
+    def schedule_faults(self) -> None:
+        """Put the fault model's crash and rejoin instants on the heap."""
+
     def cancel_all(self) -> List[Tuple[float, int, int, object]]:
         """Empty the heap; returns what was on it."""
         events, self._heap = self._heap, []
@@ -224,7 +228,6 @@ class SimulatedExecutor(Executor):
         self.batch_overhead_s = getattr(service, "batch_overhead_s", 0.0)
 
     def schedule_faults(self) -> None:
-        """Put the injector's crash and rejoin instants on the heap."""
         if self.injector is not None:
             for t, wid in self.injector.crash_events():
                 self.schedule(t, _CRASH, wid)
@@ -257,7 +260,7 @@ class SimulatedExecutor(Executor):
 class ControlPlane:
     """Routing, batching, retry, recovery and accounting over a pool.
 
-    Subclasses build ``self.executor`` and feed arrivals.
+    Subclasses build ``self.executor`` and feed arrivals (:meth:`_play`).
     """
 
     def __init__(self, config: ControlConfig, **engine) -> None:
@@ -291,7 +294,7 @@ class ControlPlane:
         self._probing = False  # a heartbeat sweep is on the heap
         self._handlers = (  # indexed by event kind
             self._on_arrive, self._on_complete, self._on_timer, self._on_expire,
-            self._on_crash, self._on_rejoin, self._on_probe, self._place,
+            self._on_crash, self._on_rejoin, self._on_probe, self._place, self._fail_outstanding,
         )
 
     # ------------------------------------------------------------------
@@ -597,7 +600,7 @@ class ControlPlane:
         else:
             self._probing = False
 
-    def _fail_outstanding(self, now: float) -> None:
+    def _fail_outstanding(self, _, now: float) -> None:
         """An executor's drain guard expired: fail whatever is still
         queued, launched or backing off."""
         stranded = [p for _, _, kind, p in self.executor.cancel_all() if kind == _RETRY]
@@ -630,6 +633,22 @@ class ControlPlane:
             self._handlers[kind](payload, t)
             self._balance(t)
 
+    def _play(self, source: RequestSource, now: float = 0.0, tick=None) -> None:
+        """Feed ``source`` to the plane, each arrival at ``now + arrival_s`` (its new stamp),
+        and handle events until none are left; every submitted request must have an outcome."""
+        self._source = source
+        for req in source.initial():
+            req.arrival_s = now + req.arrival_s
+            self.executor.schedule(req.arrival_s, _ARRIVE, req)
+        self.executor.schedule_faults()
+        self._drive(now, tick)
+        if self.metrics.outstanding:  # pragma: no cover - policy bug guard
+            raise RuntimeError(
+                f"the plane drained its event heap with {self.metrics.outstanding} "
+                "requests queued, in flight or holding a lane (policy never "
+                "closed a batch, or recovery never ran)"
+            )
+
     def report(self) -> ClusterReport:
         """Everything served so far, reduced to a :class:`ClusterReport`."""
         return self.metrics.report(self.pool.workers, cache_info=self.executor.cache_info)
@@ -649,21 +668,6 @@ class ClusterSimulator(ControlPlane):
         """Drive the event loop until every queued request completed."""
         self._play(source)
         return self.report()
-
-    def _play(self, source: RequestSource) -> None:
-        """Feed ``source`` to the plane and handle events until none are
-        left; every submitted request must have reached an outcome."""
-        self._source = source
-        for req in source.initial():
-            self.executor.schedule(req.arrival_s, _ARRIVE, req)
-        self.executor.schedule_faults()
-        self._drive(0.0)
-        if self.metrics.outstanding:  # pragma: no cover - policy bug guard
-            raise RuntimeError(
-                f"simulation drained its event heap with {self.metrics.outstanding} "
-                "requests queued, in flight or holding a lane (policy never "
-                "closed a batch, or recovery never ran)"
-            )
 
 
 def simulate(source: RequestSource, config: Optional[SimConfig] = None) -> ClusterReport:

@@ -15,9 +15,10 @@ heap or a process that was *actually* ``kill -9``'d.
 
 Three things hold for real workers by construction, not by option:
 
-* a burst handed to :meth:`TransportCluster.run` is admitted and
-  enqueued **whole** before the first policy consultation (batching it
-  as it trickles in would serve singletons);
+* an arrival arms its worker's consultation for the next instant, so
+  every arrival already due is admitted first: a burst handed to
+  :meth:`TransportCluster.run` (all offsets 0) is batched **whole**
+  (consulting as it trickles in would serve singletons);
 * a worker holds up to ``max_inflight_per_worker`` batches, so the
   parent packs batch k+1 while the worker runs batch k;
 * a busy single-threaded worker cannot answer pings mid-batch, so only
@@ -37,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..api import CapabilityError, backend_spec
+from ..cluster.arrivals import OpenLoopSource
 from ..cluster.faults import RecoveryConfig
 from ..cluster.metrics import ClusterReport, MetricsCollector
 from ..cluster.pool import Worker
@@ -44,6 +46,8 @@ from ..cluster.simulator import (
     PROBE_ANSWERED,
     PROBE_DEAD,
     PROBE_SILENT,
+    _ARRIVE,
+    _GIVE_UP,
     ControlConfig,
     ControlPlane,
     Executor,
@@ -147,19 +151,19 @@ class TransportExecutor(Executor):
         return time.perf_counter() - self._t0
 
     def next_event(self):
-        """The next due timer or harvested completion.  Stale timers are
-        not worth real time: the run ends once nothing is outstanding —
-        or at ``give_up_at``, with the front failing what is left."""
-        while self._metrics.outstanding:
+        """The next due event or harvested completion; ``None`` once nothing is outstanding
+        and no arrival is scheduled (stale timers are not worth real time).  Past
+        ``give_up_at``, what fell due before it comes first, then one give-up event."""
+        while self._metrics.outstanding or any(e[2] == _ARRIVE for e in self._heap):
             now = self.now()
-            if now > self.give_up_at:
-                break
             wait = self._poll_s
             if self._heap:
-                if self._heap[0][0] <= now:
+                if self._heap[0][0] <= min(now, self.give_up_at):
                     _, _, kind, payload = heapq.heappop(self._heap)
                     return now, kind, payload
                 wait = min(wait, self._heap[0][0] - now)
+            if now > self.give_up_at:
+                return now, _GIVE_UP, None
             busy = [w for w in self._workers if w.launched]
             for worker in busy:
                 for done in worker.transport.poll(wait):
@@ -235,28 +239,28 @@ class TransportCluster(ControlPlane):
         requests: Sequence[AttentionRequest],
         tick: Optional[Callable[["TransportCluster", float], None]] = None,
     ) -> ClusterReport:
-        """Serve ``requests`` to completion; reduce to a ClusterReport.
-        Refuses, before admitting any, an id the burst repeats or the plane holds."""
+        """Serve ``requests``, each ``arrival_s`` into the call; reduce to a ClusterReport.
+        Refuses up front a repeated or live id, or an offset outside [0, drain_timeout_s)."""
         if self._closed:
             raise TransportClosed("cluster already closed")
-        seen = set()
-        for rid in (request.request_id for request in requests):
+        seen, drain = set(), self.config.drain_timeout_s
+        for rid, offset in ((r.request_id, r.arrival_s) for r in requests):
             if rid in seen or rid in self._routed:
                 why = "repeats within the burst" if rid in seen else "is still live on the plane"
                 raise ValueError(f"request id {rid!r} {why}")
+            if not 0.0 <= offset < drain:
+                raise ValueError(f"request id {rid!r} arrives at offset {offset!r} s, "
+                                 f"outside [0, drain_timeout_s={drain!r})")
             seen.add(rid)
-        executor = self.executor
-        executor.give_up_at = executor.now() + self.config.drain_timeout_s
-        for request in requests:
-            request.arrival_s = executor.now()
-            self._admit(request, request.arrival_s)
-        now = executor.now()
-        for worker in self.states:
-            self._arm_timer(worker, now, now)  # first consultation: burst is in
-        self._drive(now, tick)
-        if self.metrics.outstanding:  # drain_timeout_s expired
-            self._fail_outstanding(executor.now())
+        now = self.executor.now()
+        self.executor.give_up_at = now + drain
+        self._play(OpenLoopSource(requests), now, tick)
         return self.report()
+
+    def _on_arrive(self, request: AttentionRequest, now: float) -> None:
+        worker = self._admit(request, now)
+        if worker is not None:
+            self._arm_timer(worker, now, now)  # consult once every due arrival is in
 
     def kill_worker(self, wid: int) -> None:
         """SIGKILL (or simulate killing) worker ``wid`` — chaos hook."""

@@ -94,10 +94,10 @@ def _drive(executor, requests, *, faults=None, service=None, tick=None, transpor
     (:func:`repro.cluster.events.check`); returns ``(plane, report)``.
 
     ``"simulated"`` is :class:`~repro.cluster.ClusterSimulator` on 4x4
-    engines (virtual time; requests keep their ``arrival_s``);
-    ``"inprocess"`` / ``"multiprocess"`` are
-    :class:`~repro.transport.TransportCluster` drivers (wall clock; the
-    list is one burst arriving now).  ``knobs`` are
+    engines (virtual time); ``"inprocess"`` / ``"multiprocess"`` are
+    :class:`~repro.transport.TransportCluster` drivers (wall clock).  On
+    every executor the requests keep their ``arrival_s``, replayed as
+    offsets into the run.  ``knobs`` are
     :class:`~repro.cluster.simulator.ControlConfig` fields, plus the
     transport-only ones on transports.  ``faults`` is a
     :class:`~repro.cluster.FaultInjector`: the simulator interprets it;

@@ -309,3 +309,37 @@ def test_the_plane_books_every_outcome_as_an_event():
     for obj in (plane, plane.pool, *plane.pool.workers):
         kept = {"_retries", "_requeues", "steals", "stolen_in"} & set(dir(obj))
         assert not kept, (type(obj).__name__, kept)
+
+
+def test_arrivals_reach_the_plane_through_one_handler():
+    """A source's arrivals are ``_ARRIVE`` events that ``ControlPlane._play``
+    schedules, so outside ``ControlPlane`` its ``_admit`` is called only by
+    an ``_on_arrive`` override or by a synchronous ``submit`` door.  A
+    front admitting from anywhere else is a second arrival loop growing
+    back beside ``_play``."""
+    trees = _sources()
+    bases = {
+        node.name: {ast.unparse(base).split(".")[-1] for base in node.bases}
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+    fronts = {"ControlPlane"}
+    while more := {cls for cls, of in bases.items() if of & fronts} - fronts:
+        fronts |= more  # every class deriving from the plane, through any front
+    callers = {
+        (name, fn.name)
+        for name, tree in trees.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name in fronts - {"ControlPlane"}
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef)
+        and any(
+            isinstance(node, ast.Call) and ast.unparse(node.func) == "self._admit"
+            for node in ast.walk(fn)
+        )
+    }
+    assert {"ClusterSimulator", "TransportCluster", "ServingSession", "DecodeScheduler"} <= fronts
+    doors = {("serving/session.py", "submit"), ("decode/scheduler.py", "submit")}
+    assert ("transport/cluster.py", "_on_arrive") in callers  # the walk sees the handler
+    assert {c for c in callers if c[1] != "_on_arrive"} == doors, sorted(callers)

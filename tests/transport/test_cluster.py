@@ -11,6 +11,7 @@ backoff, stealing) are pinned on real transports too; every scenario
 goes through the shared ``drive`` fixture (``tests/conftest.py``).
 """
 
+import re
 import time
 from contextlib import contextmanager
 
@@ -96,8 +97,9 @@ class TestConservation:
         # pre-compiled plans count as warm plans, and really are
         assert all(w.cold_compiles == 0 for w in report.workers)
         assert all(w.plan_cache["misses"] == 1 for w in report.workers)
-        # tick fires once per handled event, not per poll wake-up
-        assert len(ticks) < 16 + 200 * report.makespan_s
+        # tick fires once per handled event (each arrival among them), not
+        # per poll wake-up
+        assert len(ticks) < 2 * 16 + 200 * report.makespan_s
 
 
 class TestControlPlaneOnRealWorkers:
@@ -177,7 +179,8 @@ class TestBursts:
 
     def test_a_repeated_request_id_is_refused_before_any_is_admitted(self):
         def stop(cluster, now):
-            raise RuntimeError("the tick stops the run")
+            if cluster.metrics.counts["arrive"] == 2:
+                raise RuntimeError("the tick stops the run")
 
         with TransportCluster(TransportClusterConfig(driver="inprocess", **_knobs(workers=1))) as cluster:
             with pytest.raises(ValueError, match=r"^request id 1 repeats within the burst$"):
@@ -188,6 +191,55 @@ class TestBursts:
             with pytest.raises(ValueError, match=r"^request id 0 is still live on the plane$"):
                 cluster.run(_requests(1))
             assert cluster.metrics.counts["arrive"] == 2
+
+    @pytest.mark.parametrize("offset", [-0.1, float("inf"), float("nan"), 0.3, 0.5])
+    def test_an_offset_outside_the_drain_window_is_refused_before_any_is_admitted(self, offset):
+        """A request that could not arrive before the drain deadline would
+        leave ``run`` without an outcome: refused up front, naming it."""
+        knobs = _knobs(workers=1, drain_timeout_s=0.3)
+        with TransportCluster(TransportClusterConfig(driver="inprocess", **knobs)) as cluster:
+            requests = _requests(3)
+            requests[2].arrival_s = offset
+            why = rf"^request id 2 arrives at offset {re.escape(repr(offset))} s"
+            with pytest.raises(ValueError, match=why):
+                cluster.run(requests)
+            assert cluster.metrics.counts["arrive"] == 0
+            assert [r.arrival_s for r in requests[:2]] == [0.0, 0.0]
+
+    def test_arrival_offsets_are_replayed(self):
+        """Requests keep their offsets into the run: the first three are
+        batched before the last three arrive 0.2 s later."""
+        events = []
+        requests = _requests(3) + _requests(3, first=3, arrival_s=0.2)
+        knobs = _knobs(workers=1, max_batch_size=4)
+        with _checked(TransportCluster(TransportClusterConfig(driver="inprocess", **knobs))) as cluster:
+            cluster.listen(events.append)
+            t0 = cluster.executor.now()
+            report = cluster.run(requests)
+        launches = [[r.request_id for r in e.payload.requests] for e in events if e.kind == "launch"]
+        assert launches == [[0, 1, 2], [3, 4, 5]]
+        assert report.completed == 6
+        arrival = {r.request_id: r.arrival_s for r in cluster.metrics.records}
+        assert t0 <= arrival[0] == arrival[1] == arrival[2]
+        assert arrival[3] == arrival[4] == arrival[5] == pytest.approx(arrival[0] + 0.2)
+
+    def test_an_arrival_due_before_the_drain_deadline_still_arrives(self):
+        """The worker is busy past the deadline while request 1 fell due
+        before it: request 1 arrives first, then the give-up fails both."""
+        transport = InProcessTransport(warm=((PATTERN, HEADS, HIDDEN // HEADS),))
+        attend = transport.runtime.attend
+
+        def slow_attend(*args, **kwargs):
+            time.sleep(0.15)
+            return attend(*args, **kwargs)
+
+        transport.runtime.attend = slow_attend
+        requests = _requests(1) + _requests(1, first=1, arrival_s=0.05)
+        knobs = _knobs(workers=1, drain_timeout_s=0.1)
+        with _checked(TransportCluster(TransportClusterConfig(driver="inprocess", **knobs),
+                                       transports=[transport])) as cluster:
+            report = cluster.run(requests)
+        assert (report.submitted, report.failed) == (2, 2)
 
 
 class TestMultiprocess:
