@@ -1,5 +1,6 @@
 """Tests for the CLI."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -325,3 +326,173 @@ class TestSimulateBackendScaling:
         )
         assert seen["backend"] == "dense"
         assert "requests completed" in capsys.readouterr().out
+
+
+# Every subcommand's actions as parsed (help text excluded): a refactor of
+# how the flags are declared must leave this list exactly as it is.
+_SURFACE = {
+    'list': [
+        "-h/--help dest='help' default='==SUPPRESS==' nargs=0 _HelpAction",
+    ],
+    'engines': [
+        "-h/--help dest='help' default='==SUPPRESS==' nargs=0 _HelpAction",
+        "action dest='action' choices=['list'] _StoreAction",
+    ],
+    'run': [
+        "--backend dest='backend' _StoreAction",
+        "--fast dest='fast' default=False nargs=0 _StoreTrueAction",
+        "-h/--help dest='help' default='==SUPPRESS==' nargs=0 _HelpAction",
+        "experiment dest='experiment' _StoreAction",
+    ],
+    'all': [
+        "--fast dest='fast' default=False nargs=0 _StoreTrueAction",
+        "-h/--help dest='help' default='==SUPPRESS==' nargs=0 _HelpAction",
+    ],
+    'serve': [
+        "--backend dest='backend' default='functional' _StoreAction",
+        "--batch-size dest='batch_size' default=8 type='int' _StoreAction",
+        "--head-dim dest='head_dim' default=8 type='int' _StoreAction",
+        "--heads dest='heads' default=2 type='int' _StoreAction",
+        "--json dest='json' default=False nargs=0 _StoreTrueAction",
+        "--n dest='n' default=256 type='int' _StoreAction",
+        "--no-baseline dest='no_baseline' default=False nargs=0 _StoreTrueAction",
+        "--requests dest='requests' default=64 type='int' _StoreAction",
+        "--seed dest='seed' default=0 type='int' _StoreAction",
+        "--uniform dest='uniform' default=False nargs=0 _StoreTrueAction",
+        "--window dest='window' default=32 type='int' _StoreAction",
+        "-h/--help dest='help' default='==SUPPRESS==' nargs=0 _HelpAction",
+    ],
+    'simulate': [
+        "--admission dest='admission' default='admit-all'"
+            " choices=['admit-all', 'queue-depth', 'est-wait', 'token-bucket'] _StoreAction",
+        "--admission-depth dest='admission_depth' default=64 type='int' _StoreAction",
+        "--admission-rate dest='admission_rate' type='float' _StoreAction",
+        "--admission-slack dest='admission_slack' default=0.5 type='float' _StoreAction",
+        "--admission-wait-ms dest='admission_wait_ms' type='float' _StoreAction",
+        "--arrival dest='arrival' default='poisson'"
+            " choices=['poisson', 'bursty', 'closed'] _StoreAction",
+        "--backend dest='backend' default='functional' _StoreAction",
+        "--batch-size dest='batch_size' default=8 type='int' _StoreAction",
+        "--breaker-cooldown-ms dest='breaker_cooldown_ms' default=2.0 type='float' _StoreAction",
+        "--breaker-min-samples dest='breaker_min_samples' default=4 type='int' _StoreAction",
+        "--breaker-threshold dest='breaker_threshold' type='float' metavar='RATE' _StoreAction",
+        "--breaker-window dest='breaker_window' default=8 type='int' _StoreAction",
+        "--class-weights dest='class_weights' metavar='NAME:W[,NAME:W...]' _StoreAction",
+        "--clients dest='clients' default=16 type='int' _StoreAction",
+        "--drop-expired dest='drop_expired' default=False nargs=0 _StoreTrueAction",
+        "--fault-crash dest='fault_crash' metavar='WID:AT_MS[:DOWN_MS]' _AppendAction",
+        "--fault-seed dest='fault_seed' default=0 type='int' _StoreAction",
+        "--fault-straggler dest='fault_straggler' metavar='WID:START_MS:DUR_MS:FACTOR' _AppendAction",
+        "--fault-transient dest='fault_transient' type='float' metavar='PROB' _StoreAction",
+        "--head-dim dest='head_dim' default=8 type='int' _StoreAction",
+        "--heads dest='heads' default=2 type='int' _StoreAction",
+        "--heartbeat-interval-ms dest='heartbeat_interval_ms' default=1.0 type='float' _StoreAction",
+        "--heartbeat-timeout-ms dest='heartbeat_timeout_ms' default=2.0 type='float' _StoreAction",
+        "--json dest='json' default=False nargs=0 _StoreTrueAction",
+        "--length-weighted dest='length_weighted' default=False nargs=0 _StoreTrueAction",
+        "--max-retries dest='max_retries' default=3 type='int' _StoreAction",
+        "--max-wait-ms dest='max_wait_ms' default=0.2 type='float' _StoreAction",
+        "--measured dest='measured' default=False nargs=0 _StoreTrueAction",
+        "--n dest='n' default=256 type='int' _StoreAction",
+        "--no-requeue dest='no_requeue' default=False nargs=0 _StoreTrueAction",
+        "--no-steal dest='no_steal' default=False nargs=0 _StoreTrueAction",
+        "--pad dest='pad' default=False nargs=0 _StoreTrueAction",
+        "--policy dest='policy' default='greedy-fifo'"
+            " choices=['greedy-fifo', 'max-wait', 'size-latency', 'edf', 'weighted-fair'] _StoreAction",
+        "--rate dest='rate' type='float' _StoreAction",
+        "--requests dest='requests' default=200 type='int' _StoreAction",
+        "--rho dest='rho' type='float' _StoreAction",
+        "--seed dest='seed' default=0 type='int' _StoreAction",
+        "--slo dest='slo' metavar='NAME:DEADLINE_MS:SHARE' _AppendAction",
+        "--target-size dest='target_size' default=4 type='int' _StoreAction",
+        "--think-ms dest='think_ms' default=0.1 type='float' _StoreAction",
+        "--uniform dest='uniform' default=False nargs=0 _StoreTrueAction",
+        "--window dest='window' default=32 type='int' _StoreAction",
+        "--workers dest='workers' default=2 type='int' _StoreAction",
+        "-h/--help dest='help' default='==SUPPRESS==' nargs=0 _HelpAction",
+    ],
+    'advise': [
+        "--ablate-top dest='ablate_top' default=3 type='int' _StoreAction",
+        "--admission dest='admission' default=['admit-all', 'est-wait']"
+            " choices=['admit-all', 'queue-depth', 'est-wait'] nargs='+' _StoreAction",
+        "--backend dest='backend' default='functional' _StoreAction",
+        "--batch-size dest='batch_size' default=[8] type='int' nargs='+' _StoreAction",
+        "--cache dest='cache' metavar='DIR' _StoreAction",
+        "--json dest='json' default=False nargs=0 _StoreTrueAction",
+        "--out dest='out' metavar='DIR' _StoreAction",
+        "--policy dest='policy' default=['greedy-fifo', 'edf', 'weighted-fair']"
+            " choices=['greedy-fifo', 'max-wait', 'size-latency', 'edf', 'weighted-fair'] nargs='+' _StoreAction",
+        "--top dest='top' type='int' _StoreAction",
+        "--traffic dest='traffic' metavar='FILE' _StoreAction",
+        "--workers dest='workers' default=[1, 2, 4] type='int' nargs='+' _StoreAction",
+        "-h/--help dest='help' default='==SUPPRESS==' nargs=0 _HelpAction",
+    ],
+    'decode': [
+        "--admission dest='admission' default='admit-all'"
+            " choices=['admit-all', 'queue-depth', 'est-wait', 'token-bucket'] _StoreAction",
+        "--admission-depth dest='admission_depth' default=64 type='int' _StoreAction",
+        "--admission-rate dest='admission_rate' type='float' _StoreAction",
+        "--admission-slack dest='admission_slack' default=1.0 type='float' _StoreAction",
+        "--fault-seed dest='fault_seed' default=0 type='int' _StoreAction",
+        "--fault-transient dest='fault_transient' type='float' metavar='PROB' _StoreAction",
+        "--fault-worker dest='fault_worker' type='int' metavar='WID' _StoreAction",
+        "--global-token dest='global_token' type='int' metavar='POS' _AppendAction",
+        "--head-dim dest='head_dim' default=8 type='int' _StoreAction",
+        "--heads dest='heads' default=2 type='int' _StoreAction",
+        "--itl-shed-factor dest='itl_shed_factor' type='float' _StoreAction",
+        "--max-lanes dest='max_lanes' default=8 type='int' _StoreAction",
+        "--max-new-tokens dest='max_new_tokens' default=64 type='int' _StoreAction",
+        "--max-retries dest='max_retries' default=3 type='int' _StoreAction",
+        "--mean-new-tokens dest='mean_new_tokens' default=16.0 type='float' _StoreAction",
+        "--no-shed-lagging dest='no_shed_lagging' default=False nargs=0 _StoreTrueAction",
+        "--prompt-max dest='prompt_max' default=48 type='int' _StoreAction",
+        "--prompt-min dest='prompt_min' default=4 type='int' _StoreAction",
+        "--rate dest='rate' default=2000.0 type='float' _StoreAction",
+        "--seed dest='seed' default=0 type='int' _StoreAction",
+        "--sequences dest='sequences' default=64 type='int' _StoreAction",
+        "--slo dest='slo' metavar='NAME:TTFT_MS:ITL_MS:SHARE' _AppendAction",
+        "--window dest='window' default=8 type='int' _StoreAction",
+        "--workers dest='workers' default=2 type='int' _StoreAction",
+        "-h/--help dest='help' default='==SUPPRESS==' nargs=0 _HelpAction",
+    ],
+}
+
+
+def _surface_row(action):
+    fields = {
+        "dest": action.dest,
+        "default": action.default,
+        "type": getattr(action.type, "__name__", action.type),
+        "choices": None if action.choices is None else list(action.choices),
+        "nargs": action.nargs,
+        "metavar": action.metavar,
+    }
+    return " ".join(
+        ["/".join(action.option_strings) or action.dest]
+        + [f"{key}={value!r}" for key, value in fields.items() if value is not None]
+        + [type(action).__name__]
+    )
+
+
+def test_flag_surface_is_pinned(monkeypatch):
+    """Option strings, dest, default, type, choices, nargs, metavar and
+    action class of every subcommand's flags, against the literal above."""
+    built = []
+
+    class Parsed(Exception):
+        pass
+
+    def capture(parser, *args, **kwargs):
+        built.append(parser)
+        raise Parsed
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", capture)
+    with pytest.raises(Parsed):
+        main(["list"])
+    (parser,) = built
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {
+        name: sorted(_surface_row(action) for action in sub._actions)
+        for name, sub in commands.choices.items()
+    }
+    assert surface == _SURFACE
