@@ -634,11 +634,10 @@ class ControlPlane:
             self._balance(t)
 
     def _play(self, source: RequestSource, now: float = 0.0, tick=None) -> None:
-        """Feed ``source`` to the plane, each arrival at ``now + arrival_s`` (its new stamp),
-        and handle events until none are left; every submitted request must have an outcome."""
+        """Feed ``source`` to the plane, each arrival at its ``arrival_s`` stamp, and handle
+        events from ``now`` until none are left; every submitted request must have an outcome."""
         self._source = source
         for req in source.initial():
-            req.arrival_s = now + req.arrival_s
             self.executor.schedule(req.arrival_s, _ARRIVE, req)
         self.executor.schedule_faults()
         self._drive(now, tick)

@@ -31,6 +31,7 @@ worker processes.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import math
 import time
@@ -254,7 +255,10 @@ class TransportCluster(ControlPlane):
             seen.add(rid)
         now = self.executor.now()
         self.executor.give_up_at = now + drain
-        self._play(OpenLoopSource(requests), now, tick)
+        stamped = [copy.copy(r) for r in requests]  # the caller's requests keep their offsets
+        for r in stamped:
+            r.arrival_s += now
+        self._play(OpenLoopSource(stamped), now, tick)
         return self.report()
 
     def _on_arrive(self, request: AttentionRequest, now: float) -> None:

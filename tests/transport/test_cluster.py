@@ -223,6 +223,25 @@ class TestBursts:
         assert t0 <= arrival[0] == arrival[1] == arrival[2]
         assert arrival[3] == arrival[4] == arrival[5] == pytest.approx(arrival[0] + 0.2)
 
+    def test_a_list_run_again_arrives_at_its_offsets_again(self):
+        """The plane books each run's absolute stamps on its own copies:
+        the caller's list keeps its offsets, so running it again replays
+        them instead of reading the last run's stamps as offsets."""
+        requests = _requests(2) + _requests(1, first=2, arrival_s=0.02)
+        knobs = _knobs(workers=1, drain_timeout_s=5.0)
+        with _checked(TransportCluster(TransportClusterConfig(driver="inprocess", **knobs))) as cluster:
+            for _ in range(3):
+                booked = len(cluster.metrics.records)
+                before = cluster.executor.now()
+                cluster.run(requests)
+                after = cluster.executor.now()
+                assert len(cluster.metrics.records) == booked + 3
+                stamp = {r.request_id: r.arrival_s for r in cluster.metrics.records[booked:]}
+                t0 = stamp[0]  # offset 0.0: the run's own start
+                assert before <= t0 <= after
+                assert stamp == {0: t0, 1: t0, 2: t0 + 0.02}
+                assert [r.arrival_s for r in requests] == [0.0, 0.0, 0.02]
+
     def test_an_arrival_due_before_the_drain_deadline_still_arrives(self):
         """The worker is busy past the deadline while request 1 fell due
         before it: request 1 arrives first, then the give-up fails both."""
