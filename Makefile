@@ -48,6 +48,14 @@
 #                  config search against the committed example traffic
 #                  spec (ranked candidates with margins, headroom and
 #                  the winner's ablation matrix; fixed seed)
+#   make smoke-diff PARENT=<git ref> - the smokes a change to the
+#                  control plane or the CLI must leave as they are
+#                  (engines-, simulate-, simulate-overload, simulate-faults,
+#                  decode- and advise-smoke), run on a `git archive` of
+#                  PARENT in $TMPDIR (its own Makefile) and on the working
+#                  tree; the `finished in` lines are dropped and the serve
+#                  replay's wall-clock readings masked, the rest is diffed
+#                  and any difference fails
 #   make transport-smoke - out-of-process worker transport end to end:
 #                  the measured (wall-clock) multi-core ladder plus a
 #                  killed-worker recovery row (a real SIGKILL mid-run,
@@ -61,7 +69,7 @@ PYTHONPATH := src
 
 .PHONY: check test simulate-smoke simulate-overload simulate-faults \
 	decode-smoke engines-smoke transport-smoke advise-smoke \
-	bench-e2e-smoke bench-e2e-pair
+	bench-e2e-smoke bench-e2e-pair smoke-diff
 
 check: test engines-smoke simulate-smoke simulate-overload \
 	simulate-faults decode-smoke transport-smoke advise-smoke \
@@ -137,3 +145,25 @@ simulate-overload:
 		--workers 2 --requests 64 --n 64 --window 8 --heads 2 --head-dim 4 \
 		--policy weighted-fair --class-weights interactive:3,bulk:1 \
 		--drop-expired --admission est-wait --rho 1.5 --seed 0
+
+# The serve replay in engines-smoke prints wall-clock readings: smoke-diff
+# keeps those lines but masks their numbers.
+SMOKES = engines-smoke simulate-smoke simulate-overload simulate-faults \
+	decode-smoke advise-smoke
+WALL_CLOCK = wall time|throughput|queue p50|latency p50|sequential baseline|batched speedup
+
+smoke-diff:
+	@test -n "$(PARENT)" || { echo "usage: make smoke-diff PARENT=<git ref>"; exit 2; }
+	@work=$$(mktemp -d "$${TMPDIR:-/tmp}/smoke-diff.XXXXXX") || exit 1; \
+	trap 'rm -rf "$$work"' EXIT; \
+	mkdir "$$work/parent" && git archive "$(PARENT)" | tar -x -C "$$work/parent" || exit 1; \
+	for side in parent change; do \
+		if [ $$side = parent ]; then tree="$$work/parent"; else tree="$$(pwd)"; fi; \
+		$(MAKE) -s --no-print-directory -C "$$tree" PYTHON="$(PYTHON)" $(SMOKES) \
+			> "$$work/$$side.raw" 2>&1 || { cat "$$work/$$side.raw"; \
+			echo "smoke-diff: a smoke failed on the $$side tree" >&2; exit 1; }; \
+		grep -v 'finished in' "$$work/$$side.raw" \
+			| sed -E '/^($(WALL_CLOCK))/s/[0-9]+(\.[0-9]+)?/N/g' > "$$work/$$side.out"; \
+	done; \
+	diff -u "$$work/parent.out" "$$work/change.out" || exit 1; \
+	echo "smoke-diff: no difference against $(PARENT) ($$(wc -l < "$$work/change.out") lines)"

@@ -15,16 +15,24 @@ Usage::
 ``run``, ``serve`` and ``simulate`` accept ``--backend NAME`` to select
 any registered execution backend (see ``engines list``); serving paths
 require an executing backend (``sanger`` is estimate-only).
+
+The door rule: a flag the chosen mode never reads is refused, not
+ignored — each such rule is one row of ``_ONLY_WITH`` (a flag set away
+from its default while its row's mode is off exits 2 with ``--flag only
+applies ...``).  Value ranges are checked by the objects the flags
+build (``QueueDepthCap``, ``TransientSpec``, ``PoissonProcess``, ...);
+the command line checks only what no constructor sees.  Each command
+builds its inputs and returns its run: a ``ValueError`` while building
+exits 2 with its message, and the run itself is outside that door.
 """
 
 from __future__ import annotations
 
 import argparse
 import inspect
-import math
 import sys
 import time
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from .cluster import ADMISSIONS, POLICIES
 from .experiments import all_experiments, get_experiment
@@ -53,6 +61,8 @@ _ORDER = [
     "advisor_search",
 ]
 
+Run = Callable[[], int]
+
 
 def _ordered_names() -> List[str]:
     known = all_experiments()
@@ -63,8 +73,8 @@ def _ordered_names() -> List[str]:
 
 def _validate_backend(
     name: str, require_executing: bool = False, require_cost_model: bool = False
-) -> int:
-    """Exit-code-style backend validation: 0 ok, 2 with message otherwise.
+) -> None:
+    """Refuse backend ``name`` with a ``ValueError`` unless it may serve here.
 
     ``require_executing`` gates serving paths (the backend must attend);
     ``require_cost_model`` gates cost-model-clocked paths (the default
@@ -74,30 +84,102 @@ def _validate_backend(
     from .api import CapabilityError, backend_spec, engine_factory, list_backends
 
     if name not in list_backends():
-        print(
+        raise ValueError(
             f"unknown backend {name!r}; registered: {', '.join(list_backends())} "
-            "(see 'salo-repro engines list')",
-            file=sys.stderr,
+            "(see 'salo-repro engines list')"
         )
-        return 2
     if require_executing:
         try:
             engine_factory(name)
         except CapabilityError as exc:
-            print(exc, file=sys.stderr)
-            return 2
+            raise ValueError(str(exc)) from exc
     if require_cost_model and not backend_spec(name).capabilities.has_cost_model:
-        print(
+        raise ValueError(
             f"backend {name!r} has no cost model (has_cost_model=False); the "
             "deterministic cost-model clock cannot serve it — use --measured "
-            "or a backend with a cost model",
-            file=sys.stderr,
+            "or a backend with a cost model"
         )
-        return 2
-    return 0
 
 
-def _cmd_engines(args) -> int:
+def _ms(text: str) -> float:
+    """Milliseconds on the command line, seconds inside."""
+    return float(text) / 1e3
+
+
+def _budget_ms(text: str) -> Optional[float]:
+    """A latency budget in ms; ``none`` (or nothing) is no budget."""
+    return None if text in ("none", "") else _ms(text)
+
+
+def _spec(flag: str, metavar: str, text: str, make, *fields, optional: int = 0):
+    """``make(*fields)`` of a ``:``-separated ``flag`` value, each field
+    through its converter; the last ``optional`` fields may be left out.
+
+    A wrong field count, a field that does not convert and a value
+    ``make`` refuses all raise one ``ValueError`` naming the flag.
+    """
+    parts = text.split(":")
+    try:
+        if not len(fields) - optional <= len(parts) <= len(fields):
+            raise ValueError(f"{len(parts)} fields")
+        return make(*(convert(part) for convert, part in zip(fields, parts)))
+    except ValueError as exc:
+        raise ValueError(f"bad {flag} {text!r}; expected {metavar} ({exc})") from None
+
+
+def _fault_flags(args) -> bool:
+    return any(getattr(args, dest, None) is not None
+               for dest in ("fault_crash", "fault_straggler", "fault_transient"))
+
+
+# A flag the chosen mode never reads is refused, not ignored: per command,
+# (dest, "applies when" predicate, where it applies).  Recovery and
+# breaker flags have no row — RecoveryConfig reads and checks all of them.
+_DOOR_ROWS = (
+    ("admission_depth", lambda a: a.admission == "queue-depth", "to --admission queue-depth"),
+    ("admission_slack", lambda a: a.admission == "est-wait", "to --admission est-wait"),
+    ("admission_rate", lambda a: a.admission == "token-bucket", "to --admission token-bucket"),
+    ("fault_seed", _fault_flags, "with a --fault-* flag"),
+)
+_ONLY_WITH = {
+    "simulate": _DOOR_ROWS + (
+        ("admission_wait_ms", lambda a: a.admission == "est-wait", "to --admission est-wait"),
+        ("rate", lambda a: a.arrival != "closed", "to open-loop arrivals, not --arrival closed"),
+        ("rho", lambda a: a.arrival != "closed", "to open-loop arrivals, not --arrival closed"),
+        ("rho", lambda a: a.rate is None, "without --rate"),
+        ("class_weights", lambda a: a.policy == "weighted-fair", "to --policy weighted-fair"),
+        ("length_weighted", lambda a: a.policy == "weighted-fair", "to --policy weighted-fair"),
+        ("max_wait_ms", lambda a: a.policy in ("max-wait", "size-latency"),
+         "to --policy max-wait or size-latency"),
+        ("target_size", lambda a: a.policy == "size-latency", "to --policy size-latency"),
+        ("clients", lambda a: a.arrival == "closed", "to --arrival closed"),
+        ("think_ms", lambda a: a.arrival == "closed", "to --arrival closed"),
+    ),
+    "decode": _DOOR_ROWS + (
+        ("fault_worker", lambda a: a.fault_transient is not None, "with --fault-transient"),
+        ("itl_shed_factor", lambda a: not a.no_shed_lagging, "without --no-shed-lagging"),
+    ),
+}
+
+
+def _refuse_ignored(args, command: argparse.ArgumentParser) -> None:
+    """Raise on the first ``_ONLY_WITH`` row whose flag left its default
+    while its mode is off (NaN differs from every default)."""
+    for dest, applies, where in _ONLY_WITH.get(args.command, ()):
+        if getattr(args, dest) != command.get_default(dest) and not applies(args):
+            raise ValueError(f"--{dest.replace('_', '-')} only applies {where}")
+
+
+def _cmd_list(args) -> Run:
+    def run() -> int:
+        for name in _ordered_names():
+            print(name)
+        return 0
+
+    return run
+
+
+def _cmd_engines(args) -> Run:
     """``engines list``: tabulate the registered backend specs."""
     from .api import backend_spec, list_backends
 
@@ -109,76 +191,152 @@ def _cmd_engines(args) -> int:
         ("exec", "can_execute"),
         ("struct", "needs_structure"),
     )
-    names = list_backends()
-    width = max(len(n) for n in names)
-    header = f"{'backend':{width}s}  " + "  ".join(f"{label:6s}" for label, _ in flags) + "  summary"
-    print(header)
-    print("-" * len(header))
-    for name in names:
-        spec = backend_spec(name)
-        cells = "  ".join(
-            f"{'yes' if getattr(spec.capabilities, attr) else '-':6s}" for _, attr in flags
+
+    def run() -> int:
+        names = list_backends()
+        width = max(len(n) for n in names)
+        header = f"{'backend':{width}s}  " + "  ".join(f"{label:6s}" for label, _ in flags) + "  summary"
+        print(header)
+        print("-" * len(header))
+        for name in names:
+            spec = backend_spec(name)
+            cells = "  ".join(
+                f"{'yes' if getattr(spec.capabilities, attr) else '-':6s}" for _, attr in flags
+            )
+            print(f"{name:{width}s}  {cells}  {spec.summary}")
+        return 0
+
+    return run
+
+
+def _cmd_run(args) -> Run:
+    """One experiment, on ``--backend`` when it has a backend axis."""
+    try:
+        fn = get_experiment(args.experiment)
+    except KeyError as exc:
+        raise ValueError(exc.args[0]) from None
+    kwargs = {}
+    if args.backend is not None:
+        # The serving experiments run the deterministic cost-model
+        # clock, so the backend must both execute and estimate.
+        _validate_backend(args.backend, require_executing=True, require_cost_model=True)
+        if "backend" not in inspect.signature(fn).parameters:
+            raise ValueError(
+                f"experiment {args.experiment!r} has no execution-backend axis "
+                "(cost-model only); drop --backend"
+            )
+        kwargs["backend"] = args.backend
+
+    def run() -> int:
+        t0 = time.perf_counter()
+        result = fn(fast=args.fast, **kwargs)
+        print(result.render())
+        print(f"\n[{args.experiment} finished in {time.perf_counter() - t0:.1f}s]")
+        return 0
+
+    return run
+
+
+def _cmd_all(args) -> Run:
+    def run() -> int:
+        for name in _ordered_names():
+            t0 = time.perf_counter()
+            result = get_experiment(name)(fast=args.fast)
+            print(result.render())
+            print(f"[{name}: {time.perf_counter() - t0:.1f}s]\n")
+        return 0
+
+    return run
+
+
+def _cmd_serve(args) -> Run:
+    """Draw a synthetic trace; the run replays it through the batching layer."""
+    import json
+
+    from .serving import BatchScheduler, TraceSpec, replay, synthetic_trace
+
+    _validate_backend(args.backend, require_executing=True)
+    # the replay's own scheduler checks the cap, but only after the baseline
+    BatchScheduler(max_batch_size=args.batch_size)
+    t0 = time.perf_counter()
+    trace = synthetic_trace(
+        TraceSpec(
+            num_requests=args.requests,
+            n=args.n,
+            window=args.window,
+            heads=args.heads,
+            head_dim=args.head_dim,
+            mixed=not args.uniform,
+            seed=args.seed,
         )
-        print(f"{name:{width}s}  {cells}  {spec.summary}")
-    return 0
+    )
+
+    def run() -> int:
+        report = replay(
+            trace,
+            max_batch_size=args.batch_size,
+            compare_sequential=not args.no_baseline,
+            backend=args.backend,
+        )
+        if args.json:
+            print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+            return 0
+        print(report.render())
+        print(f"\n[serve finished in {time.perf_counter() - t0:.1f}s]")
+        return 0
+
+    return run
 
 
-def _cmd_advise(args) -> int:
+def _cmd_advise(args) -> Run:
     """Run the provisioning advisor on a declarative traffic spec."""
-    import json as _json
+    import json
 
     from .advisor import RunCache, SearchSpace, TrafficSpec, advise, export_pack
 
     if args.top is not None and args.top < 0:
-        print(f"--top must be >= 0, got {args.top}", file=sys.stderr)
-        return 2
-    if args.traffic is not None:
-        try:
-            traffic = TrafficSpec.load(args.traffic)
-        except (OSError, ValueError, TypeError, KeyError) as exc:
-            print(f"bad traffic spec {args.traffic!r}: {exc}", file=sys.stderr)
-            return 2
-    else:
-        traffic = TrafficSpec()
+        raise ValueError(f"--top must be >= 0, got {args.top}")
     try:
-        space = SearchSpace(
-            workers=tuple(args.workers),
-            policies=tuple(args.policy),
-            admissions=tuple(args.admission),
-            backends=(args.backend,),
-            batch_caps=tuple(args.batch_size),
-        )
-        space.candidates()  # each candidate checks its own knobs
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    rc = _validate_backend(args.backend, require_executing=True, require_cost_model=True)
-    if rc:
-        return rc
-    cache = RunCache(args.cache) if args.cache else RunCache()
-    t0 = time.perf_counter()
-    advice = advise(traffic, space, cache=cache, ablate_top=args.ablate_top)
-    elapsed = time.perf_counter() - t0
-    manifest = None
-    if args.out:
-        manifest = export_pack(advice, args.out)
-    if args.json:
-        payload = advice.to_dict()
-        if manifest is not None:
-            payload["pack"] = manifest
-        print(_json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    print(advice.render(top=args.top))
-    if manifest is not None:
-        print(
-            f"\ndecision pack -> {args.out} "
-            f"(manifest {manifest['manifest_hash']})"
-        )
-    print(
-        f"\n[advise finished in {elapsed:.1f}s; "
-        f"{cache.misses} simulations, {cache.hits} cache hits]"
+        traffic = TrafficSpec() if args.traffic is None else TrafficSpec.load(args.traffic)
+    except (OSError, ValueError, TypeError, KeyError) as exc:
+        raise ValueError(f"bad traffic spec {args.traffic!r}: {exc}") from exc
+    space = SearchSpace(
+        workers=tuple(args.workers),
+        policies=tuple(args.policy),
+        admissions=tuple(args.admission),
+        backends=(args.backend,),
+        batch_caps=tuple(args.batch_size),
     )
-    return 0
+    space.candidates()  # each candidate checks its own knobs
+    _validate_backend(args.backend, require_executing=True, require_cost_model=True)
+
+    def run() -> int:
+        cache = RunCache(args.cache) if args.cache else RunCache()
+        t0 = time.perf_counter()
+        advice = advise(traffic, space, cache=cache, ablate_top=args.ablate_top)
+        elapsed = time.perf_counter() - t0
+        manifest = None
+        if args.out:
+            manifest = export_pack(advice, args.out)
+        if args.json:
+            payload = advice.to_dict()
+            if manifest is not None:
+                payload["pack"] = manifest
+            print(json.dumps(payload, indent=2, sort_keys=True))
+            return 0
+        print(advice.render(top=args.top))
+        if manifest is not None:
+            print(
+                f"\ndecision pack -> {args.out} "
+                f"(manifest {manifest['manifest_hash']})"
+            )
+        print(
+            f"\n[advise finished in {elapsed:.1f}s; "
+            f"{cache.misses} simulations, {cache.hits} cache hits]"
+        )
+        return 0
+
+    return run
 
 
 def _admission(name: str, depth: int, slack: float, rate: float,
@@ -195,15 +353,17 @@ def _admission(name: str, depth: int, slack: float, rate: float,
     return make_admission(name, **kwargs.get(name, {}))
 
 
-def _simulation(args, fault_specs, explicit_slo, class_weights):
+def _simulation(args):
     """``simulate``'s source, config and open-loop rate; a bad flag raises ``ValueError``."""
     import numpy as np
 
+    from .api import engine_factory
     from .cluster import (
         BULK_BUDGET,
         INTERACTIVE_BUDGET,
         ClosedLoopSource,
         CostModelClock,
+        CrashSpec,
         FaultInjector,
         MeasuredClock,
         OnOffProcess,
@@ -211,13 +371,46 @@ def _simulation(args, fault_specs, explicit_slo, class_weights):
         RecoveryConfig,
         SimConfig,
         SLOClass,
+        StragglerSpec,
+        TransientSpec,
         WorkloadSpec,
         make_policy,
         open_loop,
         service_scales,
     )
-    from .core.salo import SALO
     from .serving.trace import pattern_families
+
+    if args.batch_size < 1:  # on the measured path no constructor reads it before the run
+        raise ValueError(f"--batch-size must be >= 1, got {args.batch_size}")
+    # before the automatic rate, which divides by the pool's capacity
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
+    # The default clock charges the backend's estimate per dispatch; only
+    # a measured run can serve a backend without a cost model.
+    _validate_backend(args.backend, require_executing=True, require_cost_model=not args.measured)
+    # `not (x > 0)` instead of `x <= 0`: NaN compares False both ways.
+    if args.rho is not None and not (args.rho > 0):
+        raise ValueError(f"--rho must be positive, got {args.rho}")
+    # Cheap flag parsing first: a typo'd spec must not wait for the
+    # service-time probe below.
+    class_weights = dict(
+        _spec("--class-weights", "NAME:W[,NAME:W...]", part, lambda *nw: nw, str, float)
+        for part in args.class_weights.split(",")
+    ) if args.class_weights else {}
+    fault_specs = [
+        _spec("--fault-crash", "WID:AT_MS[:DOWN_MS]", text, CrashSpec, int, _ms, _ms, optional=1)
+        for text in args.fault_crash or ()
+    ] + [
+        _spec("--fault-straggler", "WID:START_MS:DUR_MS:FACTOR", text, StragglerSpec,
+              int, _ms, _ms, float)
+        for text in args.fault_straggler or ()
+    ]
+    if args.fault_transient is not None:
+        fault_specs.append(TransientSpec(prob=args.fault_transient))
+    explicit_slo = tuple(
+        _spec("--slo", "NAME:DEADLINE_MS:SHARE", text, SLOClass, str, _budget_ms, float)
+        for text in args.slo
+    ) if args.slo else None
 
     injector = FaultInjector(fault_specs, seed=args.fault_seed) if fault_specs else None
     if injector is not None:
@@ -244,16 +437,17 @@ def _simulation(args, fault_specs, explicit_slo, class_weights):
         # Measured mode runs on the host wall clock (milliseconds per
         # batch), not the accelerator cycle model (microseconds) — the
         # auto rate and default SLO deadlines must be probed on the same
-        # clock or every deadline is missed by construction.
-        salo = SALO()
+        # clock, and on the engine the workers run, or every deadline is
+        # missed by construction.
+        engine = engine_factory(args.backend)()
         rng = np.random.default_rng(0)
         hidden = args.heads * args.head_dim
         probed = []
         for pattern in pattern_families(probe):
             q, k, v = (rng.standard_normal((pattern.n, hidden)) for _ in range(3))
-            salo.attend(pattern, q, k, v, heads=args.heads)  # warm compile
+            engine.attend(pattern, q, k, v, heads=args.heads)  # warm compile
             t0 = time.perf_counter()
-            salo.attend(pattern, q, k, v, heads=args.heads)
+            engine.attend(pattern, q, k, v, heads=args.heads)
             probed.append(time.perf_counter() - t0)
         unit_s = dispatch_s = float(np.mean(probed))
     else:
@@ -294,18 +488,16 @@ def _simulation(args, fault_specs, explicit_slo, class_weights):
         rate = rho * args.workers / unit_s
     if args.arrival == "closed":
         source = ClosedLoopSource(spec, clients=args.clients, think_time_s=args.think_ms / 1e3)
-    elif args.arrival == "bursty":
-        source = open_loop(
-            spec,
-            OnOffProcess(
+    else:
+        process = PoissonProcess(rate_rps=rate)  # checks the rate of either open loop
+        if args.arrival == "bursty":
+            process = OnOffProcess(
                 rate_on_rps=2.0 * rate,
                 rate_off_rps=0.0,
                 mean_on_s=50.0 / rate,
                 mean_off_s=50.0 / rate,
-            ),
-        )
-    else:
-        source = open_loop(spec, PoissonProcess(rate_rps=rate))
+            )
+        source = open_loop(spec, process)
 
     policy_kwargs = {"drop_expired": args.drop_expired}
     if args.policy in ("max-wait", "size-latency"):
@@ -339,190 +531,56 @@ def _simulation(args, fault_specs, explicit_slo, class_weights):
     return source, config, rate
 
 
-def _cmd_simulate(args) -> int:
-    """Build a workload + policy from CLI args and run the simulator."""
-    from .cluster import CrashSpec, SLOClass, StragglerSpec, TransientSpec, simulate
+def _cmd_simulate(args) -> Run:
+    """Build a workload + policy from CLI args; the run simulates it."""
+    import json
 
-    if args.batch_size < 1:
-        print(f"--batch-size must be >= 1, got {args.batch_size}", file=sys.stderr)
-        return 2
-    # before the automatic rate, which divides by the pool's capacity
-    if args.workers < 1:
-        print(f"--workers must be >= 1, got {args.workers}", file=sys.stderr)
-        return 2
-    rc = _validate_backend(
-        args.backend,
-        require_executing=True,
-        # The default clock charges SALO.estimate per dispatch; only a
-        # measured run can serve a backend without a cost model.
-        require_cost_model=not args.measured,
-    )
-    if rc:
-        return rc
-    if args.rate is not None and args.rho is not None:
-        print("--rate and --rho are mutually exclusive", file=sys.stderr)
-        return 2
-    # `not (x > 0)` instead of `x <= 0` throughout: NaN compares False
-    # both ways, and a NaN knob must exit 2, not hang or crash later.
-    if args.rho is not None and not (args.rho > 0):
-        print(f"--rho must be positive, got {args.rho}", file=sys.stderr)
-        return 2
-    if args.rate is not None and not (args.rate > 0):
-        print(f"--rate must be positive, got {args.rate}", file=sys.stderr)
-        return 2
-    if args.arrival == "closed" and (args.rate is not None or args.rho is not None):
-        print("--rate and --rho only apply to open-loop arrivals, not --arrival closed",
-              file=sys.stderr)
-        return 2
-    # Cheap flag validation first: a typo'd --slo or --class-weights
-    # must not wait for the service-time probe below.
-    if args.length_weighted and args.policy != "weighted-fair":
-        print("--length-weighted only applies to --policy weighted-fair", file=sys.stderr)
-        return 2
-    class_weights = {}
-    if args.class_weights:
-        if args.policy != "weighted-fair":
-            print(
-                "--class-weights only applies to --policy weighted-fair",
-                file=sys.stderr,
-            )
-            return 2
-        for part in args.class_weights.split(","):
-            try:
-                name, weight = part.split(":")
-                class_weights[name] = float(weight)
-            except ValueError:
-                print(
-                    f"bad --class-weights {args.class_weights!r}; expected "
-                    "NAME:WEIGHT[,NAME:WEIGHT...]",
-                    file=sys.stderr,
-                )
-                return 2
-            if not (class_weights[name] > 0) or math.isinf(class_weights[name]):
-                print(f"--class-weights entries must be positive, got {part!r}", file=sys.stderr)
-                return 2
-    if args.admission_depth < 1:
-        print(f"--admission-depth must be >= 1, got {args.admission_depth}", file=sys.stderr)
-        return 2
-    if not (args.admission_slack > 0):
-        print(f"--admission-slack must be positive, got {args.admission_slack}", file=sys.stderr)
-        return 2
-    if args.admission_rate is not None and not (args.admission_rate > 0):
-        print(f"--admission-rate must be positive, got {args.admission_rate}", file=sys.stderr)
-        return 2
-    if args.admission_wait_ms is not None and not (args.admission_wait_ms >= 0):
-        print(f"--admission-wait-ms must be >= 0, got {args.admission_wait_ms}", file=sys.stderr)
-        return 2
-    # A flag the chosen admission policy never reads is refused, not ignored.
-    if args.admission_rate is not None and args.admission != "token-bucket":
-        print("--admission-rate only applies to --admission token-bucket", file=sys.stderr)
-        return 2
-    if args.admission_wait_ms is not None and args.admission != "est-wait":
-        print("--admission-wait-ms only applies to --admission est-wait", file=sys.stderr)
-        return 2
-    fault_specs = []
-    for spec_str in args.fault_crash or ():
-        parts = spec_str.split(":")
-        try:
-            if len(parts) == 2:
-                wid, at_ms = int(parts[0]), float(parts[1])
-                down_s = None
-            elif len(parts) == 3:
-                wid, at_ms = int(parts[0]), float(parts[1])
-                down_s = float(parts[2]) / 1e3
-            else:
-                raise ValueError(spec_str)
-            fault_specs.append(CrashSpec(worker=wid, at_s=at_ms / 1e3, down_for_s=down_s))
-        except ValueError:
-            print(
-                f"bad --fault-crash {spec_str!r}; expected WID:AT_MS[:DOWN_MS] "
-                "with AT_MS >= 0 and DOWN_MS > 0",
-                file=sys.stderr,
-            )
-            return 2
-    for spec_str in args.fault_straggler or ():
-        try:
-            wid, start_ms, dur_ms, factor = spec_str.split(":")
-            fault_specs.append(
-                StragglerSpec(
-                    worker=int(wid),
-                    start_s=float(start_ms) / 1e3,
-                    duration_s=float(dur_ms) / 1e3,
-                    factor=float(factor),
-                )
-            )
-        except ValueError:
-            print(
-                f"bad --fault-straggler {spec_str!r}; expected "
-                "WID:START_MS:DUR_MS:FACTOR with DUR_MS > 0 and FACTOR >= 1",
-                file=sys.stderr,
-            )
-            return 2
-    if args.fault_transient is not None:
-        try:
-            fault_specs.append(TransientSpec(prob=args.fault_transient))
-        except ValueError:
-            print(
-                f"--fault-transient must be in [0, 1), got {args.fault_transient}",
-                file=sys.stderr,
-            )
-            return 2
+    from .cluster import simulate
 
-    explicit_slo = None
-    if args.slo:
-        classes = []
-        for spec_str in args.slo:
-            try:
-                name, deadline_ms, share = spec_str.split(":")
-                deadline = None if deadline_ms in ("none", "") else float(deadline_ms) / 1e3
-                classes.append(SLOClass(name, deadline, float(share)))
-            except ValueError:
-                print(f"bad --slo {spec_str!r}; expected NAME:DEADLINE_MS:SHARE", file=sys.stderr)
-                return 2
-        explicit_slo = tuple(classes)
+    source, config, rate = _simulation(args)
 
-    try:
-        source, config, rate = _simulation(args, fault_specs, explicit_slo, class_weights)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-
-    t0 = time.perf_counter()
-    report = simulate(source, config)
-    if args.json:
-        # One JSON document on stdout, nothing else: the machine-readable
-        # path the provisioning advisor (and any script) consumes.
-        import json as _json
-
-        payload = report.to_dict()
-        payload["workload"] = {
-            "requests": args.requests,
-            "arrival": args.arrival,
-            "rate_rps": None if args.arrival == "closed" else rate,
-            "policy": args.policy,
-            "admission": args.admission,
-            "workers": args.workers,
-            "backend": args.backend,
-            "seed": args.seed,
-        }
-        print(_json.dumps(payload, indent=2, sort_keys=True))
+    def run() -> int:
+        t0 = time.perf_counter()
+        report = simulate(source, config)
+        if args.json:
+            # One JSON document on stdout, nothing else: the machine-readable
+            # path the provisioning advisor (and any script) consumes.
+            payload = report.to_dict()
+            payload["workload"] = {
+                "requests": args.requests,
+                "arrival": args.arrival,
+                "rate_rps": None if args.arrival == "closed" else rate,
+                "policy": args.policy,
+                "admission": args.admission,
+                "workers": args.workers,
+                "backend": args.backend,
+                "seed": args.seed,
+            }
+            print(json.dumps(payload, indent=2, sort_keys=True))
+            return 0
+        print(
+            f"workload: {args.requests} requests, {args.arrival} arrivals"
+            + (f" @ {rate:.0f} req/s" if args.arrival != "closed" else f", {args.clients} clients")
+            + f", policy {args.policy}"
+            + (" (drop-expired)" if args.drop_expired else "")
+            + (f", admission {args.admission}" if args.admission != "admit-all" else "")
+            + f", {args.workers} workers"
+            + (f", faults {config.faults!r}" if config.faults is not None else "")
+        )
+        print(report.render())
+        print(f"\n[simulate finished in {time.perf_counter() - t0:.1f}s]")
         return 0
-    print(
-        f"workload: {args.requests} requests, {args.arrival} arrivals"
-        + (f" @ {rate:.0f} req/s" if args.arrival != "closed" else f", {args.clients} clients")
-        + f", policy {args.policy}"
-        + (" (drop-expired)" if args.drop_expired else "")
-        + (f", admission {args.admission}" if args.admission != "admit-all" else "")
-        + f", {args.workers} workers"
-        + (f", faults {config.faults!r}" if config.faults is not None else "")
-    )
-    print(report.render())
-    print(f"\n[simulate finished in {time.perf_counter() - t0:.1f}s]")
-    return 0
+
+    return run
 
 
-def _cmd_decode(args) -> int:
-    """Build a decode workload from CLI args and run the decode simulator."""
+def _cmd_decode(args) -> Run:
+    """Build a decode workload from CLI args and run the decode simulator.
+
+    The simulator checks the fault specs against the pool and the
+    workload's step patterns against the engine before the first event,
+    so the run itself is built at the door; the returned run reports it.
+    """
     from .cluster import (
         ContinuousBatching,
         DecodeClusterSimulator,
@@ -534,107 +592,145 @@ def _cmd_decode(args) -> int:
         TransientSpec,
     )
 
-    # A flag the chosen mode never reads is refused, not ignored.
-    if args.fault_worker is not None and args.fault_transient is None:
-        print("--fault-worker only applies with --fault-transient", file=sys.stderr)
-        return 2
-    if args.admission_rate is not None and args.admission != "token-bucket":
-        print("--admission-rate only applies to --admission token-bucket", file=sys.stderr)
-        return 2
-    if args.no_shed_lagging and args.itl_shed_factor is not None:
-        print("--itl-shed-factor does not apply with --no-shed-lagging", file=sys.stderr)
-        return 2
-
-    slo_classes = None
+    slo = {}
     if args.slo:
-        classes = []
-        for spec_str in args.slo:
-            try:
-                name, ttft_ms, itl_ms, share = spec_str.split(":")
-                ttft = None if ttft_ms in ("none", "") else float(ttft_ms) / 1e3
-                itl = None if itl_ms in ("none", "") else float(itl_ms) / 1e3
-                classes.append(
-                    DecodeSLOClass(name, ttft, float(share), itl_deadline_s=itl)
-                )
-            except ValueError:
-                print(
-                    f"bad --slo {spec_str!r}; expected NAME:TTFT_MS:ITL_MS:SHARE "
-                    "(budgets may be 'none')",
-                    file=sys.stderr,
-                )
-                return 2
-        slo_classes = tuple(classes)
-
-    try:
-        spec_kwargs = dict(
-            sequences=args.sequences,
-            rate_rps=args.rate,
-            prompt_min=args.prompt_min,
-            prompt_max=args.prompt_max,
-            mean_new_tokens=args.mean_new_tokens,
-            max_new_tokens=args.max_new_tokens,
-            window=args.window,
-            global_tokens=tuple(args.global_token or ()),
-            heads=args.heads,
-            head_dim=args.head_dim,
-            seed=args.seed,
+        slo["slo_classes"] = tuple(
+            _spec("--slo", "NAME:TTFT_MS:ITL_MS:SHARE", text,
+                  lambda name, ttft, itl, share: DecodeSLOClass(name, ttft, share, itl_deadline_s=itl),
+                  str, _budget_ms, _budget_ms, float)
+            for text in args.slo
         )
-        if slo_classes is not None:
-            spec_kwargs["slo_classes"] = slo_classes
-        spec = DecodeWorkloadSpec(**spec_kwargs)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    spec = DecodeWorkloadSpec(
+        sequences=args.sequences,
+        rate_rps=args.rate,
+        prompt_min=args.prompt_min,
+        prompt_max=args.prompt_max,
+        mean_new_tokens=args.mean_new_tokens,
+        max_new_tokens=args.max_new_tokens,
+        window=args.window,
+        global_tokens=tuple(args.global_token or ()),
+        heads=args.heads,
+        head_dim=args.head_dim,
+        seed=args.seed,
+        **slo,
+    )
 
     # Default token-bucket quota: the offered sequence rate split evenly
     # across the configured SLO classes.
     quota = args.admission_rate if args.admission_rate is not None else (
         args.rate / len(spec.slo_classes))
-    faults = None
     t0 = time.perf_counter()
-    try:
-        if args.fault_transient is not None:
-            faults = FaultInjector(
-                [TransientSpec(prob=args.fault_transient, worker=args.fault_worker)],
-                seed=args.fault_seed,
-            )
-        config = DecodeSimConfig(
-            workers=args.workers,
-            max_batch_size=args.max_lanes,
-            policy=ContinuousBatching(itl_shed_factor=None) if args.no_shed_lagging
-            else ContinuousBatching() if args.itl_shed_factor is None
-            else ContinuousBatching(args.itl_shed_factor),
-            admission=_admission(args.admission, args.admission_depth, args.admission_slack, quota),
-            recovery=RecoveryConfig(max_retries=args.max_retries),
-            faults=faults,
-        )
-        # the simulator checks the fault specs against the pool and the
-        # workload's step patterns against the engine before the first event
-        report = DecodeClusterSimulator(config).run(spec)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    print(
-        f"workload: {args.sequences} sequences @ {args.rate:.0f} seq/s, "
-        f"prompts [{args.prompt_min}, {args.prompt_max}], "
-        f"output ~geometric({args.mean_new_tokens:.0f}) cap {args.max_new_tokens}, "
-        f"{args.workers} workers x {args.max_lanes} lanes"
-        + (f", admission {args.admission}" if args.admission != "admit-all" else "")
-        + (f", faults {faults!r}" if faults is not None else "")
+    faults = None if args.fault_transient is None else FaultInjector(
+        [TransientSpec(prob=args.fault_transient, worker=args.fault_worker)],
+        seed=args.fault_seed,
     )
-    print(report.render())
-    print(f"\n[decode finished in {time.perf_counter() - t0:.1f}s]")
-    return 0
+    config = DecodeSimConfig(
+        workers=args.workers,
+        max_batch_size=args.max_lanes,
+        policy=ContinuousBatching(itl_shed_factor=None) if args.no_shed_lagging
+        else ContinuousBatching() if args.itl_shed_factor is None
+        else ContinuousBatching(args.itl_shed_factor),
+        admission=_admission(args.admission, args.admission_depth, args.admission_slack, quota),
+        recovery=RecoveryConfig(max_retries=args.max_retries),
+        faults=faults,
+    )
+    report = DecodeClusterSimulator(config).run(spec)
+
+    def run() -> int:
+        print(
+            f"workload: {args.sequences} sequences @ {args.rate:.0f} seq/s, "
+            f"prompts [{args.prompt_min}, {args.prompt_max}], "
+            f"output ~geometric({args.mean_new_tokens:.0f}) cap {args.max_new_tokens}, "
+            f"{args.workers} workers x {args.max_lanes} lanes"
+            + (f", admission {args.admission}" if args.admission != "admit-all" else "")
+            + (f", faults {faults!r}" if faults is not None else "")
+        )
+        print(report.render())
+        print(f"\n[decode finished in {time.perf_counter() - t0:.1f}s]")
+        return 0
+
+    return run
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def _shape_flags(p: argparse.ArgumentParser, window: int = 32) -> None:
+    """The attention shape and the workload seed (serve, simulate, decode)."""
+    p.add_argument("--window", type=int, default=window, help="attention window width")
+    p.add_argument("--heads", type=int, default=2, help="attention heads")
+    p.add_argument("--head-dim", type=int, default=8, help="per-head width")
+    p.add_argument("--seed", type=int, default=0, help="workload RNG seed")
+
+
+def _trace_flags(p: argparse.ArgumentParser, requests: int) -> None:
+    """The synthetic trace (serve, simulate)."""
+    p.add_argument(
+        "--requests", type=int, default=requests, help="total requests (default %(default)s)"
+    )
+    p.add_argument("--batch-size", type=int, default=8, help="max requests per batch")
+    p.add_argument("--n", type=int, default=256, help="base sequence length")
+    p.add_argument(
+        "--uniform",
+        action="store_true",
+        help="single pattern family (default: mixed families and lengths)",
+    )
+
+
+def _door_flags(p: argparse.ArgumentParser, slack: float) -> None:
+    """The pool, its admission door and its faults (simulate, decode)."""
+    p.add_argument("--workers", type=int, default=2, help="worker engines (default 2)")
+    p.add_argument(
+        "--admission",
+        choices=tuple(ADMISSIONS),
+        default="admit-all",
+        help="admission policy consulted at each arrival (overload valve; decode's "
+        "est-wait gates on TTFT feasibility via the lane-drain estimate)",
+    )
+    p.add_argument(
+        "--admission-depth",
+        type=int,
+        default=64,
+        help="queue-depth admission: max requests held by the routed worker",
+    )
+    p.add_argument(
+        "--admission-slack",
+        type=float,
+        default=slack,
+        help="est-wait admission: reject once the projected wait exceeds this "
+        "fraction of the request's deadline budget (decode: its TTFT budget)",
+    )
+    p.add_argument(
+        "--admission-rate",
+        type=float,
+        default=None,
+        help="token-bucket admission: per-class refill rate per second (default: "
+        "simulate's pool capacity or decode's offered rate, split evenly across classes)",
+    )
+    p.add_argument(
+        "--max-retries",
+        type=int,
+        default=3,
+        help="transient-error retry budget per request (default 3)",
+    )
+    p.add_argument(
+        "--fault-transient",
+        type=float,
+        default=None,
+        metavar="PROB",
+        help="per-dispatch transient-error probability",
+    )
+    p.add_argument(
+        "--fault-seed", type=int, default=0, help="fault injector RNG seed"
+    )
+
+
+def _parser():
+    """The argument parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="salo-repro",
         description="Reproduction of SALO (DAC 2022): experiment runner",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list available experiments")
+    list_p = sub.add_parser("list", help="list available experiments")
 
     engines_p = sub.add_parser(
         "engines",
@@ -652,16 +748,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     run_p = sub.add_parser("run", help="run one experiment")
     run_p.add_argument("experiment", help="experiment name (see 'list')")
-    run_p.add_argument("--fast", action="store_true", help="reduced problem sizes")
-    run_p.add_argument(
-        "--backend",
-        default=None,
-        help="execution backend for experiments with a backend axis "
-        "(see 'engines list'); experiments without one reject the flag",
-    )
 
     all_p = sub.add_parser("all", help="run every experiment in paper order")
-    all_p.add_argument("--fast", action="store_true", help="reduced problem sizes")
 
     serve_p = sub.add_parser(
         "serve",
@@ -673,32 +761,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             "over one-call-per-request execution of the same work."
         ),
     )
-    serve_p.add_argument("--requests", type=int, default=64, help="trace length (default 64)")
-    serve_p.add_argument("--batch-size", type=int, default=8, help="max requests per batch")
-    serve_p.add_argument("--n", type=int, default=256, help="base sequence length")
-    serve_p.add_argument("--window", type=int, default=32, help="attention window width")
-    serve_p.add_argument("--heads", type=int, default=2, help="attention heads")
-    serve_p.add_argument("--head-dim", type=int, default=8, help="per-head width")
-    serve_p.add_argument("--seed", type=int, default=0, help="trace RNG seed")
-    serve_p.add_argument(
-        "--uniform",
-        action="store_true",
-        help="single pattern family (default: mixed families and lengths)",
-    )
+    _shape_flags(serve_p)
+    _trace_flags(serve_p, requests=64)
     serve_p.add_argument(
         "--no-baseline",
         action="store_true",
         help="skip the sequential one-call-per-request comparison",
-    )
-    serve_p.add_argument(
-        "--backend",
-        default="functional",
-        help="execution backend serving the trace (see 'engines list')",
-    )
-    serve_p.add_argument(
-        "--json",
-        action="store_true",
-        help="print the replay report as one JSON document instead of text",
     )
 
     sim_p = sub.add_parser(
@@ -714,14 +782,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             "utilisation."
         ),
     )
-    sim_p.add_argument("--workers", type=int, default=2, help="worker engines (default 2)")
-    sim_p.add_argument("--requests", type=int, default=200, help="total requests (default 200)")
-    sim_p.add_argument(
-        "--rate",
-        type=float,
-        default=None,
-        help="offered load in req/s (default: 0.9x the pool's cost-model capacity)",
-    )
+    _shape_flags(sim_p)
+    _trace_flags(sim_p, requests=200)
+    _door_flags(sim_p, slack=0.5)
     sim_p.add_argument(
         "--rho",
         type=float,
@@ -761,36 +824,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         "length (token-share fairness) instead of 1 per request",
     )
     sim_p.add_argument(
-        "--admission",
-        choices=tuple(ADMISSIONS),
-        default="admit-all",
-        help="admission policy consulted at each arrival (overload valve)",
-    )
-    sim_p.add_argument(
-        "--admission-depth",
-        type=int,
-        default=64,
-        help="queue-depth admission: max requests held by the routed worker",
-    )
-    sim_p.add_argument(
-        "--admission-slack",
-        type=float,
-        default=0.5,
-        help="est-wait admission: reject once projected wait exceeds this "
-        "fraction of the request's deadline budget",
-    )
-    sim_p.add_argument(
         "--admission-wait-ms",
         type=float,
         default=None,
         help="est-wait admission: absolute wait cap for deadline-free requests (ms)",
-    )
-    sim_p.add_argument(
-        "--admission-rate",
-        type=float,
-        default=None,
-        help="token-bucket admission: per-class refill rate in req/s "
-        "(default: an even split of pool capacity across classes)",
     )
     sim_p.add_argument(
         "--max-wait-ms",
@@ -800,21 +837,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     sim_p.add_argument(
         "--target-size", type=int, default=4, help="size-latency policy batch target"
-    )
-    sim_p.add_argument("--batch-size", type=int, default=8, help="max requests per batch")
-    sim_p.add_argument("--n", type=int, default=256, help="base sequence length")
-    sim_p.add_argument("--window", type=int, default=32, help="attention window width")
-    sim_p.add_argument("--heads", type=int, default=2, help="attention heads")
-    sim_p.add_argument("--head-dim", type=int, default=8, help="per-head width")
-    sim_p.add_argument("--seed", type=int, default=0, help="workload RNG seed")
-    sim_p.add_argument(
-        "--slo",
-        action="append",
-        metavar="NAME:DEADLINE_MS:SHARE",
-        help=(
-            "an SLO class (repeatable); default: interactive/bulk classes with "
-            "deadlines scaled to the workload's cost-model dispatch unit"
-        ),
     )
     sim_p.add_argument(
         "--clients", type=int, default=16, help="closed-loop client population"
@@ -835,21 +857,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "(default: deterministic cost-model clock)",
     )
     sim_p.add_argument(
-        "--uniform",
-        action="store_true",
-        help="single pattern family (default: mixed families and lengths)",
-    )
-    sim_p.add_argument(
-        "--backend",
-        default="functional",
-        help="execution backend of every worker engine (see 'engines list')",
-    )
-    sim_p.add_argument(
-        "--json",
-        action="store_true",
-        help="print the cluster report as one JSON document instead of text",
-    )
-    sim_p.add_argument(
         "--fault-crash",
         action="append",
         metavar="WID:AT_MS[:DOWN_MS]",
@@ -868,16 +875,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         ),
     )
     sim_p.add_argument(
-        "--fault-transient",
-        type=float,
-        default=None,
-        metavar="PROB",
-        help="per-dispatch transient-error probability on every worker",
-    )
-    sim_p.add_argument(
-        "--fault-seed", type=int, default=0, help="fault injector RNG seed"
-    )
-    sim_p.add_argument(
         "--heartbeat-interval-ms",
         type=float,
         default=1.0,
@@ -888,12 +885,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=float,
         default=2.0,
         help="silence after which a worker is marked down (simulated ms; default 2.0)",
-    )
-    sim_p.add_argument(
-        "--max-retries",
-        type=int,
-        default=3,
-        help="transient-error retry budget per request (default 3)",
     )
     sim_p.add_argument(
         "--no-requeue",
@@ -983,11 +974,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="max batch sizes to search (default: 8)",
     )
     adv_p.add_argument(
-        "--backend",
-        default="functional",
-        help="execution backend candidates are configured with",
-    )
-    adv_p.add_argument(
         "--top", type=int, default=None, help="show only the top K ranked candidates"
     )
     adv_p.add_argument(
@@ -1010,9 +996,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="persist per-simulation results keyed by run id; a re-run "
         "with unchanged configuration replays from disk",
     )
-    adv_p.add_argument(
-        "--json", action="store_true", help="emit the full advice as JSON"
-    )
 
     dec_p = sub.add_parser(
         "decode",
@@ -1028,11 +1011,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             "hit rates."
         ),
     )
+    _shape_flags(dec_p, window=8)
+    _door_flags(dec_p, slack=1.0)
     dec_p.add_argument("--sequences", type=int, default=64, help="total sequences (default 64)")
-    dec_p.add_argument(
-        "--rate", type=float, default=2000.0, help="sequence arrival rate in seq/s"
-    )
-    dec_p.add_argument("--workers", type=int, default=2, help="decode workers (default 2)")
     dec_p.add_argument(
         "--max-lanes", type=int, default=8, help="continuous-batch lanes per worker"
     )
@@ -1047,52 +1028,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     dec_p.add_argument(
         "--max-new-tokens", type=int, default=64, help="output budget cap"
     )
-    dec_p.add_argument("--window", type=int, default=8, help="attention window width")
     dec_p.add_argument(
         "--global-token",
         action="append",
         type=int,
         metavar="POS",
         help="a global-attention token position (repeatable)",
-    )
-    dec_p.add_argument("--heads", type=int, default=2, help="attention heads")
-    dec_p.add_argument("--head-dim", type=int, default=8, help="per-head width")
-    dec_p.add_argument("--seed", type=int, default=0, help="workload RNG seed")
-    dec_p.add_argument(
-        "--slo",
-        action="append",
-        metavar="NAME:TTFT_MS:ITL_MS:SHARE",
-        help=(
-            "a decode SLO class with first-token and inter-token budgets "
-            "(either may be 'none'; repeatable; default: interactive/bulk)"
-        ),
-    )
-    dec_p.add_argument(
-        "--admission",
-        choices=tuple(ADMISSIONS),
-        default="admit-all",
-        help="admission policy at the decode door (est-wait gates on TTFT "
-        "feasibility via the lane-drain estimate)",
-    )
-    dec_p.add_argument(
-        "--admission-depth",
-        type=int,
-        default=64,
-        help="queue-depth admission: max sequences held by the routed worker",
-    )
-    dec_p.add_argument(
-        "--admission-slack",
-        type=float,
-        default=1.0,
-        help="est-wait admission: reject once the projected first-step wait "
-        "exceeds this fraction of the TTFT budget",
-    )
-    dec_p.add_argument(
-        "--admission-rate",
-        type=float,
-        default=None,
-        help="token-bucket admission: per-class refill rate in seq/s "
-        "(default: the offered rate split across classes)",
     )
     dec_p.add_argument(
         "--no-shed-lagging",
@@ -1107,126 +1048,61 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="shed a lane once its gap exceeds this multiple of its ITL budget",
     )
     dec_p.add_argument(
-        "--max-retries",
-        type=int,
-        default=3,
-        help="step-failure retry budget per sequence (default 3)",
-    )
-    dec_p.add_argument(
-        "--fault-transient",
-        type=float,
-        default=None,
-        metavar="PROB",
-        help="per-step transient-error probability",
-    )
-    dec_p.add_argument(
         "--fault-worker",
         type=int,
         default=None,
         metavar="WID",
         help="restrict transient faults to one worker (default: all)",
     )
-    dec_p.add_argument(
-        "--fault-seed", type=int, default=0, help="fault injector RNG seed"
-    )
 
-    args = parser.parse_args(argv)
-
-    if args.command == "list":
-        for name in _ordered_names():
-            print(name)
-        return 0
-
-    if args.command == "engines":
-        return _cmd_engines(args)
-
-    if args.command == "run":
-        try:
-            fn = get_experiment(args.experiment)
-        except KeyError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        kwargs = {}
-        if args.backend is not None:
-            # The serving experiments run the deterministic cost-model
-            # clock, so the backend must both execute and estimate.
-            rc = _validate_backend(
-                args.backend, require_executing=True, require_cost_model=True
-            )
-            if rc:
-                return rc
-            if "backend" not in inspect.signature(fn).parameters:
-                print(
-                    f"experiment {args.experiment!r} has no execution-backend axis "
-                    "(cost-model only); drop --backend",
-                    file=sys.stderr,
-                )
-                return 2
-            kwargs["backend"] = args.backend
-        t0 = time.perf_counter()
-        result = fn(fast=args.fast, **kwargs)
-        print(result.render())
-        print(f"\n[{args.experiment} finished in {time.perf_counter() - t0:.1f}s]")
-        return 0
-
-    if args.command == "serve":
-        from .serving import TraceSpec, replay, synthetic_trace
-
-        rc = _validate_backend(args.backend, require_executing=True)
-        if rc:
-            return rc
-        if args.batch_size < 1:
-            print(f"--batch-size must be >= 1, got {args.batch_size}", file=sys.stderr)
-            return 2
-        t0 = time.perf_counter()
-        try:
-            trace = synthetic_trace(
-                TraceSpec(
-                    num_requests=args.requests,
-                    n=args.n,
-                    window=args.window,
-                    heads=args.heads,
-                    head_dim=args.head_dim,
-                    mixed=not args.uniform,
-                    seed=args.seed,
-                )
-            )
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        report = replay(
-            trace,
-            max_batch_size=args.batch_size,
-            compare_sequential=not args.no_baseline,
-            backend=args.backend,
+    # Flags shared by commands outside one group, each declared once.
+    for p in (run_p, all_p):
+        p.add_argument("--fast", action="store_true", help="reduced problem sizes")
+    for p, backend in ((run_p, None), (serve_p, "functional"), (sim_p, "functional"),
+                       (adv_p, "functional")):
+        p.add_argument(
+            "--backend",
+            default=backend,
+            help="execution backend of the engines the command builds (see 'engines list')",
         )
-        if args.json:
-            import json as _json
+    for p in (serve_p, sim_p, adv_p):
+        p.add_argument(
+            "--json",
+            action="store_true",
+            help="print the report as one JSON document instead of text",
+        )
+    for p, rate, what in (
+        (sim_p, None, "offered load in req/s (default: 0.9x the pool's cost-model capacity)"),
+        (dec_p, 2000.0, "sequence arrival rate in seq/s"),
+    ):
+        p.add_argument("--rate", type=float, default=rate, help=what)
+    for p, metavar, what in (
+        (sim_p, "NAME:DEADLINE_MS:SHARE", "an SLO class (repeatable); default: "
+         "interactive/bulk classes with deadlines scaled to the workload's "
+         "cost-model dispatch unit"),
+        (dec_p, "NAME:TTFT_MS:ITL_MS:SHARE", "a decode SLO class with first-token "
+         "and inter-token budgets (either may be 'none'; repeatable; default: "
+         "interactive/bulk)"),
+    ):
+        p.add_argument("--slo", action="append", metavar=metavar, help=what)
 
-            print(_json.dumps(report.to_dict(), indent=2, sort_keys=True))
-            return 0
-        print(report.render())
-        print(f"\n[serve finished in {time.perf_counter() - t0:.1f}s]")
-        return 0
+    for p, command in ((list_p, _cmd_list), (engines_p, _cmd_engines), (run_p, _cmd_run),
+                       (all_p, _cmd_all), (serve_p, _cmd_serve), (sim_p, _cmd_simulate),
+                       (adv_p, _cmd_advise), (dec_p, _cmd_decode)):
+        p.set_defaults(func=command)
+    return parser, sub.choices
 
-    if args.command == "simulate":
-        return _cmd_simulate(args)
 
-    if args.command == "advise":
-        return _cmd_advise(args)
-
-    if args.command == "decode":
-        return _cmd_decode(args)
-
-    if args.command == "all":
-        for name in _ordered_names():
-            t0 = time.perf_counter()
-            result = get_experiment(name)(fast=args.fast)
-            print(result.render())
-            print(f"[{name}: {time.perf_counter() - t0:.1f}s]\n")
-        return 0
-
-    return 2  # pragma: no cover
+def main(argv: Optional[List[str]] = None) -> int:
+    parser, commands = _parser()
+    args = parser.parse_args(argv)
+    try:
+        _refuse_ignored(args, commands[args.command])
+        run = args.func(args)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    return run()
 
 
 if __name__ == "__main__":

@@ -229,7 +229,7 @@ class TestCli:
             # open-loop knobs a closed population would silently ignore
             (["simulate", "--arrival", "closed", "--rate", "100"], "--rate"),
             (["simulate", "--arrival", "closed", "--rho", "0.5"], "--rho"),
-            (["serve", "--batch-size", "0"], "--batch-size"),
+            (["serve", "--batch-size", "0"], "max_batch_size"),
             (["serve", "--requests", "0"], "num_requests"),
             (["serve", "--window", "0"], "window"),
             (["serve", "--seed", "-1"], "seed must be >= 0"),
@@ -248,6 +248,16 @@ class TestCli:
             (["decode", "--admission-rate", "5"], "--admission-rate"),
             (["simulate", "--admission-wait-ms", "5"], "--admission-wait-ms"),
             (["decode", "--no-shed-lagging", "--itl-shed-factor", "2"], "--itl-shed-factor"),
+            (["simulate", "--admission-depth", "8"], "--admission-depth"),
+            (["decode", "--admission-depth", "8"], "--admission-depth"),
+            (["simulate", "--admission-slack", "0.9"], "--admission-slack"),
+            (["decode", "--admission-slack", "0.5"], "--admission-slack"),
+            (["simulate", "--fault-seed", "3"], "--fault-seed"),
+            (["decode", "--fault-seed", "3"], "--fault-seed"),
+            (["simulate", "--max-wait-ms", "1"], "--max-wait-ms"),
+            (["simulate", "--policy", "max-wait", "--target-size", "2"], "--target-size"),
+            (["simulate", "--clients", "4"], "--clients"),
+            (["simulate", "--think-ms", "1"], "--think-ms"),
         ],
     )
     def test_bad_input_exits_2_naming_it(self, capsys, argv, needle):
@@ -326,6 +336,27 @@ class TestSimulateBackendScaling:
         )
         assert seen["backend"] == "dense"
         assert "requests completed" in capsys.readouterr().out
+
+    def test_measured_probe_times_the_simulated_backend(self, capsys, monkeypatch):
+        """Regression: `simulate --measured --backend dense` must time its
+        auto rate and SLO budgets on the dense engine its workers run,
+        not on a default SALO."""
+        from repro.api.backends import DenseOracleBackend
+        from repro.core.salo import SALO
+
+        engines = []
+        for cls in (SALO, DenseOracleBackend):
+            def spy(self, *args, _attend=cls.attend, **kwargs):
+                engines.append(type(self).__name__)
+                return _attend(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "attend", spy)
+        argv = ["simulate", "--measured", "--backend", "dense", "--workers", "1",
+                "--requests", "8", "--n", "64", "--window", "8", "--heads", "2",
+                "--head-dim", "4", "--seed", "0"]
+        assert main(argv) == 0
+        assert "requests completed   8" in capsys.readouterr().out
+        assert engines and set(engines) == {"DenseOracleBackend"}
 
 
 # Every subcommand's actions as parsed (help text excluded): a refactor of

@@ -343,3 +343,24 @@ def test_arrivals_reach_the_plane_through_one_handler():
     doors = {("serving/session.py", "submit"), ("decode/scheduler.py", "submit")}
     assert ("transport/cluster.py", "_on_arrive") in callers  # the walk sees the handler
     assert {c for c in callers if c[1] != "_on_arrive"} == doors, sorted(callers)
+
+
+def test_the_cli_declares_each_flag_once():
+    """A long option string sits in one ``add_argument`` call of
+    ``cli.py``: a flag several commands share is declared by one flag-group
+    function or one loop, so its type, default and help cannot drift
+    apart between copies.  The exception is ``advise``'s list-valued
+    search axes, declared with ``nargs="+"`` beside the single-valued
+    flag of the same name."""
+    calls = {}
+    for node in ast.walk(_sources()["cli.py"]):
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith(".add_argument"):
+            for arg in node.args:
+                if isinstance(arg, ast.Constant) and str(arg.value).startswith("--"):
+                    calls.setdefault(arg.value, []).append(node)
+    assert len(calls) > 50  # the walk found the declarations
+    repeated = {flag: nodes for flag, nodes in calls.items() if len(nodes) > 1}
+    assert set(repeated) <= {"--workers", "--policy", "--admission", "--batch-size"}, sorted(repeated)
+    for flag, nodes in repeated.items():
+        nargs = [ast.unparse(kw.value) for node in nodes for kw in node.keywords if kw.arg == "nargs"]
+        assert len(nodes) == 2 and nargs == ["'+'"], flag
