@@ -256,7 +256,7 @@ def _cmd_serve(args) -> Run:
     from .serving import BatchScheduler, TraceSpec, replay, synthetic_trace
 
     _validate_backend(args.backend, require_executing=True)
-    # the replay's own scheduler checks the cap, but only after the baseline
+    # checked at the door too: main maps only a door's ValueError to exit 2
     BatchScheduler(max_batch_size=args.batch_size)
     t0 = time.perf_counter()
     trace = synthetic_trace(

@@ -5,16 +5,18 @@ event kinds:
 
 * **arrival** — the pool routes the request (plan affinity), the
   admission policy accepts it or records a rejection (the overload
-  valve), and the worker's batch policy is consulted.  A consultation
-  may also *shed* queued requests whose deadlines became unreachable
-  (``drop_expired``).  Rejected, shed and failed requests are terminal
-  outcomes fed back to closed-loop sources exactly like completions, so
-  ``submitted == completed + rejected + shed + failed`` holds on every
-  drained run.
+  valve), and the worker is marked: each handler only marks the workers
+  it touched, and the plane consults each marked worker's batch policy
+  once per instant, after every arrival due by then (so a burst is
+  batched whole on every executor).  A consultation may also *shed*
+  requests whose deadlines became unreachable (``drop_expired``).
+  Rejected, shed and failed requests are terminal outcomes fed back to
+  closed-loop sources exactly like completions, so ``submitted ==
+  completed + rejected + shed + failed`` holds on every drained run.
 * **service-complete** — completions are recorded (on a transient error
   each member instead retries after capped exponential backoff, against
-  its budget) and the policy is consulted for the next batch.  After
-  every event, idle workers with dry queues steal from busy peers.
+  its budget) and the worker is marked.  After each instant's
+  consultations, idle workers with dry queues steal from busy peers.
 * **batch-close timer** — a holding policy (max-wait / size-latency)
   named a future instant at which an open queue must be re-examined.
 * **expiry timer** — with ``drop_expired``, every admitted request arms
@@ -171,6 +173,11 @@ class Executor:
     def scheduled(self) -> int:
         return len(self._heap)
 
+    def arrival_due(self, t: float) -> bool:
+        """Is the next event an arrival due by ``t``?  The plane consults
+        each marked worker once per instant, after every due arrival."""
+        return bool(self._heap) and self._heap[0][2] == _ARRIVE and self._heap[0][0] <= t
+
     def completed(
         self, t: float, worker: Worker, launch_id: int, failed: bool, service_s: float, served
     ) -> None:
@@ -276,6 +283,7 @@ class ControlPlane:
         self._source = RequestSource()  # closed-loop feedback; none by default
         self._routed: Dict[Hashable, int] = {}  # request id -> routed worker id
         self._timer_armed: Dict[int, float] = {}  # worker id -> armed time
+        self._consult: Dict[int, Worker] = {}  # worker id -> worker to consult this instant
         self._recovery = cfg.recovery
         rec = cfg.recovery
         if rec.breaker_threshold is not None:
@@ -406,13 +414,12 @@ class ControlPlane:
     def _on_arrive(self, request: AttentionRequest, now: float) -> None:
         worker = self._admit(request, now)
         if worker is not None:
-            self._dispatch(worker, now)
+            self._consult[worker.wid] = worker
 
     def _on_timer(self, worker: Worker, now: float) -> None:
-        armed = self._timer_armed.get(worker.wid)
-        if armed is not None and now >= armed:
+        if self._timer_armed.get(worker.wid, math.inf) <= now:
             del self._timer_armed[worker.wid]
-        self._dispatch(worker, now)
+        self._consult[worker.wid] = worker
 
     def _on_complete(self, payload: Tuple[Worker, int, bool, float, Optional[list]], now: float) -> None:
         worker, launch_id, failed, service_s, served = payload
@@ -427,13 +434,11 @@ class ControlPlane:
         self._emit(LAUNCH_COMPLETE, now, None, worker.wid, launch_id, not failed)
         if worker.breaker is not None:
             worker.breaker.record(not failed, now)
+        self._consult[worker.wid] = worker
         if failed:
-            self._retry_or_fail(batch, now)
-            self._dispatch(worker, now)
-            return
+            return self._retry_or_fail(batch, now)
         for req, out in zip(batch.requests, served or [None] * batch.size):
             self._complete(req, batch, worker, dispatched, now, out)
-        self._dispatch(worker, now)
 
     def _complete(self, req, batch: Batch, worker: Worker, dispatched: float, now: float, served) -> None:
         """``req`` rode a served batch: record it (``served``: its ``(output, result)``)."""
@@ -457,7 +462,7 @@ class ControlPlane:
     def _balance(self, now: float) -> None:
         """Idle workers with dry queues steal from saturated peers.
 
-        Runs after every event, so an engine never sits idle while a
+        Runs once per instant, so an engine never sits idle while a
         *busy* peer has backlog (idle peers holding requests open under a
         max-wait policy are off limits — see ``EnginePool.steal_into``).
         Dead or down workers cannot steal; a crashed-but-undetected peer
@@ -505,7 +510,7 @@ class ControlPlane:
             self._emit(REQUEUE, now, request.request_id, target.wid)
         self._routed[request.request_id] = target.wid
         target.queue.enqueue(request)
-        self._dispatch(target, now)
+        self._consult[target.wid] = target
 
     def _recover_requests(self, requests: List[AttentionRequest], now: float) -> None:
         """A down worker's orphans, oldest deadline first."""
@@ -558,16 +563,14 @@ class ControlPlane:
         # in-flight batch; the replacement process recovers it now.
         orphans = worker.forfeit()
         worker.rejoin(now)
-        if orphans:
-            self._recover_requests(orphans, now)
-        self._dispatch(worker, now)
+        self._recover_requests(orphans, now)
+        self._consult[worker.wid] = worker
 
     def _mark_down(self, worker: Worker, now: float) -> None:
         orphans = worker.forfeit()
         worker.mark_down(now)
         orphans.extend(worker.queue.prune(lambda r: True))
-        if orphans:
-            self._recover_requests(orphans, now)
+        self._recover_requests(orphans, now)
 
     def _on_probe(self, _, now: float) -> None:
         """Heartbeat sweep: refresh answering workers, time out silent ones."""
@@ -631,7 +634,12 @@ class ControlPlane:
             if tick is not None:
                 tick(self, t)
             self._handlers[kind](payload, t)
-            self._balance(t)
+            while not executor.arrival_due(t):  # consult once every arrival due by t is in
+                while self._consult:
+                    self._dispatch(self._consult.pop(next(iter(self._consult))), t)
+                self._balance(t)  # a thief found dead marks the workers of its orphans
+                if not self._consult:
+                    break
 
     def _play(self, source: RequestSource, now: float = 0.0, tick=None) -> None:
         """Feed ``source`` to the plane, each arrival at its ``arrival_s`` stamp, and handle

@@ -240,6 +240,8 @@ def replay(
             if schedule is not None:
                 schedule(req.pattern, heads=req.heads, head_dim=req.head_dim)
 
+    # built first, so a bad max_batch_size is refused before the baseline runs
+    session = ServingSession(salo=salo, max_batch_size=max_batch_size)
     if compare_sequential:
         baseline = make_engine()
         warm(baseline)  # schedule-level warm (compile stays timed, as for the session)
@@ -249,7 +251,6 @@ def replay(
             outputs_seq[req.request_id] = res.output
         sequential_s = time.perf_counter() - t0
 
-    session = ServingSession(salo=salo, max_batch_size=max_batch_size)
     warm(salo)  # schedule-level warm, symmetric with the baseline
     # A trace recorded with synthetic arrival timestamps replays them:
     # queueing delay is then measured from trace time (rebased onto the

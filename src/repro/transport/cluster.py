@@ -13,12 +13,8 @@ these workers run, and ``submitted == completed + rejected + shed +
 failed`` is the same code whether the dead worker was an event on a
 heap or a process that was *actually* ``kill -9``'d.
 
-Three things hold for real workers by construction, not by option:
+Two things hold for real workers by construction, not by option:
 
-* an arrival arms its worker's consultation for the next instant, so
-  every arrival already due is admitted first: a burst handed to
-  :meth:`TransportCluster.run` (all offsets 0) is batched **whole**
-  (consulting as it trickles in would serve singletons);
 * a worker holds up to ``max_inflight_per_worker`` batches, so the
   parent packs batch k+1 while the worker runs batch k;
 * a busy single-threaded worker cannot answer pings mid-batch, so only
@@ -260,11 +256,6 @@ class TransportCluster(ControlPlane):
             r.arrival_s += now
         self._play(OpenLoopSource(stamped), now, tick)
         return self.report()
-
-    def _on_arrive(self, request: AttentionRequest, now: float) -> None:
-        worker = self._admit(request, now)
-        if worker is not None:
-            self._arm_timer(worker, now, now)  # consult once every due arrival is in
 
     def kill_worker(self, wid: int) -> None:
         """SIGKILL (or simulate killing) worker ``wid`` — chaos hook."""

@@ -21,6 +21,7 @@ from repro.cluster import (
     open_loop,
     simulate,
 )
+from repro.cluster.events import LAUNCH, check
 from repro.core.config import HardwareConfig
 from repro.core.salo import SALO
 from repro.serving import TraceSpec
@@ -169,6 +170,20 @@ class TestEventLoop:
         assert report.submitted == 40
         assert report.completed + report.shed == 40
         assert report.shed > 0  # the 1us deadline made shedding certain
+
+    def test_closed_loop_at_think_zero_batches_every_client(self):
+        """Resubmissions a completion schedules at its own instant join
+        that instant's one consultation: four clients that think for no
+        time fill every batch of four."""
+        spec = TraceSpec(num_requests=16, n=64, window=8, heads=2, head_dim=4, mixed=False)
+        sim = ClusterSimulator(
+            SimConfig(workers=1, max_batch_size=4, service=CostModelClock.flat())
+        )
+        events = []
+        sim.listen(events.append)
+        sim.run(ClosedLoopSource(spec, clients=4, think_time_s=0.0))
+        assert [len(e.payload.requests) for e in events if e.kind == LAUNCH] == [4, 4, 4, 4]
+        assert not check(events)
 
 
 class TestReportIntegrity:

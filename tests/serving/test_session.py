@@ -354,3 +354,15 @@ class TestTraceReplay:
         assert report.stats.completed == 6
         assert events.count("draw") == 6
         assert "draw" not in events[events.index("clock"):]
+
+    def test_replay_refuses_a_bad_cap_before_the_baseline(self, monkeypatch):
+        """The session, and so its batch-size check, is built before the
+        sequential baseline runs a single request."""
+        attended = []
+        attend = SALO.attend
+        monkeypatch.setattr(
+            SALO, "attend", lambda salo, *a, **k: attended.append(1) or attend(salo, *a, **k))
+        spec = TraceSpec(num_requests=4, n=64, window=8, heads=2, head_dim=4, seed=4)
+        with pytest.raises(ValueError, match="max_batch_size"):
+            replay(synthetic_trace(spec), max_batch_size=0)
+        assert attended == []

@@ -311,12 +311,9 @@ def test_the_plane_books_every_outcome_as_an_event():
         assert not kept, (type(obj).__name__, kept)
 
 
-def test_arrivals_reach_the_plane_through_one_handler():
-    """A source's arrivals are ``_ARRIVE`` events that ``ControlPlane._play``
-    schedules, so outside ``ControlPlane`` its ``_admit`` is called only by
-    an ``_on_arrive`` override or by a synchronous ``submit`` door.  A
-    front admitting from anywhere else is a second arrival loop growing
-    back beside ``_play``."""
+def _plane_callers(method):
+    """``(module, function)`` of every call to ``self.<method>`` in
+    ``ControlPlane`` or a class deriving from it, through any front."""
     trees = _sources()
     bases = {
         node.name: {ast.unparse(base).split(".")[-1] for base in node.bases}
@@ -327,22 +324,49 @@ def test_arrivals_reach_the_plane_through_one_handler():
     fronts = {"ControlPlane"}
     while more := {cls for cls, of in bases.items() if of & fronts} - fronts:
         fronts |= more  # every class deriving from the plane, through any front
-    callers = {
+    assert {"ClusterSimulator", "TransportCluster", "ServingSession", "DecodeScheduler"} <= fronts
+    return {
         (name, fn.name)
         for name, tree in trees.items()
         for cls in ast.walk(tree)
-        if isinstance(cls, ast.ClassDef) and cls.name in fronts - {"ControlPlane"}
+        if isinstance(cls, ast.ClassDef) and cls.name in fronts
         for fn in cls.body
         if isinstance(fn, ast.FunctionDef)
         and any(
-            isinstance(node, ast.Call) and ast.unparse(node.func) == "self._admit"
+            isinstance(node, ast.Call) and ast.unparse(node.func) == f"self.{method}"
             for node in ast.walk(fn)
         )
     }
-    assert {"ClusterSimulator", "TransportCluster", "ServingSession", "DecodeScheduler"} <= fronts
+
+
+def test_arrivals_reach_the_plane_through_one_handler():
+    """A source's arrivals are ``_ARRIVE`` events that ``ControlPlane._play``
+    schedules and ``ControlPlane._on_arrive`` admits, so outside
+    ``ControlPlane`` its ``_admit`` is called only by a synchronous
+    ``submit`` door.  A front admitting from anywhere else (an
+    ``_on_arrive`` override among them) is a second arrival loop growing
+    back beside ``_play``."""
+    callers = _plane_callers("_admit")
+    inside = {c for c in callers if c[0] == "cluster/simulator.py"}
+    assert inside == {("cluster/simulator.py", "_on_arrive")}  # the walk sees the handler
     doors = {("serving/session.py", "submit"), ("decode/scheduler.py", "submit")}
-    assert ("transport/cluster.py", "_on_arrive") in callers  # the walk sees the handler
-    assert {c for c in callers if c[1] != "_on_arrive"} == doors, sorted(callers)
+    assert callers - inside == doors, sorted(callers)
+
+
+def test_the_policy_is_consulted_in_one_place():
+    """Handlers only mark a worker for consultation; ``ControlPlane._drive``
+    consults each marked worker once per instant, after every arrival due
+    by then, and a thief in ``_balance`` launches what it stole at once.
+    Outside the plane, only the two synchronous doors that spend a launch
+    budget call ``_dispatch``.  Any other caller is a second consultation
+    instant growing back, and one trace would again form different
+    batches on different executors."""
+    assert _plane_callers("_dispatch") == {
+        ("cluster/simulator.py", "_drive"),
+        ("cluster/simulator.py", "_balance"),
+        ("serving/session.py", "_serve"),
+        ("decode/scheduler.py", "step"),
+    }
 
 
 def test_the_cli_declares_each_flag_once():

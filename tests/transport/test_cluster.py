@@ -18,6 +18,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+import repro.cluster.events as cluster_events
 from repro.api import CapabilityError
 from repro.cluster import EDFPolicy, MaxWaitPolicy, QueueDepthCap, RecoveryConfig
 from repro.cluster.events import check
@@ -259,6 +260,36 @@ class TestBursts:
                                        transports=[transport])) as cluster:
             report = cluster.run(requests)
         assert (report.submitted, report.failed) == (2, 2)
+
+
+class TestOneConsultationInstant:
+    def test_the_simulator_and_real_workers_form_the_same_batches(self, drive, monkeypatch):
+        """The plane consults a worker once per instant, after every
+        arrival due by then, on every executor.  Arrivals that come in
+        bursts at one instant, or further apart than any service time,
+        therefore launch as the same batches in virtual and in wall time."""
+        streams = []
+
+        def keep(events, drop_expired=False):  # what ``drive`` checks, kept
+            streams.append(events)
+            return check(events, drop_expired)
+
+        monkeypatch.setattr(cluster_events, "check", keep)
+        requests = (
+            _requests(3)
+            + _requests(3, first=3, arrival_s=0.2)
+            + _requests(5, first=6, arrival_s=0.4)
+            + _requests(1, first=11, arrival_s=0.6)
+        )
+        drive("simulated", requests, workers=1, max_batch_size=4)
+        drive("inprocess", requests, workers=1, max_batch_size=4, max_inflight_per_worker=1,
+              warm=((PATTERN, HEADS, HIDDEN // HEADS),))
+        simulated, real = (
+            [[r.request_id for r in e.payload.requests] for e in events if e.kind == "launch"]
+            for events in streams
+        )
+        assert simulated == [[0, 1, 2], [3, 4, 5], [6, 7, 8, 9], [10], [11]]
+        assert real == simulated
 
 
 class TestMultiprocess:
