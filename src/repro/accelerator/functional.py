@@ -26,9 +26,9 @@ excluded from window passes to avoid double counting.
 Execution pipeline
 ------------------
 The engine holds two executors.  The *reference* path (``mode="legacy"``)
-walks ``plan.passes`` per head and per pass with ordered einsums; it
-executes any :class:`~repro.scheduler.plan.TilePass` sequence and is what
-the equivalence suites compare against.  The *production* path consumes
+walks ``plan.passes`` per head and per pass with ordered einsums, reading
+the :class:`~repro.scheduler.plan.TilePass` objects, and is what the
+equivalence suites compare against.  The *production* path consumes
 the plan's memoized :class:`~repro.scheduler.compiled.CompiledPlan`:
 passes are structural — identical across heads and across calls — so
 Q/K/V are quantised once for all heads, stages 1 and 5 run as banded
@@ -96,10 +96,8 @@ clip nor an unquantised branch.  Everything else (``exact()`` configs,
 bit widths past the float32 budget, formats that can saturate) runs the
 reference path.  Either way the output is bit-identical to
 ``mode="legacy"``; :attr:`FunctionalEngine.tiled` reports the choice.
-The production path is total over the scheduler: every plan
-:meth:`DataScheduler.schedule` emits has a job schedule
-(:class:`~repro.scheduler.compiled.IrregularPassError` is left to
-hand-built pass lists with non-contiguous query rows).
+The production path is total: every plan comes from
+:meth:`DataScheduler.schedule`, and every such plan has a job schedule.
 
 Working memory and the unit of isolation
 ----------------------------------------

@@ -65,13 +65,12 @@ each pass's key ids in closed form.  The scheduler derives it by
 broadcasting from its product — per query group, block starts x packed
 column groups and the has-work mask
 (:class:`~repro.scheduler.plan.GroupTiling`, :func:`tiling_index`) —
-and hands it to the plan as its pass list, so a cold start
-(``schedule`` -> ``compiled()`` -> ``.schedule``) builds no
-:class:`~repro.scheduler.plan.TilePass`, derives no fact twice and makes
-no per-pass numpy call: the window jobs read the index's column groups
-and master orders, and take their masked block runs from the same
-exact / expanded split.  A hand-built pass list gets its index from one
-sweep over its objects (:func:`pass_index`).
+and hands it to the plan as its pass list — the only pass list a plan
+holds — so a cold start (``schedule`` -> ``compiled()`` -> ``.schedule``)
+builds no :class:`~repro.scheduler.plan.TilePass`, derives no fact twice
+and makes no per-pass numpy call: the window jobs read the index's
+column groups and master orders, and take their masked block runs from
+the same exact / expanded split.
 """
 
 from __future__ import annotations
@@ -89,13 +88,11 @@ __all__ = [
     "CompiledPlan",
     "ExecutionSchedule",
     "GlobalRowBucket",
-    "IrregularPassError",
     "JobChain",
     "PassIndex",
     "SegmentStream",
     "WindowJob",
     "compile_plan",
-    "pass_index",
     "tiling_index",
 ]
 
@@ -104,20 +101,6 @@ __all__ = [
 #: included (see :meth:`CompiledPlan.chunk_blocks`): roughly the share of
 #: the host's last-level cache one chunk's stages 1-5 should occupy.
 CHUNK_BYTES = 4 * 1024 * 1024
-
-
-class IrregularPassError(ValueError):
-    """Raised when a pass has no strided window-job geometry.
-
-    A pass whose query rows are not consecutive group positions — only a
-    hand-built pass list can hold one.  Nothing
-    :meth:`DataScheduler.schedule` emits raises this: its passes map
-    contiguous rows, and a column group with a block missing inside (a
-    zero-work pass the scheduler dropped) is cut into its evenly spaced
-    runs (:func:`_even_runs`).  The per-pass reference engine
-    (``FunctionalEngine(plan, mode="legacy")``), which never builds
-    window jobs, executes any pass list.
-    """
 
 
 @dataclass(frozen=True)
@@ -612,23 +595,13 @@ def _column_run(
     slots: np.ndarray,
     skip: int = 0,
 ) -> _ColumnRun:
-    """The :class:`_ColumnRun` of one evenly spaced run of passes, or raise.
-
-    Strided window-job geometry needs contiguous query rows in every
-    pass (``PassIndex.contiguous``, true of every scheduled pass); any
-    block range of such a run is regular too, so the check runs here, on
-    the whole run, and the error names every pass of it.
+    """The :class:`_ColumnRun` of one evenly spaced run of passes.
 
     ``skip`` drops the first rows of a one-block run: the block that
     straddles a plan's first query starts at its first live row, so its
     query ids, masks, key streams and range facts all begin there.
     """
     ia = np.asarray(idxs, dtype=np.int64)
-    if not index.contiguous[ia].all():
-        raise IrregularPassError(
-            f"passes {idxs} have non-contiguous query rows and cannot form a "
-            "window job; only FunctionalEngine(plan, mode='legacy') executes them"
-        )
     q = q_ids[ia, skip:]
     lengths = (q >= 0).sum(axis=1)
     rows = int(lengths.max())
@@ -911,10 +884,9 @@ class PassIndex(Sequence[TilePass]):
     order (:func:`_merge_order`).  ``first_pass[k]``: the first pass
     streaming key ``k``, ``P`` if none (plans with global tokens only).
 
-    As a sequence it is the pass list (``plan.passes`` of a scheduled
-    plan): ``len`` reads the arrays, and the :class:`TilePass` objects
-    are built on the first read of an item (then ``"objects" in
-    vars(index)``).
+    As a sequence it is the pass list (``plan.passes``): ``len`` reads
+    the arrays, and the :class:`TilePass` objects are built on the first
+    read of an item (then ``"objects" in vars(index)``).
     """
 
     lengths: np.ndarray  # (P,) PE rows used
@@ -922,7 +894,6 @@ class PassIndex(Sequence[TilePass]):
     residues: np.ndarray  # (P,) query residue
     dilations: np.ndarray  # (P,) query dilation
     qpos: np.ndarray  # (P, R) query group positions, 0 on padding
-    contiguous: np.ndarray  # (P,) bool: rows are consecutive group positions
     col_base: np.ndarray  # (P, C) key id at group position 0, -1 on padding
     col_dil: np.ndarray  # (P, C) key-id advance per group position, 0 on padding
     distinct: np.ndarray  # (P,) distinct in-range non-global keys
@@ -954,19 +925,19 @@ class PassIndex(Sequence[TilePass]):
 
 
 def _index(
-    n, global_tokens, qpos, lengths, contiguous, residues, dilations, colgroup, colgroups, orders
+    n, global_tokens, qpos, lengths, residues, dilations, colgroup, colgroups, orders
 ) -> PassIndex:
     """The :class:`PassIndex` of passes given by their rows and column groups.
 
     Passes of one column group share the closed form of their key ids,
-    and where their duplicate structure is shift invariant (contiguous
-    rows, one dilation — every scheduled pass) the cells holding a pass's
-    first occurrence of each key — the first in row-major order, so a
-    pass using a prefix of the rows keeps exactly the cells whose row
-    survives — are found once for all of them and evaluated in one
-    broadcast: ``R + W - 1`` keys per segment instead of ``R * W`` cells.
-    Any other pass is a family of its own.  A pass is exact when each of
-    its distinct keys is in range and not global.
+    and their duplicate structure is shift invariant: every block is a
+    run of consecutive group positions and a column group has one
+    dilation.  So the cells holding a pass's first occurrence of each
+    key — the first in row-major order, so a pass using a prefix of the
+    rows keeps exactly the cells whose row survives — are found once for
+    all of them and evaluated in one broadcast: ``R + W - 1`` keys per
+    segment instead of ``R * W`` cells.  A pass is exact when each of its
+    distinct keys is in range and not global.
     """
     num = len(lengths)
     rows = np.arange(qpos.shape[1], dtype=np.int64)
@@ -979,32 +950,24 @@ def _index(
     is_global[np.asarray(global_tokens, dtype=np.int64)] = True
     first_pass = np.full(n, num, dtype=np.int64) if len(global_tokens) else None
     for segs, ia in zip(colgroups, _members(colgroup, len(colgroups))):
-        if not len(ia):
-            continue
         offsets = [s.rel_lo + np.arange(s.width, dtype=np.int64) for s in segs]
         base = np.concatenate([s.key_residue + o * s.dilation for s, o in zip(segs, offsets)])
         dcol = np.concatenate([np.full(s.width, s.dilation, dtype=np.int64) for s in segs])
         cols_used[ia] = cols = len(base)
         col_base[ia, :cols], col_dil[ia, :cols] = base, dcol
-        # Families: (members, their first rows, the rows from there on).
-        if len({s.dilation for s in segs}) == 1 and contiguous[ia].all():
-            families = [(ia, qpos[ia, :1], rows[: int(lengths[ia].max())])]
-        else:
-            at_zero = np.zeros((1, 1), dtype=np.int64)
-            families = [(ia[j : j + 1], at_zero, qpos[i, : lengths[i]]) for j, i in enumerate(ia)]
-        for members, first, rel in families:
-            keys = base[None, :] + rel[:, None] * dcol[None, :]
-            rr, cc = np.divmod(np.unique(keys.ravel(), return_index=True)[1], len(base))
-            keys = base[cc] + (first + rel[rr]) * dcol[cc]
-            live = rr < lengths[members, None]
-            streamed = (keys >= 0) & (keys < n) & live
-            fresh = streamed & ~is_global[np.where(streamed, keys, -1)]
-            distinct[members], exact[members] = fresh.sum(axis=1), (fresh | ~live).all(axis=1)
-            if first_pass is not None:
-                owner = np.broadcast_to(members[:, None], keys.shape)
-                np.minimum.at(first_pass, keys[streamed], owner[streamed])
+        rel = rows[: int(lengths[ia].max())]  # row offsets from each block's first row
+        keys = base[None, :] + rel[:, None] * dcol[None, :]
+        rr, cc = np.divmod(np.unique(keys.ravel(), return_index=True)[1], len(base))
+        keys = base[cc] + (qpos[ia, :1] + rel[rr]) * dcol[cc]
+        live = rr < lengths[ia, None]
+        streamed = (keys >= 0) & (keys < n) & live
+        fresh = streamed & ~is_global[np.where(streamed, keys, -1)]
+        distinct[ia], exact[ia] = fresh.sum(axis=1), (fresh | ~live).all(axis=1)
+        if first_pass is not None:
+            owner = np.broadcast_to(ia[:, None], keys.shape)
+            np.minimum.at(first_pass, keys[streamed], owner[streamed])
     return PassIndex(
-        lengths, cols_used, residues, dilations, qpos, contiguous, col_base, col_dil,
+        lengths, cols_used, residues, dilations, qpos, col_base, col_dil,
         distinct, exact, colgroup, tuple(colgroups), tuple(orders), first_pass,
     )  # fmt: skip
 
@@ -1037,55 +1000,7 @@ def tiling_index(
     lengths = stops - starts
     rows = np.arange(int(lengths.max()) if len(lengths) else 1, dtype=np.int64)
     qpos = np.where(rows < lengths[:, None], starts[:, None] + rows, 0)
-    contig = np.ones(len(lengths), dtype=bool)  # every block is a run of positions
-    return _index(
-        n, global_tokens, qpos, lengths, contig, residues, dilations, colgroup, colgroups, orders
-    )
-
-
-def pass_index(
-    passes: Sequence[TilePass], n: int, global_tokens: Sequence[int]
-) -> PassIndex:
-    """The :class:`PassIndex` of any pass list, from one sweep over its objects.
-
-    The path of hand-built lists (which may be irregular), and the oracle
-    :func:`tiling_index` is tested against.
-    """
-    num = len(passes)
-    lengths = np.fromiter((len(tp.q_positions) for tp in passes), dtype=np.int64, count=num)
-    residues = np.fromiter((tp.query_residue for tp in passes), dtype=np.int64, count=num)
-    dilations = np.fromiter((tp.dilation for tp in passes), dtype=np.int64, count=num)
-    colgroup = np.empty(num, dtype=np.int64)
-    ids: dict = {}  # (residue, dilation, segment tuple) -> column group
-    blocks: dict = {}  # (residue, dilation) -> {block start: [column groups]}
-    for i, tp in enumerate(passes):
-        gkey = (tp.query_residue, tp.dilation)
-        colgroup[i] = cg = ids.setdefault((gkey, tp.segments), len(ids))
-        start = tp.q_positions[0] if tp.q_positions else 0
-        blocks.setdefault(gkey, {}).setdefault(start, []).append(cg)
-    colgroups = [segs for _, segs in ids]
-    orders = []
-    for gkey, seqs in blocks.items():
-        nodes = sorted({cg for seq in seqs.values() for cg in seq})
-        order = _merge_order(nodes, [e for seq in seqs.values() for e in zip(seq, seq[1:])])
-        if order is None:  # pragma: no cover - contradictory block orders
-            # No consistent master order: one column group per pass, which
-            # trivially preserves the sequential merge order.
-            alone = np.flatnonzero(np.isin(colgroup, nodes))
-            colgroup[alone] = len(colgroups) + np.arange(len(alone))
-            colgroups += [passes[i].segments for i in alone.tolist()]
-            order = colgroup[alone].tolist()
-        orders.append((gkey[1], tuple(order)))
-
-    rows = np.arange(int(lengths.max()) if num else 1)
-    qpos = np.zeros((num, len(rows)), dtype=np.int64)
-    qpos[rows < lengths[:, None]] = np.fromiter(
-        (p for tp in passes for p in tp.q_positions), dtype=np.int64, count=int(lengths.sum())
-    )
-    contig = ((qpos == qpos[:, :1] + rows) | (rows >= lengths[:, None])).all(axis=1)
-    return _index(
-        n, global_tokens, qpos, lengths, contig, residues, dilations, colgroup, colgroups, orders
-    )
+    return _index(n, global_tokens, qpos, lengths, residues, dilations, colgroup, colgroups, orders)
 
 
 def _global_row_schedule(
@@ -1114,8 +1029,6 @@ def compile_plan(plan: ExecutionPlan) -> CompiledPlan:
     """Precompute every structural tensor of ``plan`` (see module docstring)."""
     n = plan.n
     index = plan.passes
-    if not isinstance(index, PassIndex):  # hand-built: one sweep over the objects
-        index = pass_index(index, n, plan.global_tokens)
     rows_used, cols_used = index.lengths, index.cols_used
     num_passes = len(rows_used)
     pad_rows, pad_cols = index.qpos.shape[1], index.col_base.shape[1]

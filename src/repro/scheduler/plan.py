@@ -32,12 +32,15 @@ are likewise memoized — plans are treated as immutable once built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.config import HardwareConfig
 from ..patterns.base import AttentionPattern
+
+if TYPE_CHECKING:
+    from .compiled import PassIndex
 
 __all__ = ["BandSegment", "TilePass", "GroupTiling", "ExecutionPlan", "PlanStats"]
 
@@ -177,16 +180,18 @@ class ExecutionPlan:
     ``global_only_passes`` stream the sequence through the global PEs.
     Rows below ``first_query`` hold no query: the scheduler left out the
     passes that cover only them, and engines leave their output
-    unspecified.  ``passes`` is a hand-built list, or the scheduler's
-    :class:`~repro.scheduler.compiled.PassIndex`, which knows its length
-    and builds the :class:`TilePass` objects only when one is read.
+    unspecified.  A plan comes from
+    :meth:`~repro.scheduler.scheduler.DataScheduler.schedule`, and
+    ``passes`` is its :class:`~repro.scheduler.compiled.PassIndex`, which
+    knows its length and builds the :class:`TilePass` objects only when
+    one is read; anything else is refused at construction.
     """
 
     n: int
     heads: int
     head_dim: int
     config: HardwareConfig
-    passes: Sequence[TilePass]
+    passes: PassIndex
     global_tokens: Tuple[int, ...]
     global_only_passes: int = 0
     pattern: Optional[AttentionPattern] = None
@@ -210,6 +215,13 @@ class ExecutionPlan:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.heads < 1 or self.head_dim < 1:
             raise ValueError("heads and head_dim must be >= 1")
+        from .compiled import PassIndex
+
+        if not isinstance(self.passes, PassIndex):
+            raise ValueError(
+                f"passes must be the PassIndex of DataScheduler.schedule, got "
+                f"{type(self.passes).__name__}"
+            )
 
     # ------------------------------------------------------------------
     @property

@@ -6,11 +6,10 @@ filter included; ``compile_plan`` builds its index tensors, its
 distinct-key aggregate and the global-row schedule from that same
 index.  These tests pin all of it against the straightforward per-pass
 derivations (the per-cell ``TilePass`` tiling below,
-``TilePass.query_ids`` / ``key_ids`` / ``valid_cell_count``,
-:func:`~repro.scheduler.compiled.pass_index` over a materialised list
-and the sequential seen-set walk in
-``ExecutionPlan.global_row_schedule``), which stay in the tree as the
-reference implementations.
+``TilePass.query_ids`` / ``key_ids`` / ``valid_cell_count``, the
+oracle index ``_pass_oracle.pass_index`` over a materialised list and
+the sequential seen-set walk in ``ExecutionPlan.global_row_schedule``),
+which stay in the tree as the reference implementations.
 """
 
 import dataclasses
@@ -22,7 +21,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.accelerator.functional import FunctionalEngine
 from repro.core.config import HardwareConfig
 from repro.patterns.base import Band
 from repro.patterns.hybrid import HybridSparsePattern
@@ -33,11 +31,12 @@ from repro.patterns.library import (
     vil_pattern,
 )
 from repro.accelerator.timing import plan_timing
-from repro.scheduler.compiled import IrregularPassError, PassIndex
 from repro.scheduler.plan import BandSegment, ExecutionPlan, TilePass
 from repro.scheduler.reorder import decompose_band
 from repro.scheduler.scheduler import DataScheduler, SchedulerError
 from repro.scheduler.splitting import chunk_band_job, pack_segments
+
+from _pass_oracle import pass_index
 
 PATTERN_CASES = [
     ("window", longformer_pattern(64, 8, (0,))),
@@ -57,6 +56,10 @@ DROP_CASES = [
     ("dilated-groups-shorter-than-a-block", HybridSparsePattern(19, [Band(-16, 16, 8)], (2,))),
     ("vil-edges", vil_pattern(6, 7, 5, (0,))),
 ]
+
+
+def _seg(lo, width, residue, dilation):
+    return BandSegment(0, lo, width, residue, dilation)
 
 
 def _scheduler(rows=4, cols=4):
@@ -86,11 +89,10 @@ def _unfiltered_passes(scheduler, pattern):
     return passes
 
 
-def _assert_matches_per_pass_reference(plan, unfiltered=None):
+def _assert_matches_per_pass_reference(plan, unfiltered):
     """Every bulk-derived fact of ``plan`` equals its per-pass walk."""
     n, gset = plan.n, plan.global_set
-    if unfiltered is not None:
-        assert plan.passes == [tp for tp in unfiltered if tp.valid_cell_count(n, gset) > 0]
+    assert plan.passes == [tp for tp in unfiltered if tp.valid_cell_count(n, gset) > 0]
     reference = ExecutionPlan(
         n, plan.heads, plan.head_dim, plan.config, plan.passes, plan.global_tokens
     )
@@ -352,7 +354,8 @@ class TestProductMatchesMaterialisedOracle:
         except SchedulerError:  # every band clipped away and no global token
             assert not expected and not gtok
             return
-        reference = ExecutionPlan(n, 1, 8, config, expected, gtok, first_query=first)
+        index = pass_index(expected, n, gtok)
+        reference = ExecutionPlan(n, 1, 8, config, index, gtok, first_query=first)
         got, ref = plan.compiled(), reference.compiled()
         _assert_same_index(got.passes, ref.passes)
         assert np.array_equal(got.keep, ref.keep)
@@ -362,47 +365,29 @@ class TestProductMatchesMaterialisedOracle:
         assert len(plan.passes) == len(expected) and "objects" not in vars(plan.passes)
         assert plan.passes == expected
 
-
-def _irregular_plan():
-    """No scheduler memo, non-contiguous rows, mixed dilations."""
-    seg = lambda lo, w, res, dil: BandSegment(0, lo, w, res, dil)  # noqa: E731
-    passes = [
-        TilePass(0, 1, (0, 2, 3, 7), (seg(-2, 3, 0, 1),)),
-        TilePass(0, 1, (0, 2, 3, 7), (seg(1, 2, 0, 1),)),
-        TilePass(1, 2, (0, 1, 2), (seg(-1, 3, 1, 2), seg(0, 2, 0, 1))),
-        TilePass(1, 2, (3, 4), (seg(-1, 3, 1, 2), seg(0, 2, 0, 1))),
-        TilePass(0, 1, (4, 5, 6), (seg(-2, 3, 0, 1),)),
-    ]
-    return ExecutionPlan(12, 1, 8, HardwareConfig(pe_rows=4, pe_cols=5), passes, (1, 5))
-
-
-class TestHandBuiltPlansDeriveOnDemand:
-    def test_irregular_passes_use_the_same_derivation(self):
-        plan = _irregular_plan()
-        assert not isinstance(plan.passes, PassIndex)
-        _assert_matches_per_pass_reference(plan)
-
-    def test_rows_out_of_order_are_expanded(self):
-        """Exactness reads every distinct key of the rectangle, so rows out
-        of order (first row's keys in range, a later row's clipped) are
-        expanded."""
-        tp = TilePass(0, 1, (5, 0), (BandSegment(0, -2, 3, 0, 1),))
-        plan = ExecutionPlan(12, 1, 8, HardwareConfig(pe_rows=4, pe_cols=5), [tp], ())
-        _assert_matches_per_pass_reference(plan)
-        assert plan.compiled().passes.exact.tolist() == [False]
-        assert plan.compiled().valid_counts.tolist() == [4]
-        assert plan.compiled().row_has_work.tolist() == [[True, True]]
-
-    def test_irregular_passes_have_no_window_jobs(self):
-        """Named error at the door; the reference engine still runs them."""
-        plan = _irregular_plan()
-        with pytest.raises(IrregularPassError, match=r"passes \[0, 4\]"):
-            plan.compiled().window_jobs
-        with pytest.raises(IrregularPassError):
-            FunctionalEngine(plan)
-        q, k, v = np.random.default_rng(0).standard_normal((3, 12, 8))
-        result = FunctionalEngine(plan, mode="legacy").run(q, k, v)
-        assert np.isfinite(result.output).all() and (result.parts >= 1).all()
+    @pytest.mark.parametrize(
+        "passes,match",
+        [
+            ([TilePass(0, 1, (0, 2), (_seg(-1, 3, 0, 1),))], "not consecutive"),
+            ([TilePass(0, 1, (5, 0), (_seg(-1, 3, 0, 1),))], "not consecutive"),
+            ([TilePass(0, 2, (0, 1), (_seg(-1, 3, 0, 2), _seg(0, 2, 1, 1)))], "mixes dilations"),
+            (
+                [
+                    TilePass(0, 1, (0, 1), (_seg(-1, 1, 0, 1),)),
+                    TilePass(0, 1, (0, 1), (_seg(0, 2, 0, 1),)),
+                    TilePass(0, 1, (2, 3), (_seg(0, 2, 0, 1),)),
+                    TilePass(0, 1, (2, 3), (_seg(-1, 1, 0, 1),)),
+                ],
+                "disagree on a column order",
+            ),
+        ],
+        ids=["gap", "out-of-order", "two-dilations", "contradictory-orders"],
+    )
+    def test_the_oracle_refuses_an_irregular_list(self, passes, match):
+        """The shared derivation assumes the scheduler's regularity; the
+        oracle never indexes a list that breaks it."""
+        with pytest.raises(AssertionError, match=match):
+            pass_index(passes, 12, ())
 
 
 class TestColdPathStructure:

@@ -106,7 +106,7 @@ class TestScheduleInvariants:
         self, n, bands, start, global_tokens, rows, cols, pack
     ):
         """Every plan the scheduler emits has a job schedule — no escape:
-        ``IrregularPassError`` anywhere in here fails the property."""
+        an exception anywhere in here fails the property."""
         lo, built = start, []
         for width, dilation, gap in bands:
             built.append(Band(lo, lo + (width - 1) * dilation, dilation))

@@ -6,6 +6,8 @@ import pytest
 from repro.core.config import HardwareConfig
 from repro.scheduler.plan import BandSegment, ExecutionPlan, TilePass
 
+from _pass_oracle import pass_index
+
 
 def _pass(q_positions=(0, 1, 2), segments=None, residue=0, dilation=1):
     if segments is None:
@@ -74,7 +76,8 @@ class TestExecutionPlan:
                 for r in range(0, n, 4)
             ]
         return ExecutionPlan(
-            n=n, heads=2, head_dim=8, config=config, passes=passes,
+            n=n, heads=2, head_dim=8, config=config,
+            passes=pass_index(passes, n, global_tokens),
             global_tokens=tuple(global_tokens),
         )
 
@@ -104,3 +107,14 @@ class TestExecutionPlan:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             self._plan(n=0)
+
+    @pytest.mark.parametrize("passes", [[_pass()], (_pass(),), []], ids=["list", "tuple", "empty"])
+    def test_refuses_passes_not_indexed_by_the_scheduler(self, passes):
+        """A plan's passes are the scheduler's ``PassIndex``: a plain
+        sequence of ``TilePass`` objects is refused at construction,
+        before anything is compiled."""
+        with pytest.raises(ValueError, match=r"^passes must be the PassIndex of DataScheduler"):
+            ExecutionPlan(
+                n=8, heads=2, head_dim=8, config=HardwareConfig(pe_rows=4, pe_cols=4),
+                passes=passes, global_tokens=(),
+            )

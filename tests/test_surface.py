@@ -388,3 +388,34 @@ def test_the_cli_declares_each_flag_once():
     for flag, nodes in repeated.items():
         nargs = [ast.unparse(kw.value) for node in nodes for kw in node.keywords if kw.arg == "nargs"]
         assert len(nodes) == 2 and nargs == ["'+'"], flag
+
+
+def test_every_plan_is_the_schedulers_product():
+    """An ``ExecutionPlan``'s passes are the ``PassIndex`` the scheduler
+    derives from its tiling, so ``DataScheduler.schedule`` is the one
+    place in the package that builds a plan.  A second ``ExecutionPlan(``
+    call, or an indexer for hand-built pass lists with its irregular-list
+    error, is a second way into ``compile_plan`` growing back."""
+    trees = _sources()
+    calls = [
+        (name, fn.name)
+        for name, tree in trees.items()
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "ExecutionPlan"
+    ]
+    total = sum(
+        isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "ExecutionPlan"
+        for tree in trees.values()
+        for node in ast.walk(tree)
+    )
+    assert calls == [("scheduler/scheduler.py", "schedule")] and total == 1, calls
+    defined = {
+        node.name
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert {"tiling_index", "PassIndex"} <= defined  # the walk sees definitions
+    assert not {"pass_index", "IrregularPassError"} & defined
