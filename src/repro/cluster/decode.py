@@ -300,7 +300,7 @@ class _LaneQueue:
     def group_key(self, seq: _Seq) -> None:
         return None  # lanes route by (depth, wid), not by structure
 
-    def enqueue(self, seq: _Seq) -> None:
+    def enqueue(self, seq: _Seq, key: None = None) -> None:
         self.waiting.append(seq)
 
     def prune(self, predicate: Callable[[_Seq], bool]) -> List[_Seq]:

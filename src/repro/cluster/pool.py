@@ -538,7 +538,7 @@ class EnginePool:
         self.affinity_miss_prob = affinity_miss_prob
 
     # ------------------------------------------------------------------
-    def route(self, request: AttentionRequest, now: float) -> Worker:
+    def route(self, request: AttentionRequest, now: float, key: Optional[Tuple] = None) -> Worker:
         """Pick the worker maximising cache-hit probability per queue slot.
 
         Score = P(plan cache hit) / (1 + depth): a warm worker wins until
@@ -556,7 +556,8 @@ class EnginePool:
         silently disable the breaker check, routing traffic straight
         into tripped workers.  If every worker is excluded the request
         still routes (to the best of the excluded set) and is recovered
-        by the next heartbeat sweep or breaker probe.
+        by the next heartbeat sweep or breaker probe.  ``key`` is the
+        request's group key when the caller already derived it.
         """
         if now is None:
             raise TypeError(
@@ -564,18 +565,16 @@ class EnginePool:
                 "`now` would silently skip the circuit-breaker check and "
                 "route into tripped workers"
             )
-        key = self.workers[0].queue.group_key(request)
-        candidates = [
-            w for w in self.workers if w.healthy and not w.breaker_open(now)
-        ]
-        if not candidates:
-            candidates = [w for w in self.workers if w.healthy] or self.workers
-        best: Optional[Worker] = None
-        best_score: Optional[Tuple[float, int, int]] = None
-        for worker in candidates:
+        if key is None:
+            key = self.workers[0].queue.group_key(request)
+        best, best_score = None, None
+        for worker in self.workers:
             hit_p = 1.0 if key in worker.warm else self.affinity_miss_prob
             depth = worker.depth()
-            score = (-hit_p / (1 + depth), depth, worker.wid)
+            # a marked-down worker only if all are, a tripped one only if all healthy ones are
+            down = not worker.healthy
+            tripped = not down and worker.breaker_open(now)
+            score = (down, tripped, -hit_p / (1 + depth), depth, worker.wid)
             if best_score is None or score < best_score:
                 best, best_score = worker, score
         return best

@@ -19,9 +19,10 @@ event kinds:
   consultations, idle workers with dry queues steal from busy peers.
 * **batch-close timer** — a holding policy (max-wait / size-latency)
   named a future instant at which an open queue must be re-examined.
-* **expiry timer** — with ``drop_expired``, every admitted request arms
-  a timer at its deadline; already-doomed queued requests are shed then,
-  *between* policy consultations too.
+* **expiry timer** — with ``drop_expired``, one timer waits at the
+  earliest deadline of any queued request; already-doomed queued
+  requests are shed then, *between* policy consultations too, and it is
+  re-armed at the next earliest deadline.
 * **heartbeat probe** — where workers can die, a periodic sweep asks the
   executor about each (``up -> suspect -> down`` on silence); a down
   worker's orphans — the batches it held plus its queue — are requeued
@@ -93,15 +94,8 @@ from .metrics import MetricsCollector, ClusterReport, RequestRecord
 from .policy import BatchPolicy, GreedyFIFOPolicy, recovery_order
 from .pool import CircuitBreaker, CostModelClock, EnginePool, ServiceModel, Worker
 
-__all__ = [
-    "ControlConfig",
-    "SimConfig",
-    "Executor",
-    "SimulatedExecutor",
-    "ControlPlane",
-    "ClusterSimulator",
-    "simulate",
-]
+__all__ = ["ControlConfig", "SimConfig", "Executor", "SimulatedExecutor", "ControlPlane",
+           "ClusterSimulator", "simulate"]
 
 _ARRIVE, _COMPLETE, _TIMER = 0, 1, 2
 _EXPIRE, _CRASH, _REJOIN, _PROBE, _RETRY, _GIVE_UP = 3, 4, 5, 6, 7, 8
@@ -284,6 +278,7 @@ class ControlPlane:
         self._routed: Dict[Hashable, int] = {}  # request id -> routed worker id
         self._timer_armed: Dict[int, float] = {}  # worker id -> armed time
         self._consult: Dict[int, Worker] = {}  # worker id -> worker to consult this instant
+        self._expiry_at = math.inf  # when the armed expiry timer fires (drop_expired)
         self._recovery = cfg.recovery
         rec = cfg.recovery
         if rec.breaker_threshold is not None:
@@ -324,6 +319,12 @@ class ControlPlane:
             return  # an earlier (or equal) consultation is already scheduled
         self._timer_armed[worker.wid] = t
         self.executor.schedule(t, _TIMER, worker)
+
+    def _arm_expiry(self, deadline: float) -> None:
+        """Move the expiry timer up to ``deadline`` if that is earlier (``inf`` never is)."""
+        if deadline < self._expiry_at:
+            self._expiry_at = deadline
+            self.executor.schedule(deadline, _EXPIRE, deadline)
 
     def _dispatch(self, worker: Worker, now: float) -> None:
         """Consult the policy while the worker has a free slot; launch
@@ -394,7 +395,8 @@ class ControlPlane:
     # ------------------------------------------------------------------
     def _admit(self, request: AttentionRequest, now: float) -> Optional[Worker]:
         """Route, pass the admission door, enqueue; ``None`` if rejected."""
-        worker = self.pool.route(request, now)
+        key = self.pool.workers[0].queue.group_key(request)
+        worker = self.pool.route(request, now, key)
         self._emit(ARRIVE, now, request.request_id, worker.wid, None, request)
         ctx = self._admission_context(worker, request, now)
         if not self.config.admission.admit(request, ctx):
@@ -402,13 +404,9 @@ class ControlPlane:
             self._feedback(request, now)
             return None
         self._routed[request.request_id] = worker.wid
-        worker.queue.enqueue(request)
-        if self.config.policy.drop_expired and math.isfinite(request.absolute_deadline_s):
-            # Expiry timer: shed the moment the deadline passes, not at
-            # the next policy consultation.  The handler asks every queue,
-            # so one event per admitted request suffices even after the
-            # request is stolen, requeued or retried onto another worker.
-            self.executor.schedule(request.absolute_deadline_s, _EXPIRE, None)
+        worker.queue.enqueue(request, key)
+        if self.config.policy.drop_expired:  # shed at the deadline, not at a consultation
+            self._arm_expiry(request.absolute_deadline_s)
         return worker
 
     def _on_arrive(self, request: AttentionRequest, now: float) -> None:
@@ -472,13 +470,10 @@ class ControlPlane:
         if not self.config.steal:
             return
         for worker in self.pool.workers:
-            if worker.busy or worker.queue.pending:
-                continue
-            if not worker.alive or not worker.healthy:
-                continue
-            if worker.breaker_open(now):
-                # a breaker-open thief would drag work onto the very
-                # worker the breaker is shielding traffic from
+            # a breaker-open thief would drag work onto the very worker
+            # the breaker is shielding traffic from
+            idle = not (worker.busy or worker.queue.pending) and worker.alive and worker.healthy
+            if not idle or worker.breaker_open(now):
                 continue
             stolen = self.pool.steal_into(worker, now)
             if stolen is not None:
@@ -510,6 +505,8 @@ class ControlPlane:
             self._emit(REQUEUE, now, request.request_id, target.wid)
         self._routed[request.request_id] = target.wid
         target.queue.enqueue(request)
+        if self.config.policy.drop_expired:
+            self._arm_expiry(request.absolute_deadline_s)
         self._consult[target.wid] = target
 
     def _recover_requests(self, requests: List[AttentionRequest], now: float) -> None:
@@ -533,16 +530,18 @@ class ControlPlane:
             delay += self.executor.jitter(delay, rec.backoff_jitter)
             self.executor.schedule(now + delay, _RETRY, req)  # -> _place
 
-    def _on_expire(self, _, now: float) -> None:
-        """An admitted request's deadline just passed: shed every queued
-        request whose deadline has, on every worker.  Each queue answers
-        from its urgency index: the group heads say in O(groups) whether
-        anything expired (usually nothing did — the request was served,
-        shed or is elsewhere), and only groups that hold expired requests
-        are swept."""
+    def _on_expire(self, at: float, now: float) -> None:
+        """The timer armed for ``at`` fired (unless since superseded): shed
+        every queued request past its deadline, on every worker — stolen,
+        requeued and retried ones included — and re-arm at the earliest
+        deadline still queued.  The queues' index heads answer both."""
+        if at != self._expiry_at:
+            return  # superseded
+        self._expiry_at = math.inf
         for worker in self.pool.workers:
             for req in worker.queue.expire(now):
                 self._drop(SHED, req, now)
+        self._arm_expiry(min(w.queue.earliest_deadline() for w in self.pool.workers))
 
     def _on_crash(self, wid: int, now: float) -> None:
         worker = self.pool.workers[wid]
@@ -573,7 +572,10 @@ class ControlPlane:
         self._recover_requests(orphans, now)
 
     def _on_probe(self, _, now: float) -> None:
-        """Heartbeat sweep: refresh answering workers, time out silent ones."""
+        """Heartbeat sweep: refresh answering workers, time out silent ones.
+        Re-armed while a sweep can still change an outcome — events are
+        due, a worker awaits consultation, or work sits where only a sweep
+        releases it — so a launch that never completes meets :meth:`_play`'s guard."""
         rec = self._recovery
         for worker in self.pool.workers:
             if worker.healthy:
@@ -594,10 +596,8 @@ class ControlPlane:
                 # Arrivals routed while every worker was down: drain them
                 # so the run cannot wedge on an unreachable queue.
                 self._recover_requests(worker.queue.prune(lambda r: True), now)
-        if (
-            self.executor.scheduled
-            or self.pool.pending
-            or any(w.busy for w in self.pool.workers)
+        if self.executor.scheduled or self._consult or any(
+            (w.busy or w.queue.pending) and not (w.alive and w.healthy) for w in self.pool.workers
         ):
             self.executor.schedule(now + rec.heartbeat_interval_s, _PROBE, None)
         else:
@@ -607,7 +607,7 @@ class ControlPlane:
         """An executor's drain guard expired: fail whatever is still
         queued, launched or backing off."""
         stranded = [p for _, _, kind, p in self.executor.cancel_all() if kind == _RETRY]
-        self._probing = False
+        self._probing, self._expiry_at = False, math.inf
         self._timer_armed.clear()  # their timers went with the heap
         for worker in self.pool.workers:
             stranded.extend(worker.forfeit())

@@ -11,7 +11,7 @@ one global PE row, one global PE column, a 33-entry weighted-sum module,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Tuple
 
 __all__ = ["HardwareConfig", "NumericsConfig", "ConfigError"]
@@ -126,6 +126,20 @@ class HardwareConfig:
         ):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
+
+    def __hash__(self) -> int:
+        # Every plan-cache lookup hashes its config: hash the fields once.
+        # The value stays in this process (__getstate__ leaves it out): the
+        # hash of NumericsConfig's strings differs from process to process.
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = hash(tuple(getattr(self, f.name) for f in fields(self)))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self) -> dict:
+        return {name: value for name, value in self.__dict__.items() if name != "_hash"}
 
     # ------------------------------------------------------------------
     @property

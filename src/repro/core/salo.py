@@ -148,12 +148,11 @@ def pattern_structure_key(pattern: AttentionPattern) -> Optional[Tuple]:
     execution plan (given equal hardware config and head layout).  Both
     the SALO plan cache and the serving layer's batch grouping derive
     their keys from this single definition, so they can never drift
-    apart.  The key is ``(n, bands, global tokens, first query)``.
+    apart.  The key is ``(n, bands, global tokens, first query)``, derived
+    once per pattern object (:meth:`AttentionPattern.structure_key`); a
+    duck-typed pattern gets the same cache.
     """
-    bands = pattern.bands()
-    if bands is None:
-        return None
-    return (pattern.n, tuple(bands), tuple(pattern.global_tokens()), pattern.first_query)
+    return AttentionPattern.structure_key(pattern)
 
 
 @dataclass

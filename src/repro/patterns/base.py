@@ -141,6 +141,24 @@ class AttentionPattern(abc.ABC):
         """First row that holds a query; rows below it attend nothing."""
         return 0
 
+    def structure_key(self) -> Optional[Tuple]:
+        """``(n, bands, global tokens, first query)``, or ``None`` when opaque.
+
+        Derived on the first call and kept: a pattern is a value, nothing
+        changes it after construction, so every later call — one per
+        request routed, queued or estimated — is an attribute read.
+        :func:`repro.core.salo.pattern_structure_key` is the door.
+        """
+        try:
+            return self._structure_key
+        except AttributeError:
+            bands = self.bands()
+            key = None
+            if bands is not None:
+                key = (self.n, tuple(bands), tuple(self.global_tokens()), self.first_query)
+            self._structure_key = key
+            return key
+
     # ------------------------------------------------------------------
     # Derived helpers
     # ------------------------------------------------------------------

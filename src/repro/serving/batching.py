@@ -43,11 +43,12 @@ ties break by queue position.  What each query costs:
 * :attr:`~BatchScheduler.pending` — O(1), a counter;
 * :meth:`~BatchScheduler.expire` — O(groups) when nothing queued has
   expired (the list heads answer), a sweep of the affected groups when
-  something has;
+  something has; :meth:`~BatchScheduler.earliest_deadline` — O(groups);
 * :meth:`~BatchScheduler.most_urgent` — one bisect per group;
-* :meth:`~BatchScheduler.take_urgent` — a slice of the list plus one
-  pass over the group's queue and list, once per batch closed;
-* a member popped off the queue leaves the list by one bisect.
+* :meth:`~BatchScheduler.take_urgent` — a slice of the list;
+* a removed member leaves the list by one bisect, and the queue by a
+  C-level ``deque.remove`` (nothing is rebuilt; a group emptied whole is
+  dropped).
 
 **Dispatch.**  :func:`execute_batch` runs a batch as one engine call
 with a leading batch axis, packed by :func:`stack_batch_operands` — the
@@ -60,7 +61,7 @@ import math
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from operator import itemgetter
-from typing import Callable, Deque, Dict, Hashable, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, Hashable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -169,10 +170,8 @@ class Batch:
         """The members' band structure at the ``pad_to`` bucket length."""
         if self.pad_to is None:
             raise ValueError("batch was not formed in pad_to_bucket mode")
-        first = self.requests[0].pattern
-        return HybridSparsePattern(
-            self.pad_to, first.bands(), first.global_tokens(), first.first_query
-        )
+        _, bands, globals_, first = pattern_structure_key(self.requests[0].pattern)
+        return HybridSparsePattern(self.pad_to, bands, globals_, first)
 
     def plan_key(self) -> Tuple:
         """Identity of the SALO plan this batch's dispatch compiles to.
@@ -257,9 +256,11 @@ class BatchScheduler:
         insort(group[1], entry)
         self._pending += 1
 
-    def enqueue(self, request: AttentionRequest) -> Tuple:
-        """Queue a request; returns its group key."""
-        key = self.group_key(request)
+    def enqueue(self, request: AttentionRequest, key: Optional[Tuple] = None) -> Tuple:
+        """Queue a request; returns its group key (``key``, when the caller
+        already derived it with :meth:`group_key`)."""
+        if key is None:
+            key = self.group_key(request)
         self._append(key, request)
         return key
 
@@ -297,24 +298,17 @@ class BatchScheduler:
             del self._groups[key]
         return [entry[3] for entry in entries]
 
-    def _remove(self, key: Tuple, seqs: Set[int]) -> List[AttentionRequest]:
-        """Remove the members of ``key`` whose insertion seq is in
-        ``seqs``; returns them in queue order."""
-        queue, index = self._groups[key]
-        removed: List[AttentionRequest] = []
-        kept: Deque[_Entry] = deque()
-        for entry in queue:
-            if entry[2] in seqs:
-                removed.append(entry[3])
-            else:
-                kept.append(entry)
-        self._pending -= len(removed)
-        if kept:
-            index[:] = [entry for entry in index if entry[2] not in seqs]
-            self._groups[key] = (kept, index)
-        else:
+    def _remove(self, key: Tuple, entries: List[_Entry]) -> List[AttentionRequest]:
+        """Remove ``entries`` (distinct members of ``key``) from its queue
+        and index; returns them in queue order, which is seq order."""
+        queue = self._groups[key][0]
+        if len(entries) == len(queue):
             del self._groups[key]
-        return removed
+            self._pending -= len(queue)
+            return list(map(_REQUEST, queue))
+        for entry in entries:
+            queue.remove(entry)  # seqs are unique: only the entry itself compares equal
+        return self._popped(key, sorted(entries, key=_SEQ))
 
     # ------------------------------------------------------------------
     # Policy interface: peek queues, pop selected members
@@ -350,7 +344,7 @@ class BatchScheduler:
         else:
             entries = list(queue)
             ranked = sorted(range(len(entries)), key=lambda i: (order(entries[i][3]), i))
-            members = self._remove(key, {entries[i][2] for i in ranked[:count]})
+            members = self._remove(key, [entries[i] for i in ranked[:count]])
         return self._make_batch(key, members)
 
     def most_urgent(self, now: float) -> Iterator[Tuple[Tuple, Tuple[bool, float, float]]]:
@@ -380,7 +374,7 @@ class BatchScheduler:
         i = _due(index, now)
         feasible = min(count, len(index) - i)
         chosen = index[i : i + feasible] + index[: count - feasible]
-        return self._make_batch(key, self._remove(key, set(map(_SEQ, chosen))))
+        return self._make_batch(key, self._remove(key, chosen))
 
     def expire(self, now: float) -> List[AttentionRequest]:
         """Remove and return every queued request whose absolute deadline
@@ -393,8 +387,13 @@ class BatchScheduler:
         removed: List[AttentionRequest] = []
         for key in [key for key, (_, index) in self._groups.items() if index[0][0] <= now]:
             index = self._groups[key][1]
-            removed.extend(self._remove(key, set(map(_SEQ, index[: _due(index, now)]))))
+            removed.extend(self._remove(key, index[: _due(index, now)]))
         return removed
+
+    def earliest_deadline(self) -> float:
+        """The earliest absolute deadline queued (``inf`` when nothing is):
+        the least of the index heads."""
+        return min((index[0][0] for _, index in self._groups.values()), default=math.inf)
 
     def prune(self, predicate: Callable[[AttentionRequest], bool]) -> List[AttentionRequest]:
         """Remove and return every queued request matching ``predicate``.
@@ -408,9 +407,9 @@ class BatchScheduler:
         """
         removed: List[AttentionRequest] = []
         for key in list(self._groups):
-            seqs = {entry[2] for entry in self._groups[key][0] if predicate(entry[3])}
-            if seqs:
-                removed.extend(self._remove(key, seqs))
+            entries = [entry for entry in self._groups[key][0] if predicate(entry[3])]
+            if entries:
+                removed.extend(self._remove(key, entries))
         return removed
 
     def steal(self, count: int) -> List[AttentionRequest]:

@@ -147,6 +147,11 @@ class TransportExecutor(Executor):
     def now(self) -> float:
         return time.perf_counter() - self._t0
 
+    @property
+    def scheduled(self) -> int:
+        # a launched batch's completion is still to come, off the wire
+        return super().scheduled + sum(len(w.launched) for w in self._workers)
+
     def next_event(self):
         """The next due event or harvested completion; ``None`` once nothing is outstanding
         and no arrival is scheduled (stale timers are not worth real time).  Past

@@ -17,11 +17,9 @@ derives the per-pass reference.
 import dataclasses
 import functools
 import gc
-import importlib.util
 import threading
 import tracemalloc
 import weakref
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -39,6 +37,8 @@ from repro.patterns.base import Band
 from repro.patterns.hybrid import HybridSparsePattern
 from repro.patterns.library import longformer_pattern, vil_pattern
 from repro.scheduler.scheduler import DataScheduler
+
+from _scheduler_cases import DROP_CASES, PATTERN_CASES, _schedule
 
 TINY = HardwareConfig(pe_rows=4, pe_cols=4)
 HEADS, HEAD_DIM = 2, 4
@@ -338,25 +338,11 @@ def test_a_dropped_plan_is_freed_by_refcount_alone():
 # ----------------------------------------------------------------------
 # (e) key_ids is derived, and still the per-pass reference
 # ----------------------------------------------------------------------
-def _scheduler_cases():
-    """The pattern cases of ``tests/scheduler/test_compiled.py``, by path."""
-    path = Path(__file__).parents[1] / "scheduler" / "test_compiled.py"
-    spec = importlib.util.spec_from_file_location("_scheduler_test_compiled", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-_CASES = _scheduler_cases()
-
-
 @pytest.mark.parametrize(
-    "name,pattern",
-    _CASES.PATTERN_CASES + _CASES.DROP_CASES,
-    ids=[c[0] for c in _CASES.PATTERN_CASES + _CASES.DROP_CASES],
+    "name,pattern", PATTERN_CASES + DROP_CASES, ids=[c[0] for c in PATTERN_CASES + DROP_CASES]
 )
 def test_key_ids_property_equals_the_per_pass_reference(name, pattern):
-    plan = _CASES._schedule(pattern)
+    plan = _schedule(pattern)
     cp = plan.compiled()
     key_ids = cp.key_ids
     assert key_ids.shape == cp.valid.shape and key_ids.dtype == np.int64

@@ -41,6 +41,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import (
     AdmitAll,
+    ClusterSimulator,
     CostModelClock,
     CrashSpec,
     EDFPolicy,
@@ -48,14 +49,19 @@ from repro.cluster import (
     FaultInjector,
     GreedyFIFOPolicy,
     MaxWaitPolicy,
+    OpenLoopSource,
     QueueDepthCap,
     RecoveryConfig,
+    SimConfig,
     StragglerSpec,
     TokenBucketAdmission,
     TransientSpec,
     WeightedFairPolicy,
 )
+from repro.cluster.events import ARRIVE, LAUNCH, REQUEUE, SHED, STEAL, TERMINAL
 from repro.cluster.policy import _urgency
+from repro.core.config import HardwareConfig
+from repro.core.salo import SALO
 from repro.core.salo import pattern_structure_key
 from repro.patterns.library import longformer_pattern
 from repro.serving import AttentionRequest, BatchScheduler
@@ -221,11 +227,12 @@ def _run(drive, sc, service=None, faults=None):
     simulated executor; on a transport the same numbers are wall-clock
     and simply expire more work.
     """
-    return drive(
-        sc["executor"],
-        sc["requests"],
-        service=service,
-        faults=faults,
+    return drive(sc["executor"], sc["requests"], service=service, faults=faults, **_knobs(sc))
+
+
+def _knobs(sc):
+    """The scenario's :class:`~repro.cluster.simulator.ControlConfig` fields."""
+    return dict(
         workers=sc["workers"],
         max_batch_size=sc["max_batch"],
         pad_to_bucket=sc["pad"],
@@ -377,3 +384,79 @@ class TestEmptyInjectorIdentity:
         _, empty = _run(drive, sc, faults=FaultInjector([], seed=99))
         assert without.render() == empty.render()
         assert without.to_dict() == empty.to_dict()
+
+
+def _sheds(sc):
+    """Run ``sc`` with ``drop_expired`` on the simulator; one ``(queued, t,
+    absolute deadline)`` per shed, ``queued`` when the request sat in a
+    worker's queue (not in a launch, a backoff or a recovery) until then."""
+    sc = dict(sc, policy=(sc["policy"][0], True))
+    plane = ClusterSimulator(
+        SimConfig(
+            service=CostModelClock.flat(),
+            salo_factory=lambda: SALO(HardwareConfig(pe_rows=4, pe_cols=4)),
+            faults=FaultInjector(sc["faults"], seed=13),
+            **_knobs(sc),
+        )
+    )
+    events = []
+    plane.listen(events.append)
+    plane.run(OpenLoopSource(sc["requests"]))
+    deadline = {r.request_id: r.absolute_deadline_s for r in sc["requests"]}
+    queued, sheds = set(), []  # ids sitting in some worker's queue
+    for event in events:
+        if event.kind in (ARRIVE, REQUEUE):
+            queued.add(event.request)
+        elif event.kind == STEAL:
+            queued.update(r.request_id for r in event.payload[1])
+        elif event.kind == LAUNCH:
+            queued.difference_update(r.request_id for r in event.payload.requests)
+        elif event.kind == SHED:
+            sheds.append((event.request in queued, event.t, deadline[event.request]))
+        if event.kind in TERMINAL:
+            queued.discard(event.request)
+    return sheds
+
+
+class TestShedInstant:
+    """With ``drop_expired``, a request shed while queued is shed at exactly
+    its absolute deadline (an expiry sweep or a consultation at that
+    instant), under any fault mix; one shed where a retry or a recovery
+    places it again is shed at or after its deadline."""
+
+    @given(faulty_scenario())
+    @settings(max_examples=40, deadline=None)
+    def test_a_queued_request_is_shed_at_its_deadline(self, sc):
+        for queued, t, due in _sheds(sc):
+            assert t == due if queued else t >= due, (queued, t, due)
+
+    def test_a_retry_placed_past_its_deadline_is_shed_there(self):
+        """A burst whose one launch fails after its 0.2 ms budgets ran out:
+        each retry reaches ``_place`` late and is shed there, not at its
+        deadline."""
+        pattern = _PATTERNS[0]
+        requests = [
+            AttentionRequest(
+                request_id=i,
+                pattern=pattern,
+                q=_DATA[pattern.n],
+                k=_DATA[pattern.n],
+                v=_DATA[pattern.n],
+                heads=2,
+                arrival_s=0.0,
+                deadline_s=2e-4,
+                slo_class="tight",
+            )
+            for i in range(3)
+        ]
+        sc = {
+            "requests": requests,
+            "workers": 1,
+            "max_batch": 4,
+            "pad": False,
+            "policy": ("greedy-fifo", True),
+            "admission": "admit-all",
+            "faults": [TransientSpec(prob=0.9, worker=0)],
+        }
+        sheds = _sheds(sc)
+        assert len(sheds) == 3 and all(not queued and t > due for queued, t, due in sheds)

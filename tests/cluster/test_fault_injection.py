@@ -33,6 +33,7 @@ from repro.cluster import (
     simulate,
 )
 from repro.cluster.events import check
+from repro.cluster.pool import Worker
 from repro.patterns.library import longformer_pattern
 from repro.serving import AttentionRequest
 
@@ -217,6 +218,30 @@ class TestCrashRecovery:
         assert 0 < wrep.detect_s <= (
             _RECOVERY.heartbeat_interval_s + _RECOVERY.heartbeat_timeout_s
         )
+
+    def test_a_launch_that_never_completes_reaches_the_guard(self, monkeypatch):
+        """Heartbeat sweeps are re-armed only while one can still change an
+        outcome, so a launch that never frees its slot ends the crash
+        scenario at the plane's outstanding-request guard instead of
+        spinning the heap with probes."""
+        monkeypatch.setattr(Worker, "note_complete", lambda self, launch_id, service_s: None)
+        source = open_loop(_spec(), PoissonProcess(rate_rps=20000.0))
+        sim = ClusterSimulator(
+            SimConfig(
+                workers=2,
+                policy=EDFPolicy(),
+                faults=FaultInjector([CrashSpec(worker=1, at_s=1e-3, down_for_s=1e-3)], seed=7),
+                recovery=_RECOVERY,
+            )
+        )
+        handled = []
+
+        def bounded(plane, now):
+            handled.append(now)
+            assert len(handled) < 100_000, "the plane kept handling events"
+
+        with pytest.raises(RuntimeError, match="drained its event heap"):
+            sim._play(source, tick=bounded)
 
     def test_permanent_crash_without_recovery_fails_work(self):
         sim, report = _run(

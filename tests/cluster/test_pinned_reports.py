@@ -5,12 +5,14 @@ keep behaviour reproduces every number of every report here; one that
 means to move them re-pins.  The three ``cluster_sim`` benchmark
 scenarios (seed 0, at 600 requests), one overloaded row per batch
 policy, and one crash + rejoin row — whose event stream is pinned too,
-per kind.
+per kind.  Below them, work the plane does is counted, not timed: expiry
+timers handled and structure keys derived.
 """
 
 import functools
 import hashlib
 import json
+import sys
 from collections import Counter
 
 import pytest
@@ -35,7 +37,9 @@ from repro.cluster import (
     simulate,
 )
 from repro.cluster.events import check
+from repro.cluster.simulator import ControlPlane
 from repro.experiments import faults, overload
+from repro.patterns.hybrid import HybridSparsePattern
 
 _REQUESTS = 600
 _CLOCK = CostModelClock.flat()
@@ -53,20 +57,20 @@ def _source(spec, rho, workers):
     return open_loop(spec, PoissonProcess(rate_rps=rho * workers / unit_s))
 
 
-def _steady():
-    spec = faults.faults_spec(_REQUESTS, _scales()[1], seed=0)
+def _steady(requests=_REQUESTS):
+    spec = faults.faults_spec(requests, _scales()[1], seed=0)
     return _source(spec, 0.9, 4), SimConfig(workers=4, policy=EDFPolicy(), service=_CLOCK)
 
 
-def _overload():
-    spec = overload.overload_spec(_REQUESTS, _scales()[1], seed=1)
+def _overload(requests=_REQUESTS):
+    spec = overload.overload_spec(requests, _scales()[1], seed=1)
     return _source(spec, 1.5, 2), overload.mode_config("admit+shed", 2, _CLOCK)
 
 
-def _faults():
+def _faults(requests=_REQUESTS):
     unit_s, dispatch_s = _scales()
-    spec = faults.faults_spec(_REQUESTS, dispatch_s, seed=2)
-    horizon_s = _REQUESTS / (0.8 * 2 / unit_s)
+    spec = faults.faults_spec(requests, dispatch_s, seed=2)
+    horizon_s = requests / (0.8 * 2 / unit_s)
     config = faults.mode_config(
         "retry+steal", 2, _CLOCK,
         crash_at_s=faults.CRASH_AT_FRAC * horizon_s,
@@ -188,3 +192,46 @@ def test_the_crash_rejoin_stream_is_pinned_per_kind():
         "retry": 8, "requeue": 62, "steal": 4,
     }
     assert Counter(sim.metrics.counts) == kinds and not check(events, drop_expired=True)
+
+
+# ----------------------------------------------------------------------
+# Work the plane does per run, counted (no timing)
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "build,at_most", [(_overload, 105), (_faults, 9)], ids=["overload", "faults"]
+)
+def test_one_expiry_timer_per_plane(monkeypatch, build, at_most):
+    """The ``cluster_sim`` scenarios at their 3000 requests handle at most
+    this many ``_EXPIRE`` events, superseded timers included: one timer
+    armed at the earliest queued deadline, where a timer per admitted
+    request handled 2166 and 3000."""
+    handled = []
+    original = ControlPlane._on_expire
+
+    def counting(self, at, now):
+        handled.append(at)
+        return original(self, at, now)
+
+    monkeypatch.setattr(ControlPlane, "_on_expire", counting)
+    simulate(*build(3000))
+    assert len(handled) <= at_most
+
+
+def test_one_structure_key_per_pattern_object(monkeypatch):
+    """3000 requests share a handful of pattern objects, and each derives
+    its structure key (its one ``bands()`` call for a key) once."""
+    source, config = _steady(3000)
+    patterns = {id(r.pattern): r.pattern for r in source.requests}
+    for pattern in patterns.values():
+        vars(pattern).pop("_structure_key", None)  # derive afresh in this run
+    derived = []
+    bands = HybridSparsePattern.bands
+
+    def counting(self):
+        if sys._getframe(1).f_code.co_name == "structure_key":
+            derived.append(id(self))
+        return bands(self)
+
+    monkeypatch.setattr(HybridSparsePattern, "bands", counting)
+    simulate(source, config)
+    assert len(source.requests) == 3000 and len(derived) == len(patterns) == len(set(derived))

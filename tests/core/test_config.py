@@ -41,6 +41,27 @@ class TestHardwareConfig:
         assert not c.numerics.quantize
         assert c.numerics.exp_mode == "exact"
 
+    def test_hash_is_cached_but_never_pickled(self):
+        """The plan cache hashes its config on every lookup, so the hash is
+        computed once per object; a pickle leaves it out, because a hash of
+        NumericsConfig's strings means nothing in another process."""
+        import os
+        import pickle
+        import subprocess
+        import sys
+
+        config = HardwareConfig(pe_rows=8)
+        assert hash(config) == hash(HardwareConfig(pe_rows=8)) and "_hash" in vars(config)
+        wire = pickle.dumps(config)
+        assert "_hash" not in vars(pickle.loads(wire))
+        child = (
+            "import pickle, sys; from repro.core.config import HardwareConfig; "
+            "c = pickle.loads(sys.stdin.buffer.read()); "
+            "assert hash(c) == hash(HardwareConfig(pe_rows=8)) and c == HardwareConfig(pe_rows=8)"
+        )
+        env = {**os.environ, "PYTHONHASHSEED": "12345", "PYTHONPATH": os.pathsep.join(sys.path)}
+        subprocess.run([sys.executable, "-c", child], input=wire, env=env, check=True)
+
     def test_with_numerics_is_pure(self):
         base = HardwareConfig()
         modified = base.with_numerics(NumericsConfig.exact())

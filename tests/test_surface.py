@@ -419,3 +419,46 @@ def test_every_plan_is_the_schedulers_product():
     }
     assert {"tiling_index", "PassIndex"} <= defined  # the walk sees definitions
     assert not {"pass_index", "IrregularPassError"} & defined
+
+
+def test_one_expiry_timer_is_armed_in_one_place():
+    """With ``drop_expired`` the plane keeps one expiry timer, at the
+    earliest queued deadline: ``ControlPlane._arm_expiry`` is the only
+    function in the package that schedules an ``_EXPIRE`` event.  A second
+    scheduling site is a timer per request growing back."""
+    sites = [
+        (name, fn.name)
+        for name, tree in _sources().items()
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).endswith(".schedule")
+        and any(ast.unparse(arg) == "_EXPIRE" for arg in node.args)
+    ]
+    assert sites == [("cluster/simulator.py", "_arm_expiry")], sites
+
+
+def test_a_structure_key_is_derived_by_the_pattern_once():
+    """A pattern computes its structure key once and keeps it
+    (``AttentionPattern.structure_key``); ``pattern_structure_key`` and
+    every group / plan key read that cache.  A function named for a key
+    that calls ``.bands()`` itself is a per-request derivation growing
+    back."""
+    callers = {
+        (name, fn.name)
+        for name, tree in _sources().items()
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and "key" in fn.name
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith(".bands")
+    }
+    assert callers == {("patterns/base.py", "structure_key")}, sorted(callers)
+    keyed = {
+        fn.name
+        for tree in _sources().values()
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and "key" in fn.name
+    }
+    # the walk sees them
+    assert {"pattern_structure_key", "group_key", "_plan_key", "plan_key"} <= keyed
