@@ -126,7 +126,7 @@ class Candidate:
         )
 
     def sim_config(self, traffic: TrafficSpec) -> SimConfig:
-        policy_kwargs: dict = {"drop_expired": self.drop_expired}
+        policy_kwargs: dict = {}
         if self.policy == "weighted-fair":
             # Tighter budgets earn proportionally larger DRR shares; the
             # weights derive from the traffic spec, not a side channel.
@@ -142,6 +142,7 @@ class Candidate:
             steal=self.steal,
             policy=make_policy(self.policy, **policy_kwargs),
             admission=make_admission(self.admission, **admission_kwargs),
+            drop_expired=self.drop_expired,
             service=CostModelClock.flat(),
             backend=self.backend,
         )

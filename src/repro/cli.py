@@ -499,7 +499,7 @@ def _simulation(args):
             )
         source = open_loop(spec, process)
 
-    policy_kwargs = {"drop_expired": args.drop_expired}
+    policy_kwargs = {}
     if args.policy in ("max-wait", "size-latency"):
         policy_kwargs["max_wait_s"] = args.max_wait_ms / 1e3
     if args.policy == "size-latency":
@@ -523,6 +523,7 @@ def _simulation(args):
         policy=make_policy(args.policy, **policy_kwargs),
         admission=_admission(args.admission, args.admission_depth, args.admission_slack,
                              quota, wait_s),
+        drop_expired=args.drop_expired,
         service=MeasuredClock() if args.measured else clock,
         backend=args.backend,
         faults=injector,

@@ -11,8 +11,9 @@ SLO at a given traffic level?*  Layered on the serving stack:
   deadlines.
 * :mod:`repro.cluster.policy` — *when* a batch closes: greedy FIFO,
   max-wait timeout, size-vs-latency target, earliest-deadline-first,
-  weighted-fair (deficit round-robin over SLO classes); every policy can
-  also shed already-doomed requests (``drop_expired``).
+  weighted-fair (deficit round-robin over SLO classes); the control
+  plane sheds already-doomed requests before it consults any of them
+  (``ControlConfig.drop_expired``).
 * :mod:`repro.serving.admission` (re-exported here) — whether a request
   enters at all: admit-all, queue-depth cap, estimated-wait cap
   (cost-model doomed-at-arrival test), per-SLO-class token buckets —

@@ -60,7 +60,7 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..decode.session import _step_first_query, decode_pattern, step_window
+from ..decode.session import _step_first_query, active_globals, decode_pattern, step_window
 from ..patterns.base import Band
 from ..patterns.hybrid import HybridSparsePattern
 from ..scheduler import SchedulerError
@@ -183,8 +183,10 @@ class _Seq:
         self.request_id = request_id
         self.spec = spec
         self.bands = spec.bands()
+        self.global_tokens = spec.global_tokens
         self.heads = spec.heads
         self.head_dim = spec.head_dim
+        self.hidden = spec.heads * spec.head_dim
         self.slo = slo
         self.slo_class = slo.name
         self.deadline_s = slo.deadline_s  # TTFT budget
@@ -206,12 +208,11 @@ class _Seq:
     def remaining(self) -> int:
         return self.target_tokens - self.produced
 
-    def group_key(self) -> Tuple:
-        """What lanes share to step in one engine call: bands, active
-        global set, heads, hidden."""
-        n = self.length
-        active = tuple(g for g in self.spec.global_tokens if g < n)
-        return self.bands, active, self.heads, self.heads * self.head_dim
+
+def _group_key(lane) -> Tuple:
+    """What lanes share to step in one engine call: bands, active global
+    set, heads, hidden — of a simulated :class:`_Seq` or a real lane."""
+    return lane.bands, active_globals(lane.global_tokens, lane.length), lane.heads, lane.hidden
 
 
 def _probe(spec: DecodeWorkloadSpec, n: int) -> _Seq:
@@ -316,7 +317,7 @@ class ContinuousBatching(BatchPolicy):
     A step is a *round* of consultations.  The round's first one sheds
     TTFT-doomed waiters and ITL-lagging lanes, joins waiters into the
     free lanes and splits the lanes into groups by
-    :meth:`_Seq.group_key` (a lane that has not yet grown past a global
+    :func:`_group_key` (a lane that has not yet grown past a global
     token steps apart from one that has); each group closes into a step
     batch at the widest :func:`step_window` bucket among its lanes.  The
     round's later consultations launch the remaining groups, one each.
@@ -327,7 +328,6 @@ class ContinuousBatching(BatchPolicy):
     name = "continuous"
 
     def __init__(self, itl_shed_factor: Optional[float] = 4.0) -> None:
-        super().__init__()
         if itl_shed_factor is not None and not (itl_shed_factor >= 1.0):
             raise ValueError(f"itl_shed_factor must be >= 1 or None, got {itl_shed_factor}")
         self.itl_shed_factor = itl_shed_factor
@@ -348,7 +348,7 @@ class ContinuousBatching(BatchPolicy):
     def _round(self, lanes: list, floor: int) -> Deque[_StepBatch]:
         groups: Dict[Tuple, list] = {}
         for lane in lanes:
-            groups.setdefault(lane.group_key(), []).append(lane)
+            groups.setdefault(_group_key(lane), []).append(lane)
         batches: Deque[_StepBatch] = deque()
         for key in sorted(groups, key=repr):
             members = groups[key]
@@ -399,6 +399,11 @@ class DecodeSimConfig(SimConfig):
             raise ValueError("steal: a lane's KV lives on its worker; a lane queue has nothing to steal")
         if self.pad_to_bucket:
             raise ValueError("pad_to_bucket: a decode step already runs at its step-window bucket")
+        if self.drop_expired:
+            raise ValueError(
+                "drop_expired: a lane queue keeps no deadline index; "
+                "ContinuousBatching sheds TTFT-doomed waiters itself"
+            )
         if self.faults is not None and self.faults.crashes:
             raise ValueError("CrashSpec: decode does not model what a dead worker's lanes and KV do")
 

@@ -105,8 +105,9 @@ class DropRecord:
     """One request that was never served: rejected, shed, or failed.
 
     ``kind`` is ``"rejected"`` (turned away at arrival by the admission
-    policy), ``"shed"`` (admitted, then dropped from a queue by a
-    ``drop_expired`` sweep once its deadline became unreachable), or
+    policy), ``"shed"`` (admitted, then dropped once its deadline became
+    unreachable: by the plane under ``ControlConfig.drop_expired``, or
+    by decode's continuous batching), or
     ``"failed"`` (lost to faults: transient-error retry budget
     exhausted, or orphaned by a down worker with requeueing disabled or
     no healthy worker left to take it).
@@ -162,7 +163,7 @@ class ClassReport:
     deadline_met_rate: float
     goodput_rps: float  # deadline-met completions per simulated second
     rejected: int = 0  # turned away at admission
-    shed: int = 0  # dropped by a drop_expired sweep
+    shed: int = 0  # dropped past its deadline (the plane's drop_expired, or decode)
     goodput_share: float = 0.0  # this class's slice of cluster goodput
     failed: int = 0  # lost to faults (terminal)
 

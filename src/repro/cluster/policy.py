@@ -26,19 +26,13 @@ throughput) against queueing delay (deadline risk):
   backlog each class's share of served requests converges to its weight
   share, so a flood from one tenant class cannot starve another.
 
-Load shedding: every policy accepts ``drop_expired=True`` to sweep out
-requests whose deadline has already passed before closing a batch —
-they can no longer be served in time, so dropping them converts wasted
-service into goodput.  Shed requests ride back on
-:attr:`BatchDecision.shed` for the caller to account.
-
 Policies return a :class:`BatchDecision`: a batch to launch now, the
-requests shed by the sweep, and/or the next instant the decision could
-change without a new arrival (the simulator arms a timer for it).  All
-policies are deterministic functions of the queue snapshot, the current
-time and (for :class:`WeightedFairPolicy`) their own deficit counters —
-never of a wall clock or RNG — so the discrete-event simulator stays
-replayable.
+requests the policy itself shed, and/or the next instant the decision
+could change without a new arrival (the simulator arms a timer for it).
+All policies are deterministic functions of the queue snapshot, the
+current time and (for :class:`WeightedFairPolicy`) their own deficit
+counters — never of a wall clock or RNG — so the discrete-event
+simulator stays replayable.
 """
 
 from __future__ import annotations
@@ -72,8 +66,10 @@ class BatchDecision:
     """Outcome of one policy consultation.
 
     ``batch`` — launch now (``None``: nothing ready).
-    ``shed`` — requests dropped by the expiry sweep (``drop_expired``);
-    the caller records them as shed, they will never be served.
+    ``shed`` — requests the policy dropped (decode's TTFT-doomed waiters
+    and lagging lanes, :class:`~repro.cluster.decode.ContinuousBatching`);
+    the caller records them as shed, they will never be served.  Shedding
+    past-deadline requests is the control plane's, before it consults.
     ``next_check_s`` — earliest future time the answer could change with
     no new arrival; the simulator arms a timer (``None``: only a new
     arrival or completion can change the answer).
@@ -85,31 +81,14 @@ class BatchDecision:
 
 
 class BatchPolicy:
-    """Decides when a worker closes a queue into a batch.
-
-    ``drop_expired`` enables the load-shedding sweep shared by every
-    policy: before a consultation inspects the queues, requests whose
-    absolute deadline is already in the past are removed and returned on
-    :attr:`BatchDecision.shed`.  Serving them is pure waste — completion
-    happens strictly after dispatch, so a request expired at dispatch
-    time cannot meet its deadline.
-    """
+    """Decides when a worker closes a queue into a batch."""
 
     name = "abstract"
-
-    def __init__(self, drop_expired: bool = False) -> None:
-        self.drop_expired = drop_expired
 
     def queue(self, config) -> BatchScheduler:
         """A worker's queue under this policy, sized by ``config`` (a
         :class:`~repro.cluster.simulator.ControlConfig`)."""
         return BatchScheduler(config.max_batch_size, config.bucket_floor, config.pad_to_bucket)
-
-    def shed_expired(self, queue: BatchScheduler, now: float) -> Tuple[AttentionRequest, ...]:
-        """Sweep out already-doomed requests (no-op unless ``drop_expired``)."""
-        if not self.drop_expired:
-            return ()
-        return tuple(queue.expire(now))
 
     def next_batch(self, queue: BatchScheduler, now: float) -> BatchDecision:
         raise NotImplementedError
@@ -124,8 +103,7 @@ class GreedyFIFOPolicy(BatchPolicy):
     name = "greedy-fifo"
 
     def next_batch(self, queue: BatchScheduler, now: float) -> BatchDecision:
-        shed = self.shed_expired(queue, now)
-        return BatchDecision(batch=queue.next_batch(), shed=shed)
+        return BatchDecision(batch=queue.next_batch())
 
 
 class MaxWaitPolicy(BatchPolicy):
@@ -140,13 +118,7 @@ class MaxWaitPolicy(BatchPolicy):
 
     name = "max-wait"
 
-    def __init__(
-        self,
-        max_wait_s: float,
-        target_size: Optional[int] = None,
-        drop_expired: bool = False,
-    ) -> None:
-        super().__init__(drop_expired=drop_expired)
+    def __init__(self, max_wait_s: float, target_size: Optional[int] = None) -> None:
         if not (max_wait_s >= 0):
             raise ValueError(f"max_wait_s must be >= 0, got {max_wait_s}")
         if target_size is not None and target_size < 1:
@@ -155,7 +127,6 @@ class MaxWaitPolicy(BatchPolicy):
         self.target_size = target_size
 
     def next_batch(self, queue: BatchScheduler, now: float) -> BatchDecision:
-        shed = self.shed_expired(queue, now)
         target = self.target_size or queue.max_batch_size
         target = min(target, queue.max_batch_size)
         best_key: Optional[Tuple] = None
@@ -172,8 +143,8 @@ class MaxWaitPolicy(BatchPolicy):
                 if next_expiry is None or expiry < next_expiry:
                     next_expiry = expiry
         if best_key is not None:
-            return BatchDecision(batch=queue.take(best_key), shed=shed)
-        return BatchDecision(next_check_s=next_expiry, shed=shed)
+            return BatchDecision(batch=queue.take(best_key))
+        return BatchDecision(next_check_s=next_expiry)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(max_wait_s={self.max_wait_s})"
@@ -188,12 +159,8 @@ class SizeLatencyPolicy(MaxWaitPolicy):
 
     name = "size-latency"
 
-    def __init__(
-        self, target_size: int, max_wait_s: float, drop_expired: bool = False
-    ) -> None:
-        super().__init__(
-            max_wait_s=max_wait_s, target_size=target_size, drop_expired=drop_expired
-        )
+    def __init__(self, target_size: int, max_wait_s: float) -> None:
+        super().__init__(max_wait_s=max_wait_s, target_size=target_size)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -237,8 +204,8 @@ class EDFPolicy(BatchPolicy):
     fills the batch with that queue's most urgent members.  Batches stay
     same-plan (the scheduler's grouping invariant); urgency only decides
     *which* queue and *which* members.  Expired requests sort after all
-    feasible ones (see :func:`_urgency`); with ``drop_expired=True`` they
-    are shed outright instead of served late.
+    feasible ones (see :func:`_urgency`); a plane that sheds expired
+    requests drops them before it consults the policy.
 
     The scheduler's urgency index answers both questions: one bisect at
     ``now`` per group names its most urgent member
@@ -252,15 +219,14 @@ class EDFPolicy(BatchPolicy):
     name = "edf"
 
     def next_batch(self, queue: BatchScheduler, now: float) -> BatchDecision:
-        shed = self.shed_expired(queue, now)
         best_key: Optional[Tuple] = None
         best_urgency: Optional[Tuple[bool, float, float]] = None
         for key, urgency in queue.most_urgent(now):
             if best_urgency is None or urgency < best_urgency:
                 best_key, best_urgency = key, urgency
         if best_key is None:
-            return BatchDecision(shed=shed)
-        return BatchDecision(batch=queue.take_urgent(best_key, now), shed=shed)
+            return BatchDecision()
+        return BatchDecision(batch=queue.take_urgent(best_key, now))
 
 
 class WeightedFairPolicy(BatchPolicy):
@@ -304,11 +270,9 @@ class WeightedFairPolicy(BatchPolicy):
         self,
         weights: Optional[Mapping[str, float]] = None,
         default_weight: float = 1.0,
-        drop_expired: bool = False,
         length_weighted: bool = False,
         length_unit: float = 64.0,
     ) -> None:
-        super().__init__(drop_expired=drop_expired)
         if not (length_unit > 0) or not math.isfinite(length_unit):
             raise ValueError(
                 f"length_unit must be positive and finite, got {length_unit}"
@@ -350,10 +314,9 @@ class WeightedFairPolicy(BatchPolicy):
         return self._credit.setdefault(queue, {})
 
     def next_batch(self, queue: BatchScheduler, now: float) -> BatchDecision:
-        shed = self.shed_expired(queue, now)
         items = queue.group_items()
         if not items:
-            return BatchDecision(shed=shed)
+            return BatchDecision()
         backlogged = sorted({r.slo_class for _, members in items for r in members})
         # Idle classes lose their balance: DRR's no-hoarding rule.
         credit = {
@@ -394,7 +357,7 @@ class WeightedFairPolicy(BatchPolicy):
         )
         for r in batch.requests:
             credit[r.slo_class] = credit.get(r.slo_class, 0.0) - self.charge(r)
-        return BatchDecision(batch=batch, shed=shed)
+        return BatchDecision(batch=batch)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -8,11 +8,12 @@ event kinds:
   valve), and the worker is marked: each handler only marks the workers
   it touched, and the plane consults each marked worker's batch policy
   once per instant, after every arrival due by then (so a burst is
-  batched whole on every executor).  A consultation may also *shed*
-  requests whose deadlines became unreachable (``drop_expired``).
-  Rejected, shed and failed requests are terminal outcomes fed back to
-  closed-loop sources exactly like completions, so ``submitted ==
-  completed + rejected + shed + failed`` holds on every drained run.
+  batched whole on every executor).  With ``drop_expired`` the plane
+  *sheds* the worker's queued requests already past their deadline
+  before each consultation: no policy sees a doomed request.  Rejected,
+  shed and failed requests are terminal outcomes fed back to closed-loop
+  sources exactly like completions, so ``submitted == completed +
+  rejected + shed + failed`` holds on every drained run.
 * **service-complete** — completions are recorded (on a transient error
   each member instead retries after capped exponential backoff, against
   its budget) and the worker is marked.  After each instant's
@@ -109,6 +110,11 @@ PROBE_ANSWERED, PROBE_SILENT, PROBE_DEAD = "answered", "silent", "dead"
 class ControlConfig:
     """Knobs of the control plane, whatever executes the batches.
 
+    ``drop_expired`` sheds a request once its deadline passes: queued
+    ones at each consultation and when the expiry timer fires, retried
+    and requeued ones when placed.  Serving them is pure waste —
+    completion comes strictly after dispatch, so a request expired at
+    dispatch cannot meet its deadline.
     ``backend`` names the registered execution backend every worker
     engine is built from (see :func:`repro.api.list_backends`).
     ``recovery`` holds the heartbeat / retry / requeue / breaker knobs,
@@ -123,6 +129,7 @@ class ControlConfig:
     affinity_miss_prob: float = 0.1
     policy: BatchPolicy = field(default_factory=GreedyFIFOPolicy)
     admission: AdmissionPolicy = field(default_factory=AdmitAll)
+    drop_expired: bool = False
     backend: str = "functional"
     recovery: RecoveryConfig = field(default_factory=RecoveryConfig)
 
@@ -328,7 +335,9 @@ class ControlPlane:
 
     def _dispatch(self, worker: Worker, now: float) -> None:
         """Consult the policy while the worker has a free slot; launch
-        the batches it closes or arm its re-check timer.
+        the batches it closes or arm its re-check timer.  With
+        ``drop_expired`` each consultation first sheds the queued
+        requests past their deadline.
 
         A dead worker never dispatches: a crashed-but-undetected one
         silently sits on its queue (that is what detection latency
@@ -337,6 +346,9 @@ class ControlPlane:
         if not worker.alive or not worker.healthy:
             return
         while len(worker.launched) < self.executor.slots and self._launches_left > 0:
+            if self.config.drop_expired:
+                for req in worker.queue.expire(now):
+                    self._drop(SHED, req, now)
             decision = self.config.policy.next_batch(worker.queue, now)
             for req in decision.shed:
                 self._drop(SHED, req, now)
@@ -405,7 +417,7 @@ class ControlPlane:
             return None
         self._routed[request.request_id] = worker.wid
         worker.queue.enqueue(request, key)
-        if self.config.policy.drop_expired:  # shed at the deadline, not at a consultation
+        if self.config.drop_expired:  # shed at the deadline, not at a consultation
             self._arm_expiry(request.absolute_deadline_s)
         return worker
 
@@ -495,7 +507,7 @@ class ControlPlane:
         its deadline passed meanwhile, else route it onto a worker believed
         healthy, or fail it (an orphan with requeueing off, or every worker
         marked down)."""
-        if self.config.policy.drop_expired and request.absolute_deadline_s <= now:
+        if self.config.drop_expired and request.absolute_deadline_s <= now:
             return self._drop(SHED, request, now)
         requeue = self._recovery.requeue or not orphan
         target = self.pool.route(request, now) if requeue else None
@@ -505,7 +517,7 @@ class ControlPlane:
             self._emit(REQUEUE, now, request.request_id, target.wid)
         self._routed[request.request_id] = target.wid
         target.queue.enqueue(request)
-        if self.config.policy.drop_expired:
+        if self.config.drop_expired:
             self._arm_expiry(request.absolute_deadline_s)
         self._consult[target.wid] = target
 

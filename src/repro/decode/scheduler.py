@@ -16,7 +16,7 @@ global tokens that holds only when the bucket trajectories coincide.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -43,11 +43,7 @@ class _Lane(KVState):
         self.request, self.request_id, self.arrival_s = request, request.request_id, now
         self.rng, self.outputs, self.target_tokens = request.rng(), [], request.max_new_tokens
         self.bands = tuple(request.pattern.bands() or ())
-        self.globals_ = tuple(request.pattern.global_tokens())
-
-    def group_key(self) -> Tuple:
-        active = tuple(g for g in self.globals_ if g < self.length)
-        return self.bands, active, self.request.heads, self.hidden
+        self.global_tokens = tuple(request.pattern.global_tokens())
 
     def feed(self, out_row: np.ndarray) -> bool:
         """Record one token, growing KV unless the budget is met; True when

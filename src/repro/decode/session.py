@@ -161,7 +161,7 @@ def decode_pattern(
     """
     if valid_len > bucket:
         raise ValueError(f"valid_len {valid_len} exceeds bucket {bucket}")
-    active = tuple(g for g in global_tokens if g < valid_len)
+    active = active_globals(global_tokens, valid_len)
     return HybridSparsePattern(bucket, list(bands), active, first_query)
 
 
@@ -178,6 +178,12 @@ def _step_first_query(active_globals: Sequence[int], bucket: int, min_valid: int
     if active_globals:
         return 0
     return bucket - length_bucket(bucket - (min_valid - 1), 1)
+
+
+def active_globals(global_tokens: Sequence[int], length: int) -> Tuple[int, ...]:
+    """The global tokens a ``length``-row history holds (those below
+    ``length``): the active set a step at that length attends."""
+    return tuple(g for g in global_tokens if g < length)
 
 
 def step_window(
@@ -396,7 +402,7 @@ class DecodeSession:
         return self._pattern_for(self.state.capacity, self._active_globals())
 
     def _active_globals(self) -> Tuple[int, ...]:
-        return tuple(g for g in self._globals if g < self.state.length)
+        return active_globals(self._globals, self.state.length)
 
     def _pattern_for(
         self, bucket: int, active: Tuple[int, ...], first_query: int = 0

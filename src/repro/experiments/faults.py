@@ -125,7 +125,8 @@ def mode_config(
     )
     return SimConfig(
         workers=workers,
-        policy=EDFPolicy(drop_expired=True),
+        policy=EDFPolicy(),
+        drop_expired=True,
         service=clock,
         steal=steal,
         faults=injector,
@@ -161,7 +162,7 @@ def run(fast: bool = False, backend: str = "functional") -> ExperimentResult:
         sim, events = ClusterSimulator(config), []
         sim.listen(events.append)
         report = sim.run(source)
-        if broken := check(events, config.policy.drop_expired):
+        if broken := check(events, config.drop_expired):
             raise RuntimeError(f"{mode} broke the plane's laws: {broken}")
         rows.append(
             {

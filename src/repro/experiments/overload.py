@@ -96,23 +96,20 @@ MODES: Tuple[str, ...] = ("no-control", "fifo-shed", "shed", "admit+shed", "weig
 def mode_config(
     mode: str, workers: int, clock: CostModelClock, backend: str = "functional"
 ) -> SimConfig:
-    """The (policy, admission) pair each overload-control mode names."""
-    if mode == "no-control":
+    """The (policy, admission, shedding) each overload-control mode names."""
+    if mode in ("no-control", "shed"):
         policy, admission = EDFPolicy(), AdmitAll()
     elif mode == "fifo-shed":
-        policy, admission = GreedyFIFOPolicy(drop_expired=True), AdmitAll()
-    elif mode == "shed":
-        policy, admission = EDFPolicy(drop_expired=True), AdmitAll()
+        policy, admission = GreedyFIFOPolicy(), AdmitAll()
     elif mode == "admit+shed":
-        policy = EDFPolicy(drop_expired=True)
-        admission = EstimatedWaitCap(slack=ADMIT_SLACK)
+        policy, admission = EDFPolicy(), EstimatedWaitCap(slack=ADMIT_SLACK)
     elif mode == "weighted-fair":
-        policy = WeightedFairPolicy(weights=FAIR_WEIGHTS, drop_expired=True)
-        admission = AdmitAll()
+        policy, admission = WeightedFairPolicy(weights=FAIR_WEIGHTS), AdmitAll()
     else:  # pragma: no cover - registry guard
         raise KeyError(f"unknown overload mode {mode!r}; known: {MODES}")
     return SimConfig(
-        workers=workers, policy=policy, admission=admission, service=clock, backend=backend
+        workers=workers, policy=policy, admission=admission,
+        drop_expired=mode != "no-control", service=clock, backend=backend,
     )
 
 

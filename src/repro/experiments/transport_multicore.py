@@ -77,8 +77,8 @@ def transport_config(
 ) -> TransportClusterConfig:
     """One row's cluster config; multiprocess workers pre-warm the
     trace's single pattern family (at the trace's own head_dim — plans
-    are keyed on it) so compiles stay out of the timings.  ``shed`` is
-    the edf+shed row's policy."""
+    are keyed on it) so compiles stay out of the timings.  ``shed`` sets
+    the edf+shed row's policy and shedding."""
     spec = transport_trace_spec(num_requests, seed)
     warm = tuple((p, spec.heads, spec.head_dim) for p in pattern_families(spec))
     return TransportClusterConfig(
@@ -87,7 +87,7 @@ def transport_config(
         max_batch_size=8,
         recovery=RecoveryConfig(heartbeat_interval_s=0.02, heartbeat_timeout_s=2.0),
         warm=warm if driver == "multiprocess" else (),
-        **({"policy": EDFPolicy(drop_expired=True)} if shed else {}),
+        **({"policy": EDFPolicy(), "drop_expired": True} if shed else {}),
     )
 
 
@@ -120,7 +120,7 @@ def run_row(
     with TransportCluster(config) as cluster:
         cluster.listen(events.append)
         report = cluster.run(requests, tick=tick)
-    if broken := check(events, config.policy.drop_expired):
+    if broken := check(events, config.drop_expired):
         raise RuntimeError(f"{driver} x{workers} broke the plane's laws: {broken}")
     return report
 

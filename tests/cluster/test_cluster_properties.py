@@ -198,15 +198,15 @@ def faulty_scenario(draw, executors=("simulated",)):
     return sc
 
 
-def _build_policy(name: str, drop: bool):
+def _build_policy(name: str):
     """Fresh policy per run — WeightedFair/token-bucket are stateful."""
     if name == "greedy-fifo":
-        return GreedyFIFOPolicy(drop_expired=drop)
+        return GreedyFIFOPolicy()
     if name == "max-wait":
-        return MaxWaitPolicy(max_wait_s=1e-4, drop_expired=drop)
+        return MaxWaitPolicy(max_wait_s=1e-4)
     if name == "edf":
-        return EDFPolicy(drop_expired=drop)
-    return WeightedFairPolicy(weights={"tight": 3.0, "loose": 1.0}, drop_expired=drop)
+        return EDFPolicy()
+    return WeightedFairPolicy(weights={"tight": 3.0, "loose": 1.0})
 
 
 def _build_admission(name: str):
@@ -232,11 +232,13 @@ def _run(drive, sc, service=None, faults=None):
 
 def _knobs(sc):
     """The scenario's :class:`~repro.cluster.simulator.ControlConfig` fields."""
+    policy, drop = sc["policy"]
     return dict(
         workers=sc["workers"],
         max_batch_size=sc["max_batch"],
         pad_to_bucket=sc["pad"],
-        policy=_build_policy(*sc["policy"]),
+        policy=_build_policy(policy),
+        drop_expired=drop,
         admission=_build_admission(sc["admission"]),
         # Probes at 50us against ~10us-1ms service times: detection is
         # fast enough to matter inside the tiny scenario horizons.

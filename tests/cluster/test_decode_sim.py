@@ -280,6 +280,7 @@ class TestValidation:
         ("policy", dict(policy=EDFPolicy())),
         ("steal", dict(steal=True)),
         ("pad_to_bucket", dict(pad_to_bucket=True)),
+        ("drop_expired", dict(drop_expired=True)),
     ])
     def test_config_refuses_what_decode_does_not_model(self, field, cfg):
         with pytest.raises(ValueError, match=f"^{field}: "):

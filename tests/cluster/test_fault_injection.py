@@ -368,7 +368,7 @@ class TestExpiryTimers:
         # that expire long before the worker frees up.
         requests = [req(0, 0.0, None), req(1, 1e-5, 1e-4), req(2, 2e-5, 1e-4)]
         sim = ClusterSimulator(
-            SimConfig(workers=1, policy=GreedyFIFOPolicy(drop_expired=True))
+            SimConfig(workers=1, policy=GreedyFIFOPolicy(), drop_expired=True)
         )
         report = sim.run(OpenLoopSource(requests))
         assert report.completed == 1 and report.shed == 2

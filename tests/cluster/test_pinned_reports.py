@@ -80,11 +80,14 @@ def _faults(requests=_REQUESTS):
     return _source(spec, 0.8, 2), config
 
 
-def _policy_row(policy):
+def _policy_row(policy, drop_expired=False):
     """Two stealing workers at rho 1.2 on the mixed-length overload mix."""
     def build():
         spec = overload.overload_spec(_REQUESTS, _scales()[1], seed=5)
-        return _source(spec, 1.2, 2), SimConfig(workers=2, policy=policy(), service=_CLOCK)
+        config = SimConfig(
+            workers=2, policy=policy(), drop_expired=drop_expired, service=_CLOCK
+        )
+        return _source(spec, 1.2, 2), config
     return build
 
 
@@ -102,7 +105,8 @@ def _crash_rejoin():
     )
     config = SimConfig(
         workers=3,
-        policy=GreedyFIFOPolicy(drop_expired=True),
+        policy=GreedyFIFOPolicy(),
+        drop_expired=True,
         service=_CLOCK,
         faults=injector,
         recovery=RecoveryConfig(
@@ -131,7 +135,7 @@ _PINNED = {
         "7af915b6da7a28c26e233fbc90688ea56f95f5a66eb8cd24fad8fab1f2e80a9d",
     ),
     "greedy-fifo+shed": (
-        _policy_row(lambda: GreedyFIFOPolicy(drop_expired=True)),
+        _policy_row(GreedyFIFOPolicy, drop_expired=True),
         "868af927c00b85b4180826763f84e84d81737cc0543b081cb1b37849e3a48aeb",
     ),
     "max-wait": (
@@ -147,7 +151,7 @@ _PINNED = {
         "c4ec2cfd3d4b4c0923e4027fd1088604019cf98fb4d4e6e3c0c39b34398ebc1e",
     ),
     "edf+shed": (
-        _policy_row(lambda: EDFPolicy(drop_expired=True)),
+        _policy_row(EDFPolicy, drop_expired=True),
         "323efa5f076df7b1e45672aea281d32914a0bb203fb221469e6dadb9baf9160f",
     ),
     "weighted-fair": (

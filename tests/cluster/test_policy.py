@@ -121,45 +121,10 @@ class TestEDF:
         assert order == [1, 2, 0]
 
     def test_expired_requests_still_served_without_drop(self):
-        """Work conservation: without drop_expired nothing is dropped."""
+        """Work conservation: a policy drops nothing (shedding is the plane's)."""
         sched = _scheduler(_request(0, arrival=0.0, deadline=0.1))
         decision = EDFPolicy().next_batch(sched, now=5.0)
         assert decision.batch is not None and decision.shed == ()
-
-
-class TestDropExpired:
-    def test_edf_sheds_doomed_and_serves_the_rest(self):
-        doomed = _request(0, arrival=0.0, deadline=0.5)
-        alive = _request(1, arrival=0.0, deadline=10.0)
-        sched = _scheduler(doomed, alive)
-        decision = EDFPolicy(drop_expired=True).next_batch(sched, now=2.0)
-        assert [r.request_id for r in decision.shed] == [0]
-        assert [r.request_id for r in decision.batch.requests] == [1]
-        assert sched.pending == 0
-
-    def test_deadline_free_requests_never_shed(self):
-        sched = _scheduler(_request(0, arrival=0.0), _request(1, arrival=0.0))
-        decision = GreedyFIFOPolicy(drop_expired=True).next_batch(sched, now=1e9)
-        assert decision.shed == ()
-        assert decision.batch.size == 2
-
-    def test_sweep_applies_to_holding_policies(self):
-        """Max-wait's sweep runs even when it decides to keep holding."""
-        doomed = _request(0, arrival=0.0, deadline=0.5)
-        fresh = _request(1, arrival=1.9, deadline=10.0)
-        sched = _scheduler(doomed, fresh)
-        policy = MaxWaitPolicy(max_wait_s=1.0, drop_expired=True)
-        decision = policy.next_batch(sched, now=2.0)
-        assert [r.request_id for r in decision.shed] == [0]
-        assert decision.batch is None  # fresh head still within max_wait
-        assert decision.next_check_s == pytest.approx(2.9)
-
-    def test_boundary_exactly_at_deadline_is_shed(self):
-        """A request dispatched exactly at its deadline cannot complete
-        by it (service time is strictly positive), so it sheds."""
-        sched = _scheduler(_request(0, arrival=0.0, deadline=1.0))
-        decision = EDFPolicy(drop_expired=True).next_batch(sched, now=1.0)
-        assert len(decision.shed) == 1 and decision.batch is None
 
 
 class TestWeightedFair:
@@ -377,7 +342,9 @@ class TestRegistry:
         assert isinstance(make_policy("edf"), EDFPolicy)
         assert make_policy("max-wait", max_wait_s=0.1).max_wait_s == 0.1
         assert isinstance(make_policy("weighted-fair"), WeightedFairPolicy)
-        assert make_policy("edf", drop_expired=True).drop_expired
+        # shedding is the control plane's switch (ControlConfig), not a policy's
+        with pytest.raises(TypeError, match="drop_expired"):
+            make_policy("weighted-fair", drop_expired=True)
         with pytest.raises(KeyError):
             make_policy("bogus")
 

@@ -14,17 +14,21 @@ from repro.cluster import (
     MaxWaitPolicy,
     MeasuredClock,
     OnOffProcess,
+    OpenLoopSource,
     PoissonProcess,
+    ServiceModel,
     SimConfig,
+    SizeLatencyPolicy,
     SLOClass,
     WorkloadSpec,
     open_loop,
     simulate,
 )
-from repro.cluster.events import LAUNCH, check
+from repro.cluster.events import LAUNCH, SHED, check
 from repro.core.config import HardwareConfig
 from repro.core.salo import SALO
-from repro.serving import TraceSpec
+from repro.patterns.library import longformer_pattern
+from repro.serving import AttentionRequest, TraceSpec
 
 
 def _small_salo():
@@ -147,7 +151,9 @@ class TestEventLoop:
 
         def run(drop):
             source = open_loop(_spec(num=80, seed=11), PoissonProcess(rate_rps=120000.0))
-            return simulate(source, SimConfig(workers=2, policy=EDFPolicy(drop_expired=drop)))
+            return simulate(
+                source, SimConfig(workers=2, policy=EDFPolicy(), drop_expired=drop)
+            )
 
         keep, drop = run(False), run(True)
         assert keep.completed == 80 and keep.shed == 0
@@ -164,7 +170,7 @@ class TestEventLoop:
             clients=6,
         )
         report = simulate(
-            source, SimConfig(workers=1, policy=EDFPolicy(drop_expired=True))
+            source, SimConfig(workers=1, policy=EDFPolicy(), drop_expired=True)
         )
         # Every request in the budget reached a terminal outcome.
         assert report.submitted == 40
@@ -184,6 +190,78 @@ class TestEventLoop:
         sim.run(ClosedLoopSource(spec, clients=4, think_time_s=0.0))
         assert [len(e.payload.requests) for e in events if e.kind == LAUNCH] == [4, 4, 4, 4]
         assert not check(events)
+
+
+class _OneSecond(ServiceModel):
+    """Every launch takes exactly one second: instants a test can name."""
+
+    def service_s(self, worker, batch, cold):
+        return 1.0
+
+
+def _shed_run(policy, *requests, max_batch_size=8):
+    """``(request id, arrival, deadline)`` triples through one worker with
+    ``drop_expired``; returns ``{shed id: t}`` and ``[(t, launched ids)]``
+    once the run kept the plane's laws."""
+    pattern = longformer_pattern(16, 4, (0,))
+    zeros = np.zeros((16, 4))
+    sim = ClusterSimulator(
+        SimConfig(
+            workers=1, max_batch_size=max_batch_size, policy=policy, drop_expired=True,
+            service=_OneSecond(), salo_factory=_small_salo,
+        )
+    )
+    events = []
+    sim.listen(events.append)
+    sim.run(OpenLoopSource([
+        AttentionRequest(rid, pattern, zeros, zeros, zeros, heads=2, arrival_s=t, deadline_s=d)
+        for rid, t, d in requests
+    ]))
+    assert not check(events, drop_expired=True)
+    sheds = {e.request: e.t for e in events if e.kind == SHED}
+    launches = [(e.t, [r.request_id for r in e.payload.requests]) for e in events
+                if e.kind == LAUNCH]
+    return sheds, launches
+
+
+class TestDropExpired:
+    """``drop_expired`` is the plane's: it sheds a queued request once its
+    deadline passes, whatever the policy, and before consulting it."""
+
+    def test_edf_sheds_doomed_and_serves_the_rest(self):
+        """Behind a one-second launch, the doomed request is shed at its
+        deadline and the feasible one rides the next batch alone."""
+        sheds, launches = _shed_run(
+            EDFPolicy(), (0, 0.0, None), (1, 0.25, 0.5), (2, 0.25, 10.0)
+        )
+        assert sheds == {1: 0.75}
+        assert launches == [(0.0, [0]), (1.0, [2])]
+
+    def test_deadline_free_requests_never_shed(self):
+        sheds, launches = _shed_run(
+            GreedyFIFOPolicy(), *((i, 0.0, None) for i in range(4)), max_batch_size=2
+        )
+        assert sheds == {}
+        assert launches == [(0.0, [0, 1]), (1.0, [2, 3])]
+
+    def test_sweep_applies_to_holding_policies(self):
+        """The fresh arrival's consultation sheds the held request whose
+        deadline is that instant before the policy counts the queue: one
+        member is short of the target, so it holds from the fresh head."""
+        sheds, launches = _shed_run(
+            SizeLatencyPolicy(target_size=2, max_wait_s=5.0), (0, 0.0, 1.9), (1, 1.9, 10.0)
+        )
+        assert sheds == {0: 1.9}
+        [(t, members)] = launches
+        assert t == pytest.approx(6.9) and members == [1]
+
+    def test_boundary_exactly_at_deadline_is_shed(self):
+        """A request whose deadline is the instant its worker frees up
+        cannot complete by it (service time is strictly positive): that
+        consultation sheds it rather than launch it."""
+        sheds, launches = _shed_run(GreedyFIFOPolicy(), (0, 0.0, None), (1, 0.25, 0.75))
+        assert sheds == {1: 1.0}
+        assert launches == [(0.0, [0])]
 
 
 class TestReportIntegrity:

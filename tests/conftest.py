@@ -149,7 +149,7 @@ def _drive(executor, requests, *, faults=None, service=None, tick=None, transpor
         with TransportCluster(config, transports=transports) as plane:
             plane.listen(events.append)
             report = plane.run(requests, tick=chaos)
-    assert not check(events, getattr(knobs.get("policy"), "drop_expired", False))
+    assert not check(events, knobs.get("drop_expired", False))
     return plane, report
 
 

@@ -104,8 +104,7 @@ class _Reference:
             del self.queues[key]
         return stolen
 
-    def edf(self, now, drop_expired):
-        shed = self.prune(lambda r: r.absolute_deadline_s <= now) if drop_expired else []
+    def edf(self, now):
         best_key = best = None
         for key, members in self.group_items():
             urgency = min(_urgency(r, now) for r in members)
@@ -114,7 +113,7 @@ class _Reference:
         batch = None
         if best_key is not None:
             batch = self.take(best_key, order=lambda r: _urgency(r, now))
-        return shed, batch
+        return batch
 
 
 def _ids(requests):
@@ -143,7 +142,7 @@ def _agree(sched, ref):
             (key, min(_urgency(r, now) for r in members)) for key, members in ref.group_items()
         ]
         got = EDFPolicy().next_batch(copy.deepcopy(sched, dict(requests)), now)
-        assert _batch(got.batch) == _ref_batch(copy.deepcopy(ref, dict(requests)).edf(now, False)[1])
+        assert _batch(got.batch) == _ref_batch(copy.deepcopy(ref, dict(requests)).edf(now))
 
 
 _OPS = ("enqueue",) * 4 + ("next_batch", "take", "take_ordered", "prune", "expire",
@@ -206,12 +205,13 @@ def test_indexed_scheduler_matches_the_reference(data, max_batch):
             ref.requeue(back)
         else:
             now = data.draw(st.sampled_from(_NOWS))
-            drop = data.draw(st.booleans())
-            decision = EDFPolicy(drop_expired=drop).next_batch(sched, now)
-            shed, taken = ref.edf(now, drop)
-            assert _ids(decision.shed) == _ids(shed)
-            assert _batch(decision.batch) == _ref_batch(taken)
-            loose.extend(decision.shed)
+            if data.draw(st.booleans()):  # the plane's drop_expired sweep, then EDF
+                shed = sched.expire(now)
+                assert _ids(shed) == _ids(ref.prune(lambda r: r.absolute_deadline_s <= now))
+                loose.extend(shed)
+            decision = EDFPolicy().next_batch(sched, now)
+            assert decision.shed == ()
+            assert _batch(decision.batch) == _ref_batch(ref.edf(now))
             if decision.batch is not None:
                 loose.extend(decision.batch.requests)
         _agree(sched, ref)

@@ -462,3 +462,55 @@ def test_a_structure_key_is_derived_by_the_pattern_once():
     }
     # the walk sees them
     assert {"pattern_structure_key", "group_key", "_plan_key", "plan_key"} <= keyed
+
+
+def _enclosing_calls(attr):
+    """``{(module, class, function)}`` around every ``.<attr>(`` call in
+    the package (``None`` where a call sits outside a class or function)."""
+    found = set()
+
+    def visit(node, name, cls, fn):
+        if isinstance(node, ast.ClassDef):
+            cls, fn = node.name, None
+        elif isinstance(node, ast.FunctionDef):
+            fn = node.name
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == attr):
+            found.add((name, cls, fn))
+        for child in ast.iter_child_nodes(node):
+            visit(child, name, cls, fn)
+
+    for name, tree in _sources().items():
+        visit(tree, name, None, None)
+    return found
+
+
+def test_only_the_plane_sweeps_queues():
+    """Shedding is the plane's decision (``ControlConfig.drop_expired``):
+    ``ControlPlane._dispatch`` sweeps a worker's queue before each
+    consultation and ``_on_expire`` sweeps every queue when the expiry
+    timer fires.  Any other ``.expire(`` call is a second sweep growing
+    back beside them, a policy's among them."""
+    assert _enclosing_calls("expire") == {
+        ("cluster/simulator.py", "ControlPlane", "_dispatch"),
+        ("cluster/simulator.py", "ControlPlane", "_on_expire"),
+    }
+
+
+def test_the_policies_hold_no_shedding_switch():
+    """A batch policy chooses a batch; whether a doomed request is shed
+    is a control-plane knob, so ``cluster/policy.py`` never names it."""
+    assert "drop_expired" not in (SRC / "repro" / "cluster" / "policy.py").read_text()
+
+
+def test_no_policy_level_sweep_is_defined():
+    """The policies' shared sweep (``shed_expired``) is gone with the
+    policies' switch; defining it again anywhere brings it back."""
+    defined = {
+        node.name
+        for tree in _sources().values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert "_dispatch" in defined  # the walk sees definitions
+    assert "shed_expired" not in defined

@@ -111,7 +111,7 @@ class TestControlPlaneOnRealWorkers:
         requests = _requests(8)
         requests[3].deadline_s = 1e-9  # gone before the first consultation
         _, report = drive(
-            "inprocess", requests, **_knobs(policy=EDFPolicy(drop_expired=True))
+            "inprocess", requests, **_knobs(policy=EDFPolicy(), drop_expired=True)
         )
         assert report.shed == 1 and report.completed == 7
 
