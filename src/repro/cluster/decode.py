@@ -391,6 +391,7 @@ class DecodeSimConfig(SimConfig):
     steal: bool = False
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not isinstance(self.policy, ContinuousBatching):
             raise ValueError(
                 f"policy: decode steps under ContinuousBatching, got {type(self.policy).__name__}"

@@ -1,8 +1,9 @@
-"""Engine pool: N SALO workers, plan-affinity routing, work stealing.
+"""Engine pool: N workers, plan-affinity routing, work stealing.
 
-Each :class:`Worker` owns a full :class:`~repro.core.salo.SALO` instance
-(its *warm* plan cache is the point: compiled plans are per-engine
-state) plus a plan-keyed request queue.  The :class:`EnginePool` routes
+Each :class:`Worker` owns one engine — the one its pool's
+``salo_factory`` built: a :class:`~repro.core.salo.SALO`, or any
+registered backend's adapter (its *warm* plan cache is the point:
+compiled plans are per-engine state) — plus a plan-keyed request queue.  The :class:`EnginePool` routes
 arrivals by scoring workers on *cache-hit probability over queue
 pressure* — a worker that has served a structure before will skip
 scheduling, compilation and the cost models on a repeat, so sending the
@@ -42,6 +43,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..api import Runtime
 from ..core.salo import SALO
 from ..serving.batching import Batch, BatchScheduler
 from ..serving.request import AttentionRequest
@@ -93,7 +95,7 @@ def service_scales(
     spec,
     clock: "CostModelClock",
     full_batch: int = 8,
-    backend: Optional[str] = None,
+    backend: str = "functional",
 ) -> Tuple[float, float]:
     """(amortised unit, dispatch unit) of the cost model, in seconds.
 
@@ -109,17 +111,11 @@ def service_scales(
     service with, which is the whole point: a ``--backend dense``
     simulation must scale its SLO budgets from the dense cost model, not
     from the default SALO estimator, or budgets and service times come
-    from two different machines.  ``None`` keeps the default SALO
-    estimator (identical to the default ``functional`` backend's).
+    from two different machines.
     """
     if full_batch < 1:
         raise ValueError(f"full_batch must be >= 1, got {full_batch}")
-    if backend is None:
-        estimator = SALO()
-    else:
-        from ..api import Runtime
-
-        estimator = Runtime(backend=backend)
+    estimator = Runtime(backend=backend)
     units = [
         estimator.estimate(p, heads=spec.heads, head_dim=spec.head_dim).latency_s
         for p in pattern_families(spec)
@@ -212,7 +208,7 @@ class CircuitBreaker:
 
 
 class Worker:
-    """One engine: a SALO instance, its queue, and accounting.
+    """One engine (what the pool's ``salo_factory`` built), its queue, and accounting.
 
     Lifecycle (``up -> suspect -> down -> rejoined up``): ``alive`` is
     ground truth — whether the process exists — while ``state`` is what
@@ -500,13 +496,11 @@ class EnginePool:
     """Routes requests across workers; steals work for idle ones.
 
     Each worker's engine comes from ``salo_factory`` — by default a
-    fresh :class:`~repro.core.salo.SALO` per worker — and its queue from
-    ``queue_factory`` (a control plane's comes from its batch policy).
-    ``backend`` instead names a registered backend
-    (:func:`repro.api.engine_factory` builds the per-worker factory),
-    so a pool of legacy-path or oracle engines is one string away;
-    passing both a custom factory and a backend name is ambiguous and
-    rejected.
+    fresh :class:`~repro.core.salo.SALO` per worker; a registered
+    backend's is ``repro.api.engine_factory(name)``, which
+    :class:`~repro.cluster.simulator.ControlPlane` passes for its
+    ``config.backend`` — and its queue from ``queue_factory`` (a
+    control plane's comes from its batch policy).
     """
 
     def __init__(
@@ -514,19 +508,10 @@ class EnginePool:
         workers: int,
         salo_factory: Callable[[], SALO] = SALO,
         affinity_miss_prob: float = 0.1,
-        backend: Optional[str] = None,
         queue_factory: Callable[[], object] = BatchScheduler,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if backend is not None:
-            if salo_factory is not SALO:
-                raise ValueError(
-                    "pass either salo_factory or backend, not both"
-                )
-            from ..api import engine_factory
-
-            salo_factory = engine_factory(backend)
         self.salo_factory = salo_factory  # what built every worker's engine
         if not 0.0 < affinity_miss_prob <= 1.0:
             raise ValueError(

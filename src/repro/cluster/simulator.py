@@ -78,6 +78,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
+from ..api import engine_factory
 from ..core.salo import SALO
 from ..serving.batching import Batch
 from ..serving.request import AttentionRequest
@@ -116,7 +117,8 @@ class ControlConfig:
     completion comes strictly after dispatch, so a request expired at
     dispatch cannot meet its deadline.
     ``backend`` names the registered execution backend every worker
-    engine is built from (see :func:`repro.api.list_backends`).
+    engine is built from (see :func:`repro.api.list_backends`), unless
+    the front hands the plane an engine factory of its own.
     ``recovery`` holds the heartbeat / retry / requeue / breaker knobs,
     in the executor's own seconds (simulated or wall-clock).
     """
@@ -138,17 +140,25 @@ class ControlConfig:
 class SimConfig(ControlConfig):
     """Knobs of one cluster simulation.
 
-    ``service`` is the clock a batch is charged on.  A custom
-    ``salo_factory`` overrides ``backend`` and may not be combined with
-    a non-default one.  ``faults`` is an optional
+    ``service`` is the clock a batch is charged on.  ``salo_factory``
+    builds each worker's engine in place of ``backend``'s (``None``:
+    the backend's), so the two are refused together unless ``backend``
+    is the default.  ``faults`` is an optional
     :class:`~repro.cluster.faults.FaultInjector`; with no injector (or
     an empty one) the run is byte-identical to the fault-free simulator
     — no probes, no RNG draws, no extra events.
     """
 
     service: ServiceModel = field(default_factory=CostModelClock)
-    salo_factory: Callable[[], SALO] = SALO
+    salo_factory: Optional[Callable[[], SALO]] = None
     faults: Optional[FaultInjector] = None
+
+    def __post_init__(self) -> None:
+        if self.salo_factory is not None and self.backend != "functional":
+            raise ValueError(
+                f"salo_factory: a custom engine factory replaces backend {self.backend!r}; "
+                "name the engine one way"
+            )
 
 
 class Executor:
@@ -269,15 +279,20 @@ class ControlPlane:
     """Routing, batching, retry, recovery and accounting over a pool.
 
     Subclasses build ``self.executor`` and feed arrivals (:meth:`_play`).
+    Each worker's engine comes from ``salo_factory`` when a front owns
+    one, else from ``config.backend``: the one place a backend name
+    becomes an engine factory.
     """
 
-    def __init__(self, config: ControlConfig, **engine) -> None:
+    def __init__(
+        self, config: ControlConfig, salo_factory: Optional[Callable[[], SALO]] = None
+    ) -> None:
         self.config = cfg = config
         self.pool = EnginePool(
             workers=cfg.workers,
+            salo_factory=salo_factory or engine_factory(cfg.backend),
             affinity_miss_prob=cfg.affinity_miss_prob,
             queue_factory=lambda: cfg.policy.queue(cfg),
-            **engine,
         )
         self.metrics = MetricsCollector()
         self._listeners: List[Callable[[Event], None]] = []
@@ -678,9 +693,7 @@ class ClusterSimulator(ControlPlane):
 
     def __init__(self, config: Optional[SimConfig] = None) -> None:
         cfg = config if config is not None else SimConfig()
-        # a custom factory may only stand in for the default backend
-        custom = cfg.salo_factory is not SALO and cfg.backend == "functional"
-        super().__init__(cfg, salo_factory=cfg.salo_factory, backend=None if custom else cfg.backend)
+        super().__init__(cfg, cfg.salo_factory)
         self.executor = SimulatedExecutor(cfg.service, cfg.faults, cfg.workers)
 
     def run(self, source: RequestSource) -> ClusterReport:

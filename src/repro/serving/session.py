@@ -22,7 +22,7 @@ from ..cluster.events import REJECT
 from ..cluster.metrics import _percentile
 from ..cluster.pool import MeasuredClock
 from ..cluster.simulator import ControlConfig, ControlPlane, SimulatedExecutor
-from ..core.salo import SALO, pattern_structure_key
+from ..core.salo import pattern_structure_key
 from .admission import AdmissionPolicy, AdmitAll
 from .batching import Batch, execute_batch, stack_batch_operands  # noqa: F401 (re-exported)
 from .request import AttentionRequest, RequestResult, ServingStats
@@ -33,22 +33,20 @@ __all__ = ["ServingSession", "ServingStats", "execute_batch", "stack_batch_opera
 class ServingSession(ControlPlane):
     """Submit requests, then :meth:`step` or :meth:`drain` them.
 
-    ``salo`` is the engine (a SALO or any AttentionBackend; a Table 1 SALO
-    by default), or ``backend`` names a registered one.  The batch knobs
-    are :class:`~repro.serving.batching.BatchScheduler`'s.
+    ``salo`` is the engine: a SALO or any AttentionBackend (a registered
+    backend's is ``repro.api.engine_factory(name)()``); a Table 1 SALO
+    by default.  The batch knobs are
+    :class:`~repro.serving.batching.BatchScheduler`'s.
     """
 
     def __init__(self, salo=None, max_batch_size: int = 8, bucket_floor: int = 16,
                  pad_to_bucket: bool = False, admission: Optional[AdmissionPolicy] = None,
-                 clock: Callable[[], float] = time.perf_counter,
-                 backend: Optional[str] = None) -> None:
-        if salo is not None and backend is not None:
-            raise ValueError("pass either a salo/engine instance or a backend name, not both")
+                 clock: Callable[[], float] = time.perf_counter) -> None:
         super().__init__(
             ControlConfig(workers=1, max_batch_size=max_batch_size, bucket_floor=bucket_floor,
                           pad_to_bucket=pad_to_bucket, steal=False,
                           admission=admission if admission is not None else AdmitAll()),
-            salo_factory=SALO if salo is None else lambda: salo, backend=backend,
+            None if salo is None else lambda: salo,
         )
         self.executor = SimulatedExecutor(MeasuredClock(clock), None, 1)
         self.worker = self.pool.workers[0]

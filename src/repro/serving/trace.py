@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.salo import SALO
+from ..api import engine_factory
 from ..patterns.base import AttentionPattern, Band
 from ..patterns.hybrid import HybridSparsePattern
 from ..patterns.library import longformer_pattern
@@ -178,57 +178,26 @@ class ReplayReport:
 
 def replay(
     requests: Sequence[AttentionRequest],
-    salo: Optional[SALO] = None,
     max_batch_size: int = 8,
     compare_sequential: bool = True,
-    backend: Optional[str] = None,
+    backend: str = "functional",
 ) -> ReplayReport:
-    """Serve a trace; optionally time the sequential baseline on a
-    fresh engine with the same configuration.  Both sides warm their
-    plan caches at the scheduling level and then pay one plan compile +
-    engine build per pattern family inside their timed region —
-    symmetric costs, so the comparison isolates batching.  Operands a
+    """Serve a trace on an engine of registered ``backend`` (the
+    ``serve --backend`` CLI path); optionally time the sequential
+    baseline on a fresh engine of the same backend.  Both sides warm
+    their plan caches at the scheduling level and then pay one plan
+    compile + engine build per pattern family inside their timed region
+    — symmetric costs, so the comparison isolates batching.  Operands a
     request draws on first read (an :func:`~repro.cluster.arrivals.open_loop`
-    trace) are drawn before either timed region.
-
-    ``backend`` selects a registered execution backend by name (the
-    ``serve --backend`` CLI path); mutually exclusive with ``salo``.
-    Backends without a plan-level ``schedule`` (the float oracles) skip
-    the warm step on both sides — still symmetric.
+    trace) are drawn before either timed region.  Backends without a
+    plan-level ``schedule`` (the float oracles) skip the warm step on
+    both sides — still symmetric.
     """
     # The session is a cluster front, and repro.cluster imports this module.
     from .session import ServingSession
 
-    if salo is not None and backend is not None:
-        raise ValueError("pass either a salo/engine instance or a backend name, not both")
-    if backend is not None:
-        from ..api import engine_factory
-
-        make_engine = engine_factory(backend)
-        salo = make_engine()
-    elif salo is None:
-        salo = SALO()
-        make_engine = SALO
-    else:
-        engine = salo
-
-        def make_engine():
-            inner = engine.salo if hasattr(engine, "salo") else engine
-            if isinstance(inner, SALO):
-                fresh = SALO(
-                    config=inner.config,
-                    energy_table=inner.energy_table,
-                    strict_global_bound=inner.scheduler.strict_global_bound,
-                    plan_cache_size=inner.plan_cache_size,
-                    backend=inner.backend,
-                )
-                if inner is engine:
-                    return fresh
-                clone = type(engine)(engine.name, engine.capabilities, fresh)
-                clone._check_buffers = engine._check_buffers
-                return clone
-            return type(engine)()  # fresh oracle adapters are stateless
-
+    make_engine = engine_factory(backend)
+    salo = make_engine()
     sequential_s: Optional[float] = None
     outputs_seq: Dict[object, np.ndarray] = {}
 

@@ -18,7 +18,7 @@ Two things hold for real workers by construction, not by option:
 * a worker holds up to ``max_inflight_per_worker`` batches, so the
   parent packs batch k+1 while the worker runs batch k;
 * a busy single-threaded worker cannot answer pings mid-batch, so only
-  ground-truth death or ``stall_timeout_s`` without a launch takes it
+  ground-truth death or ``STALL_TIMEOUT_S`` without a launch takes it
   down; the heartbeat timeout applies to idle workers.
 
 The parent side is one single-threaded loop; parallelism lives in the
@@ -67,6 +67,11 @@ TRANSPORTS = {
     "multiprocess": MultiprocessTransport,
 }
 
+#: Longest a completion poll or an idle worker's ping blocks the loop.
+POLL_TIMEOUT_S = 0.005
+#: Silence a *busy* worker may keep since its newest launch before it is down.
+STALL_TIMEOUT_S = 30.0
+
 
 def _driver_class(driver: str):
     try:
@@ -87,7 +92,7 @@ class TransportClusterConfig(ControlConfig):
     """The control-plane knobs plus what only real workers need.
 
     Durations are wall-clock seconds, so ``recovery`` defaults to 50 ms
-    sweeps and 1 s of silence from an *idle* worker; ``stall_timeout_s``
+    sweeps and 1 s of silence from an *idle* worker; ``STALL_TIMEOUT_S``
     is the much larger budget for a busy one.  When ``drain_timeout_s``
     expires, whatever is still unaccounted is failed terminally, so the
     conservation law survives a wedged run.  ``warm`` lists ``(pattern,
@@ -104,9 +109,7 @@ class TransportClusterConfig(ControlConfig):
     recovery: RecoveryConfig = field(default_factory=lambda: RecoveryConfig(0.05, 1.0))
     driver: str = "multiprocess"
     max_inflight_per_worker: int = 2
-    stall_timeout_s: float = 30.0
     drain_timeout_s: float = 120.0
-    poll_timeout_s: float = 0.005
     warm: Tuple = ()
 
     def __post_init__(self) -> None:
@@ -135,8 +138,6 @@ class TransportExecutor(Executor):
     def __init__(self, config, workers, metrics: MetricsCollector, transports) -> None:
         super().__init__()
         self.slots = config.max_inflight_per_worker
-        self._poll_s = config.poll_timeout_s
-        self._stall_s = config.stall_timeout_s
         self._workers = workers
         self._metrics = metrics
         self._t0 = time.perf_counter()
@@ -158,7 +159,7 @@ class TransportExecutor(Executor):
         ``give_up_at``, what fell due before it comes first, then one give-up event."""
         while self._metrics.outstanding or any(e[2] == _ARRIVE for e in self._heap):
             now = self.now()
-            wait = self._poll_s
+            wait = POLL_TIMEOUT_S
             if self._heap:
                 if self._heap[0][0] <= min(now, self.give_up_at):
                     _, _, kind, payload = heapq.heappop(self._heap)
@@ -195,10 +196,10 @@ class TransportExecutor(Executor):
             # dead process, or no completion for far longer than any
             # batch takes, counts against it.
             newest = max(t0 for _, t0, _ in worker.launched.values())
-            if transport.alive and now - newest <= self._stall_s:
+            if transport.alive and now - newest <= STALL_TIMEOUT_S:
                 return PROBE_ANSWERED
         elif transport.alive:
-            if transport.probe(timeout_s=self._poll_s):
+            if transport.probe(timeout_s=POLL_TIMEOUT_S):
                 return PROBE_ANSWERED
             return PROBE_SILENT
         worker.crash(worker.last_heartbeat_s)  # some time after the last proof of life
@@ -223,7 +224,7 @@ class TransportCluster(ControlPlane):
     def __init__(
         self, config: TransportClusterConfig, transports: Optional[Sequence[WorkerTransport]] = None
     ) -> None:
-        super().__init__(config, backend=config.backend)
+        super().__init__(config)
         if transports is None:
             transports = [
                 make_transport(config.driver, backend=config.backend, wid=wid, warm=config.warm)

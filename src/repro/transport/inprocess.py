@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Deque, List, Optional, Sequence, Tuple
+from typing import Deque, List, Sequence, Tuple
 
-from ..api import Runtime, RuntimeConfig
+from ..api import Runtime
 from .base import (
     DISPATCH_ERROR,
     DISPATCH_OK,
@@ -36,7 +36,7 @@ __all__ = ["InProcessTransport"]
 
 
 class InProcessTransport(WorkerTransport):
-    """Synchronous driver over a caller-process :class:`Runtime`."""
+    """Synchronous driver over a caller-process :class:`Runtime` of ``backend``."""
 
     name = "inprocess"
 
@@ -44,14 +44,11 @@ class InProcessTransport(WorkerTransport):
         self,
         backend: str = "functional",
         wid: int = 0,
-        config: Optional[RuntimeConfig] = None,
         clock=time.perf_counter,
         warm: Sequence[Tuple] = (),
     ) -> None:
-        if config is None:
-            config = RuntimeConfig(backend=backend)
         self.wid = wid
-        self.runtime = Runtime(config)
+        self.runtime = Runtime(backend=backend)
         for pattern, heads, *head_dim in warm:  # as a worker process does at start-up
             self.runtime.warm([pattern], heads, *head_dim)
         self.clock = clock

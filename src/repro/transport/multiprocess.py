@@ -75,6 +75,9 @@ from .shm import ShmBatch, ShmLayout, attach
 
 __all__ = ["MultiprocessTransport", "default_context"]
 
+#: Budget for a worker's ready handshake (interpreter start plus warm-up compiles).
+START_TIMEOUT_S = 60.0
+
 
 def default_context() -> str:
     """Preferred start method: ``fork`` where the OS offers it.
@@ -87,8 +90,8 @@ def default_context() -> str:
     return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 
 
-def _worker_main(wid, runtime_config, warm_specs, req_q, done_q) -> None:
-    """Worker process body: warm a Runtime, serve the request queue.
+def _worker_main(wid, backend, warm_specs, req_q, done_q) -> None:
+    """Worker process body: warm a ``backend`` Runtime, serve the request queue.
 
     ``warm_specs`` is a list of ``(pattern, heads)`` or ``(pattern,
     heads, head_dim)`` tuples compiled before the worker reports ready
@@ -102,7 +105,7 @@ def _worker_main(wid, runtime_config, warm_specs, req_q, done_q) -> None:
     """
     from ..api import Runtime  # late import: after fork/spawn
 
-    runtime = Runtime(runtime_config)
+    runtime = Runtime(backend=backend)
     for pattern, heads, *head_dim in warm_specs:
         runtime.warm([pattern], heads, *head_dim)
     maps: dict = {}
@@ -161,9 +164,9 @@ class MultiprocessTransport(WorkerTransport):
         name it whenever traffic does not use ``Runtime.warm``'s default.
     context:
         ``multiprocessing`` start method; default :func:`default_context`.
-    start_timeout_s:
-        Budget for the worker's ready handshake (covers interpreter
-        start plus warm-up compiles).
+
+    Start-up blocks until the worker reports ready, or fails after
+    :data:`START_TIMEOUT_S`.
     """
 
     name = "multiprocess"
@@ -174,15 +177,8 @@ class MultiprocessTransport(WorkerTransport):
         wid: int = 0,
         warm: Sequence[Tuple] = (),
         context: Optional[str] = None,
-        start_timeout_s: float = 60.0,
-        runtime_config=None,
     ) -> None:
-        from ..api import RuntimeConfig
-
         self.wid = wid
-        self._config = (
-            runtime_config if runtime_config is not None else RuntimeConfig(backend=backend)
-        )
         # The shared-memory resource tracker must exist *before* the
         # worker forks: a child forked first would lazily spawn its own
         # private tracker on its first attach, and that tracker would
@@ -206,11 +202,11 @@ class MultiprocessTransport(WorkerTransport):
         self._closed = False
         self._process = self._ctx.Process(
             target=_worker_main,
-            args=(wid, self._config, list(warm), self._req_q, self._done_q),
+            args=(wid, backend, list(warm), self._req_q, self._done_q),
             daemon=True,
         )
         self._process.start()
-        self._await_ready(start_timeout_s)
+        self._await_ready(START_TIMEOUT_S)
 
     def _await_ready(self, timeout_s: float) -> None:
         deadline = time.perf_counter() + timeout_s

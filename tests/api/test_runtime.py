@@ -6,6 +6,7 @@ import pytest
 from repro.api import Runtime, RuntimeConfig, engine_factory, CapabilityError
 from repro.cli import main as cli_main
 from repro.cluster import (
+    DecodeSimConfig,
     EnginePool,
     GreedyFIFOPolicy,
     PoissonProcess,
@@ -88,18 +89,10 @@ class TestServingThreading:
 
     def test_legacy_backend_session_is_bit_identical(self):
         default = self._serve()
-        legacy = self._serve(backend="functional-legacy")
+        legacy = self._serve(salo=SALO(backend="functional-legacy"))
         assert default.results.keys() == legacy.results.keys()
         for rid, res in default.results.items():
             assert np.array_equal(res.output, legacy.results[rid].output)
-
-    def test_session_rejects_backend_and_salo_together(self):
-        with pytest.raises(ValueError, match="not both"):
-            ServingSession(salo=SALO(), backend="functional")
-
-    def test_session_rejects_estimate_only_backend(self):
-        with pytest.raises(CapabilityError):
-            ServingSession(backend="sanger")
 
     def test_serial_fallback_serves_non_batch_engines(self):
         """A systolic-backed session works; batches run as per-request loops."""
@@ -163,6 +156,15 @@ class TestServingThreading:
                         max_batch_size=4)
         assert report.stats.completed == 8  # replay itself asserts bitwise equality
 
+    def test_replay_on_an_engine_without_schedule(self):
+        """The dense oracle has no plan-level ``schedule``: both sides skip
+        the warm step, and the baseline is a fresh oracle of the same
+        backend, still bit-equal to the batched outputs."""
+        assert not hasattr(engine_factory("dense")(), "schedule")
+        spec = TraceSpec(num_requests=8, n=64, window=8, heads=2, head_dim=4, seed=4)
+        report = replay(synthetic_trace(spec), backend="dense", max_batch_size=4)
+        assert report.stats.completed == 8 and report.sequential_s is not None
+
 
 class TestClusterThreading:
     def test_simconfig_backend_builds_matching_workers(self):
@@ -172,19 +174,18 @@ class TestClusterThreading:
         assert report.completed == 16
 
     def test_backend_and_custom_factory_conflict(self):
-        from repro.cluster import ClusterSimulator
-
-        config = SimConfig(
-            workers=1, backend="functional-legacy", salo_factory=lambda: SALO()
-        )
-        with pytest.raises(ValueError, match="not both"):
-            ClusterSimulator(config)
+        with pytest.raises(ValueError, match="^salo_factory"):
+            SimConfig(workers=1, backend="functional-legacy", salo_factory=lambda: SALO())
+        with pytest.raises(ValueError, match="^salo_factory"):
+            DecodeSimConfig(backend="dense", salo_factory=lambda: SALO())
 
     def test_engine_pool_backend_kwarg(self):
-        pool = EnginePool(workers=2, backend="functional-legacy")
+        from repro.cluster import ClusterSimulator
+
+        pool = EnginePool(workers=2, salo_factory=engine_factory("functional-legacy"))
         assert all(w.salo.backend == "functional-legacy" for w in pool.workers)
-        with pytest.raises(ValueError, match="not both"):
-            EnginePool(workers=1, backend="dense", salo_factory=lambda: SALO())
+        plane = ClusterSimulator(SimConfig(workers=2, backend="functional-legacy"))
+        assert all(w.salo.backend == "functional-legacy" for w in plane.pool.workers)
 
     def test_cost_model_reports_identical_across_functional_backends(self):
         """The cost-model clock derives from plans, not executors, so the

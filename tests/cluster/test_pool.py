@@ -288,12 +288,20 @@ class TestServiceScalesBackend:
 
     SPEC = WorkloadSpec(n=256, window=32, heads=2, head_dim=8)
 
-    def test_default_matches_functional_backend(self):
+    def test_default_matches_the_bare_salo_estimator(self):
+        """The default ``functional`` Runtime estimates exactly what a
+        bare ``SALO()`` does, so the default scales are a SALO's."""
         from repro.cluster import service_scales
+        from repro.serving.trace import pattern_families
 
         clock = CostModelClock.flat()
-        assert service_scales(self.SPEC, clock) == service_scales(
-            self.SPEC, clock, backend="functional"
+        salo = SALO()
+        mean = float(np.mean([
+            salo.estimate(p, heads=self.SPEC.heads, head_dim=self.SPEC.head_dim).latency_s
+            for p in pattern_families(self.SPEC)
+        ]))
+        assert service_scales(self.SPEC, clock) == (
+            mean + clock.batch_overhead_s / 8, mean + clock.batch_overhead_s
         )
 
     def test_dense_backend_uses_dense_cost_model(self):

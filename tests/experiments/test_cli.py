@@ -313,7 +313,7 @@ class TestSimulateBackendScaling:
         seen = {}
         real = cluster.service_scales
 
-        def spy(spec, clock, full_batch=8, backend=None):
+        def spy(spec, clock, full_batch=8, backend="functional"):
             seen["backend"] = backend
             return real(spec, clock, full_batch=full_batch, backend=backend)
 

@@ -22,6 +22,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.api import engine_factory
 from repro.core.config import HardwareConfig
 from repro.core.salo import SALO
 from repro.patterns.base import AttentionPattern, Band
@@ -163,7 +164,7 @@ def _token_bucket():
 def _dense_opaque():
     s = [_submit(f"o{i}", _Opaque(12), hidden=4) for i in range(3)]
     s += [_submit("w0", _WIN, hidden=4), _submit("w1", _WIN, hidden=4), _STEP, _STEP, _DRAIN]
-    return dict(backend="dense", max_batch_size=4), None, s
+    return dict(salo=engine_factory("dense")(), max_batch_size=4), None, s
 
 
 def _systolic():

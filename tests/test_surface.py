@@ -10,6 +10,7 @@ executed.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -465,8 +466,9 @@ def test_a_structure_key_is_derived_by_the_pattern_once():
 
 
 def _enclosing_calls(attr):
-    """``{(module, class, function)}`` around every ``.<attr>(`` call in
-    the package (``None`` where a call sits outside a class or function)."""
+    """``{(module, class, function)}`` around every ``.<attr>(`` or bare
+    ``<attr>(`` call in the package (``None`` where a call sits outside a
+    class or function)."""
     found = set()
 
     def visit(node, name, cls, fn):
@@ -474,8 +476,8 @@ def _enclosing_calls(attr):
             cls, fn = node.name, None
         elif isinstance(node, ast.FunctionDef):
             fn = node.name
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-              and node.func.attr == attr):
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "attr", getattr(node.func, "id", None)) == attr):
             found.add((name, cls, fn))
         for child in ast.iter_child_nodes(node):
             visit(child, name, cls, fn)
@@ -514,3 +516,26 @@ def test_no_policy_level_sweep_is_defined():
     }
     assert "_dispatch" in defined  # the walk sees definitions
     assert "shed_expired" not in defined
+
+
+def test_a_worker_engine_is_named_one_way():
+    """Each front takes one engine parameter (an engine, a factory or a
+    backend name), and ``ControlPlane.__init__`` is where a config's
+    backend name becomes the pool's engine factory; ``replay`` builds
+    its two sides from its own.  A second engine parameter, or another
+    ``engine_factory(`` call in the serving stack, is a second way to
+    name the engine growing back, with a "not both" guard beside it."""
+    from repro.cluster import EnginePool
+    from repro.serving import ServingSession, replay
+    from repro.transport import InProcessTransport, MultiprocessTransport
+
+    layers = ("cluster/", "serving/", "transport/")
+    callers = {c for c in _enclosing_calls("engine_factory") if c[0].startswith(layers)}
+    assert callers == {
+        ("cluster/simulator.py", "ControlPlane", "__init__"),
+        ("serving/trace.py", None, "replay"),
+    }, sorted(callers)
+    engine_params = {"salo", "salo_factory", "backend", "engine", "config", "runtime_config"}
+    for front in (EnginePool, ServingSession, InProcessTransport, MultiprocessTransport, replay):
+        named = engine_params & set(inspect.signature(front).parameters)
+        assert len(named) == 1, (front.__name__, sorted(named))
