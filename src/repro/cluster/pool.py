@@ -529,8 +529,8 @@ class EnginePool:
         Score = P(plan cache hit) / (1 + depth): a warm worker wins until
         its backlog outweighs the compile it would save (with miss
         probability 0.1, a warm worker is preferred up to ~10x the queue
-        depth).  Ties break toward the shallower queue, then the lower
-        id — fully deterministic.
+        depth).  Ties break toward the shallower queue, then the lower id
+        (the scan runs in id order; only a strictly lower score wins).
 
         Workers *marked down* are skipped — but workers that crashed and
         have not yet missed enough heartbeats still receive traffic (the
@@ -552,14 +552,14 @@ class EnginePool:
             )
         if key is None:
             key = self.workers[0].queue.group_key(request)
-        best, best_score = None, None
+        best, best_score, miss_p = None, None, self.affinity_miss_prob
         for worker in self.workers:
-            hit_p = 1.0 if key in worker.warm else self.affinity_miss_prob
-            depth = worker.depth()
+            hit_p = 1.0 if key in worker.warm else miss_p
+            depth = worker.queue.pending + worker.inflight
             # a marked-down worker only if all are, a tripped one only if all healthy ones are
-            down = not worker.healthy
-            tripped = not down and worker.breaker_open(now)
-            score = (down, tripped, -hit_p / (1 + depth), depth, worker.wid)
+            down = worker.state == WORKER_DOWN
+            tripped = not down and worker.breaker is not None and worker.breaker.is_open(now)
+            score = (down, tripped, -hit_p / (1 + depth), depth)
             if best_score is None or score < best_score:
                 best, best_score = worker, score
         return best

@@ -524,14 +524,14 @@ class ControlPlane:
         marked down)."""
         if self.config.drop_expired and request.absolute_deadline_s <= now:
             return self._drop(SHED, request, now)
-        requeue = self._recovery.requeue or not orphan
-        target = self.pool.route(request, now) if requeue else None
-        if target is None or not target.healthy:
+        key = self.pool.workers[0].queue.group_key(request)
+        target = self.pool.route(request, now, key)
+        if (orphan and not self._recovery.requeue) or not target.healthy:
             return self._drop(FAIL, request, now)
         if orphan:
             self._emit(REQUEUE, now, request.request_id, target.wid)
         self._routed[request.request_id] = target.wid
-        target.queue.enqueue(request)
+        target.queue.enqueue(request, key)
         if self.config.drop_expired:
             self._arm_expiry(request.absolute_deadline_s)
         self._consult[target.wid] = target

@@ -20,9 +20,12 @@ keeps an LRU cache keyed by ``(pattern structure, config, heads,
 head_dim)``; on a hit, :meth:`attend` skips scheduling, plan compilation,
 buffer checking and the cost models entirely and goes straight to the
 batched functional engine — the repeated-traffic scenario a deployed
-simulator serves.  Different :class:`SALO` instances (e.g. different
-hardware configs) never share cache entries because the config is part
-of the key.  ``plan_cache_size=0`` disables caching; every cacheable
+simulator serves.  Each :class:`SALO` instance keeps its own cache,
+engines and counters, but a miss first looks for the plan in a weak
+process-wide table, so the instances of one process (a simulated
+cluster's workers) schedule each structure once between them; the
+config is part of every key, so different hardware configs never share.
+``plan_cache_size=0`` disables caching and the table; every cacheable
 call then counts as a miss so hit-rate accounting stays meaningful.
 ``cache_info()`` exposes the counters.
 
@@ -50,6 +53,7 @@ baselines (dense, sparse-reference, Sanger) behind the same protocol.
 from __future__ import annotations
 
 import math
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -170,6 +174,15 @@ class AttentionResult:
     functional: FunctionalResult
 
 
+#: Plan key + ``strict_global_bound`` -> the plan some live :class:`SALO`
+#: of this process scheduled for it.  A plan is a pure function of that
+#: key (its memoised compile and schedule are pure functions of the
+#: plan), so every engine of the process can run one object.  Weak: it
+#: keeps no plan alive, so an entry leaves with the last cache or caller
+#: holding its plan and the table never outgrows what is in use.
+_SHARED_PLANS: "weakref.WeakValueDictionary[Tuple, ExecutionPlan]" = weakref.WeakValueDictionary()
+
+
 @dataclass
 class _CacheEntry:
     """Everything reusable across identical ``attend``/``estimate`` calls.
@@ -254,11 +267,13 @@ class SALO:
         """Structural cache key, or ``None`` when the pattern is opaque.
 
         A plan depends only on the band/global structure of the pattern
-        (:func:`pattern_structure_key`), the hardware config and the head
-        layout, so the key captures exactly those.  The config is a
-        frozen dataclass and participates in equality, which makes
-        entries from different configurations (or a replaced ``config``)
-        unreachable rather than stale.
+        (:func:`pattern_structure_key`, ints and tuples of ints), the
+        hardware config and the head layout, so the key captures exactly
+        those.  The config is a frozen dataclass and participates in
+        equality (its hash is cached), which makes entries from different
+        configurations (or a replaced ``config``) unreachable rather than
+        stale.  :data:`_SHARED_PLANS` adds ``strict_global_bound``, the
+        one scheduler setting the key leaves out.
         """
         structure = pattern_structure_key(pattern)
         if structure is None:
@@ -302,10 +317,25 @@ class SALO:
     def _entry_for(
         self, pattern: AttentionPattern, heads: int, head_dim: int
     ) -> _CacheEntry:
-        """Cached (plan, engine) for the pattern, compiling on a miss."""
+        """Cached (plan, engine) for the pattern, compiling on a miss.
+
+        A miss still counts as this instance's miss, but it takes the
+        plan from :data:`_SHARED_PLANS` when another live instance of
+        the process already scheduled that structure; only a miss there
+        runs the scheduler.  The engine and statistics stay per
+        instance.  With ``plan_cache_size <= 0`` or an opaque pattern the
+        table is neither read nor written: every miss schedules.
+        """
         key, entry = self._lookup(pattern, heads, head_dim)
         if entry is None:
-            plan = self.scheduler.schedule(pattern, heads=heads, head_dim=head_dim)
+            if key is None or self.plan_cache_size <= 0:
+                plan = self.scheduler.schedule(pattern, heads=heads, head_dim=head_dim)
+            else:
+                shared = key + (self.scheduler.strict_global_bound,)
+                plan = _SHARED_PLANS.get(shared)
+                if plan is None:
+                    plan = self.scheduler.schedule(pattern, heads=heads, head_dim=head_dim)
+                    _SHARED_PLANS[shared] = plan
             entry = _CacheEntry(plan=plan)
             self._store(key, entry)
         return entry

@@ -144,6 +144,9 @@ class AttentionPattern(abc.ABC):
     def structure_key(self) -> Optional[Tuple]:
         """``(n, bands, global tokens, first query)``, or ``None`` when opaque.
 
+        Each band is its ``(lo, hi, dilation)`` triple, not a
+        :class:`Band`: the key is ints and tuples of ints, so a lookup
+        keyed on it hashes in C and runs no ``Band.__hash__``.
         Derived on the first call and kept: a pattern is a value, nothing
         changes it after construction, so every later call — one per
         request routed, queued or estimated — is an attribute read.
@@ -155,7 +158,8 @@ class AttentionPattern(abc.ABC):
             bands = self.bands()
             key = None
             if bands is not None:
-                key = (self.n, tuple(bands), tuple(self.global_tokens()), self.first_query)
+                triples = tuple((b.lo, b.hi, b.dilation) for b in bands)
+                key = (self.n, triples, tuple(self.global_tokens()), self.first_query)
             self._structure_key = key
             return key
 

@@ -66,6 +66,7 @@ from typing import Callable, Deque, Dict, Hashable, Iterator, List, Optional, Tu
 import numpy as np
 
 from ..core.salo import pattern_structure_key
+from ..patterns.base import Band
 from ..patterns.hybrid import HybridSparsePattern
 from .request import AttentionRequest
 
@@ -171,7 +172,7 @@ class Batch:
         if self.pad_to is None:
             raise ValueError("batch was not formed in pad_to_bucket mode")
         _, bands, globals_, first = pattern_structure_key(self.requests[0].pattern)
-        return HybridSparsePattern(self.pad_to, bands, globals_, first)
+        return HybridSparsePattern(self.pad_to, [Band(*b) for b in bands], globals_, first)
 
     def plan_key(self) -> Tuple:
         """Identity of the SALO plan this batch's dispatch compiles to.

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import (
+    CircuitBreaker,
     CostModelClock,
     EnginePool,
     GreedyFIFOPolicy,
@@ -15,6 +18,7 @@ from repro.cluster import (
     open_loop,
     simulate,
 )
+from repro.cluster.faults import WORKER_DOWN
 from repro.core.config import HardwareConfig
 from repro.core.salo import SALO
 from repro.patterns.library import longformer_pattern
@@ -69,6 +73,57 @@ class TestRouting:
         assert pool.route(_request(0), now=0.0).wid == 0
         pool.workers[0].queue.enqueue(_request(1))
         assert pool.route(_request(2), now=0.0).wid == 1
+
+
+def _oracle_route(pool, request, now):
+    """The router's score as one tuple per worker, the id last: what
+    :meth:`EnginePool.route` computed before it read the counters and
+    the breaker directly and let the id-order scan break ties."""
+    key = pool.workers[0].queue.group_key(request)
+
+    def score(worker):
+        hit_p = 1.0 if key in worker.warm else pool.affinity_miss_prob
+        depth = worker.depth()
+        down = not worker.healthy
+        tripped = not down and worker.breaker_open(now)
+        return (down, tripped, -hit_p / (1 + depth), depth, worker.wid)
+
+    return min(pool.workers, key=score)
+
+
+_WORKER_STATE = st.tuples(
+    st.integers(0, 3),  # queued
+    st.integers(0, 3),  # in flight
+    st.booleans(),  # warm for the request's structure
+    st.booleans(),  # marked down
+    st.sampled_from(["absent", "closed", "open", "half-open"]),  # breaker
+)
+
+
+class TestRouteOracle:
+    @given(
+        states=st.lists(_WORKER_STATE, min_size=1, max_size=4),
+        miss_prob=st.sampled_from([0.1, 0.25, 0.5, 1.0]),
+    )
+    @settings(max_examples=200)
+    def test_route_picks_the_oracles_worker(self, states, miss_prob):
+        now = 1.0
+        pool = EnginePool(workers=len(states), salo_factory=object, affinity_miss_prob=miss_prob)
+        request = _request(0)
+        key = pool.workers[0].queue.group_key(request)
+        for worker, (queued, inflight, warm, down, breaker) in zip(pool.workers, states):
+            for i in range(queued):
+                worker.queue.enqueue(_request(100 + i))
+            worker.inflight = inflight
+            if warm:
+                worker.warm.add(key)
+            if down:
+                worker.state = WORKER_DOWN
+            if breaker != "absent":
+                worker.breaker = CircuitBreaker()
+                worker.breaker.open_until_s = {"closed": None, "open": 2.0, "half-open": 0.5}[breaker]
+        assert pool.route(request, now) is _oracle_route(pool, request, now)
+        assert pool.route(request, now, key) is _oracle_route(pool, request, now)
 
 
 class TestAffinityEndToEnd:

@@ -1,8 +1,12 @@
 """Plan-cache hardening: eviction order, capacity 0, counters under
 repeated mixed-pattern traffic (the serving scenario)."""
 
+import gc
+
 import numpy as np
 
+from repro.core import salo as salo_module
+from repro.core.config import HardwareConfig
 from repro.core.salo import SALO
 from repro.patterns.base import Band
 from repro.patterns.hybrid import HybridSparsePattern
@@ -156,3 +160,62 @@ class TestPerBucketCounters:
         salo.attend(_pattern(8), q, k, v)
         salo.attend(_pattern(8), q, k, v)
         assert salo.cache_info()["buckets"] == {64: {"hits": 0, "misses": 2}}
+
+
+class TestSharedPlans:
+    """One plan per structure per process: a miss takes the plan another
+    live ``SALO`` already scheduled (``salo._SHARED_PLANS``, weak), and
+    still books its own miss.  Each test attends a global token no other
+    test uses, so no plan alive elsewhere in the process answers it."""
+
+    @staticmethod
+    def _shared_key(salo, pattern, heads=1, head_dim=8):
+        return salo._plan_key(pattern, heads, head_dim) + (salo.scheduler.strict_global_bound,)
+
+    def test_two_engines_run_one_plan(self):
+        q, k, v = _data(64, 8)
+        first, second = SALO(), SALO()
+        a = first.attend(longformer_pattern(64, 6, (41,)), q, k, v)
+        b = second.attend(longformer_pattern(64, 6, (41,)), q, k, v)
+        assert a.plan is b.plan
+        assert np.array_equal(a.output, b.output)
+        assert first._plan_cache is not second._plan_cache
+        for salo in (first, second):  # each instance books its own miss
+            info = salo.cache_info()
+            assert (info["hits"], info["misses"], info["size"]) == (0, 1, 1)
+            assert info["buckets"] == {64: {"hits": 0, "misses": 1}}
+
+    def test_a_different_bound_or_config_never_shares(self):
+        pattern = longformer_pattern(64, 6, (42,))
+        base = SALO().schedule(pattern, head_dim=8)
+        loose = SALO(strict_global_bound=False).schedule(pattern, head_dim=8)
+        small = SALO(HardwareConfig(pe_rows=16, pe_cols=16)).schedule(pattern, head_dim=8)
+        assert len({id(base), id(loose), id(small)}) == 3
+        assert small.config == HardwareConfig(pe_rows=16, pe_cols=16)
+        assert SALO().schedule(longformer_pattern(64, 6, (42,)), head_dim=8) is base
+
+    def test_capacity_zero_neither_reads_nor_writes(self):
+        pattern = longformer_pattern(64, 6, (43,))
+        uncached = SALO(plan_cache_size=0)
+        key = self._shared_key(uncached, pattern)
+        alone = uncached.schedule(pattern, head_dim=8)
+        assert key not in salo_module._SHARED_PLANS  # not written
+        held = SALO().schedule(pattern, head_dim=8)
+        assert salo_module._SHARED_PLANS[key] is held
+        again = uncached.schedule(pattern, head_dim=8)
+        assert again is not alone and again is not held  # not read
+        assert uncached.plan_cache_misses == 2
+
+    def test_the_table_keeps_no_plan_alive(self):
+        q, k, v = _data(64, 8)
+        engines = [SALO(), SALO()]
+        for salo in engines:
+            salo.attend(longformer_pattern(64, 6, (44,)), q, k, v)
+        key = self._shared_key(engines[0], longformer_pattern(64, 6, (44,)))
+        assert key in salo_module._SHARED_PLANS
+        del engines, salo
+        gc.collect()
+        assert key not in salo_module._SHARED_PLANS
+        fresh = SALO()
+        fresh.attend(longformer_pattern(64, 6, (44,)), q, k, v)
+        assert fresh.cache_info()["misses"] == 1

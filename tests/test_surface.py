@@ -465,6 +465,52 @@ def test_a_structure_key_is_derived_by_the_pattern_once():
     assert {"pattern_structure_key", "group_key", "_plan_key", "plan_key"} <= keyed
 
 
+def test_the_simulated_plane_hashes_no_band(monkeypatch):
+    """A structure key holds each band as its ``(lo, hi, dilation)``
+    triple, so routing, queueing and plan lookups hash ints in C: a
+    ``simulate()`` run with a crash, retries and stealing calls
+    ``Band.__hash__`` not once, and every group key it derives is ints
+    and tuples of ints."""
+    from repro.cluster import (
+        CostModelClock, PoissonProcess, WorkloadSpec, open_loop, service_scales, simulate,
+    )
+    from repro.experiments import faults
+    from repro.patterns.base import Band
+    from repro.serving.batching import BatchScheduler
+
+    clock = CostModelClock.flat()
+    unit_s, dispatch_s = service_scales(WorkloadSpec(n=256, window=32, heads=2, head_dim=8), clock)
+    requests, rate = 300, 0.8 * 2 / unit_s
+    source = open_loop(faults.faults_spec(requests, dispatch_s, seed=2), PoissonProcess(rate_rps=rate))
+    config = faults.mode_config(
+        "retry+steal", 2, clock,
+        crash_at_s=faults.CRASH_AT_FRAC * requests / rate,
+        down_for_s=faults.DOWN_FOR_UNITS * unit_s,
+        unit_s=unit_s,
+    )
+    hashed, keys = [], []
+    band_hash, group_key = Band.__hash__, BatchScheduler.group_key
+
+    def counting_hash(self):
+        hashed.append(self)
+        return band_hash(self)
+
+    def recording_key(self, request):
+        keys.append(group_key(self, request))
+        return keys[-1]
+
+    monkeypatch.setattr(Band, "__hash__", counting_hash)
+    monkeypatch.setattr(BatchScheduler, "group_key", recording_key)
+    report = simulate(source, config)
+
+    def leaves(key):
+        return [leaf for part in key for leaf in leaves(part)] if type(key) is tuple else [key]
+
+    assert report.completed and keys
+    assert {type(leaf) for key in keys for leaf in leaves(key)} == {int}
+    assert hashed == []
+
+
 def _enclosing_calls(attr):
     """``{(module, class, function)}`` around every ``.<attr>(`` or bare
     ``<attr>(`` call in the package (``None`` where a call sits outside a
