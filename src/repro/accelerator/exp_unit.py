@@ -33,7 +33,7 @@ import numpy as np
 from ..core.config import NumericsConfig
 from .fixed_point import FixedPointFormat
 
-__all__ = ["PWLExpUnit", "max_pwl_error", "max_pwl_relative_error"]
+__all__ = ["PWLExpUnit", "max_pwl_error"]
 
 _LOG2E = np.log2(np.e)
 
@@ -122,13 +122,3 @@ def max_pwl_error(unit: PWLExpUnit, samples: int = 4096) -> float:
     """Maximum absolute error of the unit against ``exp`` over its range."""
     xs = np.linspace(unit.lo, unit.hi, samples)
     return float(np.max(np.abs(unit(xs) - np.exp(xs))))
-
-
-def max_pwl_relative_error(
-    unit: PWLExpUnit, lo: float = -4.0, hi: float = None, samples: int = 4096
-) -> float:
-    """Maximum relative error over the softmax-dominant score range."""
-    hi = unit.hi if hi is None else hi
-    xs = np.linspace(lo, hi, samples)
-    ref = np.exp(xs)
-    return float(np.max(np.abs(unit(xs) - ref) / ref))

@@ -23,7 +23,7 @@ sweeps stamp), so runs cache, resume and pin byte-identically.
 
 from .ablation import COMPONENTS, ComponentScore, ablate, toggled
 from .advise import Advice, advise
-from .export import export_pack, pack_manifest
+from .export import export_pack
 from .ranking import rank, sort_key
 from .search import (
     DEFAULT_SCALE_GRID,
@@ -58,5 +58,4 @@ __all__ = [
     "Advice",
     "advise",
     "export_pack",
-    "pack_manifest",
 ]

@@ -25,12 +25,12 @@ import hashlib
 import io
 import json
 from pathlib import Path
-from typing import Dict, Union
+from typing import Union
 
 from ..experiments.base import manifest_hash
 from .advise import Advice
 
-__all__ = ["export_pack", "pack_manifest"]
+__all__ = ["export_pack"]
 
 CANDIDATES_JSON = "candidates.json"
 COMPARISON_CSV = "comparison.csv"
@@ -138,15 +138,6 @@ def _report_bytes(advice: Advice) -> bytes:
         )
     lines.append("")
     return "\n".join(lines).encode()
-
-
-def pack_manifest(advice: Advice) -> Dict[str, str]:
-    """Per-artefact SHA-256 table of the pack (before writing anything)."""
-    return {
-        CANDIDATES_JSON: _sha256_bytes(_candidates_bytes(advice)),
-        COMPARISON_CSV: _sha256_bytes(_comparison_bytes(advice)),
-        REPORT_MD: _sha256_bytes(_report_bytes(advice)),
-    }
 
 
 def export_pack(advice: Advice, out_dir: Union[str, Path]) -> dict:

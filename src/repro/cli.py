@@ -34,7 +34,7 @@ import sys
 import time
 from typing import Callable, List, Optional
 
-from .cluster import ADMISSIONS, POLICIES
+from .cluster import ADMISSIONS, POLICIES, RecoveryConfig
 from .experiments import all_experiments, get_experiment
 
 _ORDER = [
@@ -368,7 +368,6 @@ def _simulation(args):
         MeasuredClock,
         OnOffProcess,
         PoissonProcess,
-        RecoveryConfig,
         SimConfig,
         SLOClass,
         StragglerSpec,
@@ -589,7 +588,6 @@ def _cmd_decode(args) -> Run:
         DecodeSLOClass,
         DecodeWorkloadSpec,
         FaultInjector,
-        RecoveryConfig,
         TransientSpec,
     )
 
@@ -708,8 +706,8 @@ def _door_flags(p: argparse.ArgumentParser, slack: float) -> None:
     p.add_argument(
         "--max-retries",
         type=int,
-        default=3,
-        help="transient-error retry budget per request (default 3)",
+        default=RecoveryConfig().max_retries,
+        help="transient-error retry budget per request (default %(default)s)",
     )
     p.add_argument(
         "--fault-transient",
@@ -770,6 +768,7 @@ def _parser():
         help="skip the sequential one-call-per-request comparison",
     )
 
+    recovery = RecoveryConfig()  # the fault-tolerance flags' defaults
     sim_p = sub.add_parser(
         "simulate",
         help="discrete-event simulation of a multi-worker SALO cluster",
@@ -878,14 +877,14 @@ def _parser():
     sim_p.add_argument(
         "--heartbeat-interval-ms",
         type=float,
-        default=1.0,
-        help="health probe period (simulated ms; default 1.0)",
+        default=recovery.heartbeat_interval_s * 1e3,
+        help="health probe period (simulated ms; default %(default)s)",
     )
     sim_p.add_argument(
         "--heartbeat-timeout-ms",
         type=float,
-        default=2.0,
-        help="silence after which a worker is marked down (simulated ms; default 2.0)",
+        default=recovery.heartbeat_timeout_s * 1e3,
+        help="silence after which a worker is marked down (simulated ms; default %(default)s)",
     )
     sim_p.add_argument(
         "--no-requeue",
@@ -906,21 +905,21 @@ def _parser():
     sim_p.add_argument(
         "--breaker-window",
         type=int,
-        default=8,
-        help="circuit breaker: sliding window of dispatch outcomes (default 8)",
+        default=recovery.breaker_window,
+        help="circuit breaker: sliding window of dispatch outcomes (default %(default)s)",
     )
     sim_p.add_argument(
         "--breaker-min-samples",
         type=int,
-        default=4,
-        help="circuit breaker: outcomes required before it may trip (default 4)",
+        default=recovery.breaker_min_samples,
+        help="circuit breaker: outcomes required before it may trip (default %(default)s)",
     )
     sim_p.add_argument(
         "--breaker-cooldown-ms",
         type=float,
-        default=2.0,
+        default=recovery.breaker_cooldown_s * 1e3,
         help="circuit breaker: open duration before the half-open probe "
-        "(simulated ms; default 2.0)",
+        "(simulated ms; default %(default)s)",
     )
 
     adv_p = sub.add_parser(

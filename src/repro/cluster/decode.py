@@ -54,6 +54,7 @@ feasibility.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
@@ -158,6 +159,12 @@ class DecodeWorkloadSpec:
     def bands(self) -> Tuple[Band, ...]:
         return (Band(-self.window, 0),)
 
+    @functools.cached_property
+    def band_triples(self) -> Tuple[Tuple[int, int, int], ...]:
+        """:meth:`bands` as the ``(lo, hi, dilation)`` triples a structure
+        key holds, converted once per spec."""
+        return tuple((b.lo, b.hi, b.dilation) for b in self.bands())
+
     def draw(self) -> List["_Seq"]:
         """The full deterministic arrival trace."""
         rng = np.random.default_rng(self.seed)
@@ -182,7 +189,7 @@ class _Seq:
     def __init__(self, request_id, spec, slo, arrival_s, prompt_n, target_tokens):
         self.request_id = request_id
         self.spec = spec
-        self.bands = spec.bands()
+        self.bands = spec.band_triples
         self.global_tokens = spec.global_tokens
         self.heads = spec.heads
         self.head_dim = spec.head_dim
@@ -210,9 +217,18 @@ class _Seq:
 
 
 def _group_key(lane) -> Tuple:
-    """What lanes share to step in one engine call: bands, active global
-    set, heads, hidden — of a simulated :class:`_Seq` or a real lane."""
+    """What lanes share to step in one engine call: bands (as the
+    structure key's ``(lo, hi, dilation)`` triples, so the key hashes
+    ints), active global set, heads, hidden — of a simulated
+    :class:`_Seq` or a real lane."""
     return lane.bands, active_globals(lane.global_tokens, lane.length), lane.heads, lane.hidden
+
+
+@functools.lru_cache(maxsize=64)
+def _bands(triples: Tuple[Tuple[int, int, int], ...]) -> Tuple[Band, ...]:
+    """The :class:`Band` tuple of a group key's triples, for
+    :func:`decode_pattern` and :func:`step_window`."""
+    return tuple(Band(*triple) for triple in triples)
 
 
 def _probe(spec: DecodeWorkloadSpec, n: int) -> _Seq:
@@ -336,13 +352,15 @@ class ContinuousBatching(BatchPolicy):
     def queue(self, config) -> _LaneQueue:
         return _LaneQueue(config.max_batch_size, config.bucket_floor)
 
-    def pattern(self, bands: Tuple[Band, ...], active: Tuple[int, ...], bucket: int,
-                first_query: int = 0) -> HybridSparsePattern:
-        """The step plan at ``bucket`` (cached: one object per plan)."""
+    def pattern(self, bands: Tuple[Tuple[int, int, int], ...], active: Tuple[int, ...],
+                bucket: int, first_query: int = 0) -> HybridSparsePattern:
+        """The step plan at ``bucket`` for a group key's band triples
+        (cached: one object per plan)."""
         key = (bands, active, bucket, first_query)
         pat = self._patterns.get(key)
         if pat is None:
-            pat = self._patterns[key] = decode_pattern(bands, active, bucket, bucket, first_query)
+            pat = self._patterns[key] = decode_pattern(
+                _bands(bands), active, bucket, bucket, first_query)
         return pat
 
     def _round(self, lanes: list, floor: int) -> Deque[_StepBatch]:
@@ -350,9 +368,10 @@ class ContinuousBatching(BatchPolicy):
         for lane in lanes:
             groups.setdefault(_group_key(lane), []).append(lane)
         batches: Deque[_StepBatch] = deque()
-        for key in sorted(groups, key=repr):
-            members = groups[key]
-            windows = [step_window(key[0], key[1], lane.length, floor) for lane in members]
+        # by repr with Band objects: the launch order the pinned decode reports hold
+        for key in sorted(groups, key=lambda key: repr((_bands(key[0]),) + key[1:])):
+            members, bands = groups[key], _bands(key[0])
+            windows = [step_window(bands, key[1], lane.length, floor) for lane in members]
             starts = [start for start, _ in windows]
             batches.append(_StepBatch(members, key, starts, max(b for _, b in windows), self))
         return batches

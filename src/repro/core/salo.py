@@ -23,8 +23,9 @@ batched functional engine — the repeated-traffic scenario a deployed
 simulator serves.  Each :class:`SALO` instance keeps its own cache,
 engines and counters, but a miss first looks for the plan in a weak
 process-wide table, so the instances of one process (a simulated
-cluster's workers) schedule each structure once between them; the
-config is part of every key, so different hardware configs never share.
+cluster's workers) schedule and price each structure once between
+them; the config is part of every key, so different hardware configs
+never share.
 ``plan_cache_size=0`` disables caching and the table; every cacheable
 call then counts as a miss so hit-rate accounting stays meaningful.
 ``cache_info()`` exposes the counters.
@@ -60,11 +61,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..accelerator.buffers import BufferFit, check_buffer_fit, plan_traffic
-from ..accelerator.energy import EnergyTable, plan_energy
 from ..accelerator.functional import FunctionalEngine, FunctionalResult
-from ..accelerator.synthesis import synthesize
-from ..accelerator.timing import plan_timing
 from ..patterns.base import AttentionPattern
 from ..scheduler.plan import ExecutionPlan
 from ..scheduler.scheduler import DataScheduler
@@ -189,13 +186,12 @@ class _CacheEntry:
 
     The engine is created lazily on the first ``attend`` so cost-model
     only paths (``schedule``/``estimate``) never build the execution
-    schedule.
+    schedule.  Statistics and the buffer fit are the plan's own
+    (:meth:`ExecutionPlan.run_stats`, :meth:`ExecutionPlan.buffer_fit`).
     """
 
     plan: ExecutionPlan
     engine: Optional[object] = None  # FunctionalEngine or SystolicEngine
-    stats: Optional[RunStats] = None
-    fit: Optional[BufferFit] = None
 
 
 class SALO:
@@ -206,8 +202,6 @@ class SALO:
     config:
         Hardware configuration; defaults to the synthesised Table 1
         instance (32 x 32 PEs, one global row/column, 1 GHz, Q8.4 inputs).
-    energy_table:
-        45 nm per-event energy constants for the energy model.
     strict_global_bound:
         Enforce the Section 5.2 global-token bound during scheduling.
     plan_cache_size:
@@ -223,7 +217,6 @@ class SALO:
     def __init__(
         self,
         config: Optional[HardwareConfig] = None,
-        energy_table: EnergyTable = EnergyTable(),
         strict_global_bound: bool = True,
         plan_cache_size: int = 32,
         backend: str = "functional",
@@ -233,10 +226,8 @@ class SALO:
                 f"unknown engine backend {backend!r}; known: {sorted(ENGINE_BACKENDS)}"
             )
         self.config = config if config is not None else HardwareConfig()
-        self.energy_table = energy_table
         self.backend = backend
         self.scheduler = DataScheduler(self.config, strict_global_bound=strict_global_bound)
-        self._area_mm2 = synthesize(self.config).area_mm2
         self.plan_cache_size = plan_cache_size
         self._plan_cache: "OrderedDict[Tuple, _CacheEntry]" = OrderedDict()
         self.plan_cache_hits = 0
@@ -322,9 +313,10 @@ class SALO:
         A miss still counts as this instance's miss, but it takes the
         plan from :data:`_SHARED_PLANS` when another live instance of
         the process already scheduled that structure; only a miss there
-        runs the scheduler.  The engine and statistics stay per
-        instance.  With ``plan_cache_size <= 0`` or an opaque pattern the
-        table is neither read nor written: every miss schedules.
+        runs the scheduler.  The engine stays per instance; statistics
+        are the plan's, so sharers share them.  With ``plan_cache_size
+        <= 0`` or an opaque pattern the table is neither read nor
+        written: every miss schedules.
         """
         key, entry = self._lookup(pattern, heads, head_dim)
         if entry is None:
@@ -374,24 +366,12 @@ class SALO:
         heads, head_dim = _require_count("heads", heads), _require_count("head_dim", head_dim)
         return self._entry_for(pattern, heads, head_dim).plan
 
-    def stats_for(self, plan: ExecutionPlan) -> RunStats:
-        """Timing, occupancy, traffic and energy for a plan."""
-        return RunStats(
-            timing=plan_timing(plan),
-            plan=plan.stats(),
-            traffic=plan_traffic(plan),
-            energy=plan_energy(plan, table=self.energy_table, area_mm2=self._area_mm2),
-        )
-
     def estimate(
         self, pattern: AttentionPattern, heads: int = 1, head_dim: int = 64
     ) -> RunStats:
         """Schedule + performance model without executing data."""
         heads, head_dim = _require_count("heads", heads), _require_count("head_dim", head_dim)
-        entry = self._entry_for(pattern, heads, head_dim)
-        if entry.stats is None:
-            entry.stats = self.stats_for(entry.plan)
-        return entry.stats
+        return self._entry_for(pattern, heads, head_dim).plan.run_stats()
 
     def attend(
         self,
@@ -487,24 +467,19 @@ class SALO:
         """The cached entry with its engine built, after the buffer-fit check."""
         entry = self._entry_for(pattern, heads, head_dim)
         plan = entry.plan
-        if check_buffers:
-            if entry.fit is None:
-                entry.fit = check_buffer_fit(plan)
-            if not entry.fit.fits:
-                raise ValueError(
-                    "workload does not fit the on-chip buffers: "
-                    + "; ".join(entry.fit.violations)
-                )
+        if check_buffers and not plan.buffer_fit().fits:
+            raise ValueError(
+                "workload does not fit the on-chip buffers: "
+                + "; ".join(plan.buffer_fit().violations)
+            )
         if entry.engine is None:
             entry.engine = ENGINE_BACKENDS[self.backend][0](plan)
         return entry
 
     def _result(self, entry: _CacheEntry, functional: FunctionalResult) -> AttentionResult:
-        if entry.stats is None:
-            entry.stats = self.stats_for(entry.plan)
         return AttentionResult(
             output=functional.output,
-            stats=entry.stats,
+            stats=entry.plan.run_stats(),
             plan=entry.plan,
             functional=functional,
         )

@@ -24,7 +24,7 @@ from ..cluster.events import FAIL
 from ..cluster.pool import MeasuredClock
 from ..cluster.simulator import ControlConfig, ControlPlane, SimulatedExecutor
 from ..core.config import HardwareConfig
-from ..core.salo import SALO
+from ..core.salo import SALO, pattern_structure_key
 from .request import DecodeRequest, DecodeRunResult, DecodeStepReport, default_next_token
 from .session import KVState
 
@@ -42,7 +42,7 @@ class _Lane(KVState):
         self.extend(request.prompt_q, request.prompt_k, request.prompt_v)
         self.request, self.request_id, self.arrival_s = request, request.request_id, now
         self.rng, self.outputs, self.target_tokens = request.rng(), [], request.max_new_tokens
-        self.bands = tuple(request.pattern.bands() or ())
+        self.bands = pattern_structure_key(request.pattern)[1]  # (lo, hi, dilation) triples
         self.global_tokens = tuple(request.pattern.global_tokens())
 
     def feed(self, out_row: np.ndarray) -> bool:

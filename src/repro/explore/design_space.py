@@ -10,11 +10,10 @@ filter — the analysis an architect would run before freezing Table 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from ..accelerator.energy import EnergyTable, plan_energy
+from ..accelerator.energy import plan_energy
 from ..accelerator.synthesis import synthesize
 from ..accelerator.timing import plan_timing
 from ..core.config import HardwareConfig
@@ -63,7 +62,6 @@ def sweep_designs(
     pe_cols_options: Sequence[int] = (16, 32, 64),
     frequencies_hz: Sequence[float] = (1.0e9,),
     base: Optional[HardwareConfig] = None,
-    energy_table: EnergyTable = EnergyTable(),
 ) -> List[DesignPoint]:
     """Evaluate every (rows, cols, frequency) candidate on a workload.
 
@@ -87,7 +85,7 @@ def sweep_designs(
                     continue
                 timing = plan_timing(plan)
                 report = synthesize(config)
-                energy = plan_energy(plan, table=energy_table, area_mm2=report.area_mm2)
+                energy = plan_energy(plan, area_mm2=report.area_mm2)
                 points.append(
                     DesignPoint(
                         config=config,

@@ -18,7 +18,7 @@ from .layers import (
     Sequential,
 )
 from .model import EncoderBlock, TransformerClassifier
-from .optim import SGD, Adam, clip_grad_norm, cross_entropy
+from .optim import Adam, clip_grad_norm, cross_entropy
 from .training import TrainResult, evaluate_accuracy, train_classifier
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "AttentionQuantizer",
     "EncoderBlock",
     "TransformerClassifier",
-    "SGD",
     "Adam",
     "cross_entropy",
     "clip_grad_norm",

@@ -2,35 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 import numpy as np
 
 from .autograd import Tensor
 
-__all__ = ["SGD", "Adam", "cross_entropy", "clip_grad_norm"]
-
-
-class SGD:
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, params: Iterable[Tensor], lr: float, momentum: float = 0.0) -> None:
-        self.params: List[Tensor] = list(params)
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for p, v in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
-            v *= self.momentum
-            v -= self.lr * p.grad
-            p.data += v
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
+__all__ = ["Adam", "cross_entropy", "clip_grad_norm"]
 
 
 class Adam:

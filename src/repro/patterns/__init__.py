@@ -19,17 +19,13 @@ from .library import (
 )
 from .mask_ops import (
     ExplicitMaskPattern,
-    band_mask,
     coverage,
-    global_mask,
-    infer_global_tokens,
     intersection,
-    mask_sparsity,
     render_ascii,
     union,
 )
 from .visualize import component_legend, component_map, render_components
-from .twod import Local2DPattern, flatten_2d_window, grid_neighbourhood
+from .twod import Local2DPattern, flatten_2d_window
 from .window import SlidingWindowPattern
 
 __all__ = [
@@ -43,7 +39,6 @@ __all__ = [
     "Local2DPattern",
     "ExplicitMaskPattern",
     "flatten_2d_window",
-    "grid_neighbourhood",
     "longformer_pattern",
     "dilated_longformer_pattern",
     "vil_pattern",
@@ -51,11 +46,7 @@ __all__ = [
     "sparse_transformer_pattern",
     "union",
     "intersection",
-    "mask_sparsity",
     "coverage",
-    "band_mask",
-    "global_mask",
-    "infer_global_tokens",
     "render_ascii",
     "component_map",
     "render_components",

@@ -7,21 +7,17 @@ structured pattern representation.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
-from .base import AttentionPattern, Band, PatternError
+from .base import AttentionPattern, PatternError
 
 __all__ = [
     "ExplicitMaskPattern",
     "union",
     "intersection",
-    "mask_sparsity",
     "coverage",
-    "band_mask",
-    "global_mask",
-    "infer_global_tokens",
     "render_ascii",
 ]
 
@@ -73,12 +69,6 @@ def _check_same_length(patterns: Sequence[AttentionPattern]) -> None:
         raise PatternError(f"patterns have differing lengths: {sorted(lengths)}")
 
 
-def mask_sparsity(mask: np.ndarray) -> float:
-    """Fraction of true entries in a boolean mask."""
-    mask = np.asarray(mask, dtype=bool)
-    return float(mask.sum()) / mask.size
-
-
 def coverage(pattern: AttentionPattern, reference: AttentionPattern) -> float:
     """Fraction of ``reference``'s positions also present in ``pattern``."""
     ref = reference.mask()
@@ -86,31 +76,6 @@ def coverage(pattern: AttentionPattern, reference: AttentionPattern) -> float:
     if total == 0:
         return 1.0
     return float((pattern.mask() & ref).sum()) / total
-
-
-def band_mask(n: int, band: Band) -> np.ndarray:
-    """Dense mask of a single band on a length-``n`` sequence."""
-    m = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        m[i, band.keys_for(i, n)] = True
-    return m
-
-
-def global_mask(n: int, tokens: Sequence[int]) -> np.ndarray:
-    """Dense mask of global rows + columns."""
-    m = np.zeros((n, n), dtype=bool)
-    toks = list(tokens)
-    m[toks, :] = True
-    m[:, toks] = True
-    return m
-
-
-def infer_global_tokens(mask: np.ndarray) -> List[int]:
-    """Indices whose row *and* column are fully populated."""
-    mask = np.asarray(mask, dtype=bool)
-    full_rows = mask.all(axis=1)
-    full_cols = mask.all(axis=0)
-    return [int(i) for i in np.flatnonzero(full_rows & full_cols)]
 
 
 def render_ascii(pattern: AttentionPattern, max_n: int = 64) -> str:

@@ -15,12 +15,10 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
 from .base import Band, PatternError
 from .hybrid import HybridSparsePattern
 
-__all__ = ["Local2DPattern", "flatten_2d_window", "grid_neighbourhood"]
+__all__ = ["Local2DPattern", "flatten_2d_window"]
 
 
 def flatten_2d_window(grid_w: int, window_h: int, window_w: int) -> List[Band]:
@@ -53,28 +51,6 @@ def flatten_2d_window(grid_w: int, window_h: int, window_w: int) -> List[Band]:
         centre = dr * grid_w
         bands.append(Band(centre - half_w, centre + (window_w - 1 - half_w), 1))
     return bands
-
-
-def grid_neighbourhood(
-    r: int, c: int, grid_h: int, grid_w: int, window_h: int, window_w: int
-) -> List[Tuple[int, int]]:
-    """All in-grid patches inside the window centred at ``(r, c)``.
-
-    Reference helper used by tests to cross-check the flattened bands
-    against a direct 2-D computation.  Note the flattened pattern differs
-    at horizontal grid borders: a band sliding past the row edge attends
-    patches of the neighbouring image row (it clips only at the sequence
-    ends), exactly like the flattened patterns in Figure 2c of the paper.
-    """
-    half_h = window_h // 2
-    half_w = window_w // 2
-    out = []
-    for dr in range(-half_h, window_h - half_h):
-        for dc in range(-half_w, window_w - half_w):
-            rr, cc = r + dr, c + dc
-            if 0 <= rr < grid_h and 0 <= cc < grid_w:
-                out.append((rr, cc))
-    return out
 
 
 class Local2DPattern(HybridSparsePattern):

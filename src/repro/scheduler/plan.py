@@ -205,6 +205,8 @@ class ExecutionPlan:
         default=None, init=False, repr=False, compare=False
     )
     _compiled: Optional[object] = field(default=None, init=False, repr=False, compare=False)
+    _run_stats: Optional[object] = field(default=None, init=False, repr=False, compare=False)
+    _buffer_fit: Optional[object] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -249,6 +251,29 @@ class ExecutionPlan:
 
             self._compiled = compile_plan(self)
         return self._compiled
+
+    def run_stats(self):
+        """The memoized :class:`~repro.core.stats.RunStats`: timing,
+        occupancy, traffic and energy are functions of the plan alone, so
+        every engine that runs it reads one copy."""
+        if self._run_stats is None:
+            from ..accelerator.buffers import plan_traffic
+            from ..accelerator.energy import plan_energy
+            from ..accelerator.timing import plan_timing
+            from ..core.stats import RunStats
+
+            self._run_stats = RunStats(timing=plan_timing(self), plan=self.stats(),
+                                       traffic=plan_traffic(self), energy=plan_energy(self))
+        return self._run_stats
+
+    def buffer_fit(self):
+        """The memoized :class:`~repro.accelerator.buffers.BufferFit` of
+        the worst-case pass against the configured buffers."""
+        if self._buffer_fit is None:
+            from ..accelerator.buffers import check_buffer_fit
+
+            self._buffer_fit = check_buffer_fit(self)
+        return self._buffer_fit
 
     @property
     def num_structural_passes(self) -> int:

@@ -8,9 +8,8 @@ from .configs import (
     AttentionWorkload,
     bert_base_workload,
     longformer_workload,
-    vil_workload,
 )
-from .synthetic import correlated_qkv, qkv_for, random_qkv
+from .synthetic import correlated_qkv, random_qkv
 
 __all__ = [
     "AttentionWorkload",
@@ -20,8 +19,6 @@ __all__ = [
     "PAPER_WORKLOADS",
     "bert_base_workload",
     "longformer_workload",
-    "vil_workload",
-    "qkv_for",
     "random_qkv",
     "correlated_qkv",
 ]

@@ -18,7 +18,7 @@ motivation) is included for the quadratic-latency experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..patterns.base import AttentionPattern
 from ..patterns.library import longformer_pattern, vil_pattern
@@ -32,7 +32,6 @@ __all__ = [
     "PAPER_WORKLOADS",
     "bert_base_workload",
     "longformer_workload",
-    "vil_workload",
 ]
 
 
@@ -142,20 +141,4 @@ def longformer_workload(
         window=window,
         num_global=num_global,
         kind="longformer",
-    )
-
-
-def vil_workload(
-    grid_h: int, grid_w: int, window_side: int = 15, hidden: int = 192, heads: int = 3
-) -> AttentionWorkload:
-    """ViL-style 2-D attention layer on a custom patch grid."""
-    return AttentionWorkload(
-        name=f"ViL-{grid_h}x{grid_w}",
-        n=grid_h * grid_w,
-        hidden=hidden,
-        heads=heads,
-        window=window_side * window_side,
-        num_global=1,
-        kind="vil",
-        grid=(grid_h, grid_w),
     )

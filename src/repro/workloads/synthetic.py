@@ -11,13 +11,11 @@ deployment.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .configs import AttentionWorkload
-
-__all__ = ["qkv_for", "random_qkv", "correlated_qkv"]
+__all__ = ["random_qkv", "correlated_qkv"]
 
 
 def random_qkv(
@@ -55,12 +53,3 @@ def correlated_qkv(
     k = correlation * base + mix * rng.standard_normal((n, hidden))
     v = correlation * base + mix * rng.standard_normal((n, hidden))
     return q, k, v
-
-
-def qkv_for(
-    workload: AttentionWorkload, seed: int = 0, correlated: bool = False
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Synthetic inputs matching a workload's shape."""
-    if correlated:
-        return correlated_qkv(workload.n, workload.hidden, seed=seed)
-    return random_qkv(workload.n, workload.hidden, seed=seed)

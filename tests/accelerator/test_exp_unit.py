@@ -3,9 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.accelerator.exp_unit import PWLExpUnit, max_pwl_error, max_pwl_relative_error
+from repro.accelerator.exp_unit import PWLExpUnit, max_pwl_error
 from repro.accelerator.fixed_point import FixedPointFormat
 from repro.core.config import NumericsConfig
+
+
+def max_pwl_relative_error(unit, lo=-4.0, hi=None, samples=4096):
+    """Maximum relative error over the softmax-dominant score range."""
+    hi = unit.hi if hi is None else hi
+    xs = np.linspace(lo, hi, samples)
+    ref = np.exp(xs)
+    return float(np.max(np.abs(unit(xs) - ref) / ref))
 
 
 def _unit(segments=32, lo=-16.0, hi=4.0):

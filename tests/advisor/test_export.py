@@ -11,7 +11,6 @@ from repro.advisor import (
     TrafficSpec,
     advise,
     export_pack,
-    pack_manifest,
 )
 
 TRAFFIC = TrafficSpec(num_requests=60, rho=1.2)
@@ -59,11 +58,6 @@ class TestExportPack:
         assert export_pack(again, tmp_path / "again") == export_pack(
             advice, tmp_path / "orig"
         )
-
-    def test_pack_manifest_matches_export_without_writing(self, advice, tmp_path):
-        dry = pack_manifest(advice)
-        wet = export_pack(advice, tmp_path / "pack")
-        assert wet["files"] == dry
 
     def test_candidates_json_carries_the_full_decision(self, advice, tmp_path):
         export_pack(advice, tmp_path / "pack")

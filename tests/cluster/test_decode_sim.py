@@ -199,7 +199,7 @@ class TestAdmissionEstimate:
 
         def priced(active, lengths):
             bucket = max(step_window(bands, active, n, 16)[1] for n in lengths)
-            stats = worker.salo.estimate(policy.pattern(bands, active, bucket),
+            stats = worker.salo.estimate(policy.pattern(spec.band_triples, active, bucket),
                                          heads=spec.heads, head_dim=spec.head_dim)
             return stats.latency_s * len(lengths) + sim.executor.batch_overhead_s
 

@@ -5,6 +5,7 @@ import gc
 
 import numpy as np
 
+from repro.accelerator import timing
 from repro.core import salo as salo_module
 from repro.core.config import HardwareConfig
 from repro.core.salo import SALO
@@ -184,6 +185,18 @@ class TestSharedPlans:
             info = salo.cache_info()
             assert (info["hits"], info["misses"], info["size"]) == (0, 1, 1)
             assert info["buckets"] == {64: {"hits": 0, "misses": 1}}
+
+    def test_two_engines_price_a_structure_once(self, monkeypatch):
+        """Statistics are the plan's: the second engine to estimate a
+        structure, or to attend it, reads the first one's."""
+        timed, plan_timing = [], timing.plan_timing
+        monkeypatch.setattr(timing, "plan_timing", lambda plan: timed.append(plan) or plan_timing(plan))
+        first, second = SALO(), SALO()
+        a = first.estimate(longformer_pattern(64, 6, (45,)), head_dim=8)
+        b = second.estimate(longformer_pattern(64, 6, (45,)), head_dim=8)
+        assert a is b and len(timed) == 1
+        assert second.attend(longformer_pattern(64, 6, (45,)), *_data(64, 8)).stats is a
+        assert len(timed) == 1 and first.plan_cache_misses == second.plan_cache_misses == 1
 
     def test_a_different_bound_or_config_never_shares(self):
         pattern = longformer_pattern(64, 6, (42,))

@@ -4,32 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn.autograd import Tensor
-from repro.nn.optim import SGD, Adam, clip_grad_norm, cross_entropy
-
-
-class TestSGD:
-    def test_descends_quadratic(self):
-        w = Tensor(np.array([5.0]), requires_grad=True)
-        opt = SGD([w], lr=0.1)
-        for _ in range(100):
-            loss = (w * w).sum()
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-        assert abs(w.data[0]) < 1e-3
-
-    def test_momentum_accelerates(self):
-        def run(momentum):
-            w = Tensor(np.array([5.0]), requires_grad=True)
-            opt = SGD([w], lr=0.01, momentum=momentum)
-            for _ in range(50):
-                loss = (w * w).sum()
-                opt.zero_grad()
-                loss.backward()
-                opt.step()
-            return abs(w.data[0])
-
-        assert run(0.9) < run(0.0)
+from repro.nn.optim import Adam, clip_grad_norm, cross_entropy
 
 
 class TestAdam:

@@ -6,8 +6,9 @@ import pytest
 from repro.patterns.base import Band, PatternError
 from repro.patterns.global_attn import GlobalAttentionPattern
 from repro.patterns.hybrid import HybridSparsePattern
-from repro.patterns.mask_ops import band_mask, global_mask
 from repro.patterns.window import SlidingWindowPattern
+
+from _mask_oracle import band_mask, global_mask
 
 
 class TestConstruction:

@@ -7,16 +7,14 @@ from repro.patterns.base import Band, PatternError
 from repro.patterns.global_attn import GlobalAttentionPattern
 from repro.patterns.mask_ops import (
     ExplicitMaskPattern,
-    band_mask,
     coverage,
-    global_mask,
-    infer_global_tokens,
     intersection,
-    mask_sparsity,
     render_ascii,
     union,
 )
 from repro.patterns.window import SlidingWindowPattern
+
+from _mask_oracle import band_mask, global_mask
 
 
 class TestExplicitMaskPattern:
@@ -67,9 +65,6 @@ class TestSetOps:
 
 
 class TestHelpers:
-    def test_mask_sparsity(self):
-        assert mask_sparsity(np.eye(4, dtype=bool)) == pytest.approx(0.25)
-
     def test_coverage_full(self):
         a = SlidingWindowPattern(8, -2, 2)
         b = SlidingWindowPattern(8, -1, 1)
@@ -88,10 +83,6 @@ class TestHelpers:
     def test_global_mask_matches_pattern(self):
         g = GlobalAttentionPattern(9, [2, 4])
         assert np.array_equal(global_mask(9, (2, 4)), g.mask())
-
-    def test_infer_global_tokens(self):
-        m = global_mask(10, (3,)) | band_mask(10, Band(-1, 1))
-        assert infer_global_tokens(m) == [3]
 
     def test_render_ascii(self):
         art = render_ascii(SlidingWindowPattern(3, 0, 0))

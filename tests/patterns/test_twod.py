@@ -4,7 +4,27 @@ import numpy as np
 import pytest
 
 from repro.patterns.base import PatternError
-from repro.patterns.twod import Local2DPattern, flatten_2d_window, grid_neighbourhood
+from repro.patterns.twod import Local2DPattern, flatten_2d_window
+
+
+def grid_neighbourhood(r, c, grid_h, grid_w, window_h, window_w):
+    """All in-grid ``(row, col)`` patches inside the window centred at ``(r, c)``.
+
+    The oracle the flattened bands are checked against: a direct 2-D
+    computation.  The flattened pattern differs at horizontal grid
+    borders: a band sliding past the row edge attends patches of the
+    neighbouring image row (it clips only at the sequence ends), exactly
+    like the flattened patterns in Figure 2c of the paper.
+    """
+    half_h = window_h // 2
+    half_w = window_w // 2
+    out = []
+    for dr in range(-half_h, window_h - half_h):
+        for dc in range(-half_w, window_w - half_w):
+            rr, cc = r + dr, c + dc
+            if 0 <= rr < grid_h and 0 <= cc < grid_w:
+                out.append((rr, cc))
+    return out
 
 
 class TestFlatten2DWindow:

@@ -23,7 +23,7 @@ from repro import (
 from repro.accelerator.functional import FunctionalEngine
 from repro.accelerator.systolic import SystolicSimulator
 from repro.baselines import masked_attention
-from repro.workloads import qkv_for, vil_workload
+from repro.workloads import AttentionWorkload, random_qkv
 
 
 class TestDeterminism:
@@ -70,9 +70,9 @@ class TestEngineAgreement:
 
 class TestEstimateExecuteConsistency:
     def test_same_stats(self):
-        w = vil_workload(8, 8, window_side=3, hidden=32, heads=2)
+        w = AttentionWorkload("ViL-8x8", 64, 32, 2, 9, 1, "vil", grid=(8, 8))
         salo = SALO(HardwareConfig(pe_rows=8, pe_cols=8))
-        q, k, v = qkv_for(w, seed=4)
+        q, k, v = random_qkv(w.n, w.hidden, seed=4)
         res = salo.attend(w.pattern(), q, k, v, heads=w.heads)
         est = salo.estimate(w.pattern(), heads=w.heads, head_dim=w.head_dim)
         assert res.stats.cycles == est.cycles

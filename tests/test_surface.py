@@ -1,26 +1,52 @@
-"""Surface audit: every module under ``src/repro`` is reachable.
+"""Surface audit: each decision of the package is made in one place.
 
-Reachable means imported, transitively, from the package root
-(``repro/__init__``), the command line (``repro.cli``), a benchmark
-(``benchmarks/``) or an example (``examples/``) — a paper artefact, a
-workload or a command.  A module only its own test imports is dead
-weight: delete it with its test, or wire it to one of the roots.  The
-walk is over ASTs (function-level imports included); nothing is
-executed.
+Every module under ``src/repro`` is reachable from a root, and most of
+the promises about *where* a decision lives are rows of :data:`RULES`:
+"``name`` in scope occurs exactly at these sites", or nowhere.  One walk
+over one parse of the package indexes every call, import, definition,
+identifier and string with the site that holds it
+(``module::Class.function``), and one checker reads every row; a failure
+names each offending ``file:line``, the rule and the PR that set it.
+Rules of another shape stay functions below and read the same parse.
 """
 
 import ast
+import functools
 import inspect
+from collections import Counter, defaultdict
+from fnmatch import fnmatchcase
 from pathlib import Path
+from typing import NamedTuple, Tuple
+
+import pytest
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
+PACKAGE = SRC / "repro"
+
+
+@functools.lru_cache(maxsize=None)
+def _parse(path):
+    return ast.parse(path.read_text())
+
+
+def _tree(module):
+    """The parse of ``src/repro/<module>``."""
+    return _parse(PACKAGE / module)
+
+
+# -- reachability -------------------------------------------------------------
+#
+# Reachable means imported, transitively, from the package root
+# (``repro/__init__``), the command line (``repro.cli``), a benchmark or an
+# example.  A module only its own test imports is dead weight: delete it with
+# its test, or wire it to one of the roots.
 
 
 def _modules():
     """``{dotted name: path}`` of every module and package under ``src/repro``."""
     found = {}
-    for path in (SRC / "repro").rglob("*.py"):
+    for path in PACKAGE.rglob("*.py"):
         parts = path.relative_to(SRC).with_suffix("").parts
         found[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = path
     return found
@@ -36,7 +62,7 @@ def _imports(path, name, modules):
     if name is not None:
         package = name if path.name == "__init__.py" else name.rpartition(".")[0]
     targets = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(_parse(path)):
         if isinstance(node, ast.Import):
             targets.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -86,127 +112,271 @@ def test_the_walk_resolves_relative_and_function_level_imports():
     assert {"repro.scheduler.compiled", "repro.accelerator.arena"} <= functional
 
 
-def _sources():
-    """``{path relative to src/repro: AST}`` of every module in the package."""
-    root = SRC / "repro"
-    return {
-        path.relative_to(root).as_posix(): ast.parse(path.read_text())
-        for path in root.rglob("*.py")
-    }
+# -- the index and the rules --------------------------------------------------
 
 
-def test_one_event_heap_per_executor_family():
-    """A module that imports ``heapq`` owns an event loop: the simulated
-    executor's and the wall-clock one's are the only two."""
-    def imported(node):
-        if isinstance(node, ast.Import):
-            return [alias.name for alias in node.names]
-        return [node.module] if isinstance(node, ast.ImportFrom) else []
+class _Hit(NamedTuple):
+    """One indexed occurrence.  ``kind`` is ``call`` (``text`` is the
+    dotted callee, ``args`` its bare-name positional arguments),
+    ``import`` (the module), ``name`` (an identifier: a variable, a
+    definition, a parameter, a keyword, an import alias), ``attr`` (an
+    attribute) or ``str`` (a string constant)."""
 
-    importers = {
-        name
-        for name, tree in _sources().items()
-        if any("heapq" in imported(node) for node in ast.walk(tree))
-    }
-    assert importers == {"cluster/simulator.py", "transport/cluster.py"}
+    site: str
+    line: int
+    kind: str
+    text: str
+    args: Tuple[str, ...] = ()
 
 
-def test_only_the_control_plane_pops_batches():
-    """Batches are closed by the cluster control plane's policies; a
-    module outside ``repro/cluster`` calling ``.next_batch(`` is a second
-    serving loop growing back beside the plane."""
-    callers = {
-        name
-        for name, tree in _sources().items()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "next_batch"
-    }
-    assert callers and all(name.startswith("cluster/") for name in callers), sorted(callers)
+def _dotted(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return f"{_dotted(node.value)}.{node.attr}"
+    return ast.unparse(node)
 
 
-def test_the_decode_front_neither_attends_nor_decides_steps():
-    """``repro/decode/scheduler.py`` is a front on the control plane:
-    ``ContinuousBatching`` decides each step and the step batch runs it
-    (``repro/cluster/decode.py``).  An engine call or a step-window /
-    step-plan decision in the front is a second decode loop growing back
-    beside the plane."""
-    called = {
-        node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
-        for node in ast.walk(_sources()["decode/scheduler.py"])
-        if isinstance(node, ast.Call)
-    }
-    assert {"_admit", "_dispatch"} <= called  # the walk sees the front's calls
-    assert not called & {"attend", "step_window", "decode_pattern"}, sorted(called)
+class _Index(NamedTuple):
+    hits: list
+    sites: set  # every module and every class or function site
+    fronts: set  # ``module::Class`` of ControlPlane and every class deriving from it
 
 
-def test_decode_reaches_the_engine_through_the_codes_door():
-    """A decode KV holds operand codes, so the two modules that hand it
-    to the engine call ``attend_codes``; a float ``attend`` there would
-    re-quantise (and re-check) every history row on every step."""
-    for name in ("cluster/decode.py", "decode/session.py"):
-        called = {
-            node.func.attr
-            for node in ast.walk(_sources()[name])
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-        }
-        assert "attend_codes" in called, name  # the walk sees the engine call
-        assert "attend" not in called, name
+@functools.lru_cache(maxsize=None)
+def _index():
+    """Every module of the package parsed once and walked once."""
+    hits, sites, bases = [], set(), {}
+
+    def visit(node, module, qual):
+        line = getattr(node, "lineno", 0)
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            qual = qual + (node.name,)
+            sites.add(f"{module}::{'.'.join(qual)}")
+            if isinstance(node, ast.ClassDef):
+                bases[f"{module}::{node.name}"] = {_dotted(b).split(".")[-1] for b in node.bases}
+        site = f"{module}::{'.'.join(qual)}" if qual else module
+        add = hits.append
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            add(_Hit(site, line, "name", node.name))
+        elif isinstance(node, ast.Call):
+            names = tuple(arg.id for arg in node.args if isinstance(arg, ast.Name))
+            add(_Hit(site, line, "call", _dotted(node.func), names))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom):
+                add(_Hit(site, line, "import", node.module or ""))
+            for alias in node.names:
+                if isinstance(node, ast.Import):
+                    add(_Hit(site, line, "import", alias.name))
+                add(_Hit(site, line, "name", alias.asname or alias.name.split(".")[-1]))
+        elif isinstance(node, ast.Attribute):
+            add(_Hit(site, line, "attr", node.attr))
+        elif isinstance(node, (ast.Name, ast.arg, ast.keyword)):
+            text = node.id if isinstance(node, ast.Name) else node.arg
+            if text:
+                add(_Hit(site, line, "name", text))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            add(_Hit(site, line, "str", node.value))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, qual)
+
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = path.relative_to(PACKAGE).as_posix()
+        sites.add(module)
+        visit(_parse(path), module, ())
+    fronts = {cls for cls in bases if cls.endswith("::ControlPlane")}
+    while more := {cls for cls, of in bases.items() if of & {f.split("::")[-1] for f in fronts}} - fronts:
+        fronts |= more
+    return _Index(hits, sites, fronts)
 
 
-def test_the_clock_prices_its_own_cold_penalty():
-    """``CostModelClock._cold_penalty_s`` is charged through
-    ``service_s``; nothing re-derives a launch's cost around it."""
-    users = {
-        name
-        for name, tree in _sources().items()
-        for node in ast.walk(tree)
-        if "_cold_penalty_s" in (getattr(node, "attr", None), getattr(node, "name", None))
-    }
-    assert users == {"cluster/pool.py"}
+class Rule(NamedTuple):
+    """``name`` occurs in ``scope`` exactly at ``allowed``.
+
+    ``kind`` is what the walker matches: ``call`` (a name with a ``.`` is
+    a glob over the dotted callee, a bare one its last part; ``(arg)``
+    also asks for that positional argument), ``import``, ``attr``, or
+    ``name`` (an identifier, an attribute or a string equal to it, as a
+    ``getattr`` names it: "never called, defined or named").  ``scope``
+    and ``allowed`` are sites: ``module``, ``module::Class`` or
+    ``module::Class.function``; fnmatch globs, and ``ControlPlane+`` is
+    every class deriving from the plane.
+    A scope holds its sites' nested sites.  A plain allowed site holds
+    exactly as many occurrences as it is listed; a glob at least one;
+    ``()`` none anywhere in scope.  ``pr`` set the rule.
+    """
+
+    id: str
+    kind: str
+    name: str
+    scope: Tuple[str, ...]
+    allowed: Tuple[str, ...]
+    pr: int
+    why: str
 
 
-def test_the_event_loop_keeps_no_per_event_accounting():
-    """``ControlPlane._drive`` only decides: per-request records are kept
-    by the handlers, and nothing in ``self.metrics`` grows per event.  A
-    per-event sample is observability, which belongs on an opt-in sink."""
-    plane = next(
-        node
-        for node in ast.walk(_sources()["cluster/simulator.py"])
-        if isinstance(node, ast.ClassDef) and node.name == "ControlPlane"
-    )
-    drive = next(
-        node for node in plane.body if isinstance(node, ast.FunctionDef) and node.name == "_drive"
-    )
-    calls = [node.func for node in ast.walk(drive) if isinstance(node, ast.Call)]
-    assert any(getattr(func, "attr", None) == "_balance" for func in calls)  # the walk sees the loop
-    on_metrics = [name for name in map(ast.unparse, calls) if name.startswith("self.metrics.")]
-    assert not on_metrics, on_metrics
+_PLANE = "cluster/simulator.py::ControlPlane"
+_DECODE_ENGINE_CALLERS = ("cluster/decode.py", "decode/session.py")
+
+RULES = (
+    Rule("heapq-importers", "import", "heapq", ("*",),
+         ("cluster/simulator.py*", "transport/cluster.py*"), 24,
+         "a module importing heapq owns an event loop: the simulated and the wall-clock executor's"),
+    Rule("cold-penalty", "name", "_cold_penalty_s", ("*",), ("cluster/pool.py*",), 24,
+         "CostModelClock charges its cold penalty through service_s; nothing re-derives it"),
+    Rule("next-batch", "call", "next_batch", ("*",), ("cluster/*",), 29,
+         "batches are closed by the plane's policies; another caller is a second serving loop"),
+    *(Rule(f"decode-front-{name}", "name", name, ("decode/scheduler.py",), (), 31,
+           "the decode front neither attends nor decides steps: ContinuousBatching and the "
+           "step batch do")
+      for name in ("attend", "step_window", "decode_pattern")),
+    Rule("decode-attend", "name", "attend", _DECODE_ENGINE_CALLERS, (), 38,
+         "a decode KV holds codes: a float attend would re-quantise every history row per step"),
+    Rule("decode-codes-door", "call", "attend_codes", _DECODE_ENGINE_CALLERS,
+         ("cluster/decode.py::_StepBatch.execute", "decode/session.py::DecodeSession._attend"), 38,
+         "decode reaches the engine through the codes door"),
+    Rule("drive-metrics", "call", "self.metrics.*", (f"{_PLANE}._drive",), (), 34,
+         "the event loop keeps no per-event accounting"),
+    Rule("request-generator-state", "name", "bit_generator", ("serving/request.py",), (), 36,
+         "a request's operands come from their own key, not from a generator state snapshot"),
+    Rule("stage5-output-codes", "name", "output_codes_into", ("accelerator/functional.py",), (), 39,
+         "the V slab carries stage 5's shift, so a stage-5 sum is rounded once"),
+    Rule("merge-scratch", "name", "merge_tmp", ("accelerator/weighted_sum.py",), (), 39,
+         "a merge consumes its part: no part-sized scratch buffer"),
+    *(Rule(f"complete-{name}", kind, name, ("*[.:]_complete",), (), 41,
+           "each member's output rides its completion event by position: no side channel")
+      for kind, name in (("attr", "served"), ("attr", "service"), ("call", "index"))),
+    Rule("metrics-fold", "call", "self.metrics.fold", ("*",), (f"{_PLANE}._emit",), 43,
+         "outcomes reach the collector only as events _emit folds"),
+    Rule("metrics-calls", "call", "self.metrics.*", ("*",),
+         (f"{_PLANE}._emit", f"{_PLANE}.report"), 43,
+         "besides the fold, the plane only reads its report"),
+    Rule("admit-callers", "call", "self._admit", ("ControlPlane+",),
+         (f"{_PLANE}._on_arrive", "serving/session.py::ServingSession.submit",
+          "decode/scheduler.py::DecodeScheduler.submit"), 44,
+         "arrivals reach the plane through _on_arrive, and a synchronous submit door"),
+    Rule("dispatch-callers", "call", "self._dispatch", ("ControlPlane+",),
+         (f"{_PLANE}._drive", f"{_PLANE}._balance", "serving/session.py::ServingSession._serve",
+          "decode/scheduler.py::DecodeScheduler.step"), 46,
+         "the policy is consulted at one instant: _drive, a thief in _balance, two budgeted doors"),
+    Rule("execution-plan", "call", "ExecutionPlan", ("*",),
+         ("scheduler/scheduler.py::DataScheduler.schedule",), 47,
+         "every plan is the scheduler's product"),
+    *(Rule(f"no-{name}", "name", name, ("*",), (), 47,
+           "hand-built pass lists and their indexer stay out of src/")
+      for name in ("pass_index", "IrregularPassError")),
+    Rule("expiry-timer", "call", "*.schedule(_EXPIRE)", ("*",), (f"{_PLANE}._arm_expiry",), 48,
+         "one expiry timer per plane, armed in one place"),
+    Rule("key-bands", "call", "*.bands", ("*[.:]*key*",),
+         ("patterns/base.py::AttentionPattern.structure_key",), 48,
+         "a pattern derives its structure key once; key functions read it"),
+    Rule("queue-sweeps", "call", "expire", ("*",),
+         (f"{_PLANE}._dispatch", f"{_PLANE}._on_expire"), 49,
+         "shedding is the plane's decision: it sweeps before a consultation and on the timer"),
+    Rule("policy-shedding-switch", "name", "drop_expired", ("cluster/policy.py",), (), 49,
+         "a batch policy chooses a batch; shedding is a control-plane knob"),
+    Rule("no-shed-expired", "name", "shed_expired", ("*",), (), 49,
+         "the policies' shared sweep is gone with their switch"),
+    Rule("engine-factory", "call", "engine_factory", ("cluster/*", "serving/*", "transport/*"),
+         (f"{_PLANE}.__init__", "serving/trace.py::replay"), 50,
+         "a worker's engine is named one way; ControlPlane.__init__ and replay build factories"),
+)
 
 
-def test_a_member_output_rides_its_completion():
-    """``ControlPlane._complete`` hands each member its own output by
-    position.  A ``_complete`` that looks a member up with ``.index(``,
-    or reads ``.served`` / ``executor.service``, is a side channel holding
-    the last batch's outputs growing back beside the completion event."""
-    from repro.cluster import MeasuredClock
+def _within(site, scope):
+    return any(fnmatchcase(site, pattern) for pattern in (scope, scope + "::*", scope + ".*"))
 
-    found = {}
-    for name, tree in _sources().items():
-        for fn in ast.walk(tree):
-            if isinstance(fn, ast.FunctionDef) and fn.name == "_complete":
-                found.setdefault(name, []).extend(
-                    ast.unparse(node)
-                    for node in ast.walk(fn)
-                    if getattr(node, "attr", None) in ("served", "service")
-                    or (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "index")
-                )
-    # the walk sees the plane's hook and the three fronts that override it
+
+def _matches(rule, hit):
+    if rule.kind == "call":
+        callee, _, arg = rule.name.partition("(")
+        return hit.kind == "call" and (
+            fnmatchcase(hit.text, callee) if "." in callee else hit.text.split(".")[-1] == callee
+        ) and (not arg or arg[:-1] in hit.args)
+    return hit.text == rule.name and (hit.kind in ("name", "attr", "str") if rule.kind == "name"
+                                      else hit.kind == rule.kind)
+
+
+def _violations(rule):
+    """What breaks ``rule``, one line each; empty when it holds."""
+    index = _index()
+    scope = [s for entry in rule.scope
+             for s in (sorted(index.fronts) if entry == "ControlPlane+" else [entry])]
+    problems = [f"scope {s}: the walk sees no such site" for s in scope
+                if not any(_within(site, s) for site in index.sites)]
+    exact = Counter(a for a in rule.allowed if not any(c in a for c in "*?["))
+    globs = [a for a in rule.allowed if a not in exact]
+    at = defaultdict(list)
+    for hit in index.hits:
+        if _matches(rule, hit) and any(_within(hit.site, s) for s in scope):
+            slot = hit.site if hit.site in exact else next(
+                (g for g in globs if fnmatchcase(hit.site, g)), None)
+            at[slot].append(hit)
+    where = [f"src/repro/{h.site.split('::')[0]}:{h.line}: {h.text} in {h.site}" for h in at[None]]
+    for site, n in exact.items():
+        if len(at[site]) != n:
+            lines = ", ".join(str(h.line) for h in at[site])
+            problems.append(f"{site}: {n} expected, the walk sees {len(at[site])} (lines {lines})")
+    problems += [f"{g}: the walk sees none" for g in globs if not at[g]]
+    return where + problems
+
+
+@pytest.mark.parametrize("rule", RULES, ids=[rule.id for rule in RULES])
+def test_rule(rule):
+    problems = _violations(rule)
+    assert not problems, f"rule {rule.id} (PR {rule.pr}): {rule.why}\n" + "\n".join(problems)
+
+
+def test_the_index_sees_what_the_rules_read():
+    """The walker's positive control: the sites and kinds the rows rely on."""
+    index = _index()
+    fronts = {front.split("::")[-1] for front in index.fronts}
+    assert {"ClusterSimulator", "TransportCluster", "ServingSession", "DecodeScheduler"} <= fronts
+    completes = {s.split("::")[0] for s in index.sites if s.endswith("._complete")}
     assert {"cluster/simulator.py", "serving/session.py", "decode/scheduler.py",
-            "cluster/decode.py"} <= set(found)
-    assert not any(found.values()), found
-    assert not hasattr(MeasuredClock(), "served")
+            "cluster/decode.py"} <= completes
+    keyed = {s.rpartition("::")[2].split(".")[-1] for s in index.sites}
+    assert {"pattern_structure_key", "group_key", "_plan_key", "plan_key"} <= keyed
+    assert {"call", "import", "name", "attr", "str"} == {hit.kind for hit in index.hits}
+    assert all(rule.kind in ("call", "import", "name", "attr") for rule in RULES)
+    assert len({rule.id for rule in RULES}) == len(RULES)
+
+
+# -- rules of another shape ---------------------------------------------------
+
+
+def test_the_cli_declares_each_flag_once():
+    """A long option string sits in one ``add_argument`` call of
+    ``cli.py``: a flag several commands share is declared by one flag-group
+    function or one loop, so its type, default and help cannot drift
+    apart between copies.  The exception is ``advise``'s list-valued
+    search axes, declared with ``nargs="+"`` beside the single-valued
+    flag of the same name."""
+    calls = {}
+    for node in ast.walk(_tree("cli.py")):
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith(".add_argument"):
+            for arg in node.args:
+                if isinstance(arg, ast.Constant) and str(arg.value).startswith("--"):
+                    calls.setdefault(arg.value, []).append(node)
+    assert len(calls) > 50  # the walk found the declarations
+    repeated = {flag: nodes for flag, nodes in calls.items() if len(nodes) > 1}
+    assert set(repeated) <= {"--workers", "--policy", "--admission", "--batch-size"}, sorted(repeated)
+    for flag, nodes in repeated.items():
+        nargs = [ast.unparse(kw.value) for node in nodes for kw in node.keywords if kw.arg == "nargs"]
+        assert len(nodes) == 2 and nargs == ["'+'"], flag
+
+
+def test_each_front_takes_one_engine_parameter():
+    """An engine, a factory or a backend name: a second engine parameter
+    is a second way to name the engine, with a "not both" guard beside it."""
+    from repro.cluster import EnginePool
+    from repro.serving import ServingSession, replay
+    from repro.transport import InProcessTransport, MultiprocessTransport
+
+    engine_params = {"salo", "salo_factory", "backend", "engine", "config", "runtime_config"}
+    for front in (EnginePool, ServingSession, InProcessTransport, MultiprocessTransport, replay):
+        named = engine_params & set(inspect.signature(front).parameters)
+        assert len(named) == 1, (front.__name__, sorted(named))
 
 
 def test_decode_is_configured_like_every_simulation():
@@ -224,12 +394,11 @@ def test_decode_is_configured_like_every_simulation():
 def test_the_request_stream_draws_descriptors_only():
     """``RequestFactory.make`` draws a request's family and class; its
     operands come from their own ``(seed, request id)`` key on first
-    read.  A normal drawn in ``make`` (or its generator handed to a
-    helper that draws them), or a generator state snapshot in
-    ``repro.serving.request``, is the shared data stream growing back."""
+    read.  A normal drawn in ``make``, or its generator handed to a
+    helper that draws them, is the shared data stream growing back."""
     factory = next(
         node
-        for node in ast.walk(_sources()["serving/trace.py"])
+        for node in ast.walk(_tree("serving/trace.py"))
         if isinstance(node, ast.ClassDef) and node.name == "RequestFactory"
     )
     make = next(
@@ -249,233 +418,47 @@ def test_the_request_stream_draws_descriptors_only():
     assert "integers" in draws  # the walk sees the family draw
     assert draws <= {"integers", "random", "choice"}, sorted(draws)
     assert not handed, handed
-    request = ast.unparse(_sources()["serving/request.py"])
-    assert "bit_generator" not in request, "repro.serving.request reads a generator state"
 
 
-def test_stage5_and_the_merges_run_without_part_sized_scratch():
-    """The V slab carries stage 5's shift to output units, so the
-    production path rounds a stage-5 sum once and calls no
-    ``output_codes_into``; a merge consumes its part, so the weighted-sum
-    module asks the arena for no ``merge_tmp``.  Either coming back is a
-    full-band pass (or a part-sized buffer) growing back."""
-    sources = _sources()
-    called = {
-        node.func.attr
-        for node in ast.walk(sources["accelerator/functional.py"])
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-    }
-    assert "matmul" in called  # the walk sees the engine's calls
-    assert "output_codes_into" not in called
-    names = {
-        node.args[0].value
-        for node in ast.walk(sources["accelerator/weighted_sum.py"])
-        if isinstance(node, ast.Call)
-        and ast.unparse(node.func) == "ARENA.buf"
-        and isinstance(node.args[0], ast.Constant)
-    }
-    assert "merge_total" in names  # the walk sees the arena requests
-    assert "merge_tmp" not in names, sorted(names)
+def test_the_plane_counts_nothing_beside_the_event_stream():
+    """``MetricsCollector`` folds events and has no ``note_*`` method; the
+    plane, pool and workers keep no retry, requeue or steal counter, and
+    the clock keeps no last batch's outputs."""
+    from repro.cluster import ClusterSimulator, MeasuredClock
 
-
-def test_the_plane_books_every_outcome_as_an_event():
-    """Outcomes reach ``MetricsCollector`` only as events it folds: it has
-    no ``note_*`` method, ``ControlPlane._emit`` is the one caller of its
-    ``fold`` and every other ``self.metrics`` call is the read-only
-    ``report``, and the plane, pool and workers keep no retry, requeue or
-    steal counter beside the stream."""
-    from repro.cluster import ClusterSimulator
-
-    sources = _sources()
     collector = next(
         node
-        for node in ast.walk(sources["cluster/metrics.py"])
+        for node in ast.walk(_tree("cluster/metrics.py"))
         if isinstance(node, ast.ClassDef) and node.name == "MetricsCollector"
     )
     methods = {node.name for node in collector.body if isinstance(node, ast.FunctionDef)}
     assert "fold" in methods  # the walk sees the collector
     assert not {m for m in methods if m.lstrip("_").startswith("note_")}, sorted(methods)
-    called = {
-        (name, fn.name, ast.unparse(node.func))
-        for name, tree in sources.items()
-        for fn in ast.walk(tree)
-        if isinstance(fn, ast.FunctionDef)
-        for node in ast.walk(fn)
-        if isinstance(node, ast.Call) and ast.unparse(node.func).startswith("self.metrics.")
-    }
-    assert ("cluster/simulator.py", "report", "self.metrics.report") in called  # the walk sees it
-    others = called - {("cluster/simulator.py", "_emit", "self.metrics.fold")}
-    assert {call for _, _, call in others} == {"self.metrics.report"}, sorted(others)
     plane = ClusterSimulator()
     for obj in (plane, plane.pool, *plane.pool.workers):
         kept = {"_retries", "_requeues", "steals", "stolen_in"} & set(dir(obj))
         assert not kept, (type(obj).__name__, kept)
-
-
-def _plane_callers(method):
-    """``(module, function)`` of every call to ``self.<method>`` in
-    ``ControlPlane`` or a class deriving from it, through any front."""
-    trees = _sources()
-    bases = {
-        node.name: {ast.unparse(base).split(".")[-1] for base in node.bases}
-        for tree in trees.values()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ClassDef)
-    }
-    fronts = {"ControlPlane"}
-    while more := {cls for cls, of in bases.items() if of & fronts} - fronts:
-        fronts |= more  # every class deriving from the plane, through any front
-    assert {"ClusterSimulator", "TransportCluster", "ServingSession", "DecodeScheduler"} <= fronts
-    return {
-        (name, fn.name)
-        for name, tree in trees.items()
-        for cls in ast.walk(tree)
-        if isinstance(cls, ast.ClassDef) and cls.name in fronts
-        for fn in cls.body
-        if isinstance(fn, ast.FunctionDef)
-        and any(
-            isinstance(node, ast.Call) and ast.unparse(node.func) == f"self.{method}"
-            for node in ast.walk(fn)
-        )
-    }
-
-
-def test_arrivals_reach_the_plane_through_one_handler():
-    """A source's arrivals are ``_ARRIVE`` events that ``ControlPlane._play``
-    schedules and ``ControlPlane._on_arrive`` admits, so outside
-    ``ControlPlane`` its ``_admit`` is called only by a synchronous
-    ``submit`` door.  A front admitting from anywhere else (an
-    ``_on_arrive`` override among them) is a second arrival loop growing
-    back beside ``_play``."""
-    callers = _plane_callers("_admit")
-    inside = {c for c in callers if c[0] == "cluster/simulator.py"}
-    assert inside == {("cluster/simulator.py", "_on_arrive")}  # the walk sees the handler
-    doors = {("serving/session.py", "submit"), ("decode/scheduler.py", "submit")}
-    assert callers - inside == doors, sorted(callers)
-
-
-def test_the_policy_is_consulted_in_one_place():
-    """Handlers only mark a worker for consultation; ``ControlPlane._drive``
-    consults each marked worker once per instant, after every arrival due
-    by then, and a thief in ``_balance`` launches what it stole at once.
-    Outside the plane, only the two synchronous doors that spend a launch
-    budget call ``_dispatch``.  Any other caller is a second consultation
-    instant growing back, and one trace would again form different
-    batches on different executors."""
-    assert _plane_callers("_dispatch") == {
-        ("cluster/simulator.py", "_drive"),
-        ("cluster/simulator.py", "_balance"),
-        ("serving/session.py", "_serve"),
-        ("decode/scheduler.py", "step"),
-    }
-
-
-def test_the_cli_declares_each_flag_once():
-    """A long option string sits in one ``add_argument`` call of
-    ``cli.py``: a flag several commands share is declared by one flag-group
-    function or one loop, so its type, default and help cannot drift
-    apart between copies.  The exception is ``advise``'s list-valued
-    search axes, declared with ``nargs="+"`` beside the single-valued
-    flag of the same name."""
-    calls = {}
-    for node in ast.walk(_sources()["cli.py"]):
-        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith(".add_argument"):
-            for arg in node.args:
-                if isinstance(arg, ast.Constant) and str(arg.value).startswith("--"):
-                    calls.setdefault(arg.value, []).append(node)
-    assert len(calls) > 50  # the walk found the declarations
-    repeated = {flag: nodes for flag, nodes in calls.items() if len(nodes) > 1}
-    assert set(repeated) <= {"--workers", "--policy", "--admission", "--batch-size"}, sorted(repeated)
-    for flag, nodes in repeated.items():
-        nargs = [ast.unparse(kw.value) for node in nodes for kw in node.keywords if kw.arg == "nargs"]
-        assert len(nodes) == 2 and nargs == ["'+'"], flag
-
-
-def test_every_plan_is_the_schedulers_product():
-    """An ``ExecutionPlan``'s passes are the ``PassIndex`` the scheduler
-    derives from its tiling, so ``DataScheduler.schedule`` is the one
-    place in the package that builds a plan.  A second ``ExecutionPlan(``
-    call, or an indexer for hand-built pass lists with its irregular-list
-    error, is a second way into ``compile_plan`` growing back."""
-    trees = _sources()
-    calls = [
-        (name, fn.name)
-        for name, tree in trees.items()
-        for fn in ast.walk(tree)
-        if isinstance(fn, ast.FunctionDef)
-        for node in ast.walk(fn)
-        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "ExecutionPlan"
-    ]
-    total = sum(
-        isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "ExecutionPlan"
-        for tree in trees.values()
-        for node in ast.walk(tree)
-    )
-    assert calls == [("scheduler/scheduler.py", "schedule")] and total == 1, calls
-    defined = {
-        node.name
-        for tree in trees.values()
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-    }
-    assert {"tiling_index", "PassIndex"} <= defined  # the walk sees definitions
-    assert not {"pass_index", "IrregularPassError"} & defined
-
-
-def test_one_expiry_timer_is_armed_in_one_place():
-    """With ``drop_expired`` the plane keeps one expiry timer, at the
-    earliest queued deadline: ``ControlPlane._arm_expiry`` is the only
-    function in the package that schedules an ``_EXPIRE`` event.  A second
-    scheduling site is a timer per request growing back."""
-    sites = [
-        (name, fn.name)
-        for name, tree in _sources().items()
-        for fn in ast.walk(tree)
-        if isinstance(fn, ast.FunctionDef)
-        for node in ast.walk(fn)
-        if isinstance(node, ast.Call)
-        and ast.unparse(node.func).endswith(".schedule")
-        and any(ast.unparse(arg) == "_EXPIRE" for arg in node.args)
-    ]
-    assert sites == [("cluster/simulator.py", "_arm_expiry")], sites
-
-
-def test_a_structure_key_is_derived_by_the_pattern_once():
-    """A pattern computes its structure key once and keeps it
-    (``AttentionPattern.structure_key``); ``pattern_structure_key`` and
-    every group / plan key read that cache.  A function named for a key
-    that calls ``.bands()`` itself is a per-request derivation growing
-    back."""
-    callers = {
-        (name, fn.name)
-        for name, tree in _sources().items()
-        for fn in ast.walk(tree)
-        if isinstance(fn, ast.FunctionDef) and "key" in fn.name
-        for node in ast.walk(fn)
-        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith(".bands")
-    }
-    assert callers == {("patterns/base.py", "structure_key")}, sorted(callers)
-    keyed = {
-        fn.name
-        for tree in _sources().values()
-        for fn in ast.walk(tree)
-        if isinstance(fn, ast.FunctionDef) and "key" in fn.name
-    }
-    # the walk sees them
-    assert {"pattern_structure_key", "group_key", "_plan_key", "plan_key"} <= keyed
+    assert not hasattr(MeasuredClock(), "served")
 
 
 def test_the_simulated_plane_hashes_no_band(monkeypatch):
     """A structure key holds each band as its ``(lo, hi, dilation)``
     triple, so routing, queueing and plan lookups hash ints in C: a
-    ``simulate()`` run with a crash, retries and stealing calls
-    ``Band.__hash__`` not once, and every group key it derives is ints
-    and tuples of ints."""
+    ``simulate()`` run with a crash, retries and stealing, a decode
+    simulation and a few real decode steps call ``Band.__hash__`` not
+    once, and every group key they derive is ints and tuples of ints."""
+    import numpy as np
+
     from repro.cluster import (
-        CostModelClock, PoissonProcess, WorkloadSpec, open_loop, service_scales, simulate,
+        CostModelClock, DecodeClusterSimulator, DecodeSimConfig, DecodeWorkloadSpec,
+        PoissonProcess, WorkloadSpec, open_loop, service_scales, simulate,
     )
+    from repro.cluster import decode
+    from repro.core import HardwareConfig
+    from repro.core.salo import SALO
+    from repro.decode import DecodeRequest, DecodeScheduler
     from repro.experiments import faults
-    from repro.patterns.base import Band
+    from repro.patterns import Band, HybridSparsePattern
     from repro.serving.batching import BatchScheduler
 
     clock = CostModelClock.flat()
@@ -489,99 +472,34 @@ def test_the_simulated_plane_hashes_no_band(monkeypatch):
         unit_s=unit_s,
     )
     hashed, keys = [], []
-    band_hash, group_key = Band.__hash__, BatchScheduler.group_key
+    band_hash, group_key, lane_key = Band.__hash__, BatchScheduler.group_key, decode._group_key
 
     def counting_hash(self):
         hashed.append(self)
         return band_hash(self)
 
-    def recording_key(self, request):
-        keys.append(group_key(self, request))
-        return keys[-1]
+    def recording(derive):
+        def record(*args):
+            keys.append(derive(*args))
+            return keys[-1]
+        return record
 
+    pattern = HybridSparsePattern(256, [Band(-8, 0), Band(-16, -12, 4)], [3])
     monkeypatch.setattr(Band, "__hash__", counting_hash)
-    monkeypatch.setattr(BatchScheduler, "group_key", recording_key)
+    monkeypatch.setattr(BatchScheduler, "group_key", recording(group_key))
+    monkeypatch.setattr(decode, "_group_key", recording(lane_key))
     report = simulate(source, config)
+    spec = DecodeWorkloadSpec(sequences=16, global_tokens=(6,))
+    decoded = DecodeClusterSimulator(DecodeSimConfig(workers=2)).run(spec)
+    sched = DecodeScheduler(SALO(HardwareConfig(pe_rows=4, pe_cols=4)), max_lanes=3)
+    for i, prompt in enumerate((2, 9, 30)):
+        q, k, v = np.random.default_rng(i).standard_normal((3, prompt, 4))
+        sched.submit(DecodeRequest(f"seq-{i}", pattern, q, k, v, max_new_tokens=4))
+    steps = [sched.step() for _ in range(3)]
 
     def leaves(key):
         return [leaf for part in key for leaf in leaves(part)] if type(key) is tuple else [key]
 
-    assert report.completed and keys
-    assert {type(leaf) for key in keys for leaf in leaves(key)} == {int}
+    assert report.completed and decoded.tokens_completed and all(s.tokens for s in steps)
+    assert keys and {type(leaf) for key in keys for leaf in leaves(key)} == {int}
     assert hashed == []
-
-
-def _enclosing_calls(attr):
-    """``{(module, class, function)}`` around every ``.<attr>(`` or bare
-    ``<attr>(`` call in the package (``None`` where a call sits outside a
-    class or function)."""
-    found = set()
-
-    def visit(node, name, cls, fn):
-        if isinstance(node, ast.ClassDef):
-            cls, fn = node.name, None
-        elif isinstance(node, ast.FunctionDef):
-            fn = node.name
-        elif (isinstance(node, ast.Call)
-              and getattr(node.func, "attr", getattr(node.func, "id", None)) == attr):
-            found.add((name, cls, fn))
-        for child in ast.iter_child_nodes(node):
-            visit(child, name, cls, fn)
-
-    for name, tree in _sources().items():
-        visit(tree, name, None, None)
-    return found
-
-
-def test_only_the_plane_sweeps_queues():
-    """Shedding is the plane's decision (``ControlConfig.drop_expired``):
-    ``ControlPlane._dispatch`` sweeps a worker's queue before each
-    consultation and ``_on_expire`` sweeps every queue when the expiry
-    timer fires.  Any other ``.expire(`` call is a second sweep growing
-    back beside them, a policy's among them."""
-    assert _enclosing_calls("expire") == {
-        ("cluster/simulator.py", "ControlPlane", "_dispatch"),
-        ("cluster/simulator.py", "ControlPlane", "_on_expire"),
-    }
-
-
-def test_the_policies_hold_no_shedding_switch():
-    """A batch policy chooses a batch; whether a doomed request is shed
-    is a control-plane knob, so ``cluster/policy.py`` never names it."""
-    assert "drop_expired" not in (SRC / "repro" / "cluster" / "policy.py").read_text()
-
-
-def test_no_policy_level_sweep_is_defined():
-    """The policies' shared sweep (``shed_expired``) is gone with the
-    policies' switch; defining it again anywhere brings it back."""
-    defined = {
-        node.name
-        for tree in _sources().values()
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-    }
-    assert "_dispatch" in defined  # the walk sees definitions
-    assert "shed_expired" not in defined
-
-
-def test_a_worker_engine_is_named_one_way():
-    """Each front takes one engine parameter (an engine, a factory or a
-    backend name), and ``ControlPlane.__init__`` is where a config's
-    backend name becomes the pool's engine factory; ``replay`` builds
-    its two sides from its own.  A second engine parameter, or another
-    ``engine_factory(`` call in the serving stack, is a second way to
-    name the engine growing back, with a "not both" guard beside it."""
-    from repro.cluster import EnginePool
-    from repro.serving import ServingSession, replay
-    from repro.transport import InProcessTransport, MultiprocessTransport
-
-    layers = ("cluster/", "serving/", "transport/")
-    callers = {c for c in _enclosing_calls("engine_factory") if c[0].startswith(layers)}
-    assert callers == {
-        ("cluster/simulator.py", "ControlPlane", "__init__"),
-        ("serving/trace.py", None, "replay"),
-    }, sorted(callers)
-    engine_params = {"salo", "salo_factory", "backend", "engine", "config", "runtime_config"}
-    for front in (EnginePool, ServingSession, InProcessTransport, MultiprocessTransport, replay):
-        named = engine_params & set(inspect.signature(front).parameters)
-        assert len(named) == 1, (front.__name__, sorted(named))

@@ -10,7 +10,6 @@ from repro.workloads.configs import (
     AttentionWorkload,
     bert_base_workload,
     longformer_workload,
-    vil_workload,
 )
 
 
@@ -61,10 +60,6 @@ class TestCustomFactories:
     def test_longformer_workload(self):
         w = longformer_workload(1024, window=128)
         assert w.n == 1024 and w.window == 128
-
-    def test_vil_workload(self):
-        w = vil_workload(16, 16, window_side=5)
-        assert w.n == 256 and w.window == 25
 
     def test_rejects_indivisible_heads(self):
         with pytest.raises(ValueError):

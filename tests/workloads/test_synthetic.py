@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.workloads.configs import VIL_STAGE2
-from repro.workloads.synthetic import correlated_qkv, qkv_for, random_qkv
+from repro.workloads.synthetic import correlated_qkv, random_qkv
 
 
 class TestRandomQKV:
@@ -43,13 +42,3 @@ class TestCorrelatedQKV:
         with pytest.raises(ValueError):
             correlated_qkv(10, 4, correlation=1.5)
 
-
-class TestQkvFor:
-    def test_matches_workload_shape(self):
-        q, k, v = qkv_for(VIL_STAGE2)
-        assert q.shape == (VIL_STAGE2.n, VIL_STAGE2.hidden)
-
-    def test_correlated_flag(self):
-        a = qkv_for(VIL_STAGE2, seed=1, correlated=False)
-        b = qkv_for(VIL_STAGE2, seed=1, correlated=True)
-        assert not np.array_equal(a[0], b[0])
