@@ -12,7 +12,8 @@
 #                  does by chance 1 time in 20 at n=3 and 1 in 252 at
 #                  n=5.  ~12 minutes on the 2-core reference host;
 #                  `make test` stays the quick loop
-#   make test    - tier-1 tests only
+#   make test    - tier-1 tests only, ending with the 15 slowest entries
+#                  (--durations=15: the table ROADMAP item 12 tracks)
 #   make simulate-smoke - 2-worker discrete-event simulation end to end
 #                  (deterministic cost-model clock; seconds, not minutes)
 #   make simulate-overload - overload smoke at rho 1.5: shed + admission
@@ -77,7 +78,7 @@ check: test engines-smoke simulate-smoke simulate-overload \
 	$(MAKE) bench-e2e-pair PARENT=$(or $(PARENT),HEAD) SEEDS=$(or $(SEEDS),0-4)
 
 test:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q --durations=15
 
 # -W error::DeprecationWarning: a surviving or resurrected engine shim
 # fails the gate instead of scrolling past.

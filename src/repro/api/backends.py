@@ -152,8 +152,9 @@ class DenseOracleBackend(OracleBackend):
 
     Executes the pattern exactly by materialising the dense score matrix
     and masking excluded cells (:func:`masked_attention` — O(n^2)
-    memory, fully vectorised).  Its cost model is the calibrated GTX
-    1080Ti dense-attention latency of
+    memory, fully vectorised: a structured pattern's mask is built from
+    its bands and global tokens, not row by row).  Its cost model is
+    the calibrated GTX 1080Ti dense-attention latency of
     :mod:`repro.baselines.cpu_gpu_model` — the Section 2.1 baseline the
     paper's speedups are quoted against, which charges the full
     quadratic cost regardless of sparsity.

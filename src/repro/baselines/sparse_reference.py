@@ -34,7 +34,12 @@ def masked_attention(
     pattern: AttentionPattern,
     scale: Optional[float] = None,
 ) -> np.ndarray:
-    """Exact sparse attention via dense masking (oracle; O(n^2) memory)."""
+    """Exact sparse attention via dense masking (oracle; O(n^2) memory).
+
+    Rows below ``pattern.first_query`` hold no query: they are not
+    computed and read 0.0, as on the engine.  A row at or above it that
+    attends no key raises :class:`ValueError`.
+    """
     q = np.asarray(q, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
@@ -43,16 +48,20 @@ def masked_attention(
         raise ValueError(f"pattern length {pattern.n} != sequence length {n}")
     if scale is None:
         scale = 1.0 / np.sqrt(q.shape[1])
-    s = (q @ k.T) * scale
-    mask = pattern.mask()
+    first = pattern.first_query
+    s = (q[first:] @ k.T) * scale
+    mask = pattern.mask()[first:]
+    if not mask.any(axis=1).all():
+        raise ValueError("pattern leaves some query with no attended key")
     s = np.where(mask, s, -np.inf)
     s -= np.max(s, axis=1, keepdims=True)
     e = np.exp(s)
     e = np.where(mask, e, 0.0)
     denom = e.sum(axis=1, keepdims=True)
-    if np.any(denom == 0):
-        raise ValueError("pattern leaves some query with no attended key")
-    return (e / denom) @ v
+    out = (e / denom) @ v
+    if first:  # only a late-start pattern pays for a second output buffer
+        out = np.concatenate([np.zeros((first, out.shape[1])), out])
+    return out
 
 
 def sparse_attention_rowwise(
@@ -62,7 +71,8 @@ def sparse_attention_rowwise(
     pattern: AttentionPattern,
     scale: Optional[float] = None,
 ) -> np.ndarray:
-    """Exact sparse attention computed row by row (O(n·w) memory)."""
+    """Exact sparse attention computed row by row (O(n·w) memory); rows
+    below ``pattern.first_query`` read 0.0, as in :func:`masked_attention`."""
     q = np.asarray(q, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
@@ -71,8 +81,8 @@ def sparse_attention_rowwise(
         raise ValueError(f"pattern length {pattern.n} != sequence length {n}")
     if scale is None:
         scale = 1.0 / np.sqrt(d)
-    out = np.empty((n, v.shape[1]), dtype=np.float64)
-    for i in range(n):
+    out = np.zeros((n, v.shape[1]), dtype=np.float64)
+    for i in range(pattern.first_query, n):
         keys = pattern.row_keys(i)
         if len(keys) == 0:
             raise ValueError(f"query {i} attends to no keys")

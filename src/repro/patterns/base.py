@@ -74,17 +74,6 @@ class Band:
         keys = i + self.offsets()
         return keys[(keys >= 0) & (keys < n)]
 
-    def count_for(self, i: int, n: int) -> int:
-        """Number of in-range keys for query ``i`` (cheaper than ``keys_for``)."""
-        # j = i + lo + t*d must satisfy 0 <= j <= n-1 with 0 <= t < width.
-        d = self.dilation
-        first = i + self.lo
-        t_min = 0 if first >= 0 else (-first + d - 1) // d
-        if n - 1 < first:
-            return 0
-        t_max = min((n - 1 - first) // d, self.width - 1)
-        return max(0, t_max - t_min + 1)
-
     def shifted(self, delta: int) -> "Band":
         """A copy of this band translated by ``delta`` offsets."""
         return Band(self.lo + delta, self.hi + delta, self.dilation)
@@ -101,7 +90,12 @@ class AttentionPattern(abc.ABC):
     Subclasses must implement :meth:`row_keys`.  Structured patterns should
     additionally expose :meth:`bands` and :meth:`global_tokens` so that the
     data scheduler can map them onto the accelerator without materialising
-    the full :math:`n \\times n` mask.
+    the full :math:`n \\times n` mask.  A pattern that reports bands has
+    exactly the rows they imply: from :attr:`first_query` on, row ``i``
+    is its in-range band keys plus every global column, a global row is
+    every key, and rows below :attr:`first_query` are empty.  The
+    scheduler relies on this, and :meth:`mask` / :meth:`nnz` build from
+    the structure without calling :meth:`row_keys`.
     """
 
     def __init__(self, n: int) -> None:
@@ -173,21 +167,55 @@ class AttentionPattern(abc.ABC):
     def mask(self) -> np.ndarray:
         """Dense boolean mask of shape ``(n, n)``.
 
-        Intended for reference computation and testing; quadratic in ``n``,
-        so avoid on long sequences.
+        Intended for reference computation and testing: it is still
+        ``n**2`` bytes, so avoid on long sequences.  A structured pattern
+        builds it from its bands and global tokens in a few strided
+        writes; only an opaque one (``bands()`` is ``None``) loops over
+        its rows in Python.
         """
+        if self.bands() is not None:
+            return self._mask_rows(0, self._n)
         m = np.zeros((self._n, self._n), dtype=bool)
         for i in range(self._n):
             m[i, self.row_keys(i)] = True
         return m
+
+    def _mask_rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows ``[start, stop)`` of a structured pattern's mask: one strided
+        diagonal write per band offset (clipped to the sequence and to rows
+        from :attr:`first_query` on), one row and one column fill per global."""
+        n = self._n
+        top = max(start, self.first_query)
+        block = np.zeros((stop - start, n), dtype=bool)
+        flat = block.reshape(-1)
+        for band in self.bands():
+            for off in range(band.lo, band.hi + 1, band.dilation):
+                lo, hi = max(top, -off), min(stop, n - off)
+                if lo < hi:
+                    # Cell (i, i + off) sits at flat index (i - start) * (n + 1) + start + off.
+                    at = (lo - start) * (n + 1) + start + off
+                    flat[at : at + (hi - lo) * (n + 1) : n + 1] = True
+        for g in self.global_tokens():
+            if top <= g < stop:
+                block[g - start] = True
+            block[top - start :, g] = True
+        return block
 
     def row_count(self, i: int) -> int:
         """Number of keys attended by query ``i``."""
         return int(len(self.row_keys(i)))
 
     def nnz(self) -> int:
-        """Total number of (query, key) pairs in the pattern."""
-        return sum(self.row_count(i) for i in range(self._n))
+        """Total number of (query, key) pairs in the pattern.
+
+        A structured pattern counts block by block (about ``2**22`` mask
+        cells each), never holding its ``(n, n)`` mask.
+        """
+        if self.bands() is None:
+            return sum(self.row_count(i) for i in range(self._n))
+        step = max(1, (1 << 22) // self._n)
+        blocks = (self._mask_rows(s, min(s + step, self._n)) for s in range(0, self._n, step))
+        return sum(int(np.count_nonzero(block)) for block in blocks)
 
     def sparsity(self) -> float:
         """Fraction of the dense :math:`n^2` score matrix that is computed.
@@ -205,16 +233,6 @@ class AttentionPattern(abc.ABC):
         ``head_dim`` MACs in :math:`S'V`.
         """
         return 2 * self.nnz() * int(head_dim) * int(heads)
-
-    def validate_rows_nonempty(self) -> None:
-        """Raise :class:`PatternError` if any query attends to no key.
-
-        Softmax over an empty set is undefined; schedulable patterns must
-        give every query at least one key.
-        """
-        for i in range(self._n):
-            if self.row_count(i) == 0:
-                raise PatternError(f"query {i} attends to no keys")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AttentionPattern):

@@ -55,10 +55,6 @@ class DilatedWindowPattern(AttentionPattern):
         keys = i + np.arange(self.a, self.b + 1, self.dilation, dtype=np.int64)
         return keys[(keys >= 0) & (keys < self._n)]
 
-    def row_count(self, i: int) -> int:
-        self._check_row(i)
-        return Band(self.a, self.b, self.dilation).count_for(i, self._n)
-
     def bands(self) -> Optional[List[Band]]:
         return [Band(self.a, self.b, self.dilation)]
 

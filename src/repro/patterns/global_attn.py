@@ -43,17 +43,6 @@ class GlobalAttentionPattern(AttentionPattern):
             return np.arange(self._n, dtype=np.int64)
         return np.asarray(self._tokens, dtype=np.int64)
 
-    def row_count(self, i: int) -> int:
-        self._check_row(i)
-        if i in self._tokens:
-            return self._n
-        return len(self._tokens)
-
-    def nnz(self) -> int:
-        g = len(self._tokens)
-        # g full rows + g full columns, minus the doubly counted g x g block.
-        return g * self._n + g * (self._n - g)
-
     def bands(self) -> Optional[List[Band]]:
         # Global attention has no banded structure of its own.
         return []

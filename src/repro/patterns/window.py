@@ -70,19 +70,6 @@ class SlidingWindowPattern(AttentionPattern):
             return np.empty(0, dtype=np.int64)
         return np.arange(lo, hi + 1, dtype=np.int64)
 
-    def row_count(self, i: int) -> int:
-        self._check_row(i)
-        lo = max(0, i + self.a)
-        hi = min(self._n - 1, i + self.b)
-        return max(0, hi - lo + 1)
-
-    def nnz(self) -> int:
-        # Closed form: sum over i of clip(i+b, n-1) - clip(i+a, 0) + 1.
-        i = np.arange(self._n, dtype=np.int64)
-        lo = np.maximum(0, i + self.a)
-        hi = np.minimum(self._n - 1, i + self.b)
-        return int(np.maximum(0, hi - lo + 1).sum())
-
     def bands(self) -> Optional[List[Band]]:
         return [Band(self.a, self.b, 1)]
 

@@ -2,7 +2,8 @@
 
 Each builds a pattern component's ``(n, n)`` boolean mask directly from
 its definition, so a structured pattern's ``mask()`` can be checked
-against an independent union of its parts.
+against an independent union of its parts, or against its own rows
+(:func:`row_mask`).
 """
 
 from typing import Sequence
@@ -24,4 +25,17 @@ def global_mask(n: int, tokens: Sequence[int]) -> np.ndarray:
     toks = list(tokens)
     m[toks, :] = True
     m[:, toks] = True
+    return m
+
+
+def row_mask(pattern) -> np.ndarray:
+    """Dense mask of any pattern, one :meth:`row_keys` call per row.
+
+    The per-row loop ``AttentionPattern.mask`` ran before it built
+    structured masks from their bands; kept as the oracle for that.
+    """
+    n = pattern.n
+    m = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        m[i, pattern.row_keys(i)] = True
     return m

@@ -16,6 +16,8 @@ import pytest
 
 from repro.api import CapabilityError, Runtime, RuntimeConfig, backend_spec, list_backends
 from repro.core.config import HardwareConfig
+from repro.core.salo import SALO
+from repro.decode.session import decode_pattern
 from repro.patterns.base import AttentionPattern, Band
 from repro.patterns.hybrid import HybridSparsePattern
 from repro.patterns.library import longformer_pattern, star_transformer_pattern
@@ -101,6 +103,31 @@ class TestOutputParity:
             for b in range(3):
                 single = rt.attend(pattern, q[b], k[b], v[b], heads=2).output
                 assert np.array_equal(batched[b], single), name
+
+
+class TestLateStartPattern:
+    """Rows below ``first_query`` hold no query: the oracles read 0.0 there
+    as the engine does, and agree with it on every row from it on."""
+
+    @pytest.mark.parametrize("name", ORACLES)
+    def test_oracle_matches_salo(self, name):
+        pattern = decode_pattern((Band(-63, 0),), (), 64, 64, first_query=32)
+        q, k, v = _data(pattern)
+        engine = SALO(EXACT_CONFIG.hardware, strict_global_bound=False)
+        expected = engine.attend(pattern, q, k, v, heads=2).output
+        out = Runtime(dataclasses.replace(EXACT_CONFIG, backend=name)).attend(
+            pattern, q, k, v, heads=2
+        ).output
+        assert not out[:32].any() and not expected[:32].any()
+        assert np.allclose(expected, out, atol=1e-9)
+
+    @pytest.mark.parametrize("name", ORACLES)
+    def test_keyless_query_still_raises(self, name):
+        pattern = HybridSparsePattern(16, [Band(8, 8)], (), first_query=4)
+        q, k, v = _data(pattern)
+        rt = Runtime(dataclasses.replace(EXACT_CONFIG, backend=name))
+        with pytest.raises(ValueError, match="no (attended )?key"):
+            rt.attend(pattern, q, k, v, heads=2)
 
 
 class _MaskOnlyPattern(AttentionPattern):

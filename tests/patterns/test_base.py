@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.patterns.base import AttentionPattern, Band, PatternError, merge_key_arrays
 
@@ -52,20 +50,6 @@ class TestBand:
         b = Band(-1, 1).shifted(10)
         assert (b.lo, b.hi) == (9, 11)
 
-    @given(
-        lo=st.integers(-40, 40),
-        span=st.integers(0, 10),
-        dilation=st.integers(1, 5),
-        i=st.integers(0, 63),
-        n=st.integers(1, 64),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_count_for_matches_keys_for(self, lo, span, dilation, i, n):
-        band = Band(lo, lo + span * dilation, dilation)
-        if i >= n:
-            return
-        assert band.count_for(i, n) == len(band.keys_for(i, n))
-
 
 class _TwoKeyPattern(AttentionPattern):
     """Minimal concrete pattern: query i attends {i, 0}."""
@@ -104,9 +88,6 @@ class TestAttentionPattern:
     def test_row_count_out_of_range(self):
         with pytest.raises(PatternError):
             _TwoKeyPattern(4).row_keys(4)
-
-    def test_validate_rows_nonempty_passes(self):
-        _TwoKeyPattern(4).validate_rows_nonempty()
 
     def test_equality_same_structure(self):
         assert _TwoKeyPattern(4) == _TwoKeyPattern(4)
