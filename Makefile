@@ -14,6 +14,11 @@
 #                  `make test` stays the quick loop
 #   make test    - tier-1 tests only, ending with the 15 slowest entries
 #                  (--durations=15: the table ROADMAP item 12 tracks)
+#   make pins    - the pinned suites an engine or scheduler change must
+#                  leave byte-equal, in one run: engine outputs, compiled
+#                  plans and their schedules, simulate() and decode
+#                  reports, the decode scheduler, the serving session and
+#                  the advisor export (PINS below; all are in tier-1 too)
 #   make simulate-smoke - 2-worker discrete-event simulation end to end
 #                  (deterministic cost-model clock; seconds, not minutes)
 #   make simulate-overload - overload smoke at rho 1.5: shed + admission
@@ -68,7 +73,12 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: check test simulate-smoke simulate-overload simulate-faults \
+PINS = tests/accelerator/test_pinned_outputs.py tests/scheduler/test_pinned_plans.py \
+	tests/cluster/test_pinned_reports.py tests/cluster/test_decode_sim.py::TestPinnedReports \
+	tests/decode/test_scheduler_pinned.py tests/serving/test_session_pinned.py \
+	tests/advisor/test_export.py
+
+.PHONY: check test pins simulate-smoke simulate-overload simulate-faults \
 	decode-smoke engines-smoke transport-smoke advise-smoke \
 	bench-e2e-smoke bench-e2e-pair smoke-diff
 
@@ -79,6 +89,9 @@ check: test engines-smoke simulate-smoke simulate-overload \
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q --durations=15
+
+pins:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q $(PINS)
 
 # -W error::DeprecationWarning: a surviving or resurrected engine shim
 # fails the gate instead of scrolling past.

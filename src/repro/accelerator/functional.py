@@ -33,9 +33,12 @@ the plan's memoized :class:`~repro.scheduler.compiled.CompiledPlan`:
 passes are structural — identical across heads and across calls — so
 Q/K/V are quantised once for all heads, stages 1 and 5 run as banded
 GEMMs over block chunks of all lanes, a fused epilogue covers stages
-2–4, and every weighted-sum merge — window, global column and global
-row alike — replays in the hardware's per-query pass order through the
-one masked Eq. 2 primitive :meth:`FunctionalEngine._merge_part`.  The
+2–4, and every weighted-sum merge replays in the hardware's per-query
+pass order through the weighted-sum module's two halves (coefficients,
+then output): window and global-column parts one at a time through the
+masked primitive :meth:`FunctionalEngine._merge_part`, the global row's
+key batches with all their coefficients in one pass
+(:meth:`FunctionalEngine._merge_global_rows`).  The
 unit of work is the *chain*: the job builder cuts each query group's
 blocks into an interior, where every column group is live, and two
 edges, so one chain carries all passes of the interior blocks (91.6% of
@@ -740,7 +743,7 @@ class FunctionalEngine:
         return _Slab(core, base, head)
 
     def _merge_part(self, ro, rw, rh, rp, out, w, has) -> int:
-        """Merge one part into running state — the production path's only Eq. 2.
+        """Merge one part into running state: Eq. 2 for window and global-column parts.
 
         ``ro (..., d)`` / ``rw`` / ``rh`` / ``rp`` are the running
         output codes, weight, coverage mask and part count (the accumulator, a
@@ -1225,26 +1228,49 @@ class FunctionalEngine:
         self._merge_global_rows(cp, out, w, has, acc)
 
     def _merge_global_rows(self, cp, out, w, has, acc) -> None:
-        """Sequential weighted-sum merge chain of the global-row batches.
+        """The global-row batches' Eq. 2 chain, its weights in one pass.
 
-        The batches form a private merge chain: no other part ever
-        carries a global query row, so the chain runs on local
-        ``(lanes, G)`` state and is committed to the accumulator once.
+        The chain is private (no other part carries a global query row):
+        it runs on ``(lanes, G)`` state, committed to the accumulator once.
+        Weights are exact fixed-point sums, so the running weight before
+        batch ``b`` is an exclusive prefix sum (``cumsum`` adds in batch
+        order, as the pairwise chain does): Eq. 2's coefficient half runs
+        once over ``(lanes, B, G)`` and every part is scaled by its ``a2``
+        in one pass, leaving the output half per batch.  A cell a batch
+        does not cover passes through (``a1 = 1``, contribution ``-0.0``:
+        ``x + -0.0 == x``, signed zeros too) and a first part lands exactly
+        on the ``-0.0`` the state starts from (``a1 = 0``, ``a2 = 1``), so
+        covered cells are bit-equal to the per-batch :meth:`_merge_part`
+        walk (``tests/_merge_oracle.py``).
         """
         lanes, num_b, num_g, d = out.shape
+        skip = _buf("grow_skip", has.shape, np.bool_)
+        total, before, a1, a2 = (_buf(f"grow_{x}", has.shape) for x in ("total", "before", "a1", "a2"))
+        np.logical_not(has, out=skip)
+        np.copyto(w, 0.0, where=skip)
+        np.cumsum(w, axis=1, out=total)
+        before[:, 0] = 0.0
+        before[:, 1:] = total[:, :-1]
+        gtok = cp.global_tokens
+        acc.w[:, gtok] = total[:, -1]
+        # A skipped cell may have no weight yet: the reciprocal unit's
+        # positivity contract.  A first part has ``before == 0``, so its
+        # coefficients come out as ``a1 = 0``, ``a2 = 1`` unaided.
+        np.copyto(total, 1.0, where=skip)
+        self.module.coefficients_into(before, total, a1, a2)
+        np.copyto(a1, 1.0, where=skip)
+        np.multiply(out, a2[..., None], out=out)
+        np.copyto(out, -0.0, where=skip[..., None])
         out_run = _buf("grow_run_out", (lanes, num_g, d))
-        w_run = _buf("grow_run_w", (lanes, num_g))
+        out_run.fill(-0.0)
+        for b in range(num_b):
+            self.module.output_into(out_run, a1[:, b], out[:, b])
         has_run = _buf("grow_run_has", (lanes, num_g), np.bool_)
         parts_run = _buf("grow_run_parts", (lanes, num_g), np.int64)
-        has_run.fill(False)
-        parts_run.fill(0)
-        for b in range(num_b):
-            acc.merges += self._merge_part(
-                out_run, w_run, has_run, parts_run, out[:, b], w[:, b], has[:, b]
-            )
-        gtok = cp.global_tokens
+        np.any(has, axis=1, out=has_run)
+        np.sum(has, axis=1, out=parts_run)
+        acc.merges += int(parts_run.sum()) - int(np.count_nonzero(has_run))
         acc.out[:, gtok] = out_run
-        acc.w[:, gtok] = w_run
         acc.has[:, gtok] = has_run
         acc.parts[:, gtok] += parts_run
 

@@ -131,7 +131,8 @@ def split_window_attention(
     locally-normalised partial attention per chunk, and merges the chunks
     with :func:`online_softmax_merge`.  Software model of the weighted-sum
     module + window splitting pipeline; must agree with
-    :func:`sparse_attention_rowwise` to float precision.
+    :func:`sparse_attention_rowwise` to float precision, rows below
+    ``pattern.first_query`` included (they read 0.0).
     """
     if split < 1:
         raise ValueError(f"split must be >= 1, got {split}")
@@ -141,8 +142,8 @@ def split_window_attention(
     n, d = q.shape
     if scale is None:
         scale = 1.0 / np.sqrt(d)
-    out = np.empty((n, v.shape[1]), dtype=np.float64)
-    for i in range(n):
+    out = np.zeros((n, v.shape[1]), dtype=np.float64)
+    for i in range(pattern.first_query, n):
         keys = pattern.row_keys(i)
         if len(keys) == 0:
             raise ValueError(f"query {i} attends to no keys")

@@ -19,7 +19,7 @@ across every ``attend()`` call that reuses the same plan, so
   shares its segment tuple and its query block starts advance uniformly,
   so each segment's key stream is one arithmetic sequence: the engine
   reads a single ``(L, d)`` key block per segment through an overlapping
-  ``as_strided`` window view — the numpy analogue of the accelerator's
+  strided window view — the numpy analogue of the accelerator's
   diagonal k/v connections (Section 5.2) — instead of materialising
   ``(passes, rows, cols, d)`` gathers, and where the sequence is a
   contiguous id range (every undilated band; recorded as
@@ -68,19 +68,18 @@ column groups and the has-work mask
 and hands it to the plan as its pass list — the only pass list a plan
 holds — so a cold start (``schedule`` -> ``compiled()`` -> ``.schedule``)
 builds no :class:`~repro.scheduler.plan.TilePass`, derives no fact twice
-and makes no per-pass numpy call: the window jobs read the index's
-column groups and master orders, and take their masked block runs from
-the same exact / expanded split.
+and makes no per-pass numpy call: the window jobs are built from the
+tiling the index carries (``PassIndex.tilings``) and take their masked
+block runs from the same exact / expanded split.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .plan import BandSegment, ExecutionPlan, GroupTiling, TilePass
 
@@ -268,16 +267,6 @@ def _clipped_arange_start(a: np.ndarray, n: int) -> Optional[int]:
     return s if np.array_equal(a, _clamp(np.arange(s, s + a.size), n)) else None
 
 
-def _padded_arange_start(a: np.ndarray) -> Optional[int]:
-    """Start ``s`` when ``a[i] == s + i`` wherever ``a[i] >= 0`` (padding is -1)."""
-    real = a >= 0
-    if not real.any():
-        return None
-    i = int(real.argmax())
-    s = int(a[i]) - i
-    return s if np.array_equal(a[real], np.arange(s, s + a.size)[real]) else None
-
-
 def _wide_stream(jobs) -> Tuple[Optional[np.ndarray], Optional[Tuple[int, ...]]]:
     """Combined key stream of a chain, when its jobs slice one band.
 
@@ -319,7 +308,7 @@ def _build_job_chains(jobs, n: int) -> Tuple[JobChain, ...]:
         j = i + 1
         while j < len(jobs):
             b = jobs[j]
-            if (
+            if b.q_ids is a.q_ids or (  # jobs of one block range share them
                 a.q_ids.shape == b.q_ids.shape
                 and np.array_equal(a.q_ids, b.q_ids)
                 and np.array_equal(a.keep, b.keep)
@@ -520,226 +509,316 @@ def _merge_order(nodes: List[int], edges: Iterable[Tuple[int, int]]) -> Optional
     return order if len(order) == len(nodes) else None
 
 
+def _stack(blocks: List[np.ndarray]) -> np.ndarray:
+    """Contiguous ``(G, ...)`` stack of per-group arrays; no copy for one."""
+    if len(blocks) == 1:
+        return np.ascontiguousarray(blocks[0][None])
+    return np.stack(blocks)
+
+
 def _members(colgroup: np.ndarray, count: int) -> List[np.ndarray]:
     """Pass indices of each column group, in pass (block) order."""
     order = np.argsort(colgroup, kind="stable")
     return np.split(order, np.cumsum(np.bincount(colgroup, minlength=count))[:-1])
 
 
-@dataclass(frozen=True)
-class _ColumnRun:
-    """Every block of one (query group, column group), derived once.
+class _Run(NamedTuple):
+    """An evenly spaced run of one column group's blocks in one query group.
 
-    Window jobs are block ranges ``[a, b)`` of a column run: their
-    tensors are slices of the run's and their contiguity facts are the
-    run's, shifted by ``a`` blocks — so each fact is verified by one
-    comparison per column group, however many jobs it is cut into.  In
-    a plan with ``first_query > 0`` the block that straddles the first
-    query is a one-block run of its own whose rows start at the first
-    query (:func:`_column_run`'s ``skip``): no row below it is computed.
-    ``full`` marks the rows whose every cell is valid (a whole pass: its
-    used rows); the blocks of the other passes also point into their
-    expanded cells.
+    Blocks are the tiling's: ``pos[i]`` is the group position of block
+    ``i``'s first computed row and ``lens[i]`` its computed rows.  In a
+    plan with ``first_query > 0`` the block straddling the first query
+    is a one-block run of its own whose rows start at the first query
+    (``skip`` rows in): no row below it is computed.
     """
 
-    idxs: np.ndarray  # (B,) pass indices in block order
-    lengths: Tuple[int, ...]  # rows used per block
-    skip: int  # rows of each pass before row 0 of the run
-    slots: np.ndarray  # (B,) int64 index into the expanded cells, -1 if whole
-    first_block: int  # group position of block 0's first query
-    block_step: int  # group positions from one block to the next
-    cols: int
-    seg_sig: Tuple[Tuple[int, int], ...]  # (width, dilation) per segment
-    q_ids: np.ndarray  # (B, R) int64, -1 on padding
-    keep: np.ndarray  # (B, R) bool
-    full: np.ndarray  # (B, R) bool: every cell of the row is valid
-    streams: Tuple[np.ndarray, ...]  # per segment: (L,) key ids, clipped
-    starts: Tuple[Optional[int], ...]  # per segment, as SegmentStream.start
-    q_start: Optional[int]  # as WindowJob.q_start
+    tiling: GroupTiling
+    group: int  # position of ``tiling`` in PassIndex.tilings
+    segments: Tuple[BandSegment, ...]
+    pids: np.ndarray  # (B,) pass indices in block order
+    pos: List[int]
+    lens: List[int]
+    rows: int  # max(lens)
+    skip: int
+    step: int  # group positions from one block to the next; ``rows`` for one block
+
+    def stream_start(self, seg: BandSegment, n: int) -> Optional[int]:
+        """``SegmentStream.start`` of the run's whole key stream for ``seg``.
+
+        The stream is ``clip(base + i * dilation, 0, n - 1)``; undilated,
+        its recovered range start (:func:`_clipped_arange_start`) has a
+        closed form: ``base`` itself unless the stream is clamped
+        throughout.  A dilated stream is compared element by element.
+        """
+        base = seg.key_residue + (self.pos[0] + seg.rel_lo) * seg.dilation
+        length = (len(self.lens) - 1) * self.step + self.rows + seg.width - 1
+        if seg.dilation > 1:
+            return _clipped_arange_start(_clamp(base + np.arange(length) * seg.dilation, n), n)
+        if n == 1 or base + length - 1 <= 0:
+            return 1 - length  # zeros throughout
+        return base if base <= n - 1 else n - 1
+
+    def q_start(self) -> Optional[int]:
+        """``WindowJob.q_start`` of the run's ``(B, rows)`` query ids, in closed form."""
+        t = self.tiling
+        if t.dilation == 1 and (len(self.lens) == 1 or self.step == self.rows):
+            return t.residue + self.pos[0]
+        if sum(self.lens) == 1:
+            return t.residue + self.pos[0] * t.dilation
+        return None
 
 
-#: A block range ``[a, b)`` of a column run: one member of a window job.
-_Cut = Tuple[_ColumnRun, int, int]
+#: A block range ``[a, b)`` of a run: one member of a window job.
+_Cut = Tuple[_Run, int, int]
 
 
-def _even_runs(idxs: List[int], q_ids: np.ndarray) -> List[List[int]]:
-    """One column group's passes cut into maximal evenly spaced block runs.
+def _even_block_runs(blocks: np.ndarray, starts: np.ndarray) -> List[np.ndarray]:
+    """One column group's blocks cut into maximal evenly spaced runs.
 
     The scheduler drops zero-work passes, and the dropped block can sit
     in the *middle* of a column group (its in-range keys are all global
     tokens, or the group packs segments of two bands in range at
-    opposite sequence ends only), leaving a gap in the block grid.  Each
-    run is a regular column group of its own; the runs cover disjoint
-    blocks and stay consecutive in master order, so no query's merge
-    order moves.
+    opposite sequence ends only), leaving a gap.  Each run is greedy:
+    it takes the step (in block ``starts``) of its first two blocks and
+    ends where the next step differs; the runs cover disjoint blocks and
+    stay consecutive in master order, so no query's merge order moves.
     """
-    steps = np.diff(q_ids[idxs, 0])
+    steps = np.diff(starts[blocks])
     if (steps == steps[:1]).all():  # one block grid, no gap
-        return [idxs]
+        return [blocks]
+    steps = steps.tolist()
     runs, a = [], 0
     for i in range(1, len(steps)):
         if steps[i] != steps[a]:
-            runs.append(idxs[a : i + 1])
+            runs.append(blocks[a : i + 1])
             a = i + 1
-    runs.append(idxs[a:])
+    runs.append(blocks[a:])
     return runs
 
 
-def _column_run(
-    index: "PassIndex",
-    n: int,
-    idxs: List[int],
-    q_ids: np.ndarray,
-    keep: np.ndarray,
-    full: np.ndarray,
-    slots: np.ndarray,
-    skip: int = 0,
-) -> _ColumnRun:
-    """The :class:`_ColumnRun` of one evenly spaced run of passes.
+def _interior(runs: List[_Run]) -> List[List[_Cut]]:
+    """One query group's runs cut into [interior, leading, trailing].
 
-    ``skip`` drops the first rows of a one-block run: the block that
-    straddles a plan's first query starts at its first live row, so its
-    query ids, masks, key streams and range facts all begin there.
+    The *interior* is the run of blocks where every live column group
+    has work; the blocks before and after it (clipped at a sequence
+    edge) are the leading and trailing *edge*.  Each part lists the
+    runs restricted to its blocks, master order kept, empty ones
+    dropped.  Runs are evenly spaced, so the interior spans the latest
+    first block to the earliest last one; a group where that span is
+    empty (a column group cut at a gap) or off one block grid stays whole.
     """
-    ia = np.asarray(idxs, dtype=np.int64)
-    q = q_ids[ia, skip:]
-    lengths = (q >= 0).sum(axis=1)
-    rows = int(lengths.max())
-    segments = index.colgroups[index.colgroup[idxs[0]]]
-    first_block = int(index.qpos[idxs[0], 0]) + skip
-    block_step = int(index.qpos[idxs[1], 0]) - first_block if len(idxs) > 1 else rows
-    q = np.ascontiguousarray(q[:, :rows])
-    streams, starts = [], []
-    for seg in segments:
-        # Key id at (block b, row r, column t): base + (b*step + r + t)*dil.
-        base = seg.key_residue + (first_block + seg.rel_lo) * seg.dilation
-        length = (len(idxs) - 1) * block_step + rows + seg.width - 1
-        offsets = np.arange(length, dtype=np.int64) * seg.dilation
-        streams.append(_clamp(base + offsets, n))
-        starts.append(_clipped_arange_start(streams[-1], n))
-    return _ColumnRun(
-        idxs=ia,
-        lengths=tuple(lengths.tolist()),
-        skip=skip,
-        slots=slots[ia],
-        first_block=first_block,
-        block_step=block_step,
-        cols=int(index.cols_used[idxs[0]]),
-        seg_sig=tuple((seg.width, seg.dilation) for seg in segments),
-        q_ids=q,
-        keep=np.ascontiguousarray(keep[ia][:, skip : skip + rows]),
-        full=np.ascontiguousarray(full[ia][:, skip : skip + rows]),
-        streams=tuple(streams),
-        starts=tuple(starts),
-        q_start=_padded_arange_start(q.ravel()),
-    )
-
-
-def _split_blocks(cols: List[_ColumnRun]) -> List[List[_Cut]]:
-    """One query group's column runs cut into [interior, leading, trailing].
-
-    The *interior* is the run of query blocks in which every column group
-    is live; blocks before and after it (clipped at a sequence edge, so
-    some column groups were dropped there) are the leading and trailing
-    *edge*.  Each part lists the group's column runs restricted to its
-    blocks, master order kept and empty ones dropped.  Blocks are told
-    apart by their start position alone, so every query block lands in
-    exactly one part.  Column runs are evenly spaced, so the interior
-    spans the latest first block to the earliest last one; a group where
-    that span is empty, or whose column runs do not share one block grid
-    across it, stays whole.
-    """
-    whole: List[List[_Cut]] = [[(c, 0, len(c.idxs)) for c in cols], [], []]
-    if not cols:
+    whole: List[List[_Cut]] = [[(r, 0, len(r.pos)) for r in runs], [], []]
+    if not runs:
         return whole
-    lo = max(c.first_block for c in cols)
-    hi = min(c.first_block + (len(c.idxs) - 1) * c.block_step for c in cols)
-    steps = {c.block_step for c in cols if len(c.idxs) > 1} or {1}
+    lo = max(r.pos[0] for r in runs)
+    hi = min(r.pos[-1] for r in runs)
+    steps = {r.step for r in runs if len(r.pos) > 1} or {1}
     step = min(steps)
-    if lo > hi or len(steps) > 1 or step <= 0 or any((lo - c.first_block) % step for c in cols):
+    if lo > hi or len(steps) > 1 or any((lo - r.pos[0]) % step for r in runs):
         return whole
     parts: List[List[_Cut]] = [[], [], []]
-    for c in cols:
-        a = (lo - c.first_block) // step
+    for r in runs:
+        a = (lo - r.pos[0]) // step
         b = a + (hi - lo) // step + 1
-        for part, (x, y) in zip(parts, ((a, b), (0, a), (b, len(c.idxs)))):
+        for part, (x, y) in zip(parts, ((a, b), (0, a), (b, len(r.pos)))):
             if x < y:
-                part.append((c, x, y))
+                part.append((r, x, y))
     return parts
 
 
-def _build_window_jobs(
-    index: "PassIndex",
-    n: int,
-    q_ids: np.ndarray,
-    keep: np.ndarray,
-    full: np.ndarray,
-    slots: np.ndarray,
-    cells: np.ndarray,
-    first_query: int,
-) -> Tuple[WindowJob, ...]:
-    """Batch the pass stream into window-job families (see module docstring).
+def _group_runs(index: PassIndex, group: int, offset: int, first_query: int):
+    """One query group's runs, from its tiling: ``[interior, leading,
+    trailing, straddle]`` cuts, column groups in master order in each."""
+    t = index.tilings[group]
+    _, order = index.orders[group]
+    work = t.has_work
+    pid = np.cumsum(work.ravel()).reshape(work.shape) + (offset - 1)
+    live = np.flatnonzero(work.any(axis=0))
+    first = work[:, live].argmax(axis=0)
+    column = dict(zip(index.colgroup[pid[first, live]].tolist(), live.tolist()))
+    lens = t.stops - t.starts
+    start0, len0 = int(t.starts[0]), int(lens[0])
+    # Rows of block 0 below the first query (only block 0 can straddle it).
+    skip = min(max(-((t.residue - first_query) // t.dilation) - start0, 0), len0)
+    whole, straddle = [], []
+    for cg in order:
+        c = column[cg]
+        segments = index.colgroups[cg]
+        for blocks in _even_block_runs(np.flatnonzero(work[:, c]), t.starts):
+            if skip and blocks[0] == 0:
+                rows = len0 - skip
+                head = [start0 + skip]
+                run = _Run(t, group, segments, pid[:1, c], head, [rows], rows, skip, rows)
+                straddle.append((run, 0, 1))
+                blocks = blocks[1:]
+            if len(blocks):
+                pos, used, pids = t.starts[blocks].tolist(), lens[blocks].tolist(), pid[blocks, c]
+                rows = max(used)
+                step = pos[1] - pos[0] if len(pos) > 1 else rows
+                whole.append(_Run(t, group, segments, pids, pos, used, rows, 0, step))
+    return _interior(whole) + [straddle]
 
-    Within each query group, column groups execute in the group's master
-    order (``PassIndex.orders``).  Query groups of one dilation are
-    disjoint residue classes, so within a consecutive run of same
-    dilation groups the ``k``-th column groups are independent and
-    same-geometry jobs batch into one family — all residue classes of a
-    dilated band execute in a single set of GEMMs.  Groups of
-    *different* dilations can share queries, so distinct runs stay in
-    group order.
 
-    Each run is emitted as consecutive sub-runs — the interiors of its
-    groups, then their leading and their trailing edges
-    (:func:`_split_blocks`) — so that all interior jobs of a group cover
-    the same blocks and fold into one :class:`JobChain`.  The regrouping
-    cannot reorder any query's merges: a query block lives in exactly
-    one sub-run, there its column groups still run in master order, and
-    the sub-runs of one same-dilation run cover disjoint queries.
+def _build_window_jobs(cp: "CompiledPlan", full, slots, cells) -> Tuple[WindowJob, ...]:
+    """Window jobs from the scheduler's tiling (see module docstring).
 
-    A plan whose queries start late (``first_query > 0``) computes no row
-    below its first query: in the block that straddles it (the first of
-    its column runs the scheduler kept), every column group's pass is
-    cut into a column run of its own that starts at the first live row,
-    and these form a fourth sub-run.  The cut reads ``first_query``
-    only — a global query row is left out of ``keep`` but still
-    computed — and leaves the passes themselves, so every cost model,
-    untouched: the hardware still spends the full PE block.  ``full``
-    marks the rows whose every cell is valid; ``slots[p]`` indexes pass
-    ``p``'s expanded ``cells``, -1 for a whole pass.
+    Column groups run in each query group's master order.  Groups of one
+    dilation are disjoint residue classes, so in a consecutive run of
+    same-dilation groups the ``k``-th cuts batch into families (one set
+    of GEMMs for every residue class); groups of different dilations can
+    share queries and stay in order.  Each run is emitted as sub-runs —
+    interiors, leading edges, trailing edges, first-query straddle
+    blocks (:func:`_group_runs`) — so a group's interior jobs cover the
+    same blocks and fold into one :class:`JobChain`.  No query's merges
+    move: a query block lives in one sub-run, which keeps master order.
+    The straddle cut reads ``first_query`` only (a global query row is
+    left out of ``keep`` but computed) and leaves the passes, so every
+    cost model, untouched.  ``full`` / ``slots`` / ``cells``: see
+    :func:`_cell_facts`.
     """
-    members = _members(index.colgroup, len(index.colgroups))
-    runs: List[List[List[List[_Cut]]]] = []  # per run, per group: its sub-runs
-    last_dil = None
-    for dil, order in index.orders:
-        if dil != last_dil or not runs:
+    index = cp.passes
+    runs: List[List[List[List[_Cut]]]] = []  # per same-dilation run, per group: sub-runs
+    last_dil, offset = None, 0
+    for group, t in enumerate(index.tilings):
+        if t.dilation != last_dil or not runs:
             runs.append([])
-            last_dil = dil
-        whole, trimmed = [], []
-        for cg in order:
-            for run in _even_runs(members[cg].tolist(), q_ids):
-                ids = q_ids[run[0]]
-                skip = int(np.count_nonzero((ids >= 0) & (ids < first_query)))
-                if skip:
-                    head = _column_run(index, n, run[:1], q_ids, keep, full, slots, skip)
-                    trimmed.append((head, 0, 1))
-                    run = run[1:]
-                if run:
-                    whole.append(_column_run(index, n, run, q_ids, keep, full, slots))
-        runs[-1].append(_split_blocks(whole) + [trimmed])
-
+            last_dil = t.dilation
+        runs[-1].append(_group_runs(index, group, offset, cp.first_query))
+        offset += int(np.count_nonzero(t.has_work))
+    # One clamped id ramp spans every undilated key stream: a stream starts
+    # at ``key_residue + rel_lo + pos`` (``0 <= pos < n``) and ends before
+    # the padded rows of a block starting below ``n`` run ``width`` past it.
+    undilated = [s for cg in index.colgroups for s in cg if s.dilation == 1]
+    lo = min([0] + [s.key_residue + s.rel_lo for s in undilated])
+    hi = cp.n + cp.pad_rows + max([0] + [s.key_residue + s.rel_lo + s.width for s in undilated])
+    ramp = _clamp(np.arange(lo, hi, dtype=np.int64), cp.n)
+    facts = _Facts(cp, full, slots, cells, {}, ramp, lo)
     jobs: List[WindowJob] = []
     for run in runs:
         for sub in zip(*run):
             for k in range(max(len(g) for g in sub)):
-                jobs.extend(_position_families([g[k] for g in sub if k < len(g)], cells))
+                jobs.extend(_families(facts, [g[k] for g in sub if k < len(g)]))
     return tuple(jobs)
 
 
-def _build_schedule(cp: CompiledPlan) -> ExecutionSchedule:
-    """Derive the :class:`ExecutionSchedule` of a compiled plan."""
-    # Only a pass whose valid count falls short of its rectangle has an
-    # invalid cell, and only those are expanded.
+class _Facts(NamedTuple):
+    """What :func:`_families` reads besides the cuts (see :func:`_cell_facts`)."""
+
+    cp: "CompiledPlan"
+    full: np.ndarray
+    slots: np.ndarray
+    cells: np.ndarray
+    shared: dict  # query-range key -> (q_ids, q_safe, keep): one per block range
+    ramp: np.ndarray  # clip(arange(lo, lo + len), 0, n - 1): every undilated stream is a slice
+    lo: int
+
+
+def _families(facts: _Facts, cuts: List[_Cut]) -> List[WindowJob]:
+    """Families among the ``k``-th cuts of one same-dilation sub-run of groups.
+
+    Cuts with equal signatures have identical strided-view geometry and
+    batch into one job, differing only in gather bases and boundary
+    masks.  Jobs over the same block range share their query arrays
+    (``facts.shared``), which is how :func:`_build_job_chains` sees them
+    chain.  A block is masked where a member's row within the job is not
+    full — a short block, or an invalid cell of an expanded pass — and
+    only the masked block run's cells are built.
+    """
+    cp, full, slots, cells, shared, ramp, lo = facts
+    buckets: dict = {}  # signature -> cuts
+    for r, a, b in cuts:
+        rows = max(r.lens[a:b])
+        block_step = r.step if b - a > 1 else rows
+        cols = sum(seg.width for seg in r.segments)
+        sig = (b - a, rows, cols, block_step, tuple((s.width, s.dilation) for s in r.segments))
+        buckets.setdefault(sig, []).append((r, a, b))
+    n = cp.n
+    jobs: List[WindowJob] = []
+    for (num_blocks, rows, cols, block_step, seg_sig), members in buckets.items():
+        r0, a0, _ = members[0]
+        lone = len(members) == 1  # range facts describe a single group's ids
+        pids = _stack([r.pids[a:b] for r, a, b in members])  # (G, B)
+        rowsel = [slice(r.skip, r.skip + rows) for r, _, _ in members]
+        key = (tuple((r.group, r.pos[a]) for r, a, _ in members), num_blocks, block_step, rows)
+        if key not in shared:
+            q_ids = _stack([cp.q_ids[p, s] for p, s in zip(pids, rowsel)])
+            keep = _stack([cp.keep[p, s] for p, s in zip(pids, rowsel)])
+            shared[key] = (q_ids, np.maximum(q_ids, 0), keep)
+        q_ids, q_safe, keep = shared[key]
+        streams: List[SegmentStream] = []
+        # Segment order == column order: the engine lays the
+        # per-segment bands side by side along the column axis in this order.
+        for s, (width, dil) in enumerate(seg_sig):
+            length = (num_blocks - 1) * block_step + rows + width - 1
+            ids = []
+            for r, a, _ in members:
+                seg = r.segments[s]
+                base = seg.key_residue + (r.pos[a] + seg.rel_lo) * dil
+                if dil == 1:
+                    ids.append(ramp[base - lo : base - lo + length])
+                else:
+                    ids.append(_clamp(base + np.arange(length, dtype=np.int64) * dil, n))
+            start = None
+            if lone:
+                start = r0.stream_start(r0.segments[s], n)
+                start = None if start is None else start + a0 * r0.step
+            streams.append(SegmentStream(_stack(ids), width, block_step, start))
+        bad = set()
+        for r, a, b in members:
+            if min(r.lens[a:b]) < rows:  # a short block pads rows
+                bad.update(i for i, used in enumerate(r.lens[a:b]) if used < rows)
+        sl = slots[pids]
+        expanded = np.flatnonzero((sl >= 0).any(axis=0)).tolist() if sl.max() >= 0 else []
+        bad.update(i for i in expanded if not all(full[p[i], s].all() for p, s in zip(pids, rowsel)))
+        m0, m1 = (min(bad), max(bad) + 1) if bad else (0, 0)
+        validf = np.zeros((1, len(members), 0, rows, cols))
+        if m1 > m0:
+            validf = np.empty((1, len(members), m1 - m0, rows, cols))
+            for g, (p, s) in enumerate(zip(pids, rowsel)):
+                validf[0, g] = full[p[m0:m1], s][:, :, None]  # exact for whole passes
+                for i in expanded:
+                    if m0 <= i < m1 and slots[p[i]] >= 0:
+                        validf[0, g, i - m0] = cells[slots[p[i]], s, :cols]
+        key_views = []
+        for seg in streams:
+            ids = seg.gather_ids
+            s_g, s_l = ids.strides
+            view = np.ndarray(
+                (len(members), num_blocks, rows, seg.width), np.int64, ids, 0,
+                (s_g, block_step * s_l, s_l, s_l),
+            )  # fmt: skip
+            view.flags.writeable = False
+            key_views.append(view)
+        q_start = r0.q_start() if lone else None
+        jobs.append(
+            WindowJob(
+                pass_indices=pids.ravel(),
+                num_groups=len(members),
+                num_blocks=num_blocks,
+                rows=rows,
+                cols=cols,
+                q_ids=q_ids,
+                q_safe=q_safe,
+                keep=keep,
+                segments=tuple(streams),
+                masked=(m0, m1),
+                validf=validf,
+                key_views=tuple(key_views),
+                q_start=None if q_start is None else q_start + a0 * r0.rows,
+            )
+        )
+    return jobs
+
+
+def _cell_facts(cp: "CompiledPlan") -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(full, slots, cells)`` of a compiled plan's passes.
+
+    Only a pass whose valid count falls short of its rectangle has an
+    invalid cell, and only those are expanded: ``cells`` holds their
+    ``(R, C)`` validity, ``slots[p]`` indexes pass ``p``'s (-1 for a
+    whole pass) and ``full (P, R)`` marks the rows whose every cell is
+    valid.
+    """
     rest = np.flatnonzero(cp.valid_counts != cp.rows_used * cp.cols_used)
     slots = np.full(cp.num_passes, -1, dtype=np.int64)
     slots[rest] = np.arange(len(rest))
@@ -748,9 +827,16 @@ def _build_schedule(cp: CompiledPlan) -> ExecutionSchedule:
     full = np.arange(cp.pad_rows) < cp.rows_used[:, None]
     padding = np.arange(cp.pad_cols) >= cp.cols_used[rest, None]
     full[rest] = (cells | padding[:, None, :]).all(axis=2)
-    jobs = _build_window_jobs(
-        cp.passes, cp.n, cp.q_ids, cp.keep, full, slots, cells, cp.first_query
-    )
+    return full, slots, cells
+
+
+def _build_schedule(cp: CompiledPlan) -> ExecutionSchedule:
+    """Derive the :class:`ExecutionSchedule` of a compiled plan."""
+    return _finish_schedule(cp, _build_window_jobs(cp, *_cell_facts(cp)))
+
+
+def _finish_schedule(cp: CompiledPlan, jobs: Tuple[WindowJob, ...]) -> ExecutionSchedule:
+    """The :class:`ExecutionSchedule` around a plan's window jobs."""
     chains = _build_job_chains(jobs, cp.n)
     ranges = [(ch.wide_start, ch.wide_ids.shape[1]) for ch in chains if ch.wide_ids is not None]
     for job in jobs:
@@ -776,100 +862,6 @@ def _build_schedule(cp: CompiledPlan) -> ExecutionSchedule:
     )
 
 
-def _stack(blocks: List[np.ndarray]) -> np.ndarray:
-    """Contiguous ``(G, ...)`` stack of per-group arrays; no copy for one."""
-    if len(blocks) == 1:
-        return np.ascontiguousarray(blocks[0][None])
-    return np.stack(blocks)
-
-
-def _cut_valid(cut: _Cut, rows: int, cells: np.ndarray) -> np.ndarray:
-    """``(b - a, rows, cols)`` float64 cell validity of a cut's blocks."""
-    c, a, b = cut
-    valid = np.empty((b - a, rows, c.cols))
-    valid[...] = c.full[a:b, :rows, None]  # exact for the blocks of whole passes
-    for i in np.flatnonzero(c.slots[a:b] >= 0).tolist():
-        valid[i] = cells[c.slots[a + i], c.skip : c.skip + rows, : c.cols]
-    return valid
-
-
-def _position_families(cuts: List[_Cut], cells: np.ndarray) -> List[WindowJob]:
-    """Families among the ``k``-th cuts of one same-dilation sub-run of groups.
-
-    Cuts with equal signatures have identical strided-view geometry and
-    batch into one job, differing only in gather bases and boundary
-    masks.  A block is masked where a member's row within the job is
-    not full (padding, or an invalid cell of an expanded pass), and
-    only the masked block run's cells are built.
-    """
-    buckets: dict = {}  # signature -> cuts
-    for c, a, b in cuts:
-        rows = max(c.lengths[a:b])
-        block_step = c.block_step if b - a > 1 else rows
-        sig = (b - a, rows, c.cols, block_step, c.seg_sig)
-        buckets.setdefault(sig, []).append((c, a, b))
-    jobs: List[WindowJob] = []
-    for (num_blocks, rows, cols, block_step, seg_sig), members in buckets.items():
-        c0, a0, _ = members[0]
-        lone = len(members) == 1  # range facts describe a single group's ids
-        job_q_ids = _stack([c.q_ids[a:b, :rows] for c, a, b in members])
-        streams: List[SegmentStream] = []
-        # Segment order == column order: the engine lays the
-        # per-segment bands side by side along the column axis in this order.
-        for s, (width, _) in enumerate(seg_sig):
-            length = (num_blocks - 1) * block_step + rows + width - 1
-            streams.append(
-                SegmentStream(
-                    gather_ids=_stack(
-                        [c.streams[s][a * c.block_step :][:length] for c, a, _ in members]
-                    ),
-                    width=width,
-                    block_step=block_step,
-                    start=c0.starts[s] + a0 * c0.block_step
-                    if lone and c0.starts[s] is not None
-                    else None,
-                )
-            )
-        full = _stack([c.full[a:b, :rows] for c, a, b in members])
-        bad = np.flatnonzero(~full.all(axis=(0, 2)))
-        m0, m1 = (int(bad[0]), int(bad[-1]) + 1) if bad.size else (0, 0)
-        validf = np.zeros((1, len(members), 0, rows, cols))
-        if m1 > m0:
-            blocks = [_cut_valid((c, a + m0, a + m1), rows, cells) for c, a, _ in members]
-            validf = _stack(blocks)[None]
-        key_views = []
-        for seg in streams:
-            s_g, s_l = seg.gather_ids.strides
-            key_views.append(
-                as_strided(
-                    seg.gather_ids,
-                    (len(members), num_blocks, rows, seg.width),
-                    (s_g, block_step * s_l, s_l, s_l),
-                    writeable=False,
-                )
-            )
-        jobs.append(
-            WindowJob(
-                pass_indices=np.concatenate([c.idxs[a:b] for c, a, b in members]),
-                num_groups=len(members),
-                num_blocks=num_blocks,
-                rows=rows,
-                cols=cols,
-                q_ids=job_q_ids,
-                q_safe=np.maximum(job_q_ids, 0),
-                keep=_stack([c.keep[a:b, :rows] for c, a, b in members]),
-                segments=tuple(streams),
-                masked=(m0, m1),
-                validf=validf,
-                key_views=tuple(key_views),
-                q_start=c0.q_start + a0 * c0.q_ids.shape[1]
-                if lone and c0.q_start is not None
-                else None,
-            )
-        )
-    return jobs
-
-
 @dataclass(frozen=True, eq=False)
 class PassIndex(Sequence[TilePass]):
     """A plan's passes, held column-wise: the single index derivation.
@@ -883,6 +875,10 @@ class PassIndex(Sequence[TilePass]):
     each query group as its dilation and its column groups in master
     order (:func:`_merge_order`).  ``first_pass[k]``: the first pass
     streaming key ``k``, ``P`` if none (plans with global tokens only).
+    ``tilings`` are those query groups as the scheduler tiled them
+    (:class:`~repro.scheduler.plan.GroupTiling`): group ``g``'s passes
+    are its has-work cells in row-major order, numbered on from the
+    groups before it, and the window jobs are built from them.
 
     As a sequence it is the pass list (``plan.passes``): ``len`` reads
     the arrays, and the :class:`TilePass` objects are built on the first
@@ -902,6 +898,7 @@ class PassIndex(Sequence[TilePass]):
     colgroups: Tuple[Tuple[BandSegment, ...], ...]
     orders: Tuple[Tuple[int, Tuple[int, ...]], ...]
     first_pass: Optional[np.ndarray]  # (n,) int64
+    tilings: Tuple[GroupTiling, ...]  # the query groups with work, as ``orders``
 
     @cached_property
     def objects(self) -> Tuple[TilePass, ...]:
@@ -925,7 +922,7 @@ class PassIndex(Sequence[TilePass]):
 
 
 def _index(
-    n, global_tokens, qpos, lengths, residues, dilations, colgroup, colgroups, orders
+    n, global_tokens, qpos, lengths, residues, dilations, colgroup, colgroups, orders, tilings
 ) -> PassIndex:
     """The :class:`PassIndex` of passes given by their rows and column groups.
 
@@ -969,6 +966,7 @@ def _index(
     return PassIndex(
         lengths, cols_used, residues, dilations, qpos, col_base, col_dil,
         distinct, exact, colgroup, tuple(colgroups), tuple(orders), first_pass,
+        tuple(tilings),
     )  # fmt: skip
 
 
@@ -982,10 +980,9 @@ def tiling_index(
     (:func:`_merge_order` of each block's live column groups).
     """
     colgroups, orders, tables = [], [], [np.empty((0, 5), dtype=np.int64)]
-    for g in groups:
+    tilings = [g for g in groups if g.has_work.any()]
+    for g in tilings:
         b, c = np.nonzero(g.has_work)
-        if not len(b):
-            continue
         live = np.flatnonzero(g.has_work.any(axis=0))
         seen = live[np.argsort(g.has_work[:, live].argmax(axis=0), kind="stable")]  # by first block
         ids = np.zeros(len(g.colgroups), dtype=np.int64)
@@ -1000,7 +997,9 @@ def tiling_index(
     lengths = stops - starts
     rows = np.arange(int(lengths.max()) if len(lengths) else 1, dtype=np.int64)
     qpos = np.where(rows < lengths[:, None], starts[:, None] + rows, 0)
-    return _index(n, global_tokens, qpos, lengths, residues, dilations, colgroup, colgroups, orders)
+    return _index(
+        n, global_tokens, qpos, lengths, residues, dilations, colgroup, colgroups, orders, tilings
+    )
 
 
 def _global_row_schedule(

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.scheduler.compiled import PassIndex, _index, _merge_order
-from repro.scheduler.plan import TilePass
+from repro.scheduler.plan import GroupTiling, TilePass
 
 
 def pass_index(passes: Sequence[TilePass], n: int, global_tokens: Sequence[int]) -> PassIndex:
@@ -56,4 +56,40 @@ def pass_index(passes: Sequence[TilePass], n: int, global_tokens: Sequence[int])
     qpos[rows < lengths[:, None]] = np.fromiter(
         (p for tp in passes for p in tp.q_positions), dtype=np.int64, count=int(lengths.sum())
     )
-    return _index(n, global_tokens, qpos, lengths, residues, dilations, colgroup, colgroups, orders)
+    tilings = [
+        _tiling(gkey, order, passes, colgroup, colgroups) for gkey, (_, order) in zip(blocks, orders)
+    ]
+    walk = [i for t, (_, order) in zip(tilings, orders) for i in _cells(t, order, passes, colgroup)]
+    assert walk == list(range(num)), "passes do not run block by block in master order"
+    return _index(
+        n, global_tokens, qpos, lengths, residues, dilations, colgroup, colgroups, orders, tilings
+    )
+
+
+def _tiling(gkey, order, passes, colgroup, colgroups) -> GroupTiling:
+    """A query group's :class:`GroupTiling`: its blocks x its column groups
+    in master order, work where the list has a pass."""
+    mine = [i for i, tp in enumerate(passes) if (tp.query_residue, tp.dilation) == gkey]
+    spans = sorted({(passes[i].q_positions[0], len(passes[i].q_positions)) for i in mine})
+    starts = np.array([s for s, _ in spans], dtype=np.int64)
+    assert len(set(starts.tolist())) == len(spans), f"query group {gkey}: blocks of two lengths"
+    column = {cg: j for j, cg in enumerate(order)}
+    has_work = np.zeros((len(spans), len(order)), dtype=bool)
+    block = {s: b for b, s in enumerate(starts.tolist())}
+    for i in mine:
+        has_work[block[passes[i].q_positions[0]], column[int(colgroup[i])]] = True
+    stops = starts + np.array([length for _, length in spans], dtype=np.int64)
+    segments = tuple(colgroups[cg] for cg in order)
+    return GroupTiling(gkey[0], gkey[1], starts, stops, segments, has_work)
+
+
+def _cells(tiling, order, passes, colgroup):
+    """The list positions of a tiling's has-work cells, row-major."""
+    where = {
+        (tp.query_residue, tp.dilation, tp.q_positions[0], int(colgroup[i])): i
+        for i, tp in enumerate(passes)
+    }
+    key = (tiling.residue, tiling.dilation)
+    return [
+        where[key + (int(tiling.starts[b]), order[c])] for b, c in zip(*np.nonzero(tiling.has_work))
+    ]

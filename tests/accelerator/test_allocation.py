@@ -92,6 +92,26 @@ def test_warm_wide_chain_is_allocation_free_through_both_doors():
     assert peak <= owned + SLACK_BYTES
 
 
+def test_warm_long_global_chain_is_allocation_free_through_both_doors():
+    """A global row folded over 129 key batches: its weights, coefficients
+    and scaled parts are ``(lanes, batches, globals[, d])`` arena views,
+    through float operands (``run``) and operand codes (``run_codes``)."""
+    pattern = longformer_pattern(4096, 256, (0,))
+    plan = DataScheduler(HardwareConfig()).schedule(pattern, heads=2, head_dim=8)
+    assert plan.compiled().global_batches.shape[0] == 129
+    rng = np.random.default_rng(9)
+    q, k, v = (rng.standard_normal((pattern.n, 16)) for _ in range(3))
+    engine = FunctionalEngine(plan)
+    peak, owned = _measure(engine, q, k, v)
+    assert peak <= owned + SLACK_BYTES
+    codes = [
+        [np.rint(16 * x.reshape(pattern.n, 2, 8).transpose(1, 0, 2)).clip(-128, 127).astype(np.float32)]
+        for x in (q, k, v)
+    ]
+    peak, owned = _measure(engine, *codes, door="run_codes")
+    assert peak <= owned + SLACK_BYTES
+
+
 def test_warm_attend_with_valid_lens_budget():
     """The padded-tail masking path shares the same scratch pool."""
     pattern = longformer_pattern(512, 64, (0,))

@@ -12,6 +12,9 @@ from repro.baselines.sparse_reference import (
     sparse_attention_rowwise,
     split_window_attention,
 )
+from repro.decode.session import decode_pattern
+from repro.patterns.base import Band
+from repro.patterns.hybrid import HybridSparsePattern
 from repro.patterns.library import longformer_pattern
 from repro.patterns.window import SlidingWindowPattern
 
@@ -96,3 +99,19 @@ class TestSplitWindow:
         q, k, v = _data()
         with pytest.raises(ValueError):
             split_window_attention(q, k, v, longformer_pattern(16, 4, ()), split=0)
+
+    def test_late_start_rows_read_zero(self):
+        """Rows below ``first_query`` hold no query: 0.0, as in the rowwise oracle."""
+        q, k, v = _data(n=64)
+        pattern = decode_pattern((Band(-63, 0),), (), 64, 64, first_query=32)
+        ref = sparse_attention_rowwise(q, k, v, pattern)
+        for split in (1, 7, 64):
+            out = split_window_attention(q, k, v, pattern, split=split)
+            assert np.allclose(out, ref, atol=1e-10)
+            assert not out[:32].any()
+
+    def test_keyless_row_at_or_above_first_query_raises(self):
+        q, k, v = _data(n=8)
+        pattern = HybridSparsePattern(8, [Band(5, 5)], (), first_query=2)  # rows 3.. keyless
+        with pytest.raises(ValueError, match="query 3 attends to no keys"):
+            split_window_attention(q, k, v, pattern, split=2)

@@ -272,7 +272,12 @@ class TestClosedFormMatchesPerPassReference:
 
 
 def _assert_same_index(got, ref):
+    # ``tilings`` is not compared: the oracle lays a group's column groups
+    # out in master order, the scheduler in packing order; the window-job
+    # order built from either is compared by the caller.
     for f in dataclasses.fields(got):
+        if f.name == "tilings":
+            continue
         a, b = getattr(got, f.name), getattr(ref, f.name)
         if isinstance(a, np.ndarray):
             assert a.dtype == b.dtype and np.array_equal(a, b), f.name

@@ -11,8 +11,13 @@ a column group with a dropped block inside is cut at the gap, never
 refused), next to the partition law, the Table-2 chain shapes the
 production path is built around, the degenerate splits, the gap cut
 and the contiguity facts (``start`` / ``q_start`` / ``wide_start``) that
-let engines slice where they used to gather.
+let engines slice where they used to gather.  The schedule is built from
+the scheduler's tiling; :class:`TestTilingBuilderMatchesPassListOracle`
+holds every field of it equal to the builder that re-derived it from
+the flattened pass list (``tests/_schedule_oracle.py``).
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -28,7 +33,9 @@ from repro.patterns.library import (
     star_transformer_pattern,
     vil_pattern,
 )
-from repro.scheduler.compiled import _clipped_arange_start, _even_runs, _wide_stream
+from _schedule_oracle import _even_runs, build_schedule
+from _scheduler_cases import MAX_N, structured_patterns
+from repro.scheduler.compiled import _clipped_arange_start, _wide_stream
 from repro.scheduler.scheduler import DataScheduler, SchedulerError
 
 PATTERN_CASES = [
@@ -303,3 +310,56 @@ class TestContiguityFacts:
         assert _clipped_arange_start(np.array([0, 0, 2, 3]), 10) is None
         assert _clipped_arange_start(np.array([3, 6, 9]), 10) is None
         assert _clipped_arange_start(np.array([5, 4, 3]), 10) is None
+
+
+def _assert_same_value(got, want, path="schedule"):
+    """Field-by-field equality of schedule values (arrays by dtype, shape
+    and contents; dataclasses, tuples and lists recursively)."""
+    if dataclasses.is_dataclass(got):
+        assert type(got) is type(want), path
+        for f in dataclasses.fields(got):
+            _assert_same_value(getattr(got, f.name), getattr(want, f.name), f"{path}.{f.name}")
+    elif isinstance(got, (tuple, list)):
+        assert type(got) is type(want) and len(got) == len(want), path
+        for i, (a, b) in enumerate(zip(got, want)):
+            _assert_same_value(a, b, f"{path}[{i}]")
+    elif isinstance(got, np.ndarray):
+        assert isinstance(want, np.ndarray), path
+        assert got.dtype == want.dtype and got.shape == want.shape, path
+        assert np.array_equal(got, want), path
+    else:
+        assert got == want, path
+
+
+class TestTilingBuilderMatchesPassListOracle:
+    """Every :class:`ExecutionSchedule` field built from the tiling equals
+    the pass-list builder's, on every structured constructor (dilations,
+    globals, ``first_query > 0``, 2-D windows) and PE shapes other than
+    the default."""
+
+    @given(
+        pattern=structured_patterns(),
+        rows=st.integers(1, 6),
+        cols=st.integers(1, 9),
+        pack=st.booleans(),
+        late=st.integers(0, 2 * MAX_N),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_every_field(self, pattern, rows, cols, pack, late):
+        if late < MAX_N and not pattern.first_query and not pattern.global_tokens() and pattern.bands():
+            # The same bands as a late-start (decode-step) pattern.
+            pattern = HybridSparsePattern(pattern.n, pattern.bands(), (), late % pattern.n)
+        config = HardwareConfig(pe_rows=rows, pe_cols=cols, pack_bands=pack)
+        try:
+            plan = DataScheduler(config, strict_global_bound=False).schedule(
+                pattern, heads=1, head_dim=8
+            )
+        except SchedulerError:  # no band selects an in-range pair
+            return
+        cp = plan.compiled()
+        _assert_same_value(cp.schedule, build_schedule(cp))
+
+    @pytest.mark.parametrize("name,pattern", PATTERN_CASES)
+    def test_default_shape_cases(self, name, pattern):
+        cp = _compiled(pattern, rows=32, cols=32)
+        _assert_same_value(cp.schedule, build_schedule(cp))

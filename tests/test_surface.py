@@ -280,6 +280,14 @@ RULES = (
     Rule("engine-factory", "call", "engine_factory", ("cluster/*", "serving/*", "transport/*"),
          (f"{_PLANE}.__init__", "serving/trace.py::replay"), 50,
          "a worker's engine is named one way; ControlPlane.__init__ and replay build factories"),
+    *(Rule(f"global-chain-{name}", "call", name,
+           ("accelerator/functional.py::FunctionalEngine._merge_global_rows",), (), 55,
+           "the global row's Eq. 2 weights come in one pass; per batch only the output half runs")
+      for name in ("_merge_part", "merge_into")),
+    *(Rule(f"no-{name}", "name", name, ("*",), (), 55,
+           "window jobs are built from the scheduler's tiling; the pass-list builder is a test oracle")
+      for name in ("_ColumnRun", "_column_run", "_even_runs", "_split_blocks",
+                   "_position_families", "_cut_valid")),
 )
 
 
